@@ -125,14 +125,16 @@ func BenchmarkFig12ResourceSavings(b *testing.B) {
 // BenchmarkOverheadImpactComputation measures one input-impact evaluation
 // over a 1000-element container state (the per-wave Monitoring cost).
 func BenchmarkOverheadImpactComputation(b *testing.B) {
-	state := make(metric.State, 1000)
-	baseline := make(metric.State, 1000)
+	cur := make(map[string]float64, 1000)
+	prev := make(map[string]float64, 1000)
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 1000; i++ {
 		key := "r" + strconv.Itoa(i) + "/v"
-		baseline[key] = rng.Float64() * 100
-		state[key] = baseline[key] + rng.NormFloat64()
+		prev[key] = rng.Float64() * 100
+		cur[key] = prev[key] + rng.NormFloat64()
 	}
+	state, baseline := metric.StateOf(cur), metric.StateOf(prev)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if v := metric.Evaluate(metric.NewRelativeError, state, baseline); v < 0 {
@@ -224,9 +226,10 @@ func BenchmarkOverheadKVStoreScan(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := table.ScanFloats(kvstore.ScanOptions{}); len(got) != 1000 {
+		if got, _ := table.ScanState(kvstore.ScanOptions{}); len(got) != 1000 {
 			b.Fatal("short scan")
 		}
 	}

@@ -14,7 +14,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"sort"
 
 	"smartflux"
 	"smartflux/workloads"
@@ -60,15 +59,8 @@ func main() {
 
 	fmt.Printf("AQHI @ %.0f%% bound — one adaptive week\n", *bound*100)
 	live := harness.Live()
-	state := live.OutputState(workloads.AirQualityIndex)
-	keys := make([]string, 0, len(state))
-	for key := range state {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-	for _, key := range keys {
-		v := state[key]
-		fmt.Printf("  final %s = %.2f (%s risk)\n", key, v, workloads.AirQualityRiskClass(v))
+	for _, e := range live.OutputState(workloads.AirQualityIndex) {
+		fmt.Printf("  final %s = %.2f (%s risk)\n", e.Key, e.Val, workloads.AirQualityRiskClass(e.Val))
 	}
 	fmt.Printf("  executions: %d of %d sync (%.0f%% saved)\n",
 		apply.TotalLiveExecutions(), apply.TotalSyncExecutions(),

@@ -103,17 +103,18 @@ func main() {
 			log.Fatal(err)
 		}
 
-		snapshot := table.ScanFloats(smartflux.ScanOptions{})
+		// States are immutable, so one snapshot serves both trackers.
+		snapshot, _ := table.ScanState(smartflux.ScanOptions{})
 		iota := impact.Observe(snapshot)
-		eps := errTracker.Observe(table.ScanFloats(smartflux.ScanOptions{}))
+		eps := errTracker.Observe(snapshot)
 
 		// A hand-rolled QoD rule: execute when the custom error metric
 		// exceeds 20%, then reset both baselines — exactly what the
 		// QoD engine does with the built-in metrics.
 		executed := eps > 0.2
 		if executed {
-			impact.Commit(table.ScanFloats(smartflux.ScanOptions{}))
-			errTracker.Commit(table.ScanFloats(smartflux.ScanOptions{}))
+			impact.Commit(snapshot)
+			errTracker.Commit(snapshot)
 		}
 		fmt.Printf("%4d  %15.2f  %13.3f  %v\n", wave, iota, eps, executed)
 	}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math"
+	"reflect"
 	"strconv"
 	"testing"
 
@@ -54,10 +55,8 @@ func testWorkload(maxErr float64) BuildFunc {
 					if err != nil {
 						return err
 					}
-					// Sum over the sorted scan, not the ScanFloats map:
-					// processors must be deterministic functions of their
-					// inputs (map iteration order would perturb the float
-					// accumulation from run to run).
+					// Sum in scan order: processors must be deterministic
+					// functions of their inputs.
 					var sum float64
 					var n int
 					for _, c := range raw.Scan(kvstore.ScanOptions{}) {
@@ -278,13 +277,8 @@ func TestInstanceOutputState(t *testing.T) {
 		t.Fatal(err)
 	}
 	state := inst.OutputState("mid")
-	if len(state) != 1 {
+	if len(state) != 1 || state[0].Key != "avg:all/avg" {
 		t.Fatalf("OutputState = %v", state)
-	}
-	for k := range state {
-		if k != "avg:all/avg" {
-			t.Errorf("unexpected key %q", k)
-		}
 	}
 	if got := inst.OutputState("ghost"); len(got) != 0 {
 		t.Error("unknown step output state must be empty")
@@ -309,13 +303,13 @@ func TestHypotheticalOutputRollsBack(t *testing.T) {
 	}
 	after := inst.OutputState("mid")
 
-	if len(fresh) != 1 {
+	if len(fresh) != 1 || fresh[0].Key != "avg:all/avg" {
 		t.Fatalf("hypothetical output = %v", fresh)
 	}
-	if fresh["avg:all/avg"] == before["avg:all/avg"] {
+	if fresh[0].Val == before[0].Val {
 		t.Error("hypothetical output should differ from the stale output after drift")
 	}
-	if after["avg:all/avg"] != before["avg:all/avg"] {
+	if !reflect.DeepEqual(after, before) {
 		t.Error("HypotheticalOutput must roll the container back")
 	}
 	if _, err := inst.HypotheticalOutput("ghost"); err == nil {

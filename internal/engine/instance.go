@@ -142,6 +142,11 @@ type Instance struct {
 	impacts []float64 // last-known impacts, by gated index
 	wave    int
 
+	// snaps caches the latest scan of every container the workflow
+	// references, across waves (see containerSnapshot). The map itself is
+	// fixed at construction; each entry carries its own lock.
+	snaps map[workflow.Container]*containerSnapshot
+
 	// retryMu guards jitter: workers of a parallel wave may back off
 	// concurrently, and the draw order must stay a pure function of the
 	// arrival order for a given seed.
@@ -170,6 +175,8 @@ type instanceObs struct {
 	timeouts    *obs.Counter
 	degraded    *obs.Counter
 	recoveries  *obs.Counter
+	snapReused  *obs.Counter
+	snapScanned *obs.Counter
 	waveDur     *obs.Histogram
 	decideDur   *obs.Histogram
 	deferEmit   bool
@@ -202,6 +209,17 @@ func (ob *instanceObs) countRecovery() {
 	}
 }
 
+func (ob *instanceObs) countSnapshot(reused bool) {
+	if ob == nil {
+		return
+	}
+	if reused {
+		ob.snapReused.Inc()
+	} else {
+		ob.snapScanned.Inc()
+	}
+}
+
 // Instrument attaches an observer to the instance: per-wave duration and
 // per-decision latency histograms, gated exec/skip counters, a parallelism
 // gauge, and — when the observer has a trace sink — one decision event per
@@ -223,6 +241,8 @@ func (in *Instance) Instrument(o *obs.Observer) {
 		timeouts:    o.Counter("smartflux_engine_step_timeouts_total"),
 		degraded:    o.Counter("smartflux_engine_steps_degraded_total"),
 		recoveries:  o.Counter("smartflux_engine_wave_recoveries_total"),
+		snapReused:  o.Counter(`smartflux_engine_snapshots_total{result="reused"}`),
+		snapScanned: o.Counter(`smartflux_engine_snapshots_total{result="scanned"}`),
 		waveDur:     o.Histogram("smartflux_engine_wave_duration_seconds"),
 		decideDur:   o.Histogram("smartflux_engine_decision_latency_seconds"),
 	}
@@ -296,6 +316,7 @@ func NewInstance(wf *workflow.Workflow, store *kvstore.Store, cfg InstanceConfig
 		states:   make(map[workflow.StepID]*stepState, len(order)),
 		impacts:  make([]float64, len(gated)),
 		jitter:   rand.New(rand.NewSource(cfg.RetrySeed)),
+		snaps:    make(map[workflow.Container]*containerSnapshot),
 	}
 	for i, id := range gated {
 		in.gatedIdx[id] = i
@@ -306,6 +327,12 @@ func NewInstance(wf *workflow.Workflow, store *kvstore.Store, cfg InstanceConfig
 			return nil, err
 		}
 		st := &stepState{step: step, lastExecWave: -1}
+		for _, c := range step.Inputs {
+			in.snaps[c] = &containerSnapshot{}
+		}
+		for _, c := range step.Outputs {
+			in.snaps[c] = &containerSnapshot{}
+		}
 		if step.Gated() {
 			impactFactory, err := metric.Resolve(step.QoD.ImpactFunc)
 			if err != nil {
@@ -409,19 +436,63 @@ func (in *Instance) ExecCount(id workflow.StepID) int {
 	return st.execCount
 }
 
-// OutputState snapshots the numeric state of all output containers of id.
+// containerSnapshot is the latest scan of one container, kept across waves.
+// It is valid for as long as the store still resolves the container's table
+// name to the same *Table and that table's mutation version has not moved —
+// so a container nobody wrote since it was last observed is not rescanned,
+// and nothing has to invalidate entries: executions, degraded-step rollbacks,
+// hypothetical runs and failed waves all show up as a version change (or, for
+// DropTable + recreate, a different table).
+type containerSnapshot struct {
+	// mu serializes workers of a parallel wave that observe the same
+	// container: the first scans, the rest reuse its state, so the
+	// scanned/reused counters do not depend on scheduling.
+	mu      sync.Mutex
+	table   *kvstore.Table
+	version uint64
+	state   metric.State
+}
+
+// snapshot returns the current state of c — one of the workflow's input or
+// output containers — scanning its table only when it changed since the
+// previous snapshot. The returned state is shared and immutable.
+func (in *Instance) snapshot(c workflow.Container) metric.State {
+	t, err := in.store.Table(c.Table)
+	if err != nil {
+		return nil
+	}
+	e := in.snaps[c]
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	reused := e.table == t && e.version == t.Version()
+	if !reused {
+		e.table = t
+		e.state, e.version = c.Scan(t)
+	}
+	in.obs.countSnapshot(reused)
+	return e.state
+}
+
+// OutputState snapshots the numeric state of all output containers of id,
+// merged under "table:row/column" keys.
 func (in *Instance) OutputState(id workflow.StepID) metric.State {
 	st, ok := in.states[id]
 	if !ok {
-		return metric.State{}
+		return nil
 	}
-	merged := metric.State{}
-	for _, out := range st.step.Outputs {
-		for k, v := range out.Snapshot(in.store) {
-			merged[out.Table+":"+k] = v
+	states := in.outputStates(st.step)
+	var n int
+	for _, state := range states {
+		n += len(state)
+	}
+	merged := make([]metric.Elem, 0, n)
+	for i, state := range states {
+		prefix := st.step.Outputs[i].Table + ":"
+		for _, e := range state {
+			merged = append(merged, metric.Elem{Key: prefix + e.Key, Val: e.Val})
 		}
 	}
-	return merged
+	return metric.NewState(merged)
 }
 
 // ErrorFactory returns the error-metric factory of gated step id, or nil.
@@ -434,15 +505,15 @@ func (in *Instance) ErrorFactory(id workflow.StepID) metric.Factory {
 }
 
 // observeImpact snapshots a gated step's input containers (through the
-// per-wave cache, so containers shared across steps are scanned once) and
-// folds them into the step's impact trackers, returning the combined impact.
-// The returned states are shared, read-only snapshots; trackers never mutate
-// retained states, so sharing is safe.
-func (in *Instance) observeImpact(st *stepState, cache *waveCache) (float64, []metric.State) {
+// snapshot cache, so a container is scanned once however many steps read it
+// and not at all while nobody writes it) and folds them into the step's
+// impact trackers, returning the combined impact. The returned states are
+// shared and immutable.
+func (in *Instance) observeImpact(st *stepState) (float64, []metric.State) {
 	inputStates := make([]metric.State, len(st.step.Inputs))
 	values := make([]float64, len(inputStates))
 	for i, c := range st.step.Inputs {
-		state := cache.snapshot(c)
+		state := in.snapshot(c)
 		inputStates[i] = state
 		values[i] = st.impactTrackers[i].Observe(state)
 	}
@@ -453,7 +524,7 @@ func (in *Instance) observeImpact(st *stepState, cache *waveCache) (float64, []m
 func (in *Instance) outputStates(step *workflow.Step) []metric.State {
 	states := make([]metric.State, len(step.Outputs))
 	for i, c := range step.Outputs {
-		states[i] = c.Snapshot(in.store)
+		states[i] = in.snapshot(c)
 	}
 	return states
 }
@@ -561,7 +632,6 @@ func (in *Instance) runWaveSequential(d Decider) (WaveResult, error) {
 	}
 
 	ctx := &workflow.Context{Wave: wave, Store: in.store}
-	cache := newWaveCache(in.store)
 	waveSp := in.waveSpan(wave)
 	for i, id := range in.order {
 		st := in.states[id]
@@ -575,7 +645,6 @@ func (in *Instance) runWaveSequential(d Decider) (WaveResult, error) {
 				return res, err
 			}
 			stepSp.End()
-			cache.invalidate(step.Outputs)
 			res.TotalExecutions++
 		case !step.Gated():
 			if !in.predecessorsReady(id) {
@@ -589,13 +658,12 @@ func (in *Instance) runWaveSequential(d Decider) (WaveResult, error) {
 				return res, err
 			}
 			stepSp.End()
-			cache.invalidate(step.Outputs)
 			res.TotalExecutions++
 		default:
 			idx := in.gatedIdx[id]
 			// Observe the (possibly unchanged) input containers and
 			// refresh the impact vector before deciding.
-			impact, inputStates := in.observeImpact(st, cache)
+			impact, inputStates := in.observeImpact(st)
 			in.impacts[idx] = impact
 			res.Impacts[idx] = impact
 			stepSp.SetIota(impact)
@@ -628,7 +696,6 @@ func (in *Instance) runWaveSequential(d Decider) (WaveResult, error) {
 				ob.countDegraded()
 				continue
 			}
-			cache.invalidate(step.Outputs)
 			res.TotalExecutions++
 			res.GatedExecutions++
 			res.Executed[idx] = true

@@ -36,69 +36,12 @@ package engine
 // preserved.
 
 import (
-	"strings"
 	"sync"
 	"time"
 
-	"smartflux/internal/kvstore"
-	"smartflux/internal/metric"
 	"smartflux/internal/obs"
 	"smartflux/internal/workflow"
 )
-
-// waveCache shares container snapshots across the trackers of one wave.
-// Multiple gated steps reading the same container reference get one scan and
-// one shared read-only metric.State (trackers never mutate retained states).
-// Entries are invalidated by output table after every execution; a reader
-// can still never observe a half-fresh entry because every writer
-// overlapping its container is one of its predecessors and therefore
-// finishes — and invalidates — before the reader's snapshot.
-type waveCache struct {
-	store  *kvstore.Store
-	mu     sync.Mutex
-	states map[string]metric.State // keyed by Container.String()
-}
-
-func newWaveCache(store *kvstore.Store) *waveCache {
-	return &waveCache{store: store, states: make(map[string]metric.State)}
-}
-
-// snapshot returns the container's state, scanning at most once per wave for
-// each distinct container reference.
-func (c *waveCache) snapshot(ct workflow.Container) metric.State {
-	key := ct.String()
-	c.mu.Lock()
-	if s, ok := c.states[key]; ok {
-		c.mu.Unlock()
-		return s
-	}
-	c.mu.Unlock()
-	// Scan outside the lock so independent snapshots overlap; two workers
-	// racing on the same untouched container produce identical states.
-	s := ct.Snapshot(c.store)
-	c.mu.Lock()
-	c.states[key] = s
-	c.mu.Unlock()
-	return s
-}
-
-// invalidate drops every cached entry on the written tables.
-func (c *waveCache) invalidate(outputs []workflow.Container) {
-	if len(outputs) == 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for key := range c.states {
-		table, _, _ := strings.Cut(key, "/")
-		for _, out := range outputs {
-			if out.Table == table {
-				delete(c.states, key)
-				break
-			}
-		}
-	}
-}
 
 // gatedObservation is a worker's report to the coordinator: the freshly
 // observed combined input impact and the triggering precondition.
@@ -142,7 +85,6 @@ func (in *Instance) runWaveParallel(d Decider) (WaveResult, error) {
 	}
 
 	ctx := &workflow.Context{Wave: wave, Store: in.store}
-	cache := newWaveCache(in.store)
 
 	n := len(in.order)
 	done := make([]chan struct{}, n)
@@ -184,16 +126,13 @@ func (in *Instance) runWaveParallel(d Decider) (WaveResult, error) {
 				}
 				sem <- struct{}{}
 				err := in.execute(ctx, st, wave, stepSp)
-				if err == nil {
-					cache.invalidate(step.Outputs)
-				}
 				<-sem
 				stepSp.EndErr(err)
 				outcomes[i] = stepOutcome{executed: err == nil, err: err}
 			default:
 				ready := in.predecessorsReady(step.ID)
 				sem <- struct{}{}
-				impact, inputStates := in.observeImpact(st, cache)
+				impact, inputStates := in.observeImpact(st)
 				<-sem
 				stepSp.SetIota(impact)
 				obsCh[i] <- gatedObservation{impact: impact, ready: ready}
@@ -227,7 +166,6 @@ func (in *Instance) runWaveParallel(d Decider) (WaveResult, error) {
 					outcomes[i] = stepOutcome{gated: true, err: err}
 					return
 				}
-				cache.invalidate(step.Outputs)
 				idx := in.gatedIdx[step.ID]
 				res.Executed[idx] = true
 				if v.ev != nil {

@@ -291,47 +291,115 @@ func TestParallelWaveError(t *testing.T) {
 	}
 }
 
-// TestWaveCacheSnapshotSharing checks the per-wave snapshot cache returns one
-// shared state per container and drops only the invalidated table's entries.
-func TestWaveCacheSnapshotSharing(t *testing.T) {
-	store := kvstore.New()
-	a, err := store.EnsureTable("a", kvstore.TableOptions{})
+// TestSnapshotCacheReuse checks the cross-wave snapshot cache: a container
+// nobody wrote keeps its state — same backing array, no allocation, no scan —
+// from wave to wave, and any write to its table, or a table dropped and
+// recreated under the same name, is seen by the next snapshot.
+func TestSnapshotCacheReuse(t *testing.T) {
+	inst := newTestInstance(t, 0.1, false)
+	reg := obs.NewRegistry()
+	inst.Instrument(obs.New(reg))
+	never := DeciderFunc{PolicyName: "never", Fn: func(_, _ int, _ []float64) bool { return false }}
+	if _, err := inst.RunWave(Sync{}); err != nil {
+		t.Fatal(err)
+	}
+	raw, avg := workflow.Container{Table: "raw"}, workflow.Container{Table: "avg"}
+	rawBefore, avgBefore := inst.snapshot(raw), inst.snapshot(avg)
+	if len(rawBefore) != 8 || len(avgBefore) != 1 {
+		t.Fatalf("primed snapshots: raw %v, avg %v", rawBefore, avgBefore)
+	}
+
+	// mid and leaf skip: src rewrites raw, nobody touches avg.
+	if _, err := inst.RunWave(never); err != nil {
+		t.Fatal(err)
+	}
+	scanned := reg.Snapshot().Counters[`smartflux_engine_snapshots_total{result="scanned"}`]
+	if allocs := testing.AllocsPerRun(10, func() { inst.snapshot(avg) }); allocs != 0 {
+		t.Errorf("snapshot of an unwritten container allocates %v objects, want 0", allocs)
+	}
+	if got := inst.snapshot(avg); &got[0] != &avgBefore[0] {
+		t.Error("an unwritten container must keep the previous wave's state")
+	}
+	if got := inst.snapshot(raw); reflect.DeepEqual(got, rawBefore) || !reflect.DeepEqual(got, raw.Snapshot(inst.store)) {
+		t.Errorf("a rewritten container must be rescanned: %v", got)
+	}
+	snap := reg.Snapshot()
+	if got := snap.Counters[`smartflux_engine_snapshots_total{result="scanned"}`]; got != scanned {
+		t.Errorf("reads scanned %d more times", got-scanned)
+	}
+	if got := snap.Counters[`smartflux_engine_snapshots_total{result="reused"}`]; got == 0 {
+		t.Error("reused snapshots are not counted")
+	}
+
+	table, err := inst.store.Table("avg")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.PutFloat("k", "v", 1); err != nil {
+	if err := table.PutFloat("all", "avg", -1); err != nil {
 		t.Fatal(err)
 	}
-	b, err := store.EnsureTable("b", kvstore.TableOptions{})
-	if err != nil {
-		t.Fatal(err)
+	if got := inst.snapshot(avg); len(got) != 1 || got[0].Val != -1 {
+		t.Errorf("snapshot after a write = %v, want the new value", got)
 	}
-	if err := b.PutFloat("k", "v", 2); err != nil {
-		t.Fatal(err)
+	if avgBefore[0].Val == -1 {
+		t.Error("a handed-out state changed under a later write")
 	}
 
-	cache := newWaveCache(store)
-	s1 := cache.snapshot(workflow.Container{Table: "a"})
-	s2 := cache.snapshot(workflow.Container{Table: "a"})
-	if !reflect.DeepEqual(s1, s2) {
-		t.Fatal("repeated snapshots must agree")
+	// A recreated table restarts at version 0: one Put brings it to the
+	// version the cached entry may hold, so the *Table must be compared too.
+	for _, v := range []float64{-2, -3} {
+		if err := inst.store.DropTable("avg"); err != nil {
+			t.Fatal(err)
+		}
+		table, err := inst.store.CreateTable("avg", kvstore.TableOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := table.PutFloat("all", "avg", v); err != nil {
+			t.Fatal(err)
+		}
+		if got := inst.snapshot(avg); len(got) != 1 || got[0].Val != v {
+			t.Errorf("snapshot after drop+recreate = %v, want %v", got, v)
+		}
 	}
-	if len(cache.states) != 1 {
-		t.Fatalf("cache holds %d entries, want 1", len(cache.states))
-	}
-	cache.snapshot(workflow.Container{Table: "b"})
-
-	// Writing to "a" and invalidating must evict only "a" snapshots.
-	if err := a.PutFloat("k", "v", 10); err != nil {
+	if err := inst.store.DropTable("avg"); err != nil {
 		t.Fatal(err)
 	}
-	cache.invalidate([]workflow.Container{{Table: "a"}})
-	if len(cache.states) != 1 {
-		t.Fatalf("after invalidate cache holds %d entries, want 1 (b)", len(cache.states))
+	if got := inst.snapshot(avg); len(got) != 0 {
+		t.Errorf("snapshot of a missing table = %v", got)
 	}
-	s3 := cache.snapshot(workflow.Container{Table: "a"})
-	if reflect.DeepEqual(s1, s3) {
-		t.Fatal("post-invalidate snapshot must see the new write")
+}
+
+// TestSnapshotCacheFreshUnderParallelism runs a wide workflow — many workers
+// observing column slices of one shared table — at Parallelism 4 under a
+// skipping policy and checks after every wave that each cached container
+// state equals a direct scan, and that the scanned/reused counts match the
+// sequential engine's (racing readers of one container share one scan).
+func TestSnapshotCacheFreshUnderParallelism(t *testing.T) {
+	build := wideWorkload(12, 0.08)
+	counts := make(map[int]map[string]uint64)
+	for _, par := range []int{1, 4} {
+		inst := newWorkloadInstance(t, build, false, par)
+		reg := obs.NewRegistry()
+		inst.Instrument(obs.New(reg))
+		d := NewRandom(0.4, 11)
+		for w := 0; w < 25; w++ {
+			if _, err := inst.RunWave(d); err != nil {
+				t.Fatal(err)
+			}
+			for c := range inst.snaps {
+				if got, want := inst.snapshot(c), c.Snapshot(inst.store); !reflect.DeepEqual(got, want) {
+					t.Fatalf("par %d wave %d: cached %v = %v, store has %v", par, w, c, got, want)
+				}
+			}
+		}
+		counts[par] = reg.Snapshot().Counters
+	}
+	for _, result := range []string{"scanned", "reused"} {
+		name := `smartflux_engine_snapshots_total{result="` + result + `"}`
+		if counts[1][name] == 0 || counts[1][name] != counts[4][name] {
+			t.Errorf("%s: sequential %d, parallel %d", name, counts[1][name], counts[4][name])
+		}
 	}
 }
 

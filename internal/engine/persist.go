@@ -33,8 +33,9 @@ type InstancePersist struct {
 	Steps   map[workflow.StepID]StepPersist
 }
 
-// PersistState exports the instance's complete mutable state in deep-copied,
-// serialization-friendly form. The workflow wiring, store and configuration
+// PersistState exports the instance's complete mutable state in
+// serialization-friendly form (tracker baselines are shared, not copied:
+// metric states are immutable). The workflow wiring, store and configuration
 // are construction-time inputs and not included: RestorePersistedState must
 // be called on an instance built from the same workload.
 func (in *Instance) PersistState() InstancePersist {
@@ -195,21 +196,11 @@ func copyFloatMatrix(m [][]float64) [][]float64 {
 	return out
 }
 
-func cloneMetricState(s metric.State) metric.State {
-	if s == nil {
-		return nil
-	}
-	out := make(metric.State, len(s))
-	for k, v := range s {
-		out[k] = v
-	}
-	return out
-}
-
 // Checkpoint captures the harness's complete state after a completed wave:
 // the result so far, both instances, the measurement accumulators and — when
-// the decider is stateful — the decider. Everything is deep-copied, so the
-// checkpoint stays valid as the run continues.
+// the decider is stateful — the decider. Everything mutable is deep-copied
+// (metric states are immutable and shared), so the checkpoint stays valid as
+// the run continues.
 func (h *Harness) Checkpoint(res *Result, d Decider) (*HarnessCheckpoint, error) {
 	cp := &HarnessCheckpoint{
 		Waves:    res.Waves,
@@ -221,7 +212,7 @@ func (h *Harness) Checkpoint(res *Result, d Decider) (*HarnessCheckpoint, error)
 	for _, id := range h.reportSteps {
 		if st := h.measures[id]; st != nil {
 			cp.Measures[id] = MeasurePersist{
-				FreshPrev: cloneMetricState(st.freshPrev),
+				FreshPrev: st.freshPrev,
 				Accum:     st.accum,
 				Present:   true,
 			}
@@ -252,7 +243,7 @@ func (h *Harness) RestoreCheckpoint(cp *HarnessCheckpoint, d Decider) (*Result, 
 	for _, id := range h.reportSteps {
 		if mp, ok := cp.Measures[id]; ok && mp.Present {
 			h.measures[id] = &measureState{
-				freshPrev: cloneMetricState(mp.FreshPrev),
+				freshPrev: mp.FreshPrev,
 				accum:     mp.Accum,
 			}
 		}

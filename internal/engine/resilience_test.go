@@ -168,17 +168,20 @@ func TestDegradeGatedForcedSkip(t *testing.T) {
 			t.Fatalf("wave %d: %v", w, err)
 		}
 		state := in.OutputState("leaf")
+		if len(state) != 1 || state[0].Key != "scaled:all/scaled" {
+			t.Fatalf("wave %d: OutputState = %v", w, state)
+		}
 		switch {
 		case w < 2:
 			if res.Degraded[idx] || !res.Executed[idx] {
 				t.Fatalf("wave %d: degraded=%v executed=%v before the fault", w, res.Degraded[idx], res.Executed[idx])
 			}
-			lastGood = state["scaled:all/scaled"]
+			lastGood = state[0].Val
 		default:
 			if !res.Degraded[idx] || res.Executed[idx] {
 				t.Fatalf("wave %d: degraded=%v executed=%v, want forced skip", w, res.Degraded[idx], res.Executed[idx])
 			}
-			if got := state["scaled:all/scaled"]; got != lastGood {
+			if got := state[0].Val; got != lastGood {
 				t.Fatalf("wave %d: degraded step output moved %v -> %v; rollback failed", w, lastGood, got)
 			}
 		}

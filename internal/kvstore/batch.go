@@ -62,20 +62,9 @@ func (t *Table) Apply(b *Batch) error {
 	for _, op := range b.ops {
 		ts := t.store.nextTimestamp()
 		if op.Delete {
-			cols, ok := t.rows[op.Row]
+			old, ok := t.deleteLocked(op.Row, op.Column)
 			if !ok {
 				continue
-			}
-			versions, ok := cols[op.Column]
-			if !ok {
-				continue
-			}
-			old := versions[len(versions)-1].Value
-			delete(cols, op.Column)
-			delete(t.colKeys, op.Row)
-			if len(cols) == 0 {
-				delete(t.rows, op.Row)
-				t.rowKeys = nil
 			}
 			muts = append(muts, Mutation{
 				Table:     t.name,

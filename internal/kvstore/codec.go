@@ -4,6 +4,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"strings"
+
+	"smartflux/internal/metric"
 )
 
 // ErrBadFloat is returned when decoding a value that is not an encoded
@@ -57,42 +60,76 @@ func (c Cell) FloatValue() (float64, bool) {
 	return v, true
 }
 
-// ScanFloats scans matching cells and decodes them as float64s keyed by the
-// canonical element key "row/column". Non-float cells are skipped. Unlike
-// Scan it avoids copying cell values, so it is the preferred bulk numeric
-// read.
-func (t *Table) ScanFloats(opts ScanOptions) map[string]float64 {
+// ScanState scans matching cells, decodes them as float64s and returns them
+// as a metric.State keyed by the canonical element key "row/column", together
+// with the table's mutation version at the time of the scan (one lock hold):
+// a later call at the same version would return the same elements, so callers
+// may keep the state and skip the scan. Non-float cells are skipped. It is
+// the bulk numeric read behind ι/ε observation: no cell value is copied and,
+// once the row's element keys are cached, nothing is allocated but the
+// result.
+//
+// Cells are visited in (row, column) order, which is element-key order except
+// where one row key is a proper prefix of another followed by a byte below
+// '/' ("a" vs "a-b"); such output is re-sorted. Two cells whose element keys
+// collide (row "a/b" column "c", row "a" column "b/c") yield one element: the
+// later cell in (row, column) order wins.
+func (t *Table) ScanState(opts ScanOptions) (metric.State, uint64) {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make(map[string]float64, len(t.rows))
-	for row, cols := range t.rows {
-		if opts.StartRow != "" && row < opts.StartRow {
+	rows := t.sortedRowKeysLocked()
+	var n int
+	for _, row := range rows {
+		switch {
+		case !opts.matchesRow(row):
+		case opts.ColumnPrefix == "":
+			n += len(t.rows[row])
+		default:
+			for _, col := range t.rowKeysLocked(row).cols {
+				if strings.HasPrefix(col, opts.ColumnPrefix) {
+					n++
+				}
+			}
+		}
+	}
+	elems := make([]metric.Elem, 0, n)
+	sorted := true
+	for _, row := range rows {
+		if !opts.matchesRow(row) {
 			continue
 		}
-		if opts.EndRow != "" && row >= opts.EndRow {
-			continue
+		cols := t.rows[row]
+		rk := t.rowKeysLocked(row)
+		if rk.elems == nil {
+			rk.elems = make([]string, len(rk.cols))
+			for i, col := range rk.cols {
+				rk.elems[i] = row + "/" + col
+			}
 		}
-		if opts.RowPrefix != "" && !hasPrefix(row, opts.RowPrefix) {
-			continue
-		}
-		for col, versions := range cols {
-			if opts.ColumnPrefix != "" && !hasPrefix(col, opts.ColumnPrefix) {
+		first := len(elems)
+		for i, col := range rk.cols {
+			if !strings.HasPrefix(col, opts.ColumnPrefix) {
 				continue
 			}
-			if len(versions) == 0 {
-				continue
-			}
+			versions := cols[col]
 			v, err := DecodeFloat(versions[len(versions)-1].Value)
 			if err != nil {
 				continue
 			}
-			out[row+"/"+col] = v
+			elems = append(elems, metric.Elem{Key: rk.elems[i], Val: v})
+		}
+		// Keys ascend within a row, so order can only break between rows.
+		if first > 0 && first < len(elems) && elems[first-1].Key >= elems[first].Key {
+			sorted = false
 		}
 	}
-	return out
-}
-
-// hasPrefix avoids importing strings into this file.
-func hasPrefix(s, prefix string) bool {
-	return len(s) >= len(prefix) && s[:len(prefix)] == prefix
+	version := t.version
+	t.mu.Unlock()
+	if ins := t.store.ins.Load(); ins != nil {
+		ins.scans.Inc()
+		ins.scanCells.Add(uint64(len(elems)))
+	}
+	if !sorted {
+		elems = metric.NewState(elems)
+	}
+	return elems, version
 }

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -313,7 +314,20 @@ type Table struct {
 	// re-sorting every call.
 	rowKeys []string
 	// colKeys caches per-row sorted column keys; absent entries are stale.
-	colKeys map[string][]string
+	colKeys map[string]*rowKeys
+	// version counts content changes: every applied put, delete and replay
+	// bumps it under mu, so two reads returning the same version saw the
+	// same cells. Snapshot caches key on it (see ScanState).
+	version uint64
+}
+
+// rowKeys is one row's sorted-key cache entry.
+type rowKeys struct {
+	cols []string // sorted column keys
+	// elems[i] is the element key row+"/"+cols[i]. Built by the first
+	// ScanState over the row, so steady-state ι snapshots allocate no key
+	// strings; nil until then.
+	elems []string
 }
 
 // Name returns the table name.
@@ -385,6 +399,7 @@ func (t *Table) putLocked(row, column string, value []byte, ts uint64) Mutation 
 		versions = versions[len(versions)-t.maxVersions:]
 	}
 	cols[column] = versions
+	t.version++
 	return Mutation{
 		Table:     t.name,
 		Row:       row,
@@ -470,26 +485,12 @@ func (t *Table) Delete(row, column string) error {
 	ins := t.store.ins.Load()
 	sp := ins.opSpan("delete", t.name)
 	t.mu.Lock()
-	cols, ok := t.rows[row]
-	if !ok {
-		t.mu.Unlock()
-		sp.End()
-		return nil
-	}
-	versions, ok := cols[column]
-	if !ok {
-		t.mu.Unlock()
-		sp.End()
-		return nil
-	}
-	old := versions[len(versions)-1].Value
-	delete(cols, column)
-	delete(t.colKeys, row)
-	if len(cols) == 0 {
-		delete(t.rows, row)
-		t.rowKeys = nil
-	}
+	old, ok := t.deleteLocked(row, column)
 	t.mu.Unlock()
+	if !ok {
+		sp.End()
+		return nil
+	}
 	if ins != nil {
 		ins.deletes.Inc()
 	}
@@ -503,6 +504,32 @@ func (t *Table) Delete(row, column string) error {
 		Kind:      MutationDelete,
 	}})
 	return nil
+}
+
+// deleteLocked removes a cell under t.mu, returning its latest value; ok is
+// false, and nothing changes, when the cell does not exist.
+func (t *Table) deleteLocked(row, column string) (old []byte, ok bool) {
+	cols := t.rows[row]
+	versions, ok := cols[column]
+	if !ok {
+		return nil, false
+	}
+	delete(cols, column)
+	delete(t.colKeys, row)
+	if len(cols) == 0 {
+		delete(t.rows, row)
+		t.rowKeys = nil
+	}
+	t.version++
+	return versions[len(versions)-1].Value, true
+}
+
+// Version returns the table's mutation version: a counter that moves on every
+// content change and on nothing else.
+func (t *Table) Version() uint64 {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.version
 }
 
 // ScanOptions selects cells for Scan. Zero values mean "no constraint".
@@ -519,6 +546,17 @@ type ScanOptions struct {
 	Limit int
 }
 
+// matchesRow reports whether row passes the row constraints of opts.
+func (opts ScanOptions) matchesRow(row string) bool {
+	if opts.StartRow != "" && row < opts.StartRow {
+		return false
+	}
+	if opts.EndRow != "" && row >= opts.EndRow {
+		return false
+	}
+	return strings.HasPrefix(row, opts.RowPrefix)
+}
+
 // sortedRowKeysLocked returns (rebuilding if needed) the cached sorted row
 // keys. Callers must hold t.mu for writing.
 func (t *Table) sortedRowKeysLocked() []string {
@@ -532,23 +570,23 @@ func (t *Table) sortedRowKeysLocked() []string {
 	return t.rowKeys
 }
 
-// sortedColKeysLocked returns (rebuilding if needed) the cached sorted
-// column keys of a row. Callers must hold t.mu for writing.
-func (t *Table) sortedColKeysLocked(row string) []string {
-	if keys, ok := t.colKeys[row]; ok {
-		return keys
+// rowKeysLocked returns (rebuilding if needed) a row's key cache entry.
+// Callers must hold t.mu for writing.
+func (t *Table) rowKeysLocked(row string) *rowKeys {
+	if rk, ok := t.colKeys[row]; ok {
+		return rk
 	}
 	if t.colKeys == nil {
-		t.colKeys = make(map[string][]string)
+		t.colKeys = make(map[string]*rowKeys)
 	}
 	cols := t.rows[row]
-	keys := make([]string, 0, len(cols))
+	rk := &rowKeys{cols: make([]string, 0, len(cols))}
 	for col := range cols {
-		keys = append(keys, col)
+		rk.cols = append(rk.cols, col)
 	}
-	sort.Strings(keys)
-	t.colKeys[row] = keys
-	return keys
+	sort.Strings(rk.cols)
+	t.colKeys[row] = rk
+	return rk
 }
 
 // Scan returns the latest version of every matching cell, ordered by row then

@@ -5,9 +5,12 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strconv"
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"smartflux/internal/metric"
 )
 
 func newTestTable(t *testing.T, opts TableOptions) *Table {
@@ -308,12 +311,13 @@ func TestFloatCodecRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPutGetFloatAndScanFloats(t *testing.T) {
+func TestPutGetFloatAndScanState(t *testing.T) {
 	table := newTestTable(t, TableOptions{})
 	if err := table.PutFloat("r1", "c", 1.5); err != nil {
 		t.Fatal(err)
 	}
 	table.PutFloat("r2", "c", 2.5)
+	table.PutFloat("r2", "d", 3.5)
 	table.Put("r3", "c", []byte("not-a-float"))
 
 	v, ok := table.GetFloat("r1", "c")
@@ -324,15 +328,125 @@ func TestPutGetFloatAndScanFloats(t *testing.T) {
 		t.Error("GetFloat on non-float cell should report !ok")
 	}
 
-	floats := table.ScanFloats(ScanOptions{})
-	want := map[string]float64{"r1/c": 1.5, "r2/c": 2.5}
-	if !reflect.DeepEqual(floats, want) {
-		t.Errorf("ScanFloats = %v, want %v", floats, want)
+	// Non-float cells are skipped; elements come out in key order.
+	for _, tc := range []struct {
+		name string
+		opts ScanOptions
+		want metric.State
+	}{
+		{"all", ScanOptions{}, metric.State{{Key: "r1/c", Val: 1.5}, {Key: "r2/c", Val: 2.5}, {Key: "r2/d", Val: 3.5}}},
+		{"row prefix", ScanOptions{RowPrefix: "r1"}, metric.State{{Key: "r1/c", Val: 1.5}}},
+		{"row range", ScanOptions{StartRow: "r2", EndRow: "r3"}, metric.State{{Key: "r2/c", Val: 2.5}, {Key: "r2/d", Val: 3.5}}},
+		{"column prefix", ScanOptions{ColumnPrefix: "d"}, metric.State{{Key: "r2/d", Val: 3.5}}},
+		{"nothing", ScanOptions{RowPrefix: "x"}, metric.State{}},
+	} {
+		got, version := table.ScanState(tc.opts)
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: ScanState = %v, want %v", tc.name, got, tc.want)
+		}
+		if version != table.Version() {
+			t.Errorf("%s: ScanState version = %d, table at %d", tc.name, version, table.Version())
+		}
 	}
-	filtered := table.ScanFloats(ScanOptions{RowPrefix: "r1"})
-	if len(filtered) != 1 {
-		t.Errorf("filtered ScanFloats = %v", filtered)
+}
+
+// TestScanStateKeyOrder pins the two places where (row, column) order and
+// element-key order part ways: a row key that is a proper prefix of another
+// followed by a byte below '/', and two cells whose element keys collide.
+func TestScanStateKeyOrder(t *testing.T) {
+	table := newTestTable(t, TableOptions{})
+	for i, row := range []string{"a", "a-b", "a.b", "a0", "a b"} {
+		table.PutFloat(row, "c", float64(i))
 	}
+	got, _ := table.ScanState(ScanOptions{})
+	want := metric.State{{Key: "a b/c", Val: 4}, {Key: "a-b/c", Val: 1}, {Key: "a.b/c", Val: 2}, {Key: "a/c", Val: 0}, {Key: "a0/c", Val: 3}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("prefix rows: ScanState = %v, want %v", got, want)
+	}
+
+	// Row "a" column "b/c" and row "a/b" column "c" are both "a/b/c": one
+	// element, holding the later cell in (row, column) order.
+	table = newTestTable(t, TableOptions{})
+	table.PutFloat("a/b", "c", 2)
+	table.PutFloat("a", "b/c", 1)
+	table.PutFloat("a", "z", 3)
+	want = metric.State{{Key: "a/b/c", Val: 2}, {Key: "a/z", Val: 3}}
+	for i := 0; i < 20; i++ { // map-order independent
+		if got, _ := table.ScanState(ScanOptions{}); !reflect.DeepEqual(got, want) {
+			t.Fatalf("colliding keys: ScanState = %v, want %v", got, want)
+		}
+	}
+}
+
+// TestScanStateCachedKeys checks the per-row element-key cache: steady-state
+// scans share key strings and allocate only the result, and a cell deleted
+// and reinserted — or a new column — rebuilds the row's keys.
+func TestScanStateCachedKeys(t *testing.T) {
+	table := newTestTable(t, TableOptions{})
+	for i := 0; i < 50; i++ {
+		table.PutFloat("r"+strconv.Itoa(i), "v", float64(i))
+	}
+	first, _ := table.ScanState(ScanOptions{})
+	if allocs := testing.AllocsPerRun(20, func() { table.ScanState(ScanOptions{}) }); allocs > 1 {
+		t.Errorf("steady-state ScanState allocates %v objects, want 1 (the result)", allocs)
+	}
+
+	table.Delete("r7", "v")
+	if got, _ := table.ScanState(ScanOptions{}); len(got) != 49 {
+		t.Fatalf("after delete: %d elements, want 49", len(got))
+	}
+	table.PutFloat("r7", "v", 70)
+	table.PutFloat("r7", "w", 71)
+	got, _ := table.ScanState(ScanOptions{RowPrefix: "r7"})
+	want := metric.State{{Key: "r7/v", Val: 70}, {Key: "r7/w", Val: 71}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("after reinsert: ScanState = %v, want %v", got, want)
+	}
+	if len(first) != 50 || first[0] != (metric.Elem{Key: "r0/v", Val: 0}) {
+		t.Errorf("an earlier state changed under later writes: %v", first[:1])
+	}
+}
+
+// TestTableVersion checks the mutation version moves on every content change
+// — including the paths that bypass Put — and on nothing else.
+func TestTableVersion(t *testing.T) {
+	table := newTestTable(t, TableOptions{})
+	last := table.Version()
+	step := func(name string, wantMove bool, fn func()) {
+		t.Helper()
+		fn()
+		v := table.Version()
+		if moved := v != last; moved != wantMove {
+			t.Errorf("%s: version %d -> %d, want moved=%v", name, last, v, wantMove)
+		}
+		if v < last {
+			t.Errorf("%s: version went backwards, %d -> %d", name, last, v)
+		}
+		last = v
+	}
+	step("Put", true, func() { table.PutFloat("r", "c", 1) })
+	step("Put same value", true, func() { table.PutFloat("r", "c", 1) })
+	step("Apply put", true, func() { table.Apply(NewBatch().PutFloat("r", "d", 2)) })
+	step("Apply delete", true, func() { table.Apply(NewBatch().Delete("r", "d")) })
+	step("Apply delete of a missing cell", false, func() { table.Apply(NewBatch().Delete("r", "nope")) })
+	step("Delete", true, func() { table.Delete("r", "c") })
+	step("Delete of a missing cell", false, func() { table.Delete("r", "c") })
+	step("ReplayPut", true, func() { table.ReplayPut("r", "c", EncodeFloat(3), 100) })
+	step("ReplayPut duplicate", false, func() { table.ReplayPut("r", "c", EncodeFloat(3), 100) })
+	step("ReplayDelete", true, func() { table.ReplayDelete("r", "c") })
+	step("ReplayDelete of a missing cell", false, func() { table.ReplayDelete("r", "c") })
+	table.PutFloat("r", "c", 4)
+	last = table.Version()
+	step("reads", false, func() {
+		table.Get("r", "c")
+		table.GetWithPrevious("r", "c")
+		table.GetVersions("r", "c", 0)
+		table.Scan(ScanOptions{})
+		table.ScanState(ScanOptions{})
+		table.ScanPages(ScanOptions{}, 0, func([]Cell, bool) error { return nil })
+		table.RowCount()
+		table.CellCount()
+	})
 }
 
 func TestConcurrentAccess(t *testing.T) {

@@ -32,6 +32,7 @@ func TestStoreInstrumented(t *testing.T) {
 		t.Fatal(err)
 	}
 	cells := table.Scan(ScanOptions{})
+	state, _ := table.ScanState(ScanOptions{})
 
 	snap := reg.Snapshot()
 	// 4 puts + 2 batch puts + 1 final put = 7 mutations.
@@ -45,11 +46,12 @@ func TestStoreInstrumented(t *testing.T) {
 	if got := snap.Counters[`smartflux_kvstore_ops_total{op="get"}`]; got != 2 {
 		t.Errorf("gets = %d, want 2", got)
 	}
-	if got := snap.Counters[`smartflux_kvstore_ops_total{op="scan"}`]; got != 1 {
-		t.Errorf("scans = %d, want 1", got)
+	// Snapshot scans (ScanState) count as scans too.
+	if got := snap.Counters[`smartflux_kvstore_ops_total{op="scan"}`]; got != 2 {
+		t.Errorf("scans = %d, want 2", got)
 	}
-	if got := snap.Counters["smartflux_kvstore_scan_cells_total"]; got != uint64(len(cells)) {
-		t.Errorf("scan cells = %d, want %d", got, len(cells))
+	if got, want := snap.Counters["smartflux_kvstore_scan_cells_total"], uint64(len(cells)+len(state)); got != want {
+		t.Errorf("scan cells = %d, want %d", got, want)
 	}
 }
 

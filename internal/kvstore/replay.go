@@ -61,6 +61,7 @@ func (t *Table) ReplayPut(row, column string, value []byte, ts uint64) error {
 		versions = versions[len(versions)-t.maxVersions:]
 	}
 	cols[column] = versions
+	t.version++
 	return nil
 }
 
@@ -74,18 +75,6 @@ func (t *Table) ReplayDelete(row, column string) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	cols, ok := t.rows[row]
-	if !ok {
-		return nil
-	}
-	if _, ok := cols[column]; !ok {
-		return nil
-	}
-	delete(cols, column)
-	delete(t.colKeys, row)
-	if len(cols) == 0 {
-		delete(t.rows, row)
-		t.rowKeys = nil
-	}
+	t.deleteLocked(row, column)
 	return nil
 }

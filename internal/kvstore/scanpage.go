@@ -32,17 +32,11 @@ func (t *Table) collectLocked(opts ScanOptions, cur *scanCursor, max int, dst []
 	var valueBytes int64
 	for ; i < len(rows); i++ {
 		row := rows[i]
-		if opts.StartRow != "" && row < opts.StartRow {
-			continue
-		}
-		if opts.EndRow != "" && row >= opts.EndRow {
-			continue
-		}
-		if opts.RowPrefix != "" && !strings.HasPrefix(row, opts.RowPrefix) {
+		if !opts.matchesRow(row) {
 			continue
 		}
 		cols := t.rows[row]
-		for _, col := range t.sortedColKeysLocked(row) {
+		for _, col := range t.rowKeysLocked(row).cols {
 			if opts.ColumnPrefix != "" && !strings.HasPrefix(col, opts.ColumnPrefix) {
 				continue
 			}

@@ -170,8 +170,8 @@ func TestMustParseDSLPanics(t *testing.T) {
 func TestDSLUsableInTracker(t *testing.T) {
 	factory := MustParseDSL("sum(absdelta) / (1 + baselinesum)")
 	tr := NewTracker(factory, ModeAccumulate)
-	tr.Observe(State{"a": 10})
-	got := tr.Observe(State{"a": 13})
+	tr.Observe(StateOf(map[string]float64{"a": 10}))
+	got := tr.Observe(StateOf(map[string]float64{"a": 13}))
 	want := 3.0 / 11.0
 	if math.Abs(got-want) > 1e-12 {
 		t.Errorf("tracker DSL value = %v, want %v", got, want)

@@ -136,26 +136,26 @@ func TestParseMode(t *testing.T) {
 
 func TestTrackerCancellationModeCancelsRoundTrips(t *testing.T) {
 	tr := NewTracker(NewAbsoluteImpact, ModeCancellation)
-	base := State{"a": 1, "b": 2}
-	if got := tr.Observe(cloneForTest(base)); got != 0 {
+	base := StateOf(map[string]float64{"a": 1, "b": 2})
+	if got := tr.Observe(base); got != 0 {
 		t.Fatalf("first observe = %v, want 0", got)
 	}
-	changed := tr.Observe(State{"a": 5, "b": 2})
+	changed := tr.Observe(StateOf(map[string]float64{"a": 5, "b": 2}))
 	if changed == 0 {
 		t.Fatal("change must register impact")
 	}
 	// Values return to the baseline: impact cancels to zero.
-	if got := tr.Observe(cloneForTest(base)); got != 0 {
+	if got := tr.Observe(base); got != 0 {
 		t.Errorf("round trip impact = %v, want 0", got)
 	}
 }
 
 func TestTrackerAccumulateModeKeepsChurn(t *testing.T) {
 	tr := NewTracker(NewAbsoluteImpact, ModeAccumulate)
-	base := State{"a": 1}
-	tr.Observe(cloneForTest(base))
-	tr.Observe(State{"a": 5}) // +4
-	got := tr.Observe(cloneForTest(base))
+	base := StateOf(map[string]float64{"a": 1})
+	tr.Observe(base)
+	tr.Observe(StateOf(map[string]float64{"a": 5})) // +4
+	got := tr.Observe(base)
 	// Churn accumulates: |5-1|*1 + |1-5|*1 = 8 even though the value is back.
 	if !almostEqual(got, 8) {
 		t.Errorf("accumulated churn = %v, want 8", got)
@@ -170,12 +170,12 @@ func TestTrackerAccumulateModeKeepsChurn(t *testing.T) {
 func TestTrackerAccumulateMonotonicNonDecreasing(t *testing.T) {
 	f := func(vals []float64) bool {
 		tr := NewTracker(NewAbsoluteImpact, ModeAccumulate)
-		prev := tr.Observe(State{"x": 0})
+		prev := tr.Observe(StateOf(map[string]float64{"x": 0}))
 		for _, v := range vals {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				return true
 			}
-			cur := tr.Observe(State{"x": v})
+			cur := tr.Observe(StateOf(map[string]float64{"x": v}))
 			if cur < prev-1e-9 {
 				return false
 			}
@@ -190,50 +190,50 @@ func TestTrackerAccumulateMonotonicNonDecreasing(t *testing.T) {
 
 func TestTrackerCommitResets(t *testing.T) {
 	tr := NewTracker(NewAbsoluteImpact, ModeAccumulate)
-	tr.Observe(State{"a": 1})
-	tr.Observe(State{"a": 9})
-	tr.Commit(State{"a": 9})
+	tr.Observe(StateOf(map[string]float64{"a": 1}))
+	tr.Observe(StateOf(map[string]float64{"a": 9}))
+	tr.Commit(StateOf(map[string]float64{"a": 9}))
 	if tr.Current() != 0 {
 		t.Error("commit must reset the running value")
 	}
-	if got := tr.Observe(State{"a": 9}); got != 0 {
+	if got := tr.Observe(StateOf(map[string]float64{"a": 9})); got != 0 {
 		t.Errorf("unchanged state after commit = %v, want 0", got)
 	}
-	if got := tr.Observe(State{"a": 10}); !almostEqual(got, 1) {
+	if got := tr.Observe(StateOf(map[string]float64{"a": 10})); !almostEqual(got, 1) {
 		t.Errorf("delta after commit = %v, want 1", got)
 	}
 }
 
 func TestTrackerReset(t *testing.T) {
 	tr := NewTracker(NewAbsoluteImpact, ModeCancellation)
-	tr.Observe(State{"a": 1})
-	tr.Observe(State{"a": 4})
+	tr.Observe(StateOf(map[string]float64{"a": 1}))
+	tr.Observe(StateOf(map[string]float64{"a": 4}))
 	tr.Reset()
-	if got := tr.Observe(State{"a": 100}); got != 0 {
+	if got := tr.Observe(StateOf(map[string]float64{"a": 100})); got != 0 {
 		t.Errorf("first observe after reset = %v, want 0 (new baseline)", got)
 	}
 }
 
 func TestTrackerInsertionsAndDeletions(t *testing.T) {
 	tr := NewTracker(NewAbsoluteImpact, ModeCancellation)
-	tr.Observe(State{"a": 3})
+	tr.Observe(StateOf(map[string]float64{"a": 3}))
 	// Insertion: new element compares against zero → |5-0| × m(1) = 5.
-	if got := tr.Observe(State{"a": 3, "b": 5}); !almostEqual(got, 5) {
+	if got := tr.Observe(StateOf(map[string]float64{"a": 3, "b": 5})); !almostEqual(got, 5) {
 		t.Errorf("insertion impact = %v, want 5", got)
 	}
 	// Versus the exec baseline {a:3}: a deleted (|0-3| = 3) and b
 	// inserted (|3-0| = 3), m = 2 → (3+3)*2 = 12.
-	if got := tr.Observe(State{"b": 3}); !almostEqual(got, 12) {
+	if got := tr.Observe(StateOf(map[string]float64{"b": 3})); !almostEqual(got, 12) {
 		t.Errorf("delete+insert impact = %v, want 12", got)
 	}
 }
 
 func TestEvaluateOneShot(t *testing.T) {
-	got := Evaluate(NewRMSE, State{"a": 4}, State{"a": 1})
+	got := Evaluate(NewRMSE, StateOf(map[string]float64{"a": 4}), StateOf(map[string]float64{"a": 1}))
 	if !almostEqual(got, 3) {
 		t.Errorf("Evaluate = %v, want 3", got)
 	}
-	if got := Evaluate(NewRMSE, State{"a": 1}, State{"a": 1}); got != 0 {
+	if got := Evaluate(NewRMSE, StateOf(map[string]float64{"a": 1}), StateOf(map[string]float64{"a": 1})); got != 0 {
 		t.Errorf("identical states = %v, want 0", got)
 	}
 }
@@ -263,12 +263,4 @@ func TestResolveCombiner(t *testing.T) {
 	if _, err := ResolveCombiner("nope"); err == nil {
 		t.Error("want error for unknown combiner")
 	}
-}
-
-func cloneForTest(s State) State {
-	out := make(State, len(s))
-	for k, v := range s {
-		out[k] = v
-	}
-	return out
 }

@@ -47,9 +47,54 @@ func ParseMode(s string) (Mode, error) {
 	}
 }
 
-// State is a point-in-time snapshot of a data container: element key
-// ("row/column") to numeric value.
-type State = map[string]float64
+// Elem is one element of a data container: its key ("row/column") and
+// numeric value.
+type Elem struct {
+	Key string
+	Val float64
+}
+
+// State is a point-in-time snapshot of a data container: its elements in
+// strictly increasing Key order. A State is immutable once built — trackers,
+// snapshot caches and checkpoints share states freely instead of copying
+// them — so construct one with NewState or StateOf and never write to it.
+type State []Elem
+
+// NewState takes ownership of elems and returns them as a State. Input that
+// is already strictly increasing by key — the common case, which costs one
+// pass and no allocation — is returned as is; anything else is stably sorted
+// and, where keys repeat, only the last element of each run is kept.
+func NewState(elems []Elem) State {
+	sorted := true
+	for i := 1; i < len(elems); i++ {
+		if elems[i-1].Key >= elems[i].Key {
+			sorted = false
+			break
+		}
+	}
+	if sorted {
+		return elems
+	}
+	sort.SliceStable(elems, func(i, j int) bool { return elems[i].Key < elems[j].Key })
+	out := elems[:0]
+	for i, e := range elems {
+		if i+1 < len(elems) && elems[i+1].Key == e.Key {
+			continue
+		}
+		out = append(out, e)
+	}
+	return out
+}
+
+// StateOf builds a State from an element-key → value map.
+func StateOf(m map[string]float64) State {
+	elems := make([]Elem, 0, len(m))
+	for k, v := range m {
+		elems = append(elems, Elem{Key: k, Val: v})
+	}
+	sort.Slice(elems, func(i, j int) bool { return elems[i].Key < elems[j].Key })
+	return elems
+}
 
 // Tracker computes a metric for one data container across waves, holding the
 // baseline snapshot the metric compares against. It is the per-(step, input)
@@ -70,31 +115,57 @@ func NewTracker(factory Factory, mode Mode) *Tracker {
 	return &Tracker{factory: factory, mode: mode}
 }
 
-// evaluate runs one metric computation of state vs. baseline. Elements are
-// visited in sorted key order so floating-point accumulation is
-// deterministic across runs (Go map iteration order is randomized).
+// evaluate runs one metric computation of state vs. baseline as a merge-join
+// over the two key-sorted slices; it allocates nothing besides the Metric the
+// factory returns. The visiting order is part of the result — floating-point
+// accumulation is not associative — and is fixed as: BaselineSum over every
+// baseline element in key order; Update(cur, prev) for new and modified
+// elements in state key order (new elements compare against zero, paper
+// §2.1); and only then Update(0, old) for deleted elements in baseline key
+// order, a second pass taken only when the first one met a deletion.
 func (t *Tracker) evaluate(state, baseline State) float64 {
 	m := t.factory()
 	var baselineSum float64
-	for _, key := range sortedKeys(baseline) {
-		baselineSum += baseline[key]
-	}
-	// Elements present now: modified if absent from or different in the
-	// baseline. New elements compare against zero (paper §2.1).
-	for _, key := range sortedKeys(state) {
-		cur := state[key]
-		prev, ok := baseline[key]
-		if !ok {
-			prev = 0
+	var modified, deleted int
+	i, j := 0, 0
+	for i < len(state) && j < len(baseline) {
+		cur, prev := state[i], baseline[j]
+		switch {
+		case cur.Key == prev.Key:
+			baselineSum += prev.Val
+			if cur.Val != prev.Val {
+				m.Update(cur.Val, prev.Val)
+				modified++
+			}
+			i++
+			j++
+		case cur.Key < prev.Key:
+			m.Update(cur.Val, 0)
+			modified++
+			i++
+		default:
+			baselineSum += prev.Val
+			deleted++
+			j++
 		}
-		if cur != prev || !ok {
-			m.Update(cur, prev)
-		}
 	}
-	// Deleted elements compare their old value against zero.
-	for _, key := range sortedKeys(baseline) {
-		if _, ok := state[key]; !ok {
-			m.Update(0, baseline[key])
+	for ; i < len(state); i++ {
+		m.Update(state[i].Val, 0)
+		modified++
+	}
+	for ; j < len(baseline); j++ {
+		baselineSum += baseline[j].Val
+		deleted++
+	}
+	if deleted > 0 {
+		i = 0
+		for _, old := range baseline {
+			for i < len(state) && state[i].Key < old.Key {
+				i++
+			}
+			if i == len(state) || state[i].Key != old.Key {
+				m.Update(0, old.Val)
+			}
 		}
 	}
 	total := len(state)
@@ -102,45 +173,18 @@ func (t *Tracker) evaluate(state, baseline State) float64 {
 		total = lb
 	}
 	return m.Compute(Context{
-		Modified:    modifiedCount(state, baseline),
+		Modified:    modified + deleted,
 		Total:       total,
 		BaselineSum: baselineSum,
 	})
-}
-
-// sortedKeys returns the state's keys in lexicographic order.
-func sortedKeys(s State) []string {
-	keys := make([]string, 0, len(s))
-	for k := range s {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// modifiedCount returns m: elements differing between state and baseline.
-func modifiedCount(state, baseline State) int {
-	var m int
-	for key, cur := range state {
-		prev, ok := baseline[key]
-		if !ok || cur != prev {
-			m++
-		}
-	}
-	for key := range baseline {
-		if _, ok := state[key]; !ok {
-			m++
-		}
-	}
-	return m
 }
 
 // Observe folds the container state for a new wave into the tracker and
 // returns the metric value accumulated since the last Commit. The first
 // observation establishes the baseline and yields zero.
 //
-// The tracker takes ownership of state: callers must pass a fresh snapshot
-// and not mutate it afterwards. Trackers never mutate retained states.
+// The tracker retains state as its baseline; states are immutable, so the
+// caller may keep sharing it.
 func (t *Tracker) Observe(state State) float64 {
 	if !t.hasBaseline {
 		t.execBaseline = state
@@ -164,8 +208,7 @@ func (t *Tracker) Observe(state State) float64 {
 func (t *Tracker) Current() float64 { return t.current }
 
 // Commit records that the associated step executed at the current wave:
-// the baseline moves to state and accumulation restarts. Like Observe,
-// Commit takes ownership of state.
+// the baseline moves to state and accumulation restarts.
 func (t *Tracker) Commit(state State) {
 	t.execBaseline = state
 	t.waveBaseline = state
@@ -177,8 +220,7 @@ func (t *Tracker) Commit(state State) {
 // TrackerState is an opaque point-in-time snapshot of a Tracker, used for
 // wave-boundary recovery: capture before a wave, Restore if the wave fails,
 // and the tracker behaves as if the failed wave's observations never
-// happened. Snapshots are shallow — safe because trackers never mutate
-// retained states.
+// happened. Snapshots are shallow — safe because states are immutable.
 type TrackerState struct {
 	execBaseline State
 	waveBaseline State
@@ -209,8 +251,9 @@ func (t *Tracker) Restore(s TrackerState) {
 
 // PersistedTracker is the exported, serialization-friendly form of a
 // tracker's state, used by the durability layer to checkpoint ε/ι accounting
-// across process crashes. Unlike TrackerState it deep-copies the baselines,
-// so a persisted value stays valid however the live tracker evolves.
+// across process crashes. The baselines are shared, not copied: states are
+// immutable, so a persisted value stays valid however the live tracker
+// evolves.
 type PersistedTracker struct {
 	ExecBaseline State
 	WaveBaseline State
@@ -219,37 +262,23 @@ type PersistedTracker struct {
 	HasBaseline  bool
 }
 
-// cloneState deep-copies a container snapshot; nil stays nil.
-func cloneState(s State) State {
-	if s == nil {
-		return nil
-	}
-	out := make(State, len(s))
-	for k, v := range s {
-		out[k] = v
-	}
-	return out
-}
-
-// Persist captures the tracker's complete state in exported, deep-copied
-// form. The tracker's factory and mode are construction-time configuration
+// Persist captures the tracker's complete state in exported form. The tracker's factory and mode are construction-time configuration
 // and are not part of the persisted state; RestorePersisted must be called
 // on a tracker built with the same factory and mode.
 func (t *Tracker) Persist() PersistedTracker {
 	return PersistedTracker{
-		ExecBaseline: cloneState(t.execBaseline),
-		WaveBaseline: cloneState(t.waveBaseline),
+		ExecBaseline: t.execBaseline,
+		WaveBaseline: t.waveBaseline,
 		Accumulated:  t.accumulated,
 		Current:      t.current,
 		HasBaseline:  t.hasBaseline,
 	}
 }
 
-// RestorePersisted rewinds the tracker to a persisted snapshot, deep-copying
-// so later persisted values are independent of this tracker.
+// RestorePersisted rewinds the tracker to a persisted snapshot.
 func (t *Tracker) RestorePersisted(s PersistedTracker) {
-	t.execBaseline = cloneState(s.ExecBaseline)
-	t.waveBaseline = cloneState(s.WaveBaseline)
+	t.execBaseline = s.ExecBaseline
+	t.waveBaseline = s.WaveBaseline
 	t.accumulated = s.Accumulated
 	t.current = s.Current
 	t.hasBaseline = s.HasBaseline

@@ -68,14 +68,22 @@ func (c Container) Overlaps(o Container) bool {
 	return containersOverlap(c, o)
 }
 
+// Scan reads the container's current numeric state from its table t, with
+// the table's mutation version at the time of the read (see
+// kvstore.Table.ScanState).
+func (c Container) Scan(t *kvstore.Table) (metric.State, uint64) {
+	return t.ScanState(kvstore.ScanOptions{ColumnPrefix: c.ColumnPrefix})
+}
+
 // Snapshot reads the container's current numeric state from the store.
 // Missing tables yield an empty state.
 func (c Container) Snapshot(store *kvstore.Store) metric.State {
 	t, err := store.Table(c.Table)
 	if err != nil {
-		return metric.State{}
+		return nil
 	}
-	return t.ScanFloats(kvstore.ScanOptions{ColumnPrefix: c.ColumnPrefix})
+	state, _ := c.Scan(t)
+	return state
 }
 
 // Context is passed to step processors. It exposes the shared store and the

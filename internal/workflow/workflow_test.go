@@ -322,7 +322,7 @@ func TestContainerSnapshot(t *testing.T) {
 
 	c := Container{Table: "t", ColumnPrefix: "a"}
 	state := c.Snapshot(store)
-	if len(state) != 1 || state["r/ax"] != 1 {
+	if len(state) != 1 || state[0] != (metric.Elem{Key: "r/ax", Val: 1}) {
 		t.Errorf("Snapshot = %v", state)
 	}
 	missing := Container{Table: "ghost"}

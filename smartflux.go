@@ -146,12 +146,18 @@ type (
 	MetricFactory = metric.Factory
 	// Mode selects baseline semantics (accumulate vs cancellation).
 	Mode = metric.Mode
-	// State is a snapshot of a container's numeric contents.
+	// State is an immutable snapshot of a container's numeric contents:
+	// its {Key, Val} elements sorted by key ("row/column").
+	// Table.ScanState and Instance.OutputState return one; StateOf builds
+	// one from a map.
 	State = metric.State
 	// MetricTracker holds a metric's baseline across waves (the
 	// Monitoring component's per-container bookkeeping).
 	MetricTracker = metric.Tracker
 )
+
+// StateOf builds a State from an element-key → value map.
+func StateOf(m map[string]float64) State { return metric.StateOf(m) }
 
 // NewMetricTracker creates a tracker that applies a (possibly custom §4.2)
 // metric across waves under the given baseline mode.

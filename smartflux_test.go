@@ -131,8 +131,8 @@ func TestPublicAPIMetricTracker(t *testing.T) {
 	tracker := smartflux.NewMetricTracker(func() smartflux.Metric {
 		return &countingMetric{}
 	}, smartflux.ModeAccumulate)
-	tracker.Observe(smartflux.State{"a": 1})
-	got := tracker.Observe(smartflux.State{"a": 2})
+	tracker.Observe(smartflux.StateOf(map[string]float64{"a": 1}))
+	got := tracker.Observe(smartflux.StateOf(map[string]float64{"a": 2}))
 	if got != 1 {
 		t.Errorf("custom metric value = %v, want 1 (one modified element)", got)
 	}
@@ -191,8 +191,8 @@ func TestPublicAPIMetricDSL(t *testing.T) {
 		t.Fatal(err)
 	}
 	tracker := smartflux.NewMetricTracker(factory, smartflux.ModeCancellation)
-	tracker.Observe(smartflux.State{"a": 10, "b": 10})
-	got := tracker.Observe(smartflux.State{"a": 12, "b": 10})
+	tracker.Observe(smartflux.StateOf(map[string]float64{"a": 10, "b": 10}))
+	got := tracker.Observe(smartflux.StateOf(map[string]float64{"a": 12, "b": 10}))
 	want := 2.0 * 1 / (20 * 2)
 	if got != want {
 		t.Errorf("DSL metric through facade = %v, want %v", got, want)
