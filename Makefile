@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt-check lint lint-report lint-diff check chaos chaos-crash chaos-cluster chaos-partition chaos-trace bench bench-e2e bench-e2e-smoke wirebench wirebench-smoke clusterbench clusterbench-smoke fuzz
+.PHONY: all build test race vet fmt-check lint lint-report lint-diff check chaos chaos-crash chaos-cluster chaos-partition chaos-trace bench bench-e2e bench-e2e-smoke loc wirebench wirebench-smoke clusterbench clusterbench-smoke fuzz
 
 all: check
 
@@ -135,15 +135,17 @@ fuzz:
 ## wirebench/clusterbench/pipeline-benchmark smoke passes
 check: build vet fmt-check lint test race chaos chaos-crash chaos-cluster chaos-partition wirebench-smoke clusterbench-smoke bench-e2e-smoke
 
+## loc: non-test Go lines outside the frozen benchmark — the figure a
+## code-diet PR reports before and after
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './internal/analysis/testdata/*' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l
+
 ## bench: overhead microbenchmarks (§5.3 + instrumentation overhead), the
-## serial-vs-parallel comparison (BENCH_PR2.json) and the WAL-on vs WAL-off
-## wave-throughput comparison (BENCH_PR5.json)
+## serial-vs-parallel microbenchmarks and the cluster comparison
+## (BENCH_PR10.json); the WAL's cost per wave is the pipeline benchmark's
+## aqhi-durable workload (make bench-e2e-smoke runs it)
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkOverhead' -benchtime 1000x .
 	$(GO) test -run xxx -bench 'BenchmarkRunWave|BenchmarkForestFit' -benchtime 10x .
-	$(GO) run ./cmd/parbench -out BENCH_PR2.json
-	@cat BENCH_PR2.json
-	$(GO) run ./cmd/durbench -out BENCH_PR5.json
-	@cat BENCH_PR5.json
 	$(GO) run ./cmd/clusterbench -out BENCH_PR10.json
 	@cat BENCH_PR10.json

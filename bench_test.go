@@ -420,9 +420,8 @@ func BenchmarkPublicPipeline(b *testing.B) {
 }
 
 // benchFanout builds a one-source, width-way fan-out workflow whose gated
-// steps each burn real CPU, the shape the parallel wave scheduler exists
-// for. Exported through smartflux_test for cmd/parbench via duplication;
-// kept here so RunWave serial/parallel benchmarks compare like for like.
+// steps each burn real CPU, the shape the wave scheduler's pool exists for;
+// the RunWave serial/parallel benchmarks run it at Parallelism 1 and 4.
 func benchFanout(width, work int) smartflux.BuildFunc {
 	return func() (*smartflux.Workflow, *smartflux.Store, error) {
 		store := smartflux.NewStore()

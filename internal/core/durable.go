@@ -251,9 +251,9 @@ func (c *pipelineCommitter) enterApplication(train *engine.Result) {
 	c.train = train
 }
 
-// checkpoint builds the pipeline checkpoint for a harness boundary (nil for
-// the initial, nothing-run-yet commit payload).
-func (c *pipelineCommitter) checkpoint(hcp *engine.HarnessCheckpoint) (*PipelineCheckpoint, error) {
+// payload builds and encodes the pipeline checkpoint for a harness boundary
+// (nil for the initial, nothing-run-yet one).
+func (c *pipelineCommitter) payload(hcp *engine.HarnessCheckpoint) ([]byte, error) {
 	pcp := &PipelineCheckpoint{
 		Phase:      c.phase,
 		TrainWaves: c.trainWaves,
@@ -268,20 +268,29 @@ func (c *pipelineCommitter) checkpoint(hcp *engine.HarnessCheckpoint) (*Pipeline
 		}
 		pcp.Session = scp
 	}
-	return pcp, nil
+	return encodePipelineCheckpoint(pcp)
 }
 
 // CommitWave implements engine.WaveCommitter.
 func (c *pipelineCommitter) CommitWave(hcp *engine.HarnessCheckpoint) error {
-	pcp, err := c.checkpoint(hcp)
-	if err != nil {
-		return err
-	}
-	blob, err := encodePipelineCheckpoint(pcp)
+	blob, err := c.payload(hcp)
 	if err != nil {
 		return err
 	}
 	return c.mgr.Commit(c.base+hcp.Waves, blob)
+}
+
+// begin opens the journal: at the recovered wave with the recovered payload,
+// or — fresh — at wave 0 with the nothing-run-yet checkpoint.
+func (c *pipelineCommitter) begin(rec *recovered) error {
+	if rec != nil {
+		return c.mgr.Begin(rec.Wave, rec.Payload)
+	}
+	blob, err := c.payload(nil)
+	if err != nil {
+		return err
+	}
+	return c.mgr.Begin(0, blob)
 }
 
 var _ engine.WaveCommitter = (*pipelineCommitter)(nil)
@@ -333,66 +342,72 @@ func openPipelineManager(harness *engine.Harness, opts DurableOptions) (*durable
 	return mgr, nil
 }
 
+// recovered is the durable state found in a directory, with its last
+// committed checkpoint decoded.
+type recovered struct {
+	*durable.Recovery
+	cp *PipelineCheckpoint
+}
+
+// recoverRun replays opts.Dir (truncating any torn record); nil means the
+// directory holds no durable state.
+func recoverRun(opts DurableOptions) (*recovered, error) {
+	rec, err := durable.Recover(opts.Dir, opts.Obs)
+	if err != nil || rec == nil {
+		return nil, err
+	}
+	cp, err := decodePipelineCheckpoint(rec.Payload)
+	if err != nil {
+		return nil, err
+	}
+	return &recovered{Recovery: rec, cp: cp}, nil
+}
+
+// restore replays both stores and rewinds session (nil for a bare harness
+// run), harness and decider to the recovered checkpoint. It returns the
+// results to continue appending to: nil where a phase has not started.
+func (r *recovered) restore(harness *engine.Harness, session *Session, decider engine.Decider) (trainRes, applyRes *engine.Result, err error) {
+	if err := r.Apply(durableLiveStore, harness.Live().Store()); err != nil {
+		return nil, nil, err
+	}
+	if err := r.Apply(durableRefStore, harness.Ref().Store()); err != nil {
+		return nil, nil, err
+	}
+	if r.cp.Session != nil && session != nil {
+		if err := session.RestoreCheckpoint(r.cp.Session); err != nil {
+			return nil, nil, err
+		}
+	}
+	application := r.cp.Phase == phaseLabelApplication
+	if r.cp.Harness == nil {
+		if application {
+			return nil, nil, fmt.Errorf("core: application-phase checkpoint without harness state")
+		}
+		return nil, nil, nil
+	}
+	res, err := harness.RestoreCheckpoint(r.cp.Harness, decider)
+	if err != nil {
+		return nil, nil, err
+	}
+	if application {
+		return r.cp.Train, res, nil
+	}
+	return res, nil, nil
+}
+
 // RunPipelineDurable is RunPipeline with crash durability: every completed
 // wave is committed to the write-ahead log under opts.Dir, with periodic
 // compacting snapshots. The directory must not already hold durable state
 // (use ResumePipeline to continue a crashed run).
 func RunPipelineDurable(build engine.BuildFunc, reportSteps []workflow.StepID, cfg PipelineConfig, opts DurableOptions) (*PipelineResult, *DurableRunInfo, error) {
-	if cfg.TrainWaves <= 0 {
-		return nil, nil, fmt.Errorf("core: pipeline needs TrainWaves > 0, got %d", cfg.TrainWaves)
-	}
-	rec, err := durable.Recover(opts.Dir, opts.Obs)
+	rec, err := recoverRun(opts)
 	if err != nil {
 		return nil, nil, err
 	}
 	if rec != nil {
 		return nil, nil, fmt.Errorf("core: %s already holds durable state at wave %d; resume it (ResumePipeline / -resume) or point -wal-dir elsewhere", opts.Dir, rec.Wave)
 	}
-
-	committer := &pipelineCommitter{
-		phase:      phaseLabelTraining,
-		trainWaves: cfg.TrainWaves,
-		applyWaves: cfg.ApplyWaves,
-	}
-	harness, session, err := buildPipeline(build, reportSteps, cfg, committer)
-	if err != nil {
-		return nil, nil, err
-	}
-	committer.session = session
-	mgr, err := openPipelineManager(harness, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	committer.mgr = mgr
-
-	res, err := func() (*PipelineResult, error) {
-		initial, err := committer.checkpoint(nil)
-		if err != nil {
-			return nil, err
-		}
-		blob, err := encodePipelineCheckpoint(initial)
-		if err != nil {
-			return nil, err
-		}
-		if err := mgr.Begin(0, blob); err != nil {
-			return nil, err
-		}
-		trainRes, err := harness.Run(cfg.TrainWaves, session)
-		if err != nil {
-			return nil, fmt.Errorf("pipeline training: %w", err)
-		}
-		return finishPipeline(harness, session, cfg, committer, trainRes, nil)
-	}()
-	info := &DurableRunInfo{Durable: mgr.Stats()}
-	if cerr := mgr.Close(); err == nil && cerr != nil {
-		err = cerr
-	}
-	if err != nil {
-		dumpFlightRecorder(opts.Dir, opts.Obs, cfg.Obs)
-		return nil, info, err
-	}
-	info.Durable = mgr.Stats()
-	return res, info, nil
+	return drive(build, reportSteps, cfg, nil, &opts, nil)
 }
 
 // ResumePipeline continues a crashed durable pipeline: it recovers the
@@ -402,269 +417,65 @@ func RunPipelineDurable(build engine.BuildFunc, reportSteps []workflow.StepID, c
 // same phase lengths, same session configuration); the results are
 // bit-identical to an uncrashed RunPipelineDurable.
 func ResumePipeline(build engine.BuildFunc, reportSteps []workflow.StepID, cfg PipelineConfig, opts DurableOptions) (*PipelineResult, *DurableRunInfo, error) {
-	if cfg.TrainWaves <= 0 {
-		return nil, nil, fmt.Errorf("core: pipeline needs TrainWaves > 0, got %d", cfg.TrainWaves)
-	}
-	rec, err := durable.Recover(opts.Dir, opts.Obs)
+	rec, err := recoverRun(opts)
 	if err != nil {
 		return nil, nil, err
 	}
 	if rec == nil {
 		return nil, nil, fmt.Errorf("core: no durable state in %s to resume", opts.Dir)
 	}
-	pcp, err := decodePipelineCheckpoint(rec.Payload)
-	if err != nil {
-		return nil, nil, err
-	}
-	if pcp.Phase == phaseLabelHarness {
+	if rec.cp.Phase == phaseLabelHarness {
 		return nil, nil, fmt.Errorf("core: %s holds a harness-only run; use ResumeHarness", opts.Dir)
 	}
-	if pcp.TrainWaves != cfg.TrainWaves || pcp.ApplyWaves != cfg.ApplyWaves {
+	if rec.cp.TrainWaves != cfg.TrainWaves || rec.cp.ApplyWaves != cfg.ApplyWaves {
 		return nil, nil, fmt.Errorf("core: checkpoint is a %d+%d wave run, config wants %d+%d",
-			pcp.TrainWaves, pcp.ApplyWaves, cfg.TrainWaves, cfg.ApplyWaves)
+			rec.cp.TrainWaves, rec.cp.ApplyWaves, cfg.TrainWaves, cfg.ApplyWaves)
 	}
-
-	committer := &pipelineCommitter{
-		phase:      pcp.Phase,
-		trainWaves: cfg.TrainWaves,
-		applyWaves: cfg.ApplyWaves,
-	}
-	if pcp.Phase == phaseLabelApplication {
-		committer.base = cfg.TrainWaves
-		committer.train = pcp.Train
-	}
-	harness, session, err := buildPipeline(build, reportSteps, cfg, committer)
-	if err != nil {
-		return nil, nil, err
-	}
-	committer.session = session
-
-	// Replay the stores, then rewind the in-memory state to the same wave
-	// boundary — all before Begin snapshots the restored content.
-	if err := rec.Apply(durableLiveStore, harness.Live().Store()); err != nil {
-		return nil, nil, err
-	}
-	if err := rec.Apply(durableRefStore, harness.Ref().Store()); err != nil {
-		return nil, nil, err
-	}
-	if pcp.Session != nil {
-		if err := session.RestoreCheckpoint(pcp.Session); err != nil {
-			return nil, nil, err
-		}
-	}
-	var trainRes, applyRes *engine.Result
-	if pcp.Harness != nil {
-		res, err := harness.RestoreCheckpoint(pcp.Harness, session)
-		if err != nil {
-			return nil, nil, err
-		}
-		if pcp.Phase == phaseLabelApplication {
-			applyRes = res
-			trainRes = pcp.Train
-		} else {
-			trainRes = res
-		}
-	} else if pcp.Phase == phaseLabelApplication {
-		return nil, nil, fmt.Errorf("core: application-phase checkpoint without harness state")
-	}
-
-	mgr, err := openPipelineManager(harness, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	committer.mgr = mgr
-
-	res, err := func() (*PipelineResult, error) {
-		if err := mgr.Begin(rec.Wave, rec.Payload); err != nil {
-			return nil, err
-		}
-		if trainRes == nil {
-			trainRes, err = harness.Run(cfg.TrainWaves, session)
-			if err != nil {
-				return nil, fmt.Errorf("pipeline training: %w", err)
-			}
-		} else if pcp.Phase == phaseLabelTraining {
-			if remaining := cfg.TrainWaves - trainRes.Waves; remaining > 0 {
-				if err := harness.ResumeRun(trainRes, remaining, session); err != nil {
-					return nil, fmt.Errorf("pipeline training: %w", err)
-				}
-			}
-		}
-		return finishPipeline(harness, session, cfg, committer, trainRes, applyRes)
-	}()
-	info := &DurableRunInfo{Resumed: true, Recovery: rec.Stats, Durable: mgr.Stats()}
-	if cerr := mgr.Close(); err == nil && cerr != nil {
-		err = cerr
-	}
-	if err != nil {
-		dumpFlightRecorder(opts.Dir, opts.Obs, cfg.Obs)
-		return nil, info, err
-	}
-	info.Durable = mgr.Stats()
-	return res, info, nil
+	return drive(build, reportSteps, cfg, nil, &opts, rec)
 }
 
-// finishPipeline runs everything after the training waves: knowledge-base
-// feeding and model training (unless the restored session is already in the
-// application phase), then the remaining application waves.
-func finishPipeline(harness *engine.Harness, session *Session, cfg PipelineConfig, committer *pipelineCommitter, trainRes, applyRes *engine.Result) (*PipelineResult, error) {
-	var report TestReport
-	if session.Phase() == PhaseApplication {
-		report = session.LastTestReport()
-	} else {
-		for w := range trainRes.RefImpacts {
-			session.ObserveTrainingWave(trainRes.RefImpacts[w], trainRes.RefLabels[w])
-		}
-		var err error
-		report, err = session.Train()
-		if err != nil {
-			return nil, fmt.Errorf("pipeline train: %w", err)
-		}
-	}
-
-	committer.enterApplication(trainRes)
-	if applyRes == nil {
-		if cfg.ApplyWaves > 0 {
-			var err error
-			applyRes, err = harness.Run(cfg.ApplyWaves, session)
-			if err != nil {
-				return nil, fmt.Errorf("pipeline application: %w", err)
-			}
-		}
-	} else if remaining := cfg.ApplyWaves - applyRes.Waves; remaining > 0 {
-		if err := harness.ResumeRun(applyRes, remaining, session); err != nil {
-			return nil, fmt.Errorf("pipeline application: %w", err)
-		}
-	}
-	return &PipelineResult{
-		Train:   trainRes,
-		Apply:   applyRes,
-		Test:    report,
-		Session: session,
-	}, nil
+// harnessOnlyConfig expresses a bare harness run (no learning session) as the
+// lifecycle drive runs: `waves` training waves and nothing after them.
+func harnessOnlyConfig(waves int, hcfg engine.HarnessConfig, opts DurableOptions) PipelineConfig {
+	return PipelineConfig{TrainWaves: waves, Parallelism: hcfg.Parallelism, Resilience: hcfg, Obs: opts.Obs}
 }
 
 // RunHarnessDurable runs a bare harness (no learning session) for `waves`
 // waves under decider with crash durability; the committed checkpoints use
 // phase "harness".
 func RunHarnessDurable(build engine.BuildFunc, reportSteps []workflow.StepID, waves int, decider engine.Decider, hcfg engine.HarnessConfig, opts DurableOptions) (*engine.Result, *DurableRunInfo, error) {
-	rec, err := durable.Recover(opts.Dir, opts.Obs)
+	rec, err := recoverRun(opts)
 	if err != nil {
 		return nil, nil, err
 	}
 	if rec != nil {
 		return nil, nil, fmt.Errorf("core: %s already holds durable state at wave %d; use ResumeHarness", opts.Dir, rec.Wave)
 	}
-	committer := &pipelineCommitter{phase: phaseLabelHarness, trainWaves: waves}
-	hcfg.Committer = committer
-	harness, err := engine.NewHarnessWithConfig(build, reportSteps, hcfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	if opts.Obs != nil {
-		harness.Instrument(opts.Obs)
-	}
-	mgr, err := openPipelineManager(harness, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	committer.mgr = mgr
-
-	res, err := func() (*engine.Result, error) {
-		initial, err := committer.checkpoint(nil)
-		if err != nil {
-			return nil, err
-		}
-		blob, err := encodePipelineCheckpoint(initial)
-		if err != nil {
-			return nil, err
-		}
-		if err := mgr.Begin(0, blob); err != nil {
-			return nil, err
-		}
-		return harness.Run(waves, decider)
-	}()
-	info := &DurableRunInfo{Durable: mgr.Stats()}
-	if cerr := mgr.Close(); err == nil && cerr != nil {
-		err = cerr
-	}
-	if err != nil {
-		dumpFlightRecorder(opts.Dir, opts.Obs)
-		return nil, info, err
-	}
-	info.Durable = mgr.Stats()
-	return res, info, nil
+	return trainOnly(drive(build, reportSteps, harnessOnlyConfig(waves, hcfg, opts), decider, &opts, nil))
 }
 
 // ResumeHarness continues a crashed RunHarnessDurable run.
 func ResumeHarness(build engine.BuildFunc, reportSteps []workflow.StepID, waves int, decider engine.Decider, hcfg engine.HarnessConfig, opts DurableOptions) (*engine.Result, *DurableRunInfo, error) {
-	rec, err := durable.Recover(opts.Dir, opts.Obs)
+	rec, err := recoverRun(opts)
 	if err != nil {
 		return nil, nil, err
 	}
 	if rec == nil {
 		return nil, nil, fmt.Errorf("core: no durable state in %s to resume", opts.Dir)
 	}
-	pcp, err := decodePipelineCheckpoint(rec.Payload)
-	if err != nil {
-		return nil, nil, err
+	if rec.cp.Phase != phaseLabelHarness {
+		return nil, nil, fmt.Errorf("core: %s holds a %s-phase pipeline run; use ResumePipeline", opts.Dir, rec.cp.Phase)
 	}
-	if pcp.Phase != phaseLabelHarness {
-		return nil, nil, fmt.Errorf("core: %s holds a %s-phase pipeline run; use ResumePipeline", opts.Dir, pcp.Phase)
+	if rec.cp.TrainWaves != waves {
+		return nil, nil, fmt.Errorf("core: checkpoint is a %d-wave run, config wants %d", rec.cp.TrainWaves, waves)
 	}
-	if pcp.TrainWaves != waves {
-		return nil, nil, fmt.Errorf("core: checkpoint is a %d-wave run, config wants %d", pcp.TrainWaves, waves)
-	}
-	committer := &pipelineCommitter{phase: phaseLabelHarness, trainWaves: waves}
-	hcfg.Committer = committer
-	harness, err := engine.NewHarnessWithConfig(build, reportSteps, hcfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	if opts.Obs != nil {
-		harness.Instrument(opts.Obs)
-	}
-	if err := rec.Apply(durableLiveStore, harness.Live().Store()); err != nil {
-		return nil, nil, err
-	}
-	if err := rec.Apply(durableRefStore, harness.Ref().Store()); err != nil {
-		return nil, nil, err
-	}
-	var res *engine.Result
-	if pcp.Harness != nil {
-		res, err = harness.RestoreCheckpoint(pcp.Harness, decider)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	mgr, err := openPipelineManager(harness, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	committer.mgr = mgr
+	return trainOnly(drive(build, reportSteps, harnessOnlyConfig(waves, hcfg, opts), decider, &opts, rec))
+}
 
-	out, err := func() (*engine.Result, error) {
-		if err := mgr.Begin(rec.Wave, rec.Payload); err != nil {
-			return nil, err
-		}
-		if res == nil {
-			return harness.Run(waves, decider)
-		}
-		if remaining := waves - res.Waves; remaining > 0 {
-			if err := harness.ResumeRun(res, remaining, decider); err != nil {
-				return nil, err
-			}
-		}
-		return res, nil
-	}()
-	info := &DurableRunInfo{Resumed: true, Recovery: rec.Stats, Durable: mgr.Stats()}
-	if cerr := mgr.Close(); err == nil && cerr != nil {
-		err = cerr
-	}
+// trainOnly unwraps a bare harness run's result.
+func trainOnly(res *PipelineResult, info *DurableRunInfo, err error) (*engine.Result, *DurableRunInfo, error) {
 	if err != nil {
-		dumpFlightRecorder(opts.Dir, opts.Obs)
 		return nil, info, err
 	}
-	info.Durable = mgr.Stats()
-	return out, info, nil
+	return res.Train, info, nil
 }

@@ -4,10 +4,13 @@ import (
 	"errors"
 	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"smartflux/internal/engine"
 	"smartflux/internal/fault"
+	"smartflux/internal/kvstore"
+	"smartflux/internal/workflow"
 )
 
 // durablePipelineConfig is the shared workload configuration for durability
@@ -226,6 +229,49 @@ func TestSessionCheckpointRefitFallback(t *testing.T) {
 	comparePredictors(t, pa, pb)
 }
 
+// crashInWave runs the durable pipeline and kills its log at the first WAL
+// append of wave k, counted from 0 across both phases: k waves are committed,
+// wave k leaves an uncommitted tail.
+func crashInWave(t *testing.T, cfg PipelineConfig, dir string, k int) {
+	t.Helper()
+	var wave atomic.Int64
+	build := func() (*workflow.Workflow, *kvstore.Store, error) {
+		wf, store, err := miniWorkload()()
+		if err != nil {
+			return nil, nil, err
+		}
+		src, err := wf.Step("src")
+		if err != nil {
+			return nil, nil, err
+		}
+		inner := src.Proc
+		src.Proc = workflow.ProcessorFunc(func(ctx *workflow.Context) error {
+			wave.Store(int64(ctx.Wave))
+			return inner.Process(ctx)
+		})
+		return wf, store, nil
+	}
+	crashed := false
+	hook := func(op string) error {
+		if crashed || op == "wal_append" && wave.Load() == int64(k) {
+			crashed = true
+			return fault.ErrCrashed
+		}
+		return nil
+	}
+	wave.Store(-1)
+	_, _, err := RunPipelineDurable(build, nil, cfg, DurableOptions{Dir: dir, Hook: hook})
+	if !errors.Is(err, fault.ErrCrashed) {
+		t.Fatalf("crash in wave %d: got %v", k, err)
+	}
+}
+
+// TestDurablePipelineMatchesPlain holds the one lifecycle driver to its three
+// entry conditions: not durable, fresh durable, and resumed — from a crash in
+// the very first wave (nothing but the initial checkpoint to resume from),
+// mid-training, in the last training wave, in the first application wave
+// (training complete, model not yet built) and mid-application — all end in
+// the same result.
 func TestDurablePipelineMatchesPlain(t *testing.T) {
 	cfg := durablePipelineConfig()
 	plain, err := RunPipeline(miniWorkload(), nil, cfg)
@@ -242,6 +288,19 @@ func TestDurablePipelineMatchesPlain(t *testing.T) {
 	}
 	if want := cfg.TrainWaves + cfg.ApplyWaves; info.Durable.Commits != want {
 		t.Errorf("commits = %d, want %d", info.Durable.Commits, want)
+	}
+
+	for _, k := range []int{0, 20, cfg.TrainWaves - 1, cfg.TrainWaves, cfg.TrainWaves + 1, cfg.TrainWaves + 20} {
+		dir := t.TempDir()
+		crashInWave(t, cfg, dir, k)
+		res, info, err := ResumePipeline(miniWorkload(), nil, cfg, DurableOptions{Dir: dir})
+		if err != nil {
+			t.Fatalf("resume after a crash in wave %d: %v", k, err)
+		}
+		if !info.Resumed || info.Recovery.Wave != k {
+			t.Errorf("crash in wave %d: resumed=%v from wave %d", k, info.Resumed, info.Recovery.Wave)
+		}
+		equalPipelineResult(t, plain, res)
 	}
 }
 

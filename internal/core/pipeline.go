@@ -53,58 +53,150 @@ type PipelineResult struct {
 	Session *Session
 }
 
-// buildPipeline constructs the harness + session pair shared by the plain
-// and durable pipeline drivers. committer, when non-nil, receives a
-// checkpoint after every completed wave (crash durability).
-func buildPipeline(build engine.BuildFunc, reportSteps []workflow.StepID, cfg PipelineConfig, committer engine.WaveCommitter) (*engine.Harness, *Session, error) {
-	harnessCfg := cfg.Resilience
-	harnessCfg.Parallelism = cfg.Parallelism
-	harnessCfg.Committer = committer
-	harness, err := engine.NewHarnessWithConfig(clusterMirrorBuild(build, cfg.Cluster), reportSteps, harnessCfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	sessionCfg := cfg.Session
-	if sessionCfg.Parallelism == 0 {
-		sessionCfg.Parallelism = cfg.Parallelism
-	}
-	session := NewSession(sessionCfg)
-	if cfg.Obs != nil {
-		harness.Instrument(cfg.Obs)
-		session.Instrument(cfg.Obs)
-	}
-	return harness, session, nil
-}
-
 // RunPipeline executes the full SmartFlux lifecycle over the workload
 // produced by build. reportSteps selects the steps whose output error is
 // measured (nil = the last gated step). During training the session decides
 // "execute" for every step, so the live instance runs synchronously; after
 // Train succeeds the same harness continues under the predictor.
 func RunPipeline(build engine.BuildFunc, reportSteps []workflow.StepID, cfg PipelineConfig) (*PipelineResult, error) {
-	if cfg.TrainWaves <= 0 {
-		return nil, fmt.Errorf("core: pipeline needs TrainWaves > 0, got %d", cfg.TrainWaves)
+	res, _, err := drive(build, reportSteps, cfg, nil, nil, nil)
+	return res, err
+}
+
+// drive is the one lifecycle driver behind every Run*/Resume* entry point: a
+// state machine entered under three conditions.
+//
+//   - opts == nil: nothing is journaled (RunPipeline).
+//   - opts != nil, rec == nil: a fresh durable run — the initial checkpoint
+//     is journaled as wave 0 before the first wave.
+//   - opts != nil, rec != nil: a resume — both stores are replayed, session,
+//     harness and decider are rewound to the recovered checkpoint, and the
+//     journal continues from the recovered wave.
+//
+// From there it is one body: what is left of the training waves, then — with
+// a session — model construction unless the restored session already has its
+// model, and what is left of the application waves. A non-nil decider selects
+// the bare-harness run instead: no session, cfg.TrainWaves waves under that
+// decider, returned as PipelineResult.Train.
+func drive(build engine.BuildFunc, reportSteps []workflow.StepID, cfg PipelineConfig, decider engine.Decider, opts *DurableOptions, rec *recovered) (*PipelineResult, *DurableRunInfo, error) {
+	var session *Session
+	phase := phaseLabelHarness
+	if decider == nil {
+		if cfg.TrainWaves <= 0 {
+			return nil, nil, fmt.Errorf("core: pipeline needs TrainWaves > 0, got %d", cfg.TrainWaves)
+		}
+		sessionCfg := cfg.Session
+		if sessionCfg.Parallelism == 0 {
+			sessionCfg.Parallelism = cfg.Parallelism
+		}
+		session = NewSession(sessionCfg)
+		decider, phase = session, phaseLabelTraining
 	}
-	harness, session, err := buildPipeline(build, reportSteps, cfg, nil)
+	harnessCfg := cfg.Resilience
+	harnessCfg.Parallelism = cfg.Parallelism
+	var committer *pipelineCommitter
+	if opts != nil {
+		committer = &pipelineCommitter{session: session, phase: phase, trainWaves: cfg.TrainWaves, applyWaves: cfg.ApplyWaves}
+		harnessCfg.Committer = committer
+	}
+	harness, err := engine.NewHarnessWithConfig(clusterMirrorBuild(build, cfg.Cluster), reportSteps, harnessCfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
+	}
+	if cfg.Obs != nil {
+		harness.Instrument(cfg.Obs)
+		if session != nil {
+			session.Instrument(cfg.Obs)
+		}
 	}
 
-	trainRes, err := harness.Run(cfg.TrainWaves, session)
-	if err != nil {
-		return nil, fmt.Errorf("pipeline training: %w", err)
+	var trainRes, applyRes *engine.Result
+	if rec != nil {
+		// Replay the stores, then rewind the in-memory state to the same
+		// wave boundary — all before Begin snapshots the restored content.
+		if trainRes, applyRes, err = rec.restore(harness, session, decider); err != nil {
+			return nil, nil, err
+		}
 	}
-	for w := range trainRes.RefImpacts {
-		session.ObserveTrainingWave(trainRes.RefImpacts[w], trainRes.RefLabels[w])
-	}
-	report, err := session.Train()
-	if err != nil {
-		return nil, fmt.Errorf("pipeline train: %w", err)
+	if committer != nil {
+		if committer.mgr, err = openPipelineManager(harness, *opts); err != nil {
+			return nil, nil, err
+		}
 	}
 
-	var applyRes *engine.Result
-	if cfg.ApplyWaves > 0 {
-		applyRes, err = harness.Run(cfg.ApplyWaves, session)
+	res, err := func() (*PipelineResult, error) {
+		if committer != nil {
+			if err := committer.begin(rec); err != nil {
+				return nil, err
+			}
+		}
+		trainRes, err := runPhase(harness, trainRes, cfg.TrainWaves, decider)
+		if session == nil {
+			return &PipelineResult{Train: trainRes}, err
+		}
+		if err != nil {
+			return nil, fmt.Errorf("pipeline training: %w", err)
+		}
+		return finishPipeline(harness, session, cfg, committer, trainRes, applyRes)
+	}()
+	var info *DurableRunInfo
+	if committer != nil {
+		mgr := committer.mgr
+		info = &DurableRunInfo{Durable: mgr.Stats()}
+		if rec != nil {
+			info.Resumed, info.Recovery = true, rec.Stats
+		}
+		if cerr := mgr.Close(); err == nil && cerr != nil {
+			err = cerr
+		}
+		if err == nil {
+			info.Durable = mgr.Stats()
+		} else {
+			dumpFlightRecorder(opts.Dir, opts.Obs, cfg.Obs)
+		}
+	}
+	if err != nil {
+		return nil, info, err
+	}
+	return res, info, nil
+}
+
+// runPhase runs what is left of a phase of `waves` waves: all of it into a
+// fresh result, or the remainder appended to a restored one.
+func runPhase(harness *engine.Harness, res *engine.Result, waves int, decider engine.Decider) (*engine.Result, error) {
+	if res == nil {
+		return harness.Run(waves, decider)
+	}
+	if remaining := waves - res.Waves; remaining > 0 {
+		return res, harness.ResumeRun(res, remaining, decider)
+	}
+	return res, nil
+}
+
+// finishPipeline runs everything after the training waves: knowledge-base
+// feeding and model training (unless the restored session is already in the
+// application phase), then what is left of the application waves.
+func finishPipeline(harness *engine.Harness, session *Session, cfg PipelineConfig, committer *pipelineCommitter, trainRes, applyRes *engine.Result) (*PipelineResult, error) {
+	var report TestReport
+	if session.Phase() == PhaseApplication {
+		report = session.LastTestReport()
+	} else {
+		for w := range trainRes.RefImpacts {
+			session.ObserveTrainingWave(trainRes.RefImpacts[w], trainRes.RefLabels[w])
+		}
+		var err error
+		report, err = session.Train()
+		if err != nil {
+			return nil, fmt.Errorf("pipeline train: %w", err)
+		}
+	}
+
+	if committer != nil {
+		committer.enterApplication(trainRes)
+	}
+	if applyRes != nil || cfg.ApplyWaves > 0 {
+		var err error
+		applyRes, err = runPhase(harness, applyRes, cfg.ApplyWaves, session)
 		if err != nil {
 			return nil, fmt.Errorf("pipeline application: %w", err)
 		}

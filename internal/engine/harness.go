@@ -204,8 +204,8 @@ type measureState struct {
 // HarnessConfig configures harness construction.
 type HarnessConfig struct {
 	// Parallelism is forwarded to both instances' InstanceConfig: 0 selects
-	// runtime.GOMAXPROCS(0), 1 the sequential engine. Results are
-	// bit-identical across settings.
+	// runtime.GOMAXPROCS(0), 1 runs every step on the calling goroutine.
+	// Results are bit-identical across settings.
 	Parallelism int
 
 	// StepTimeout, StepRetries, RetryBackoff and RetrySeed are forwarded

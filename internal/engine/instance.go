@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -26,8 +25,8 @@ type InstanceConfig struct {
 	// training mode the baseline follows actual executions.
 	TrainingMode bool
 	// Parallelism bounds how many steps of one wave may run concurrently.
-	// 0 selects runtime.GOMAXPROCS(0); 1 reproduces the strictly
-	// sequential engine. Any value yields bit-identical WaveResults:
+	// 0 selects runtime.GOMAXPROCS(0); 1 runs every step on the calling
+	// goroutine. Any value yields bit-identical WaveResults:
 	// triggering decisions are always taken in topological order by a
 	// single coordinator, and per-step results land in pre-indexed slots
 	// (see DESIGN.md "Parallel execution").
@@ -59,14 +58,6 @@ type InstanceConfig struct {
 	// zero-tolerance steps never degrade — their output is a correctness
 	// precondition for successors, so their failures always propagate.
 	DegradeGated bool
-}
-
-// parallelism resolves the effective worker bound.
-func (c InstanceConfig) parallelism() int {
-	if c.Parallelism > 0 {
-		return c.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // stepState holds the per-step runtime bookkeeping of the Monitoring
@@ -126,17 +117,20 @@ type Instance struct {
 	wf    *workflow.Workflow
 	store *kvstore.Store
 	cfg   InstanceConfig
-	par   int // effective parallelism (cfg.parallelism())
+	par   int // effective parallelism: cfg.Parallelism, or GOMAXPROCS when unset
+	// pool holds one token per step doing work right now, par at most. It
+	// is taken only around actual work, never while waiting on another step.
+	pool chan struct{}
 
 	order    []workflow.StepID
 	gated    []workflow.StepID
 	gatedIdx map[workflow.StepID]int
 	states   map[workflow.StepID]*stepState
 	// waitIdx[i] lists order indices whose this-wave processing must
-	// finish before order[i] may start under parallel execution: the
-	// step's DAG predecessors plus any earlier step writing an
-	// overlapping output container (write-write ordering keeps version
-	// history deterministic when producers share a table).
+	// finish before order[i] may start: the step's DAG predecessors plus
+	// any earlier step writing an overlapping output container (write-write
+	// ordering keeps version history deterministic when producers share a
+	// table).
 	waitIdx [][]int
 
 	impacts []float64 // last-known impacts, by gated index
@@ -265,8 +259,8 @@ func (in *Instance) waveSpan(wave int) *obs.Span {
 }
 
 // stepSpan starts a step's span under its wave span, recording the wave,
-// the step ID and the sibling step spans whose completion gates its start
-// under the parallel scheduler — the edges critical-path analysis walks.
+// the step ID and the sibling step spans whose completion gates its start —
+// the edges critical-path analysis walks.
 func (in *Instance) stepSpan(waveSp *obs.Span, st *stepState, orderIdx, wave int) *obs.Span {
 	if waveSp == nil {
 		return nil
@@ -305,11 +299,16 @@ func NewInstance(wf *workflow.Workflow, store *kvstore.Store, cfg InstanceConfig
 	if err != nil {
 		return nil, err
 	}
+	par := cfg.Parallelism
+	if par <= 0 {
+		par = runtime.GOMAXPROCS(0)
+	}
 	in := &Instance{
 		wf:       wf,
 		store:    store,
 		cfg:      cfg,
-		par:      cfg.parallelism(),
+		par:      par,
+		pool:     make(chan struct{}, par),
 		order:    order,
 		gated:    gated,
 		gatedIdx: make(map[workflow.StepID]int, len(gated)),
@@ -361,29 +360,21 @@ func NewInstance(wf *workflow.Workflow, store *kvstore.Store, cfg InstanceConfig
 	return in, nil
 }
 
-// waitIndices precomputes the per-step wait sets of the parallel scheduler.
+// waitIndices precomputes the per-step wait sets of the wave scheduler, each
+// in ascending order. Predecessors precede their successors in order, so one
+// scan of the earlier positions finds both kinds of member.
 func waitIndices(wf *workflow.Workflow, order []workflow.StepID, states map[workflow.StepID]*stepState) [][]int {
-	orderIdx := make(map[workflow.StepID]int, len(order))
-	for i, id := range order {
-		orderIdx[id] = i
-	}
 	waits := make([][]int, len(order))
 	for i, id := range order {
-		deps := make(map[int]struct{})
+		preds := make(map[workflow.StepID]bool)
 		for _, pred := range wf.Predecessors(id) {
-			deps[orderIdx[pred]] = struct{}{}
+			preds[pred] = true
 		}
-		for j := 0; j < i; j++ {
-			if outputsOverlap(states[order[j]].step, states[id].step) {
-				deps[j] = struct{}{}
+		for j, earlier := range order[:i] {
+			if preds[earlier] || outputsOverlap(states[earlier].step, states[id].step) {
+				waits[i] = append(waits[i], j)
 			}
 		}
-		list := make([]int, 0, len(deps))
-		for j := range deps {
-			list = append(list, j)
-		}
-		sort.Ints(list)
-		waits[i] = list
 	}
 	return waits
 }
@@ -557,13 +548,9 @@ func (in *Instance) simulateAndCommit(st *stepState, inputStates []metric.State,
 		ev.OptimalLabel = label
 	}
 
-	if in.cfg.TrainingMode {
-		if label == 1 {
-			for i, state := range inputStates {
-				st.impactTrackers[i].Commit(state)
-			}
-		}
-	} else {
+	// The impact baseline follows actual executions, except in training
+	// mode, where it follows the simulated schedule.
+	if !in.cfg.TrainingMode || label == 1 {
 		for i, state := range inputStates {
 			st.impactTrackers[i].Commit(state)
 		}
@@ -589,11 +576,10 @@ func newWaveResult(wave, gated int) WaveResult {
 // RunWave executes one wave under the given decider and returns what
 // happened. Source steps always run; zero-tolerance steps run whenever their
 // predecessors have produced output at least once; gated steps consult the
-// decider with the freshly observed input impacts. Decisions are always
-// taken in topological order by a single goroutine, so results are
-// bit-identical for every Parallelism setting; with Parallelism > 1 the
-// snapshot/execute/simulate work of independent steps overlaps on a bounded
-// worker pool.
+// decider with the freshly observed input impacts. One coordinator — the
+// calling goroutine — observes and decides in topological order, so results
+// are bit-identical for every Parallelism setting; above 1 the executions of
+// independent steps overlap on a bounded worker pool (see parallel.go).
 // A failed wave leaves the instance in its pre-wave state: all trackers,
 // per-step bookkeeping and the wave counter are rolled back, so callers can
 // retry the wave or carry on as if it had not been attempted (store contents
@@ -601,13 +587,7 @@ func newWaveResult(wave, gated int) WaveResult {
 // make that safe).
 func (in *Instance) RunWave(d Decider) (WaveResult, error) {
 	cp := in.checkpoint()
-	var res WaveResult
-	var err error
-	if in.par > 1 {
-		res, err = in.runWaveParallel(d)
-	} else {
-		res, err = in.runWaveSequential(d)
-	}
+	res, err := in.runWave(d)
 	if err != nil {
 		in.restore(cp)
 		in.obs.countRecovery()
@@ -615,123 +595,29 @@ func (in *Instance) RunWave(d Decider) (WaveResult, error) {
 	return res, err
 }
 
-// runWaveSequential is the strictly sequential wave loop: steps are
-// processed one by one in topological order.
-func (in *Instance) runWaveSequential(d Decider) (WaveResult, error) {
-	wave := in.wave
-	res := newWaveResult(wave, len(in.gated))
-
+// decide consults the decider for one gated step, timing the call and
+// counting the verdict when an observer is attached. Unready steps are never
+// presented to the decider.
+func (in *Instance) decide(d Decider, wave, idx int, ready bool) (verdict bool, decNanos int64) {
 	ob := in.obs
-	tracing := ob != nil && ob.o.Tracing()
-	if tracing {
-		res.Decisions = make([]obs.DecisionEvent, 0, len(in.gated))
-	}
-	var waveStart time.Time
-	if ob != nil {
-		waveStart = time.Now() //sflint:ignore nondeterm wave-latency metric only; never feeds results
-	}
-
-	ctx := &workflow.Context{Wave: wave, Store: in.store}
-	waveSp := in.waveSpan(wave)
-	for i, id := range in.order {
-		st := in.states[id]
-		step := st.step
-		stepSp := in.stepSpan(waveSp, st, i, wave)
-		switch {
-		case step.Source:
-			if err := in.execute(ctx, st, wave, stepSp); err != nil {
-				stepSp.EndErr(err)
-				waveSp.EndErr(err)
-				return res, err
-			}
-			stepSp.End()
-			res.TotalExecutions++
-		case !step.Gated():
-			if !in.predecessorsReady(id) {
-				stepSp.SetSkipped(true)
-				stepSp.End()
-				continue
-			}
-			if err := in.execute(ctx, st, wave, stepSp); err != nil {
-				stepSp.EndErr(err)
-				waveSp.EndErr(err)
-				return res, err
-			}
-			stepSp.End()
-			res.TotalExecutions++
-		default:
-			idx := in.gatedIdx[id]
-			// Observe the (possibly unchanged) input containers and
-			// refresh the impact vector before deciding.
-			impact, inputStates := in.observeImpact(st)
-			in.impacts[idx] = impact
-			res.Impacts[idx] = impact
-			stepSp.SetIota(impact)
-
-			ready := in.predecessorsReady(id)
-			verdict, decNanos := in.decide(d, ob, wave, idx, ready)
-			run := ready && verdict
-			ev := in.traceDecision(&res, d, step, idx, impact, ready, verdict, decNanos, tracing)
-			if !run {
-				stepSp.SetSkipped(true)
-				stepSp.End()
-				continue
-			}
-			degraded, err := in.executeDegradable(ctx, st, wave, stepSp)
-			if err != nil {
-				if !degraded {
-					stepSp.EndErr(err)
-					waveSp.EndErr(err)
-					return res, err
-				}
-				// Forced skip: outputs are rolled back, Executed stays
-				// false, and the shadow error keeps accumulating exactly
-				// as for a decider-chosen skip.
-				res.Degraded[idx] = true
-				if ev != nil {
-					ev.Degraded = true
-				}
-				stepSp.SetDegraded(true)
-				stepSp.EndErr(err)
-				ob.countDegraded()
-				continue
-			}
-			res.TotalExecutions++
-			res.GatedExecutions++
-			res.Executed[idx] = true
-			if ev != nil {
-				ev.Executed = true
-			}
-			in.simulateAndCommit(st, inputStates, &res, idx, ev)
-			stepSp.SetEps(res.SimErrors[idx])
-			stepSp.End()
-		}
-	}
-	waveSp.End()
-	in.finishWave(&res, ob, waveStart)
-	return res, nil
-}
-
-// decide consults the decider for one ready gated step, timing the call when
-// an observer is attached. Unready steps are never presented to the decider.
-func (in *Instance) decide(d Decider, ob *instanceObs, wave, idx int, ready bool) (verdict bool, decNanos int64) {
 	if !ready {
-		return false, 0
-	}
-	if ob != nil {
-		t0 := time.Now() //sflint:ignore nondeterm decision-latency metric only; never feeds results
-		verdict = d.Decide(wave, idx, in.impacts)
-		decNanos = time.Since(t0).Nanoseconds() //sflint:ignore nondeterm decision-latency metric only; never feeds results
-		ob.decideDur.Observe(float64(decNanos) / 1e9)
-	} else {
-		verdict = d.Decide(wave, idx, in.impacts)
-	}
-	if ob != nil {
-		if verdict {
-			ob.execs.Inc()
-		} else {
+		// Unready steps count as skips even though the decider never ran.
+		if ob != nil {
 			ob.skips.Inc()
 		}
+		return false, 0
+	}
+	if ob == nil {
+		return d.Decide(wave, idx, in.impacts), 0
+	}
+	t0 := time.Now() //sflint:ignore nondeterm decision-latency metric only; never feeds results
+	verdict = d.Decide(wave, idx, in.impacts)
+	decNanos = time.Since(t0).Nanoseconds() //sflint:ignore nondeterm decision-latency metric only; never feeds results
+	ob.decideDur.Observe(float64(decNanos) / 1e9)
+	if verdict {
+		ob.execs.Inc()
+	} else {
+		ob.skips.Inc()
 	}
 	return verdict, decNanos
 }
@@ -741,10 +627,6 @@ func (in *Instance) decide(d Decider, ob *instanceObs, wave, idx int, ready bool
 // to the gated-step count, so appends never reallocate and the returned
 // pointer stays valid while later events are added.
 func (in *Instance) traceDecision(res *WaveResult, d Decider, step *workflow.Step, idx int, impact float64, ready, verdict bool, decNanos int64, tracing bool) *obs.DecisionEvent {
-	if in.obs != nil && !ready {
-		// Unready steps count as skips even though the decider never ran.
-		in.obs.skips.Inc()
-	}
 	if !tracing {
 		return nil
 	}
@@ -771,22 +653,6 @@ func (in *Instance) traceDecision(res *WaveResult, d Decider, step *workflow.Ste
 		DecisionNanos:  decNanos,
 	})
 	return &res.Decisions[len(res.Decisions)-1]
-}
-
-// finishWave records wave-level instruments, emits buffered decision events
-// (unless a Harness defers emission to enrich them first) and advances the
-// wave counter.
-func (in *Instance) finishWave(res *WaveResult, ob *instanceObs, waveStart time.Time) {
-	if ob != nil {
-		ob.waves.Inc()
-		ob.waveDur.Observe(time.Since(waveStart).Seconds()) //sflint:ignore nondeterm wave-latency metric only; never feeds results
-		if !ob.deferEmit {
-			for _, ev := range res.Decisions {
-				ob.o.EmitDecision(ev)
-			}
-		}
-	}
-	in.wave++
 }
 
 // execute runs a step's processor — under the configured timeout and retry

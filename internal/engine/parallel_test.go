@@ -1,8 +1,12 @@
 package engine
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
 	"strconv"
 	"strings"
@@ -28,11 +32,12 @@ func newWorkloadInstance(t *testing.T, build BuildFunc, training bool, par int) 
 	return inst
 }
 
-// TestParallelWaveBitIdentical drives a sequential and a parallel instance of
-// the same workload through the same policy and requires every WaveResult —
-// impacts, labels, simulated errors, execution flags and counters — plus the
-// final store contents to match exactly. This is the contract the parallel
-// scheduler is built around: Parallelism only changes wall-clock.
+// TestParallelWaveBitIdentical drives a Parallelism-1 and a Parallelism-4
+// instance of the same workload through the same policy and requires every
+// WaveResult — impacts, labels, simulated errors, execution flags and
+// counters — plus the final store contents to match exactly: the two sides
+// of dispatch agree, and Parallelism only changes wall-clock. That both are
+// right is TestScheduleDigests' job.
 func TestParallelWaveBitIdentical(t *testing.T) {
 	policies := map[string]func() Decider{
 		"sync":   func() Decider { return Sync{} },
@@ -207,11 +212,11 @@ func wideWorkload(width int, maxErr float64) BuildFunc {
 	}
 }
 
-// TestParallelWideWaveStress exercises the parallel scheduler on a wide
+// TestParallelWideWaveStress exercises the scheduler's pool on a wide
 // workflow with shared tables under the race detector, and checks it still
-// matches the sequential run exactly. Parallelism is set well above the
-// runnable width so the semaphore, the per-step done channels and the gated
-// coordinator handshake all see real contention.
+// matches the Parallelism-1 run exactly. Parallelism is set well above the
+// runnable width so the pool, the per-step done channels and the
+// coordinator's waits all see real contention.
 func TestParallelWideWaveStress(t *testing.T) {
 	build := wideWorkload(12, 0.08)
 	for _, policy := range []func() Decider{
@@ -237,9 +242,80 @@ func TestParallelWideWaveStress(t *testing.T) {
 	}
 }
 
-// TestParallelWaveError checks the parallel scheduler surfaces a failing
-// step's error and, with several failures in flight, reports the first in
-// topological order — matching the step a sequential run would blame.
+// countingStep wraps build so each built copy counts, per wave, how often the
+// named step's processor is called. The counts of the copies land in *out in
+// build order.
+func countingStep(build BuildFunc, stepID workflow.StepID, out *[]map[int]int) BuildFunc {
+	return func() (*workflow.Workflow, *kvstore.Store, error) {
+		wf, store, err := build()
+		if err != nil {
+			return nil, nil, err
+		}
+		step, err := wf.Step(stepID)
+		if err != nil {
+			return nil, nil, err
+		}
+		inner, calls := step.Proc, make(map[int]int)
+		*out = append(*out, calls)
+		step.Proc = workflow.ProcessorFunc(func(ctx *workflow.Context) error {
+			calls[ctx.Wave]++
+			return inner.Process(ctx)
+		})
+		return wf, store, nil
+	}
+}
+
+// TestFailedStepStopsItsConsumers pins the error rule at both sides of
+// dispatch: when mid fails, leaf — which waits on it — does not run on mid's
+// stale output, the error blames mid, the instance is back in its pre-wave
+// state, and a harness that retries the wave ends up with the fault-free
+// result.
+func TestFailedStepStopsItsConsumers(t *testing.T) {
+	const failWave = 3
+	for _, par := range []int{1, 4} {
+		var calls []map[int]int
+		build := countingStep(hookedWorkload(0.05, "mid", failFirstAttemptAt(failWave)), "leaf", &calls)
+		in := buildInstance(t, build, InstanceConfig{Parallelism: par})
+		for w := 0; w < failWave; w++ {
+			if _, err := in.RunWave(Sync{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := in.PersistState()
+		_, err := in.RunWave(Sync{})
+		if !errors.Is(err, errBoom) || !strings.Contains(err.Error(), `step "mid"`) {
+			t.Fatalf("par %d: err = %v, want errBoom blamed on mid", par, err)
+		}
+		if n := calls[0][failWave]; n != 0 {
+			t.Errorf("par %d: leaf ran %d times in the wave its predecessor failed", par, n)
+		}
+		if after := in.PersistState(); !reflect.DeepEqual(after, before) {
+			t.Errorf("par %d: a failed wave left instance state behind:\n%+v\nwant\n%+v", par, after, before)
+		}
+
+		faulty, err := NewHarnessWithConfig(build, nil, HarnessConfig{Parallelism: par, WaveRetries: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		clean, err := NewHarnessWithConfig(testWorkload(0.05), nil, HarnessConfig{Parallelism: par})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := faulty.Run(2*failWave, Sync{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := clean.Run(2*failWave, Sync{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		equalResults(t, got, want)
+	}
+}
+
+// TestParallelWaveError checks the scheduler surfaces a failing step's error
+// and, with several failures in flight, reports the first in topological
+// order — the step a Parallelism-1 run blames.
 func TestParallelWaveError(t *testing.T) {
 	boom := errors.New("boom")
 	build := func() (*workflow.Workflow, *kvstore.Store, error) {
@@ -373,8 +449,8 @@ func TestSnapshotCacheReuse(t *testing.T) {
 // TestSnapshotCacheFreshUnderParallelism runs a wide workflow — many workers
 // observing column slices of one shared table — at Parallelism 4 under a
 // skipping policy and checks after every wave that each cached container
-// state equals a direct scan, and that the scanned/reused counts match the
-// sequential engine's (racing readers of one container share one scan).
+// state equals a direct scan, and that the scanned/reused counts match a
+// Parallelism-1 run's (racing readers of one container share one scan).
 func TestSnapshotCacheFreshUnderParallelism(t *testing.T) {
 	build := wideWorkload(12, 0.08)
 	counts := make(map[int]map[string]uint64)
@@ -420,5 +496,112 @@ func TestHarnessParallelMatchesSequential(t *testing.T) {
 	seq, par := run(1), run(4)
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatal("harness results diverged between Parallelism 1 and 4")
+	}
+}
+
+// scheduleDigests are the SHA-256 digests of scheduleDigest recorded on the
+// commit before the two wave loops were folded into one scheduler (b1be571):
+// an oracle for the scheduler that is not the scheduler. Each holds for
+// Parallelism 1 and 4 alike. Regenerate only for a change that is meant to
+// alter results, and say so.
+var scheduleDigests = map[string]string{
+	"sync/clean":    "c13dd51115de780b0bebecfc9b656342ef3a0d580186fa5d97314d1bce198aeb",
+	"sync/faulty":   "3a380bf92129880c20b6dbc6fdc8fa50b32f8f2d20a931013dc36f5890bafe4e",
+	"seq3/clean":    "545ee4a8967d1a1c1b1e39e6003ada40c2d006cdb8611c2a239b9735210d1f71",
+	"seq3/faulty":   "a7dd084c57bcac0de10f19489c3b87983c0e7c6595021bb3a894a9a12f90a187",
+	"random/clean":  "1b38ed762a2dcd27c5fb9aac8a68f17f49b48d1b34ec94829d9a973a2b828fea",
+	"random/faulty": "55b26f7313a900e7fe822830cb87321d6a0596c7514a9d7a66982efad5359aa3",
+}
+
+// seededStepFaults returns a hook factory for hookedWorkload that, per wave
+// and from the seed alone, lets the step run, fails its first attempt (a
+// retry recovers) or fails every attempt (the step degrades).
+func seededStepFaults(seed int64, waves int) func() func(int) error {
+	rng := rand.New(rand.NewSource(seed))
+	mode := make([]int, waves)
+	for w := range mode {
+		switch p := rng.Float64(); {
+		case p < 0.15:
+			mode[w] = 2
+		case p < 0.35:
+			mode[w] = 1
+		}
+	}
+	return func() func(int) error {
+		attempts := make([]int, waves)
+		return func(w int) error {
+			attempts[w]++
+			if mode[w] == 2 || mode[w] == 1 && attempts[w] == 1 {
+				return errBoom
+			}
+			return nil
+		}
+	}
+}
+
+// scheduleDigest runs the engine test workload for 60 waves and hashes
+// everything a schedule determines: the per-wave result vectors, the emitted
+// decision events (wall-clock latency zeroed) and every retained version of
+// every cell with its logical timestamp.
+func scheduleDigest(t *testing.T, d Decider, par int, faulty bool) string {
+	t.Helper()
+	const waves = 60
+	build, cfg := testWorkload(0.05), InstanceConfig{Parallelism: par}
+	if faulty {
+		build = hookedWorkload(0.05, "mid", seededStepFaults(23, waves))
+		cfg.DegradeGated, cfg.StepRetries = true, 1
+	}
+	in := buildInstance(t, build, cfg)
+	ring := obs.NewRingSink(4 * waves)
+	in.Instrument(obs.New(obs.NewRegistry(), ring))
+	h := sha256.New()
+	for w := 0; w < waves; w++ {
+		res, err := in.RunWave(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(h, "w%d %v %v %v", w, res.Executed, res.Degraded, res.Labels)
+		for i := range res.Impacts {
+			fmt.Fprintf(h, " %x %x", math.Float64bits(res.Impacts[i]), math.Float64bits(res.SimErrors[i]))
+		}
+	}
+	for _, ev := range ring.Tail(0) {
+		ev.DecisionNanos = 0
+		fmt.Fprintf(h, "\n%+v", ev)
+	}
+	for _, name := range []string{"raw", "avg", "scaled"} {
+		tbl, err := in.store.Table(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range tbl.Scan(kvstore.ScanOptions{}) {
+			for _, v := range tbl.GetVersions(c.Row, c.Column, 0) {
+				fmt.Fprintf(h, "\n%s %s/%s @%d = %x", name, c.Row, c.Column, v.Timestamp, v.Value)
+			}
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestScheduleDigests pins the scheduler to the committed digests.
+func TestScheduleDigests(t *testing.T) {
+	policies := []func() Decider{
+		func() Decider { return Sync{} },
+		func() Decider { return NewSeq(3) },
+		func() Decider { return NewRandom(0.5, 17) },
+	}
+	for _, policy := range policies {
+		for _, faulty := range []bool{false, true} {
+			for _, par := range []int{1, 4} {
+				d := policy()
+				name := d.Name() + "/clean"
+				if faulty {
+					name = d.Name() + "/faulty"
+				}
+				if got := scheduleDigest(t, d, par, faulty); got != scheduleDigests[name] {
+					t.Errorf("%s at Parallelism %d: digest %s, recorded %q", name, par, got, scheduleDigests[name])
+				}
+			}
+		}
 	}
 }

@@ -225,8 +225,8 @@ func (in *Instance) checkpoint() waveCheckpoint {
 }
 
 // restore rewinds the instance to a checkpoint taken at a wave boundary.
-// The wave counter needs no handling: failed waves never reach finishWave,
-// so it was never advanced.
+// The wave counter needs no handling: a failed wave returns before advancing it,
+// so it still names that wave.
 func (in *Instance) restore(cp waveCheckpoint) {
 	copy(in.impacts, cp.impacts)
 	for id, st := range in.states {

@@ -8,14 +8,14 @@
 // sequence) always produces the same faults. Three interposition surfaces
 // consume the decisions:
 //
-//   - Store / Table (store.go): wrap a kvstore.Store with fault injection on
-//     every data operation, for driving the engine's step retry and
-//     degradation paths in-process.
+//   - NewStore: a kvstore.GuardedStore failing data operations before they
+//     reach the store, for driving the engine's step retry and degradation
+//     paths in-process.
 //   - Conn / Listener (conn.go): wrap net.Conn / net.Listener so kvnet
 //     clients and servers see injected latency, I/O errors, disconnects and
 //     blackholes at the wire level.
-//   - Injector.StoreHook: a func(op, table) error usable anywhere a
-//     per-operation failure hook is accepted.
+//   - Injector.StoreHook: the func(op, table) error NewStore interposes,
+//     usable anywhere a per-operation failure hook is accepted.
 //
 // The package is test-oriented but ships as production code: chaos suites,
 // examples and benchmarks all build against it.
@@ -28,6 +28,7 @@ import (
 	"sync"
 	"time"
 
+	"smartflux/internal/kvstore"
 	"smartflux/internal/obs"
 )
 
@@ -265,6 +266,12 @@ func (i *Injector) StoreHook() func(op, table string) error {
 		}
 		return nil
 	}
+}
+
+// NewStore interposes inj on every data operation of store. Errors are
+// injected strictly before delegation, so a failed Put never half-applies.
+func NewStore(store *kvstore.Store, inj *Injector) *kvstore.GuardedStore {
+	return kvstore.Guard(store, inj.StoreHook(), nil)
 }
 
 // OpHook adapts the injector to the single-argument per-operation hook shape

@@ -1,7 +1,7 @@
 package cluster
 
 // Store / Table adapt the cluster client to the error-returning store shape
-// workflow processors already consume (the same shape as fault.Store), so a
+// workflow processors already consume (the shape of kvstore.GuardedStore), so a
 // pipeline built against a wrapped single store runs against a cluster by
 // swapping the wrapper.
 

@@ -1,0 +1,129 @@
+package kvstore
+
+// GuardedStore is a view of a Store whose every data operation first asks a
+// hook whether it may proceed, and whose mutations report to a second hook
+// once they have been applied. Processors route their container access
+// through it where an operation must be able to fail for a reason the store
+// itself does not know: injected faults (fault.NewStore), a write-ahead log
+// that has died (durable.NewStore). Every operation returns an error, reads
+// included, the way a remote store's would.
+//
+// The hooks receive the operation name — "create_table" (table resolution),
+// "put", "get", "delete", "scan", "apply" — and the table name. A before
+// error fails the operation without touching the store, so a refused Put
+// never half-applies.
+type GuardedStore struct {
+	store         *Store
+	before, after func(op, table string) error
+}
+
+// Guard interposes the hooks on store. after may be nil.
+func Guard(store *Store, before, after func(op, table string) error) *GuardedStore {
+	return &GuardedStore{store: store, before: before, after: after}
+}
+
+// Unwrap returns the underlying store.
+func (g *GuardedStore) Unwrap() *Store { return g.store }
+
+// EnsureTable mirrors Store.EnsureTable (op "create_table").
+func (g *GuardedStore) EnsureTable(name string, opts TableOptions) (*GuardedTable, error) {
+	if err := g.before("create_table", name); err != nil {
+		return nil, err
+	}
+	t, err := g.store.EnsureTable(name, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &GuardedTable{t: t, g: g}, nil
+}
+
+// Table mirrors Store.Table (op "create_table", sharing the table-resolution
+// budget with EnsureTable).
+func (g *GuardedStore) Table(name string) (*GuardedTable, error) {
+	if err := g.before("create_table", name); err != nil {
+		return nil, err
+	}
+	t, err := g.store.Table(name)
+	if err != nil {
+		return nil, err
+	}
+	return &GuardedTable{t: t, g: g}, nil
+}
+
+// GuardedTable is the guarded view of one table.
+type GuardedTable struct {
+	t *Table
+	g *GuardedStore
+}
+
+// Unwrap returns the underlying table.
+func (t *GuardedTable) Unwrap() *Table { return t.t }
+
+func (t *GuardedTable) before(op string) error { return t.g.before(op, t.t.Name()) }
+
+// applied reports a mutation that went through to the after hook.
+func (t *GuardedTable) applied(op string, err error) error {
+	if err != nil || t.g.after == nil {
+		return err
+	}
+	return t.g.after(op, t.t.Name())
+}
+
+// Put writes a value (op "put").
+func (t *GuardedTable) Put(row, column string, value []byte) error {
+	if err := t.before("put"); err != nil {
+		return err
+	}
+	return t.applied("put", t.t.Put(row, column, value))
+}
+
+// PutFloat writes an encoded float64 (op "put").
+func (t *GuardedTable) PutFloat(row, column string, v float64) error {
+	return t.Put(row, column, EncodeFloat(v))
+}
+
+// Get reads the latest value of a cell (op "get").
+func (t *GuardedTable) Get(row, column string) ([]byte, bool, error) {
+	if err := t.before("get"); err != nil {
+		return nil, false, err
+	}
+	v, ok := t.t.Get(row, column)
+	return v, ok, nil
+}
+
+// GetFloat reads a float64-encoded cell (op "get").
+func (t *GuardedTable) GetFloat(row, column string) (float64, bool, error) {
+	raw, ok, err := t.Get(row, column)
+	if err != nil || !ok {
+		return 0, ok, err
+	}
+	v, err := DecodeFloat(raw)
+	if err != nil {
+		return 0, false, err
+	}
+	return v, true, nil
+}
+
+// Delete removes a cell (op "delete").
+func (t *GuardedTable) Delete(row, column string) error {
+	if err := t.before("delete"); err != nil {
+		return err
+	}
+	return t.applied("delete", t.t.Delete(row, column))
+}
+
+// Scan returns matching cells (op "scan").
+func (t *GuardedTable) Scan(opts ScanOptions) ([]Cell, error) {
+	if err := t.before("scan"); err != nil {
+		return nil, err
+	}
+	return t.t.Scan(opts), nil
+}
+
+// Apply applies a batch atomically (op "apply").
+func (t *GuardedTable) Apply(b *Batch) error {
+	if err := t.before("apply"); err != nil {
+		return err
+	}
+	return t.applied("apply", t.t.Apply(b))
+}

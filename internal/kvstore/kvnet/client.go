@@ -1001,16 +1001,11 @@ func (c *Client) Status() (clock, cursor uint64, crc uint32, err error) {
 	return cl.clock, cl.cursor, cl.crc, nil
 }
 
-// Repl ships a batch of replication records to the server without an epoch
-// stamp (accepted only while the receiving node is unfenced). Records carry
-// explicit timestamps and apply idempotently, so retried batches are safe.
-func (c *Client) Repl(records [][]byte) error {
-	return c.ReplEpoch(0, records)
-}
-
 // ReplEpoch ships a batch of replication records stamped with the sender's
 // shard epoch. A node holding a higher epoch rejects the batch with an
 // ErrFenced-matchable error — the wire half of epoch fencing (DESIGN.md §15).
+// Records carry explicit timestamps and apply idempotently, so retried
+// batches are safe.
 func (c *Client) ReplEpoch(epoch uint64, records [][]byte) error {
 	_, err := c.do(wire.Request{Op: wire.OpRepl, Epoch: epoch, Records: records})
 	return err
