@@ -6,13 +6,17 @@ package engine
 // ask the decider, trace the decision. The part that may overlap — running a
 // processor and the bookkeeping behind it — is handed to dispatch, which at
 // Parallelism 1 runs it inline and above 1 starts a goroutine on the
-// semaphore-bounded pool. Results do not depend on which:
+// semaphore-bounded pool. Source and zero-tolerance steps take no decision,
+// so above Parallelism 1 they are all dispatched at wave start, each waiting
+// for its own wait set: a branch never queues behind the coordinator's wait
+// for an unrelated gated step that happens to sort before it. Results do not
+// depend on the parallelism:
 //
 //   - Decision order. Only the coordinator writes in.impacts and consults the
 //     decider, one gated step at a time, so full-vector deciders (the learned
 //     Predictor) see the impact vector evolve the same way at every
 //     Parallelism.
-//   - Data order. Work on a step starts only after its wait set has finished:
+//   - Data order. Work on a step starts only after its wait set is settled:
 //     its DAG predecessors (every producer of an overlapping input container
 //     is one by construction, see workflow.Finalize) plus any earlier-in-order
 //     step writing an overlapping output container, which keeps per-cell
@@ -23,20 +27,26 @@ package engine
 //     event pointers held by workers stay valid); executions are counted in
 //     topological order after the barrier.
 //
-// Deadlock freedom: a wait set names only earlier positions, all of which
-// were dispatched before the coordinator or a worker waits on them, and a
-// pool slot is held only around actual work — never while waiting — so the
-// earliest unfinished position can always run.
+// Deadlock freedom: a wait set names only earlier positions. Each of those is
+// either a no-decision step, dispatched before anyone waits, or a gated step,
+// which the coordinator settles in order — runs, skips, or, once the wave is
+// doomed, holds back. A pool slot is held only around actual work, never
+// while waiting, so the earliest unsettled position can always proceed.
 //
 // Errors: once a step fails, no step with it in its wait set starts (nor,
-// transitively, any step waiting on one of those), the coordinator dispatches
-// nothing further, running work drains, and RunWave reports the first error
-// in topological order — the step a Parallelism-1 run blames. What still
-// differs above 1: independent steps that were already dispatched when the
-// failure happened run to completion, so their writes may be in the store
-// (RunWave rolls back instance state, not the store; DESIGN.md §10). Store
-// timestamps across *different* tables may also interleave differently;
-// per-cell version order is preserved.
+// transitively, any step waiting on one of those), the coordinator stops at
+// the first position past the failure, running work drains, and RunWave
+// reports the first error in topological order — the step a Parallelism-1 run
+// fails at. What still differs above 1: independent steps that were already
+// dispatched when the failure happened run to completion, so their writes may
+// be in the store (RunWave rolls back instance state, not the store;
+// DESIGN.md §10). Store timestamps across *different* tables may also
+// interleave differently; per-cell version order is preserved.
+//
+// Spans: a no-decision step's span opens when it is dispatched (wave start
+// above Parallelism 1), a gated step's when the coordinator reaches it; above
+// Parallelism 1 the end of waiting on the wait set is marked as the span's
+// wait prefix, at 1 there is none.
 
 import (
 	"sync"
@@ -47,6 +57,16 @@ import (
 	"smartflux/internal/obs"
 	"smartflux/internal/workflow"
 )
+
+// position is one step's slot in a wave, indexed like in.order.
+type position struct {
+	// done is closed once the position is settled; nil at Parallelism 1,
+	// where every earlier position is settled by the time anyone could ask.
+	done chan struct{}
+	// err is the step's failure or, for a step that never started, the
+	// failure that held it back.
+	err error
+}
 
 // runWave is the wave loop behind RunWave.
 func (in *Instance) runWave(d Decider) (WaveResult, error) {
@@ -65,30 +85,49 @@ func (in *Instance) runWave(d Decider) (WaveResult, error) {
 	ctx := &workflow.Context{Wave: wave, Store: in.store}
 	waveSp := in.waveSpan(wave)
 
-	// Per position: done[i] is closed when dispatched work has finished (nil
-	// when it ran inline or nothing was dispatched), errs[i] is its failure —
-	// for a step that never started, the failure that held it back.
-	done := make([]chan struct{}, len(in.order))
-	errs := make([]error, len(in.order))
-	var failed atomic.Bool
+	// The one place the wave path looks at the parallelism. A pool of one is
+	// the calling goroutine itself: work runs inline, every earlier position
+	// is settled when the walk reaches the next, and every wait is a no-op.
+	pooled := in.par > 1
+
+	n := len(in.order)
+	pos := make([]position, n)
+	if pooled {
+		for i := range pos {
+			pos[i].done = make(chan struct{})
+		}
+	}
+	// failedAt is the lowest position that has failed or been held back so
+	// far, n while there is none.
+	var failedAt atomic.Int64
+	failedAt.Store(int64(n))
 	var wg sync.WaitGroup
 
-	// await blocks until every position in i's wait set has finished, marking
-	// the end of sp's wait prefix if it had to. If a member failed or was
-	// held back, so is i: sp ends as skipped with that error.
-	await := func(i int, sp *obs.Span) error {
-		var waited bool
-		var err error
-		for _, j := range in.waitIdx[i] {
-			if done[j] != nil {
-				<-done[j]
-				waited = true
-			}
-			if err == nil {
-				err = errs[j]
+	// settle records position i's outcome and releases whoever waits on it.
+	settle := func(i int, err error) {
+		pos[i].err = err
+		if err != nil {
+			for f := failedAt.Load(); int64(i) < f && !failedAt.CompareAndSwap(f, int64(i)); f = failedAt.Load() {
 			}
 		}
-		if waited {
+		if pos[i].done != nil {
+			close(pos[i].done)
+		}
+	}
+	// await blocks until every position in i's wait set is settled and marks
+	// the end of sp's wait prefix. If a member failed or was held back, so is
+	// i: sp ends as skipped with that error.
+	await := func(i int, sp *obs.Span) error {
+		var err error
+		for _, j := range in.waitIdx[i] {
+			if pos[j].done != nil {
+				<-pos[j].done
+			}
+			if err == nil {
+				err = pos[j].err
+			}
+		}
+		if pooled {
 			sp.MarkWait()
 		}
 		if err != nil {
@@ -97,63 +136,72 @@ func (in *Instance) runWave(d Decider) (WaveResult, error) {
 		}
 		return err
 	}
-	// dispatch runs the overlappable part of position i: inline at
-	// Parallelism 1, on a pool goroutine otherwise. It is the only place the
-	// wave path looks at the parallelism — a pool of one is the calling
-	// goroutine itself, for which every earlier position is already complete
-	// and every wait a no-op.
+	// dispatch runs the overlappable part of position i — inline, or on a
+	// pool goroutine — and settles it.
 	dispatch := func(i int, work func() error) {
-		run := func() {
-			if errs[i] = work(); errs[i] != nil {
-				failed.Store(true)
-			}
-		}
-		if in.par == 1 {
-			run()
+		if !pooled {
+			settle(i, work())
 			return
 		}
-		done[i] = make(chan struct{})
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			defer close(done[i])
-			run()
+			settle(i, work())
 		}()
 	}
-
-	for i, id := range in.order {
-		if failed.Load() {
-			break
-		}
-		st := in.states[id]
-		// The step span opens before any waiting and await marks the wait
-		// boundary, so dur − wait is the step's execute time — the quantity
-		// critical-path analysis sums along wait_for edges.
+	// start dispatches position i, a source or zero-tolerance step. It takes
+	// no decision, so all of it may overlap. Its span opens before any
+	// waiting and await marks the wait boundary, so dur − wait is the step's
+	// execute time — the quantity critical-path analysis sums along wait_for
+	// edges.
+	start := func(i int) {
+		st := in.states[in.order[i]]
 		sp := in.stepSpan(waveSp, st, i, wave)
-		if !st.step.Gated() {
-			// A source or zero-tolerance step takes no decision: all of it
-			// may overlap.
-			dispatch(i, func() error {
-				if err := await(i, sp); err != nil {
-					return err
-				}
-				if !st.step.Source && !in.predecessorsReady(id) {
-					sp.SetSkipped(true)
-					sp.End()
-					return nil
-				}
-				in.pool <- struct{}{}
-				err := in.execute(ctx, st, wave, sp)
-				<-in.pool
-				sp.EndErr(err)
+		dispatch(i, func() error {
+			if err := await(i, sp); err != nil {
 				return err
-			})
+			}
+			if !st.step.Source && !in.predecessorsReady(st.step.ID) {
+				sp.SetSkipped(true)
+				sp.End()
+				return nil
+			}
+			in.pool <- struct{}{}
+			err := in.execute(ctx, st, wave, sp)
+			<-in.pool
+			sp.EndErr(err)
+			return err
+		})
+	}
+	if pooled {
+		// Steps that take no decision need nothing from the coordinator, so
+		// they all start now, each awaiting its own wait set, rather than
+		// queueing behind the walk's waits for gated steps: independent
+		// branches overlap whatever their place in the order.
+		for i, id := range in.order {
+			if !in.states[id].step.Gated() {
+				start(i)
+			}
+		}
+	}
+
+	// The walk stops at the first position past a failure: everything before
+	// it has been dealt with, so the lowest failed position — the one
+	// reported — is the one a Parallelism-1 run fails at.
+	i := 0
+	for ; i < n && int64(i) <= failedAt.Load(); i++ {
+		st := in.states[in.order[i]]
+		if !st.step.Gated() {
+			if !pooled {
+				start(i)
+			}
 			continue
 		}
+		sp := in.stepSpan(waveSp, st, i, wave)
 		if await(i, sp) != nil {
 			break
 		}
-		idx := in.gatedIdx[id]
+		idx := in.gatedIdx[st.step.ID]
 		// Observe the (possibly unchanged) input containers and refresh the
 		// impact vector before deciding.
 		impact, inputStates := in.observeImpact(st)
@@ -161,22 +209,30 @@ func (in *Instance) runWave(d Decider) (WaveResult, error) {
 		res.Impacts[idx] = impact
 		sp.SetIota(impact)
 
-		ready := in.predecessorsReady(id)
+		ready := in.predecessorsReady(st.step.ID)
 		verdict, decNanos := in.decide(d, wave, idx, ready)
 		ev := in.traceDecision(&res, d, st.step, idx, impact, ready, verdict, decNanos, tracing)
 		if !ready || !verdict {
 			sp.SetSkipped(true)
 			sp.End()
+			settle(i, nil)
 			continue
 		}
 		dispatch(i, func() error { return in.runGated(ctx, st, sp, &res, idx, inputStates, ev) })
+	}
+	// A doomed wave: the gated steps the walk did not get to are held back,
+	// and so — through await — is every started step waiting on one of them.
+	for ; i < n; i++ {
+		if in.states[in.order[i]].step.Gated() {
+			settle(i, pos[failedAt.Load()].err)
+		}
 	}
 	wg.Wait()
 
 	var firstErr error
 	for i, id := range in.order {
 		if firstErr == nil {
-			firstErr = errs[i]
+			firstErr = pos[i].err
 		}
 		if st := in.states[id]; st.lastExecWave == wave {
 			res.TotalExecutions++

@@ -10,7 +10,9 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"smartflux/internal/kvstore"
 	"smartflux/internal/metric"
@@ -310,6 +312,137 @@ func TestFailedStepStopsItsConsumers(t *testing.T) {
 			t.Fatal(err)
 		}
 		equalResults(t, got, want)
+	}
+}
+
+// twoChains is two independent source → gated chains, a → b and c → d, plus a
+// zero-tolerance step e behind d. Its order is [a b c d e]: c, d and e sort
+// after gated step b, which waits on source a. Every processor calls hook
+// first.
+func twoChains(hook func(id workflow.StepID, wave int) error) BuildFunc {
+	return func() (*workflow.Workflow, *kvstore.Store, error) {
+		store := kvstore.New()
+		wf := workflow.New("chains")
+		qod := workflow.QoD{
+			MaxError:   0.05,
+			ImpactFunc: metric.FuncAbsoluteImpact,
+			ErrorFunc:  metric.FuncRelativeError,
+			Mode:       metric.ModeAccumulate,
+		}
+		step := func(id workflow.StepID, in, out string, qod workflow.QoD) error {
+			s := &workflow.Step{
+				ID:      id,
+				Source:  in == "",
+				Outputs: []workflow.Container{{Table: out}},
+				QoD:     qod,
+				Proc: workflow.ProcessorFunc(func(ctx *workflow.Context) error {
+					if err := hook(id, ctx.Wave); err != nil {
+						return err
+					}
+					tab, err := ctx.Table(out)
+					if err != nil {
+						return err
+					}
+					return tab.PutFloat("k", "v", float64(ctx.Wave))
+				}),
+			}
+			if in != "" {
+				s.Inputs = []workflow.Container{{Table: in}}
+			}
+			return wf.AddStep(s)
+		}
+		for _, err := range []error{
+			step("a", "", "ta", workflow.QoD{}),
+			step("b", "ta", "tb", qod),
+			step("c", "", "tc", workflow.QoD{}),
+			step("d", "tc", "td", qod),
+			step("e", "td", "te", workflow.QoD{}),
+			wf.Finalize(),
+		} {
+			if err != nil {
+				return nil, nil, err
+			}
+		}
+		return wf, store, nil
+	}
+}
+
+// TestIndependentBranchesOverlap pins that above Parallelism 1 a step taking
+// no decision starts at wave start whatever its place in the order: source c
+// must not queue behind the coordinator's wait for a on b's behalf. The two
+// sources here refuse to finish until they have met, so they can only
+// succeed running at the same time.
+func TestIndependentBranchesOverlap(t *testing.T) {
+	meet := make(chan struct{})
+	in := newWorkloadInstance(t, twoChains(func(id workflow.StepID, _ int) error {
+		var send, recv chan struct{}
+		switch id {
+		case "a":
+			send = meet
+		case "c":
+			recv = meet
+		default:
+			return nil
+		}
+		select {
+		case send <- struct{}{}:
+		case <-recv:
+		case <-time.After(5 * time.Second):
+			return errors.New("the other chain's source did not start while this one was running")
+		}
+		return nil
+	}), false, 4)
+	if want := []workflow.StepID{"a", "b", "c", "d", "e"}; !reflect.DeepEqual(in.order, want) {
+		t.Fatalf("order = %v, want %v: the test needs a source placed after a gated step", in.order, want)
+	}
+	for w := 0; w < 5; w++ {
+		res, err := in.RunWave(Sync{})
+		if err != nil {
+			t.Fatalf("wave %d: %v", w, err)
+		}
+		if res.TotalExecutions != 5 {
+			t.Fatalf("wave %d: %d executions, want 5", w, res.TotalExecutions)
+		}
+	}
+}
+
+// TestDoomedWaveHoldsBackUnreachedSteps fails source a, which stops the walk
+// at b: b, d — a gated step the coordinator never gets to — and e — started at
+// wave start above Parallelism 1 and waiting on d — must all stay put, and the
+// error blames a, at every parallelism. (c is independent of a and may run.)
+func TestDoomedWaveHoldsBackUnreachedSteps(t *testing.T) {
+	const failWave = 2
+	for _, par := range []int{1, 4} {
+		var mu sync.Mutex
+		ran := make(map[workflow.StepID]int)
+		in := newWorkloadInstance(t, twoChains(func(id workflow.StepID, wave int) error {
+			if wave != failWave {
+				return nil
+			}
+			mu.Lock()
+			ran[id]++
+			mu.Unlock()
+			if id == "a" {
+				return errBoom
+			}
+			return nil
+		}), false, par)
+		for w := 0; w < failWave; w++ {
+			if _, err := in.RunWave(Sync{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := in.PersistState()
+		_, err := in.RunWave(Sync{})
+		if !errors.Is(err, errBoom) || !strings.Contains(err.Error(), `step "a"`) {
+			t.Fatalf("par %d: err = %v, want errBoom blamed on a", par, err)
+		}
+		if ran["b"] != 0 || ran["d"] != 0 || ran["e"] != 0 {
+			t.Errorf("par %d: steps past the failure ran: %v", par, ran)
+		}
+		if after := in.PersistState(); !reflect.DeepEqual(after, before) {
+			t.Errorf("par %d: a failed wave left instance state behind", par)
+		}
 	}
 }
 
