@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt-check lint lint-report lint-diff check chaos chaos-crash chaos-cluster chaos-partition chaos-trace bench bench-e2e bench-e2e-smoke loc wirebench wirebench-smoke clusterbench clusterbench-smoke fuzz
+.PHONY: all build test race vet fmt-check lint lint-report lint-diff check chaos chaos-crash chaos-cluster chaos-partition chaos-trace bench bench-e2e bench-e2e-smoke loc clusterbench clusterbench-smoke fuzz
 
 all: check
 
@@ -51,7 +51,7 @@ chaos:
 	$(GO) test -race -run 'TestChaos' -v ./...
 
 ## chaos-crash: the crash-durability suite under the race detector — seeded
-## crashes mid-WAL, at wave boundaries, during snapshots and with torn final
+## crashes mid-WAL, at wave boundaries, at epoch rotations and with torn final
 ## records, asserting bit-identical recovery (DESIGN.md §11)
 chaos-crash:
 	$(GO) test -race -run 'TestCrashChaos' -v .
@@ -87,17 +87,6 @@ chaos-trace:
 	$(GO) run ./cmd/sftrace -waves 6 chaos-spans.jsonl > sftrace-report.txt
 	@head -n 40 sftrace-report.txt
 
-## wirebench: the kvnet wire benchmark (gob baseline vs binary framed codec,
-## sync vs pipelined, 1/8/64 clients) writing BENCH_PR7.json (DESIGN.md §13).
-## The ≥8-client cells need GOMAXPROCS >= 4 or -force.
-wirebench:
-	$(GO) run ./cmd/wirebench -force -out BENCH_PR7.json
-
-## wirebench-smoke: tiny-op-count wirebench pass — a correctness smoke for the
-## benchmark harness itself (numbers meaningless); part of make check
-wirebench-smoke:
-	$(GO) run ./cmd/wirebench -smoke -force -out /tmp/wirebench-smoke.json
-
 ## clusterbench: sharded-vs-single throughput and failover-blip latency for
 ## the kvstore cluster (1 vs 3 shards, a seeded shard-kill run measuring the
 ## probe-driven promotion blip, and an asymmetric link-cut run measuring the
@@ -123,17 +112,19 @@ bench-e2e:
 bench-e2e-smoke:
 	bash bench/run.sh -smoke
 
-## fuzz: run the wire-protocol fuzzers for 30s each (nightly CI job; crashers
-## land in internal/kvstore/wire/testdata/fuzz and are uploaded as artifacts).
-## Separate invocations: `go test -fuzz` accepts only one target at a time.
+## fuzz: run the wire-protocol fuzzers and the epoch-file reader's fuzzer for
+## 30s each (nightly CI job; crashers land in the package's testdata/fuzz and
+## are uploaded as artifacts). Separate invocations: `go test -fuzz` accepts
+## only one target at a time.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzReadFrame -fuzztime 30s ./internal/kvstore/wire
 	$(GO) test -run xxx -fuzz 'FuzzReader$$' -fuzztime 30s ./internal/kvstore/wire
+	$(GO) test -run xxx -fuzz FuzzReadWAL -fuzztime 30s ./internal/durable
 
 ## check: the pre-PR gate — build, vet, gofmt, lint, tests, race, chaos,
 ## chaos-crash, chaos-cluster, chaos-partition, and the
-## wirebench/clusterbench/pipeline-benchmark smoke passes
-check: build vet fmt-check lint test race chaos chaos-crash chaos-cluster chaos-partition wirebench-smoke clusterbench-smoke bench-e2e-smoke
+## clusterbench/pipeline-benchmark smoke passes
+check: build vet fmt-check lint test race chaos chaos-crash chaos-cluster chaos-partition clusterbench-smoke bench-e2e-smoke
 
 ## loc: non-test Go lines outside the frozen benchmark — the figure a
 ## code-diet PR reports before and after

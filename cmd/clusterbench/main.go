@@ -30,8 +30,7 @@ func listen() (net.Listener, error) {
 	return net.Listen("tcp", "127.0.0.1:0")
 }
 
-// valueSize matches wirebench's put payload so shard counts are the only
-// variable between the two reports.
+// valueSize is the put payload size.
 const valueSize = 128
 
 type result struct {

@@ -6,7 +6,7 @@ package core
 // decision series, measurement accumulators), the session state (knowledge
 // base, lifecycle phase, trained predictor parameters) and enough phase
 // bookkeeping to continue mid-stream. ResumePipeline rebuilds the workload,
-// replays the stores from the latest snapshot + WAL, restores the harness
+// replays the stores from the newest epoch's log, restores the harness
 // and session from the last committed checkpoint and continues the run —
 // producing results bit-identical to an uncrashed execution (DESIGN.md §11).
 
@@ -208,7 +208,7 @@ func decodePipelineCheckpoint(b []byte) (*PipelineCheckpoint, error) {
 
 // DurableOptions configures crash durability for a run.
 type DurableOptions struct {
-	// Dir is the durability directory (WAL + snapshots).
+	// Dir is the durability directory (one log file per epoch).
 	Dir string
 	// SnapshotEvery is the compaction period in waves (0 = the durable
 	// package default, negative disables rotation).
@@ -231,12 +231,14 @@ type DurableRunInfo struct {
 	Durable durable.Stats
 }
 
-// pipelineCommitter implements engine.WaveCommitter: it wraps every harness
-// checkpoint into a PipelineCheckpoint and commits it with a global wave
-// number (training waves, then application waves).
+// pipelineCommitter describes one run to drive — its first phase, the phase
+// lengths, the session if it has one — and, on a durable run, implements
+// engine.WaveCommitter: it wraps every harness checkpoint into a
+// PipelineCheckpoint and commits it with a global wave number (training
+// waves, then application waves).
 type pipelineCommitter struct {
-	mgr        *durable.Manager
-	session    *Session // nil for harness-only runs
+	mgr        *durable.Manager // nil unless the run is journaled
+	session    *Session         // nil for harness-only runs
 	phase      string
 	base       int // global wave offset of the current phase
 	train      *engine.Result
@@ -301,9 +303,9 @@ var _ engine.WaveCommitter = (*pipelineCommitter)(nil)
 // flight next to the WAL it will be recovered from. Pipeline entry points
 // pass both the durable-layer observer and the pipeline observer — the span
 // sinks may be attached to either. Best-effort: dump failures never mask
-// the run error. The durable layer's epoch GC only removes
-// epoch-*.wal/.snap files, so the dump survives subsequent snapshots and is
-// overwritten by the next failure.
+// the run error. The durable layer's epoch GC only removes wal-*.log and
+// *.tmp files, so the dump survives subsequent rotations and is overwritten
+// by the next failure.
 func dumpFlightRecorder(dir string, observers ...*obs.Observer) {
 	for _, o := range observers {
 		ring := o.Flight()
@@ -363,20 +365,16 @@ func recoverRun(opts DurableOptions) (*recovered, error) {
 	return &recovered{Recovery: rec, cp: cp}, nil
 }
 
-// restore replays both stores and rewinds session (nil for a bare harness
-// run), harness and decider to the recovered checkpoint. It returns the
-// results to continue appending to: nil where a phase has not started.
-func (r *recovered) restore(harness *engine.Harness, session *Session, decider engine.Decider) (trainRes, applyRes *engine.Result, err error) {
+// restore replays both stores and rewinds harness and decider to the
+// recovered checkpoint (a pipeline's session is rewound by runPipeline). It
+// returns the results to continue appending to: nil where a phase has not
+// started.
+func (r *recovered) restore(harness *engine.Harness, decider engine.Decider) (trainRes, applyRes *engine.Result, err error) {
 	if err := r.Apply(durableLiveStore, harness.Live().Store()); err != nil {
 		return nil, nil, err
 	}
 	if err := r.Apply(durableRefStore, harness.Ref().Store()); err != nil {
 		return nil, nil, err
-	}
-	if r.cp.Session != nil && session != nil {
-		if err := session.RestoreCheckpoint(r.cp.Session); err != nil {
-			return nil, nil, err
-		}
 	}
 	application := r.cp.Phase == phaseLabelApplication
 	if r.cp.Harness == nil {
@@ -396,9 +394,9 @@ func (r *recovered) restore(harness *engine.Harness, session *Session, decider e
 }
 
 // RunPipelineDurable is RunPipeline with crash durability: every completed
-// wave is committed to the write-ahead log under opts.Dir, with periodic
-// compacting snapshots. The directory must not already hold durable state
-// (use ResumePipeline to continue a crashed run).
+// wave is committed to the write-ahead log under opts.Dir, which is
+// periodically rotated to a compacted epoch. The directory must not already
+// hold durable state (use ResumePipeline to continue a crashed run).
 func RunPipelineDurable(build engine.BuildFunc, reportSteps []workflow.StepID, cfg PipelineConfig, opts DurableOptions) (*PipelineResult, *DurableRunInfo, error) {
 	rec, err := recoverRun(opts)
 	if err != nil {
@@ -407,11 +405,11 @@ func RunPipelineDurable(build engine.BuildFunc, reportSteps []workflow.StepID, c
 	if rec != nil {
 		return nil, nil, fmt.Errorf("core: %s already holds durable state at wave %d; resume it (ResumePipeline / -resume) or point -wal-dir elsewhere", opts.Dir, rec.Wave)
 	}
-	return drive(build, reportSteps, cfg, nil, &opts, nil)
+	return runPipeline(build, reportSteps, cfg, &opts, nil)
 }
 
 // ResumePipeline continues a crashed durable pipeline: it recovers the
-// stores from the latest snapshot + WAL (truncating any torn record),
+// stores from the newest epoch's log (truncating any torn record),
 // restores the harness and session from the last committed checkpoint and
 // runs the remaining waves. cfg must match the original run (same workload,
 // same phase lengths, same session configuration); the results are
@@ -431,13 +429,7 @@ func ResumePipeline(build engine.BuildFunc, reportSteps []workflow.StepID, cfg P
 		return nil, nil, fmt.Errorf("core: checkpoint is a %d+%d wave run, config wants %d+%d",
 			rec.cp.TrainWaves, rec.cp.ApplyWaves, cfg.TrainWaves, cfg.ApplyWaves)
 	}
-	return drive(build, reportSteps, cfg, nil, &opts, rec)
-}
-
-// harnessOnlyConfig expresses a bare harness run (no learning session) as the
-// lifecycle drive runs: `waves` training waves and nothing after them.
-func harnessOnlyConfig(waves int, hcfg engine.HarnessConfig, opts DurableOptions) PipelineConfig {
-	return PipelineConfig{TrainWaves: waves, Parallelism: hcfg.Parallelism, Resilience: hcfg, Obs: opts.Obs}
+	return runPipeline(build, reportSteps, cfg, &opts, rec)
 }
 
 // RunHarnessDurable runs a bare harness (no learning session) for `waves`
@@ -451,7 +443,7 @@ func RunHarnessDurable(build engine.BuildFunc, reportSteps []workflow.StepID, wa
 	if rec != nil {
 		return nil, nil, fmt.Errorf("core: %s already holds durable state at wave %d; use ResumeHarness", opts.Dir, rec.Wave)
 	}
-	return trainOnly(drive(build, reportSteps, harnessOnlyConfig(waves, hcfg, opts), decider, &opts, nil))
+	return drive(build, reportSteps, hcfg, opts.Obs, &pipelineCommitter{phase: phaseLabelHarness, trainWaves: waves}, decider, nil, &opts, nil)
 }
 
 // ResumeHarness continues a crashed RunHarnessDurable run.
@@ -469,13 +461,5 @@ func ResumeHarness(build engine.BuildFunc, reportSteps []workflow.StepID, waves 
 	if rec.cp.TrainWaves != waves {
 		return nil, nil, fmt.Errorf("core: checkpoint is a %d-wave run, config wants %d", rec.cp.TrainWaves, waves)
 	}
-	return trainOnly(drive(build, reportSteps, harnessOnlyConfig(waves, hcfg, opts), decider, &opts, rec))
-}
-
-// trainOnly unwraps a bare harness run's result.
-func trainOnly(res *PipelineResult, info *DurableRunInfo, err error) (*engine.Result, *DurableRunInfo, error) {
-	if err != nil {
-		return nil, info, err
-	}
-	return res.Train, info, nil
+	return drive(build, reportSteps, hcfg, opts.Obs, &pipelineCommitter{phase: phaseLabelHarness, trainWaves: waves}, decider, nil, &opts, rec)
 }

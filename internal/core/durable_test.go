@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -314,6 +316,24 @@ func TestRunPipelineDurableRefusesExistingState(t *testing.T) {
 	_, _, err := RunPipelineDurable(miniWorkload(), nil, cfg, DurableOptions{Dir: dir})
 	if err == nil || !strings.Contains(err.Error(), "resume") {
 		t.Fatalf("second fresh run in the same dir must direct to resume, got %v", err)
+	}
+}
+
+// A directory written before an epoch became one log file is neither a fresh
+// start nor resumable: both entry points must refuse it and say why.
+func TestDurableRefusesPreSingleFileState(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"snapshot-00000001.snap", "wal-00000001.log"} {
+		if err := os.WriteFile(filepath.Join(dir, name), nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfg := durablePipelineConfig()
+	if _, _, err := RunPipelineDurable(miniWorkload(), nil, cfg, DurableOptions{Dir: dir}); err == nil || !strings.Contains(err.Error(), "predates") {
+		t.Fatalf("fresh run over old-format state = %v, want a format error", err)
+	}
+	if _, _, err := ResumePipeline(miniWorkload(), nil, cfg, DurableOptions{Dir: dir}); err == nil || !strings.Contains(err.Error(), "predates") {
+		t.Fatalf("resume of old-format state = %v, want a format error", err)
 	}
 }
 

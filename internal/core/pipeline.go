@@ -59,8 +59,43 @@ type PipelineResult struct {
 // "execute" for every step, so the live instance runs synchronously; after
 // Train succeeds the same harness continues under the predictor.
 func RunPipeline(build engine.BuildFunc, reportSteps []workflow.StepID, cfg PipelineConfig) (*PipelineResult, error) {
-	res, _, err := drive(build, reportSteps, cfg, nil, nil, nil)
+	res, _, err := runPipeline(build, reportSteps, cfg, nil, nil)
 	return res, err
+}
+
+// runPipeline is the session's half of the lifecycle: it builds (and, on a
+// resume, rewinds) the learning session, has drive run the training waves
+// under it, and continues with finishPipeline.
+func runPipeline(build engine.BuildFunc, reportSteps []workflow.StepID, cfg PipelineConfig, opts *DurableOptions, rec *recovered) (*PipelineResult, *DurableRunInfo, error) {
+	if cfg.TrainWaves <= 0 {
+		return nil, nil, fmt.Errorf("core: pipeline needs TrainWaves > 0, got %d", cfg.TrainWaves)
+	}
+	sessionCfg := cfg.Session
+	if sessionCfg.Parallelism == 0 {
+		sessionCfg.Parallelism = cfg.Parallelism
+	}
+	session := NewSession(sessionCfg)
+	if cfg.Obs != nil {
+		session.Instrument(cfg.Obs)
+	}
+	if rec != nil && rec.cp.Session != nil {
+		if err := session.RestoreCheckpoint(rec.cp.Session); err != nil {
+			return nil, nil, err
+		}
+	}
+	hcfg := cfg.Resilience
+	hcfg.Parallelism = cfg.Parallelism
+	c := &pipelineCommitter{session: session, phase: phaseLabelTraining, trainWaves: cfg.TrainWaves, applyWaves: cfg.ApplyWaves}
+	var res *PipelineResult
+	_, info, err := drive(clusterMirrorBuild(build, cfg.Cluster), reportSteps, hcfg, cfg.Obs, c, session,
+		func(harness *engine.Harness, trainRes, applyRes *engine.Result) (err error) {
+			res, err = finishPipeline(harness, session, cfg, c, trainRes, applyRes)
+			return err
+		}, opts, rec)
+	if err != nil {
+		return nil, info, err
+	}
+	return res, info, nil
 }
 
 // drive is the one lifecycle driver behind every Run*/Resume* entry point: a
@@ -69,96 +104,77 @@ func RunPipeline(build engine.BuildFunc, reportSteps []workflow.StepID, cfg Pipe
 //   - opts == nil: nothing is journaled (RunPipeline).
 //   - opts != nil, rec == nil: a fresh durable run — the initial checkpoint
 //     is journaled as wave 0 before the first wave.
-//   - opts != nil, rec != nil: a resume — both stores are replayed, session,
-//     harness and decider are rewound to the recovered checkpoint, and the
-//     journal continues from the recovered wave.
+//   - opts != nil, rec != nil: a resume — both stores are replayed, harness
+//     and decider are rewound to the recovered checkpoint, and the journal
+//     continues from the recovered wave.
 //
-// From there it is one body: what is left of the training waves, then — with
-// a session — model construction unless the restored session already has its
-// model, and what is left of the application waves. A non-nil decider selects
-// the bare-harness run instead: no session, cfg.TrainWaves waves under that
-// decider, returned as PipelineResult.Train.
-func drive(build engine.BuildFunc, reportSteps []workflow.StepID, cfg PipelineConfig, decider engine.Decider, opts *DurableOptions, rec *recovered) (*PipelineResult, *DurableRunInfo, error) {
-	var session *Session
-	phase := phaseLabelHarness
-	if decider == nil {
-		if cfg.TrainWaves <= 0 {
-			return nil, nil, fmt.Errorf("core: pipeline needs TrainWaves > 0, got %d", cfg.TrainWaves)
-		}
-		sessionCfg := cfg.Session
-		if sessionCfg.Parallelism == 0 {
-			sessionCfg.Parallelism = cfg.Parallelism
-		}
-		session = NewSession(sessionCfg)
-		decider, phase = session, phaseLabelTraining
-	}
-	harnessCfg := cfg.Resilience
-	harnessCfg.Parallelism = cfg.Parallelism
-	var committer *pipelineCommitter
+// From there it is one body: what is left of the c.trainWaves waves of phase
+// c.phase under decider — returned as the first result — then after, which
+// gets the restored application result (nil when that phase has not started).
+// A bare harness run has no after; c describes the run either way and
+// receives the wave commits when opts is set.
+func drive(build engine.BuildFunc, reportSteps []workflow.StepID, hcfg engine.HarnessConfig, o *obs.Observer, c *pipelineCommitter, decider engine.Decider,
+	after func(harness *engine.Harness, trainRes, applyRes *engine.Result) error, opts *DurableOptions, rec *recovered) (*engine.Result, *DurableRunInfo, error) {
 	if opts != nil {
-		committer = &pipelineCommitter{session: session, phase: phase, trainWaves: cfg.TrainWaves, applyWaves: cfg.ApplyWaves}
-		harnessCfg.Committer = committer
+		hcfg.Committer = c
 	}
-	harness, err := engine.NewHarnessWithConfig(clusterMirrorBuild(build, cfg.Cluster), reportSteps, harnessCfg)
+	harness, err := engine.NewHarnessWithConfig(build, reportSteps, hcfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	if cfg.Obs != nil {
-		harness.Instrument(cfg.Obs)
-		if session != nil {
-			session.Instrument(cfg.Obs)
-		}
+	if o != nil {
+		harness.Instrument(o)
 	}
 
 	var trainRes, applyRes *engine.Result
 	if rec != nil {
 		// Replay the stores, then rewind the in-memory state to the same
-		// wave boundary — all before Begin snapshots the restored content.
-		if trainRes, applyRes, err = rec.restore(harness, session, decider); err != nil {
+		// wave boundary — all before Begin compacts the restored content.
+		if trainRes, applyRes, err = rec.restore(harness, decider); err != nil {
 			return nil, nil, err
 		}
 	}
-	if committer != nil {
-		if committer.mgr, err = openPipelineManager(harness, *opts); err != nil {
+	if opts != nil {
+		if c.mgr, err = openPipelineManager(harness, *opts); err != nil {
 			return nil, nil, err
 		}
 	}
 
-	res, err := func() (*PipelineResult, error) {
-		if committer != nil {
-			if err := committer.begin(rec); err != nil {
-				return nil, err
+	err = func() error {
+		if opts != nil {
+			if err := c.begin(rec); err != nil {
+				return err
 			}
 		}
-		trainRes, err := runPhase(harness, trainRes, cfg.TrainWaves, decider)
-		if session == nil {
-			return &PipelineResult{Train: trainRes}, err
+		var err error
+		trainRes, err = runPhase(harness, trainRes, c.trainWaves, decider)
+		if after == nil {
+			return err
 		}
 		if err != nil {
-			return nil, fmt.Errorf("pipeline training: %w", err)
+			return fmt.Errorf("pipeline training: %w", err)
 		}
-		return finishPipeline(harness, session, cfg, committer, trainRes, applyRes)
+		return after(harness, trainRes, applyRes)
 	}()
 	var info *DurableRunInfo
-	if committer != nil {
-		mgr := committer.mgr
-		info = &DurableRunInfo{Durable: mgr.Stats()}
+	if opts != nil {
+		info = &DurableRunInfo{Durable: c.mgr.Stats()}
 		if rec != nil {
 			info.Resumed, info.Recovery = true, rec.Stats
 		}
-		if cerr := mgr.Close(); err == nil && cerr != nil {
+		if cerr := c.mgr.Close(); err == nil && cerr != nil {
 			err = cerr
 		}
 		if err == nil {
-			info.Durable = mgr.Stats()
+			info.Durable = c.mgr.Stats()
 		} else {
-			dumpFlightRecorder(opts.Dir, opts.Obs, cfg.Obs)
+			dumpFlightRecorder(opts.Dir, opts.Obs, o)
 		}
 	}
 	if err != nil {
 		return nil, info, err
 	}
-	return res, info, nil
+	return trainRes, info, nil
 }
 
 // runPhase runs what is left of a phase of `waves` waves: all of it into a
@@ -191,9 +207,7 @@ func finishPipeline(harness *engine.Harness, session *Session, cfg PipelineConfi
 		}
 	}
 
-	if committer != nil {
-		committer.enterApplication(trainRes)
-	}
+	committer.enterApplication(trainRes)
 	if applyRes != nil || cfg.ApplyWaves > 0 {
 		var err error
 		applyRes, err = runPhase(harness, applyRes, cfg.ApplyWaves, session)

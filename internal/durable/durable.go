@@ -1,10 +1,10 @@
 // Package durable gives SmartFlux crash durability: a length-prefixed,
 // CRC-checksummed, fsync-batched write-ahead log of every store mutation,
-// periodic compacting snapshots that bundle the store image with the
-// harness/pipeline checkpoint, and recovery that loads the latest valid
-// snapshot and replays the log tail up to the last committed wave —
-// truncating any torn final record — so a restarted run continues with
-// bit-identical state and decisions (DESIGN.md §11).
+// periodically rotated to a fresh epoch file whose head is the stores
+// re-expressed as log records plus the harness/pipeline checkpoint, and
+// recovery that replays the newest valid epoch up to the last committed
+// wave — truncating any torn final record — so a restarted run continues
+// with bit-identical state and decisions (DESIGN.md §11).
 //
 // The unit of durability is the wave: mutations stream into the log as they
 // happen, but recovery only replays records up to the last commit record, so
@@ -77,14 +77,14 @@ const DefaultSnapshotEvery = 64
 type Options struct {
 	// Dir is the durability directory (created if missing).
 	Dir string
-	// SnapshotEvery is the number of committed waves between compacting
-	// snapshots; 0 means DefaultSnapshotEvery, negative disables rotation
-	// (the epoch written by Begin still exists).
+	// SnapshotEvery is the number of committed waves between rotations to a
+	// freshly compacted epoch; 0 means DefaultSnapshotEvery, negative
+	// disables rotation (the epoch written by Begin still exists).
 	SnapshotEvery int
 	// Fsync selects the flush policy.
 	Fsync FsyncMode
 	// Hook, when non-nil, is consulted before every WAL append (op
-	// "wal_append") and snapshot (op "snapshot"). A returned error is a
+	// "wal_append") and epoch rotation (op "snapshot"). A returned error is a
 	// simulated crash: the manager goes sticky and every later operation
 	// fails with it. fault.Injector.OpHook plugs in here.
 	Hook func(op string) error
@@ -134,8 +134,8 @@ func (ins *instruments) walSpan(kind string, seq int) *obs.Span {
 
 // Manager owns one durability directory: it observes every mutation of the
 // registered stores, appends them to the current epoch's WAL, writes a
-// commit record per completed wave, and rotates to a fresh snapshot+WAL
-// epoch every SnapshotEvery waves. All methods are safe for concurrent use.
+// commit record per completed wave, and rotates to a freshly compacted epoch
+// every SnapshotEvery waves. All methods are safe for concurrent use.
 //
 // Lifecycle: Open → Register (each store, before Begin) → Begin → per-wave
 // Commit → Close. After a crash (injected or real I/O failure) the manager
@@ -228,21 +228,10 @@ func (m *Manager) Register(name string, s *kvstore.Store) error {
 	return nil
 }
 
-// StoreNames returns the registered store names in registration order.
-func (m *Manager) StoreNames() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	names := make([]string, len(m.stores))
-	for i, ms := range m.stores {
-		names[i] = ms.name
-	}
-	return names
-}
-
-// Begin opens the first epoch: it snapshots the registered stores' current
-// content (together with the given checkpoint payload and wave number) and
-// creates the epoch's WAL. Mutations observed before Begin are covered by
-// that snapshot; mutations after it stream into the log.
+// Begin opens the first epoch: a log whose head holds the registered stores'
+// current content and the given wave number and checkpoint payload. Mutations
+// observed before Begin are covered by that head; mutations after it stream
+// into the log.
 func (m *Manager) Begin(wave int, payload []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -270,8 +259,8 @@ func (m *Manager) Begin(wave int, payload []byte) error {
 // Commit appends a commit record for the completed wave: the per-store
 // logical clocks plus the opaque checkpoint payload. Under FsyncCommit it
 // then flushes the log, making the whole wave durable with one fsync. Every
-// SnapshotEvery committed waves it also rotates to a fresh snapshot epoch
-// and deletes the files of older epochs.
+// SnapshotEvery committed waves it also rotates to a fresh epoch and deletes
+// the files of older ones.
 func (m *Manager) Commit(wave int, payload []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -284,11 +273,7 @@ func (m *Manager) Commit(wave int, payload []byte) error {
 	if !m.begun {
 		return errors.New("durable: Commit before Begin")
 	}
-	clocks := make([]uint64, len(m.stores))
-	for i, ms := range m.stores {
-		clocks[i] = ms.s.Clock()
-	}
-	if err := m.appendLocked(encodeCommit(wave, clocks, payload)); err != nil {
+	if err := m.appendLocked(encodeCommit(wave, m.clocks(), payload)); err != nil {
 		return err
 	}
 	if m.opts.Fsync == FsyncCommit {
@@ -307,6 +292,15 @@ func (m *Manager) Commit(wave int, payload []byte) error {
 		m.lastSnapWave = wave
 	}
 	return nil
+}
+
+// clocks reads the registered stores' logical clocks, in registration order.
+func (m *Manager) clocks() []uint64 {
+	clocks := make([]uint64, len(m.stores))
+	for i, ms := range m.stores {
+		clocks[i] = ms.s.Clock()
+	}
+	return clocks
 }
 
 // Err returns the sticky error, or nil while the manager is healthy.
@@ -361,6 +355,11 @@ func (m *Manager) Close() error {
 		_ = w.f.Close() // crash path: the sticky error is the root cause
 		return nil
 	}
+	return m.closeWriterLocked(w)
+}
+
+// closeWriterLocked closes an epoch's writer and accounts its final flush.
+func (m *Manager) closeWriterLocked(w *walWriter) error {
 	pre := w.fsyncs
 	if err := w.close(); err != nil {
 		return err
@@ -378,19 +377,13 @@ func (m *Manager) onMutation(storeIdx int, mut kvstore.Mutation) {
 	if !m.begun || m.closed || m.sticky != nil {
 		return
 	}
-	var payload []byte
-	switch mut.Kind {
-	case kvstore.MutationPut:
-		payload = encodeMutation(storeIdx, mut.Table, mut.Row, mut.Column, mut.New, mut.Timestamp, false)
-	case kvstore.MutationDelete:
-		payload = encodeMutation(storeIdx, mut.Table, mut.Row, mut.Column, nil, mut.Timestamp, true)
-	default:
+	if mut.Kind != kvstore.MutationPut && mut.Kind != kvstore.MutationDelete {
 		m.sticky = fmt.Errorf("durable: unknown mutation kind %v", mut.Kind)
 		return
 	}
 	// appendLocked records the error as sticky; the mutation already hit the
 	// in-memory store, so the wrapper surfaces the failure on the next call.
-	_ = m.appendLocked(payload)
+	_ = m.appendLocked(encodeMutation(storeIdx, mut))
 }
 
 // onTableCreate logs a table-creation record for tables made after Begin.
@@ -438,9 +431,9 @@ func (m *Manager) syncLocked() error {
 	return nil
 }
 
-// rotateLocked starts epoch m.epoch+1: consults the crash hook, writes the
-// new snapshot, switches to a fresh WAL, then removes every older epoch's
-// files. Callers hold m.mu.
+// rotateLocked starts epoch m.epoch+1: consults the crash hook, publishes the
+// new epoch file with its compacted head, switches appends to it, then
+// removes every older epoch's file. Callers hold m.mu.
 func (m *Manager) rotateLocked(wave int, payload []byte) (err error) {
 	sp := m.ins.walSpan("snapshot", m.stats.Snapshots)
 	sp.SetWave(wave)
@@ -451,19 +444,8 @@ func (m *Manager) rotateLocked(wave int, payload []byte) (err error) {
 		}
 	}
 	start := time.Now()
-	data := &snapshotData{Wave: wave, Payload: payload}
-	for _, ms := range m.stores {
-		img, err := captureStore(ms.name, ms.s)
-		if err != nil {
-			return err
-		}
-		data.Stores = append(data.Stores, img)
-	}
 	next := m.epoch + 1
-	if _, err := writeSnapshot(m.opts.Dir, next, data); err != nil {
-		return err
-	}
-	w, err := createWAL(walPath(m.opts.Dir, next), m.opts.Fsync, m.opts.Hook)
+	w, err := m.createEpoch(next, wave, payload)
 	if err != nil {
 		return err
 	}
@@ -471,12 +453,9 @@ func (m *Manager) rotateLocked(wave int, payload []byte) (err error) {
 	m.w = w
 	m.epoch = next
 	if old != nil {
-		pre := old.fsyncs
-		if err := old.close(); err != nil {
+		if err := m.closeWriterLocked(old); err != nil {
 			return err
 		}
-		m.stats.Fsyncs += old.fsyncs - pre
-		m.ins.fsyncs.Add(uint64(old.fsyncs - pre))
 	}
 	if err := removeEpochsBelow(m.opts.Dir, next); err != nil {
 		return err
@@ -487,17 +466,11 @@ func (m *Manager) rotateLocked(wave int, payload []byte) (err error) {
 	return nil
 }
 
-// epochOf parses an epoch number out of a snapshot/WAL file name; ok is
-// false for files that are neither.
-func epochOf(name string) (epoch int, snap bool, ok bool) {
-	var n int
-	if c, err := fmt.Sscanf(name, "snapshot-%d.snap", &n); err == nil && c == 1 && filepath.Ext(name) == ".snap" {
-		return n, true, true
-	}
-	if c, err := fmt.Sscanf(name, "wal-%d.log", &n); err == nil && c == 1 && filepath.Ext(name) == ".log" {
-		return n, false, true
-	}
-	return 0, false, false
+// epochOf parses the epoch number out of an epoch file name; ok is false for
+// any other file.
+func epochOf(name string) (epoch int, ok bool) {
+	c, err := fmt.Sscanf(name, "wal-%d.log", &epoch)
+	return epoch, err == nil && c == 1 && filepath.Ext(name) == ".log"
 }
 
 // maxEpochIn returns the highest epoch number any file in dir carries (0
@@ -509,15 +482,15 @@ func maxEpochIn(dir string) (int, error) {
 	}
 	max := 0
 	for _, e := range entries {
-		if epoch, _, ok := epochOf(e.Name()); ok && epoch > max {
+		if epoch, ok := epochOf(e.Name()); ok && epoch > max {
 			max = epoch
 		}
 	}
 	return max, nil
 }
 
-// removeEpochsBelow deletes every snapshot/WAL file of an epoch older than
-// keep, plus any stray temp files from interrupted snapshot writes.
+// removeEpochsBelow deletes the file of every epoch older than keep, plus any
+// stray temp files from interrupted rotations.
 func removeEpochsBelow(dir string, keep int) error {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -525,7 +498,7 @@ func removeEpochsBelow(dir string, keep int) error {
 	}
 	for _, e := range entries {
 		name := e.Name()
-		epoch, _, ok := epochOf(name)
+		epoch, ok := epochOf(name)
 		stale := ok && epoch < keep
 		if !stale && filepath.Ext(name) != ".tmp" {
 			continue

@@ -1,10 +1,13 @@
 package durable_test
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -170,42 +173,6 @@ func TestUncommittedTailDiscarded(t *testing.T) {
 	}
 }
 
-// TestSnapshotOnlyRecovery: a directory whose WAL vanished (crash between
-// snapshot publish and WAL creation) recovers from the snapshot alone.
-func TestSnapshotOnlyRecovery(t *testing.T) {
-	dir := t.TempDir()
-	mgr, s := openManager(t, dir, durable.Options{})
-	runWaves(t, mgr, s, 0, 3)
-	if err := mgr.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Force a compaction boundary shape: keep only the snapshot.
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".log") {
-			if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-
-	got, rec := recoverInto(t, dir)
-	if rec.Wave != 0 {
-		t.Fatalf("snapshot-only Wave = %d, want 0 (snapshot wave)", rec.Wave)
-	}
-	if string(rec.Payload) != "cp-initial" {
-		t.Fatalf("snapshot-only Payload = %q, want cp-initial", rec.Payload)
-	}
-	// The snapshot was taken at Begin, before any wave: an empty store.
-	if names := got.TableNames(); len(names) != 0 {
-		t.Fatalf("snapshot-only store has tables %v, want none", names)
-	}
-}
-
 // TestCorruptCRCMidLog flips a byte mid-log: recovery must stop at the last
 // record before the corruption and truncate the rest.
 func TestCorruptCRCMidLog(t *testing.T) {
@@ -319,54 +286,49 @@ func TestDoubleApplyIdempotent(t *testing.T) {
 }
 
 // TestCompactionRotatesAndRecovers: small SnapshotEvery must leave exactly
-// one epoch on disk and still recover bit-identically.
+// one epoch file on disk and still recover bit-identically — version
+// histories of the MaxVersions-3 table, the cell deleted every third wave and
+// the clock included. Ten waves leave a tail after the last rotation; nine
+// end on it, so everything recovered comes out of the compacted head.
 func TestCompactionRotatesAndRecovers(t *testing.T) {
-	dir := t.TempDir()
-	mgr, s := openManager(t, dir, durable.Options{SnapshotEvery: 3})
-	runWaves(t, mgr, s, 0, 10)
-	want := dumpStore(t, s)
-	stats := mgr.Stats()
-	if err := mgr.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	if stats.Snapshots < 4 { // Begin + rotations at waves 3, 6, 9
-		t.Fatalf("Snapshots = %d, want >= 4", stats.Snapshots)
-	}
-	var snaps, wals int
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		switch {
-		case strings.HasSuffix(e.Name(), ".snap"):
-			snaps++
-		case strings.HasSuffix(e.Name(), ".log"):
-			wals++
-		default:
-			t.Fatalf("unexpected file %q after compaction", e.Name())
+	for _, waves := range []int{10, 9} {
+		dir := t.TempDir()
+		mgr, s := openManager(t, dir, durable.Options{SnapshotEvery: 3})
+		runWaves(t, mgr, s, 0, waves)
+		want := dumpStore(t, s)
+		stats := mgr.Stats()
+		if err := mgr.Close(); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if snaps != 1 || wals != 1 {
-		t.Fatalf("after compaction: %d snapshots, %d wals; want 1 and 1", snaps, wals)
-	}
 
-	got, rec := recoverInto(t, dir)
-	if d := dumpStore(t, got); d != want {
-		t.Fatalf("post-compaction recovery diverges:\n--- got ---\n%s--- want ---\n%s", d, want)
-	}
-	if rec.Wave != 10 {
-		t.Fatalf("Wave = %d, want 10", rec.Wave)
-	}
-	if rec.Stats.SnapshotWave != 9 {
-		t.Fatalf("SnapshotWave = %d, want 9", rec.Stats.SnapshotWave)
+		if stats.Snapshots != 4 { // Begin + rotations at waves 3, 6, 9
+			t.Fatalf("%d waves: Snapshots = %d, want 4", waves, stats.Snapshots)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 1 || entries[0].Name() != "wal-00000004.log" {
+			t.Fatalf("%d waves: after compaction the directory holds %v, want only wal-00000004.log", waves, entries)
+		}
+
+		got, rec := recoverInto(t, dir)
+		if d := dumpStore(t, got); d != want {
+			t.Fatalf("%d waves: post-compaction recovery diverges:\n--- got ---\n%s--- want ---\n%s", waves, d, want)
+		}
+		if rec.Wave != waves || rec.Stats.SnapshotWave != 9 {
+			t.Fatalf("Wave = %d, SnapshotWave = %d; want %d and 9", rec.Wave, rec.Stats.SnapshotWave, waves)
+		}
+		if waves == 9 && (rec.Stats.Replayed != 0 || string(rec.Payload) != "cp-wave-9") {
+			t.Fatalf("head-only epoch: Replayed = %d, Payload = %q; want 0 and cp-wave-9", rec.Stats.Replayed, rec.Payload)
+		}
 	}
 }
 
-// TestCorruptSnapshotFallsBack: when the newest snapshot is damaged,
-// recovery falls back to an older valid epoch.
-func TestCorruptSnapshotFallsBack(t *testing.T) {
+// TestCorruptEpochHeadFallsBack: when the newest epoch's head is damaged,
+// recovery falls back to an older epoch if one is still on disk and fails
+// otherwise; either way the next run numbers its epoch past every file.
+func TestCorruptEpochHeadFallsBack(t *testing.T) {
 	dir := t.TempDir()
 	mgr, s := openManager(t, dir, durable.Options{SnapshotEvery: -1})
 	runWaves(t, mgr, s, 0, 4)
@@ -374,14 +336,43 @@ func TestCorruptSnapshotFallsBack(t *testing.T) {
 	if err := mgr.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	// Plant a newer, corrupt snapshot (and a stray tmp file, which recovery
-	// must ignore outright).
-	if err := os.WriteFile(filepath.Join(dir, "snapshot-00000009.snap"), []byte("garbage"), 0o644); err != nil {
+	epoch1, err := os.ReadFile(filepath.Join(dir, "wal-00000001.log"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "snapshot-00000010.snap.tmp"), []byte("partial"), 0o644); err != nil {
+
+	// A second run compacts the recovered store into epoch 2 and removes
+	// epoch 1; put epoch 1 back (a crash between publish and removal leaves
+	// both) and flip one byte inside epoch 2's head. A stray temp file must
+	// be ignored outright.
+	restored, rec := recoverInto(t, dir)
+	mgr2, err := durable.Open(durable.Options{Dir: dir})
+	if err != nil {
 		t.Fatal(err)
+	}
+	if err := mgr2.Register("main", restored); err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr2.Begin(rec.Wave, rec.Payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	epoch2 := filepath.Join(dir, "wal-00000002.log")
+	raw, err := os.ReadFile(epoch2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)/2] ^= 0xFF
+	for name, content := range map[string][]byte{
+		"wal-00000001.log":     epoch1,
+		"wal-00000002.log":     raw,
+		"wal-00000003.log.tmp": []byte("partial"),
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), content, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	got, rec := recoverInto(t, dir)
@@ -390,6 +381,115 @@ func TestCorruptSnapshotFallsBack(t *testing.T) {
 	}
 	if rec.Stats.Epoch != 1 {
 		t.Fatalf("fallback Epoch = %d, want 1", rec.Stats.Epoch)
+	}
+	if st, err := os.Stat(epoch2); err != nil || st.Size() != int64(len(raw)) {
+		t.Fatalf("the invalid epoch must be left as found: %v, %v", st, err)
+	}
+
+	if err := os.Remove(filepath.Join(dir, "wal-00000001.log")); err != nil {
+		t.Fatal(err)
+	}
+	if rec, err := durable.Recover(dir, nil); err == nil || !strings.Contains(err.Error(), "no valid epoch") {
+		t.Fatalf("Recover with only a corrupt epoch = %v, %v; want a no-valid-epoch error", rec, err)
+	}
+
+	mgr3, _ := openManager(t, dir, durable.Options{})
+	defer mgr3.Close()
+	if e := mgr3.Stats().Epoch; e != 3 {
+		t.Fatalf("epoch after an invalid epoch 2 = %d, want 3 (numbers are never reused)", e)
+	}
+}
+
+// TestUnreadableStateIsAnError: durable state this binary cannot read is an
+// error naming the file — never (nil, nil), which callers take for a fresh
+// start — while a half-written epoch beside a valid one is just ignored.
+func TestUnreadableStateIsAnError(t *testing.T) {
+	// A log in the pre-single-file format starts with an ordinary record.
+	rec := durable.EncodeCreateRecord("data", 3)
+	headerless := binary.LittleEndian.AppendUint32(nil, uint32(len(rec)))
+	headerless = binary.LittleEndian.AppendUint32(headerless, crc32.ChecksumIEEE(rec))
+	headerless = append(headerless, rec...)
+
+	for _, tc := range []struct {
+		name  string
+		files map[string][]byte
+		named string
+	}{
+		{"snapshot file beside a headerless log", map[string][]byte{"snapshot-00000001.snap": []byte("gob"), "wal-00000001.log": nil}, "snapshot-00000001.snap"},
+		{"headerless log alone", map[string][]byte{"wal-00000001.log": headerless}, "wal-00000001.log"},
+		{"empty log alone", map[string][]byte{"wal-00000001.log": nil}, "wal-00000001.log"},
+	} {
+		dir := t.TempDir()
+		for name, content := range tc.files {
+			if err := os.WriteFile(filepath.Join(dir, name), content, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rec, err := durable.Recover(dir, nil)
+		if rec != nil || err == nil || !strings.Contains(err.Error(), tc.named) {
+			t.Errorf("%s: Recover = %v, %v; want an error naming %s", tc.name, rec, err, tc.named)
+		}
+	}
+
+	dir := t.TempDir()
+	mgr, s := openManager(t, dir, durable.Options{})
+	runWaves(t, mgr, s, 0, 2)
+	if err := mgr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	stray := filepath.Join(dir, "wal-00000002.log.tmp")
+	if err := os.WriteFile(stray, headerless, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	restored, got := recoverInto(t, dir)
+	if got.Stats.Epoch != 1 || got.Wave != 2 {
+		t.Fatalf("with a stray temp file: recovered epoch %d wave %d, want 1 and 2", got.Stats.Epoch, got.Wave)
+	}
+	mgr2, err := durable.Open(durable.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr2.Close()
+	if err := mgr2.Register("main", restored); err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr2.Begin(got.Wave, got.Payload); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(stray); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("Begin left the stray temp file behind: %v", err)
+	}
+}
+
+// TestSameInputSameBytes: two managers fed the same mutation sequence and the
+// same payload bytes write byte-identical epoch files, across a rotation.
+func TestSameInputSameBytes(t *testing.T) {
+	for _, mode := range []durable.FsyncMode{durable.FsyncCommit, durable.FsyncNever} {
+		var files [2]map[string][]byte
+		for i := range files {
+			dir := t.TempDir()
+			mgr, s := openManager(t, dir, durable.Options{SnapshotEvery: 3, Fsync: mode})
+			runWaves(t, mgr, s, 0, 5)
+			if err := mgr.Close(); err != nil {
+				t.Fatal(err)
+			}
+			entries, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[i] = make(map[string][]byte)
+			for _, e := range entries {
+				if files[i][e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if len(files[0]) != 1 || len(files[0]["wal-00000002.log"]) == 0 {
+			t.Fatalf("fsync %v: run left %d files, want one non-empty wal-00000002.log", mode, len(files[0]))
+		}
+		if !reflect.DeepEqual(files[0], files[1]) {
+			t.Fatalf("fsync %v: two runs of the same input wrote different bytes", mode)
+		}
 	}
 }
 

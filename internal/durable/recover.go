@@ -1,16 +1,18 @@
 package durable
 
-// Recovery: load the newest valid snapshot, replay the epoch's WAL up to
-// its last commit record, truncate any torn tail, and expose the result so
-// callers can rebuild stores and the harness/pipeline checkpoint. Records
-// after the last commit belong to a wave that never committed; they are
-// discarded so the restarted run re-executes that wave from the boundary
+// Recovery: read the newest epoch file whose head is intact, keep its
+// records up to the last commit, truncate any torn tail, and expose the
+// result so callers can rebuild stores and the harness/pipeline checkpoint.
+// Records after the last commit belong to a wave that never committed; they
+// are discarded so the restarted run re-executes that wave from the boundary
 // and reproduces the same timestamps and values.
 
 import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
+	"slices"
 	"sort"
 	"time"
 
@@ -20,21 +22,22 @@ import (
 
 // RecoveryStats summarizes what one recovery did.
 type RecoveryStats struct {
-	// Epoch is the snapshot epoch recovery loaded.
+	// Epoch is the epoch recovery loaded.
 	Epoch int
-	// SnapshotWave is the wave the snapshot was taken at.
+	// SnapshotWave is the wave the epoch was compacted at (its base commit).
 	SnapshotWave int
-	// Wave is the last committed wave (== SnapshotWave when the WAL held no
-	// commit record).
+	// Wave is the last committed wave (== SnapshotWave when no commit record
+	// followed the base commit).
 	Wave int
-	// Replayed counts WAL records up to and including the last commit.
+	// Replayed counts log records after the base commit, up to and including
+	// the last commit.
 	Replayed int
-	// Discarded counts valid WAL records after the last commit (an
+	// Discarded counts valid log records after the last commit (an
 	// uncommitted wave's partial mutations).
 	Discarded int
-	// TruncatedBytes is the torn/corrupt tail removed from the WAL file.
+	// TruncatedBytes is the torn/corrupt tail removed from the epoch file.
 	TruncatedBytes int64
-	// Torn reports whether the WAL ended in a torn or corrupt record.
+	// Torn reports whether the log ended in a torn or corrupt record.
 	Torn bool
 	// Duration is the wall-clock recovery time.
 	Duration time.Duration
@@ -42,8 +45,7 @@ type RecoveryStats struct {
 
 // recoveredStore is one store's reconstruction inputs.
 type recoveredStore struct {
-	image StoreImage
-	muts  []walRecord // committed mutation/create records, log order
+	recs  []walRecord // committed create/mutation records, log order
 	clock uint64
 }
 
@@ -51,21 +53,26 @@ type recoveredStore struct {
 type Recovery struct {
 	// Wave is the last committed wave.
 	Wave int
-	// Payload is the opaque checkpoint blob of the last commit (or of the
-	// snapshot when no commit record followed it).
+	// Payload is the opaque checkpoint blob of the last commit.
 	Payload []byte
 	// Stats describes the recovery.
 	Stats RecoveryStats
 
+	names  []string // registration order; indexes stores
 	stores []recoveredStore
-	byName map[string]int
 }
 
+// errFormat marks durable state written before an epoch became one log file
+// (snapshot-*.snap beside a headerless wal-*.log). No reader for it is kept.
+var errFormat = errors.New("the format predates single-file epochs and cannot be read by this binary")
+
 // Recover loads the durable state under dir. It returns (nil, nil) when the
-// directory does not exist or holds no snapshot — a fresh start. It picks
-// the newest snapshot that validates (falling back on corruption), replays
-// the matching WAL up to its last commit record, and truncates any torn
-// final record so the file ends on a clean boundary.
+// directory does not exist or holds no epoch file — a fresh start. It picks
+// the newest epoch whose head (stores header through base commit) reads back
+// intact, falling back to an older one on corruption, keeps the records up
+// to the last commit, and truncates any torn final record so the file ends on
+// a clean boundary. State in the pre-single-file format is an error, never a
+// fresh start.
 func Recover(dir string, o *obs.Observer) (*Recovery, error) {
 	start := time.Now()
 	entries, err := os.ReadDir(dir)
@@ -77,7 +84,10 @@ func Recover(dir string, o *obs.Observer) (*Recovery, error) {
 	}
 	var epochs []int
 	for _, e := range entries {
-		if epoch, snap, ok := epochOf(e.Name()); ok && snap {
+		if filepath.Ext(e.Name()) == ".snap" {
+			return nil, fmt.Errorf("durable: %s: %w", filepath.Join(dir, e.Name()), errFormat)
+		}
+		if epoch, ok := epochOf(e.Name()); ok {
 			epochs = append(epochs, epoch)
 		}
 	}
@@ -86,141 +96,128 @@ func Recover(dir string, o *obs.Observer) (*Recovery, error) {
 	}
 	sort.Sort(sort.Reverse(sort.IntSlice(epochs)))
 
-	var (
-		data  *snapshotData
-		epoch int
-		lastE error
-	)
-	for _, e := range epochs {
-		d, err := loadSnapshot(snapshotPath(dir, e))
+	var lastE error
+	for _, epoch := range epochs {
+		path := walPath(dir, epoch)
+		data, err := os.ReadFile(path)
 		if err != nil {
-			lastE = err
+			return nil, fmt.Errorf("durable: read wal: %w", err)
+		}
+		records, info := readWAL(data)
+		if len(records) > 0 && records[0].kind != recStores {
+			return nil, fmt.Errorf("durable: %s: %w", path, errFormat)
+		}
+		base := 0
+		for base < len(records) && records[base].kind != recCommit {
+			base++
+		}
+		if base == len(records) {
+			lastE = fmt.Errorf("durable: %s: head unreadable past byte %d of %d", path, info.validBytes, info.totalBytes)
 			continue
 		}
-		data, epoch = d, e
-		break
-	}
-	if data == nil {
-		return nil, fmt.Errorf("durable: no valid snapshot in %s: %w", dir, lastE)
-	}
-
-	r := &Recovery{
-		Wave:    data.Wave,
-		Payload: data.Payload,
-		byName:  make(map[string]int, len(data.Stores)),
-	}
-	r.Stats.Epoch = epoch
-	r.Stats.SnapshotWave = data.Wave
-	for i, img := range data.Stores {
-		r.stores = append(r.stores, recoveredStore{image: img, clock: img.Clock})
-		r.byName[img.Name] = i
-	}
-
-	wp := walPath(dir, epoch)
-	records, info, err := readWAL(wp)
-	if errors.Is(err, os.ErrNotExist) {
-		// Crash between snapshot publish and WAL creation: snapshot-only.
-		r.finish(start, o)
+		r, err := newRecovery(records, base)
+		if err != nil {
+			return nil, fmt.Errorf("%w (%s)", err, path)
+		}
+		r.Stats.Epoch = epoch
+		if info.torn {
+			r.Stats.Torn = true
+			r.Stats.TruncatedBytes = info.totalBytes - info.validBytes
+			if err := os.Truncate(path, info.validBytes); err != nil {
+				return nil, fmt.Errorf("durable: truncate torn wal: %w", err)
+			}
+		}
+		r.Stats.Duration = time.Since(start)
+		o.Counter("smartflux_durable_recovered_records_total").Add(uint64(r.Stats.Replayed))
+		o.Counter("smartflux_durable_discarded_records_total").Add(uint64(r.Stats.Discarded))
+		o.Histogram("smartflux_durable_recovery_duration_seconds").Observe(r.Stats.Duration.Seconds())
 		return r, nil
 	}
-	if err != nil {
-		return nil, err
-	}
-	if info.torn {
-		r.Stats.Torn = true
-		r.Stats.TruncatedBytes = info.totalBytes - info.validBytes
-		if err := truncateWAL(wp, info.validBytes); err != nil {
-			return nil, err
-		}
-	}
+	return nil, fmt.Errorf("durable: no valid epoch in %s: %w", dir, lastE)
+}
 
-	lastCommit := -1
-	for i, rec := range records {
+// newRecovery distributes one epoch's records — a stores header first, its
+// base commit at index base — per store, up to the last commit.
+func newRecovery(records []walRecord, base int) (*Recovery, error) {
+	r := &Recovery{names: records[0].names, stores: make([]recoveredStore, len(records[0].names))}
+	last := base
+	for i := base + 1; i < len(records); i++ {
+		if records[i].kind == recCommit {
+			last = i
+		}
+	}
+	commit := records[last]
+	if len(commit.clocks) != len(r.stores) {
+		return nil, fmt.Errorf("durable: commit record has %d clocks, epoch has %d stores", len(commit.clocks), len(r.stores))
+	}
+	for i := range r.stores {
+		r.stores[i].clock = commit.clocks[i]
+	}
+	for _, rec := range records[1:last] {
 		if rec.kind == recCommit {
-			lastCommit = i
+			continue
 		}
+		if rec.store < 0 || rec.store >= len(r.stores) {
+			return nil, fmt.Errorf("durable: record references store %d, epoch has %d", rec.store, len(r.stores))
+		}
+		r.stores[rec.store].recs = append(r.stores[rec.store].recs, rec)
 	}
-	r.Stats.Discarded = len(records) - (lastCommit + 1)
-	if lastCommit >= 0 {
-		commit := records[lastCommit]
-		if len(commit.clocks) != len(r.stores) {
-			return nil, fmt.Errorf("durable: commit record has %d clocks, snapshot has %d stores", len(commit.clocks), len(r.stores))
-		}
-		r.Wave = commit.wave
-		r.Payload = commit.payload
-		r.Stats.Replayed = lastCommit + 1
-		for i := range r.stores {
-			r.stores[i].clock = commit.clocks[i]
-		}
-		for _, rec := range records[:lastCommit+1] {
-			if rec.kind == recCommit {
-				continue
-			}
-			if rec.store < 0 || rec.store >= len(r.stores) {
-				return nil, fmt.Errorf("durable: record references store %d, snapshot has %d", rec.store, len(r.stores))
-			}
-			r.stores[rec.store].muts = append(r.stores[rec.store].muts, rec)
-		}
+	r.Wave, r.Payload = commit.wave, commit.payload
+	r.Stats = RecoveryStats{
+		SnapshotWave: records[base].wave,
+		Wave:         commit.wave,
+		Replayed:     last - base,
+		Discarded:    len(records) - (last + 1),
 	}
-	r.Stats.Wave = r.Wave
-	r.finish(start, o)
 	return r, nil
 }
 
-// finish stamps the duration and emits recovery metrics.
-func (r *Recovery) finish(start time.Time, o *obs.Observer) {
-	r.Stats.Wave = r.Wave
-	r.Stats.Duration = time.Since(start)
-	o.Counter("smartflux_durable_recovered_records_total").Add(uint64(r.Stats.Replayed))
-	o.Counter("smartflux_durable_discarded_records_total").Add(uint64(r.Stats.Discarded))
-	o.Histogram("smartflux_durable_recovery_duration_seconds").Observe(r.Stats.Duration.Seconds())
-}
-
-// StoreNames returns the recovered store names in registration order.
-func (r *Recovery) StoreNames() []string {
-	names := make([]string, len(r.stores))
-	for i, rs := range r.stores {
-		names[i] = rs.image.Name
-	}
-	return names
-}
-
-// Apply rebuilds one recovered store into s: the snapshot image, then the
-// committed WAL mutations, then the committed logical clock. The target
-// should be empty; replay is idempotent, so applying twice (or applying over
-// a store that already absorbed some of the same timestamped writes, as a
-// deduplicating network server might) converges to the same state.
+// Apply rebuilds one recovered store into s: the store's committed records in
+// log order — the epoch's compacted head, then the live appends — then the
+// committed logical clock. The target should be empty; replay is idempotent,
+// so applying twice (or applying over a store that already absorbed some of
+// the same timestamped writes, as a deduplicating network server might)
+// converges to the same state.
 func (r *Recovery) Apply(name string, s *kvstore.Store) error {
-	idx, ok := r.byName[name]
-	if !ok {
-		return fmt.Errorf("durable: recovery has no store %q (has %v)", name, r.StoreNames())
+	idx := slices.Index(r.names, name)
+	if idx < 0 {
+		return fmt.Errorf("durable: recovery has no store %q (has %v)", name, r.names)
 	}
-	rs := r.stores[idx]
-	if err := applyImage(rs.image, s); err != nil {
-		return err
-	}
-	for _, rec := range rs.muts {
-		switch rec.kind {
-		case recCreate:
-			if _, err := s.EnsureTable(rec.table, kvstore.TableOptions{MaxVersions: rec.maxVersions}); err != nil {
-				return fmt.Errorf("durable: replay create %q: %w", rec.table, err)
-			}
-		case recMutation:
-			t, err := s.EnsureTable(rec.table, kvstore.TableOptions{})
-			if err != nil {
-				return fmt.Errorf("durable: replay table %q: %w", rec.table, err)
-			}
-			if rec.del {
-				if err := t.ReplayDelete(rec.row, rec.col); err != nil {
-					return fmt.Errorf("durable: replay delete %s/%s: %w", rec.row, rec.col, err)
-				}
-			} else if err := t.ReplayPut(rec.row, rec.col, rec.value, rec.ts); err != nil {
-				return fmt.Errorf("durable: replay put %s/%s: %w", rec.row, rec.col, err)
-			}
-		default:
-			return fmt.Errorf("durable: unexpected record type %d in replay", rec.kind)
+	for _, rec := range r.stores[idx].recs {
+		if err := applyDecoded(s, rec); err != nil {
+			return err
 		}
 	}
-	s.SetClock(rs.clock)
+	s.SetClock(r.stores[idx].clock)
 	return nil
+}
+
+// applyDecoded applies one create or mutation record to a store through the
+// kvstore replay operations: idempotent, explicit-timestamp, no observer
+// notification, store clock untouched. It is the one place log records turn
+// back into store content — recovery and replication both end here.
+func applyDecoded(s *kvstore.Store, rec walRecord) error {
+	switch rec.kind {
+	case recCreate:
+		if _, err := s.EnsureTable(rec.table, kvstore.TableOptions{MaxVersions: rec.maxVersions}); err != nil {
+			return fmt.Errorf("durable: replay create %q: %w", rec.table, err)
+		}
+		return nil
+	case recMutation:
+		t, err := s.EnsureTable(rec.table, kvstore.TableOptions{})
+		if err != nil {
+			return fmt.Errorf("durable: replay table %q: %w", rec.table, err)
+		}
+		if rec.del {
+			err = t.ReplayDelete(rec.row, rec.col)
+		} else {
+			err = t.ReplayPut(rec.row, rec.col, rec.value, rec.ts)
+		}
+		if err != nil {
+			return fmt.Errorf("durable: replay %s/%s: %w", rec.row, rec.col, err)
+		}
+		return nil
+	default:
+		return fmt.Errorf("durable: record type %d does not apply to a store", rec.kind)
+	}
 }

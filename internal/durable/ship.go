@@ -16,7 +16,6 @@ package durable
 // share before streaming the difference.
 
 import (
-	"fmt"
 	"hash/crc32"
 	"sync"
 
@@ -27,7 +26,7 @@ import (
 // observed store mutation. The encoding is the WAL's recMutation payload with
 // store index 0 — a replication stream is always about one store.
 func EncodeMutationRecord(m kvstore.Mutation) []byte {
-	return encodeMutation(0, m.Table, m.Row, m.Column, m.New, m.Timestamp, m.Kind == kvstore.MutationDelete)
+	return encodeMutation(0, m)
 }
 
 // EncodeCreateRecord builds one shippable table-creation record (the WAL's
@@ -36,38 +35,22 @@ func EncodeCreateRecord(table string, maxVersions int) []byte {
 	return encodeCreate(0, table, maxVersions)
 }
 
-// ApplyRecord applies one shipped replication record to a store. Mutations go
-// through ReplayPut / ReplayDelete — idempotent, explicit-timestamp, no
-// observer notification — and raise the store clock to the record's timestamp
-// via AdvanceClock; creates go through EnsureTable. Applying the same record
-// twice, or records out of timestamp order, converges to the same state.
+// ApplyRecord applies one shipped replication record to a store the way
+// recovery applies a logged one (applyDecoded), and raises the store clock to
+// a mutation's timestamp via AdvanceClock. Applying the same record twice, or
+// records out of timestamp order, converges to the same state.
 func ApplyRecord(s *kvstore.Store, payload []byte) error {
 	rec, err := decodeRecord(payload)
 	if err != nil {
 		return err
 	}
-	switch rec.kind {
-	case recCreate:
-		_, err := s.EnsureTable(rec.table, kvstore.TableOptions{MaxVersions: rec.maxVersions})
+	if err := applyDecoded(s, rec); err != nil {
 		return err
-	case recMutation:
-		t, err := s.EnsureTable(rec.table, kvstore.TableOptions{})
-		if err != nil {
-			return err
-		}
-		if rec.del {
-			err = t.ReplayDelete(rec.row, rec.col)
-		} else {
-			err = t.ReplayPut(rec.row, rec.col, rec.value, rec.ts)
-		}
-		if err != nil {
-			return err
-		}
-		s.AdvanceClock(rec.ts)
-		return nil
-	default:
-		return fmt.Errorf("durable: record type %d is not replicable", rec.kind)
 	}
+	if rec.kind == recMutation {
+		s.AdvanceClock(rec.ts)
+	}
+	return nil
 }
 
 // ReplLog is a node's in-memory replication history: every record the node

@@ -1,6 +1,7 @@
 package durable
 
-// Write-ahead log format. The log is a flat sequence of framed records:
+// Log format — the only on-disk format of the durability layer. An epoch file
+// (wal-<epoch>.log) is a flat sequence of framed records:
 //
 //	[4B little-endian payload length][4B IEEE CRC32 of payload][payload]
 //
@@ -12,17 +13,27 @@ package durable
 //	create  (2):  store uvarint, table string, maxVersions uvarint
 //	commit  (3):  wave uvarint, clock count uvarint, per-store clocks,
 //	              opaque checkpoint payload bytes
+//	stores  (4):  name count uvarint, the registered store names in
+//	              registration order — the index space of the store fields
 //
-// Readers stop at the first frame that is short, oversized or fails its
-// CRC: everything after a torn or corrupt record is unreachable, which is
-// exactly the prefix property recovery needs (DESIGN.md §11).
+// A file starts with its compacted head — one stores record, the registered
+// stores' content as create and put records, and the epoch's base commit —
+// written in one piece before the file is published (createEpoch); live
+// appends follow. Readers stop at the first frame that is short, oversized or
+// fails its CRC: everything after a torn or corrupt record is unreachable,
+// which is exactly the prefix property recovery needs (DESIGN.md §11).
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
+	"path/filepath"
+
+	"smartflux/internal/kvstore"
 )
 
 // Record types.
@@ -30,6 +41,7 @@ const (
 	recMutation byte = 1
 	recCreate   byte = 2
 	recCommit   byte = 3
+	recStores   byte = 4
 )
 
 // Mutation kinds inside recMutation payloads (match kvstore.MutationKind).
@@ -62,6 +74,9 @@ type walRecord struct {
 	wave    int
 	clocks  []uint64
 	payload []byte
+
+	// stores field
+	names []string
 }
 
 // appendUvarint appends v in uvarint encoding.
@@ -75,22 +90,24 @@ func appendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-// encodeMutation builds a recMutation payload.
-func encodeMutation(storeIdx int, table, row, col string, value []byte, ts uint64, del bool) []byte {
-	b := make([]byte, 0, 32+len(table)+len(row)+len(col)+len(value))
+// encodeMutation builds a recMutation payload from an observed (or, during
+// compaction, re-derived) store mutation.
+func encodeMutation(storeIdx int, m kvstore.Mutation) []byte {
+	b := make([]byte, 0, 32+len(m.Table)+len(m.Row)+len(m.Column)+len(m.New))
 	b = append(b, recMutation)
 	b = appendUvarint(b, uint64(storeIdx))
+	del := m.Kind == kvstore.MutationDelete
 	kind := mutPut
 	if del {
 		kind = mutDelete
 	}
 	b = append(b, kind)
-	b = appendUvarint(b, ts)
-	b = appendString(b, table)
-	b = appendString(b, row)
-	b = appendString(b, col)
+	b = appendUvarint(b, m.Timestamp)
+	b = appendString(b, m.Table)
+	b = appendString(b, m.Row)
+	b = appendString(b, m.Column)
 	if !del {
-		b = append(b, value...)
+		b = append(b, m.New...)
 	}
 	return b
 }
@@ -117,48 +134,65 @@ func encodeCommit(wave int, clocks []uint64, payload []byte) []byte {
 	return append(b, payload...)
 }
 
-// payloadReader walks a record payload.
+// encodeStores builds a recStores payload.
+func encodeStores(names []string) []byte {
+	b := append([]byte(nil), recStores)
+	b = appendUvarint(b, uint64(len(names)))
+	for _, name := range names {
+		b = appendString(b, name)
+	}
+	return b
+}
+
+// payloadReader walks a record payload. A read past the end yields a zero
+// value and sets short, so a decoder checks once, after its last field.
 type payloadReader struct {
-	b   []byte
-	pos int
+	b     []byte
+	pos   int
+	short bool
 }
 
 var errShortRecord = errors.New("durable: truncated record payload")
 
-func (r *payloadReader) byte() (byte, error) {
-	if r.pos >= len(r.b) {
-		return 0, errShortRecord
+func (r *payloadReader) byte() byte {
+	if r.short || r.pos >= len(r.b) {
+		r.short = true
+		return 0
 	}
-	v := r.b[r.pos]
 	r.pos++
-	return v, nil
+	return r.b[r.pos-1]
 }
 
-func (r *payloadReader) uvarint() (uint64, error) {
+func (r *payloadReader) uvarint() uint64 {
 	v, n := binary.Uvarint(r.b[r.pos:])
-	if n <= 0 {
-		return 0, errShortRecord
+	if r.short || n <= 0 {
+		r.short = true
+		return 0
 	}
 	r.pos += n
-	return v, nil
+	return v
 }
 
-func (r *payloadReader) str() (string, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return "", err
+// count reads an element count; each element takes at least one of the
+// remaining bytes, so a corrupt count cannot drive a giant allocation.
+func (r *payloadReader) count() uint64 {
+	n := r.uvarint()
+	if n > uint64(len(r.b)-r.pos) {
+		r.short = true
+		return 0
 	}
-	if uint64(len(r.b)-r.pos) < n {
-		return "", errShortRecord
-	}
+	return n
+}
+
+func (r *payloadReader) str() string {
+	n := r.count()
 	s := string(r.b[r.pos : r.pos+int(n)])
 	r.pos += int(n)
-	return s, nil
+	return s
 }
 
 func (r *payloadReader) rest() []byte {
-	out := make([]byte, len(r.b)-r.pos)
-	copy(out, r.b[r.pos:])
+	out := append([]byte{}, r.b[r.pos:]...)
 	r.pos = len(r.b)
 	return out
 }
@@ -166,76 +200,41 @@ func (r *payloadReader) rest() []byte {
 // decodeRecord parses one payload into a walRecord.
 func decodeRecord(payload []byte) (walRecord, error) {
 	r := payloadReader{b: payload}
-	kind, err := r.byte()
-	if err != nil {
-		return walRecord{}, err
-	}
-	rec := walRecord{kind: kind}
-	switch kind {
+	rec := walRecord{kind: r.byte()}
+	switch rec.kind {
 	case recMutation:
-		store, err := r.uvarint()
-		if err != nil {
-			return walRecord{}, err
-		}
-		mk, err := r.byte()
-		if err != nil {
-			return walRecord{}, err
-		}
-		ts, err := r.uvarint()
-		if err != nil {
-			return walRecord{}, err
-		}
-		if rec.table, err = r.str(); err != nil {
-			return walRecord{}, err
-		}
-		if rec.row, err = r.str(); err != nil {
-			return walRecord{}, err
-		}
-		if rec.col, err = r.str(); err != nil {
-			return walRecord{}, err
-		}
-		rec.store = int(store)
-		rec.ts = ts
-		rec.del = mk == mutDelete
+		rec.store = int(r.uvarint())
+		rec.del = r.byte() == mutDelete
+		rec.ts = r.uvarint()
+		rec.table = r.str()
+		rec.row = r.str()
+		rec.col = r.str()
 		if !rec.del {
 			rec.value = r.rest()
 		}
 	case recCreate:
-		store, err := r.uvarint()
-		if err != nil {
-			return walRecord{}, err
-		}
-		if rec.table, err = r.str(); err != nil {
-			return walRecord{}, err
-		}
-		mv, err := r.uvarint()
-		if err != nil {
-			return walRecord{}, err
-		}
-		rec.store = int(store)
-		rec.maxVersions = int(mv)
+		rec.store = int(r.uvarint())
+		rec.table = r.str()
+		rec.maxVersions = int(r.uvarint())
 	case recCommit:
-		wave, err := r.uvarint()
-		if err != nil {
-			return walRecord{}, err
-		}
-		n, err := r.uvarint()
-		if err != nil {
-			return walRecord{}, err
-		}
-		if n > uint64(len(payload)) { // clocks cannot outnumber payload bytes
-			return walRecord{}, errShortRecord
-		}
-		rec.wave = int(wave)
-		rec.clocks = make([]uint64, n)
+		rec.wave = int(r.uvarint())
+		rec.clocks = make([]uint64, r.count())
 		for i := range rec.clocks {
-			if rec.clocks[i], err = r.uvarint(); err != nil {
-				return walRecord{}, err
-			}
+			rec.clocks[i] = r.uvarint()
 		}
 		rec.payload = r.rest()
+	case recStores:
+		rec.names = make([]string, r.count())
+		for i := range rec.names {
+			rec.names[i] = r.str()
+		}
 	default:
-		return walRecord{}, fmt.Errorf("durable: unknown record type %d", kind)
+		if !r.short {
+			return walRecord{}, fmt.Errorf("durable: unknown record type %d", rec.kind)
+		}
+	}
+	if r.short {
+		return walRecord{}, errShortRecord
 	}
 	return rec, nil
 }
@@ -257,24 +256,110 @@ type tornError interface {
 	Torn() int
 }
 
-// walWriter appends framed records to one log file.
+// walWriter appends framed records to one epoch file.
 type walWriter struct {
-	f       *os.File
-	path    string
-	mode    FsyncMode
-	hook    func(op string) error
-	appends int
-	written int64
-	fsyncs  int
+	f      *os.File
+	mode   FsyncMode
+	hook   func(op string) error
+	fsyncs int
 }
 
-// createWAL opens a fresh log file for appending.
-func createWAL(path string, mode FsyncMode, hook func(op string) error) (*walWriter, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+// walPath names an epoch's file.
+func walPath(dir string, epoch int) string {
+	return filepath.Join(dir, fmt.Sprintf("wal-%08d.log", epoch))
+}
+
+// createEpoch writes an epoch's compacted head to a temp file, fsyncs it,
+// renames it into place and fsyncs the directory, then hands the still-open
+// descriptor over as the epoch's append target. A crash at any point leaves
+// either no wal-<epoch>.log or one with a complete head, plus at worst a
+// stray *.tmp that recovery ignores and the next rotation removes. Head
+// records bypass walWriter.append: they are no crash-hook consultations and
+// count in no append, byte or fsync statistic — a rotation is accounted as
+// one snapshot, whatever the store's size.
+func (m *Manager) createEpoch(epoch, wave int, payload []byte) (*walWriter, error) {
+	final := walPath(m.opts.Dir, epoch)
+	f, err := os.OpenFile(final+".tmp", os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("durable: create wal: %w", err)
+		return nil, fmt.Errorf("durable: create epoch %d: %w", epoch, err)
 	}
-	return &walWriter{f: f, path: path, mode: mode, hook: hook}, nil
+	if err = m.writeHead(f, wave, payload); err == nil {
+		err = f.Sync()
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), final)
+	}
+	if err == nil {
+		err = syncDir(m.opts.Dir)
+	}
+	if err != nil {
+		_ = f.Close() // the publish error is the root cause
+		return nil, fmt.Errorf("durable: publish epoch %d: %w", epoch, err)
+	}
+	return &walWriter{f: f, mode: m.opts.Fsync, hook: m.opts.Hook}, nil
+}
+
+// writeHead streams the registered stores into w as the records that rebuild
+// them: the stores header, per store and table (in TableNames order) a create
+// record and the table's History as puts, and the base commit. Callers must
+// ensure no concurrent writers (the manager compacts at wave boundaries,
+// where the engine is quiescent).
+func (m *Manager) writeHead(w io.Writer, wave int, payload []byte) error {
+	bw := bufio.NewWriterSize(w, 1<<16)
+	put := func(rec []byte) error {
+		_, err := bw.Write(encodeFrame(rec))
+		return err
+	}
+	names := make([]string, len(m.stores))
+	for i, ms := range m.stores {
+		names[i] = ms.name
+	}
+	if err := put(encodeStores(names)); err != nil {
+		return err
+	}
+	clocks := m.clocks()
+	for i, ms := range m.stores {
+		for _, tn := range ms.s.TableNames() {
+			t, err := ms.s.Table(tn)
+			if err != nil {
+				return fmt.Errorf("durable: compact table %q: %w", tn, err)
+			}
+			if err := put(encodeCreate(i, tn, t.MaxVersions())); err != nil {
+				return err
+			}
+			err = t.History(func(cell []kvstore.Mutation) error {
+				for _, mut := range cell {
+					if err := put(encodeMutation(i, mut)); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				return err
+			}
+		}
+	}
+	if err := put(encodeCommit(wave, clocks, payload)); err != nil {
+		return err
+	}
+	return bw.Flush()
+}
+
+// syncDir fsyncs a directory so a just-renamed file survives power loss.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("durable: open dir for sync: %w", err)
+	}
+	if err := d.Sync(); err != nil {
+		_ = d.Close() // the sync error is the root cause
+		return fmt.Errorf("durable: sync dir: %w", err)
+	}
+	if err := d.Close(); err != nil {
+		return fmt.Errorf("durable: close dir: %w", err)
+	}
+	return nil
 }
 
 // append frames and writes one record payload, consulting the crash hook
@@ -303,8 +388,6 @@ func (w *walWriter) append(payload []byte) (int, error) {
 	if _, err := w.f.Write(frame); err != nil {
 		return 0, fmt.Errorf("durable: wal append: %w", err)
 	}
-	w.appends++
-	w.written += int64(len(frame))
 	if w.mode == FsyncAlways {
 		if err := w.sync(); err != nil {
 			return len(frame), err
@@ -346,13 +429,9 @@ type walReadInfo struct {
 	torn       bool // file ended mid-record or failed a CRC
 }
 
-// readWAL reads every valid record of a log file, stopping at the first
-// torn or corrupt frame.
-func readWAL(path string) ([]walRecord, walReadInfo, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, walReadInfo{}, fmt.Errorf("durable: read wal: %w", err)
-	}
+// readWAL decodes every valid record of an epoch file's bytes, stopping at
+// the first torn or corrupt frame.
+func readWAL(data []byte) ([]walRecord, walReadInfo) {
 	info := walReadInfo{totalBytes: int64(len(data))}
 	var records []walRecord
 	pos := 0
@@ -384,14 +463,5 @@ func readWAL(path string) ([]walRecord, walReadInfo, error) {
 		pos += frameHeader + int(plen)
 	}
 	info.validBytes = int64(pos)
-	return records, info, nil
-}
-
-// truncateWAL cuts a log file back to its last valid record boundary,
-// removing a torn tail so later appends start from a clean prefix.
-func truncateWAL(path string, validBytes int64) error {
-	if err := os.Truncate(path, validBytes); err != nil {
-		return fmt.Errorf("durable: truncate torn wal: %w", err)
-	}
-	return nil
+	return records, info
 }

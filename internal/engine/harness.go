@@ -188,7 +188,7 @@ type Harness struct {
 	cfg  HarnessConfig
 
 	reportSteps []workflow.StepID
-	measures    map[workflow.StepID]*measureState
+	measures    map[workflow.StepID]measureState
 
 	obs         *obs.Observer
 	waveRetries *obs.Counter // nil when no observer is attached
@@ -287,7 +287,7 @@ func NewHarnessWithConfig(build BuildFunc, reportSteps []workflow.StepID, cfg Ha
 		ref:         ref,
 		cfg:         cfg,
 		reportSteps: reportSteps,
-		measures:    make(map[workflow.StepID]*measureState, len(reportSteps)),
+		measures:    make(map[workflow.StepID]measureState, len(reportSteps)),
 	}, nil
 }
 
@@ -466,63 +466,19 @@ func (h *Harness) emitDecisions(res *Result, liveRes, refRes WaveResult) {
 	}
 }
 
-// measureCheckpoint captures the harness measurement state — the per-report
-// series lengths and the live-basis accumulators — at a wave boundary, so a
-// failed measure pass can be rolled back and retried.
-type measureCheckpoint struct {
-	lens     map[workflow.StepID]int
-	measures map[workflow.StepID]measureState
-}
-
-func (h *Harness) checkpointMeasures(res *Result) measureCheckpoint {
-	cp := measureCheckpoint{
-		lens:     make(map[workflow.StepID]int, len(h.reportSteps)),
-		measures: make(map[workflow.StepID]measureState, len(h.reportSteps)),
-	}
-	for _, id := range h.reportSteps {
-		cp.lens[id] = len(res.Reports[id].Measured)
-		if st := h.measures[id]; st != nil {
-			cp.measures[id] = *st
-		}
-	}
-	return cp
-}
-
-func (h *Harness) restoreMeasures(res *Result, cp measureCheckpoint) {
-	for _, id := range h.reportSteps {
-		n := cp.lens[id]
-		r := res.Reports[id]
-		r.Measured = r.Measured[:n]
-		r.Predicted = r.Predicted[:n]
-		r.EndToEnd = r.EndToEnd[:n]
-		r.Violations = r.Violations[:n]
-		r.Degraded = r.Degraded[:n]
-		if st, ok := cp.measures[id]; ok {
-			*h.measures[id] = st
-		} else {
-			delete(h.measures, id)
-		}
-	}
-}
-
 // measureWave runs measure under the wave-retry budget. Measuring re-runs
 // report-step processors hypothetically, which can fail under store faults
-// just like real execution; each failed pass restores the measurement state
-// to the pre-wave checkpoint, so a failed wave never leaks partial series
-// (DESIGN.md §10).
+// just like real execution; a failed pass has committed nothing, so a retry
+// starts from the same measurement state (DESIGN.md §10).
 func (h *Harness) measureWave(res *Result, liveRes WaveResult) error {
 	var lastErr error
 	for attempt := 0; attempt <= h.cfg.WaveRetries; attempt++ {
 		if attempt > 0 {
 			h.waveRetries.Inc() // nil-safe no-op when uninstrumented
 		}
-		cp := h.checkpointMeasures(res)
-		err := h.measure(res, liveRes)
-		if err == nil {
+		if lastErr = h.measure(res, liveRes); lastErr == nil {
 			return nil
 		}
-		h.restoreMeasures(res, cp)
-		lastErr = err
 	}
 	return lastErr
 }
@@ -534,9 +490,17 @@ func (h *Harness) measureWave(res *Result, liveRes WaveResult) error {
 // output it is actually serving. Upstream staleness is accounted to the
 // upstream steps' own bounds, not double-counted here; the EndToEnd series
 // retains the whole-pipeline divergence against the synchronous reference.
+//
+// Every step's figures are computed before any is appended: a pass that fails
+// part-way leaves the series and the accumulators untouched.
 func (h *Harness) measure(res *Result, liveRes WaveResult) error {
-	for _, id := range h.reportSteps {
-		report := res.Reports[id]
+	type sample struct {
+		next               measureState
+		measured, endToEnd float64
+		degraded           bool
+	}
+	samples := make([]sample, len(h.reportSteps))
+	for i, id := range h.reportSteps {
 		factory := h.live.ErrorFactory(id)
 		refState := h.ref.OutputState(id)
 		liveState := h.live.OutputState(id)
@@ -546,27 +510,34 @@ func (h *Harness) measure(res *Result, liveRes WaveResult) error {
 			return err
 		}
 
-		st := h.measures[id]
-		if st == nil {
-			st = &measureState{freshPrev: fresh}
-			h.measures[id] = st
+		st, ok := h.measures[id]
+		if !ok {
+			st.freshPrev = fresh
 		}
-
 		idx := h.live.GatedIndex(id)
-		executed := idx >= 0 && liveRes.Executed[idx]
-		if executed {
+		if idx >= 0 && liveRes.Executed[idx] {
 			st.accum = 0
 		} else {
 			st.accum += metric.Evaluate(factory, fresh, st.freshPrev)
 		}
 		st.freshPrev = fresh
 
-		measured := metric.Evaluate(factory, fresh, liveState)
-		report.Measured = append(report.Measured, measured)
-		report.Predicted = append(report.Predicted, st.accum)
-		report.EndToEnd = append(report.EndToEnd, metric.Evaluate(factory, refState, liveState))
-		report.Violations = append(report.Violations, measured > report.MaxError)
-		report.Degraded = append(report.Degraded, idx >= 0 && liveRes.Degraded[idx])
+		samples[i] = sample{
+			next:     st,
+			measured: metric.Evaluate(factory, fresh, liveState),
+			endToEnd: metric.Evaluate(factory, refState, liveState),
+			degraded: idx >= 0 && liveRes.Degraded[idx],
+		}
+	}
+	for i, id := range h.reportSteps {
+		s := samples[i]
+		h.measures[id] = s.next
+		report := res.Reports[id]
+		report.Measured = append(report.Measured, s.measured)
+		report.Predicted = append(report.Predicted, s.next.accum)
+		report.EndToEnd = append(report.EndToEnd, s.endToEnd)
+		report.Violations = append(report.Violations, s.measured > report.MaxError)
+		report.Degraded = append(report.Degraded, s.degraded)
 	}
 	return nil
 }

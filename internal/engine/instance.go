@@ -586,10 +586,13 @@ func newWaveResult(wave, gated int) WaveResult {
 // are not rolled back; see DESIGN.md §10 for why deterministic processors
 // make that safe).
 func (in *Instance) RunWave(d Decider) (WaveResult, error) {
-	cp := in.checkpoint()
+	pre := in.PersistState()
 	res, err := in.runWave(d)
 	if err != nil {
-		in.restore(cp)
+		// The shape check cannot fail on the instance that produced pre.
+		if rerr := in.RestorePersistedState(pre); rerr != nil {
+			err = errors.Join(err, rerr)
+		}
 		in.obs.countRecovery()
 	}
 	return res, err

@@ -210,7 +210,7 @@ func (h *Harness) Checkpoint(res *Result, d Decider) (*HarnessCheckpoint, error)
 		Measures: make(map[workflow.StepID]MeasurePersist, len(h.reportSteps)),
 	}
 	for _, id := range h.reportSteps {
-		if st := h.measures[id]; st != nil {
+		if st, ok := h.measures[id]; ok {
 			cp.Measures[id] = MeasurePersist{
 				FreshPrev: st.freshPrev,
 				Accum:     st.accum,
@@ -239,10 +239,10 @@ func (h *Harness) RestoreCheckpoint(cp *HarnessCheckpoint, d Decider) (*Result, 
 	if err := h.ref.RestorePersistedState(cp.Ref); err != nil {
 		return nil, fmt.Errorf("harness restore ref: %w", err)
 	}
-	h.measures = make(map[workflow.StepID]*measureState, len(h.reportSteps))
+	h.measures = make(map[workflow.StepID]measureState, len(h.reportSteps))
 	for _, id := range h.reportSteps {
 		if mp, ok := cp.Measures[id]; ok && mp.Present {
-			h.measures[id] = &measureState{
+			h.measures[id] = measureState{
 				freshPrev: mp.FreshPrev,
 				accum:     mp.Accum,
 			}

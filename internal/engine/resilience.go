@@ -7,8 +7,9 @@ package engine
 //   - executeDegradable turns an exhausted retry budget on a gated step into
 //     a forced skip (outputs rolled back, wave carries on) when DegradeGated
 //     is set.
-//   - checkpoint/restore snapshot every tracker and the per-step bookkeeping
-//     at wave start so a failed wave leaves the instance exactly as it was.
+//   - RunWave takes the instance's persisted form (persist.go) at wave start
+//     and restores it when the wave fails, so a failed wave leaves every
+//     tracker and the per-step bookkeeping exactly as they were.
 
 import (
 	"errors"
@@ -17,7 +18,6 @@ import (
 	"time"
 
 	"smartflux/internal/kvstore"
-	"smartflux/internal/metric"
 	"smartflux/internal/obs"
 	"smartflux/internal/workflow"
 )
@@ -179,69 +179,4 @@ func (in *Instance) rollbackOutputs(snap outputSnapshot) error {
 		}
 	}
 	return nil
-}
-
-// stepCheckpoint is one step's pre-wave bookkeeping.
-type stepCheckpoint struct {
-	executedEver bool
-	lastExecWave int
-	execCount    int
-	impacts      []metric.TrackerState
-	errors       []metric.TrackerState
-}
-
-// waveCheckpoint captures everything RunWave mutates outside the store, so a
-// failed wave can be rolled back to exactly the pre-wave instance state.
-// Snapshots are shallow (a few pointers per tracker), so checkpointing is
-// always on rather than opt-in.
-type waveCheckpoint struct {
-	impacts []float64
-	steps   map[workflow.StepID]stepCheckpoint
-}
-
-// checkpoint captures the instance's mutable state at a wave boundary.
-func (in *Instance) checkpoint() waveCheckpoint {
-	cp := waveCheckpoint{
-		impacts: append([]float64(nil), in.impacts...),
-		steps:   make(map[workflow.StepID]stepCheckpoint, len(in.states)),
-	}
-	for id, st := range in.states {
-		sc := stepCheckpoint{
-			executedEver: st.executedEver,
-			lastExecWave: st.lastExecWave,
-			execCount:    st.execCount,
-			impacts:      make([]metric.TrackerState, len(st.impactTrackers)),
-			errors:       make([]metric.TrackerState, len(st.errorTrackers)),
-		}
-		for i, t := range st.impactTrackers {
-			sc.impacts[i] = t.Snapshot()
-		}
-		for i, t := range st.errorTrackers {
-			sc.errors[i] = t.Snapshot()
-		}
-		cp.steps[id] = sc
-	}
-	return cp
-}
-
-// restore rewinds the instance to a checkpoint taken at a wave boundary.
-// The wave counter needs no handling: a failed wave returns before advancing it,
-// so it still names that wave.
-func (in *Instance) restore(cp waveCheckpoint) {
-	copy(in.impacts, cp.impacts)
-	for id, st := range in.states {
-		sc, ok := cp.steps[id]
-		if !ok {
-			continue
-		}
-		st.executedEver = sc.executedEver
-		st.lastExecWave = sc.lastExecWave
-		st.execCount = sc.execCount
-		for i, t := range st.impactTrackers {
-			t.Restore(sc.impacts[i])
-		}
-		for i, t := range st.errorTrackers {
-			t.Restore(sc.errors[i])
-		}
-	}
 }

@@ -2,6 +2,9 @@ package engine
 
 import (
 	"errors"
+	"maps"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -284,38 +287,89 @@ func (s skipStepFrom) Decide(wave, idx int, _ []float64) bool {
 func (s skipStepFrom) Name() string { return "skip-step-from" }
 
 // TestWaveCheckpointRestore fails a wave mid-flight (after the source
-// already executed) and re-runs it: the retried wave and all later waves
-// must be bit-identical to a never-failed run.
+// already executed) and re-runs it: the failed wave must leave the persisted
+// form exactly as it was, and the retried wave and all later waves must be
+// bit-identical to a never-failed run.
 func TestWaveCheckpointRestore(t *testing.T) {
-	faulty := buildInstance(t, hookedWorkload(0.05, "leaf", failFirstAttemptAt(3)),
-		InstanceConfig{Parallelism: 1})
-	clean := buildInstance(t, testWorkload(0.05), InstanceConfig{Parallelism: 1})
+	for _, par := range []int{1, 4} {
+		faulty := buildInstance(t, hookedWorkload(0.05, "leaf", failFirstAttemptAt(3)),
+			InstanceConfig{Parallelism: par})
+		clean := buildInstance(t, testWorkload(0.05), InstanceConfig{Parallelism: par})
 
-	for w := 0; w < 6; w++ {
-		fres, err := faulty.RunWave(Sync{})
-		if w == 3 && err != nil {
-			if !errors.Is(err, errBoom) {
-				t.Fatalf("wave 3 failed with %v, want errBoom", err)
+		for w := 0; w < 6; w++ {
+			pre := faulty.PersistState()
+			fres, err := faulty.RunWave(Sync{})
+			if w == 3 && err != nil {
+				if !errors.Is(err, errBoom) {
+					t.Fatalf("wave 3 failed with %v, want errBoom", err)
+				}
+				if faulty.Wave() != 3 {
+					t.Fatalf("wave counter advanced to %d through a failed wave", faulty.Wave())
+				}
+				if !reflect.DeepEqual(faulty.PersistState(), pre) {
+					t.Fatalf("parallelism %d: persisted state changed through a failed wave", par)
+				}
+				// The instance is back at its pre-wave state: retry.
+				fres, err = faulty.RunWave(Sync{})
 			}
-			if faulty.Wave() != 3 {
-				t.Fatalf("wave counter advanced to %d through a failed wave", faulty.Wave())
+			if err != nil {
+				t.Fatalf("faulty wave %d: %v", w, err)
 			}
-			// The instance must be back at its pre-wave state: retry.
-			fres, err = faulty.RunWave(Sync{})
-		}
-		if err != nil {
-			t.Fatalf("faulty wave %d: %v", w, err)
-		}
-		cres, err := clean.RunWave(Sync{})
-		if err != nil {
-			t.Fatalf("clean wave %d: %v", w, err)
-		}
-		for i := range fres.Impacts {
-			if fres.Impacts[i] != cres.Impacts[i] || fres.Executed[i] != cres.Executed[i] ||
-				fres.SimErrors[i] != cres.SimErrors[i] || fres.Labels[i] != cres.Labels[i] {
-				t.Fatalf("wave %d step %d diverged after recovery: %+v vs %+v", w, i, fres, cres)
+			cres, err := clean.RunWave(Sync{})
+			if err != nil {
+				t.Fatalf("clean wave %d: %v", w, err)
+			}
+			for i := range fres.Impacts {
+				if fres.Impacts[i] != cres.Impacts[i] || fres.Executed[i] != cres.Executed[i] ||
+					fres.SimErrors[i] != cres.SimErrors[i] || fres.Labels[i] != cres.Labels[i] {
+					t.Fatalf("wave %d step %d diverged after recovery: %+v vs %+v", w, i, fres, cres)
+				}
 			}
 		}
+	}
+}
+
+// TestMeasureFailureCommitsNothing fails the hypothetical run of the second
+// report step: the first step's figures were already computed, yet no series
+// and no accumulator may move.
+func TestMeasureFailureCommitsNothing(t *testing.T) {
+	// In the live copy "leaf" runs twice per wave under Sync: the execution,
+	// then the measure pass's hypothetical run — fail that one at wave 3.
+	failMeasureAt3 := func() func(int) error {
+		calls := 0
+		return func(w int) error {
+			if w != 3 {
+				return nil
+			}
+			if calls++; calls == 2 {
+				return errBoom
+			}
+			return nil
+		}
+	}
+	h, err := NewHarnessWithConfig(hookedWorkload(0.05, "leaf", failMeasureAt3),
+		[]workflow.StepID{"mid", "leaf"}, HarnessConfig{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := h.Run(3, Sync{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reports := copyResult(res).Reports
+	measures := maps.Clone(h.measures)
+
+	if err := h.ResumeRun(res, 1, Sync{}); !errors.Is(err, errBoom) || !strings.Contains(err.Error(), "measure wave 3") {
+		t.Fatalf("wave 3 = %v, want errBoom out of the measure pass", err)
+	}
+	if !reflect.DeepEqual(res.Reports, reports) {
+		t.Fatal("a failed measure pass moved a StepReport series")
+	}
+	if !reflect.DeepEqual(h.measures, measures) {
+		t.Fatal("a failed measure pass moved an accumulator")
+	}
+	if len(measures) != 2 || len(reports["mid"].Measured) != 3 {
+		t.Fatalf("measure state: %d accumulators, %d mid samples; want 2 and 3", len(measures), len(reports["mid"].Measured))
 	}
 }
 

@@ -516,19 +516,15 @@ func (c *Client) mirrorTable(t *kvstore.Table) error {
 	if err := c.CreateTable(t.Name(), t.MaxVersions()); err != nil {
 		return err
 	}
-	for _, cell := range t.Scan(kvstore.ScanOptions{}) {
-		versions := t.GetVersions(cell.Row, cell.Column, 0) // newest first
-		recs := make([][]byte, 0, len(versions))
-		for i := len(versions) - 1; i >= 0; i-- {
-			recs = append(recs, durable.EncodeMutationRecord(kvstore.Mutation{
-				Table: t.Name(), Row: cell.Row, Column: cell.Column,
-				New: versions[i].Value, Timestamp: versions[i].Timestamp,
-				Kind: kvstore.MutationPut,
-			}))
+	err := t.History(func(cell []kvstore.Mutation) error {
+		recs := make([][]byte, len(cell))
+		for i, m := range cell {
+			recs[i] = durable.EncodeMutationRecord(m)
 		}
-		if err := c.ship(c.shardFor(cell.Row), recs); err != nil {
-			return err
-		}
+		return c.ship(c.shardFor(cell[0].Row), recs)
+	})
+	if err != nil {
+		return err
 	}
 	t.Subscribe(kvstore.ObserverFunc(func(m kvstore.Mutation) {
 		rec := durable.EncodeMutationRecord(m)

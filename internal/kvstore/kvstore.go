@@ -475,6 +475,43 @@ func (t *Table) GetVersions(row, column string, max int) []Version {
 	return out
 }
 
+// History calls fn once per cell, in scan order, with the cell's retained
+// versions as the puts that wrote them, oldest first — so replaying what it
+// yields into an empty table of the same MaxVersions rebuilds this one
+// exactly. The table is read under one lock hold and fn runs outside it. The
+// slice is reused between calls, so fn must not retain it; New aliases the
+// stored value, which is immutable.
+func (t *Table) History(fn func(cell []Mutation) error) error {
+	type cellRef struct {
+		row, col string
+		end      int // versions[:end] covers the cells up to and including this one
+	}
+	t.mu.Lock()
+	var cells []cellRef
+	var versions []Version
+	for _, row := range t.sortedRowKeysLocked() {
+		cols := t.rows[row]
+		for _, col := range t.rowKeysLocked(row).cols {
+			versions = append(versions, cols[col]...)
+			cells = append(cells, cellRef{row, col, len(versions)})
+		}
+	}
+	t.mu.Unlock()
+	var puts []Mutation
+	start := 0
+	for _, c := range cells {
+		puts = puts[:0]
+		for _, v := range versions[start:c.end] {
+			puts = append(puts, Mutation{Table: t.name, Row: c.row, Column: c.col, New: v.Value, Timestamp: v.Timestamp, Kind: MutationPut})
+		}
+		start = c.end
+		if err := fn(puts); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Delete removes a cell entirely and notifies observers. Deleting a missing
 // cell is a no-op.
 func (t *Table) Delete(row, column string) error {

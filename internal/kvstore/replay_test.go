@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 )
 
@@ -94,6 +95,41 @@ func TestReplayReproducesLiveSequence(t *testing.T) {
 	}
 	if got, want := dumpTable(rt), dumpTable(lt); got != want {
 		t.Fatalf("post-replay writes diverge:\ngot:\n%swant:\n%s", got, want)
+	}
+
+	// History re-expresses the table as the puts that rebuild it: one call
+	// per cell in scan order, the cell's retained versions oldest first.
+	ht, err := New().CreateTable("t", TableOptions{MaxVersions: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cells []string
+	err = lt.History(func(cell []Mutation) error {
+		var desc string
+		for _, m := range cell {
+			if m.Kind != MutationPut || m.Table != "t" {
+				t.Fatalf("History yielded %+v, want a put to t", m)
+			}
+			desc += fmt.Sprintf("%s/%s@%d ", m.Row, m.Column, m.Timestamp)
+			if err := ht.ReplayPut(m.Row, m.Column, m.New, m.Timestamp); err != nil {
+				return err
+			}
+		}
+		cells = append(cells, desc)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"r1/c1@4 r1/c1@5 ", "r2/c2@8 ", "r3/c1@9 "}; !reflect.DeepEqual(cells, want) {
+		t.Fatalf("History order = %q, want %q", cells, want)
+	}
+	if got, want := dumpTable(ht), dumpTable(lt); got != want {
+		t.Fatalf("table rebuilt from History differs:\ngot:\n%swant:\n%s", got, want)
+	}
+	boom := errors.New("stop")
+	if err := lt.History(func([]Mutation) error { return boom }); err != boom {
+		t.Fatalf("History = %v, want the callback's error", err)
 	}
 }
 

@@ -217,43 +217,13 @@ func (t *Tracker) Commit(state State) {
 	t.hasBaseline = true
 }
 
-// TrackerState is an opaque point-in-time snapshot of a Tracker, used for
-// wave-boundary recovery: capture before a wave, Restore if the wave fails,
-// and the tracker behaves as if the failed wave's observations never
-// happened. Snapshots are shallow — safe because states are immutable.
-type TrackerState struct {
-	execBaseline State
-	waveBaseline State
-	accumulated  float64
-	current      float64
-	hasBaseline  bool
-}
-
-// Snapshot captures the tracker's complete state.
-func (t *Tracker) Snapshot() TrackerState {
-	return TrackerState{
-		execBaseline: t.execBaseline,
-		waveBaseline: t.waveBaseline,
-		accumulated:  t.accumulated,
-		current:      t.current,
-		hasBaseline:  t.hasBaseline,
-	}
-}
-
-// Restore rewinds the tracker to a previously captured snapshot.
-func (t *Tracker) Restore(s TrackerState) {
-	t.execBaseline = s.execBaseline
-	t.waveBaseline = s.waveBaseline
-	t.accumulated = s.accumulated
-	t.current = s.current
-	t.hasBaseline = s.hasBaseline
-}
-
 // PersistedTracker is the exported, serialization-friendly form of a
-// tracker's state, used by the durability layer to checkpoint ε/ι accounting
-// across process crashes. The baselines are shared, not copied: states are
-// immutable, so a persisted value stays valid however the live tracker
-// evolves.
+// tracker's state: the engine captures it before a wave and restores it if
+// the wave fails — the tracker then behaves as if the failed wave's
+// observations never happened — and the durability layer checkpoints ε/ι
+// accounting across process crashes with it. The baselines are shared, not
+// copied: states are immutable, so a persisted value stays valid however the
+// live tracker evolves.
 type PersistedTracker struct {
 	ExecBaseline State
 	WaveBaseline State
@@ -262,9 +232,10 @@ type PersistedTracker struct {
 	HasBaseline  bool
 }
 
-// Persist captures the tracker's complete state in exported form. The tracker's factory and mode are construction-time configuration
-// and are not part of the persisted state; RestorePersisted must be called
-// on a tracker built with the same factory and mode.
+// Persist captures the tracker's complete state. The tracker's factory and
+// mode are construction-time configuration and are not part of it;
+// RestorePersisted must be called on a tracker built with the same factory
+// and mode.
 func (t *Tracker) Persist() PersistedTracker {
 	return PersistedTracker{
 		ExecBaseline: t.execBaseline,

@@ -342,9 +342,10 @@ func RunPipeline(build BuildFunc, reportSteps []StepID, cfg PipelineConfig) (*Pi
 
 // Crash durability (DESIGN.md §11): every kvstore mutation is written to a
 // CRC-checksummed write-ahead log, every completed wave commits a full
-// harness + session checkpoint, and periodic snapshots compact the log.
-// After a crash, ResumePipeline reconstructs the stores and the learning
-// state from the latest snapshot plus the WAL tail and continues the run —
+// harness + session checkpoint, and the log is periodically rotated to a
+// fresh epoch that starts compacted. After a crash, ResumePipeline
+// reconstructs the stores and the learning state from the newest epoch's
+// log and continues the run —
 // bit-identically to an execution that never crashed.
 type (
 	// DurableOptions configures the durability directory, snapshot cadence
