@@ -112,14 +112,17 @@ bench-e2e:
 bench-e2e-smoke:
 	bash bench/run.sh -smoke
 
-## fuzz: run the wire-protocol fuzzers and the epoch-file reader's fuzzer for
-## 30s each (nightly CI job; crashers land in the package's testdata/fuzz and
-## are uploaded as artifacts). Separate invocations: `go test -fuzz` accepts
-## only one target at a time.
+## fuzz: run the wire-protocol fuzzers, the epoch-file reader's fuzzer and
+## the checkpoint decode + session restore fuzzer for 30s each (nightly CI
+## job; crashers land in the package's testdata/fuzz and are uploaded as
+## artifacts). Separate invocations: `go test -fuzz` accepts only one target
+## at a time. The checkpoint seeds are whole payloads, so minimizing each new
+## input is capped — uncapped it eats the 30s.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzReadFrame -fuzztime 30s ./internal/kvstore/wire
 	$(GO) test -run xxx -fuzz 'FuzzReader$$' -fuzztime 30s ./internal/kvstore/wire
 	$(GO) test -run xxx -fuzz FuzzReadWAL -fuzztime 30s ./internal/durable
+	$(GO) test -run xxx -fuzz FuzzRestoreCheckpoint -fuzztime 30s -fuzzminimizetime 2s ./internal/core
 
 ## check: the pre-PR gate — build, vet, gofmt, lint, tests, race, chaos,
 ## chaos-crash, chaos-cluster, chaos-partition, and the

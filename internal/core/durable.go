@@ -4,11 +4,12 @@ package core
 // commits one PipelineCheckpoint per completed wave into the write-ahead
 // log (via durable.Manager): the harness checkpoint (tracker state,
 // decision series, measurement accumulators), the session state (knowledge
-// base, lifecycle phase, trained predictor parameters) and enough phase
-// bookkeeping to continue mid-stream. ResumePipeline rebuilds the workload,
-// replays the stores from the newest epoch's log, restores the harness
-// and session from the last committed checkpoint and continues the run —
-// producing results bit-identical to an uncrashed execution (DESIGN.md §11).
+// base, lifecycle phase, how much of the base the predictor was fitted on)
+// and enough phase bookkeeping to continue mid-stream. ResumePipeline
+// rebuilds the workload, replays the stores from the newest epoch's log,
+// restores the harness and session from the last committed checkpoint and
+// continues the run — producing results bit-identical to an uncrashed
+// execution (DESIGN.md §11).
 
 import (
 	"bytes"
@@ -16,10 +17,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 
 	"smartflux/internal/durable"
 	"smartflux/internal/engine"
-	"smartflux/internal/ml"
 	"smartflux/internal/ml/multilabel"
 	"smartflux/internal/obs"
 	"smartflux/internal/workflow"
@@ -38,137 +39,92 @@ const (
 	phaseLabelHarness     = "harness"
 )
 
-// PredictorParams is the serializable form of a trained Predictor: the
-// per-label model parameters plus decision configuration.
-type PredictorParams struct {
-	Models         []ml.ClassifierParams
-	FeatureColumns [][]int
-	Thresholds     []float64
-	FeatureMode    int
-	Labels         int
-}
-
-// Params exports the predictor's trained parameters. It fails for
-// classifiers without exportable parameters (everything but the tree
-// family); sessions fall back to re-training from the knowledge base.
-func (p *Predictor) Params() (*PredictorParams, error) {
-	models := p.br.Models()
-	out := &PredictorParams{
-		Models:         make([]ml.ClassifierParams, len(models)),
-		FeatureColumns: p.br.FeatureColumns(),
-		Thresholds:     append([]float64(nil), p.thresholds...),
-		FeatureMode:    int(p.featureMode),
-		Labels:         p.labels,
-	}
-	for i, m := range models {
-		cp, err := ml.ParamsOf(m)
-		if err != nil {
-			return nil, fmt.Errorf("core: predictor label %d: %w", i, err)
-		}
-		out.Models[i] = cp
-	}
-	return out, nil
-}
-
-// PredictorFromParams rebuilds a predictor from exported parameters; its
-// scores are bit-identical to the exporting predictor's.
-func PredictorFromParams(pp *PredictorParams) (*Predictor, error) {
-	models := make([]ml.Classifier, len(pp.Models))
-	for i := range pp.Models {
-		c, err := pp.Models[i].Build()
-		if err != nil {
-			return nil, fmt.Errorf("core: rebuild predictor label %d: %w", i, err)
-		}
-		models[i] = c
-	}
-	br, err := multilabel.FromModels(models, pp.FeatureColumns)
-	if err != nil {
-		return nil, fmt.Errorf("core: rebuild predictor: %w", err)
-	}
-	fm := FeatureMode(pp.FeatureMode)
-	if fm == 0 {
-		fm = FeatureOwnImpact
-	}
-	return &Predictor{
-		br:          br,
-		thresholds:  append([]float64(nil), pp.Thresholds...),
-		featureMode: fm,
-		labels:      pp.Labels,
-	}, nil
-}
-
 // SessionCheckpoint is the serializable state of a Session: the knowledge
-// base, the lifecycle phase, the last test report and — once trained — the
-// predictor parameters. The Config is construction-time input, exactly like
-// the engine's persisted state: a resumed run must build its session from
-// the same configuration.
+// base, the lifecycle phase, the last test report and how much of the
+// knowledge base the predictor was fitted on. The model itself is not in it:
+// a predictor is a deterministic function of the Config and the examples it
+// was fitted on, so restore fits it again (DESIGN.md §11). The Config is
+// construction-time input, exactly like the engine's persisted state: a
+// resumed run must build its session from the same configuration.
 type SessionCheckpoint struct {
 	Phase int
 	KBX   [][]float64
 	KBY   [][]int
-	// Predictor holds the trained model; nil when untrained or when Refit.
-	Predictor *PredictorParams
-	// Refit marks a trained predictor whose parameters were not exportable
-	// (a non-default classifier); restore re-runs Train on the knowledge
-	// base, which is deterministic and reproduces the same model.
-	Refit  bool
-	Report TestReport
+	// FittedOn is how many leading knowledge-base examples the predictor was
+	// fitted on; 0 means untrained. Examples logged after the fit lie beyond
+	// the prefix and leave the restored model unchanged.
+	FittedOn int
+	Report   TestReport
 }
 
 // Checkpoint exports the session's state.
 func (s *Session) Checkpoint() (*SessionCheckpoint, error) {
-	snap := s.kb.Snapshot()
+	// The phase lock is taken before the snapshot: whatever Train last
+	// recorded was fitted on a prefix of what the knowledge base holds now.
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	cp := &SessionCheckpoint{
-		Phase:  int(s.phase),
-		KBX:    snap.X,
-		KBY:    snap.Y,
-		Report: s.report,
+	snap := s.kb.Snapshot()
+	if s.fittedOn > snap.Len() {
+		return nil, fmt.Errorf("core: checkpoint: predictor fitted on %d examples but the knowledge base was reset to %d; it could not be restored", s.fittedOn, snap.Len())
 	}
-	if s.predictor != nil {
-		pp, err := s.predictor.Params()
-		if err != nil {
-			cp.Refit = true
-		} else {
-			cp.Predictor = pp
-		}
-	}
-	return cp, nil
+	return &SessionCheckpoint{
+		Phase:    int(s.phase),
+		KBX:      snap.X,
+		KBY:      snap.Y,
+		FittedOn: s.fittedOn,
+		Report:   s.report,
+	}, nil
 }
 
-// RestoreCheckpoint rewinds the session to an exported state. The session
-// must have been built with the same Config as the exporting one.
+// RestoreCheckpoint rewinds the session to an exported state; the session
+// must have been built with the same Config as the exporting one. The
+// predictor comes back the one way it was made — fitted on KB[:FittedOn] —
+// without the test phase and without counting as a training event: report
+// and phase are the checkpointed ones. On error the session is unchanged.
 func (s *Session) RestoreCheckpoint(cp *SessionCheckpoint) error {
-	s.kb.mu.Lock()
-	s.kb.data = multilabel.Dataset{
+	kb := multilabel.Dataset{
 		X: append([][]float64(nil), cp.KBX...),
 		Y: append([][]int(nil), cp.KBY...),
 	}
-	s.kb.mu.Unlock()
-	var pred *Predictor
-	if cp.Predictor != nil {
-		p, err := PredictorFromParams(cp.Predictor)
-		if err != nil {
-			return err
+	if len(kb.X)+len(kb.Y) > 0 {
+		if err := kb.Validate(); err != nil {
+			return fmt.Errorf("core: restore knowledge base: %w", err)
 		}
-		pred = p
-	} else if cp.Refit {
-		if _, err := s.Train(); err != nil {
-			return fmt.Errorf("core: restore refit: %w", err)
-		}
-		s.mu.RLock()
-		pred = s.predictor
-		s.mu.RUnlock()
 	}
+	switch {
+	case cp.FittedOn < 0 || cp.FittedOn > kb.Len():
+		return fmt.Errorf("core: restore: predictor fitted on %d examples, knowledge base holds %d", cp.FittedOn, kb.Len())
+	case cp.FittedOn == 0 && Phase(cp.Phase) == PhaseApplication:
+		return fmt.Errorf("core: restore: application-phase checkpoint records no fitted predictor (FittedOn = 0): " +
+			"it was written by a build that stored the model in the checkpoint and cannot be resumed by this one")
+	}
+	s.mu.RLock()
+	so := s.obs
+	s.mu.RUnlock()
+	var pred *Predictor
+	if cp.FittedOn > 0 {
+		var sp *obs.Span
+		if so != nil {
+			sp = so.o.RootSpan("restore", "restore", "ml")
+		}
+		var err error
+		if pred, _, err = s.fit(kb.Head(cp.FittedOn)); err != nil {
+			sp.EndErr(err)
+			return fmt.Errorf("core: restore predictor: %w", err)
+		}
+		sp.SetAttr("examples", strconv.Itoa(cp.FittedOn))
+		sp.End()
+	}
+	s.kb.mu.Lock()
+	s.kb.data = kb
+	s.kb.mu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if pred != nil {
-		s.predictor = pred
-	}
+	s.predictor = pred
+	s.fittedOn = cp.FittedOn
 	s.phase = Phase(cp.Phase)
 	s.report = cp.Report
-	if so := s.obs; so != nil {
+	if so != nil {
 		so.phaseGauge.Set(float64(s.phase))
 	}
 	return nil

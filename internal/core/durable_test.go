@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"smartflux/internal/engine"
 	"smartflux/internal/fault"
 	"smartflux/internal/kvstore"
+	"smartflux/internal/ml"
 	"smartflux/internal/workflow"
 )
 
@@ -130,111 +132,227 @@ func equalPipelineResult(t *testing.T, a, b *PipelineResult) {
 	equalReport(t, a.Test, b.Test)
 }
 
-// comparePredictors asserts bitwise-equal decisions and scores over an
-// impact grid.
+// comparePredictors asserts bitwise-equal scores and equal decisions over an
+// impact grid spanning syntheticLog's range.
 func comparePredictors(t *testing.T, a, b *Predictor) {
 	t.Helper()
-	for step := 0; step < 2; step++ {
-		for x := 0.0; x <= 4.0; x += 0.125 {
-			impacts := []float64{x, 4 - x}
-			da, ea := a.Decide(step, impacts)
-			db, eb := b.Decide(step, impacts)
-			if (ea == nil) != (eb == nil) || da != db {
-				t.Fatalf("step %d impacts %v: (%v,%v) vs (%v,%v)", step, impacts, da, ea, db, eb)
+	for x := 0.0; x <= 10.0; x += 0.125 {
+		impacts := []float64{x, 10 - x}
+		sa, err := a.Scores(impacts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sb, err := b.Scores(impacts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		equalFloatSeries(t, "scores", sa, sb)
+		for step := range sa {
+			da, _ := a.Decide(step, impacts)
+			db, _ := b.Decide(step, impacts)
+			if da != db {
+				t.Fatalf("step %d impacts %v: decide %v vs %v", step, impacts, da, db)
 			}
 		}
 	}
 }
 
-func TestPredictorParamsRoundTrip(t *testing.T) {
-	res, err := RunPipeline(miniWorkload(), nil, durablePipelineConfig())
-	if err != nil {
+// trainedSession fits a session on a 200-example, two-label synthetic log.
+func trainedSession(t *testing.T, cfg Config) *Session {
+	t.Helper()
+	sess := NewSession(cfg)
+	log := syntheticLog(200, 2, 13)
+	for i := range log.X {
+		sess.ObserveTrainingWave(log.X[i], log.Y[i])
+	}
+	if _, err := sess.Train(); err != nil {
 		t.Fatal(err)
 	}
-	p, err := res.Session.Predictor()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pp, err := p.Params()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rebuilt, err := PredictorFromParams(pp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	comparePredictors(t, p, rebuilt)
+	return sess
 }
 
+// TestSessionCheckpointRoundTrip holds every classifier to the one restore
+// path: the checkpoint — taken through the pipeline's gob codec — carries no
+// model, and the session restored from it scores bit-identically. The last
+// row appends examples with inverted labels after the fit: the restored model
+// must come from the fitted prefix, not from everything the base holds.
 func TestSessionCheckpointRoundTrip(t *testing.T) {
-	res, err := RunPipeline(miniWorkload(), nil, durablePipelineConfig())
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		extra int
+	}{
+		{"random-forest", Config{Seed: 3, Thresholds: []float64{0.2}, PositiveWeight: 6}, 0},
+		{"decision-tree", Config{Seed: 3, Classifier: ClassifierDecisionTree}, 0},
+		{"logistic", Config{Seed: 3, Classifier: ClassifierLogistic, Thresholds: []float64{0.2}}, 0},
+		{"grown-after-fit", Config{Seed: 3}, 150},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sess := trainedSession(t, tc.cfg)
+			n := sess.KnowledgeBase().Len()
+			fitted := sess.KnowledgeBase().Snapshot()
+			for i := 0; i < tc.extra; i++ {
+				sess.ObserveTrainingWave(fitted.X[i], []int{1 - fitted.Y[i][0], 1 - fitted.Y[i][1]})
+			}
+			scp, err := sess.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			blob, err := encodePipelineCheckpoint(&PipelineCheckpoint{Session: scp})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pcp, err := decodePipelineCheckpoint(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cp := pcp.Session; cp.FittedOn != n || len(cp.KBX) != n+tc.extra {
+				t.Fatalf("checkpoint: fitted on %d of %d examples, want %d of %d", cp.FittedOn, len(cp.KBX), n, n+tc.extra)
+			}
+			restored := NewSession(tc.cfg)
+			if err := restored.RestoreCheckpoint(pcp.Session); err != nil {
+				t.Fatal(err)
+			}
+			if restored.Phase() != sess.Phase() {
+				t.Fatalf("phase %v vs %v", restored.Phase(), sess.Phase())
+			}
+			if got := restored.KnowledgeBase().Len(); got != n+tc.extra {
+				t.Fatalf("knowledge base holds %d examples, want %d", got, n+tc.extra)
+			}
+			equalReport(t, restored.LastTestReport(), sess.LastTestReport())
+			pa, err := sess.Predictor()
+			if err != nil {
+				t.Fatal(err)
+			}
+			pb, err := restored.Predictor()
+			if err != nil {
+				t.Fatal(err)
+			}
+			comparePredictors(t, pa, pb)
+			// A second generation restores the same way: FittedOn survives.
+			again, err := restored.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if again.FittedOn != n {
+				t.Fatalf("restored session checkpoints FittedOn = %d, want %d", again.FittedOn, n)
+			}
+		})
 	}
-	cp, err := res.Session.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp.Predictor == nil || cp.Refit {
-		t.Fatalf("forest predictor must export parameters (refit=%v)", cp.Refit)
-	}
-	restored := NewSession(durablePipelineConfig().Session.withDefaults())
-	if err := restored.RestoreCheckpoint(cp); err != nil {
-		t.Fatal(err)
-	}
-	if restored.Phase() != res.Session.Phase() {
-		t.Fatalf("phase %v vs %v", restored.Phase(), res.Session.Phase())
-	}
-	if restored.KnowledgeBase().Len() != res.Session.KnowledgeBase().Len() {
-		t.Fatal("knowledge base size differs")
-	}
-	equalReport(t, restored.LastTestReport(), res.Session.LastTestReport())
-	pa, _ := res.Session.Predictor()
-	pb, err := restored.Predictor()
-	if err != nil {
-		t.Fatal(err)
-	}
-	comparePredictors(t, pa, pb)
 }
 
-// TestSessionCheckpointRefitFallback uses a classifier without exportable
-// parameters: the checkpoint must mark Refit and restore by re-training.
-func TestSessionCheckpointRefitFallback(t *testing.T) {
-	cfg := durablePipelineConfig()
-	cfg.Session = Config{Seed: 3, Classifier: ClassifierLogistic, Thresholds: []float64{0.2}}
-	res, err := RunPipeline(miniWorkload(), nil, cfg)
+// The checkpoint's size is a function of the knowledge base alone: a forest
+// ten times the size encodes to the same number of bytes, and no type of the
+// ml packages is reachable from SessionCheckpoint.
+func TestSessionCheckpointHoldsNoModel(t *testing.T) {
+	size := func(trees int) int {
+		sess := trainedSession(t, Config{Seed: 3, Factory: func() ml.Classifier {
+			return ml.NewForest(ml.ForestConfig{Seed: 3, Trees: trees})
+		}})
+		scp, err := sess.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The test report differs with the model; the payload must not.
+		scp.Report = TestReport{}
+		blob, err := encodePipelineCheckpoint(&PipelineCheckpoint{Session: scp})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(blob)
+	}
+	if small, large := size(10), size(100); small != large {
+		t.Errorf("checkpoint of a 10-tree forest is %d bytes, of a 100-tree forest %d", small, large)
+	}
+
+	seen := map[reflect.Type]bool{}
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		if seen[typ] {
+			return
+		}
+		seen[typ] = true
+		if pkg := typ.PkgPath(); pkg == "smartflux/internal/ml" || pkg == "smartflux/internal/ml/multilabel" {
+			t.Errorf("%s reaches model type %v", path, typ)
+		}
+		switch typ.Kind() {
+		case reflect.Pointer, reflect.Slice, reflect.Array, reflect.Map:
+			walk(path+"[]", typ.Elem())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				walk(path+"."+typ.Field(i).Name, typ.Field(i).Type)
+			}
+		}
+	}
+	walk("SessionCheckpoint", reflect.TypeOf(SessionCheckpoint{}))
+}
+
+// Restoring an untrained checkpoint into a session that holds a predictor
+// must leave no model deciding.
+func TestRestoreUntrainedCheckpointDropsPredictor(t *testing.T) {
+	fresh, err := NewSession(Config{Seed: 3}).Checkpoint()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, err := res.Session.Checkpoint()
+	sess := trainedSession(t, Config{Seed: 3})
+	if sess.Decide(0, 0, []float64{0, 0}) {
+		t.Fatal("the trained session should skip a zero-impact wave")
+	}
+	if err := sess.RestoreCheckpoint(fresh); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Predictor(); !errors.Is(err, ErrNotTrained) {
+		t.Fatalf("Predictor() after restoring an untrained checkpoint = %v, want ErrNotTrained", err)
+	}
+	if sess.Phase() != PhaseTraining || sess.KnowledgeBase().Len() != 0 {
+		t.Fatalf("phase %v, %d examples; want training, 0", sess.Phase(), sess.KnowledgeBase().Len())
+	}
+	for step := 0; step < 2; step++ {
+		if !sess.Decide(0, step, []float64{0, 0}) {
+			t.Fatalf("step %d skipped by a session restored to untrained", step)
+		}
+	}
+}
+
+// Malformed checkpoints are refused with an error and leave the session as
+// it was — among them the shape an older build's application-phase
+// checkpoint decodes to: no FittedOn, the model in fields gob now ignores.
+func TestRestoreCheckpointRejectsMalformed(t *testing.T) {
+	good, err := trainedSession(t, Config{Seed: 3}).Checkpoint()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cp.Predictor != nil || !cp.Refit {
-		t.Fatalf("logistic predictor must fall back to refit (predictor=%v refit=%v)", cp.Predictor != nil, cp.Refit)
+	for name, tc := range map[string]struct {
+		mutate func(cp *SessionCheckpoint)
+		want   string
+	}{
+		"negative FittedOn":    {func(cp *SessionCheckpoint) { cp.FittedOn = -1 }, "fitted on -1"},
+		"FittedOn beyond base": {func(cp *SessionCheckpoint) { cp.FittedOn = len(cp.KBX) + 1 }, "fitted on 201"},
+		"missing label rows":   {func(cp *SessionCheckpoint) { cp.KBY = cp.KBY[:10] }, "label rows"},
+		"labels without base":  {func(cp *SessionCheckpoint) { cp.KBX, cp.FittedOn = nil, 0 }, "knowledge base"},
+		"ragged impact row":    {func(cp *SessionCheckpoint) { cp.KBX[150] = nil }, "row 150"},
+		"older build":          {func(cp *SessionCheckpoint) { cp.FittedOn = 0 }, "stored the model in the checkpoint"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			cp := *good
+			cp.KBX = append([][]float64(nil), good.KBX...)
+			tc.mutate(&cp)
+			sess := NewSession(Config{Seed: 3})
+			err := sess.RestoreCheckpoint(&cp)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("restore = %v, want an error naming %q", err, tc.want)
+			}
+			if _, perr := sess.Predictor(); !errors.Is(perr, ErrNotTrained) || sess.KnowledgeBase().Len() != 0 || sess.Phase() != PhaseTraining {
+				t.Fatal("a refused restore changed the session")
+			}
+		})
 	}
-	restored := NewSession(cfg.Session)
-	if err := restored.RestoreCheckpoint(cp); err != nil {
-		t.Fatal(err)
-	}
-	if restored.Phase() != res.Session.Phase() {
-		t.Fatalf("phase %v vs %v", restored.Phase(), res.Session.Phase())
-	}
-	pa, err := res.Session.Predictor()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pb, err := restored.Predictor()
-	if err != nil {
-		t.Fatal(err)
-	}
-	comparePredictors(t, pa, pb)
 }
 
 // crashInWave runs the durable pipeline and kills its log at the first WAL
 // append of wave k, counted from 0 across both phases: k waves are committed,
 // wave k leaves an uncommitted tail.
-func crashInWave(t *testing.T, cfg PipelineConfig, dir string, k int) {
+func crashInWave(t testing.TB, cfg PipelineConfig, dir string, k int) {
 	t.Helper()
 	var wave atomic.Int64
 	build := func() (*workflow.Workflow, *kvstore.Store, error) {
@@ -273,36 +391,42 @@ func crashInWave(t *testing.T, cfg PipelineConfig, dir string, k int) {
 // the very first wave (nothing but the initial checkpoint to resume from),
 // mid-training, in the last training wave, in the first application wave
 // (training complete, model not yet built) and mid-application — all end in
-// the same result.
+// the same result, whatever the classifier: every model comes back by the
+// same fit.
 func TestDurablePipelineMatchesPlain(t *testing.T) {
-	cfg := durablePipelineConfig()
-	plain, err := RunPipeline(miniWorkload(), nil, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dur, info, err := RunPipelineDurable(miniWorkload(), nil, cfg, DurableOptions{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	equalPipelineResult(t, plain, dur)
-	if info.Resumed {
-		t.Error("fresh run reported Resumed")
-	}
-	if want := cfg.TrainWaves + cfg.ApplyWaves; info.Durable.Commits != want {
-		t.Errorf("commits = %d, want %d", info.Durable.Commits, want)
-	}
+	for _, classifier := range []string{ClassifierRandomForest, ClassifierLogistic} {
+		t.Run(classifier, func(t *testing.T) {
+			cfg := durablePipelineConfig()
+			cfg.Session.Classifier = classifier
+			plain, err := RunPipeline(miniWorkload(), nil, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dur, info, err := RunPipelineDurable(miniWorkload(), nil, cfg, DurableOptions{Dir: t.TempDir()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			equalPipelineResult(t, plain, dur)
+			if info.Resumed {
+				t.Error("fresh run reported Resumed")
+			}
+			if want := cfg.TrainWaves + cfg.ApplyWaves; info.Durable.Commits != want {
+				t.Errorf("commits = %d, want %d", info.Durable.Commits, want)
+			}
 
-	for _, k := range []int{0, 20, cfg.TrainWaves - 1, cfg.TrainWaves, cfg.TrainWaves + 1, cfg.TrainWaves + 20} {
-		dir := t.TempDir()
-		crashInWave(t, cfg, dir, k)
-		res, info, err := ResumePipeline(miniWorkload(), nil, cfg, DurableOptions{Dir: dir})
-		if err != nil {
-			t.Fatalf("resume after a crash in wave %d: %v", k, err)
-		}
-		if !info.Resumed || info.Recovery.Wave != k {
-			t.Errorf("crash in wave %d: resumed=%v from wave %d", k, info.Resumed, info.Recovery.Wave)
-		}
-		equalPipelineResult(t, plain, res)
+			for _, k := range []int{0, 20, cfg.TrainWaves - 1, cfg.TrainWaves, cfg.TrainWaves + 1, cfg.TrainWaves + 20} {
+				dir := t.TempDir()
+				crashInWave(t, cfg, dir, k)
+				res, info, err := ResumePipeline(miniWorkload(), nil, cfg, DurableOptions{Dir: dir})
+				if err != nil {
+					t.Fatalf("resume after a crash in wave %d: %v", k, err)
+				}
+				if !info.Resumed || info.Recovery.Wave != k {
+					t.Errorf("crash in wave %d: resumed=%v from wave %d", k, info.Resumed, info.Recovery.Wave)
+				}
+				equalPipelineResult(t, plain, res)
+			}
+		})
 	}
 }
 
@@ -405,6 +529,31 @@ func TestResumePipelineMidApplicationBitIdentical(t *testing.T) {
 	equalPipelineResult(t, plain, res)
 }
 
+// A model the test phase rejected is still the run's model: resuming
+// mid-application must restore it and its report, not feed the training log
+// into the knowledge base a second time and train again.
+func TestResumePipelineRejectedModelBitIdentical(t *testing.T) {
+	cfg := durablePipelineConfig()
+	cfg.Session.MinAccuracy = 1.1 // unreachable: every model is rejected
+	plain, err := RunPipeline(miniWorkload(), nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.Test.Accepted {
+		t.Fatal("the model should have been rejected")
+	}
+	dir := t.TempDir()
+	crashInWave(t, cfg, dir, cfg.TrainWaves+20)
+	res, _, err := ResumePipeline(miniWorkload(), nil, cfg, DurableOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	equalPipelineResult(t, plain, res)
+	if got, want := res.Session.KnowledgeBase().Len(), plain.Session.KnowledgeBase().Len(); got != want {
+		t.Errorf("resumed knowledge base holds %d examples, want %d", got, want)
+	}
+}
+
 func TestResumePipelineTwiceCrashSurvivesBoth(t *testing.T) {
 	cfg := durablePipelineConfig()
 	plain, err := RunPipeline(miniWorkload(), nil, cfg)
@@ -465,4 +614,34 @@ func TestResumeKindMismatch(t *testing.T) {
 	if _, _, err := ResumePipeline(miniWorkload(), nil, durablePipelineConfig(), DurableOptions{Dir: harnessDir}); err == nil || !strings.Contains(err.Error(), "ResumeHarness") {
 		t.Errorf("ResumePipeline on a harness dir must redirect, got %v", err)
 	}
+}
+
+// FuzzRestoreCheckpoint feeds arbitrary bytes through the checkpoint decoder
+// and, when they decode, through Session.RestoreCheckpoint: neither may
+// panic, and a refused restore must leave no predictor behind. The seeds are
+// the last committed payloads of a mini-workload run killed mid-training and
+// mid-application.
+func FuzzRestoreCheckpoint(f *testing.F) {
+	cfg := durablePipelineConfig()
+	for _, k := range []int{20, cfg.TrainWaves + 20} {
+		dir := f.TempDir()
+		crashInWave(f, cfg, dir, k)
+		rec, err := recoverRun(DurableOptions{Dir: dir})
+		if err != nil || rec == nil {
+			f.Fatalf("seed payload of wave %d: %v", k, err)
+		}
+		f.Add(rec.Payload)
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		cp, err := decodePipelineCheckpoint(payload)
+		if err != nil || cp.Session == nil {
+			return
+		}
+		sess := NewSession(cfg.Session)
+		if err := sess.RestoreCheckpoint(cp.Session); err != nil {
+			if _, perr := sess.Predictor(); !errors.Is(perr, ErrNotTrained) {
+				t.Fatalf("restore failed (%v) yet left a predictor", err)
+			}
+		}
+	})
 }

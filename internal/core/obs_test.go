@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -53,6 +54,44 @@ func TestSessionInstrumented(t *testing.T) {
 	}
 	if !sawTransition {
 		t.Error("missing phase-transition counters")
+	}
+}
+
+// A restore is a recovery, not a training event: it fits the predictor and
+// nothing else, so an instrumented session's train counters, test outcomes,
+// phase transitions and train-duration samples are what they were before.
+func TestRestoreCheckpointIsNotATrainingEvent(t *testing.T) {
+	for _, classifier := range []string{ClassifierRandomForest, ClassifierLogistic} {
+		cfg := Config{Seed: 1, Classifier: classifier}
+		cp, err := trainedSession(t, cfg).Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess := NewSession(cfg)
+		reg := obs.NewRegistry()
+		ring := obs.NewSpanRing(8)
+		sess.Instrument(obs.New(reg).WithSpanSinks(ring))
+		before := reg.Snapshot()
+		if err := sess.RestoreCheckpoint(cp); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sess.Predictor(); err != nil {
+			t.Fatal(err)
+		}
+		after := reg.Snapshot()
+		if !reflect.DeepEqual(before.Counters, after.Counters) {
+			t.Errorf("%s: restore moved counters: %v -> %v", classifier, before.Counters, after.Counters)
+		}
+		if h := after.Histograms["smartflux_session_train_duration_seconds"]; h.Count != 0 {
+			t.Errorf("%s: restore recorded %d train durations", classifier, h.Count)
+		}
+		if got := after.Gauges["smartflux_session_phase"]; got != float64(PhaseApplication) {
+			t.Errorf("%s: phase gauge = %v, want application", classifier, got)
+		}
+		spans := ring.Tail(0)
+		if len(spans) != 1 || spans[0].Name != "restore" {
+			t.Errorf("%s: restore emitted spans %+v, want one restore span", classifier, spans)
+		}
 	}
 }
 

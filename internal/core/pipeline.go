@@ -190,11 +190,12 @@ func runPhase(harness *engine.Harness, res *engine.Result, waves int, decider en
 }
 
 // finishPipeline runs everything after the training waves: knowledge-base
-// feeding and model training (unless the restored session is already in the
-// application phase), then what is left of the application waves.
+// feeding and model training (unless the restored session already holds the
+// model — accepted or not, the test phase has run), then what is left of the
+// application waves.
 func finishPipeline(harness *engine.Harness, session *Session, cfg PipelineConfig, committer *pipelineCommitter, trainRes, applyRes *engine.Result) (*PipelineResult, error) {
 	var report TestReport
-	if session.Phase() == PhaseApplication {
+	if _, err := session.Predictor(); err == nil {
 		report = session.LastTestReport()
 	} else {
 		for w := range trainRes.RefImpacts {

@@ -136,9 +136,13 @@ type Session struct {
 	mu        sync.RWMutex
 	kb        *KnowledgeBase
 	predictor *Predictor
-	phase     Phase
-	report    TestReport
-	obs       *sessionObs
+	// fittedOn is how many knowledge-base examples predictor was fitted on
+	// (0 = untrained). The knowledge base only grows, so the predictor is a
+	// function of Config and KB[:fittedOn] — all a checkpoint records of it.
+	fittedOn int
+	phase    Phase
+	report   TestReport
+	obs      *sessionObs
 	// trainSeq numbers Train invocations so train spans get deterministic
 	// IDs (train/t0, train/t1, ...) across initial fits and drift retrains.
 	trainSeq atomic.Uint64
@@ -225,25 +229,8 @@ func (s *Session) Train() (TestReport, error) {
 	if trainObs != nil {
 		sp = trainObs.o.RootSpan("train/t"+strconv.FormatUint(s.trainSeq.Add(1)-1, 10), "train", "ml")
 	}
-	factory := s.cfg.Factory
-	if factory == nil {
-		if weight := s.cfg.PositiveWeight; weight > 0 &&
-			(s.cfg.Classifier == "" || s.cfg.Classifier == ClassifierRandomForest) {
-			seed := s.cfg.Seed
-			factory = func() ml.Classifier {
-				return ml.NewForest(ml.ForestConfig{Seed: seed, PositiveWeight: weight})
-			}
-		} else {
-			var err error
-			factory, err = ClassifierFactory(s.cfg.Classifier, s.cfg.Seed)
-			if err != nil {
-				sp.EndErr(err)
-				return TestReport{}, err
-			}
-		}
-	}
 	data := s.kb.Snapshot()
-	predictor, err := newPredictor(factory, data, s.cfg.Thresholds, s.cfg.FeatureMode, s.cfg.Parallelism)
+	predictor, factory, err := s.fit(data)
 	if err != nil {
 		sp.EndErr(err)
 		return TestReport{}, err
@@ -261,6 +248,7 @@ func (s *Session) Train() (TestReport, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.predictor = predictor
+	s.fittedOn = data.Len()
 	s.report = report
 	if report.Accepted {
 		s.phase = PhaseApplication
@@ -282,6 +270,30 @@ func (s *Session) Train() (TestReport, error) {
 		so.recall.Set(macro.Recall)
 	}
 	return report, nil
+}
+
+// fit is the first half of Train and all of a restore: the predictor this
+// session's Config builds from data. The resolved classifier factory is
+// returned for the test phase to reuse.
+func (s *Session) fit(data multilabel.Dataset) (*Predictor, func() ml.Classifier, error) {
+	factory := s.cfg.Factory
+	if factory == nil {
+		if weight := s.cfg.PositiveWeight; weight > 0 &&
+			(s.cfg.Classifier == "" || s.cfg.Classifier == ClassifierRandomForest) {
+			seed := s.cfg.Seed
+			factory = func() ml.Classifier {
+				return ml.NewForest(ml.ForestConfig{Seed: seed, PositiveWeight: weight})
+			}
+		} else {
+			var err error
+			factory, err = ClassifierFactory(s.cfg.Classifier, s.cfg.Seed)
+			if err != nil {
+				return nil, nil, err
+			}
+		}
+	}
+	predictor, err := newPredictor(factory, data, s.cfg.Thresholds, s.cfg.FeatureMode, s.cfg.Parallelism)
+	return predictor, factory, err
 }
 
 // test runs the §3.2 test phase: per-label stratified k-fold

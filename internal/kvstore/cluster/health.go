@@ -98,17 +98,11 @@ func (p *prober) dead(addr string) bool {
 	return true
 }
 
-// delay computes the seeded backoff before retry attempt (0-based): base
-// doubling per attempt plus jitter of up to half the delay.
+// delay is the seeded backoff before retry attempt (0-based).
 func (p *prober) delay(attempt int) time.Duration {
-	if attempt > 6 {
-		attempt = 6
-	}
-	d := p.backoff << uint(attempt)
 	p.mu.Lock()
-	j := time.Duration(p.rng.Int63n(int64(d)/2 + 1))
-	p.mu.Unlock()
-	return d + j
+	defer p.mu.Unlock()
+	return kvnet.RetryDelay(p.backoff, attempt, p.rng)
 }
 
 // healthLoop is the background prober: one goroutine, stopped by closing

@@ -337,10 +337,13 @@ func (c *Client) wrapIOErr(stage string, err error, timeouts *obs.Counter) error
 	return &opError{stage: stage, err: err}
 }
 
-// retryDelay is the one place backoff delays are computed: base doubling
-// per 0-based attempt (capped at 64×) plus jitter of up to half the delay
-// drawn from the seeded source.
-func retryDelay(base time.Duration, attempt int, jitter *mrand.Rand) time.Duration {
+// RetryDelay computes the backoff delay of every network-side retry loop —
+// this client's reconnects and the cluster prober's ping bursts: base
+// doubling per 0-based attempt (capped at 64×) plus jitter of up to half the
+// delay drawn from the caller's seeded source, under the caller's lock. The
+// engine's step retries keep a copy of the formula (engine.backoff): that
+// package cannot import this one.
+func RetryDelay(base time.Duration, attempt int, jitter *mrand.Rand) time.Duration {
 	if base <= 0 {
 		return 0
 	}
@@ -473,7 +476,7 @@ func (c *Client) retryAttempt() int {
 // sleepBackoff sleeps out the retry delay, interruptible by Close; false
 // means the client closed.
 func (c *Client) sleepBackoff(attempt int) bool {
-	d := retryDelay(c.cfg.RetryBackoff, attempt, c.jitter)
+	d := RetryDelay(c.cfg.RetryBackoff, attempt, c.jitter)
 	if d <= 0 {
 		return !c.isClosed()
 	}

@@ -274,28 +274,3 @@ func (b *BinaryRelevance) Predict(x []float64, thresholds []float64) ([]int, err
 
 // Labels returns the number of fitted label columns.
 func (b *BinaryRelevance) Labels() int { return b.labels }
-
-// Models returns the fitted per-label classifiers (nil before Fit). The
-// durability layer exports their parameters for checkpointing; callers must
-// not mutate the returned slice.
-func (b *BinaryRelevance) Models() []ml.Classifier { return b.models }
-
-// FeatureColumns returns the per-label feature restriction set with
-// SetFeatureColumns (nil when unrestricted).
-func (b *BinaryRelevance) FeatureColumns() [][]int { return b.featureCols }
-
-// FromModels rebuilds a fitted BR classifier directly from per-label models,
-// bypassing Fit — the restore path for checkpointed model parameters. cols
-// mirrors SetFeatureColumns (nil = all features) and must match what the
-// exporting classifier used, or scores will differ.
-func FromModels(models []ml.Classifier, cols [][]int) (*BinaryRelevance, error) {
-	if len(models) == 0 {
-		return nil, ErrNoLabels
-	}
-	if cols != nil && len(cols) != len(models) {
-		return nil, fmt.Errorf("%w: %d feature-column sets for %d labels", ErrShape, len(cols), len(models))
-	}
-	ms := make([]ml.Classifier, len(models))
-	copy(ms, models)
-	return &BinaryRelevance{models: ms, labels: len(ms), featureCols: cols}, nil
-}
