@@ -314,6 +314,17 @@ func TestRestoreUntrainedCheckpointDropsPredictor(t *testing.T) {
 	}
 }
 
+// A knowledge base reset under a trained predictor no longer holds what the
+// model was fitted on: the checkpoint could not be restored, so taking it
+// fails rather than committing it.
+func TestCheckpointRefusesResetKnowledgeBase(t *testing.T) {
+	sess := trainedSession(t, Config{Seed: 3})
+	sess.KnowledgeBase().Reset()
+	if _, err := sess.Checkpoint(); err == nil || !strings.Contains(err.Error(), "reset") {
+		t.Fatalf("Checkpoint() after a knowledge-base reset = %v, want an error", err)
+	}
+}
+
 // Malformed checkpoints are refused with an error and leave the session as
 // it was — among them the shape an older build's application-phase
 // checkpoint decodes to: no FittedOn, the model in fields gob now ignores.
