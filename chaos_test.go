@@ -5,7 +5,6 @@ import (
 	"math"
 	"os"
 	"strconv"
-	"strings"
 	"testing"
 	"time"
 
@@ -140,26 +139,6 @@ func chaosBuild(p fault.Policy, rig *chaosRig) smartflux.BuildFunc {
 	}
 }
 
-// dumpStore renders every retained version of every cell, logical timestamps
-// included, in deterministic scan order.
-func dumpStore(t *testing.T, s *smartflux.Store, tables ...string) string {
-	t.Helper()
-	var b strings.Builder
-	for _, name := range tables {
-		tbl, err := s.Table(name)
-		if err != nil {
-			fmt.Fprintf(&b, "%s: %v\n", name, err)
-			continue
-		}
-		for _, c := range tbl.Scan(kvstore.ScanOptions{}) {
-			for _, v := range tbl.GetVersions(c.Row, c.Column, 0) {
-				fmt.Fprintf(&b, "%s %s/%s @%d = %x\n", name, c.Row, c.Column, v.Timestamp, v.Value)
-			}
-		}
-	}
-	return b.String()
-}
-
 // equalFloats compares exactly (bitwise), the determinism contract's notion
 // of equality.
 func equalFloats(a, b []float64) bool {
@@ -231,7 +210,7 @@ func runChaosPipeline(t *testing.T, p fault.Policy) chaosOutcome {
 	}
 	out := chaosOutcome{rig: rig}
 	for _, s := range rig.stores {
-		out.dumps = append(out.dumps, dumpStore(t, s, "raw", "avg", "alert"))
+		out.dumps = append(out.dumps, string(s.Dump()))
 	}
 	report := res.Apply.Reports["alert"]
 	if report == nil {
@@ -392,8 +371,8 @@ func TestChaosKvnetExactlyOnce(t *testing.T) {
 	if st.Disconnects == 0 {
 		t.Fatalf("no disconnects injected (%+v); the run proves nothing", st)
 	}
-	got := dumpStore(t, serverStore, "chaos")
-	want := dumpStore(t, control, "chaos")
+	got := string(serverStore.Dump())
+	want := string(control.Dump())
 	if got != want {
 		t.Errorf("server store diverged from control after %d injected disconnects:\nserver:\n%s\ncontrol:\n%s",
 			st.Disconnects, got, want)

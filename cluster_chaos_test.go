@@ -1,6 +1,7 @@
 package smartflux_test
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"strings"
@@ -92,21 +93,70 @@ func clusterChaosWave(ops chaosOps, wave int) error {
 	return ops.PutFloat("agg", "region", "mean", 20+float64(wave)/4)
 }
 
-// clusterDumpVersions renders the cluster's merged version dump in
-// dumpStore's exact format.
-func clusterDumpVersions(t *testing.T, c *cluster.Client, tables ...string) string {
+// clusterDump is the cluster's merged version dump of the tables, in
+// Store.Dump's format.
+func clusterDump(t *testing.T, c *cluster.Client, tables ...string) string {
 	t.Helper()
-	var b strings.Builder
-	for _, name := range tables {
-		cells, err := c.ScanVersions(name, smartflux.ScanOptions{})
-		if err != nil {
-			t.Fatalf("cluster scan %s: %v", name, err)
-		}
-		for _, cell := range cells {
-			fmt.Fprintf(&b, "%s %s/%s @%d = %x\n", name, cell.Row, cell.Column, cell.Version.Timestamp, cell.Version.Value)
-		}
+	d, err := c.Dump(tables...)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return b.String()
+	return string(d)
+}
+
+// startKillCluster starts the suite's replicated cluster with every primary
+// behind an injector that partitions one of them — seed picks which — at its
+// killAfter-th transport op. The kill policy needs the victim addresses up
+// front, so the primaries' ports are bound before the injector exists and
+// the listeners are fault-wrapped afterwards.
+func startKillCluster(t *testing.T, seed int64, killAfter int) (*cluster.Local, *fault.Injector) {
+	t.Helper()
+	lns := make([]net.Listener, clusterChaosShards)
+	addrs := make([]string, clusterChaosShards)
+	for s := range lns {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lns[s] = ln
+		addrs[s] = ln.Addr().String()
+	}
+	inj := fault.New(fault.Policy{Seed: seed, KillShardAddrs: addrs, KillShardAfter: killAfter})
+	local, err := cluster.StartLocal(clusterChaosShards, true, func(shard int, replica bool) (cluster.NodeConfig, error) {
+		if replica {
+			return cluster.NodeConfig{}, nil
+		}
+		return cluster.NodeConfig{Listener: fault.WrapListener(lns[shard], inj)}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(local.Close)
+	return local, inj
+}
+
+// chaosClient opens a chaos suite's client over local's map: it dials through
+// the injector, probes a suspect once, quickly and with seeded jitter, and
+// records every failover as "shard:from->to".
+func chaosClient(t *testing.T, local *cluster.Local, inj *fault.Injector, seed int64, o *smartflux.RunObserver) (*cluster.Client, *[]string) {
+	t.Helper()
+	failovers := &[]string{}
+	cc, err := cluster.New(cluster.Config{
+		Map:          local.Map,
+		Client:       kvnet.ClientConfig{Dial: fault.Dialer(inj)},
+		Seed:         seed,
+		ProbeRetries: 1,
+		ProbeBackoff: time.Millisecond,
+		OnFailover: func(shard int, from, to string) {
+			*failovers = append(*failovers, fmt.Sprintf("%d:%s->%s", shard, from, to))
+		},
+		Obs: o,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = cc.Close() })
+	return cc, failovers
 }
 
 // TestClusterChaosFailoverDeterminism is the headline cluster chaos run:
@@ -126,74 +176,15 @@ func TestClusterChaosFailoverDeterminism(t *testing.T) {
 		}
 	}
 
-	// Cluster side. The kill policy needs the victim addresses up front, so
-	// the primaries' ports are bound before the injector exists and the
-	// listeners are fault-wrapped afterwards.
-	lns := make([]net.Listener, clusterChaosShards)
-	addrs := make([]string, clusterChaosShards)
-	for s := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		lns[s] = ln
-		addrs[s] = ln.Addr().String()
-	}
-	inj := fault.New(fault.Policy{
-		Seed:           7,
-		KillShardAddrs: addrs,
-		KillShardAfter: clusterChaosKillAfter,
-	})
+	local, inj := startKillCluster(t, 7, clusterChaosKillAfter)
+	primaries, followers := local.Primaries, local.Followers
 	victim := int(uint64(7) % uint64(clusterChaosShards)) // the policy's choice, spelled out
-
-	var primaries, followers []*cluster.Node
-	defer func() {
-		for _, n := range append(followers, primaries...) {
-			_ = n.Close()
-		}
-	}()
-	for s := 0; s < clusterChaosShards; s++ {
-		n, err := cluster.NewNode(cluster.NodeConfig{Listener: fault.WrapListener(lns[s], inj)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		primaries = append(primaries, n)
-	}
-	m := cluster.NewMap(addrs)
-	for s := 0; s < clusterChaosShards; s++ {
-		f, err := cluster.NewNode(cluster.NodeConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		followers = append(followers, f)
-		if err := primaries[s].AttachFollower(f.Addr()); err != nil {
-			t.Fatal(err)
-		}
-		if err := m.SetReplica(s, f.Addr()); err != nil {
-			t.Fatal(err)
-		}
-	}
 
 	// Failover spans and counters flow into the suite observer (and the
 	// cluster-spans.jsonl artifact when SMARTFLUX_CHAOS_SPAN_OUT is set).
 	reg := smartflux.NewMetricsRegistry()
 	observer := chaosObserver(t, reg)
-	var failovers []string
-	cc, err := cluster.New(cluster.Config{
-		Map:          m,
-		Client:       kvnet.ClientConfig{Dial: fault.Dialer(inj)},
-		Seed:         7,
-		ProbeRetries: 1,
-		ProbeBackoff: time.Millisecond,
-		OnFailover: func(shard int, from, to string) {
-			failovers = append(failovers, fmt.Sprintf("%d:%s->%s", shard, from, to))
-		},
-		Obs: observer,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = cc.Close() }()
+	cc, failovers := chaosClient(t, local, inj, 7, observer)
 
 	// Phase 1: waves across the seeded kill. The injector partitions the
 	// victim primary at the KillShardAfter-th transport op; the next op
@@ -207,8 +198,8 @@ func TestClusterChaosFailoverDeterminism(t *testing.T) {
 	if st.Partitions != 1 {
 		t.Fatalf("seeded kill did not fire exactly once: %+v", st)
 	}
-	if len(failovers) != 1 || !strings.HasPrefix(failovers[0], fmt.Sprint(victim)) {
-		t.Fatalf("failovers = %v, want exactly one on shard %d", failovers, victim)
+	if len(*failovers) != 1 || !strings.HasPrefix((*failovers)[0], fmt.Sprint(victim)) {
+		t.Fatalf("failovers = %v, want exactly one on shard %d", *failovers, victim)
 	}
 	if got := cc.Map().Shards[victim].Primary; got != followers[victim].Addr() {
 		t.Fatalf("shard %d primary = %s, want promoted follower %s", victim, got, followers[victim].Addr())
@@ -217,7 +208,7 @@ func TestClusterChaosFailoverDeterminism(t *testing.T) {
 	// Phase 2: the dead node heals and rejoins as a follower of the promoted
 	// node — Reset (it died holding an un-shipped cursor position and a stale
 	// follower link) then cursor catch-up from zero.
-	inj.Heal(addrs[victim])
+	inj.Heal(primaries[victim].Addr())
 	rejoined := primaries[victim]
 	rejoined.Reset()
 	if err := followers[victim].AttachFollower(rejoined.Addr()); err != nil {
@@ -233,8 +224,8 @@ func TestClusterChaosFailoverDeterminism(t *testing.T) {
 	}
 
 	// The contract: merged cluster dump bit-identical to the single store.
-	want := dumpStore(t, control, "readings", "agg")
-	got := clusterDumpVersions(t, cc, "readings", "agg")
+	want := string(control.Dump())
+	got := clusterDump(t, cc, control.TableNames()...)
 	if got != want {
 		t.Errorf("cluster dump diverged from single store after kill/failover/rejoin:\ncluster:\n%s\ncontrol:\n%s", got, want)
 	}
@@ -282,62 +273,11 @@ func TestClusterChaosScanAfterSeededKill(t *testing.T) {
 		t.Skip("chaos suite skipped in -short mode")
 	}
 	control := smartflux.NewStore()
-	lns := make([]net.Listener, clusterChaosShards)
-	addrs := make([]string, clusterChaosShards)
-	for s := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		lns[s] = ln
-		addrs[s] = ln.Addr().String()
-	}
 	// Each logical op costs several transport ops (client write/read plus the
 	// server's), so op 2000 lands deep inside the 900-row write load.
 	const rows = 900
-	inj := fault.New(fault.Policy{
-		Seed:           3,
-		KillShardAddrs: addrs,
-		KillShardAfter: 2000,
-	})
-	var primaries, followers []*cluster.Node
-	defer func() {
-		for _, n := range append(followers, primaries...) {
-			_ = n.Close()
-		}
-	}()
-	for s := 0; s < clusterChaosShards; s++ {
-		n, err := cluster.NewNode(cluster.NodeConfig{Listener: fault.WrapListener(lns[s], inj)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		primaries = append(primaries, n)
-	}
-	m := cluster.NewMap(addrs)
-	for s := 0; s < clusterChaosShards; s++ {
-		f, err := cluster.NewNode(cluster.NodeConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		followers = append(followers, f)
-		if err := primaries[s].AttachFollower(f.Addr()); err != nil {
-			t.Fatal(err)
-		}
-		if err := m.SetReplica(s, f.Addr()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cc, err := cluster.New(cluster.Config{
-		Map:          m,
-		Client:       kvnet.ClientConfig{Dial: fault.Dialer(inj)},
-		Seed:         3,
-		ProbeRetries: 1,
-		ProbeBackoff: time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = cc.Close() }()
+	local, inj := startKillCluster(t, 3, 2000)
+	cc, _ := chaosClient(t, local, inj, 3, nil)
 
 	if err := cc.CreateTable("wide", 1); err != nil {
 		t.Fatal(err)
@@ -375,5 +315,72 @@ func TestClusterChaosScanAfterSeededKill(t *testing.T) {
 				i, cells[i].Row, cells[i].Column, cells[i].Version.Timestamp,
 				want[i].Row, want[i].Column, want[i].Version.Timestamp)
 		}
+	}
+}
+
+// TestClusterChaosResumeAfterCrash crashes a durable pipeline whose live
+// store is mirrored into a replicated cluster, two waves from the end — late
+// enough that the resumed waves cannot rewrite every retained version — and
+// resumes it into a fresh cluster. Recovery replays the store without
+// notifying observers, so the mirror must attach after it and sync what was
+// restored: the fresh cluster's merged dump ends bit-identical to the resumed
+// live store and to the run that never crashed.
+func TestClusterChaosResumeAfterCrash(t *testing.T) {
+	if testing.Short() {
+		t.Skip("chaos suite skipped in -short mode")
+	}
+	steps := []smartflux.StepID{"alert"}
+	observer := chaosObserver(t, smartflux.NewMetricsRegistry())
+	freshCluster := func() *cluster.Client {
+		local, err := cluster.StartLocal(clusterChaosShards, true, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(local.Close)
+		cc, err := cluster.New(cluster.Config{Map: local.Map, Obs: observer})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = cc.Close() })
+		return cc
+	}
+	mirrored := func(cc *cluster.Client, res *smartflux.PipelineResult) string {
+		want := string(res.Store.Dump())
+		if got := clusterDump(t, cc, res.Store.TableNames()...); got != want {
+			t.Fatalf("cluster dump diverged from the live store:\ncluster:\n%s\nlive:\n%s", got, want)
+		}
+		return want
+	}
+
+	cfg := crashPipelineConfig()
+	cfg.Cluster = freshCluster()
+	clean, info, err := smartflux.RunPipelineDurable(crashBuild(&crashRig{}), steps, cfg, smartflux.DurableOptions{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := mirrored(cfg.Cluster, clean)
+
+	// A wave appends between 13 and 25 records (the readings and gated
+	// outputs of both harness instances, the commit): 20 appends from the
+	// end is inside the last two waves.
+	dir := t.TempDir()
+	inj := fault.New(fault.Policy{CrashPoints: map[string]int{"wal_append": info.Durable.Appends - 20}})
+	cfg.Cluster = freshCluster()
+	_, _, err = smartflux.RunPipelineDurable(crashBuild(&crashRig{}), steps, cfg, smartflux.DurableOptions{Dir: dir, Hook: inj.OpHook()})
+	if !errors.Is(err, fault.ErrCrashed) {
+		t.Fatalf("crash run: %v, want the injected crash", err)
+	}
+
+	cfg.Cluster = freshCluster()
+	res, rinfo, err := smartflux.ResumePipeline(crashBuild(&crashRig{}), steps, cfg, smartflux.DurableOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := crashTrainWaves + crashApplyWaves
+	if !rinfo.Resumed || rinfo.Recovery.Wave < total-3 || rinfo.Recovery.Wave >= total {
+		t.Fatalf("resumed=%v from wave %d, want a crash in the last waves of %d", rinfo.Resumed, rinfo.Recovery.Wave, total)
+	}
+	if got := mirrored(cfg.Cluster, res); got != want {
+		t.Fatalf("resumed run's dump diverged from the uncrashed run's:\nresumed:\n%s\nuncrashed:\n%s", got, want)
 	}
 }

@@ -25,11 +25,6 @@ import (
 	"smartflux/internal/kvstore/kvnet"
 )
 
-// listen binds a fresh loopback port for a fault-wrapped node listener.
-func listen() (net.Listener, error) {
-	return net.Listen("tcp", "127.0.0.1:0")
-}
-
 // valueSize is the put payload size.
 const valueSize = 128
 
@@ -154,10 +149,9 @@ func run() error {
 
 // rig is a replicated in-process cluster plus its client.
 type rig struct {
-	primaries []*cluster.Node
-	followers []*cluster.Node
-	client    *cluster.Client
-	inj       *fault.Injector
+	*cluster.Local
+	client *cluster.Client
+	inj    *fault.Injector
 }
 
 // startRig builds shards primary+follower pairs. When faulty, the primaries'
@@ -165,71 +159,43 @@ type rig struct {
 // can be killed with a partition.
 func startRig(shards int, faulty bool) (*rig, error) {
 	r := &rig{}
+	ccfg := cluster.Config{ProbeRetries: 1, ProbeBackoff: time.Millisecond}
+	var node func(shard int, replica bool) (cluster.NodeConfig, error)
 	if faulty {
 		r.inj = fault.New(fault.Policy{})
-	}
-	addrs := make([]string, 0, shards)
-	for s := 0; s < shards; s++ {
-		cfg := cluster.NodeConfig{Label: fmt.Sprintf("shard%d", s)}
-		if r.inj != nil {
-			ln, err := listen()
-			if err != nil {
-				r.close()
-				return nil, err
-			}
-			cfg.Listener = fault.WrapListener(ln, r.inj)
-			// Ship through the injector with the node's own source identity,
-			// so a one-way link cut severs this primary's replication path.
-			cfg.Follower = kvnet.ClientConfig{Dial: fault.DialerFrom(r.inj, ln.Addr().String())}
-		}
-		n, err := cluster.NewNode(cfg)
-		if err != nil {
-			r.close()
-			return nil, err
-		}
-		r.primaries = append(r.primaries, n)
-		addrs = append(addrs, n.Addr())
-	}
-	m := cluster.NewMap(addrs)
-	for s := 0; s < shards; s++ {
-		f, err := cluster.NewNode(cluster.NodeConfig{Label: fmt.Sprintf("shard%d-replica", s)})
-		if err != nil {
-			r.close()
-			return nil, err
-		}
-		r.followers = append(r.followers, f)
-		if err := r.primaries[s].AttachFollower(f.Addr()); err != nil {
-			r.close()
-			return nil, err
-		}
-		if err := m.SetReplica(s, f.Addr()); err != nil {
-			r.close()
-			return nil, err
-		}
-	}
-	ccfg := cluster.Config{Map: m, ProbeRetries: 1, ProbeBackoff: time.Millisecond}
-	if r.inj != nil {
 		ccfg.Client.Dial = fault.Dialer(r.inj)
+		node = func(_ int, replica bool) (cluster.NodeConfig, error) {
+			if replica {
+				return cluster.NodeConfig{}, nil
+			}
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				return cluster.NodeConfig{}, err
+			}
+			return cluster.NodeConfig{
+				Listener: fault.WrapListener(ln, r.inj),
+				// Ship through the injector with the node's own source
+				// identity, so a one-way link cut severs this primary's
+				// replication path.
+				Follower: kvnet.ClientConfig{Dial: fault.DialerFrom(r.inj, ln.Addr().String())},
+			}, nil
+		}
 	}
-	c, err := cluster.New(ccfg)
-	if err != nil {
-		r.close()
+	var err error
+	if r.Local, err = cluster.StartLocal(shards, true, node); err != nil {
 		return nil, err
 	}
-	r.client = c
+	ccfg.Map = r.Map
+	if r.client, err = cluster.New(ccfg); err != nil {
+		r.Local.Close()
+		return nil, err
+	}
 	return r, nil
 }
 
 func (r *rig) close() {
-	if r.client != nil {
-		_ = r.client.Close()
-	}
-	for _, n := range r.primaries {
-		_ = n.Close()
-	}
-	for _, n := range r.followers {
-		_ = n.Close()
-	}
+	_ = r.client.Close() // teardown: the bench's result is already taken
+	r.Local.Close()
 }
 
 // benchPuts times ops sequential replicated puts against a healthy cluster.
@@ -283,7 +249,7 @@ func benchFailover(shards, ops int) (*failoverResult, error) {
 	start := time.Now()
 	for i := 0; i < ops; i++ {
 		if i == killAt {
-			r.inj.Partition(r.primaries[0].Addr())
+			r.inj.Partition(r.Primaries[0].Addr())
 		}
 		opStart := time.Now()
 		if err := r.client.Put("bench", fmt.Sprintf("row-%07d", i), "v", value); err != nil {
@@ -292,7 +258,7 @@ func benchFailover(shards, ops int) (*failoverResult, error) {
 		lat[i] = time.Since(opStart)
 	}
 	elapsed := time.Since(start)
-	if r.client.Map().Shards[0].Primary == r.primaries[0].Addr() {
+	if r.client.Map().Shards[0].Primary == r.Primaries[0].Addr() {
 		// The victim never served a post-kill op (possible when the hash
 		// sends no post-kill row its way) — force one so the report always
 		// covers a promotion.
@@ -302,7 +268,7 @@ func benchFailover(shards, ops int) (*failoverResult, error) {
 	}
 	m := r.client.Map()
 	for s := range m.Shards {
-		if m.Shards[s].Primary != r.primaries[s].Addr() {
+		if m.Shards[s].Primary != r.Primaries[s].Addr() {
 			failovers++
 		}
 	}
@@ -353,12 +319,12 @@ func benchPartitionBlip(shards, ops int) (*partitionResult, error) {
 	}
 	value := make([]byte, valueSize)
 	cutAt := ops / 2
-	victim := r.primaries[0].Addr()
+	victim := r.Primaries[0].Addr()
 	lat := make([]time.Duration, ops)
 	start := time.Now()
 	for i := 0; i < ops; i++ {
 		if i == cutAt {
-			r.inj.PartitionLink(victim, r.followers[0].Addr())
+			r.inj.PartitionLink(victim, r.Followers[0].Addr())
 		}
 		opStart := time.Now()
 		if err := r.client.Put("bench", fmt.Sprintf("row-%07d", i), "v", value); err != nil {
@@ -378,7 +344,7 @@ func benchPartitionBlip(shards, ops int) (*partitionResult, error) {
 	fenced := 0
 	m := r.client.Map()
 	for s := range m.Shards {
-		if m.Shards[s].Primary != r.primaries[s].Addr() {
+		if m.Shards[s].Primary != r.Primaries[s].Addr() {
 			fenced++
 		}
 	}

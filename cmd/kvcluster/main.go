@@ -37,50 +37,21 @@ func run(args []string, out io.Writer, ready chan<- []byte) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *shards <= 0 {
-		return fmt.Errorf("-shards must be positive, got %d", *shards)
+	local, err := cluster.StartLocal(*shards, *replicate, nil)
+	if err != nil {
+		return err
 	}
-
-	var nodes []*cluster.Node
-	defer func() {
-		for _, n := range nodes {
-			_ = n.Close()
-		}
-	}()
-	addrs := make([]string, 0, *shards)
-	for s := 0; s < *shards; s++ {
-		n, err := cluster.NewNode(cluster.NodeConfig{Label: fmt.Sprintf("shard%d", s)})
-		if err != nil {
-			return fmt.Errorf("start shard %d: %w", s, err)
-		}
-		nodes = append(nodes, n)
-		addrs = append(addrs, n.Addr())
+	defer local.Close()
+	for s, n := range local.Primaries {
 		fmt.Fprintf(out, "shard %d primary %s\n", s, n.Addr())
+		// Seed every primary with the map so late-joining clients can
+		// OpMapGet it from any of them.
+		n.SetMap(local.Map)
 	}
-	m := cluster.NewMap(addrs)
-	if *replicate {
-		for s := 0; s < *shards; s++ {
-			f, err := cluster.NewNode(cluster.NodeConfig{Label: fmt.Sprintf("shard%d-replica", s)})
-			if err != nil {
-				return fmt.Errorf("start shard %d replica: %w", s, err)
-			}
-			nodes = append(nodes, f)
-			if err := nodes[s].AttachFollower(f.Addr()); err != nil {
-				return fmt.Errorf("attach shard %d replica: %w", s, err)
-			}
-			if err := m.SetReplica(s, f.Addr()); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "shard %d replica %s\n", s, f.Addr())
-		}
+	for s, f := range local.Followers {
+		fmt.Fprintf(out, "shard %d replica %s\n", s, f.Addr())
 	}
-
-	encoded := m.Encode()
-	// Seed every node with the map so late-joining clients can OpMapGet it
-	// from any member.
-	for s := 0; s < *shards; s++ {
-		nodes[s].SetMap(m)
-	}
+	encoded := local.Map.Encode()
 	fmt.Fprintf(out, "partition map: %s\n", encoded)
 	if *mapOut != "" {
 		if err := os.WriteFile(*mapOut, encoded, 0o644); err != nil {

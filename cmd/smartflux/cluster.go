@@ -1,112 +1,35 @@
 package main
 
-// -cluster support: run the pipeline with its live store mirrored into an
-// in-process sharded, replicated kvstore cluster, and verify the determinism
-// contract (DESIGN.md §14) at the end of the run — the cluster's merged dump
-// must be bit-identical to the live store, version histories and logical
-// timestamps included.
-
 import (
 	"bytes"
 	"fmt"
 	"io"
 
 	"smartflux"
-	"smartflux/internal/kvstore"
 	"smartflux/internal/kvstore/cluster"
 )
 
-// clusterRig is an in-process cluster: shards primaries, each with an
-// attached follower, and a cluster client routing over them.
-type clusterRig struct {
-	primaries []*cluster.Node
-	followers []*cluster.Node
-	client    *cluster.Client
-}
-
-// startClusterRig brings up shards primary+follower pairs and a client.
-func startClusterRig(shards int) (*clusterRig, error) {
-	rig := &clusterRig{}
-	addrs := make([]string, 0, shards)
-	for s := 0; s < shards; s++ {
-		p, err := cluster.NewNode(cluster.NodeConfig{Label: fmt.Sprintf("shard%d", s)})
-		if err != nil {
-			rig.Close()
-			return nil, err
-		}
-		rig.primaries = append(rig.primaries, p)
-		addrs = append(addrs, p.Addr())
+// verifyMirror closes a -cluster run (mirror is nil without the flag): the
+// determinism contract (DESIGN.md §14) holds when the cluster's merged dump
+// is bit-identical to the live store's, version histories and logical
+// timestamps included. A mismatch is an error.
+func verifyMirror(out io.Writer, mirror *cluster.Client, live *smartflux.Store) error {
+	if mirror == nil {
+		return nil
 	}
-	m := cluster.NewMap(addrs)
-	for s := 0; s < shards; s++ {
-		f, err := cluster.NewNode(cluster.NodeConfig{Label: fmt.Sprintf("shard%d-replica", s)})
-		if err != nil {
-			rig.Close()
-			return nil, err
-		}
-		rig.followers = append(rig.followers, f)
-		if err := rig.primaries[s].AttachFollower(f.Addr()); err != nil {
-			rig.Close()
-			return nil, err
-		}
-		if err := m.SetReplica(s, f.Addr()); err != nil {
-			rig.Close()
-			return nil, err
-		}
-	}
-	c, err := cluster.New(cluster.Config{Map: m})
-	if err != nil {
-		rig.Close()
-		return nil, err
-	}
-	rig.client = c
-	return rig, nil
-}
-
-// Close tears the rig down; safe on a partially constructed rig.
-func (r *clusterRig) Close() {
-	if r.client != nil {
-		_ = r.client.Close()
-	}
-	for _, n := range r.primaries {
-		_ = n.Close()
-	}
-	for _, n := range r.followers {
-		_ = n.Close()
-	}
-}
-
-// verify checks the cluster's merged dump against the live store and prints
-// the result. A mismatch is an error: the determinism contract is broken.
-func (r *clusterRig) verify(out io.Writer, live *kvstore.Store) error {
-	if err := r.client.Err(); err != nil {
+	if err := mirror.Err(); err != nil {
 		return fmt.Errorf("cluster: mirror ship failed during the run: %w", err)
 	}
-	var want, got bytes.Buffer
-	var cells int
-	for _, name := range live.TableNames() {
-		tbl, err := live.Table(name)
-		if err != nil {
-			return err
-		}
-		for _, c := range tbl.Scan(smartflux.ScanOptions{}) {
-			for _, v := range tbl.GetVersions(c.Row, c.Column, 0) {
-				fmt.Fprintf(&want, "%s %s/%s @%d = %x\n", name, c.Row, c.Column, v.Timestamp, v.Value)
-				cells++
-			}
-		}
-		cs, err := r.client.ScanVersions(name, smartflux.ScanOptions{})
-		if err != nil {
-			return fmt.Errorf("cluster: scan %s: %w", name, err)
-		}
-		for _, c := range cs {
-			fmt.Fprintf(&got, "%s %s/%s @%d = %x\n", name, c.Row, c.Column, c.Version.Timestamp, c.Version.Value)
-		}
+	want := live.Dump()
+	got, err := mirror.Dump(live.TableNames()...)
+	if err != nil {
+		return err
 	}
-	if want.String() != got.String() {
-		return fmt.Errorf("cluster: merged dump diverged from the live store (%d shards)", len(r.primaries))
+	shards := len(mirror.Map().Shards)
+	if !bytes.Equal(want, got) {
+		return fmt.Errorf("cluster: merged dump diverged from the live store (%d shards)", shards)
 	}
 	fmt.Fprintf(out, "  cluster: %d shards, replicated; merged dump bit-identical to live store (%d cell versions)\n",
-		len(r.primaries), cells)
+		shards, bytes.Count(want, []byte{'\n'}))
 	return nil
 }

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"smartflux"
+	"smartflux/internal/kvstore/cluster"
 	"smartflux/workloads"
 )
 
@@ -47,8 +48,8 @@ func run(args []string, out io.Writer) error {
 	retryWaves := fs.Int("retry-waves", 0, "times a failed wave is re-run from its pre-wave checkpoint")
 	degrade := fs.Bool("degrade", false, "forcibly skip gated steps that exhaust their retries instead of failing the run")
 	clusterShards := fs.Int("cluster", 0, "mirror the live store into an in-process replicated cluster with this many shards and verify dump equality at the end of the run")
-	walDir := fs.String("wal-dir", "", "enable crash durability: write-ahead log + snapshots in this directory (smartflux policy only)")
-	snapEvery := fs.Int("snapshot-every", 64, "waves between compacting snapshots (with -wal-dir)")
+	walDir := fs.String("wal-dir", "", "enable crash durability: one write-ahead log file per epoch in this directory (smartflux policy only)")
+	snapEvery := fs.Int("snapshot-every", 64, "waves between log rotations to a fresh, compacted epoch (with -wal-dir)")
 	fsyncFlag := fs.String("fsync", "commit", "WAL flush policy with -wal-dir: commit, always, never")
 	resume := fs.Bool("resume", false, "continue a crashed run from the -wal-dir state instead of starting fresh")
 	if err := fs.Parse(args); err != nil {
@@ -144,32 +145,19 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("unknown workload %q", *workload)
 	}
 
-	// -cluster: start the in-process cluster and wrap the build so the live
-	// instance's store — the harness's first build call — is captured for the
-	// end-of-run dump comparison. The pipeline path mirrors through
-	// PipelineConfig.Cluster; the plain-policy path attaches the mirror here.
-	var rig *clusterRig
-	var liveStore *smartflux.Store
+	// -cluster: the pipeline path mirrors through PipelineConfig.Cluster, the
+	// plain-policy path attaches the mirror to its harness's live store.
+	var mirror *cluster.Client
 	if *clusterShards > 0 {
-		var err error
-		if rig, err = startClusterRig(*clusterShards); err != nil {
-			return fmt.Errorf("cluster: %w", err)
+		local, err := cluster.StartLocal(*clusterShards, true, nil)
+		if err != nil {
+			return err
 		}
-		defer rig.Close()
-		inner := build
-		pipeline := *policy == "smartflux"
-		build = func() (*smartflux.Workflow, *smartflux.Store, error) {
-			wf, store, err := inner()
-			if err == nil && liveStore == nil {
-				liveStore = store
-				if !pipeline {
-					if merr := rig.client.Mirror(store); merr != nil {
-						return nil, nil, fmt.Errorf("cluster mirror: %w", merr)
-					}
-				}
-			}
-			return wf, store, err
+		defer local.Close()
+		if mirror, err = cluster.New(cluster.Config{Map: local.Map}); err != nil {
+			return err
 		}
+		defer func() { _ = mirror.Close() }() // teardown at exit
 	}
 
 	if *policy == "smartflux" {
@@ -184,9 +172,7 @@ func run(args []string, out io.Writer) error {
 			Obs:         observer,
 			Parallelism: *parallelism,
 			Resilience:  resilience,
-		}
-		if rig != nil {
-			cfg.Cluster = rig.client
+			Cluster:     mirror,
 		}
 		var (
 			res  *smartflux.PipelineResult
@@ -219,10 +205,8 @@ func run(args []string, out io.Writer) error {
 		printDurability(out, info)
 		printResult(out, res.Apply, report)
 		printDecisionSummary(out, registry)
-		if rig != nil {
-			if err := rig.verify(out, liveStore); err != nil {
-				return err
-			}
+		if err := verifyMirror(out, mirror, res.Store); err != nil {
+			return err
 		}
 		return traceErr(jsonl, spanl)
 	}
@@ -240,6 +224,11 @@ func run(args []string, out io.Writer) error {
 	if observer != nil {
 		harness.Instrument(observer)
 	}
+	if mirror != nil {
+		if err := mirror.Mirror(harness.Live().Store()); err != nil {
+			return fmt.Errorf("cluster mirror: %w", err)
+		}
+	}
 	res, err := harness.Run(*apply, decider)
 	if err != nil {
 		return err
@@ -247,26 +236,24 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "%s @ %.0f%% bound, policy %s\n", *workload, *bound*100, decider.Name())
 	printResult(out, res, report)
 	printDecisionSummary(out, registry)
-	if rig != nil {
-		if err := rig.verify(out, liveStore); err != nil {
-			return err
-		}
+	if err := verifyMirror(out, mirror, harness.Live().Store()); err != nil {
+		return err
 	}
 	return traceErr(jsonl, spanl)
 }
 
 // printDurability reports what the durability layer did: the one-line
-// recovery summary on resumed runs, then the WAL/snapshot tallies.
+// recovery summary on resumed runs, then the WAL tallies.
 func printDurability(out io.Writer, info *smartflux.DurableRunInfo) {
 	if info == nil {
 		return
 	}
 	if info.Resumed {
 		r := info.Recovery
-		fmt.Fprintf(out, "  recovered: wave %d from snapshot epoch %d (%d records replayed, %d discarded, %d bytes truncated) in %s\n",
+		fmt.Fprintf(out, "  recovered: wave %d from epoch %d (%d records replayed, %d discarded, %d bytes truncated) in %s\n",
 			r.Wave, r.Epoch, r.Replayed, r.Discarded, r.TruncatedBytes, r.Duration.Round(time.Microsecond))
 	}
-	fmt.Fprintf(out, "  durability: %d WAL appends, %d fsyncs, %d commits, %d snapshots\n",
+	fmt.Fprintf(out, "  durability: %d WAL appends, %d fsyncs, %d commits, %d rotations\n",
 		info.Durable.Appends, info.Durable.Fsyncs, info.Durable.Commits, info.Durable.Snapshots)
 }
 

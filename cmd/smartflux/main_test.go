@@ -77,7 +77,7 @@ func TestRunDurableAndResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := fresh.String()
-	if !strings.Contains(out, "durability:") || !strings.Contains(out, "snapshots") {
+	if !strings.Contains(out, "durability:") || !strings.Contains(out, "rotations") {
 		t.Errorf("missing durability summary:\n%s", out)
 	}
 	if strings.Contains(out, "recovered:") {
@@ -96,7 +96,7 @@ func TestRunDurableAndResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	rout := resumed.String()
-	if !strings.Contains(rout, "recovered: wave 90") {
+	if !strings.Contains(rout, "recovered: wave 90 from epoch ") {
 		t.Errorf("missing one-line recovery summary:\n%s", rout)
 	}
 	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
@@ -108,7 +108,7 @@ func TestRunDurableAndResume(t *testing.T) {
 		}
 	}
 
-	// -snapshot-every and -fsync are accepted and produce extra snapshots.
+	// -snapshot-every and -fsync are accepted and produce extra rotations.
 	dir2 := filepath.Join(t.TempDir(), "wal")
 	var dense bytes.Buffer
 	if err := run([]string{
@@ -120,6 +120,38 @@ func TestRunDurableAndResume(t *testing.T) {
 	}
 	if !strings.Contains(dense.String(), "0 fsyncs") {
 		t.Errorf("-fsync never should record 0 fsyncs:\n%s", dense.String())
+	}
+}
+
+// TestRunClusterComposesWithResume: -cluster with -wal-dir, then the same
+// line with -resume. Each process starts its own empty cluster, so the
+// resumed one sees the recovered store only if the mirror attaches after the
+// restore; both runs must end on the bit-identical line. The plain-policy
+// path attaches to its harness's live store and must end on it too.
+func TestRunClusterComposesWithResume(t *testing.T) {
+	const identical = "cluster: 2 shards, replicated; merged dump bit-identical to live store"
+	args := []string{
+		"-workload", "firerisk", "-policy", "smartflux", "-train", "60", "-apply", "30",
+		"-cluster", "2", "-wal-dir", filepath.Join(t.TempDir(), "wal"),
+	}
+	var fresh, resumed, plain bytes.Buffer
+	if err := run(args, &fresh); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(fresh.String(), identical) {
+		t.Fatalf("fresh run did not verify the cluster:\n%s", fresh.String())
+	}
+	if err := run(append(args, "-resume"), &resumed); err != nil {
+		t.Fatalf("resume on a cluster: %v", err)
+	}
+	if rout := resumed.String(); !strings.Contains(rout, "recovered: wave 90") || !strings.Contains(rout, identical) {
+		t.Fatalf("resumed run did not recover and verify the cluster:\n%s", rout)
+	}
+	if err := run([]string{"-workload", "firerisk", "-policy", "seq3", "-apply", "20", "-cluster", "2"}, &plain); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(plain.String(), identical) {
+		t.Fatalf("plain-policy run did not verify the cluster:\n%s", plain.String())
 	}
 }
 

@@ -150,7 +150,7 @@ func crashOutcomeOf(t *testing.T, rig *crashRig, res *smartflux.PipelineResult) 
 	}
 	out := crashOutcome{}
 	for _, s := range rig.stores[len(rig.stores)-2:] {
-		out.dumps = append(out.dumps, dumpStore(t, s, "raw", "avg", "alert"))
+		out.dumps = append(out.dumps, string(s.Dump()))
 	}
 	report := res.Apply.Reports["alert"]
 	if report == nil {
@@ -450,7 +450,7 @@ func TestCrashChaosKvnetDedupReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	want := dumpStore(t, serverStore, "chaos")
+	want := string(serverStore.Dump())
 	rec, err := durable.Recover(dir, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -462,7 +462,7 @@ func TestCrashChaosKvnetDedupReplay(t *testing.T) {
 	if err := rec.Apply("srv", fresh); err != nil {
 		t.Fatal(err)
 	}
-	if got := dumpStore(t, fresh, "chaos"); got != want {
+	if got := string(fresh.Dump()); got != want {
 		t.Errorf("recovered store diverged from the deduped server store:\nserver:\n%s\nrecovered:\n%s", want, got)
 	}
 	// Idempotence: replaying again — into the rebuilt store and over the live
@@ -470,13 +470,13 @@ func TestCrashChaosKvnetDedupReplay(t *testing.T) {
 	if err := rec.Apply("srv", fresh); err != nil {
 		t.Fatal(err)
 	}
-	if got := dumpStore(t, fresh, "chaos"); got != want {
+	if got := string(fresh.Dump()); got != want {
 		t.Errorf("double replay diverged:\n%s\nvs\n%s", got, want)
 	}
 	if err := rec.Apply("srv", serverStore); err != nil {
 		t.Fatal(err)
 	}
-	if got := dumpStore(t, serverStore, "chaos"); got != want {
+	if got := string(serverStore.Dump()); got != want {
 		t.Errorf("replay over the live server store diverged:\n%s\nvs\n%s", got, want)
 	}
 }

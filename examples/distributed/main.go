@@ -43,45 +43,23 @@ func run() error {
 	// Server side: three primaries behind a fault injector (so one can be
 	// killed on cue) and a follower attached to each — six "processes".
 	inj := fault.New(fault.Policy{})
-	var primaries, followers []*cluster.Node
-	defer func() {
-		// Teardown order mirrors startup in reverse; Close detaches the
-		// replication link before stopping the server, so shutdown never
-		// strands a follower mid-catch-up.
-		for _, n := range followers {
-			_ = n.Close()
+	local, err := cluster.StartLocal(shards, true, func(_ int, replica bool) (cluster.NodeConfig, error) {
+		if replica {
+			return cluster.NodeConfig{}, nil
 		}
-		for _, n := range primaries {
-			_ = n.Close()
-		}
-	}()
-	addrs := make([]string, 0, shards)
-	for s := 0; s < shards; s++ {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			return err
+			return cluster.NodeConfig{}, err
 		}
-		n, err := cluster.NewNode(cluster.NodeConfig{Listener: fault.WrapListener(ln, inj)})
-		if err != nil {
-			return err
-		}
-		primaries = append(primaries, n)
-		addrs = append(addrs, n.Addr())
-		fmt.Printf("shard %d primary serving on %s\n", s, n.Addr())
+		return cluster.NodeConfig{Listener: fault.WrapListener(ln, inj)}, nil
+	})
+	if err != nil {
+		return err
 	}
-	m := cluster.NewMap(addrs)
-	for s := 0; s < shards; s++ {
-		f, err := cluster.NewNode(cluster.NodeConfig{})
-		if err != nil {
-			return err
-		}
-		followers = append(followers, f)
-		if err := primaries[s].AttachFollower(f.Addr()); err != nil {
-			return err
-		}
-		if err := m.SetReplica(s, f.Addr()); err != nil {
-			return err
-		}
+	defer local.Close()
+	primaries, followers, m := local.Primaries, local.Followers, local.Map
+	for s, n := range primaries {
+		fmt.Printf("shard %d primary serving on %s\n", s, n.Addr())
 	}
 
 	// Client side: producer and consumer each hold their own cluster client,
@@ -159,16 +137,7 @@ func run() error {
 	// promoted follower has since appended records it never saw, so it
 	// resets and catches up from cursor zero.
 	inj.Heal(primaries[0].Addr())
-	newPrimaryAddr := producer.Map().Shards[0].Primary
-	var newPrimary *cluster.Node
-	for _, f := range followers {
-		if f.Addr() == newPrimaryAddr {
-			newPrimary = f
-		}
-	}
-	if newPrimary == nil {
-		return fmt.Errorf("promoted primary %s not found among followers", newPrimaryAddr)
-	}
+	newPrimary := followers[0] // what the failover promoted
 	rejoined := primaries[0]
 	rejoined.Reset()
 	if err := newPrimary.AttachFollower(rejoined.Addr()); err != nil {

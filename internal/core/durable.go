@@ -21,6 +21,7 @@ import (
 
 	"smartflux/internal/durable"
 	"smartflux/internal/engine"
+	"smartflux/internal/kvstore/cluster"
 	"smartflux/internal/ml/multilabel"
 	"smartflux/internal/obs"
 	"smartflux/internal/workflow"
@@ -188,13 +189,14 @@ type DurableRunInfo struct {
 }
 
 // pipelineCommitter describes one run to drive — its first phase, the phase
-// lengths, the session if it has one — and, on a durable run, implements
-// engine.WaveCommitter: it wraps every harness checkpoint into a
-// PipelineCheckpoint and commits it with a global wave number (training
-// waves, then application waves).
+// lengths, the session and the cluster mirror if it has them — and, on a
+// durable run, implements engine.WaveCommitter: it wraps every harness
+// checkpoint into a PipelineCheckpoint and commits it with a global wave
+// number (training waves, then application waves).
 type pipelineCommitter struct {
 	mgr        *durable.Manager // nil unless the run is journaled
 	session    *Session         // nil for harness-only runs
+	mirror     *cluster.Client  // nil unless the live store is mirrored
 	phase      string
 	base       int // global wave offset of the current phase
 	train      *engine.Result

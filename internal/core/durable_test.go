@@ -360,13 +360,10 @@ func TestRestoreCheckpointRejectsMalformed(t *testing.T) {
 	}
 }
 
-// crashInWave runs the durable pipeline and kills its log at the first WAL
-// append of wave k, counted from 0 across both phases: k waves are committed,
-// wave k leaves an uncommitted tail.
-func crashInWave(t testing.TB, cfg PipelineConfig, dir string, k int) {
-	t.Helper()
-	var wave atomic.Int64
-	build := func() (*workflow.Workflow, *kvstore.Store, error) {
+// miniWorkloadOnWave is miniWorkload whose source step first reports the wave
+// it is about to run (in both harness instances).
+func miniWorkloadOnWave(onWave func(wave int)) engine.BuildFunc {
+	return func() (*workflow.Workflow, *kvstore.Store, error) {
 		wf, store, err := miniWorkload()()
 		if err != nil {
 			return nil, nil, err
@@ -377,11 +374,20 @@ func crashInWave(t testing.TB, cfg PipelineConfig, dir string, k int) {
 		}
 		inner := src.Proc
 		src.Proc = workflow.ProcessorFunc(func(ctx *workflow.Context) error {
-			wave.Store(int64(ctx.Wave))
+			onWave(ctx.Wave)
 			return inner.Process(ctx)
 		})
 		return wf, store, nil
 	}
+}
+
+// crashInWave runs the durable pipeline and kills its log at the first WAL
+// append of wave k, counted from 0 across both phases: k waves are committed,
+// wave k leaves an uncommitted tail.
+func crashInWave(t testing.TB, cfg PipelineConfig, dir string, k int) {
+	t.Helper()
+	var wave atomic.Int64
+	build := miniWorkloadOnWave(func(w int) { wave.Store(int64(w)) })
 	crashed := false
 	hook := func(op string) error {
 		if crashed || op == "wal_append" && wave.Load() == int64(k) {

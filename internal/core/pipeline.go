@@ -1,9 +1,11 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"smartflux/internal/engine"
+	"smartflux/internal/kvstore"
 	"smartflux/internal/kvstore/cluster"
 	"smartflux/internal/obs"
 	"smartflux/internal/workflow"
@@ -32,12 +34,13 @@ type PipelineConfig struct {
 	// field inside it is overridden by the pipeline's own).
 	Resilience engine.HarnessConfig
 	// Cluster, when non-nil, mirrors the live instance's store into a
-	// sharded, replicated kvstore cluster: existing state syncs when the
-	// instance is built and every subsequent mutation ships as a
-	// timestamped replication record, so the cluster's merged dump stays
-	// bit-identical to the live store (DESIGN.md §14). The reference
-	// instance is never mirrored. Asynchronous ship failures surface
-	// through the client's Err method, not the pipeline result.
+	// sharded, replicated kvstore cluster. The client attaches once the
+	// store holds what the run starts from — as built, or as recovered on
+	// a resume — syncing that state, and every subsequent mutation ships
+	// as a timestamped replication record, so the cluster's merged dump
+	// stays bit-identical to the live store (DESIGN.md §14). The reference
+	// instance is never mirrored. A ship that fails after the attach fails
+	// the run: the client's Err is joined onto the pipeline's error.
 	Cluster *cluster.Client
 }
 
@@ -51,6 +54,9 @@ type PipelineResult struct {
 	Test TestReport
 	// Session is the session used, trained and ready for further waves.
 	Session *Session
+	// Store is the live instance's store as the run left it — what a
+	// mirrored cluster's Dump must equal.
+	Store *kvstore.Store
 }
 
 // RunPipeline executes the full SmartFlux lifecycle over the workload
@@ -85,13 +91,21 @@ func runPipeline(build engine.BuildFunc, reportSteps []workflow.StepID, cfg Pipe
 	}
 	hcfg := cfg.Resilience
 	hcfg.Parallelism = cfg.Parallelism
-	c := &pipelineCommitter{session: session, phase: phaseLabelTraining, trainWaves: cfg.TrainWaves, applyWaves: cfg.ApplyWaves}
+	c := &pipelineCommitter{session: session, mirror: cfg.Cluster, phase: phaseLabelTraining, trainWaves: cfg.TrainWaves, applyWaves: cfg.ApplyWaves}
 	var res *PipelineResult
-	_, info, err := drive(clusterMirrorBuild(build, cfg.Cluster), reportSteps, hcfg, cfg.Obs, c, session,
+	_, info, err := drive(build, reportSteps, hcfg, cfg.Obs, c, session,
 		func(harness *engine.Harness, trainRes, applyRes *engine.Result) (err error) {
 			res, err = finishPipeline(harness, session, cfg, c, trainRes, applyRes)
 			return err
 		}, opts, rec)
+	if cfg.Cluster != nil {
+		// Ships run inside the store's observers, which cannot fail the
+		// write that triggered them; a run whose copy is incomplete is not
+		// a success.
+		if merr := cfg.Cluster.Err(); merr != nil {
+			err = errors.Join(err, fmt.Errorf("core: cluster mirror: %w", merr))
+		}
+	}
 	if err != nil {
 		return nil, info, err
 	}
@@ -108,11 +122,13 @@ func runPipeline(build engine.BuildFunc, reportSteps []workflow.StepID, cfg Pipe
 //     and decider are rewound to the recovered checkpoint, and the journal
 //     continues from the recovered wave.
 //
-// From there it is one body: what is left of the c.trainWaves waves of phase
-// c.phase under decider — returned as the first result — then after, which
-// gets the restored application result (nil when that phase has not started).
-// A bare harness run has no after; c describes the run either way and
-// receives the wave commits when opts is set.
+// From there it is one body: the live store — as built or as restored — is
+// attached to c.mirror and registered with the journal, then what is left of
+// the c.trainWaves waves of phase c.phase runs under decider — returned as
+// the first result — then after, which gets the restored application result
+// (nil when that phase has not started). A bare harness run has no after; c
+// describes the run either way and receives the wave commits when opts is
+// set.
 func drive(build engine.BuildFunc, reportSteps []workflow.StepID, hcfg engine.HarnessConfig, o *obs.Observer, c *pipelineCommitter, decider engine.Decider,
 	after func(harness *engine.Harness, trainRes, applyRes *engine.Result) error, opts *DurableOptions, rec *recovered) (*engine.Result, *DurableRunInfo, error) {
 	if opts != nil {
@@ -132,6 +148,14 @@ func drive(build engine.BuildFunc, reportSteps []workflow.StepID, hcfg engine.Ha
 		// wave boundary — all before Begin compacts the restored content.
 		if trainRes, applyRes, err = rec.restore(harness, decider); err != nil {
 			return nil, nil, err
+		}
+	}
+	if c.mirror != nil {
+		// Attach only now: replay notifies no observer, so the mirror's
+		// initial sync is what carries recovered state to the cluster — a
+		// fresh store and a restored one take the same path.
+		if err := c.mirror.Mirror(harness.Live().Store()); err != nil {
+			return nil, nil, fmt.Errorf("core: cluster mirror: %w", err)
 		}
 	}
 	if opts != nil {
@@ -221,5 +245,6 @@ func finishPipeline(harness *engine.Harness, session *Session, cfg PipelineConfi
 		Apply:   applyRes,
 		Test:    report,
 		Session: session,
+		Store:   harness.Live().Store(),
 	}, nil
 }

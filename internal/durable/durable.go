@@ -310,23 +310,6 @@ func (m *Manager) Err() error {
 	return m.sticky
 }
 
-// NewStore is the view of a Register-ed store that workflow processors route
-// their container access through. Mutations are captured by the manager's
-// store-level observers whatever path they take; the view's job is to
-// surface the manager's sticky crash error on every operation from then on,
-// reads included — and on the mutation whose append failed, since the
-// observer ran synchronously inside it — so a run over a dead log fails its
-// wave instead of silently diverging from what recovery will reconstruct.
-func NewStore(store *kvstore.Store, mgr *Manager) *kvstore.GuardedStore {
-	sticky := func(_, table string) error {
-		if err := mgr.Err(); err != nil {
-			return fmt.Errorf("durable store %q: %w", table, err)
-		}
-		return nil
-	}
-	return kvstore.Guard(store, sticky, sticky)
-}
-
 // Stats returns the cumulative counters.
 func (m *Manager) Stats() Stats {
 	m.mu.Lock()

@@ -1,31 +1,10 @@
 package durable
 
 import (
-	"bytes"
-	"fmt"
 	"testing"
 
 	"smartflux/internal/kvstore"
 )
-
-// dumpStore flattens a store into a canonical text form: every table, cell
-// and retained version with its logical timestamp.
-func dumpStore(t *testing.T, s *kvstore.Store, tables ...string) string {
-	t.Helper()
-	var b bytes.Buffer
-	for _, name := range tables {
-		tbl, err := s.Table(name)
-		if err != nil {
-			continue
-		}
-		for _, c := range tbl.Scan(kvstore.ScanOptions{}) {
-			for _, v := range tbl.GetVersions(c.Row, c.Column, 0) {
-				fmt.Fprintf(&b, "%s %s/%s @%d = %x\n", name, c.Row, c.Column, v.Timestamp, v.Value)
-			}
-		}
-	}
-	return b.String()
-}
 
 // mutationFeed subscribes to every table of a store (present and future) and
 // collects the encoded replication records of all observed mutations.
@@ -69,7 +48,7 @@ func TestShipRecordRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want, got := dumpStore(t, src, "t"), dumpStore(t, dst, "t")
+	want, got := string(src.Dump()), string(dst.Dump())
 	if want != got {
 		t.Fatalf("replicated dump differs:\nwant:\n%sgot:\n%s", want, got)
 	}
@@ -100,7 +79,7 @@ func TestApplyRecordIdempotentAndOrderTolerant(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want := dumpStore(t, src, "t")
+	want := string(src.Dump())
 
 	apply := func(order []int, twice bool) string {
 		dst := kvstore.New()
@@ -120,7 +99,7 @@ func TestApplyRecordIdempotentAndOrderTolerant(t *testing.T) {
 		if dst.Clock() != src.Clock() {
 			t.Fatalf("clock: src %d dst %d", src.Clock(), dst.Clock())
 		}
-		return dumpStore(t, dst, "t")
+		return string(dst.Dump())
 	}
 
 	for _, tc := range []struct {

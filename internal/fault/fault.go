@@ -5,7 +5,7 @@
 //
 // An Injector evaluates a seeded Policy once per operation: every decision
 // is drawn from a private rand.Source, so a given (Policy, operation
-// sequence) always produces the same faults. Three interposition surfaces
+// sequence) always produces the same faults. Two interposition surfaces
 // consume the decisions:
 //
 //   - NewStore: a kvstore.GuardedStore failing data operations before they
@@ -14,8 +14,6 @@
 //   - Conn / Listener (conn.go): wrap net.Conn / net.Listener so kvnet
 //     clients and servers see injected latency, I/O errors, disconnects and
 //     blackholes at the wire level.
-//   - Injector.StoreHook: the func(op, table) error NewStore interposes,
-//     usable anywhere a per-operation failure hook is accepted.
 //
 // The package is test-oriented but ships as production code: chaos suites,
 // examples and benchmarks all build against it.
@@ -256,22 +254,16 @@ func (d Decision) apply() error {
 	return d.Err
 }
 
-// StoreHook adapts the injector to the generic per-operation failure-hook
-// shape func(op, table) error. The table argument participates only in the
-// error message; filtering is by op name.
-func (i *Injector) StoreHook() func(op, table string) error {
-	return func(op, table string) error {
-		if err := i.Decide(op).apply(); err != nil {
+// NewStore interposes inj on every data operation of store, filtering by op
+// name (the table only names the failure). Errors are injected strictly
+// before delegation, so a failed Put never half-applies.
+func NewStore(store *kvstore.Store, inj *Injector) *kvstore.GuardedStore {
+	return kvstore.Guard(store, func(op, table string) error {
+		if err := inj.Decide(op).apply(); err != nil {
 			return fmt.Errorf("table %q: %w", table, err)
 		}
 		return nil
-	}
-}
-
-// NewStore interposes inj on every data operation of store. Errors are
-// injected strictly before delegation, so a failed Put never half-applies.
-func NewStore(store *kvstore.Store, inj *Injector) *kvstore.GuardedStore {
-	return kvstore.Guard(store, inj.StoreHook(), nil)
+	})
 }
 
 // OpHook adapts the injector to the single-argument per-operation hook shape

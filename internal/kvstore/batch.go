@@ -40,10 +40,6 @@ func (b *Batch) Delete(row, column string) *Batch {
 // Len returns the number of operations queued.
 func (b *Batch) Len() int { return len(b.ops) }
 
-// Ops returns a copy of the queued operations, in order — for layers (kvnet,
-// cluster) that re-encode a batch instead of applying it locally.
-func (b *Batch) Ops() []Op { return append([]Op(nil), b.ops...) }
-
 // Apply applies all operations in b atomically, then notifies observers.
 // It validates keys up front so a bad op leaves the table untouched.
 func (t *Table) Apply(b *Batch) error {

@@ -473,19 +473,6 @@ func (c *Client) Get(table, row, column string) (value []byte, found bool, err e
 	return value, found, err
 }
 
-// GetFloat reads a float64-encoded cell.
-func (c *Client) GetFloat(table, row, column string) (float64, bool, error) {
-	raw, found, err := c.Get(table, row, column)
-	if err != nil || !found {
-		return 0, found, err
-	}
-	v, err := kvstore.DecodeFloat(raw)
-	if err != nil {
-		return 0, false, err
-	}
-	return v, true, nil
-}
-
 // Mirror attaches the client to a live local store: existing state is
 // synced to the cluster (create records plus every retained version, oldest
 // first), then every subsequent local mutation ships as it happens, carrying

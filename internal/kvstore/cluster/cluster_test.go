@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -20,55 +22,24 @@ import (
 // every primary's listener and the client dial path, so fault.Partition of a
 // primary address looks like a dead shard from everywhere.
 type testCluster struct {
-	t        *testing.T
-	primary  []*Node
-	follower []*Node
-	m        *Map
-	inj      *fault.Injector
+	*Local
+	t   *testing.T
+	inj *fault.Injector
 }
 
 func startCluster(t *testing.T, shards int, replicated bool, inj *fault.Injector) *testCluster {
 	t.Helper()
-	tc := &testCluster{t: t, inj: inj}
-	addrs := make([]string, shards)
-	for s := 0; s < shards; s++ {
-		cfg := NodeConfig{}
-		if inj != nil {
-			ln := rawListener(t)
-			cfg.Listener = fault.WrapListener(ln, inj)
+	local, err := StartLocal(shards, replicated, func(_ int, replica bool) (NodeConfig, error) {
+		if inj == nil || replica {
+			return NodeConfig{}, nil
 		}
-		n, err := NewNode(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tc.primary = append(tc.primary, n)
-		addrs[s] = n.Addr()
-	}
-	tc.m = NewMap(addrs)
-	if replicated {
-		for s := 0; s < shards; s++ {
-			f, err := NewNode(NodeConfig{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			tc.follower = append(tc.follower, f)
-			if err := tc.primary[s].AttachFollower(f.Addr()); err != nil {
-				t.Fatal(err)
-			}
-			if err := tc.m.SetReplica(s, f.Addr()); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	t.Cleanup(func() {
-		for _, n := range tc.primary {
-			_ = n.Close()
-		}
-		for _, n := range tc.follower {
-			_ = n.Close()
-		}
+		return NodeConfig{Listener: fault.WrapListener(rawListener(t), inj)}, nil
 	})
-	return tc
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(local.Close)
+	return &testCluster{Local: local, t: t, inj: inj}
 }
 
 func rawListener(t *testing.T) net.Listener {
@@ -84,7 +55,7 @@ func rawListener(t *testing.T) net.Listener {
 // injector when one is installed.
 func (tc *testCluster) client(cfg Config) *Client {
 	tc.t.Helper()
-	cfg.Map = tc.m
+	cfg.Map = tc.Map
 	if tc.inj != nil && cfg.Client.Dial == nil {
 		cfg.Client.Dial = fault.Dialer(tc.inj)
 	}
@@ -99,46 +70,14 @@ func (tc *testCluster) client(cfg Config) *Client {
 	return c
 }
 
-// dumpCells formats version-expanded cells the way the chaos suite dumps a
-// store: one line per retained version, in key order, newest first per cell.
-func dumpCells(table string, cells []kvstore.Cell) string {
-	var b bytes.Buffer
-	for _, c := range cells {
-		fmt.Fprintf(&b, "%s %s/%s @%d = %x\n", table, c.Row, c.Column, c.Version.Timestamp, c.Version.Value)
-	}
-	return b.String()
-}
-
-// clusterDump merges every shard's version history for the tables.
+// clusterDump is the cluster's merged dump of the tables.
 func clusterDump(t *testing.T, c *Client, tables ...string) string {
 	t.Helper()
-	var b bytes.Buffer
-	for _, table := range tables {
-		cells, err := c.ScanVersions(table, kvstore.ScanOptions{})
-		if err != nil {
-			t.Fatalf("ScanVersions(%s): %v", table, err)
-		}
-		b.WriteString(dumpCells(table, cells))
+	d, err := c.Dump(tables...)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return b.String()
-}
-
-// storeDump produces the identical format from a local store.
-func storeDump(t *testing.T, s *kvstore.Store, tables ...string) string {
-	t.Helper()
-	var b bytes.Buffer
-	for _, table := range tables {
-		tbl, err := s.Table(table)
-		if err != nil {
-			continue
-		}
-		for _, c := range tbl.Scan(kvstore.ScanOptions{}) {
-			for _, v := range tbl.GetVersions(c.Row, c.Column, 0) {
-				fmt.Fprintf(&b, "%s %s/%s @%d = %x\n", table, c.Row, c.Column, v.Timestamp, v.Value)
-			}
-		}
-	}
-	return b.String()
+	return string(d)
 }
 
 // workload drives an identical op sequence against the cluster client and a
@@ -172,6 +111,17 @@ func workload(t *testing.T, c *Client, ref *kvstore.Store) {
 			t.Fatal(err)
 		}
 	}
+	// Keys that break a careless dump or merge: a row that prefixes another
+	// ("a" sorts before "a-b" as a row, after it as a joined "row/column"
+	// string) and two cells whose row/column concatenations collide.
+	for _, k := range [][2]string{{"a-b", "x"}, {"a", "x"}, {"a/b", "c"}, {"a", "b/c"}} {
+		if err := c.Put("alpha", k[0], k[1], []byte(k[0])); err != nil {
+			t.Fatal(err)
+		}
+		if err := refA.Put(k[0], k[1], []byte(k[0])); err != nil {
+			t.Fatal(err)
+		}
+	}
 	// Deletes: one real, one of a missing cell (tick parity).
 	for _, k := range [][2]string{{"row-03", "c0"}, {"never", "c9"}} {
 		if err := c.Delete("alpha", k[0], k[1]); err != nil {
@@ -183,11 +133,14 @@ func workload(t *testing.T, c *Client, ref *kvstore.Store) {
 	}
 	// A batch spanning many rows (hence shards).
 	b := kvstore.NewBatch()
+	var ops []kvstore.Op
 	for i := 0; i < 10; i++ {
-		b.PutFloat(fmt.Sprintf("m-%02d", i), "value", float64(i)*1.5)
+		op := kvstore.Op{Row: fmt.Sprintf("m-%02d", i), Column: "value", Value: kvstore.EncodeFloat(float64(i) * 1.5)}
+		ops = append(ops, op)
+		b.Put(op.Row, op.Column, op.Value)
 	}
 	b.Delete("m-04", "value")
-	if err := c.Apply("beta", b.Ops()); err != nil {
+	if err := c.Apply("beta", append(ops, kvstore.Op{Row: "m-04", Column: "value", Delete: true})); err != nil {
 		t.Fatal(err)
 	}
 	if err := refB.Apply(b); err != nil {
@@ -263,7 +216,7 @@ func TestClusterDumpBitIdenticalToSingleStore(t *testing.T) {
 			ref := kvstore.New()
 			workload(t, c, ref)
 
-			want := storeDump(t, ref, "alpha", "beta")
+			want := string(ref.Dump())
 			got := clusterDump(t, c, "alpha", "beta")
 			if want == "" {
 				t.Fatal("empty reference dump; workload broken")
@@ -314,58 +267,25 @@ func TestFollowerMirrorsPrimary(t *testing.T) {
 	ref := kvstore.New()
 	workload(t, c, ref)
 
-	want := storeDump(t, ref, "alpha", "beta")
-	var merged string
-	for _, set := range [][]*Node{tc.primary, tc.follower} {
-		var b bytes.Buffer
-		for _, table := range []string{"alpha", "beta"} {
-			cells := mergeNodeVersions(t, set, table)
-			b.WriteString(dumpCells(table, cells))
+	// Every follower holds exactly what its primary holds, and the primaries
+	// together hold the reference.
+	for s := range tc.Primaries {
+		if pd, fd := tc.Primaries[s].Store().Dump(), tc.Followers[s].Store().Dump(); !bytes.Equal(pd, fd) {
+			t.Fatalf("shard %d follower differs from its primary:\nprimary:\n%sfollower:\n%s", s, pd, fd)
 		}
-		merged = b.String()
-		if merged != want {
-			t.Fatalf("node-set dump differs from reference:\nwant:\n%sgot:\n%s", want, merged)
-		}
+	}
+	if want, got := string(ref.Dump()), clusterDump(t, c, "alpha", "beta"); got != want {
+		t.Fatalf("cluster dump differs from reference:\nwant:\n%sgot:\n%s", want, got)
 	}
 	// Log heads agree pairwise: follower logs are checksum-prefixes of
 	// their primaries'.
-	for s := range tc.primary {
-		pc, pcrc := tc.primary[s].Log().Status()
-		fc, fcrc := tc.follower[s].Log().Status()
+	for s := range tc.Primaries {
+		pc, pcrc := tc.Primaries[s].Log().Status()
+		fc, fcrc := tc.Followers[s].Log().Status()
 		if pc != fc || pcrc != fcrc {
 			t.Fatalf("shard %d log heads differ: primary (%d,%x) follower (%d,%x)", s, pc, pcrc, fc, fcrc)
 		}
 	}
-}
-
-// mergeNodeVersions merges the version-expanded contents of a node set's
-// stores directly (no client), in key order.
-func mergeNodeVersions(t *testing.T, nodes []*Node, table string) []kvstore.Cell {
-	t.Helper()
-	var all []kvstore.Cell
-	for _, n := range nodes {
-		tbl, err := n.Store().Table(table)
-		if err != nil {
-			continue
-		}
-		for _, c := range tbl.Scan(kvstore.ScanOptions{}) {
-			for _, v := range tbl.GetVersions(c.Row, c.Column, 0) {
-				all = append(all, kvstore.Cell{Row: c.Row, Column: c.Column, Version: v})
-			}
-		}
-	}
-	// Insertion sort by (row, col) keeping per-cell version runs stable.
-	sorted := make([]kvstore.Cell, 0, len(all))
-	for _, c := range all {
-		i := len(sorted)
-		for i > 0 && keyLess(c, sorted[i-1]) {
-			i--
-		}
-		sorted = append(sorted, kvstore.Cell{})
-		copy(sorted[i+1:], sorted[i:])
-		sorted[i] = c
-	}
-	return sorted
 }
 
 func TestCatchUpFromCursor(t *testing.T) {
@@ -380,31 +300,31 @@ func TestCatchUpFromCursor(t *testing.T) {
 		}
 	}
 	// Follower goes away; primary keeps writing.
-	tc.primary[0].DetachFollower()
+	tc.Primaries[0].DetachFollower()
 	for i := 10; i < 25; i++ {
 		if err := c.Put("t", fmt.Sprintf("r%02d", i), "c", []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	fcur, _ := tc.follower[0].Log().Status()
-	pcur, _ := tc.primary[0].Log().Status()
+	fcur, _ := tc.Followers[0].Log().Status()
+	pcur, _ := tc.Primaries[0].Log().Status()
 	if fcur >= pcur {
 		t.Fatalf("follower cursor %d not behind primary %d", fcur, pcur)
 	}
 	// Re-attach: catch-up streams Since(cursor), then live shipping resumes.
-	if err := tc.primary[0].AttachFollower(tc.follower[0].Addr()); err != nil {
+	if err := tc.Primaries[0].AttachFollower(tc.Followers[0].Addr()); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Put("t", "r99", "c", []byte("live")); err != nil {
 		t.Fatal(err)
 	}
-	pd := storeDump(t, tc.primary[0].Store(), "t")
-	fd := storeDump(t, tc.follower[0].Store(), "t")
+	pd := string(tc.Primaries[0].Store().Dump())
+	fd := string(tc.Followers[0].Store().Dump())
 	if pd != fd {
 		t.Fatalf("follower diverged after catch-up:\nprimary:\n%sfollower:\n%s", pd, fd)
 	}
-	fc, fcrc := tc.follower[0].Log().Status()
-	pc, pcrc := tc.primary[0].Log().Status()
+	fc, fcrc := tc.Followers[0].Log().Status()
+	pc, pcrc := tc.Primaries[0].Log().Status()
 	if fc != pc || fcrc != pcrc {
 		t.Fatalf("log heads differ after catch-up: follower (%d,%x) primary (%d,%x)", fc, fcrc, pc, pcrc)
 	}
@@ -433,15 +353,15 @@ func TestDivergedFollowerRequiresReset(t *testing.T) {
 	if err := st.Put("ghost", "c", []byte("unacked")); err != nil {
 		t.Fatal(err)
 	}
-	if err := tc.primary[0].AttachFollower(stray.Addr()); !errors.Is(err, ErrDivergedFollower) {
+	if err := tc.Primaries[0].AttachFollower(stray.Addr()); !errors.Is(err, ErrDivergedFollower) {
 		t.Fatalf("attach of diverged follower = %v, want ErrDivergedFollower", err)
 	}
 	// Reset wipes it back to a clean slate; the attach then resyncs from 0.
 	stray.Reset()
-	if err := tc.primary[0].AttachFollower(stray.Addr()); err != nil {
+	if err := tc.Primaries[0].AttachFollower(stray.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	if pd, sd := storeDump(t, tc.primary[0].Store(), "t"), storeDump(t, stray.Store(), "t"); pd != sd {
+	if pd, sd := string(tc.Primaries[0].Store().Dump()), string(stray.Store().Dump()); pd != sd {
 		t.Fatalf("resynced follower differs:\nprimary:\n%sfollower:\n%s", pd, sd)
 	}
 }
@@ -462,7 +382,7 @@ func TestFailoverPromotesReplica(t *testing.T) {
 	workload(t, c, ref)
 
 	// Kill shard 0's primary: all conns to it drop, dials are refused.
-	victim := tc.primary[0].Addr()
+	victim := tc.Primaries[0].Addr()
 	inj.Partition(victim)
 
 	// Every op keeps working; ops routed to shard 0 go through failover.
@@ -481,23 +401,23 @@ func TestFailoverPromotesReplica(t *testing.T) {
 		t.Fatalf("failovers = %v, want exactly one", failed)
 	}
 	m := c.Map()
-	if m.Shards[0].Primary != tc.follower[0].Addr() {
-		t.Fatalf("map primary = %s, want promoted follower %s", m.Shards[0].Primary, tc.follower[0].Addr())
+	if m.Shards[0].Primary != tc.Followers[0].Addr() {
+		t.Fatalf("map primary = %s, want promoted follower %s", m.Shards[0].Primary, tc.Followers[0].Addr())
 	}
-	if m.Version != tc.m.Version+1 {
-		t.Fatalf("map version = %d, want %d", m.Version, tc.m.Version+1)
+	if m.Version != tc.Map.Version+1 {
+		t.Fatalf("map version = %d, want %d", m.Version, tc.Map.Version+1)
 	}
 
 	// The merged dump still matches the reference bit-for-bit: the replica
 	// held every acked write at promotion time.
-	want := storeDump(t, ref, "alpha", "beta")
+	want := string(ref.Dump())
 	got := clusterDump(t, c, "alpha", "beta")
 	if got != want {
 		t.Fatalf("post-failover dump differs:\nwant:\n%sgot:\n%s", want, got)
 	}
 
 	// The surviving other-shard primary learned the new map.
-	cl, err := kvnet.Dial(tc.primary[1].Addr())
+	cl, err := kvnet.Dial(tc.Primaries[1].Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -535,11 +455,11 @@ func TestHealthLoopPromotesProactively(t *testing.T) {
 	if c.StartHealthLoop(5 * time.Millisecond) {
 		t.Fatal("second StartHealthLoop returned true")
 	}
-	inj.Partition(tc.primary[0].Addr())
+	inj.Partition(tc.Primaries[0].Addr())
 	select {
 	case to := <-promoted:
-		if to != tc.follower[0].Addr() {
-			t.Fatalf("promoted to %s, want %s", to, tc.follower[0].Addr())
+		if to != tc.Followers[0].Addr() {
+			t.Fatalf("promoted to %s, want %s", to, tc.Followers[0].Addr())
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("health loop never promoted the replica")
@@ -571,21 +491,21 @@ func TestRejoinAfterFailover(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	inj.Partition(tc.primary[0].Addr())
+	inj.Partition(tc.Primaries[0].Addr())
 	for i := 10; i < 20; i++ {
 		if err := c.Put("t", fmt.Sprintf("r%02d", i), "c", []byte{byte(i)}); err != nil {
 			t.Fatalf("put %d across failover: %v", i, err)
 		}
 	}
-	promoted := tc.follower[0]
+	promoted := tc.Followers[0]
 	if c.Map().Shards[0].Primary != promoted.Addr() {
 		t.Fatal("replica was not promoted")
 	}
 
 	// Rejoin: the dead node heals, resets (dropping its stale follower link
 	// to the promoted node) and catches up as the new follower.
-	inj.Heal(tc.primary[0].Addr())
-	rejoined := tc.primary[0]
+	inj.Heal(tc.Primaries[0].Addr())
+	rejoined := tc.Primaries[0]
 	rejoined.Reset()
 	if got := rejoined.FollowerAddr(); got != "" {
 		t.Fatalf("Reset left follower link to %s attached", got)
@@ -604,8 +524,8 @@ func TestRejoinAfterFailover(t *testing.T) {
 	if err := c.Put("t", "r99", "c", []byte("post-rejoin")); err != nil {
 		t.Fatal(err)
 	}
-	pd := storeDump(t, promoted.Store(), "t")
-	rd := storeDump(t, rejoined.Store(), "t")
+	pd := string(promoted.Store().Dump())
+	rd := string(rejoined.Store().Dump())
 	if pd != rd {
 		t.Fatalf("rejoined follower differs:\npromoted:\n%srejoined:\n%s", pd, rd)
 	}
@@ -650,7 +570,7 @@ func TestScanMergeMidScanFailover(t *testing.T) {
 	c.onScanPage = func(shard, page int) {
 		if shard == 1 && page == 1 && !killed {
 			killed = true
-			inj.Partition(tc.primary[1].Addr())
+			inj.Partition(tc.Primaries[1].Addr())
 		}
 	}
 	got, err := c.Scan("t", kvstore.ScanOptions{})
@@ -672,7 +592,7 @@ func TestScanMergeMidScanFailover(t *testing.T) {
 				want[i].Row, want[i].Column, want[i].Version.Timestamp, want[i].Version.Value)
 		}
 	}
-	if c.Map().Shards[1].Primary != tc.follower[1].Addr() {
+	if c.Map().Shards[1].Primary != tc.Followers[1].Addr() {
 		t.Fatal("shard 1 was not failed over during the scan")
 	}
 }
@@ -716,40 +636,61 @@ func TestMirrorShipsExistingAndLiveState(t *testing.T) {
 	if err := c.Err(); err != nil {
 		t.Fatalf("mirror ship error: %v", err)
 	}
-	want := storeDump(t, local, "pre", "post")
-	got := clusterDump(t, c, "pre", "post")
+	want := string(local.Dump())
+	got := clusterDump(t, c, local.TableNames()...)
 	if got != want {
 		t.Fatalf("mirrored cluster differs from local store:\nwant:\n%sgot:\n%s", want, got)
 	}
 }
 
-// --- adapter ---------------------------------------------------------------
+// --- the shared rig ---------------------------------------------------------
 
-func TestStoreAdapter(t *testing.T) {
-	tc := startCluster(t, 2, false, nil)
-	c := tc.client(Config{})
-	s := c.AsStore()
-	tbl, err := s.EnsureTable("t", kvstore.TableOptions{MaxVersions: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.PutFloat("r", "f", 1.5); err != nil {
-		t.Fatal(err)
-	}
-	if v, found, err := tbl.GetFloat("r", "f"); err != nil || !found || v != 1.5 {
-		t.Fatalf("GetFloat = %v %v %v", v, found, err)
-	}
-	if err := tbl.Apply(kvstore.NewBatch().Put("r2", "c", []byte("b")).Delete("r", "f")); err != nil {
-		t.Fatal(err)
-	}
-	if _, found, err := tbl.Get("r", "f"); err != nil || found {
-		t.Fatalf("deleted cell: found=%v err=%v", found, err)
-	}
-	cells, err := tbl.Scan(kvstore.ScanOptions{})
-	if err != nil || len(cells) != 1 || cells[0].Row != "r2" {
-		t.Fatalf("Scan = %+v, %v", cells, err)
-	}
-	if _, err := s.Table(""); err == nil {
-		t.Fatal("empty table name accepted")
+// TestStartLocalClosesWhatItStartedOnFailure fails one node's listener — the
+// last primary, then a replica behind an already-attached shard — and
+// requires StartLocal to have closed every node it had started: their ports
+// refuse connections and no goroutine of theirs is left running.
+func TestStartLocalClosesWhatItStartedOnFailure(t *testing.T) {
+	for _, tt := range []struct {
+		name    string
+		shard   int
+		replica bool
+	}{
+		{"primary-2", 2, false},
+		{"replica-1", 1, true},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			occupied := rawListener(t)
+			defer func() { _ = occupied.Close() }()
+			before := runtime.NumGoroutine()
+			var started []string
+			local, err := StartLocal(3, true, func(shard int, replica bool) (NodeConfig, error) {
+				if shard == tt.shard && replica == tt.replica {
+					return NodeConfig{Addr: occupied.Addr().String()}, nil
+				}
+				ln := rawListener(t)
+				started = append(started, ln.Addr().String())
+				return NodeConfig{Listener: ln}, nil
+			})
+			if err == nil {
+				local.Close()
+				t.Fatal("StartLocal succeeded over an occupied port")
+			}
+			if want := fmt.Sprintf("shard %d", tt.shard); !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q does not name %s", err, want)
+			}
+			for _, addr := range started {
+				if conn, err := net.DialTimeout("tcp", addr, time.Second); err == nil {
+					_ = conn.Close()
+					t.Errorf("node on %s still accepts connections", addr)
+				}
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > before {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines before, %d after a failed start", before, runtime.NumGoroutine())
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+		})
 	}
 }

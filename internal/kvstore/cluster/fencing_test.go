@@ -48,7 +48,7 @@ func TestFencingStaleEpochRejectedAfterFailover(t *testing.T) {
 		put(fmt.Sprintf("r%02d", i), []byte{byte(i)})
 	}
 
-	victim, promoted := tc.primary[0], tc.follower[0]
+	victim, promoted := tc.Primaries[0], tc.Followers[0]
 	inj.Partition(victim.Addr())
 	for i := 10; i < 20; i++ {
 		put(fmt.Sprintf("r%02d", i), []byte{byte(i)})
@@ -92,10 +92,10 @@ func TestFencingStaleEpochRejectedAfterFailover(t *testing.T) {
 
 	// The promoted timeline never saw the ghost, and the cluster's merged
 	// dump still equals the reference store of acked writes.
-	if pd := storeDump(t, promoted.Store(), "t"); pd != storeDump(t, ref, "t") {
+	if pd := string(promoted.Store().Dump()); pd != string(ref.Dump()) {
 		t.Fatalf("promoted store drifted from acked reference:\n%s", pd)
 	}
-	if got, want := clusterDump(t, c, "t"), storeDump(t, ref, "t"); got != want {
+	if got, want := clusterDump(t, c, "t"), string(ref.Dump()); got != want {
 		t.Fatalf("cluster dump differs from acked reference:\nwant:\n%sgot:\n%s", want, got)
 	}
 
@@ -111,7 +111,7 @@ func TestFencingStaleEpochRejectedAfterFailover(t *testing.T) {
 	if err := c.Put("t", "r99", "c", []byte("post-rejoin")); err != nil {
 		t.Fatal(err)
 	}
-	if vd, pd := storeDump(t, victim.Store(), "t"), storeDump(t, promoted.Store(), "t"); vd != pd {
+	if vd, pd := string(victim.Store().Dump()), string(promoted.Store().Dump()); vd != pd {
 		t.Fatalf("rejoined follower differs:\npromoted:\n%srejoined:\n%s", pd, vd)
 	}
 	if victim.Fenced() {
@@ -136,7 +136,7 @@ func TestClientFencedFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	victim, promoted := tc.primary[0], tc.follower[0]
+	victim, promoted := tc.Primaries[0], tc.Followers[0]
 	inj.Partition(victim.Addr())
 	if err := fresh.Put("t", "r1", "c", []byte("promotes")); err != nil {
 		t.Fatal(err)
@@ -247,7 +247,7 @@ func TestBreakerOpensFastFailsAndRecovers(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		victim := tc.primary[0].Addr()
+		victim := tc.Primaries[0].Addr()
 		inj.Partition(victim)
 		for i := 0; i < 2; i++ { // threshold failures trip it
 			if err := c.Put("t", "r", "c", []byte("down")); err == nil {
@@ -309,7 +309,7 @@ func TestHealthLoopFailoverThreshold(t *testing.T) {
 	if err := c.CreateTable("t", 0); err != nil {
 		t.Fatal(err)
 	}
-	victim := tc.primary[0].Addr()
+	victim := tc.Primaries[0].Addr()
 
 	// A one-sweep blip: no promotion.
 	inj.Partition(victim)
@@ -329,7 +329,7 @@ func TestHealthLoopFailoverThreshold(t *testing.T) {
 	if failovers != 1 {
 		t.Fatalf("failovers = %d after sustained failure, want 1", failovers)
 	}
-	if got := c.Map().Shards[0].Primary; got != tc.follower[0].Addr() {
+	if got := c.Map().Shards[0].Primary; got != tc.Followers[0].Addr() {
 		t.Fatalf("primary = %s, want promoted follower", got)
 	}
 }
@@ -355,7 +355,7 @@ func TestScanMidScanPartitionFailsLoud(t *testing.T) {
 	c.onScanPage = func(shard, page int) {
 		if shard == 1 && page == 1 && !killed {
 			killed = true
-			inj.Partition(tc.primary[1].Addr())
+			inj.Partition(tc.Primaries[1].Addr())
 		}
 	}
 	cells, err := c.Scan("t", kvstore.ScanOptions{})

@@ -11,6 +11,8 @@ package cluster
 // the merge never sees cross-shard duplicates.
 
 import (
+	"fmt"
+
 	"smartflux/internal/kvstore"
 	"smartflux/internal/kvstore/kvnet"
 )
@@ -191,4 +193,23 @@ func (c *Client) scatterGather(table string, opts kvstore.ScanOptions, versions 
 // dump path the determinism contract is verified through.
 func (c *Client) ScanVersions(table string, opts kvstore.ScanOptions) ([]kvstore.Cell, error) {
 	return c.scatterGather(table, opts, true)
+}
+
+// Dump renders the named tables' merged contents in kvstore.Store.Dump's
+// format, line for line: the cluster holds what a single store holds exactly
+// when the two dumps are equal. Tables are dumped in the order given — pass
+// the store's TableNames to compare against its Dump; a node cannot list its
+// tables over the wire.
+func (c *Client) Dump(tables ...string) ([]byte, error) {
+	var out []byte
+	for _, name := range tables {
+		cells, err := c.ScanVersions(name, kvstore.ScanOptions{})
+		if err != nil {
+			return nil, fmt.Errorf("cluster: dump %s: %w", name, err)
+		}
+		for _, cell := range cells {
+			out = kvstore.AppendDumpLine(out, name, cell.Row, cell.Column, cell.Version)
+		}
+	}
+	return out, nil
 }

@@ -1,29 +1,24 @@
 package kvstore
 
 // GuardedStore is a view of a Store whose every data operation first asks a
-// hook whether it may proceed, and whose mutations report to a second hook
-// once they have been applied. Processors route their container access
+// hook whether it may proceed. Processors route their container access
 // through it where an operation must be able to fail for a reason the store
-// itself does not know: injected faults (fault.NewStore), a write-ahead log
-// that has died (durable.NewStore). Every operation returns an error, reads
-// included, the way a remote store's would.
+// itself does not know — injected faults (fault.NewStore). Every operation
+// returns an error, reads included, the way a remote store's would.
 //
-// The hooks receive the operation name — "create_table" (table resolution),
-// "put", "get", "delete", "scan", "apply" — and the table name. A before
-// error fails the operation without touching the store, so a refused Put
-// never half-applies.
+// The hook receives the operation name — "create_table" (table resolution),
+// "put", "get", "delete", "scan", "apply" — and the table name. Its error
+// fails the operation without touching the store, so a refused Put never
+// half-applies.
 type GuardedStore struct {
-	store         *Store
-	before, after func(op, table string) error
+	store  *Store
+	before func(op, table string) error
 }
 
-// Guard interposes the hooks on store. after may be nil.
-func Guard(store *Store, before, after func(op, table string) error) *GuardedStore {
-	return &GuardedStore{store: store, before: before, after: after}
+// Guard interposes the hook on store.
+func Guard(store *Store, before func(op, table string) error) *GuardedStore {
+	return &GuardedStore{store: store, before: before}
 }
-
-// Unwrap returns the underlying store.
-func (g *GuardedStore) Unwrap() *Store { return g.store }
 
 // EnsureTable mirrors Store.EnsureTable (op "create_table").
 func (g *GuardedStore) EnsureTable(name string, opts TableOptions) (*GuardedTable, error) {
@@ -56,25 +51,14 @@ type GuardedTable struct {
 	g *GuardedStore
 }
 
-// Unwrap returns the underlying table.
-func (t *GuardedTable) Unwrap() *Table { return t.t }
-
 func (t *GuardedTable) before(op string) error { return t.g.before(op, t.t.Name()) }
-
-// applied reports a mutation that went through to the after hook.
-func (t *GuardedTable) applied(op string, err error) error {
-	if err != nil || t.g.after == nil {
-		return err
-	}
-	return t.g.after(op, t.t.Name())
-}
 
 // Put writes a value (op "put").
 func (t *GuardedTable) Put(row, column string, value []byte) error {
 	if err := t.before("put"); err != nil {
 		return err
 	}
-	return t.applied("put", t.t.Put(row, column, value))
+	return t.t.Put(row, column, value)
 }
 
 // PutFloat writes an encoded float64 (op "put").
@@ -109,7 +93,7 @@ func (t *GuardedTable) Delete(row, column string) error {
 	if err := t.before("delete"); err != nil {
 		return err
 	}
-	return t.applied("delete", t.t.Delete(row, column))
+	return t.t.Delete(row, column)
 }
 
 // Scan returns matching cells (op "scan").
@@ -125,5 +109,5 @@ func (t *GuardedTable) Apply(b *Batch) error {
 	if err := t.before("apply"); err != nil {
 		return err
 	}
-	return t.applied("apply", t.t.Apply(b))
+	return t.t.Apply(b)
 }

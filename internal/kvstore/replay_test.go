@@ -8,17 +8,9 @@ import (
 	"testing"
 )
 
-// dump renders every cell with all versions and timestamps so tests can
-// assert bit-identical state.
-func dumpTable(t *Table) string {
-	var buf bytes.Buffer
-	for _, c := range t.Scan(ScanOptions{}) {
-		for _, v := range t.GetVersions(c.Row, c.Column, 0) {
-			fmt.Fprintf(&buf, "%s/%s @%d = %x\n", c.Row, c.Column, v.Timestamp, v.Value)
-		}
-	}
-	return buf.String()
-}
+// dumpTable is the dump of the store t belongs to (every test here keeps one
+// table per store).
+func dumpTable(t *Table) string { return string(t.store.Dump()) }
 
 func TestReplayReproducesLiveSequence(t *testing.T) {
 	live := New()
