@@ -55,6 +55,15 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *policy != "smartflux" && (*walDir != "" || *resume) {
+		// Only the pipeline journals: taking the flag and writing no log would
+		// pass off an unprotected run as a durable one.
+		name := "-wal-dir"
+		if *walDir == "" {
+			name = "-resume"
+		}
+		return fmt.Errorf("%s: policy %q is not journaled; only -policy smartflux writes and resumes a write-ahead log", name, *policy)
+	}
 	var fsyncMode smartflux.FsyncMode
 	if *walDir != "" {
 		var err error
@@ -179,21 +188,20 @@ func run(args []string, out io.Writer) error {
 			info *smartflux.DurableRunInfo
 			err  error
 		)
+		steps := []smartflux.StepID{report}
+		opts := smartflux.DurableOptions{
+			Dir:           *walDir,
+			SnapshotEvery: *snapEvery,
+			Fsync:         fsyncMode,
+			Obs:           observer,
+		}
 		switch {
 		case *walDir == "":
-			res, err = smartflux.RunPipeline(build, []smartflux.StepID{report}, cfg)
+			res, err = smartflux.RunPipeline(build, steps, cfg)
+		case *resume:
+			res, info, err = smartflux.ResumePipeline(build, steps, cfg, opts)
 		default:
-			opts := smartflux.DurableOptions{
-				Dir:           *walDir,
-				SnapshotEvery: *snapEvery,
-				Fsync:         fsyncMode,
-				Obs:           observer,
-			}
-			if *resume {
-				res, info, err = smartflux.ResumePipeline(build, []smartflux.StepID{report}, cfg, opts)
-			} else {
-				res, info, err = smartflux.RunPipelineDurable(build, []smartflux.StepID{report}, cfg, opts)
-			}
+			res, info, err = smartflux.RunPipelineDurable(build, steps, cfg, opts)
 		}
 		if err != nil {
 			return err
@@ -311,8 +319,12 @@ func parsePolicy(name string, seed int64) (smartflux.Decider, error) {
 	}
 }
 
-// printResult renders one harness result.
+// printResult renders one harness result (nothing for a pipeline run with
+// -apply 0, which has no application phase).
 func printResult(out io.Writer, res *smartflux.Result, step smartflux.StepID) {
+	if res == nil {
+		return
+	}
 	fmt.Fprintf(out, "  executions: %d live, %d optimal, %d sync (%.0f%% saved)\n",
 		res.TotalLiveExecutions(), res.TotalOptimalExecutions(),
 		res.TotalSyncExecutions(), res.SavingsRatio()*100)

@@ -42,6 +42,15 @@ func TestRunSmartfluxPolicy(t *testing.T) {
 	if !strings.Contains(buf.String(), "test phase:") {
 		t.Errorf("missing test-phase line:\n%s", buf.String())
 	}
+	// No application phase: PipelineResult.Apply is nil and nothing is printed
+	// for it (this used to dereference it).
+	buf.Reset()
+	if err := run([]string{"-workload", "firerisk", "-train", "60", "-apply", "0"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(buf.String(), "executions:") {
+		t.Errorf("-apply 0 printed an application result:\n%s", buf.String())
+	}
 }
 
 func TestRunErrors(t *testing.T) {
@@ -120,6 +129,41 @@ func TestRunDurableAndResume(t *testing.T) {
 	}
 	if !strings.Contains(dense.String(), "0 fsyncs") {
 		t.Errorf("-fsync never should record 0 fsyncs:\n%s", dense.String())
+	}
+}
+
+// Only -policy smartflux journals. Every other policy used to take -wal-dir and
+// -resume, exit 0, write no log and resume nothing; now the flag is refused by
+// name, and nothing is created.
+func TestRunRejectsDurabilityFlagsOutsidePipeline(t *testing.T) {
+	for _, tc := range []struct {
+		policy string
+		flags  string // DIR stands for the directory
+		named  string
+	}{
+		{"seq3", "-wal-dir DIR", "-wal-dir"},
+		{"seq3", "-resume", "-resume"},
+		{"seq3", "-wal-dir DIR -resume", "-wal-dir"},
+		{"sync", "-resume -wal-dir DIR", "-wal-dir"},
+		{"random", "-wal-dir DIR -snapshot-every 8 -fsync never", "-wal-dir"},
+		{"oracle", "-resume", "-resume"},
+	} {
+		t.Run(tc.policy+" "+tc.flags, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "wal")
+			args := []string{"-workload", "aqhi", "-policy", tc.policy, "-apply", "20"}
+			args = append(args, strings.Fields(strings.ReplaceAll(tc.flags, "DIR", dir))...)
+			var buf bytes.Buffer
+			err := run(args, &buf)
+			if err == nil || !strings.HasPrefix(err.Error(), tc.named+":") || !strings.Contains(err.Error(), `"`+tc.policy+`"`) {
+				t.Fatalf("run(%v) = %v, want an error naming %s and policy %q", args, err, tc.named, tc.policy)
+			}
+			if buf.Len() != 0 {
+				t.Errorf("a refused run printed results:\n%s", buf.String())
+			}
+			if _, serr := os.Stat(dir); !os.IsNotExist(serr) {
+				t.Errorf("a refused run touched %s: %v", dir, serr)
+			}
+		})
 	}
 }
 

@@ -7,7 +7,6 @@
 package core
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -123,30 +122,6 @@ func (kb *KnowledgeBase) Reset() {
 	kb.mu.Lock()
 	defer kb.mu.Unlock()
 	kb.data = multilabel.Dataset{}
-}
-
-// kbJSON is the serialized knowledge-base format.
-type kbJSON struct {
-	X [][]float64 `json:"x"`
-	Y [][]int     `json:"y"`
-}
-
-// MarshalJSON implements json.Marshaler.
-func (kb *KnowledgeBase) MarshalJSON() ([]byte, error) {
-	snap := kb.Snapshot()
-	return json.Marshal(kbJSON{X: snap.X, Y: snap.Y})
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (kb *KnowledgeBase) UnmarshalJSON(data []byte) error {
-	var raw kbJSON
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return fmt.Errorf("knowledge base: %w", err)
-	}
-	kb.mu.Lock()
-	defer kb.mu.Unlock()
-	kb.data = multilabel.Dataset{X: raw.X, Y: raw.Y}
-	return nil
 }
 
 // FeatureMode selects which impact features each per-label model sees.

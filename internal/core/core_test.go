@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"errors"
 	"math/rand"
 	"testing"
@@ -46,29 +45,6 @@ func TestKnowledgeBase(t *testing.T) {
 	kb.Reset()
 	if kb.Len() != 0 {
 		t.Error("Reset must clear the KB")
-	}
-}
-
-func TestKnowledgeBaseJSONRoundTrip(t *testing.T) {
-	kb := NewKnowledgeBase()
-	kb.Append([]float64{1.5, 2.5}, []int{1, 0})
-	data, err := json.Marshal(kb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored := NewKnowledgeBase()
-	if err := json.Unmarshal(data, restored); err != nil {
-		t.Fatal(err)
-	}
-	if restored.Len() != 1 {
-		t.Fatalf("restored len = %d", restored.Len())
-	}
-	snap := restored.Snapshot()
-	if snap.X[0][0] != 1.5 || snap.Y[0][0] != 1 {
-		t.Errorf("restored data = %v %v", snap.X, snap.Y)
-	}
-	if err := json.Unmarshal([]byte("{bad"), restored); err == nil {
-		t.Error("bad JSON must fail")
 	}
 }
 

@@ -5,7 +5,7 @@ package core
 // log (via durable.Manager): the harness checkpoint (tracker state,
 // decision series, measurement accumulators), the session state (knowledge
 // base, lifecycle phase, how much of the base the predictor was fitted on)
-// and enough phase bookkeeping to continue mid-stream. ResumePipeline
+// and the phase lengths. ResumePipeline
 // rebuilds the workload, replays the stores from the newest epoch's log,
 // restores the harness and session from the last committed checkpoint and
 // continues the run — producing results bit-identical to an uncrashed
@@ -21,7 +21,6 @@ import (
 
 	"smartflux/internal/durable"
 	"smartflux/internal/engine"
-	"smartflux/internal/kvstore/cluster"
 	"smartflux/internal/ml/multilabel"
 	"smartflux/internal/obs"
 	"smartflux/internal/workflow"
@@ -31,13 +30,6 @@ import (
 const (
 	durableLiveStore = "live"
 	durableRefStore  = "ref"
-)
-
-// PipelineCheckpoint phases.
-const (
-	phaseLabelTraining    = "training"
-	phaseLabelApplication = "application"
-	phaseLabelHarness     = "harness"
 )
 
 // SessionCheckpoint is the serializable state of a Session: the knowledge
@@ -131,15 +123,14 @@ func (s *Session) RestoreCheckpoint(cp *SessionCheckpoint) error {
 	return nil
 }
 
-// PipelineCheckpoint is the opaque payload committed per wave: which phase
-// the lifecycle is in, the phase lengths (validated on resume), the harness
-// state at the boundary, the finished training result (application phase
-// only) and the session state.
+// PipelineCheckpoint is the opaque payload committed per wave: the phase
+// lengths (validated on resume), the harness state at the boundary (nil
+// before the first wave) and the session state. The run is one result — its
+// Waves is the commit wave — and which phase the boundary lies in is the
+// session's to say.
 type PipelineCheckpoint struct {
-	Phase      string // "training", "application" or "harness"
 	TrainWaves int
 	ApplyWaves int
-	Train      *engine.Result
 	Harness    *engine.HarnessCheckpoint
 	Session    *SessionCheckpoint
 }
@@ -163,20 +154,10 @@ func decodePipelineCheckpoint(b []byte) (*PipelineCheckpoint, error) {
 	return &cp, nil
 }
 
-// DurableOptions configures crash durability for a run.
-type DurableOptions struct {
-	// Dir is the durability directory (one log file per epoch).
-	Dir string
-	// SnapshotEvery is the compaction period in waves (0 = the durable
-	// package default, negative disables rotation).
-	SnapshotEvery int
-	// Fsync selects the log flush policy.
-	Fsync durable.FsyncMode
-	// Hook is the crash-injection hook (see durable.Options.Hook).
-	Hook func(op string) error
-	// Obs receives durability and recovery metrics (nil disables them).
-	Obs *obs.Observer
-}
+// DurableOptions configures crash durability for a run: the durability
+// directory (one log file per epoch), the rotation period in waves, the flush
+// policy, the crash-injection hook and the observer of the durable layer.
+type DurableOptions = durable.Options
 
 // DurableRunInfo reports what the durability layer did during a run.
 type DurableRunInfo struct {
@@ -188,47 +169,29 @@ type DurableRunInfo struct {
 	Durable durable.Stats
 }
 
-// pipelineCommitter describes one run to drive — its first phase, the phase
-// lengths, the session and the cluster mirror if it has them — and, on a
-// durable run, implements engine.WaveCommitter: it wraps every harness
-// checkpoint into a PipelineCheckpoint and commits it with a global wave
-// number (training waves, then application waves).
+// pipelineCommitter implements engine.WaveCommitter for a durable run: it
+// wraps every harness checkpoint into a PipelineCheckpoint and commits it
+// under the result's wave count.
 type pipelineCommitter struct {
-	mgr        *durable.Manager // nil unless the run is journaled
-	session    *Session         // nil for harness-only runs
-	mirror     *cluster.Client  // nil unless the live store is mirrored
-	phase      string
-	base       int // global wave offset of the current phase
-	train      *engine.Result
+	mgr        *durable.Manager
+	session    *Session
 	trainWaves int
 	applyWaves int
-}
-
-// enterApplication switches the committer to the application phase.
-func (c *pipelineCommitter) enterApplication(train *engine.Result) {
-	c.phase = phaseLabelApplication
-	c.base = c.trainWaves
-	c.train = train
 }
 
 // payload builds and encodes the pipeline checkpoint for a harness boundary
 // (nil for the initial, nothing-run-yet one).
 func (c *pipelineCommitter) payload(hcp *engine.HarnessCheckpoint) ([]byte, error) {
-	pcp := &PipelineCheckpoint{
-		Phase:      c.phase,
+	scp, err := c.session.Checkpoint()
+	if err != nil {
+		return nil, err
+	}
+	return encodePipelineCheckpoint(&PipelineCheckpoint{
 		TrainWaves: c.trainWaves,
 		ApplyWaves: c.applyWaves,
 		Harness:    hcp,
-		Train:      c.train,
-	}
-	if c.session != nil {
-		scp, err := c.session.Checkpoint()
-		if err != nil {
-			return nil, err
-		}
-		pcp.Session = scp
-	}
-	return encodePipelineCheckpoint(pcp)
+		Session:    scp,
+	})
 }
 
 // CommitWave implements engine.WaveCommitter.
@@ -237,7 +200,7 @@ func (c *pipelineCommitter) CommitWave(hcp *engine.HarnessCheckpoint) error {
 	if err != nil {
 		return err
 	}
-	return c.mgr.Commit(c.base+hcp.Waves, blob)
+	return c.mgr.Commit(hcp.Result.Waves, blob)
 }
 
 // begin opens the journal: at the recovered wave with the recovered payload,
@@ -252,8 +215,6 @@ func (c *pipelineCommitter) begin(rec *recovered) error {
 	}
 	return c.mgr.Begin(0, blob)
 }
-
-var _ engine.WaveCommitter = (*pipelineCommitter)(nil)
 
 // dumpFlightRecorder writes the first non-empty flight-recorder ring among
 // observers (the last N spans) to <dir>/flight.jsonl when a durable run
@@ -283,13 +244,7 @@ func dumpFlightRecorder(dir string, observers ...*obs.Observer) {
 // openPipelineManager opens the durability manager and registers both
 // harness stores under their recovery names.
 func openPipelineManager(harness *engine.Harness, opts DurableOptions) (*durable.Manager, error) {
-	mgr, err := durable.Open(durable.Options{
-		Dir:           opts.Dir,
-		SnapshotEvery: opts.SnapshotEvery,
-		Fsync:         opts.Fsync,
-		Hook:          opts.Hook,
-		Obs:           opts.Obs,
-	})
+	mgr, err := durable.Open(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -324,31 +279,19 @@ func recoverRun(opts DurableOptions) (*recovered, error) {
 }
 
 // restore replays both stores and rewinds harness and decider to the
-// recovered checkpoint (a pipeline's session is rewound by runPipeline). It
-// returns the results to continue appending to: nil where a phase has not
-// started.
-func (r *recovered) restore(harness *engine.Harness, decider engine.Decider) (trainRes, applyRes *engine.Result, err error) {
+// recovered checkpoint (the session is rewound by runPipeline). It returns the
+// result to continue appending to: nil when no wave had been committed.
+func (r *recovered) restore(harness *engine.Harness, decider engine.Decider) (*engine.Result, error) {
 	if err := r.Apply(durableLiveStore, harness.Live().Store()); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := r.Apply(durableRefStore, harness.Ref().Store()); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	application := r.cp.Phase == phaseLabelApplication
 	if r.cp.Harness == nil {
-		if application {
-			return nil, nil, fmt.Errorf("core: application-phase checkpoint without harness state")
-		}
-		return nil, nil, nil
+		return nil, nil
 	}
-	res, err := harness.RestoreCheckpoint(r.cp.Harness, decider)
-	if err != nil {
-		return nil, nil, err
-	}
-	if application {
-		return r.cp.Train, res, nil
-	}
-	return res, nil, nil
+	return harness.RestoreCheckpoint(r.cp.Harness, decider)
 }
 
 // RunPipelineDurable is RunPipeline with crash durability: every completed
@@ -380,44 +323,21 @@ func ResumePipeline(build engine.BuildFunc, reportSteps []workflow.StepID, cfg P
 	if rec == nil {
 		return nil, nil, fmt.Errorf("core: no durable state in %s to resume", opts.Dir)
 	}
-	if rec.cp.Phase == phaseLabelHarness {
-		return nil, nil, fmt.Errorf("core: %s holds a harness-only run; use ResumeHarness", opts.Dir)
-	}
 	if rec.cp.TrainWaves != cfg.TrainWaves || rec.cp.ApplyWaves != cfg.ApplyWaves {
 		return nil, nil, fmt.Errorf("core: checkpoint is a %d+%d wave run, config wants %d+%d",
 			rec.cp.TrainWaves, rec.cp.ApplyWaves, cfg.TrainWaves, cfg.ApplyWaves)
 	}
+	// The commit wave is the result's wave count in every directory this build
+	// wrote; one that kept the training result apart counted application waves
+	// from zero and would read as a run still in training.
+	waves := 0
+	if h := rec.cp.Harness; h != nil && h.Result != nil {
+		waves = h.Result.Waves
+	}
+	if waves != rec.Wave {
+		return nil, nil, fmt.Errorf("core: %s is committed at wave %d but its checkpointed result holds %d waves: "+
+			"it was written by a build that kept the training result apart from the application result and cannot be resumed by this one",
+			opts.Dir, rec.Wave, waves)
+	}
 	return runPipeline(build, reportSteps, cfg, &opts, rec)
-}
-
-// RunHarnessDurable runs a bare harness (no learning session) for `waves`
-// waves under decider with crash durability; the committed checkpoints use
-// phase "harness".
-func RunHarnessDurable(build engine.BuildFunc, reportSteps []workflow.StepID, waves int, decider engine.Decider, hcfg engine.HarnessConfig, opts DurableOptions) (*engine.Result, *DurableRunInfo, error) {
-	rec, err := recoverRun(opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	if rec != nil {
-		return nil, nil, fmt.Errorf("core: %s already holds durable state at wave %d; use ResumeHarness", opts.Dir, rec.Wave)
-	}
-	return drive(build, reportSteps, hcfg, opts.Obs, &pipelineCommitter{phase: phaseLabelHarness, trainWaves: waves}, decider, nil, &opts, nil)
-}
-
-// ResumeHarness continues a crashed RunHarnessDurable run.
-func ResumeHarness(build engine.BuildFunc, reportSteps []workflow.StepID, waves int, decider engine.Decider, hcfg engine.HarnessConfig, opts DurableOptions) (*engine.Result, *DurableRunInfo, error) {
-	rec, err := recoverRun(opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	if rec == nil {
-		return nil, nil, fmt.Errorf("core: no durable state in %s to resume", opts.Dir)
-	}
-	if rec.cp.Phase != phaseLabelHarness {
-		return nil, nil, fmt.Errorf("core: %s holds a %s-phase pipeline run; use ResumePipeline", opts.Dir, rec.cp.Phase)
-	}
-	if rec.cp.TrainWaves != waves {
-		return nil, nil, fmt.Errorf("core: checkpoint is a %d-wave run, config wants %d", rec.cp.TrainWaves, waves)
-	}
-	return drive(build, reportSteps, hcfg, opts.Obs, &pipelineCommitter{phase: phaseLabelHarness, trainWaves: waves}, decider, nil, &opts, rec)
 }

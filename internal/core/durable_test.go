@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
 	"math"
 	"os"
@@ -10,6 +12,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"smartflux/internal/durable"
 	"smartflux/internal/engine"
 	"smartflux/internal/fault"
 	"smartflux/internal/kvstore"
@@ -595,52 +598,94 @@ func TestResumePipelineTwiceCrashSurvivesBoth(t *testing.T) {
 	equalPipelineResult(t, plain, res)
 }
 
-func TestHarnessDurableCrashResumeBitIdentical(t *testing.T) {
-	const waves = 30
-	clean, _, err := RunHarnessDurable(miniWorkload(), nil, waves, engine.NewRandom(0.5, 7), engine.HarnessConfig{}, DurableOptions{Dir: t.TempDir()})
-	if err != nil {
+// TestResumeRefusesSplitResultDirectory builds the payload shape the previous
+// build committed in its application phase — the finished training result in
+// its own field, the harness result and wave counter restarting at zero — and
+// requires ResumePipeline to refuse the directory rather than read the
+// application waves as a run still in training.
+func TestResumeRefusesSplitResultDirectory(t *testing.T) {
+	type oldHarnessCheckpoint struct {
+		Waves           int
+		Result          *engine.Result
+		Live, Ref       engine.InstancePersist
+		Measures        map[workflow.StepID]engine.MeasurePersist
+		DeciderState    []byte
+		HasDeciderState bool
+	}
+	type oldPipelineCheckpoint struct {
+		Phase      string
+		TrainWaves int
+		ApplyWaves int
+		Train      *engine.Result
+		Harness    *oldHarnessCheckpoint
+		Session    *SessionCheckpoint
+	}
+	cfg := durablePipelineConfig()
+	crashed := t.TempDir()
+	crashInWave(t, cfg, crashed, cfg.TrainWaves+20)
+	rec, err := recoverRun(DurableOptions{Dir: crashed})
+	if err != nil || rec == nil {
+		t.Fatalf("recover: %v", err)
+	}
+	h := rec.cp.Harness
+	var old bytes.Buffer
+	if err := gob.NewEncoder(&old).Encode(oldPipelineCheckpoint{
+		Phase:      "application",
+		TrainWaves: cfg.TrainWaves,
+		ApplyWaves: cfg.ApplyWaves,
+		Train:      h.Result.Slice(0, cfg.TrainWaves),
+		Harness: &oldHarnessCheckpoint{
+			Waves:    h.Result.Waves - cfg.TrainWaves,
+			Result:   h.Result.Slice(cfg.TrainWaves, h.Result.Waves),
+			Live:     h.Live,
+			Ref:      h.Ref,
+			Measures: h.Measures,
+		},
+		Session: rec.cp.Session,
+	}); err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	inj := fault.New(fault.Policy{CrashPoints: map[string]int{"wal_append": 200}})
-	_, _, err = RunHarnessDurable(miniWorkload(), nil, waves, engine.NewRandom(0.5, 7), engine.HarnessConfig{}, DurableOptions{Dir: dir, Hook: inj.OpHook()})
-	if !errors.Is(err, fault.ErrCrashed) {
-		t.Fatalf("crash run: got %v", err)
-	}
-	res, info, err := ResumeHarness(miniWorkload(), nil, waves, engine.NewRandom(0.5, 7), engine.HarnessConfig{}, DurableOptions{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !info.Resumed || info.Recovery.Wave <= 0 {
-		t.Errorf("resume info: %+v", info)
-	}
-	equalResult(t, "harness", clean, res)
-}
 
-func TestResumeKindMismatch(t *testing.T) {
-	pipeDir, harnessDir := t.TempDir(), t.TempDir()
-	crashPipeline(t, durablePipelineConfig(), pipeDir, 300)
-	inj := fault.New(fault.Policy{CrashPoints: map[string]int{"wal_append": 100}})
-	_, _, err := RunHarnessDurable(miniWorkload(), nil, 30, engine.NewRandom(0.5, 7), engine.HarnessConfig{}, DurableOptions{Dir: harnessDir, Hook: inj.OpHook()})
-	if !errors.Is(err, fault.ErrCrashed) {
-		t.Fatalf("harness crash run: got %v", err)
+	dir := t.TempDir()
+	mgr, err := durable.Open(durable.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, _, err := ResumeHarness(miniWorkload(), nil, 30, engine.NewRandom(0.5, 7), engine.HarnessConfig{}, DurableOptions{Dir: pipeDir}); err == nil || !strings.Contains(err.Error(), "ResumePipeline") {
-		t.Errorf("ResumeHarness on a pipeline dir must redirect, got %v", err)
+	for _, name := range []string{durableLiveStore, durableRefStore} {
+		store := kvstore.New()
+		if err := rec.Apply(name, store); err != nil {
+			t.Fatal(err)
+		}
+		if err := mgr.Register(name, store); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, _, err := ResumePipeline(miniWorkload(), nil, durablePipelineConfig(), DurableOptions{Dir: harnessDir}); err == nil || !strings.Contains(err.Error(), "ResumeHarness") {
-		t.Errorf("ResumePipeline on a harness dir must redirect, got %v", err)
+	if err := mgr.Begin(rec.Wave, old.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, _, err = ResumePipeline(miniWorkload(), nil, cfg, DurableOptions{Dir: dir})
+	if err == nil || !strings.Contains(err.Error(), "kept the training result apart") {
+		t.Fatalf("resume of a split-result directory = %v, want a refusal naming the older build", err)
+	}
+	// The same state in this build's shape resumes.
+	if _, _, err := ResumePipeline(miniWorkload(), nil, cfg, DurableOptions{Dir: crashed}); err != nil {
+		t.Fatal(err)
 	}
 }
 
 // FuzzRestoreCheckpoint feeds arbitrary bytes through the checkpoint decoder
 // and, when they decode, through Session.RestoreCheckpoint: neither may
 // panic, and a refused restore must leave no predictor behind. The seeds are
-// the last committed payloads of a mini-workload run killed mid-training and
+// the last committed payloads of a mini-workload run killed mid-training, in
+// its first application wave (every training wave committed, none after) and
 // mid-application.
 func FuzzRestoreCheckpoint(f *testing.F) {
 	cfg := durablePipelineConfig()
-	for _, k := range []int{20, cfg.TrainWaves + 20} {
+	for _, k := range []int{20, cfg.TrainWaves, cfg.TrainWaves + 20} {
 		dir := f.TempDir()
 		crashInWave(f, cfg, dir, k)
 		rec, err := recoverRun(DurableOptions{Dir: dir})

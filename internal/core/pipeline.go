@@ -44,11 +44,13 @@ type PipelineConfig struct {
 	Cluster *cluster.Client
 }
 
-// PipelineResult aggregates an end-to-end run.
+// PipelineResult aggregates an end-to-end run. The lifecycle is one harness
+// run of TrainWaves+ApplyWaves waves in which only the session's answer
+// changes; Train and Apply are views (engine.Result.Slice) of its one result.
 type PipelineResult struct {
 	// Train covers the synchronous training waves.
 	Train *engine.Result
-	// Apply covers the adaptive application waves.
+	// Apply covers the adaptive application waves (nil when ApplyWaves is 0).
 	Apply *engine.Result
 	// Test is the test-phase report produced between the two.
 	Test TestReport
@@ -63,15 +65,27 @@ type PipelineResult struct {
 // produced by build. reportSteps selects the steps whose output error is
 // measured (nil = the last gated step). During training the session decides
 // "execute" for every step, so the live instance runs synchronously; after
-// Train succeeds the same harness continues under the predictor.
+// Train succeeds the same harness run continues under the predictor.
 func RunPipeline(build engine.BuildFunc, reportSteps []workflow.StepID, cfg PipelineConfig) (*PipelineResult, error) {
 	res, _, err := runPipeline(build, reportSteps, cfg, nil, nil)
 	return res, err
 }
 
-// runPipeline is the session's half of the lifecycle: it builds (and, on a
-// resume, rewinds) the learning session, has drive run the training waves
-// under it, and continues with finishPipeline.
+// runPipeline is the lifecycle behind every entry point, entered under three
+// conditions.
+//
+//   - opts == nil: nothing is journaled (RunPipeline).
+//   - opts != nil, rec == nil: a fresh durable run — the initial checkpoint
+//     is journaled as wave 0 before the first wave.
+//   - opts != nil, rec != nil: a resume — session, stores and harness are
+//     rewound to the recovered checkpoint and the journal continues from the
+//     recovered wave.
+//
+// From there it is one body: the live store — as built or as restored — is
+// attached to cfg.Cluster and registered with the journal; the session drives
+// the harness to the end of training, is fed the knowledge base from those
+// waves' rows and trained — unless it came back holding a model, accepted or
+// not: the test phase has run — and drives the same run to its end.
 func runPipeline(build engine.BuildFunc, reportSteps []workflow.StepID, cfg PipelineConfig, opts *DurableOptions, rec *recovered) (*PipelineResult, *DurableRunInfo, error) {
 	if cfg.TrainWaves <= 0 {
 		return nil, nil, fmt.Errorf("core: pipeline needs TrainWaves > 0, got %d", cfg.TrainWaves)
@@ -89,48 +103,9 @@ func runPipeline(build engine.BuildFunc, reportSteps []workflow.StepID, cfg Pipe
 			return nil, nil, err
 		}
 	}
+	c := &pipelineCommitter{session: session, trainWaves: cfg.TrainWaves, applyWaves: cfg.ApplyWaves}
 	hcfg := cfg.Resilience
 	hcfg.Parallelism = cfg.Parallelism
-	c := &pipelineCommitter{session: session, mirror: cfg.Cluster, phase: phaseLabelTraining, trainWaves: cfg.TrainWaves, applyWaves: cfg.ApplyWaves}
-	var res *PipelineResult
-	_, info, err := drive(build, reportSteps, hcfg, cfg.Obs, c, session,
-		func(harness *engine.Harness, trainRes, applyRes *engine.Result) (err error) {
-			res, err = finishPipeline(harness, session, cfg, c, trainRes, applyRes)
-			return err
-		}, opts, rec)
-	if cfg.Cluster != nil {
-		// Ships run inside the store's observers, which cannot fail the
-		// write that triggered them; a run whose copy is incomplete is not
-		// a success.
-		if merr := cfg.Cluster.Err(); merr != nil {
-			err = errors.Join(err, fmt.Errorf("core: cluster mirror: %w", merr))
-		}
-	}
-	if err != nil {
-		return nil, info, err
-	}
-	return res, info, nil
-}
-
-// drive is the one lifecycle driver behind every Run*/Resume* entry point: a
-// state machine entered under three conditions.
-//
-//   - opts == nil: nothing is journaled (RunPipeline).
-//   - opts != nil, rec == nil: a fresh durable run — the initial checkpoint
-//     is journaled as wave 0 before the first wave.
-//   - opts != nil, rec != nil: a resume — both stores are replayed, harness
-//     and decider are rewound to the recovered checkpoint, and the journal
-//     continues from the recovered wave.
-//
-// From there it is one body: the live store — as built or as restored — is
-// attached to c.mirror and registered with the journal, then what is left of
-// the c.trainWaves waves of phase c.phase runs under decider — returned as
-// the first result — then after, which gets the restored application result
-// (nil when that phase has not started). A bare harness run has no after; c
-// describes the run either way and receives the wave commits when opts is
-// set.
-func drive(build engine.BuildFunc, reportSteps []workflow.StepID, hcfg engine.HarnessConfig, o *obs.Observer, c *pipelineCommitter, decider engine.Decider,
-	after func(harness *engine.Harness, trainRes, applyRes *engine.Result) error, opts *DurableOptions, rec *recovered) (*engine.Result, *DurableRunInfo, error) {
 	if opts != nil {
 		hcfg.Committer = c
 	}
@@ -138,23 +113,23 @@ func drive(build engine.BuildFunc, reportSteps []workflow.StepID, hcfg engine.Ha
 	if err != nil {
 		return nil, nil, err
 	}
-	if o != nil {
-		harness.Instrument(o)
+	if cfg.Obs != nil {
+		harness.Instrument(cfg.Obs)
 	}
 
-	var trainRes, applyRes *engine.Result
+	var res *engine.Result // nil until the first wave has run
 	if rec != nil {
 		// Replay the stores, then rewind the in-memory state to the same
 		// wave boundary — all before Begin compacts the restored content.
-		if trainRes, applyRes, err = rec.restore(harness, decider); err != nil {
+		if res, err = rec.restore(harness, session); err != nil {
 			return nil, nil, err
 		}
 	}
-	if c.mirror != nil {
+	if cfg.Cluster != nil {
 		// Attach only now: replay notifies no observer, so the mirror's
 		// initial sync is what carries recovered state to the cluster — a
 		// fresh store and a restored one take the same path.
-		if err := c.mirror.Mirror(harness.Live().Store()); err != nil {
+		if err := cfg.Cluster.Mirror(harness.Live().Store()); err != nil {
 			return nil, nil, fmt.Errorf("core: cluster mirror: %w", err)
 		}
 	}
@@ -171,80 +146,59 @@ func drive(build engine.BuildFunc, reportSteps []workflow.StepID, hcfg engine.Ha
 			}
 		}
 		var err error
-		trainRes, err = runPhase(harness, trainRes, c.trainWaves, decider)
-		if after == nil {
-			return err
+		if res == nil {
+			res, err = harness.Run(cfg.TrainWaves, session)
+		} else {
+			err = harness.ResumeRun(res, cfg.TrainWaves-res.Waves, session)
 		}
 		if err != nil {
 			return fmt.Errorf("pipeline training: %w", err)
 		}
-		return after(harness, trainRes, applyRes)
+		if _, err := session.Predictor(); err != nil {
+			for w := 0; w < cfg.TrainWaves; w++ {
+				session.ObserveTrainingWave(res.RefImpacts[w], res.RefLabels[w])
+			}
+			if _, err := session.Train(); err != nil {
+				return fmt.Errorf("pipeline train: %w", err)
+			}
+		}
+		if err := harness.ResumeRun(res, cfg.TrainWaves+cfg.ApplyWaves-res.Waves, session); err != nil {
+			return fmt.Errorf("pipeline application: %w", err)
+		}
+		return nil
 	}()
 	var info *DurableRunInfo
 	if opts != nil {
+		if cerr := c.mgr.Close(); err == nil {
+			err = cerr
+		}
 		info = &DurableRunInfo{Durable: c.mgr.Stats()}
 		if rec != nil {
 			info.Resumed, info.Recovery = true, rec.Stats
 		}
-		if cerr := c.mgr.Close(); err == nil && cerr != nil {
-			err = cerr
+		if err != nil {
+			dumpFlightRecorder(opts.Dir, opts.Obs, cfg.Obs)
 		}
-		if err == nil {
-			info.Durable = c.mgr.Stats()
-		} else {
-			dumpFlightRecorder(opts.Dir, opts.Obs, o)
+	}
+	if cfg.Cluster != nil {
+		// Ships run inside the store's observers, which cannot fail the
+		// write that triggered them; a run whose copy is incomplete is not
+		// a success.
+		if merr := cfg.Cluster.Err(); merr != nil {
+			err = errors.Join(err, fmt.Errorf("core: cluster mirror: %w", merr))
 		}
 	}
 	if err != nil {
 		return nil, info, err
 	}
-	return trainRes, info, nil
-}
-
-// runPhase runs what is left of a phase of `waves` waves: all of it into a
-// fresh result, or the remainder appended to a restored one.
-func runPhase(harness *engine.Harness, res *engine.Result, waves int, decider engine.Decider) (*engine.Result, error) {
-	if res == nil {
-		return harness.Run(waves, decider)
-	}
-	if remaining := waves - res.Waves; remaining > 0 {
-		return res, harness.ResumeRun(res, remaining, decider)
-	}
-	return res, nil
-}
-
-// finishPipeline runs everything after the training waves: knowledge-base
-// feeding and model training (unless the restored session already holds the
-// model — accepted or not, the test phase has run), then what is left of the
-// application waves.
-func finishPipeline(harness *engine.Harness, session *Session, cfg PipelineConfig, committer *pipelineCommitter, trainRes, applyRes *engine.Result) (*PipelineResult, error) {
-	var report TestReport
-	if _, err := session.Predictor(); err == nil {
-		report = session.LastTestReport()
-	} else {
-		for w := range trainRes.RefImpacts {
-			session.ObserveTrainingWave(trainRes.RefImpacts[w], trainRes.RefLabels[w])
-		}
-		var err error
-		report, err = session.Train()
-		if err != nil {
-			return nil, fmt.Errorf("pipeline train: %w", err)
-		}
-	}
-
-	committer.enterApplication(trainRes)
-	if applyRes != nil || cfg.ApplyWaves > 0 {
-		var err error
-		applyRes, err = runPhase(harness, applyRes, cfg.ApplyWaves, session)
-		if err != nil {
-			return nil, fmt.Errorf("pipeline application: %w", err)
-		}
-	}
-	return &PipelineResult{
-		Train:   trainRes,
-		Apply:   applyRes,
-		Test:    report,
+	out := &PipelineResult{
+		Train:   res.Slice(0, cfg.TrainWaves),
+		Test:    session.LastTestReport(),
 		Session: session,
 		Store:   harness.Live().Store(),
-	}, nil
+	}
+	if cfg.ApplyWaves > 0 {
+		out.Apply = res.Slice(cfg.TrainWaves, res.Waves)
+	}
+	return out, info, nil
 }

@@ -1,7 +1,12 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"hash"
 	"math"
+	"sort"
 	"strconv"
 	"testing"
 
@@ -152,5 +157,91 @@ func TestRunPipelineDeterminism(t *testing.T) {
 		if ra.Measured[i] != rb.Measured[i] {
 			t.Fatal("measured series differ between identical runs")
 		}
+	}
+}
+
+// resultDigest hashes every series of a result — floats by their bits — in a
+// fixed order.
+func resultDigest(h hash.Hash, res *engine.Result) {
+	u64 := func(v uint64) { _ = binary.Write(h, binary.LittleEndian, v) }
+	flag := func(b bool) {
+		if b {
+			u64(1)
+		} else {
+			u64(0)
+		}
+	}
+	floats := func(s []float64) {
+		u64(uint64(len(s)))
+		for _, v := range s {
+			u64(math.Float64bits(v))
+		}
+	}
+	bools := func(s []bool) {
+		u64(uint64(len(s)))
+		for _, v := range s {
+			flag(v)
+		}
+	}
+	flag(res != nil)
+	if res == nil {
+		return
+	}
+	h.Write([]byte(res.Policy))
+	u64(uint64(res.Waves))
+	for _, id := range res.GatedSteps {
+		h.Write([]byte(id))
+	}
+	for _, m := range [][][]bool{res.LiveExecuted, res.LiveDegraded} {
+		u64(uint64(len(m)))
+		for _, row := range m {
+			bools(row)
+		}
+	}
+	u64(uint64(len(res.RefLabels)))
+	for _, row := range res.RefLabels {
+		u64(uint64(len(row)))
+		for _, v := range row {
+			u64(uint64(v))
+		}
+	}
+	for _, m := range [][][]float64{res.RefImpacts, res.RefSimErrors, res.LiveImpacts} {
+		u64(uint64(len(m)))
+		for _, row := range m {
+			floats(row)
+		}
+	}
+	ids := make([]string, 0, len(res.Reports))
+	for id := range res.Reports {
+		ids = append(ids, string(id))
+	}
+	sort.Strings(ids)
+	for _, id := range ids {
+		r := res.Reports[workflow.StepID(id)]
+		h.Write([]byte(id))
+		u64(math.Float64bits(r.MaxError))
+		floats(r.Measured)
+		floats(r.Predicted)
+		floats(r.EndToEnd)
+		bools(r.Violations)
+		bools(r.Degraded)
+	}
+}
+
+// TestRunPipelinePinnedDigest pins, series by series and float bit by float
+// bit, what RunPipeline returned for this seed when a pipeline was still two
+// harness results (commit 125776f): Train and Apply as views of one run are
+// the same numbers.
+func TestRunPipelinePinnedDigest(t *testing.T) {
+	const want = "a65b6843c1de97f14ae94fd37c4662ed3ab11e8cdb214d9a2f7dc5629e9aaa38"
+	res, err := RunPipeline(miniWorkload(), nil, durablePipelineConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	resultDigest(h, res.Train)
+	resultDigest(h, res.Apply)
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("Train+Apply digest = %s, want %s", got, want)
 	}
 }

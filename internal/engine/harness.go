@@ -111,6 +111,37 @@ type Result struct {
 	Reports map[workflow.StepID]*StepReport
 }
 
+// Slice returns waves [from, to) of r as a view. Result series are
+// append-only — a row is never written after it is appended — so the view
+// shares r's rows, and every series is capped at its length: appending to r or
+// to the view never writes into the other. A checkpoint, a restored result and
+// a pipeline phase are all such views.
+func (r *Result) Slice(from, to int) *Result {
+	out := &Result{
+		Policy:       r.Policy,
+		Waves:        to - from,
+		GatedSteps:   r.GatedSteps,
+		LiveExecuted: r.LiveExecuted[from:to:to],
+		LiveDegraded: r.LiveDegraded[from:to:to],
+		RefLabels:    r.RefLabels[from:to:to],
+		RefImpacts:   r.RefImpacts[from:to:to],
+		RefSimErrors: r.RefSimErrors[from:to:to],
+		LiveImpacts:  r.LiveImpacts[from:to:to],
+		Reports:      make(map[workflow.StepID]*StepReport, len(r.Reports)),
+	}
+	for id, rep := range r.Reports {
+		out.Reports[id] = &StepReport{
+			MaxError:   rep.MaxError,
+			Measured:   rep.Measured[from:to:to],
+			Predicted:  rep.Predicted[from:to:to],
+			EndToEnd:   rep.EndToEnd[from:to:to],
+			Violations: rep.Violations[from:to:to],
+			Degraded:   rep.Degraded[from:to:to],
+		}
+	}
+	return out
+}
+
 // LiveExecutionsPerWave counts gated executions per wave in the live run.
 func (r *Result) LiveExecutionsPerWave() []int {
 	out := make([]int, len(r.LiveExecuted))
@@ -188,17 +219,10 @@ type Harness struct {
 	cfg  HarnessConfig
 
 	reportSteps []workflow.StepID
-	measures    map[workflow.StepID]measureState
+	measures    map[workflow.StepID]MeasurePersist
 
 	obs         *obs.Observer
 	waveRetries *obs.Counter // nil when no observer is attached
-}
-
-// measureState tracks the snapshots needed to derive one step's error
-// series on the live information basis.
-type measureState struct {
-	freshPrev metric.State // hypothetical fresh output at the previous wave
-	accum     float64      // accumulated per-wave simulated error
 }
 
 // HarnessConfig configures harness construction.
@@ -287,7 +311,7 @@ func NewHarnessWithConfig(build BuildFunc, reportSteps []workflow.StepID, cfg Ha
 		ref:         ref,
 		cfg:         cfg,
 		reportSteps: reportSteps,
-		measures:    make(map[workflow.StepID]measureState, len(reportSteps)),
+		measures:    make(map[workflow.StepID]MeasurePersist, len(reportSteps)),
 	}, nil
 }
 
@@ -330,13 +354,6 @@ func (h *Harness) Live() *Instance { return h.live }
 // Ref returns the synchronous reference instance.
 func (h *Harness) Ref() *Instance { return h.ref }
 
-// ReportSteps returns the steps whose errors are measured.
-func (h *Harness) ReportSteps() []workflow.StepID {
-	out := make([]workflow.StepID, len(h.reportSteps))
-	copy(out, h.reportSteps)
-	return out
-}
-
 // Run executes `waves` waves under decider and returns the aggregated
 // result. When decider is *Oracle, its labels are refreshed from the
 // reference instance before each live wave.
@@ -353,24 +370,19 @@ func (h *Harness) Run(waves int, decider Decider) (*Result, error) {
 		}
 		res.Reports[id] = &StepReport{MaxError: step.QoD.MaxError}
 	}
-	if err := h.runWaves(res, waves, decider); err != nil {
+	if err := h.ResumeRun(res, waves, decider); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
-// ResumeRun executes `waves` additional waves, appending to a result
-// restored via RestoreCheckpoint. The instances continue from their restored
-// wave counters, so the combined series is indistinguishable from an
-// uninterrupted run.
+// ResumeRun executes `waves` additional waves (none when waves <= 0),
+// appending to res: Run's own result, or one restored via RestoreCheckpoint —
+// the instances continue from their wave counters, so the combined series is
+// indistinguishable from an uninterrupted run. Each completed wave is
+// committed to cfg.Committer (when set) after measurement, so the durability
+// layer always checkpoints a consistent wave boundary.
 func (h *Harness) ResumeRun(res *Result, waves int, decider Decider) error {
-	return h.runWaves(res, waves, decider)
-}
-
-// runWaves is the shared wave loop of Run and ResumeRun. Each completed wave
-// is committed to cfg.Committer (when set) after measurement, so the
-// durability layer always checkpoints a consistent wave boundary.
-func (h *Harness) runWaves(res *Result, waves int, decider Decider) error {
 	oracle, _ := decider.(*Oracle)
 	for n := 0; n < waves; n++ {
 		w := res.Waves
@@ -495,7 +507,7 @@ func (h *Harness) measureWave(res *Result, liveRes WaveResult) error {
 // part-way leaves the series and the accumulators untouched.
 func (h *Harness) measure(res *Result, liveRes WaveResult) error {
 	type sample struct {
-		next               measureState
+		next               MeasurePersist
 		measured, endToEnd float64
 		degraded           bool
 	}
@@ -512,15 +524,15 @@ func (h *Harness) measure(res *Result, liveRes WaveResult) error {
 
 		st, ok := h.measures[id]
 		if !ok {
-			st.freshPrev = fresh
+			st.FreshPrev = fresh
 		}
 		idx := h.live.GatedIndex(id)
 		if idx >= 0 && liveRes.Executed[idx] {
-			st.accum = 0
+			st.Accum = 0
 		} else {
-			st.accum += metric.Evaluate(factory, fresh, st.freshPrev)
+			st.Accum += metric.Evaluate(factory, fresh, st.FreshPrev)
 		}
-		st.freshPrev = fresh
+		st.FreshPrev = fresh
 
 		samples[i] = sample{
 			next:     st,
@@ -534,7 +546,7 @@ func (h *Harness) measure(res *Result, liveRes WaveResult) error {
 		h.measures[id] = s.next
 		report := res.Reports[id]
 		report.Measured = append(report.Measured, s.measured)
-		report.Predicted = append(report.Predicted, s.next.accum)
+		report.Predicted = append(report.Predicted, s.next.Accum)
 		report.EndToEnd = append(report.EndToEnd, s.endToEnd)
 		report.Violations = append(report.Violations, s.measured > report.MaxError)
 		report.Degraded = append(report.Degraded, s.degraded)

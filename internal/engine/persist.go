@@ -10,6 +10,7 @@ package engine
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
 
 	"smartflux/internal/metric"
 	"smartflux/internal/workflow"
@@ -96,19 +97,17 @@ func (in *Instance) RestorePersistedState(p InstancePersist) error {
 	return nil
 }
 
-// MeasurePersist is the persisted measurement accumulator of one report
-// step: the previous wave's hypothetical fresh output and the accumulated
-// predicted error since the step's last execution.
+// MeasurePersist is the measurement accumulator of one report step — the
+// snapshots its error series are derived from on the live information basis —
+// in the form it is persisted in. A step not yet measured has none.
 type MeasurePersist struct {
-	FreshPrev metric.State
-	Accum     float64
-	Present   bool // false when the step has not been measured yet
+	FreshPrev metric.State // hypothetical fresh output at the previous wave
+	Accum     float64      // predicted error accumulated since the last execution
 }
 
 // HarnessCheckpoint is a complete harness state at a wave boundary.
 type HarnessCheckpoint struct {
-	Waves           int // completed waves (== Result.Waves)
-	Result          *Result
+	Result          *Result // Result.Waves is the boundary's wave number
 	Live            InstancePersist
 	Ref             InstancePersist
 	Measures        map[workflow.StepID]MeasurePersist
@@ -135,88 +134,17 @@ type StatefulDecider interface {
 	RestoreDeciderState([]byte) error
 }
 
-// copyResult deep-copies a Result so a checkpoint stays valid however the
-// live run evolves.
-func copyResult(res *Result) *Result {
-	out := &Result{
-		Policy:     res.Policy,
-		Waves:      res.Waves,
-		GatedSteps: append([]workflow.StepID(nil), res.GatedSteps...),
-		Reports:    make(map[workflow.StepID]*StepReport, len(res.Reports)),
-	}
-	out.LiveExecuted = copyBoolMatrix(res.LiveExecuted)
-	out.LiveDegraded = copyBoolMatrix(res.LiveDegraded)
-	out.RefLabels = copyIntMatrix(res.RefLabels)
-	out.RefImpacts = copyFloatMatrix(res.RefImpacts)
-	out.RefSimErrors = copyFloatMatrix(res.RefSimErrors)
-	out.LiveImpacts = copyFloatMatrix(res.LiveImpacts)
-	for id, r := range res.Reports {
-		out.Reports[id] = &StepReport{
-			MaxError:   r.MaxError,
-			Measured:   append([]float64(nil), r.Measured...),
-			Predicted:  append([]float64(nil), r.Predicted...),
-			EndToEnd:   append([]float64(nil), r.EndToEnd...),
-			Violations: append([]bool(nil), r.Violations...),
-			Degraded:   append([]bool(nil), r.Degraded...),
-		}
-	}
-	return out
-}
-
-func copyBoolMatrix(m [][]bool) [][]bool {
-	if m == nil {
-		return nil
-	}
-	out := make([][]bool, len(m))
-	for i, row := range m {
-		out[i] = append([]bool(nil), row...)
-	}
-	return out
-}
-
-func copyIntMatrix(m [][]int) [][]int {
-	if m == nil {
-		return nil
-	}
-	out := make([][]int, len(m))
-	for i, row := range m {
-		out[i] = append([]int(nil), row...)
-	}
-	return out
-}
-
-func copyFloatMatrix(m [][]float64) [][]float64 {
-	if m == nil {
-		return nil
-	}
-	out := make([][]float64, len(m))
-	for i, row := range m {
-		out[i] = append([]float64(nil), row...)
-	}
-	return out
-}
-
 // Checkpoint captures the harness's complete state after a completed wave:
 // the result so far, both instances, the measurement accumulators and — when
-// the decider is stateful — the decider. Everything mutable is deep-copied
-// (metric states are immutable and shared), so the checkpoint stays valid as
-// the run continues.
+// the decider is stateful — the decider. The result is a view (Result.Slice)
+// and metric states are immutable and shared, so the checkpoint stays valid
+// however the run continues and costs O(report steps), not O(waves).
 func (h *Harness) Checkpoint(res *Result, d Decider) (*HarnessCheckpoint, error) {
 	cp := &HarnessCheckpoint{
-		Waves:    res.Waves,
-		Result:   copyResult(res),
+		Result:   res.Slice(0, res.Waves),
 		Live:     h.live.PersistState(),
 		Ref:      h.ref.PersistState(),
-		Measures: make(map[workflow.StepID]MeasurePersist, len(h.reportSteps)),
-	}
-	for _, id := range h.reportSteps {
-		if st, ok := h.measures[id]; ok {
-			cp.Measures[id] = MeasurePersist{
-				FreshPrev: st.freshPrev,
-				Accum:     st.accum,
-				Present:   true,
-			}
-		}
+		Measures: maps.Clone(h.measures),
 	}
 	if sd, ok := d.(StatefulDecider); ok {
 		state, err := sd.DeciderState()
@@ -230,8 +158,8 @@ func (h *Harness) Checkpoint(res *Result, d Decider) (*HarnessCheckpoint, error)
 }
 
 // RestoreCheckpoint rewinds the harness (built from the same workload) and
-// decider to a checkpoint, returning the result to continue appending to.
-// The restored result is an independent deep copy of the checkpoint's.
+// decider to a checkpoint, returning the result to continue appending to: a
+// view of the checkpoint's, so two restores of one checkpoint never alias.
 func (h *Harness) RestoreCheckpoint(cp *HarnessCheckpoint, d Decider) (*Result, error) {
 	if err := h.live.RestorePersistedState(cp.Live); err != nil {
 		return nil, fmt.Errorf("harness restore live: %w", err)
@@ -239,15 +167,8 @@ func (h *Harness) RestoreCheckpoint(cp *HarnessCheckpoint, d Decider) (*Result, 
 	if err := h.ref.RestorePersistedState(cp.Ref); err != nil {
 		return nil, fmt.Errorf("harness restore ref: %w", err)
 	}
-	h.measures = make(map[workflow.StepID]measureState, len(h.reportSteps))
-	for _, id := range h.reportSteps {
-		if mp, ok := cp.Measures[id]; ok && mp.Present {
-			h.measures[id] = measureState{
-				freshPrev: mp.FreshPrev,
-				accum:     mp.Accum,
-			}
-		}
-	}
+	h.measures = make(map[workflow.StepID]MeasurePersist, len(h.reportSteps))
+	maps.Copy(h.measures, cp.Measures)
 	if cp.HasDeciderState {
 		sd, ok := d.(StatefulDecider)
 		if !ok {
@@ -257,7 +178,7 @@ func (h *Harness) RestoreCheckpoint(cp *HarnessCheckpoint, d Decider) (*Result, 
 			return nil, fmt.Errorf("harness restore decider: %w", err)
 		}
 	}
-	return copyResult(cp.Result), nil
+	return cp.Result.Slice(0, cp.Result.Waves), nil
 }
 
 // DeciderState implements StatefulDecider: the draw position suffices, since

@@ -148,6 +148,57 @@ func TestHarnessCheckpointResumeBitIdentical(t *testing.T) {
 	equalResults(t, res, cleanRes)
 }
 
+// TestCheckpointIsAView holds checkpoints to the contract the deep copy gave
+// them, without the copy and without the gob round-trip that would hide
+// aliasing. Every wave of a 20-wave run is checkpointed while the run goes on;
+// afterwards the wave-5 checkpoint is restored three times — resumed twice
+// under the run's own policy, then under a diverging one. Both faithful resumes
+// must reproduce the uninterrupted run bit for bit, and every checkpoint —
+// waves 5 and 10 among them — must still read as it did when it was taken. An
+// uncapped view fails the last check: the diverging resume appends into rows
+// the later checkpoints share.
+func TestCheckpointIsAView(t *testing.T) {
+	const total, cut = 20, 5
+	build := testWorkload(0.05)
+	ref, err := NewHarness(build, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean, err := ref.Run(total, NewRandom(0.5, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cc := &captureCommitter{}
+	h, err := NewHarnessWithConfig(build, nil, HarnessConfig{Committer: cc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Run(total, NewRandom(0.5, 3)); err != nil {
+		t.Fatal(err)
+	}
+	cps := append([]*HarnessCheckpoint(nil), cc.cps...)
+
+	for i, rnd := range []*Random{NewRandom(0.5, 3), NewRandom(0.5, 3), NewRandom(0.9, 99)} {
+		res, err := h.RestoreCheckpoint(cps[cut-1], rnd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Waves != cut {
+			t.Fatalf("restore %d: Waves = %d, want %d", i, res.Waves, cut)
+		}
+		if err := h.ResumeRun(res, total-cut, rnd); err != nil {
+			t.Fatal(err)
+		}
+		if i < 2 {
+			equalResults(t, res, clean)
+		}
+	}
+	for k, cp := range cps {
+		equalResults(t, cp.Result, clean.Slice(0, k+1))
+	}
+}
+
 // TestRandomDeciderStateRoundTrip exports a mid-sequence decider state into
 // a fresh decider and checks the verdict streams stay aligned.
 func TestRandomDeciderStateRoundTrip(t *testing.T) {

@@ -130,7 +130,8 @@ type (
 	Predictor = core.Predictor
 	// PipelineConfig configures an end-to-end lifecycle run.
 	PipelineConfig = core.PipelineConfig
-	// PipelineResult aggregates an end-to-end run.
+	// PipelineResult aggregates an end-to-end run: one harness run, of which
+	// Train and Apply are views (Result.Slice).
 	PipelineResult = core.PipelineResult
 	// Classifier is a binary classifier usable as a session factory.
 	Classifier = ml.Classifier
@@ -334,19 +335,20 @@ func NewInstanceWithConfig(wf *Workflow, store *Store, cfg InstanceConfig) (*Ins
 	return engine.NewInstance(wf, store, cfg)
 }
 
-// RunPipeline executes the full SmartFlux lifecycle: synchronous training,
-// model construction with the test phase, then adaptive application.
+// RunPipeline executes the full SmartFlux lifecycle as one harness run:
+// synchronous training waves, model construction with the test phase, then
+// the same run continued adaptively under the model.
 func RunPipeline(build BuildFunc, reportSteps []StepID, cfg PipelineConfig) (*PipelineResult, error) {
 	return core.RunPipeline(build, reportSteps, cfg)
 }
 
 // Crash durability (DESIGN.md §11): every kvstore mutation is written to a
 // CRC-checksummed write-ahead log, every completed wave commits a full
-// harness + session checkpoint, and the log is periodically rotated to a
-// fresh epoch that starts compacted. After a crash, ResumePipeline
-// reconstructs the stores and the learning state from the newest epoch's
-// log and continues the run —
-// bit-identically to an execution that never crashed.
+// harness + session checkpoint (the commit wave is the result's wave count),
+// and the log is periodically rotated to a fresh epoch that starts compacted.
+// After a crash, ResumePipeline reconstructs the stores and the learning
+// state from the newest epoch's log and continues the run — bit-identically
+// to an execution that never crashed. Only a pipeline is journaled.
 type (
 	// DurableOptions configures the durability directory, snapshot cadence
 	// and fsync policy of a durable run.
