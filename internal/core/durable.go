@@ -273,7 +273,9 @@ func recoverRun(opts DurableOptions) (*recovered, error) {
 	}
 	cp, err := decodePipelineCheckpoint(rec.Payload)
 	if err != nil {
-		return nil, err
+		// The log's checksums held, so these are the bytes some build
+		// committed: what changed is the shape they are decoded into.
+		return nil, fmt.Errorf("%w: %s was written by a build that kept two baselines per tracker and step state in a map keyed by step and cannot be resumed by this one", err, opts.Dir)
 	}
 	return &recovered{Recovery: rec, cp: cp}, nil
 }

@@ -16,6 +16,7 @@ import (
 	"smartflux/internal/engine"
 	"smartflux/internal/fault"
 	"smartflux/internal/kvstore"
+	"smartflux/internal/metric"
 	"smartflux/internal/ml"
 	"smartflux/internal/workflow"
 )
@@ -598,17 +599,119 @@ func TestResumePipelineTwiceCrashSurvivesBoth(t *testing.T) {
 	equalPipelineResult(t, plain, res)
 }
 
-// TestResumeRefusesSplitResultDirectory builds the payload shape the previous
-// build committed in its application phase — the finished training result in
-// its own field, the harness result and wave counter restarting at zero — and
-// requires ResumePipeline to refuse the directory rather than read the
-// application waves as a run still in training.
+// walFiles reads every epoch log a durable run left in dir, by file name.
+func walFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("epoch logs in %s: %v, %v", dir, paths, err)
+	}
+	files := make(map[string][]byte, len(paths))
+	for _, path := range paths {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[filepath.Base(path)] = b
+	}
+	return files
+}
+
+// TestDurablePipelineSameInputSameBytes: the checkpoint payload holds run
+// state in slices in the order the engine fixes, so what a durable run writes
+// is a function of its input — two runs of one configuration, crossing
+// several rotations, leave byte-identical epoch logs. (The one map left in the
+// payload is Result.Reports; it has a single entry here. DESIGN.md §11.)
+//
+// A crashed-and-resumed run commits the uncrashed run's bytes too: its last
+// committed payload is compared at the end of the run. Its log files are not —
+// a resume opens a new epoch at the recovered wave, so file names and rotation
+// boundaries shift with the crash point.
+func TestDurablePipelineSameInputSameBytes(t *testing.T) {
+	cfg := durablePipelineConfig()
+	cfg.Parallelism = 1
+	opts := func(dir string) DurableOptions {
+		return DurableOptions{Dir: dir, Fsync: durable.FsyncNever, SnapshotEvery: 7}
+	}
+	first, second := t.TempDir(), t.TempDir()
+	for _, dir := range []string{first, second} {
+		if _, info, err := RunPipelineDurable(miniWorkload(), nil, cfg, opts(dir)); err != nil {
+			t.Fatal(err)
+		} else if info.Durable.Snapshots < 2 {
+			t.Fatalf("%d rotations: the run should cross several", info.Durable.Snapshots)
+		}
+	}
+	a, b := walFiles(t, first), walFiles(t, second)
+	if len(a) != len(b) {
+		t.Fatalf("%d vs %d epoch logs", len(a), len(b))
+	}
+	for name, want := range a {
+		if got, ok := b[name]; !ok || !bytes.Equal(got, want) {
+			t.Errorf("%s: two runs of one input wrote different bytes (%d vs %d)", name, len(want), len(got))
+		}
+	}
+
+	whole, err := recoverRun(opts(first))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{20, cfg.TrainWaves, cfg.TrainWaves + 20} {
+		dir := t.TempDir()
+		crashInWave(t, cfg, dir, k)
+		if _, _, err := ResumePipeline(miniWorkload(), nil, cfg, opts(dir)); err != nil {
+			t.Fatal(err)
+		}
+		resumed, err := recoverRun(opts(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resumed.Wave != whole.Wave || !bytes.Equal(resumed.Payload, whole.Payload) {
+			t.Errorf("crash in wave %d: the resumed run's last payload (wave %d, %d bytes) differs from the uncrashed run's (wave %d, %d bytes)",
+				k, resumed.Wave, len(resumed.Payload), whole.Wave, len(whole.Payload))
+		}
+	}
+}
+
+// directoryWithPayload writes a durable directory holding rec's stores and,
+// as its one committed checkpoint, payload at rec's wave: the directory a
+// build with another checkpoint shape would have left at that boundary.
+func directoryWithPayload(t *testing.T, rec *recovered, payload []byte) string {
+	t.Helper()
+	dir := t.TempDir()
+	mgr, err := durable.Open(durable.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{durableLiveStore, durableRefStore} {
+		store := kvstore.New()
+		if err := rec.Apply(name, store); err != nil {
+			t.Fatal(err)
+		}
+		if err := mgr.Register(name, store); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := mgr.Begin(rec.Wave, payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// TestResumeRefusesSplitResultDirectory commits the result split the build
+// before PR 19 committed in its application phase — the finished training
+// result in its own field, the harness result and wave counter restarting at
+// zero — around this build's instance state, so the payload decodes and the
+// wave check is what meets it: ResumePipeline must refuse the directory rather
+// than read the application waves as a run still in training.
 func TestResumeRefusesSplitResultDirectory(t *testing.T) {
 	type oldHarnessCheckpoint struct {
 		Waves           int
 		Result          *engine.Result
 		Live, Ref       engine.InstancePersist
-		Measures        map[workflow.StepID]engine.MeasurePersist
+		Measures        []engine.MeasurePersist
 		DeciderState    []byte
 		HasDeciderState bool
 	}
@@ -646,27 +749,7 @@ func TestResumeRefusesSplitResultDirectory(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dir := t.TempDir()
-	mgr, err := durable.Open(durable.Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{durableLiveStore, durableRefStore} {
-		store := kvstore.New()
-		if err := rec.Apply(name, store); err != nil {
-			t.Fatal(err)
-		}
-		if err := mgr.Register(name, store); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := mgr.Begin(rec.Wave, old.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	if err := mgr.Close(); err != nil {
-		t.Fatal(err)
-	}
-
+	dir := directoryWithPayload(t, rec, old.Bytes())
 	_, _, err = ResumePipeline(miniWorkload(), nil, cfg, DurableOptions{Dir: dir})
 	if err == nil || !strings.Contains(err.Error(), "kept the training result apart") {
 		t.Fatalf("resume of a split-result directory = %v, want a refusal naming the older build", err)
@@ -677,12 +760,97 @@ func TestResumeRefusesSplitResultDirectory(t *testing.T) {
 	}
 }
 
+// TestResumeRefusesTwoBaselineDirectory commits a mid-application boundary in
+// the field set of the build before this one — two baselines per tracker, step
+// state and measure accumulators in maps keyed by step — and requires both
+// entry points to refuse the directory by name. Were only the tracker fields
+// renamed, it would decode to HasBaseline over a nil baseline and resume on
+// wrong impacts.
+func TestResumeRefusesTwoBaselineDirectory(t *testing.T) {
+	type oldTracker struct {
+		ExecBaseline, WaveBaseline metric.State
+		Accumulated, Current       float64
+		HasBaseline                bool
+	}
+	type oldStep struct {
+		ExecutedEver            bool
+		LastExecWave, ExecCount int
+		Impacts, Errors         []oldTracker
+	}
+	type oldInstance struct {
+		Wave    int
+		Impacts []float64
+		Steps   map[workflow.StepID]oldStep
+	}
+	type oldHarnessCheckpoint struct {
+		Result          *engine.Result
+		Live, Ref       oldInstance
+		Measures        map[workflow.StepID]engine.MeasurePersist
+		DeciderState    []byte
+		HasDeciderState bool
+	}
+	type oldPipelineCheckpoint struct {
+		TrainWaves, ApplyWaves int
+		Harness                *oldHarnessCheckpoint
+		Session                *SessionCheckpoint
+	}
+	order := []workflow.StepID{"src", "agg"} // miniWorkload's topological order
+	oldTrackers := func(ts []metric.PersistedTracker) []oldTracker {
+		out := make([]oldTracker, len(ts))
+		for i, tr := range ts {
+			out[i] = oldTracker{tr.Baseline, tr.Baseline, tr.Accumulated, tr.Current, tr.HasBaseline}
+		}
+		return out
+	}
+	oldInstanceOf := func(p engine.InstancePersist) oldInstance {
+		out := oldInstance{Wave: p.Wave, Impacts: p.Impacts, Steps: map[workflow.StepID]oldStep{}}
+		for pos, sp := range p.Steps {
+			out.Steps[order[pos]] = oldStep{sp.LastExecWave >= 0, sp.LastExecWave, sp.ExecCount, oldTrackers(sp.Impacts), oldTrackers(sp.Errors)}
+		}
+		return out
+	}
+
+	cfg := durablePipelineConfig()
+	crashed := t.TempDir()
+	crashInWave(t, cfg, crashed, cfg.TrainWaves+20)
+	rec, err := recoverRun(DurableOptions{Dir: crashed})
+	if err != nil || rec == nil {
+		t.Fatalf("recover: %v", err)
+	}
+	h := rec.cp.Harness
+	var old bytes.Buffer
+	if err := gob.NewEncoder(&old).Encode(oldPipelineCheckpoint{
+		TrainWaves: cfg.TrainWaves,
+		ApplyWaves: cfg.ApplyWaves,
+		Harness: &oldHarnessCheckpoint{
+			Result:   h.Result,
+			Live:     oldInstanceOf(h.Live),
+			Ref:      oldInstanceOf(h.Ref),
+			Measures: map[workflow.StepID]engine.MeasurePersist{"agg": h.Measures[0]},
+		},
+		Session: rec.cp.Session,
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	dir := directoryWithPayload(t, rec, old.Bytes())
+	const want = "kept two baselines per tracker"
+	if _, _, err := ResumePipeline(miniWorkload(), nil, cfg, DurableOptions{Dir: dir}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("resume of a two-baseline directory = %v, want a refusal naming the older build", err)
+	}
+	if _, _, err := RunPipelineDurable(miniWorkload(), nil, cfg, DurableOptions{Dir: dir}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("fresh run over a two-baseline directory = %v, want a refusal naming the older build", err)
+	}
+}
+
 // FuzzRestoreCheckpoint feeds arbitrary bytes through the checkpoint decoder
-// and, when they decode, through Session.RestoreCheckpoint: neither may
-// panic, and a refused restore must leave no predictor behind. The seeds are
-// the last committed payloads of a mini-workload run killed mid-training, in
-// its first application wave (every training wave committed, none after) and
-// mid-application.
+// and, when they decode, through Session.RestoreCheckpoint and — into a fresh
+// mini-workload harness — Harness.RestoreCheckpoint: nothing may panic, a
+// refused session restore must leave no predictor behind, and a refused
+// harness restore must leave the harness able to run, with the result of one
+// never restored into. The seeds are the last committed payloads of a
+// mini-workload run killed mid-training, in its first application wave (every
+// training wave committed, none after) and mid-application.
 func FuzzRestoreCheckpoint(f *testing.F) {
 	cfg := durablePipelineConfig()
 	for _, k := range []int{20, cfg.TrainWaves, cfg.TrainWaves + 20} {
@@ -694,6 +862,18 @@ func FuzzRestoreCheckpoint(f *testing.F) {
 		}
 		f.Add(rec.Payload)
 	}
+	const waves = 3
+	newHarness := func(t testing.TB) *engine.Harness {
+		h, err := engine.NewHarnessWithConfig(miniWorkload(), nil, engine.HarnessConfig{Parallelism: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	clean, err := newHarness(f).Run(waves, engine.Sync{})
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		cp, err := decodePipelineCheckpoint(payload)
 		if err != nil || cp.Session == nil {
@@ -704,6 +884,17 @@ func FuzzRestoreCheckpoint(f *testing.F) {
 			if _, perr := sess.Predictor(); !errors.Is(perr, ErrNotTrained) {
 				t.Fatalf("restore failed (%v) yet left a predictor", err)
 			}
+		}
+		if cp.Harness == nil {
+			return
+		}
+		h := newHarness(t)
+		if _, err := h.RestoreCheckpoint(cp.Harness, sess); err != nil {
+			res, rerr := h.Run(waves, engine.Sync{})
+			if rerr != nil {
+				t.Fatalf("harness restore failed (%v) and the harness no longer runs: %v", err, rerr)
+			}
+			equalResult(t, "run after a refused restore", clean, res)
 		}
 	})
 }

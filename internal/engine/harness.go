@@ -219,7 +219,9 @@ type Harness struct {
 	cfg  HarnessConfig
 
 	reportSteps []workflow.StepID
-	measures    map[workflow.StepID]MeasurePersist
+	// measures holds one accumulator per report step, nil until the first
+	// measure pass; a pass replaces the slice, so checkpoints share it.
+	measures []MeasurePersist
 
 	obs         *obs.Observer
 	waveRetries *obs.Counter // nil when no observer is attached
@@ -311,7 +313,6 @@ func NewHarnessWithConfig(build BuildFunc, reportSteps []workflow.StepID, cfg Ha
 		ref:         ref,
 		cfg:         cfg,
 		reportSteps: reportSteps,
-		measures:    make(map[workflow.StepID]MeasurePersist, len(reportSteps)),
 	}, nil
 }
 
@@ -507,11 +508,11 @@ func (h *Harness) measureWave(res *Result, liveRes WaveResult) error {
 // part-way leaves the series and the accumulators untouched.
 func (h *Harness) measure(res *Result, liveRes WaveResult) error {
 	type sample struct {
-		next               MeasurePersist
 		measured, endToEnd float64
 		degraded           bool
 	}
 	samples := make([]sample, len(h.reportSteps))
+	next := make([]MeasurePersist, len(h.reportSteps))
 	for i, id := range h.reportSteps {
 		factory := h.live.ErrorFactory(id)
 		refState := h.ref.OutputState(id)
@@ -522,9 +523,9 @@ func (h *Harness) measure(res *Result, liveRes WaveResult) error {
 			return err
 		}
 
-		st, ok := h.measures[id]
-		if !ok {
-			st.FreshPrev = fresh
+		st := MeasurePersist{FreshPrev: fresh}
+		if h.measures != nil {
+			st = h.measures[i]
 		}
 		idx := h.live.GatedIndex(id)
 		if idx >= 0 && liveRes.Executed[idx] {
@@ -533,20 +534,20 @@ func (h *Harness) measure(res *Result, liveRes WaveResult) error {
 			st.Accum += metric.Evaluate(factory, fresh, st.FreshPrev)
 		}
 		st.FreshPrev = fresh
+		next[i] = st
 
 		samples[i] = sample{
-			next:     st,
 			measured: metric.Evaluate(factory, fresh, liveState),
 			endToEnd: metric.Evaluate(factory, refState, liveState),
 			degraded: idx >= 0 && liveRes.Degraded[idx],
 		}
 	}
+	h.measures = next
 	for i, id := range h.reportSteps {
 		s := samples[i]
-		h.measures[id] = s.next
 		report := res.Reports[id]
 		report.Measured = append(report.Measured, s.measured)
-		report.Predicted = append(report.Predicted, s.next.Accum)
+		report.Predicted = append(report.Predicted, next[i].Accum)
 		report.EndToEnd = append(report.EndToEnd, s.endToEnd)
 		report.Violations = append(report.Violations, s.measured > report.MaxError)
 		report.Degraded = append(report.Degraded, s.degraded)

@@ -71,8 +71,7 @@ type stepState struct {
 	errorTrackers  []*metric.Tracker
 	errorFactory   metric.Factory
 
-	executedEver bool
-	lastExecWave int
+	lastExecWave int // -1 until the step has executed
 	execCount    int
 }
 
@@ -589,10 +588,7 @@ func (in *Instance) RunWave(d Decider) (WaveResult, error) {
 	pre := in.PersistState()
 	res, err := in.runWave(d)
 	if err != nil {
-		// The shape check cannot fail on the instance that produced pre.
-		if rerr := in.RestorePersistedState(pre); rerr != nil {
-			err = errors.Join(err, rerr)
-		}
+		in.applyPersisted(pre)
 		in.obs.countRecovery()
 	}
 	return res, err
@@ -675,7 +671,6 @@ func (in *Instance) execute(ctx *workflow.Context, st *stepState, wave int, sp *
 		err := in.runProc(ctx, st)
 		att.EndErr(err)
 		if err == nil {
-			st.executedEver = true
 			st.lastExecWave = wave
 			st.execCount++
 			return nil
@@ -742,7 +737,7 @@ func (in *Instance) HypotheticalOutput(id workflow.StepID) (metric.State, error)
 // least once (the triggering precondition of §2).
 func (in *Instance) predecessorsReady(id workflow.StepID) bool {
 	for _, pred := range in.wf.Predecessors(id) {
-		if !in.states[pred].executedEver {
+		if in.states[pred].lastExecWave < 0 {
 			return false
 		}
 	}

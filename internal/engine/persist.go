@@ -10,44 +10,43 @@ package engine
 import (
 	"encoding/binary"
 	"fmt"
-	"maps"
 
 	"smartflux/internal/metric"
-	"smartflux/internal/workflow"
 )
 
 // StepPersist is one step's persisted bookkeeping: execution counters plus
 // the full state of its impact and shadow-error trackers (the ε/ι accounting
 // the QoD guarantee depends on).
 type StepPersist struct {
-	ExecutedEver bool
-	LastExecWave int
+	LastExecWave int // -1 until the step has executed
 	ExecCount    int
 	Impacts      []metric.PersistedTracker
 	Errors       []metric.PersistedTracker
 }
 
-// InstancePersist is the persisted state of one engine instance.
+// InstancePersist is the persisted state of one engine instance. Steps is in
+// the instance's topological order: a step is identified by its position, so
+// the encoded form is a function of the state alone.
 type InstancePersist struct {
 	Wave    int
 	Impacts []float64
-	Steps   map[workflow.StepID]StepPersist
+	Steps   []StepPersist
 }
 
 // PersistState exports the instance's complete mutable state in
 // serialization-friendly form (tracker baselines are shared, not copied:
 // metric states are immutable). The workflow wiring, store and configuration
-// are construction-time inputs and not included: RestorePersistedState must
-// be called on an instance built from the same workload.
+// are construction-time inputs and not included: the state is restored into
+// an instance built from the same workload.
 func (in *Instance) PersistState() InstancePersist {
 	p := InstancePersist{
 		Wave:    in.wave,
 		Impacts: append([]float64(nil), in.impacts...),
-		Steps:   make(map[workflow.StepID]StepPersist, len(in.states)),
+		Steps:   make([]StepPersist, len(in.order)),
 	}
-	for id, st := range in.states {
+	for pos, id := range in.order {
+		st := in.states[id]
 		sp := StepPersist{
-			ExecutedEver: st.executedEver,
 			LastExecWave: st.lastExecWave,
 			ExecCount:    st.execCount,
 			Impacts:      make([]metric.PersistedTracker, len(st.impactTrackers)),
@@ -59,32 +58,34 @@ func (in *Instance) PersistState() InstancePersist {
 		for i, t := range st.errorTrackers {
 			sp.Errors[i] = t.Persist()
 		}
-		p.Steps[id] = sp
+		p.Steps[pos] = sp
 	}
 	return p
 }
 
-// RestorePersistedState rewinds the instance to a persisted state. It fails
-// if the persisted shape does not match the instance's workflow (a resumed
-// run must be built from the same workload definition).
-func (in *Instance) RestorePersistedState(p InstancePersist) error {
-	if len(p.Impacts) != len(in.impacts) {
-		return fmt.Errorf("engine: persisted state has %d gated impacts, instance has %d", len(p.Impacts), len(in.impacts))
+// checkPersisted reports whether a persisted state has the shape of the
+// instance's workflow: a resumed run must be built from the same workload
+// definition.
+func (in *Instance) checkPersisted(p InstancePersist) error {
+	if len(p.Impacts) != len(in.impacts) || len(p.Steps) != len(in.order) {
+		return fmt.Errorf("engine: persisted state has %d gated impacts and %d steps, instance has %d and %d",
+			len(p.Impacts), len(p.Steps), len(in.impacts), len(in.order))
 	}
-	for id, st := range in.states {
-		sp, ok := p.Steps[id]
-		if !ok {
-			return fmt.Errorf("engine: persisted state is missing step %q", id)
-		}
+	for pos, id := range in.order {
+		st, sp := in.states[id], p.Steps[pos]
 		if len(sp.Impacts) != len(st.impactTrackers) || len(sp.Errors) != len(st.errorTrackers) {
 			return fmt.Errorf("engine: persisted tracker shape mismatch for step %q", id)
 		}
 	}
+	return nil
+}
+
+// applyPersisted rewinds the instance to a state checkPersisted accepted.
+func (in *Instance) applyPersisted(p InstancePersist) {
 	in.wave = p.Wave
 	copy(in.impacts, p.Impacts)
-	for id, st := range in.states {
-		sp := p.Steps[id]
-		st.executedEver = sp.ExecutedEver
+	for pos, id := range in.order {
+		st, sp := in.states[id], p.Steps[pos]
 		st.lastExecWave = sp.LastExecWave
 		st.execCount = sp.ExecCount
 		for i, t := range st.impactTrackers {
@@ -94,7 +95,6 @@ func (in *Instance) RestorePersistedState(p InstancePersist) error {
 			t.RestorePersisted(sp.Errors[i])
 		}
 	}
-	return nil
 }
 
 // MeasurePersist is the measurement accumulator of one report step — the
@@ -110,7 +110,7 @@ type HarnessCheckpoint struct {
 	Result          *Result // Result.Waves is the boundary's wave number
 	Live            InstancePersist
 	Ref             InstancePersist
-	Measures        map[workflow.StepID]MeasurePersist
+	Measures        []MeasurePersist // one per report step, in their order; nil before the first measure pass
 	DeciderState    []byte
 	HasDeciderState bool
 }
@@ -136,15 +136,16 @@ type StatefulDecider interface {
 
 // Checkpoint captures the harness's complete state after a completed wave:
 // the result so far, both instances, the measurement accumulators and — when
-// the decider is stateful — the decider. The result is a view (Result.Slice)
-// and metric states are immutable and shared, so the checkpoint stays valid
+// the decider is stateful — the decider. The result is a view (Result.Slice),
+// metric states are immutable and shared and a measure pass replaces the
+// accumulators rather than writing into them, so the checkpoint stays valid
 // however the run continues and costs O(report steps), not O(waves).
 func (h *Harness) Checkpoint(res *Result, d Decider) (*HarnessCheckpoint, error) {
 	cp := &HarnessCheckpoint{
 		Result:   res.Slice(0, res.Waves),
 		Live:     h.live.PersistState(),
 		Ref:      h.ref.PersistState(),
-		Measures: maps.Clone(h.measures),
+		Measures: h.measures,
 	}
 	if sd, ok := d.(StatefulDecider); ok {
 		state, err := sd.DeciderState()
@@ -157,18 +158,48 @@ func (h *Harness) Checkpoint(res *Result, d Decider) (*HarnessCheckpoint, error)
 	return cp, nil
 }
 
+// validate reports whether the checkpoint can be restored into h: every result
+// series exactly Waves long, every report step covered, the accumulators of
+// all report steps or of none, instance states of the workload's shape.
+func (cp *HarnessCheckpoint) validate(h *Harness) error {
+	res := cp.Result
+	if res == nil {
+		return fmt.Errorf("checkpoint holds no result")
+	}
+	lens := []int{len(res.LiveExecuted), len(res.LiveDegraded), len(res.RefLabels),
+		len(res.RefImpacts), len(res.RefSimErrors), len(res.LiveImpacts)}
+	for _, id := range h.reportSteps {
+		rep := res.Reports[id]
+		if rep == nil {
+			return fmt.Errorf("result has no report for step %q", id)
+		}
+		lens = append(lens, len(rep.Measured), len(rep.Predicted), len(rep.EndToEnd), len(rep.Violations), len(rep.Degraded))
+	}
+	for _, n := range lens {
+		if n != res.Waves {
+			return fmt.Errorf("result records %d waves but holds a series of %d", res.Waves, n)
+		}
+	}
+	if cp.Measures != nil && len(cp.Measures) != len(h.reportSteps) {
+		return fmt.Errorf("checkpoint measures %d steps, harness reports %d", len(cp.Measures), len(h.reportSteps))
+	}
+	if err := h.live.checkPersisted(cp.Live); err != nil {
+		return fmt.Errorf("live: %w", err)
+	}
+	if err := h.ref.checkPersisted(cp.Ref); err != nil {
+		return fmt.Errorf("ref: %w", err)
+	}
+	return nil
+}
+
 // RestoreCheckpoint rewinds the harness (built from the same workload) and
 // decider to a checkpoint, returning the result to continue appending to: a
-// view of the checkpoint's, so two restores of one checkpoint never alias.
+// view of the checkpoint's, so two restores of one checkpoint never alias. A
+// checkpoint that fails validation is refused before the harness is touched.
 func (h *Harness) RestoreCheckpoint(cp *HarnessCheckpoint, d Decider) (*Result, error) {
-	if err := h.live.RestorePersistedState(cp.Live); err != nil {
-		return nil, fmt.Errorf("harness restore live: %w", err)
+	if err := cp.validate(h); err != nil {
+		return nil, fmt.Errorf("harness restore: %w", err)
 	}
-	if err := h.ref.RestorePersistedState(cp.Ref); err != nil {
-		return nil, fmt.Errorf("harness restore ref: %w", err)
-	}
-	h.measures = make(map[workflow.StepID]MeasurePersist, len(h.reportSteps))
-	maps.Copy(h.measures, cp.Measures)
 	if cp.HasDeciderState {
 		sd, ok := d.(StatefulDecider)
 		if !ok {
@@ -178,6 +209,9 @@ func (h *Harness) RestoreCheckpoint(cp *HarnessCheckpoint, d Decider) (*Result, 
 			return nil, fmt.Errorf("harness restore decider: %w", err)
 		}
 	}
+	h.live.applyPersisted(cp.Live)
+	h.ref.applyPersisted(cp.Ref)
+	h.measures = cp.Measures
 	return cp.Result.Slice(0, cp.Result.Waves), nil
 }
 

@@ -3,8 +3,13 @@ package engine
 import (
 	"bytes"
 	"encoding/gob"
+	"maps"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
+
+	"smartflux/internal/workflow"
 )
 
 // captureCommitter records every wave checkpoint it is handed.
@@ -229,7 +234,88 @@ func TestRandomDeciderStateRoundTrip(t *testing.T) {
 func TestRestorePersistedStateShapeMismatch(t *testing.T) {
 	a := buildInstance(t, testWorkload(0.05), InstanceConfig{})
 	wide := buildInstance(t, wideWorkload(4, 0.05), InstanceConfig{})
-	if err := a.RestorePersistedState(wide.PersistState()); err == nil {
-		t.Fatal("restoring mismatched persisted state: want error")
+	if err := a.checkPersisted(wide.PersistState()); err == nil {
+		t.Fatal("checking mismatched persisted state: want error")
+	}
+}
+
+// TestRestoreCheckpointRejectsMalformed hands RestoreCheckpoint checkpoints no
+// run could have committed. Each must come back as an error — not a panic out
+// of Result.Slice or a nil dereference — with neither instance touched, and
+// the harness must afterwards run as one never restored into.
+func TestRestoreCheckpointRejectsMalformed(t *testing.T) {
+	build := testWorkload(0.05)
+	reportSteps := []workflow.StepID{"mid", "leaf"}
+	cc := &captureCommitter{}
+	src, err := NewHarnessWithConfig(build, reportSteps, HarnessConfig{Committer: cc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.Run(3, Sync{}); err != nil {
+		t.Fatal(err)
+	}
+	good := cc.cps[2]
+	wide := buildInstance(t, wideWorkload(4, 0.05), InstanceConfig{}).PersistState()
+	fresh, err := NewHarness(build, reportSteps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean, err := fresh.Run(2, Sync{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name   string
+		mutate func(cp *HarnessCheckpoint)
+		want   string
+	}{
+		{"no result", func(cp *HarnessCheckpoint) { cp.Result = nil }, "no result"},
+		{"waves beyond the rows", func(cp *HarnessCheckpoint) { cp.Result.Waves = 7 }, "7 waves"},
+		{"negative waves", func(cp *HarnessCheckpoint) { cp.Result.Waves = -1 }, "-1 waves"},
+		{"short matrix", func(cp *HarnessCheckpoint) { cp.Result.RefLabels = cp.Result.RefLabels[:2] }, "a series of 2"},
+		{"long matrix", func(cp *HarnessCheckpoint) { cp.Result.LiveImpacts = append(cp.Result.LiveImpacts, nil) }, "a series of 4"},
+		{"short report series", func(cp *HarnessCheckpoint) {
+			rep := *cp.Result.Reports["leaf"]
+			rep.Predicted = rep.Predicted[:1]
+			cp.Result.Reports["leaf"] = &rep
+		}, "a series of 1"},
+		{"missing report step", func(cp *HarnessCheckpoint) { delete(cp.Result.Reports, "mid") }, `no report for step "mid"`},
+		{"nil report", func(cp *HarnessCheckpoint) { cp.Result.Reports["mid"] = nil }, `no report for step "mid"`},
+		{"measures of another harness", func(cp *HarnessCheckpoint) { cp.Measures = cp.Measures[:1] }, "measures 1 steps"},
+		{"live of another workload", func(cp *HarnessCheckpoint) { cp.Live = wide }, "live: "},
+		{"ref of another workload", func(cp *HarnessCheckpoint) { cp.Ref = wide }, "ref: "},
+		{"stateless decider", func(cp *HarnessCheckpoint) { cp.HasDeciderState = true }, "stateless"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cp, res := *good, *good.Result
+			res.Reports = maps.Clone(res.Reports)
+			cp.Result = &res
+			tc.mutate(&cp)
+			h, err := NewHarness(build, reportSteps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			live, ref := h.live.PersistState(), h.ref.PersistState()
+			if _, err := h.RestoreCheckpoint(&cp, Sync{}); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("restore = %v, want an error naming %q", err, tc.want)
+			}
+			if !reflect.DeepEqual(h.live.PersistState(), live) || !reflect.DeepEqual(h.ref.PersistState(), ref) || h.measures != nil {
+				t.Fatal("a refused restore changed the harness")
+			}
+			got, err := h.Run(2, Sync{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			equalResults(t, got, clean)
+		})
+	}
+	// The checkpoint the rows were cut from restores.
+	h, err := NewHarness(build, reportSteps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.RestoreCheckpoint(good, Sync{}); err != nil {
+		t.Fatal(err)
 	}
 }

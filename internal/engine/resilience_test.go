@@ -2,8 +2,8 @@ package engine
 
 import (
 	"errors"
-	"maps"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -357,7 +357,7 @@ func TestMeasureFailureCommitsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	reports := res.Slice(0, res.Waves).Reports
-	measures := maps.Clone(h.measures)
+	measures := slices.Clone(h.measures)
 
 	if err := h.ResumeRun(res, 1, Sync{}); !errors.Is(err, errBoom) || !strings.Contains(err.Error(), "measure wave 3") {
 		t.Fatalf("wave 3 = %v, want errBoom out of the measure pass", err)

@@ -97,17 +97,28 @@ func StateOf(m map[string]float64) State {
 }
 
 // Tracker computes a metric for one data container across waves, holding the
-// baseline snapshot the metric compares against. It is the per-(step, input)
-// bookkeeping of the paper's Monitoring component.
+// one earlier state the metric compares against (§2.1): the state at the
+// step's latest execution in cancellation mode, at the previous wave in
+// accumulate mode. It is the per-(step, input) bookkeeping of the paper's
+// Monitoring component; everything of it that changes is in s.
 type Tracker struct {
 	factory Factory
 	mode    Mode
+	s       PersistedTracker
+}
 
-	execBaseline State // state at the wave of the latest execution
-	waveBaseline State // state at the previous wave (accumulate mode)
-	accumulated  float64
-	current      float64
-	hasBaseline  bool
+// PersistedTracker is a tracker's state, in the one form it is held, rolled
+// back and serialized in: the engine captures it before a wave and restores
+// it if the wave fails — as if the failed wave's observations never happened —
+// and the durability layer checkpoints ε/ι accounting with it. The baseline is
+// shared, not copied: states are immutable, so a captured value stays valid
+// however the live tracker evolves. HasBaseline is a field of its own: an empty
+// container is a baseline too, and gob decodes an empty State as nil.
+type PersistedTracker struct {
+	Baseline    State // moved by Commit, and in accumulate mode by every Observe
+	Accumulated float64
+	Current     float64
+	HasBaseline bool
 }
 
 // NewTracker creates a tracker using factory to build metric instances.
@@ -186,83 +197,37 @@ func (t *Tracker) evaluate(state, baseline State) float64 {
 // The tracker retains state as its baseline; states are immutable, so the
 // caller may keep sharing it.
 func (t *Tracker) Observe(state State) float64 {
-	if !t.hasBaseline {
-		t.execBaseline = state
-		t.waveBaseline = state
-		t.hasBaseline = true
-		t.current = 0
+	if !t.s.HasBaseline {
+		t.Commit(state)
 		return 0
 	}
-	switch t.mode {
-	case ModeAccumulate:
-		t.accumulated += t.evaluate(state, t.waveBaseline)
-		t.waveBaseline = state
-		t.current = t.accumulated
-	default: // ModeCancellation
-		t.current = t.evaluate(state, t.execBaseline)
+	t.s.Current = t.evaluate(state, t.s.Baseline)
+	if t.mode == ModeAccumulate {
+		t.s.Accumulated += t.s.Current
+		t.s.Baseline = state
+		t.s.Current = t.s.Accumulated
 	}
-	return t.current
+	return t.s.Current
 }
 
 // Current returns the most recently observed metric value.
-func (t *Tracker) Current() float64 { return t.current }
+func (t *Tracker) Current() float64 { return t.s.Current }
 
 // Commit records that the associated step executed at the current wave:
 // the baseline moves to state and accumulation restarts.
 func (t *Tracker) Commit(state State) {
-	t.execBaseline = state
-	t.waveBaseline = state
-	t.accumulated = 0
-	t.current = 0
-	t.hasBaseline = true
+	t.s = PersistedTracker{Baseline: state, HasBaseline: true}
 }
 
-// PersistedTracker is the exported, serialization-friendly form of a
-// tracker's state: the engine captures it before a wave and restores it if
-// the wave fails — the tracker then behaves as if the failed wave's
-// observations never happened — and the durability layer checkpoints ε/ι
-// accounting across process crashes with it. The baselines are shared, not
-// copied: states are immutable, so a persisted value stays valid however the
-// live tracker evolves.
-type PersistedTracker struct {
-	ExecBaseline State
-	WaveBaseline State
-	Accumulated  float64
-	Current      float64
-	HasBaseline  bool
-}
-
-// Persist captures the tracker's complete state. The tracker's factory and
-// mode are construction-time configuration and are not part of it;
-// RestorePersisted must be called on a tracker built with the same factory
-// and mode.
-func (t *Tracker) Persist() PersistedTracker {
-	return PersistedTracker{
-		ExecBaseline: t.execBaseline,
-		WaveBaseline: t.waveBaseline,
-		Accumulated:  t.accumulated,
-		Current:      t.current,
-		HasBaseline:  t.hasBaseline,
-	}
-}
+// Persist captures the tracker's complete state; RestorePersisted must be
+// called on a tracker built with the same factory and mode.
+func (t *Tracker) Persist() PersistedTracker { return t.s }
 
 // RestorePersisted rewinds the tracker to a persisted snapshot.
-func (t *Tracker) RestorePersisted(s PersistedTracker) {
-	t.execBaseline = s.ExecBaseline
-	t.waveBaseline = s.WaveBaseline
-	t.accumulated = s.Accumulated
-	t.current = s.Current
-	t.hasBaseline = s.HasBaseline
-}
+func (t *Tracker) RestorePersisted(s PersistedTracker) { t.s = s }
 
 // Reset clears all tracker state, as if freshly constructed.
-func (t *Tracker) Reset() {
-	t.execBaseline = nil
-	t.waveBaseline = nil
-	t.accumulated = 0
-	t.current = 0
-	t.hasBaseline = false
-}
+func (t *Tracker) Reset() { t.s = PersistedTracker{} }
 
 // Evaluate runs a one-shot metric computation of current against baseline,
 // outside any tracker. The engine uses it to measure the live-vs-synchronous

@@ -1,10 +1,13 @@
 package metric
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math"
 	"math/rand"
 	"reflect"
 	"sort"
+	"strconv"
 	"testing"
 )
 
@@ -200,6 +203,57 @@ func TestObserveAllocations(t *testing.T) {
 		tr.Commit(baseline)
 		if allocs := testing.AllocsPerRun(50, func() { tr.Observe(state) }); allocs > 1 {
 			t.Errorf("%v: Observe allocates %v objects per call, want <= 1", mode, allocs)
+		}
+	}
+}
+
+// TestPersistedTrackerHoldsOneState: the monitoring component compares a
+// container against one earlier state (§2.1), so that is all a persisted
+// tracker carries — one State among its fields, and an encoding barely longer
+// than that state's own, whichever events last moved the baseline.
+func TestPersistedTrackerHoldsOneState(t *testing.T) {
+	var states int
+	var walk func(typ reflect.Type)
+	walk = func(typ reflect.Type) {
+		switch {
+		case typ == reflect.TypeOf(State(nil)):
+			states++
+		case typ.Kind() == reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				walk(typ.Field(i).Type)
+			}
+		case typ.Kind() == reflect.Pointer, typ.Kind() == reflect.Slice, typ.Kind() == reflect.Array, typ.Kind() == reflect.Map:
+			walk(typ.Elem())
+		}
+	}
+	walk(reflect.TypeOf(PersistedTracker{}))
+	if states != 1 {
+		t.Errorf("PersistedTracker reaches %d State values, want 1", states)
+	}
+
+	gobLen := func(v any) int {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Len()
+	}
+	rng := rand.New(rand.NewSource(1))
+	wave := func() State {
+		elems := make([]Elem, 1000)
+		for i := range elems {
+			elems[i] = Elem{Key: "r" + strconv.Itoa(1000+i) + "/v", Val: rng.NormFloat64()}
+		}
+		return NewState(elems)
+	}
+	for _, mode := range []Mode{ModeCancellation, ModeAccumulate} {
+		tr := NewTracker(NewRelativeImpact, mode)
+		tr.Observe(wave())
+		tr.Commit(wave())
+		last := wave()
+		tr.Observe(last)
+		if got, limit := gobLen(tr.Persist()), gobLen(last)*11/10; got >= limit {
+			t.Errorf("%v: persisted tracker encodes to %d bytes, want < %d (1.1x one 1000-element state)", mode, got, limit)
 		}
 	}
 }
