@@ -113,7 +113,8 @@ bench-e2e-smoke:
 	bash bench/run.sh -smoke
 
 ## fuzz: run the wire-protocol fuzzers, the epoch-file reader's fuzzer and
-## the checkpoint decode + session restore fuzzer for 30s each (nightly CI
+## the checkpoint decode + restore fuzzer (session, harness and — for a policy
+## that does not learn — the decider-state path) for 30s each (nightly CI
 ## job; crashers land in the package's testdata/fuzz and are uploaded as
 ## artifacts). Separate invocations: `go test -fuzz` accepts only one target
 ## at a time. The checkpoint seeds are whole payloads, so minimizing each new

@@ -14,8 +14,8 @@
 //
 // -scale shrinks wave counts for quick runs (e.g. -scale 0.2); -seed makes
 // alternative deterministic universes; -j fans out independent (workload,
-// bound) pipeline runs across that many goroutines without changing any
-// figure's output.
+// bound, policy) pipeline runs across that many goroutines without changing
+// any figure's output.
 package main
 
 import (
@@ -40,7 +40,7 @@ func run(args []string, out *os.File) error {
 	fig := fs.String("fig", "all", "experiment to run: 3, roc, 7, 8, 9, 10, 11, 12, overhead, all")
 	seed := fs.Int64("seed", 42, "deterministic seed")
 	scale := fs.Float64("scale", 1, "wave-count scale factor (1 = paper-length runs)")
-	jobs := fs.Int("j", 0, "concurrent (workload, bound) pipeline runs: 0 = GOMAXPROCS, 1 = one at a time (output is identical either way)")
+	jobs := fs.Int("j", 0, "concurrent (workload, bound, policy) pipeline runs: 0 = GOMAXPROCS, 1 = one at a time (output is identical either way)")
 	obsAddr := fs.String("obs-addr", "", "serve /metrics, /trace/tail, /trace/spans and /debug/pprof on this address while experiments run")
 	traceOut := fs.String("trace-out", "", "append decision-trace events from every pipeline as JSON lines to this file")
 	spanOut := fs.String("span-out", "", "append causal spans (plus decision events) as JSON lines to this file, readable by sftrace; prefer -j 1 and a single -fig so runs don't interleave")
@@ -214,17 +214,15 @@ func buildObserver(obsAddr, traceOut, spanOut string, out *os.File) (*obs.Observ
 	return obs.New(registry, sinks...).WithSpanSinks(spanSinks...), closeAll, nil
 }
 
-// prewarmTargets lists every (workload, bound) pipeline the selected figures
-// will request, so Runner.Prewarm can fan them out under -j before the
-// figures render sequentially. Duplicate targets are harmless: the runner's
-// cache collapses them onto one run.
+// prewarmTargets lists every pipeline the selected figures will request — the
+// SmartFlux run of a (workload, bound), and for Figure 11 every policy's at its
+// bound — so Runner.Prewarm can fan them out under -j before the figures render
+// sequentially. Duplicate targets are harmless: the runner's cache collapses
+// them onto one run.
 func prewarmTargets(want func(string) bool) []experiments.Target {
 	bounds := map[float64]bool{}
 	if want("roc") || want("7") {
 		bounds[0.20] = true
-	}
-	if want("11") {
-		bounds[0.05] = true
 	}
 	if want("8") || want("9") || want("10") || want("12") {
 		for _, b := range experiments.Bounds {
@@ -232,12 +230,16 @@ func prewarmTargets(want func(string) bool) []experiments.Target {
 		}
 	}
 	var targets []experiments.Target
-	for _, b := range experiments.Bounds {
-		if !bounds[b] {
-			continue
+	for _, w := range []experiments.Workload{experiments.LRB, experiments.AQHI} {
+		for _, b := range experiments.Bounds {
+			if bounds[b] {
+				targets = append(targets, experiments.Target{Workload: w, Bound: b, Policy: experiments.SmartFlux})
+			}
 		}
-		for _, w := range []experiments.Workload{experiments.LRB, experiments.AQHI} {
-			targets = append(targets, experiments.Target{Workload: w, Bound: b})
+		if want("11") {
+			for _, p := range experiments.Fig11Policies {
+				targets = append(targets, experiments.Target{Workload: w, Bound: 0.05, Policy: p})
+			}
 		}
 	}
 	return targets

@@ -4,6 +4,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"smartflux/internal/experiments"
 )
 
 // capture runs the CLI with stdout redirected to a pipe.
@@ -45,5 +47,27 @@ func TestRunFigSelection(t *testing.T) {
 	}
 	if !strings.Contains(out, "Figure 12") {
 		t.Errorf("missing Figure 12 output:\n%s", out)
+	}
+}
+
+// Figure 11 reads five policies per workload; -j can only fan them out if
+// prewarmTargets names each, beside the SmartFlux runs of the other figures.
+func TestPrewarmTargetsListFig11Policies(t *testing.T) {
+	only := func(fig string) func(string) bool { return func(name string) bool { return name == fig } }
+	targets := prewarmTargets(only("11"))
+	if len(targets) != 2*len(experiments.Fig11Policies) {
+		t.Fatalf("-fig 11 prewarms %d targets: %v", len(targets), targets)
+	}
+	seen := map[experiments.Target]bool{}
+	for _, target := range targets {
+		if target.Bound != 0.05 || seen[target] {
+			t.Errorf("unexpected or repeated target %+v", target)
+		}
+		seen[target] = true
+	}
+	for _, target := range prewarmTargets(only("12")) {
+		if target.Policy != experiments.SmartFlux {
+			t.Errorf("-fig 12 prewarms %+v", target)
+		}
 	}
 }

@@ -2,11 +2,12 @@
 // triggering policy and reports resource usage and bound compliance.
 //
 //	smartflux -workload lrb -bound 0.05 -policy smartflux -train 500 -apply 500
-//	smartflux -workload aqhi -policy seq3 -apply 384
-//	smartflux -workload firerisk -policy sync
+//	smartflux -workload aqhi -policy seq3 -train 336 -apply 384
+//	smartflux -workload firerisk -policy sync -train 0
 //
-// Policies: smartflux (train + adaptive execution), sync, random, seq2,
-// seq3, seq5, oracle.
+// Policies: smartflux (learns from the training waves), sync, random, seqN,
+// oracle. Every policy is the same run: -train synchronous waves, then -apply
+// waves under the policy, journaled with -wal-dir, mirrored with -cluster.
 package main
 
 import (
@@ -35,8 +36,8 @@ func run(args []string, out io.Writer) error {
 	workload := fs.String("workload", "aqhi", "workload: lrb, aqhi, firerisk")
 	bound := fs.Float64("bound", 0.10, "maximum tolerated output error (maxε)")
 	policy := fs.String("policy", "smartflux", "triggering policy: smartflux, sync, random, seqN, oracle")
-	train := fs.Int("train", 336, "training waves (smartflux policy only)")
-	apply := fs.Int("apply", 384, "application waves")
+	train := fs.Int("train", 336, "synchronous waves before the policy decides: smartflux learns from them, any other policy only starts warm (0 = cold start)")
+	apply := fs.Int("apply", 384, "application waves under the policy")
 	seed := fs.Int64("seed", 42, "deterministic seed")
 	parallelism := fs.Int("parallelism", 0, "per-wave worker bound: 0 = GOMAXPROCS, 1 = sequential (results are identical either way)")
 	obsAddr := fs.String("obs-addr", "", "serve /metrics, /trace/tail, /trace/spans and /debug/pprof on this address (e.g. 127.0.0.1:8080)")
@@ -48,21 +49,16 @@ func run(args []string, out io.Writer) error {
 	retryWaves := fs.Int("retry-waves", 0, "times a failed wave is re-run from its pre-wave checkpoint")
 	degrade := fs.Bool("degrade", false, "forcibly skip gated steps that exhaust their retries instead of failing the run")
 	clusterShards := fs.Int("cluster", 0, "mirror the live store into an in-process replicated cluster with this many shards and verify dump equality at the end of the run")
-	walDir := fs.String("wal-dir", "", "enable crash durability: one write-ahead log file per epoch in this directory (smartflux policy only)")
+	walDir := fs.String("wal-dir", "", "enable crash durability: one write-ahead log file per epoch in this directory")
 	snapEvery := fs.Int("snapshot-every", 64, "waves between log rotations to a fresh, compacted epoch (with -wal-dir)")
 	fsyncFlag := fs.String("fsync", "commit", "WAL flush policy with -wal-dir: commit, always, never")
 	resume := fs.Bool("resume", false, "continue a crashed run from the -wal-dir state instead of starting fresh")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *policy != "smartflux" && (*walDir != "" || *resume) {
-		// Only the pipeline journals: taking the flag and writing no log would
-		// pass off an unprotected run as a durable one.
-		name := "-wal-dir"
-		if *walDir == "" {
-			name = "-resume"
-		}
-		return fmt.Errorf("%s: policy %q is not journaled; only -policy smartflux writes and resumes a write-ahead log", name, *policy)
+	decider, err := parsePolicy(*policy, *seed)
+	if err != nil {
+		return err
 	}
 	var fsyncMode smartflux.FsyncMode
 	if *walDir != "" {
@@ -154,8 +150,6 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("unknown workload %q", *workload)
 	}
 
-	// -cluster: the pipeline path mirrors through PipelineConfig.Cluster, the
-	// plain-policy path attaches the mirror to its harness's live store.
 	var mirror *cluster.Client
 	if *clusterShards > 0 {
 		local, err := cluster.StartLocal(*clusterShards, true, nil)
@@ -169,82 +163,58 @@ func run(args []string, out io.Writer) error {
 		defer func() { _ = mirror.Close() }() // teardown at exit
 	}
 
-	if *policy == "smartflux" {
-		cfg := smartflux.PipelineConfig{
-			TrainWaves: *train,
-			ApplyWaves: *apply,
-			Session: smartflux.SessionConfig{
-				Seed:           *seed + 7,
-				Thresholds:     []float64{0.15},
-				PositiveWeight: 14,
-			},
-			Obs:         observer,
-			Parallelism: *parallelism,
-			Resilience:  resilience,
-			Cluster:     mirror,
-		}
-		var (
-			res  *smartflux.PipelineResult
-			info *smartflux.DurableRunInfo
-			err  error
-		)
-		steps := []smartflux.StepID{report}
-		opts := smartflux.DurableOptions{
-			Dir:           *walDir,
-			SnapshotEvery: *snapEvery,
-			Fsync:         fsyncMode,
-			Obs:           observer,
-		}
-		switch {
-		case *walDir == "":
-			res, err = smartflux.RunPipeline(build, steps, cfg)
-		case *resume:
-			res, info, err = smartflux.ResumePipeline(build, steps, cfg, opts)
-		default:
-			res, info, err = smartflux.RunPipelineDurable(build, steps, cfg, opts)
-		}
-		if err != nil {
-			return err
-		}
+	cfg := smartflux.PipelineConfig{
+		TrainWaves: *train,
+		ApplyWaves: *apply,
+		Policy:     decider,
+		Session: smartflux.SessionConfig{
+			Seed:           *seed + 7,
+			Thresholds:     []float64{0.15},
+			PositiveWeight: 14,
+		},
+		Obs:         observer,
+		Parallelism: *parallelism,
+		Resilience:  resilience,
+		Cluster:     mirror,
+	}
+	var (
+		res  *smartflux.PipelineResult
+		info *smartflux.DurableRunInfo
+	)
+	steps := []smartflux.StepID{report}
+	opts := smartflux.DurableOptions{
+		Dir:           *walDir,
+		SnapshotEvery: *snapEvery,
+		Fsync:         fsyncMode,
+		Obs:           observer,
+	}
+	switch {
+	case *walDir == "":
+		res, err = smartflux.RunPipeline(build, steps, cfg)
+	case *resume:
+		res, info, err = smartflux.ResumePipeline(build, steps, cfg, opts)
+	default:
+		res, info, err = smartflux.RunPipelineDurable(build, steps, cfg, opts)
+	}
+	if err != nil {
+		return err
+	}
+	// The header names the policy the result records: the application phase's,
+	// or with -apply 0 the warm-up's, which is then all that ran.
+	phase := res.Apply
+	if phase == nil {
+		phase = res.Train
+	}
+	fmt.Fprintf(out, "%s @ %.0f%% bound, policy %s\n", *workload, *bound*100, phase.Policy)
+	if res.Session != nil {
 		macro := res.Test.Macro()
-		fmt.Fprintf(out, "%s @ %.0f%% bound, policy smartflux\n", *workload, *bound*100)
 		fmt.Fprintf(out, "  test phase: accuracy %.3f precision %.3f recall %.3f auc %.3f\n",
 			macro.Accuracy, macro.Precision, macro.Recall, macro.AUC)
-		printDurability(out, info)
-		printResult(out, res.Apply, report)
-		printDecisionSummary(out, registry)
-		if err := verifyMirror(out, mirror, res.Store); err != nil {
-			return err
-		}
-		return traceErr(jsonl, spanl)
 	}
-
-	decider, err := parsePolicy(*policy, *seed)
-	if err != nil {
-		return err
-	}
-	harnessCfg := resilience
-	harnessCfg.Parallelism = *parallelism
-	harness, err := smartflux.NewHarnessWithConfig(build, []smartflux.StepID{report}, harnessCfg)
-	if err != nil {
-		return err
-	}
-	if observer != nil {
-		harness.Instrument(observer)
-	}
-	if mirror != nil {
-		if err := mirror.Mirror(harness.Live().Store()); err != nil {
-			return fmt.Errorf("cluster mirror: %w", err)
-		}
-	}
-	res, err := harness.Run(*apply, decider)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "%s @ %.0f%% bound, policy %s\n", *workload, *bound*100, decider.Name())
-	printResult(out, res, report)
+	printDurability(out, info)
+	printResult(out, res.Apply, report)
 	printDecisionSummary(out, registry)
-	if err := verifyMirror(out, mirror, harness.Live().Store()); err != nil {
+	if err := verifyMirror(out, mirror, res.Store); err != nil {
 		return err
 	}
 	return traceErr(jsonl, spanl)
@@ -299,9 +269,12 @@ func traceErr(sinks ...*smartflux.JSONLTraceSink) error {
 	return nil
 }
 
-// parsePolicy resolves a policy name to a Decider.
+// parsePolicy resolves a policy name to the pipeline's Decider: nil for
+// smartflux, the session the pipeline builds and trains itself.
 func parsePolicy(name string, seed int64) (smartflux.Decider, error) {
 	switch {
+	case name == "smartflux":
+		return nil, nil
 	case name == "sync":
 		return smartflux.SyncPolicy(), nil
 	case name == "random":

@@ -1,6 +1,8 @@
 package smartflux_test
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"math"
@@ -30,6 +32,7 @@ const (
 
 type crashRig struct {
 	stores []*smartflux.Store
+	onWave func(wave int) // told every wave the source step starts, when set
 }
 
 // crashBuild is the quickstart pipeline (ingest → aggregate → alert) on a
@@ -46,6 +49,9 @@ func crashBuild(rig *crashRig) smartflux.BuildFunc {
 				Source:  true,
 				Outputs: []smartflux.Container{{Table: "raw"}},
 				Proc: smartflux.ProcessorFunc(func(ctx *smartflux.Context) error {
+					if rig.onWave != nil {
+						rig.onWave(ctx.Wave)
+					}
 					t, err := ctx.Table("raw")
 					if err != nil {
 						return err
@@ -379,6 +385,88 @@ func TestCrashChaosDoubleCrash(t *testing.T) {
 		t.Error("final resume did not report recovered state")
 	}
 	equalCrashOutcome(t, clean, crashOutcomeOf(t, rig, res))
+}
+
+// TestCrashChaosEveryPolicy gives the policies that do not learn the rows the
+// session has above: seq3, random — the stateful one, whose draw position must
+// come back from the checkpoint — and oracle each run the durable pipeline
+// killed mid-training, in the first application wave (every warm-up wave
+// committed, no decision taken yet) and mid-application, and every resumed run
+// equals the uncrashed one in every series of both result views, both store
+// dumps and the bytes of the last committed payload.
+func TestCrashChaosEveryPolicy(t *testing.T) {
+	if testing.Short() {
+		t.Skip("crash-chaos suite skipped in -short mode")
+	}
+	steps := []smartflux.StepID{"alert"}
+	encoded := func(res *smartflux.Result) string {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(res); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	lastPayload := func(dir string) []byte {
+		rec, err := durable.Recover(dir, nil)
+		if err != nil || rec == nil || rec.Wave != crashTrainWaves+crashApplyWaves {
+			t.Fatalf("recover %s: %+v, %v", dir, rec, err)
+		}
+		return rec.Payload
+	}
+	for name, policy := range map[string]func() smartflux.Decider{
+		"seq3":   func() smartflux.Decider { return smartflux.SeqPolicy(3) },
+		"random": func() smartflux.Decider { return smartflux.RandomPolicy(0.5, 5) },
+		"oracle": smartflux.OraclePolicy,
+	} {
+		under := func() smartflux.PipelineConfig {
+			cfg := crashPipelineConfig()
+			cfg.Policy, cfg.Parallelism = policy(), 1
+			return cfg
+		}
+		cleanRig, cleanDir := &crashRig{}, t.TempDir()
+		cleanRes, _, err := smartflux.RunPipelineDurable(crashBuild(cleanRig), steps, under(), smartflux.DurableOptions{Dir: cleanDir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := cleanRes.Apply.Policy; got != name {
+			t.Fatalf("application phase ran under %q, want %s", got, name)
+		}
+		clean, cleanPayload := crashOutcomeOf(t, cleanRig, cleanRes), lastPayload(cleanDir)
+
+		for _, k := range []int{20, crashTrainWaves, crashTrainWaves + 20} {
+			t.Run(fmt.Sprintf("%s-wave-%d", name, k), func(t *testing.T) {
+				t.Parallel()
+				// Kill the log at the first append of wave k: k waves are committed.
+				dir, wave, crashed := t.TempDir(), -1, false
+				rig := &crashRig{onWave: func(w int) { wave = w }}
+				hook := func(op string) error {
+					if crashed = crashed || op == "wal_append" && wave == k; crashed {
+						return fault.ErrCrashed
+					}
+					return nil
+				}
+				_, _, err := smartflux.RunPipelineDurable(crashBuild(rig), steps, under(), smartflux.DurableOptions{Dir: dir, Hook: hook})
+				if !errors.Is(err, fault.ErrCrashed) {
+					t.Fatalf("crash in wave %d never fired: %v", k, err)
+				}
+				resumeRig := &crashRig{}
+				res, info, err := smartflux.ResumePipeline(crashBuild(resumeRig), steps, under(), smartflux.DurableOptions{Dir: dir})
+				if err != nil {
+					t.Fatalf("resume: %v", err)
+				}
+				if !info.Resumed || info.Recovery.Wave != k {
+					t.Errorf("resumed=%v from wave %d, want wave %d", info.Resumed, info.Recovery.Wave, k)
+				}
+				equalCrashOutcome(t, clean, crashOutcomeOf(t, resumeRig, res))
+				if encoded(res.Train) != encoded(cleanRes.Train) || encoded(res.Apply) != encoded(cleanRes.Apply) {
+					t.Error("a result series diverged from the uncrashed run")
+				}
+				if !bytes.Equal(lastPayload(dir), cleanPayload) {
+					t.Error("the resumed run's last committed payload differs from the uncrashed run's")
+				}
+			})
+		}
+	}
 }
 
 // TestCrashChaosKvnetDedupReplay drives a durability-managed store through a

@@ -13,6 +13,7 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/gob"
 	"fmt"
 	"os"
@@ -124,13 +125,15 @@ func (s *Session) RestoreCheckpoint(cp *SessionCheckpoint) error {
 }
 
 // PipelineCheckpoint is the opaque payload committed per wave: the phase
-// lengths (validated on resume), the harness state at the boundary (nil
-// before the first wave) and the session state. The run is one result — its
-// Waves is the commit wave — and which phase the boundary lies in is the
-// session's to say.
+// lengths and the application policy's Name (validated on resume), the harness
+// state at the boundary (nil before the first wave) and the session state —
+// nil under a policy that does not learn, which is its construction plus, when
+// stateful, Harness.DeciderState. The run is one result — its Waves is the
+// commit wave — and whether the test phase has run is the session's to say.
 type PipelineCheckpoint struct {
 	TrainWaves int
 	ApplyWaves int
+	Policy     string
 	Harness    *engine.HarnessCheckpoint
 	Session    *SessionCheckpoint
 }
@@ -174,7 +177,8 @@ type DurableRunInfo struct {
 // under the result's wave count.
 type pipelineCommitter struct {
 	mgr        *durable.Manager
-	session    *Session
+	session    *Session // nil under a policy that does not learn
+	policy     string
 	trainWaves int
 	applyWaves int
 }
@@ -182,16 +186,14 @@ type pipelineCommitter struct {
 // payload builds and encodes the pipeline checkpoint for a harness boundary
 // (nil for the initial, nothing-run-yet one).
 func (c *pipelineCommitter) payload(hcp *engine.HarnessCheckpoint) ([]byte, error) {
-	scp, err := c.session.Checkpoint()
-	if err != nil {
-		return nil, err
+	cp := &PipelineCheckpoint{TrainWaves: c.trainWaves, ApplyWaves: c.applyWaves, Policy: c.policy, Harness: hcp}
+	if c.session != nil {
+		var err error
+		if cp.Session, err = c.session.Checkpoint(); err != nil {
+			return nil, err
+		}
 	}
-	return encodePipelineCheckpoint(&PipelineCheckpoint{
-		TrainWaves: c.trainWaves,
-		ApplyWaves: c.applyWaves,
-		Harness:    hcp,
-		Session:    scp,
-	})
+	return encodePipelineCheckpoint(cp)
 }
 
 // CommitWave implements engine.WaveCommitter.
@@ -328,6 +330,15 @@ func ResumePipeline(build engine.BuildFunc, reportSteps []workflow.StepID, cfg P
 	if rec.cp.TrainWaves != cfg.TrainWaves || rec.cp.ApplyWaves != cfg.ApplyWaves {
 		return nil, nil, fmt.Errorf("core: checkpoint is a %d+%d wave run, config wants %d+%d",
 			rec.cp.TrainWaves, rec.cp.ApplyWaves, cfg.TrainWaves, cfg.ApplyWaves)
+	}
+	want := sessionPolicy
+	if cfg.Policy != nil {
+		want = cfg.Policy.Name()
+	}
+	// A directory written before the policy was recorded names none: the
+	// session's was the only one journaled.
+	if wrote := cmp.Or(rec.cp.Policy, sessionPolicy); wrote != want {
+		return nil, nil, fmt.Errorf("core: %s was written under policy %q, config runs policy %q", opts.Dir, wrote, want)
 	}
 	// The commit wave is the result's wave count in every directory this build
 	// wrote; one that kept the training result apart counted application waves

@@ -500,6 +500,35 @@ func TestResumePipelineRejectsMismatchedWaves(t *testing.T) {
 	}
 }
 
+// Resume must not change policy silently: a directory is resumed under the
+// policy that wrote it or refused naming both — in either direction between the
+// session and a policy that does not learn, and between two of those.
+func TestResumePipelineRefusesAnotherPolicy(t *testing.T) {
+	base := durablePipelineConfig()
+	for _, tc := range []struct{ wrote, resume string }{
+		{"seq3", "smartflux"}, {"smartflux", "seq3"}, {"seq3", "random"}, {"random", "sync"},
+	} {
+		t.Run(tc.wrote+" as "+tc.resume, func(t *testing.T) {
+			under := func(name string) PipelineConfig {
+				cfg := base
+				if name != "smartflux" {
+					cfg.Policy = testPolicies[name]()
+				}
+				return cfg
+			}
+			dir := t.TempDir()
+			crashInWave(t, under(tc.wrote), dir, base.TrainWaves+20)
+			_, _, err := ResumePipeline(miniWorkload(), nil, under(tc.resume), DurableOptions{Dir: dir})
+			if err == nil || !strings.Contains(err.Error(), `policy "`+tc.wrote+`"`) || !strings.Contains(err.Error(), `policy "`+tc.resume+`"`) {
+				t.Fatalf("resume = %v, want a refusal naming %s and %s", err, tc.wrote, tc.resume)
+			}
+			if _, _, err := ResumePipeline(miniWorkload(), nil, under(tc.wrote), DurableOptions{Dir: dir}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 // crashPipeline runs the durable pipeline with a crash injected at the Nth
 // WAL append and asserts it died from the injection.
 func crashPipeline(t *testing.T, cfg PipelineConfig, dir string, appendN int) {
@@ -843,17 +872,59 @@ func TestResumeRefusesTwoBaselineDirectory(t *testing.T) {
 	}
 }
 
+// TestResumeDirectoryWithoutPolicyName commits a mid-application boundary in
+// the field set of the build before policies were recorded. Only the session
+// was journaled then, so the directory reads as smartflux: it resumes under
+// the session to the uncrashed result, and is refused under anything else.
+func TestResumeDirectoryWithoutPolicyName(t *testing.T) {
+	type oldPipelineCheckpoint struct {
+		TrainWaves, ApplyWaves int
+		Harness                *engine.HarnessCheckpoint
+		Session                *SessionCheckpoint
+	}
+	cfg := durablePipelineConfig()
+	plain, err := RunPipeline(miniWorkload(), nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crashed := t.TempDir()
+	crashInWave(t, cfg, crashed, cfg.TrainWaves+20)
+	rec, err := recoverRun(DurableOptions{Dir: crashed})
+	if err != nil || rec == nil {
+		t.Fatalf("recover: %v", err)
+	}
+	var old bytes.Buffer
+	if err := gob.NewEncoder(&old).Encode(oldPipelineCheckpoint{cfg.TrainWaves, cfg.ApplyWaves, rec.cp.Harness, rec.cp.Session}); err != nil {
+		t.Fatal(err)
+	}
+	dir := directoryWithPayload(t, rec, old.Bytes())
+	other := cfg
+	other.Policy = engine.NewSeq(3)
+	if _, _, err := ResumePipeline(miniWorkload(), nil, other, DurableOptions{Dir: dir}); err == nil || !strings.Contains(err.Error(), `policy "smartflux"`) {
+		t.Fatalf("resume under seq3 = %v, want a refusal naming smartflux", err)
+	}
+	res, _, err := ResumePipeline(miniWorkload(), nil, cfg, DurableOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	equalPipelineResult(t, plain, res)
+}
+
 // FuzzRestoreCheckpoint feeds arbitrary bytes through the checkpoint decoder
-// and, when they decode, through Session.RestoreCheckpoint and — into a fresh
-// mini-workload harness — Harness.RestoreCheckpoint: nothing may panic, a
-// refused session restore must leave no predictor behind, and a refused
-// harness restore must leave the harness able to run, with the result of one
-// never restored into. The seeds are the last committed payloads of a
-// mini-workload run killed mid-training, in its first application wave (every
-// training wave committed, none after) and mid-application.
+// and, when they decode, through Session.RestoreCheckpoint — if they hold a
+// session — and, into a fresh mini-workload harness, Harness.RestoreCheckpoint
+// under the policy they were written by: that session, or for a payload
+// without one the stateful policy that does not learn, engine.NewRandom, whose
+// state is a draw count restore replays. Nothing may panic or spin, a refused
+// session restore must leave no predictor behind, and a refused harness restore
+// must leave harness and policy a pair never restored into. The seeds are the
+// last committed payloads of a mini-workload run killed mid-training, in its
+// first application wave (every training wave committed, none after) and
+// mid-application, and of a random-policy run killed mid-application.
 func FuzzRestoreCheckpoint(f *testing.F) {
 	cfg := durablePipelineConfig()
-	for _, k := range []int{20, cfg.TrainWaves, cfg.TrainWaves + 20} {
+	newRandom := testPolicies["random"]
+	seed := func(cfg PipelineConfig, k int) {
 		dir := f.TempDir()
 		crashInWave(f, cfg, dir, k)
 		rec, err := recoverRun(DurableOptions{Dir: dir})
@@ -862,7 +933,21 @@ func FuzzRestoreCheckpoint(f *testing.F) {
 		}
 		f.Add(rec.Payload)
 	}
+	for _, k := range []int{20, cfg.TrainWaves, cfg.TrainWaves + 20} {
+		seed(cfg, k)
+	}
+	random := cfg
+	random.Policy = newRandom()
+	seed(random, cfg.TrainWaves+20)
+
 	const waves = 3
+	cleanRun := func(t testing.TB, h *engine.Harness, d engine.Decider) *engine.Result {
+		res, err := h.Run(waves, d)
+		if err != nil {
+			t.Fatalf("the harness no longer runs: %v", err)
+		}
+		return res
+	}
 	newHarness := func(t testing.TB) *engine.Harness {
 		h, err := engine.NewHarnessWithConfig(miniWorkload(), nil, engine.HarnessConfig{Parallelism: 1})
 		if err != nil {
@@ -870,31 +955,33 @@ func FuzzRestoreCheckpoint(f *testing.F) {
 		}
 		return h
 	}
-	clean, err := newHarness(f).Run(waves, engine.Sync{})
-	if err != nil {
-		f.Fatal(err)
-	}
+	cleanSync := cleanRun(f, newHarness(f), engine.Sync{})
+	cleanRandom := cleanRun(f, newHarness(f), newRandom())
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		cp, err := decodePipelineCheckpoint(payload)
-		if err != nil || cp.Session == nil {
+		if err != nil {
 			return
 		}
-		sess := NewSession(cfg.Session)
-		if err := sess.RestoreCheckpoint(cp.Session); err != nil {
-			if _, perr := sess.Predictor(); !errors.Is(perr, ErrNotTrained) {
-				t.Fatalf("restore failed (%v) yet left a predictor", err)
+		// After a refused harness restore the harness runs under after and must
+		// produce want: the random policy itself, which the refusal left unmoved,
+		// or — a restored session decides by its model — plain Sync.
+		policy := newRandom()
+		after, want := policy, cleanRandom
+		if cp.Session != nil {
+			sess := NewSession(cfg.Session)
+			if err := sess.RestoreCheckpoint(cp.Session); err != nil {
+				if _, perr := sess.Predictor(); !errors.Is(perr, ErrNotTrained) {
+					t.Fatalf("restore failed (%v) yet left a predictor", err)
+				}
 			}
+			policy, after, want = sess, engine.Sync{}, cleanSync
 		}
 		if cp.Harness == nil {
 			return
 		}
 		h := newHarness(t)
-		if _, err := h.RestoreCheckpoint(cp.Harness, sess); err != nil {
-			res, rerr := h.Run(waves, engine.Sync{})
-			if rerr != nil {
-				t.Fatalf("harness restore failed (%v) and the harness no longer runs: %v", err, rerr)
-			}
-			equalResult(t, "run after a refused restore", clean, res)
+		if _, err := h.RestoreCheckpoint(cp.Harness, policy); err != nil {
+			equalResult(t, "run after a refused restore", want, cleanRun(t, h, after))
 		}
 	})
 }

@@ -11,15 +11,21 @@ import (
 	"smartflux/internal/workflow"
 )
 
-// PipelineConfig configures an end-to-end SmartFlux run: a synchronous
-// training phase, model construction with the test phase, and an adaptive
-// application phase — the full lifecycle of §4.1.
+// PipelineConfig configures an end-to-end run: a synchronous training phase,
+// model construction with the test phase, and an application phase under the
+// policy — for SmartFlux itself the full lifecycle of §4.1.
 type PipelineConfig struct {
 	// TrainWaves is the length of the synchronous training phase.
 	TrainWaves int
-	// ApplyWaves is the length of the adaptive application phase.
+	// ApplyWaves is the length of the application phase.
 	ApplyWaves int
-	// Session configures the learning layer.
+	// Policy decides the application phase. nil is SmartFlux: a Session built
+	// from the Session field, which learns from the training waves. Any other
+	// policy learns nothing: its training waves run under engine.Sync{} — a
+	// warm-up, which may be empty (TrainWaves 0) — and there is no test phase.
+	// Pass it as constructed; a resume rewinds it from the checkpoint.
+	Policy engine.Decider
+	// Session configures the learning layer (unused when Policy is set).
 	Session Config
 	// Obs, when non-nil, instruments the harness (engine metrics +
 	// decision trace) and the session (lifecycle metrics).
@@ -45,27 +51,30 @@ type PipelineConfig struct {
 }
 
 // PipelineResult aggregates an end-to-end run. The lifecycle is one harness
-// run of TrainWaves+ApplyWaves waves in which only the session's answer
-// changes; Train and Apply are views (engine.Result.Slice) of its one result.
+// run of TrainWaves+ApplyWaves waves in which only the decider's answer
+// changes; Train and Apply are views (engine.Result.Slice) of its one result,
+// each with the Policy of its own waves.
 type PipelineResult struct {
 	// Train covers the synchronous training waves.
 	Train *engine.Result
-	// Apply covers the adaptive application waves (nil when ApplyWaves is 0).
+	// Apply covers the application waves (nil when ApplyWaves is 0).
 	Apply *engine.Result
 	// Test is the test-phase report produced between the two.
 	Test TestReport
-	// Session is the session used, trained and ready for further waves.
+	// Session is the session used, trained and ready for further waves. Under
+	// a Policy there is neither: Session is nil and Test zero.
 	Session *Session
 	// Store is the live instance's store as the run left it — what a
 	// mirrored cluster's Dump must equal.
 	Store *kvstore.Store
 }
 
-// RunPipeline executes the full SmartFlux lifecycle over the workload
-// produced by build. reportSteps selects the steps whose output error is
-// measured (nil = the last gated step). During training the session decides
-// "execute" for every step, so the live instance runs synchronously; after
-// Train succeeds the same harness run continues under the predictor.
+// RunPipeline executes the full lifecycle over the workload produced by build.
+// reportSteps selects the steps whose output error is measured (nil = the last
+// gated step). During training the decider — the untrained session, or
+// engine.Sync{} for a policy that does not learn — says "execute" for every
+// step, so the live instance runs synchronously; after Train succeeds (when
+// there is a session to train) the same harness run continues under the policy.
 func RunPipeline(build engine.BuildFunc, reportSteps []workflow.StepID, cfg PipelineConfig) (*PipelineResult, error) {
 	res, _, err := runPipeline(build, reportSteps, cfg, nil, nil)
 	return res, err
@@ -82,28 +91,35 @@ func RunPipeline(build engine.BuildFunc, reportSteps []workflow.StepID, cfg Pipe
 //     recovered wave.
 //
 // From there it is one body: the live store — as built or as restored — is
-// attached to cfg.Cluster and registered with the journal; the session drives
-// the harness to the end of training, is fed the knowledge base from those
-// waves' rows and trained — unless it came back holding a model, accepted or
-// not: the test phase has run — and drives the same run to its end.
+// attached to cfg.Cluster and registered with the journal; the training decider
+// drives the harness to the end of training; the session, when it is the
+// policy, is fed the knowledge base from those waves' rows and trained — unless
+// it came back holding a model, accepted or not: the test phase has run — and
+// the policy drives the same run to its end.
 func runPipeline(build engine.BuildFunc, reportSteps []workflow.StepID, cfg PipelineConfig, opts *DurableOptions, rec *recovered) (*PipelineResult, *DurableRunInfo, error) {
-	if cfg.TrainWaves <= 0 {
+	if cfg.TrainWaves < 0 || cfg.TrainWaves == 0 && cfg.Policy == nil {
 		return nil, nil, fmt.Errorf("core: pipeline needs TrainWaves > 0, got %d", cfg.TrainWaves)
 	}
-	sessionCfg := cfg.Session
-	if sessionCfg.Parallelism == 0 {
-		sessionCfg.Parallelism = cfg.Parallelism
-	}
-	session := NewSession(sessionCfg)
-	if cfg.Obs != nil {
-		session.Instrument(cfg.Obs)
-	}
-	if rec != nil && rec.cp.Session != nil {
-		if err := session.RestoreCheckpoint(rec.cp.Session); err != nil {
-			return nil, nil, err
+	// The session is the one policy that trains, and decides both phases.
+	var session *Session
+	train, apply := engine.Decider(engine.Sync{}), cfg.Policy
+	if apply == nil {
+		sessionCfg := cfg.Session
+		if sessionCfg.Parallelism == 0 {
+			sessionCfg.Parallelism = cfg.Parallelism
 		}
+		session = NewSession(sessionCfg)
+		if cfg.Obs != nil {
+			session.Instrument(cfg.Obs)
+		}
+		if rec != nil && rec.cp.Session != nil {
+			if err := session.RestoreCheckpoint(rec.cp.Session); err != nil {
+				return nil, nil, err
+			}
+		}
+		train, apply = session, session
 	}
-	c := &pipelineCommitter{session: session, trainWaves: cfg.TrainWaves, applyWaves: cfg.ApplyWaves}
+	c := &pipelineCommitter{session: session, policy: apply.Name(), trainWaves: cfg.TrainWaves, applyWaves: cfg.ApplyWaves}
 	hcfg := cfg.Resilience
 	hcfg.Parallelism = cfg.Parallelism
 	if opts != nil {
@@ -121,7 +137,7 @@ func runPipeline(build engine.BuildFunc, reportSteps []workflow.StepID, cfg Pipe
 	if rec != nil {
 		// Replay the stores, then rewind the in-memory state to the same
 		// wave boundary — all before Begin compacts the restored content.
-		if res, err = rec.restore(harness, session); err != nil {
+		if res, err = rec.restore(harness, apply); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -147,22 +163,24 @@ func runPipeline(build engine.BuildFunc, reportSteps []workflow.StepID, cfg Pipe
 		}
 		var err error
 		if res == nil {
-			res, err = harness.Run(cfg.TrainWaves, session)
+			res, err = harness.Run(cfg.TrainWaves, train)
 		} else {
-			err = harness.ResumeRun(res, cfg.TrainWaves-res.Waves, session)
+			err = harness.ResumeRun(res, cfg.TrainWaves-res.Waves, train)
 		}
 		if err != nil {
 			return fmt.Errorf("pipeline training: %w", err)
 		}
-		if _, err := session.Predictor(); err != nil {
-			for w := 0; w < cfg.TrainWaves; w++ {
-				session.ObserveTrainingWave(res.RefImpacts[w], res.RefLabels[w])
-			}
-			if _, err := session.Train(); err != nil {
-				return fmt.Errorf("pipeline train: %w", err)
+		if session != nil {
+			if _, err := session.Predictor(); err != nil {
+				for w := 0; w < cfg.TrainWaves; w++ {
+					session.ObserveTrainingWave(res.RefImpacts[w], res.RefLabels[w])
+				}
+				if _, err := session.Train(); err != nil {
+					return fmt.Errorf("pipeline train: %w", err)
+				}
 			}
 		}
-		if err := harness.ResumeRun(res, cfg.TrainWaves+cfg.ApplyWaves-res.Waves, session); err != nil {
+		if err := harness.ResumeRun(res, cfg.TrainWaves+cfg.ApplyWaves-res.Waves, apply); err != nil {
 			return fmt.Errorf("pipeline application: %w", err)
 		}
 		return nil
@@ -191,14 +209,20 @@ func runPipeline(build engine.BuildFunc, reportSteps []workflow.StepID, cfg Pipe
 	if err != nil {
 		return nil, info, err
 	}
+	// The one result carries the name of its first wave's decider; each view
+	// gets its own.
 	out := &PipelineResult{
 		Train:   res.Slice(0, cfg.TrainWaves),
-		Test:    session.LastTestReport(),
 		Session: session,
 		Store:   harness.Live().Store(),
 	}
+	out.Train.Policy = train.Name()
+	if session != nil {
+		out.Test = session.LastTestReport()
+	}
 	if cfg.ApplyWaves > 0 {
 		out.Apply = res.Slice(cfg.TrainWaves, res.Waves)
+		out.Apply.Policy = apply.Name()
 	}
 	return out, info, nil
 }

@@ -13,6 +13,7 @@ import (
 	"smartflux/internal/engine"
 	"smartflux/internal/kvstore"
 	"smartflux/internal/metric"
+	"smartflux/internal/obs"
 	"smartflux/internal/workflow"
 )
 
@@ -243,5 +244,85 @@ func TestRunPipelinePinnedDigest(t *testing.T) {
 	resultDigest(h, res.Apply)
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Errorf("Train+Apply digest = %s, want %s", got, want)
+	}
+}
+
+// testPolicies builds the policies that do not learn, each afresh: Random and
+// Oracle carry state.
+var testPolicies = map[string]func() engine.Decider{
+	"sync":   func() engine.Decider { return engine.Sync{} },
+	"seq3":   func() engine.Decider { return engine.NewSeq(3) },
+	"random": func() engine.Decider { return engine.NewRandom(0.5, 11) },
+	"oracle": func() engine.Decider { return &engine.Oracle{} },
+}
+
+// TestRunPipelineUnderAPolicy: a policy that does not learn gets the same
+// run. Its training waves are a synchronous warm-up and each view of the result
+// names the decider of its own waves; there is no session and no test phase;
+// the journaled run equals the plain one in every series; and with no warm-up
+// the application phase is what a bare harness run under the policy is — the
+// cold start that used to be the only way to run one.
+func TestRunPipelineUnderAPolicy(t *testing.T) {
+	for name, policy := range testPolicies {
+		t.Run(name, func(t *testing.T) {
+			ring := obs.NewRingSink(64)
+			cfg := PipelineConfig{TrainWaves: 20, ApplyWaves: 40, Policy: policy(), Obs: obs.New(obs.NewRegistry(), ring)}
+			res, err := RunPipeline(miniWorkload(), nil, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Train.Policy != "sync" || res.Apply.Policy != name {
+				t.Errorf("views name policies %q and %q, want sync and %s", res.Train.Policy, res.Apply.Policy, name)
+			}
+			if res.Train.Waves != 20 || res.Apply.Waves != 40 || res.Train.TotalLiveExecutions() != res.Train.TotalSyncExecutions() {
+				t.Errorf("%d+%d waves, %d of %d training executions", res.Train.Waves, res.Apply.Waves,
+					res.Train.TotalLiveExecutions(), res.Train.TotalSyncExecutions())
+			}
+			if res.Session != nil || len(res.Test.PerLabel) != 0 {
+				t.Errorf("a policy that does not learn left session %v and test report %+v", res.Session, res.Test)
+			}
+			// Decision events name the decider of their own wave.
+			if ring.Len() != 60 {
+				t.Fatalf("%d decision events, want one per wave of the one gated step", ring.Len())
+			}
+			for _, ev := range ring.Tail(ring.Len()) {
+				want := "sync"
+				if ev.Wave >= 20 {
+					want = name
+				}
+				if ev.Policy != want {
+					t.Fatalf("wave %d decided by %q, want %q", ev.Wave, ev.Policy, want)
+				}
+			}
+			cfg.Policy, cfg.Obs = policy(), nil
+			dur, info, err := RunPipelineDurable(miniWorkload(), nil, cfg, DurableOptions{Dir: t.TempDir()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			equalPipelineResult(t, res, dur)
+			if info.Durable.Commits != 60 {
+				t.Errorf("commits = %d, want 60", info.Durable.Commits)
+			}
+
+			cold, err := RunPipeline(miniWorkload(), nil, PipelineConfig{ApplyWaves: 40, Policy: policy()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			h, err := engine.NewHarness(miniWorkload(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bare, err := h.Run(40, policy())
+			if err != nil {
+				t.Fatal(err)
+			}
+			equalResult(t, "cold start", bare, cold.Apply)
+			if cold.Train.Waves != 0 || cold.Apply.Policy != name {
+				t.Errorf("cold start: %d training waves, application policy %q", cold.Train.Waves, cold.Apply.Policy)
+			}
+		})
+	}
+	if _, err := RunPipeline(miniWorkload(), nil, PipelineConfig{TrainWaves: -1, ApplyWaves: 10, Policy: engine.Sync{}}); err == nil {
+		t.Error("TrainWaves = -1 must fail")
 	}
 }

@@ -440,8 +440,11 @@ func (s *Session) Predictor() (*Predictor, error) {
 	return s.predictor, nil
 }
 
+// sessionPolicy is the session's name as a policy.
+const sessionPolicy = "smartflux"
+
 // Name implements engine.Decider.
-func (s *Session) Name() string { return "smartflux" }
+func (s *Session) Name() string { return sessionPolicy }
 
 // Decide implements engine.Decider: before training completes every step
 // executes (synchronous behaviour); afterwards the predictor gates

@@ -130,8 +130,11 @@ type StatefulDecider interface {
 	Decider
 	// DeciderState exports the decider's state.
 	DeciderState() ([]byte, error)
-	// RestoreDeciderState rewinds the decider to an exported state.
-	RestoreDeciderState([]byte) error
+	// RestoreDeciderState rewinds the decider to an exported state. decisions
+	// is how many the run it is restored into can have asked for so far: a
+	// state claiming more was not exported by that run and must be refused
+	// with the decider unchanged.
+	RestoreDeciderState(state []byte, decisions int) error
 }
 
 // Checkpoint captures the harness's complete state after a completed wave:
@@ -195,7 +198,9 @@ func (cp *HarnessCheckpoint) validate(h *Harness) error {
 // RestoreCheckpoint rewinds the harness (built from the same workload) and
 // decider to a checkpoint, returning the result to continue appending to: a
 // view of the checkpoint's, so two restores of one checkpoint never alias. A
-// checkpoint that fails validation is refused before the harness is touched.
+// checkpoint that fails validation is refused before the harness is touched,
+// and the decider — handed the most decisions the checkpointed result can have
+// asked for, one per wave and gated step — before it is.
 func (h *Harness) RestoreCheckpoint(cp *HarnessCheckpoint, d Decider) (*Result, error) {
 	if err := cp.validate(h); err != nil {
 		return nil, fmt.Errorf("harness restore: %w", err)
@@ -205,7 +210,7 @@ func (h *Harness) RestoreCheckpoint(cp *HarnessCheckpoint, d Decider) (*Result, 
 		if !ok {
 			return nil, fmt.Errorf("harness restore: checkpoint has decider state but policy %q is stateless", d.Name())
 		}
-		if err := sd.RestoreDeciderState(cp.DeciderState); err != nil {
+		if err := sd.RestoreDeciderState(cp.DeciderState, cp.Result.Waves*len(h.live.gated)); err != nil {
 			return nil, fmt.Errorf("harness restore decider: %w", err)
 		}
 	}
@@ -225,11 +230,15 @@ func (r *Random) DeciderState() ([]byte, error) {
 
 // RestoreDeciderState implements StatefulDecider by re-seeding the source
 // and replaying the persisted number of draws, leaving the decider exactly
-// where the exporting one was.
-func (r *Random) RestoreDeciderState(state []byte) error {
+// where the exporting one was. A decision is one draw, so a position beyond
+// decisions is refused before anything is replayed.
+func (r *Random) RestoreDeciderState(state []byte, decisions int) error {
 	draws, n := binary.Uvarint(state)
 	if n <= 0 {
 		return fmt.Errorf("engine: corrupt random-decider state (%d bytes)", len(state))
+	}
+	if draws > uint64(decisions) {
+		return fmt.Errorf("engine: random-decider state claims %d draws, the run has taken at most %d decisions", draws, decisions)
 	}
 	r.reseed()
 	for i := uint64(0); i < draws; i++ {

@@ -2,12 +2,14 @@ package engine
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"maps"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"smartflux/internal/workflow"
 )
@@ -216,7 +218,7 @@ func TestRandomDeciderStateRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	restored := NewRandom(0.3, 77)
-	if err := restored.RestoreDeciderState(state); err != nil {
+	if err := restored.RestoreDeciderState(state, 25); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
@@ -224,8 +226,80 @@ func TestRandomDeciderStateRoundTrip(t *testing.T) {
 			t.Fatalf("draw %d: restored = %v, original = %v", i, got, want)
 		}
 	}
-	if err := restored.RestoreDeciderState([]byte{}); err == nil {
+	if err := restored.RestoreDeciderState([]byte{}, 25); err == nil {
 		t.Fatal("RestoreDeciderState(empty): want error")
+	}
+}
+
+// TestRestoreCheckpointRefusesOversizedDraws: a random-decider state is a draw
+// count restore replays, and ten bytes can claim 2^64-1 of them. A checkpoint
+// whose state claims more draws than its own result has decisions — one per
+// wave and gated step — must be refused before anything is replayed (the
+// deadline: the replay used to spin for as long as the count said), leaving
+// harness and decider a pair that was never restored into.
+func TestRestoreCheckpointRefusesOversizedDraws(t *testing.T) {
+	const total, cut = 12, 5
+	build := testWorkload(0.05)
+	ref, err := NewHarness(build, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean, err := ref.Run(total, NewRandom(0.5, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc := &captureCommitter{}
+	src, err := NewHarnessWithConfig(build, nil, HarnessConfig{Committer: cc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.Run(cut, NewRandom(0.5, 3)); err != nil {
+		t.Fatal(err)
+	}
+	good := cc.cps[cut-1]
+	decisions := cut * len(good.Result.GatedSteps)
+
+	for name, state := range map[string][]byte{
+		"one draw too many": binary.AppendUvarint(nil, uint64(decisions)+1),
+		"2^64-1 draws":      {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
+	} {
+		t.Run(name, func(t *testing.T) {
+			cp := *good
+			cp.DeciderState = state
+			h, err := NewHarness(build, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rnd := NewRandom(0.5, 3)
+			done := make(chan error, 1)
+			go func() {
+				_, err := h.RestoreCheckpoint(&cp, rnd)
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err == nil || !strings.Contains(err.Error(), "draws") {
+					t.Fatalf("restore = %v, want a refusal naming the draws", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("restore is still replaying draws after 5s")
+			}
+			got, err := h.Run(total, rnd)
+			if err != nil {
+				t.Fatal(err)
+			}
+			equalResults(t, got, clean)
+		})
+	}
+	// Every draw the result has a decision for is a state the run can have left.
+	cp := *good
+	cp.DeciderState = binary.AppendUvarint(nil, uint64(decisions))
+	h, err := NewHarness(build, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.RestoreCheckpoint(&cp, NewRandom(0.5, 3)); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -139,9 +139,30 @@ func reportStep(w Workload) workflow.StepID {
 	return aqhi.StepIndex
 }
 
+// SmartFlux names the learned policy; Fig11Policies are the curves of Figure
+// 11: SmartFlux, then the naive baselines it is compared against.
+const SmartFlux = "smartflux"
+
+var Fig11Policies = []string{SmartFlux, "random", "seq2", "seq3", "seq5"}
+
+// decider builds the application-phase policy of a pipeline run: nil — the
+// pipeline's own session — for SmartFlux.
+func (c Config) decider(policy string) (engine.Decider, error) {
+	var n int
+	switch _, err := fmt.Sscanf(policy, "seq%d", &n); {
+	case err == nil:
+		return engine.NewSeq(n), nil
+	case policy == "random":
+		return engine.NewRandom(0.5, c.Seed+11), nil
+	case policy == SmartFlux:
+		return nil, nil
+	}
+	return nil, fmt.Errorf("experiments: unknown policy %q", policy)
+}
+
 // Runner caches pipeline runs shared by several figures (9, 10, 12 all
-// derive from the same (workload, bound) run). It is safe for concurrent
-// use: concurrent Pipeline calls for the same key share one run.
+// derive from the same (workload, bound) SmartFlux run). It is safe for
+// concurrent use: concurrent Pipeline calls for the same key share one run.
 type Runner struct {
 	cfg   Config
 	mu    sync.Mutex
@@ -164,10 +185,11 @@ func NewRunner(cfg Config) *Runner {
 // Config returns the runner's effective configuration.
 func (r *Runner) Config() Config { return r.cfg }
 
-// Pipeline runs (or returns the cached) full SmartFlux lifecycle for a
-// workload at a bound.
-func (r *Runner) Pipeline(w Workload, bound float64) (*core.PipelineResult, error) {
-	key := fmt.Sprintf("%s/%.3f", w, bound)
+// Pipeline runs (or returns the cached) full lifecycle for a workload at a
+// bound under a policy: every policy gets the same training waves — which only
+// SmartFlux learns from — and then the same application horizon.
+func (r *Runner) Pipeline(w Workload, bound float64, policy string) (*core.PipelineResult, error) {
+	key := fmt.Sprintf("%s/%.3f/%s", w, bound, policy)
 	r.mu.Lock()
 	entry, ok := r.cache[key]
 	if !ok {
@@ -176,7 +198,7 @@ func (r *Runner) Pipeline(w Workload, bound float64) (*core.PipelineResult, erro
 	}
 	r.mu.Unlock()
 	entry.once.Do(func() {
-		entry.res, entry.err = r.runPipeline(w, bound)
+		entry.res, entry.err = r.runPipeline(w, bound, policy)
 	})
 	return entry.res, entry.err
 }
@@ -184,8 +206,12 @@ func (r *Runner) Pipeline(w Workload, bound float64) (*core.PipelineResult, erro
 // runPipeline executes one uncached pipeline. When pipelines fan out
 // (Jobs > 1) each runs sequentially inside so the fan-out, not the inner
 // engine, uses the machine; a lone pipeline gets full inner parallelism.
-func (r *Runner) runPipeline(w Workload, bound float64) (*core.PipelineResult, error) {
+func (r *Runner) runPipeline(w Workload, bound float64, policy string) (*core.PipelineResult, error) {
 	build, err := r.cfg.buildFor(w, bound)
+	if err != nil {
+		return nil, err
+	}
+	decider, err := r.cfg.decider(policy)
 	if err != nil {
 		return nil, err
 	}
@@ -196,12 +222,13 @@ func (r *Runner) runPipeline(w Workload, bound float64) (*core.PipelineResult, e
 	res, err := core.RunPipeline(build, []workflow.StepID{reportStep(w)}, core.PipelineConfig{
 		TrainWaves:  r.cfg.trainWaves(w),
 		ApplyWaves:  r.cfg.applyWaves(w),
+		Policy:      decider,
 		Session:     r.cfg.session(),
 		Parallelism: parallelism,
 		Obs:         r.cfg.Obs,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("experiments %s bound %.2f: %w", w, bound, err)
+		return nil, fmt.Errorf("experiments %s bound %.2f policy %s: %w", w, bound, policy, err)
 	}
 	return res, nil
 }
@@ -210,6 +237,7 @@ func (r *Runner) runPipeline(w Workload, bound float64) (*core.PipelineResult, e
 type Target struct {
 	Workload Workload
 	Bound    float64
+	Policy   string
 }
 
 // Prewarm runs the pipelines for every target concurrently, bounded by
@@ -232,7 +260,7 @@ func (r *Runner) Prewarm(targets []Target) error {
 		sem <- struct{}{}
 		go func(i int, t Target) {
 			defer wg.Done()
-			_, errs[i] = r.Pipeline(t.Workload, t.Bound)
+			_, errs[i] = r.Pipeline(t.Workload, t.Bound, t.Policy)
 			<-sem
 		}(i, t)
 	}
@@ -259,11 +287,11 @@ type SyncLog struct {
 func (l *SyncLog) Waves() int { return len(l.Impacts) }
 
 // Log returns the synchronous log of a workload at a bound, concatenating
-// the cached pipeline's training and application phases (the harness
+// the cached SmartFlux pipeline's training and application phases (the harness
 // reference instance runs synchronously throughout, so the combined log is
 // one contiguous sync run).
 func (r *Runner) Log(w Workload, bound float64) (*SyncLog, error) {
-	res, err := r.Pipeline(w, bound)
+	res, err := r.Pipeline(w, bound, SmartFlux)
 	if err != nil {
 		return nil, err
 	}

@@ -3,131 +3,66 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sync"
-
-	"smartflux/internal/engine"
-	"smartflux/internal/stats"
-	"smartflux/internal/workflow"
 )
 
-// PolicyCurve is one Figure 11 confidence curve.
+// PolicyCurve is one Figure 11 confidence curve, with what it cost — the
+// fraction of gated executions the policy saved over the horizon — and the
+// compliance of the same waves on the whole-pipeline measure: the figure's is
+// the report step's local error (§2.2), which a lockstep cadence keeps at zero
+// by never letting the step's inputs move without it.
 type PolicyCurve struct {
 	Workload   Workload
 	Policy     string
 	Confidence []float64
+	Savings    float64
+	EndToEnd   float64
 }
 
 // Fig11Result regenerates Figure 11: SmartFlux vs naive triggering policies
-// (random, seq2, seq3, seq5) at a 5% error bound.
+// (random, seq2, seq3, seq5) at a 5% error bound, over one application horizon.
 type Fig11Result struct {
 	Bound  float64
 	Curves []PolicyCurve
 }
 
-// Fig11 runs each naive policy through a fresh harness over the application
-// horizon and reuses the cached pipeline run for SmartFlux.
+// Fig11 reads every curve from the application phase of a cached pipeline
+// run: all policies run the same training waves — synchronously, so they reach
+// the application horizon on the same store — and then the same application
+// waves. Runner.Prewarm is what runs them concurrently.
 func Fig11(r *Runner) (*Fig11Result, error) {
 	const bound = 0.05
 	result := &Fig11Result{Bound: bound}
-
 	for _, w := range []Workload{LRB, AQHI} {
-		// SmartFlux: reuse the pipeline's application phase.
-		res, err := r.Pipeline(w, bound)
-		if err != nil {
-			return nil, err
-		}
-		report := res.Apply.Reports[reportStep(w)]
-		result.Curves = append(result.Curves, PolicyCurve{
-			Workload:   w,
-			Policy:     "smartflux",
-			Confidence: confidenceOf(report.Measured, bound),
-		})
-
-		// Naive policies: fresh harnesses over the same horizon. Each
-		// policy run is independent (its own workload copy and store),
-		// so they fan out under Config.Jobs; the curves land in indexed
-		// slots so output order matches the sequential run.
-		waves := r.cfg.applyWaves(w)
-		policies := []engine.Decider{
-			engine.NewRandom(0.5, r.cfg.Seed+11),
-			engine.NewSeq(2),
-			engine.NewSeq(3),
-			engine.NewSeq(5),
-		}
-		curves := make([]PolicyCurve, len(policies))
-		errs := make([]error, len(policies))
-		jobs := r.cfg.jobs()
-		if jobs > len(policies) {
-			jobs = len(policies)
-		}
-		sem := make(chan struct{}, jobs)
-		var wg sync.WaitGroup
-		for i, policy := range policies {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int, policy engine.Decider) {
-				defer wg.Done()
-				curve, err := r.policyConfidence(w, bound, waves, policy)
-				if err != nil {
-					errs[i] = fmt.Errorf("fig11 %s %s: %w", w, policy.Name(), err)
-				} else {
-					curves[i] = PolicyCurve{Workload: w, Policy: policy.Name(), Confidence: curve}
-				}
-				<-sem
-			}(i, policy)
-		}
-		wg.Wait()
-		for _, err := range errs {
+		for _, policy := range Fig11Policies {
+			res, err := r.Pipeline(w, bound, policy)
 			if err != nil {
 				return nil, err
 			}
+			report := res.Apply.Reports[reportStep(w)]
+			within := 0
+			for _, e := range report.EndToEnd {
+				if e <= report.MaxError {
+					within++
+				}
+			}
+			result.Curves = append(result.Curves, PolicyCurve{
+				Workload:   w,
+				Policy:     res.Apply.Policy,
+				Confidence: report.Confidence(),
+				Savings:    res.Apply.SavingsRatio(),
+				EndToEnd:   float64(within) / float64(len(report.EndToEnd)),
+			})
 		}
-		result.Curves = append(result.Curves, curves...)
 	}
 	return result, nil
 }
 
-// policyConfidence runs one policy from scratch and returns the confidence
-// series of the report step.
-func (r *Runner) policyConfidence(w Workload, bound float64, waves int, policy engine.Decider) ([]float64, error) {
-	build, err := r.cfg.buildFor(w, bound)
-	if err != nil {
-		return nil, err
-	}
-	parallelism := 0
-	if r.cfg.jobs() > 1 {
-		parallelism = 1 // the fan-out, not the inner engine, uses the machine
-	}
-	harness, err := engine.NewHarnessWithConfig(build, []workflow.StepID{reportStep(w)}, engine.HarnessConfig{Parallelism: parallelism})
-	if err != nil {
-		return nil, err
-	}
-	res, err := harness.Run(waves, policy)
-	if err != nil {
-		return nil, err
-	}
-	report := res.Reports[reportStep(w)]
-	return confidenceOf(report.Measured, bound), nil
-}
-
-// confidenceOf converts a measured-error series into the normalized
-// cumulative compliance curve.
-func confidenceOf(measured []float64, bound float64) []float64 {
-	ok := make([]float64, len(measured))
-	for i, m := range measured {
-		if m <= bound {
-			ok[i] = 1
-		}
-	}
-	return stats.NormalizedCumulative(ok)
-}
-
-// Render writes the final confidence of each policy.
+// Render writes each policy's final confidence, savings and end-to-end compliance.
 func (r *Fig11Result) Render(w io.Writer) {
 	fmt.Fprintf(w, "Figure 11: policy comparison at a %.0f%% bound\n", r.Bound*100)
-	fmt.Fprintf(w, "%-6s %-12s %12s\n", "load", "policy", "final conf")
+	fmt.Fprintf(w, "%-6s %-12s %12s %8s %12s\n", "load", "policy", "final conf", "saved", "end-to-end")
 	for _, c := range r.Curves {
-		fmt.Fprintf(w, "%-6s %-12s %12.4f\n",
-			c.Workload, c.Policy, c.Confidence[len(c.Confidence)-1])
+		fmt.Fprintf(w, "%-6s %-12s %12.4f %7.1f%% %12.4f\n",
+			c.Workload, c.Policy, c.Confidence[len(c.Confidence)-1], c.Savings*100, c.EndToEnd)
 	}
 }

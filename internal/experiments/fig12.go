@@ -40,7 +40,7 @@ func Fig12(r *Runner) (*Fig12Result, error) {
 	result := &Fig12Result{}
 	for _, w := range []Workload{LRB, AQHI} {
 		for _, bound := range Bounds {
-			res, err := r.Pipeline(w, bound)
+			res, err := r.Pipeline(w, bound, SmartFlux)
 			if err != nil {
 				return nil, err
 			}

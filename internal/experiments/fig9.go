@@ -34,7 +34,7 @@ func Fig9(r *Runner) (*Fig9Result, error) {
 	result := &Fig9Result{}
 	for _, w := range []Workload{LRB, AQHI} {
 		for _, bound := range Bounds {
-			res, err := r.Pipeline(w, bound)
+			res, err := r.Pipeline(w, bound, SmartFlux)
 			if err != nil {
 				return nil, err
 			}

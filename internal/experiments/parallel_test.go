@@ -18,7 +18,7 @@ func TestConcurrentPipelineDedup(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = runner.Pipeline(AQHI, 0.10)
+			results[i], errs[i] = runner.Pipeline(AQHI, 0.10, SmartFlux)
 		}(i)
 	}
 	wg.Wait()
@@ -32,28 +32,28 @@ func TestConcurrentPipelineDedup(t *testing.T) {
 	}
 }
 
-// TestPrewarmMatchesColdRun prewarms two targets concurrently and checks the
-// figures derived from them equal a cold sequential runner's: the fan-out
-// must not change any result.
+// TestPrewarmMatchesColdRun prewarms three targets concurrently — one of them
+// a policy that does not learn — and checks the figures derived from them
+// equal a cold sequential runner's: the fan-out must not change any result.
 func TestPrewarmMatchesColdRun(t *testing.T) {
 	warm := NewRunner(Config{Seed: 42, Scale: 0.05, Jobs: 2})
-	targets := []Target{{LRB, 0.10}, {AQHI, 0.10}}
+	targets := []Target{{LRB, 0.10, SmartFlux}, {AQHI, 0.10, SmartFlux}, {AQHI, 0.10, "random"}}
 	if err := warm.Prewarm(targets); err != nil {
 		t.Fatal(err)
 	}
 	cold := NewRunner(Config{Seed: 42, Scale: 0.05, Jobs: 1})
 	for _, target := range targets {
-		w, err := warm.Pipeline(target.Workload, target.Bound)
+		w, err := warm.Pipeline(target.Workload, target.Bound, target.Policy)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := cold.Pipeline(target.Workload, target.Bound)
+		c, err := cold.Pipeline(target.Workload, target.Bound, target.Policy)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if w.Apply.TotalLiveExecutions() != c.Apply.TotalLiveExecutions() {
-			t.Fatalf("%s: prewarmed live executions %d != cold %d",
-				target.Workload, w.Apply.TotalLiveExecutions(), c.Apply.TotalLiveExecutions())
+			t.Fatalf("%s/%s: prewarmed live executions %d != cold %d",
+				target.Workload, target.Policy, w.Apply.TotalLiveExecutions(), c.Apply.TotalLiveExecutions())
 		}
 		if len(w.Train.RefLabels) != len(c.Train.RefLabels) {
 			t.Fatalf("%s: training log lengths differ", target.Workload)

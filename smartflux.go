@@ -128,7 +128,8 @@ type (
 	KnowledgeBase = core.KnowledgeBase
 	// Predictor is the trained multi-label model.
 	Predictor = core.Predictor
-	// PipelineConfig configures an end-to-end lifecycle run.
+	// PipelineConfig configures an end-to-end lifecycle run; its Policy is the
+	// Decider of the application phase (nil = a SmartFlux session).
 	PipelineConfig = core.PipelineConfig
 	// PipelineResult aggregates an end-to-end run: one harness run, of which
 	// Train and Apply are views (Result.Slice).
@@ -335,9 +336,9 @@ func NewInstanceWithConfig(wf *Workflow, store *Store, cfg InstanceConfig) (*Ins
 	return engine.NewInstance(wf, store, cfg)
 }
 
-// RunPipeline executes the full SmartFlux lifecycle as one harness run:
-// synchronous training waves, model construction with the test phase, then
-// the same run continued adaptively under the model.
+// RunPipeline executes the full lifecycle as one harness run: synchronous
+// training waves, then the same run continued under cfg.Policy — by default a
+// SmartFlux session, the policy that builds and tests a model in between.
 func RunPipeline(build BuildFunc, reportSteps []StepID, cfg PipelineConfig) (*PipelineResult, error) {
 	return core.RunPipeline(build, reportSteps, cfg)
 }
@@ -348,7 +349,7 @@ func RunPipeline(build BuildFunc, reportSteps []StepID, cfg PipelineConfig) (*Pi
 // and the log is periodically rotated to a fresh epoch that starts compacted.
 // After a crash, ResumePipeline reconstructs the stores and the learning
 // state from the newest epoch's log and continues the run — bit-identically
-// to an execution that never crashed. Only a pipeline is journaled.
+// to an execution that never crashed, under any PipelineConfig.Policy.
 type (
 	// DurableOptions configures the durability directory, snapshot cadence
 	// and fsync policy of a durable run.
@@ -390,7 +391,7 @@ func ResumePipeline(build BuildFunc, reportSteps []StepID, cfg PipelineConfig, o
 	return core.ResumePipeline(build, reportSteps, cfg, opts)
 }
 
-// Triggering policies.
+// Triggering policies, for PipelineConfig.Policy or a Harness of one's own.
 
 // SyncPolicy returns the Synchronous Data-Flow policy (every step, every
 // wave).
@@ -402,8 +403,8 @@ func RandomPolicy(p float64, seed int64) Decider { return engine.NewRandom(p, se
 // SeqPolicy returns the execute-every-N-waves policy of Figure 11.
 func SeqPolicy(n int) Decider { return engine.NewSeq(n) }
 
-// OraclePolicy returns the simulated-optimal policy: when run through a
-// Harness, its decisions replay the reference instance's per-wave labels
+// OraclePolicy returns the simulated-optimal policy: run through a pipeline
+// or a Harness, its decisions replay the reference instance's per-wave labels
 // (Figure 12's "optimal").
 func OraclePolicy() Decider { return &engine.Oracle{} }
 
