@@ -9,8 +9,8 @@
 //	sflint ./...                     # run the full suite
 //	sflint -json ./... > report.json # machine-readable report (schema v1)
 //	sflint -suppressions ./...       # audit every //sflint:ignore in the tree
-//	sflint -disable locks ./...      # drop an analyzer
-//	sflint -enable maporder ./...    # run only the named analyzers
+//	sflint -disable release ./...    # drop an analyzer
+//	sflint -enable detflow ./...     # run only the named analyzers
 //	sflint -only ./internal/... ./...# analyze only matching packages
 //	sflint -diff origin/main ./...   # analyze only packages changed vs a ref
 //	sflint -list                     # describe the suite

@@ -41,7 +41,7 @@ func TestExitOneOnDiagnostics(t *testing.T) {
 	if code != 1 {
 		t.Fatalf("exit = %d on dirty package, want 1\nstdout: %s", code, stdout)
 	}
-	for _, want := range []string{"[maporder]", "[errdrop]", "[goroleak]", "dirty.go:"} {
+	for _, want := range []string{"[detflow]", "[errdrop]", "[goroleak]", "dirty.go:"} {
 		if !strings.Contains(stdout, want) {
 			t.Errorf("human output missing %q:\n%s", want, stdout)
 		}
@@ -99,7 +99,7 @@ func TestSuppressionsAudit(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("audit exit = %d, want 0", code)
 	}
-	if !strings.Contains(stdout, "[maporder]") ||
+	if !strings.Contains(stdout, "[detflow]") ||
 		!strings.Contains(stdout, "order insensitivity proven elsewhere") ||
 		!strings.Contains(stdout, "dirty.go:") {
 		t.Errorf("audit output missing file:line, analyzer or reason:\n%s", stdout)
@@ -114,11 +114,11 @@ func TestEnableDisableFlags(t *testing.T) {
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1", code)
 	}
-	if strings.Contains(stdout, "[maporder]") || !strings.Contains(stdout, "[goroleak]") {
+	if strings.Contains(stdout, "[detflow]") || !strings.Contains(stdout, "[goroleak]") {
 		t.Errorf("-enable goroleak ran the wrong analyzers:\n%s", stdout)
 	}
 
-	code, stdout, _ = runCLI(t, "-disable", "maporder,errdrop,goroleak", "-C", mod(t), "./dirty")
+	code, stdout, _ = runCLI(t, "-disable", "detflow,errdrop,goroleak", "-C", mod(t), "./dirty")
 	if code != 0 {
 		t.Fatalf("exit = %d with the firing analyzers disabled, want 0\n%s", code, stdout)
 	}
@@ -136,10 +136,10 @@ func TestOnlyFlagImportPath(t *testing.T) {
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1\nstdout: %s\nstderr: %s", code, stdout, stderr)
 	}
-	if strings.Contains(stdout, "[maporder]") || strings.Contains(stdout, "dirty.go") {
+	if strings.Contains(stdout, "[detflow]") || strings.Contains(stdout, "dirty.go") {
 		t.Errorf("-only sflintmod/flow leaked findings from other packages:\n%s", stdout)
 	}
-	if !strings.Contains(stdout, "[poolescape]") || !strings.Contains(stdout, "[ctxflow]") {
+	if !strings.Contains(stdout, "[poolescape]") || !strings.Contains(stdout, "[release]") {
 		t.Errorf("-only sflintmod/flow missing the flow package's findings:\n%s", stdout)
 	}
 }
@@ -149,7 +149,7 @@ func TestOnlyFlagDirPattern(t *testing.T) {
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1\n%s", code, stdout)
 	}
-	if !strings.Contains(stdout, "[maporder]") || strings.Contains(stdout, "flow.go") {
+	if !strings.Contains(stdout, "[detflow]") || strings.Contains(stdout, "flow.go") {
 		t.Errorf("-only ./dirty analyzed the wrong packages:\n%s", stdout)
 	}
 }
@@ -268,9 +268,11 @@ func TestListAnalyzers(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit = %d", code)
 	}
-	for _, name := range []string{"maporder", "nondeterm", "locks", "errdrop", "goroleak"} {
-		if !strings.Contains(stdout, name) {
-			t.Errorf("-list missing analyzer %s:\n%s", name, stdout)
-		}
+	var names []string
+	for _, line := range strings.Split(strings.TrimSpace(stdout), "\n") {
+		names = append(names, strings.Fields(line)[0])
+	}
+	if got, want := strings.Join(names, " "), "errdrop goroleak poolescape release detflow"; got != want {
+		t.Errorf("-list names %q, want %q in All() order:\n%s", got, want, stdout)
 	}
 }

@@ -18,7 +18,8 @@
 //	//sflint:ignore <analyzer>[,<analyzer>] <reason>
 //
 // comment on the offending line or on the line directly above it. Every
-// suppression is auditable via `sflint -suppressions`.
+// suppression is auditable via `sflint -suppressions`, and one that covers
+// no finding is itself reported.
 package analysis
 
 import (
@@ -80,7 +81,7 @@ func (d Diagnostic) String() string {
 
 // All returns the full analyzer suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{Maporder, Nondeterm, Locks, Errdrop, Goroleak, Spanleak, Poolescape, Ctxflow, Detflow}
+	return []*Analyzer{Errdrop, Goroleak, Poolescape, Release, Detflow}
 }
 
 // ByName resolves a comma-separated analyzer name list against the suite.
@@ -161,43 +162,19 @@ func mentionsObject(info *types.Info, e ast.Expr, obj types.Object) bool {
 	return found
 }
 
-// enclosingFuncBody returns the body of the innermost function declaration
-// or literal in f that strictly contains pos, or nil.
-func enclosingFuncBody(f *ast.File, pos token.Pos) *ast.BlockStmt {
-	var body *ast.BlockStmt
-	ast.Inspect(f, func(n ast.Node) bool {
-		if n == nil {
-			return false
-		}
-		if pos < n.Pos() || pos >= n.End() {
-			return false // siblings are still visited; skip this subtree only
-		}
-		switch fn := n.(type) {
-		case *ast.FuncDecl:
-			if fn.Body != nil {
-				body = fn.Body
-			}
-		case *ast.FuncLit:
-			body = fn.Body
-		}
-		return true
-	})
-	return body
-}
-
 // funcBodies yields every function body in the file — declarations and
-// literals — paired with a printable name for diagnostics. Each body is
-// yielded exactly once; callers that must not double-count nested literals
-// should skip *ast.FuncLit nodes while walking a body.
-func funcBodies(f *ast.File, visit func(name string, body *ast.BlockStmt)) {
+// literals. Each body is yielded exactly once; callers that must not
+// double-count nested literals should skip *ast.FuncLit nodes while walking
+// a body.
+func funcBodies(f *ast.File, visit func(body *ast.BlockStmt)) {
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch fn := n.(type) {
 		case *ast.FuncDecl:
 			if fn.Body != nil {
-				visit(fn.Name.Name, fn.Body)
+				visit(fn.Body)
 			}
 		case *ast.FuncLit:
-			visit("func literal", fn.Body)
+			visit(fn.Body)
 		}
 		return true
 	})

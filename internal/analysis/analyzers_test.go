@@ -28,27 +28,33 @@ func runWant(t *testing.T, path string, a *Analyzer) {
 	}
 }
 
+// The maporder corpus is detflow's regression test for its map-order
+// source and its output-write and return-value sinks.
 func TestMaporderCorpus(t *testing.T) {
-	runWant(t, "maporder", Maporder)
+	runWant(t, "maporder", Detflow)
 }
 
 func TestNondetermCorpus(t *testing.T) {
-	// Positives live under the scoped fake path smartflux/internal/engine.
-	runWant(t, "smartflux/internal/engine/ndcorpus", Nondeterm)
+	// The nondeterm corpus under detflow: positives live under the scoped
+	// fake path smartflux/internal/engine, and each helper's wall-clock or
+	// global-rand result is reported where a same-package caller stores it.
+	runWant(t, "smartflux/internal/engine/ndcorpus", Detflow)
 }
 
 func TestNondetermAllowlistedObsIsClean(t *testing.T) {
 	// The obs subtree is allowlisted: wall-clock reads there are by design.
-	runWant(t, "smartflux/internal/obs/timing", Nondeterm)
+	runWant(t, "smartflux/internal/obs/timing", Detflow)
 }
 
 func TestNondetermUnscopedIsClean(t *testing.T) {
 	// The same calls outside the determinism scope produce nothing.
-	runWant(t, "unscoped", Nondeterm)
+	runWant(t, "unscoped", Detflow)
 }
 
+// The locks corpus is release's regression test for lock obligations and
+// blocking operations under a held mutex.
 func TestLocksCorpus(t *testing.T) {
-	runWant(t, "locks", Locks)
+	runWant(t, "locks", Release)
 }
 
 func TestErrdropCorpus(t *testing.T) {
@@ -59,8 +65,9 @@ func TestGoroleakCorpus(t *testing.T) {
 	runWant(t, "goroleak", Goroleak)
 }
 
+// The spanleak corpus is release's regression test for span obligations.
 func TestSpanleakCorpus(t *testing.T) {
-	runWant(t, "spanleak", Spanleak)
+	runWant(t, "spanleak", Release)
 }
 
 func TestPoolescapeCorpus(t *testing.T) {
@@ -68,7 +75,7 @@ func TestPoolescapeCorpus(t *testing.T) {
 }
 
 func TestCtxflowCorpus(t *testing.T) {
-	runWant(t, "ctxflow", Ctxflow)
+	runWant(t, "ctxflow", Release)
 }
 
 func TestDetflowCorpus(t *testing.T) {
@@ -89,18 +96,19 @@ func TestDetflowAllowlistedObsIsClean(t *testing.T) {
 func TestSpanleakObsPackageExempt(t *testing.T) {
 	// The obs implementation package itself must never be flagged, even
 	// though its constructors hand out spans nobody in-package ends.
-	runWant(t, "smartflux/internal/obs", Spanleak)
+	runWant(t, "smartflux/internal/obs", Release)
 }
 
 // TestScanFloatsRegressionLock pins the exact pre-PR-2 bug class to a
-// diagnostic: float accumulation over a ScanFloats-style map snapshot must
-// be reported by maporder. If the corpus or analyzer drifts so that this
-// pattern goes quiet, this test fails independently of the want harness.
+// diagnostic: a float summed over a ScanFloats-style map snapshot and
+// returned must be reported by detflow. If the corpus or analyzer drifts so
+// that this pattern goes quiet, this test fails independently of the want
+// harness.
 func TestScanFloatsRegressionLock(t *testing.T) {
 	fset, lp := loadCorpusPackage(t, "maporder")
 	var diags []Diagnostic
 	pass := &Pass{
-		Analyzer: Maporder,
+		Analyzer: Detflow,
 		Path:     "maporder",
 		Fset:     fset,
 		Files:    lp.files,
@@ -108,14 +116,14 @@ func TestScanFloatsRegressionLock(t *testing.T) {
 		Info:     lp.info,
 		report:   func(d Diagnostic) { diags = append(diags, d) },
 	}
-	Maporder.Run(pass)
+	Detflow.Run(pass)
 	for _, d := range diags {
 		if filepath.Base(d.Position.Filename) == "maporder.go" &&
-			d.Analyzer == "maporder" && containsAll(d.Message, "floating-point accumulation", "sum") {
+			d.Analyzer == "detflow" && containsAll(d.Message, "return value sum", "map-order") {
 			return
 		}
 	}
-	t.Fatalf("ScanFloats float-accumulation pattern produced no maporder diagnostic; got %v", diags)
+	t.Fatalf("ScanFloats float-accumulation pattern produced no detflow diagnostic; got %v", diags)
 }
 
 func containsAll(s string, subs ...string) bool {

@@ -1,7 +1,7 @@
 package analysis
 
 // Intraprocedural control-flow graphs over go/ast function bodies: the
-// substrate for the flow-sensitive analyzers (poolescape, ctxflow, detflow).
+// substrate for the flow-sensitive analyzers (poolescape, release, detflow).
 // A CFG decomposes one function body into basic blocks — maximal
 // straight-line node sequences — connected by directed edges for every way
 // control can move between them (branches, loops, switches, selects, gotos,

@@ -30,6 +30,10 @@ type flowSpec[S any] struct {
 	join func(dst, src S) bool
 	// transfer applies one block's nodes to state in place.
 	transfer func(b *block, state S)
+	// refine, when set, narrows the state flowing along the edge from b to
+	// its succ-th successor (an if head lists [then, else]): how a branch
+	// condition changes what holds on each side.
+	refine func(b *block, succ int, state S)
 }
 
 // solveForward runs fn to fixpoint and returns each block's IN state,
@@ -65,13 +69,18 @@ func solveForward[S any](g *funcCFG, fn flowSpec[S]) []S {
 		b := g.blocks[bi]
 		out := fn.clone(in[bi])
 		fn.transfer(b, out)
-		for _, s := range b.succs {
+		for i, s := range b.succs {
+			edge := out
+			if fn.refine != nil {
+				edge = fn.clone(out)
+				fn.refine(b, i, edge)
+			}
 			changed := false
 			if !seen[s.index] {
-				in[s.index] = fn.clone(out)
+				in[s.index] = fn.clone(edge)
 				seen[s.index] = true
 				changed = true
-			} else if fn.join(in[s.index], out) {
+			} else if fn.join(in[s.index], edge) {
 				changed = true
 			}
 			if changed && !work[s.index] {
@@ -81,24 +90,6 @@ func solveForward[S any](g *funcCFG, fn flowSpec[S]) []S {
 		}
 	}
 	return in
-}
-
-// exitState runs the analysis and returns the state flowing into the exit
-// block — the join over every return/fall-off path. ok is false when no
-// path reaches exit (e.g. the body is an infinite loop).
-func exitState[S any](g *funcCFG, fn flowSpec[S]) (S, bool) {
-	in := solveForward(g, fn)
-	var zero S
-	// exit is reachable iff some predecessor pushed a state into it; the
-	// solver marks that by having visited it.
-	for _, b := range g.blocks {
-		for _, s := range b.succs {
-			if s == g.exit {
-				return in[g.exit.index], true
-			}
-		}
-	}
-	return zero, false
 }
 
 // ---- Reaching definitions -------------------------------------------------

@@ -2,21 +2,19 @@ package analysis
 
 // detflow: taint tracking from nondeterminism sources to durable sinks.
 //
-// PR 3's nondeterm and maporder analyzers are syntactic: they flag every
-// wall-clock read in scope and every order-sensitive accumulation over a
-// map, regardless of where the value goes. detflow upgrades the contract to
-// real dataflow: it only reports when a value DERIVED from a
-// nondeterministic source actually reaches state that must be reproducible —
-// a kvstore write, a WAL begin/commit payload, or a decision-trace field.
-// That is the precise statement of the determinism contract: wall clocks may
-// be read (metrics need them), randomness may exist (seeded RNGs are fine),
-// but none of it may flow into a result.
+// The contract is reported where it is broken: wall clocks may be read
+// (metrics need them), randomness may exist (seeded RNGs are fine), and maps
+// may be ranged, but a value DERIVED from a nondeterministic source must not
+// reach state that has to be reproducible.
 //
 // Sources (each tagged with a kind and its position):
 //   - wall-clock: time.Now / time.Since / time.Until
 //   - global-rand: package-level math/rand and math/rand/v2 draws (seeded
-//     constructor calls like rand.New(rand.NewSource(seed)) are exempt,
-//     matching nondeterm)
+//     constructor calls like rand.New(rand.NewSource(seed)) are exempt)
+//   - a call to a same-package function whose return value carries one of
+//     the two kinds above, per result slot (one level: the summaries are
+//     computed without consulting each other), so a helper-wrapped clock is
+//     visible where it lands
 //   - map-order: order-sensitive accumulation inside a `range` over a map —
 //     float/string op-assign or append into a variable declared outside the
 //     loop. A sort.*/slices.Sort* call over the accumulator clears this
@@ -32,12 +30,17 @@ package analysis
 //     ReplayDelete, CreateTable, EnsureTable, SetClock) on types from
 //     smartflux/internal/kvstore
 //   - durable Manager.Begin / Manager.Commit payloads
-//   - obs.DecisionEvent fields (assignment or composite literal)
-//   - any of the above called lexically inside a map range: even untainted
-//     per-item writes commit in iteration order, which reorders the WAL
+//   - output writes (Print*, Fprint*, Write*, Encode)
+//   - obs.DecisionEvent fields (assignment or composite literal), except
+//     traceClockField
+//   - non-error return values carrying map-order taint (the ScanFloats
+//     shape)
+//   - any call sink above executed lexically inside a map range: even
+//     untainted per-item writes commit in iteration order
 //
-// Scope matches nondeterm plus the storage layer (kvstore, durable); obs
-// itself is allowlisted and _test.go files are skipped.
+// Scope: map-order is tracked in every package. Wall-clock and global-rand
+// sources count only in clockScope, minus the obs subtree. _test.go files
+// are skipped.
 
 import (
 	"go/ast"
@@ -50,17 +53,33 @@ import (
 // Detflow reports nondeterministic values flowing into stored state.
 var Detflow = &Analyzer{
 	Name: "detflow",
-	Doc: "taint from time.Now/global rand/map-iteration order reaching kvstore writes, " +
-		"WAL payloads, or decision-trace fields in determinism-scoped packages",
+	Doc: "taint from time.Now/global rand (engine, ml, core, metric, kvstore, durable) or " +
+		"map-iteration order (everywhere) reaching store writes, WAL payloads, output, " +
+		"decision-trace fields, or (map order) a return value",
 	Run: runDetflow,
 }
 
-// detflowScope is nondeterm's scope plus the storage layer, where a tainted
-// write is durable.
-var detflowScope = append([]string{
+// clockScope lists the package subtrees whose non-test code must be a
+// deterministic function of its inputs — the QoD engine, the learners, the
+// session logic, the metric computations, whose numbers back the paper's
+// >95%-confidence claim — plus the storage layer, where a tainted write is
+// durable. The obs subtree is exempt: observability reads wall clocks by
+// design and its output never feeds a result.
+var clockScope = []string{
+	"smartflux/internal/engine",
+	"smartflux/internal/ml",
+	"smartflux/internal/core",
+	"smartflux/internal/metric",
 	"smartflux/internal/kvstore",
 	"smartflux/internal/durable",
-}, nondetermScope...)
+}
+
+// globalRandExempt names math/rand package functions that are fine: RNG
+// construction takes an explicit seed, so determinism is the caller's
+// choice and visible at the call site.
+var globalRandExempt = map[string]bool{
+	"New": true, "NewSource": true, "NewZipf": true, "NewPCG": true, "NewChaCha8": true,
+}
 
 // kvWriteMethods are the kvstore mutations whose arguments become stored
 // state.
@@ -73,39 +92,56 @@ var kvWriteMethods = map[string]bool{
 // durableSinkMethods take WAL payloads.
 var durableSinkMethods = map[string]bool{"Begin": true, "Commit": true}
 
-func runDetflow(pass *Pass) {
-	if !pathInScope(pass.Path, detflowScope) || pathInScope(pass.Path, nondetermAllow) {
-		return
-	}
-	for _, f := range pass.Files {
-		name := pass.Fset.Position(f.Pos()).Filename
-		if strings.HasSuffix(name, "_test.go") {
-			continue
+// outputWrites are the function and method names that emit output in call
+// order.
+var outputWrites = map[string]bool{
+	"Print": true, "Printf": true, "Println": true,
+	"Fprint": true, "Fprintf": true, "Fprintln": true,
+	"Write": true, "WriteString": true, "WriteByte": true, "WriteRune": true,
+	"Encode": true,
+}
+
+// traceClockField is the decision trace's one wall-clock field: the §5.3
+// per-step decision latency engine.decide measures around the decider. It
+// is carried by design and exempt from the trace-field sink by name; the
+// determinism tests zero it before comparing traces.
+const traceClockField = "DecisionNanos"
+
+func pathInScope(path string, scope []string) bool {
+	for _, root := range scope {
+		if path == root || strings.HasPrefix(path, root+"/") {
+			return true
 		}
-		funcBodies(f, func(fname string, body *ast.BlockStmt) {
-			df := &dfFunc{pass: pass, reported: map[token.Pos]bool{}}
-			g := buildCFG(body)
-			spec := flowSpec[dtState]{
-				entry: func() dtState { return dtState{} },
-				clone: cloneDT,
-				join:  joinDT,
-				transfer: func(b *block, st dtState) {
-					for _, n := range b.nodes {
-						df.applyNode(b, n, st, false)
-					}
-				},
-			}
-			in := solveForward(g, spec)
-			for _, b := range g.blocks {
-				st := in[b.index]
-				if st == nil {
-					continue
+	}
+	return false
+}
+
+func runDetflow(pass *Pass) {
+	df := &dfPkg{
+		pass:     pass,
+		clock:    pathInScope(pass.Path, clockScope) && !pathInScope(pass.Path, []string{obsPkgPath}),
+		reported: map[token.Pos]bool{},
+	}
+	var files []*ast.File
+	for _, f := range pass.Files {
+		if !strings.HasSuffix(pass.Fset.Position(f.Pos()).Filename, "_test.go") {
+			files = append(files, f)
+		}
+	}
+	if df.clock {
+		sums := map[*types.Func][]map[string]bool{}
+		for _, f := range files {
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
+					df.summarize(fd, sums)
 				}
-				st = cloneDT(st)
-				for _, n := range b.nodes {
-					df.applyNode(b, n, st, true)
-				}
 			}
+		}
+		df.summaries = sums
+	}
+	for _, f := range files {
+		funcBodies(f, func(body *ast.BlockStmt) {
+			df.flow(body, true, nil)
 		})
 	}
 }
@@ -139,21 +175,106 @@ func joinDT(dst, src dtState) bool {
 				// Keep the earliest source position for deterministic
 				// messages regardless of visit order.
 				d[kind] = pos
-				changed = changed || !ok || pos < old
+				changed = true
 			}
 		}
 	}
 	return changed
 }
 
-// dfFunc carries per-function reporting state.
-type dfFunc struct {
-	pass     *Pass
+// dfPkg carries one package's analysis state.
+type dfPkg struct {
+	pass *Pass
+	// clock enables the wall-clock and global-rand sources.
+	clock bool
+	// summaries maps a same-package function to the source kinds each of
+	// its result slots returns.
+	summaries map[*types.Func][]map[string]bool
+	// reported dedups diagnostics by sink position.
 	reported map[token.Pos]bool
 }
 
+// flow runs the taint fixpoint over body, then replays each block from its
+// IN state with reporting as asked; ret, when set, sees every return
+// statement with the state reaching it.
+func (df *dfPkg) flow(body *ast.BlockStmt, report bool, ret func(*ast.ReturnStmt, dtState)) {
+	g := buildCFG(body)
+	in := solveForward(g, flowSpec[dtState]{
+		entry: func() dtState { return dtState{} },
+		clone: cloneDT,
+		join:  joinDT,
+		transfer: func(b *block, st dtState) {
+			for _, n := range b.nodes {
+				df.applyNode(b, n, st, false)
+			}
+		},
+	})
+	for _, b := range g.blocks {
+		if in[b.index] == nil {
+			continue
+		}
+		st := cloneDT(in[b.index])
+		for _, n := range b.nodes {
+			if r, ok := n.(*ast.ReturnStmt); ok && ret != nil {
+				ret(r, st)
+			}
+			df.applyNode(b, n, st, report)
+		}
+	}
+}
+
+// summarize records which wall-clock / global-rand kinds each result slot
+// of fd may return.
+func (df *dfPkg) summarize(fd *ast.FuncDecl, sums map[*types.Func][]map[string]bool) {
+	fn, _ := df.pass.Info.Defs[fd.Name].(*types.Func)
+	if fn == nil || !df.callsSource(fd.Body) {
+		return
+	}
+	results := fn.Type().(*types.Signature).Results()
+	slots := make([]map[string]bool, results.Len())
+	for i := range slots {
+		slots[i] = map[string]bool{}
+	}
+	tainted := false
+	df.flow(fd.Body, false, func(r *ast.ReturnStmt, st dtState) {
+		for i := range slots {
+			var t map[string]token.Pos
+			switch {
+			case len(r.Results) == 0: // bare return of named results
+				t = st[results.At(i)]
+			case len(r.Results) < len(slots): // return f() of a multi-value call
+				t = df.exprTaint(r.Results[0], st)
+			default:
+				t = df.exprTaint(r.Results[i], st)
+			}
+			for k := range t {
+				if k != "map-order" {
+					slots[i][k] = true
+					tainted = true
+				}
+			}
+		}
+	})
+	if tainted {
+		sums[fn] = slots
+	}
+}
+
+// callsSource reports whether body (outside nested literals) calls a
+// wall-clock or global-rand source: only such a body can return one.
+func (df *dfPkg) callsSource(body *ast.BlockStmt) bool {
+	found := false
+	stmtScan(body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok && df.sourceKind(call) != "" {
+			found = true
+		}
+		return !found
+	})
+	return found
+}
+
 // applyNode is the transfer function and (report=true) the diagnostic replay.
-func (df *dfFunc) applyNode(b *block, n ast.Node, st dtState, report bool) {
+func (df *dfPkg) applyNode(b *block, n ast.Node, st dtState, report bool) {
 	info := df.pass.Info
 	switch n := n.(type) {
 	case *ast.AssignStmt:
@@ -189,11 +310,19 @@ func (df *dfFunc) applyNode(b *block, n ast.Node, st dtState, report bool) {
 		// Ranged expression may itself be tainted; key/value inherit it.
 		t := df.exprTaint(n.X, st)
 		for _, e := range []ast.Expr{n.Key, n.Value} {
-			if e == nil {
+			if id, ok := e.(*ast.Ident); ok {
+				df.setTaint(st, id, t)
+			}
+		}
+
+	case *ast.ReturnStmt:
+		df.checkSinksIn(b, n, st, report)
+		for _, r := range n.Results {
+			if !report || isErrorType(info.TypeOf(r)) {
 				continue
 			}
-			if id, ok := ast.Unparen(e).(*ast.Ident); ok {
-				df.setTaint(st, id, t)
+			if p, ok := df.exprTaint(r, st)["map-order"]; ok {
+				df.reportSink(r.Pos(), map[string]token.Pos{"map-order": p}, "return value "+exprString(r))
 			}
 		}
 
@@ -204,18 +333,28 @@ func (df *dfFunc) applyNode(b *block, n ast.Node, st dtState, report bool) {
 }
 
 // bindAssign applies an assignment's taint flow.
-func (df *dfFunc) bindAssign(n *ast.AssignStmt, st dtState, report bool) {
+func (df *dfPkg) bindAssign(n *ast.AssignStmt, st dtState, report bool) {
 	info := df.pass.Info
-	// Single multi-value RHS: every LHS slot gets the call's taint.
-	var perSlot []map[string]token.Pos
+	perSlot := make([]map[string]token.Pos, len(n.Lhs))
 	if len(n.Rhs) == 1 && len(n.Lhs) > 1 {
+		// Single multi-value RHS: every slot gets the call's propagated
+		// taint; a summarized callee adds its own per slot.
 		t := df.exprTaint(n.Rhs[0], st)
-		perSlot = make([]map[string]token.Pos, len(n.Lhs))
+		call, _ := ast.Unparen(n.Rhs[0]).(*ast.CallExpr)
+		var slots []map[string]bool
+		if call != nil {
+			slots = df.summaries[staticCallee(info, call)]
+		}
 		for i := range perSlot {
 			perSlot[i] = t
+			if slots != nil {
+				perSlot[i] = df.exprTaint(call.Fun, st, call.Args...)
+				for k := range slots[i] {
+					addTaint(perSlot[i], k, call.Pos())
+				}
+			}
 		}
 	} else {
-		perSlot = make([]map[string]token.Pos, len(n.Lhs))
 		for i := range n.Rhs {
 			if i < len(perSlot) {
 				perSlot[i] = df.exprTaint(n.Rhs[i], st)
@@ -226,7 +365,7 @@ func (df *dfFunc) bindAssign(n *ast.AssignStmt, st dtState, report bool) {
 	for i, lhs := range n.Lhs {
 		// DecisionEvent field sink: ev.Field = tainted.
 		if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok && report {
-			if isDecisionEventExpr(info, sel.X) && len(perSlot[i]) > 0 {
+			if isDecisionEventType(info.TypeOf(sel.X)) && sel.Sel.Name != traceClockField && len(perSlot[i]) > 0 {
 				df.reportSink(lhs.Pos(), perSlot[i], "decision-trace field "+exprString(lhs))
 			}
 		}
@@ -250,7 +389,7 @@ func (df *dfFunc) bindAssign(n *ast.AssignStmt, st dtState, report bool) {
 }
 
 // setTaint strong-updates an identifier's taint.
-func (df *dfFunc) setTaint(st dtState, id *ast.Ident, t map[string]token.Pos) {
+func (df *dfPkg) setTaint(st dtState, id *ast.Ident, t map[string]token.Pos) {
 	if id.Name == "_" {
 		return
 	}
@@ -276,58 +415,59 @@ func mergeTaint(st dtState, obj types.Object, t map[string]token.Pos) {
 		st[obj] = d
 	}
 	for k, p := range t {
-		if old, ok := d[k]; !ok || p < old {
-			d[k] = p
-		}
+		addTaint(d, k, p)
 	}
 }
 
-// exprTaint computes the taint kinds an expression's value carries: sources
-// it invokes plus tainted locals it reads, propagated through calls.
-func (df *dfFunc) exprTaint(e ast.Expr, st dtState) map[string]token.Pos {
+// addTaint records kind at pos, keeping the earliest position per kind.
+func addTaint(t map[string]token.Pos, kind string, pos token.Pos) {
+	if old, ok := t[kind]; !ok || pos < old {
+		t[kind] = pos
+	}
+}
+
+// exprTaint computes the taint kinds the expressions' values carry: sources
+// they invoke plus tainted locals they read, propagated through calls.
+func (df *dfPkg) exprTaint(e ast.Expr, st dtState, more ...ast.Expr) map[string]token.Pos {
 	info := df.pass.Info
 	out := map[string]token.Pos{}
-	add := func(kind string, pos token.Pos) {
-		if old, ok := out[kind]; !ok || pos < old {
-			out[kind] = pos
-		}
-	}
-	stmtScan(e, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.Ident:
-			if kinds := st[identObject(info, n)]; kinds != nil {
-				for k, p := range kinds {
-					add(k, p)
+	for _, e := range append([]ast.Expr{e}, more...) {
+		stmtScan(e, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.Ident:
+				for k, p := range st[identObject(info, n)] {
+					addTaint(out, k, p)
+				}
+			case *ast.CallExpr:
+				if kind := df.sourceKind(n); kind != "" {
+					addTaint(out, kind, n.Pos())
+				}
+				for _, slot := range df.summaries[staticCallee(info, n)] {
+					for k := range slot {
+						addTaint(out, k, n.Pos())
+					}
 				}
 			}
-		case *ast.CallExpr:
-			if kind := sourceKind(info, n); kind != "" {
-				add(kind, n.Pos())
-			}
-		}
-		return true
-	})
-	if len(out) == 0 {
-		return nil
+			return true
+		})
 	}
 	return out
 }
 
-// sourceKind classifies a call as a taint source.
-func sourceKind(info *types.Info, call *ast.CallExpr) string {
-	fn := staticCallee(info, call)
-	if fn == nil || fn.Pkg() == nil {
+// sourceKind classifies a call as a wall-clock or global-rand source; both
+// count only in clockScope.
+func (df *dfPkg) sourceKind(call *ast.CallExpr) string {
+	fn := staticCallee(df.pass.Info, call)
+	if !df.clock || fn == nil || fn.Pkg() == nil || fn.Type().(*types.Signature).Recv() != nil {
 		return ""
 	}
-	sig, _ := fn.Type().(*types.Signature)
-	isMethod := sig != nil && sig.Recv() != nil
 	switch fn.Pkg().Path() {
 	case "time":
-		if !isMethod && (fn.Name() == "Now" || fn.Name() == "Since" || fn.Name() == "Until") {
+		if fn.Name() == "Now" || fn.Name() == "Since" || fn.Name() == "Until" {
 			return "wall-clock"
 		}
 	case "math/rand", "math/rand/v2":
-		if !isMethod && !globalRandExempt[fn.Name()] {
+		if !globalRandExempt[fn.Name()] {
 			return "global-rand"
 		}
 	}
@@ -335,7 +475,7 @@ func sourceKind(info *types.Info, call *ast.CallExpr) string {
 }
 
 // applyKills clears map-order taint from values laundered by sorting.
-func (df *dfFunc) applyKills(n ast.Node, st dtState) {
+func (df *dfPkg) applyKills(n ast.Node, st dtState) {
 	info := df.pass.Info
 	stmtScan(n, func(sub ast.Node) bool {
 		call, ok := sub.(*ast.CallExpr)
@@ -364,7 +504,7 @@ func (df *dfFunc) applyKills(n ast.Node, st dtState) {
 // taintAccumulation marks order-sensitive accumulation inside a map range:
 // `acc += x`, `acc = acc + x` (float/string), or `acc = append(acc, x)`
 // where acc was declared before the range statement.
-func (df *dfFunc) taintAccumulation(n *ast.AssignStmt, mr *ast.RangeStmt, st dtState) {
+func (df *dfPkg) taintAccumulation(n *ast.AssignStmt, mr *ast.RangeStmt, st dtState) {
 	info := df.pass.Info
 	if len(n.Lhs) != 1 {
 		return
@@ -400,7 +540,7 @@ func (df *dfFunc) taintAccumulation(n *ast.AssignStmt, mr *ast.RangeStmt, st dtS
 
 // checkSinksIn reports sink calls under n whose arguments are tainted, and
 // sink calls issued lexically inside a map range.
-func (df *dfFunc) checkSinksIn(b *block, n ast.Node, st dtState, report bool) {
+func (df *dfPkg) checkSinksIn(b *block, n ast.Node, st dtState, report bool) {
 	if !report {
 		return
 	}
@@ -417,13 +557,11 @@ func (df *dfFunc) checkSinksIn(b *block, n ast.Node, st dtState, report bool) {
 					df.reportSink(arg.Pos(), t, sink)
 				}
 			}
-			if mr := enclosingMapRange(info, b); mr != nil {
-				if !df.reported[sub.Pos()] {
-					df.reported[sub.Pos()] = true
-					df.pass.Reportf(sub.Pos(),
-						"%s executes inside a range over a map (at %s): writes commit in iteration order, which is not reproducible",
-						sink, df.pass.Fset.Position(mr.Pos()))
-				}
+			if mr := enclosingMapRange(info, b); mr != nil && !df.reported[sub.Pos()] {
+				df.reported[sub.Pos()] = true
+				df.pass.Reportf(sub.Pos(),
+					"%s executes inside a range over a map (at %s): writes commit in iteration order, which is not reproducible",
+					sink, df.pass.Fset.Position(mr.Pos()))
 			}
 		case *ast.CompositeLit:
 			if !isDecisionEventType(info.TypeOf(sub)) {
@@ -435,7 +573,10 @@ func (df *dfFunc) checkSinksIn(b *block, n ast.Node, st dtState, report bool) {
 				if kv, ok := elt.(*ast.KeyValueExpr); ok {
 					val = kv.Value
 					if kid, ok := kv.Key.(*ast.Ident); ok {
-						field = "decision-trace field " + kid.Name
+						if kid.Name == traceClockField {
+							continue
+						}
+						field += " " + kid.Name
 					}
 				}
 				if t := df.exprTaint(val, st); len(t) > 0 {
@@ -449,7 +590,7 @@ func (df *dfFunc) checkSinksIn(b *block, n ast.Node, st dtState, report bool) {
 
 // reportSink emits one deduplicated diagnostic per sink position, naming
 // the taint kinds in sorted order.
-func (df *dfFunc) reportSink(pos token.Pos, t map[string]token.Pos, sink string) {
+func (df *dfPkg) reportSink(pos token.Pos, t map[string]token.Pos, sink string) {
 	if df.reported[pos] {
 		return
 	}
@@ -467,21 +608,20 @@ func (df *dfFunc) reportSink(pos token.Pos, t map[string]token.Pos, sink string)
 		sink, strings.Join(parts, ", "))
 }
 
-// sinkName classifies a call as a durable sink, returning a human label or "".
+// sinkName classifies a call as a sink, returning a human label or "".
 func sinkName(info *types.Info, call *ast.CallExpr) string {
 	fn := staticCallee(info, call)
 	if fn == nil || fn.Pkg() == nil {
 		return ""
 	}
-	sig, _ := fn.Type().(*types.Signature)
-	if sig == nil || sig.Recv() == nil {
-		return ""
-	}
+	method := fn.Type().(*types.Signature).Recv() != nil
 	path := fn.Pkg().Path()
 	switch {
-	case kvWriteMethods[fn.Name()] && pkgPathHasSuffix(path, "internal/kvstore"):
+	case outputWrites[fn.Name()]:
+		return "output write " + exprString(call.Fun)
+	case method && kvWriteMethods[fn.Name()] && pkgPathHasSuffix(path, "internal/kvstore"):
 		return "kvstore write " + exprString(call.Fun)
-	case durableSinkMethods[fn.Name()] && pkgPathHasSuffix(path, "internal/durable"):
+	case method && durableSinkMethods[fn.Name()] && pkgPathHasSuffix(path, "internal/durable"):
 		return "WAL payload via " + exprString(call.Fun)
 	}
 	return ""
@@ -500,12 +640,6 @@ func enclosingMapRange(info *types.Info, b *block) *ast.RangeStmt {
 		}
 	}
 	return nil
-}
-
-// isDecisionEventExpr reports whether e denotes an obs.DecisionEvent value
-// (or pointer to one).
-func isDecisionEventExpr(info *types.Info, e ast.Expr) bool {
-	return isDecisionEventType(info.TypeOf(e))
 }
 
 func isDecisionEventType(t types.Type) bool {

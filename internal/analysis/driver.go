@@ -3,6 +3,7 @@ package analysis
 import (
 	"encoding/json"
 	"sort"
+	"strings"
 )
 
 // Options configures one driver run.
@@ -74,12 +75,13 @@ func Run(opts Options) (*Report, error) {
 		}
 	}
 
+	used := make([]bool, len(suppressions))
 	for _, d := range raw {
 		reason, suppressed := "", false
-		if d.Analyzer != "sflint" { // malformed-directive findings are not suppressible
-			for _, s := range suppressions {
+		if d.Analyzer != "sflint" { // the driver's own findings are not suppressible
+			for i, s := range suppressions {
 				if s.Position.Filename == d.Position.Filename && s.covers(d.Analyzer, d.Position.Line) {
-					reason, suppressed = s.Reason, true
+					reason, suppressed, used[i] = s.Reason, true, true
 					break
 				}
 			}
@@ -88,6 +90,28 @@ func Run(opts Options) (*Report, error) {
 			report.Suppressed = append(report.Suppressed, SuppressedDiagnostic{Diagnostic: d, Reason: reason})
 		} else {
 			report.Diagnostics = append(report.Diagnostics, d)
+		}
+	}
+
+	// A directive that covered nothing although every analyzer it names ran
+	// on its package is stale: left alone, it would silently excuse whatever
+	// finding next drifts onto its lines. One naming an analyzer that did not
+	// run (an -enable subset) is not judged.
+	enabled := map[string]bool{}
+	for _, a := range analyzers {
+		enabled[a.Name] = true
+	}
+	for i, s := range suppressions {
+		stale := !used[i]
+		for _, name := range s.Analyzers {
+			stale = stale && enabled[name]
+		}
+		if stale {
+			report.Diagnostics = append(report.Diagnostics, Diagnostic{
+				Analyzer: "sflint",
+				Position: s.Position,
+				Message:  "stale suppression: no " + strings.Join(s.Analyzers, ",") + " finding on this line or the next; delete it",
+			})
 		}
 	}
 

@@ -42,7 +42,7 @@ func TestDriverDirtyPackage(t *testing.T) {
 			t.Errorf("diagnostic missing file:line:col: %s", d)
 		}
 	}
-	want := map[string]int{"maporder": 1, "errdrop": 1, "goroleak": 1}
+	want := map[string]int{"detflow": 1, "errdrop": 1, "goroleak": 1}
 	for a, n := range want {
 		if byAnalyzer[a] != n {
 			t.Errorf("want %d %s diagnostics, got %d (all: %v)", n, a, byAnalyzer[a], report.Diagnostics)
@@ -59,7 +59,7 @@ func TestDriverSuppressionHonored(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, d := range report.Diagnostics {
-		if strings.Contains(d.Message, "on sum") && d.Position.Line > 20 {
+		if strings.Contains(d.Message, "value sum") && d.Position.Line > 20 {
 			t.Errorf("suppressed diagnostic leaked into live set: %s", d)
 		}
 	}
@@ -67,14 +67,14 @@ func TestDriverSuppressionHonored(t *testing.T) {
 		t.Fatalf("want 1 suppressed diagnostic, got %d: %+v", len(report.Suppressed), report.Suppressed)
 	}
 	s := report.Suppressed[0]
-	if s.Analyzer != "maporder" || !strings.Contains(s.Reason, "order insensitivity proven elsewhere") {
+	if s.Analyzer != "detflow" || !strings.Contains(s.Reason, "order insensitivity proven elsewhere") {
 		t.Errorf("suppressed diagnostic lost its analyzer or reason: %+v", s)
 	}
 	if len(report.Suppressions) != 1 {
 		t.Fatalf("want 1 suppression in the audit, got %d", len(report.Suppressions))
 	}
 	audit := report.Suppressions[0]
-	if audit.Position.Line == 0 || len(audit.Analyzers) != 1 || audit.Analyzers[0] != "maporder" {
+	if audit.Position.Line == 0 || len(audit.Analyzers) != 1 || audit.Analyzers[0] != "detflow" {
 		t.Errorf("audit entry malformed: %+v", audit)
 	}
 }

@@ -48,7 +48,7 @@ var Poolescape = &Analyzer{
 
 func runPoolescape(pass *Pass) {
 	for _, f := range pass.Files {
-		funcBodies(f, func(name string, body *ast.BlockStmt) {
+		funcBodies(f, func(body *ast.BlockStmt) {
 			pe := &peFunc{
 				pass:     pass,
 				parents:  map[token.Pos]map[token.Pos]bool{},

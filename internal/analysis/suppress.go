@@ -15,6 +15,8 @@ import (
 // silently accumulate without explanation. A suppression applies to
 // diagnostics on its own line and on the line directly below it, covering
 // both trailing comments and whole-line comments above the offending code.
+// One that covers nothing once its analyzers have run is reported as stale
+// (see Run), so a suppression cannot outlive the finding it excused.
 const suppressPrefix = "//sflint:ignore"
 
 // A Suppression is one parsed //sflint:ignore directive.

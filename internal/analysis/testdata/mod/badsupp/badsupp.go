@@ -6,7 +6,7 @@ package badsupp
 func MissingReason(m map[string]float64) float64 {
 	var sum float64
 	for _, v := range m {
-		//sflint:ignore maporder
+		//sflint:ignore detflow
 		sum += v
 	}
 	return sum

@@ -1,5 +1,5 @@
 // Package dirty carries known diagnostics for the driver and CLI tests:
-// one live maporder finding, one suppressed maporder finding (with a
+// one live detflow finding, one suppressed detflow finding (with a
 // justification), one errdrop finding and one goroleak finding.
 package dirty
 
@@ -8,7 +8,7 @@ type flusher struct{}
 // Flush pretends to drain a buffer.
 func (f *flusher) Flush() error { return nil }
 
-// LiveSum is an unsuppressed maporder diagnostic (dirty.go line 14).
+// LiveSum is an unsuppressed detflow diagnostic (dirty.go line 17).
 func LiveSum(m map[string]float64) float64 {
 	var sum float64
 	for _, v := range m {
@@ -22,9 +22,9 @@ func LiveSum(m map[string]float64) float64 {
 func SuppressedSum(m map[string]float64) float64 {
 	var sum float64
 	for _, v := range m {
-		//sflint:ignore maporder test corpus: order insensitivity proven elsewhere
 		sum += v
 	}
+	//sflint:ignore detflow test corpus: order insensitivity proven elsewhere
 	return sum
 }
 

@@ -1,4 +1,4 @@
-// Package flow carries one known poolescape and one known ctxflow finding
+// Package flow carries one known poolescape and one known release finding
 // so the driver and CLI tests exercise the flow-sensitive analyzers against
 // a real module (the want corpora under testdata/src cover the analyzer
 // semantics; this package covers driver integration and determinism).
@@ -20,7 +20,7 @@ func UseAfterPut() *[]byte {
 	return p
 }
 
-// LeakCancel leaks the cancel func on the error path: a ctxflow finding.
+// LeakCancel leaks the cancel func on the error path: a release finding.
 func LeakCancel(parent context.Context, work func(context.Context) error) error {
 	ctx, cancel := context.WithTimeout(parent, time.Second)
 	if err := work(ctx); err != nil {

@@ -1,4 +1,4 @@
-// Package ctxflow is the corpus for the cancellation-obligation analyzer:
+// Package ctxflow is the corpus for release's cancellation obligations:
 // positives leak a cancel func or an armed I/O deadline on some path;
 // negatives pin defer-discharge, all-path discharge, escape hand-off and
 // non-owned conns as clean.

@@ -1,4 +1,6 @@
-// Package locks is the annotated corpus for the locks analyzer.
+// Package locks is the annotated corpus of the retired locks analyzer,
+// kept as the regression test for release's lock obligations and its
+// blocking-under-a-held-mutex check.
 package locks
 
 import (
@@ -13,15 +15,15 @@ type counter struct {
 
 // missingUnlock acquires and never releases.
 func missingUnlock(c *counter) {
-	c.mu.Lock() // want `c.mu.Lock\(\) in missingUnlock has no matching c.mu.Unlock\(\)`
+	c.mu.Lock() // want `c.mu is locked but not released by c.mu.Unlock\(\) on every path`
 	c.n++
 }
 
 // returnWhileHeld leaks the lock on the early-return path.
 func returnWhileHeld(c *counter, skip bool) {
-	c.mu.Lock()
+	c.mu.Lock() // want `c.mu is locked but not released by c.mu.Unlock\(\) on every path`
 	if skip {
-		return // want `return between c.mu.Lock\(\) and c.mu.Unlock\(\) in returnWhileHeld leaves the mutex locked`
+		return
 	}
 	c.n++
 	c.mu.Unlock()
@@ -84,6 +86,18 @@ func earlyOut(c *counter, stop bool) int {
 	v := c.n
 	c.mu.Unlock()
 	return v
+}
+
+// unlockOneBranch releases only when fast: the send after the join runs
+// with c.mu still held on the other path, and that path never releases it.
+// The parent locks analyzer called this clean: its critical section ended
+// at the first Unlock in source order.
+func unlockOneBranch(c *counter, ch chan int, fast bool) {
+	c.mu.Lock() // want `c.mu is locked but not released by c.mu.Unlock\(\) on every path`
+	if fast {
+		c.mu.Unlock()
+	}
+	ch <- c.n // want `channel send while c.mu is held`
 }
 
 type table struct {

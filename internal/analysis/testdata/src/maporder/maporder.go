@@ -1,4 +1,7 @@
-// Package maporder is the annotated corpus for the maporder analyzer.
+// Package maporder is the annotated corpus of the retired maporder
+// analyzer, kept as detflow's regression test: an order-dependent value is
+// reported where it lands (a return or an output write), not where it is
+// accumulated.
 package maporder
 
 import (
@@ -19,33 +22,33 @@ func scanFloats() map[string]float64 {
 func sumState() float64 {
 	var sum float64
 	for _, v := range scanFloats() {
-		sum += v // want `floating-point accumulation on sum inside range over a map`
+		sum += v
 	}
-	return sum
+	return sum // want `flows into return value sum: tainted by map-order`
 }
 
 // meanState accumulates through a plain assignment instead of +=.
 func meanState(state map[string]float64) float64 {
 	var mean float64
 	for _, v := range state {
-		mean = mean + v/float64(len(state)) // want `floating-point accumulation on mean`
+		mean = mean + v/float64(len(state))
 	}
-	return mean
+	return mean // want `flows into return value mean: tainted by map-order`
 }
 
 // unsortedKeys leaks iteration order through an escaping slice.
 func unsortedKeys(m map[string]int) []string {
 	var keys []string
 	for k := range m {
-		keys = append(keys, k) // want `append to keys inside range over a map leaks iteration order`
+		keys = append(keys, k)
 	}
-	return keys
+	return keys // want `flows into return value keys: tainted by map-order`
 }
 
 // dumpState writes in iteration order.
 func dumpState(m map[string]float64) {
 	for k, v := range m {
-		fmt.Printf("%s=%g\n", k, v) // want `fmt.Printf inside range over a map writes in iteration order`
+		fmt.Printf("%s=%g\n", k, v) // want `output write fmt.Printf executes inside a range over a map`
 	}
 }
 
@@ -97,4 +100,17 @@ func localScratch(m map[string][]int) int {
 		total += len(scratch)
 	}
 	return total
+}
+
+// gateOnly sums floats over a map, but the sum only gates a constant log
+// line: no order-dependent value is stored, returned or printed. The parent
+// maporder analyzer flagged the accumulation.
+func gateOnly(m map[string]float64) {
+	var total float64
+	for _, v := range m {
+		total += v
+	}
+	if total > 1 {
+		fmt.Println("over budget")
+	}
 }

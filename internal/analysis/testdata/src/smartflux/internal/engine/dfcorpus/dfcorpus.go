@@ -1,6 +1,7 @@
 // Package dfcorpus is the corpus for the detflow taint analyzer. It lives
-// under the fake smartflux/internal/engine path because detflow, like
-// nondeterm, only runs inside the determinism scope. Positives route
+// under the fake smartflux/internal/engine path because detflow's
+// wall-clock and global-rand sources count only inside the determinism
+// scope. Positives route
 // wall-clock, global-rand and map-iteration-order taint into store writes,
 // WAL payloads and decision-trace fields; negatives pin metrics-only clocks,
 // seeded RNGs, sorted iteration and strong-update laundering as clean.
@@ -47,18 +48,19 @@ func clockIntoWAL(m *durable.Manager, wave int) error {
 	return m.Commit(wave, []byte(stamp)) // want `nondeterministic value flows into WAL payload .* wall-clock`
 }
 
-// clockIntoTraceField assigns elapsed wall time into a decision-trace field.
+// clockIntoTraceField assigns elapsed wall time into a result-bearing
+// decision-trace field.
 func clockIntoTraceField(ev *obs.DecisionEvent, t0 time.Time) {
-	elapsed := time.Since(t0).Nanoseconds()
-	ev.DecisionNanos = elapsed // want `nondeterministic value flows into decision-trace field .* wall-clock`
+	elapsed := time.Since(t0).Seconds()
+	ev.SimEps = elapsed // want `nondeterministic value flows into decision-trace field .* wall-clock`
 }
 
 // clockIntoTraceLiteral builds a decision event with a tainted field value.
 func clockIntoTraceLiteral(tr *obs.Tracer, wave int) {
 	nanos := time.Now().UnixNano()
 	ev := obs.DecisionEvent{
-		Wave:          wave,
-		DecisionNanos: nanos, // want `nondeterministic value flows into decision-trace field DecisionNanos.* wall-clock`
+		Wave:   wave,
+		SimEps: float64(nanos), // want `nondeterministic value flows into decision-trace field SimEps.* wall-clock`
 	}
 	tr.Emit(ev)
 }
@@ -74,7 +76,7 @@ func putInMapRange(t *kvstore.Table, m map[string][]byte) {
 // --- negatives -------------------------------------------------------------
 
 // clockForMetricsOnly reads the wall clock but the value never reaches a
-// sink; detflow (unlike the syntactic nondeterm) stays quiet.
+// sink; detflow stays quiet.
 func clockForMetricsOnly(t *kvstore.Table, data []byte) (time.Duration, error) {
 	start := time.Now()
 	err := t.Put("r", "c", data)
@@ -109,6 +111,13 @@ func strongUpdateLaunders(t *kvstore.Table) error {
 	x := time.Now().UnixNano()
 	x = 42
 	return t.Put("r", "c", []byte{byte(x)})
+}
+
+// decisionLatencyIsExempt fills DecisionNanos, the trace's one wall-clock
+// field (the §5.3 decision latency), in both spellings.
+func decisionLatencyIsExempt(tr *obs.Tracer, ev *obs.DecisionEvent, t0 time.Time) {
+	ev.DecisionNanos = time.Since(t0).Nanoseconds()
+	tr.Emit(obs.DecisionEvent{Wave: 1, DecisionNanos: time.Now().UnixNano()})
 }
 
 // intCountInMapRange accumulates an exact commutative count; storing it is

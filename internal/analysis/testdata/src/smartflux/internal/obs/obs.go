@@ -1,8 +1,8 @@
 // Package obs is a want-harness stand-in for the real observability layer:
-// the spanleak analyzer matches span-returning APIs by this package's *Span
-// result type. The package itself is exempt from spanleak (it is the
-// implementation), which the harness verifies by keeping this file clean of
-// want comments despite the bare constructors below.
+// the release analyzer matches span-returning APIs by this package's *Span
+// result type. The package itself is exempt from span obligations (it is
+// the implementation), which the harness verifies by keeping this file
+// clean of want comments despite the bare constructors below.
 package obs
 
 // Observer is the minimal span-creating entry point.
@@ -37,6 +37,7 @@ func (s *Span) EndErr(err error) {}
 type DecisionEvent struct {
 	Wave          int
 	Step          string
+	SimEps        float64
 	DecisionNanos int64
 	Note          string
 }

@@ -1,6 +1,7 @@
-// Package spanleak is the annotated corpus for the spanleak analyzer:
-// span starts whose End/EndErr is unreachable must be reported; ended,
-// escaping and wrapper-mediated spans must stay clean.
+// Package spanleak is the annotated corpus of the retired spanleak
+// analyzer, kept as the regression test for release's span obligations:
+// span starts not ended on some path must be reported; ended, escaping and
+// wrapper-mediated spans must stay clean.
 package spanleak
 
 import "smartflux/internal/obs"
@@ -65,7 +66,7 @@ func deferClosureEnded(o *obs.Observer) (err error) {
 }
 
 // nilGuardEnded guards the defer behind a nil check; the comparison is not
-// an escape and the End is still reachable.
+// an escape and the End is still reachable. Parent verdict: clean.
 func nilGuardEnded(o *obs.Observer) {
 	if sp := o.RootSpan("store/t/get1", "get", "store"); sp != nil {
 		defer sp.End()
@@ -81,6 +82,38 @@ func errPathEnded(o *obs.Observer, fail func() error) error {
 	}
 	sp.End()
 	return nil
+}
+
+// endedOnlyOnError ends the span on the error path and forgets it on the
+// success path. The parent spanleak analyzer called this clean: an End
+// call existed somewhere in the file.
+func endedOnlyOnError(o *obs.Observer, fail func() error) error {
+	sp := o.RootSpan("wal/append1", "wal.append", "wal") // want `span sp is started but never ended`
+	if err := fail(); err != nil {
+		sp.EndErr(err)
+		return err
+	}
+	return nil
+}
+
+// nilBranchEnded ends the span only when it is non-nil: the nil branch has
+// nothing to end (the drift-signal and batch-apply shape). The parent
+// spanleak analyzer called it clean too, flow-insensitively.
+func nilBranchEnded(o *obs.Observer) {
+	sp := o.RootSpan("drift/d0", "drift.signal", "ml")
+	if sp != nil {
+		sp.SetWave(0)
+		sp.End()
+	}
+}
+
+// nilBranchEndedEq is the same guard spelled with ==; parent verdict clean.
+func nilBranchEndedEq(o *obs.Observer) {
+	sp := o.RootSpan("drift/d1", "drift.signal", "ml")
+	if sp == nil {
+		return
+	}
+	sp.End()
 }
 
 // escapesArg hands the span to another function, which owns ending it.

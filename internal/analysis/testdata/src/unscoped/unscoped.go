@@ -1,5 +1,6 @@
-// Package unscoped is outside every nondeterm scope root: the same calls
-// that are diagnostics under smartflux/internal/engine must be clean here.
+// Package unscoped is outside detflow's wall-clock and global-rand scope:
+// the same sources that taint a stored value under smartflux/internal/engine
+// are not sources here.
 package unscoped
 
 import (

@@ -4,7 +4,7 @@ package wantquoted
 func sum(m map[string]float64) float64 {
 	var total float64
 	for _, v := range m {
-		total += v // want "floating-point accumulation on total"
+		total += v
 	}
-	return total
+	return total // want "flows into return value total"
 }

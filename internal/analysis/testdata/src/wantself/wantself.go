@@ -4,7 +4,7 @@
 // tests.
 package wantself
 
-// unannotated produces a maporder diagnostic with no want comment.
+// unannotated produces a detflow diagnostic with no want comment.
 func unannotated(m map[string]float64) float64 {
 	var sum float64
 	for _, v := range m {
@@ -17,7 +17,7 @@ func unannotated(m map[string]float64) float64 {
 func cleanButAnnotated(xs []float64) float64 {
 	var sum float64
 	for _, v := range xs {
-		sum += v // want `floating-point accumulation`
+		sum += v
 	}
-	return sum
+	return sum // want `flows into return value`
 }

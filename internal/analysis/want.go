@@ -26,7 +26,7 @@ import (
 // Testdata is laid out GOPATH-style under a src root
 // (testdata/src/<import/path>/*.go) so corpora can simulate real import
 // paths — e.g. a fake smartflux/internal/kvstore for errdrop, or packages
-// under smartflux/internal/engine for nondeterm's path scoping.
+// under smartflux/internal/engine for detflow's path scoping.
 
 // wantRE extracts the quoted regexps from a want comment; both Go string
 // forms are accepted: // want "a" `b`

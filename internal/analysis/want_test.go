@@ -10,7 +10,7 @@ import (
 // diagnostic. If either direction went quiet, every corpus test would
 // vacuously pass.
 func TestWantHarnessCatchesBothDirections(t *testing.T) {
-	problems, err := WantErrors(testdataSrc(t), "wantself", Maporder)
+	problems, err := WantErrors(testdataSrc(t), "wantself", Detflow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestWantHarnessCatchesBothDirections(t *testing.T) {
 // TestWantHarnessQuotedForm verifies double-quoted want strings parse the
 // same as backticked ones (both corpus styles are valid Go escapes).
 func TestWantHarnessQuotedForm(t *testing.T) {
-	problems, err := WantErrors(testdataSrc(t), "wantquoted", Maporder)
+	problems, err := WantErrors(testdataSrc(t), "wantquoted", Detflow)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -221,7 +221,7 @@ func (s *Session) ObserveTrainingWave(impacts []float64, labels []int) {
 // stays in training so more waves can be collected (§3.2: "if results are
 // not satisfactory, a training phase takes place again").
 func (s *Session) Train() (TestReport, error) {
-	start := time.Now() //sflint:ignore nondeterm training-duration metric only; never feeds results
+	start := time.Now()
 	s.mu.RLock()
 	trainObs := s.obs
 	s.mu.RUnlock()
@@ -257,7 +257,7 @@ func (s *Session) Train() (TestReport, error) {
 	}
 	if so := s.obs; so != nil {
 		so.trains.Inc()
-		so.trainDur.Observe(time.Since(start).Seconds()) //sflint:ignore nondeterm training-duration metric only; never feeds results
+		so.trainDur.Observe(time.Since(start).Seconds())
 		so.phaseGauge.Set(float64(s.phase))
 		so.o.Counter(fmt.Sprintf("smartflux_session_phase_transitions_total{phase=%q}", s.phase)).Inc()
 		if report.Accepted {

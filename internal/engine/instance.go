@@ -609,9 +609,9 @@ func (in *Instance) decide(d Decider, wave, idx int, ready bool) (verdict bool, 
 	if ob == nil {
 		return d.Decide(wave, idx, in.impacts), 0
 	}
-	t0 := time.Now() //sflint:ignore nondeterm decision-latency metric only; never feeds results
+	t0 := time.Now()
 	verdict = d.Decide(wave, idx, in.impacts)
-	decNanos = time.Since(t0).Nanoseconds() //sflint:ignore nondeterm decision-latency metric only; never feeds results
+	decNanos = time.Since(t0).Nanoseconds()
 	ob.decideDur.Observe(float64(decNanos) / 1e9)
 	if verdict {
 		ob.execs.Inc()

@@ -80,7 +80,7 @@ func (in *Instance) runWave(d Decider) (WaveResult, error) {
 	}
 	var waveStart time.Time
 	if ob != nil {
-		waveStart = time.Now() //sflint:ignore nondeterm wave-latency metric only; never feeds results
+		waveStart = time.Now()
 	}
 	ctx := &workflow.Context{Wave: wave, Store: in.store}
 	waveSp := in.waveSpan(wave)
@@ -247,7 +247,7 @@ func (in *Instance) runWave(d Decider) (WaveResult, error) {
 	}
 	if ob != nil {
 		ob.waves.Inc()
-		ob.waveDur.Observe(time.Since(waveStart).Seconds()) //sflint:ignore nondeterm wave-latency metric only; never feeds results
+		ob.waveDur.Observe(time.Since(waveStart).Seconds())
 		// A Harness defers emission to enrich the events first.
 		if !ob.deferEmit {
 			for _, ev := range res.Decisions {

@@ -476,7 +476,6 @@ func clusterCount(hot map[[2]int]bool) int {
 			continue
 		}
 		clusters++
-		//sflint:ignore maporder scratch DFS worklist; the component count is traversal-order independent
 		stack = append(stack[:0], cell)
 		seen[cell] = true
 		for len(stack) > 0 {
@@ -486,7 +485,6 @@ func clusterCount(hot map[[2]int]bool) int {
 				next := [2]int{cur[0] + d[0], cur[1] + d[1]}
 				if hot[next] && !seen[next] {
 					seen[next] = true
-					//sflint:ignore maporder scratch DFS worklist; the component count is traversal-order independent
 					stack = append(stack, next)
 				}
 			}
