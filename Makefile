@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt-check lint lint-report lint-diff check chaos chaos-crash chaos-cluster chaos-partition chaos-trace bench bench-e2e bench-e2e-smoke loc clusterbench clusterbench-smoke fuzz
+.PHONY: all build test race vet fmt-check lint lint-report lint-diff check chaos chaos-crash chaos-cluster chaos-partition chaos-trace bench bench-e2e bench-e2e-smoke bench-pairs loc clusterbench clusterbench-smoke fuzz
 
 all: check
 
@@ -113,6 +113,30 @@ bench-e2e:
 ## recovery dump, cluster dump, traced-vs-untraced digest); part of make check
 bench-e2e-smoke:
 	bash bench/run.sh -smoke
+
+## bench-pairs: the pair protocol of bench/README.md ("Comparing a change
+## with its parent") as one command. Exports REF (default HEAD) into
+## .bench_build/parent, then runs N (default 10) pairs of the BENCHMARK.json
+## command on workload W (default lrb-mem), parent and working tree,
+## alternating which side runs first, and prints one
+## `pair side workload waves_per_s setup_s` line per run.
+N ?= 10
+W ?= lrb-mem
+bench-pairs: REF = HEAD
+bench-pairs:
+	rm -rf .bench_build/parent
+	mkdir -p .bench_build/parent
+	git archive $(REF) | tar -x -C .bench_build/parent
+	@echo "pair side workload waves_per_s setup_s"
+	@for i in $$(seq 1 $(N)); do \
+		order="parent change"; [ $$((i % 2)) -eq 0 ] && order="change parent"; \
+		for side in $$order; do \
+			dir=.; [ $$side = parent ] && dir=.bench_build/parent; \
+			(cd $$dir && bash bench/run.sh --workload $(W) --seconds 10 --trace 0) | \
+			awk -v p=$$i -v s=$$side -v w=$(W) '$$2 == "waves_per_s" { x = $$3 } $$2 == "setup_s" { y = $$3 } \
+				END { if (x == "") exit 1; print p, s, w, x, y }' || exit 1; \
+		done; \
+	done
 
 ## fuzz: run the wire-protocol fuzzers, the epoch-file reader's fuzzer and
 ## the checkpoint decode + restore fuzzer (session, harness and — for a policy

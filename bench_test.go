@@ -205,11 +205,47 @@ func BenchmarkOverheadKVStorePut(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := table.PutFloat("r"+strconv.Itoa(i%1000), "c", float64(i)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkOverheadKVStoreApply measures a step's write: one 3 600-cell
+// float batch (an LRB feeder wave's size) built with Grow and applied to a
+// table whose cells are already at MaxVersions.
+func BenchmarkOverheadKVStoreApply(b *testing.B) {
+	store := kvstore.New()
+	table, err := store.CreateTable("t", kvstore.TableOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rows := make([]string, 1200)
+	for i := range rows {
+		rows[i] = "v" + strconv.Itoa(i)
+	}
+	cols := []string{"xway", "pos", "speed"}
+	apply := func(v float64) {
+		batch := kvstore.NewBatch().Grow(len(rows) * len(cols))
+		for _, row := range rows {
+			for _, col := range cols {
+				batch.PutFloat(row, col, v)
+			}
+		}
+		if err := table.Apply(batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < kvstore.DefaultMaxVersions; i++ {
+		apply(float64(i))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		apply(float64(i))
 	}
 }
 
@@ -374,6 +410,7 @@ func BenchmarkOverheadLRBWave(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := inst.RunWave(engine.Sync{}); err != nil {

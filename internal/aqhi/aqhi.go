@@ -240,7 +240,7 @@ func buildWorkflow(cfg Config, gen *Generator) (*workflow.Workflow, error) {
 				if err != nil {
 					return err
 				}
-				batch := kvstore.NewBatch()
+				batch := kvstore.NewBatch().Grow(grid * grid * len(pollutants))
 				for x := 0; x < grid; x++ {
 					for y := 0; y < grid; y++ {
 						row := detectorRow(x, y)
@@ -340,7 +340,7 @@ func concentrationProc(grid int) workflow.Processor {
 		if err != nil {
 			return err
 		}
-		batch := kvstore.NewBatch()
+		batch := kvstore.NewBatch().Grow(grid * grid)
 		for x := 0; x < grid; x++ {
 			for y := 0; y < grid; y++ {
 				row := detectorRow(x, y)
@@ -375,8 +375,8 @@ func zonesProc(grid, zone int) workflow.Processor {
 		if err != nil {
 			return err
 		}
-		batch := kvstore.NewBatch()
 		zones := grid / zone
+		batch := kvstore.NewBatch().Grow(zones * zones)
 		for zx := 0; zx < zones; zx++ {
 			for zy := 0; zy < zones; zy++ {
 				var sum float64
@@ -412,7 +412,7 @@ func interpProc(grid int) workflow.Processor {
 		if err != nil {
 			return err
 		}
-		batch := kvstore.NewBatch()
+		batch := kvstore.NewBatch().Grow((grid - 1) * (grid - 1))
 		for x := 0; x < grid-1; x++ {
 			for y := 0; y < grid-1; y++ {
 				var sum float64
@@ -450,8 +450,8 @@ func hotspotsProc(grid, zone int, reference float64) workflow.Processor {
 		if err != nil {
 			return err
 		}
-		batch := kvstore.NewBatch()
 		zones := grid / zone
+		batch := kvstore.NewBatch().Grow(zones * zones)
 		for zx := 0; zx < zones; zx++ {
 			for zy := 0; zy < zones; zy++ {
 				row := zoneRow(zx, zy)

@@ -145,8 +145,8 @@ func (in *Instance) rollbackOutputs(snap outputSnapshot) error {
 	for _, name := range names {
 		t := snap.tables[name]
 		saved := snap.saved[name]
-		batch := kvstore.NewBatch()
 		current := t.Scan(kvstore.ScanOptions{})
+		batch := kvstore.NewBatch().Grow(len(current))
 		seen := make(map[cellKey]struct{}, len(current))
 		for _, c := range current {
 			key := cellKey{c.Row, c.Column}
@@ -171,6 +171,7 @@ func (in *Instance) rollbackOutputs(snap outputSnapshot) error {
 			}
 			return vanished[i].col < vanished[j].col
 		})
+		batch.Grow(len(vanished))
 		for _, key := range vanished {
 			batch.Put(key.row, key.col, saved[key])
 		}

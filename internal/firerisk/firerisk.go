@@ -227,7 +227,7 @@ func buildWorkflow(cfg Config, gen *Generator) (*workflow.Workflow, error) {
 				if err != nil {
 					return err
 				}
-				batch := kvstore.NewBatch()
+				batch := kvstore.NewBatch().Grow(3 * grid * grid)
 				for x := 0; x < grid; x++ {
 					for y := 0; y < grid; y++ {
 						row := sensorRow(x, y)
@@ -318,8 +318,8 @@ func areasProc(grid, area int) workflow.Processor {
 		if err != nil {
 			return err
 		}
-		batch := kvstore.NewBatch()
 		areas := grid / area
+		batch := kvstore.NewBatch().Grow(3 * areas * areas)
 		for ax := 0; ax < areas; ax++ {
 			for ay := 0; ay < areas; ay++ {
 				var temp, precip, wind float64
@@ -363,7 +363,7 @@ func thermalProc(grid int) workflow.Processor {
 		if err != nil {
 			return err
 		}
-		batch := kvstore.NewBatch()
+		batch := kvstore.NewBatch().Grow((grid - 1) * (grid - 1))
 		for x := 0; x < grid-1; x++ {
 			for y := 0; y < grid-1; y++ {
 				var sum float64
@@ -398,8 +398,8 @@ func areaRiskProc(grid, area int) workflow.Processor {
 		if err != nil {
 			return err
 		}
-		batch := kvstore.NewBatch()
 		n := grid / area
+		batch := kvstore.NewBatch().Grow(n * n)
 		for ax := 0; ax < n; ax++ {
 			for ay := 0; ay < n; ay++ {
 				row := areaRow(ax, ay)
@@ -459,7 +459,7 @@ func overallProc(grid, area int) workflow.Processor {
 		if count > 0 {
 			overall = sum / float64(count)
 		}
-		batch := kvstore.NewBatch()
+		batch := kvstore.NewBatch().Grow(2)
 		batch.PutFloat("region", "risk", 20+overall)
 		batch.PutFloat("region", "hotspots", 1+float64(clusters))
 		return out.Apply(batch)

@@ -1,5 +1,7 @@
 package kvstore
 
+import "slices"
+
 // Op is one mutation inside a Batch.
 type Op struct {
 	Row    string
@@ -15,10 +17,23 @@ type Op struct {
 // batch's mutations in order after it commits.
 type Batch struct {
 	ops []Op
+	// floats holds the encodings PutFloat appends; each of its ops' values
+	// is a capacity-capped subslice of it.
+	floats []byte
 }
 
 // NewBatch creates an empty batch.
 func NewBatch() *Batch { return &Batch{} }
+
+// Grow reserves room for n more ops, like strings.Builder.Grow: a producer
+// that knows its count builds the batch without regrowing it. The first
+// PutFloat that finds the float buffer full sizes it for every op the batch
+// has room for, so a batch of plain Puts never allocates one. It returns the
+// batch for chaining.
+func (b *Batch) Grow(n int) *Batch {
+	b.ops = slices.Grow(b.ops, n)
+	return b
+}
 
 // Put appends a put operation and returns the batch for chaining.
 func (b *Batch) Put(row, column string, value []byte) *Batch {
@@ -28,7 +43,12 @@ func (b *Batch) Put(row, column string, value []byte) *Batch {
 
 // PutFloat appends a put of an encoded float64 value.
 func (b *Batch) PutFloat(row, column string, value float64) *Batch {
-	return b.Put(row, column, EncodeFloat(value))
+	if cap(b.floats)-len(b.floats) < floatWidth {
+		b.floats = slices.Grow(b.floats, (cap(b.ops)-len(b.ops)+1)*floatWidth)
+	}
+	off := len(b.floats)
+	b.floats = appendFloat(b.floats, value)
+	return b.Put(row, column, b.floats[off:len(b.floats):len(b.floats)])
 }
 
 // Delete appends a delete operation and returns the batch for chaining.
@@ -41,7 +61,8 @@ func (b *Batch) Delete(row, column string) *Batch {
 func (b *Batch) Len() int { return len(b.ops) }
 
 // Apply applies all operations in b atomically, then notifies observers.
-// It validates keys up front so a bad op leaves the table untouched.
+// It validates keys up front so a bad op leaves the table untouched. The
+// batch is not changed and may be applied again.
 func (t *Table) Apply(b *Batch) error {
 	if b == nil || len(b.ops) == 0 {
 		return nil
@@ -51,48 +72,6 @@ func (t *Table) Apply(b *Batch) error {
 			return ErrEmptyKey
 		}
 	}
-	ins := t.store.ins.Load()
-	sp := ins.opSpan("apply", t.name)
-	muts := make([]Mutation, 0, len(b.ops))
-	t.mu.Lock()
-	for _, op := range b.ops {
-		ts := t.store.nextTimestamp()
-		if op.Delete {
-			old, ok := t.deleteLocked(op.Row, op.Column)
-			if !ok {
-				continue
-			}
-			muts = append(muts, Mutation{
-				Table:     t.name,
-				Row:       op.Row,
-				Column:    op.Column,
-				Old:       old,
-				Timestamp: ts,
-				Kind:      MutationDelete,
-			})
-			continue
-		}
-		muts = append(muts, t.putLocked(op.Row, op.Column, op.Value, ts))
-	}
-	t.mu.Unlock()
-	if ins != nil {
-		var dels uint64
-		for _, m := range muts {
-			if m.Kind == MutationDelete {
-				dels++
-			}
-		}
-		ins.mutations.Add(uint64(len(muts)) - dels)
-		ins.deletes.Add(dels)
-	}
-	if sp != nil {
-		var n int64
-		for _, m := range muts {
-			n += int64(len(m.New))
-		}
-		sp.SetBytes(n)
-		sp.End()
-	}
-	t.notify(muts)
+	t.apply("apply", b.ops)
 	return nil
 }

@@ -18,9 +18,12 @@ const floatWidth = 8
 
 // EncodeFloat encodes a float64 as 8 big-endian bytes (IEEE 754 bits).
 func EncodeFloat(v float64) []byte {
-	buf := make([]byte, floatWidth)
-	binary.BigEndian.PutUint64(buf, math.Float64bits(v))
-	return buf
+	return appendFloat(make([]byte, 0, floatWidth), v)
+}
+
+// appendFloat appends the EncodeFloat encoding of v to dst.
+func appendFloat(dst []byte, v float64) []byte {
+	return binary.BigEndian.AppendUint64(dst, math.Float64bits(v))
 }
 
 // DecodeFloat decodes a value written by EncodeFloat.
@@ -74,8 +77,17 @@ func (c Cell) FloatValue() (float64, bool) {
 // '/' ("a" vs "a-b"); such output is re-sorted. Two cells whose element keys
 // collide (row "a/b" column "c", row "a" column "b/c") yield one element: the
 // later cell in (row, column) order wins.
-func (t *Table) ScanState(opts ScanOptions) (metric.State, uint64) {
-	t.mu.Lock()
+func (t *Table) ScanState(opts ScanOptions) (elems metric.State, version uint64) {
+	t.readKeys(func() { elems, version = t.stateLocked(opts) })
+	if ins := t.store.ins.Load(); ins != nil {
+		ins.scans.Inc()
+		ins.scanCells.Add(uint64(len(elems)))
+	}
+	return elems, version
+}
+
+// stateLocked is ScanState's walk. Callers hold t.mu through readKeys.
+func (t *Table) stateLocked(opts ScanOptions) (metric.State, uint64) {
 	rows := t.sortedRowKeysLocked()
 	var n int
 	for _, row := range rows {
@@ -99,12 +111,6 @@ func (t *Table) ScanState(opts ScanOptions) (metric.State, uint64) {
 		}
 		cols := t.rows[row]
 		rk := t.rowKeysLocked(row)
-		if rk.elems == nil {
-			rk.elems = make([]string, len(rk.cols))
-			for i, col := range rk.cols {
-				rk.elems[i] = row + "/" + col
-			}
-		}
 		first := len(elems)
 		for i, col := range rk.cols {
 			if !strings.HasPrefix(col, opts.ColumnPrefix) {
@@ -122,14 +128,8 @@ func (t *Table) ScanState(opts ScanOptions) (metric.State, uint64) {
 			sorted = false
 		}
 	}
-	version := t.version
-	t.mu.Unlock()
-	if ins := t.store.ins.Load(); ins != nil {
-		ins.scans.Inc()
-		ins.scanCells.Add(uint64(len(elems)))
-	}
 	if !sorted {
 		elems = metric.NewState(elems)
 	}
-	return elems, version
+	return elems, t.version
 }

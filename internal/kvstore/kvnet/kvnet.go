@@ -616,7 +616,10 @@ func (s *Server) writeFrames(bw *bufio.Writer, out *wire.Buffer) error {
 	return nil
 }
 
-// applyMutation applies one mutating request to the store.
+// applyMutation applies one mutating request to the store. The store keeps
+// an apply frame's values in one arena per frame, and a stored version pins
+// its whole arena until it is trimmed or its cell deleted, so the server's
+// value memory is bounded by live versions × the largest frame (DESIGN §6).
 func (s *Server) applyMutation(req *wire.Request) error {
 	t, err := s.store.Table(req.Table)
 	if err != nil {
@@ -628,7 +631,7 @@ func (s *Server) applyMutation(req *wire.Request) error {
 	case wire.OpDelete:
 		return t.Delete(req.Row, req.Column)
 	case wire.OpApply:
-		b := kvstore.NewBatch()
+		b := kvstore.NewBatch().Grow(len(req.Ops))
 		for _, o := range req.Ops {
 			if o.Delete {
 				b.Delete(o.Row, o.Column)

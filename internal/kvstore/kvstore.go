@@ -173,12 +173,14 @@ func New() *Store {
 	return &Store{tables: make(map[string]*Table)}
 }
 
-// nextTimestamp returns a monotonically increasing logical timestamp.
-func (s *Store) nextTimestamp() uint64 {
+// reserveTimestamps advances the logical clock by n and returns the first of
+// the n timestamps it reserved, first .. first+n-1.
+func (s *Store) reserveTimestamps(n int) (first uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.clock++
-	return s.clock
+	first = s.clock + 1
+	s.clock += uint64(n)
+	return first
 }
 
 // Clock returns the current value of the store's logical clock: the timestamp
@@ -324,9 +326,8 @@ type Table struct {
 // rowKeys is one row's sorted-key cache entry.
 type rowKeys struct {
 	cols []string // sorted column keys
-	// elems[i] is the element key row+"/"+cols[i]. Built by the first
-	// ScanState over the row, so steady-state ι snapshots allocate no key
-	// strings; nil until then.
+	// elems[i] is the element key row+"/"+cols[i], built with cols, so
+	// steady-state ι snapshots (ScanState) allocate no key strings.
 	elems []string
 }
 
@@ -340,75 +341,127 @@ func (t *Table) Subscribe(o Observer) {
 	t.observers = append(t.observers, o)
 }
 
-// notify dispatches mutations to observers outside the table lock.
-func (t *Table) notify(ms []Mutation) {
-	t.mu.RLock()
-	obs := make([]Observer, len(t.observers))
-	copy(obs, t.observers)
-	t.mu.RUnlock()
-	for _, o := range obs {
-		for _, m := range ms {
-			o.OnMutation(m)
-		}
-	}
-}
-
 // Put writes value at (row, column) with a fresh timestamp and notifies
 // observers.
 func (t *Table) Put(row, column string, value []byte) error {
 	if row == "" || column == "" {
 		return ErrEmptyKey
 	}
-	ts := t.store.nextTimestamp()
-	ins := t.store.ins.Load()
-	sp := ins.opSpan("put", t.name)
-	t.mu.Lock()
-	m := t.putLocked(row, column, value, ts)
-	t.mu.Unlock()
-	if ins != nil {
-		ins.mutations.Inc()
-	}
-	// The span covers the in-memory mutation; durability cost incurred by
-	// observers (WAL appends) is attributed to the wal layer's own spans.
-	sp.SetBytes(int64(len(value)))
-	sp.End()
-	t.notify([]Mutation{m})
+	t.apply("put", []Op{{Row: row, Column: column, Value: value}})
 	return nil
 }
 
-// putLocked applies a put under t.mu and returns the mutation record.
-func (t *Table) putLocked(row, column string, value []byte, ts uint64) Mutation {
+// apply is the table's one write path, behind Put, Delete and Apply; ops have
+// valid keys, and deletes carry no value. It copies the put values into one
+// arena, then in one hold of t.mu reserves len(ops) timestamps from the store
+// clock (op i is stamped first+i, so a delete of a missing cell still consumes
+// its tick), applies the ops and reads the observer list. Mutation records are
+// built only when the table has observers, and delivered after the unlock.
+func (t *Table) apply(spanOp string, ops []Op) {
+	ins := t.store.ins.Load()
+	sp := ins.opSpan(spanOp, t.name)
+	var valueBytes int
+	for _, op := range ops {
+		valueBytes += len(op.Value)
+	}
+	arena := make([]byte, 0, valueBytes)
+	for _, op := range ops {
+		arena = append(arena, op.Value...)
+	}
+	var muts []Mutation
+	var puts, dels uint64
+	t.mu.Lock()
+	// Subscribe only appends, so this prefix of the list never changes.
+	observers := t.observers
+	if len(observers) > 0 {
+		muts = make([]Mutation, 0, len(ops))
+	}
+	first := t.store.reserveTimestamps(len(ops))
+	for i, op := range ops {
+		m := Mutation{Table: t.name, Row: op.Row, Column: op.Column, Timestamp: first + uint64(i), Kind: MutationPut}
+		if op.Delete {
+			var ok bool
+			if m.Old, ok = t.deleteLocked(op.Row, op.Column); !ok {
+				continue
+			}
+			m.Kind = MutationDelete
+			dels++
+		} else {
+			n := len(op.Value)
+			m.New, arena = arena[:n:n], arena[n:]
+			m.Old = t.putLocked(op.Row, op.Column, m.New, m.Timestamp)
+			puts++
+		}
+		if muts != nil {
+			muts = append(muts, m)
+		}
+	}
+	t.mu.Unlock()
+	if ins != nil {
+		ins.mutations.Add(puts)
+		ins.deletes.Add(dels)
+	}
+	// The span covers the in-memory mutation; durability cost incurred by
+	// observers (WAL appends) is attributed to the wal layer's own spans.
+	sp.SetBytes(int64(valueBytes))
+	sp.End()
+	for _, o := range observers {
+		for _, m := range muts {
+			o.OnMutation(m)
+		}
+	}
+}
+
+// putLocked stores value, which the table owns from here on, as the newest
+// version of (row, column) and returns the latest value it displaced (nil
+// for a new cell). Callers hold t.mu.
+func (t *Table) putLocked(row, column string, value []byte, ts uint64) (old []byte) {
+	cols, versions := t.windowLocked(row, column)
+	if n := len(versions); n > 0 {
+		old = versions[n-1].Value
+	}
+	t.insertLocked(cols, column, versions, len(versions), Version{Timestamp: ts, Value: value})
+	return old
+}
+
+// windowLocked returns the row's cells and the version window of (row,
+// column), newest-last, creating the row and invalidating the key caches for
+// a cell about to be written for the first time. A window grows by append
+// until it holds MaxVersions; its first allocation is capped at
+// DefaultMaxVersions, because MaxVersions can come from a kvnet client or a
+// log record and must cost nothing until versions accumulate. Callers hold
+// t.mu.
+func (t *Table) windowLocked(row, column string) (map[string][]Version, []Version) {
 	cols, ok := t.rows[row]
 	if !ok {
 		cols = make(map[string][]Version)
 		t.rows[row] = cols
 		t.rowKeys = nil
 	}
-	if _, ok := cols[column]; !ok {
+	versions, ok := cols[column]
+	if !ok {
 		delete(t.colKeys, row)
+		versions = make([]Version, 0, min(t.maxVersions, DefaultMaxVersions))
 	}
-	versions := cols[column]
-	var old []byte
-	if len(versions) > 0 {
-		old = versions[len(versions)-1].Value
+	return cols, versions
+}
+
+// insertLocked places v at index idx of the window versions of cols[column].
+// Once the window holds MaxVersions it is shifted in place: the oldest
+// version drops out, and a v older than every retained version is dropped
+// itself. Callers hold t.mu.
+func (t *Table) insertLocked(cols map[string][]Version, column string, versions []Version, idx int, v Version) {
+	switch {
+	case len(versions) < t.maxVersions:
+		versions = append(versions, Version{})
+		copy(versions[idx+1:], versions[idx:])
+		versions[idx] = v
+		cols[column] = versions
+	case idx > 0:
+		copy(versions, versions[1:idx])
+		versions[idx-1] = v
 	}
-	stored := make([]byte, len(value))
-	copy(stored, value)
-	versions = append(versions, Version{Timestamp: ts, Value: stored})
-	if len(versions) > t.maxVersions {
-		versions = versions[len(versions)-t.maxVersions:]
-	}
-	cols[column] = versions
 	t.version++
-	return Mutation{
-		Table:     t.name,
-		Row:       row,
-		Column:    column,
-		Old:       old,
-		New:       stored,
-		Timestamp: ts,
-		Kind:      MutationPut,
-	}
 }
 
 // Get returns the latest value at (row, column). The second return is false
@@ -518,28 +571,7 @@ func (t *Table) Delete(row, column string) error {
 	if row == "" || column == "" {
 		return ErrEmptyKey
 	}
-	ts := t.store.nextTimestamp()
-	ins := t.store.ins.Load()
-	sp := ins.opSpan("delete", t.name)
-	t.mu.Lock()
-	old, ok := t.deleteLocked(row, column)
-	t.mu.Unlock()
-	if !ok {
-		sp.End()
-		return nil
-	}
-	if ins != nil {
-		ins.deletes.Inc()
-	}
-	sp.End()
-	t.notify([]Mutation{{
-		Table:     t.name,
-		Row:       row,
-		Column:    column,
-		Old:       old,
-		Timestamp: ts,
-		Kind:      MutationDelete,
-	}})
+	t.apply("delete", []Op{{Row: row, Column: column, Delete: true}})
 	return nil
 }
 
@@ -595,7 +627,8 @@ func (opts ScanOptions) matchesRow(row string) bool {
 }
 
 // sortedRowKeysLocked returns (rebuilding if needed) the cached sorted row
-// keys. Callers must hold t.mu for writing.
+// keys. Callers hold t.mu for writing, or through readKeys (which takes it
+// for reading only when nothing needs rebuilding).
 func (t *Table) sortedRowKeysLocked() []string {
 	if t.rowKeys == nil {
 		t.rowKeys = make([]string, 0, len(t.rows))
@@ -608,7 +641,7 @@ func (t *Table) sortedRowKeysLocked() []string {
 }
 
 // rowKeysLocked returns (rebuilding if needed) a row's key cache entry.
-// Callers must hold t.mu for writing.
+// Callers hold t.mu as for sortedRowKeysLocked.
 func (t *Table) rowKeysLocked(row string) *rowKeys {
 	if rk, ok := t.colKeys[row]; ok {
 		return rk
@@ -622,8 +655,28 @@ func (t *Table) rowKeysLocked(row string) *rowKeys {
 		rk.cols = append(rk.cols, col)
 	}
 	sort.Strings(rk.cols)
+	rk.elems = make([]string, len(rk.cols))
+	for i, col := range rk.cols {
+		rk.elems[i] = row + "/" + col
+	}
 	t.colKeys[row] = rk
 	return rk
+}
+
+// readKeys runs walk, a read in key order, under t.mu: read locked, so steps
+// scanning one input share it, when the key caches cover every row (a write
+// drops the colKeys entry of a row whose cell set it changes); else write
+// locked, for walk to rebuild them.
+func (t *Table) readKeys(walk func()) {
+	t.mu.RLock()
+	if t.rowKeys != nil && len(t.colKeys) == len(t.rows) {
+		defer t.mu.RUnlock()
+	} else {
+		t.mu.RUnlock()
+		t.mu.Lock()
+		defer t.mu.Unlock()
+	}
+	walk()
 }
 
 // Scan returns the latest version of every matching cell, ordered by row then
@@ -649,12 +702,13 @@ func (t *Table) Scan(opts ScanOptions) []Cell {
 
 // scan implements Scan: one lock hold for an atomic snapshot of shared
 // value references, then one arena allocation for all the value copies.
-// The copy can happen outside the lock because stored value buffers are
-// immutable once written — putLocked always allocates a fresh buffer.
+// The copy can happen outside the lock because stored values are immutable:
+// Apply copies each batch's values into an arena of its own, and nothing
+// writes to an arena after that.
 func (t *Table) scan(opts ScanOptions) []Cell {
-	t.mu.Lock()
-	cells, total, _ := t.collectLocked(opts, nil, opts.Limit, nil)
-	t.mu.Unlock()
+	var cells []Cell
+	var total int64
+	t.readKeys(func() { cells, total, _ = t.collectLocked(opts, nil, opts.Limit, nil) })
 	arenaCopyValues(cells, total)
 	return cells
 }

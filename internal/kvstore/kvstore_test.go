@@ -5,10 +5,13 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"smartflux/internal/metric"
 )
@@ -177,6 +180,44 @@ func TestScanAfterDeleteUsesFreshCaches(t *testing.T) {
 	}
 }
 
+// TestScansShareTheReadLock checks that each scan form, once the key caches
+// are warm, runs while another reader holds the table lock — steps reading
+// one input do not take turns — and that a write adding a key still shows in
+// the next scan, which rebuilds the caches under the write lock.
+func TestScansShareTheReadLock(t *testing.T) {
+	table := newTestTable(t, TableOptions{})
+	scans := []struct {
+		name string
+		scan func() int // cells seen
+	}{
+		{"Scan", func() int { return len(table.Scan(ScanOptions{})) }},
+		{"ScanState", func() int { s, _ := table.ScanState(ScanOptions{}); return len(s) }},
+		{"ScanPagesShared", func() int {
+			n := 0
+			table.ScanPagesShared(ScanOptions{}, 1, func(c []Cell, _ bool) error { n += len(c); return nil })
+			return n
+		}},
+	}
+	for i, s := range scans {
+		table.PutFloat("r"+strconv.Itoa(i), "x", 1) // a new row: the caches are stale
+		if got := s.scan(); got != i+1 {
+			t.Fatalf("%s after a new row: %d cells, want %d", s.name, got, i+1)
+		}
+		table.mu.RLock() // a reader in the middle of its walk
+		done := make(chan int, 1)
+		go func() { done <- s.scan() }()
+		select {
+		case got := <-done:
+			if got != i+1 {
+				t.Errorf("%s beside a reader: %d cells, want %d", s.name, got, i+1)
+			}
+		case <-time.After(5 * time.Second):
+			t.Errorf("%s waited for another reader with the key caches warm", s.name)
+		}
+		table.mu.RUnlock()
+	}
+}
+
 func TestObserverReceivesMutations(t *testing.T) {
 	table := newTestTable(t, TableOptions{})
 	var got []Mutation
@@ -241,6 +282,239 @@ func TestBatchValidatesBeforeApplying(t *testing.T) {
 	}
 	if err := table.Apply(nil); err != nil {
 		t.Errorf("nil batch: %v", err)
+	}
+}
+
+// TestApplyAllocations pins what a write costs once every cell holds
+// MaxVersions versions: building and applying a 3 600-op float batch
+// allocates the batch's two buffers and the value arena (plus the batch
+// itself, if it escapes), nothing per cell; one observer adds only the
+// batch's mutation records.
+func TestApplyAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	table := newTestTable(t, TableOptions{})
+	rows := make([]string, 1200)
+	for i := range rows {
+		rows[i] = "v" + strconv.Itoa(i)
+	}
+	cols := []string{"xway", "pos", "speed"}
+	var wave float64
+	apply := func() {
+		b := NewBatch().Grow(len(rows) * len(cols))
+		for _, row := range rows {
+			for _, col := range cols {
+				b.PutFloat(row, col, wave)
+			}
+		}
+		if err := table.Apply(b); err != nil {
+			t.Fatal(err)
+		}
+		wave++
+	}
+	for i := 0; i < DefaultMaxVersions; i++ {
+		apply()
+	}
+	if allocs := testing.AllocsPerRun(20, apply); allocs > 4 {
+		t.Errorf("unobserved Apply allocates %v objects per batch, want at most 4", allocs)
+	}
+	var seen int
+	table.Subscribe(ObserverFunc(func(Mutation) { seen++ }))
+	if allocs := testing.AllocsPerRun(20, apply); allocs > 5 {
+		t.Errorf("observed Apply allocates %v objects per batch, want at most 5", allocs)
+	}
+	if want := 21 * len(rows) * len(cols); seen != want {
+		t.Errorf("observer saw %d mutations, want %d", seen, want)
+	}
+	if v, _ := table.GetFloat("v7", "pos"); v != wave-1 {
+		t.Errorf("latest value %v, want %v", v, wave-1)
+	}
+}
+
+// TestGrowReservesFloatsOnlyForPutFloat checks that a Put-only batch (a
+// kvnet apply frame, a rollback) carries no float buffer, and that the
+// first PutFloat after Grow sizes it for the whole batch.
+func TestGrowReservesFloatsOnlyForPutFloat(t *testing.T) {
+	b := NewBatch().Grow(100)
+	for i := 0; i < 50; i++ {
+		b.Put("r", "c", []byte("v"))
+	}
+	if cap(b.floats) != 0 {
+		t.Fatalf("Put-only batch holds a %d-byte float buffer", cap(b.floats))
+	}
+	b.PutFloat("r", "f", 1)
+	first := &b.floats[0]
+	for i := 1; i < 50; i++ {
+		b.PutFloat("r", "f", float64(i))
+	}
+	if &b.floats[0] != first {
+		t.Fatal("float buffer regrew inside the capacity Grow reserved")
+	}
+}
+
+// TestLargeMaxVersionsAllocatesByUse gives a table a MaxVersions far beyond
+// memory — a kvnet client or a log record can ask for one — and checks that
+// writes cost what the versions they store cost, not the bound.
+func TestLargeMaxVersionsAllocatesByUse(t *testing.T) {
+	table := newTestTable(t, TableOptions{MaxVersions: 1 << 30})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 10; i++ {
+		if err := table.Put("r", "c", []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := table.ReplayPut("r", strconv.Itoa(i), []byte{byte(i)}, uint64(100+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("20 writes allocated %d bytes", grew)
+	}
+	if n := len(table.GetVersions("r", "c", 0)); n != 10 {
+		t.Fatalf("cell holds %d versions, want all 10", n)
+	}
+}
+
+// TestArenaRetention pins how long a batch's value arena lives: while any
+// version stored from the batch does, and no longer.
+func TestArenaRetention(t *testing.T) {
+	table := newTestTable(t, TableOptions{MaxVersions: 1})
+	value := make([]byte, 4096)
+	put := func(rows ...string) {
+		b := NewBatch()
+		for _, row := range rows {
+			b.Put(row, "c", value)
+		}
+		if err := table.Apply(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put("a", "b")
+	freed := make(chan struct{})
+	func() {
+		v, _ := table.Get("b", "c")
+		runtime.AddCleanup(&v[0], func(ch chan struct{}) { close(ch) }, freed)
+	}()
+	collected := func(wait time.Duration) bool {
+		deadline := time.After(wait)
+		for {
+			runtime.GC()
+			select {
+			case <-freed:
+				return true
+			case <-deadline:
+				return false
+			case <-time.After(10 * time.Millisecond):
+			}
+		}
+	}
+	put("b") // trims b's version out of the window; a's still pins the arena
+	if collected(100 * time.Millisecond) {
+		t.Fatal("arena freed while cell a still holds a version in it")
+	}
+	if err := table.Delete("a", "c"); err != nil {
+		t.Fatal(err)
+	}
+	if !collected(5 * time.Second) {
+		t.Fatal("arena outlived every version stored in it")
+	}
+}
+
+// TestConcurrentPutsStoreVersionsInTimestampOrder races Puts on one cell: a
+// timestamp is drawn under the lock that stores it, so the versions ascend
+// newest-last, and replaying the table's History rebuilds the live dump.
+func TestConcurrentPutsStoreVersionsInTimestampOrder(t *testing.T) {
+	for round := 0; round < 50; round++ {
+		table := newTestTable(t, TableOptions{MaxVersions: 100})
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < 20; i++ {
+					if err := table.Put("r", "c", []byte{byte(g), byte(i)}); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		versions := table.GetVersions("r", "c", 0) // newest first
+		if len(versions) != 80 {
+			t.Fatalf("round %d: %d versions, want 80", round, len(versions))
+		}
+		for i := 1; i < len(versions); i++ {
+			if versions[i-1].Timestamp <= versions[i].Timestamp {
+				t.Fatalf("round %d: version %d @%d is not newer than version %d @%d",
+					round, i-1, versions[i-1].Timestamp, i, versions[i].Timestamp)
+			}
+		}
+		rebuilt := newTestTable(t, TableOptions{MaxVersions: 100})
+		err := table.History(func(cell []Mutation) error {
+			for _, m := range cell {
+				if err := rebuilt.ReplayPut(m.Row, m.Column, m.New, m.Timestamp); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := string(rebuilt.store.Dump()), string(table.store.Dump()); got != want {
+			t.Fatalf("round %d: replayed History differs from the live table:\ngot:\n%swant:\n%s", round, got, want)
+		}
+	}
+}
+
+// TestSubscribeDuringApply subscribes an observer while batches are being
+// applied: it must see each batch whole or not at all — every batch from the
+// first it sees on — in timestamp order.
+func TestSubscribeDuringApply(t *testing.T) {
+	table := newTestTable(t, TableOptions{})
+	const perBatch = 5
+	var (
+		got        []Mutation // written by the applying goroutine only
+		subscribed atomic.Bool
+		done       = make(chan struct{})
+	)
+	go func() {
+		defer close(done)
+		// Keep applying until one batch has certainly been applied after
+		// the subscription.
+		for last := false; !last; {
+			last = subscribed.Load()
+			b := NewBatch()
+			for j := 0; j < perBatch; j++ {
+				b.Put("r", "c"+strconv.Itoa(j), []byte("v"))
+			}
+			if err := table.Apply(b); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	table.Subscribe(ObserverFunc(func(m Mutation) { got = append(got, m) }))
+	subscribed.Store(true)
+	<-done
+	// One writer on one table: the batches' timestamps are consecutive, so
+	// a gap, a torn batch or a reordering shows in the sequence.
+	if len(got) == 0 || len(got)%perBatch != 0 {
+		t.Fatalf("observer saw %d mutations, want a positive multiple of %d", len(got), perBatch)
+	}
+	for i, m := range got {
+		if want := "c" + strconv.Itoa(i%perBatch); m.Column != want {
+			t.Fatalf("mutation %d writes %s, want %s", i, m.Column, want)
+		}
+		if i > 0 && m.Timestamp != got[i-1].Timestamp+1 {
+			t.Fatalf("mutation %d @%d does not follow @%d", i, m.Timestamp, got[i-1].Timestamp)
+		}
+	}
+	if last, clock := got[len(got)-1].Timestamp, table.store.Clock(); last != clock {
+		t.Fatalf("observer's last mutation @%d, the last batch ended @%d", last, clock)
 	}
 }
 

@@ -34,16 +34,7 @@ func (t *Table) ReplayPut(row, column string, value []byte, ts uint64) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	cols, ok := t.rows[row]
-	if !ok {
-		cols = make(map[string][]Version)
-		t.rows[row] = cols
-		t.rowKeys = nil
-	}
-	if _, ok := cols[column]; !ok {
-		delete(t.colKeys, row)
-	}
-	versions := cols[column]
+	cols, versions := t.windowLocked(row, column)
 	// Find the insertion point; versions are newest-last.
 	idx := len(versions)
 	for idx > 0 && versions[idx-1].Timestamp > ts {
@@ -54,14 +45,7 @@ func (t *Table) ReplayPut(row, column string, value []byte, ts uint64) error {
 	}
 	stored := make([]byte, len(value))
 	copy(stored, value)
-	versions = append(versions, Version{})
-	copy(versions[idx+1:], versions[idx:])
-	versions[idx] = Version{Timestamp: ts, Value: stored}
-	if len(versions) > t.maxVersions {
-		versions = versions[len(versions)-t.maxVersions:]
-	}
-	cols[column] = versions
-	t.version++
+	t.insertLocked(cols, column, versions, idx, Version{Timestamp: ts, Value: stored})
 	return nil
 }
 

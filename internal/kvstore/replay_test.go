@@ -13,6 +13,22 @@ import (
 func dumpTable(t *Table) string { return string(t.store.Dump()) }
 
 func TestReplayReproducesLiveSequence(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		// order permutes the log before replay: indices 0-4 are r1/c1's
+		// puts at timestamps 1-5 (its window holds 2), 5-7 the rest.
+		order []int
+	}{
+		{"in order", []int{0, 1, 2, 3, 4, 5, 6, 7}},
+		// ts 2, 5, then 4 lands inside the full window (2 drops out), and
+		// 1 and 3 are older than everything it retains.
+		{"out of order into a full window", []int{1, 4, 3, 0, 2, 5, 6, 7}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { testReplayReproducesLiveSequence(t, tc.order) })
+	}
+}
+
+func testReplayReproducesLiveSequence(t *testing.T, order []int) {
 	live := New()
 	lt, err := live.CreateTable("t", TableOptions{MaxVersions: 2})
 	if err != nil {
@@ -48,8 +64,12 @@ func TestReplayReproducesLiveSequence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(order) != len(log) {
+		t.Fatalf("order permutes %d records, the log holds %d", len(order), len(log))
+	}
 	apply := func() {
-		for _, r := range log {
+		for _, i := range order {
+			r := log[i]
 			if r.del {
 				if err := rt.ReplayDelete(r.row, r.col); err != nil {
 					t.Fatal(err)

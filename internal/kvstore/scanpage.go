@@ -15,14 +15,15 @@ type scanCursor struct {
 
 // collectLocked appends up to max matching cells to dst in (row, column)
 // order, resuming after cur when it is active. Cell values are shared
-// references into live store memory — value buffers are immutable once
-// written (putLocked always allocates a fresh buffer), so the references
-// stay valid and stable after t.mu is released, but callers handing them
-// out must either copy (arenaCopyValues) or document the aliasing. Returns
+// references into live store memory — stored values are immutable (Apply
+// copies each batch's values into an arena of its own and nothing writes to
+// it after that), so the references stay valid and stable after t.mu is
+// released, but callers handing them out must either copy
+// (arenaCopyValues) or document the aliasing. Returns
 // the extended slice, the summed value bytes of the appended cells, and
 // whether collection stopped at max with (potentially) more cells ahead.
-// max <= 0 means unbounded. Callers must hold t.mu for writing (the
-// sorted-key caches rebuild lazily).
+// max <= 0 means unbounded. Callers hold t.mu through readKeys (the
+// sorted-key caches rebuild lazily under the write lock).
 func (t *Table) collectLocked(opts ScanOptions, cur *scanCursor, max int, dst []Cell) ([]Cell, int64, bool) {
 	rows := t.sortedRowKeysLocked()
 	i := 0
@@ -154,9 +155,7 @@ func (t *Table) scanPages(opts ScanOptions, pageSize int, shared bool, fn func(c
 		}
 		var pageBytes int64
 		var more bool
-		t.mu.Lock()
-		page, pageBytes, more = t.collectLocked(opts, &cur, max, dst)
-		t.mu.Unlock()
+		t.readKeys(func() { page, pageBytes, more = t.collectLocked(opts, &cur, max, dst) })
 		if !shared {
 			arenaCopyValues(page, pageBytes)
 		}

@@ -421,8 +421,9 @@ func feederProc(sim *Simulator) workflow.Processor {
 		if err != nil {
 			return err
 		}
-		batch := kvstore.NewBatch()
-		for _, r := range sim.Reports() {
+		reps := sim.Reports()
+		batch := kvstore.NewBatch().Grow(3 * len(reps))
+		for _, r := range reps {
 			row := vehRow(r.Vehicle)
 			batch.PutFloat(row, "xway", float64(r.Xway))
 			batch.PutFloat(row, "pos", r.Pos)
@@ -436,8 +437,9 @@ func feederProc(sim *Simulator) workflow.Processor {
 		if err != nil {
 			return err
 		}
-		qb := kvstore.NewBatch()
-		for _, q := range sim.Queries(wave) {
+		qs := sim.Queries(wave)
+		qb := kvstore.NewBatch().Grow(3 * len(qs))
+		for _, q := range qs {
 			row := "q" + strconv.Itoa(q.ID)
 			qb.PutFloat(row, "xway", float64(q.Xway))
 			qb.PutFloat(row, "from", float64(q.FromSeg))
@@ -458,8 +460,9 @@ func positionsProc() workflow.Processor {
 		if err != nil {
 			return err
 		}
-		batch := kvstore.NewBatch()
-		for _, c := range reports.Scan(kvstore.ScanOptions{ColumnPrefix: "pos"}) {
+		cells := reports.Scan(kvstore.ScanOptions{ColumnPrefix: "pos"})
+		batch := kvstore.NewBatch().Grow(3 * len(cells))
+		for _, c := range cells {
 			pos, ok := c.FloatValue()
 			if !ok {
 				continue
@@ -492,8 +495,9 @@ func queriesProc() workflow.Processor {
 		if err != nil {
 			return err
 		}
-		batch := kvstore.NewBatch()
-		for _, c := range queries.Scan(kvstore.ScanOptions{ColumnPrefix: "from"}) {
+		cells := queries.Scan(kvstore.ScanOptions{ColumnPrefix: "from"})
+		batch := kvstore.NewBatch().Grow(4 * len(cells))
+		for _, c := range cells {
 			from, ok := c.FloatValue()
 			if !ok {
 				continue
@@ -513,21 +517,36 @@ func queriesProc() workflow.Processor {
 	})
 }
 
-// perSegment folds the positions table into per-(xway, segment) aggregates.
+// perSegment folds the positions table into per-(xway, segment) aggregates,
+// once per row with a float seg (a missing xway or speed reads 0), in one
+// pass of shared pages rather than a locked lookup per cell.
 func perSegment(positions *kvstore.Table, cfg Config, fold func(xway, seg int, speed float64)) {
-	for _, c := range positions.Scan(kvstore.ScanOptions{ColumnPrefix: "seg"}) {
-		seg, ok := c.FloatValue()
-		if !ok {
-			continue
+	var seg, speed, xway float64
+	row, hasSeg := "", false
+	flush := func() {
+		if hasSeg {
+			fold(int(xway), max(int(seg), 0)%cfg.Segments, speed)
 		}
-		xway, _ := positions.GetFloat(c.Row, "xway")
-		speed, _ := positions.GetFloat(c.Row, "speed")
-		s := int(seg)
-		if s < 0 {
-			s = 0
-		}
-		fold(int(xway), s%cfg.Segments, speed)
+		seg, speed, xway, hasSeg = 0, 0, 0, false
 	}
+	_ = positions.ScanPagesShared(kvstore.ScanOptions{}, 0, func(cells []kvstore.Cell, _ bool) error {
+		for _, c := range cells {
+			if c.Row != row {
+				flush()
+				row = c.Row
+			}
+			switch v, ok := c.FloatValue(); c.Column {
+			case "seg":
+				seg, hasSeg = v, ok
+			case "speed":
+				speed = v
+			case "xway":
+				xway = v
+			}
+		}
+		return nil // the scan's only possible error is this function's
+	})
+	flush()
 }
 
 // avgSpeedProc computes the mean vehicle speed per segment.
@@ -548,7 +567,7 @@ func avgSpeedProc(cfg Config) workflow.Processor {
 			sums[row] += speed
 			counts[row]++
 		})
-		batch := kvstore.NewBatch()
+		batch := kvstore.NewBatch().Grow(cfg.Expressways * cfg.Segments)
 		for x := 0; x < cfg.Expressways; x++ {
 			for s := 0; s < cfg.Segments; s++ {
 				row := segRow(x, s)
@@ -578,7 +597,7 @@ func carCountProc(cfg Config) workflow.Processor {
 		perSegment(positions, cfg, func(xway, seg int, _ float64) {
 			counts[segRow(xway, seg)]++
 		})
-		batch := kvstore.NewBatch()
+		batch := kvstore.NewBatch().Grow(cfg.Expressways * cfg.Segments)
 		for x := 0; x < cfg.Expressways; x++ {
 			for s := 0; s < cfg.Segments; s++ {
 				row := segRow(x, s)
@@ -615,7 +634,7 @@ func accidentsProc(cfg Config) workflow.Processor {
 				stopped[segRow(xway, seg)]++
 			}
 		})
-		batch := kvstore.NewBatch()
+		batch := kvstore.NewBatch().Grow(cfg.Expressways * cfg.Segments)
 		for x := 0; x < cfg.Expressways; x++ {
 			for s := 0; s < cfg.Segments; s++ {
 				row := segRow(x, s)
@@ -647,7 +666,7 @@ func congestionProc(cfg Config) workflow.Processor {
 		if err != nil {
 			return err
 		}
-		batch := kvstore.NewBatch()
+		batch := kvstore.NewBatch().Grow(cfg.Expressways * cfg.Segments)
 		for x := 0; x < cfg.Expressways; x++ {
 			for s := 0; s < cfg.Segments; s++ {
 				row := segRow(x, s)
@@ -682,7 +701,7 @@ func classifyProc(cfg Config) workflow.Processor {
 		if err != nil {
 			return err
 		}
-		batch := kvstore.NewBatch()
+		batch := kvstore.NewBatch().Grow(2 * cfg.Expressways)
 		for x := 0; x < cfg.Expressways; x++ {
 			var high, sum float64
 			for s := 0; s < cfg.Segments; s++ {
@@ -716,8 +735,9 @@ func travelTimeProc(cfg Config) workflow.Processor {
 		if err != nil {
 			return err
 		}
-		batch := kvstore.NewBatch()
-		for _, c := range queryProc.Scan(kvstore.ScanOptions{ColumnPrefix: "from"}) {
+		cells := queryProc.Scan(kvstore.ScanOptions{ColumnPrefix: "from"})
+		batch := kvstore.NewBatch().Grow(2 * len(cells))
+		for _, c := range cells {
 			from, ok := c.FloatValue()
 			if !ok {
 				continue

@@ -1,9 +1,11 @@
 package lrb
 
 import (
+	"slices"
 	"testing"
 
 	"smartflux/internal/engine"
+	"smartflux/internal/kvstore"
 )
 
 func TestSimulatorDeterministic(t *testing.T) {
@@ -156,6 +158,56 @@ func TestWorkflowEndToEnd(t *testing.T) {
 	high, ok := classes.GetFloat("x0", "high")
 	if !ok || high < 5 {
 		t.Errorf("classify output = %v, %v", high, ok)
+	}
+}
+
+// TestPerSegmentMatchesPerCellLookups pins perSegment's one-pass read to the
+// per-cell lookups it replaced — a scan of the seg cells, then GetFloat of
+// xway and speed — fold for fold, over rows that straddle scan pages and rows
+// missing a column or holding a value that is not a float.
+func TestPerSegmentMatchesPerCellLookups(t *testing.T) {
+	cfg := Config{}.withDefaults()
+	positions, err := kvstore.New().CreateTable(TablePositions, kvstore.TableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := kvstore.NewBatch()
+	for i := 0; i < 400; i++ {
+		row := vehRow(i)
+		if i%7 != 3 {
+			b.PutFloat(row, "seg", float64(i%25-2)) // negatives clamp to segment 0
+		}
+		if i%11 != 5 {
+			b.PutFloat(row, "speed", float64(i)/3)
+		}
+		if i%13 != 8 {
+			b.PutFloat(row, "xway", float64(i%3))
+		}
+	}
+	b.Put(vehRow(1), "seg", []byte("not a float"))
+	b.Put(vehRow(2), "xway", []byte{1})
+	if err := positions.Apply(b); err != nil {
+		t.Fatal(err)
+	}
+	type folded struct {
+		xway, seg int
+		speed     float64
+	}
+	var want, got []folded
+	for _, c := range positions.Scan(kvstore.ScanOptions{ColumnPrefix: "seg"}) {
+		seg, ok := c.FloatValue()
+		if !ok {
+			continue
+		}
+		xway, _ := positions.GetFloat(c.Row, "xway")
+		speed, _ := positions.GetFloat(c.Row, "speed")
+		want = append(want, folded{int(xway), max(int(seg), 0) % cfg.Segments, speed})
+	}
+	perSegment(positions, cfg, func(xway, seg int, speed float64) {
+		got = append(got, folded{xway, seg, speed})
+	})
+	if !slices.Equal(got, want) {
+		t.Fatalf("perSegment folded %d rows, per-cell lookups %d:\n got %v\nwant %v", len(got), len(want), got, want)
 	}
 }
 
