@@ -19,7 +19,6 @@ import (
 	"smartflux/internal/kvstore"
 	"smartflux/internal/metric"
 	"smartflux/internal/ml"
-	"smartflux/internal/ml/multilabel"
 	"smartflux/internal/obs"
 	"smartflux/workloads"
 )
@@ -143,59 +142,57 @@ func BenchmarkOverheadImpactComputation(b *testing.B) {
 	}
 }
 
+// impactLog is a knowledge base of n waves over labels gated steps, in which
+// each step's label fires when its own impact exceeds 5.
+func impactLog(seed int64, n, labels int) core.Dataset {
+	rng := rand.New(rand.NewSource(seed))
+	var data core.Dataset
+	for i := 0; i < n; i++ {
+		x := make([]float64, labels)
+		y := make([]int, labels)
+		for l := range x {
+			x[l] = rng.Float64() * 10
+			if x[l] > 5 {
+				y[l] = 1
+			}
+		}
+		data.Append(x, y)
+	}
+	return data
+}
+
 // BenchmarkOverheadModelBuild measures predictor construction (the paper
 // reports < 1 s; this is the dominant overhead source).
 func BenchmarkOverheadModelBuild(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	var data multilabel.Dataset
-	for i := 0; i < 300; i++ {
-		x := []float64{rng.Float64() * 10, rng.Float64() * 10}
-		y := []int{0, 0}
-		if x[0] > 5 {
-			y[0] = 1
-		}
-		if x[1] > 5 {
-			y[1] = 1
-		}
-		data.Append(x, y)
-	}
+	data := impactLog(2, 300, 2)
 	factory := func() ml.Classifier { return ml.NewForest(ml.ForestConfig{Seed: 1}) }
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.NewPredictor(factory, data, nil, core.FeatureOwnImpact); err != nil {
+		if _, err := core.NewPredictor(factory, data, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkOverheadPrediction measures one per-wave classifier query.
+// BenchmarkOverheadPrediction measures what one wave asks of the classifier:
+// one decision per gated step of a 6-step workflow, as Linear Road has.
 func BenchmarkOverheadPrediction(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	var data multilabel.Dataset
-	for i := 0; i < 300; i++ {
-		x := []float64{rng.Float64() * 10, rng.Float64() * 10}
-		y := []int{boolToInt(x[0] > 5), boolToInt(x[1] > 5)}
-		data.Append(x, y)
-	}
+	const labels = 6
 	factory := func() ml.Classifier { return ml.NewForest(ml.ForestConfig{Seed: 1}) }
-	predictor, err := core.NewPredictor(factory, data, nil, core.FeatureOwnImpact)
+	predictor, err := core.NewPredictor(factory, impactLog(3, 300, labels), nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	impacts := []float64{4.2, 6.1}
+	impacts := []float64{4.2, 6.1, 0.3, 9.7, 5.0, 2.8}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := predictor.Scores(impacts); err != nil {
-			b.Fatal(err)
+		for l := 0; l < labels; l++ {
+			if _, err := predictor.Decide(l, impacts); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
-}
-
-func boolToInt(v bool) int {
-	if v {
-		return 1
-	}
-	return 0
 }
 
 // BenchmarkOverheadKVStorePut measures raw store write throughput.

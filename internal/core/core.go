@@ -9,10 +9,11 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 
 	"smartflux/internal/ml"
-	"smartflux/internal/ml/multilabel"
+	"smartflux/internal/ml/eval"
 )
 
 // Errors returned by the core layer.
@@ -24,6 +25,9 @@ var (
 	// ErrUnknownClassifier is returned for unrecognized classifier names.
 	ErrUnknownClassifier = errors.New("core: unknown classifier")
 )
+
+// errShape is returned for ragged or mismatched knowledge-base matrices.
+var errShape = errors.New("core: inconsistent dataset shape")
 
 // Classifier names accepted by ClassifierFactory — the §3.2 line-up.
 const (
@@ -73,13 +77,64 @@ func ClassifierFactory(name string, seed int64) (func() ml.Classifier, error) {
 	}
 }
 
+// Dataset is the knowledge base's multi-label log (§3.1's classification
+// matrix): per wave, the input-impact vector ι of the gated steps and one 0/1
+// label per gated step.
+type Dataset struct {
+	X [][]float64
+	Y [][]int
+}
+
+// Validate checks shape invariants.
+func (d Dataset) Validate() error {
+	if len(d.X) == 0 {
+		return fmt.Errorf("%w: empty", errShape)
+	}
+	if len(d.X) != len(d.Y) {
+		return fmt.Errorf("%w: %d feature rows vs %d label rows", errShape, len(d.X), len(d.Y))
+	}
+	if len(d.Y[0]) == 0 {
+		return fmt.Errorf("%w: no labels", errShape)
+	}
+	width, labels := len(d.X[0]), len(d.Y[0])
+	for i := range d.X {
+		if len(d.X[i]) != width || len(d.Y[i]) != labels {
+			return fmt.Errorf("%w: row %d", errShape, i)
+		}
+	}
+	return nil
+}
+
+// Len returns the number of examples.
+func (d Dataset) Len() int { return len(d.X) }
+
+// Labels returns the number of label columns (0 when empty).
+func (d Dataset) Labels() int {
+	if len(d.Y) == 0 {
+		return 0
+	}
+	return len(d.Y[0])
+}
+
+// Append adds one example, growing the dataset in place.
+func (d *Dataset) Append(x []float64, y []int) {
+	d.X = append(d.X, append([]float64(nil), x...))
+	d.Y = append(d.Y, append([]int(nil), y...))
+}
+
+// Head returns the first n examples (or all, if fewer).
+func (d Dataset) Head(n int) Dataset {
+	n = min(n, d.Len())
+	return Dataset{X: d.X[:n], Y: d.Y[:n]}
+}
+
 // KnowledgeBase stores the training tuples collected during the training
 // phase: per wave, the input-impact vector ι of every gated step and the
 // binary vector indicating whether each step's maxε was (simulated to be)
 // reached. It is safe for concurrent use.
 type KnowledgeBase struct {
 	mu   sync.RWMutex
-	data multilabel.Dataset
+	data Dataset
 }
 
 // NewKnowledgeBase creates an empty knowledge base.
@@ -107,140 +162,207 @@ func (kb *KnowledgeBase) Len() int {
 }
 
 // Snapshot returns a copy-safe view of the dataset.
-func (kb *KnowledgeBase) Snapshot() multilabel.Dataset {
+func (kb *KnowledgeBase) Snapshot() Dataset {
 	kb.mu.RLock()
 	defer kb.mu.RUnlock()
-	x := make([][]float64, len(kb.data.X))
-	copy(x, kb.data.X)
-	y := make([][]int, len(kb.data.Y))
-	copy(y, kb.data.Y)
-	return multilabel.Dataset{X: x, Y: y}
+	return Dataset{X: append([][]float64(nil), kb.data.X...), Y: append([][]int(nil), kb.data.Y...)}
 }
 
 // Reset drops all logged examples.
 func (kb *KnowledgeBase) Reset() {
 	kb.mu.Lock()
 	defer kb.mu.Unlock()
-	kb.data = multilabel.Dataset{}
+	kb.data = Dataset{}
 }
 
-// FeatureMode selects which impact features each per-label model sees.
-type FeatureMode int
+// labelPlan is one gated step's learning problem, the unit every fit works
+// on. §2 triggers a step on what its own ι predicts, so the step's model sees
+// that one column: it also keeps application-time inputs inside the training
+// distribution when another step's impact drifts (a frozen upstream container
+// pins a downstream impact at zero).
+type labelPlan struct {
+	data  ml.Dataset // the step's own ι column against its label
+	th    float64    // decision threshold
+	folds []eval.Fold
+	k     int // test-phase fold count, reported in CVResult.Folds; < 2 reports chance
+}
 
-const (
-	// FeatureOwnImpact trains each step's model on that step's own input
-	// impact only. This is the default: §2 frames the decision as
-	// "trigger when we predict through ι (of the step) that ε > maxε",
-	// and restricting features keeps application-time inputs within the
-	// training distribution even when other steps' impacts drift (e.g. a
-	// frozen upstream container pinning a downstream impact at zero).
-	FeatureOwnImpact FeatureMode = iota + 1
-	// FeatureFullVector trains each model on the entire impact vector,
-	// the literal reading of the §3.1 classification matrix.
-	FeatureFullVector
-)
-
-// String implements fmt.Stringer.
-func (m FeatureMode) String() string {
-	switch m {
-	case FeatureOwnImpact:
-		return "own-impact"
-	case FeatureFullVector:
-		return "full-vector"
-	default:
-		return fmt.Sprintf("FeatureMode(%d)", int(m))
+// planLabels builds one plan per label of data. thresholds may be nil (0.5
+// everywhere), hold one value applied to all labels, or one value per label.
+// A non-nil rng asks for the test phase: each label's stratified folds — k of
+// them, fewer on a tiny log — are drawn from it in label order.
+func planLabels(data Dataset, thresholds []float64, k int, rng *rand.Rand) ([]labelPlan, error) {
+	if data.Len() == 0 {
+		return nil, ErrNoExamples
 	}
+	if err := data.Validate(); err != nil {
+		return nil, err
+	}
+	labels, n := data.Labels(), data.Len()
+	if len(data.X[0]) != labels {
+		return nil, fmt.Errorf("core: own-impact features need one impact per label, got %d impacts for %d labels", len(data.X[0]), labels)
+	}
+	if len(thresholds) > 1 && len(thresholds) != labels {
+		return nil, fmt.Errorf("core: %d thresholds for %d labels", len(thresholds), labels)
+	}
+	plans := make([]labelPlan, labels)
+	for l := range plans {
+		col := make([]float64, n)
+		x := make([][]float64, n)
+		y := make([]int, n)
+		for i := range data.X {
+			col[i] = data.X[i][l]
+			x[i] = col[i : i+1 : i+1]
+			y[i] = data.Y[i][l]
+		}
+		p := &plans[l]
+		p.data = ml.Dataset{X: x, Y: y}
+		switch len(thresholds) {
+		case 0:
+			p.th = 0.5
+		case 1:
+			p.th = thresholds[0]
+		default:
+			p.th = thresholds[l]
+		}
+		if rng == nil {
+			continue
+		}
+		// Tiny logs fall back to the largest workable fold count.
+		p.k = min(k, n/2)
+		if p.k >= 2 {
+			var err error
+			if p.folds, err = eval.StratifiedKFold(y, p.k, rng); err != nil {
+				return nil, fmt.Errorf("test label %d: %w", l, err)
+			}
+		}
+	}
+	return plans, nil
 }
 
-// Predictor wraps the trained multi-label model and its decision thresholds.
+// fitPlans is the one fan-out of training: every label's final fit, then
+// every (label, fold) cross-validation fit, on at most workers goroutines.
+// Each task builds its own classifier from factory (which must therefore be
+// safe for concurrent calls; every factory in this module is) and writes only
+// its own slot, so the outcome is that of a sequential run — including the
+// error, the first in task order.
+func fitPlans(factory func() ml.Classifier, plans []labelPlan, workers int) (*Predictor, [][]eval.FoldScores, error) {
+	p := &Predictor{models: make([]ml.Classifier, len(plans)), thresholds: make([]float64, len(plans))}
+	scored := make([][]eval.FoldScores, len(plans))
+	type task struct{ l, fold int } // fold -1 is the label's final fit
+	var tasks []task
+	for l := range plans {
+		p.thresholds[l] = plans[l].th
+		scored[l] = make([]eval.FoldScores, len(plans[l].folds))
+		tasks = append(tasks, task{l, -1})
+	}
+	for l := range plans {
+		for fold := range plans[l].folds {
+			tasks = append(tasks, task{l, fold})
+		}
+	}
+	run := func(t task) error {
+		plan := &plans[t.l]
+		if t.fold >= 0 {
+			var err error
+			if scored[t.l][t.fold], err = eval.ScoreFold(factory, plan.data, plan.folds[t.fold], t.fold, plan.th); err != nil {
+				return fmt.Errorf("test label %d: %w", t.l, err)
+			}
+			return nil
+		}
+		clf := factory()
+		if err := clf.Fit(plan.data); err != nil {
+			return fmt.Errorf("train predictor: label %d: %w", t.l, err)
+		}
+		p.models[t.l] = clf
+		return nil
+	}
+	// A semaphore of one runs the tasks one after another, in task order.
+	errs := make([]error, len(tasks))
+	sem := make(chan struct{}, workers)
+	var wg sync.WaitGroup
+	for i, t := range tasks {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func() {
+			defer wg.Done()
+			errs[i] = run(t)
+			<-sem
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+	return p, scored, nil
+}
+
+// Predictor is the trained multi-label model: one binary classifier per
+// gated step, fitted on that step's own impact, and the step's decision
+// threshold.
 type Predictor struct {
-	br          *multilabel.BinaryRelevance
-	thresholds  []float64
-	featureMode FeatureMode
-	labels      int
+	models     []ml.Classifier
+	thresholds []float64
 }
 
 // NewPredictor trains a predictor on the dataset using the classifier
 // factory. thresholds may be nil (0.5 everywhere), hold one value applied to
 // all labels, or one value per label. Thresholds below 0.5 bias the decision
-// toward executing — the paper's recall optimization (§5.2). featureMode 0
-// defaults to FeatureOwnImpact.
+// toward executing — the paper's recall optimization (§5.2).
 //
-// The per-label models train concurrently (one goroutine per label, bounded
-// by runtime.GOMAXPROCS(0)), so factory must be safe for concurrent calls;
-// every factory in this module is. The fitted predictor is identical to a
-// sequential fit.
-func NewPredictor(factory func() ml.Classifier, data multilabel.Dataset, thresholds []float64, featureMode FeatureMode) (*Predictor, error) {
-	return newPredictor(factory, data, thresholds, featureMode, 0)
+// The per-label models train concurrently (bounded by runtime.GOMAXPROCS(0)),
+// so factory must be safe for concurrent calls; every factory in this module
+// is. The fitted predictor is identical to a sequential fit.
+func NewPredictor(factory func() ml.Classifier, data Dataset, thresholds []float64) (*Predictor, error) {
+	plans, err := planLabels(data, thresholds, 0, nil)
+	if err != nil {
+		return nil, err
+	}
+	p, _, err := fitPlans(factory, plans, Config{}.workers())
+	return p, err
 }
 
-// newPredictor is NewPredictor with an explicit label-fit parallelism bound
-// (0 = GOMAXPROCS, 1 = sequential).
-func newPredictor(factory func() ml.Classifier, data multilabel.Dataset, thresholds []float64, featureMode FeatureMode, parallelism int) (*Predictor, error) {
-	if data.Len() == 0 {
-		return nil, ErrNoExamples
+// check rejects an impact vector that is not one impact per label.
+func (p *Predictor) check(impacts []float64) error {
+	if len(impacts) != len(p.models) {
+		return fmt.Errorf("core: %d impacts for %d labels", len(impacts), len(p.models))
 	}
-	if featureMode == 0 {
-		featureMode = FeatureOwnImpact
-	}
-	labels := data.Labels()
-	if featureMode == FeatureOwnImpact {
-		if err := data.Validate(); err != nil {
-			return nil, err
-		}
-		if len(data.X[0]) != labels {
-			return nil, fmt.Errorf("core: own-impact features need one impact per label, got %d impacts for %d labels", len(data.X[0]), labels)
-		}
-	}
-	br := multilabel.NewBinaryRelevance(factory)
-	if parallelism != 1 {
-		br.SetParallelism(parallelism)
-	}
-	if featureMode == FeatureOwnImpact {
-		cols := make([][]int, labels)
-		for l := range cols {
-			cols[l] = []int{l}
-		}
-		br.SetFeatureColumns(cols)
-	}
-	if err := br.Fit(data); err != nil {
-		return nil, fmt.Errorf("train predictor: %w", err)
-	}
-	th := make([]float64, labels)
-	switch len(thresholds) {
-	case 0:
-		for i := range th {
-			th[i] = 0.5
-		}
-	case 1:
-		for i := range th {
-			th[i] = thresholds[0]
-		}
-	case labels:
-		copy(th, thresholds)
-	default:
-		return nil, fmt.Errorf("core: %d thresholds for %d labels", len(thresholds), labels)
-	}
-	return &Predictor{br: br, thresholds: th, featureMode: featureMode, labels: labels}, nil
+	return nil
 }
 
 // Scores returns the per-label execution confidences for an impact vector.
 func (p *Predictor) Scores(impacts []float64) ([]float64, error) {
-	return p.br.Scores(impacts)
+	if err := p.check(impacts); err != nil {
+		return nil, err
+	}
+	scores := make([]float64, len(p.models))
+	for l, m := range p.models {
+		s, err := m.Score(impacts[l : l+1])
+		if err != nil {
+			return nil, fmt.Errorf("label %d: %w", l, err)
+		}
+		scores[l] = s
+	}
+	return scores, nil
 }
 
-// Decide returns whether label stepIdx should execute given the impact
-// vector.
-func (p *Predictor) Decide(stepIdx int, impacts []float64) (bool, error) {
-	scores, err := p.Scores(impacts)
-	if err != nil {
+// Decide returns whether label l should execute given the impact vector. It
+// scores label l's model alone, on the step's own impact.
+func (p *Predictor) Decide(l int, impacts []float64) (bool, error) {
+	if err := p.check(impacts); err != nil {
 		return false, err
 	}
-	if stepIdx < 0 || stepIdx >= len(scores) {
-		return false, fmt.Errorf("core: label index %d out of range [0,%d)", stepIdx, len(scores))
+	if l < 0 || l >= len(p.models) {
+		return false, fmt.Errorf("core: label index %d out of range [0,%d)", l, len(p.models))
 	}
-	return scores[stepIdx] >= p.thresholds[stepIdx], nil
+	s, err := p.models[l].Score(impacts[l : l+1])
+	if err != nil {
+		return false, fmt.Errorf("label %d: %w", l, err)
+	}
+	return s >= p.thresholds[l], nil
 }
 
 // Labels returns the number of labels the predictor was trained on.
-func (p *Predictor) Labels() int { return p.labels }
+func (p *Predictor) Labels() int { return len(p.models) }

@@ -3,17 +3,17 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"smartflux/internal/ml"
-	"smartflux/internal/ml/multilabel"
 )
 
 // syntheticLog builds a multi-label training log where label l fires iff
 // impact l exceeds 5 (plus noise-free separation).
-func syntheticLog(n, labels int, seed int64) multilabel.Dataset {
+func syntheticLog(n, labels int, seed int64) Dataset {
 	rng := rand.New(rand.NewSource(seed))
-	var d multilabel.Dataset
+	var d Dataset
 	for i := 0; i < n; i++ {
 		x := make([]float64, labels)
 		y := make([]int, labels)
@@ -26,6 +26,53 @@ func syntheticLog(n, labels int, seed int64) multilabel.Dataset {
 		d.Append(x, y)
 	}
 	return d
+}
+
+func TestDatasetValidate(t *testing.T) {
+	tests := []struct {
+		name string
+		d    Dataset
+		ok   bool
+	}{
+		{name: "empty", d: Dataset{}},
+		{name: "mismatch", d: Dataset{X: [][]float64{{1}}, Y: [][]int{{1}, {0}}}},
+		{name: "no labels", d: Dataset{X: [][]float64{{1}}, Y: [][]int{{}}}},
+		{name: "ragged labels", d: Dataset{X: [][]float64{{1}, {2}}, Y: [][]int{{1}, {1, 0}}}},
+		{name: "ok", d: Dataset{X: [][]float64{{1}, {2}}, Y: [][]int{{1}, {0}}}, ok: true},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			err := tt.d.Validate()
+			if tt.ok && err != nil {
+				t.Errorf("unexpected error %v", err)
+			}
+			if !tt.ok && !errors.Is(err, errShape) {
+				t.Errorf("got %v, want a shape error", err)
+			}
+		})
+	}
+}
+
+func TestDatasetAppendCopies(t *testing.T) {
+	var d Dataset
+	x := []float64{1, 2}
+	y := []int{1, 0}
+	d.Append(x, y)
+	x[0] = 99
+	y[0] = 0
+	if d.X[0][0] != 1 || d.Y[0][0] != 1 {
+		t.Error("Append must copy its arguments")
+	}
+}
+
+func TestDatasetHead(t *testing.T) {
+	d := syntheticLog(10, 2, 2)
+	if d.Head(3).Len() != 3 || d.Head(99).Len() != 10 {
+		t.Error("Head must take a prefix and clamp")
+	}
+	if d.Labels() != 2 || (Dataset{}).Labels() != 0 {
+		t.Errorf("Labels = %d", d.Labels())
+	}
 }
 
 func TestKnowledgeBase(t *testing.T) {
@@ -70,7 +117,7 @@ func TestClassifierFactoryNames(t *testing.T) {
 func TestPredictorOwnImpactLearnsPerLabel(t *testing.T) {
 	data := syntheticLog(300, 2, 7)
 	factory, _ := ClassifierFactory(ClassifierRandomForest, 1)
-	p, err := NewPredictor(factory, data, nil, FeatureOwnImpact)
+	p, err := NewPredictor(factory, data, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,53 +135,94 @@ func TestPredictorOwnImpactLearnsPerLabel(t *testing.T) {
 	if _, err := p.Decide(9, []float64{9, 1}); err == nil {
 		t.Error("out-of-range label must fail")
 	}
+	for _, impacts := range [][]float64{{9}, {9, 1, 1}} {
+		if _, err := p.Decide(0, impacts); err == nil {
+			t.Errorf("Decide over %d impacts for 2 labels must fail", len(impacts))
+		}
+	}
 }
 
 func TestPredictorThresholdForms(t *testing.T) {
 	data := syntheticLog(100, 2, 9)
 	factory, _ := ClassifierFactory(ClassifierRandomForest, 1)
 	for _, thresholds := range [][]float64{nil, {0.3}, {0.3, 0.6}} {
-		if _, err := NewPredictor(factory, data, thresholds, FeatureOwnImpact); err != nil {
+		if _, err := NewPredictor(factory, data, thresholds); err != nil {
 			t.Errorf("thresholds %v: %v", thresholds, err)
 		}
 	}
-	if _, err := NewPredictor(factory, data, []float64{0.1, 0.2, 0.3}, FeatureOwnImpact); err == nil {
+	if _, err := NewPredictor(factory, data, []float64{0.1, 0.2, 0.3}); err == nil {
 		t.Error("mismatched threshold count must fail")
 	}
-	if _, err := NewPredictor(factory, multilabel.Dataset{}, nil, FeatureOwnImpact); !errors.Is(err, ErrNoExamples) {
+	if _, err := NewPredictor(factory, Dataset{}, nil); !errors.Is(err, ErrNoExamples) {
 		t.Errorf("want ErrNoExamples, got %v", err)
 	}
 }
 
-func TestPredictorFullVectorMode(t *testing.T) {
-	data := syntheticLog(200, 2, 11)
-	factory, _ := ClassifierFactory(ClassifierRandomForest, 1)
-	p, err := NewPredictor(factory, data, nil, FeatureFullVector)
+// countingClassifier scores its one feature scaled to [0, 1] and counts its
+// Score calls.
+type countingClassifier struct{ calls int }
+
+func (c *countingClassifier) Fit(ml.Dataset) error { return nil }
+func (c *countingClassifier) Score(x []float64) (float64, error) {
+	c.calls++
+	return x[0] / 10, nil
+}
+
+// TestPredictorDecideScoresOneModel: a decision is about one step, so Decide
+// asks that step's model alone, on the step's own impact; Scores asks each
+// model once.
+func TestPredictorDecideScoresOneModel(t *testing.T) {
+	var mu sync.Mutex
+	var models []*countingClassifier
+	factory := func() ml.Classifier {
+		mu.Lock()
+		defer mu.Unlock()
+		c := &countingClassifier{}
+		models = append(models, c)
+		return c
+	}
+	p, err := NewPredictor(factory, syntheticLog(50, 3, 3), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scores, err := p.Scores([]float64{9, 9})
-	if err != nil || len(scores) != 2 {
+	calls := func() (total int) {
+		for _, c := range models {
+			total += c.calls
+		}
+		return total
+	}
+	impacts := []float64{9, 1, 7}
+	for l, want := range []bool{true, false, true} {
+		before := calls()
+		run, err := p.Decide(l, impacts)
+		if err != nil || run != want {
+			t.Errorf("Decide(%d) = %v, %v; want %v", l, run, err, want)
+		}
+		if n := calls() - before; n != 1 {
+			t.Errorf("Decide(%d) scored %d models, want 1", l, n)
+		}
+	}
+	for _, c := range models {
+		c.calls = 0
+	}
+	scores, err := p.Scores(impacts)
+	if err != nil || len(scores) != 3 || scores[0] != 0.9 || scores[1] != 0.1 || scores[2] != 0.7 {
 		t.Fatalf("Scores = %v, %v", scores, err)
+	}
+	for l, c := range models {
+		if c.calls != 1 {
+			t.Errorf("Scores called model %d %d times, want once", l, c.calls)
+		}
 	}
 }
 
 func TestPredictorOwnImpactRequiresSquareData(t *testing.T) {
 	// 3 features but 2 labels cannot use own-impact mode.
-	var d multilabel.Dataset
+	var d Dataset
 	d.Append([]float64{1, 2, 3}, []int{0, 1})
 	factory, _ := ClassifierFactory(ClassifierRandomForest, 1)
-	if _, err := NewPredictor(factory, d, nil, FeatureOwnImpact); err == nil {
+	if _, err := NewPredictor(factory, d, nil); err == nil {
 		t.Error("own-impact with features != labels must fail")
-	}
-}
-
-func TestFeatureModeString(t *testing.T) {
-	if FeatureOwnImpact.String() != "own-impact" || FeatureFullVector.String() != "full-vector" {
-		t.Error("feature mode strings")
-	}
-	if FeatureMode(9).String() == "" {
-		t.Error("unknown mode must render")
 	}
 }
 

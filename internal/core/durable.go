@@ -22,7 +22,6 @@ import (
 
 	"smartflux/internal/durable"
 	"smartflux/internal/engine"
-	"smartflux/internal/ml/multilabel"
 	"smartflux/internal/obs"
 	"smartflux/internal/workflow"
 )
@@ -76,7 +75,7 @@ func (s *Session) Checkpoint() (*SessionCheckpoint, error) {
 // without the test phase and without counting as a training event: report
 // and phase are the checkpointed ones. On error the session is unchanged.
 func (s *Session) RestoreCheckpoint(cp *SessionCheckpoint) error {
-	kb := multilabel.Dataset{
+	kb := Dataset{
 		X: append([][]float64(nil), cp.KBX...),
 		Y: append([][]int(nil), cp.KBY...),
 	}
@@ -102,7 +101,7 @@ func (s *Session) RestoreCheckpoint(cp *SessionCheckpoint) error {
 			sp = so.o.RootSpan("restore", "restore", "ml")
 		}
 		var err error
-		if pred, _, err = s.fit(kb.Head(cp.FittedOn)); err != nil {
+		if pred, _, err = s.train(kb.Head(cp.FittedOn), false); err != nil {
 			sp.EndErr(err)
 			return fmt.Errorf("core: restore predictor: %w", err)
 		}

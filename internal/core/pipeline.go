@@ -31,9 +31,11 @@ type PipelineConfig struct {
 	// decision trace) and the session (lifecycle metrics).
 	Obs *obs.Observer
 	// Parallelism bounds concurrent work in the engine instances and — when
-	// Session.Parallelism is unset — the session's training. 0 selects
-	// runtime.GOMAXPROCS(0), 1 runs sequentially; results are bit-identical
-	// across settings.
+	// Session.Parallelism is unset — the session's training tasks. 0 selects
+	// runtime.GOMAXPROCS(0); 1 runs each wave's steps on one goroutine and
+	// the training tasks one at a time, though each Random Forest still fits
+	// its trees on runtime.GOMAXPROCS(0) workers (see Config.Parallelism).
+	// Results are bit-identical across settings.
 	Parallelism int
 	// Resilience configures step timeouts, retries and degradation for
 	// both engine instances (see engine.HarnessConfig; the Parallelism

@@ -12,6 +12,7 @@ import (
 
 	"smartflux/internal/engine"
 	"smartflux/internal/kvstore"
+	"smartflux/internal/lrb"
 	"smartflux/internal/metric"
 	"smartflux/internal/obs"
 	"smartflux/internal/workflow"
@@ -244,6 +245,38 @@ func TestRunPipelinePinnedDigest(t *testing.T) {
 	resultDigest(h, res.Apply)
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Errorf("Train+Apply digest = %s, want %s", got, want)
+	}
+}
+
+// TestRunPipelinePinnedDigestMultiLabel pins a small Linear Road run, whose
+// six gated steps make six labels: the Train and Apply series and the test
+// report, float bit by float bit. TestRunPipelinePinnedDigest has one gated
+// step, so only this pin reaches labels 1 and up.
+func TestRunPipelinePinnedDigestMultiLabel(t *testing.T) {
+	const want = "e50addfdaa3283d46f4078f24323e3c1685da8f4f70a4c30ff6641b2454e3403"
+	build := lrb.Build(lrb.Config{Expressways: 1, Segments: 5, Vehicles: 300, QueriesPerWave: 4, Seed: 2})
+	res, err := RunPipeline(build, []workflow.StepID{lrb.StepClassify}, PipelineConfig{
+		TrainWaves: 80,
+		ApplyWaves: 40,
+		Session:    Config{Seed: 3, Thresholds: []float64{0.15}, PositiveWeight: 14},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(res.Test.PerLabel); n != 6 {
+		t.Fatalf("test report covers %d labels, want 6", n)
+	}
+	h := sha256.New()
+	resultDigest(h, res.Train)
+	resultDigest(h, res.Apply)
+	for _, cv := range res.Test.PerLabel {
+		for _, v := range []float64{cv.Accuracy, cv.Precision, cv.Recall, cv.F1, cv.AUC, float64(cv.Folds)} {
+			_ = binary.Write(h, binary.LittleEndian, math.Float64bits(v))
+		}
+	}
+	_ = binary.Write(h, binary.LittleEndian, res.Test.Accepted)
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("Train+Apply+TestReport digest = %s, want %s", got, want)
 	}
 }
 

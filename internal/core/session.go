@@ -11,7 +11,6 @@ import (
 
 	"smartflux/internal/ml"
 	"smartflux/internal/ml/eval"
-	"smartflux/internal/ml/multilabel"
 	"smartflux/internal/obs"
 )
 
@@ -57,9 +56,6 @@ type Config struct {
 	// default Random Forest (ignored for other classifiers); values above
 	// 1 bias the predictor toward recall (§5.2's recall optimization).
 	PositiveWeight float64
-	// FeatureMode selects the features each per-label model sees
-	// (default FeatureOwnImpact).
-	FeatureMode FeatureMode
 	// TestFolds is the cross-validation fold count (default 10, §3.2).
 	TestFolds int
 	// MinAccuracy and MinRecall are the test-phase acceptance criteria;
@@ -68,13 +64,16 @@ type Config struct {
 	MinRecall   float64
 	// Seed drives every stochastic component.
 	Seed int64
-	// Parallelism bounds concurrent work in Train: per-label model fits
-	// and test-phase (label, fold) cross-validation tasks. 0 selects
-	// runtime.GOMAXPROCS(0), 1 trains sequentially. Reports and fitted
-	// predictors are bit-identical for every setting: fold partitions are
-	// drawn sequentially from the session RNG in label order before any
-	// task runs, and per-fold predictions are pooled in (label, fold)
-	// order afterwards.
+	// Parallelism bounds how many training tasks run at once — the
+	// per-label final fits and the test phase's (label, fold)
+	// cross-validation fits, one fan-out in Train and in a restore. 0
+	// selects runtime.GOMAXPROCS(0); at 1 the tasks run one at a time, but
+	// training is not sequential: each Random Forest still fits its trees
+	// on runtime.GOMAXPROCS(0) workers, because the session leaves
+	// ml.ForestConfig.Parallelism unset. Reports and fitted predictors are
+	// bit-identical for every setting: fold partitions are drawn from the
+	// session RNG in label order before any task runs, and per-fold
+	// predictions are pooled in (label, fold) order afterwards.
 	Parallelism int
 }
 
@@ -89,9 +88,6 @@ func (c Config) workers() int {
 func (c Config) withDefaults() Config {
 	if c.TestFolds <= 0 {
 		c.TestFolds = 10
-	}
-	if c.FeatureMode == 0 {
-		c.FeatureMode = FeatureOwnImpact
 	}
 	return c
 }
@@ -230,13 +226,7 @@ func (s *Session) Train() (TestReport, error) {
 		sp = trainObs.o.RootSpan("train/t"+strconv.FormatUint(s.trainSeq.Add(1)-1, 10), "train", "ml")
 	}
 	data := s.kb.Snapshot()
-	predictor, factory, err := s.fit(data)
-	if err != nil {
-		sp.EndErr(err)
-		return TestReport{}, err
-	}
-
-	report, err := s.test(factory, data)
+	predictor, report, err := s.train(data, true)
 	if err != nil {
 		sp.EndErr(err)
 		return TestReport{}, err
@@ -272,10 +262,14 @@ func (s *Session) Train() (TestReport, error) {
 	return report, nil
 }
 
-// fit is the first half of Train and all of a restore: the predictor this
-// session's Config builds from data. The resolved classifier factory is
-// returned for the test phase to reuse.
-func (s *Session) fit(data multilabel.Dataset) (*Predictor, func() ml.Classifier, error) {
+// train builds the predictor this session's Config makes from data — one
+// plan per label and one fan-out over every fit — and is all a restore does.
+// With test it also runs the §3.2 test phase: per-label stratified k-fold
+// cross-validation on the same plans, with the fold partitions drawn from the
+// session RNG in label order before any fit runs and per-fold predictions
+// pooled in (label, fold) order afterwards, so the report does not depend on
+// Config.Parallelism.
+func (s *Session) train(data Dataset, test bool) (*Predictor, TestReport, error) {
 	factory := s.cfg.Factory
 	if factory == nil {
 		if weight := s.cfg.PositiveWeight; weight > 0 &&
@@ -286,130 +280,29 @@ func (s *Session) fit(data multilabel.Dataset) (*Predictor, func() ml.Classifier
 			}
 		} else {
 			var err error
-			factory, err = ClassifierFactory(s.cfg.Classifier, s.cfg.Seed)
-			if err != nil {
-				return nil, nil, err
+			if factory, err = ClassifierFactory(s.cfg.Classifier, s.cfg.Seed); err != nil {
+				return nil, TestReport{}, err
 			}
 		}
 	}
-	predictor, err := newPredictor(factory, data, s.cfg.Thresholds, s.cfg.FeatureMode, s.cfg.Parallelism)
-	return predictor, factory, err
-}
-
-// test runs the §3.2 test phase: per-label stratified k-fold
-// cross-validation on the training log. The (label, fold) fit/score tasks
-// run concurrently when Config.Parallelism allows, yet the report is
-// bit-identical to a sequential run: every fold partition is drawn from the
-// shared session RNG in label order up front (preserving the historical draw
-// sequence exactly), and per-fold predictions are pooled in (label, fold)
-// order afterwards.
-func (s *Session) test(factory func() ml.Classifier, data multilabel.Dataset) (TestReport, error) {
+	var rng *rand.Rand
+	if test {
+		rng = rand.New(rand.NewSource(s.cfg.Seed + 1))
+	}
+	plans, err := planLabels(data, s.cfg.Thresholds, s.cfg.TestFolds, rng)
+	if err != nil {
+		return nil, TestReport{}, err
+	}
+	predictor, scored, err := fitPlans(factory, plans, s.cfg.workers())
+	if err != nil || !test {
+		return predictor, TestReport{}, err
+	}
 	report := TestReport{Accepted: true}
-	rng := rand.New(rand.NewSource(s.cfg.Seed + 1))
-	threshold := 0.5
-	if len(s.cfg.Thresholds) == 1 {
-		threshold = s.cfg.Thresholds[0]
-	}
-
-	// Phase 1 — sequential: project each label's dataset and draw its fold
-	// partition from the shared RNG.
-	type labelPlan struct {
-		binary ml.Dataset
-		th     float64
-		folds  []eval.Fold
-		k      int // fold count reported in CVResult.Folds
-		chance bool
-	}
-	plans := make([]labelPlan, data.Labels())
-	for l := 0; l < data.Labels(); l++ {
-		binary, err := data.Label(l)
-		if err != nil {
-			return TestReport{}, err
-		}
-		if s.cfg.FeatureMode == FeatureOwnImpact {
-			projected := make([][]float64, len(binary.X))
-			for i, row := range binary.X {
-				if l >= len(row) {
-					return TestReport{}, fmt.Errorf("core: own-impact test needs one impact per label (label %d, %d impacts)", l, len(row))
-				}
-				projected[i] = []float64{row[l]}
-			}
-			binary.X = projected
-		}
-		th := threshold
-		if len(s.cfg.Thresholds) == data.Labels() && data.Labels() > 1 {
-			th = s.cfg.Thresholds[l]
-		}
-		folds := s.cfg.TestFolds
-		if binary.Len() < folds*2 {
-			// Tiny logs: fall back to the largest workable fold count.
-			folds = binary.Len() / 2
-		}
-		plans[l] = labelPlan{binary: binary, th: th, k: folds, chance: folds < 2}
-		if folds >= 2 {
-			if err := binary.Validate(); err != nil {
-				return TestReport{}, fmt.Errorf("test label %d: %w", l, err)
-			}
-			plans[l].folds, err = eval.StratifiedKFold(binary.Y, folds, rng)
-			if err != nil {
-				return TestReport{}, fmt.Errorf("test label %d: %w", l, err)
-			}
-		}
-	}
-
-	// Phase 2 — parallel: fit and score every (label, fold) task into its
-	// indexed slot.
-	type task struct{ l, fi int }
-	var tasks []task
-	scored := make([][]eval.FoldScores, len(plans))
-	errs := make([][]error, len(plans))
-	for l := range plans {
-		scored[l] = make([]eval.FoldScores, len(plans[l].folds))
-		errs[l] = make([]error, len(plans[l].folds))
-		for fi := range plans[l].folds {
-			tasks = append(tasks, task{l, fi})
-		}
-	}
-	run := func(t task) {
-		plan := &plans[t.l]
-		scored[t.l][t.fi], errs[t.l][t.fi] = eval.ScoreFold(factory, plan.binary, plan.folds[t.fi], t.fi, plan.th)
-	}
-	if workers := s.cfg.workers(); workers <= 1 || len(tasks) <= 1 {
-		for _, t := range tasks {
-			run(t)
-		}
-	} else {
-		sem := make(chan struct{}, workers)
-		var wg sync.WaitGroup
-		for _, t := range tasks {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(t task) {
-				defer wg.Done()
-				run(t)
-				<-sem
-			}(t)
-		}
-		wg.Wait()
-	}
-
-	// Phase 3 — sequential: pool per-fold predictions and derive metrics in
-	// label order; the first error in (label, fold) order wins.
-	for l := range plans {
-		var cv eval.CVResult
-		if plans[l].chance {
-			// Too few examples to cross-validate; report chance level.
-			cv = eval.CVResult{Accuracy: 0, Precision: 0, Recall: 0, AUC: 0.5}
-		} else {
-			for _, err := range errs[l] {
-				if err != nil {
-					return TestReport{}, fmt.Errorf("test label %d: %w", l, err)
-				}
-			}
-			var err error
-			cv, err = eval.CrossValidateFolds(scored[l], plans[l].k)
-			if err != nil {
-				return TestReport{}, fmt.Errorf("test label %d: %w", l, err)
+	for l, plan := range plans {
+		cv := eval.CVResult{AUC: 0.5} // too few examples to cross-validate: chance level
+		if plan.k >= 2 {
+			if cv, err = eval.CrossValidateFolds(scored[l], plan.k); err != nil {
+				return nil, TestReport{}, fmt.Errorf("test label %d: %w", l, err)
 			}
 		}
 		report.PerLabel = append(report.PerLabel, cv)
@@ -420,7 +313,7 @@ func (s *Session) test(factory func() ml.Classifier, data multilabel.Dataset) (T
 			report.Accepted = false
 		}
 	}
-	return report, nil
+	return predictor, report, nil
 }
 
 // LastTestReport returns the most recent test-phase report.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -71,6 +72,10 @@ type stepState struct {
 	errorTrackers  []*metric.Tracker
 	errorFactory   metric.Factory
 
+	// preds holds the positions in Instance.order of the step's DAG
+	// predecessors.
+	preds []int
+
 	lastExecWave int // -1 until the step has executed
 	execCount    int
 }
@@ -124,7 +129,9 @@ type Instance struct {
 	order    []workflow.StepID
 	gated    []workflow.StepID
 	gatedIdx map[workflow.StepID]int
-	states   map[workflow.StepID]*stepState
+	// states[i] is the bookkeeping of order[i]; posOf maps a step ID to i.
+	states []*stepState
+	posOf  map[workflow.StepID]int
 	// waitIdx[i] lists order indices whose this-wave processing must
 	// finish before order[i] may start: the step's DAG predecessors plus
 	// any earlier step writing an overlapping output container (write-write
@@ -311,7 +318,8 @@ func NewInstance(wf *workflow.Workflow, store *kvstore.Store, cfg InstanceConfig
 		order:    order,
 		gated:    gated,
 		gatedIdx: make(map[workflow.StepID]int, len(gated)),
-		states:   make(map[workflow.StepID]*stepState, len(order)),
+		states:   make([]*stepState, len(order)),
+		posOf:    make(map[workflow.StepID]int, len(order)),
 		impacts:  make([]float64, len(gated)),
 		jitter:   rand.New(rand.NewSource(cfg.RetrySeed)),
 		snaps:    make(map[workflow.Container]*containerSnapshot),
@@ -319,12 +327,17 @@ func NewInstance(wf *workflow.Workflow, store *kvstore.Store, cfg InstanceConfig
 	for i, id := range gated {
 		in.gatedIdx[id] = i
 	}
-	for _, id := range order {
+	for i, id := range order {
 		step, err := wf.Step(id)
 		if err != nil {
 			return nil, err
 		}
+		in.posOf[id] = i
 		st := &stepState{step: step, lastExecWave: -1}
+		// Predecessors come earlier in order, so their positions are known.
+		for _, pred := range wf.Predecessors(id) {
+			st.preds = append(st.preds, in.posOf[pred])
+		}
 		for _, c := range step.Inputs {
 			in.snaps[c] = &containerSnapshot{}
 		}
@@ -353,24 +366,20 @@ func NewInstance(wf *workflow.Workflow, store *kvstore.Store, cfg InstanceConfig
 				st.errorTrackers = append(st.errorTrackers, metric.NewTracker(errorFactory, step.QoD.Mode))
 			}
 		}
-		in.states[id] = st
+		in.states[i] = st
 	}
-	in.waitIdx = waitIndices(wf, order, in.states)
+	in.waitIdx = waitIndices(in.states)
 	return in, nil
 }
 
 // waitIndices precomputes the per-step wait sets of the wave scheduler, each
 // in ascending order. Predecessors precede their successors in order, so one
 // scan of the earlier positions finds both kinds of member.
-func waitIndices(wf *workflow.Workflow, order []workflow.StepID, states map[workflow.StepID]*stepState) [][]int {
-	waits := make([][]int, len(order))
-	for i, id := range order {
-		preds := make(map[workflow.StepID]bool)
-		for _, pred := range wf.Predecessors(id) {
-			preds[pred] = true
-		}
-		for j, earlier := range order[:i] {
-			if preds[earlier] || outputsOverlap(states[earlier].step, states[id].step) {
+func waitIndices(states []*stepState) [][]int {
+	waits := make([][]int, len(states))
+	for i, st := range states {
+		for j, earlier := range states[:i] {
+			if slices.Contains(st.preds, j) || outputsOverlap(earlier.step, st.step) {
 				waits[i] = append(waits[i], j)
 			}
 		}
@@ -417,10 +426,18 @@ func (in *Instance) GatedIndex(id workflow.StepID) int {
 // Wave returns the number of waves executed so far.
 func (in *Instance) Wave() int { return in.wave }
 
+// state returns step id's bookkeeping, or nil for a step not in the workflow.
+func (in *Instance) state(id workflow.StepID) *stepState {
+	if i, ok := in.posOf[id]; ok {
+		return in.states[i]
+	}
+	return nil
+}
+
 // ExecCount returns how many times step id has executed.
 func (in *Instance) ExecCount(id workflow.StepID) int {
-	st, ok := in.states[id]
-	if !ok {
+	st := in.state(id)
+	if st == nil {
 		return 0
 	}
 	return st.execCount
@@ -466,8 +483,8 @@ func (in *Instance) snapshot(c workflow.Container) metric.State {
 // OutputState snapshots the numeric state of all output containers of id,
 // merged under "table:row/column" keys.
 func (in *Instance) OutputState(id workflow.StepID) metric.State {
-	st, ok := in.states[id]
-	if !ok {
+	st := in.state(id)
+	if st == nil {
 		return nil
 	}
 	states := in.outputStates(st.step)
@@ -487,8 +504,8 @@ func (in *Instance) OutputState(id workflow.StepID) metric.State {
 
 // ErrorFactory returns the error-metric factory of gated step id, or nil.
 func (in *Instance) ErrorFactory(id workflow.StepID) metric.Factory {
-	st, ok := in.states[id]
-	if !ok {
+	st := in.state(id)
+	if st == nil {
 		return nil
 	}
 	return st.errorFactory
@@ -691,8 +708,8 @@ func (in *Instance) execute(ctx *workflow.Context, st *stepState, wave int, sp *
 // processed). Processors of non-source steps must not depend on the wave
 // number for this to be exact.
 func (in *Instance) HypotheticalOutput(id workflow.StepID) (metric.State, error) {
-	st, ok := in.states[id]
-	if !ok {
+	st := in.state(id)
+	if st == nil {
 		return nil, fmt.Errorf("engine: unknown step %q", id)
 	}
 	wave := in.wave - 1
@@ -733,11 +750,11 @@ func (in *Instance) HypotheticalOutput(id workflow.StepID) (metric.State, error)
 	return nil, lastErr
 }
 
-// predecessorsReady reports whether all upstream steps have executed at
-// least once (the triggering precondition of §2).
-func (in *Instance) predecessorsReady(id workflow.StepID) bool {
-	for _, pred := range in.wf.Predecessors(id) {
-		if in.states[pred].lastExecWave < 0 {
+// predecessorsReady reports whether all of st's upstream steps have executed
+// at least once (the triggering precondition of §2).
+func (in *Instance) predecessorsReady(st *stepState) bool {
+	for _, j := range st.preds {
+		if in.states[j].lastExecWave < 0 {
 			return false
 		}
 	}

@@ -155,13 +155,13 @@ func (in *Instance) runWave(d Decider) (WaveResult, error) {
 	// execute time — the quantity critical-path analysis sums along wait_for
 	// edges.
 	start := func(i int) {
-		st := in.states[in.order[i]]
+		st := in.states[i]
 		sp := in.stepSpan(waveSp, st, i, wave)
 		dispatch(i, func() error {
 			if err := await(i, sp); err != nil {
 				return err
 			}
-			if !st.step.Source && !in.predecessorsReady(st.step.ID) {
+			if !st.step.Source && !in.predecessorsReady(st) {
 				sp.SetSkipped(true)
 				sp.End()
 				return nil
@@ -178,8 +178,8 @@ func (in *Instance) runWave(d Decider) (WaveResult, error) {
 		// they all start now, each awaiting its own wait set, rather than
 		// queueing behind the walk's waits for gated steps: independent
 		// branches overlap whatever their place in the order.
-		for i, id := range in.order {
-			if !in.states[id].step.Gated() {
+		for i, st := range in.states {
+			if !st.step.Gated() {
 				start(i)
 			}
 		}
@@ -190,7 +190,7 @@ func (in *Instance) runWave(d Decider) (WaveResult, error) {
 	// reported — is the one a Parallelism-1 run fails at.
 	i := 0
 	for ; i < n && int64(i) <= failedAt.Load(); i++ {
-		st := in.states[in.order[i]]
+		st := in.states[i]
 		if !st.step.Gated() {
 			if !pooled {
 				start(i)
@@ -209,7 +209,7 @@ func (in *Instance) runWave(d Decider) (WaveResult, error) {
 		res.Impacts[idx] = impact
 		sp.SetIota(impact)
 
-		ready := in.predecessorsReady(st.step.ID)
+		ready := in.predecessorsReady(st)
 		verdict, decNanos := in.decide(d, wave, idx, ready)
 		ev := in.traceDecision(&res, d, st.step, idx, impact, ready, verdict, decNanos, tracing)
 		if !ready || !verdict {
@@ -223,18 +223,18 @@ func (in *Instance) runWave(d Decider) (WaveResult, error) {
 	// A doomed wave: the gated steps the walk did not get to are held back,
 	// and so — through await — is every started step waiting on one of them.
 	for ; i < n; i++ {
-		if in.states[in.order[i]].step.Gated() {
+		if in.states[i].step.Gated() {
 			settle(i, pos[failedAt.Load()].err)
 		}
 	}
 	wg.Wait()
 
 	var firstErr error
-	for i, id := range in.order {
+	for i, st := range in.states {
 		if firstErr == nil {
 			firstErr = pos[i].err
 		}
-		if st := in.states[id]; st.lastExecWave == wave {
+		if st.lastExecWave == wave {
 			res.TotalExecutions++
 			if st.step.Gated() {
 				res.GatedExecutions++

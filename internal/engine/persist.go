@@ -44,8 +44,7 @@ func (in *Instance) PersistState() InstancePersist {
 		Impacts: append([]float64(nil), in.impacts...),
 		Steps:   make([]StepPersist, len(in.order)),
 	}
-	for pos, id := range in.order {
-		st := in.states[id]
+	for pos, st := range in.states {
 		sp := StepPersist{
 			LastExecWave: st.lastExecWave,
 			ExecCount:    st.execCount,
@@ -67,14 +66,14 @@ func (in *Instance) PersistState() InstancePersist {
 // instance's workflow: a resumed run must be built from the same workload
 // definition.
 func (in *Instance) checkPersisted(p InstancePersist) error {
-	if len(p.Impacts) != len(in.impacts) || len(p.Steps) != len(in.order) {
+	if len(p.Impacts) != len(in.impacts) || len(p.Steps) != len(in.states) {
 		return fmt.Errorf("engine: persisted state has %d gated impacts and %d steps, instance has %d and %d",
 			len(p.Impacts), len(p.Steps), len(in.impacts), len(in.order))
 	}
-	for pos, id := range in.order {
-		st, sp := in.states[id], p.Steps[pos]
+	for pos, st := range in.states {
+		sp := p.Steps[pos]
 		if len(sp.Impacts) != len(st.impactTrackers) || len(sp.Errors) != len(st.errorTrackers) {
-			return fmt.Errorf("engine: persisted tracker shape mismatch for step %q", id)
+			return fmt.Errorf("engine: persisted tracker shape mismatch for step %q", st.step.ID)
 		}
 	}
 	return nil
@@ -84,8 +83,8 @@ func (in *Instance) checkPersisted(p InstancePersist) error {
 func (in *Instance) applyPersisted(p InstancePersist) {
 	in.wave = p.Wave
 	copy(in.impacts, p.Impacts)
-	for pos, id := range in.order {
-		st, sp := in.states[id], p.Steps[pos]
+	for pos, st := range in.states {
+		sp := p.Steps[pos]
 		st.lastExecWave = sp.LastExecWave
 		st.execCount = sp.ExecCount
 		for i, t := range st.impactTrackers {

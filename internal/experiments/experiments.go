@@ -50,10 +50,11 @@ type Config struct {
 	Scale float64
 	// Jobs bounds how many (workload, bound) pipelines run concurrently
 	// (the cmd/experiments -j flag): 0 selects runtime.GOMAXPROCS(0),
-	// 1 runs them one at a time. Each pipeline's own internal parallelism
-	// is unaffected (engine and session stay sequential within a fan-out
-	// so concurrent pipelines don't oversubscribe the machine), and every
-	// figure's output is identical for every setting.
+	// 1 runs them one at a time. Within a fan-out each pipeline runs at
+	// PipelineConfig.Parallelism 1 — one goroutine per wave and one training
+	// task at a time — though every Random Forest still fits its trees on
+	// runtime.GOMAXPROCS(0) workers. Every figure's output is identical for
+	// every setting.
 	Jobs int
 	// Obs, when non-nil, instruments every pipeline the runner executes
 	// (metrics, decision traces and causal spans; see cmd/experiments'
@@ -204,8 +205,9 @@ func (r *Runner) Pipeline(w Workload, bound float64, policy string) (*core.Pipel
 }
 
 // runPipeline executes one uncached pipeline. When pipelines fan out
-// (Jobs > 1) each runs sequentially inside so the fan-out, not the inner
-// engine, uses the machine; a lone pipeline gets full inner parallelism.
+// (Jobs > 1) each runs at Parallelism 1, so the fan-out rather than the
+// engine and the training tasks uses the machine (forest tree fits still
+// fan out inside); a lone pipeline gets full inner parallelism.
 func (r *Runner) runPipeline(w Workload, bound float64, policy string) (*core.PipelineResult, error) {
 	build, err := r.cfg.buildFor(w, bound)
 	if err != nil {

@@ -6,7 +6,6 @@ import (
 
 	"smartflux/internal/core"
 	"smartflux/internal/ml/eval"
-	"smartflux/internal/ml/multilabel"
 )
 
 // LearningPoint is one point of a Figure 8 learning curve.
@@ -83,13 +82,13 @@ func trainingSizes(w Workload, maxTrain int) []int {
 
 // evaluatePrefix trains on log[0:size) and tests on log[maxTrain:].
 func evaluatePrefix(r *Runner, log *SyncLog, size, maxTrain int) (LearningPoint, error) {
-	train := multilabel.Dataset{X: log.Impacts[:size], Y: log.Labels[:size]}
+	train := core.Dataset{X: log.Impacts[:size], Y: log.Labels[:size]}
 	factory, err := core.ClassifierFactory(core.ClassifierRandomForest, r.cfg.Seed)
 	if err != nil {
 		return LearningPoint{}, err
 	}
 	sess := r.cfg.session()
-	predictor, err := core.NewPredictor(factory, train, sess.Thresholds, core.FeatureOwnImpact)
+	predictor, err := core.NewPredictor(factory, train, sess.Thresholds)
 	if err != nil {
 		return LearningPoint{}, err
 	}

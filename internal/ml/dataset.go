@@ -1,13 +1,13 @@
 // Package ml is a from-scratch machine-learning library implementing the
 // classifier line-up evaluated in §3.2 of the SmartFlux paper (Random Forest,
 // SVM, logistic regression, naive Bayes, decision tree, neural network, plus
-// k-NN), together with the dataset plumbing they share. Sub-packages provide
-// model evaluation (ml/eval) and multi-label classification (ml/multilabel).
+// k-NN), together with the dataset plumbing they share. The sub-package
+// ml/eval provides model evaluation.
 //
 // All classifiers are binary: labels are 0 or 1 and scores are confidences
-// for class 1. Multi-label problems (the h: ι-vector → execute-bit-vector
-// classifier of §3.1) are built from binary classifiers via
-// multilabel.BinaryRelevance.
+// for class 1. The multi-label h: ι-vector → execute-bit-vector classifier of
+// §3.1 is one binary classifier per gated step, the binary-relevance
+// reduction MEKA applies; package core builds it.
 package ml
 
 import (

@@ -8,10 +8,6 @@ import (
 	"sync"
 )
 
-// scoreParallelMin is the tree count above which Score fans out: below it
-// goroutine overhead dominates the per-tree traversal cost.
-const scoreParallelMin = 256
-
 // ForestConfig configures a random forest. The zero value gives the
 // "default parameterization" the paper relies on (§3.2): 100 trees,
 // unbounded depth, √(features) candidate features per split.
@@ -37,7 +33,7 @@ type ForestConfig struct {
 	// runtime.GOMAXPROCS(0), 1 fits sequentially. Every setting produces
 	// an identical forest: bootstrap samples and per-tree seeds are drawn
 	// sequentially from the root RNG in tree order before any tree fits,
-	// and out-of-bag votes are reduced in tree order afterwards.
+	// and each tree lands in its own slot.
 	Parallelism int
 }
 
@@ -72,8 +68,6 @@ type Forest struct {
 	cfg      ForestConfig
 	trees    []*Tree
 	features int
-	oobScore float64
-	hasOOB   bool
 }
 
 var (
@@ -89,25 +83,17 @@ func NewForest(cfg ForestConfig) *Forest {
 // Name implements Named.
 func (f *Forest) Name() string { return "random-forest" }
 
-// oobVote is one tree's probability for one out-of-bag example.
-type oobVote struct {
-	example int
-	p       float64
-}
-
 // treeTask is the pre-drawn recipe for one tree: its bootstrap sample and
 // seed, fixed before any fitting starts so goroutine interleaving cannot
 // change what each tree trains on.
 type treeTask struct {
-	idx   []int
-	inBag []bool
-	seed  int64
+	idx  []int
+	seed int64
 }
 
-// Fit trains the forest on d and computes the out-of-bag accuracy estimate.
-// Trees fit concurrently when ForestConfig.Parallelism allows; the fitted
-// forest and its OOB estimate are bit-identical for every setting (see
-// ForestConfig.Parallelism).
+// Fit trains the forest on d. Trees fit concurrently when
+// ForestConfig.Parallelism allows; the fitted forest is bit-identical for
+// every setting (see ForestConfig.Parallelism).
 func (f *Forest) Fit(d Dataset) error {
 	if err := d.Validate(); err != nil {
 		return err
@@ -139,7 +125,6 @@ func (f *Forest) Fit(d Dataset) error {
 	// per tree, n sample draws followed by one seed draw).
 	tasks := make([]treeTask, f.cfg.Trees)
 	for i := range tasks {
-		inBag := make([]bool, d.Len())
 		idx := make([]int, d.Len())
 		for j := range idx {
 			var k int
@@ -154,15 +139,12 @@ func (f *Forest) Fit(d Dataset) error {
 				k = neg[rng.Intn(len(neg))]
 			}
 			idx[j] = k
-			inBag[k] = true
 		}
-		tasks[i] = treeTask{idx: idx, inBag: inBag, seed: rng.Int63()}
+		tasks[i] = treeTask{idx: idx, seed: rng.Int63()}
 	}
 
-	// Phase 2 — parallel: fit trees into indexed slots; each records its
-	// out-of-bag votes locally.
+	// Phase 2 — parallel: fit trees into indexed slots.
 	trees := make([]*Tree, f.cfg.Trees)
-	votes := make([][]oobVote, f.cfg.Trees)
 	errs := make([]error, f.cfg.Trees)
 	fitOne := func(i int) {
 		task := tasks[i]
@@ -178,17 +160,6 @@ func (f *Forest) Fit(d Dataset) error {
 			return
 		}
 		trees[i] = tree
-		for j := 0; j < d.Len(); j++ {
-			if task.inBag[j] {
-				continue
-			}
-			p, err := tree.Score(d.X[j])
-			if err != nil {
-				errs[i] = fmt.Errorf("forest oob score: %w", err)
-				return
-			}
-			votes[i] = append(votes[i], oobVote{example: j, p: p})
-		}
 	}
 	if workers := f.cfg.workers(); workers <= 1 || f.cfg.Trees <= 1 {
 		for i := range tasks {
@@ -217,55 +188,17 @@ func (f *Forest) Fit(d Dataset) error {
 		}
 	}
 	f.trees = trees
-
-	// Phase 3 — sequential: reduce out-of-bag votes in tree order, so
-	// floating-point accumulation matches the sequential engine exactly.
-	oobSum := make([]float64, d.Len())
-	oobN := make([]int, d.Len())
-	for i := range votes {
-		for _, v := range votes[i] {
-			oobSum[v.example] += v.p
-			oobN[v.example]++
-		}
-	}
-
-	// Out-of-bag accuracy at the neutral 0.5 threshold.
-	var correct, counted int
-	for j := 0; j < d.Len(); j++ {
-		if oobN[j] == 0 {
-			continue
-		}
-		counted++
-		pred := 0
-		if oobSum[j]/float64(oobN[j]) >= 0.5 {
-			pred = 1
-		}
-		if pred == d.Y[j] {
-			correct++
-		}
-	}
-	if counted > 0 {
-		f.oobScore = float64(correct) / float64(counted)
-		f.hasOOB = true
-	} else {
-		f.oobScore = 0
-		f.hasOOB = false
-	}
 	return nil
 }
 
-// Score implements Classifier: the mean of per-tree leaf probabilities.
-// Large forests score their trees concurrently; the per-tree probabilities
-// are summed in tree order either way, so the mean is bit-identical.
+// Score implements Classifier: the mean of per-tree leaf probabilities,
+// summed in tree order.
 func (f *Forest) Score(x []float64) (float64, error) {
 	if len(f.trees) == 0 {
 		return 0, ErrNotFitted
 	}
 	if len(x) != f.features {
 		return 0, fmt.Errorf("%w: got %d features, want %d", ErrDimensionMismatch, len(x), f.features)
-	}
-	if workers := f.cfg.workers(); workers > 1 && len(f.trees) >= scoreParallelMin {
-		return f.scoreParallel(x, workers)
 	}
 	var sum float64
 	for _, tree := range f.trees {
@@ -277,54 +210,3 @@ func (f *Forest) Score(x []float64) (float64, error) {
 	}
 	return sum / float64(len(f.trees)), nil
 }
-
-// scoreParallel chunks the trees across workers and reduces the per-tree
-// probabilities sequentially in tree order.
-func (f *Forest) scoreParallel(x []float64, workers int) (float64, error) {
-	probs := make([]float64, len(f.trees))
-	errs := make([]error, workers)
-	chunk := (len(f.trees) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= len(f.trees) {
-			break
-		}
-		hi := lo + chunk
-		if hi > len(f.trees) {
-			hi = len(f.trees)
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				p, err := f.trees[i].Score(x)
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				probs[i] = p
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return 0, err
-		}
-	}
-	var sum float64
-	for _, p := range probs {
-		sum += p
-	}
-	return sum / float64(len(f.trees)), nil
-}
-
-// OOBAccuracy returns the out-of-bag accuracy estimate computed during Fit.
-// ok is false when no example was ever out of bag (tiny datasets).
-func (f *Forest) OOBAccuracy() (score float64, ok bool) {
-	return f.oobScore, f.hasOOB
-}
-
-// TreeCount returns the number of fitted trees.
-func (f *Forest) TreeCount() int { return len(f.trees) }

@@ -289,24 +289,6 @@ func TestTreeEntropyCriterion(t *testing.T) {
 	}
 }
 
-func TestForestOOB(t *testing.T) {
-	d := separable(200, 37)
-	forest := NewForest(ForestConfig{Trees: 30, Seed: 5})
-	if err := forest.Fit(d); err != nil {
-		t.Fatal(err)
-	}
-	oob, ok := forest.OOBAccuracy()
-	if !ok {
-		t.Fatal("no OOB estimate on a 200-example dataset")
-	}
-	if oob < 0.85 {
-		t.Errorf("OOB accuracy %.3f < 0.85 on separable data", oob)
-	}
-	if forest.TreeCount() != 30 {
-		t.Errorf("TreeCount = %d", forest.TreeCount())
-	}
-}
-
 func TestForestPositiveWeightBoostsRecall(t *testing.T) {
 	// Imbalanced, noisy dataset: 10% positives.
 	rng := rand.New(rand.NewSource(41))

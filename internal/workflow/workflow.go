@@ -213,10 +213,7 @@ type Workflow struct {
 	name      string
 	steps     map[StepID]*Step
 	order     []StepID // topological
-	levels    [][]StepID
-	levelOf   map[StepID]int
 	preds     map[StepID][]StepID
-	succs     map[StepID][]StepID
 	finalized bool
 }
 
@@ -226,7 +223,6 @@ func New(name string) *Workflow {
 		name:  name,
 		steps: make(map[StepID]*Step),
 		preds: make(map[StepID][]StepID),
-		succs: make(map[StepID][]StepID),
 	}
 }
 
@@ -310,9 +306,6 @@ func (w *Workflow) Finalize() error {
 			succs[from] = append(succs[from], to)
 		}
 	}
-	for id := range succs {
-		sort.Slice(succs[id], func(i, j int) bool { return succs[id][i] < succs[id][j] })
-	}
 
 	var ready []StepID
 	for _, id := range ids {
@@ -347,64 +340,10 @@ func (w *Workflow) Finalize() error {
 		preds[to] = list
 	}
 
-	// Topological levels: a step's level is one past the deepest of its
-	// predecessors, so every step in level L depends only on steps in
-	// levels < L. All steps of one level are mutually independent and may
-	// execute concurrently (see engine.InstanceConfig.Parallelism).
-	levelOf := make(map[StepID]int, len(order))
-	maxLevel := 0
-	for _, id := range order {
-		level := 0
-		for _, pred := range preds[id] {
-			if l := levelOf[pred] + 1; l > level {
-				level = l
-			}
-		}
-		levelOf[id] = level
-		if level > maxLevel {
-			maxLevel = level
-		}
-	}
-	levels := make([][]StepID, maxLevel+1)
-	for _, id := range order { // order keeps each level deterministic
-		levels[levelOf[id]] = append(levels[levelOf[id]], id)
-	}
-
 	w.order = order
-	w.levels = levels
-	w.levelOf = levelOf
 	w.preds = preds
-	w.succs = succs
 	w.finalized = true
 	return nil
-}
-
-// Levels returns the topological levels of the DAG: level 0 holds the steps
-// with no predecessors, level L the steps whose deepest predecessor sits in
-// level L-1. Steps within one level are mutually independent — none reads a
-// container another one of the same level writes — which makes each level a
-// wave-schedulable unit for parallel execution.
-func (w *Workflow) Levels() ([][]StepID, error) {
-	if !w.finalized {
-		return nil, ErrNotFinalized
-	}
-	out := make([][]StepID, len(w.levels))
-	for i, level := range w.levels {
-		out[i] = make([]StepID, len(level))
-		copy(out[i], level)
-	}
-	return out, nil
-}
-
-// Level returns the topological level of step id, or -1 for unknown steps.
-func (w *Workflow) Level(id StepID) int {
-	if !w.finalized {
-		return -1
-	}
-	if _, ok := w.steps[id]; !ok {
-		return -1
-	}
-	return w.levelOf[id]
 }
 
 // stepOutputOn returns the producer's output container on the given table.
@@ -459,13 +398,6 @@ func (w *Workflow) Predecessors(id StepID) []StepID {
 	return out
 }
 
-// Successors returns the direct downstream steps of id.
-func (w *Workflow) Successors(id StepID) []StepID {
-	out := make([]StepID, len(w.succs[id]))
-	copy(out, w.succs[id])
-	return out
-}
-
 // GatedSteps returns, in topological order, the steps whose triggering is
 // QoD-controlled.
 func (w *Workflow) GatedSteps() ([]StepID, error) {
@@ -475,22 +407,6 @@ func (w *Workflow) GatedSteps() ([]StepID, error) {
 	var out []StepID
 	for _, id := range w.order {
 		if w.steps[id].Gated() {
-			out = append(out, id)
-		}
-	}
-	return out, nil
-}
-
-// OutputSteps returns the steps with no successors — the workflow output
-// producers (§1: "the output produced by processing steps that do not have
-// any successor steps").
-func (w *Workflow) OutputSteps() ([]StepID, error) {
-	if !w.finalized {
-		return nil, ErrNotFinalized
-	}
-	var out []StepID
-	for _, id := range w.order {
-		if len(w.succs[id]) == 0 {
 			out = append(out, id)
 		}
 	}
