@@ -119,12 +119,15 @@ bench-e2e-smoke:
 ## .bench_build/parent, then runs N (default 10) pairs of the BENCHMARK.json
 ## command on workload W (default lrb-mem), parent and working tree,
 ## alternating which side runs first, and prints one
-## `pair side workload waves_per_s setup_s` line per run.
+## `pair side workload waves_per_s setup_s` line per run, then one
+## `summary side workload waves_per_s M setup_s M ratio R won K/N` line per
+## side: the medians, the side's median waves_per_s over the parent's, and
+## the pairs in which the side had the higher waves_per_s.
 N ?= 10
 W ?= lrb-mem
 bench-pairs: REF = HEAD
 bench-pairs:
-	rm -rf .bench_build/parent
+	rm -rf .bench_build/parent .bench_build/pairs.txt
 	mkdir -p .bench_build/parent
 	git archive $(REF) | tar -x -C .bench_build/parent
 	@echo "pair side workload waves_per_s setup_s"
@@ -133,10 +136,24 @@ bench-pairs:
 		for side in $$order; do \
 			dir=.; [ $$side = parent ] && dir=.bench_build/parent; \
 			(cd $$dir && bash bench/run.sh --workload $(W) --seconds 10 --trace 0) | \
-			awk -v p=$$i -v s=$$side -v w=$(W) '$$2 == "waves_per_s" { x = $$3 } $$2 == "setup_s" { y = $$3 } \
-				END { if (x == "") exit 1; print p, s, w, x, y }' || exit 1; \
+			awk -v p=$$i -v s=$$side -v w=$(W) -v f=.bench_build/pairs.txt \
+				'$$2 == "waves_per_s" { x = $$3 } $$2 == "setup_s" { y = $$3 } \
+				END { if (x == "") exit 1; print p, s, w, x, y; print p, s, w, x, y >> f }' || exit 1; \
 		done; \
 	done
+	@awk 'function median(a, n,   i, j, t) { \
+			for (i = 2; i <= n; i++) { t = a[i]; for (j = i - 1; j > 0 && a[j] > t; j--) a[j + 1] = a[j]; a[j + 1] = t } \
+			return n % 2 ? a[(n + 1) / 2] : (a[n / 2] + a[n / 2 + 1]) / 2 } \
+		{ w = $$3; k = ++n[$$2]; wps[$$2, $$1] = $$4 } \
+		$$2 == "parent" { pw[k] = $$4; ps[k] = $$5 } \
+		$$2 == "change" { cw[k] = $$4; cs[k] = $$5 } \
+		END { \
+			for (i = 1; i <= n["parent"]; i++) { won["parent"] += wps["parent", i] > wps["change", i]; won["change"] += wps["change", i] > wps["parent", i] } \
+			mp = median(pw, n["parent"]); mc = median(cw, n["change"]); \
+			printf "summary parent %s waves_per_s %.1f setup_s %.3f ratio %.3f won %d/%d\n", w, mp, median(ps, n["parent"]), 1, won["parent"], n["parent"]; \
+			printf "summary change %s waves_per_s %.1f setup_s %.3f ratio %.3f won %d/%d\n", w, mc, median(cs, n["change"]), mc / mp, won["change"], n["change"] }' \
+		.bench_build/pairs.txt
+	@rm -f .bench_build/pairs.txt
 
 ## fuzz: run the wire-protocol fuzzers, the epoch-file reader's fuzzer and
 ## the checkpoint decode + restore fuzzer (session, harness and — for a policy

@@ -211,22 +211,22 @@ func BenchmarkOverheadKVStorePut(b *testing.B) {
 	}
 }
 
-// BenchmarkOverheadKVStoreApply measures a step's write: one 3 600-cell
-// float batch (an LRB feeder wave's size) built with Grow and applied to a
-// table whose cells are already at MaxVersions.
-func BenchmarkOverheadKVStoreApply(b *testing.B) {
-	store := kvstore.New()
-	table, err := store.CreateTable("t", kvstore.TableOptions{})
+// lrbReportsTable builds a table shaped like an LRB wave's reports — 1 200
+// vehicle rows × 3 float columns — and returns it with its row and column
+// keys and the function that writes one wave's pooled batch to it. Every
+// cell is at MaxVersions.
+func lrbReportsTable(b *testing.B) (table *kvstore.Table, rows, cols []string, apply func(v float64)) {
+	table, err := kvstore.New().CreateTable("t", kvstore.TableOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	rows := make([]string, 1200)
+	rows = make([]string, 1200)
 	for i := range rows {
 		rows[i] = "v" + strconv.Itoa(i)
 	}
-	cols := []string{"xway", "pos", "speed"}
-	apply := func(v float64) {
-		batch := kvstore.NewBatch().Grow(len(rows) * len(cols))
+	cols = []string{"xway", "pos", "speed"}
+	apply = func(v float64) {
+		batch := kvstore.GetBatch().Grow(len(rows) * len(cols))
 		for _, row := range rows {
 			for _, col := range cols {
 				batch.PutFloat(row, col, v)
@@ -235,14 +235,53 @@ func BenchmarkOverheadKVStoreApply(b *testing.B) {
 		if err := table.Apply(batch); err != nil {
 			b.Fatal(err)
 		}
+		batch.Release()
 	}
 	for i := 0; i < kvstore.DefaultMaxVersions; i++ {
 		apply(float64(i))
 	}
+	return table, rows, cols, apply
+}
+
+// BenchmarkOverheadKVStoreApply measures a step's write: one 3 600-cell
+// float batch (an LRB feeder wave's size) built in a pooled batch and
+// applied to a table whose cells are already at MaxVersions.
+func BenchmarkOverheadKVStoreApply(b *testing.B) {
+	_, _, _, apply := lrbReportsTable(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		apply(float64(i))
+	}
+}
+
+// BenchmarkOverheadKVStoreScanState measures the ι snapshot of an LRB
+// wave's reports: 3 600 float cells read as a metric.State.
+func BenchmarkOverheadKVStoreScanState(b *testing.B) {
+	table, rows, cols, _ := lrbReportsTable(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got, _ := table.ScanState(kvstore.ScanOptions{}); len(got) != len(rows)*len(cols) {
+			b.Fatal("short scan")
+		}
+	}
+}
+
+// BenchmarkOverheadKVStoreGet measures point reads: one op is a GetFloat of
+// every cell of the LRB-shaped table, 3 600 lookups.
+func BenchmarkOverheadKVStoreGet(b *testing.B) {
+	table, rows, cols, _ := lrbReportsTable(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, row := range rows {
+			for _, col := range cols {
+				if _, ok := table.GetFloat(row, col); !ok {
+					b.Fatal("missing cell")
+				}
+			}
+		}
 	}
 }
 

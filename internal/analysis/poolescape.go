@@ -4,15 +4,17 @@ package analysis
 //
 // PR 7 made the hot paths run on recycled memory: wire.GetBuffer hands out
 // sync.Pool'd frame buffers, ReadFrame and the Decode* helpers return slices
-// that ALIAS those buffers, and kvstore's streaming scans page cells through
-// a shared pool. The bug class this invites is silent: release a buffer (or
-// let ReadFrame reset it) while an alias is still held, and the bytes under
-// the alias are rewritten by an unrelated frame — no panic, just wrong data,
-// which in this codebase means a nondeterministic result.
+// that ALIAS those buffers, kvstore's streaming scans page cells through a
+// shared pool, and producers build write batches in kvstore.GetBatch's pool.
+// The bug class this invites is silent: release a buffer (or let ReadFrame
+// reset it) while an alias is still held, and the bytes under the alias are
+// rewritten by an unrelated frame — no panic, just wrong data, which in this
+// codebase means a nondeterministic result.
 //
 // The analyzer runs the dataflow framework per function body. Every pool
-// acquisition site (wire.GetBuffer, any sync.Pool.Get) allocates an abstract
-// CELL keyed by its position; variables map to the sets of cells they may
+// acquisition site (wire.GetBuffer, kvstore.GetBatch, any sync.Pool.Get)
+// allocates an abstract CELL keyed by its position; variables map to the
+// sets of cells they may
 // alias. Calls that take a tracked value and return alias-carrying results
 // (ReadFrame's payload, Reader.Bytes, DecodeRequest/DecodeResponse, slicing)
 // create DERIVED cells recorded as children of their sources. Release and
@@ -40,7 +42,7 @@ import (
 // scan pages) after they were released back to their pool on some path.
 var Poolescape = &Analyzer{
 	Name: "poolescape",
-	Doc: "use-after-release of pooled memory: a value from wire.GetBuffer / sync.Pool.Get " +
+	Doc: "use-after-release of pooled memory: a value from wire.GetBuffer / kvstore.GetBatch / sync.Pool.Get " +
 		"(or a zero-copy alias derived from one) is read, stored, or returned after " +
 		"Release/Put/Reset invalidated it on some path",
 	Run: runPoolescape,
@@ -581,14 +583,19 @@ func (pe *peFunc) checkDeferredEscape(res ast.Expr, cs cellSet, st *peState) {
 // --- pool model predicates -------------------------------------------------
 
 // isPoolAcquire reports whether callee hands out pooled memory: any
-// sync.Pool.Get, or the wire codec's GetBuffer.
+// sync.Pool.Get, the wire codec's GetBuffer, or the store's GetBatch.
 func isPoolAcquire(callee *types.Func) bool {
 	if callee.Name() == "Get" && isSyncPoolMethod(callee) {
 		return true
 	}
-	if callee.Name() == "GetBuffer" && callee.Pkg() != nil {
-		p := callee.Pkg().Path()
+	if callee.Pkg() == nil {
+		return false
+	}
+	switch p := callee.Pkg().Path(); callee.Name() {
+	case "GetBuffer":
 		return p == "wire" || strings.HasSuffix(p, "/wire")
+	case "GetBatch":
+		return p == "kvstore" || strings.HasSuffix(p, "/kvstore")
 	}
 	return false
 }

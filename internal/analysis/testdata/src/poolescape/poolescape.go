@@ -7,6 +7,7 @@ package poolescape
 import (
 	"sync"
 
+	"smartflux/internal/kvstore"
 	"smartflux/internal/kvstore/wire"
 )
 
@@ -94,6 +95,27 @@ func decodedValueAfterRelease(src *srcConn) []byte {
 	return resp.Value // want `pooled value "resp" used after release`
 }
 
+// batchUseAfterRelease reads a write batch after handing it back to the
+// store's pool.
+func batchUseAfterRelease(t *kvstore.Table) int {
+	b := kvstore.GetBatch().Grow(1)
+	b.PutFloat("r", "c", 1)
+	if err := t.Apply(b); err != nil {
+		return 0
+	}
+	b.Release()
+	return b.Len() // want `pooled value "b" used after release`
+}
+
+// batchDeferredReleaseEscape returns a batch that a deferred Release is
+// about to recycle.
+func batchDeferredReleaseEscape() *kvstore.Batch {
+	b := kvstore.GetBatch()
+	defer b.Release()
+	b.PutFloat("r", "c", 1)
+	return b // want `return aliases pooled value "b"`
+}
+
 // --- negatives -------------------------------------------------------------
 
 // useThenRelease is the happy path: all reads precede the Release.
@@ -165,6 +187,24 @@ func explicitCopyEscapes(src *srcConn) []byte {
 	copy(out, payload)
 	buf.Release()
 	return out
+}
+
+// batchReleaseAfterApply is a producer's happy path: build, apply, release.
+func batchReleaseAfterApply(t *kvstore.Table) error {
+	b := kvstore.GetBatch().Grow(1)
+	b.PutFloat("r", "c", 1)
+	err := t.Apply(b)
+	b.Release()
+	return err
+}
+
+// batchDeferredReleaseAfterApply returns only Apply's error; the deferred
+// Release runs after it.
+func batchDeferredReleaseAfterApply(t *kvstore.Table) error {
+	b := kvstore.GetBatch().Grow(1)
+	defer b.Release()
+	b.PutFloat("r", "c", 1)
+	return t.Apply(b)
 }
 
 // srcConn satisfies io.Reader for ReadFrame without importing net.

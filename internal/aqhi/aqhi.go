@@ -240,7 +240,8 @@ func buildWorkflow(cfg Config, gen *Generator) (*workflow.Workflow, error) {
 				if err != nil {
 					return err
 				}
-				batch := kvstore.NewBatch().Grow(grid * grid * len(pollutants))
+				batch := kvstore.GetBatch().Grow(grid * grid * len(pollutants))
+				defer batch.Release()
 				for x := 0; x < grid; x++ {
 					for y := 0; y < grid; y++ {
 						row := detectorRow(x, y)
@@ -340,7 +341,8 @@ func concentrationProc(grid int) workflow.Processor {
 		if err != nil {
 			return err
 		}
-		batch := kvstore.NewBatch().Grow(grid * grid)
+		batch := kvstore.GetBatch().Grow(grid * grid)
+		defer batch.Release()
 		for x := 0; x < grid; x++ {
 			for y := 0; y < grid; y++ {
 				row := detectorRow(x, y)
@@ -376,7 +378,8 @@ func zonesProc(grid, zone int) workflow.Processor {
 			return err
 		}
 		zones := grid / zone
-		batch := kvstore.NewBatch().Grow(zones * zones)
+		batch := kvstore.GetBatch().Grow(zones * zones)
+		defer batch.Release()
 		for zx := 0; zx < zones; zx++ {
 			for zy := 0; zy < zones; zy++ {
 				var sum float64
@@ -412,7 +415,8 @@ func interpProc(grid int) workflow.Processor {
 		if err != nil {
 			return err
 		}
-		batch := kvstore.NewBatch().Grow((grid - 1) * (grid - 1))
+		batch := kvstore.GetBatch().Grow((grid - 1) * (grid - 1))
+		defer batch.Release()
 		for x := 0; x < grid-1; x++ {
 			for y := 0; y < grid-1; y++ {
 				var sum float64
@@ -451,7 +455,8 @@ func hotspotsProc(grid, zone int, reference float64) workflow.Processor {
 			return err
 		}
 		zones := grid / zone
-		batch := kvstore.NewBatch().Grow(zones * zones)
+		batch := kvstore.GetBatch().Grow(zones * zones)
+		defer batch.Release()
 		for zx := 0; zx < zones; zx++ {
 			for zy := 0; zy < zones; zy++ {
 				row := zoneRow(zx, zy)
@@ -513,7 +518,8 @@ func indexProc() workflow.Processor {
 		if len(cells) > 0 {
 			index += 0.03 * sum / float64(len(cells))
 		}
-		batch := kvstore.NewBatch()
+		batch := kvstore.GetBatch()
+		defer batch.Release()
 		batch.PutFloat("region", "index", index)
 		return out.Apply(batch)
 	})

@@ -33,7 +33,9 @@ var ErrStepTimeout = errors.New("engine: step execution timed out")
 // channel lets it exit without leaking. Late writes from an abandoned
 // attempt race only with the step's own retry, which re-derives the same
 // values for deterministic processors, so the latest cell versions converge
-// either way.
+// either way. This is why processors take each batch from kvstore.GetBatch
+// rather than keep one across calls: a straggler and its retry then never
+// build their writes in the same memory.
 func (in *Instance) runProc(ctx *workflow.Context, st *stepState) error {
 	if in.cfg.StepTimeout <= 0 {
 		return st.step.Proc.Process(ctx)
@@ -146,7 +148,7 @@ func (in *Instance) rollbackOutputs(snap outputSnapshot) error {
 		t := snap.tables[name]
 		saved := snap.saved[name]
 		current := t.Scan(kvstore.ScanOptions{})
-		batch := kvstore.NewBatch().Grow(len(current))
+		batch := kvstore.GetBatch().Grow(len(current))
 		seen := make(map[cellKey]struct{}, len(current))
 		for _, c := range current {
 			key := cellKey{c.Row, c.Column}
@@ -175,7 +177,9 @@ func (in *Instance) rollbackOutputs(snap outputSnapshot) error {
 		for _, key := range vanished {
 			batch.Put(key.row, key.col, saved[key])
 		}
-		if err := t.Apply(batch); err != nil {
+		err := t.Apply(batch)
+		batch.Release()
+		if err != nil {
 			return err
 		}
 	}

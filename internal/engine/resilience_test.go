@@ -4,7 +4,9 @@ import (
 	"errors"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -140,6 +142,62 @@ func TestStepTimeout(t *testing.T) {
 	}
 	if got := reg.Snapshot().Counters["smartflux_engine_step_timeouts_total"]; got != 1 {
 		t.Errorf("timeouts = %d, want 1", got)
+	}
+}
+
+// TestTimedOutAttemptSharesNoBatchWithItsRetry times out the first attempt of
+// a source that builds its write in a pooled batch. The abandoned attempt
+// keeps filling and applies its batch while the retry fills its own: under
+// -race the two share no memory, and once the straggler is done the table
+// holds the retry's bytes.
+func TestTimedOutAttemptSharesNoBatchWithItsRetry(t *testing.T) {
+	const cells = 64
+	var attempts atomic.Int32
+	retrying, stragglerApplied := make(chan struct{}), make(chan struct{})
+	fill := func(b *kvstore.Batch, attempt float64, from, to int) {
+		for i := from; i < to; i++ {
+			b.PutFloat("r"+strconv.Itoa(i), "v", 1000*attempt+float64(i))
+		}
+	}
+	in := buildInstance(t, testWorkload(0.05), InstanceConfig{Parallelism: 1, StepTimeout: 50 * time.Millisecond, StepRetries: 1})
+	src, err := in.wf.Step("src")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.Proc = workflow.ProcessorFunc(func(ctx *workflow.Context) error {
+		out, err := ctx.Table("raw")
+		if err != nil {
+			return err
+		}
+		b := kvstore.GetBatch().Grow(cells)
+		defer b.Release()
+		if attempts.Add(1) == 1 { // outlives its deadline, then writes beside the retry
+			fill(b, 1, 0, cells/2)
+			<-retrying
+			fill(b, 1, cells/2, cells)
+			err := out.Apply(b)
+			close(stragglerApplied)
+			return err
+		}
+		close(retrying)
+		fill(b, 2, 0, cells)
+		<-stragglerApplied
+		return out.Apply(b)
+	})
+	if _, err := in.RunWave(Sync{}); err != nil {
+		t.Fatal(err)
+	}
+	if n := attempts.Load(); n != 2 {
+		t.Fatalf("%d attempts, want a timed-out one and its retry", n)
+	}
+	raw, err := in.store.Table("raw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < cells; i++ {
+		if v, _ := raw.GetFloat("r"+strconv.Itoa(i), "v"); v != 2000+float64(i) {
+			t.Fatalf("cell %d holds %v, want the retry's %v", i, v, 2000+float64(i))
+		}
 	}
 }
 

@@ -227,7 +227,8 @@ func buildWorkflow(cfg Config, gen *Generator) (*workflow.Workflow, error) {
 				if err != nil {
 					return err
 				}
-				batch := kvstore.NewBatch().Grow(3 * grid * grid)
+				batch := kvstore.GetBatch().Grow(3 * grid * grid)
+				defer batch.Release()
 				for x := 0; x < grid; x++ {
 					for y := 0; y < grid; y++ {
 						row := sensorRow(x, y)
@@ -319,7 +320,8 @@ func areasProc(grid, area int) workflow.Processor {
 			return err
 		}
 		areas := grid / area
-		batch := kvstore.NewBatch().Grow(3 * areas * areas)
+		batch := kvstore.GetBatch().Grow(3 * areas * areas)
+		defer batch.Release()
 		for ax := 0; ax < areas; ax++ {
 			for ay := 0; ay < areas; ay++ {
 				var temp, precip, wind float64
@@ -363,7 +365,8 @@ func thermalProc(grid int) workflow.Processor {
 		if err != nil {
 			return err
 		}
-		batch := kvstore.NewBatch().Grow((grid - 1) * (grid - 1))
+		batch := kvstore.GetBatch().Grow((grid - 1) * (grid - 1))
+		defer batch.Release()
 		for x := 0; x < grid-1; x++ {
 			for y := 0; y < grid-1; y++ {
 				var sum float64
@@ -399,7 +402,8 @@ func areaRiskProc(grid, area int) workflow.Processor {
 			return err
 		}
 		n := grid / area
-		batch := kvstore.NewBatch().Grow(n * n)
+		batch := kvstore.GetBatch().Grow(n * n)
+		defer batch.Release()
 		for ax := 0; ax < n; ax++ {
 			for ay := 0; ay < n; ay++ {
 				row := areaRow(ax, ay)
@@ -459,7 +463,8 @@ func overallProc(grid, area int) workflow.Processor {
 		if count > 0 {
 			overall = sum / float64(count)
 		}
-		batch := kvstore.NewBatch().Grow(2)
+		batch := kvstore.GetBatch().Grow(2)
+		defer batch.Release()
 		batch.PutFloat("region", "risk", 20+overall)
 		batch.PutFloat("region", "hotspots", 1+float64(clusters))
 		return out.Apply(batch)
@@ -505,7 +510,8 @@ func satelliteProc(grid, area int) workflow.Processor {
 		if err != nil {
 			return err
 		}
-		batch := kvstore.NewBatch()
+		batch := kvstore.GetBatch()
+		defer batch.Release()
 		var confirmed float64
 		for ax := 0; ax < n; ax++ {
 			for ay := 0; ay < n; ay++ {
@@ -537,6 +543,8 @@ func dispatchProc() workflow.Processor {
 		if onfire > 0 {
 			order = 1
 		}
-		return out.Apply(kvstore.NewBatch().PutFloat("region", "order", order))
+		batch := kvstore.GetBatch().PutFloat("region", "order", order)
+		defer batch.Release()
+		return out.Apply(batch)
 	})
 }

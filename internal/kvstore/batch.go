@@ -1,6 +1,9 @@
 package kvstore
 
-import "slices"
+import (
+	"slices"
+	"sync"
+)
 
 // Op is one mutation inside a Batch.
 type Op struct {
@@ -24,6 +27,28 @@ type Batch struct {
 
 // NewBatch creates an empty batch.
 func NewBatch() *Batch { return &Batch{} }
+
+// maxPooledOps keeps a batch far beyond a wave's size from pinning pool
+// memory: about 1 MiB of op slots.
+const maxPooledOps = 1 << 14
+
+var batchPool = sync.Pool{New: func() any { return new(Batch) }}
+
+// GetBatch returns an empty pooled batch, for a producer that builds a batch,
+// applies it and drops it: Release it once applied. Apply copies every value
+// it stores, so the table keeps nothing of a released batch.
+func GetBatch() *Batch { return batchPool.Get().(*Batch) }
+
+// Release empties the batch and returns it to the pool. The batch, and every
+// value PutFloat encoded into it, must not be used afterwards.
+func (b *Batch) Release() {
+	if cap(b.ops) > maxPooledOps || cap(b.floats) > maxPooledOps*floatWidth {
+		return
+	}
+	clear(b.ops) // drop key and value references so the pool does not pin them
+	b.ops, b.floats = b.ops[:0], b.floats[:0]
+	batchPool.Put(b)
+}
 
 // Grow reserves room for n more ops, like strings.Builder.Grow: a producer
 // that knows its count builds the batch without regrowing it. The first

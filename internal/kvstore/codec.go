@@ -68,9 +68,9 @@ func (c Cell) FloatValue() (float64, bool) {
 // with the table's mutation version at the time of the scan (one lock hold):
 // a later call at the same version would return the same elements, so callers
 // may keep the state and skip the scan. Non-float cells are skipped. It is
-// the bulk numeric read behind ι/ε observation: no cell value is copied and,
-// once the row's element keys are cached, nothing is allocated but the
-// result.
+// the bulk numeric read behind ι/ε observation: no cell value is copied, the
+// element keys are the ones each cell was created with, and nothing is
+// allocated but the result.
 //
 // Cells are visited in (row, column) order, which is element-key order except
 // where one row key is a proper prefix of another followed by a byte below
@@ -78,7 +78,7 @@ func (c Cell) FloatValue() (float64, bool) {
 // collide (row "a/b" column "c", row "a" column "b/c") yield one element: the
 // later cell in (row, column) order wins.
 func (t *Table) ScanState(opts ScanOptions) (elems metric.State, version uint64) {
-	t.readKeys(func() { elems, version = t.stateLocked(opts) })
+	t.readKeys(func(rows []*row) { elems, version = t.stateLocked(rows, opts) })
 	if ins := t.store.ins.Load(); ins != nil {
 		ins.scans.Inc()
 		ins.scanCells.Add(uint64(len(elems)))
@@ -86,17 +86,17 @@ func (t *Table) ScanState(opts ScanOptions) (elems metric.State, version uint64)
 	return elems, version
 }
 
-// stateLocked is ScanState's walk. Callers hold t.mu through readKeys.
-func (t *Table) stateLocked(opts ScanOptions) (metric.State, uint64) {
-	rows := t.sortedRowKeysLocked()
+// stateLocked is ScanState's walk over rows, the table's rows in key order.
+// Callers hold t.mu through readKeys.
+func (t *Table) stateLocked(rows []*row, opts ScanOptions) (metric.State, uint64) {
 	var n int
-	for _, row := range rows {
+	for _, r := range rows {
 		switch {
-		case !opts.matchesRow(row):
+		case !opts.matchesRow(r.key):
 		case opts.ColumnPrefix == "":
-			n += len(t.rows[row])
+			n += len(r.cols)
 		default:
-			for _, col := range t.rowKeysLocked(row).cols {
+			for _, col := range r.cols {
 				if strings.HasPrefix(col, opts.ColumnPrefix) {
 					n++
 				}
@@ -105,23 +105,21 @@ func (t *Table) stateLocked(opts ScanOptions) (metric.State, uint64) {
 	}
 	elems := make([]metric.Elem, 0, n)
 	sorted := true
-	for _, row := range rows {
-		if !opts.matchesRow(row) {
+	for _, r := range rows {
+		if !opts.matchesRow(r.key) {
 			continue
 		}
-		cols := t.rows[row]
-		rk := t.rowKeysLocked(row)
 		first := len(elems)
-		for i, col := range rk.cols {
+		for i, col := range r.cols {
 			if !strings.HasPrefix(col, opts.ColumnPrefix) {
 				continue
 			}
-			versions := cols[col]
+			versions := r.cells[i]
 			v, err := DecodeFloat(versions[len(versions)-1].Value)
 			if err != nil {
 				continue
 			}
-			elems = append(elems, metric.Elem{Key: rk.elems[i], Val: v})
+			elems = append(elems, metric.Elem{Key: r.elems[i], Val: v})
 		}
 		// Keys ascend within a row, so order can only break between rows.
 		if first > 0 && first < len(elems) && elems[first-1].Key >= elems[first].Key {

@@ -631,7 +631,8 @@ func (s *Server) applyMutation(req *wire.Request) error {
 	case wire.OpDelete:
 		return t.Delete(req.Row, req.Column)
 	case wire.OpApply:
-		b := kvstore.NewBatch().Grow(len(req.Ops))
+		b := kvstore.GetBatch().Grow(len(req.Ops))
+		defer b.Release()
 		for _, o := range req.Ops {
 			if o.Delete {
 				b.Delete(o.Row, o.Column)

@@ -18,6 +18,7 @@ package kvstore
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -242,7 +243,7 @@ func (s *Store) CreateTable(name string, opts TableOptions) (*Table, error) {
 		name:        name,
 		store:       s,
 		maxVersions: maxVersions,
-		rows:        make(map[string]map[string][]Version),
+		rows:        make(map[string]*row),
 	}
 	s.tables[name] = t
 	hooks := make([]func(t *Table), len(s.created))
@@ -308,27 +309,41 @@ type Table struct {
 	maxVersions int
 
 	mu        sync.RWMutex
-	rows      map[string]map[string][]Version // versions newest-last
+	rows      map[string]*row
 	observers []Observer
 
-	// rowKeys caches the sorted row keys; nil means stale. Row sets
-	// stabilize quickly in wave-structured workloads, so scans avoid
-	// re-sorting every call.
-	rowKeys []string
-	// colKeys caches per-row sorted column keys; absent entries are stale.
-	colKeys map[string]*rowKeys
+	// sorted lists the rows in key order; nil means stale. Only adding or
+	// removing a row makes it stale, and row sets stabilize quickly in
+	// wave-structured workloads, so scans avoid re-sorting every call.
+	sorted []*row
 	// version counts content changes: every applied put, delete and replay
 	// bumps it under mu, so two reads returning the same version saw the
 	// same cells. Snapshot caches key on it (see ScanState).
 	version uint64
 }
 
-// rowKeys is one row's sorted-key cache entry.
-type rowKeys struct {
+// row is one row's record: its cells, in column order. A read or a write of
+// any of its cells costs one map lookup for the row and a binary search of
+// its columns.
+type row struct {
+	key  string
 	cols []string // sorted column keys
-	// elems[i] is the element key row+"/"+cols[i], built with cols, so
-	// steady-state ι snapshots (ScanState) allocate no key strings.
+	// elems[i] is the element key key+"/"+cols[i], built when the cell is
+	// created, so ι snapshots (ScanState) allocate no key strings.
 	elems []string
+	cells [][]Version // cells[i] holds cols[i]'s versions, newest-last
+}
+
+// cell returns the versions of column, or nil when the row has no such cell.
+// Safe on a nil receiver.
+func (r *row) cell(column string) []Version {
+	if r == nil {
+		return nil
+	}
+	if i, ok := slices.BinarySearch(r.cols, column); ok {
+		return r.cells[i]
+	}
+	return nil
 }
 
 // Name returns the table name.
@@ -357,6 +372,7 @@ func (t *Table) Put(row, column string, value []byte) error {
 // clock (op i is stamped first+i, so a delete of a missing cell still consumes
 // its tick), applies the ops and reads the observer list. Mutation records are
 // built only when the table has observers, and delivered after the unlock.
+// Consecutive ops on one row look the row up once.
 func (t *Table) apply(spanOp string, ops []Op) {
 	ins := t.store.ins.Load()
 	sp := ins.opSpan(spanOp, t.name)
@@ -377,19 +393,28 @@ func (t *Table) apply(spanOp string, ops []Op) {
 		muts = make([]Mutation, 0, len(ops))
 	}
 	first := t.store.reserveTimestamps(len(ops))
+	var r *row // the last op's row, while the ops name it
 	for i, op := range ops {
 		m := Mutation{Table: t.name, Row: op.Row, Column: op.Column, Timestamp: first + uint64(i), Kind: MutationPut}
+		if r == nil || r.key != op.Row {
+			r = t.rows[op.Row]
+		}
 		if op.Delete {
 			var ok bool
-			if m.Old, ok = t.deleteLocked(op.Row, op.Column); !ok {
+			m.Old, ok = t.deleteLocked(r, op.Column)
+			r = nil // the delete may have removed the row
+			if !ok {
 				continue
 			}
 			m.Kind = MutationDelete
 			dels++
 		} else {
+			if r == nil {
+				r = t.addRowLocked(op.Row)
+			}
 			n := len(op.Value)
 			m.New, arena = arena[:n:n], arena[n:]
-			m.Old = t.putLocked(op.Row, op.Column, m.New, m.Timestamp)
+			m.Old = t.putLocked(r, op.Column, m.New, m.Timestamp)
 			puts++
 		}
 		if muts != nil {
@@ -412,51 +437,59 @@ func (t *Table) apply(spanOp string, ops []Op) {
 	}
 }
 
+// addRowLocked returns the record of row key, adding an empty one (and
+// marking the sorted row list stale) when the row is new. Callers hold t.mu.
+func (t *Table) addRowLocked(key string) *row {
+	r, ok := t.rows[key]
+	if !ok {
+		r = &row{key: key}
+		t.rows[key] = r
+		t.sorted = nil
+	}
+	return r
+}
+
 // putLocked stores value, which the table owns from here on, as the newest
-// version of (row, column) and returns the latest value it displaced (nil
-// for a new cell). Callers hold t.mu.
-func (t *Table) putLocked(row, column string, value []byte, ts uint64) (old []byte) {
-	cols, versions := t.windowLocked(row, column)
+// version of column in r and returns the latest value it displaced (nil for
+// a new cell). Callers hold t.mu.
+func (t *Table) putLocked(r *row, column string, value []byte, ts uint64) (old []byte) {
+	i := t.windowLocked(r, column)
+	versions := r.cells[i]
 	if n := len(versions); n > 0 {
 		old = versions[n-1].Value
 	}
-	t.insertLocked(cols, column, versions, len(versions), Version{Timestamp: ts, Value: value})
+	t.insertLocked(r, i, len(versions), Version{Timestamp: ts, Value: value})
 	return old
 }
 
-// windowLocked returns the row's cells and the version window of (row,
-// column), newest-last, creating the row and invalidating the key caches for
-// a cell about to be written for the first time. A window grows by append
-// until it holds MaxVersions; its first allocation is capped at
-// DefaultMaxVersions, because MaxVersions can come from a kvnet client or a
-// log record and must cost nothing until versions accumulate. Callers hold
-// t.mu.
-func (t *Table) windowLocked(row, column string) (map[string][]Version, []Version) {
-	cols, ok := t.rows[row]
+// windowLocked returns the index in r of column's version window, creating
+// an empty window, in column order, for a cell about to be written for the
+// first time. A window grows by append until it holds MaxVersions; its first
+// allocation is capped at DefaultMaxVersions, because MaxVersions can come
+// from a kvnet client or a log record and must cost nothing until versions
+// accumulate. Callers hold t.mu.
+func (t *Table) windowLocked(r *row, column string) int {
+	i, ok := slices.BinarySearch(r.cols, column)
 	if !ok {
-		cols = make(map[string][]Version)
-		t.rows[row] = cols
-		t.rowKeys = nil
+		r.cols = slices.Insert(r.cols, i, column)
+		r.elems = slices.Insert(r.elems, i, r.key+"/"+column)
+		r.cells = slices.Insert(r.cells, i, make([]Version, 0, min(t.maxVersions, DefaultMaxVersions)))
 	}
-	versions, ok := cols[column]
-	if !ok {
-		delete(t.colKeys, row)
-		versions = make([]Version, 0, min(t.maxVersions, DefaultMaxVersions))
-	}
-	return cols, versions
+	return i
 }
 
-// insertLocked places v at index idx of the window versions of cols[column].
-// Once the window holds MaxVersions it is shifted in place: the oldest
-// version drops out, and a v older than every retained version is dropped
-// itself. Callers hold t.mu.
-func (t *Table) insertLocked(cols map[string][]Version, column string, versions []Version, idx int, v Version) {
+// insertLocked places v at index idx of the version window r.cells[i]. Once
+// the window holds MaxVersions it is shifted in place: the oldest version
+// drops out, and a v older than every retained version is dropped itself.
+// Callers hold t.mu.
+func (t *Table) insertLocked(r *row, i, idx int, v Version) {
+	versions := r.cells[i]
 	switch {
 	case len(versions) < t.maxVersions:
 		versions = append(versions, Version{})
 		copy(versions[idx+1:], versions[idx:])
 		versions[idx] = v
-		cols[column] = versions
+		r.cells[i] = versions
 	case idx > 0:
 		copy(versions, versions[1:idx])
 		versions[idx-1] = v
@@ -476,7 +509,7 @@ func (t *Table) Get(row, column string) ([]byte, bool) {
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	versions := t.rows[row][column]
+	versions := t.rows[row].cell(column)
 	if len(versions) == 0 {
 		return nil, false
 	}
@@ -497,7 +530,7 @@ func (t *Table) GetWithPrevious(row, column string) (cur, prev []byte, curOK, pr
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	versions := t.rows[row][column]
+	versions := t.rows[row].cell(column)
 	if len(versions) == 0 {
 		return nil, nil, false, false
 	}
@@ -513,7 +546,7 @@ func (t *Table) GetWithPrevious(row, column string) (cur, prev []byte, curOK, pr
 func (t *Table) GetVersions(row, column string, max int) []Version {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	versions := t.rows[row][column]
+	versions := t.rows[row].cell(column)
 	if len(versions) == 0 {
 		return nil
 	}
@@ -531,25 +564,24 @@ func (t *Table) GetVersions(row, column string, max int) []Version {
 // History calls fn once per cell, in scan order, with the cell's retained
 // versions as the puts that wrote them, oldest first — so replaying what it
 // yields into an empty table of the same MaxVersions rebuilds this one
-// exactly. The table is read under one lock hold and fn runs outside it. The
-// slice is reused between calls, so fn must not retain it; New aliases the
-// stored value, which is immutable.
+// exactly. The table is read under one lock hold, shared with other readers
+// like a scan's, and fn runs outside it. The slice is reused between calls,
+// so fn must not retain it; New aliases the stored value, which is immutable.
 func (t *Table) History(fn func(cell []Mutation) error) error {
 	type cellRef struct {
 		row, col string
 		end      int // versions[:end] covers the cells up to and including this one
 	}
-	t.mu.Lock()
 	var cells []cellRef
 	var versions []Version
-	for _, row := range t.sortedRowKeysLocked() {
-		cols := t.rows[row]
-		for _, col := range t.rowKeysLocked(row).cols {
-			versions = append(versions, cols[col]...)
-			cells = append(cells, cellRef{row, col, len(versions)})
+	t.readKeys(func(rows []*row) {
+		for _, r := range rows {
+			for i, col := range r.cols {
+				versions = append(versions, r.cells[i]...)
+				cells = append(cells, cellRef{r.key, col, len(versions)})
+			}
 		}
-	}
-	t.mu.Unlock()
+	})
 	var puts []Mutation
 	start := 0
 	for _, c := range cells {
@@ -575,19 +607,24 @@ func (t *Table) Delete(row, column string) error {
 	return nil
 }
 
-// deleteLocked removes a cell under t.mu, returning its latest value; ok is
-// false, and nothing changes, when the cell does not exist.
-func (t *Table) deleteLocked(row, column string) (old []byte, ok bool) {
-	cols := t.rows[row]
-	versions, ok := cols[column]
+// deleteLocked removes column's cell from r (nil for a missing row) under
+// t.mu, returning its latest value, and removes r itself once it holds no
+// cells; ok is false, and nothing changes, when the cell does not exist.
+func (t *Table) deleteLocked(r *row, column string) (old []byte, ok bool) {
+	if r == nil {
+		return nil, false
+	}
+	i, ok := slices.BinarySearch(r.cols, column)
 	if !ok {
 		return nil, false
 	}
-	delete(cols, column)
-	delete(t.colKeys, row)
-	if len(cols) == 0 {
-		delete(t.rows, row)
-		t.rowKeys = nil
+	versions := r.cells[i]
+	r.cols = slices.Delete(r.cols, i, i+1)
+	r.elems = slices.Delete(r.elems, i, i+1)
+	r.cells = slices.Delete(r.cells, i, i+1)
+	if len(r.cols) == 0 {
+		delete(t.rows, r.key)
+		t.sorted = nil
 	}
 	t.version++
 	return versions[len(versions)-1].Value, true
@@ -626,57 +663,27 @@ func (opts ScanOptions) matchesRow(row string) bool {
 	return strings.HasPrefix(row, opts.RowPrefix)
 }
 
-// sortedRowKeysLocked returns (rebuilding if needed) the cached sorted row
-// keys. Callers hold t.mu for writing, or through readKeys (which takes it
-// for reading only when nothing needs rebuilding).
-func (t *Table) sortedRowKeysLocked() []string {
-	if t.rowKeys == nil {
-		t.rowKeys = make([]string, 0, len(t.rows))
-		for row := range t.rows {
-			t.rowKeys = append(t.rowKeys, row)
-		}
-		sort.Strings(t.rowKeys)
-	}
-	return t.rowKeys
-}
-
-// rowKeysLocked returns (rebuilding if needed) a row's key cache entry.
-// Callers hold t.mu as for sortedRowKeysLocked.
-func (t *Table) rowKeysLocked(row string) *rowKeys {
-	if rk, ok := t.colKeys[row]; ok {
-		return rk
-	}
-	if t.colKeys == nil {
-		t.colKeys = make(map[string]*rowKeys)
-	}
-	cols := t.rows[row]
-	rk := &rowKeys{cols: make([]string, 0, len(cols))}
-	for col := range cols {
-		rk.cols = append(rk.cols, col)
-	}
-	sort.Strings(rk.cols)
-	rk.elems = make([]string, len(rk.cols))
-	for i, col := range rk.cols {
-		rk.elems[i] = row + "/" + col
-	}
-	t.colKeys[row] = rk
-	return rk
-}
-
-// readKeys runs walk, a read in key order, under t.mu: read locked, so steps
-// scanning one input share it, when the key caches cover every row (a write
-// drops the colKeys entry of a row whose cell set it changes); else write
-// locked, for walk to rebuild them.
-func (t *Table) readKeys(walk func()) {
+// readKeys runs walk over the table's rows in key order under t.mu: read
+// locked, so steps scanning one input share it, when the sorted row list is
+// current (only a write adding or removing a row makes it stale); else write
+// locked, to rebuild the list first.
+func (t *Table) readKeys(walk func(rows []*row)) {
 	t.mu.RLock()
-	if t.rowKeys != nil && len(t.colKeys) == len(t.rows) {
+	if t.sorted != nil {
 		defer t.mu.RUnlock()
 	} else {
 		t.mu.RUnlock()
 		t.mu.Lock()
 		defer t.mu.Unlock()
+		if t.sorted == nil {
+			t.sorted = make([]*row, 0, len(t.rows))
+			for _, r := range t.rows {
+				t.sorted = append(t.sorted, r)
+			}
+			slices.SortFunc(t.sorted, func(a, b *row) int { return strings.Compare(a.key, b.key) })
+		}
 	}
-	walk()
+	walk(t.sorted)
 }
 
 // Scan returns the latest version of every matching cell, ordered by row then
@@ -708,7 +715,7 @@ func (t *Table) Scan(opts ScanOptions) []Cell {
 func (t *Table) scan(opts ScanOptions) []Cell {
 	var cells []Cell
 	var total int64
-	t.readKeys(func() { cells, total, _ = t.collectLocked(opts, nil, opts.Limit, nil) })
+	t.readKeys(func(rows []*row) { cells, total, _ = collectLocked(rows, opts, nil, opts.Limit, nil) })
 	arenaCopyValues(cells, total)
 	return cells
 }
@@ -725,8 +732,8 @@ func (t *Table) CellCount() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	var n int
-	for _, cols := range t.rows {
-		n += len(cols)
+	for _, r := range t.rows {
+		n += len(r.cols)
 	}
 	return n
 }

@@ -167,7 +167,7 @@ func TestScanAfterDeleteUsesFreshCaches(t *testing.T) {
 	table := newTestTable(t, TableOptions{})
 	table.Put("a", "x", []byte("1"))
 	table.Put("b", "x", []byte("2"))
-	_ = table.Scan(ScanOptions{}) // warm caches
+	_ = table.Scan(ScanOptions{}) // build the sorted row list
 	table.Delete("a", "x")
 	cells := table.Scan(ScanOptions{})
 	if len(cells) != 1 || cells[0].Row != "b" {
@@ -180,10 +180,11 @@ func TestScanAfterDeleteUsesFreshCaches(t *testing.T) {
 	}
 }
 
-// TestScansShareTheReadLock checks that each scan form, once the key caches
-// are warm, runs while another reader holds the table lock — steps reading
-// one input do not take turns — and that a write adding a key still shows in
-// the next scan, which rebuilds the caches under the write lock.
+// TestScansShareTheReadLock checks that each scan form, and History, runs
+// while another reader holds the table lock once the sorted row list is
+// current — steps reading one input do not take turns, nor does a WAL
+// snapshot hold them up — and that a write adding a row still shows in the
+// next scan, which rebuilds the list under the write lock.
 func TestScansShareTheReadLock(t *testing.T) {
 	table := newTestTable(t, TableOptions{})
 	scans := []struct {
@@ -197,9 +198,14 @@ func TestScansShareTheReadLock(t *testing.T) {
 			table.ScanPagesShared(ScanOptions{}, 1, func(c []Cell, _ bool) error { n += len(c); return nil })
 			return n
 		}},
+		{"History", func() int {
+			n := 0
+			table.History(func([]Mutation) error { n++; return nil })
+			return n
+		}},
 	}
 	for i, s := range scans {
-		table.PutFloat("r"+strconv.Itoa(i), "x", 1) // a new row: the caches are stale
+		table.PutFloat("r"+strconv.Itoa(i), "x", 1) // a new row: the row list is stale
 		if got := s.scan(); got != i+1 {
 			t.Fatalf("%s after a new row: %d cells, want %d", s.name, got, i+1)
 		}
@@ -212,7 +218,7 @@ func TestScansShareTheReadLock(t *testing.T) {
 				t.Errorf("%s beside a reader: %d cells, want %d", s.name, got, i+1)
 			}
 		case <-time.After(5 * time.Second):
-			t.Errorf("%s waited for another reader with the key caches warm", s.name)
+			t.Errorf("%s waited for another reader with the row list current", s.name)
 		}
 		table.mu.RUnlock()
 	}
@@ -286,10 +292,9 @@ func TestBatchValidatesBeforeApplying(t *testing.T) {
 }
 
 // TestApplyAllocations pins what a write costs once every cell holds
-// MaxVersions versions: building and applying a 3 600-op float batch
-// allocates the batch's two buffers and the value arena (plus the batch
-// itself, if it escapes), nothing per cell; one observer adds only the
-// batch's mutation records.
+// MaxVersions versions: building a 3 600-op float batch in a pooled batch
+// and applying it allocates the value arena, nothing per cell; one observer
+// adds only the batch's mutation records.
 func TestApplyAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race")
@@ -302,7 +307,7 @@ func TestApplyAllocations(t *testing.T) {
 	cols := []string{"xway", "pos", "speed"}
 	var wave float64
 	apply := func() {
-		b := NewBatch().Grow(len(rows) * len(cols))
+		b := GetBatch().Grow(len(rows) * len(cols))
 		for _, row := range rows {
 			for _, col := range cols {
 				b.PutFloat(row, col, wave)
@@ -311,18 +316,19 @@ func TestApplyAllocations(t *testing.T) {
 		if err := table.Apply(b); err != nil {
 			t.Fatal(err)
 		}
+		b.Release()
 		wave++
 	}
 	for i := 0; i < DefaultMaxVersions; i++ {
 		apply()
 	}
-	if allocs := testing.AllocsPerRun(20, apply); allocs > 4 {
-		t.Errorf("unobserved Apply allocates %v objects per batch, want at most 4", allocs)
+	if allocs := testing.AllocsPerRun(20, apply); allocs > 1 {
+		t.Errorf("unobserved Apply allocates %v objects per batch, want at most 1", allocs)
 	}
 	var seen int
 	table.Subscribe(ObserverFunc(func(Mutation) { seen++ }))
-	if allocs := testing.AllocsPerRun(20, apply); allocs > 5 {
-		t.Errorf("observed Apply allocates %v objects per batch, want at most 5", allocs)
+	if allocs := testing.AllocsPerRun(20, apply); allocs > 2 {
+		t.Errorf("observed Apply allocates %v objects per batch, want at most 2", allocs)
 	}
 	if want := 21 * len(rows) * len(cols); seen != want {
 		t.Errorf("observer saw %d mutations, want %d", seen, want)
@@ -350,6 +356,33 @@ func TestGrowReservesFloatsOnlyForPutFloat(t *testing.T) {
 	}
 	if &b.floats[0] != first {
 		t.Fatal("float buffer regrew inside the capacity Grow reserved")
+	}
+}
+
+// TestReleasedBatchLeavesStoredValues stores values from a pooled batch —
+// float encodings that live in the batch's own buffer and a caller's slice —
+// then releases and refills pooled batches: what the table stored must not
+// move.
+func TestReleasedBatchLeavesStoredValues(t *testing.T) {
+	table := newTestTable(t, TableOptions{})
+	raw := []byte("raw")
+	b := GetBatch().Grow(2).PutFloat("r", "f", 1).Put("r", "raw", raw)
+	if err := table.Apply(b); err != nil {
+		t.Fatal(err)
+	}
+	b.Release()
+	for i := 0; i < 10; i++ {
+		b := GetBatch().Grow(2).PutFloat("s", "f", float64(i+2)).Put("s", "raw", []byte("refill"))
+		if err := table.Apply(b); err != nil {
+			t.Fatal(err)
+		}
+		b.Release()
+	}
+	if v, _ := table.GetFloat("r", "f"); v != 1 {
+		t.Errorf("float stored from a released batch reads %v, want 1", v)
+	}
+	if v, _ := table.Get("r", "raw"); string(v) != "raw" {
+		t.Errorf("value stored from a released batch reads %q, want %q", v, "raw")
 	}
 }
 
@@ -652,9 +685,9 @@ func TestScanStateKeyOrder(t *testing.T) {
 	}
 }
 
-// TestScanStateCachedKeys checks the per-row element-key cache: steady-state
-// scans share key strings and allocate only the result, and a cell deleted
-// and reinserted — or a new column — rebuilds the row's keys.
+// TestScanStateCachedKeys checks the element keys a row keeps with its
+// cells: steady-state scans share key strings and allocate only the result,
+// and a cell deleted and reinserted — or a new column — has its key.
 func TestScanStateCachedKeys(t *testing.T) {
 	table := newTestTable(t, TableOptions{})
 	for i := 0; i < 50; i++ {

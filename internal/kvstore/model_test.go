@@ -1,0 +1,330 @@
+package kvstore
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
+	"strconv"
+	"strings"
+	"testing"
+
+	"smartflux/internal/metric"
+)
+
+// refTable is the reference a table must agree with: the map-of-maps layout
+// the row records replaced, with the same write rules spelled out cell by
+// cell.
+type refTable struct {
+	maxVersions int
+	cells       map[string]map[string][]Version // versions newest-last
+	clock       uint64
+	version     uint64
+}
+
+// insert places v at index idx of the cell's window, as insertLocked does:
+// a full window drops its oldest version, or v itself when v is older than
+// every retained one. The version moves either way.
+func (m *refTable) insert(row, col string, idx int, v Version) {
+	if m.cells[row] == nil {
+		m.cells[row] = map[string][]Version{}
+	}
+	w := m.cells[row][col]
+	switch {
+	case len(w) < m.maxVersions:
+		w = slices.Insert(slices.Clone(w), idx, v)
+	case idx > 0:
+		w = slices.Concat(w[1:idx], []Version{v}, w[idx:])
+	}
+	m.cells[row][col] = w
+	m.version++
+}
+
+func (m *refTable) replayPut(row, col string, v Version) {
+	w := m.cells[row][col]
+	idx := len(w)
+	for idx > 0 && w[idx-1].Timestamp > v.Timestamp {
+		idx--
+	}
+	if idx > 0 && w[idx-1].Timestamp == v.Timestamp {
+		return
+	}
+	m.insert(row, col, idx, v)
+}
+
+func (m *refTable) delete(row, col string) {
+	if _, ok := m.cells[row][col]; !ok {
+		return
+	}
+	delete(m.cells[row], col)
+	if len(m.cells[row]) == 0 {
+		delete(m.cells, row)
+	}
+	m.version++
+}
+
+// apply mirrors a live write: op i of the batch is stamped clock+1+i, a
+// delete of a missing cell included.
+func (m *refTable) apply(ops []Op) {
+	first := m.clock + 1
+	m.clock += uint64(len(ops))
+	for i, op := range ops {
+		if op.Delete {
+			m.delete(op.Row, op.Column)
+			continue
+		}
+		w := m.cells[op.Row][op.Column]
+		m.insert(op.Row, op.Column, len(w), Version{Timestamp: first + uint64(i), Value: slices.Clone(op.Value)})
+	}
+}
+
+// refCell is one cell of the reference in (row, column) order.
+type refCell struct {
+	row, col string
+	versions []Version
+}
+
+func (m *refTable) sorted() []refCell {
+	var out []refCell
+	for row, cols := range m.cells {
+		for col, w := range cols {
+			out = append(out, refCell{row, col, w})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].row != out[j].row {
+			return out[i].row < out[j].row
+		}
+		return out[i].col < out[j].col
+	})
+	return out
+}
+
+// Row keys include "a" and "a-b": row order and element-key order part ways
+// there ('-' sorts below '/'), so ScanState's re-sort is exercised too.
+var (
+	modelRows = []string{"a", "a-b", "b", "r1", "r10", "r2"}
+	modelCols = []string{"c0", "c1", "c2", "d"}
+	modelScan = []ScanOptions{
+		{},
+		{ColumnPrefix: "c"},
+		{RowPrefix: "r1"},
+		{StartRow: "a-b", EndRow: "r10"},
+		{Limit: 3},
+	}
+)
+
+// TestTableMatchesReferenceModel runs seeded random sequences of Put, Delete,
+// Apply, ReplayPut and ReplayDelete on a table and on the reference, and after
+// every operation compares every read: Scan, ScanPages at page sizes 1, 2 and
+// 256, ScanState, History, GetVersions, CellCount, RowCount, Version and the
+// store clock. The sequences include batches whose deletes empty a row that
+// later ops of the same batch write again, and out-of-order and duplicate
+// replays into full windows.
+func TestTableMatchesReferenceModel(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		maxVersions := 1 + int(seed%3)
+		table := newTestTable(t, TableOptions{MaxVersions: maxVersions})
+		m := &refTable{maxVersions: maxVersions, cells: map[string]map[string][]Version{}}
+		value := func() []byte {
+			if rng.Intn(5) == 0 {
+				return []byte("s" + strconv.Itoa(rng.Intn(100))) // not a float
+			}
+			return EncodeFloat(float64(rng.Intn(1000)) / 8)
+		}
+		pick := func() (row, col string) {
+			return modelRows[rng.Intn(len(modelRows))], modelCols[rng.Intn(len(modelCols))]
+		}
+		// existing picks a live cell most of the time, so deletes and
+		// replays land.
+		existing := func() (row, col string) {
+			if cells := m.sorted(); len(cells) > 0 && rng.Intn(4) != 0 {
+				c := cells[rng.Intn(len(cells))]
+				return c.row, c.col
+			}
+			return pick()
+		}
+		for step := 0; step < 150; step++ {
+			var did string
+			switch rng.Intn(6) {
+			case 0:
+				row, col := pick()
+				v := value()
+				did = fmt.Sprintf("Put(%s, %s)", row, col)
+				if err := table.Put(row, col, v); err != nil {
+					t.Fatal(err)
+				}
+				m.apply([]Op{{Row: row, Column: col, Value: v}})
+			case 1:
+				row, col := existing()
+				did = fmt.Sprintf("Delete(%s, %s)", row, col)
+				if err := table.Delete(row, col); err != nil {
+					t.Fatal(err)
+				}
+				m.apply([]Op{{Row: row, Column: col, Delete: true}})
+			case 2:
+				var ops []Op
+				for n := 1 + rng.Intn(8); len(ops) < n; {
+					if rng.Intn(3) == 0 {
+						row, col := existing()
+						ops = append(ops, Op{Row: row, Column: col, Delete: true})
+					} else {
+						row, col := pick()
+						ops = append(ops, Op{Row: row, Column: col, Value: value()})
+					}
+				}
+				did = fmt.Sprintf("Apply(%d random ops)", len(ops))
+				applyOps(t, table, ops, rng.Intn(2) == 0)
+				m.apply(ops)
+			case 3:
+				// Write a row, delete every cell it has, write it again.
+				row, col := existing()
+				ops := []Op{{Row: row, Column: col, Value: value()}}
+				for _, c := range modelCols {
+					ops = append(ops, Op{Row: row, Column: c, Delete: true})
+				}
+				_, col2 := pick()
+				other, col3 := pick()
+				ops = append(ops, Op{Row: row, Column: col2, Value: value()}, Op{Row: other, Column: col3, Value: value()})
+				did = fmt.Sprintf("Apply(empty row %s mid-batch)", row)
+				applyOps(t, table, ops, rng.Intn(2) == 0)
+				m.apply(ops)
+			case 4:
+				row, col := existing()
+				var newest uint64
+				if w := m.cells[row][col]; len(w) > 0 {
+					newest = w[len(w)-1].Timestamp
+				}
+				v := Version{Timestamp: 1 + uint64(rng.Int63n(int64(newest)+3)), Value: value()}
+				did = fmt.Sprintf("ReplayPut(%s, %s, @%d)", row, col, v.Timestamp)
+				if err := table.ReplayPut(row, col, v.Value, v.Timestamp); err != nil {
+					t.Fatal(err)
+				}
+				m.replayPut(row, col, Version{Timestamp: v.Timestamp, Value: slices.Clone(v.Value)})
+			case 5:
+				row, col := existing()
+				did = fmt.Sprintf("ReplayDelete(%s, %s)", row, col)
+				if err := table.ReplayDelete(row, col); err != nil {
+					t.Fatal(err)
+				}
+				m.delete(row, col)
+			}
+			if err := compareWithModel(table, m); err != nil {
+				t.Fatalf("seed %d step %d, after %s: %v", seed, step, did, err)
+			}
+		}
+	}
+}
+
+// applyOps applies ops as one batch, pooled or not.
+func applyOps(t *testing.T, table *Table, ops []Op, pooled bool) {
+	t.Helper()
+	b := NewBatch()
+	if pooled {
+		b = GetBatch()
+	}
+	for _, op := range ops {
+		if op.Delete {
+			b.Delete(op.Row, op.Column)
+		} else {
+			b.Put(op.Row, op.Column, op.Value)
+		}
+	}
+	if err := table.Apply(b); err != nil {
+		t.Fatal(err)
+	}
+	if pooled {
+		b.Release()
+	}
+}
+
+// compareWithModel checks every read of table against the reference.
+func compareWithModel(table *Table, m *refTable) error {
+	cells := m.sorted()
+	for _, opts := range modelScan {
+		var want []Cell
+		var elems []metric.Elem
+		for _, c := range cells {
+			if opts.StartRow != "" && c.row < opts.StartRow || opts.EndRow != "" && c.row >= opts.EndRow ||
+				!strings.HasPrefix(c.row, opts.RowPrefix) || !strings.HasPrefix(c.col, opts.ColumnPrefix) {
+				continue
+			}
+			latest := c.versions[len(c.versions)-1]
+			if opts.Limit == 0 || len(want) < opts.Limit {
+				want = append(want, Cell{Row: c.row, Column: c.col, Version: latest})
+			}
+			if v, err := DecodeFloat(latest.Value); err == nil {
+				elems = append(elems, metric.Elem{Key: c.row + "/" + c.col, Val: v})
+			}
+		}
+		got := table.Scan(opts)
+		if !slices.EqualFunc(got, want, deepEqual) {
+			return fmt.Errorf("Scan(%+v) = %v, want %v", opts, got, want)
+		}
+		for _, size := range []int{1, 2, 256} {
+			var paged []Cell
+			var finals int
+			err := table.ScanPages(opts, size, func(page []Cell, final bool) error {
+				if len(page) > size {
+					return fmt.Errorf("page of %d cells", len(page))
+				}
+				if final {
+					finals++
+				}
+				paged = append(paged, page...)
+				return nil
+			})
+			if err != nil || finals != 1 || !slices.EqualFunc(paged, want, deepEqual) {
+				return fmt.Errorf("ScanPages(%+v, %d) = %v (%d final pages, err %v), want %v", opts, size, paged, finals, err, want)
+			}
+		}
+		if opts.Limit > 0 {
+			continue // ScanState has no limit
+		}
+		state, version := table.ScanState(opts)
+		if wantState := metric.NewState(elems); !slices.Equal(state, wantState) || version != m.version {
+			return fmt.Errorf("ScanState(%+v) = %v @%d, want %v @%d", opts, state, version, wantState, m.version)
+		}
+	}
+
+	var history, wantHistory []Mutation
+	err := table.History(func(cell []Mutation) error {
+		history = append(history, cell...)
+		return nil
+	})
+	for _, c := range cells {
+		for _, v := range c.versions {
+			wantHistory = append(wantHistory, Mutation{Table: table.Name(), Row: c.row, Column: c.col, New: v.Value, Timestamp: v.Timestamp, Kind: MutationPut})
+		}
+	}
+	if err != nil || !slices.EqualFunc(history, wantHistory, deepEqual) {
+		return fmt.Errorf("History = %v (err %v), want %v", history, err, wantHistory)
+	}
+
+	for _, row := range modelRows {
+		for _, col := range modelCols {
+			want := slices.Clone(m.cells[row][col])
+			slices.Reverse(want)
+			if got := table.GetVersions(row, col, 0); !slices.EqualFunc(got, want, deepEqual) {
+				return fmt.Errorf("GetVersions(%s, %s) = %v, want %v", row, col, got, want)
+			}
+		}
+	}
+	if got := table.CellCount(); got != len(cells) {
+		return fmt.Errorf("CellCount = %d, want %d", got, len(cells))
+	}
+	if got := table.RowCount(); got != len(m.cells) {
+		return fmt.Errorf("RowCount = %d, want %d", got, len(m.cells))
+	}
+	if got := table.Version(); got != m.version {
+		return fmt.Errorf("Version = %d, want %d", got, m.version)
+	}
+	if got := table.store.Clock(); got != m.clock {
+		return fmt.Errorf("store clock = %d, want %d", got, m.clock)
+	}
+	return nil
+}
+
+func deepEqual[T any](a, b T) bool { return reflect.DeepEqual(a, b) }

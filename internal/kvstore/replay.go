@@ -34,7 +34,9 @@ func (t *Table) ReplayPut(row, column string, value []byte, ts uint64) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	cols, versions := t.windowLocked(row, column)
+	r := t.addRowLocked(row)
+	i := t.windowLocked(r, column)
+	versions := r.cells[i]
 	// Find the insertion point; versions are newest-last.
 	idx := len(versions)
 	for idx > 0 && versions[idx-1].Timestamp > ts {
@@ -45,7 +47,7 @@ func (t *Table) ReplayPut(row, column string, value []byte, ts uint64) error {
 	}
 	stored := make([]byte, len(value))
 	copy(stored, value)
-	t.insertLocked(cols, column, versions, idx, Version{Timestamp: ts, Value: stored})
+	t.insertLocked(r, i, idx, Version{Timestamp: ts, Value: stored})
 	return nil
 }
 
@@ -59,6 +61,6 @@ func (t *Table) ReplayDelete(row, column string) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.deleteLocked(row, column)
+	t.deleteLocked(t.rows[row], column)
 	return nil
 }

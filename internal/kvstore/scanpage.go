@@ -1,6 +1,7 @@
 package kvstore
 
 import (
+	"slices"
 	"strings"
 	"sync"
 )
@@ -13,65 +14,47 @@ type scanCursor struct {
 	active bool
 }
 
-// collectLocked appends up to max matching cells to dst in (row, column)
-// order, resuming after cur when it is active. Cell values are shared
-// references into live store memory — stored values are immutable (Apply
-// copies each batch's values into an arena of its own and nothing writes to
-// it after that), so the references stay valid and stable after t.mu is
-// released, but callers handing them out must either copy
-// (arenaCopyValues) or document the aliasing. Returns
-// the extended slice, the summed value bytes of the appended cells, and
-// whether collection stopped at max with (potentially) more cells ahead.
-// max <= 0 means unbounded. Callers hold t.mu through readKeys (the
-// sorted-key caches rebuild lazily under the write lock).
-func (t *Table) collectLocked(opts ScanOptions, cur *scanCursor, max int, dst []Cell) ([]Cell, int64, bool) {
-	rows := t.sortedRowKeysLocked()
+// collectLocked appends up to max cells of rows, the table's rows in key
+// order, that match opts to dst in (row, column) order, resuming after cur
+// when it is active. Cell values are shared references into live store
+// memory — stored values are immutable (Apply copies each batch's values into
+// an arena of its own and nothing writes to it after that), so the references
+// stay valid and stable after t.mu is released, but callers handing them out
+// must either copy (arenaCopyValues) or document the aliasing. Returns the
+// extended slice, the summed value bytes of the appended cells, and whether
+// collection stopped at max with (potentially) more cells ahead. max <= 0
+// means unbounded. Callers hold t.mu through readKeys.
+func collectLocked(rows []*row, opts ScanOptions, cur *scanCursor, max int, dst []Cell) ([]Cell, int64, bool) {
 	i := 0
 	if cur != nil && cur.active {
-		i = searchStrings(rows, cur.row)
+		i, _ = slices.BinarySearchFunc(rows, cur.row, func(r *row, key string) int { return strings.Compare(r.key, key) })
 	}
 	var valueBytes int64
 	for ; i < len(rows); i++ {
-		row := rows[i]
-		if !opts.matchesRow(row) {
+		r := rows[i]
+		if !opts.matchesRow(r.key) {
 			continue
 		}
-		cols := t.rows[row]
-		for _, col := range t.rowKeysLocked(row).cols {
+		for j, col := range r.cols {
 			if opts.ColumnPrefix != "" && !strings.HasPrefix(col, opts.ColumnPrefix) {
 				continue
 			}
-			if cur != nil && cur.active && row == cur.row && col <= cur.col {
+			if cur != nil && cur.active && r.key == cur.row && col <= cur.col {
 				continue
 			}
-			versions := cols[col]
+			versions := r.cells[j]
 			v := versions[len(versions)-1]
-			dst = append(dst, Cell{Row: row, Column: col, Version: v})
+			dst = append(dst, Cell{Row: r.key, Column: col, Version: v})
 			valueBytes += int64(len(v.Value))
 			if max > 0 && len(dst) >= max {
 				if cur != nil {
-					cur.row, cur.col, cur.active = row, col, true
+					cur.row, cur.col, cur.active = r.key, col, true
 				}
 				return dst, valueBytes, true
 			}
 		}
 	}
 	return dst, valueBytes, false
-}
-
-// searchStrings is sort.SearchStrings without the package dependency knot:
-// the first index at or after which x would sort.
-func searchStrings(a []string, x string) int {
-	lo, hi := 0, len(a)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if a[mid] < x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }
 
 // arenaCopyValues replaces each cell's shared value reference with a copy
@@ -155,7 +138,7 @@ func (t *Table) scanPages(opts ScanOptions, pageSize int, shared bool, fn func(c
 		}
 		var pageBytes int64
 		var more bool
-		t.readKeys(func() { page, pageBytes, more = t.collectLocked(opts, &cur, max, dst) })
+		t.readKeys(func(rows []*row) { page, pageBytes, more = collectLocked(rows, opts, &cur, max, dst) })
 		if !shared {
 			arenaCopyValues(page, pageBytes)
 		}

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strconv"
 
 	"smartflux/internal/engine"
@@ -277,6 +278,39 @@ func segRow(xway, segment int) string {
 // vehRow renders the row key of a vehicle.
 func vehRow(id int) string { return "v" + strconv.Itoa(id) }
 
+// rowKeys holds every row key the workflow writes, rendered once when it is
+// built, so no wave renders one.
+type rowKeys struct {
+	vehicles []string // vehicles[id] is vehRow(id)
+	queries  []string // queries[id] is the row of query id
+	xways    []string // xways[x] is the classes row of expressway x
+	// segments[x*Segments+s] is segRow(x, s): the per-segment folds
+	// accumulate at the same index.
+	segments []string
+}
+
+func newRowKeys(cfg Config) *rowKeys {
+	k := &rowKeys{
+		vehicles: make([]string, cfg.Vehicles),
+		queries:  make([]string, cfg.QueriesPerWave),
+		xways:    make([]string, cfg.Expressways),
+		segments: make([]string, 0, cfg.Expressways*cfg.Segments),
+	}
+	for i := range k.vehicles {
+		k.vehicles[i] = vehRow(i)
+	}
+	for i := range k.queries {
+		k.queries[i] = "q" + strconv.Itoa(i)
+	}
+	for x := range k.xways {
+		k.xways[x] = "x" + strconv.Itoa(x)
+		for s := 0; s < cfg.Segments; s++ {
+			k.segments = append(k.segments, segRow(x, s))
+		}
+	}
+	return k
+}
+
 // Build returns an engine.BuildFunc producing fresh, identical instances of
 // the LRB workload.
 func Build(cfg Config) engine.BuildFunc {
@@ -307,6 +341,7 @@ func gatedQoD(cfg Config) workflow.QoD {
 // buildWorkflow wires the Figure 5 steps.
 func buildWorkflow(cfg Config, sim *Simulator) (*workflow.Workflow, error) {
 	wf := workflow.New("lrb")
+	keys := newRowKeys(cfg)
 	container := func(table string) workflow.Container {
 		return workflow.Container{Table: table}
 	}
@@ -319,7 +354,7 @@ func buildWorkflow(cfg Config, sim *Simulator) (*workflow.Workflow, error) {
 			Name:    "feeder/forwarder",
 			Source:  true,
 			Outputs: []workflow.Container{container(TableReports), container(TableQueries)},
-			Proc:    feederProc(sim),
+			Proc:    feederProc(sim, keys),
 		},
 		{
 			// Step 2a updates vehicle positions across the
@@ -347,7 +382,7 @@ func buildWorkflow(cfg Config, sim *Simulator) (*workflow.Workflow, error) {
 			Inputs:  []workflow.Container{{Table: TablePositions, ColumnPrefix: "speed"}},
 			Outputs: []workflow.Container{container(TableSpeeds)},
 			QoD:     gatedQoD(cfg),
-			Proc:    avgSpeedProc(cfg),
+			Proc:    avgSpeedProc(cfg, keys),
 		},
 		{
 			// Step 3b: number of cars per segment.
@@ -356,7 +391,7 @@ func buildWorkflow(cfg Config, sim *Simulator) (*workflow.Workflow, error) {
 			Inputs:  []workflow.Container{{Table: TablePositions, ColumnPrefix: "seg"}},
 			Outputs: []workflow.Container{container(TableCounts)},
 			QoD:     gatedQoD(cfg),
-			Proc:    carCountProc(cfg),
+			Proc:    carCountProc(cfg, keys),
 		},
 		{
 			// Step 3c: accident detection (stopped vehicles).
@@ -365,7 +400,7 @@ func buildWorkflow(cfg Config, sim *Simulator) (*workflow.Workflow, error) {
 			Inputs:  []workflow.Container{{Table: TablePositions, ColumnPrefix: "speed"}},
 			Outputs: []workflow.Container{container(TableAccidents)},
 			QoD:     gatedQoD(cfg),
-			Proc:    accidentsProc(cfg),
+			Proc:    accidentsProc(cfg, keys),
 		},
 		{
 			// Step 4: congestion (toll) level per segment.
@@ -378,7 +413,7 @@ func buildWorkflow(cfg Config, sim *Simulator) (*workflow.Workflow, error) {
 			},
 			Outputs: []workflow.Container{container(TableCongestion)},
 			QoD:     gatedQoD(cfg),
-			Proc:    congestionProc(cfg),
+			Proc:    congestionProc(cfg, keys),
 		},
 		{
 			// Step 5a: classify congestion areas (workflow output).
@@ -387,7 +422,7 @@ func buildWorkflow(cfg Config, sim *Simulator) (*workflow.Workflow, error) {
 			Inputs:  []workflow.Container{container(TableCongestion)},
 			Outputs: []workflow.Container{container(TableClasses)},
 			QoD:     gatedQoD(cfg),
-			Proc:    classifyProc(cfg),
+			Proc:    classifyProc(cfg, keys),
 		},
 		{
 			// Step 5b: travel time estimation; executed
@@ -399,7 +434,7 @@ func buildWorkflow(cfg Config, sim *Simulator) (*workflow.Workflow, error) {
 				container(TableCongestion),
 			},
 			Outputs: []workflow.Container{container(TableEstimates)},
-			Proc:    travelTimeProc(cfg),
+			Proc:    travelTimeProc(cfg, keys),
 		},
 	}
 	for _, s := range steps {
@@ -414,7 +449,7 @@ func buildWorkflow(cfg Config, sim *Simulator) (*workflow.Workflow, error) {
 }
 
 // feederProc advances the simulation and writes reports and queries.
-func feederProc(sim *Simulator) workflow.Processor {
+func feederProc(sim *Simulator, keys *rowKeys) workflow.Processor {
 	return workflow.ProcessorFunc(func(ctx *workflow.Context) error {
 		wave := sim.Advance()
 		reports, err := ctx.Table(TableReports)
@@ -422,9 +457,10 @@ func feederProc(sim *Simulator) workflow.Processor {
 			return err
 		}
 		reps := sim.Reports()
-		batch := kvstore.NewBatch().Grow(3 * len(reps))
+		batch := kvstore.GetBatch().Grow(3 * len(reps))
+		defer batch.Release()
 		for _, r := range reps {
-			row := vehRow(r.Vehicle)
+			row := keys.vehicles[r.Vehicle]
 			batch.PutFloat(row, "xway", float64(r.Xway))
 			batch.PutFloat(row, "pos", r.Pos)
 			batch.PutFloat(row, "speed", r.Speed)
@@ -438,9 +474,10 @@ func feederProc(sim *Simulator) workflow.Processor {
 			return err
 		}
 		qs := sim.Queries(wave)
-		qb := kvstore.NewBatch().Grow(3 * len(qs))
+		qb := kvstore.GetBatch().Grow(3 * len(qs))
+		defer qb.Release()
 		for _, q := range qs {
-			row := "q" + strconv.Itoa(q.ID)
+			row := keys.queries[q.ID]
 			qb.PutFloat(row, "xway", float64(q.Xway))
 			qb.PutFloat(row, "from", float64(q.FromSeg))
 			qb.PutFloat(row, "to", float64(q.ToSeg))
@@ -460,16 +497,10 @@ func positionsProc() workflow.Processor {
 		if err != nil {
 			return err
 		}
-		cells := reports.Scan(kvstore.ScanOptions{ColumnPrefix: "pos"})
-		batch := kvstore.NewBatch().Grow(3 * len(cells))
-		for _, c := range cells {
-			pos, ok := c.FloatValue()
-			if !ok {
-				continue
-			}
-			row := c.Row
-			speed, _ := reports.GetFloat(row, "speed")
-			xway, _ := reports.GetFloat(row, "xway")
+		batch := kvstore.GetBatch().Grow(3 * reports.RowCount())
+		defer batch.Release()
+		foldRows(reports, [3]string{"pos", "speed", "xway"}, func(row string, v [3]float64) {
+			pos, speed, xway := v[0], v[1], v[2]
 			// Exponentially smoothed speed stabilizes the aggregate
 			// statistics downstream, like LRB's 5-minute windows.
 			smoothed := speed
@@ -479,7 +510,7 @@ func positionsProc() workflow.Processor {
 			batch.PutFloat(row, "xway", xway)
 			batch.PutFloat(row, "seg", math.Floor(pos))
 			batch.PutFloat(row, "speed", smoothed)
-		}
+		})
 		return out.Apply(batch)
 	})
 }
@@ -496,7 +527,8 @@ func queriesProc() workflow.Processor {
 			return err
 		}
 		cells := queries.Scan(kvstore.ScanOptions{ColumnPrefix: "from"})
-		batch := kvstore.NewBatch().Grow(4 * len(cells))
+		batch := kvstore.GetBatch().Grow(4 * len(cells))
+		defer batch.Release()
 		for _, c := range cells {
 			from, ok := c.FloatValue()
 			if !ok {
@@ -517,31 +549,31 @@ func queriesProc() workflow.Processor {
 	})
 }
 
-// perSegment folds the positions table into per-(xway, segment) aggregates,
-// once per row with a float seg (a missing xway or speed reads 0), in one
-// pass of shared pages rather than a locked lookup per cell.
-func perSegment(positions *kvstore.Table, cfg Config, fold func(xway, seg int, speed float64)) {
-	var seg, speed, xway float64
-	row, hasSeg := "", false
+// foldRows reads t in one pass of shared pages, rather than a locked lookup
+// per cell, and calls fold once per row, in key order, with the float values
+// of the row's cols (a missing or non-float cell reads 0). A row without a
+// float cols[0] is skipped.
+func foldRows(t *kvstore.Table, cols [3]string, fold func(row string, v [3]float64)) {
+	var v [3]float64
+	row, has := "", false
 	flush := func() {
-		if hasSeg {
-			fold(int(xway), max(int(seg), 0)%cfg.Segments, speed)
+		if has {
+			fold(row, v)
 		}
-		seg, speed, xway, hasSeg = 0, 0, 0, false
+		v, has = [3]float64{}, false
 	}
-	_ = positions.ScanPagesShared(kvstore.ScanOptions{}, 0, func(cells []kvstore.Cell, _ bool) error {
+	_ = t.ScanPagesShared(kvstore.ScanOptions{}, 0, func(cells []kvstore.Cell, _ bool) error {
 		for _, c := range cells {
 			if c.Row != row {
 				flush()
 				row = c.Row
 			}
-			switch v, ok := c.FloatValue(); c.Column {
-			case "seg":
-				seg, hasSeg = v, ok
-			case "speed":
-				speed = v
-			case "xway":
-				xway = v
+			if i := slices.Index(cols[:], c.Column); i >= 0 {
+				var ok bool
+				v[i], ok = c.FloatValue()
+				if i == 0 {
+					has = ok
+				}
 			}
 		}
 		return nil // the scan's only possible error is this function's
@@ -549,8 +581,19 @@ func perSegment(positions *kvstore.Table, cfg Config, fold func(xway, seg int, s
 	flush()
 }
 
+// perSegment folds the positions table into per-(xway, segment) aggregates,
+// once per row with a float seg and an xway in range (a missing xway or speed
+// reads 0).
+func perSegment(positions *kvstore.Table, cfg Config, fold func(xway, seg int, speed float64)) {
+	foldRows(positions, [3]string{"seg", "speed", "xway"}, func(_ string, v [3]float64) {
+		if x := int(v[2]); x >= 0 && x < cfg.Expressways {
+			fold(x, max(int(v[0]), 0)%cfg.Segments, v[1])
+		}
+	})
+}
+
 // avgSpeedProc computes the mean vehicle speed per segment.
-func avgSpeedProc(cfg Config) workflow.Processor {
+func avgSpeedProc(cfg Config, keys *rowKeys) workflow.Processor {
 	return workflow.ProcessorFunc(func(ctx *workflow.Context) error {
 		positions, err := ctx.Table(TablePositions)
 		if err != nil {
@@ -560,22 +603,19 @@ func avgSpeedProc(cfg Config) workflow.Processor {
 		if err != nil {
 			return err
 		}
-		sums := make(map[string]float64)
-		counts := make(map[string]int)
+		sums := make([]float64, len(keys.segments))
+		counts := make([]int, len(keys.segments))
 		perSegment(positions, cfg, func(xway, seg int, speed float64) {
-			row := segRow(xway, seg)
-			sums[row] += speed
-			counts[row]++
+			sums[xway*cfg.Segments+seg] += speed
+			counts[xway*cfg.Segments+seg]++
 		})
-		batch := kvstore.NewBatch().Grow(cfg.Expressways * cfg.Segments)
-		for x := 0; x < cfg.Expressways; x++ {
-			for s := 0; s < cfg.Segments; s++ {
-				row := segRow(x, s)
-				if n := counts[row]; n > 0 {
-					batch.PutFloat(row, "avg", sums[row]/float64(n))
-				} else {
-					batch.PutFloat(row, "avg", freeSpeed(s))
-				}
+		batch := kvstore.GetBatch().Grow(len(keys.segments))
+		defer batch.Release()
+		for i, row := range keys.segments {
+			if n := counts[i]; n > 0 {
+				batch.PutFloat(row, "avg", sums[i]/float64(n))
+			} else {
+				batch.PutFloat(row, "avg", freeSpeed(i%cfg.Segments))
 			}
 		}
 		return out.Apply(batch)
@@ -583,7 +623,7 @@ func avgSpeedProc(cfg Config) workflow.Processor {
 }
 
 // carCountProc counts vehicles per segment.
-func carCountProc(cfg Config) workflow.Processor {
+func carCountProc(cfg Config, keys *rowKeys) workflow.Processor {
 	return workflow.ProcessorFunc(func(ctx *workflow.Context) error {
 		positions, err := ctx.Table(TablePositions)
 		if err != nil {
@@ -593,23 +633,21 @@ func carCountProc(cfg Config) workflow.Processor {
 		if err != nil {
 			return err
 		}
-		counts := make(map[string]int)
+		counts := make([]int, len(keys.segments))
 		perSegment(positions, cfg, func(xway, seg int, _ float64) {
-			counts[segRow(xway, seg)]++
+			counts[xway*cfg.Segments+seg]++
 		})
-		batch := kvstore.NewBatch().Grow(cfg.Expressways * cfg.Segments)
-		for x := 0; x < cfg.Expressways; x++ {
-			for s := 0; s < cfg.Segments; s++ {
-				row := segRow(x, s)
-				// Exponential smoothing stands in for LRB's
-				// per-minute windows: instantaneous per-30s counts
-				// churn as vehicles cross segment boundaries.
-				count := float64(counts[row])
-				if prev, ok := out.GetFloat(row, "count"); ok {
-					count = 0.9*prev + 0.1*count
-				}
-				batch.PutFloat(row, "count", count)
+		batch := kvstore.GetBatch().Grow(len(keys.segments))
+		defer batch.Release()
+		for i, row := range keys.segments {
+			// Exponential smoothing stands in for LRB's per-minute
+			// windows: instantaneous per-30s counts churn as vehicles
+			// cross segment boundaries.
+			count := float64(counts[i])
+			if prev, ok := out.GetFloat(row, "count"); ok {
+				count = 0.9*prev + 0.1*count
 			}
+			batch.PutFloat(row, "count", count)
 		}
 		return out.Apply(batch)
 	})
@@ -618,7 +656,7 @@ func carCountProc(cfg Config) workflow.Processor {
 // accidentsProc detects accidents from stopped vehicles. The stored value is
 // 1 + the number of stopped vehicles so calm segments hold a stable nonzero
 // baseline (relative errors stay finite).
-func accidentsProc(cfg Config) workflow.Processor {
+func accidentsProc(cfg Config, keys *rowKeys) workflow.Processor {
 	return workflow.ProcessorFunc(func(ctx *workflow.Context) error {
 		positions, err := ctx.Table(TablePositions)
 		if err != nil {
@@ -628,18 +666,16 @@ func accidentsProc(cfg Config) workflow.Processor {
 		if err != nil {
 			return err
 		}
-		stopped := make(map[string]int)
+		stopped := make([]int, len(keys.segments))
 		perSegment(positions, cfg, func(xway, seg int, speed float64) {
 			if speed < 1 {
-				stopped[segRow(xway, seg)]++
+				stopped[xway*cfg.Segments+seg]++
 			}
 		})
-		batch := kvstore.NewBatch().Grow(cfg.Expressways * cfg.Segments)
-		for x := 0; x < cfg.Expressways; x++ {
-			for s := 0; s < cfg.Segments; s++ {
-				row := segRow(x, s)
-				batch.PutFloat(row, "stopped", 1+float64(stopped[row]))
-			}
+		batch := kvstore.GetBatch().Grow(len(keys.segments))
+		defer batch.Release()
+		for i, row := range keys.segments {
+			batch.PutFloat(row, "stopped", 1+float64(stopped[i]))
 		}
 		return out.Apply(batch)
 	})
@@ -647,7 +683,7 @@ func accidentsProc(cfg Config) workflow.Processor {
 
 // congestionProc computes the congestion (toll) level per segment from
 // average speed, vehicle count and nearby accidents.
-func congestionProc(cfg Config) workflow.Processor {
+func congestionProc(cfg Config, keys *rowKeys) workflow.Processor {
 	capacity := float64(cfg.Vehicles) / float64(cfg.Expressways*cfg.Segments)
 	return workflow.ProcessorFunc(func(ctx *workflow.Context) error {
 		speeds, err := ctx.Table(TableSpeeds)
@@ -666,24 +702,22 @@ func congestionProc(cfg Config) workflow.Processor {
 		if err != nil {
 			return err
 		}
-		batch := kvstore.NewBatch().Grow(cfg.Expressways * cfg.Segments)
-		for x := 0; x < cfg.Expressways; x++ {
-			for s := 0; s < cfg.Segments; s++ {
-				row := segRow(x, s)
-				avg, _ := speeds.GetFloat(row, "avg")
-				count, _ := counts.GetFloat(row, "count")
-				stopped, _ := accidents.GetFloat(row, "stopped")
-				if avg < 5 {
-					avg = 5
-				}
-				density := count / capacity
-				slowdown := freeSpeed(s) / avg
-				level := 10 * density * slowdown
-				if stopped > 1 {
-					level *= 1 + 0.5*(stopped-1)
-				}
-				batch.PutFloat(row, "level", level)
+		batch := kvstore.GetBatch().Grow(len(keys.segments))
+		defer batch.Release()
+		for i, row := range keys.segments {
+			avg, _ := speeds.GetFloat(row, "avg")
+			count, _ := counts.GetFloat(row, "count")
+			stopped, _ := accidents.GetFloat(row, "stopped")
+			if avg < 5 {
+				avg = 5
 			}
+			density := count / capacity
+			slowdown := freeSpeed(i%cfg.Segments) / avg
+			level := 10 * density * slowdown
+			if stopped > 1 {
+				level *= 1 + 0.5*(stopped-1)
+			}
+			batch.PutFloat(row, "level", level)
 		}
 		return out.Apply(batch)
 	})
@@ -691,7 +725,7 @@ func congestionProc(cfg Config) workflow.Processor {
 
 // classifyProc classifies congestion into low/medium/high areas and emits
 // the per-expressway summary that constitutes the workflow output.
-func classifyProc(cfg Config) workflow.Processor {
+func classifyProc(cfg Config, keys *rowKeys) workflow.Processor {
 	return workflow.ProcessorFunc(func(ctx *workflow.Context) error {
 		congestion, err := ctx.Table(TableCongestion)
 		if err != nil {
@@ -701,17 +735,17 @@ func classifyProc(cfg Config) workflow.Processor {
 		if err != nil {
 			return err
 		}
-		batch := kvstore.NewBatch().Grow(2 * cfg.Expressways)
-		for x := 0; x < cfg.Expressways; x++ {
+		batch := kvstore.GetBatch().Grow(2 * cfg.Expressways)
+		defer batch.Release()
+		for x, row := range keys.xways {
 			var high, sum float64
-			for s := 0; s < cfg.Segments; s++ {
-				level, _ := congestion.GetFloat(segRow(x, s), "level")
+			for _, seg := range keys.segments[x*cfg.Segments : (x+1)*cfg.Segments] {
+				level, _ := congestion.GetFloat(seg, "level")
 				sum += level
 				// Saturating membership in the "high congestion"
 				// class keeps the output slowly varying (§1).
 				high += level * level / (level*level + 400)
 			}
-			row := "x" + strconv.Itoa(x)
 			batch.PutFloat(row, "high", 5+high)
 			batch.PutFloat(row, "avg", 10+sum/float64(cfg.Segments))
 		}
@@ -721,7 +755,7 @@ func classifyProc(cfg Config) workflow.Processor {
 
 // travelTimeProc estimates travel time and cost for each processed query
 // using current congestion levels.
-func travelTimeProc(cfg Config) workflow.Processor {
+func travelTimeProc(cfg Config, keys *rowKeys) workflow.Processor {
 	return workflow.ProcessorFunc(func(ctx *workflow.Context) error {
 		queryProc, err := ctx.Table(TableQueryProc)
 		if err != nil {
@@ -736,7 +770,8 @@ func travelTimeProc(cfg Config) workflow.Processor {
 			return err
 		}
 		cells := queryProc.Scan(kvstore.ScanOptions{ColumnPrefix: "from"})
-		batch := kvstore.NewBatch().Grow(2 * len(cells))
+		batch := kvstore.GetBatch().Grow(2 * len(cells))
+		defer batch.Release()
 		for _, c := range cells {
 			from, ok := c.FloatValue()
 			if !ok {
@@ -751,7 +786,11 @@ func travelTimeProc(cfg Config) workflow.Processor {
 			}
 			for s := int(from); s != int(to); s += step {
 				seg := ((s % cfg.Segments) + cfg.Segments) % cfg.Segments
-				level, _ := congestion.GetFloat(segRow(int(xway), seg), "level")
+				// Congestion has no row for an xway out of range.
+				var level float64
+				if x := int(xway); x >= 0 && x < cfg.Expressways {
+					level, _ = congestion.GetFloat(keys.segments[x*cfg.Segments+seg], "level")
+				}
 				// One mile at a congestion-dependent speed.
 				speed := freeSpeed(seg) / (1 + level/10)
 				if speed < 5 {

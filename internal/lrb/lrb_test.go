@@ -1,11 +1,13 @@
 package lrb
 
 import (
+	"math"
 	"slices"
 	"testing"
 
 	"smartflux/internal/engine"
 	"smartflux/internal/kvstore"
+	"smartflux/internal/workflow"
 )
 
 func TestSimulatorDeterministic(t *testing.T) {
@@ -186,6 +188,7 @@ func TestPerSegmentMatchesPerCellLookups(t *testing.T) {
 	}
 	b.Put(vehRow(1), "seg", []byte("not a float"))
 	b.Put(vehRow(2), "xway", []byte{1})
+	b.PutFloat(vehRow(4), "xway", float64(cfg.Expressways)) // out of range: skipped
 	if err := positions.Apply(b); err != nil {
 		t.Fatal(err)
 	}
@@ -201,6 +204,9 @@ func TestPerSegmentMatchesPerCellLookups(t *testing.T) {
 		}
 		xway, _ := positions.GetFloat(c.Row, "xway")
 		speed, _ := positions.GetFloat(c.Row, "speed")
+		if int(xway) >= cfg.Expressways {
+			continue
+		}
 		want = append(want, folded{int(xway), max(int(seg), 0) % cfg.Segments, speed})
 	}
 	perSegment(positions, cfg, func(xway, seg int, speed float64) {
@@ -208,6 +214,76 @@ func TestPerSegmentMatchesPerCellLookups(t *testing.T) {
 	})
 	if !slices.Equal(got, want) {
 		t.Fatalf("perSegment folded %d rows, per-cell lookups %d:\n got %v\nwant %v", len(got), len(want), got, want)
+	}
+}
+
+// TestPositionsMatchesPerCellLookups pins step 2a's one-pass read of the
+// reports to the lookups it replaced — a scan of the pos cells, then GetFloat
+// of speed and xway — write for write, over rows that straddle scan pages and
+// rows missing a column or holding a value that is not a float.
+func TestPositionsMatchesPerCellLookups(t *testing.T) {
+	build := func() (store *kvstore.Store, reports, positions *kvstore.Table) {
+		store = kvstore.New()
+		reports, err := store.CreateTable(TableReports, kvstore.TableOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		positions, err = store.CreateTable(TablePositions, kvstore.TableOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, prev := kvstore.NewBatch(), kvstore.NewBatch()
+		for i := 0; i < 400; i++ {
+			row := vehRow(i)
+			if i%7 != 3 {
+				b.PutFloat(row, "pos", float64(i%25)+0.5)
+			}
+			if i%11 != 5 {
+				b.PutFloat(row, "speed", float64(i)/3)
+			}
+			if i%13 != 8 {
+				b.PutFloat(row, "xway", float64(i%3))
+			}
+			if i%5 == 0 {
+				prev.PutFloat(row, "speed", float64(i))
+			}
+		}
+		b.Put(vehRow(1), "pos", []byte("not a float"))
+		b.Put(vehRow(2), "speed", []byte{1})
+		b.Put(vehRow(4), "xway", []byte("x"))
+		if err := reports.Apply(b); err != nil {
+			t.Fatal(err)
+		}
+		if err := positions.Apply(prev); err != nil {
+			t.Fatal(err)
+		}
+		return store, reports, positions
+	}
+
+	got, _, _ := build()
+	if err := positionsProc().Process(&workflow.Context{Store: got}); err != nil {
+		t.Fatal(err)
+	}
+	want, reports, positions := build()
+	b := kvstore.NewBatch()
+	for _, c := range reports.Scan(kvstore.ScanOptions{ColumnPrefix: "pos"}) {
+		pos, ok := c.FloatValue()
+		if !ok {
+			continue
+		}
+		speed, _ := reports.GetFloat(c.Row, "speed")
+		xway, _ := reports.GetFloat(c.Row, "xway")
+		smoothed := speed
+		if prev, ok := positions.GetFloat(c.Row, "speed"); ok {
+			smoothed = 0.5*prev + 0.5*speed
+		}
+		b.PutFloat(c.Row, "xway", xway).PutFloat(c.Row, "seg", math.Floor(pos)).PutFloat(c.Row, "speed", smoothed)
+	}
+	if err := positions.Apply(b); err != nil {
+		t.Fatal(err)
+	}
+	if g, w := string(got.Dump()), string(want.Dump()); g != w {
+		t.Fatalf("one-pass 2a wrote a different store than per-cell lookups:\n got %d dump bytes\nwant %d", len(g), len(w))
 	}
 }
 
