@@ -120,9 +120,11 @@ bench-e2e-smoke:
 ## command on workload W (default lrb-mem), parent and working tree,
 ## alternating which side runs first, and prints one
 ## `pair side workload waves_per_s setup_s` line per run, then one
-## `summary side workload waves_per_s M setup_s M ratio R won K/N` line per
-## side: the medians, the side's median waves_per_s over the parent's, and
-## the pairs in which the side had the higher waves_per_s.
+## `summary side workload waves_per_s M setup_s M ratio R won K/N
+## setup_ratio R setup_won K/N` line per side: the medians; the side's median
+## waves_per_s over the parent's and the pairs in which the side had the
+## higher waves_per_s; the side's median setup_s over the parent's and the
+## pairs in which the side set up faster.
 N ?= 10
 W ?= lrb-mem
 bench-pairs: REF = HEAD
@@ -144,14 +146,16 @@ bench-pairs:
 	@awk 'function median(a, n,   i, j, t) { \
 			for (i = 2; i <= n; i++) { t = a[i]; for (j = i - 1; j > 0 && a[j] > t; j--) a[j + 1] = a[j]; a[j + 1] = t } \
 			return n % 2 ? a[(n + 1) / 2] : (a[n / 2] + a[n / 2 + 1]) / 2 } \
-		{ w = $$3; k = ++n[$$2]; wps[$$2, $$1] = $$4 } \
+		{ w = $$3; k = ++n[$$2]; wps[$$2, $$1] = $$4; set[$$2, $$1] = $$5 } \
 		$$2 == "parent" { pw[k] = $$4; ps[k] = $$5 } \
 		$$2 == "change" { cw[k] = $$4; cs[k] = $$5 } \
 		END { \
-			for (i = 1; i <= n["parent"]; i++) { won["parent"] += wps["parent", i] > wps["change", i]; won["change"] += wps["change", i] > wps["parent", i] } \
-			mp = median(pw, n["parent"]); mc = median(cw, n["change"]); \
-			printf "summary parent %s waves_per_s %.1f setup_s %.3f ratio %.3f won %d/%d\n", w, mp, median(ps, n["parent"]), 1, won["parent"], n["parent"]; \
-			printf "summary change %s waves_per_s %.1f setup_s %.3f ratio %.3f won %d/%d\n", w, mc, median(cs, n["change"]), mc / mp, won["change"], n["change"] }' \
+			for (i = 1; i <= n["parent"]; i++) { \
+				won["parent"] += wps["parent", i] > wps["change", i]; won["change"] += wps["change", i] > wps["parent", i]; \
+				swon["parent"] += set["parent", i] < set["change", i]; swon["change"] += set["change", i] < set["parent", i] } \
+			mp = median(pw, n["parent"]); mc = median(cw, n["change"]); sp = median(ps, n["parent"]); sc = median(cs, n["change"]); \
+			printf "summary parent %s waves_per_s %.1f setup_s %.3f ratio %.3f won %d/%d setup_ratio %.3f setup_won %d/%d\n", w, mp, sp, 1, won["parent"], n["parent"], 1, swon["parent"], n["parent"]; \
+			printf "summary change %s waves_per_s %.1f setup_s %.3f ratio %.3f won %d/%d setup_ratio %.3f setup_won %d/%d\n", w, mc, sc, mc / mp, won["change"], n["change"], sc / sp, swon["change"], n["change"] }' \
 		.bench_build/pairs.txt
 	@rm -f .bench_build/pairs.txt
 

@@ -166,6 +166,7 @@ func impactLog(seed int64, n, labels int) core.Dataset {
 func BenchmarkOverheadModelBuild(b *testing.B) {
 	data := impactLog(2, 300, 2)
 	factory := func() ml.Classifier { return ml.NewForest(ml.ForestConfig{Seed: 1}) }
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.NewPredictor(factory, data, nil); err != nil {
@@ -576,6 +577,7 @@ func benchForestFit(b *testing.B, par int) {
 		}
 	}
 	d := ml.Dataset{X: x, Y: y}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f := ml.NewForest(ml.ForestConfig{Trees: 100, Seed: 7, Parallelism: par})
@@ -590,3 +592,27 @@ func benchForestFit(b *testing.B, par int) {
 // 100-tree Random Forest; the fitted forests are bit-identical either way.
 func BenchmarkForestFitSerial(b *testing.B)   { benchForestFit(b, 1) }
 func BenchmarkForestFitParallel(b *testing.B) { benchForestFit(b, 4) }
+
+// BenchmarkForestFitOwnImpact measures the fit each gated step's plan makes
+// in a Linear Road Session.Train: 120 training waves of the step's own
+// impact, a rare execute label, PositiveWeight 14 and the default 100 trees
+// on GOMAXPROCS workers.
+func BenchmarkForestFitOwnImpact(b *testing.B) {
+	rng := rand.New(rand.NewSource(13))
+	x := make([][]float64, 120)
+	y := make([]int, len(x))
+	for i := range x {
+		x[i] = []float64{rng.ExpFloat64()}
+		if x[i][0] > 2 {
+			y[i] = 1
+		}
+	}
+	d := ml.Dataset{X: x, Y: y}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := ml.NewForest(ml.ForestConfig{Seed: 8, PositiveWeight: 14}).Fit(d); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -2,7 +2,9 @@ package core
 
 import (
 	"errors"
+	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -335,6 +337,25 @@ func TestSessionCustomFactoryAndClassifier(t *testing.T) {
 	bad.ObserveTrainingWave([]float64{1}, []int{1})
 	if _, err := bad.Train(); !errors.Is(err, ErrUnknownClassifier) {
 		t.Errorf("want ErrUnknownClassifier, got %v", err)
+	}
+}
+
+// TestSessionTrainRejectsNaNImpact: a NaN ι cannot be ordered against any
+// split threshold, so training fails naming the label, the wave and the
+// column instead of fitting a model on it.
+func TestSessionTrainRejectsNaNImpact(t *testing.T) {
+	log := syntheticLog(60, 2, 23)
+	log.X[17][1] = math.NaN()
+	sess := NewSession(Config{Seed: 1, PositiveWeight: 4})
+	for i := range log.X {
+		sess.ObserveTrainingWave(log.X[i], log.Y[i])
+	}
+	_, err := sess.Train()
+	if !errors.Is(err, ml.ErrNaNFeature) || !strings.Contains(err.Error(), "label 1: ml: feature value is NaN: row 17, column 0") {
+		t.Fatalf("want the NaN error for label 1, row 17, got %v", err)
+	}
+	if _, err := sess.Predictor(); !errors.Is(err, ErrNotTrained) || sess.Phase() != PhaseTraining {
+		t.Errorf("a failed train left a predictor (%v) or phase %v", err, sess.Phase())
 	}
 }
 

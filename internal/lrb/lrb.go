@@ -112,15 +112,24 @@ type Simulator struct {
 	vehicles  []vehicle
 	accidents []accident
 	wave      int
+	free      []float64 // free[segment] is freeSpeed(segment)
+	// blocked[xway*Segments+segment] marks an active accident in the wave
+	// being advanced (activeAccident).
+	blocked []bool
 }
 
 // NewSimulator creates a simulator with deterministic initial placement.
 func NewSimulator(cfg Config) *Simulator {
 	cfg = cfg.withDefaults()
 	s := &Simulator{
-		cfg:    cfg,
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		accRng: rand.New(rand.NewSource(cfg.Seed + 1)),
+		cfg:     cfg,
+		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		accRng:  rand.New(rand.NewSource(cfg.Seed + 1)),
+		free:    make([]float64, cfg.Segments),
+		blocked: make([]bool, cfg.Expressways*cfg.Segments),
+	}
+	for seg := range s.free {
+		s.free[seg] = freeSpeed(seg)
 	}
 	s.vehicles = make([]vehicle, cfg.Vehicles)
 	for i := range s.vehicles {
@@ -154,15 +163,30 @@ func (s *Simulator) ensureAccidents(wave int) {
 }
 
 // activeAccident reports whether (xway, segment) has an active accident.
+// It extends the schedule first, as it always has: once one accident is
+// scheduled every extension draws from accRng, and may schedule another
+// that starts by wave, so how often it is called is part of the stream.
 func (s *Simulator) activeAccident(wave, xway, segment int) bool {
+	n := len(s.accidents)
 	s.ensureAccidents(wave)
-	for _, a := range s.accidents {
-		if wave >= a.start && wave < a.start+a.duration &&
-			a.xway == xway && a.segment == segment {
-			return true
+	s.markAccidents(wave, n)
+	return s.blocked[xway*s.cfg.Segments+segment]
+}
+
+// markAccidents marks in blocked the sites of the accidents from index from
+// on that are active at wave. Accidents are scheduled in start order and
+// each ends before the next starts, so the walk back from the latest stops
+// at the first one that is over.
+func (s *Simulator) markAccidents(wave, from int) {
+	for i := len(s.accidents) - 1; i >= from; i-- {
+		a := s.accidents[i]
+		if wave >= a.start+a.duration {
+			return
+		}
+		if wave >= a.start {
+			s.blocked[a.xway*s.cfg.Segments+a.segment] = true
 		}
 	}
-	return false
 }
 
 // rushFactor is the time-of-day congestion multiplier in [0, 1]: 0 at free
@@ -185,12 +209,15 @@ func freeSpeed(segment int) float64 {
 func (s *Simulator) Advance() int {
 	wave := s.wave
 	s.ensureAccidents(wave)
+	clear(s.blocked)
+	s.markAccidents(wave, 0)
+	rush := 1 - 0.45*rushFactor(wave)
 	for i := range s.vehicles {
 		v := &s.vehicles[i]
 		segment := int(v.pos) % s.cfg.Segments
 
-		target := freeSpeed(segment)
-		target *= 1 - 0.45*rushFactor(wave)
+		target := s.free[segment]
+		target *= rush
 		if s.activeAccident(wave, v.xway, segment) {
 			target *= 0.15
 			// A few vehicles stop entirely at the accident site.

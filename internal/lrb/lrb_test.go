@@ -70,6 +70,90 @@ func TestAccidentsScheduledAndStopVehicles(t *testing.T) {
 	}
 }
 
+// refAdvance is Advance as it was before the per-wave accident grid, the
+// rush factor hoisted out of the vehicle loop and the free-speed table:
+// kept verbatim as the reference the simulator must reproduce bit for bit.
+func refAdvance(s *Simulator) int {
+	wave := s.wave
+	s.ensureAccidents(wave)
+	for i := range s.vehicles {
+		v := &s.vehicles[i]
+		segment := int(v.pos) % s.cfg.Segments
+
+		target := freeSpeed(segment)
+		target *= 1 - 0.45*rushFactor(wave)
+		if refActiveAccident(s, wave, v.xway, segment) {
+			target *= 0.15
+			// A few vehicles stop entirely at the accident site.
+			if v.stopped == 0 && s.rng.Float64() < 0.05 {
+				v.stopped = 4 + s.rng.Intn(8)
+			}
+		} else {
+			prev := (segment + s.cfg.Segments - 1) % s.cfg.Segments
+			if refActiveAccident(s, wave, v.xway, prev) {
+				target *= 0.5
+			}
+		}
+
+		if v.stopped > 0 {
+			v.stopped--
+			v.speed = 0
+		} else {
+			v.speed += 0.35*(target-v.speed) + s.rng.NormFloat64()*2
+			if v.speed < 0 {
+				v.speed = 0
+			}
+		}
+		// 30 s at v mph advances v/120 miles; one segment is one mile.
+		v.pos += v.speed / 120
+		for v.pos >= float64(s.cfg.Segments) {
+			v.pos -= float64(s.cfg.Segments)
+		}
+	}
+	s.wave++
+	return wave
+}
+
+func refActiveAccident(s *Simulator, wave, xway, segment int) bool {
+	s.ensureAccidents(wave)
+	for _, a := range s.accidents {
+		if wave >= a.start && wave < a.start+a.duration &&
+			a.xway == xway && a.segment == segment {
+			return true
+		}
+	}
+	return false
+}
+
+// TestAdvanceMatchesPerVehicleScan holds Advance to refAdvance over enough
+// waves for dozens of accidents, on a small network where the vehicles crowd
+// every site: the same vehicles, float bits included, and the same schedule.
+func TestAdvanceMatchesPerVehicleScan(t *testing.T) {
+	cfg := Config{Seed: 11, Expressways: 2, Segments: 3, Vehicles: 60}
+	sim, ref := NewSimulator(cfg), NewSimulator(cfg)
+	var stopped int
+	for wave := 0; wave < 3000; wave++ {
+		sim.Advance()
+		refAdvance(ref)
+		for i, v := range sim.vehicles {
+			if r := ref.vehicles[i]; v.xway != r.xway || v.stopped != r.stopped ||
+				math.Float64bits(v.pos) != math.Float64bits(r.pos) ||
+				math.Float64bits(v.speed) != math.Float64bits(r.speed) {
+				t.Fatalf("wave %d vehicle %d: %+v, reference %+v", wave, i, v, r)
+			}
+			if v.stopped > 0 {
+				stopped++
+			}
+		}
+		if !slices.Equal(sim.accidents, ref.accidents) {
+			t.Fatalf("wave %d: schedule %v, reference %v", wave, sim.accidents, ref.accidents)
+		}
+	}
+	if len(sim.accidents) < 20 || stopped < 100 {
+		t.Fatalf("weak run: %d accidents, %d stopped vehicle-waves", len(sim.accidents), stopped)
+	}
+}
+
 func TestRushFactorCycle(t *testing.T) {
 	if rushFactor(0) != 0 {
 		t.Errorf("rushFactor(0) = %v", rushFactor(0))

@@ -27,6 +27,9 @@ var (
 	ErrBadLabel = errors.New("ml: labels must be 0 or 1")
 	// ErrNotFitted is returned when predicting before fitting.
 	ErrNotFitted = errors.New("ml: classifier is not fitted")
+	// ErrNaNFeature is returned for a NaN feature value, which no split or
+	// distance can order.
+	ErrNaNFeature = errors.New("ml: feature value is NaN")
 )
 
 // Dataset is a supervised binary-classification dataset.
@@ -46,7 +49,7 @@ func NewDataset(x [][]float64, y []int) (Dataset, error) {
 	return ds, nil
 }
 
-// Validate checks shape and label invariants.
+// Validate checks shape, feature and label invariants.
 func (d Dataset) Validate() error {
 	if len(d.X) == 0 {
 		return ErrEmptyDataset
@@ -58,6 +61,11 @@ func (d Dataset) Validate() error {
 	for i, row := range d.X {
 		if len(row) != width {
 			return fmt.Errorf("%w: row %d has %d features, want %d", ErrDimensionMismatch, i, len(row), width)
+		}
+		for j, v := range row {
+			if math.IsNaN(v) {
+				return fmt.Errorf("%w: row %d, column %d", ErrNaNFeature, i, j)
+			}
 		}
 	}
 	for i, label := range d.Y {

@@ -99,16 +99,40 @@ func (f *Forest) Fit(d Dataset) error {
 		return err
 	}
 	f.features = d.Features()
+	maxFeatures := max(int(math.Sqrt(float64(f.features))), 1)
 
-	maxFeatures := int(math.Sqrt(float64(f.features)))
-	if maxFeatures < 1 {
-		maxFeatures = 1
+	// Phase 1 — sequential: draw every tree's recipe. d is sorted once per
+	// feature, and each tree lays its sample out from that order.
+	tasks := f.drawTasks(d)
+	order := presort(d)
+
+	// Phase 2 — parallel: fit trees into indexed slots.
+	trees := make([]*Tree, f.cfg.Trees)
+	var wg sync.WaitGroup
+	sem := make(chan struct{}, f.cfg.workers())
+	for i, task := range tasks {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func() {
+			defer wg.Done()
+			tree := NewTree(TreeConfig{MaxDepth: f.cfg.MaxDepth, MinLeaf: f.cfg.MinLeaf,
+				Criterion: f.cfg.Criterion, MaxFeatures: maxFeatures, Seed: task.seed})
+			tree.fit(d, sampleOrder(order, task.idx))
+			trees[i] = tree
+			<-sem
+		}()
 	}
+	wg.Wait()
+	f.trees = trees
+	return nil
+}
 
+// drawTasks draws every tree's bootstrap sample and seed from the root RNG
+// in tree order (the exact historical draw order: per tree, n sample draws
+// followed by one seed draw). Positives and negatives are sampled with
+// probability proportional to PositiveWeight.
+func (f *Forest) drawTasks(d Dataset) []treeTask {
 	rng := rand.New(rand.NewSource(f.cfg.Seed))
-
-	// Weighted bootstrap pools: positives and negatives sampled with
-	// probability proportional to PositiveWeight.
 	var pos, neg []int
 	for j, y := range d.Y {
 		if y == 1 {
@@ -119,76 +143,44 @@ func (f *Forest) Fit(d Dataset) error {
 	}
 	posMass := f.cfg.PositiveWeight * float64(len(pos))
 	totalMass := posMass + float64(len(neg))
-
-	// Phase 1 — sequential: draw every tree's bootstrap sample and seed
-	// from the root RNG in tree order (the exact historical draw order:
-	// per tree, n sample draws followed by one seed draw).
 	tasks := make([]treeTask, f.cfg.Trees)
 	for i := range tasks {
 		idx := make([]int, d.Len())
 		for j := range idx {
-			var k int
 			switch {
 			case len(pos) == 0:
-				k = neg[rng.Intn(len(neg))]
+				idx[j] = neg[rng.Intn(len(neg))]
 			case len(neg) == 0:
-				k = pos[rng.Intn(len(pos))]
+				idx[j] = pos[rng.Intn(len(pos))]
 			case rng.Float64()*totalMass < posMass:
-				k = pos[rng.Intn(len(pos))]
+				idx[j] = pos[rng.Intn(len(pos))]
 			default:
-				k = neg[rng.Intn(len(neg))]
+				idx[j] = neg[rng.Intn(len(neg))]
 			}
-			idx[j] = k
 		}
 		tasks[i] = treeTask{idx: idx, seed: rng.Int63()}
 	}
+	return tasks
+}
 
-	// Phase 2 — parallel: fit trees into indexed slots.
-	trees := make([]*Tree, f.cfg.Trees)
-	errs := make([]error, f.cfg.Trees)
-	fitOne := func(i int) {
-		task := tasks[i]
-		tree := NewTree(TreeConfig{
-			MaxDepth:    f.cfg.MaxDepth,
-			MinLeaf:     f.cfg.MinLeaf,
-			Criterion:   f.cfg.Criterion,
-			MaxFeatures: maxFeatures,
-			Seed:        task.seed,
-		})
-		if err := tree.Fit(d.Subset(task.idx)); err != nil {
-			errs[i] = fmt.Errorf("forest tree %d: %w", i, err)
-			return
-		}
-		trees[i] = tree
+// sampleOrder lays out the bootstrap sample idx per feature in ascending
+// value order, from one walk of each presorted order that repeats row j as
+// often as the sample drew it.
+func sampleOrder(order [][]int, idx []int) [][]int {
+	count := make([]int, len(order[0]))
+	for _, j := range idx {
+		count[j]++
 	}
-	if workers := f.cfg.workers(); workers <= 1 || f.cfg.Trees <= 1 {
-		for i := range tasks {
-			fitOne(i)
-			if errs[i] != nil {
-				return errs[i]
-			}
-		}
-	} else {
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, workers)
-		for i := range tasks {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int) {
-				defer wg.Done()
-				fitOne(i)
-				<-sem
-			}(i)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return err
+	out := make([][]int, len(order))
+	for f, o := range order {
+		out[f] = make([]int, 0, len(idx))
+		for _, j := range o {
+			for c := count[j]; c > 0; c-- {
+				out[f] = append(out[f], j)
 			}
 		}
 	}
-	f.trees = trees
-	return nil
+	return out
 }
 
 // Score implements Classifier: the mean of per-tree leaf probabilities,

@@ -68,6 +68,8 @@ func TestDatasetValidate(t *testing.T) {
 		{name: "length mismatch", d: Dataset{X: [][]float64{{1}}, Y: []int{0, 1}}, wantErr: ErrDimensionMismatch},
 		{name: "ragged", d: Dataset{X: [][]float64{{1}, {1, 2}}, Y: []int{0, 1}}, wantErr: ErrDimensionMismatch},
 		{name: "bad label", d: Dataset{X: [][]float64{{1}}, Y: []int{2}}, wantErr: ErrBadLabel},
+		{name: "NaN feature", d: Dataset{X: [][]float64{{1, 2}, {3, math.NaN()}}, Y: []int{0, 1}}, wantErr: ErrNaNFeature},
+		{name: "infinite feature", d: Dataset{X: [][]float64{{math.Inf(-1)}, {math.Inf(1)}}, Y: []int{0, 1}}},
 		{name: "valid", d: Dataset{X: [][]float64{{1}, {2}}, Y: []int{0, 1}}},
 	}
 	for _, tt := range tests {
@@ -78,6 +80,9 @@ func TestDatasetValidate(t *testing.T) {
 			}
 			if tt.wantErr != nil && !errors.Is(err, tt.wantErr) {
 				t.Errorf("got %v, want %v", err, tt.wantErr)
+			}
+			if tt.wantErr == ErrNaNFeature && err.Error() != "ml: feature value is NaN: row 1, column 1" {
+				t.Errorf("NaN error %q does not name row 1, column 1", err)
 			}
 		})
 	}

@@ -1,10 +1,11 @@
 package ml
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // SplitCriterion selects the impurity measure used to grow trees.
@@ -69,7 +70,7 @@ type Tree struct {
 	cfg      TreeConfig
 	nodes    []treeNode
 	features int
-	rng      *rand.Rand
+	rng      *rand.Rand // seeded from cfg.Seed at the first shuffle (candidateFeatures)
 }
 
 var (
@@ -79,8 +80,7 @@ var (
 
 // NewTree creates an unfitted decision tree.
 func NewTree(cfg TreeConfig) *Tree {
-	cfg = cfg.withDefaults()
-	return &Tree{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
+	return &Tree{cfg: cfg.withDefaults()}
 }
 
 // Name implements Named.
@@ -96,116 +96,136 @@ func (t *Tree) Fit(d Dataset) error {
 	if err := d.Validate(); err != nil {
 		return err
 	}
-	t.features = d.Features()
-	t.nodes = t.nodes[:0]
-	idx := make([]int, d.Len())
-	for i := range idx {
-		idx[i] = i
-	}
-	t.grow(d, idx, 0)
+	t.fit(d, presort(d))
 	return nil
 }
 
-// grow builds the subtree over idx and returns its node index.
-func (t *Tree) grow(d Dataset, idx []int, depth int) int {
-	prob := positiveFraction(d, idx)
+// presort returns, per feature, d's row indices in ascending order of that
+// feature's value, ties in row order. A dataset without features still gets
+// one (unsorted) order, so that a node's rows are always order[0][lo:hi].
+func presort(d Dataset) [][]int {
+	order := make([][]int, max(d.Features(), 1))
+	for f := range order {
+		order[f] = make([]int, d.Len())
+		for i := range order[f] {
+			order[f][i] = i
+		}
+		if f < d.Features() {
+			slices.SortStableFunc(order[f], func(a, b int) int { return cmp.Compare(d.X[a][f], d.X[b][f]) })
+		}
+	}
+	return order
+}
+
+// grower is the state of one fit. order[f] lists the rows being fitted (a
+// row index may repeat, as in a bootstrap sample) in ascending order of
+// feature f; a node owns the same range [lo, hi) of every order, which grow
+// partitions stably into its children's ranges, so no node sorts.
+type grower struct {
+	*Tree
+	d       Dataset
+	order   [][]int
+	scratch []int // the right-hand rows of one partition
+	feats   []int // candidateFeatures' buffer
+}
+
+// fit grows the tree over the rows of order, a presort (or a bootstrap
+// sample laid out from one) of d.
+func (t *Tree) fit(d Dataset, order [][]int) {
+	t.features = d.Features()
+	t.nodes = t.nodes[:0]
+	(&grower{Tree: t, d: d, order: order, feats: make([]int, t.features)}).grow(0, len(order[0]), 0)
+}
+
+// grow builds the subtree over rows [lo, hi) and returns its node index.
+func (g *grower) grow(lo, hi, depth int) int {
+	n, pos := hi-lo, 0
+	for _, i := range g.order[0][lo:hi] {
+		pos += g.d.Y[i]
+	}
 	// Laplace-smoothed leaf estimate: (pos+1)/(n+2). Smoothing makes the
 	// scores of small pure leaves less extreme, which markedly improves
 	// the ranking quality (AUC) of bagged trees.
-	var pos float64
-	for _, i := range idx {
-		pos += float64(d.Y[i])
-	}
-	smoothed := (pos + 1) / (float64(len(idx)) + 2)
-	nodeIdx := len(t.nodes)
-	t.nodes = append(t.nodes, treeNode{feature: -1, prob: smoothed})
-
-	if prob == 0 || prob == 1 {
+	nodeIdx := len(g.nodes)
+	g.nodes = append(g.nodes, treeNode{feature: -1, prob: float64(pos+1) / float64(n+2)})
+	if pos == 0 || pos == n || g.cfg.MaxDepth > 0 && depth >= g.cfg.MaxDepth || n < 2*g.cfg.MinLeaf {
 		return nodeIdx
 	}
-	if t.cfg.MaxDepth > 0 && depth >= t.cfg.MaxDepth {
-		return nodeIdx
-	}
-	if len(idx) < 2*t.cfg.MinLeaf {
-		return nodeIdx
-	}
-
-	feature, threshold, ok := t.bestSplit(d, idx)
+	feature, threshold, ok := g.bestSplit(lo, hi, pos)
 	if !ok {
 		return nodeIdx
 	}
+	// The split feature's order is ascending, so its left child is a prefix.
+	mid := lo
+	for mid < hi && g.d.X[g.order[feature][mid]][feature] <= threshold {
+		mid++
+	}
+	if mid-lo < g.cfg.MinLeaf || hi-mid < g.cfg.MinLeaf {
+		return nodeIdx
+	}
+	for f, o := range g.order {
+		if f != feature {
+			g.partition(o[lo:hi], feature, threshold)
+		}
+	}
+	left, right := g.grow(lo, mid, depth+1), g.grow(mid, hi, depth+1)
+	g.nodes[nodeIdx] = treeNode{feature: feature, threshold: threshold, left: left, right: right, prob: g.nodes[nodeIdx].prob}
+	return nodeIdx
+}
 
-	var left, right []int
-	for _, i := range idx {
-		if d.X[i][feature] <= threshold {
-			left = append(left, i)
+// partition stably moves the rows of o that go left at the split to its
+// front, so that both halves stay in o's order.
+func (g *grower) partition(o []int, feature int, threshold float64) {
+	right, l := g.scratch[:0], 0
+	for _, i := range o {
+		if g.d.X[i][feature] <= threshold {
+			o[l] = i
+			l++
 		} else {
 			right = append(right, i)
 		}
 	}
-	if len(left) < t.cfg.MinLeaf || len(right) < t.cfg.MinLeaf {
-		return nodeIdx
-	}
-
-	leftIdx := t.grow(d, left, depth+1)
-	rightIdx := t.grow(d, right, depth+1)
-	t.nodes[nodeIdx].feature = feature
-	t.nodes[nodeIdx].threshold = threshold
-	t.nodes[nodeIdx].left = leftIdx
-	t.nodes[nodeIdx].right = rightIdx
-	return nodeIdx
+	copy(o[l:], right)
+	g.scratch = right
 }
 
-// candidateFeatures returns the features examined at one split.
-func (t *Tree) candidateFeatures() []int {
-	all := make([]int, t.features)
-	for i := range all {
-		all[i] = i
+// candidateFeatures returns the features examined at one split. The tree's
+// generator is built the first time it shuffles, so a tree that examines
+// every feature never seeds one, and repeated Fits continue one stream.
+func (g *grower) candidateFeatures() []int {
+	for i := range g.feats {
+		g.feats[i] = i
 	}
-	if t.cfg.MaxFeatures <= 0 || t.cfg.MaxFeatures >= t.features {
-		return all
+	if g.cfg.MaxFeatures <= 0 || g.cfg.MaxFeatures >= g.features {
+		return g.feats
 	}
-	t.rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
-	return all[:t.cfg.MaxFeatures]
+	if g.rng == nil {
+		g.rng = rand.New(rand.NewSource(g.cfg.Seed))
+	}
+	g.rng.Shuffle(len(g.feats), func(i, j int) { g.feats[i], g.feats[j] = g.feats[j], g.feats[i] })
+	return g.feats[:g.cfg.MaxFeatures]
 }
 
-// bestSplit finds the impurity-minimizing (feature, threshold) pair.
-func (t *Tree) bestSplit(d Dataset, idx []int) (feature int, threshold float64, ok bool) {
+// bestSplit finds the impurity-minimizing (feature, threshold) pair over rows
+// [lo, hi), of which totalPos are positive, by one scan of each candidate
+// feature's order. Candidate thresholds lie only between distinct values, so
+// the class counts at each of them do not depend on how ties are ordered.
+func (g *grower) bestSplit(lo, hi, totalPos int) (feature int, threshold float64, ok bool) {
 	bestScore := math.Inf(1)
-	type valueLabel struct {
-		v float64
-		y int
-	}
-	pairs := make([]valueLabel, 0, len(idx))
-
-	for _, f := range t.candidateFeatures() {
-		pairs = pairs[:0]
-		for _, i := range idx {
-			pairs = append(pairs, valueLabel{v: d.X[i][f], y: d.Y[i]})
-		}
-		sort.Slice(pairs, func(a, b int) bool { return pairs[a].v < pairs[b].v })
-
-		totalPos := 0
-		for _, p := range pairs {
-			totalPos += p.y
-		}
-		n := len(pairs)
-		leftPos, leftN := 0, 0
-		for i := 0; i < n-1; i++ {
-			leftPos += pairs[i].y
-			leftN++
-			if pairs[i].v == pairs[i+1].v {
-				continue // cannot split between equal values
+	n := hi - lo
+	for _, f := range g.candidateFeatures() {
+		o := g.order[f][lo:hi]
+		leftPos, v := 0, g.d.X[o[0]][f]
+		for leftN := 1; leftN < n; leftN++ {
+			leftPos += g.d.Y[o[leftN-1]]
+			next := g.d.X[o[leftN]][f]
+			if v != next { // cannot split between equal values
+				score := weightedImpurity(g.cfg.Criterion, leftPos, leftN, totalPos-leftPos, n-leftN)
+				if score < bestScore {
+					bestScore, feature, threshold, ok = score, f, (v+next)/2, true
+				}
 			}
-			rightPos := totalPos - leftPos
-			rightN := n - leftN
-			score := weightedImpurity(t.cfg.Criterion, leftPos, leftN, rightPos, rightN)
-			if score < bestScore {
-				bestScore = score
-				feature = f
-				threshold = (pairs[i].v + pairs[i+1].v) / 2
-				ok = true
-			}
+			v = next
 		}
 	}
 	return feature, threshold, ok
@@ -238,18 +258,6 @@ func binaryEntropy(p float64) float64 {
 		return 0
 	}
 	return -p*math.Log2(p) - (1-p)*math.Log2(1-p)
-}
-
-// positiveFraction returns the fraction of class-1 examples among idx.
-func positiveFraction(d Dataset, idx []int) float64 {
-	if len(idx) == 0 {
-		return 0
-	}
-	var pos int
-	for _, i := range idx {
-		pos += d.Y[i]
-	}
-	return float64(pos) / float64(len(idx))
 }
 
 // Score implements Classifier: the positive-class fraction at the leaf x
