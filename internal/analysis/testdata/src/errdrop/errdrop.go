@@ -147,14 +147,14 @@ func checkedReplEpoch(c *kvnet.Client) error {
 	return c.ReplEpoch(1, nil)
 }
 
-// dropClusterPut discards a cluster write error: with retry budgets and
-// circuit breakers in the path the error may be kvnet.ErrUnavailable — the
-// op never happened, and nobody will retry it.
+// dropClusterPut discards a cluster write error: with circuit breakers in
+// the path the error may be kvnet.ErrUnavailable — the op never happened,
+// and nobody will retry it.
 func dropClusterPut(c *cluster.Client) {
 	c.PutFloat("t", "r", "c", 1) // want `call discards the error from cluster.PutFloat`
 }
 
-// checkedClusterPut propagates the budget/breaker verdict.
+// checkedClusterPut propagates the breaker verdict.
 func checkedClusterPut(c *cluster.Client) error {
 	return c.PutFloat("t", "r", "c", 1)
 }

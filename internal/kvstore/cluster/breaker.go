@@ -21,11 +21,13 @@ import (
 	"smartflux/internal/obs"
 )
 
-// Breaker defaults; Config overrides.
+// Breaker tuning: breakerThreshold consecutive transport failures trip a
+// breaker open; breakerCooldown is the base open-state cooldown in
+// operations, doubling per failed trial up to maxBreakerBackoff × the base.
 const (
-	defaultBreakerThreshold = 5
-	defaultBreakerCooldown  = 16
-	maxBreakerBackoff       = 8
+	breakerThreshold  = 5
+	breakerCooldown   = 16
+	maxBreakerBackoff = 8
 )
 
 // Breaker states, exported to the smartflux_breaker_state gauge.
@@ -39,9 +41,7 @@ const (
 // the owning Client calls them under its own mutex, which also keeps the
 // rand draws ordered.
 type breaker struct {
-	threshold int         // consecutive transport failures that trip it
-	cooldown  int         // base open-state cooldown, in operations
-	rng       *mrand.Rand // per-shard seeded jitter source
+	rng *mrand.Rand // per-shard seeded jitter source
 
 	state   int // breakerClosed / breakerOpen / breakerHalfOpen
 	fails   int // consecutive transport failures while closed
@@ -57,19 +57,9 @@ type breaker struct {
 // source derives from the client seed and the shard index (golden-ratio
 // scramble) so shards jitter independently but reproducibly.
 func newBreaker(cfg Config, shard int) *breaker {
-	threshold := cfg.BreakerThreshold
-	if threshold <= 0 {
-		threshold = defaultBreakerThreshold
-	}
-	cooldown := cfg.BreakerCooldown
-	if cooldown <= 0 {
-		cooldown = defaultBreakerCooldown
-	}
 	b := &breaker{
-		threshold: threshold,
-		cooldown:  cooldown,
-		rng:       mrand.New(mrand.NewSource(cfg.Seed ^ int64(uint64(shard+1)*0x9E3779B97F4A7C15))),
-		backoff:   1,
+		rng:     mrand.New(mrand.NewSource(cfg.Seed ^ int64(uint64(shard+1)*0x9E3779B97F4A7C15))),
+		backoff: 1,
 	}
 	if cfg.Obs != nil {
 		b.stateGauge = cfg.Obs.Gauge(fmt.Sprintf("smartflux_breaker_state{shard=%q}", fmt.Sprint(shard)))
@@ -128,7 +118,7 @@ func (b *breaker) onFailure() (tripped bool) {
 	switch b.state {
 	case breakerClosed:
 		b.fails++
-		if b.fails < b.threshold {
+		if b.fails < breakerThreshold {
 			return false
 		}
 	case breakerHalfOpen:
@@ -146,7 +136,7 @@ func (b *breaker) onFailure() (tripped bool) {
 // up to a quarter of the base so same-seed runs stagger identically.
 func (b *breaker) open() {
 	b.fails = 0
-	b.wait = b.backoff*b.cooldown + b.rng.Intn(b.cooldown/4+1)
+	b.wait = b.backoff*breakerCooldown + b.rng.Intn(breakerCooldown/4+1)
 	b.setState(breakerOpen)
 	b.opens.Inc() // nil-safe no-op when uninstrumented
 }

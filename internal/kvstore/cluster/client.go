@@ -22,9 +22,9 @@ type Config struct {
 	// Map is the partition table to route by. Required. The client clones
 	// it; promotions mutate only the clone.
 	Map *Map
-	// Client configures each per-shard kvnet connection (retry budget,
-	// fault dialer, ...). Health probes reuse its Dial hook so a partition
-	// that kills data traffic also kills probes.
+	// Client configures each per-shard kvnet connection (deadlines,
+	// retries, fault dialer, ...). Health probes reuse its Dial hook so a
+	// partition that kills data traffic also kills probes.
 	Client kvnet.ClientConfig
 	// Seed drives the health prober's backoff jitter; probing is
 	// deterministic given the seed and the failure sequence.
@@ -35,17 +35,6 @@ type Config struct {
 	// ProbeBackoff is the base delay between probe attempts, doubling per
 	// attempt with seeded jitter (default 10ms).
 	ProbeBackoff time.Duration
-	// FailoverThreshold is how many consecutive failed health-loop sweeps a
-	// primary must accumulate before the loop declares it suspect and runs
-	// failover (default 2). One slow sweep is a blip; a streak is a death.
-	// Reactive (in-operation) failover is not gated — it already probes.
-	FailoverThreshold int
-	// BreakerThreshold is how many consecutive transport failures against a
-	// shard trip its circuit breaker open (default 5); BreakerCooldown is
-	// the open-state cooldown in operations before a half-open trial
-	// (default 16, doubling per failed trial). See breaker.go.
-	BreakerThreshold int
-	BreakerCooldown  int
 	// OnFailover, when non-nil, is called after every promotion with the
 	// shard index and the old and new primary addresses. Test hook.
 	OnFailover func(shard int, from, to string)
@@ -75,14 +64,11 @@ type Client struct {
 	closed bool
 	err    error // first async mirror-ship failure
 
-	probe  *prober
-	health *healthLoop // nil until StartHealthLoop
+	probe *prober
 
 	// breakers holds one circuit breaker per shard (breaker.go); methods
-	// are called under mu. probeFails counts each shard's consecutive
-	// failed health-loop sweeps toward Config.FailoverThreshold.
-	breakers   []*breaker
-	probeFails []int
+	// are called under mu.
+	breakers []*breaker
 
 	failoverSeq int // numbers failover and breaker spans
 
@@ -102,13 +88,12 @@ func New(cfg Config) (*Client, error) {
 		return nil, errors.New("cluster: config needs a partition map with at least one shard")
 	}
 	c := &Client{
-		cfg:        cfg,
-		m:          cfg.Map.Clone(),
-		ring:       cfg.Map.ring(),
-		conns:      make([]*kvnet.Client, len(cfg.Map.Shards)),
-		probe:      newProber(cfg),
-		breakers:   make([]*breaker, len(cfg.Map.Shards)),
-		probeFails: make([]int, len(cfg.Map.Shards)),
+		cfg:      cfg,
+		m:        cfg.Map.Clone(),
+		ring:     cfg.Map.ring(),
+		conns:    make([]*kvnet.Client, len(cfg.Map.Shards)),
+		probe:    newProber(cfg),
+		breakers: make([]*breaker, len(cfg.Map.Shards)),
 	}
 	for i := range c.breakers {
 		c.breakers[i] = newBreaker(cfg, i)
@@ -222,8 +207,7 @@ func (c *Client) withShard(shard int, fn func(cl *kvnet.Client) error) error {
 }
 
 // breakerAllow consults shard's circuit breaker; an open breaker fast-fails
-// with an ErrUnavailable-wrapping error, spending no retry budget and no
-// network round-trip.
+// with an ErrUnavailable-wrapping error and no network round-trip.
 func (c *Client) breakerAllow(shard int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -316,7 +300,6 @@ func (c *Client) promote(shard int, addr string, seenVersion int) bool {
 		c.conns[shard] = nil
 	}
 	c.breakers[shard].reset()
-	c.probeFails[shard] = 0
 	newPrimary := c.m.Shards[shard].Primary
 	encoded := c.m.Encode()
 	var sp *obs.Span
@@ -531,8 +514,7 @@ func (c *Client) recordErr(err error) {
 	}
 }
 
-// Close stops the health loop (if started) and closes every shard
-// connection. Idempotent.
+// Close closes every shard connection. Idempotent.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	if c.closed {
@@ -540,14 +522,9 @@ func (c *Client) Close() error {
 		return nil
 	}
 	c.closed = true
-	health := c.health
-	c.health = nil
 	conns := c.conns
 	c.conns = make([]*kvnet.Client, len(conns))
 	c.mu.Unlock()
-	if health != nil {
-		health.stop()
-	}
 	for _, cl := range conns {
 		if cl != nil {
 			_ = cl.Close()

@@ -7,6 +7,7 @@ import (
 	"net"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -368,18 +369,62 @@ func TestDivergedFollowerRequiresReset(t *testing.T) {
 
 // --- failover --------------------------------------------------------------
 
+// blipConn fails the first write made after its shared flag is armed,
+// closing the connection the way a dropped link would.
+type blipConn struct {
+	net.Conn
+	armed *atomic.Bool
+}
+
+func (c *blipConn) Write(b []byte) (int, error) {
+	if c.armed.CompareAndSwap(true, false) {
+		_ = c.Conn.Close()
+		return 0, errors.New("injected blip")
+	}
+	return c.Conn.Write(b)
+}
+
 func TestFailoverPromotesReplica(t *testing.T) {
 	inj := fault.New(fault.Policy{})
 	tc := startCluster(t, 2, true, inj)
 	var failed []string
+	var blip atomic.Bool
+	dial := fault.Dialer(inj)
 	c := tc.client(Config{
 		ProbeRetries: 1,
 		OnFailover: func(shard int, from, to string) {
 			failed = append(failed, fmt.Sprintf("%d:%s->%s", shard, from, to))
 		},
+		Client: kvnet.ClientConfig{Dial: func(addr string, timeout time.Duration) (net.Conn, error) {
+			conn, err := dial(addr, timeout)
+			if err != nil {
+				return nil, err
+			}
+			return &blipConn{Conn: conn, armed: &blip}, nil
+		}},
 	})
 	ref := kvstore.New()
 	workload(t, c, ref)
+
+	// One transport failure on shard 0's data connection while its primary
+	// still answers pings: the on-demand probe clears the primary, so the op
+	// fails without a promotion, and its retry succeeds on a fresh dial.
+	row := "row-00"
+	for i := 1; c.shardFor(row) != 0; i++ {
+		row = fmt.Sprintf("row-%02d", i)
+	}
+	before := c.Map()
+	blip.Store(true)
+	if _, _, err := c.Get("alpha", row, "c0"); !kvnet.IsTransport(err) {
+		t.Fatalf("Get across a blip = %v, want a transport error", err)
+	}
+	if _, _, err := c.Get("alpha", row, "c0"); err != nil {
+		t.Fatalf("Get retried after a blip: %v", err)
+	}
+	if m := c.Map(); len(failed) != 0 || m.Version != before.Version || m.Shards[0].Epoch != before.Shards[0].Epoch {
+		t.Fatalf("a blip moved the map: failovers %v, version %d -> %d, epoch %d -> %d",
+			failed, before.Version, m.Version, before.Shards[0].Epoch, m.Shards[0].Epoch)
+	}
 
 	// Kill shard 0's primary: all conns to it drop, dials are refused.
 	victim := tc.Primaries[0].Addr()
@@ -432,44 +477,6 @@ func TestFailoverPromotesReplica(t *testing.T) {
 	}
 	if pushed.Version != m.Version {
 		t.Fatalf("pushed map version %d, want %d", pushed.Version, m.Version)
-	}
-}
-
-func TestHealthLoopPromotesProactively(t *testing.T) {
-	inj := fault.New(fault.Policy{})
-	tc := startCluster(t, 1, true, inj)
-	promoted := make(chan string, 1)
-	c := tc.client(Config{
-		ProbeRetries: 1,
-		OnFailover:   func(_ int, _, to string) { promoted <- to },
-	})
-	if err := c.CreateTable("t", 3); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Put("t", "r", "c", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	if !c.StartHealthLoop(5 * time.Millisecond) {
-		t.Fatal("StartHealthLoop returned false")
-	}
-	if c.StartHealthLoop(5 * time.Millisecond) {
-		t.Fatal("second StartHealthLoop returned true")
-	}
-	inj.Partition(tc.Primaries[0].Addr())
-	select {
-	case to := <-promoted:
-		if to != tc.Followers[0].Addr() {
-			t.Fatalf("promoted to %s, want %s", to, tc.Followers[0].Addr())
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("health loop never promoted the replica")
-	}
-	// Reads work without any op ever tripping over the dead primary.
-	if v, found, err := c.Get("t", "r", "c"); err != nil || !found || string(v) != "x" {
-		t.Fatalf("Get after proactive failover = %q %v %v", v, found, err)
-	}
-	if err := c.Close(); err != nil { // stops the loop; must not hang or leak
-		t.Fatal(err)
 	}
 }
 

@@ -1,11 +1,10 @@
 package cluster
 
-// Fencing, circuit breaker and health-threshold tests. The scenarios here
-// are the unit-level half of the partition chaos suite (partition_chaos_test
-// at the repo root): epoch stamps reject stale-timeline writes, demoted
-// primaries fence themselves and ack nothing after the fence, breakers trip
-// deterministically, and the health loop needs a failure streak — not one
-// blip — to promote.
+// Fencing and circuit breaker tests. The scenarios here are the unit-level
+// half of the partition chaos suite (partition_chaos_test at the repo
+// root): epoch stamps reject stale-timeline writes, demoted primaries fence
+// themselves and ack nothing after the fence, and breakers trip
+// deterministically.
 
 import (
 	"errors"
@@ -229,6 +228,41 @@ func TestMapPushDemotesPriorPrimary(t *testing.T) {
 	}
 }
 
+// TestEpochZeroReplIsStale: epoch 0 is an ordinary stamp, below every epoch
+// a map hands out. A node that has adopted epoch 1 rejects an epoch-0
+// replication frame as fenced and applies none of it, while a frame at its
+// own epoch still applies.
+func TestEpochZeroReplIsStale(t *testing.T) {
+	n, err := NewNode(NodeConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = n.Close() })
+	n.SetMap(NewMap([]string{n.Addr()}))
+	if n.Epoch() != 1 {
+		t.Fatalf("node epoch = %d after its first map, want 1", n.Epoch())
+	}
+
+	cl, err := kvnet.Dial(n.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = cl.Close() }()
+	create := durable.EncodeCreateRecord("t", 0)
+	if err := cl.ReplEpoch(0, [][]byte{create}); !errors.Is(err, kvnet.ErrFenced) {
+		t.Fatalf("epoch-0 repl on an epoch-1 node = %v, want ErrFenced", err)
+	}
+	if names := n.Store().TableNames(); len(names) != 0 {
+		t.Fatalf("rejected frame applied: tables %v", names)
+	}
+	if err := cl.ReplEpoch(1, [][]byte{create}); err != nil {
+		t.Fatalf("repl at the node's own epoch: %v", err)
+	}
+	if n.Fenced() {
+		t.Fatal("a rejected stale frame fenced the node")
+	}
+}
+
 // TestBreakerOpensFastFailsAndRecovers drives a shard breaker through its
 // full cycle — closed, tripped open by consecutive transport failures,
 // fast-failing without network, half-open trial after the op-counted
@@ -239,7 +273,7 @@ func TestBreakerOpensFastFailsAndRecovers(t *testing.T) {
 		inj := fault.New(fault.Policy{})
 		tc := startCluster(t, 1, false, inj) // unreplicated: failures stay failures
 		o := obs.New(obs.NewRegistry())
-		c := tc.client(Config{Obs: o, Seed: seed, ProbeRetries: 1, BreakerThreshold: 2, BreakerCooldown: 4})
+		c := tc.client(Config{Obs: o, Seed: seed, ProbeRetries: 1})
 		if err := c.CreateTable("t", 0); err != nil {
 			t.Fatal(err)
 		}
@@ -249,14 +283,17 @@ func TestBreakerOpensFastFailsAndRecovers(t *testing.T) {
 
 		victim := tc.Primaries[0].Addr()
 		inj.Partition(victim)
-		for i := 0; i < 2; i++ { // threshold failures trip it
+		gauge := o.Gauge(`smartflux_breaker_state{shard="0"}`)
+		for i := 0; i < breakerThreshold; i++ { // threshold failures trip it
+			if gauge.Value() != breakerClosed {
+				t.Fatalf("breaker state = %v after %d failures, want closed below the threshold", gauge.Value(), i)
+			}
 			if err := c.Put("t", "r", "c", []byte("down")); err == nil {
 				t.Fatal("write succeeded against a partitioned unreplicated shard")
 			}
 		}
-		gauge := o.Gauge(`smartflux_breaker_state{shard="0"}`)
 		if gauge.Value() != breakerOpen {
-			t.Fatalf("breaker state = %v after %d failures, want open", gauge.Value(), 2)
+			t.Fatalf("breaker state = %v after %d failures, want open", gauge.Value(), breakerThreshold)
 		}
 		// Open means fast-fail: a typed unavailability, no probing, no dial.
 		preOps := inj.Stats().Ops
@@ -291,46 +328,6 @@ func TestBreakerOpensFastFailsAndRecovers(t *testing.T) {
 	}
 	if o1 == 0 || f1 == 0 {
 		t.Fatalf("breaker never opened (%d) or never fast-failed (%d)", o1, f1)
-	}
-}
-
-// TestHealthLoopFailoverThreshold is the flap regression: one failed health
-// sweep must not promote — only a streak of FailoverThreshold consecutive
-// failures does, and any healthy sweep resets the streak.
-func TestHealthLoopFailoverThreshold(t *testing.T) {
-	inj := fault.New(fault.Policy{})
-	tc := startCluster(t, 1, true, inj)
-	failovers := 0
-	c := tc.client(Config{
-		ProbeRetries:      1,
-		FailoverThreshold: 2,
-		OnFailover:        func(int, string, string) { failovers++ },
-	})
-	if err := c.CreateTable("t", 0); err != nil {
-		t.Fatal(err)
-	}
-	victim := tc.Primaries[0].Addr()
-
-	// A one-sweep blip: no promotion.
-	inj.Partition(victim)
-	c.probeAll()
-	if failovers != 0 {
-		t.Fatal("single failed sweep promoted the replica (flap)")
-	}
-	inj.Heal(victim)
-	c.probeAll() // healthy sweep resets the streak
-	inj.Partition(victim)
-	c.probeAll()
-	if failovers != 0 {
-		t.Fatal("streak survived a healthy sweep")
-	}
-	// Sustained failure reaches the threshold and promotes exactly once.
-	c.probeAll()
-	if failovers != 1 {
-		t.Fatalf("failovers = %d after sustained failure, want 1", failovers)
-	}
-	if got := c.Map().Shards[0].Primary; got != tc.Followers[0].Addr() {
-		t.Fatalf("primary = %s, want promoted follower", got)
 	}
 }
 

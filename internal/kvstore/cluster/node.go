@@ -251,16 +251,14 @@ func (n *Node) appendAndShip(recs [][]byte) error {
 // The frame's epoch stamp is the fencing check: a stamp below the highest
 // epoch this node has seen is a stale-timeline write (a client or demoted
 // primary that missed a promotion) and is rejected with ErrFenced; a higher
-// stamp is adopted. Epoch 0 marks an unstamped (pre-fencing) sender and
-// passes, preserving wire compatibility.
+// stamp is adopted. Epoch 0 is no exception: it is below every epoch a map
+// hands out, so only a node that has adopted none accepts it.
 func (n *Node) applyRepl(epoch uint64, records [][]byte) error {
-	if epoch != 0 {
-		if cur := n.epoch.Load(); epoch < cur {
-			n.fencedWrites.Inc() // nil-safe no-op when uninstrumented
-			return fmt.Errorf("%w: repl epoch %d below node epoch %d", kvnet.ErrFenced, epoch, cur)
-		}
-		n.adoptEpoch(epoch)
+	if cur := n.epoch.Load(); epoch < cur {
+		n.fencedWrites.Inc() // nil-safe no-op when uninstrumented
+		return fmt.Errorf("%w: repl epoch %d below node epoch %d", kvnet.ErrFenced, epoch, cur)
 	}
+	n.adoptEpoch(epoch)
 	n.applying.Add(1)
 	for _, rec := range records {
 		if err := durable.ApplyRecord(n.store, rec); err != nil {

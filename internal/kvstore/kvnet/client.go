@@ -27,10 +27,6 @@ const clientBufSize = 64 << 10
 // retried mutating frame's sequence number can never have been evicted.
 const maxInflightFrames = 512
 
-// maxPutBatch caps how many adjacent pending Puts the writer micro-batches
-// into one OpApply frame.
-const maxPutBatch = 64
-
 // ClientConfig configures a client connection. The zero value matches the
 // historical behaviour: no deadlines, no retries, no reconnection.
 type ClientConfig struct {
@@ -43,10 +39,10 @@ type ClientConfig struct {
 	ReadTimeout time.Duration
 	// WriteTimeout bounds each request write; zero waits forever.
 	WriteTimeout time.Duration
-	// MaxRetries bounds the extra attempts a failed op gets. Every retry
-	// rides a freshly dialed connection. Reads retry as-is; mutating ops
-	// retry under their frame's sequence number so the server applies them
-	// exactly once.
+	// MaxRetries bounds the extra attempts a failed op gets; it is the only
+	// retry cap. Every retry rides a freshly dialed connection. Reads retry
+	// as-is; mutating ops retry under their frame's sequence number so the
+	// server applies them exactly once.
 	MaxRetries int
 	// RetryBackoff is the base delay before a retry, doubling each attempt
 	// (capped at 64×) with seeded jitter of up to half the delay. Zero
@@ -55,23 +51,6 @@ type ClientConfig struct {
 	// RetrySeed seeds the jitter source; retries are deterministic given
 	// the seed and the failure sequence.
 	RetrySeed int64
-	// RetryBudget, when positive, caps retries with a client-wide token
-	// bucket: the bucket starts full at RetryBudget tokens, every granted
-	// retry spends one, and every successfully completed frame earns back
-	// RetryRefill tokens (capped at RetryBudget). A frame that needs a retry
-	// while the bucket is empty fails fast with ErrUnavailable instead of
-	// amplifying an outage into a retry storm. Zero disables budgeting and
-	// leaves MaxRetries as the only cap.
-	RetryBudget float64
-	// RetryRefill is the fraction of a token earned per successful frame
-	// (default 0.1 when RetryBudget is set).
-	RetryRefill float64
-	// OpTimeout, when positive, bounds each operation end-to-end across
-	// reconnect attempts: once an op has been pending longer than OpTimeout,
-	// the next connection failure abandons it with ErrUnavailable instead of
-	// retrying again. Under a persistent partition this turns an unbounded
-	// redial loop into a prompt typed failure.
-	OpTimeout time.Duration
 	// Dial overrides connection establishment (e.g. to interpose
 	// internal/fault's Dialer); nil dials TCP with DialTimeout.
 	Dial func(addr string, timeout time.Duration) (net.Conn, error)
@@ -85,12 +64,12 @@ type ClientConfig struct {
 
 // Client is a pipelined TCP client for a kvnet server. A Client is safe for
 // concurrent use: ops from any number of goroutines share one connection,
-// with a writer goroutine coalescing pending frames into single writes
-// (micro-batching adjacent Puts into one batch frame along the way) and a
-// reader goroutine demultiplexing responses by sequence number, so N
-// in-flight ops cost one socket and far fewer than N syscalls. With retries
-// configured it transparently reconnects after transport failures and
-// re-sends in-flight frames under their original sequence numbers.
+// each op is exactly one request frame, a writer goroutine coalesces pending
+// frames into single writes and a reader goroutine demultiplexes responses
+// by sequence number, so N in-flight ops cost one socket and far fewer than
+// N syscalls. With retries configured it transparently reconnects after
+// transport failures and re-sends in-flight frames under their original
+// sequence numbers.
 type Client struct {
 	cfg  ClientConfig
 	addr string
@@ -106,10 +85,9 @@ type Client struct {
 	closed   bool
 	seq      uint64 // last assigned frame sequence number
 	rtSeq    uint64 // numbers round-trip spans under root
-	pending  []*wframe
-	inflight map[uint64]*wframe
+	pending  []*call
+	inflight map[uint64]*call
 	conn     net.Conn // live epoch's conn, so Close can sever it
-	budget   float64  // remaining retry tokens (RetryBudget semantics)
 
 	// overlap latches once two ops have ever been outstanding at the same
 	// time. Strictly sequential callers never set it, which keeps the
@@ -131,38 +109,27 @@ type Client struct {
 	reconnects    *obs.Counter
 	bytesSent     *obs.Counter
 	bytesRecv     *obs.Counter
-	budgetDenied  *obs.Counter
 }
 
-// call is one public-API operation in flight: its request, its span and its
-// completion state.
+// call is one public-API operation in flight, and the one wire frame that
+// carries it: its request, its span and its completion state. A call is the
+// unit of sequencing, sending and retrying: its seq (req.Seq) is assigned
+// once, at first send, and survives reconnects so the server's dedup window
+// keeps retried mutations exactly-once.
 type call struct {
-	req    wire.Request
-	sp     *obs.Span
-	done   chan struct{}
-	err    error
-	value  []byte
-	found  bool
-	cells  []kvstore.Cell
-	clock  uint64 // OpStatus
-	cursor uint64 // OpStatus
-	crc    uint32 // OpStatus
-}
-
-// wframe is one wire frame's worth of work: usually a single call, or
-// several Puts micro-batched into one OpApply frame. The frame — not the
-// call — is the unit of sequencing, sending and retrying: its seq is
-// assigned once (first send) and survives reconnects so the server's dedup
-// window keeps retried mutations exactly-once.
-type wframe struct {
-	seq       uint64
-	batched   bool
-	calls     []*call
-	attempts  int            // failed epochs charged so far
-	deadline  time.Time      // op-level abandon point; zero = none
-	cells     []kvstore.Cell // scan chunk reassembly, reset on retry
-	reqBytes  int64          // exact encoded request frame bytes
-	respBytes int64          // exact response frame bytes received
+	req       wire.Request
+	sp        *obs.Span
+	done      chan struct{}
+	err       error
+	attempts  int   // failed epochs charged so far
+	reqBytes  int64 // exact on-wire request bytes
+	respBytes int64 // exact on-wire response bytes, reset on retry
+	value     []byte
+	found     bool
+	cells     []kvstore.Cell // scan result, reassembled chunk by chunk
+	clock     uint64         // OpStatus
+	cursor    uint64         // OpStatus
+	crc       uint32         // OpStatus
 }
 
 // clientIDCounter is the fallback identity source when crypto/rand fails.
@@ -200,11 +167,10 @@ func DialConfig(addr string, cfg ClientConfig) (*Client, error) {
 		cfg:      cfg,
 		addr:     addr,
 		id:       newClientID(),
-		inflight: make(map[uint64]*wframe),
+		inflight: make(map[uint64]*call),
 		work:     make(chan struct{}, 1),
 		closeCh:  make(chan struct{}),
 		done:     make(chan struct{}),
-		budget:   cfg.RetryBudget,
 		jitter:   mrand.New(mrand.NewSource(cfg.RetrySeed)),
 	}
 	if cfg.Obs != nil {
@@ -214,7 +180,6 @@ func DialConfig(addr string, cfg ClientConfig) (*Client, error) {
 		c.reconnects = cfg.Obs.Counter("smartflux_kvnet_client_reconnects_total")
 		c.bytesSent = cfg.Obs.Counter(`smartflux_kvnet_client_bytes_total{dir="sent"}`)
 		c.bytesRecv = cfg.Obs.Counter(`smartflux_kvnet_client_bytes_total{dir="recv"}`)
-		c.budgetDenied = cfg.Obs.Counter("smartflux_kvnet_client_budget_exhausted_total")
 	}
 	if cfg.Obs.Spanning() {
 		idx := clientSpanSeq.Add(1) - 1
@@ -383,11 +348,7 @@ func (c *Client) do(req wire.Request) (*call, error) {
 	if !c.overlap.Load() && (len(c.pending) > 0 || len(c.inflight) > 0) {
 		c.overlap.Store(true)
 	}
-	f := &wframe{calls: []*call{cl}}
-	if c.cfg.OpTimeout > 0 {
-		f.deadline = time.Now().Add(c.cfg.OpTimeout)
-	}
-	c.pending = append(c.pending, f)
+	c.pending = append(c.pending, cl)
 	c.mu.Unlock()
 	c.kick()
 	<-cl.done
@@ -396,7 +357,7 @@ func (c *Client) do(req wire.Request) (*call, error) {
 
 // connLoop is the client's connection supervisor: it owns dialing, backoff
 // and one connection "epoch" at a time, charging every epoch failure to the
-// frames it stranded and re-sending survivors on the next connection.
+// calls it stranded and re-sending survivors on the next connection.
 func (c *Client) connLoop(conn net.Conn) {
 	defer close(c.done)
 	for {
@@ -461,13 +422,13 @@ func (c *Client) waitWork() bool {
 }
 
 // retryAttempt returns the 0-based backoff attempt for the oldest pending
-// retry frame, or -1 when every pending frame is fresh (no backoff due).
+// retried call, or -1 when every pending call is fresh (no backoff due).
 func (c *Client) retryAttempt() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, f := range c.pending {
-		if f.attempts > 0 {
-			return f.attempts - 1
+	for _, cl := range c.pending {
+		if cl.attempts > 0 {
+			return cl.attempts - 1
 		}
 	}
 	return -1
@@ -490,53 +451,30 @@ func (c *Client) sleepBackoff(attempt int) bool {
 	}
 }
 
-// chargeFailure charges a connection failure to the frames it stranded —
+// chargeFailure charges a connection failure to the calls it stranded —
 // those in flight on the dead epoch, or (for a dial failure) everything
-// pending. Frames out of retry allowance fail; survivors requeue at the
+// pending. Calls past MaxRetries fail with err; survivors requeue at the
 // front of pending, in sequence order, keeping their assigned seqs so
-// retried mutations stay exactly-once server-side. A retry is granted only
-// when every cap agrees: the per-frame MaxRetries count, the frame's op
-// deadline (OpTimeout) and the client-wide token-bucket RetryBudget — the
-// last two fail the frame with a typed ErrUnavailable so callers stop
-// waiting on a peer that is not coming back.
+// retried mutations stay exactly-once server-side.
 func (c *Client) chargeFailure(err error, dialFailure bool) {
 	closing := errors.Is(err, ErrClosed)
-	now := time.Now()
 	c.mu.Lock()
-	var affected []*wframe
+	var affected []*call
 	if dialFailure {
 		affected = c.pending
 		c.pending = nil
 	} else {
-		affected = make([]*wframe, 0, len(c.inflight))
-		for _, f := range c.inflight {
-			affected = append(affected, f)
-		}
-		sort.Slice(affected, func(i, j int) bool { return affected[i].seq < affected[j].seq })
-		clear(c.inflight)
+		affected = c.takeInflight()
 	}
-	var requeue, failed []*wframe
-	var failErrs []error
-	var denied int
-	for _, f := range affected {
-		f.attempts++
-		f.cells = nil // discard partial scan chunks from the dead epoch
-		f.respBytes = 0
-		switch {
-		case closing || f.attempts > c.cfg.MaxRetries:
-			failed, failErrs = append(failed, f), append(failErrs, err)
-		case !f.deadline.IsZero() && now.After(f.deadline):
-			failed = append(failed, f)
-			failErrs = append(failErrs, &opError{stage: "retry", kind: ErrUnavailable, err: fmt.Errorf("op deadline exceeded after %d attempts: %w", f.attempts, err)})
-		case c.cfg.RetryBudget > 0 && c.budget < 1:
-			denied++
-			failed = append(failed, f)
-			failErrs = append(failErrs, &opError{stage: "retry", kind: ErrUnavailable, err: fmt.Errorf("retry budget exhausted: %w", err)})
-		default:
-			if c.cfg.RetryBudget > 0 {
-				c.budget--
-			}
-			requeue = append(requeue, f)
+	var requeue, failed []*call
+	for _, cl := range affected {
+		cl.attempts++
+		cl.cells = nil // discard partial scan chunks from the dead epoch
+		cl.respBytes = 0
+		if closing || cl.attempts > c.cfg.MaxRetries {
+			failed = append(failed, cl)
+		} else {
+			requeue = append(requeue, cl)
 		}
 	}
 	c.pending = append(requeue, c.pending...)
@@ -544,33 +482,37 @@ func (c *Client) chargeFailure(err error, dialFailure bool) {
 	for range requeue {
 		c.retries.Inc() // nil-safe no-op when uninstrumented
 	}
-	if denied > 0 {
-		c.budgetDenied.Add(uint64(denied)) // nil-safe no-op when uninstrumented
-	}
-	for i, f := range failed {
-		f.fail(failErrs[i])
+	for _, cl := range failed {
+		cl.fail(err)
 	}
 }
 
-// shutdown fails every queued and in-flight frame with ErrClosed; connLoop
+// takeInflight empties inflight, returning its calls in sequence order.
+// Callers hold c.mu.
+func (c *Client) takeInflight() []*call {
+	calls := make([]*call, 0, len(c.inflight))
+	for _, cl := range c.inflight {
+		calls = append(calls, cl)
+	}
+	sort.Slice(calls, func(i, j int) bool { return calls[i].req.Seq < calls[j].req.Seq })
+	clear(c.inflight)
+	return calls
+}
+
+// shutdown fails every queued and in-flight call with ErrClosed; connLoop
 // runs it exactly once, on exit.
 func (c *Client) shutdown() {
 	err := &opError{stage: "send", kind: ErrClosed}
 	c.mu.Lock()
 	pend := c.pending
 	c.pending = nil
-	infl := make([]*wframe, 0, len(c.inflight))
-	for _, f := range c.inflight {
-		infl = append(infl, f)
-	}
-	sort.Slice(infl, func(i, j int) bool { return infl[i].seq < infl[j].seq })
-	clear(c.inflight)
+	infl := c.takeInflight()
 	c.mu.Unlock()
-	for _, f := range infl {
-		f.fail(err)
+	for _, cl := range infl {
+		cl.fail(err)
 	}
-	for _, f := range pend {
-		f.fail(err)
+	for _, cl := range pend {
+		cl.fail(err)
 	}
 }
 
@@ -610,8 +552,8 @@ func (c *Client) runEpoch(conn net.Conn) error {
 	defer buf.Release()
 	hello := true
 	for {
-		frames := c.takePending()
-		if len(frames) == 0 && !hello {
+		calls := c.takePending()
+		if len(calls) == 0 && !hello {
 			select {
 			case <-c.work:
 				continue
@@ -621,22 +563,24 @@ func (c *Client) runEpoch(conn net.Conn) error {
 				return &opError{stage: "send", kind: ErrClosed}
 			}
 		}
-		if len(frames) > 0 && c.overlap.Load() {
+		if len(calls) > 0 && c.overlap.Load() {
 			// Group commit: the caller that kicked us parked right after its
 			// enqueue, so concurrent callers are often still runnable with
 			// their frames not yet queued. One yield lets them land in this
 			// same write instead of costing a syscall each. Gated on overlap
 			// so sequential callers never pay for the yield.
 			runtime.Gosched()
-			frames = append(frames, c.takePending()...)
+			calls = append(calls, c.takePending()...)
 		}
 		buf.Reset()
 		if hello {
 			wire.AppendHello(buf, c.id)
 			hello = false
 		}
-		for _, f := range frames {
-			encodeFrame(buf, f)
+		for _, cl := range calls {
+			start := buf.Len()
+			wire.AppendRequest(buf, &cl.req)
+			cl.reqBytes = int64(buf.Len() - start)
 		}
 		_ = conn.SetWriteDeadline(ioDeadline(c.cfg.WriteTimeout))
 		n, err := conn.Write(buf.Bytes())
@@ -659,74 +603,27 @@ func (c *Client) runEpoch(conn net.Conn) error {
 	}
 }
 
-// takePending moves ready frames from pending to inflight (bounded by
-// maxInflightFrames), assigning sequence numbers to fresh frames and
-// micro-batching runs of adjacent fresh single Puts to the same table into
-// one OpApply frame. Retried frames keep their seqs and are never merged.
-func (c *Client) takePending() []*wframe {
+// takePending moves ready calls from pending to inflight (bounded by
+// maxInflightFrames), assigning sequence numbers to fresh ones. Retried
+// calls keep their seqs.
+func (c *Client) takePending() []*call {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	room := maxInflightFrames - len(c.inflight)
-	if room <= 0 || len(c.pending) == 0 {
+	n := min(maxInflightFrames-len(c.inflight), len(c.pending))
+	if n <= 0 {
 		return nil
 	}
-	var frames []*wframe
-	i := 0
-	for i < len(c.pending) && len(frames) < room {
-		f := c.pending[i]
-		i++
-		if f.seq == 0 && mergeablePut(f) {
-			for i < len(c.pending) && len(f.calls) < maxPutBatch {
-				g := c.pending[i]
-				if g.seq != 0 || !mergeablePut(g) || g.calls[0].req.Table != f.calls[0].req.Table {
-					break
-				}
-				f.calls = append(f.calls, g.calls[0])
-				i++
-			}
-			f.batched = len(f.calls) > 1
-		}
-		if f.seq == 0 {
+	calls := make([]*call, n)
+	copy(calls, c.pending)
+	for _, cl := range calls {
+		if cl.req.Seq == 0 {
 			c.seq++
-			f.seq = c.seq
+			cl.req.Seq = c.seq
 		}
-		c.inflight[f.seq] = f
-		frames = append(frames, f)
+		c.inflight[cl.req.Seq] = cl
 	}
-	c.pending = append(c.pending[:0], c.pending[i:]...)
-	return frames
-}
-
-// mergeablePut reports whether a fresh frame is a single Put eligible for
-// micro-batching. Puts with empty keys are excluded: they fail validation
-// individually server-side, and merging them would fail their batchmates.
-func mergeablePut(f *wframe) bool {
-	return len(f.calls) == 1 && f.calls[0].req.Op == wire.OpPut &&
-		f.calls[0].req.Row != "" && f.calls[0].req.Column != ""
-}
-
-// encodeFrame appends f's wire frame to buf, recording its exact size.
-func encodeFrame(buf *wire.Buffer, f *wframe) {
-	start := buf.Len()
-	if f.batched {
-		req := wire.Request{
-			Op:    wire.OpApply,
-			Flags: wire.FlagBatch,
-			Seq:   f.seq,
-			Table: f.calls[0].req.Table,
-			Ops:   make([]kvstore.Op, len(f.calls)),
-		}
-		for i, cl := range f.calls {
-			req.Ops[i] = kvstore.Op{Row: cl.req.Row, Column: cl.req.Column, Value: cl.req.Value}
-		}
-		wire.AppendRequest(buf, &req)
-	} else {
-		req := f.calls[0].req
-		req.Seq = f.seq
-		wire.AppendRequest(buf, &req)
-	}
-	f.reqBytes = int64(buf.Len() - start)
-	f.respBytes = 0
+	c.pending = append(c.pending[:0], c.pending[n:]...)
+	return calls
 }
 
 // armReadDeadline (re)arms the read deadline after a write, under the same
@@ -784,32 +681,20 @@ func (c *Client) inflightEmpty() bool {
 	return len(c.inflight) == 0
 }
 
-// deliver routes one response frame to its in-flight frame by seq,
+// deliver routes one response frame to its in-flight call by seq,
 // reassembling streamed scan chunks, managing the read deadline and waking
-// the writer when a completed frame frees in-flight room.
+// the writer when a completed call frees in-flight room.
 func (c *Client) deliver(resp *wire.Response, frameBytes int64, conn net.Conn) {
-	var completed *wframe
+	var completed *call
 	c.mu.Lock()
-	if f := c.inflight[resp.Seq]; f != nil {
-		f.respBytes += frameBytes
+	if cl := c.inflight[resp.Seq]; cl != nil {
+		cl.respBytes += frameBytes
 		if resp.Op == wire.OpScan && resp.Err == "" {
-			f.cells = appendCells(f.cells, resp.Cells)
+			cl.cells = appendCells(cl.cells, resp.Cells)
 		}
 		if !resp.Chunk {
 			delete(c.inflight, resp.Seq)
-			completed = f
-			if c.cfg.RetryBudget > 0 {
-				// A finished frame earns back a fraction of a retry token —
-				// pure arithmetic on the completion sequence, so budget state
-				// is deterministic for a deterministic failure sequence.
-				refill := c.cfg.RetryRefill
-				if refill <= 0 {
-					refill = 0.1
-				}
-				if c.budget += refill; c.budget > c.cfg.RetryBudget {
-					c.budget = c.cfg.RetryBudget
-				}
-			}
+			completed = cl
 		}
 	}
 	kick := len(c.pending) > 0 && len(c.inflight) < maxInflightFrames
@@ -853,77 +738,49 @@ func appendCells(dst []kvstore.Cell, src []wire.Cell) []kvstore.Cell {
 	return dst
 }
 
-// complete finishes every call on a delivered frame: result extraction,
-// span bookkeeping (exact on-wire bytes, split across batchmates) and
-// wake-up. Application errors mean the op executed server-side; for a
-// batched frame the batch applied atomically, so the outcome is shared.
-func (f *wframe) complete(resp *wire.Response) {
-	var appErr error
+// complete finishes a call on its delivered response: result extraction,
+// span bookkeeping (exact on-wire bytes) and wake-up. Application errors
+// mean the op executed server-side.
+func (cl *call) complete(resp *wire.Response) {
 	if resp.Err != "" {
 		if resp.Flags&wire.FlagFenced != 0 {
 			// Rehydrate the fencing sentinel the server flattened to a
 			// string: callers match with errors.Is(err, ErrFenced).
-			appErr = fmt.Errorf("%w: %s", ErrFenced, resp.Err)
+			cl.err = fmt.Errorf("%w: %s", ErrFenced, resp.Err)
 		} else {
-			appErr = errors.New(resp.Err)
+			cl.err = errors.New(resp.Err)
+		}
+	} else {
+		switch cl.req.Op {
+		case wire.OpGet:
+			cl.found = resp.Found
+			if resp.Found {
+				// Copy: resp.Value aliases the reader's frame buffer.
+				cl.value = append([]byte(nil), resp.Value...)
+			}
+		case wire.OpStatus:
+			cl.clock, cl.cursor, cl.crc = resp.Clock, resp.Cursor, resp.Crc
+		case wire.OpMapGet:
+			// Copy: resp.Map aliases the reader's frame buffer.
+			cl.value = append([]byte(nil), resp.Map...)
 		}
 	}
-	n := int64(len(f.calls))
-	baseBytes := (f.reqBytes + f.respBytes) / n
-	remBytes := (f.reqBytes + f.respBytes) % n
-	for i, cl := range f.calls {
-		cl.err = appErr
-		if appErr == nil {
-			switch cl.req.Op {
-			case wire.OpGet:
-				cl.found = resp.Found
-				if resp.Found {
-					// Copy: resp.Value aliases the reader's frame buffer.
-					cl.value = append([]byte(nil), resp.Value...)
-				}
-			case wire.OpScan:
-				cl.cells = f.cells
-			case wire.OpStatus:
-				cl.clock, cl.cursor, cl.crc = resp.Clock, resp.Cursor, resp.Crc
-			case wire.OpMapGet:
-				// Copy: resp.Map aliases the reader's frame buffer.
-				cl.value = append([]byte(nil), resp.Map...)
-			}
-		}
-		if cl.sp != nil {
-			b := baseBytes
-			if i == 0 {
-				b += remBytes
-			}
-			if f.batched {
-				cl.sp.SetAttr("batched", "true")
-			}
-			cl.sp.SetRetries(f.attempts)
-			cl.sp.SetBytes(b)
-			if appErr != nil {
-				cl.sp.EndErr(appErr)
-			} else {
-				cl.sp.End()
-			}
-		}
-		close(cl.done)
+	if cl.sp != nil {
+		cl.sp.SetRetries(cl.attempts)
+		cl.sp.SetBytes(cl.reqBytes + cl.respBytes)
+		cl.sp.EndErr(cl.err)
 	}
+	close(cl.done)
 }
 
-// fail finishes every call on a frame with a transport-level error.
-func (f *wframe) fail(err error) {
-	retries := f.attempts - 1
-	if retries < 0 {
-		retries = 0
+// fail finishes a call with a transport-level error.
+func (cl *call) fail(err error) {
+	cl.err = err
+	if cl.sp != nil {
+		cl.sp.SetRetries(max(cl.attempts-1, 0))
+		cl.sp.EndErr(err)
 	}
-	for _, cl := range f.calls {
-		cl.err = err
-		if cl.sp != nil {
-			cl.sp.SetRetries(retries)
-			cl.sp.EndErr(err)
-		}
-		close(cl.done)
-	}
+	close(cl.done)
 }
 
 // CreateTable ensures a table exists on the server.

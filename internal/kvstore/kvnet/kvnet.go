@@ -9,9 +9,9 @@
 // length. Requests are pipelined — a client keeps many frames in flight on
 // one connection and demultiplexes responses by sequence number — and Scan
 // responses stream back as chunks of at most wire.ScanChunkCells cells, so
-// neither side materializes whole result sets. Peers speaking the legacy
-// gob protocol (or a different frame version) fail loudly at the first
-// frame instead of corrupting state.
+// neither side materializes whole result sets. A peer speaking any other
+// protocol or frame version fails loudly at the first frame instead of
+// corrupting state.
 //
 // # Resilience
 //
@@ -60,10 +60,10 @@ var (
 	// (DESIGN.md §15). It crosses the wire as wire.FlagFenced, so a client's
 	// error stays errors.Is-matchable after the round trip.
 	ErrFenced = errors.New("kvnet: fenced: stale epoch or demoted node")
-	// ErrUnavailable reports an operation abandoned without executing: the
-	// retry budget ran dry or the op deadline expired while the peer stayed
-	// unreachable. Callers get a prompt typed failure instead of an unbounded
-	// reconnect loop.
+	// ErrUnavailable reports an operation refused without touching the
+	// network: the cluster client wraps it when a shard's circuit breaker is
+	// open, so callers get a prompt typed failure instead of another
+	// round of dials against a peer that keeps failing.
 	ErrUnavailable = errors.New("kvnet: peer unavailable")
 )
 
@@ -91,7 +91,6 @@ type Server struct {
 	conns      map[net.Conn]struct{}
 	wg         sync.WaitGroup
 	closed     bool
-	drain      time.Duration
 	firstErr   error // first async serving error (decode/encode/accept)
 	errHandler func(error)
 
@@ -156,24 +155,13 @@ type serverObs struct {
 	bytesRecv  *obs.Counter
 }
 
-// NewServer creates a server for the given store with the default graceful
-// drain window.
+// NewServer creates a server for the given store.
 func NewServer(store *kvstore.Store) *Server {
 	return &Server{
 		store: store,
 		conns: make(map[net.Conn]struct{}),
-		drain: DefaultDrainTimeout,
 		dedup: make(map[uint64]*dedupWindow),
 	}
-}
-
-// SetDrainTimeout adjusts how long Close waits for in-flight responses to
-// flush. Zero (or negative) disables draining: Close tears connections down
-// immediately. Call before Close.
-func (s *Server) SetDrainTimeout(d time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.drain = d
 }
 
 // Instrument attaches an observer to the server: per-op request counters, a
@@ -209,9 +197,9 @@ func (s *Server) Instrument(o *obs.Observer) {
 
 // SetReplHandler installs the callback answering OpRepl frames: a batch of
 // replication records to apply (idempotently — records carry explicit
-// timestamps) to this node's store, stamped with the sender's shard epoch
-// (0 = unstamped legacy sender). Call before Listen; without a handler
-// replication frames are rejected with an application error.
+// timestamps) to this node's store, stamped with the sender's shard epoch.
+// Call before Listen; without a handler replication frames are rejected
+// with an application error.
 func (s *Server) SetReplHandler(fn func(epoch uint64, records [][]byte) error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -433,9 +421,8 @@ func (s *Server) serveConn(conn net.Conn) error {
 			if cleanDisconnect(err) || s.isClosed() {
 				return nil // clean disconnect or server shutdown
 			}
-			// Garbage on the wire (including legacy gob peers, torn frames
-			// and version mismatches): a fault worth surfacing, not a normal
-			// hang-up.
+			// Garbage on the wire (a foreign protocol, torn frames, version
+			// mismatches): a fault worth surfacing, not a normal hang-up.
 			return decodeFail(err)
 		}
 		if so != nil {
@@ -698,10 +685,9 @@ func errString(err error) string {
 }
 
 // Close stops the listener, drains live connections and waits for all
-// serving goroutines to exit. With a positive drain window (the default),
-// idle connections wake and close immediately while in-flight requests get
-// up to the window to flush their response; a zero window closes
-// connections outright. Close is idempotent and safe to call concurrently.
+// serving goroutines to exit: idle connections wake and close immediately
+// while in-flight requests get up to DefaultDrainTimeout to flush their
+// response. Close is idempotent and safe to call concurrently.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -713,17 +699,12 @@ func (s *Server) Close() error {
 	ln := s.listener
 	// Deadline calls never block, so draining the live connections directly
 	// under the lock is safe and keeps the set consistent with serveConn's
-	// removals.
+	// removals. Decodes blocked between frames wake right away; writes of
+	// already-accepted requests get the drain window to flush.
 	now := time.Now()
 	for conn := range s.conns {
-		if s.drain > 0 {
-			// Wake decodes blocked between frames right away; give writes
-			// of already-accepted requests the drain window to flush.
-			_ = conn.SetReadDeadline(now)
-			_ = conn.SetWriteDeadline(now.Add(s.drain))
-		} else {
-			_ = conn.Close()
-		}
+		_ = conn.SetReadDeadline(now)
+		_ = conn.SetWriteDeadline(now.Add(DefaultDrainTimeout))
 	}
 	s.mu.Unlock()
 

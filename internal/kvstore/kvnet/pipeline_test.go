@@ -86,7 +86,7 @@ func TestClientPipelinesConcurrentOps(t *testing.T) {
 }
 
 // slowFirstWriteConn delays the connection's first write so pending ops
-// pile up behind it and the writer's next flush has a batch to merge.
+// pile up behind it and the writer's next flush carries all of them.
 type slowFirstWriteConn struct {
 	net.Conn
 	once  sync.Once
@@ -98,10 +98,10 @@ func (c *slowFirstWriteConn) Write(b []byte) (int, error) {
 	return c.Conn.Write(b)
 }
 
-// TestClientBatchesAdjacentPuts checks Put micro-batching: Puts issued
-// while the writer is stalled coalesce into OpApply frames server-side
-// while remaining individually observable client-side.
-func TestClientBatchesAdjacentPuts(t *testing.T) {
+// TestClientSendsEachPutAsItsOwnFrame checks that one call is one frame:
+// Puts that pile up while the writer is stalled share a write, but the
+// server still sees one put frame per Put and no apply frame.
+func TestClientSendsEachPutAsItsOwnFrame(t *testing.T) {
 	store := kvstore.New()
 	if _, err := store.EnsureTable("t", kvstore.TableOptions{}); err != nil {
 		t.Fatal(err)
@@ -160,11 +160,8 @@ func TestClientBatchesAdjacentPuts(t *testing.T) {
 	snap := reg.Snapshot()
 	applies := snap.Counters[`smartflux_kvnet_requests_total{op="apply"}`]
 	singles := snap.Counters[`smartflux_kvnet_requests_total{op="put"}`]
-	if applies == 0 {
-		t.Errorf("apply frames = 0 (puts %d): no micro-batching happened", singles)
-	}
-	if singles+applies >= puts {
-		t.Errorf("server saw %d put + %d apply frames for %d Puts: batching saved nothing", singles, applies, puts)
+	if singles != puts || applies != 0 {
+		t.Errorf("server saw %d put + %d apply frames for %d Puts, want %d + 0", singles, applies, puts, puts)
 	}
 }
 

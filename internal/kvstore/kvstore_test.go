@@ -750,7 +750,7 @@ func TestTableVersion(t *testing.T) {
 		table.GetVersions("r", "c", 0)
 		table.Scan(ScanOptions{})
 		table.ScanState(ScanOptions{})
-		table.ScanPages(ScanOptions{}, 0, func([]Cell, bool) error { return nil })
+		table.ScanPagesShared(ScanOptions{}, 0, func([]Cell, bool) error { return nil })
 		table.RowCount()
 		table.CellCount()
 	})

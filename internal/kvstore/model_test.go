@@ -117,9 +117,9 @@ var (
 
 // TestTableMatchesReferenceModel runs seeded random sequences of Put, Delete,
 // Apply, ReplayPut and ReplayDelete on a table and on the reference, and after
-// every operation compares every read: Scan, ScanPages at page sizes 1, 2 and
-// 256, ScanState, History, GetVersions, CellCount, RowCount, Version and the
-// store clock. The sequences include batches whose deletes empty a row that
+// every operation compares every read: Scan, ScanPagesShared at page sizes 1,
+// 2 and 256, ScanState, History, GetVersions, CellCount, RowCount, Version and
+// the store clock. The sequences include batches whose deletes empty a row that
 // later ops of the same batch write again, and out-of-order and duplicate
 // replays into full windows.
 func TestTableMatchesReferenceModel(t *testing.T) {
@@ -266,18 +266,22 @@ func compareWithModel(table *Table, m *refTable) error {
 		for _, size := range []int{1, 2, 256} {
 			var paged []Cell
 			var finals int
-			err := table.ScanPages(opts, size, func(page []Cell, final bool) error {
+			err := table.ScanPagesShared(opts, size, func(page []Cell, final bool) error {
 				if len(page) > size {
 					return fmt.Errorf("page of %d cells", len(page))
 				}
 				if final {
 					finals++
 				}
-				paged = append(paged, page...)
+				// A shared page lives only until fn returns: copy it out.
+				for _, c := range page {
+					c.Version.Value = slices.Clone(c.Version.Value)
+					paged = append(paged, c)
+				}
 				return nil
 			})
 			if err != nil || finals != 1 || !slices.EqualFunc(paged, want, deepEqual) {
-				return fmt.Errorf("ScanPages(%+v, %d) = %v (%d final pages, err %v), want %v", opts, size, paged, finals, err, want)
+				return fmt.Errorf("ScanPagesShared(%+v, %d) = %v (%d final pages, err %v), want %v", opts, size, paged, finals, err, want)
 			}
 		}
 		if opts.Limit > 0 {

@@ -59,7 +59,7 @@ func collectLocked(rows []*row, opts ScanOptions, cur *scanCursor, max int, dst 
 
 // arenaCopyValues replaces each cell's shared value reference with a copy
 // carved out of one arena allocation sized for the whole batch — one malloc
-// per scan page instead of one per cell. total must be the summed value
+// per scan instead of one per cell. total must be the summed value
 // lengths (as returned by collectLocked). Each copy is capacity-capped so
 // appending to one cell's value can never scribble over its neighbour's.
 func arenaCopyValues(cells []Cell, total int64) {
@@ -82,32 +82,23 @@ var scanPagePool = sync.Pool{New: func() any {
 	return &s
 }}
 
-// ScanPages streams the latest version of every matching cell in (row,
-// column) order, invoking fn with consecutive pages of up to pageSize
+// ScanPagesShared streams the latest version of every matching cell in
+// (row, column) order, invoking fn with consecutive pages of up to pageSize
 // cells (pageSize <= 0 uses a default). The final invocation — there is
-// always at least one, possibly with an empty page — has final=true. Pages
-// are independently allocated with arena-backed value copies; fn may
-// retain them.
+// always at least one, possibly with an empty page — has final=true.
+//
+// Pages are shared, not copied, for hot paths that fold or serialize cells
+// and move on (the kvnet streaming-scan server, LRB's per-segment folds):
+// cell values alias live store memory (immutable once written) and the page
+// slice is pooled and reused across invocations. fn must not mutate the
+// values and must not retain the page or any cell value past its return.
 //
 // Unlike Scan, the table lock is released between pages (the HBase scanner
 // contract the paper's store substrate provides): a scan interleaved with
 // writes sees each page atomically but not the whole result set. Cells
 // already returned are never revisited; cells inserted behind the cursor
 // are missed.
-func (t *Table) ScanPages(opts ScanOptions, pageSize int, fn func(cells []Cell, final bool) error) error {
-	return t.scanPages(opts, pageSize, false, fn)
-}
-
-// ScanPagesShared is ScanPages without the defensive copies, for hot paths
-// that serialize cells and move on (the kvnet streaming-scan server): cell
-// values alias live store memory (immutable once written) and the page
-// slice is pooled and reused across invocations. fn must not mutate the
-// values and must not retain the page or any cell value past its return.
 func (t *Table) ScanPagesShared(opts ScanOptions, pageSize int, fn func(cells []Cell, final bool) error) error {
-	return t.scanPages(opts, pageSize, true, fn)
-}
-
-func (t *Table) scanPages(opts ScanOptions, pageSize int, shared bool, fn func(cells []Cell, final bool) error) error {
 	if pageSize <= 0 {
 		pageSize = defaultScanPage
 	}
@@ -116,7 +107,7 @@ func (t *Table) scanPages(opts ScanOptions, pageSize int, shared bool, fn func(c
 
 	var pagePtr *[]Cell
 	var page []Cell
-	if shared && pageSize <= defaultScanPage {
+	if pageSize <= defaultScanPage {
 		pagePtr = scanPagePool.Get().(*[]Cell)
 		page = (*pagePtr)[:0]
 	}
@@ -132,16 +123,9 @@ func (t *Table) scanPages(opts ScanOptions, pageSize int, shared bool, fn func(c
 		if opts.Limit > 0 && opts.Limit-returned < max {
 			max = opts.Limit - returned
 		}
-		dst := page[:0]
-		if !shared {
-			dst = nil // fn may retain copy-variant pages; never reuse them
-		}
 		var pageBytes int64
 		var more bool
-		t.readKeys(func(rows []*row) { page, pageBytes, more = collectLocked(rows, opts, &cur, max, dst) })
-		if !shared {
-			arenaCopyValues(page, pageBytes)
-		}
+		t.readKeys(func(rows []*row) { page, pageBytes, more = collectLocked(rows, opts, &cur, max, page[:0]) })
 		returned += len(page)
 		total += pageBytes
 		if opts.Limit > 0 && returned >= opts.Limit {
@@ -163,13 +147,7 @@ func (t *Table) scanPages(opts ScanOptions, pageSize int, shared bool, fn func(c
 		ins.scans.Inc()
 		ins.scanCells.Add(uint64(returned))
 	}
-	if sp != nil {
-		sp.SetBytes(total)
-		if err != nil {
-			sp.EndErr(err)
-		} else {
-			sp.End()
-		}
-	}
+	sp.SetBytes(total)
+	sp.EndErr(err)
 	return err
 }

@@ -6,17 +6,16 @@
 //	0       2     magic   0xFA57 ("fast", little-endian on the wire)
 //	2       1     version protocol revision; mismatches fail loudly
 //	3       1     op      operation / response discriminator
-//	4       2     flags   FlagError, FlagFound, FlagChunk, FlagBatch
+//	4       2     flags   FlagError, FlagFound, FlagChunk, FlagVersions, FlagFenced
 //	6       8     seq     client-assigned sequence number (dedup + demux)
 //	14      4     len     payload length in bytes
 //	18      len   payload op-specific little-endian fields
 //
 // There is no checksum: TCP already provides one, and the magic+version+len
-// triple catches desynchronization and legacy gob peers (a gob stream's
-// first bytes never spell the magic). Frames are built in pooled Buffers
-// and decoded zero-copy: Reader.Bytes and the cells produced by
-// DecodeResponse alias the frame payload, valid until the Buffer that holds
-// it is reset or released.
+// triple catches desynchronization and peers speaking another protocol.
+// Frames are built in pooled Buffers and decoded zero-copy: Reader.Bytes and
+// the cells produced by DecodeResponse alias the frame payload, valid until
+// the Buffer that holds it is reset or released.
 package wire
 
 import (
@@ -31,8 +30,8 @@ import (
 
 const (
 	// Magic marks every frame. 0xFA57 is stored little-endian, so the raw
-	// stream starts 0x57 0xFA — bytes a gob stream or ASCII junk will not
-	// produce in that order at a frame boundary.
+	// stream starts 0x57 0xFA — bytes ASCII text will not produce in that
+	// order at a frame boundary.
 	Magic uint16 = 0xFA57
 	// Version is this build's protocol revision. Peers speaking any other
 	// revision are rejected with ErrVersion before any payload is trusted.
@@ -84,10 +83,7 @@ const (
 	// FlagChunk marks a non-final scan chunk: more chunks follow for the
 	// same seq. The final chunk has the flag clear.
 	FlagChunk
-	// FlagBatch marks an OpApply frame synthesized by client-side Put
-	// micro-batching (observability only; the server applies it like any
-	// other batch).
-	FlagBatch
+	_ // bit 3 is unassigned; the flags below keep their wire values
 	// FlagVersions marks an OpScan request asking for every retained
 	// version of each matching cell (newest first per cell) instead of only
 	// the latest — the cluster dump path. Response chunks reuse the plain
@@ -105,7 +101,7 @@ const (
 // connection: the peer is not speaking this protocol (or this revision of
 // it) and no resynchronization is attempted.
 var (
-	ErrBadMagic      = errors.New("wire: bad frame magic (peer is not speaking the kvnet binary protocol; legacy gob peer?)")
+	ErrBadMagic      = errors.New("wire: bad frame magic (peer is not speaking the kvnet binary protocol)")
 	ErrVersion       = errors.New("wire: protocol version mismatch")
 	ErrFrameTooLarge = errors.New("wire: frame payload length exceeds limit")
 	ErrTruncated     = errors.New("wire: truncated or malformed payload")
@@ -427,7 +423,7 @@ type Request struct {
 	Scan     kvstore.ScanOptions
 	Ops      []kvstore.Op // OpApply; values alias the frame payload on decode
 	Records  [][]byte     // OpRepl; records alias the frame payload on decode
-	Epoch    uint64       // OpRepl; the sender's shard epoch (0 = unstamped)
+	Epoch    uint64       // OpRepl; the sender's shard epoch
 	Map      []byte       // OpMapSet; aliases the frame payload on decode
 }
 

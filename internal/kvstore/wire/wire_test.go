@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	mrand "math/rand"
+	"slices"
 	"testing"
 
 	"smartflux/internal/kvstore"
@@ -50,7 +51,7 @@ func sampleRequests() []Request {
 			{Row: "r2", Column: "c2", Delete: true},
 			{Row: "", Column: "", Value: []byte{}},
 		}},
-		{Op: OpApply, Seq: 10, Table: "t", Flags: FlagBatch},
+		{Op: OpApply, Seq: 10, Table: "t"},
 		{Op: OpPing, Seq: 11},
 		{Op: OpStatus, Seq: 12},
 		{Op: OpRepl, Seq: 13, Records: [][]byte{[]byte("rec-one"), {}, []byte("rec-three")}},
@@ -99,6 +100,16 @@ func TestRequestRoundTrip(t *testing.T) {
 		if !requestsEquivalent(&req, &got) {
 			t.Errorf("%s: round trip mismatch:\n in  %+v\n out %+v", OpName(req.Op), req, got)
 		}
+	}
+}
+
+// TestFlagBitsAreStable pins every flag's header bit: a frame that is sent
+// today must keep its bytes, so a retired flag's bit stays unassigned.
+func TestFlagBitsAreStable(t *testing.T) {
+	got := []uint16{FlagError, FlagFound, FlagChunk, FlagVersions, FlagFenced}
+	want := []uint16{1, 2, 4, 16, 32}
+	if !slices.Equal(got, want) {
+		t.Fatalf("flag bits = %v, want %v", got, want)
 	}
 }
 

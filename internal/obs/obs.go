@@ -7,29 +7,31 @@
 // net/http/pprof.
 //
 // The whole package is nil-safe by design: every method on a nil *Registry,
-// *Counter, *Gauge, *Histogram, *Tracer, *Span, *SpanTracer or *Observer is
-// a no-op, so
+// *Counter, *Gauge, *Histogram, *Span or *Observer is a no-op, so
 // instrumented code paths (engine, session, store, network layer) carry no
 // conditional wiring — they call the hooks unconditionally and pay only a
 // nil check when observability is not attached.
 package obs
 
 // Observer bundles the observability capabilities instrumented components
-// accept: a metrics registry, a decision tracer and a causal span tracer. A
-// nil *Observer (or one with nil parts) turns every hook into a no-op.
+// accept: a metrics registry, the decision-event sinks and the span sinks. A
+// nil *Observer (or one with no registry or no sinks) turns every hook into
+// a no-op.
 type Observer struct {
-	reg    *Registry
-	tracer *Tracer
-	spans  *SpanTracer
-	flight *SpanRing
+	reg       *Registry
+	sinks     []Sink
+	spanSinks []SpanSink
+	flight    *SpanRing
 }
 
 // New creates an observer over reg (may be nil) emitting decision events to
-// the given sinks (none disables tracing).
+// the given sinks (nils are dropped; none disables tracing).
 func New(reg *Registry, sinks ...Sink) *Observer {
 	o := &Observer{reg: reg}
-	if len(sinks) > 0 {
-		o.tracer = NewTracer(sinks...)
+	for _, s := range sinks {
+		if s != nil {
+			o.sinks = append(o.sinks, s)
+		}
 	}
 	return o
 }
@@ -60,15 +62,21 @@ func (o *Observer) Histogram(name string, bounds ...float64) *Histogram {
 // Tracing reports whether decision events have anywhere to go. Hot paths
 // use it to skip building events entirely when no sink is attached.
 func (o *Observer) Tracing() bool {
-	return o != nil && o.tracer != nil
+	return o != nil && len(o.sinks) > 0
 }
 
-// EmitDecision forwards one decision event to every attached sink.
+// EmitDecision forwards one decision event to every attached sink, typing
+// it "decision" when the type is unset.
 func (o *Observer) EmitDecision(ev DecisionEvent) {
 	if o == nil {
 		return
 	}
-	o.tracer.Emit(ev)
+	if ev.Type == "" {
+		ev.Type = "decision"
+	}
+	for _, s := range o.sinks {
+		s.Emit(ev)
+	}
 }
 
 // WithSpanSinks attaches span sinks to the observer and returns it, enabling
@@ -80,23 +88,14 @@ func (o *Observer) WithSpanSinks(sinks ...SpanSink) *Observer {
 	if o == nil {
 		return nil
 	}
-	kept := make([]SpanSink, 0, len(sinks))
 	for _, s := range sinks {
 		if s == nil {
 			continue
 		}
-		kept = append(kept, s)
+		o.spanSinks = append(o.spanSinks, s)
 		if ring, ok := s.(*SpanRing); ok && o.flight == nil {
 			o.flight = ring
 		}
-	}
-	if len(kept) == 0 {
-		return o
-	}
-	if o.spans == nil {
-		o.spans = NewSpanTracer(kept...)
-	} else {
-		o.spans.sinks = append(o.spans.sinks, kept...)
 	}
 	return o
 }
@@ -104,7 +103,18 @@ func (o *Observer) WithSpanSinks(sinks ...SpanSink) *Observer {
 // Spanning reports whether spans have anywhere to go. Hot paths use it to
 // skip building span IDs and attributes entirely when disabled.
 func (o *Observer) Spanning() bool {
-	return o != nil && o.spans != nil
+	return o != nil && len(o.spanSinks) > 0
+}
+
+// emitSpan forwards one completed span to every span sink, typing it
+// "span" when the type is unset.
+func (o *Observer) emitSpan(ev SpanEvent) {
+	if ev.Type == "" {
+		ev.Type = "span"
+	}
+	for _, s := range o.spanSinks {
+		s.EmitSpan(ev)
+	}
 }
 
 // RootSpan starts a root span with the given deterministic ID, or returns
@@ -113,7 +123,7 @@ func (o *Observer) RootSpan(id, name, layer string) *Span {
 	if !o.Spanning() {
 		return nil
 	}
-	return newSpan(o.spans, id, "", name, layer)
+	return newSpan(o, id, "", name, layer)
 }
 
 // Flight returns the flight-recorder ring attached via WithSpanSinks, or

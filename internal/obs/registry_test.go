@@ -37,9 +37,6 @@ func TestNilSafety(t *testing.T) {
 	}
 	o.Counter("x").Inc()
 	o.EmitDecision(DecisionEvent{})
-
-	var tr *Tracer
-	tr.Emit(DecisionEvent{})
 }
 
 func TestCounterGauge(t *testing.T) {

@@ -24,7 +24,6 @@ import (
 	"encoding/json"
 	"io"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -84,40 +83,10 @@ type SpanSink interface {
 	EmitSpan(ev SpanEvent)
 }
 
-// SpanTracer fans completed spans out to a fixed set of sinks. A nil
-// *SpanTracer no-ops.
-type SpanTracer struct {
-	sinks []SpanSink
-}
-
-// NewSpanTracer creates a tracer over the given sinks (nils are dropped).
-func NewSpanTracer(sinks ...SpanSink) *SpanTracer {
-	t := &SpanTracer{}
-	for _, s := range sinks {
-		if s != nil {
-			t.sinks = append(t.sinks, s)
-		}
-	}
-	return t
-}
-
-// EmitSpan forwards ev to every sink.
-func (t *SpanTracer) EmitSpan(ev SpanEvent) {
-	if t == nil {
-		return
-	}
-	if ev.Type == "" {
-		ev.Type = "span"
-	}
-	for _, s := range t.sinks {
-		s.EmitSpan(ev)
-	}
-}
-
 // Span is one live node of the causal tree. Create roots with
 // Observer.RootSpan and children with Child/ChildKey; finish with End.
 type Span struct {
-	tr    *SpanTracer
+	o     *Observer // where End emits
 	start time.Time
 	seq   atomic.Uint64 // automatic child sequence (Child)
 	ended atomic.Bool
@@ -125,10 +94,10 @@ type Span struct {
 }
 
 // newSpan stamps the start time and the deterministic identity.
-func newSpan(tr *SpanTracer, id, parent, name, layer string) *Span {
+func newSpan(o *Observer, id, parent, name, layer string) *Span {
 	start := time.Now()
 	return &Span{
-		tr:    tr,
+		o:     o,
 		start: start,
 		ev: SpanEvent{
 			Type:       "span",
@@ -158,7 +127,7 @@ func (s *Span) ChildKey(key, name, layer string) *Span {
 	if s == nil {
 		return nil
 	}
-	return newSpan(s.tr, s.ev.ID+"/"+key, s.ev.ID, name, layer)
+	return newSpan(s.o, s.ev.ID+"/"+key, s.ev.ID, name, layer)
 }
 
 // Child starts a child span keyed by name plus a per-parent sequence number
@@ -276,7 +245,7 @@ func (s *Span) End() {
 		return
 	}
 	s.ev.DurNanos = time.Since(s.start).Nanoseconds()
-	s.tr.EmitSpan(s.ev)
+	s.o.emitSpan(s.ev)
 }
 
 // EndErr records err (when non-nil) and ends the span.
@@ -292,12 +261,9 @@ const DefaultFlightSpans = 512
 // SpanRing keeps the most recent spans in a fixed-capacity ring buffer. It
 // doubles as the flight recorder: on crash the durable layer dumps the
 // retained tail next to the WAL (Dump), and the debug server serves it live
-// on /trace/spans.
+// on /trace/spans. A nil *SpanRing retains nothing.
 type SpanRing struct {
-	mu    sync.Mutex
-	buf   []SpanEvent
-	next  int
-	total uint64
+	ring[SpanEvent]
 }
 
 // NewSpanRing creates a ring retaining the last capacity spans
@@ -306,30 +272,18 @@ func NewSpanRing(capacity int) *SpanRing {
 	if capacity <= 0 {
 		capacity = DefaultFlightSpans
 	}
-	return &SpanRing{buf: make([]SpanEvent, 0, capacity)}
+	return &SpanRing{ring[SpanEvent]{buf: make([]SpanEvent, 0, capacity)}}
 }
 
 // EmitSpan implements SpanSink.
-func (s *SpanRing) EmitSpan(ev SpanEvent) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.buf) < cap(s.buf) {
-		s.buf = append(s.buf, ev)
-	} else {
-		s.buf[s.next] = ev
-		s.next = (s.next + 1) % cap(s.buf)
-	}
-	s.total++
-}
+func (s *SpanRing) EmitSpan(ev SpanEvent) { s.add(ev) }
 
 // Len returns the number of retained spans.
 func (s *SpanRing) Len() int {
 	if s == nil {
 		return 0
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.buf)
+	return s.ring.Len()
 }
 
 // Total returns the number of spans ever emitted.
@@ -337,9 +291,7 @@ func (s *SpanRing) Total() uint64 {
 	if s == nil {
 		return 0
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.total
+	return s.ring.Total()
 }
 
 // Tail returns up to n of the most recent spans, oldest first. n <= 0
@@ -348,21 +300,7 @@ func (s *SpanRing) Tail(n int) []SpanEvent {
 	if s == nil {
 		return nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	size := len(s.buf)
-	if n <= 0 || n > size {
-		n = size
-	}
-	out := make([]SpanEvent, 0, n)
-	start := 0
-	if size == cap(s.buf) {
-		start = s.next
-	}
-	for i := size - n; i < size; i++ {
-		out = append(out, s.buf[(start+i)%size])
-	}
-	return out
+	return s.ring.Tail(n)
 }
 
 // Dump writes the retained spans, oldest first, as JSON lines — the

@@ -67,35 +67,6 @@ type Sink interface {
 	Emit(ev DecisionEvent)
 }
 
-// Tracer fans events out to a fixed set of sinks. A nil *Tracer no-ops.
-type Tracer struct {
-	sinks []Sink
-}
-
-// NewTracer creates a tracer over the given sinks (nils are dropped).
-func NewTracer(sinks ...Sink) *Tracer {
-	t := &Tracer{}
-	for _, s := range sinks {
-		if s != nil {
-			t.sinks = append(t.sinks, s)
-		}
-	}
-	return t
-}
-
-// Emit forwards ev to every sink.
-func (t *Tracer) Emit(ev DecisionEvent) {
-	if t == nil {
-		return
-	}
-	if ev.Type == "" {
-		ev.Type = "decision"
-	}
-	for _, s := range t.sinks {
-		s.Emit(ev)
-	}
-}
-
 // JSONLSink writes one JSON object per event, newline-delimited, to an
 // io.Writer. Writes are serialized; the first write error is retained and
 // subsequent events are dropped.
@@ -147,10 +118,7 @@ var (
 // a live process can serve "what just happened" queries (/trace/tail)
 // without unbounded memory.
 type RingSink struct {
-	mu    sync.Mutex
-	buf   []DecisionEvent
-	next  int
-	total uint64
+	ring[DecisionEvent]
 }
 
 // NewRingSink creates a ring retaining the last capacity events (minimum 1).
@@ -158,56 +126,68 @@ func NewRingSink(capacity int) *RingSink {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &RingSink{buf: make([]DecisionEvent, 0, capacity)}
+	return &RingSink{ring[DecisionEvent]{buf: make([]DecisionEvent, 0, capacity)}}
 }
 
 // Emit implements Sink.
-func (s *RingSink) Emit(ev DecisionEvent) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.buf) < cap(s.buf) {
-		s.buf = append(s.buf, ev)
+func (s *RingSink) Emit(ev DecisionEvent) { s.add(ev) }
+
+var _ Sink = (*RingSink)(nil)
+
+// ring is the fixed-capacity buffer behind RingSink and SpanRing: it keeps
+// the most recent events of one type and counts every event ever added.
+type ring[T any] struct {
+	mu    sync.Mutex
+	buf   []T
+	next  int
+	total uint64
+}
+
+// add retains ev, overwriting the oldest event once the ring is full.
+func (r *ring[T]) add(ev T) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if len(r.buf) < cap(r.buf) {
+		r.buf = append(r.buf, ev)
 	} else {
-		s.buf[s.next] = ev
-		s.next = (s.next + 1) % cap(s.buf)
+		r.buf[r.next] = ev
+		r.next = (r.next + 1) % cap(r.buf)
 	}
-	s.total++
+	r.total++
 }
 
 // Len returns the number of retained events.
-func (s *RingSink) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.buf)
+func (r *ring[T]) Len() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.buf)
 }
 
 // Total returns the number of events ever emitted.
-func (s *RingSink) Total() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.total
+func (r *ring[T]) Total() uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.total
 }
 
 // Tail returns up to n of the most recent events, oldest first. n <= 0
 // returns everything retained.
-func (s *RingSink) Tail(n int) []DecisionEvent {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	size := len(s.buf)
+func (r *ring[T]) Tail(n int) []T {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	size := len(r.buf)
 	if n <= 0 || n > size {
 		n = size
 	}
-	out := make([]DecisionEvent, 0, n)
+	out := make([]T, 0, n)
 	// Events are ordered starting at next (oldest) when the ring is full,
 	// at 0 otherwise.
 	start := 0
-	if size == cap(s.buf) {
-		start = s.next
+	if size == cap(r.buf) {
+		start = r.next
 	}
 	for i := size - n; i < size; i++ {
-		out = append(out, s.buf[(start+i)%size])
+		out = append(out, r.buf[(start+i)%size])
 	}
 	return out
 }
-
-var _ Sink = (*RingSink)(nil)

@@ -10,9 +10,9 @@ import (
 func TestJSONLSink(t *testing.T) {
 	var b strings.Builder
 	sink := NewJSONLSink(&b)
-	tr := NewTracer(sink)
-	tr.Emit(DecisionEvent{Wave: 0, Step: "agg", Impact: 0.3, Verdict: true, Executed: true})
-	tr.Emit(DecisionEvent{Wave: 1, Step: "agg", Impact: 0.1, PredictedLabel: 0})
+	o := New(nil, sink)
+	o.EmitDecision(DecisionEvent{Wave: 0, Step: "agg", Impact: 0.3, Verdict: true, Executed: true})
+	o.EmitDecision(DecisionEvent{Wave: 1, Step: "agg", Impact: 0.1, PredictedLabel: 0})
 	if err := sink.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestJSONLSink(t *testing.T) {
 		t.Fatalf("got %d events, want 2", len(events))
 	}
 	if events[0].Type != "decision" {
-		t.Fatalf("tracer must default Type, got %q", events[0].Type)
+		t.Fatalf("observer must default Type, got %q", events[0].Type)
 	}
 	if events[0].Step != "agg" || !events[0].Executed || events[1].Wave != 1 {
 		t.Fatalf("round-trip mismatch: %+v", events)
