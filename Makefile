@@ -117,16 +117,18 @@ bench-e2e-smoke:
 ## bench-pairs: the pair protocol of bench/README.md ("Comparing a change
 ## with its parent") as one command. Exports REF (default HEAD) into
 ## .bench_build/parent, then runs N (default 10) pairs of the BENCHMARK.json
-## command on workload W (default lrb-mem), parent and working tree,
-## alternating which side runs first, and prints one
-## `pair side workload waves_per_s setup_s` line per run, then one
-## `summary side workload waves_per_s M setup_s M ratio R won K/N
-## setup_ratio R setup_won K/N` line per side: the medians; the side's median
-## waves_per_s over the parent's and the pairs in which the side had the
-## higher waves_per_s; the side's median setup_s over the parent's and the
-## pairs in which the side set up faster.
+## command at seed SEED (default 1) on each workload of W (default lrb-mem;
+## several: W="lrb-mem lrb-mem-sync"), parent and working tree, alternating
+## which side runs first, and prints one `pair side workload waves_per_s
+## setup_s` line per run, then one line per workload:
+## `summary W waves_per_s P C ratio R won K/N parent_iqr Q setup_s P C
+## setup_ratio R setup_won K/N parent_setup_iqr Q` — the parent's and the
+## change's median waves_per_s, the change's over the parent's, the pairs in
+## which the change had the higher waves_per_s and the spread between the
+## parent's quartiles; then the same for setup_s, where the faster set-up wins.
 N ?= 10
 W ?= lrb-mem
+SEED ?= 1
 bench-pairs: REF = HEAD
 bench-pairs:
 	rm -rf .bench_build/parent .bench_build/pairs.txt
@@ -135,27 +137,32 @@ bench-pairs:
 	@echo "pair side workload waves_per_s setup_s"
 	@for i in $$(seq 1 $(N)); do \
 		order="parent change"; [ $$((i % 2)) -eq 0 ] && order="change parent"; \
-		for side in $$order; do \
-			dir=.; [ $$side = parent ] && dir=.bench_build/parent; \
-			(cd $$dir && bash bench/run.sh --workload $(W) --seconds 10 --trace 0) | \
-			awk -v p=$$i -v s=$$side -v w=$(W) -v f=.bench_build/pairs.txt \
-				'$$2 == "waves_per_s" { x = $$3 } $$2 == "setup_s" { y = $$3 } \
-				END { if (x == "") exit 1; print p, s, w, x, y; print p, s, w, x, y >> f }' || exit 1; \
+		for w in $(W); do \
+			for side in $$order; do \
+				dir=.; [ $$side = parent ] && dir=.bench_build/parent; \
+				(cd $$dir && bash bench/run.sh --workload $$w --seed $(SEED) --seconds 10 --trace 0) | \
+				awk -v p=$$i -v s=$$side -v w=$$w -v f=.bench_build/pairs.txt \
+					'$$2 == "waves_per_s" { x = $$3 } $$2 == "setup_s" { y = $$3 } \
+					END { if (x == "") exit 1; print p, s, w, x, y; print p, s, w, x, y >> f }' || exit 1; \
+			done; \
 		done; \
 	done
-	@awk 'function median(a, n,   i, j, t) { \
-			for (i = 2; i <= n; i++) { t = a[i]; for (j = i - 1; j > 0 && a[j] > t; j--) a[j + 1] = a[j]; a[j + 1] = t } \
-			return n % 2 ? a[(n + 1) / 2] : (a[n / 2] + a[n / 2 + 1]) / 2 } \
-		{ w = $$3; k = ++n[$$2]; wps[$$2, $$1] = $$4; set[$$2, $$1] = $$5 } \
-		$$2 == "parent" { pw[k] = $$4; ps[k] = $$5 } \
-		$$2 == "change" { cw[k] = $$4; cs[k] = $$5 } \
+	@awk 'function sort(a, n,   i, j, t) { \
+			for (i = 2; i <= n; i++) { t = a[i]; for (j = i - 1; j > 0 && a[j] > t; j--) a[j + 1] = a[j]; a[j + 1] = t } } \
+		function q(a, n, p,   h, lo) { h = 1 + (n - 1) * p; lo = int(h); return lo >= n ? a[n] : a[lo] + (h - lo) * (a[lo + 1] - a[lo]) } \
+		!($$3 in seen) { seen[$$3] = 1; ws[++nw] = $$3 } \
+		{ wps[$$3, $$2, $$1] = $$4; set[$$3, $$2, $$1] = $$5; if ($$1 + 0 > np) np = $$1 + 0 } \
 		END { \
-			for (i = 1; i <= n["parent"]; i++) { \
-				won["parent"] += wps["parent", i] > wps["change", i]; won["change"] += wps["change", i] > wps["parent", i]; \
-				swon["parent"] += set["parent", i] < set["change", i]; swon["change"] += set["change", i] < set["parent", i] } \
-			mp = median(pw, n["parent"]); mc = median(cw, n["change"]); sp = median(ps, n["parent"]); sc = median(cs, n["change"]); \
-			printf "summary parent %s waves_per_s %.1f setup_s %.3f ratio %.3f won %d/%d setup_ratio %.3f setup_won %d/%d\n", w, mp, sp, 1, won["parent"], n["parent"], 1, swon["parent"], n["parent"]; \
-			printf "summary change %s waves_per_s %.1f setup_s %.3f ratio %.3f won %d/%d setup_ratio %.3f setup_won %d/%d\n", w, mc, sc, mc / mp, won["change"], n["change"], sc / sp, swon["change"], n["change"] }' \
+			for (x = 1; x <= nw; x++) { \
+				w = ws[x]; m = 0; won = 0; swon = 0; split("", pw); split("", cw); split("", ps); split("", cs); \
+				for (i = 1; i <= np; i++) { \
+					if (!((w, "parent", i) in wps) || !((w, "change", i) in wps)) continue; \
+					m++; pw[m] = wps[w, "parent", i] + 0; cw[m] = wps[w, "change", i] + 0; ps[m] = set[w, "parent", i] + 0; cs[m] = set[w, "change", i] + 0; \
+					won += cw[m] > pw[m]; swon += cs[m] < ps[m] } \
+				sort(pw, m); sort(cw, m); sort(ps, m); sort(cs, m); \
+				mp = q(pw, m, 0.5); mc = q(cw, m, 0.5); sp = q(ps, m, 0.5); sc = q(cs, m, 0.5); \
+				printf "summary %s waves_per_s %.1f %.1f ratio %.3f won %d/%d parent_iqr %.1f setup_s %.3f %.3f setup_ratio %.3f setup_won %d/%d parent_setup_iqr %.3f\n", \
+					w, mp, mc, mc / mp, won, m, q(pw, m, 0.75) - q(pw, m, 0.25), sp, sc, sc / sp, swon, m, q(ps, m, 0.75) - q(ps, m, 0.25) } }' \
 		.bench_build/pairs.txt
 	@rm -f .bench_build/pairs.txt
 

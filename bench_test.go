@@ -456,6 +456,31 @@ func BenchmarkOverheadLRBWave(b *testing.B) {
 	}
 }
 
+// BenchmarkHarnessTrainingLRB measures the set-up cost the pipeline benchmark
+// is dominated by: 120 synchronous Linear Road training waves through
+// Harness.Run, whose reference and live instances run at once, at Parallelism
+// 1 and 2. Building the harness is not timed.
+func BenchmarkHarnessTrainingLRB(b *testing.B) {
+	build := workloads.LinearRoad(workloads.LinearRoadConfig{Seed: 1, MaxError: 0.10})
+	for _, par := range []int{1, 2} {
+		b.Run("par"+strconv.Itoa(par), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				h, err := smartflux.NewHarnessWithConfig(build, []smartflux.StepID{workloads.LinearRoadClassify},
+					smartflux.HarnessConfig{Parallelism: par})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if _, err := h.Run(120, smartflux.SyncPolicy()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkPublicPipeline measures the end-to-end public-API lifecycle on
 // the quickstart-sized workload (sanity benchmark for library adopters).
 func BenchmarkPublicPipeline(b *testing.B) {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -32,7 +33,9 @@ const (
 
 type crashRig struct {
 	stores []*smartflux.Store
-	onWave func(wave int) // told every wave the source step starts, when set
+	// onWave is told every wave the source step starts, when set. Both
+	// copies of a harness call it, possibly at the same time.
+	onWave func(wave int)
 }
 
 // crashBuild is the quickstart pipeline (ingest → aggregate → alert) on a
@@ -437,10 +440,14 @@ func TestCrashChaosEveryPolicy(t *testing.T) {
 			t.Run(fmt.Sprintf("%s-wave-%d", name, k), func(t *testing.T) {
 				t.Parallel()
 				// Kill the log at the first append of wave k: k waves are committed.
-				dir, wave, crashed := t.TempDir(), -1, false
-				rig := &crashRig{onWave: func(w int) { wave = w }}
+				// Both copies' sources report their wave: the hook must be
+				// safe for concurrent use.
+				dir, crashed := t.TempDir(), false
+				var wave atomic.Int64
+				wave.Store(-1)
+				rig := &crashRig{onWave: func(w int) { wave.Store(int64(w)) }}
 				hook := func(op string) error {
-					if crashed = crashed || op == "wal_append" && wave == k; crashed {
+					if crashed = crashed || op == "wal_append" && wave.Load() == int64(k); crashed {
 						return fault.ErrCrashed
 					}
 					return nil

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -147,9 +148,11 @@ func TestPipelineFailsWhenMirrorShipFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = cc.Close() }()
+	// Both copies reach wave 10, possibly at the same time; the first closes.
+	var closeOnce sync.Once
 	build := miniWorkloadOnWave(func(wave int) {
 		if wave == 10 {
-			local.Close()
+			closeOnce.Do(local.Close)
 		}
 	})
 	res, err := RunPipeline(build, nil, PipelineConfig{

@@ -365,7 +365,8 @@ func TestRestoreCheckpointRejectsMalformed(t *testing.T) {
 }
 
 // miniWorkloadOnWave is miniWorkload whose source step first reports the wave
-// it is about to run (in both harness instances).
+// it is about to run (in both harness instances, which may run at the same
+// time: onWave must be safe for concurrent use).
 func miniWorkloadOnWave(onWave func(wave int)) engine.BuildFunc {
 	return func() (*workflow.Workflow, *kvstore.Store, error) {
 		wf, store, err := miniWorkload()()

@@ -32,9 +32,10 @@ type PipelineConfig struct {
 	Obs *obs.Observer
 	// Parallelism bounds concurrent work in the engine instances and — when
 	// Session.Parallelism is unset — the session's training tasks. 0 selects
-	// runtime.GOMAXPROCS(0); 1 runs each wave's steps on one goroutine and
-	// the training tasks one at a time, though each Random Forest still fits
-	// its trees on runtime.GOMAXPROCS(0) workers (see Config.Parallelism).
+	// runtime.GOMAXPROCS(0); 1 runs each instance's steps on one goroutine
+	// and the training tasks one at a time, though a wave's two instances
+	// still run at once (engine.Harness.ResumeRun) and each Random Forest
+	// fits its trees on runtime.GOMAXPROCS(0) workers (Config.Parallelism).
 	// Results are bit-identical across settings.
 	Parallelism int
 	// Resilience configures step timeouts, retries and degradation for

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -14,7 +15,8 @@ import (
 // BuildFunc constructs one fresh, identical copy of a workload: the
 // finalized workflow wired to its own store. Harnesses call it twice (live +
 // reference); workload generators must be deterministic so both copies see
-// identical waves.
+// identical waves. The two copies may run at the same time: they must share
+// no mutable state, and a hook both copies call must be safe for concurrent use.
 type BuildFunc func() (*workflow.Workflow, *kvstore.Store, error)
 
 // StepReport carries per-wave error measurements for one reported step.
@@ -230,7 +232,8 @@ type Harness struct {
 // HarnessConfig configures harness construction.
 type HarnessConfig struct {
 	// Parallelism is forwarded to both instances' InstanceConfig: 0 selects
-	// runtime.GOMAXPROCS(0), 1 runs every step on the calling goroutine.
+	// runtime.GOMAXPROCS(0), 1 runs each instance's steps on its coordinator
+	// goroutine; a wave's two instances overlap at every setting (ResumeRun).
 	// Results are bit-identical across settings.
 	Parallelism int
 
@@ -383,34 +386,55 @@ func (h *Harness) Run(waves int, decider Decider) (*Result, error) {
 // indistinguishable from an uninterrupted run. Each completed wave is
 // committed to cfg.Committer (when set) after measurement, so the durability
 // layer always checkpoints a consistent wave boundary.
+//
+// A wave's reference instance runs on a goroutine beside the live one, which
+// waits for it only under an *Oracle (it reads the reference's labels) or a
+// Committer (whose journal must not interleave the two stores' writes). A
+// wave is atomic: if either instance or the measure pass fails, both
+// instances are back in their pre-wave state and res is unchanged.
 func (h *Harness) ResumeRun(res *Result, waves int, decider Decider) error {
 	oracle, _ := decider.(*Oracle)
+	ordered := oracle != nil || h.cfg.Committer != nil
 	for n := 0; n < waves; n++ {
 		w := res.Waves
-		refRes, err := h.runWave(h.ref, Sync{}, "ref", w)
+		var ref waveRun
+		refDone := make(chan struct{})
+		go func() {
+			defer close(refDone)
+			ref = h.runWave(h.ref, Sync{}, "ref", w)
+		}()
+		if ordered {
+			<-refDone
+			if ref.err != nil {
+				return ref.err
+			}
+			if oracle != nil {
+				oracle.Labels = ref.res.Labels
+			}
+		}
+		live := h.runWave(h.live, decider, "live", w)
+		<-refDone
+		err := errors.Join(ref.err, live.err)
+		if err == nil {
+			if err = h.measureWave(res, live.res); err != nil {
+				err = fmt.Errorf("harness measure wave %d: %w", w, err)
+			}
+		}
 		if err != nil {
+			// An instance whose wave failed is at pre already, so
+			// rewinding it again changes nothing.
+			h.ref.applyPersisted(ref.pre)
+			h.live.applyPersisted(live.pre)
 			return err
 		}
-		if oracle != nil {
-			oracle.Labels = refRes.Labels
-		}
-		liveRes, err := h.runWave(h.live, decider, "live", w)
-		if err != nil {
-			return err
-		}
-
-		res.RefLabels = append(res.RefLabels, refRes.Labels)
-		res.RefImpacts = append(res.RefImpacts, refRes.Impacts)
-		res.RefSimErrors = append(res.RefSimErrors, refRes.SimErrors)
-		res.LiveExecuted = append(res.LiveExecuted, liveRes.Executed)
-		res.LiveDegraded = append(res.LiveDegraded, liveRes.Degraded)
-		res.LiveImpacts = append(res.LiveImpacts, liveRes.Impacts)
-
-		if err := h.measureWave(res, liveRes); err != nil {
-			return fmt.Errorf("harness measure wave %d: %w", w, err)
-		}
+		res.RefLabels = append(res.RefLabels, ref.res.Labels)
+		res.RefImpacts = append(res.RefImpacts, ref.res.Impacts)
+		res.RefSimErrors = append(res.RefSimErrors, ref.res.SimErrors)
+		res.LiveExecuted = append(res.LiveExecuted, live.res.Executed)
+		res.LiveDegraded = append(res.LiveDegraded, live.res.Degraded)
+		res.LiveImpacts = append(res.LiveImpacts, live.res.Impacts)
 		res.Waves++
-		h.emitDecisions(res, liveRes, refRes)
+		h.emitDecisions(res, live.res, ref.res)
 		if h.cfg.Committer != nil {
 			cp, err := h.Checkpoint(res, decider)
 			if err != nil {
@@ -424,24 +448,31 @@ func (h *Harness) ResumeRun(res *Result, waves int, decider Decider) error {
 	return nil
 }
 
+// waveRun is one instance's part of a harness wave: the state it started
+// from, and what it produced or the error that ended it.
+type waveRun struct {
+	pre InstancePersist
+	res WaveResult
+	err error
+}
+
 // runWave executes one wave of an instance, re-running it from its pre-wave
 // checkpoint up to WaveRetries times on failure. RunWave's rollback makes
 // retries start from identical tracker state; only the store keeps any
 // partial writes, which deterministic processors overwrite with identical
 // latest values (DESIGN.md §10).
-func (h *Harness) runWave(in *Instance, d Decider, which string, w int) (WaveResult, error) {
-	var lastErr error
+func (h *Harness) runWave(in *Instance, d Decider, which string, w int) waveRun {
+	run := waveRun{pre: in.PersistState()}
 	for attempt := 0; attempt <= h.cfg.WaveRetries; attempt++ {
 		if attempt > 0 {
 			h.waveRetries.Inc() // nil-safe no-op when uninstrumented
 		}
-		res, err := in.RunWave(d)
-		if err == nil {
-			return res, nil
+		if run.res, run.err = in.runWaveFrom(run.pre, d); run.err == nil {
+			return run
 		}
-		lastErr = err
 	}
-	return WaveResult{}, fmt.Errorf("harness %s wave %d: %w", which, w, lastErr)
+	run.err = fmt.Errorf("harness %s wave %d: %w", which, w, run.err)
+	return run
 }
 
 // emitDecisions enriches the live wave's decision events with the reference

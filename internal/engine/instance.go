@@ -602,7 +602,12 @@ func newWaveResult(wave, gated int) WaveResult {
 // are not rolled back; see DESIGN.md §10 for why deterministic processors
 // make that safe).
 func (in *Instance) RunWave(d Decider) (WaveResult, error) {
-	pre := in.PersistState()
+	return in.runWaveFrom(in.PersistState(), d)
+}
+
+// runWaveFrom is RunWave from pre, the instance's current PersistState: a
+// caller that keeps the pre-wave state beyond the wave takes it once.
+func (in *Instance) runWaveFrom(pre InstancePersist, d Decider) (WaveResult, error) {
 	res, err := in.runWave(d)
 	if err != nil {
 		in.applyPersisted(pre)

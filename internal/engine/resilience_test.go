@@ -473,6 +473,60 @@ func TestHarnessWaveRetries(t *testing.T) {
 	}
 }
 
+// TestFailedHarnessWaveRewindsBothInstances fails the first attempt of one
+// copy's mid at wave 5 — the live copy's, then the reference copy's — with no
+// wave retries. The run fails naming that instance, both instances are back at
+// their wave-5 state whatever the other did, the result is untouched, and a
+// later ResumeRun continues the clean run's series.
+func TestFailedHarnessWaveRewindsBothInstances(t *testing.T) {
+	const failWave, waves = 5, 10
+	clean, err := NewHarnessWithConfig(testWorkload(0.05), nil, HarnessConfig{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := clean.Run(waves, Sync{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for copyIdx, which := range []string{"live", "ref"} { // NewHarness builds the live copy first
+		t.Run(which, func(t *testing.T) {
+			builds := 0
+			mkHook := func() func(int) error {
+				if builds++; builds == copyIdx+1 {
+					return failFirstAttemptAt(failWave)()
+				}
+				return func(int) error { return nil }
+			}
+			h, err := NewHarnessWithConfig(hookedWorkload(0.05, "mid", mkHook), nil, HarnessConfig{Parallelism: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := h.Run(failWave, Sync{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			live, ref, before := h.live.PersistState(), h.ref.PersistState(), res.Slice(0, res.Waves)
+
+			err = h.ResumeRun(res, 1, Sync{})
+			if !errors.Is(err, errBoom) || !strings.Contains(err.Error(), "harness "+which+" wave 5") {
+				t.Fatalf("wave 5 = %v, want errBoom out of the %s instance", err, which)
+			}
+			if h.live.Wave() != failWave || h.ref.Wave() != failWave {
+				t.Fatalf("live is at wave %d, ref at %d; want both at %d", h.live.Wave(), h.ref.Wave(), failWave)
+			}
+			if !reflect.DeepEqual(h.live.PersistState(), live) || !reflect.DeepEqual(h.ref.PersistState(), ref) {
+				t.Fatal("a failed harness wave left instance state behind")
+			}
+			equalResults(t, res, before)
+
+			if err := h.ResumeRun(res, waves-failWave, Sync{}); err != nil {
+				t.Fatal(err)
+			}
+			equalResults(t, res, want)
+		})
+	}
+}
+
 // TestDegradeParallelEquivalence runs the permanent-failure degrade scenario
 // at Parallelism 1 and 4: Executed/Degraded/Impacts must be bit-identical.
 func TestDegradeParallelEquivalence(t *testing.T) {

@@ -1,10 +1,15 @@
 package smartflux_test
 
 import (
+	"bytes"
+	"encoding/gob"
+	"fmt"
 	"reflect"
+	"regexp"
 	"testing"
 
 	"smartflux"
+	"smartflux/internal/engine"
 	"smartflux/workloads"
 )
 
@@ -88,6 +93,78 @@ func TestPipelineParallelismDeterminism(t *testing.T) {
 	}
 	if !reflect.DeepEqual(seq.Apply.RefLabels, par.Apply.RefLabels) {
 		t.Fatal("reference labels diverged")
+	}
+}
+
+// nopCommitter commits nothing. A harness with a committer runs each wave's
+// live instance after its reference instance, never beside it.
+type nopCommitter struct{}
+
+func (nopCommitter) CommitWave(*engine.HarnessCheckpoint) error { return nil }
+
+// TestHarnessOverlapMatchesOrdered runs the three bundled workloads through a
+// session's training and application phases at Parallelism 1 and 4, once with
+// the two instances of every wave overlapped and once ordered by a no-op
+// committer. Both runs must give the same encoded result and the same dumps
+// of both stores: overlapping the instances changes when they run, never what
+// they compute. At Parallelism 1 the dumps include the logical timestamps;
+// above 1 concurrent steps of one instance draw them from its store clock in
+// scheduling order, so two ordered runs differ there too and the dumps are
+// compared without them.
+func TestHarnessOverlapMatchesOrdered(t *testing.T) {
+	stamp := regexp.MustCompile(` @\d+ = `)
+	builds := map[string]smartflux.BuildFunc{
+		"lrb":      workloads.LinearRoad(workloads.LinearRoadConfig{Seed: 42, MaxError: 0.10}),
+		"aqhi":     workloads.AirQuality(workloads.AirQualityConfig{Seed: 42, MaxError: 0.10}),
+		"firerisk": workloads.FireRisk(workloads.FireRiskConfig{Seed: 42, MaxError: 0.10}),
+	}
+	type outcome struct {
+		result string
+		dumps  [2]string
+	}
+	run := func(t *testing.T, build smartflux.BuildFunc, par int, committer engine.WaveCommitter) outcome {
+		var stores []*smartflux.Store
+		res, err := smartflux.RunPipeline(func() (*smartflux.Workflow, *smartflux.Store, error) {
+			wf, store, err := build()
+			stores = append(stores, store)
+			return wf, store, err
+		}, nil, smartflux.PipelineConfig{
+			TrainWaves:  30,
+			ApplyWaves:  15,
+			Session:     smartflux.SessionConfig{Seed: 49, Thresholds: []float64{0.15}, PositiveWeight: 14},
+			Parallelism: par,
+			Resilience:  smartflux.HarnessConfig{Committer: committer},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode([]*smartflux.Result{res.Train, res.Apply}); err != nil {
+			t.Fatal(err)
+		}
+		out := outcome{result: buf.String()}
+		for i, s := range stores {
+			out.dumps[i] = string(s.Dump())
+			if par > 1 {
+				out.dumps[i] = stamp.ReplaceAllString(out.dumps[i], " = ")
+			}
+		}
+		return out
+	}
+	for name, build := range builds {
+		for _, par := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/par%d", name, par), func(t *testing.T) {
+				overlapped, ordered := run(t, build, par, nil), run(t, build, par, nopCommitter{})
+				if overlapped.result != ordered.result {
+					t.Error("the overlapped run's result differs from the ordered run's")
+				}
+				for i, which := range []string{"live", "reference"} {
+					if overlapped.dumps[i] != ordered.dumps[i] {
+						t.Errorf("the overlapped run's %s store differs from the ordered run's", which)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -98,7 +98,9 @@ type (
 
 // Execution engine.
 type (
-	// BuildFunc constructs one fresh instance of a workload.
+	// BuildFunc constructs one fresh instance of a workload. A harness
+	// builds two — live and reference — and may run them at the same time,
+	// so the copies must share no mutable state (see engine.BuildFunc).
 	BuildFunc = engine.BuildFunc
 	// Decider is a triggering policy consulted per wave and step.
 	Decider = engine.Decider
