@@ -189,12 +189,14 @@ check: build vet fmt-check lint test race chaos chaos-crash chaos-cluster chaos-
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './internal/analysis/testdata/*' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l
 
-## bench: overhead microbenchmarks (§5.3 + instrumentation overhead), the
-## serial-vs-parallel microbenchmarks and the cluster comparison
-## (BENCH_PR10.json); the WAL's cost per wave is the pipeline benchmark's
-## aqhi-durable workload (make bench-e2e-smoke runs it)
+## bench: overhead microbenchmarks (§5.3 + instrumentation overhead), each
+## Linear Road processor at steady state, the serial-vs-parallel
+## microbenchmarks and the cluster comparison (BENCH_PR10.json); the WAL's
+## cost per wave is the pipeline benchmark's aqhi-durable workload (make
+## bench-e2e-smoke runs it)
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkOverhead' -benchtime 1000x .
+	$(GO) test -run xxx -bench 'BenchmarkLRBSteps' -benchtime 2000x .
 	$(GO) test -run xxx -bench 'BenchmarkRunWave|BenchmarkForestFit' -benchtime 10x .
 	$(GO) run ./cmd/clusterbench -out BENCH_PR10.json
 	@cat BENCH_PR10.json

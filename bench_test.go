@@ -17,9 +17,11 @@ import (
 	"smartflux/internal/engine"
 	"smartflux/internal/experiments"
 	"smartflux/internal/kvstore"
+	"smartflux/internal/lrb"
 	"smartflux/internal/metric"
 	"smartflux/internal/ml"
 	"smartflux/internal/obs"
+	"smartflux/internal/workflow"
 	"smartflux/workloads"
 )
 
@@ -454,6 +456,63 @@ func BenchmarkOverheadLRBWave(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkLRBSteps times each Linear Road processor at steady state, after
+// 50 synchronous waves at Parallelism 1, and the feeder's write alone: one
+// 3 600-op Apply of a wave's reports. Processors run outside the engine, on
+// the instance's store, so no ι observation is timed; the feeder advances
+// its simulator once per run.
+func BenchmarkLRBSteps(b *testing.B) {
+	wf, store, err := workloads.LinearRoad(workloads.LinearRoadConfig{Seed: 1})()
+	if err != nil {
+		b.Fatal(err)
+	}
+	inst, err := engine.NewInstance(wf, store, engine.InstanceConfig{TrainingMode: true, Parallelism: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const waves = 50
+	for w := 0; w < waves; w++ {
+		if _, err := inst.RunWave(engine.Sync{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	order, err := wf.Order()
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := &workflow.Context{Wave: waves, Store: store}
+	for _, id := range order {
+		step, err := wf.Step(id)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(string(id), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := step.Proc.Process(ctx); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	reports, err := store.Table(lrb.TableReports)
+	if err != nil {
+		b.Fatal(err)
+	}
+	batch := kvstore.NewBatch()
+	for _, c := range reports.Scan(kvstore.ScanOptions{}) {
+		batch.Put(c.Row, c.Column, c.Version.Value)
+	}
+	b.Run("feeder-apply", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := reports.Apply(batch); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkHarnessTrainingLRB measures the set-up cost the pipeline benchmark

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"strings"
+	"sync"
 
 	"smartflux/internal/metric"
 )
@@ -63,6 +64,55 @@ func (c Cell) FloatValue() (float64, bool) {
 	return v, true
 }
 
+// floatRows is the pooled result buffer of ScanFloatRows.
+type floatRows struct {
+	keys []string
+	vals []float64
+	ok   []bool
+}
+
+var floatRowsPool = sync.Pool{New: func() any { return new(floatRows) }}
+
+// ScanFloatRows is the projected read of a step that folds a table row by
+// row. In one hold of the table's read lock it reads, for every row in key
+// order, the latest value of each of cols decoded as a float64; then, with
+// the lock released, it calls fn once. keys lists the rows, and
+// vals[i*len(cols)+j] is row keys[i]'s cell cols[j]; ok at the same index is
+// false, and the value 0, when that cell is missing or not an encoded
+// float64. No Cell is built and no value copied. The slices are pooled, so fn
+// must not retain them. It counts as one scan of the float cells it found.
+func (t *Table) ScanFloatRows(cols []string, fn func(keys []string, vals []float64, ok []bool)) {
+	ins := t.store.ins.Load()
+	sp := ins.opSpan("scan", t.name)
+	buf := floatRowsPool.Get().(*floatRows)
+	keys, vals, oks := buf.keys[:0], buf.vals[:0], buf.ok[:0]
+	var found int
+	t.readKeys(func(rows []*row) {
+		for _, r := range rows {
+			keys = append(keys, r.key)
+			for _, col := range cols {
+				v, err := 0.0, ErrBadFloat
+				if versions := r.cell(col); len(versions) > 0 {
+					v, err = DecodeFloat(versions[len(versions)-1].Value)
+				}
+				if err == nil {
+					found++
+				}
+				vals, oks = append(vals, v), append(oks, err == nil)
+			}
+		}
+	})
+	ins.scanned(found)
+	sp.SetBytes(int64(found * floatWidth))
+	sp.End()
+	fn(keys, vals, oks)
+	clear(keys) // drop the row keys so the pool does not pin them
+	buf.keys, buf.vals, buf.ok = keys[:0], vals[:0], oks[:0]
+	if cap(vals) <= maxPooledOps {
+		floatRowsPool.Put(buf)
+	}
+}
+
 // ScanState scans matching cells, decodes them as float64s and returns them
 // as a metric.State keyed by the canonical element key "row/column", together
 // with the table's mutation version at the time of the scan (one lock hold):
@@ -79,10 +129,7 @@ func (c Cell) FloatValue() (float64, bool) {
 // later cell in (row, column) order wins.
 func (t *Table) ScanState(opts ScanOptions) (elems metric.State, version uint64) {
 	t.readKeys(func(rows []*row) { elems, version = t.stateLocked(rows, opts) })
-	if ins := t.store.ins.Load(); ins != nil {
-		ins.scans.Inc()
-		ins.scanCells.Add(uint64(len(elems)))
-	}
+	t.store.ins.Load().scanned(len(elems))
 	return elems, version
 }
 

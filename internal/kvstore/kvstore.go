@@ -150,6 +150,14 @@ func (ins *storeInstruments) opSpan(op, table string) *obs.Span {
 	return ins.o.RootSpan("store/"+table+"/"+op+strconv.FormatUint(seq, 10), op, "store")
 }
 
+// scanned counts one scan that returned cells cells. Safe on a nil receiver.
+func (ins *storeInstruments) scanned(cells int) {
+	if ins != nil {
+		ins.scans.Inc()
+		ins.scanCells.Add(uint64(cells))
+	}
+}
+
 // Instrument attaches an observer recording store traffic: mutation, delete,
 // get and scan counters (plus cells returned by scans), and per-operation
 // spans when the observer has span sinks. Passing nil detaches; with no
@@ -334,13 +342,32 @@ type row struct {
 	cells [][]Version // cells[i] holds cols[i]'s versions, newest-last
 }
 
+// narrowRow is the widest row whose columns are matched with == before any
+// binary search. Go's string == returns at once for two strings that share
+// their data, and producers name a column with the literal that created it,
+// so in a narrow row the match costs a pointer compare per column.
+const narrowRow = 8
+
+// index returns the position of column in r.cols, or the position it would
+// be inserted at, and whether it is there.
+func (r *row) index(column string) (int, bool) {
+	if len(r.cols) <= narrowRow {
+		for i, col := range r.cols {
+			if col == column {
+				return i, true
+			}
+		}
+	}
+	return slices.BinarySearch(r.cols, column)
+}
+
 // cell returns the versions of column, or nil when the row has no such cell.
 // Safe on a nil receiver.
 func (r *row) cell(column string) []Version {
 	if r == nil {
 		return nil
 	}
-	if i, ok := slices.BinarySearch(r.cols, column); ok {
+	if i, ok := r.index(column); ok {
 		return r.cells[i]
 	}
 	return nil
@@ -377,12 +404,12 @@ func (t *Table) apply(spanOp string, ops []Op) {
 	ins := t.store.ins.Load()
 	sp := ins.opSpan(spanOp, t.name)
 	var valueBytes int
-	for _, op := range ops {
-		valueBytes += len(op.Value)
+	for i := range ops {
+		valueBytes += len(ops[i].Value)
 	}
 	arena := make([]byte, 0, valueBytes)
-	for _, op := range ops {
-		arena = append(arena, op.Value...)
+	for i := range ops {
+		arena = append(arena, ops[i].Value...)
 	}
 	var muts []Mutation
 	var puts, dels uint64
@@ -394,31 +421,33 @@ func (t *Table) apply(spanOp string, ops []Op) {
 	}
 	first := t.store.reserveTimestamps(len(ops))
 	var r *row // the last op's row, while the ops name it
-	for i, op := range ops {
-		m := Mutation{Table: t.name, Row: op.Row, Column: op.Column, Timestamp: first + uint64(i), Kind: MutationPut}
+	for i := range ops {
+		op := &ops[i] // neither the 64-byte Op nor a Mutation is copied per op
+		ts, kind := first+uint64(i), MutationPut
+		var old, value []byte
 		if r == nil || r.key != op.Row {
 			r = t.rows[op.Row]
 		}
 		if op.Delete {
 			var ok bool
-			m.Old, ok = t.deleteLocked(r, op.Column)
+			old, ok = t.deleteLocked(r, op.Column)
 			r = nil // the delete may have removed the row
 			if !ok {
 				continue
 			}
-			m.Kind = MutationDelete
+			kind = MutationDelete
 			dels++
 		} else {
 			if r == nil {
 				r = t.addRowLocked(op.Row)
 			}
 			n := len(op.Value)
-			m.New, arena = arena[:n:n], arena[n:]
-			m.Old = t.putLocked(r, op.Column, m.New, m.Timestamp)
+			value, arena = arena[:n:n], arena[n:]
+			old = t.putLocked(r, op.Column, value, ts)
 			puts++
 		}
 		if muts != nil {
-			muts = append(muts, m)
+			muts = append(muts, Mutation{Table: t.name, Row: op.Row, Column: op.Column, Old: old, New: value, Timestamp: ts, Kind: kind})
 		}
 	}
 	t.mu.Unlock()
@@ -469,7 +498,7 @@ func (t *Table) putLocked(r *row, column string, value []byte, ts uint64) (old [
 // from a kvnet client or a log record and must cost nothing until versions
 // accumulate. Callers hold t.mu.
 func (t *Table) windowLocked(r *row, column string) int {
-	i, ok := slices.BinarySearch(r.cols, column)
+	i, ok := r.index(column)
 	if !ok {
 		r.cols = slices.Insert(r.cols, i, column)
 		r.elems = slices.Insert(r.elems, i, r.key+"/"+column)
@@ -480,8 +509,8 @@ func (t *Table) windowLocked(r *row, column string) int {
 
 // insertLocked places v at index idx of the version window r.cells[i]. Once
 // the window holds MaxVersions it is shifted in place: the oldest version
-// drops out, and a v older than every retained version is dropped itself.
-// Callers hold t.mu.
+// drops out, and a v older than every retained version is dropped itself,
+// which leaves the table, and so its version, unchanged. Callers hold t.mu.
 func (t *Table) insertLocked(r *row, i, idx int, v Version) {
 	versions := r.cells[i]
 	switch {
@@ -493,6 +522,8 @@ func (t *Table) insertLocked(r *row, i, idx int, v Version) {
 	case idx > 0:
 		copy(versions, versions[1:idx])
 		versions[idx-1] = v
+	default:
+		return
 	}
 	t.version++
 }
@@ -614,7 +645,7 @@ func (t *Table) deleteLocked(r *row, column string) (old []byte, ok bool) {
 	if r == nil {
 		return nil, false
 	}
-	i, ok := slices.BinarySearch(r.cols, column)
+	i, ok := r.index(column)
 	if !ok {
 		return nil, false
 	}
@@ -692,10 +723,7 @@ func (t *Table) Scan(opts ScanOptions) []Cell {
 	ins := t.store.ins.Load()
 	sp := ins.opSpan("scan", t.name)
 	cells := t.scan(opts)
-	if ins != nil {
-		ins.scans.Inc()
-		ins.scanCells.Add(uint64(len(cells)))
-	}
+	ins.scanned(len(cells))
 	if sp != nil {
 		var n int64
 		for _, c := range cells {

@@ -193,6 +193,11 @@ func TestScansShareTheReadLock(t *testing.T) {
 	}{
 		{"Scan", func() int { return len(table.Scan(ScanOptions{})) }},
 		{"ScanState", func() int { s, _ := table.ScanState(ScanOptions{}); return len(s) }},
+		{"ScanFloatRows", func() int {
+			n := 0
+			table.ScanFloatRows([]string{"x"}, func(rows []string, _ []float64, _ []bool) { n = len(rows) })
+			return n
+		}},
 		{"ScanPagesShared", func() int {
 			n := 0
 			table.ScanPagesShared(ScanOptions{}, 1, func(c []Cell, _ bool) error { n += len(c); return nil })

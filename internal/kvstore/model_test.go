@@ -25,7 +25,7 @@ type refTable struct {
 
 // insert places v at index idx of the cell's window, as insertLocked does:
 // a full window drops its oldest version, or v itself when v is older than
-// every retained one. The version moves either way.
+// every retained one. The version moves only when v is kept.
 func (m *refTable) insert(row, col string, idx int, v Version) {
 	if m.cells[row] == nil {
 		m.cells[row] = map[string][]Version{}
@@ -36,6 +36,8 @@ func (m *refTable) insert(row, col string, idx int, v Version) {
 		w = slices.Insert(slices.Clone(w), idx, v)
 	case idx > 0:
 		w = slices.Concat(w[1:idx], []Version{v}, w[idx:])
+	default:
+		return
 	}
 	m.cells[row][col] = w
 	m.version++
@@ -102,11 +104,15 @@ func (m *refTable) sorted() []refCell {
 }
 
 // Row keys include "a" and "a-b": row order and element-key order part ways
-// there ('-' sorts below '/'), so ScanState's re-sort is exercised too.
+// there ('-' sorts below '/'), so ScanState's re-sort is exercised too. The
+// "w" columns let a row grow wider than narrowRow, so both of row.index's
+// lookups are exercised; modelFloatCols are ScanFloatRows projections, one
+// naming a column no row has.
 var (
-	modelRows = []string{"a", "a-b", "b", "r1", "r10", "r2"}
-	modelCols = []string{"c0", "c1", "c2", "d"}
-	modelScan = []ScanOptions{
+	modelRows      = []string{"a", "a-b", "b", "r1", "r10", "r2"}
+	modelCols      = []string{"c0", "c1", "c2", "d", "w0", "w1", "w2", "w3", "w4", "w5", "w6", "w7"}
+	modelFloatCols = [][]string{{"c0"}, {"d", "c0", "w7"}, {"w0", "zz", "c2", "w5"}}
+	modelScan      = []ScanOptions{
 		{},
 		{ColumnPrefix: "c"},
 		{RowPrefix: "r1"},
@@ -118,11 +124,14 @@ var (
 // TestTableMatchesReferenceModel runs seeded random sequences of Put, Delete,
 // Apply, ReplayPut and ReplayDelete on a table and on the reference, and after
 // every operation compares every read: Scan, ScanPagesShared at page sizes 1,
-// 2 and 256, ScanState, History, GetVersions, CellCount, RowCount, Version and
-// the store clock. The sequences include batches whose deletes empty a row that
-// later ops of the same batch write again, and out-of-order and duplicate
-// replays into full windows.
+// 2 and 256, ScanState, ScanFloatRows, History, GetVersions, CellCount,
+// RowCount, Version and the store clock. The sequences include batches whose
+// deletes empty a row that later ops of the same batch write again,
+// out-of-order and duplicate replays into full windows, rows wider than
+// narrowRow, and column keys built at run time: equal to the stored key, but
+// not sharing its data.
 func TestTableMatchesReferenceModel(t *testing.T) {
+	widest := 0
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		maxVersions := 1 + int(seed%3)
@@ -135,7 +144,11 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 			return EncodeFloat(float64(rng.Intn(1000)) / 8)
 		}
 		pick := func() (row, col string) {
-			return modelRows[rng.Intn(len(modelRows))], modelCols[rng.Intn(len(modelCols))]
+			cols := modelCols
+			if rng.Intn(2) == 0 {
+				cols = modelCols[:4]
+			}
+			return modelRows[rng.Intn(len(modelRows))], runtimeKey(rng, cols[rng.Intn(len(cols))])
 		}
 		// existing picks a live cell most of the time, so deletes and
 		// replays land.
@@ -148,7 +161,7 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 		}
 		for step := 0; step < 150; step++ {
 			var did string
-			switch rng.Intn(6) {
+			switch rng.Intn(7) {
 			case 0:
 				row, col := pick()
 				v := value()
@@ -183,7 +196,7 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 				row, col := existing()
 				ops := []Op{{Row: row, Column: col, Value: value()}}
 				for _, c := range modelCols {
-					ops = append(ops, Op{Row: row, Column: c, Delete: true})
+					ops = append(ops, Op{Row: row, Column: runtimeKey(rng, c), Delete: true})
 				}
 				_, col2 := pick()
 				other, col3 := pick()
@@ -210,12 +223,37 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 					t.Fatal(err)
 				}
 				m.delete(row, col)
+			case 6:
+				// Write every column of a row: wider than narrowRow.
+				row, _ := pick()
+				var ops []Op
+				for _, c := range modelCols {
+					ops = append(ops, Op{Row: row, Column: runtimeKey(rng, c), Value: value()})
+				}
+				did = fmt.Sprintf("Apply(widen row %s)", row)
+				applyOps(t, table, ops, rng.Intn(2) == 0)
+				m.apply(ops)
 			}
 			if err := compareWithModel(table, m); err != nil {
 				t.Fatalf("seed %d step %d, after %s: %v", seed, step, did, err)
 			}
+			for _, cols := range m.cells {
+				widest = max(widest, len(cols))
+			}
 		}
 	}
+	if widest <= narrowRow {
+		t.Errorf("widest row had %d columns: the binary-search lookup of rows wider than %d went untested", widest, narrowRow)
+	}
+}
+
+// runtimeKey returns key, or half the time a copy of it built at run time,
+// which compares equal but shares no data with key.
+func runtimeKey(rng *rand.Rand, key string) string {
+	if rng.Intn(2) == 0 {
+		return key
+	}
+	return strings.Clone(key)
 }
 
 // applyOps applies ops as one batch, pooled or not.
@@ -290,6 +328,40 @@ func compareWithModel(table *Table, m *refTable) error {
 		state, version := table.ScanState(opts)
 		if wantState := metric.NewState(elems); !slices.Equal(state, wantState) || version != m.version {
 			return fmt.Errorf("ScanState(%+v) = %v @%d, want %v @%d", opts, state, version, wantState, m.version)
+		}
+	}
+
+	for _, proj := range modelFloatCols {
+		var wantKeys []string
+		var wantVals []float64
+		var wantOK []bool
+		for row := range m.cells {
+			wantKeys = append(wantKeys, row)
+		}
+		slices.Sort(wantKeys)
+		for _, row := range wantKeys {
+			for _, col := range proj {
+				v, err := 0.0, ErrBadFloat
+				if w := m.cells[row][col]; len(w) > 0 {
+					v, err = DecodeFloat(w[len(w)-1].Value)
+				}
+				wantVals, wantOK = append(wantVals, v), append(wantOK, err == nil)
+			}
+		}
+		built := make([]string, len(proj))
+		for i, col := range proj {
+			built[i] = strings.Clone(col)
+		}
+		for _, cols := range [][]string{proj, built} {
+			var keys []string
+			var vals []float64
+			var ok []bool
+			table.ScanFloatRows(cols, func(k []string, v []float64, o []bool) {
+				keys, vals, ok = slices.Clone(k), slices.Clone(v), slices.Clone(o)
+			})
+			if !slices.Equal(keys, wantKeys) || !slices.Equal(vals, wantVals) || !slices.Equal(ok, wantOK) {
+				return fmt.Errorf("ScanFloatRows(%q) = %q %v %v, want %q %v %v", cols, keys, vals, ok, wantKeys, wantVals, wantOK)
+			}
 		}
 	}
 

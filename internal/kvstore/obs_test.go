@@ -33,6 +33,10 @@ func TestStoreInstrumented(t *testing.T) {
 	}
 	cells := table.Scan(ScanOptions{})
 	state, _ := table.ScanState(ScanOptions{})
+	// A projected read is one scan of the float cells it finds: "c" of
+	// row q, "x" of row b; row b has no "c".
+	table.ScanFloatRows([]string{"c", "x"}, func([]string, []float64, []bool) {})
+	const projected = 2
 
 	snap := reg.Snapshot()
 	// 4 puts + 2 batch puts + 1 final put = 7 mutations.
@@ -46,11 +50,11 @@ func TestStoreInstrumented(t *testing.T) {
 	if got := snap.Counters[`smartflux_kvstore_ops_total{op="get"}`]; got != 2 {
 		t.Errorf("gets = %d, want 2", got)
 	}
-	// Snapshot scans (ScanState) count as scans too.
-	if got := snap.Counters[`smartflux_kvstore_ops_total{op="scan"}`]; got != 2 {
-		t.Errorf("scans = %d, want 2", got)
+	// Snapshot scans (ScanState) and projected reads count as scans too.
+	if got := snap.Counters[`smartflux_kvstore_ops_total{op="scan"}`]; got != 3 {
+		t.Errorf("scans = %d, want 3", got)
 	}
-	if got, want := snap.Counters["smartflux_kvstore_scan_cells_total"], uint64(len(cells)+len(state)); got != want {
+	if got, want := snap.Counters["smartflux_kvstore_scan_cells_total"], uint64(len(cells)+len(state)+projected); got != want {
 		t.Errorf("scan cells = %d, want %d", got, want)
 	}
 }

@@ -2,6 +2,65 @@
 
 package kvstore
 
+import (
+	"strconv"
+	"sync"
+	"testing"
+)
+
 // raceEnabled reports a -race build. Its instrumentation changes what
 // escapes, so allocation guards do not hold under it.
 const raceEnabled = true
+
+// TestScanFloatRowsBesideApply runs projected reads while batches are
+// applied: batch k writes k to every cell, so a read that saw a batch in part
+// would return two values. Each read must see one batch whole, and never an
+// older one than the read before it.
+func TestScanFloatRowsBesideApply(t *testing.T) {
+	table := newTestTable(t, TableOptions{})
+	rows := make([]string, 10)
+	for i := range rows {
+		rows[i] = "r" + strconv.Itoa(i)
+	}
+	cols := []string{"a", "b"}
+	apply := func(k float64) {
+		b := GetBatch()
+		for _, row := range rows {
+			for _, col := range cols {
+				b.PutFloat(row, col, k)
+			}
+		}
+		if err := table.Apply(b); err != nil {
+			t.Error(err)
+		}
+		b.Release()
+	}
+	apply(0)
+	const batches = 200
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for k := 1; k <= batches; k++ {
+			apply(float64(k))
+		}
+	}()
+	last := 0.0
+	for last < batches {
+		table.ScanFloatRows(cols, func(keys []string, vals []float64, ok []bool) {
+			if len(keys) != len(rows) {
+				t.Fatalf("read %d rows, want %d", len(keys), len(rows))
+			}
+			for i, v := range vals {
+				if !ok[i] || v != vals[0] {
+					t.Fatalf("read a batch in part: %v %v", vals, ok)
+				}
+			}
+			if vals[0] < last {
+				t.Fatalf("read batch %v after batch %v", vals[0], last)
+			}
+			last = vals[0]
+		})
+	}
+}

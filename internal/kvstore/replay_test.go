@@ -28,6 +28,28 @@ func TestReplayReproducesLiveSequence(t *testing.T) {
 	}
 }
 
+// TestReplayOfTrimmedVersionKeepsVersion replays a version older than every
+// version a full window retains: the window drops it, so the table's content,
+// and with it Version, must stay as they were.
+func TestReplayOfTrimmedVersionKeepsVersion(t *testing.T) {
+	table := newTestTable(t, TableOptions{MaxVersions: 2})
+	for i := 0; i < 3; i++ {
+		if err := table.PutFloat("r", "c", float64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	version, dump := table.Version(), dumpTable(table)
+	if err := table.ReplayPut("r", "c", EncodeFloat(9), 1); err != nil {
+		t.Fatal(err)
+	}
+	if got := dumpTable(table); got != dump {
+		t.Fatalf("a trimmed replay changed the table:\n%s\nwant\n%s", got, dump)
+	}
+	if got := table.Version(); got != version {
+		t.Errorf("Version = %d after a replay nothing keeps, want %d", got, version)
+	}
+}
+
 func testReplayReproducesLiveSequence(t *testing.T, order []int) {
 	live := New()
 	lt, err := live.CreateTable("t", TableOptions{MaxVersions: 2})

@@ -143,10 +143,7 @@ func (t *Table) ScanPagesShared(opts ScanOptions, pageSize int, fn func(cells []
 		*pagePtr = page[:0]
 		scanPagePool.Put(pagePtr)
 	}
-	if ins != nil {
-		ins.scans.Inc()
-		ins.scanCells.Add(uint64(returned))
-	}
+	ins.scanned(returned)
 	sp.SetBytes(total)
 	sp.EndErr(err)
 	return err

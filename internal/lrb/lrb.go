@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"strconv"
 
 	"smartflux/internal/engine"
@@ -483,14 +482,15 @@ func feederProc(sim *Simulator, keys *rowKeys) workflow.Processor {
 		if err != nil {
 			return err
 		}
-		reps := sim.Reports()
-		batch := kvstore.GetBatch().Grow(3 * len(reps))
+		// The reports are encoded straight from the vehicles (Reports
+		// would copy them first).
+		batch := kvstore.GetBatch().Grow(3 * len(sim.vehicles))
 		defer batch.Release()
-		for _, r := range reps {
-			row := keys.vehicles[r.Vehicle]
-			batch.PutFloat(row, "xway", float64(r.Xway))
-			batch.PutFloat(row, "pos", r.Pos)
-			batch.PutFloat(row, "speed", r.Speed)
+		for i, v := range sim.vehicles {
+			row := keys.vehicles[i]
+			batch.PutFloat(row, "xway", float64(v.xway))
+			batch.PutFloat(row, "pos", v.pos)
+			batch.PutFloat(row, "speed", v.speed)
 		}
 		if err := reports.Apply(batch); err != nil {
 			return err
@@ -526,17 +526,25 @@ func positionsProc() workflow.Processor {
 		}
 		batch := kvstore.GetBatch().Grow(3 * reports.RowCount())
 		defer batch.Release()
-		foldRows(reports, [3]string{"pos", "speed", "xway"}, func(row string, v [3]float64) {
-			pos, speed, xway := v[0], v[1], v[2]
-			// Exponentially smoothed speed stabilizes the aggregate
-			// statistics downstream, like LRB's 5-minute windows.
-			smoothed := speed
-			if prev, ok := out.GetFloat(row, "speed"); ok {
-				smoothed = 0.5*prev + 0.5*speed
-			}
-			batch.PutFloat(row, "xway", xway)
-			batch.PutFloat(row, "seg", math.Floor(pos))
-			batch.PutFloat(row, "speed", smoothed)
+		// The previous smoothed speeds are one read of the output, merged
+		// with the reports by row key: both list their rows in key order.
+		out.ScanFloatRows(speedCol, func(prevRows []string, prev []float64, prevOK []bool) {
+			j := 0
+			foldRows(reports, reportCols, func(row string, v []float64) {
+				pos, speed, xway := v[0], v[1], v[2]
+				// Exponentially smoothed speed stabilizes the aggregate
+				// statistics downstream, like LRB's 5-minute windows.
+				smoothed := speed
+				for j < len(prevRows) && prevRows[j] < row {
+					j++
+				}
+				if j < len(prevRows) && prevRows[j] == row && prevOK[j] {
+					smoothed = 0.5*prev[j] + 0.5*speed
+				}
+				batch.PutFloat(row, "xway", xway)
+				batch.PutFloat(row, "seg", math.Floor(pos))
+				batch.PutFloat(row, "speed", smoothed)
+			})
 		})
 		return out.Apply(batch)
 	})
@@ -553,66 +561,51 @@ func queriesProc() workflow.Processor {
 		if err != nil {
 			return err
 		}
-		cells := queries.Scan(kvstore.ScanOptions{ColumnPrefix: "from"})
-		batch := kvstore.GetBatch().Grow(4 * len(cells))
+		batch := kvstore.GetBatch().Grow(4 * queries.RowCount())
 		defer batch.Release()
-		for _, c := range cells {
-			from, ok := c.FloatValue()
-			if !ok {
-				continue
-			}
-			to, _ := queries.GetFloat(c.Row, "to")
-			xway, _ := queries.GetFloat(c.Row, "xway")
+		foldRows(queries, queryCols, func(row string, v []float64) {
+			from, to, xway := v[0], v[1], v[2]
 			span := to - from
 			if span < 0 {
 				span = -span
 			}
-			batch.PutFloat(c.Row, "xway", xway)
-			batch.PutFloat(c.Row, "from", from)
-			batch.PutFloat(c.Row, "to", to)
-			batch.PutFloat(c.Row, "span", span)
-		}
+			batch.PutFloat(row, "xway", xway)
+			batch.PutFloat(row, "from", from)
+			batch.PutFloat(row, "to", to)
+			batch.PutFloat(row, "span", span)
+		})
 		return out.Apply(batch)
 	})
 }
 
-// foldRows reads t in one pass of shared pages, rather than a locked lookup
-// per cell, and calls fold once per row, in key order, with the float values
-// of the row's cols (a missing or non-float cell reads 0). A row without a
-// float cols[0] is skipped.
-func foldRows(t *kvstore.Table, cols [3]string, fold func(row string, v [3]float64)) {
-	var v [3]float64
-	row, has := "", false
-	flush := func() {
-		if has {
-			fold(row, v)
-		}
-		v, has = [3]float64{}, false
-	}
-	_ = t.ScanPagesShared(kvstore.ScanOptions{}, 0, func(cells []kvstore.Cell, _ bool) error {
-		for _, c := range cells {
-			if c.Row != row {
-				flush()
-				row = c.Row
-			}
-			if i := slices.Index(cols[:], c.Column); i >= 0 {
-				var ok bool
-				v[i], ok = c.FloatValue()
-				if i == 0 {
-					has = ok
-				}
+// The column sets the steps read, in the order their folds take them.
+var (
+	reportCols  = []string{"pos", "speed", "xway"}
+	queryCols   = []string{"from", "to", "xway"}
+	segmentCols = []string{"seg", "speed", "xway"}
+	speedCol    = []string{"speed"}
+)
+
+// foldRows reads cols of t in one projected read (Table.ScanFloatRows) and
+// calls fold once per row, in key order, with the row's float values of
+// cols; a missing or non-float cell reads 0. A row without a float cols[0]
+// is skipped. fold must not retain v.
+func foldRows(t *kvstore.Table, cols []string, fold func(row string, v []float64)) {
+	n := len(cols)
+	t.ScanFloatRows(cols, func(rows []string, vals []float64, ok []bool) {
+		for i, row := range rows {
+			if ok[i*n] {
+				fold(row, vals[i*n:(i+1)*n])
 			}
 		}
-		return nil // the scan's only possible error is this function's
 	})
-	flush()
 }
 
 // perSegment folds the positions table into per-(xway, segment) aggregates,
 // once per row with a float seg and an xway in range (a missing xway or speed
 // reads 0).
 func perSegment(positions *kvstore.Table, cfg Config, fold func(xway, seg int, speed float64)) {
-	foldRows(positions, [3]string{"seg", "speed", "xway"}, func(_ string, v [3]float64) {
+	foldRows(positions, segmentCols, func(_ string, v []float64) {
 		if x := int(v[2]); x >= 0 && x < cfg.Expressways {
 			fold(x, max(int(v[0]), 0)%cfg.Segments, v[1])
 		}
@@ -796,16 +789,10 @@ func travelTimeProc(cfg Config, keys *rowKeys) workflow.Processor {
 		if err != nil {
 			return err
 		}
-		cells := queryProc.Scan(kvstore.ScanOptions{ColumnPrefix: "from"})
-		batch := kvstore.GetBatch().Grow(2 * len(cells))
+		batch := kvstore.GetBatch().Grow(2 * queryProc.RowCount())
 		defer batch.Release()
-		for _, c := range cells {
-			from, ok := c.FloatValue()
-			if !ok {
-				continue
-			}
-			to, _ := queryProc.GetFloat(c.Row, "to")
-			xway, _ := queryProc.GetFloat(c.Row, "xway")
+		foldRows(queryProc, queryCols, func(row string, v []float64) {
+			from, to, xway := v[0], v[1], v[2]
 			var minutes, cost float64
 			step := 1
 			if to < from {
@@ -826,9 +813,9 @@ func travelTimeProc(cfg Config, keys *rowKeys) workflow.Processor {
 				minutes += 60 / speed
 				cost += level / 10
 			}
-			batch.PutFloat(c.Row, "minutes", minutes)
-			batch.PutFloat(c.Row, "cost", cost)
-		}
+			batch.PutFloat(row, "minutes", minutes)
+			batch.PutFloat(row, "cost", cost)
+		})
 		return out.Apply(batch)
 	})
 }

@@ -2,6 +2,7 @@ package lrb
 
 import (
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -368,6 +369,138 @@ func TestPositionsMatchesPerCellLookups(t *testing.T) {
 	}
 	if g, w := string(got.Dump()), string(want.Dump()); g != w {
 		t.Fatalf("one-pass 2a wrote a different store than per-cell lookups:\n got %d dump bytes\nwant %d", len(g), len(w))
+	}
+}
+
+// pagedFoldRows is foldRows as it was before the projected read, kept
+// verbatim: a fold over ScanPagesShared's pages of shared cells.
+func pagedFoldRows(t *kvstore.Table, cols [3]string, fold func(row string, v [3]float64)) {
+	var v [3]float64
+	row, has := "", false
+	flush := func() {
+		if has {
+			fold(row, v)
+		}
+		v, has = [3]float64{}, false
+	}
+	_ = t.ScanPagesShared(kvstore.ScanOptions{}, 0, func(cells []kvstore.Cell, _ bool) error {
+		for _, c := range cells {
+			if c.Row != row {
+				flush()
+				row = c.Row
+			}
+			if i := slices.Index(cols[:], c.Column); i >= 0 {
+				var ok bool
+				v[i], ok = c.FloatValue()
+				if i == 0 {
+					has = ok
+				}
+			}
+		}
+		return nil // the scan's only possible error is this function's
+	})
+	flush()
+}
+
+// TestFoldRowsMatchesPagedFold pins the projected-read folds to the paged
+// fold they replaced, over seeded reports and positions tables that span
+// several scan pages: foldRows over both tables row for row, and step 2a's
+// output cell for cell against the paged fold plus a GetFloat of each
+// vehicle's previous speed. The tables hold rows without cols[0], cells that
+// are not floats, vehicles with no previous position and positions rows no
+// report names.
+func TestFoldRowsMatchesPagedFold(t *testing.T) {
+	type folded struct {
+		row string
+		v   [3]float64
+	}
+	for seed := int64(1); seed <= 5; seed++ {
+		build := func() (store *kvstore.Store, reports, positions *kvstore.Table) {
+			rng := rand.New(rand.NewSource(seed))
+			store = kvstore.New()
+			reports, err := store.CreateTable(TableReports, kvstore.TableOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			positions, err = store.CreateTable(TablePositions, kvstore.TableOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cell := func(b *kvstore.Batch, row, col string) {
+				switch rng.Intn(12) {
+				case 0: // missing
+				case 1:
+					b.Put(row, col, []byte("not a float"))
+				default:
+					b.PutFloat(row, col, rng.Float64()*12-1)
+				}
+			}
+			rb, pb := kvstore.NewBatch(), kvstore.NewBatch()
+			for i := 0; i < 500; i++ {
+				row := vehRow(i)
+				for _, col := range reportCols {
+					cell(rb, row, col)
+				}
+				if rng.Intn(4) != 0 { // else no previous position
+					for _, col := range segmentCols {
+						cell(pb, row, col)
+					}
+				}
+				if rng.Intn(20) == 0 {
+					pb.PutFloat(row+"-gone", "speed", 1) // a row no report names
+				}
+			}
+			if err := reports.Apply(rb); err != nil {
+				t.Fatal(err)
+			}
+			if err := positions.Apply(pb); err != nil {
+				t.Fatal(err)
+			}
+			return store, reports, positions
+		}
+
+		_, reports, positions := build()
+		for _, tc := range []struct {
+			table *kvstore.Table
+			cols  []string
+		}{{reports, reportCols}, {positions, segmentCols}, {positions, speedCol}} {
+			var want, got []folded
+			var cols [3]string
+			copy(cols[:], tc.cols)
+			pagedFoldRows(tc.table, cols, func(row string, v [3]float64) { want = append(want, folded{row, v}) })
+			foldRows(tc.table, tc.cols, func(row string, v []float64) {
+				var f folded
+				f.row = row
+				copy(f.v[:], v)
+				got = append(got, f)
+			})
+			if len(want) < 100 || !slices.Equal(got, want) {
+				t.Fatalf("seed %d, %s %q: foldRows folded %d rows, the paged fold %d", seed, tc.table.Name(), tc.cols, len(got), len(want))
+			}
+		}
+
+		got, _, _ := build()
+		if err := positionsProc().Process(&workflow.Context{Store: got}); err != nil {
+			t.Fatal(err)
+		}
+		want, reports, positions := build()
+		b := kvstore.NewBatch()
+		pagedFoldRows(reports, [3]string{"pos", "speed", "xway"}, func(row string, v [3]float64) {
+			pos, speed, xway := v[0], v[1], v[2]
+			smoothed := speed
+			if prev, ok := positions.GetFloat(row, "speed"); ok {
+				smoothed = 0.5*prev + 0.5*speed
+			}
+			b.PutFloat(row, "xway", xway)
+			b.PutFloat(row, "seg", math.Floor(pos))
+			b.PutFloat(row, "speed", smoothed)
+		})
+		if err := positions.Apply(b); err != nil {
+			t.Fatal(err)
+		}
+		if g, w := string(got.Dump()), string(want.Dump()); g != w {
+			t.Fatalf("seed %d: 2a wrote a different store than the paged fold:\n got %d dump bytes\nwant %d", seed, len(g), len(w))
+		}
 	}
 }
 
