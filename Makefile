@@ -166,9 +166,10 @@ bench-pairs:
 		.bench_build/pairs.txt
 	@rm -f .bench_build/pairs.txt
 
-## fuzz: run the wire-protocol fuzzers, the epoch-file reader's fuzzer and
-## the checkpoint decode + restore fuzzer (session, harness and — for a policy
-## that does not learn — the decider-state path) for 30s each (nightly CI
+## fuzz: run the wire-protocol fuzzers, the epoch-file reader's fuzzer, the
+## checkpoint decode + restore fuzzer (session, harness and — for a policy
+## that does not learn — the decider-state path) and the table float-array
+## fuzzer (ScanColumns against ScanState and Scan) for 30s each (nightly CI
 ## job; crashers land in the package's testdata/fuzz and are uploaded as
 ## artifacts). Separate invocations: `go test -fuzz` accepts only one target
 ## at a time. The checkpoint seeds are whole payloads, so minimizing each new
@@ -178,6 +179,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz 'FuzzReader$$' -fuzztime 30s ./internal/kvstore/wire
 	$(GO) test -run xxx -fuzz FuzzReadWAL -fuzztime 30s ./internal/durable
 	$(GO) test -run xxx -fuzz FuzzRestoreCheckpoint -fuzztime 30s -fuzzminimizetime 2s ./internal/core
+	$(GO) test -run xxx -fuzz FuzzTableColumns -fuzztime 30s ./internal/kvstore
 
 ## check: the pre-PR gate — build, vet, gofmt, lint, tests, race, chaos,
 ## chaos-crash, chaos-cluster, chaos-partition, and the

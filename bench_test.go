@@ -271,6 +271,33 @@ func BenchmarkOverheadKVStoreScanState(b *testing.B) {
 	}
 }
 
+// BenchmarkOverheadKVStoreScanColumns measures the ι/ε snapshot the engine
+// takes of an LRB wave's reports after a wave rewrote every cell: 3 600
+// float cells copied out of the table's float array, and a column-prefix
+// selection of 1 200 gathered through its slot list.
+func BenchmarkOverheadKVStoreScanColumns(b *testing.B) {
+	table, rows, cols, apply := lrbReportsTable(b)
+	for _, tc := range []struct {
+		name string
+		opts kvstore.ScanOptions
+		want int
+	}{
+		{"table", kvstore.ScanOptions{}, len(rows) * len(cols)},
+		{"prefix", kvstore.ScanOptions{ColumnPrefix: "speed"}, len(rows)},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			apply(-1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if got, _ := table.ScanColumns(tc.opts); got.Len() != tc.want {
+					b.Fatal("short scan")
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkOverheadKVStoreGet measures point reads: one op is a GetFloat of
 // every cell of the LRB-shaped table, 3 600 lookups.
 func BenchmarkOverheadKVStoreGet(b *testing.B) {

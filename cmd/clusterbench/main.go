@@ -3,8 +3,7 @@
 // health-checked failover injects when a primary is killed mid-run, and the
 // (smaller) blip of a fenced failover when an asymmetric partition cuts a
 // primary's replication link and it self-demotes mid-write (DESIGN.md §15).
-// It writes a JSON report (BENCH_PR10.json) recording the perf trajectory
-// ROADMAP asks for.
+// It writes a JSON report (BENCH_PR10.json).
 //
 //	clusterbench -out BENCH_PR10.json
 //	clusterbench -smoke            # tiny op counts; harness correctness only

@@ -828,7 +828,7 @@ func TestResumeRefusesTwoBaselineDirectory(t *testing.T) {
 	oldTrackers := func(ts []metric.PersistedTracker) []oldTracker {
 		out := make([]oldTracker, len(ts))
 		for i, tr := range ts {
-			out[i] = oldTracker{tr.Baseline, tr.Baseline, tr.Accumulated, tr.Current, tr.HasBaseline}
+			out[i] = oldTracker{stateOf(tr.Baseline), stateOf(tr.Baseline), tr.Accumulated, tr.Current, tr.HasBaseline}
 		}
 		return out
 	}
@@ -870,6 +870,102 @@ func TestResumeRefusesTwoBaselineDirectory(t *testing.T) {
 	}
 	if _, _, err := RunPipelineDurable(miniWorkload(), nil, cfg, DurableOptions{Dir: dir}); err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("fresh run over a two-baseline directory = %v, want a refusal naming the older build", err)
+	}
+}
+
+// stateOf converts a tracker baseline to the element list builds before
+// Columns kept it as.
+func stateOf(c metric.Columns) metric.State {
+	s := make(metric.State, c.Len())
+	for i, key := range c.Keys {
+		s[i] = metric.Elem{Key: key, Val: c.Vals[i]}
+	}
+	return s
+}
+
+// TestResumeRefusesStateBaselineDirectory commits a mid-application boundary
+// in the field set of the build before tracker baselines became Columns —
+// each baseline a metric.State element list, everything else as now — and
+// requires both entry points to refuse the directory by name, and the same
+// state in this build's shape to resume.
+func TestResumeRefusesStateBaselineDirectory(t *testing.T) {
+	type oldTracker struct {
+		Baseline             metric.State
+		Accumulated, Current float64
+		HasBaseline          bool
+	}
+	type oldStep struct {
+		LastExecWave, ExecCount int
+		Impacts, Errors         []oldTracker
+	}
+	type oldInstance struct {
+		Wave    int
+		Impacts []float64
+		Steps   []oldStep
+	}
+	type oldHarnessCheckpoint struct {
+		Result          *engine.Result
+		Live, Ref       oldInstance
+		Measures        []engine.MeasurePersist
+		DeciderState    []byte
+		HasDeciderState bool
+	}
+	type oldPipelineCheckpoint struct {
+		TrainWaves, ApplyWaves int
+		Policy                 string
+		Harness                *oldHarnessCheckpoint
+		Session                *SessionCheckpoint
+	}
+	oldTrackers := func(ts []metric.PersistedTracker) []oldTracker {
+		out := make([]oldTracker, len(ts))
+		for i, tr := range ts {
+			out[i] = oldTracker{stateOf(tr.Baseline), tr.Accumulated, tr.Current, tr.HasBaseline}
+		}
+		return out
+	}
+	oldInstanceOf := func(p engine.InstancePersist) oldInstance {
+		out := oldInstance{Wave: p.Wave, Impacts: p.Impacts}
+		for _, sp := range p.Steps {
+			out.Steps = append(out.Steps, oldStep{sp.LastExecWave, sp.ExecCount, oldTrackers(sp.Impacts), oldTrackers(sp.Errors)})
+		}
+		return out
+	}
+
+	cfg := durablePipelineConfig()
+	crashed := t.TempDir()
+	crashInWave(t, cfg, crashed, cfg.TrainWaves+20)
+	rec, err := recoverRun(DurableOptions{Dir: crashed})
+	if err != nil || rec == nil {
+		t.Fatalf("recover: %v", err)
+	}
+	h := rec.cp.Harness
+	var old bytes.Buffer
+	if err := gob.NewEncoder(&old).Encode(oldPipelineCheckpoint{
+		TrainWaves: cfg.TrainWaves,
+		ApplyWaves: cfg.ApplyWaves,
+		Policy:     rec.cp.Policy,
+		Harness: &oldHarnessCheckpoint{
+			Result:   h.Result,
+			Live:     oldInstanceOf(h.Live),
+			Ref:      oldInstanceOf(h.Ref),
+			Measures: h.Measures,
+		},
+		Session: rec.cp.Session,
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	dir := directoryWithPayload(t, rec, old.Bytes())
+	const want = "kept tracker baselines as element lists"
+	if _, _, err := ResumePipeline(miniWorkload(), nil, cfg, DurableOptions{Dir: dir}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("resume of a State-baseline directory = %v, want a refusal naming the older build", err)
+	}
+	if _, _, err := RunPipelineDurable(miniWorkload(), nil, cfg, DurableOptions{Dir: dir}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("fresh run over a State-baseline directory = %v, want a refusal naming the older build", err)
+	}
+	// The same state in this build's shape resumes.
+	if _, _, err := ResumePipeline(miniWorkload(), nil, cfg, DurableOptions{Dir: crashed}); err != nil {
+		t.Fatal(err)
 	}
 }
 

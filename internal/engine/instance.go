@@ -457,16 +457,16 @@ type containerSnapshot struct {
 	mu      sync.Mutex
 	table   *kvstore.Table
 	version uint64
-	state   metric.State
+	state   metric.Columns
 }
 
 // snapshot returns the current state of c — one of the workflow's input or
-// output containers — scanning its table only when it changed since the
+// output containers — reading its table only when it changed since the
 // previous snapshot. The returned state is shared and immutable.
-func (in *Instance) snapshot(c workflow.Container) metric.State {
+func (in *Instance) snapshot(c workflow.Container) metric.Columns {
 	t, err := in.store.Table(c.Table)
 	if err != nil {
-		return nil
+		return metric.Columns{}
 	}
 	e := in.snaps[c]
 	e.mu.Lock()
@@ -474,7 +474,7 @@ func (in *Instance) snapshot(c workflow.Container) metric.State {
 	reused := e.table == t && e.version == t.Version()
 	if !reused {
 		e.table = t
-		e.state, e.version = c.Scan(t)
+		e.state, e.version = t.ScanColumns(kvstore.ScanOptions{ColumnPrefix: c.ColumnPrefix})
 	}
 	in.obs.countSnapshot(reused)
 	return e.state
@@ -490,13 +490,13 @@ func (in *Instance) OutputState(id workflow.StepID) metric.State {
 	states := in.outputStates(st.step)
 	var n int
 	for _, state := range states {
-		n += len(state)
+		n += state.Len()
 	}
 	merged := make([]metric.Elem, 0, n)
 	for i, state := range states {
 		prefix := st.step.Outputs[i].Table + ":"
-		for _, e := range state {
-			merged = append(merged, metric.Elem{Key: prefix + e.Key, Val: e.Val})
+		for k, key := range state.Keys {
+			merged = append(merged, metric.Elem{Key: prefix + key, Val: state.Vals[k]})
 		}
 	}
 	return metric.NewState(merged)
@@ -512,24 +512,24 @@ func (in *Instance) ErrorFactory(id workflow.StepID) metric.Factory {
 }
 
 // observeImpact snapshots a gated step's input containers (through the
-// snapshot cache, so a container is scanned once however many steps read it
+// snapshot cache, so a container is read once however many steps read it
 // and not at all while nobody writes it) and folds them into the step's
 // impact trackers, returning the combined impact. The returned states are
 // shared and immutable.
-func (in *Instance) observeImpact(st *stepState) (float64, []metric.State) {
-	inputStates := make([]metric.State, len(st.step.Inputs))
+func (in *Instance) observeImpact(st *stepState) (float64, []metric.Columns) {
+	inputStates := make([]metric.Columns, len(st.step.Inputs))
 	values := make([]float64, len(inputStates))
 	for i, c := range st.step.Inputs {
 		state := in.snapshot(c)
 		inputStates[i] = state
-		values[i] = st.impactTrackers[i].Observe(state)
+		values[i] = st.impactTrackers[i].ObserveColumns(state)
 	}
 	return st.impactCombine(values), inputStates
 }
 
 // outputStates snapshots each output container of a step.
-func (in *Instance) outputStates(step *workflow.Step) []metric.State {
-	states := make([]metric.State, len(step.Outputs))
+func (in *Instance) outputStates(step *workflow.Step) []metric.Columns {
+	states := make([]metric.Columns, len(step.Outputs))
 	for i, c := range step.Outputs {
 		states[i] = in.snapshot(c)
 	}
@@ -542,11 +542,11 @@ func (in *Instance) outputStates(step *workflow.Step) []metric.State {
 // the baseline-commit discipline to the impact trackers (see InstanceConfig).
 // It touches only the step's own trackers and result slots, so concurrent
 // calls for distinct steps are safe.
-func (in *Instance) simulateAndCommit(st *stepState, inputStates []metric.State, res *WaveResult, idx int, ev *obs.DecisionEvent) {
+func (in *Instance) simulateAndCommit(st *stepState, inputStates []metric.Columns, res *WaveResult, idx int, ev *obs.DecisionEvent) {
 	outputStates := in.outputStates(st.step)
 	worst := 0.0
 	for i, state := range outputStates {
-		if e := st.errorTrackers[i].Observe(state); e > worst {
+		if e := st.errorTrackers[i].ObserveColumns(state); e > worst {
 			worst = e
 		}
 	}
@@ -555,7 +555,7 @@ func (in *Instance) simulateAndCommit(st *stepState, inputStates []metric.State,
 	if worst > st.step.QoD.MaxError {
 		label = 1
 		for i, state := range outputStates {
-			st.errorTrackers[i].Commit(state)
+			st.errorTrackers[i].CommitColumns(state)
 		}
 	}
 	res.Labels[idx] = label
@@ -568,7 +568,7 @@ func (in *Instance) simulateAndCommit(st *stepState, inputStates []metric.State,
 	// mode, where it follows the simulated schedule.
 	if !in.cfg.TrainingMode || label == 1 {
 		for i, state := range inputStates {
-			st.impactTrackers[i].Commit(state)
+			st.impactTrackers[i].CommitColumns(state)
 		}
 	}
 }

@@ -262,7 +262,7 @@ func (in *Instance) runWave(d Decider) (WaveResult, error) {
 // runGated is the overlappable part of a gated step the decider said to run:
 // execute (or degrade), then simulate the optimal label and commit baselines.
 // It touches only the step's own trackers, result slots and trace event.
-func (in *Instance) runGated(ctx *workflow.Context, st *stepState, sp *obs.Span, res *WaveResult, idx int, inputStates []metric.State, ev *obs.DecisionEvent) error {
+func (in *Instance) runGated(ctx *workflow.Context, st *stepState, sp *obs.Span, res *WaveResult, idx int, inputStates []metric.Columns, ev *obs.DecisionEvent) error {
 	in.pool <- struct{}{}
 	defer func() { <-in.pool }()
 	degraded, err := in.executeDegradable(ctx, st, res.Wave, sp)

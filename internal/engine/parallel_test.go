@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -514,7 +515,7 @@ func TestSnapshotCacheReuse(t *testing.T) {
 	}
 	raw, avg := workflow.Container{Table: "raw"}, workflow.Container{Table: "avg"}
 	rawBefore, avgBefore := inst.snapshot(raw), inst.snapshot(avg)
-	if len(rawBefore) != 8 || len(avgBefore) != 1 {
+	if rawBefore.Len() != 8 || avgBefore.Len() != 1 {
 		t.Fatalf("primed snapshots: raw %v, avg %v", rawBefore, avgBefore)
 	}
 
@@ -526,10 +527,10 @@ func TestSnapshotCacheReuse(t *testing.T) {
 	if allocs := testing.AllocsPerRun(10, func() { inst.snapshot(avg) }); allocs != 0 {
 		t.Errorf("snapshot of an unwritten container allocates %v objects, want 0", allocs)
 	}
-	if got := inst.snapshot(avg); &got[0] != &avgBefore[0] {
+	if got := inst.snapshot(avg); &got.Vals[0] != &avgBefore.Vals[0] {
 		t.Error("an unwritten container must keep the previous wave's state")
 	}
-	if got := inst.snapshot(raw); reflect.DeepEqual(got, rawBefore) || !reflect.DeepEqual(got, raw.Snapshot(inst.store)) {
+	if got := inst.snapshot(raw); reflect.DeepEqual(got, rawBefore) || !reflect.DeepEqual(got, metric.ColumnsOf(raw.Snapshot(inst.store))) {
 		t.Errorf("a rewritten container must be rescanned: %v", got)
 	}
 	snap := reg.Snapshot()
@@ -547,10 +548,10 @@ func TestSnapshotCacheReuse(t *testing.T) {
 	if err := table.PutFloat("all", "avg", -1); err != nil {
 		t.Fatal(err)
 	}
-	if got := inst.snapshot(avg); len(got) != 1 || got[0].Val != -1 {
+	if got := inst.snapshot(avg); got.Len() != 1 || got.Vals[0] != -1 {
 		t.Errorf("snapshot after a write = %v, want the new value", got)
 	}
-	if avgBefore[0].Val == -1 {
+	if avgBefore.Vals[0] == -1 {
 		t.Error("a handed-out state changed under a later write")
 	}
 
@@ -567,14 +568,14 @@ func TestSnapshotCacheReuse(t *testing.T) {
 		if err := table.PutFloat("all", "avg", v); err != nil {
 			t.Fatal(err)
 		}
-		if got := inst.snapshot(avg); len(got) != 1 || got[0].Val != v {
+		if got := inst.snapshot(avg); got.Len() != 1 || got.Vals[0] != v {
 			t.Errorf("snapshot after drop+recreate = %v, want %v", got, v)
 		}
 	}
 	if err := inst.store.DropTable("avg"); err != nil {
 		t.Fatal(err)
 	}
-	if got := inst.snapshot(avg); len(got) != 0 {
+	if got := inst.snapshot(avg); got.Len() != 0 {
 		t.Errorf("snapshot of a missing table = %v", got)
 	}
 }
@@ -597,7 +598,8 @@ func TestSnapshotCacheFreshUnderParallelism(t *testing.T) {
 				t.Fatal(err)
 			}
 			for c := range inst.snaps {
-				if got, want := inst.snapshot(c), c.Snapshot(inst.store); !reflect.DeepEqual(got, want) {
+				got, want := inst.snapshot(c), metric.ColumnsOf(c.Snapshot(inst.store))
+				if !slices.Equal(got.Keys, want.Keys) || !slices.Equal(got.Vals, want.Vals) {
 					t.Fatalf("par %d wave %d: cached %v = %v, store has %v", par, w, c, got, want)
 				}
 			}

@@ -10,6 +10,7 @@ package engine
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"smartflux/internal/metric"
 )
@@ -63,8 +64,9 @@ func (in *Instance) PersistState() InstancePersist {
 }
 
 // checkPersisted reports whether a persisted state has the shape of the
-// instance's workflow: a resumed run must be built from the same workload
-// definition.
+// instance's workflow — a resumed run must be built from the same workload
+// definition — and whether every tracker baseline is one a tracker can
+// compare against: as many values as keys, keys strictly increasing.
 func (in *Instance) checkPersisted(p InstancePersist) error {
 	if len(p.Impacts) != len(in.impacts) || len(p.Steps) != len(in.states) {
 		return fmt.Errorf("engine: persisted state has %d gated impacts and %d steps, instance has %d and %d",
@@ -74,6 +76,24 @@ func (in *Instance) checkPersisted(p InstancePersist) error {
 		sp := p.Steps[pos]
 		if len(sp.Impacts) != len(st.impactTrackers) || len(sp.Errors) != len(st.errorTrackers) {
 			return fmt.Errorf("engine: persisted tracker shape mismatch for step %q", st.step.ID)
+		}
+		for _, tr := range slices.Concat(sp.Impacts, sp.Errors) {
+			if err := checkBaseline(tr.Baseline); err != nil {
+				return fmt.Errorf("engine: persisted baseline of step %q: %w", st.step.ID, err)
+			}
+		}
+	}
+	return nil
+}
+
+// checkBaseline reports why c cannot be a tracker baseline, if it cannot.
+func checkBaseline(c metric.Columns) error {
+	if len(c.Keys) != len(c.Vals) {
+		return fmt.Errorf("%d keys, %d values", len(c.Keys), len(c.Vals))
+	}
+	for i := 1; i < len(c.Keys); i++ {
+		if c.Keys[i-1] >= c.Keys[i] {
+			return fmt.Errorf("key %q does not follow %q", c.Keys[i], c.Keys[i-1])
 		}
 	}
 	return nil

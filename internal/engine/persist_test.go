@@ -7,10 +7,12 @@ import (
 	"maps"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"smartflux/internal/metric"
 	"smartflux/internal/workflow"
 )
 
@@ -360,6 +362,19 @@ func TestRestoreCheckpointRejectsMalformed(t *testing.T) {
 		{"live of another workload", func(cp *HarnessCheckpoint) { cp.Live = wide }, "live: "},
 		{"ref of another workload", func(cp *HarnessCheckpoint) { cp.Ref = wide }, "ref: "},
 		{"stateless decider", func(cp *HarnessCheckpoint) { cp.HasDeciderState = true }, "stateless"},
+		{"baseline with fewer values than keys", func(cp *HarnessCheckpoint) {
+			cp.Live = withFirstBaseline(cp.Live, func(c metric.Columns) metric.Columns {
+				c.Vals = c.Vals[:len(c.Vals)-1]
+				return c
+			})
+		}, `live: engine: persisted baseline of step "mid": 8 keys, 7 values`},
+		{"baseline keys out of order", func(cp *HarnessCheckpoint) {
+			cp.Ref = withFirstBaseline(cp.Ref, func(c metric.Columns) metric.Columns {
+				c.Keys = slices.Clone(c.Keys)
+				c.Keys[0], c.Keys[1] = c.Keys[1], c.Keys[0]
+				return c
+			})
+		}, `ref: engine: persisted baseline of step "mid": key`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cp, res := *good, *good.Result
@@ -392,4 +407,19 @@ func TestRestoreCheckpointRejectsMalformed(t *testing.T) {
 	if _, err := h.RestoreCheckpoint(good, Sync{}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// withFirstBaseline returns p with the first impact tracker's baseline
+// replaced by mutate's result, sharing nothing with p that it changes.
+func withFirstBaseline(p InstancePersist, mutate func(metric.Columns) metric.Columns) InstancePersist {
+	p.Steps = slices.Clone(p.Steps)
+	for i, sp := range p.Steps {
+		if len(sp.Impacts) > 0 {
+			sp.Impacts = slices.Clone(sp.Impacts)
+			sp.Impacts[0].Baseline = mutate(sp.Impacts[0].Baseline)
+			p.Steps[i] = sp
+			break
+		}
+	}
+	return p
 }

@@ -35,18 +35,11 @@ type Conn struct {
 	local, remote string
 }
 
-// WrapConn interposes inj on c, counting it against its remote address for
-// partition checks. A nil injector returns c unchanged.
-func WrapConn(c net.Conn, inj *Injector) net.Conn {
-	if inj == nil {
-		return c
-	}
-	return &Conn{Conn: c, inj: inj, remote: c.RemoteAddr().String()}
-}
-
-// WrapConnFrom is WrapConn with the local end's shard identity attached, so
-// the connection also matches outbound and link partitions of its source —
-// the connection-level half of DialerFrom.
+// WrapConnFrom interposes inj on a dialed connection c, counting it against
+// its remote address and, when from is not empty, the local end's shard
+// identity, so the connection also matches outbound and link partitions of
+// its source — the connection-level half of DialerFrom. A nil injector
+// returns c unchanged.
 func WrapConnFrom(c net.Conn, inj *Injector, from string) net.Conn {
 	if inj == nil {
 		return c
@@ -54,7 +47,7 @@ func WrapConnFrom(c net.Conn, inj *Injector, from string) net.Conn {
 	return &Conn{Conn: c, inj: inj, local: from, remote: c.RemoteAddr().String()}
 }
 
-// WrapConnAddr is WrapConn for the accepting side, with an explicit shard
+// WrapConnAddr is WrapConnFrom for the accepting side, with an explicit shard
 // address to count the connection against — the listener uses its own bound
 // address, since an accepted connection's remote is the client's ephemeral
 // port, not a shard identity.

@@ -71,7 +71,7 @@ func TestConnPassThrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := WrapConn(raw, New(Policy{})) // zero policy: injects nothing
+	c := WrapConnFrom(raw, New(Policy{}), "") // zero policy: injects nothing
 	defer func() { _ = c.Close() }()
 	got, err := roundTrip(c, "hello")
 	if err != nil || got != "hello" {
@@ -104,7 +104,7 @@ func TestConnInjectedError(t *testing.T) {
 		t.Fatal(err)
 	}
 	inj := New(Policy{Seed: 3, ErrorRate: 1})
-	c := WrapConn(raw, inj)
+	c := WrapConnFrom(raw, inj, "")
 	defer func() { _ = c.Close() }()
 	if _, err := c.Write([]byte("x")); !errors.Is(err, ErrInjected) {
 		t.Fatalf("write error = %v, want ErrInjected", err)

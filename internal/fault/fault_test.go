@@ -159,7 +159,7 @@ func pipe(t *testing.T, inj *Injector) (net.Conn, net.Conn) {
 		t.Fatal(srv.err)
 	}
 	t.Cleanup(func() { client.Close(); srv.c.Close() })
-	return WrapConn(client, inj), srv.c
+	return WrapConnFrom(client, inj, ""), srv.c
 }
 
 func TestConnInjectedWriteError(t *testing.T) {

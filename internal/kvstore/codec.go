@@ -4,10 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
-	"strings"
 	"sync"
-
-	"smartflux/internal/metric"
 )
 
 // ErrBadFloat is returned when decoding a value that is not an encoded
@@ -111,70 +108,4 @@ func (t *Table) ScanFloatRows(cols []string, fn func(keys []string, vals []float
 	if cap(vals) <= maxPooledOps {
 		floatRowsPool.Put(buf)
 	}
-}
-
-// ScanState scans matching cells, decodes them as float64s and returns them
-// as a metric.State keyed by the canonical element key "row/column", together
-// with the table's mutation version at the time of the scan (one lock hold):
-// a later call at the same version would return the same elements, so callers
-// may keep the state and skip the scan. Non-float cells are skipped. It is
-// the bulk numeric read behind ι/ε observation: no cell value is copied, the
-// element keys are the ones each cell was created with, and nothing is
-// allocated but the result.
-//
-// Cells are visited in (row, column) order, which is element-key order except
-// where one row key is a proper prefix of another followed by a byte below
-// '/' ("a" vs "a-b"); such output is re-sorted. Two cells whose element keys
-// collide (row "a/b" column "c", row "a" column "b/c") yield one element: the
-// later cell in (row, column) order wins.
-func (t *Table) ScanState(opts ScanOptions) (elems metric.State, version uint64) {
-	t.readKeys(func(rows []*row) { elems, version = t.stateLocked(rows, opts) })
-	t.store.ins.Load().scanned(len(elems))
-	return elems, version
-}
-
-// stateLocked is ScanState's walk over rows, the table's rows in key order.
-// Callers hold t.mu through readKeys.
-func (t *Table) stateLocked(rows []*row, opts ScanOptions) (metric.State, uint64) {
-	var n int
-	for _, r := range rows {
-		switch {
-		case !opts.matchesRow(r.key):
-		case opts.ColumnPrefix == "":
-			n += len(r.cols)
-		default:
-			for _, col := range r.cols {
-				if strings.HasPrefix(col, opts.ColumnPrefix) {
-					n++
-				}
-			}
-		}
-	}
-	elems := make([]metric.Elem, 0, n)
-	sorted := true
-	for _, r := range rows {
-		if !opts.matchesRow(r.key) {
-			continue
-		}
-		first := len(elems)
-		for i, col := range r.cols {
-			if !strings.HasPrefix(col, opts.ColumnPrefix) {
-				continue
-			}
-			versions := r.cells[i]
-			v, err := DecodeFloat(versions[len(versions)-1].Value)
-			if err != nil {
-				continue
-			}
-			elems = append(elems, metric.Elem{Key: r.elems[i], Val: v})
-		}
-		// Keys ascend within a row, so order can only break between rows.
-		if first > 0 && first < len(elems) && elems[first-1].Key >= elems[first].Key {
-			sorted = false
-		}
-	}
-	if !sorted {
-		elems = metric.NewState(elems)
-	}
-	return elems, t.version
 }

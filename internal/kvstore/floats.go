@@ -1,0 +1,240 @@
+package kvstore
+
+import (
+	"slices"
+	"strings"
+
+	"smartflux/internal/metric"
+)
+
+// floatArray is what a table keeps for ι/ε snapshots: slot s holds the newest
+// value of the table's s-th cell in (row, column) order, decoded as a float64
+// (0, and ok false, when it is not an encoded float), beside the cell's
+// element key. A row's cells take the slots from row.base on. A write to an
+// existing cell rewrites its slot in place; adding or deleting a cell
+// renumbers the slots, so it marks the array stale instead, and the next
+// snapshot rebuilds it in one walk under the write lock, as a scan rebuilds
+// the sorted row list. A table nobody snapshots never builds one.
+type floatArray struct {
+	// keys is a fresh slice at every rebuild and never written after it:
+	// snapshots hand out subslices of it, which trackers keep as baselines.
+	keys  []string
+	vals  []float64
+	ok    []bool
+	stale bool
+	// views caches the selection of each ScanOptions read so far. Dropped at
+	// a rebuild, and when a cell switches between float and non-float.
+	views []*floatView
+}
+
+// maxFloatViews bounds the cached views of one table: a caller reading
+// many different selections starts the cache over rather than growing it.
+const maxFloatViews = 16
+
+// floatView is one ScanOptions' selection of the float array: the slots of
+// its float cells in element-key order, and their keys. slots is nil when
+// the selection is the run of slots from lo on, in slot order.
+type floatView struct {
+	opts  ScanOptions
+	keys  []string
+	slots []int
+	lo    int
+}
+
+// slot returns the slot of the view's k-th element.
+func (v *floatView) slot(k int) int {
+	if v.slots == nil {
+		return v.lo + k
+	}
+	return v.slots[k]
+}
+
+// cellsChangedLocked marks the float array stale after a cell was added or
+// deleted. Callers hold t.mu.
+func (t *Table) cellsChangedLocked() {
+	if f := t.floats; f != nil {
+		f.stale = true
+		f.views = nil
+	}
+}
+
+// floatPutLocked rewrites the slot of r's i-th cell after a write to it: in
+// place, so the key set and every view's keys are kept, unless the cell
+// switched between float and non-float, which drops the views. Callers hold
+// t.mu.
+func (t *Table) floatPutLocked(r *row, i int) {
+	f := t.floats
+	if f == nil || f.stale {
+		return
+	}
+	versions := r.cells[i]
+	v, err := DecodeFloat(versions[len(versions)-1].Value)
+	s := r.base + i
+	if ok := err == nil; ok != f.ok[s] {
+		f.ok[s] = ok
+		f.views = nil
+	}
+	f.vals[s] = v
+}
+
+// floatsLocked returns the table's float array, building it if the table has
+// none or it is stale. Callers hold t.mu for writing.
+func (t *Table) floatsLocked() *floatArray {
+	f := t.floats
+	if f == nil {
+		f = &floatArray{}
+		t.floats = f
+	} else if !f.stale {
+		return f
+	}
+	rows := t.sortedLocked()
+	var n int
+	for _, r := range rows {
+		n += len(r.cols)
+	}
+	f.keys = make([]string, 0, n)
+	// Snapshots copy vals and ok out, so their old arrays are ours to reuse.
+	f.vals, f.ok = slices.Grow(f.vals[:0], n), slices.Grow(f.ok[:0], n)
+	for _, r := range rows {
+		r.base = len(f.keys)
+		f.keys = append(f.keys, r.elems...)
+		for _, versions := range r.cells {
+			v, err := DecodeFloat(versions[len(versions)-1].Value)
+			f.vals, f.ok = append(f.vals, v), append(f.ok, err == nil)
+		}
+	}
+	f.stale = false
+	return f
+}
+
+// view returns the cached view of opts, or nil.
+func (f *floatArray) view(opts ScanOptions) *floatView {
+	for _, v := range f.views {
+		if v.opts == opts {
+			return v
+		}
+	}
+	return nil
+}
+
+// viewLocked returns opts' view of f, a current float array, building and
+// caching it on first use; a selection whose (row, column) order is not
+// element-key order is re-sorted, and colliding keys deduplicated, as
+// ScanColumns describes. Callers hold t.mu for writing.
+func (t *Table) viewLocked(f *floatArray, opts ScanOptions) *floatView {
+	if v := f.view(opts); v != nil {
+		return v
+	}
+	var slots []int
+	sorted := true
+	for _, r := range t.sortedLocked() {
+		if !opts.matchesRow(r.key) {
+			continue
+		}
+		first := len(slots)
+		for i, col := range r.cols {
+			if s := r.base + i; f.ok[s] && strings.HasPrefix(col, opts.ColumnPrefix) {
+				slots = append(slots, s)
+			}
+		}
+		// Keys ascend within a row, so order can only break between rows.
+		if first > 0 && first < len(slots) && f.keys[slots[first-1]] >= f.keys[slots[first]] {
+			sorted = false
+		}
+	}
+	v := &floatView{opts: opts}
+	switch {
+	case !sorted:
+		slices.SortStableFunc(slots, func(a, b int) int { return strings.Compare(f.keys[a], f.keys[b]) })
+		kept := slots[:0]
+		for k, s := range slots {
+			if k+1 == len(slots) || f.keys[slots[k+1]] != f.keys[s] {
+				kept = append(kept, s)
+			}
+		}
+		v.slots = kept
+	case len(slots) == 0 || slots[len(slots)-1]-slots[0] == len(slots)-1:
+		// Ascending and contiguous: the keys are a run of the array's own.
+		if len(slots) > 0 {
+			v.lo = slots[0]
+		}
+		v.keys = f.keys[v.lo : v.lo+len(slots) : v.lo+len(slots)]
+	default:
+		v.slots = slots
+	}
+	if v.slots != nil {
+		v.keys = make([]string, len(v.slots))
+		for k, s := range v.slots {
+			v.keys[k] = f.keys[s]
+		}
+	}
+	if len(f.views) == maxFloatViews {
+		f.views = nil
+	}
+	f.views = append(f.views, v)
+	return v
+}
+
+// readFloats runs read with the table's float array and opts' view of it
+// under t.mu: read locked, so concurrent snapshots share it, when both are
+// current; else write locked, to build them first. opts.Limit is ignored.
+func (t *Table) readFloats(opts ScanOptions, read func(f *floatArray, v *floatView)) {
+	opts.Limit = 0
+	t.mu.RLock()
+	if f := t.floats; f != nil && !f.stale {
+		if v := f.view(opts); v != nil {
+			defer t.mu.RUnlock()
+			read(f, v)
+			return
+		}
+	}
+	t.mu.RUnlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	f := t.floatsLocked()
+	read(f, t.viewLocked(f, opts))
+}
+
+// ScanColumns is the ι/ε snapshot: the float cells matching opts (Limit
+// aside) as Columns keyed by the canonical element key "row/column", in key
+// order, with the table's mutation version at the time of the read — a
+// later call at the same version would return the same elements, so callers
+// may keep the state and skip the read. Non-float cells are skipped. A read
+// copies the selected values out of the table's float array, and nothing
+// else: every read of one key set with one opts returns the same Keys slice,
+// so a tracker compares two such snapshots without a merge-join.
+//
+// Cells are visited in (row, column) order, which is element-key order except
+// where one row key is a proper prefix of another followed by a byte below
+// '/' ("a" vs "a-b"); such a selection is re-sorted. Two cells whose element
+// keys collide (row "a/b" column "c", row "a" column "b/c") yield one
+// element: the later cell in (row, column) order wins.
+func (t *Table) ScanColumns(opts ScanOptions) (c metric.Columns, version uint64) {
+	t.readFloats(opts, func(f *floatArray, v *floatView) {
+		vals := make([]float64, len(v.keys))
+		if v.slots == nil {
+			copy(vals, f.vals[v.lo:])
+		} else {
+			for k, s := range v.slots {
+				vals[k] = f.vals[s]
+			}
+		}
+		c, version = metric.Columns{Keys: v.keys, Vals: vals}, t.version
+	})
+	t.store.ins.Load().scanned(len(c.Keys))
+	return c, version
+}
+
+// ScanState is ScanColumns returning a metric.State: the same elements, read
+// from the same float array, with nothing allocated but the result.
+func (t *Table) ScanState(opts ScanOptions) (elems metric.State, version uint64) {
+	t.readFloats(opts, func(f *floatArray, v *floatView) {
+		elems = make(metric.State, len(v.keys))
+		for k, key := range v.keys {
+			elems[k] = metric.Elem{Key: key, Val: f.vals[v.slot(k)]}
+		}
+		version = t.version
+	})
+	t.store.ins.Load().scanned(len(elems))
+	return elems, version
+}

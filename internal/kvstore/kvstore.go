@@ -326,8 +326,11 @@ type Table struct {
 	sorted []*row
 	// version counts content changes: every applied put, delete and replay
 	// bumps it under mu, so two reads returning the same version saw the
-	// same cells. Snapshot caches key on it (see ScanState).
+	// same cells. Snapshot caches key on it (see ScanColumns).
 	version uint64
+	// floats holds the latest value of every cell as a float, for ι/ε
+	// snapshots; nil until the first one (see floats.go).
+	floats *floatArray
 }
 
 // row is one row's record: its cells, in column order. A read or a write of
@@ -337,9 +340,12 @@ type row struct {
 	key  string
 	cols []string // sorted column keys
 	// elems[i] is the element key key+"/"+cols[i], built when the cell is
-	// created, so ι snapshots (ScanState) allocate no key strings.
+	// created, so ι snapshots allocate no key strings.
 	elems []string
 	cells [][]Version // cells[i] holds cols[i]'s versions, newest-last
+	// base is the slot of cols[0] in the table's float array, while that
+	// array is current.
+	base int
 }
 
 // narrowRow is the widest row whose columns are matched with == before any
@@ -503,6 +509,7 @@ func (t *Table) windowLocked(r *row, column string) int {
 		r.cols = slices.Insert(r.cols, i, column)
 		r.elems = slices.Insert(r.elems, i, r.key+"/"+column)
 		r.cells = slices.Insert(r.cells, i, make([]Version, 0, min(t.maxVersions, DefaultMaxVersions)))
+		t.cellsChangedLocked()
 	}
 	return i
 }
@@ -526,6 +533,7 @@ func (t *Table) insertLocked(r *row, i, idx int, v Version) {
 		return
 	}
 	t.version++
+	t.floatPutLocked(r, i)
 }
 
 // Get returns the latest value at (row, column). The second return is false
@@ -653,6 +661,7 @@ func (t *Table) deleteLocked(r *row, column string) (old []byte, ok bool) {
 	r.cols = slices.Delete(r.cols, i, i+1)
 	r.elems = slices.Delete(r.elems, i, i+1)
 	r.cells = slices.Delete(r.cells, i, i+1)
+	t.cellsChangedLocked()
 	if len(r.cols) == 0 {
 		delete(t.rows, r.key)
 		t.sorted = nil
@@ -702,19 +711,26 @@ func (t *Table) readKeys(walk func(rows []*row)) {
 	t.mu.RLock()
 	if t.sorted != nil {
 		defer t.mu.RUnlock()
-	} else {
-		t.mu.RUnlock()
-		t.mu.Lock()
-		defer t.mu.Unlock()
-		if t.sorted == nil {
-			t.sorted = make([]*row, 0, len(t.rows))
-			for _, r := range t.rows {
-				t.sorted = append(t.sorted, r)
-			}
-			slices.SortFunc(t.sorted, func(a, b *row) int { return strings.Compare(a.key, b.key) })
-		}
+		walk(t.sorted)
+		return
 	}
-	walk(t.sorted)
+	t.mu.RUnlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	walk(t.sortedLocked())
+}
+
+// sortedLocked returns the table's rows in key order, rebuilding the list
+// when it is stale. Callers hold t.mu for writing.
+func (t *Table) sortedLocked() []*row {
+	if t.sorted == nil {
+		t.sorted = make([]*row, 0, len(t.rows))
+		for _, r := range t.rows {
+			t.sorted = append(t.sorted, r)
+		}
+		slices.SortFunc(t.sorted, func(a, b *row) int { return strings.Compare(a.key, b.key) })
+	}
+	return t.sorted
 }
 
 // Scan returns the latest version of every matching cell, ordered by row then

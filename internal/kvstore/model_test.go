@@ -21,6 +21,15 @@ type refTable struct {
 	cells       map[string]map[string][]Version // versions newest-last
 	clock       uint64
 	version     uint64
+	// cellChanges counts cells added and deleted; flips counts cells whose
+	// latest value switched between float and non-float.
+	cellChanges, flips int
+}
+
+// isFloat reports whether a cell window's latest value is an encoded float.
+func isFloat(w []Version) bool {
+	_, err := DecodeFloat(w[len(w)-1].Value)
+	return err == nil
 }
 
 // insert places v at index idx of the cell's window, as insertLocked does:
@@ -30,17 +39,23 @@ func (m *refTable) insert(row, col string, idx int, v Version) {
 	if m.cells[row] == nil {
 		m.cells[row] = map[string][]Version{}
 	}
-	w := m.cells[row][col]
+	old := m.cells[row][col]
+	var w []Version
 	switch {
-	case len(w) < m.maxVersions:
-		w = slices.Insert(slices.Clone(w), idx, v)
+	case len(old) < m.maxVersions:
+		w = slices.Insert(slices.Clone(old), idx, v)
 	case idx > 0:
-		w = slices.Concat(w[1:idx], []Version{v}, w[idx:])
+		w = slices.Concat(old[1:idx], []Version{v}, old[idx:])
 	default:
 		return
 	}
 	m.cells[row][col] = w
 	m.version++
+	if len(old) == 0 {
+		m.cellChanges++
+	} else if isFloat(old) != isFloat(w) {
+		m.flips++
+	}
 }
 
 func (m *refTable) replayPut(row, col string, v Version) {
@@ -60,6 +75,7 @@ func (m *refTable) delete(row, col string) {
 		return
 	}
 	delete(m.cells[row], col)
+	m.cellChanges++
 	if len(m.cells[row]) == 0 {
 		delete(m.cells, row)
 	}
@@ -119,19 +135,24 @@ var (
 		{StartRow: "a-b", EndRow: "r10"},
 		{Limit: 3},
 	}
+	// modelColumnScans are the ScanColumns selections compared with
+	// ScanState: the whole table, a column prefix and a row prefix.
+	modelColumnScans = []ScanOptions{{}, {ColumnPrefix: "c"}, {RowPrefix: "r1"}}
 )
 
 // TestTableMatchesReferenceModel runs seeded random sequences of Put, Delete,
 // Apply, ReplayPut and ReplayDelete on a table and on the reference, and after
 // every operation compares every read: Scan, ScanPagesShared at page sizes 1,
 // 2 and 256, ScanState, ScanFloatRows, History, GetVersions, CellCount,
-// RowCount, Version and the store clock. The sequences include batches whose
-// deletes empty a row that later ops of the same batch write again,
-// out-of-order and duplicate replays into full windows, rows wider than
-// narrowRow, and column keys built at run time: equal to the stored key, but
-// not sharing its data.
+// RowCount, Version and the store clock, and ScanColumns with ScanState (see
+// compareColumns). The sequences include batches whose deletes empty a row
+// that later ops of the same batch write again, out-of-order and duplicate
+// replays into full windows, rows wider than narrowRow, column keys built at
+// run time — equal to the stored key, but not sharing its data — cells
+// overwritten between float and non-float, and float cells in both rows "a"
+// and "a-b", where (row, column) order and element-key order part.
 func TestTableMatchesReferenceModel(t *testing.T) {
-	widest := 0
+	widest, flips, orderBreaks := 0, 0, 0
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		maxVersions := 1 + int(seed%3)
@@ -159,9 +180,11 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 			}
 			return pick()
 		}
+		var reads []metric.Columns
 		for step := 0; step < 150; step++ {
 			var did string
-			switch rng.Intn(7) {
+			cellChanges, flipped := m.cellChanges, m.flips
+			switch rng.Intn(8) {
 			case 0:
 				row, col := pick()
 				v := value()
@@ -233,18 +256,87 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 				did = fmt.Sprintf("Apply(widen row %s)", row)
 				applyOps(t, table, ops, rng.Intn(2) == 0)
 				m.apply(ops)
+			case 7:
+				// Overwrite a cell with a value of the other kind.
+				row, col := existing()
+				v := EncodeFloat(float64(rng.Intn(1000)) / 8)
+				if w := m.cells[row][col]; len(w) > 0 && isFloat(w) {
+					v = []byte("s" + strconv.Itoa(rng.Intn(100)))
+				}
+				did = fmt.Sprintf("Put(%s, %s, flip)", row, col)
+				if err := table.Put(row, col, v); err != nil {
+					t.Fatal(err)
+				}
+				m.apply([]Op{{Row: row, Column: col, Value: v}})
 			}
 			if err := compareWithModel(table, m); err != nil {
+				t.Fatalf("seed %d step %d, after %s: %v", seed, step, did, err)
+			}
+			var err error
+			reads, err = compareColumns(table, reads, m.cellChanges != cellChanges, m.flips != flipped)
+			if err != nil {
 				t.Fatalf("seed %d step %d, after %s: %v", seed, step, did, err)
 			}
 			for _, cols := range m.cells {
 				widest = max(widest, len(cols))
 			}
+			if hasFloat(m.cells["a"]) && hasFloat(m.cells["a-b"]) {
+				orderBreaks++
+			}
 		}
+		flips += m.flips
 	}
 	if widest <= narrowRow {
 		t.Errorf("widest row had %d columns: the binary-search lookup of rows wider than %d went untested", widest, narrowRow)
 	}
+	if flips == 0 || orderBreaks == 0 {
+		t.Errorf("%d float/non-float flips, %d reads with float cells in rows a and a-b: want both", flips, orderBreaks)
+	}
+}
+
+// hasFloat reports whether a model row has a float cell.
+func hasFloat(row map[string][]Version) bool {
+	for _, w := range row {
+		if isFloat(w) {
+			return true
+		}
+	}
+	return false
+}
+
+// compareColumns checks ScanColumns against ScanState for each of
+// modelColumnScans, and returns what it read. Two reads with no write between
+// them share their Keys. Against prev, the reads after the operation before:
+// an operation that added, deleted and flipped no cell keeps the Keys, and one
+// that added or deleted a cell replaces them.
+func compareColumns(table *Table, prev []metric.Columns, cellsChanged, flipped bool) ([]metric.Columns, error) {
+	sharesKeys := func(a, b metric.Columns) bool {
+		return a.Len() == b.Len() && &a.Keys[0] == &b.Keys[0]
+	}
+	var reads []metric.Columns
+	for k, opts := range modelColumnScans {
+		got, version := table.ScanColumns(opts)
+		state, stateVersion := table.ScanState(opts)
+		want := metric.ColumnsOf(state)
+		if !slices.Equal(got.Keys, want.Keys) || !slices.Equal(got.Vals, want.Vals) || version != stateVersion {
+			return nil, fmt.Errorf("ScanColumns(%+v) = %v @%d, ScanState %v @%d", opts, got, version, state, stateVersion)
+		}
+		if got.Len() > 0 {
+			if again, _ := table.ScanColumns(opts); !sharesKeys(got, again) {
+				return nil, fmt.Errorf("two ScanColumns(%+v) with no write between them do not share Keys", opts)
+			}
+			if prev != nil && prev[k].Len() > 0 {
+				switch shared := sharesKeys(got, prev[k]); {
+				case !cellsChanged && !flipped && !shared:
+					return nil, fmt.Errorf("ScanColumns(%+v) has new Keys, though no cell was added, deleted or flipped", opts)
+				case cellsChanged && shared:
+					return nil, fmt.Errorf("ScanColumns(%+v) kept its Keys across an added or deleted cell", opts)
+				}
+			}
+		}
+		reads = append(reads, got)
+	}
+	return reads, nil
 }
 
 // runtimeKey returns key, or half the time a copy of it built at run time,

@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"sync"
 	"testing"
+
+	"smartflux/internal/metric"
 )
 
 // raceEnabled reports a -race build. Its instrumentation changes what
@@ -62,5 +64,61 @@ func TestScanFloatRowsBesideApply(t *testing.T) {
 			}
 			last = vals[0]
 		})
+	}
+}
+
+// TestScanColumnsBesideApply runs ι snapshots while batches are applied:
+// batch k writes k to every cell, in place in the table's float array once
+// the key set has settled, and every fourth batch also adds a cell, which
+// makes the next snapshot rebuild the array. Each read must see one batch
+// whole, and never an older one than the read before it.
+func TestScanColumnsBesideApply(t *testing.T) {
+	table := newTestTable(t, TableOptions{})
+	rows := make([]string, 10)
+	for i := range rows {
+		rows[i] = "r" + strconv.Itoa(i)
+	}
+	cols := []string{"a", "b"}
+	apply := func(k int) {
+		b := GetBatch()
+		for _, row := range rows {
+			for _, col := range cols {
+				b.PutFloat(row, col, float64(k))
+			}
+		}
+		if k%4 == 0 {
+			b.PutFloat("s"+strconv.Itoa(k), "a", float64(k))
+		}
+		if err := table.Apply(b); err != nil {
+			t.Error(err)
+		}
+		b.Release()
+	}
+	apply(0)
+	const batches = 200
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for k := 1; k <= batches; k++ {
+			apply(k)
+		}
+	}()
+	last := 0.0
+	for last < batches {
+		c, _ := table.ScanColumns(ScanOptions{ColumnPrefix: "a"})
+		state, _ := table.ScanState(ScanOptions{RowPrefix: "r"})
+		for _, vals := range [][]float64{c.Vals[:len(rows)], metric.ColumnsOf(state).Vals} {
+			for _, v := range vals {
+				if v != vals[0] {
+					t.Fatalf("read a batch in part: %v", vals)
+				}
+			}
+		}
+		if c.Vals[0] < last {
+			t.Fatalf("read batch %v after batch %v", c.Vals[0], last)
+		}
+		last = c.Vals[0]
 	}
 }

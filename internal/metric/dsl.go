@@ -49,15 +49,6 @@ func ParseDSL(expr string) (Factory, error) {
 	return func() Metric { return &dslMetric{root: node} }, nil
 }
 
-// MustParseDSL is ParseDSL that panics on error, for static expressions.
-func MustParseDSL(expr string) Factory {
-	f, err := ParseDSL(expr)
-	if err != nil {
-		panic(err)
-	}
-	return f
-}
-
 // dslAggregates is the per-element accumulator state.
 type dslAggregates struct {
 	sumDelta    float64

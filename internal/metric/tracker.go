@@ -96,6 +96,35 @@ func StateOf(m map[string]float64) State {
 	return elems
 }
 
+// Columns is a container state in columnar form: Keys strictly increasing,
+// Vals[i] the value of element Keys[i]. It is the form ι/ε snapshots take
+// (kvstore.Table.ScanColumns) and the form trackers hold their baselines in.
+// Like a State it is immutable once built and shared freely. Two snapshots of
+// one unchanged key set share Keys — the same backing array at the same
+// length — and a tracker compares such a pair in a plain float loop.
+type Columns struct {
+	Keys []string
+	Vals []float64
+}
+
+// ColumnsOf converts a State to Columns.
+func ColumnsOf(s State) Columns {
+	c := Columns{Keys: make([]string, len(s)), Vals: make([]float64, len(s))}
+	for i, e := range s {
+		c.Keys[i], c.Vals[i] = e.Key, e.Val
+	}
+	return c
+}
+
+// Len returns the number of elements.
+func (c Columns) Len() int { return len(c.Keys) }
+
+// sharesKeys reports whether c and o hold the very same key slice, which,
+// keys being immutable, means the same elements in the same order.
+func (c Columns) sharesKeys(o Columns) bool {
+	return len(c.Keys) == len(o.Keys) && (len(c.Keys) == 0 || &c.Keys[0] == &o.Keys[0])
+}
+
 // Tracker computes a metric for one data container across waves, holding the
 // one earlier state the metric compares against (§2.1): the state at the
 // step's latest execution in cancellation mode, at the previous wave in
@@ -113,9 +142,9 @@ type Tracker struct {
 // and the durability layer checkpoints ε/ι accounting with it. The baseline is
 // shared, not copied: states are immutable, so a captured value stays valid
 // however the live tracker evolves. HasBaseline is a field of its own: an empty
-// container is a baseline too, and gob decodes an empty State as nil.
+// container is a baseline too, and gob decodes empty Columns as nil slices.
 type PersistedTracker struct {
-	Baseline    State // moved by Commit, and in accumulate mode by every Observe
+	Baseline    Columns // moved by Commit, and in accumulate mode by every Observe
 	Accumulated float64
 	Current     float64
 	HasBaseline bool
@@ -126,79 +155,89 @@ func NewTracker(factory Factory, mode Mode) *Tracker {
 	return &Tracker{factory: factory, mode: mode}
 }
 
-// evaluate runs one metric computation of state vs. baseline as a merge-join
-// over the two key-sorted slices; it allocates nothing besides the Metric the
-// factory returns. The visiting order is part of the result — floating-point
-// accumulation is not associative — and is fixed as: BaselineSum over every
-// baseline element in key order; Update(cur, prev) for new and modified
-// elements in state key order (new elements compare against zero, paper
-// §2.1); and only then Update(0, old) for deleted elements in baseline key
-// order, a second pass taken only when the first one met a deletion.
-func (t *Tracker) evaluate(state, baseline State) float64 {
+// evaluate runs one metric computation of state vs. baseline; it allocates
+// nothing besides the Metric the factory returns. The visiting order is part
+// of the result — floating-point accumulation is not associative — and is
+// fixed as: BaselineSum over every baseline element in key order;
+// Update(cur, prev) for new and modified elements in state key order (new
+// elements compare against zero, paper §2.1); and only then Update(0, old)
+// for deleted elements in baseline key order. Two states that share their
+// keys are compared element by element, which is that order with nothing new
+// or deleted; any other pair is merge-joined, the deletion pass taken only
+// when the join met a deletion.
+func (t *Tracker) evaluate(state, baseline Columns) float64 {
 	m := t.factory()
 	var baselineSum float64
 	var modified, deleted int
+	if state.sharesKeys(baseline) {
+		cur := state.Vals[:len(baseline.Vals)]
+		for i, prev := range baseline.Vals {
+			baselineSum += prev
+			if cur[i] != prev {
+				m.Update(cur[i], prev)
+				modified++
+			}
+		}
+		return m.Compute(Context{Modified: modified, Total: len(cur), BaselineSum: baselineSum})
+	}
+	keys, vals := state.Keys, state.Vals
+	oldKeys, oldVals := baseline.Keys, baseline.Vals
 	i, j := 0, 0
-	for i < len(state) && j < len(baseline) {
-		cur, prev := state[i], baseline[j]
+	for i < len(keys) && j < len(oldKeys) {
 		switch {
-		case cur.Key == prev.Key:
-			baselineSum += prev.Val
-			if cur.Val != prev.Val {
-				m.Update(cur.Val, prev.Val)
+		case keys[i] == oldKeys[j]:
+			baselineSum += oldVals[j]
+			if vals[i] != oldVals[j] {
+				m.Update(vals[i], oldVals[j])
 				modified++
 			}
 			i++
 			j++
-		case cur.Key < prev.Key:
-			m.Update(cur.Val, 0)
+		case keys[i] < oldKeys[j]:
+			m.Update(vals[i], 0)
 			modified++
 			i++
 		default:
-			baselineSum += prev.Val
+			baselineSum += oldVals[j]
 			deleted++
 			j++
 		}
 	}
-	for ; i < len(state); i++ {
-		m.Update(state[i].Val, 0)
+	for ; i < len(keys); i++ {
+		m.Update(vals[i], 0)
 		modified++
 	}
-	for ; j < len(baseline); j++ {
-		baselineSum += baseline[j].Val
+	for ; j < len(oldKeys); j++ {
+		baselineSum += oldVals[j]
 		deleted++
 	}
 	if deleted > 0 {
 		i = 0
-		for _, old := range baseline {
-			for i < len(state) && state[i].Key < old.Key {
+		for j, old := range oldKeys {
+			for i < len(keys) && keys[i] < old {
 				i++
 			}
-			if i == len(state) || state[i].Key != old.Key {
-				m.Update(0, old.Val)
+			if i == len(keys) || keys[i] != old {
+				m.Update(0, oldVals[j])
 			}
 		}
 	}
-	total := len(state)
-	if lb := len(baseline); lb > total {
-		total = lb
-	}
 	return m.Compute(Context{
 		Modified:    modified + deleted,
-		Total:       total,
+		Total:       max(len(keys), len(oldKeys)),
 		BaselineSum: baselineSum,
 	})
 }
 
-// Observe folds the container state for a new wave into the tracker and
-// returns the metric value accumulated since the last Commit. The first
+// ObserveColumns folds the container state for a new wave into the tracker
+// and returns the metric value accumulated since the last Commit. The first
 // observation establishes the baseline and yields zero.
 //
 // The tracker retains state as its baseline; states are immutable, so the
 // caller may keep sharing it.
-func (t *Tracker) Observe(state State) float64 {
+func (t *Tracker) ObserveColumns(state Columns) float64 {
 	if !t.s.HasBaseline {
-		t.Commit(state)
+		t.CommitColumns(state)
 		return 0
 	}
 	t.s.Current = t.evaluate(state, t.s.Baseline)
@@ -210,14 +249,20 @@ func (t *Tracker) Observe(state State) float64 {
 	return t.s.Current
 }
 
+// Observe is ObserveColumns for a State.
+func (t *Tracker) Observe(state State) float64 { return t.ObserveColumns(ColumnsOf(state)) }
+
 // Current returns the most recently observed metric value.
 func (t *Tracker) Current() float64 { return t.s.Current }
 
-// Commit records that the associated step executed at the current wave:
-// the baseline moves to state and accumulation restarts.
-func (t *Tracker) Commit(state State) {
+// CommitColumns records that the associated step executed at the current
+// wave: the baseline moves to state and accumulation restarts.
+func (t *Tracker) CommitColumns(state Columns) {
 	t.s = PersistedTracker{Baseline: state, HasBaseline: true}
 }
+
+// Commit is CommitColumns for a State.
+func (t *Tracker) Commit(state State) { t.CommitColumns(ColumnsOf(state)) }
 
 // Persist captures the tracker's complete state; RestorePersisted must be
 // called on a tracker built with the same factory and mode.
@@ -234,7 +279,7 @@ func (t *Tracker) Reset() { t.s = PersistedTracker{} }
 // output deviation (the paper's "measured error").
 func Evaluate(factory Factory, current, baseline State) float64 {
 	t := Tracker{factory: factory, mode: ModeCancellation}
-	return t.evaluate(current, baseline)
+	return t.evaluate(ColumnsOf(current), ColumnsOf(baseline))
 }
 
 // Combiner merges the per-predecessor impacts of a step with several inputs

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"testing"
@@ -171,6 +172,56 @@ func TestMergeJoinMatchesMapReference(t *testing.T) {
 	}
 }
 
+// TestSharedKeysMatchMergeJoin evaluates random state pairs over one key set
+// two ways — sharing Keys, which takes the element-by-element loop, and with
+// the state's keys cloned, which forces the merge-join — and requires the same
+// bits from both for every built-in metric and a DSL metric. Values include
+// NaN, ±0 and elements left unchanged.
+func TestSharedKeysMatchMergeJoin(t *testing.T) {
+	names := []string{
+		FuncAbsoluteImpact, FuncRelativeImpact, FuncRelativeError, FuncRMSE,
+		DSLPrefix + "sum(absdelta) * m / (1 + baselinesum * n) + max(absdelta) + sum(delta)",
+	}
+	specials := []float64{math.NaN(), 0, math.Copysign(0, -1)}
+	for _, name := range names {
+		factory, err := Resolve(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := NewTracker(factory, ModeCancellation)
+		rng := rand.New(rand.NewSource(1))
+		value := func() float64 {
+			if rng.Intn(4) == 0 {
+				return specials[rng.Intn(len(specials))]
+			}
+			return math.Round(rng.NormFloat64()*50) / 4
+		}
+		for pair := 0; pair < 200; pair++ {
+			n := rng.Intn(40)
+			keys := make([]string, n)
+			base := Columns{Keys: keys, Vals: make([]float64, n)}
+			state := Columns{Keys: keys, Vals: make([]float64, n)}
+			for i := range keys {
+				keys[i] = "r" + strconv.Itoa(100+i) + "/v"
+				base.Vals[i] = value()
+				state.Vals[i] = value()
+				if rng.Intn(3) == 0 {
+					state.Vals[i] = base.Vals[i]
+				}
+			}
+			cloned := Columns{Keys: slices.Clone(keys), Vals: state.Vals}
+			if !state.sharesKeys(base) || n > 0 && cloned.sharesKeys(base) {
+				t.Fatalf("pair %d: the two states do not take the two paths", pair)
+			}
+			fast, join := tr.evaluate(state, base), tr.evaluate(cloned, base)
+			if math.Float64bits(fast) != math.Float64bits(join) {
+				t.Fatalf("%s pair %d: shared keys = %v (%#x), merge-join %v (%#x)\nbase %v\nstate %v",
+					name, pair, fast, math.Float64bits(fast), join, math.Float64bits(join), base.Vals, state.Vals)
+			}
+		}
+	}
+}
+
 func TestNewState(t *testing.T) {
 	sorted := []Elem{{"a", 1}, {"b", 2}, {"c", 3}}
 	if got := NewState(sorted); &got[0] != &sorted[0] || len(got) != 3 {
@@ -186,8 +237,8 @@ func TestNewState(t *testing.T) {
 }
 
 // TestObserveAllocations guards the hot path: one observation of a
-// 1000-element container allocates the Metric the factory returns and
-// nothing else.
+// 1000-element container, merge-joined or of shared keys, allocates the
+// Metric the factory returns and nothing else.
 func TestObserveAllocations(t *testing.T) {
 	cur, prev := make(refState, 1000), make(refState, 1000)
 	rng := rand.New(rand.NewSource(1))
@@ -197,26 +248,32 @@ func TestObserveAllocations(t *testing.T) {
 		cur[key] = prev[key] + float64(i%3)
 	}
 	delete(cur, "ra/a") // take the deletion pass too
-	state, baseline := StateOf(cur), StateOf(prev)
+	state, baseline := ColumnsOf(StateOf(cur)), ColumnsOf(StateOf(prev))
+	shared := Columns{Keys: baseline.Keys, Vals: make([]float64, baseline.Len())}
+	for i, v := range baseline.Vals {
+		shared.Vals[i] = v + float64(i%3)
+	}
 	for _, mode := range []Mode{ModeCancellation, ModeAccumulate} {
-		tr := NewTracker(NewRelativeImpact, mode)
-		tr.Commit(baseline)
-		if allocs := testing.AllocsPerRun(50, func() { tr.Observe(state) }); allocs > 1 {
-			t.Errorf("%v: Observe allocates %v objects per call, want <= 1", mode, allocs)
+		for name, state := range map[string]Columns{"merge-join": state, "shared keys": shared} {
+			tr := NewTracker(NewRelativeImpact, mode)
+			tr.CommitColumns(baseline)
+			if allocs := testing.AllocsPerRun(50, func() { tr.ObserveColumns(state) }); allocs > 1 {
+				t.Errorf("%v, %s: ObserveColumns allocates %v objects per call, want <= 1", mode, name, allocs)
+			}
 		}
 	}
 }
 
 // TestPersistedTrackerHoldsOneState: the monitoring component compares a
 // container against one earlier state (§2.1), so that is all a persisted
-// tracker carries — one State among its fields, and an encoding barely longer
-// than that state's own, whichever events last moved the baseline.
+// tracker carries — one Columns among its fields, and an encoding barely
+// longer than that state's own, whichever events last moved the baseline.
 func TestPersistedTrackerHoldsOneState(t *testing.T) {
 	var states int
 	var walk func(typ reflect.Type)
 	walk = func(typ reflect.Type) {
 		switch {
-		case typ == reflect.TypeOf(State(nil)):
+		case typ == reflect.TypeOf(Columns{}), typ == reflect.TypeOf(State(nil)):
 			states++
 		case typ.Kind() == reflect.Struct:
 			for i := 0; i < typ.NumField(); i++ {
@@ -228,7 +285,7 @@ func TestPersistedTrackerHoldsOneState(t *testing.T) {
 	}
 	walk(reflect.TypeOf(PersistedTracker{}))
 	if states != 1 {
-		t.Errorf("PersistedTracker reaches %d State values, want 1", states)
+		t.Errorf("PersistedTracker reaches %d states, want 1", states)
 	}
 
 	gobLen := func(v any) int {
@@ -252,7 +309,7 @@ func TestPersistedTrackerHoldsOneState(t *testing.T) {
 		tr.Commit(wave())
 		last := wave()
 		tr.Observe(last)
-		if got, limit := gobLen(tr.Persist()), gobLen(last)*11/10; got >= limit {
+		if got, limit := gobLen(tr.Persist()), gobLen(ColumnsOf(last))*11/10; got >= limit {
 			t.Errorf("%v: persisted tracker encodes to %d bytes, want < %d (1.1x one 1000-element state)", mode, got, limit)
 		}
 	}

@@ -155,20 +155,6 @@ type Named interface {
 	Name() string
 }
 
-// Predict thresholds a classifier score: class 1 iff Score(x) >= threshold.
-// A threshold of 0.5 is the neutral choice; lower thresholds trade precision
-// for recall (the paper's recall optimization for LRB).
-func Predict(c Classifier, x []float64, threshold float64) (int, error) {
-	score, err := c.Score(x)
-	if err != nil {
-		return 0, err
-	}
-	if score >= threshold {
-		return 1, nil
-	}
-	return 0, nil
-}
-
 // constantClassifier is used internally when a training set contains a
 // single class: it always returns that class's confidence.
 type constantClassifier struct {

@@ -47,11 +47,11 @@ func trainAccuracy(t *testing.T, c Classifier, d Dataset) float64 {
 	}
 	var correct int
 	for i, row := range d.X {
-		pred, err := Predict(c, row, 0.5)
+		score, err := c.Score(row)
 		if err != nil {
-			t.Fatalf("predict: %v", err)
+			t.Fatalf("score: %v", err)
 		}
-		if pred == d.Y[i] {
+		if score >= 0.5 == (d.Y[i] == 1) {
 			correct++
 		}
 	}
@@ -319,8 +319,7 @@ func TestForestPositiveWeightBoostsRecall(t *testing.T) {
 			if d.Y[i] != 1 {
 				continue
 			}
-			pred, _ := Predict(f, row, 0.5)
-			if pred == 1 {
+			if score, _ := f.Score(row); score >= 0.5 {
 				tp++
 			} else {
 				fn++
@@ -355,16 +354,6 @@ func TestScalerNormalizes(t *testing.T) {
 	out := c.transform([]float64{7})
 	if out[0] != 0 {
 		t.Errorf("constant feature transform = %v", out)
-	}
-}
-
-func TestPredictThreshold(t *testing.T) {
-	c := constantClassifier{score: 0.4}
-	if pred, _ := Predict(c, nil, 0.5); pred != 0 {
-		t.Error("0.4 < 0.5 must predict 0")
-	}
-	if pred, _ := Predict(c, nil, 0.3); pred != 1 {
-		t.Error("0.4 >= 0.3 must predict 1")
 	}
 }
 

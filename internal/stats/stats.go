@@ -98,17 +98,6 @@ func Max(xs []float64) (float64, error) {
 	return m, nil
 }
 
-// CumSum returns the running sum of xs as a new slice.
-func CumSum(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	var acc float64
-	for i, x := range xs {
-		acc += x
-		out[i] = acc
-	}
-	return out
-}
-
 // NormalizedCumulative returns, for each index i, sum(xs[0..i]) / (i+1).
 // With xs as per-wave 0/1 indicators this is the normalized cumulative series
 // the paper plots for executions (Figure 12) and confidence (Figure 10).
@@ -162,29 +151,4 @@ func Quantile(xs []float64, q float64) (float64, error) {
 	}
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
-}
-
-// Summary captures descriptive statistics for a series.
-type Summary struct {
-	N      int
-	Mean   float64
-	StdDev float64
-	Min    float64
-	Max    float64
-}
-
-// Summarize computes a Summary of xs.
-func Summarize(xs []float64) (Summary, error) {
-	if len(xs) == 0 {
-		return Summary{}, ErrEmpty
-	}
-	mn, _ := Min(xs)
-	mx, _ := Max(xs)
-	return Summary{
-		N:      len(xs),
-		Mean:   Mean(xs),
-		StdDev: StdDev(xs),
-		Min:    mn,
-		Max:    mx,
-	}, nil
 }

@@ -142,19 +142,6 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
-func TestCumSum(t *testing.T) {
-	got := CumSum([]float64{1, 2, 3})
-	want := []float64{1, 3, 6}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("CumSum = %v, want %v", got, want)
-		}
-	}
-	if len(CumSum(nil)) != 0 {
-		t.Error("CumSum(nil) should be empty")
-	}
-}
-
 func TestNormalizedCumulative(t *testing.T) {
 	got := NormalizedCumulative([]float64{1, 0, 1, 1})
 	want := []float64{1, 0.5, 2.0 / 3, 0.75}
@@ -259,18 +246,5 @@ func TestQuantile(t *testing.T) {
 	single, err := Quantile([]float64{7}, 0.3)
 	if err != nil || single != 7 {
 		t.Errorf("Quantile singleton = %v, %v", single, err)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s, err := Summarize([]float64{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.N != 3 || s.Mean != 2 || s.Min != 1 || s.Max != 3 {
-		t.Errorf("unexpected summary %+v", s)
-	}
-	if _, err := Summarize(nil); !errors.Is(err, ErrEmpty) {
-		t.Errorf("want ErrEmpty, got %v", err)
 	}
 }

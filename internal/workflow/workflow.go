@@ -68,13 +68,6 @@ func (c Container) Overlaps(o Container) bool {
 	return containersOverlap(c, o)
 }
 
-// Scan reads the container's current numeric state from its table t, with
-// the table's mutation version at the time of the read (see
-// kvstore.Table.ScanState).
-func (c Container) Scan(t *kvstore.Table) (metric.State, uint64) {
-	return t.ScanState(kvstore.ScanOptions{ColumnPrefix: c.ColumnPrefix})
-}
-
 // Snapshot reads the container's current numeric state from the store.
 // Missing tables yield an empty state.
 func (c Container) Snapshot(store *kvstore.Store) metric.State {
@@ -82,7 +75,7 @@ func (c Container) Snapshot(store *kvstore.Store) metric.State {
 	if err != nil {
 		return nil
 	}
-	state, _ := c.Scan(t)
+	state, _ := t.ScanState(kvstore.ScanOptions{ColumnPrefix: c.ColumnPrefix})
 	return state
 }
 
