@@ -298,6 +298,28 @@ func BenchmarkOverheadKVStoreScanColumns(b *testing.B) {
 	}
 }
 
+// BenchmarkOverheadKVStoreScanFloatRows measures a step's projected read of
+// an LRB wave's reports after a wave rewrote every cell: all three columns
+// of the 1 200 rows, as 2a reads them, and one, as 2a reads its previous
+// speeds.
+func BenchmarkOverheadKVStoreScanFloatRows(b *testing.B) {
+	table, rows, cols, apply := lrbReportsTable(b)
+	for _, proj := range [][]string{cols, cols[2:]} {
+		b.Run(strconv.Itoa(len(proj))+"col", func(b *testing.B) {
+			apply(-1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				table.ScanFloatRows(proj, func(keys []string, vals []float64, _ []bool) {
+					if len(keys) != len(rows) || len(vals) != len(rows)*len(proj) {
+						b.Fatal("short scan")
+					}
+				})
+			}
+		})
+	}
+}
+
 // BenchmarkOverheadKVStoreGet measures point reads: one op is a GetFloat of
 // every cell of the LRB-shaped table, 3 600 lookups.
 func BenchmarkOverheadKVStoreGet(b *testing.B) {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"slices"
 	"sync"
 )
 
@@ -63,7 +64,6 @@ func (c Cell) FloatValue() (float64, bool) {
 
 // floatRows is the pooled result buffer of ScanFloatRows.
 type floatRows struct {
-	keys []string
 	vals []float64
 	ok   []bool
 }
@@ -71,40 +71,44 @@ type floatRows struct {
 var floatRowsPool = sync.Pool{New: func() any { return new(floatRows) }}
 
 // ScanFloatRows is the projected read of a step that folds a table row by
-// row. In one hold of the table's read lock it reads, for every row in key
-// order, the latest value of each of cols decoded as a float64; then, with
-// the lock released, it calls fn once. keys lists the rows, and
-// vals[i*len(cols)+j] is row keys[i]'s cell cols[j]; ok at the same index is
-// false, and the value 0, when that cell is missing or not an encoded
-// float64. No Cell is built and no value copied. The slices are pooled, so fn
-// must not retain them. It counts as one scan of the float cells it found.
+// row. In one hold of the table's read lock it copies, for every row in key
+// order, the latest value of each of cols as a float64 out of the table's
+// float array (floats.go); then, with the lock released, it calls fn once.
+// keys lists the rows, and vals[i*len(cols)+j] is row keys[i]'s cell cols[j];
+// ok at the same index is false, and the value 0, when that cell is missing
+// or not an encoded float64. The read gathers through a projection of cols,
+// the rows' keys and the slots of their cells, cached until a cell is added
+// or deleted, so no row is walked and no column looked up. keys is the
+// projection's own slice and vals and ok are pooled: fn must not modify or
+// retain them. It counts as one scan of the float cells it found.
 func (t *Table) ScanFloatRows(cols []string, fn func(keys []string, vals []float64, ok []bool)) {
 	ins := t.store.ins.Load()
 	sp := ins.opSpan("scan", t.name)
 	buf := floatRowsPool.Get().(*floatRows)
-	keys, vals, oks := buf.keys[:0], buf.vals[:0], buf.ok[:0]
+	var keys []string
+	vals, oks := buf.vals[:0], buf.ok[:0]
 	var found int
-	t.readKeys(func(rows []*row) {
-		for _, r := range rows {
-			keys = append(keys, r.key)
-			for _, col := range cols {
-				v, err := 0.0, ErrBadFloat
-				if versions := r.cell(col); len(versions) > 0 {
-					v, err = DecodeFloat(versions[len(versions)-1].Value)
+	readFloats(t, func(f *floatArray) *floatProjection { return f.projection(cols) },
+		func(f *floatArray) *floatProjection { return t.projectionLocked(f, cols) },
+		func(f *floatArray, p *floatProjection) {
+			keys = p.keys
+			vals, oks = slices.Grow(vals, len(p.slots))[:len(p.slots)], slices.Grow(oks, len(p.slots))[:len(p.slots)]
+			for k, s := range p.slots {
+				v, ok := 0.0, false
+				if s >= 0 {
+					v, ok = f.vals[s], f.ok[s]
 				}
-				if err == nil {
+				if ok {
 					found++
 				}
-				vals, oks = append(vals, v), append(oks, err == nil)
+				vals[k], oks[k] = v, ok
 			}
-		}
-	})
+		})
 	ins.scanned(found)
 	sp.SetBytes(int64(found * floatWidth))
 	sp.End()
 	fn(keys, vals, oks)
-	clear(keys) // drop the row keys so the pool does not pin them
-	buf.keys, buf.vals, buf.ok = keys[:0], vals[:0], oks[:0]
+	buf.vals, buf.ok = vals[:0], oks[:0]
 	if cap(vals) <= maxPooledOps {
 		floatRowsPool.Put(buf)
 	}

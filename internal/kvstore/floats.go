@@ -7,14 +7,15 @@ import (
 	"smartflux/internal/metric"
 )
 
-// floatArray is what a table keeps for ι/ε snapshots: slot s holds the newest
-// value of the table's s-th cell in (row, column) order, decoded as a float64
-// (0, and ok false, when it is not an encoded float), beside the cell's
-// element key. A row's cells take the slots from row.base on. A write to an
-// existing cell rewrites its slot in place; adding or deleting a cell
-// renumbers the slots, so it marks the array stale instead, and the next
-// snapshot rebuilds it in one walk under the write lock, as a scan rebuilds
-// the sorted row list. A table nobody snapshots never builds one.
+// floatArray is what a table keeps for its float reads, ι/ε snapshots and
+// projected row reads: slot s holds the newest value of the table's s-th cell
+// in (row, column) order, decoded as a float64 (0, and ok false, when it is
+// not an encoded float), beside the cell's element key. A row's cells take
+// the slots from row.base on. A write to an existing cell rewrites its slot in
+// place; adding or deleting a cell renumbers the slots, so it marks the array
+// stale instead, and the next float read rebuilds it in one walk under the
+// write lock, as a scan rebuilds the sorted row list. A table nobody reads
+// through ScanColumns, ScanState or ScanFloatRows never builds one.
 type floatArray struct {
 	// keys is a fresh slice at every rebuild and never written after it:
 	// snapshots hand out subslices of it, which trackers keep as baselines.
@@ -25,11 +26,25 @@ type floatArray struct {
 	// views caches the selection of each ScanOptions read so far. Dropped at
 	// a rebuild, and when a cell switches between float and non-float.
 	views []*floatView
+	// projs caches the projection of each ScanFloatRows column list read so
+	// far. Dropped at a rebuild only: a projection reads ok when it gathers.
+	projs []*floatProjection
 }
 
-// maxFloatViews bounds the cached views of one table: a caller reading
-// many different selections starts the cache over rather than growing it.
+// maxFloatViews bounds the cached views, and separately the cached
+// projections, of one table: a caller reading many different selections
+// starts the cache over rather than growing it.
 const maxFloatViews = 16
+
+// floatProjection is one ScanFloatRows column list's view of the float
+// array: the table's row keys in key order, and row-major, the slot of each
+// named column's cell in each row, or -1 where the row has no such cell.
+// keys is never written after the build, so a read hands it out as is.
+type floatProjection struct {
+	cols  []string
+	keys  []string
+	slots []int
+}
 
 // floatView is one ScanOptions' selection of the float array: the slots of
 // its float cells in element-key order, and their keys. slots is nil when
@@ -49,12 +64,13 @@ func (v *floatView) slot(k int) int {
 	return v.slots[k]
 }
 
-// cellsChangedLocked marks the float array stale after a cell was added or
-// deleted. Callers hold t.mu.
+// cellsChangedLocked marks the float array stale, and the write plan
+// invalid, after a cell was added or deleted. Callers hold t.mu.
 func (t *Table) cellsChangedLocked() {
+	t.planned = false
 	if f := t.floats; f != nil {
 		f.stale = true
-		f.views = nil
+		f.views, f.projs = nil, nil
 	}
 }
 
@@ -175,16 +191,53 @@ func (t *Table) viewLocked(f *floatArray, opts ScanOptions) *floatView {
 	return v
 }
 
-// readFloats runs read with the table's float array and opts' view of it
-// under t.mu: read locked, so concurrent snapshots share it, when both are
-// current; else write locked, to build them first. opts.Limit is ignored.
-func (t *Table) readFloats(opts ScanOptions, read func(f *floatArray, v *floatView)) {
-	opts.Limit = 0
+// projection returns the cached projection of cols, or nil. A list equal to
+// a cached one matches it: for the package-level literals producers pass,
+// that is a pointer compare per column.
+func (f *floatArray) projection(cols []string) *floatProjection {
+	for _, p := range f.projs {
+		if slices.Equal(p.cols, cols) {
+			return p
+		}
+	}
+	return nil
+}
+
+// projectionLocked returns cols' projection of f, a current float array,
+// building and caching it on first use. Callers hold t.mu for writing.
+func (t *Table) projectionLocked(f *floatArray, cols []string) *floatProjection {
+	if p := f.projection(cols); p != nil {
+		return p
+	}
+	rows := t.sortedLocked()
+	p := &floatProjection{cols: slices.Clone(cols), keys: make([]string, len(rows)), slots: make([]int, 0, len(rows)*len(cols))}
+	for k, r := range rows {
+		p.keys[k] = r.key
+		for _, col := range cols {
+			s := -1
+			if i, ok := r.index(col); ok {
+				s = r.base + i
+			}
+			p.slots = append(p.slots, s)
+		}
+	}
+	if len(f.projs) == maxFloatViews {
+		f.projs = nil
+	}
+	f.projs = append(f.projs, p)
+	return p
+}
+
+// readFloats runs read with the table's float array and the cached selection
+// find returns from it, under t.mu: read locked, so concurrent reads share it,
+// when the array is current and find returns one; else write locked, to
+// rebuild the array and build, or find, the selection first.
+func readFloats[S any](t *Table, find func(f *floatArray) *S, build func(f *floatArray) *S, read func(f *floatArray, s *S)) {
 	t.mu.RLock()
 	if f := t.floats; f != nil && !f.stale {
-		if v := f.view(opts); v != nil {
+		if s := find(f); s != nil {
 			defer t.mu.RUnlock()
-			read(f, v)
+			read(f, s)
 			return
 		}
 	}
@@ -192,7 +245,15 @@ func (t *Table) readFloats(opts ScanOptions, read func(f *floatArray, v *floatVi
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	f := t.floatsLocked()
-	read(f, t.viewLocked(f, opts))
+	read(f, build(f))
+}
+
+// readView runs read with the table's float array and opts' view of it (see
+// readFloats). opts.Limit is ignored.
+func (t *Table) readView(opts ScanOptions, read func(f *floatArray, v *floatView)) {
+	opts.Limit = 0
+	readFloats(t, func(f *floatArray) *floatView { return f.view(opts) },
+		func(f *floatArray) *floatView { return t.viewLocked(f, opts) }, read)
 }
 
 // ScanColumns is the ι/ε snapshot: the float cells matching opts (Limit
@@ -210,7 +271,7 @@ func (t *Table) readFloats(opts ScanOptions, read func(f *floatArray, v *floatVi
 // keys collide (row "a/b" column "c", row "a" column "b/c") yield one
 // element: the later cell in (row, column) order wins.
 func (t *Table) ScanColumns(opts ScanOptions) (c metric.Columns, version uint64) {
-	t.readFloats(opts, func(f *floatArray, v *floatView) {
+	t.readView(opts, func(f *floatArray, v *floatView) {
 		vals := make([]float64, len(v.keys))
 		if v.slots == nil {
 			copy(vals, f.vals[v.lo:])
@@ -228,7 +289,7 @@ func (t *Table) ScanColumns(opts ScanOptions) (c metric.Columns, version uint64)
 // ScanState is ScanColumns returning a metric.State: the same elements, read
 // from the same float array, with nothing allocated but the result.
 func (t *Table) ScanState(opts ScanOptions) (elems metric.State, version uint64) {
-	t.readFloats(opts, func(f *floatArray, v *floatView) {
+	t.readView(opts, func(f *floatArray, v *floatView) {
 		elems = make(metric.State, len(v.keys))
 		for k, key := range v.keys {
 			elems[k] = metric.Elem{Key: key, Val: f.vals[v.slot(k)]}

@@ -10,34 +10,44 @@ import (
 )
 
 // FuzzTableColumns runs a byte-driven script against one table — float and
-// non-float puts, deletes, ReplayPuts at explicit timestamps, and DropTable
-// followed by a recreate — and after every operation requires ScanColumns to
-// equal ScanState, and both to equal the float cells a plain Scan returns
+// non-float puts, deletes, ReplayPuts at explicit timestamps, DropTable
+// followed by a recreate, and a batch repeating the last few puts and
+// deletes with fresh values, which a second such batch in a row writes
+// through the table's plan — and after every operation requires ScanColumns
+// to equal ScanState, and both to equal the float cells a plain Scan returns
 // (keyed, sorted and deduplicated as metric.NewState does), for a whole-table,
-// a column-prefix and a row-prefix read. Row "a" beside "a-b" breaks (row,
-// column) order against element-key order, and row "a" column "b/c" collides
-// with row "a/b" column "c". Each operation takes four bytes: kind, row,
-// column and value.
+// a column-prefix and a row-prefix read; and ScanFloatRows of two column
+// lists, one naming a column no row has, to equal the rows and cells Scan
+// returns. Row "a" beside "a-b" breaks (row, column) order against
+// element-key order, and row "a" column "b/c" collides with row "a/b" column
+// "c". Each operation takes four bytes: kind, row, column and value.
 func FuzzTableColumns(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 0, 1, 0, 2, 1, 0, 0, 3, 2, 1, 0, 0})
 	f.Add([]byte{0, 0, 1, 5, 0, 2, 0, 6, 3, 0, 1, 4, 4, 0, 0, 0, 0, 3, 2, 7})
 	f.Add([]byte{0, 3, 0, 1, 0, 3, 1, 2, 0, 3, 2, 3, 1, 3, 1, 9, 0, 3, 1, 8, 2, 3, 0, 0})
+	f.Add([]byte{0, 0, 0, 1, 0, 1, 3, 2, 2, 2, 0, 0, 5, 0, 0, 3, 5, 0, 0, 4, 0, 4, 1, 5, 5, 0, 0, 6, 5, 0, 0, 7})
 	rows := []string{"a", "a-b", "a/b", "r1", "r10", "r2"}
 	cols := []string{"c", "b/c", "c1", "d"}
 	shapes := []ScanOptions{{}, {ColumnPrefix: "c"}, {RowPrefix: "r1"}}
+	projections := [][]string{{"c1", "c"}, {"d", "x", "b/c"}}
 	f.Fuzz(func(t *testing.T, script []byte) {
 		store := New()
 		table, err := store.CreateTable("t", TableOptions{MaxVersions: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
+		var recent []Op // the last few single puts and deletes
 		for ; len(script) >= 4; script = script[4:] {
 			row, col, b := rows[int(script[1])%len(rows)], cols[int(script[2])%len(cols)], script[3]
 			value := EncodeFloat(float64(b) - 128)
 			if b%5 == 0 {
 				value = []byte("s" + strconv.Itoa(int(b)))
 			}
-			switch script[0] % 5 {
+			kind := script[0] % 6
+			if kind <= 2 {
+				recent = append(recent[max(len(recent)-3, 0):], Op{Row: row, Column: col, Delete: kind == 2})
+			}
+			switch kind {
 			case 0:
 				err = table.PutFloat(row, col, float64(b)/4)
 			case 1:
@@ -50,6 +60,16 @@ func FuzzTableColumns(f *testing.F) {
 				if err = store.DropTable("t"); err == nil {
 					table, err = store.CreateTable("t", TableOptions{MaxVersions: 2})
 				}
+			case 5:
+				batch := NewBatch()
+				for k, op := range recent {
+					if op.Delete {
+						batch.Delete(op.Row, op.Column)
+					} else {
+						batch.PutFloat(op.Row, op.Column, float64(b)+float64(k)/8)
+					}
+				}
+				err = table.Apply(batch)
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -66,6 +86,35 @@ func FuzzTableColumns(f *testing.F) {
 				state, stateVersion := table.ScanState(opts)
 				if !equalColumns(got, metric.ColumnsOf(state)) || version != stateVersion || !equalColumns(got, want) {
 					t.Fatalf("%+v: ScanColumns = %v @%d, ScanState %v @%d, scanned cells %v", opts, got, version, state, stateVersion, want)
+				}
+			}
+			cells := table.Scan(ScanOptions{})
+			for _, proj := range projections {
+				var keys []string
+				var vals []float64
+				var ok []bool
+				table.ScanFloatRows(proj, func(k []string, v []float64, o []bool) {
+					keys, vals, ok = slices.Clone(k), slices.Clone(v), slices.Clone(o)
+				})
+				var wantKeys []string
+				var wantVals []float64
+				var wantOK []bool
+				for i, j := 0, 0; i < len(cells); i = j {
+					for j = i; j < len(cells) && cells[j].Row == cells[i].Row; j++ {
+					}
+					wantKeys = append(wantKeys, cells[i].Row)
+					for _, col := range proj {
+						v, found := 0.0, false
+						for _, c := range cells[i:j] {
+							if c.Column == col {
+								v, found = c.FloatValue()
+							}
+						}
+						wantVals, wantOK = append(wantVals, v), append(wantOK, found)
+					}
+				}
+				if !slices.Equal(keys, wantKeys) || !slices.Equal(vals, wantVals) || !slices.Equal(ok, wantOK) {
+					t.Fatalf("ScanFloatRows(%q) = %q %v %v, scanned %q %v %v", proj, keys, vals, ok, wantKeys, wantVals, wantOK)
 				}
 			}
 		}

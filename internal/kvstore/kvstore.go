@@ -329,13 +329,25 @@ type Table struct {
 	// same cells. Snapshot caches key on it (see ScanColumns).
 	version uint64
 	// floats holds the latest value of every cell as a float, for ι/ε
-	// snapshots; nil until the first one (see floats.go).
+	// snapshots and projected reads; nil until the first (see floats.go).
 	floats *floatArray
+	// plan holds, for each op of the last batch apply wrote, the cell the op
+	// resolved to (zero for a delete); planned is false once a cell has been
+	// added or deleted since, which may have moved any of them.
+	plan    []cellRef
+	planned bool
 }
 
-// row is one row's record: its cells, in column order. A read or a write of
-// any of its cells costs one map lookup for the row and a binary search of
-// its columns.
+// cellRef is a cell's position: the i-th column of row r.
+type cellRef struct {
+	r *row
+	i int
+}
+
+// row is one row's record: its cells, in column order. A point read or a
+// write of any of its cells costs one map lookup for the row and a search of
+// its columns, unless the write repeats its table's last batch (see
+// Table.apply); a projected read looks nothing up (see Table.ScanFloatRows).
 type row struct {
 	key  string
 	cols []string // sorted column keys
@@ -405,7 +417,14 @@ func (t *Table) Put(row, column string, value []byte) error {
 // clock (op i is stamped first+i, so a delete of a missing cell still consumes
 // its tick), applies the ops and reads the observer list. Mutation records are
 // built only when the table has observers, and delivered after the unlock.
-// Consecutive ops on one row look the row up once.
+//
+// A put resolves its cell once per key set: the table keeps the cell each op
+// of its last batch resolved to (t.plan), and a batch of the same length
+// whose op i names that cell's row and column again writes through it, while
+// no cell has been added or deleted since it was recorded. Producers reuse
+// their key strings across waves, so the check is two pointer compares.
+// Otherwise the op looks its row up, once for consecutive ops on one row,
+// and searches its columns.
 func (t *Table) apply(spanOp string, ops []Op) {
 	ins := t.store.ins.Load()
 	sp := ins.opSpan(spanOp, t.name)
@@ -426,30 +445,44 @@ func (t *Table) apply(spanOp string, ops []Op) {
 		muts = make([]Mutation, 0, len(ops))
 	}
 	first := t.store.reserveTimestamps(len(ops))
+	if !t.planned || len(t.plan) != len(ops) {
+		t.plan = slices.Grow(t.plan[:0], len(ops))[:len(ops)]
+		clear(t.plan)
+	}
+	t.planned = true
 	var r *row // the last op's row, while the ops name it
 	for i := range ops {
 		op := &ops[i] // neither the 64-byte Op nor a Mutation is copied per op
 		ts, kind := first+uint64(i), MutationPut
 		var old, value []byte
-		if r == nil || r.key != op.Row {
-			r = t.rows[op.Row]
-		}
+		ref := &t.plan[i]
 		if op.Delete {
+			if r == nil || r.key != op.Row {
+				r = t.rows[op.Row]
+			}
 			var ok bool
 			old, ok = t.deleteLocked(r, op.Column)
-			r = nil // the delete may have removed the row
+			*ref, r = cellRef{}, nil // the delete may have removed the row
 			if !ok {
 				continue
 			}
 			kind = MutationDelete
 			dels++
 		} else {
-			if r == nil {
-				r = t.addRowLocked(op.Row)
+			if !t.planned || ref.r == nil || ref.r.key != op.Row || ref.r.cols[ref.i] != op.Column {
+				if r == nil || r.key != op.Row {
+					r = t.addRowLocked(op.Row)
+				}
+				*ref = cellRef{r, t.windowLocked(r, op.Column)}
+			}
+			r = ref.r
+			versions := r.cells[ref.i]
+			if n := len(versions); n > 0 {
+				old = versions[n-1].Value
 			}
 			n := len(op.Value)
 			value, arena = arena[:n:n], arena[n:]
-			old = t.putLocked(r, op.Column, value, ts)
+			t.insertLocked(r, ref.i, len(versions), Version{Timestamp: ts, Value: value})
 			puts++
 		}
 		if muts != nil {
@@ -482,19 +515,6 @@ func (t *Table) addRowLocked(key string) *row {
 		t.sorted = nil
 	}
 	return r
-}
-
-// putLocked stores value, which the table owns from here on, as the newest
-// version of column in r and returns the latest value it displaced (nil for
-// a new cell). Callers hold t.mu.
-func (t *Table) putLocked(r *row, column string, value []byte, ts uint64) (old []byte) {
-	i := t.windowLocked(r, column)
-	versions := r.cells[i]
-	if n := len(versions); n > 0 {
-		old = versions[n-1].Value
-	}
-	t.insertLocked(r, i, len(versions), Version{Timestamp: ts, Value: value})
-	return old
 }
 
 // windowLocked returns the index in r of column's version window, creating

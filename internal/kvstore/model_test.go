@@ -143,16 +143,22 @@ var (
 // TestTableMatchesReferenceModel runs seeded random sequences of Put, Delete,
 // Apply, ReplayPut and ReplayDelete on a table and on the reference, and after
 // every operation compares every read: Scan, ScanPagesShared at page sizes 1,
-// 2 and 256, ScanState, ScanFloatRows, History, GetVersions, CellCount,
-// RowCount, Version and the store clock, and ScanColumns with ScanState (see
-// compareColumns). The sequences include batches whose deletes empty a row
-// that later ops of the same batch write again, out-of-order and duplicate
-// replays into full windows, rows wider than narrowRow, column keys built at
-// run time — equal to the stored key, but not sharing its data — cells
-// overwritten between float and non-float, and float cells in both rows "a"
-// and "a-b", where (row, column) order and element-key order part.
+// 2 and 256, ScanState, ScanFloatRows (with its column lists as given and
+// built at run time), History, GetVersions, CellCount, RowCount, Version and
+// the store clock, and ScanColumns with ScanState (see compareColumns). The
+// sequences include batches whose deletes empty a row that later ops of the
+// same batch write again, out-of-order and duplicate replays into full
+// windows, rows wider than narrowRow, column keys built at run time — equal
+// to the stored key, but not sharing its data — cells overwritten between
+// float and non-float, and float cells in both rows "a" and "a-b", where
+// (row, column) order and element-key order part. They also re-apply the
+// last batch's keys with fresh values, which the table's write plan
+// resolves, sometimes with a column swapped, a delete inside the batch, or a
+// cell added or removed before it; the test requires both the plan and the
+// row and column lookup to have resolved some of their puts.
 func TestTableMatchesReferenceModel(t *testing.T) {
 	widest, flips, orderBreaks := 0, 0, 0
+	planned, looked := 0, 0
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		maxVersions := 1 + int(seed%3)
@@ -181,10 +187,11 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 			return pick()
 		}
 		var reads []metric.Columns
+		var last []Op // the ops of the last Apply
 		for step := 0; step < 150; step++ {
 			var did string
 			cellChanges, flipped := m.cellChanges, m.flips
-			switch rng.Intn(8) {
+			switch rng.Intn(9) {
 			case 0:
 				row, col := pick()
 				v := value()
@@ -214,6 +221,7 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 				did = fmt.Sprintf("Apply(%d random ops)", len(ops))
 				applyOps(t, table, ops, rng.Intn(2) == 0)
 				m.apply(ops)
+				last = ops
 			case 3:
 				// Write a row, delete every cell it has, write it again.
 				row, col := existing()
@@ -227,6 +235,7 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 				did = fmt.Sprintf("Apply(empty row %s mid-batch)", row)
 				applyOps(t, table, ops, rng.Intn(2) == 0)
 				m.apply(ops)
+				last = ops
 			case 4:
 				row, col := existing()
 				var newest uint64
@@ -256,6 +265,7 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 				did = fmt.Sprintf("Apply(widen row %s)", row)
 				applyOps(t, table, ops, rng.Intn(2) == 0)
 				m.apply(ops)
+				last = ops
 			case 7:
 				// Overwrite a cell with a value of the other kind.
 				row, col := existing()
@@ -268,6 +278,61 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 					t.Fatal(err)
 				}
 				m.apply([]Op{{Row: row, Column: col, Value: v}})
+			case 8:
+				// Re-apply the last batch's keys with fresh values: half
+				// the time the same strings, else equal ones built at run
+				// time.
+				ops := slices.Clone(last)
+				cloned := rng.Intn(2) == 0
+				for i := range ops {
+					if cloned {
+						ops[i].Row, ops[i].Column = strings.Clone(ops[i].Row), strings.Clone(ops[i].Column)
+					}
+					if !ops[i].Delete {
+						ops[i].Value = value()
+					}
+				}
+				did = fmt.Sprintf("Apply(repeat %d ops, keys cloned %v", len(ops), cloned)
+				if len(ops) == 0 {
+					break
+				}
+				switch k := rng.Intn(len(ops)); rng.Intn(5) {
+				case 1:
+					_, ops[k].Column = pick()
+					did += ", a column swapped"
+				case 2:
+					ops[k] = Op{Row: ops[k].Row, Column: ops[k].Column, Delete: true}
+					did += ", a delete inside"
+				case 3:
+					// A replay adds a cell, or rewrites one, and leaves
+					// the last batch the table's last write.
+					row, col := pick()
+					v := Version{Timestamp: m.clock, Value: value()}
+					if err := table.ReplayPut(row, col, v.Value, v.Timestamp); err != nil {
+						t.Fatal(err)
+					}
+					m.replayPut(row, col, v)
+					did += fmt.Sprintf(", after ReplayPut(%s, %s)", row, col)
+				case 4:
+					row, col := existing()
+					if err := table.ReplayDelete(row, col); err != nil {
+						t.Fatal(err)
+					}
+					m.delete(row, col)
+					did += fmt.Sprintf(", after ReplayDelete(%s, %s)", row, col)
+				}
+				did += ")"
+				puts := 0
+				for _, op := range ops {
+					if !op.Delete {
+						puts++
+					}
+				}
+				hits := planHits(table, m, ops)
+				planned, looked = planned+hits, looked+puts-hits
+				applyOps(t, table, ops, rng.Intn(2) == 0)
+				m.apply(ops)
+				last = ops
 			}
 			if err := compareWithModel(table, m); err != nil {
 				t.Fatalf("seed %d step %d, after %s: %v", seed, step, did, err)
@@ -292,6 +357,27 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 	if flips == 0 || orderBreaks == 0 {
 		t.Errorf("%d float/non-float flips, %d reads with float cells in rows a and a-b: want both", flips, orderBreaks)
 	}
+	if planned == 0 || looked == 0 {
+		t.Errorf("repeated batches: %d puts resolved by the write plan, %d looked up: want both", planned, looked)
+	}
+}
+
+// planHits returns how many puts of ops the table's write plan resolves: the
+// puts whose recorded cell has the op's row and column, up to the first op
+// that adds or deletes a cell. m holds the table's cells before ops.
+func planHits(table *Table, m *refTable, ops []Op) (hits int) {
+	if !table.planned || len(table.plan) != len(ops) {
+		return 0
+	}
+	for i, op := range ops {
+		if _, live := m.cells[op.Row][op.Column]; live == op.Delete {
+			return hits // the op adds or deletes a cell
+		}
+		if ref := table.plan[i]; !op.Delete && ref.r != nil && ref.r.key == op.Row && ref.r.cols[ref.i] == op.Column {
+			hits++
+		}
+	}
+	return hits
 }
 
 // hasFloat reports whether a model row has a float cell.

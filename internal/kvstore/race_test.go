@@ -67,6 +67,74 @@ func TestScanFloatRowsBesideApply(t *testing.T) {
 	}
 }
 
+// TestScanFloatRowsBesideReplannedApply runs projected reads of two column
+// lists, on two goroutines, while a writer alternates between batches that
+// repeat the last one's keys, which write through the table's plan, and
+// batches that also add a cell and delete it again, which invalidate the
+// plan and every projection. Batch k writes k to every cell, so a read that
+// saw a batch in part would return two values. Each read must see one batch
+// whole, and never an older one than the read before it.
+func TestScanFloatRowsBesideReplannedApply(t *testing.T) {
+	table := newTestTable(t, TableOptions{})
+	rows := make([]string, 10)
+	for i := range rows {
+		rows[i] = "r" + strconv.Itoa(i)
+	}
+	cols := []string{"a", "b"}
+	apply := func(k int) {
+		b := GetBatch()
+		for _, row := range rows {
+			for _, col := range cols {
+				b.PutFloat(row, col, float64(k))
+			}
+		}
+		if k%3 == 0 {
+			b.PutFloat("s", "a", float64(k)).Delete("s", "a")
+		}
+		if err := table.Apply(b); err != nil {
+			t.Error(err)
+		}
+		b.Release()
+	}
+	apply(1)
+	const batches = 300
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for k := 2; k <= batches; k++ {
+			apply(k)
+		}
+	}()
+	for _, proj := range [][]string{cols, cols[1:]} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for last := 0.0; last < batches; {
+				table.ScanFloatRows(proj, func(keys []string, vals []float64, ok []bool) {
+					if len(keys) != len(rows) || len(vals) != len(rows)*len(proj) {
+						t.Errorf("read %d rows, %d values, want %d rows", len(keys), len(vals), len(rows))
+						last = batches
+						return
+					}
+					for i, v := range vals {
+						if !ok[i] || v != vals[0] {
+							t.Errorf("read a batch in part: %v %v", vals, ok)
+							last = batches
+							return
+						}
+					}
+					if vals[0] < last {
+						t.Errorf("read batch %v after batch %v", vals[0], last)
+					}
+					last = vals[0]
+				})
+			}
+		}()
+	}
+}
+
 // TestScanColumnsBesideApply runs ι snapshots while batches are applied:
 // batch k writes k to every cell, in place in the table's float array once
 // the key set has settled, and every fourth batch also adds a cell, which
