@@ -1,6 +1,7 @@
 package kvstore
 
 import (
+	"math"
 	"slices"
 	"sync"
 )
@@ -13,16 +14,19 @@ type Op struct {
 	Value []byte
 	// Delete marks the op as a cell deletion.
 	Delete bool
+	// float marks a PutFloat op: its value is the EncodeFloat encoding of
+	// bits, which the table stores as they are, and Value is nil.
+	float bool
+	bits  uint64
 }
 
 // Batch is an ordered set of mutations applied atomically to one table:
 // readers never observe a partially-applied batch, and observers receive the
-// batch's mutations in order after it commits.
+// batch's mutations in order after it commits. A batch is its op slots and
+// nothing else: a PutFloat op carries its float's bits, and a Put op the
+// caller's slice, which Apply copies where it must.
 type Batch struct {
 	ops []Op
-	// floats holds the encodings PutFloat appends; each of its ops' values
-	// is a capacity-capped subslice of it.
-	floats []byte
 }
 
 // NewBatch creates an empty batch.
@@ -39,22 +43,20 @@ var batchPool = sync.Pool{New: func() any { return new(Batch) }}
 // it stores, so the table keeps nothing of a released batch.
 func GetBatch() *Batch { return batchPool.Get().(*Batch) }
 
-// Release empties the batch and returns it to the pool. The batch, and every
-// value PutFloat encoded into it, must not be used afterwards.
+// Release empties the batch and returns it to the pool. The batch must not
+// be used afterwards.
 func (b *Batch) Release() {
-	if cap(b.ops) > maxPooledOps || cap(b.floats) > maxPooledOps*floatWidth {
+	if cap(b.ops) > maxPooledOps {
 		return
 	}
 	clear(b.ops) // drop key and value references so the pool does not pin them
-	b.ops, b.floats = b.ops[:0], b.floats[:0]
+	b.ops = b.ops[:0]
 	batchPool.Put(b)
 }
 
 // Grow reserves room for n more ops, like strings.Builder.Grow: a producer
-// that knows its count builds the batch without regrowing it. The first
-// PutFloat that finds the float buffer full sizes it for every op the batch
-// has room for, so a batch of plain Puts never allocates one. It returns the
-// batch for chaining.
+// that knows its count builds the batch, Puts and PutFloats alike, without
+// allocating. It returns the batch for chaining.
 func (b *Batch) Grow(n int) *Batch {
 	b.ops = slices.Grow(b.ops, n)
 	return b
@@ -66,14 +68,16 @@ func (b *Batch) Put(row, column string, value []byte) *Batch {
 	return b
 }
 
-// PutFloat appends a put of an encoded float64 value.
+// PutFloat appends a put of an encoded float64 value (EncodeFloat's bytes).
+// The op keeps the float's bits, which the table stores without encoding.
 func (b *Batch) PutFloat(row, column string, value float64) *Batch {
-	if cap(b.floats)-len(b.floats) < floatWidth {
-		b.floats = slices.Grow(b.floats, (cap(b.ops)-len(b.ops)+1)*floatWidth)
-	}
-	off := len(b.floats)
-	b.floats = appendFloat(b.floats, value)
-	return b.Put(row, column, b.floats[off:len(b.floats):len(b.floats)])
+	b.ops = append(b.ops, floatOp(row, column, value))
+	return b
+}
+
+// floatOp returns the op of a PutFloat.
+func floatOp(row, column string, value float64) Op {
+	return Op{Row: row, Column: column, float: true, bits: math.Float64bits(value)}
 }
 
 // Delete appends a delete operation and returns the batch for chaining.

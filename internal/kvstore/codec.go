@@ -17,12 +17,7 @@ const floatWidth = 8
 
 // EncodeFloat encodes a float64 as 8 big-endian bytes (IEEE 754 bits).
 func EncodeFloat(v float64) []byte {
-	return appendFloat(make([]byte, 0, floatWidth), v)
-}
-
-// appendFloat appends the EncodeFloat encoding of v to dst.
-func appendFloat(dst []byte, v float64) []byte {
-	return binary.BigEndian.AppendUint64(dst, math.Float64bits(v))
+	return binary.BigEndian.AppendUint64(make([]byte, 0, floatWidth), math.Float64bits(v))
 }
 
 // DecodeFloat decodes a value written by EncodeFloat.
@@ -33,23 +28,22 @@ func DecodeFloat(b []byte) (float64, error) {
 	return math.Float64frombits(binary.BigEndian.Uint64(b)), nil
 }
 
-// PutFloat writes an encoded float64 at (row, column).
+// PutFloat writes an encoded float64 at (row, column), as Put of
+// EncodeFloat(v) would, without encoding it.
 func (t *Table) PutFloat(row, column string, v float64) error {
-	return t.Put(row, column, EncodeFloat(v))
+	if row == "" || column == "" {
+		return ErrEmptyKey
+	}
+	t.apply("put", []Op{floatOp(row, column, v)})
+	return nil
 }
 
 // GetFloat reads the float64 at (row, column). ok is false when the cell is
-// missing or not float-encoded.
+// missing or not float-encoded. It reads the stored bits and allocates
+// nothing.
 func (t *Table) GetFloat(row, column string) (v float64, ok bool) {
-	raw, ok := t.Get(row, column)
-	if !ok {
-		return 0, false
-	}
-	v, err := DecodeFloat(raw)
-	if err != nil {
-		return 0, false
-	}
-	return v, true
+	s, _, _ := t.latest(row, column)
+	return s.float()
 }
 
 // FloatValue decodes the cell's value as a float64, returning ok=false when

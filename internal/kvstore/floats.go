@@ -7,15 +7,16 @@ import (
 	"smartflux/internal/metric"
 )
 
-// floatArray is what a table keeps for its float reads, ι/ε snapshots and
-// projected row reads: slot s holds the newest value of the table's s-th cell
-// in (row, column) order, decoded as a float64 (0, and ok false, when it is
-// not an encoded float), beside the cell's element key. A row's cells take
-// the slots from row.base on. A write to an existing cell rewrites its slot in
-// place; adding or deleting a cell renumbers the slots, so it marks the array
-// stale instead, and the next float read rebuilds it in one walk under the
-// write lock, as a scan rebuilds the sorted row list. A table nobody reads
-// through ScanColumns, ScanState or ScanFloatRows never builds one.
+// floatArray is what a table keeps for its ι/ε snapshots and projected row
+// reads: slot s holds the newest value of the table's s-th cell in (row,
+// column) order as a float64, its stamp's w read as bits (0, and ok false,
+// when it is not an encoded float), beside the cell's element key. A row's
+// cells take the slots from row.base on. A write to an existing cell
+// rewrites its slot in place; adding or deleting a cell renumbers the slots,
+// so it marks the array stale instead, and the next float read rebuilds it
+// in one walk under the write lock, as a scan rebuilds the sorted row list.
+// A table nobody reads through ScanColumns, ScanState or ScanFloatRows never
+// builds one.
 type floatArray struct {
 	// keys is a fresh slice at every rebuild and never written after it:
 	// snapshots hand out subslices of it, which trackers keep as baselines.
@@ -84,9 +85,9 @@ func (t *Table) floatPutLocked(r *row, i int) {
 		return
 	}
 	versions := r.cells[i]
-	v, err := DecodeFloat(versions[len(versions)-1].Value)
+	v, ok := versions[len(versions)-1].float()
 	s := r.base + i
-	if ok := err == nil; ok != f.ok[s] {
+	if ok != f.ok[s] {
 		f.ok[s] = ok
 		f.views = nil
 	}
@@ -115,8 +116,8 @@ func (t *Table) floatsLocked() *floatArray {
 		r.base = len(f.keys)
 		f.keys = append(f.keys, r.elems...)
 		for _, versions := range r.cells {
-			v, err := DecodeFloat(versions[len(versions)-1].Value)
-			f.vals, f.ok = append(f.vals, v), append(f.ok, err == nil)
+			v, ok := versions[len(versions)-1].float()
+			f.vals, f.ok = append(f.vals, v), append(f.ok, ok)
 		}
 	}
 	f.stale = false

@@ -3,24 +3,26 @@ package kvstore
 import (
 	"math"
 	"slices"
-	"strconv"
 	"testing"
 
 	"smartflux/internal/metric"
 )
 
-// FuzzTableColumns runs a byte-driven script against one table — float and
-// non-float puts, deletes, ReplayPuts at explicit timestamps, DropTable
-// followed by a recreate, and a batch repeating the last few puts and
-// deletes with fresh values, which a second such batch in a row writes
-// through the table's plan — and after every operation requires ScanColumns
-// to equal ScanState, and both to equal the float cells a plain Scan returns
-// (keyed, sorted and deduplicated as metric.NewState does), for a whole-table,
-// a column-prefix and a row-prefix read; and ScanFloatRows of two column
-// lists, one naming a column no row has, to equal the rows and cells Scan
-// returns. Row "a" beside "a-b" breaks (row, column) order against
-// element-key order, and row "a" column "b/c" collides with row "a/b" column
-// "c". Each operation takes four bytes: kind, row, column and value.
+// FuzzTableColumns runs a byte-driven script against one table and the
+// reference model (refTable) — float puts, puts and ReplayPuts at explicit
+// timestamps of values 0 to 19 bytes long, across the 8 bytes a version holds
+// inline, deletes, DropTable followed by a recreate, and a batch repeating
+// the last few puts and deletes with fresh values, which a second such batch
+// in a row writes through the table's plan. After every operation it
+// requires Get, GetVersions and History to equal the model, and the table's
+// blob slots to match its versions (checkBlobs); ScanColumns to equal
+// ScanState, and both to equal the float cells a plain Scan returns (keyed,
+// sorted and deduplicated as metric.NewState does), for a whole-table, a
+// column-prefix and a row-prefix read; and ScanFloatRows of two column lists,
+// one naming a column no row has, to equal the rows and cells Scan returns.
+// Row "a" beside "a-b" breaks (row, column) order against element-key order,
+// and row "a" column "b/c" collides with row "a/b" column "c". Each
+// operation takes four bytes: kind, row, column and value.
 func FuzzTableColumns(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 0, 1, 0, 2, 1, 0, 0, 3, 2, 1, 0, 0})
 	f.Add([]byte{0, 0, 1, 5, 0, 2, 0, 6, 3, 0, 1, 4, 4, 0, 0, 0, 0, 3, 2, 7})
@@ -36,12 +38,18 @@ func FuzzTableColumns(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		m := &refTable{maxVersions: 2, cells: map[string]map[string][]Version{}}
 		var recent []Op // the last few single puts and deletes
 		for ; len(script) >= 4; script = script[4:] {
 			row, col, b := rows[int(script[1])%len(rows)], cols[int(script[2])%len(cols)], script[3]
-			value := EncodeFloat(float64(b) - 128)
-			if b%5 == 0 {
-				value = []byte("s" + strconv.Itoa(int(b)))
+			// value is b%20 bytes long, on either side of the 8 bytes a
+			// version holds inline; 8 bytes long, it encodes a float.
+			value := make([]byte, int(b)%20)
+			for i := range value {
+				value[i] = b + byte(i)
+			}
+			if b%20 == 8 {
+				value = EncodeFloat(float64(b) - 128)
 			}
 			kind := script[0] % 6
 			if kind <= 2 {
@@ -50,28 +58,43 @@ func FuzzTableColumns(f *testing.F) {
 			switch kind {
 			case 0:
 				err = table.PutFloat(row, col, float64(b)/4)
+				m.apply([]Op{{Row: row, Column: col, Value: EncodeFloat(float64(b) / 4)}})
 			case 1:
-				err = table.Put(row, col, []byte("s"+strconv.Itoa(int(b))))
+				err = table.Put(row, col, value)
+				m.apply([]Op{{Row: row, Column: col, Value: value}})
 			case 2:
 				err = table.Delete(row, col)
+				m.apply([]Op{{Row: row, Column: col, Delete: true}})
 			case 3:
 				err = table.ReplayPut(row, col, value, 1+uint64(b%16))
+				m.replayPut(row, col, Version{Timestamp: 1 + uint64(b%16), Value: slices.Clone(value)})
 			case 4:
 				if err = store.DropTable("t"); err == nil {
 					table, err = store.CreateTable("t", TableOptions{MaxVersions: 2})
 				}
+				m = &refTable{maxVersions: 2, cells: map[string]map[string][]Version{}, clock: m.clock}
 			case 5:
 				batch := NewBatch()
-				for k, op := range recent {
+				ops := slices.Clone(recent)
+				for k, op := range ops {
 					if op.Delete {
 						batch.Delete(op.Row, op.Column)
 					} else {
-						batch.PutFloat(op.Row, op.Column, float64(b)+float64(k)/8)
+						v := float64(b) + float64(k)/8
+						batch.PutFloat(op.Row, op.Column, v)
+						ops[k].Value = EncodeFloat(v)
 					}
 				}
 				err = table.Apply(batch)
+				m.apply(ops)
 			}
 			if err != nil {
+				t.Fatal(err)
+			}
+			if err := compareCells(table, m, rows, cols); err != nil {
+				t.Fatal(err)
+			}
+			if err := checkBlobs(table); err != nil {
 				t.Fatal(err)
 			}
 			for _, opts := range shapes {

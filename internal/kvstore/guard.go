@@ -63,7 +63,10 @@ func (t *GuardedTable) Put(row, column string, value []byte) error {
 
 // PutFloat writes an encoded float64 (op "put").
 func (t *GuardedTable) PutFloat(row, column string, v float64) error {
-	return t.Put(row, column, EncodeFloat(v))
+	if err := t.before("put"); err != nil {
+		return err
+	}
+	return t.t.PutFloat(row, column, v)
 }
 
 // Get reads the latest value of a cell (op "get").
@@ -75,17 +78,18 @@ func (t *GuardedTable) Get(row, column string) ([]byte, bool, error) {
 	return v, ok, nil
 }
 
-// GetFloat reads a float64-encoded cell (op "get").
+// GetFloat reads a float64-encoded cell (op "get"), as Table.GetFloat does;
+// a cell that is not float-encoded fails with ErrBadFloat.
 func (t *GuardedTable) GetFloat(row, column string) (float64, bool, error) {
-	raw, ok, err := t.Get(row, column)
-	if err != nil || !ok {
-		return 0, ok, err
-	}
-	v, err := DecodeFloat(raw)
-	if err != nil {
+	if err := t.before("get"); err != nil {
 		return 0, false, err
 	}
-	return v, true, nil
+	s, _, found := t.t.latest(row, column)
+	v, ok := s.float()
+	if found && !ok {
+		return 0, false, ErrBadFloat
+	}
+	return v, ok, nil
 }
 
 // Delete removes a cell (op "delete").

@@ -546,8 +546,8 @@ func (s *Server) serveRequest(req *wire.Request, clientID uint64, bw *bufio.Writ
 }
 
 // serveScan streams one scan as chunked response frames straight off the
-// store's shared-page scanner: cell values are serialized while they alias
-// live store memory and never copied.
+// store's shared-page scanner: cell values are serialized from its pages, a
+// long one while it aliases live store memory, and never copied again.
 func (s *Server) serveScan(req *wire.Request, bw *bufio.Writer, out *wire.Buffer) error {
 	t, err := s.store.Table(req.Table)
 	if err != nil {
@@ -603,10 +603,10 @@ func (s *Server) writeFrames(bw *bufio.Writer, out *wire.Buffer) error {
 	return nil
 }
 
-// applyMutation applies one mutating request to the store. The store keeps
-// an apply frame's values in one arena per frame, and a stored version pins
-// its whole arena until it is trimmed or its cell deleted, so the server's
-// value memory is bounded by live versions × the largest frame (DESIGN §6).
+// applyMutation applies one mutating request to the store. The store copies
+// what it keeps of a frame's values into its version windows and blobs, so
+// no stored version pins the frame, and the server's value memory is bounded
+// by the live versions' own bytes (DESIGN §6).
 func (s *Server) applyMutation(req *wire.Request) error {
 	t, err := s.store.Table(req.Table)
 	if err != nil {

@@ -16,8 +16,11 @@
 package kvstore
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -336,6 +339,86 @@ type Table struct {
 	// added or deleted since, which may have moved any of them.
 	plan    []cellRef
 	planned bool
+	// blobs holds the values longer than inlineWidth of the retained
+	// versions, one slot each; free lists the released slots, which are nil,
+	// so there are never more slots than long versions the table once held
+	// at a time. A blob is never written after it is stored, so reads hand
+	// it out as is, and a reused slot gets a new one.
+	blobs [][]byte
+	free  []uint64
+}
+
+// inlineWidth is the longest value a stamp holds in place.
+const inlineWidth = 8
+
+// stamp is one version of a cell as its window holds it. It has no pointer,
+// so the collector never scans a window. A value of at most inlineWidth
+// bytes lives in w, big-endian and left-aligned, so a float's w is its bits;
+// a longer one lives in the table's blob slot w. n is the value's length.
+type stamp struct {
+	ts uint64
+	w  uint64
+	n  int
+}
+
+// float returns the value s holds as a float64, and whether it is an encoded
+// one; the value is 0 when it is not.
+func (s stamp) float() (float64, bool) {
+	if s.n != floatWidth {
+		return 0, false
+	}
+	return math.Float64frombits(s.w), true
+}
+
+// stampLocked returns the stamp of value at timestamp ts: a long value is
+// copied into a blob slot, a released one if there is one. Callers hold t.mu.
+func (t *Table) stampLocked(ts uint64, value []byte) stamp {
+	if len(value) <= inlineWidth {
+		var b [inlineWidth]byte
+		copy(b[:], value)
+		return stamp{ts: ts, w: binary.BigEndian.Uint64(b[:]), n: len(value)}
+	}
+	s := stamp{ts: ts, n: len(value)}
+	if n := len(t.free); n > 0 {
+		s.w, t.free = t.free[n-1], t.free[:n-1]
+		t.blobs[s.w] = bytes.Clone(value)
+	} else {
+		s.w = uint64(len(t.blobs))
+		t.blobs = append(t.blobs, bytes.Clone(value))
+	}
+	return s
+}
+
+// releaseLocked frees the blob slot of s, which has left its window, if it
+// has one. Callers hold t.mu.
+func (t *Table) releaseLocked(s stamp) {
+	if s.n > inlineWidth {
+		t.blobs[s.w] = nil
+		t.free = append(t.free, s.w)
+	}
+}
+
+// valueLocked returns the value s holds: a long value's blob, shared, or an
+// inline value appended to *buf (see inlineValue). Callers hold t.mu.
+func (t *Table) valueLocked(s stamp, buf *[]byte) []byte {
+	if s.n > inlineWidth {
+		return t.blobs[s.w]
+	}
+	return inlineValue(s, buf)
+}
+
+// inlineValue appends the value s holds inline to *buf and returns it carved,
+// capacity-capped, out of *buf; values carved earlier keep their bytes when
+// the append moves *buf. An empty value is non-nil.
+func inlineValue(s stamp, buf *[]byte) []byte {
+	if s.n == 0 {
+		return []byte{}
+	}
+	var b [inlineWidth]byte
+	binary.BigEndian.PutUint64(b[:], s.w)
+	off := len(*buf)
+	*buf = append(*buf, b[:s.n]...)
+	return (*buf)[off:len(*buf):len(*buf)]
 }
 
 // cellRef is a cell's position: the i-th column of row r.
@@ -354,7 +437,7 @@ type row struct {
 	// elems[i] is the element key key+"/"+cols[i], built when the cell is
 	// created, so ι snapshots allocate no key strings.
 	elems []string
-	cells [][]Version // cells[i] holds cols[i]'s versions, newest-last
+	cells [][]stamp // cells[i] holds cols[i]'s versions, newest-last
 	// base is the slot of cols[0] in the table's float array, while that
 	// array is current.
 	base int
@@ -381,7 +464,7 @@ func (r *row) index(column string) (int, bool) {
 
 // cell returns the versions of column, or nil when the row has no such cell.
 // Safe on a nil receiver.
-func (r *row) cell(column string) []Version {
+func (r *row) cell(column string) []stamp {
 	if r == nil {
 		return nil
 	}
@@ -411,12 +494,15 @@ func (t *Table) Put(row, column string, value []byte) error {
 	return nil
 }
 
-// apply is the table's one write path, behind Put, Delete and Apply; ops have
-// valid keys, and deletes carry no value. It copies the put values into one
-// arena, then in one hold of t.mu reserves len(ops) timestamps from the store
-// clock (op i is stamped first+i, so a delete of a missing cell still consumes
-// its tick), applies the ops and reads the observer list. Mutation records are
-// built only when the table has observers, and delivered after the unlock.
+// apply is the table's one write path, behind Put, PutFloat, Delete and
+// Apply; ops have valid keys, and deletes carry no value. In one hold of t.mu
+// it reserves len(ops) timestamps from the store clock (op i is stamped
+// first+i, so a delete of a missing cell still consumes its tick), applies
+// the ops and reads the observer list. A put becomes a stamp: a PutFloat op
+// from its bits, a value of at most inlineWidth bytes by one big-endian load,
+// a longer one by a copy into a blob slot; nothing else is allocated.
+// Mutation records, and one arena for the inline values they carry, are built
+// only when the table has observers, and delivered after the unlock.
 //
 // A put resolves its cell once per key set: the table keeps the cell each op
 // of its last batch resolved to (t.plan), and a batch of the same length
@@ -428,21 +514,18 @@ func (t *Table) Put(row, column string, value []byte) error {
 func (t *Table) apply(spanOp string, ops []Op) {
 	ins := t.store.ins.Load()
 	sp := ins.opSpan(spanOp, t.name)
-	var valueBytes int
-	for i := range ops {
-		valueBytes += len(ops[i].Value)
-	}
-	arena := make([]byte, 0, valueBytes)
-	for i := range ops {
-		arena = append(arena, ops[i].Value...)
-	}
 	var muts []Mutation
+	var buf *[]byte // the mutation records' arena, while the table is observed
 	var puts, dels uint64
+	var valueBytes int64
 	t.mu.Lock()
 	// Subscribe only appends, so this prefix of the list never changes.
 	observers := t.observers
 	if len(observers) > 0 {
 		muts = make([]Mutation, 0, len(ops))
+		// Room for an old and a new inline value per op; long ones are blobs.
+		arena := make([]byte, 0, 2*inlineWidth*len(ops))
+		buf = &arena
 	}
 	first := t.store.reserveTimestamps(len(ops))
 	if !t.planned || len(t.plan) != len(ops) {
@@ -452,7 +535,7 @@ func (t *Table) apply(spanOp string, ops []Op) {
 	t.planned = true
 	var r *row // the last op's row, while the ops name it
 	for i := range ops {
-		op := &ops[i] // neither the 64-byte Op nor a Mutation is copied per op
+		op := &ops[i] // neither the 72-byte Op nor a Mutation is copied per op
 		ts, kind := first+uint64(i), MutationPut
 		var old, value []byte
 		ref := &t.plan[i]
@@ -461,7 +544,7 @@ func (t *Table) apply(spanOp string, ops []Op) {
 				r = t.rows[op.Row]
 			}
 			var ok bool
-			old, ok = t.deleteLocked(r, op.Column)
+			old, ok = t.deleteLocked(r, op.Column, buf)
 			*ref, r = cellRef{}, nil // the delete may have removed the row
 			if !ok {
 				continue
@@ -477,12 +560,18 @@ func (t *Table) apply(spanOp string, ops []Op) {
 			}
 			r = ref.r
 			versions := r.cells[ref.i]
-			if n := len(versions); n > 0 {
-				old = versions[n-1].Value
+			s := stamp{ts: ts, w: op.bits, n: floatWidth}
+			if !op.float {
+				s = t.stampLocked(ts, op.Value)
 			}
-			n := len(op.Value)
-			value, arena = arena[:n:n], arena[n:]
-			t.insertLocked(r, ref.i, len(versions), Version{Timestamp: ts, Value: value})
+			if buf != nil {
+				if n := len(versions); n > 0 {
+					old = t.valueLocked(versions[n-1], buf)
+				}
+				value = t.valueLocked(s, buf)
+			}
+			valueBytes += int64(s.n)
+			t.insertLocked(r, ref.i, len(versions), s)
 			puts++
 		}
 		if muts != nil {
@@ -496,7 +585,7 @@ func (t *Table) apply(spanOp string, ops []Op) {
 	}
 	// The span covers the in-memory mutation; durability cost incurred by
 	// observers (WAL appends) is attributed to the wal layer's own spans.
-	sp.SetBytes(int64(valueBytes))
+	sp.SetBytes(valueBytes)
 	sp.End()
 	for _, o := range observers {
 		for _, m := range muts {
@@ -528,28 +617,31 @@ func (t *Table) windowLocked(r *row, column string) int {
 	if !ok {
 		r.cols = slices.Insert(r.cols, i, column)
 		r.elems = slices.Insert(r.elems, i, r.key+"/"+column)
-		r.cells = slices.Insert(r.cells, i, make([]Version, 0, min(t.maxVersions, DefaultMaxVersions)))
+		r.cells = slices.Insert(r.cells, i, make([]stamp, 0, min(t.maxVersions, DefaultMaxVersions)))
 		t.cellsChangedLocked()
 	}
 	return i
 }
 
-// insertLocked places v at index idx of the version window r.cells[i]. Once
+// insertLocked places s at index idx of the version window r.cells[i]. Once
 // the window holds MaxVersions it is shifted in place: the oldest version
-// drops out, and a v older than every retained version is dropped itself,
-// which leaves the table, and so its version, unchanged. Callers hold t.mu.
-func (t *Table) insertLocked(r *row, i, idx int, v Version) {
+// drops out, and an s older than every retained version is dropped itself,
+// which leaves the table, and so its version, unchanged. A version that drops
+// out releases its blob. Callers hold t.mu.
+func (t *Table) insertLocked(r *row, i, idx int, s stamp) {
 	versions := r.cells[i]
 	switch {
 	case len(versions) < t.maxVersions:
-		versions = append(versions, Version{})
+		versions = append(versions, stamp{})
 		copy(versions[idx+1:], versions[idx:])
-		versions[idx] = v
+		versions[idx] = s
 		r.cells[i] = versions
 	case idx > 0:
+		t.releaseLocked(versions[0])
 		copy(versions, versions[1:idx])
-		versions[idx-1] = v
+		versions[idx-1] = s
 	default:
+		t.releaseLocked(s)
 		return
 	}
 	t.version++
@@ -557,8 +649,25 @@ func (t *Table) insertLocked(r *row, i, idx int, v Version) {
 }
 
 // Get returns the latest value at (row, column). The second return is false
-// when the cell does not exist.
+// when the cell does not exist. A value of at most 8 bytes is a fresh copy;
+// a longer one is shared with the table, which never writes it: the caller
+// must not modify it.
 func (t *Table) Get(row, column string) ([]byte, bool) {
+	s, blob, ok := t.latest(row, column)
+	switch {
+	case !ok:
+		return nil, false
+	case blob != nil:
+		return blob, true
+	}
+	var buf []byte
+	return inlineValue(s, &buf), true
+}
+
+// latest returns the stamp of the cell's latest version, with its blob when
+// the value is long; ok is false, and s zero, when the cell does not exist.
+// It counts and spans as one get.
+func (t *Table) latest(row, column string) (s stamp, blob []byte, ok bool) {
 	ins := t.store.ins.Load()
 	if ins != nil {
 		ins.gets.Inc()
@@ -570,15 +679,19 @@ func (t *Table) Get(row, column string) ([]byte, bool) {
 	defer t.mu.RUnlock()
 	versions := t.rows[row].cell(column)
 	if len(versions) == 0 {
-		return nil, false
+		return stamp{}, nil, false
 	}
-	return versions[len(versions)-1].Value, true
+	s = versions[len(versions)-1]
+	if s.n > inlineWidth {
+		blob = t.blobs[s.w]
+	}
+	return s, blob, true
 }
 
 // GetWithPrevious returns the latest and the immediately preceding version of
 // a cell. prevOK is false when fewer than two versions exist. This is the
 // single-round-trip current+previous read the paper relies on for metric
-// state with negligible overhead.
+// state with negligible overhead. Values are handed out as Get's are.
 func (t *Table) GetWithPrevious(row, column string) (cur, prev []byte, curOK, prevOK bool) {
 	ins := t.store.ins.Load()
 	if ins != nil {
@@ -593,15 +706,17 @@ func (t *Table) GetWithPrevious(row, column string) (cur, prev []byte, curOK, pr
 	if len(versions) == 0 {
 		return nil, nil, false, false
 	}
-	cur = versions[len(versions)-1].Value
+	var buf []byte
+	cur = t.valueLocked(versions[len(versions)-1], &buf)
 	if len(versions) >= 2 {
-		return cur, versions[len(versions)-2].Value, true, true
+		return cur, t.valueLocked(versions[len(versions)-2], &buf), true, true
 	}
 	return cur, nil, true, false
 }
 
 // GetVersions returns up to max of the most recent versions of a cell,
-// newest first. max <= 0 returns all retained versions.
+// newest first. max <= 0 returns all retained versions. Values are handed
+// out as Get's are.
 func (t *Table) GetVersions(row, column string, max int) []Version {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -614,8 +729,9 @@ func (t *Table) GetVersions(row, column string, max int) []Version {
 		n = max
 	}
 	out := make([]Version, 0, n)
+	buf := make([]byte, 0, n*inlineWidth)
 	for i := len(versions) - 1; i >= len(versions)-n; i-- {
-		out = append(out, versions[i])
+		out = append(out, Version{Timestamp: versions[i].ts, Value: t.valueLocked(versions[i], &buf)})
 	}
 	return out
 }
@@ -624,8 +740,10 @@ func (t *Table) GetVersions(row, column string, max int) []Version {
 // versions as the puts that wrote them, oldest first — so replaying what it
 // yields into an empty table of the same MaxVersions rebuilds this one
 // exactly. The table is read under one lock hold, shared with other readers
-// like a scan's, and fn runs outside it. The slice is reused between calls,
-// so fn must not retain it; New aliases the stored value, which is immutable.
+// like a scan's, which also builds the values: inline ones are carved out of
+// one buffer, long ones are the table's blobs. fn runs outside the lock. The
+// slice is reused between calls, so fn must not retain it; New must not be
+// modified.
 func (t *Table) History(fn func(cell []Mutation) error) error {
 	type cellRef struct {
 		row, col string
@@ -633,10 +751,13 @@ func (t *Table) History(fn func(cell []Mutation) error) error {
 	}
 	var cells []cellRef
 	var versions []Version
+	var buf []byte
 	t.readKeys(func(rows []*row) {
 		for _, r := range rows {
 			for i, col := range r.cols {
-				versions = append(versions, r.cells[i]...)
+				for _, s := range r.cells[i] {
+					versions = append(versions, Version{Timestamp: s.ts, Value: t.valueLocked(s, &buf)})
+				}
 				cells = append(cells, cellRef{r.key, col, len(versions)})
 			}
 		}
@@ -667,9 +788,11 @@ func (t *Table) Delete(row, column string) error {
 }
 
 // deleteLocked removes column's cell from r (nil for a missing row) under
-// t.mu, returning its latest value, and removes r itself once it holds no
-// cells; ok is false, and nothing changes, when the cell does not exist.
-func (t *Table) deleteLocked(r *row, column string) (old []byte, ok bool) {
+// t.mu, releasing the blobs of its versions, and removes r itself once it
+// holds no cells; ok is false, and nothing changes, when the cell does not
+// exist. With a non-nil buf it returns the cell's latest value, built as
+// valueLocked builds it.
+func (t *Table) deleteLocked(r *row, column string, buf *[]byte) (old []byte, ok bool) {
 	if r == nil {
 		return nil, false
 	}
@@ -678,6 +801,12 @@ func (t *Table) deleteLocked(r *row, column string) (old []byte, ok bool) {
 		return nil, false
 	}
 	versions := r.cells[i]
+	if buf != nil {
+		old = t.valueLocked(versions[len(versions)-1], buf)
+	}
+	for _, s := range versions {
+		t.releaseLocked(s)
+	}
 	r.cols = slices.Delete(r.cols, i, i+1)
 	r.elems = slices.Delete(r.elems, i, i+1)
 	r.cells = slices.Delete(r.cells, i, i+1)
@@ -687,7 +816,7 @@ func (t *Table) deleteLocked(r *row, column string) (old []byte, ok bool) {
 		t.sorted = nil
 	}
 	t.version++
-	return versions[len(versions)-1].Value, true
+	return old, true
 }
 
 // Version returns the table's mutation version: a counter that moves on every
@@ -771,15 +900,16 @@ func (t *Table) Scan(opts ScanOptions) []Cell {
 	return cells
 }
 
-// scan implements Scan: one lock hold for an atomic snapshot of shared
-// value references, then one arena allocation for all the value copies.
-// The copy can happen outside the lock because stored values are immutable:
-// Apply copies each batch's values into an arena of its own, and nothing
-// writes to an arena after that.
+// scan implements Scan: one lock hold collects the cells, and one arena
+// allocation after it holds all the value copies. The copy can happen
+// outside the lock because the values collectLocked builds are never
+// written: inline ones are carved out of this scan's own buffer, and long
+// ones are the table's blobs.
 func (t *Table) scan(opts ScanOptions) []Cell {
 	var cells []Cell
 	var total int64
-	t.readKeys(func(rows []*row) { cells, total, _ = collectLocked(rows, opts, nil, opts.Limit, nil) })
+	var buf []byte
+	t.readKeys(func(rows []*row) { cells, total, _ = t.collectLocked(rows, opts, nil, opts.Limit, nil, &buf) })
 	arenaCopyValues(cells, total)
 	return cells
 }

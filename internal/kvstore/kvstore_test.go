@@ -298,8 +298,8 @@ func TestBatchValidatesBeforeApplying(t *testing.T) {
 
 // TestApplyAllocations pins what a write costs once every cell holds
 // MaxVersions versions: building a 3 600-op float batch in a pooled batch
-// and applying it allocates the value arena, nothing per cell; one observer
-// adds only the batch's mutation records.
+// and applying it allocates nothing; one observer adds only the batch's
+// mutation records and the arena their values are carved from.
 func TestApplyAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race")
@@ -327,8 +327,8 @@ func TestApplyAllocations(t *testing.T) {
 	for i := 0; i < DefaultMaxVersions; i++ {
 		apply()
 	}
-	if allocs := testing.AllocsPerRun(20, apply); allocs > 1 {
-		t.Errorf("unobserved Apply allocates %v objects per batch, want at most 1", allocs)
+	if allocs := testing.AllocsPerRun(20, apply); allocs != 0 {
+		t.Errorf("unobserved Apply allocates %v objects per batch, want 0", allocs)
 	}
 	var seen int
 	table.Subscribe(ObserverFunc(func(Mutation) { seen++ }))
@@ -343,31 +343,99 @@ func TestApplyAllocations(t *testing.T) {
 	}
 }
 
-// TestGrowReservesFloatsOnlyForPutFloat checks that a Put-only batch (a
-// kvnet apply frame, a rollback) carries no float buffer, and that the
-// first PutFloat after Grow sizes it for the whole batch.
-func TestGrowReservesFloatsOnlyForPutFloat(t *testing.T) {
-	b := NewBatch().Grow(100)
-	for i := 0; i < 50; i++ {
-		b.Put("r", "c", []byte("v"))
+// TestFloatReadsAllocateNothing checks that a float read of an existing float
+// cell, plain or guarded, reads the stored bits without building bytes.
+func TestFloatReadsAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
 	}
-	if cap(b.floats) != 0 {
-		t.Fatalf("Put-only batch holds a %d-byte float buffer", cap(b.floats))
+	store := New()
+	guarded, err := Guard(store, func(string, string) error { return nil }).EnsureTable("t", TableOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	b.PutFloat("r", "f", 1)
-	first := &b.floats[0]
-	for i := 1; i < 50; i++ {
-		b.PutFloat("r", "f", float64(i))
+	if err := guarded.PutFloat("r", "c", 2.5); err != nil {
+		t.Fatal(err)
 	}
-	if &b.floats[0] != first {
-		t.Fatal("float buffer regrew inside the capacity Grow reserved")
+	table := guarded.t
+	if allocs := testing.AllocsPerRun(100, func() {
+		if v, ok := table.GetFloat("r", "c"); !ok || v != 2.5 {
+			t.Fatalf("GetFloat = %v, %v", v, ok)
+		}
+	}); allocs != 0 {
+		t.Errorf("Table.GetFloat allocates %v objects, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if v, ok, err := guarded.GetFloat("r", "c"); err != nil || !ok || v != 2.5 {
+			t.Fatalf("GuardedTable.GetFloat = %v, %v, %v", v, ok, err)
+		}
+	}); allocs != 0 {
+		t.Errorf("GuardedTable.GetFloat allocates %v objects, want 0", allocs)
+	}
+	guarded.Put("r", "s", []byte("text"))
+	if _, ok, err := guarded.GetFloat("r", "s"); ok || !errors.Is(err, ErrBadFloat) {
+		t.Errorf("guarded GetFloat of a non-float cell: ok %v, err %v; want ErrBadFloat", ok, err)
+	}
+	if _, ok, err := guarded.GetFloat("r", "missing"); ok || err != nil {
+		t.Errorf("guarded GetFloat of a missing cell: ok %v, err %v", ok, err)
 	}
 }
 
-// TestReleasedBatchLeavesStoredValues stores values from a pooled batch —
-// float encodings that live in the batch's own buffer and a caller's slice —
-// then releases and refills pooled batches: what the table stored must not
-// move.
+// TestWindowHoldsNoPointer checks that a version window's element type holds
+// no pointer, so the collector never scans a window.
+func TestWindowHoldsNoPointer(t *testing.T) {
+	var hasPointer func(reflect.Type) bool
+	hasPointer = func(typ reflect.Type) bool {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				if hasPointer(typ.Field(i).Type) {
+					return true
+				}
+			}
+			return false
+		case reflect.Array:
+			return hasPointer(typ.Elem())
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map, reflect.Chan,
+			reflect.Func, reflect.Interface, reflect.String:
+			return true
+		default:
+			return false
+		}
+	}
+	elem := reflect.TypeOf(row{}.cells).Elem().Elem()
+	if hasPointer(elem) {
+		t.Errorf("a version window's element type %v holds a pointer", elem)
+	}
+	if !hasPointer(reflect.TypeOf(Version{})) {
+		t.Error("hasPointer misses the slice in Version")
+	}
+}
+
+// TestGrownBatchTakesOpsWithoutAllocating checks that a batch grown for n
+// ops takes n Puts and PutFloats without allocating.
+func TestGrownBatchTakesOpsWithoutAllocating(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	value := []byte("v")
+	b := NewBatch().Grow(100)
+	if allocs := testing.AllocsPerRun(20, func() {
+		b.ops = b.ops[:0]
+		for i := 0; i < 50; i++ {
+			b.Put("r", "c", value).PutFloat("r", "f", float64(i))
+		}
+	}); allocs != 0 {
+		t.Errorf("filling a batch grown for its ops allocates %v objects, want 0", allocs)
+	}
+	if b.Len() != 100 {
+		t.Fatalf("batch holds %d ops, want 100", b.Len())
+	}
+}
+
+// TestReleasedBatchLeavesStoredValues stores values from a pooled batch — a
+// float and a caller's slice — then releases and refills pooled batches:
+// what the table stored must not move.
 func TestReleasedBatchLeavesStoredValues(t *testing.T) {
 	table := newTestTable(t, TableOptions{})
 	raw := []byte("raw")
@@ -415,27 +483,24 @@ func TestLargeMaxVersionsAllocatesByUse(t *testing.T) {
 	}
 }
 
-// TestArenaRetention pins how long a batch's value arena lives: while any
-// version stored from the batch does, and no longer.
-func TestArenaRetention(t *testing.T) {
-	table := newTestTable(t, TableOptions{MaxVersions: 1})
-	value := make([]byte, 4096)
-	put := func(rows ...string) {
-		b := NewBatch()
-		for _, row := range rows {
-			b.Put(row, "c", value)
-		}
-		if err := table.Apply(b); err != nil {
+// TestBlobRetention pins how long a value longer than 8 bytes lives: while
+// its version is retained, and no longer — it is freed once the version
+// leaves its window, or its cell is deleted.
+func TestBlobRetention(t *testing.T) {
+	table := newTestTable(t, TableOptions{MaxVersions: 2})
+	put := func(row string) {
+		if err := table.Put(row, "c", make([]byte, 4096)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	put("a", "b")
-	freed := make(chan struct{})
-	func() {
-		v, _ := table.Get("b", "c")
+	// watch returns a channel closed once the cell's latest value is freed.
+	watch := func(row string) chan struct{} {
+		freed := make(chan struct{})
+		v, _ := table.Get(row, "c")
 		runtime.AddCleanup(&v[0], func(ch chan struct{}) { close(ch) }, freed)
-	}()
-	collected := func(wait time.Duration) bool {
+		return freed
+	}
+	collected := func(freed chan struct{}, wait time.Duration) bool {
 		deadline := time.After(wait)
 		for {
 			runtime.GC()
@@ -448,15 +513,26 @@ func TestArenaRetention(t *testing.T) {
 			}
 		}
 	}
-	put("b") // trims b's version out of the window; a's still pins the arena
-	if collected(100 * time.Millisecond) {
-		t.Fatal("arena freed while cell a still holds a version in it")
+	put("a")
+	trimmed := watch("a")
+	put("b")
+	deleted := watch("b")
+	put("a") // a's first version is still retained
+	if collected(trimmed, 100*time.Millisecond) {
+		t.Fatal("value freed while its version is retained")
 	}
-	if err := table.Delete("a", "c"); err != nil {
+	put("a") // and now it leaves the window
+	if !collected(trimmed, 5*time.Second) {
+		t.Fatal("value outlived its version's window")
+	}
+	if collected(deleted, 100*time.Millisecond) {
+		t.Fatal("value freed while its cell is live")
+	}
+	if err := table.Delete("b", "c"); err != nil {
 		t.Fatal(err)
 	}
-	if !collected(5 * time.Second) {
-		t.Fatal("arena outlived every version stored in it")
+	if !collected(deleted, 5*time.Second) {
+		t.Fatal("value outlived its deleted cell")
 	}
 }
 

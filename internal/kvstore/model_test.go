@@ -144,29 +144,58 @@ var (
 // Apply, ReplayPut and ReplayDelete on a table and on the reference, and after
 // every operation compares every read: Scan, ScanPagesShared at page sizes 1,
 // 2 and 256, ScanState, ScanFloatRows (with its column lists as given and
-// built at run time), History, GetVersions, CellCount, RowCount, Version and
-// the store clock, and ScanColumns with ScanState (see compareColumns). The
-// sequences include batches whose deletes empty a row that later ops of the
-// same batch write again, out-of-order and duplicate replays into full
-// windows, rows wider than narrowRow, column keys built at run time — equal
-// to the stored key, but not sharing its data — cells overwritten between
-// float and non-float, and float cells in both rows "a" and "a-b", where
-// (row, column) order and element-key order part. They also re-apply the
-// last batch's keys with fresh values, which the table's write plan
-// resolves, sometimes with a column swapped, a delete inside the batch, or a
-// cell added or removed before it; the test requires both the plan and the
-// row and column lookup to have resolved some of their puts.
+// built at run time), History, Get, GetVersions, CellCount, RowCount, Version
+// and the store clock, and ScanColumns with ScanState (see compareColumns);
+// and checks the table's blob slots (see checkBlobs). The sequences include
+// batches whose deletes empty a row that later ops of the same batch write
+// again, out-of-order and duplicate replays into full windows, rows wider
+// than narrowRow, column keys built at run time — equal to the stored key,
+// but not sharing its data — cells overwritten between float and non-float,
+// and float cells in both rows "a" and "a-b", where (row, column) order and
+// element-key order part. Values are 0, 1–7, 8 (floats) and 9 or more bytes
+// long, on both sides of what a stamp holds inline, and cells are overwritten
+// from one length class to another; long values are replayed into full
+// windows, some older than every retained version, which drops them. They
+// also re-apply the last batch's keys with fresh values, which the table's
+// write plan resolves, sometimes with a column swapped, a delete inside the
+// batch, or a cell added or removed before it; the test requires both the
+// plan and the row and column lookup to have resolved some of their puts.
 func TestTableMatchesReferenceModel(t *testing.T) {
 	widest, flips, orderBreaks := 0, 0, 0
 	planned, looked := 0, 0
+	var classes [4]int          // values written per lengthClass
+	classFlips, dropped := 0, 0 // overwrites across classes; long replays dropped
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		maxVersions := 1 + int(seed%3)
 		table := newTestTable(t, TableOptions{MaxVersions: maxVersions})
 		m := &refTable{maxVersions: maxVersions, cells: map[string]map[string][]Version{}}
+		// sized returns n random bytes.
+		sized := func(n int) []byte {
+			v := make([]byte, n)
+			rng.Read(v)
+			return v
+		}
+		// ofClass returns a value of lengthClass c.
+		ofClass := func(c int) []byte {
+			classes[c]++
+			switch c {
+			case 0:
+				return sized(0)
+			case 1:
+				return sized(1 + rng.Intn(inlineWidth-1))
+			case 2:
+				return EncodeFloat(float64(rng.Intn(1000)) / 8)
+			default:
+				return sized(inlineWidth + 1 + rng.Intn(24))
+			}
+		}
 		value := func() []byte {
-			if rng.Intn(5) == 0 {
+			switch rng.Intn(10) {
+			case 0:
 				return []byte("s" + strconv.Itoa(rng.Intn(100))) // not a float
+			case 1, 2:
+				return ofClass(rng.Intn(4))
 			}
 			return EncodeFloat(float64(rng.Intn(1000)) / 8)
 		}
@@ -191,7 +220,7 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 		for step := 0; step < 150; step++ {
 			var did string
 			cellChanges, flipped := m.cellChanges, m.flips
-			switch rng.Intn(9) {
+			switch rng.Intn(11) {
 			case 0:
 				row, col := pick()
 				v := value()
@@ -333,6 +362,49 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 				applyOps(t, table, ops, rng.Intn(2) == 0)
 				m.apply(ops)
 				last = ops
+			case 9:
+				// Overwrite a cell with a value of another length class.
+				row, col := existing()
+				c := rng.Intn(4)
+				if w := m.cells[row][col]; len(w) > 0 {
+					from := lengthClass(w[len(w)-1].Value)
+					c = (from + 1 + rng.Intn(3)) % 4
+					classFlips++
+				}
+				v := ofClass(c)
+				did = fmt.Sprintf("Put(%s, %s, %d bytes)", row, col, len(v))
+				if err := table.Put(row, col, v); err != nil {
+					t.Fatal(err)
+				}
+				m.apply([]Op{{Row: row, Column: col, Value: v}})
+			case 10:
+				// Fill a cell's window with long values, then replay a long
+				// value into it: half the time older than every retained
+				// version, which drops it.
+				row, col := existing()
+				for len(m.cells[row][col]) < maxVersions {
+					v := ofClass(3)
+					if err := table.Put(row, col, v); err != nil {
+						t.Fatal(err)
+					}
+					m.apply([]Op{{Row: row, Column: col, Value: v}})
+				}
+				w := m.cells[row][col]
+				oldest, newest := w[0].Timestamp, w[len(w)-1].Timestamp
+				ts := 1 + uint64(rng.Int63n(int64(newest)+2))
+				if oldest > 1 && rng.Intn(2) == 0 {
+					ts = 1 + uint64(rng.Int63n(int64(oldest)-1))
+					dropped++
+				}
+				v := ofClass(3)
+				did = fmt.Sprintf("ReplayPut(%s, %s, @%d, %d bytes) into a full window", row, col, ts, len(v))
+				if err := table.ReplayPut(row, col, v, ts); err != nil {
+					t.Fatal(err)
+				}
+				m.replayPut(row, col, Version{Timestamp: ts, Value: slices.Clone(v)})
+			}
+			if err := checkBlobs(table); err != nil {
+				t.Fatalf("seed %d step %d, after %s: %v", seed, step, did, err)
 			}
 			if err := compareWithModel(table, m); err != nil {
 				t.Fatalf("seed %d step %d, after %s: %v", seed, step, did, err)
@@ -360,6 +432,62 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 	if planned == 0 || looked == 0 {
 		t.Errorf("repeated batches: %d puts resolved by the write plan, %d looked up: want both", planned, looked)
 	}
+	if slices.Contains(classes[:], 0) || classFlips == 0 || dropped == 0 {
+		t.Errorf("%v values of 0, 1–7, 8 and 9+ bytes, %d overwrites across lengths, %d long replays older than a full window: want all",
+			classes, classFlips, dropped)
+	}
+}
+
+// lengthClass sorts a value by length around what a stamp holds inline: 0
+// for empty, 1 for 1–7 bytes, 2 for 8 (a float), 3 for longer.
+func lengthClass(v []byte) int {
+	switch {
+	case len(v) == 0:
+		return 0
+	case len(v) < inlineWidth:
+		return 1
+	case len(v) == inlineWidth:
+		return 2
+	default:
+		return 3
+	}
+}
+
+// checkBlobs checks the table's blob slots against its windows: each version
+// of a value longer than inlineWidth owns one slot, which holds a blob of its
+// length; every other slot is on the free list, once, and nil.
+func checkBlobs(table *Table) error {
+	owner := make(map[uint64]bool)
+	for _, r := range table.rows {
+		for i, w := range r.cells {
+			for _, s := range w {
+				if s.n <= inlineWidth {
+					continue
+				}
+				if owner[s.w] {
+					return fmt.Errorf("blob slot %d is held by two versions", s.w)
+				}
+				owner[s.w] = true
+				if blob := table.blobs[s.w]; blob == nil || len(blob) != s.n {
+					return fmt.Errorf("cell %s/%s @%d: blob slot %d holds %d bytes, want %d", r.key, r.cols[i], s.ts, s.w, len(blob), s.n)
+				}
+			}
+		}
+	}
+	free := make(map[uint64]bool)
+	for _, slot := range table.free {
+		if owner[slot] || free[slot] {
+			return fmt.Errorf("free slot %d is also live, or free twice", slot)
+		}
+		free[slot] = true
+		if table.blobs[slot] != nil {
+			return fmt.Errorf("free slot %d holds a blob", slot)
+		}
+	}
+	if len(owner)+len(free) != len(table.blobs) {
+		return fmt.Errorf("%d blob slots, %d live and %d free: slots leaked", len(table.blobs), len(owner), len(free))
+	}
+	return nil
 }
 
 // planHits returns how many puts of ops the table's write plan resolves: the
@@ -543,28 +671,8 @@ func compareWithModel(table *Table, m *refTable) error {
 		}
 	}
 
-	var history, wantHistory []Mutation
-	err := table.History(func(cell []Mutation) error {
-		history = append(history, cell...)
-		return nil
-	})
-	for _, c := range cells {
-		for _, v := range c.versions {
-			wantHistory = append(wantHistory, Mutation{Table: table.Name(), Row: c.row, Column: c.col, New: v.Value, Timestamp: v.Timestamp, Kind: MutationPut})
-		}
-	}
-	if err != nil || !slices.EqualFunc(history, wantHistory, deepEqual) {
-		return fmt.Errorf("History = %v (err %v), want %v", history, err, wantHistory)
-	}
-
-	for _, row := range modelRows {
-		for _, col := range modelCols {
-			want := slices.Clone(m.cells[row][col])
-			slices.Reverse(want)
-			if got := table.GetVersions(row, col, 0); !slices.EqualFunc(got, want, deepEqual) {
-				return fmt.Errorf("GetVersions(%s, %s) = %v, want %v", row, col, got, want)
-			}
-		}
+	if err := compareCells(table, m, modelRows, modelCols); err != nil {
+		return err
 	}
 	if got := table.CellCount(); got != len(cells) {
 		return fmt.Errorf("CellCount = %d, want %d", got, len(cells))
@@ -577,6 +685,42 @@ func compareWithModel(table *Table, m *refTable) error {
 	}
 	if got := table.store.Clock(); got != m.clock {
 		return fmt.Errorf("store clock = %d, want %d", got, m.clock)
+	}
+	return nil
+}
+
+// compareCells checks History, and Get and GetVersions of every cell of rows
+// × cols, against the reference.
+func compareCells(table *Table, m *refTable, rows, cols []string) error {
+	var history, wantHistory []Mutation
+	err := table.History(func(cell []Mutation) error {
+		history = append(history, cell...)
+		return nil
+	})
+	for _, c := range m.sorted() {
+		for _, v := range c.versions {
+			wantHistory = append(wantHistory, Mutation{Table: table.Name(), Row: c.row, Column: c.col, New: v.Value, Timestamp: v.Timestamp, Kind: MutationPut})
+		}
+	}
+	if err != nil || !slices.EqualFunc(history, wantHistory, deepEqual) {
+		return fmt.Errorf("History = %v (err %v), want %v", history, err, wantHistory)
+	}
+	for _, row := range rows {
+		for _, col := range cols {
+			want := slices.Clone(m.cells[row][col])
+			slices.Reverse(want)
+			if got := table.GetVersions(row, col, 0); !slices.EqualFunc(got, want, deepEqual) {
+				return fmt.Errorf("GetVersions(%s, %s) = %v, want %v", row, col, got, want)
+			}
+			got, ok := table.Get(row, col)
+			if len(want) == 0 {
+				if ok || got != nil {
+					return fmt.Errorf("Get(%s, %s) of a missing cell = %q, %v", row, col, got, ok)
+				}
+			} else if !ok || !reflect.DeepEqual(got, want[0].Value) {
+				return fmt.Errorf("Get(%s, %s) = %q, %v, want %q", row, col, got, ok, want[0].Value)
+			}
+		}
 	}
 	return nil
 }

@@ -3,6 +3,8 @@
 package kvstore
 
 import (
+	"bytes"
+	"slices"
 	"strconv"
 	"sync"
 	"testing"
@@ -188,5 +190,84 @@ func TestScanColumnsBesideApply(t *testing.T) {
 			t.Fatalf("read batch %v after batch %v", c.Vals[0], last)
 		}
 		last = c.Vals[0]
+	}
+}
+
+// TestKeptLongValuesBesideBlobReuse has readers keep the long values they
+// read through Get, ScanPagesShared and History, each beside a copy taken at
+// read time, while a writer overwrites the cells' windows, releasing blob
+// slots and storing new values in them. A released slot gets a new blob and
+// the old one is never written, so every kept value must still equal its
+// copy, and hold one write's bytes.
+func TestKeptLongValuesBesideBlobReuse(t *testing.T) {
+	table := newTestTable(t, TableOptions{MaxVersions: 2})
+	rows := []string{"r0", "r1", "r2", "r3"}
+	put := func(k int) {
+		for _, row := range rows {
+			if err := table.Put(row, "c", bytes.Repeat([]byte{byte(k)}, 32+k%7)); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	put(0)
+	const writes = 1000
+	type kept struct{ value, copy []byte }
+	readers := []func(keep func(v []byte)){
+		func(keep func(v []byte)) {
+			for _, row := range rows {
+				if v, ok := table.Get(row, "c"); ok {
+					keep(v)
+				}
+			}
+		},
+		func(keep func(v []byte)) {
+			table.ScanPagesShared(ScanOptions{}, 2, func(cells []Cell, _ bool) error {
+				for _, c := range cells {
+					keep(c.Version.Value)
+				}
+				return nil
+			})
+		},
+		func(keep func(v []byte)) {
+			table.History(func(cell []Mutation) error {
+				for _, m := range cell {
+					keep(m.New)
+				}
+				return nil
+			})
+		},
+	}
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	all := make([][]kept, len(readers))
+	for i, read := range readers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			keep := func(v []byte) { all[i] = append(all[i], kept{v, slices.Clone(v)}) }
+			for {
+				select {
+				case <-done:
+					return
+				default:
+					read(keep)
+				}
+			}
+		}()
+	}
+	for k := 1; k <= writes; k++ {
+		put(k)
+	}
+	close(done)
+	wg.Wait()
+	for i, values := range all {
+		if len(values) == 0 {
+			t.Errorf("reader %d kept no value", i)
+		}
+		for _, v := range values {
+			if !bytes.Equal(v.value, v.copy) || len(v.copy) < 32 || bytes.Count(v.copy, v.copy[:1]) != len(v.copy) {
+				t.Fatalf("reader %d kept %v, which read %v", i, v.value, v.copy)
+			}
+		}
 	}
 }

@@ -22,12 +22,13 @@ func (s *Store) AdvanceClock(ts uint64) {
 	}
 }
 
-// ReplayPut inserts a version with an explicit timestamp at (row, column).
-// Versions are kept ordered by timestamp, a version whose timestamp already
-// exists in the cell is skipped, and the cell is trimmed to MaxVersions
-// oldest-first — so an in-order replay reproduces exactly what the original
-// Put sequence built. Observers are not notified and the store clock is
-// untouched; callers restore the clock separately (Store.SetClock).
+// ReplayPut inserts a version with an explicit timestamp at (row, column),
+// stored as Apply stores a put. Versions are kept ordered by timestamp, a
+// version whose timestamp already exists in the cell is skipped, and the
+// cell is trimmed to MaxVersions oldest-first — so an in-order replay
+// reproduces exactly what the original Put sequence built. Observers are not
+// notified and the store clock is untouched; callers restore the clock
+// separately (Store.SetClock).
 func (t *Table) ReplayPut(row, column string, value []byte, ts uint64) error {
 	if row == "" || column == "" {
 		return ErrEmptyKey
@@ -39,15 +40,13 @@ func (t *Table) ReplayPut(row, column string, value []byte, ts uint64) error {
 	versions := r.cells[i]
 	// Find the insertion point; versions are newest-last.
 	idx := len(versions)
-	for idx > 0 && versions[idx-1].Timestamp > ts {
+	for idx > 0 && versions[idx-1].ts > ts {
 		idx--
 	}
-	if idx > 0 && versions[idx-1].Timestamp == ts {
+	if idx > 0 && versions[idx-1].ts == ts {
 		return nil // duplicate replay of the same record
 	}
-	stored := make([]byte, len(value))
-	copy(stored, value)
-	t.insertLocked(r, i, idx, Version{Timestamp: ts, Value: stored})
+	t.insertLocked(r, i, idx, t.stampLocked(ts, value))
 	return nil
 }
 
@@ -61,6 +60,6 @@ func (t *Table) ReplayDelete(row, column string) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.deleteLocked(t.rows[row], column)
+	t.deleteLocked(t.rows[row], column, nil)
 	return nil
 }

@@ -16,15 +16,14 @@ type scanCursor struct {
 
 // collectLocked appends up to max cells of rows, the table's rows in key
 // order, that match opts to dst in (row, column) order, resuming after cur
-// when it is active. Cell values are shared references into live store
-// memory — stored values are immutable (Apply copies each batch's values into
-// an arena of its own and nothing writes to it after that), so the references
-// stay valid and stable after t.mu is released, but callers handing them out
-// must either copy (arenaCopyValues) or document the aliasing. Returns the
-// extended slice, the summed value bytes of the appended cells, and whether
-// collection stopped at max with (potentially) more cells ahead. max <= 0
-// means unbounded. Callers hold t.mu through readKeys.
-func collectLocked(rows []*row, opts ScanOptions, cur *scanCursor, max int, dst []Cell) ([]Cell, int64, bool) {
+// when it is active. An inline value is carved out of *buf (see valueLocked);
+// a long one is the table's blob, which is never written, so it stays valid
+// after t.mu is released, but callers handing it out must either copy it
+// (arenaCopyValues) or document the aliasing. Returns the extended slice, the
+// summed value bytes of the appended cells, and whether collection stopped
+// at max with (potentially) more cells ahead. max <= 0 means unbounded.
+// Callers hold t.mu through readKeys.
+func (t *Table) collectLocked(rows []*row, opts ScanOptions, cur *scanCursor, max int, dst []Cell, buf *[]byte) ([]Cell, int64, bool) {
 	i := 0
 	if cur != nil && cur.active {
 		i, _ = slices.BinarySearchFunc(rows, cur.row, func(r *row, key string) int { return strings.Compare(r.key, key) })
@@ -43,9 +42,9 @@ func collectLocked(rows []*row, opts ScanOptions, cur *scanCursor, max int, dst 
 				continue
 			}
 			versions := r.cells[j]
-			v := versions[len(versions)-1]
-			dst = append(dst, Cell{Row: r.key, Column: col, Version: v})
-			valueBytes += int64(len(v.Value))
+			s := versions[len(versions)-1]
+			dst = append(dst, Cell{Row: r.key, Column: col, Version: Version{Timestamp: s.ts, Value: t.valueLocked(s, buf)}})
+			valueBytes += int64(s.n)
 			if max > 0 && len(dst) >= max {
 				if cur != nil {
 					cur.row, cur.col, cur.active = r.key, col, true
@@ -57,11 +56,11 @@ func collectLocked(rows []*row, opts ScanOptions, cur *scanCursor, max int, dst 
 	return dst, valueBytes, false
 }
 
-// arenaCopyValues replaces each cell's shared value reference with a copy
-// carved out of one arena allocation sized for the whole batch — one malloc
-// per scan instead of one per cell. total must be the summed value
-// lengths (as returned by collectLocked). Each copy is capacity-capped so
-// appending to one cell's value can never scribble over its neighbour's.
+// arenaCopyValues replaces each cell's value with a copy carved out of one
+// arena allocation sized for the whole batch — one malloc per scan instead
+// of one per cell. total must be the summed value lengths (as returned by
+// collectLocked). Each copy is capacity-capped so appending to one cell's
+// value can never scribble over its neighbour's.
 func arenaCopyValues(cells []Cell, total int64) {
 	arena := make([]byte, 0, total)
 	for i := range cells {
@@ -76,10 +75,16 @@ func arenaCopyValues(cells []Cell, total int64) {
 // the kvnet server's streamed chunks recycle pages without reallocating.
 const defaultScanPage = 256
 
-// scanPagePool recycles page slices between ScanPagesShared calls.
+// scanPage is a ScanPagesShared page: its cells, and the buffer their
+// inline values are carved out of.
+type scanPage struct {
+	cells []Cell
+	buf   []byte
+}
+
+// scanPagePool recycles pages between ScanPagesShared calls.
 var scanPagePool = sync.Pool{New: func() any {
-	s := make([]Cell, 0, defaultScanPage)
-	return &s
+	return &scanPage{cells: make([]Cell, 0, defaultScanPage), buf: make([]byte, 0, defaultScanPage*inlineWidth)}
 }}
 
 // ScanPagesShared streams the latest version of every matching cell in
@@ -87,11 +92,12 @@ var scanPagePool = sync.Pool{New: func() any {
 // cells (pageSize <= 0 uses a default). The final invocation — there is
 // always at least one, possibly with an empty page — has final=true.
 //
-// Pages are shared, not copied, for hot paths that fold or serialize cells
-// and move on (the kvnet streaming-scan server, LRB's per-segment folds):
-// cell values alias live store memory (immutable once written) and the page
-// slice is pooled and reused across invocations. fn must not mutate the
-// values and must not retain the page or any cell value past its return.
+// Pages are shared, not copied, for hot paths that serialize cells and move
+// on (the kvnet streaming-scan server): a value of at most 8 bytes is carved
+// out of one buffer that the next page overwrites, a longer one aliases the
+// table's value (immutable once written), and the page slice is pooled and
+// reused across invocations. fn must not mutate the values and must not
+// retain the page or any cell value past its return.
 //
 // Unlike Scan, the table lock is released between pages (the HBase scanner
 // contract the paper's store substrate provides): a scan interleaved with
@@ -105,11 +111,12 @@ func (t *Table) ScanPagesShared(opts ScanOptions, pageSize int, fn func(cells []
 	ins := t.store.ins.Load()
 	sp := ins.opSpan("scan", t.name)
 
-	var pagePtr *[]Cell
+	var pooled *scanPage
 	var page []Cell
+	var buf []byte
 	if pageSize <= defaultScanPage {
-		pagePtr = scanPagePool.Get().(*[]Cell)
-		page = (*pagePtr)[:0]
+		pooled = scanPagePool.Get().(*scanPage)
+		page, buf = pooled.cells[:0], pooled.buf[:0]
 	}
 
 	var (
@@ -125,7 +132,8 @@ func (t *Table) ScanPagesShared(opts ScanOptions, pageSize int, fn func(cells []
 		}
 		var pageBytes int64
 		var more bool
-		t.readKeys(func(rows []*row) { page, pageBytes, more = collectLocked(rows, opts, &cur, max, page[:0]) })
+		buf = buf[:0]
+		t.readKeys(func(rows []*row) { page, pageBytes, more = t.collectLocked(rows, opts, &cur, max, page[:0], &buf) })
 		returned += len(page)
 		total += pageBytes
 		if opts.Limit > 0 && returned >= opts.Limit {
@@ -137,11 +145,11 @@ func (t *Table) ScanPagesShared(opts ScanOptions, pageSize int, fn func(cells []
 		}
 	}
 
-	if pagePtr != nil {
+	if pooled != nil {
 		page = page[:cap(page)]
 		clear(page) // drop value references so the pool does not pin them
-		*pagePtr = page[:0]
-		scanPagePool.Put(pagePtr)
+		pooled.cells, pooled.buf = page[:0], buf[:0]
+		scanPagePool.Put(pooled)
 	}
 	ins.scanned(returned)
 	sp.SetBytes(total)
