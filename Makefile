@@ -170,9 +170,9 @@ bench-pairs:
 ## checkpoint decode + restore fuzzer (session, harness and — for a policy
 ## that does not learn — the decider-state path) and the table fuzzer
 ## (ScanColumns against ScanState and Scan, ScanFloatRows against Scan,
-## repeated batches through the write plan, and Get, GetVersions and History
-## against a reference model for values on both sides of the 8 bytes a
-## version holds inline) for 30s each (nightly CI
+## repeated batches and PutFloatRows grids through the write plan, and Get,
+## GetVersions and History against a reference model for values on both
+## sides of the 8 bytes a version holds inline) for 30s each (nightly CI
 ## job; crashers land in the package's testdata/fuzz and are uploaded as
 ## artifacts). Separate invocations: `go test -fuzz` accepts only one target
 ## at a time. The checkpoint seeds are whole payloads, so minimizing each new

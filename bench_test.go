@@ -258,6 +258,26 @@ func BenchmarkOverheadKVStoreApply(b *testing.B) {
 	}
 }
 
+// BenchmarkOverheadKVStorePutFloatRows measures the same write as
+// BenchmarkOverheadKVStoreApply in its grid form: one 1 200 × 3
+// PutFloatRows, through the write plan the batches left.
+func BenchmarkOverheadKVStorePutFloatRows(b *testing.B) {
+	table, rows, cols, _ := lrbReportsTable(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v := float64(i)
+		err := table.PutFloatRows(rows, cols, func(vals []float64) {
+			for k := range vals {
+				vals[k] = v
+			}
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkOverheadKVStoreScanState measures the ι snapshot of an LRB
 // wave's reports: 3 600 float cells read as a metric.State.
 func BenchmarkOverheadKVStoreScanState(b *testing.B) {
@@ -519,10 +539,11 @@ func BenchmarkOverheadLRBWave(b *testing.B) {
 }
 
 // BenchmarkLRBSteps times each Linear Road processor at steady state, after
-// 50 synchronous waves at Parallelism 1, and the feeder's write alone: one
-// 3 600-op Apply of a wave's reports. Processors run outside the engine, on
-// the instance's store, so no ι observation is timed; the feeder advances
-// its simulator once per run.
+// 50 synchronous waves at Parallelism 1, and the feeder's write alone, in
+// both forms: one 3 600-op Apply of a wave's reports (feeder-apply) and one
+// 1 200 × 3 PutFloatRows of the same cells (feeder-grid). Processors run
+// outside the engine, on the instance's store, so no ι observation is timed;
+// the feeder advances its simulator once per run.
 func BenchmarkLRBSteps(b *testing.B) {
 	wf, store, err := workloads.LinearRoad(workloads.LinearRoadConfig{Seed: 1})()
 	if err != nil {
@@ -562,13 +583,34 @@ func BenchmarkLRBSteps(b *testing.B) {
 		b.Fatal(err)
 	}
 	batch := kvstore.NewBatch()
+	var rows, cols []string
+	var vals []float64
 	for _, c := range reports.Scan(kvstore.ScanOptions{}) {
 		batch.Put(c.Row, c.Column, c.Version.Value)
+		if len(rows) == 0 || rows[len(rows)-1] != c.Row {
+			rows = append(rows, c.Row)
+		}
+		if len(rows) == 1 {
+			cols = append(cols, c.Column)
+		}
+		v, _ := c.FloatValue()
+		vals = append(vals, v)
 	}
 	b.Run("feeder-apply", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if err := reports.Apply(batch); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	if len(rows)*len(cols) != len(vals) {
+		b.Fatalf("reports are not a grid: %d rows, %d columns, %d cells", len(rows), len(cols), len(vals))
+	}
+	b.Run("feeder-grid", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := reports.PutFloatRows(rows, cols, func(dst []float64) { copy(dst, vals) }); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -26,9 +26,12 @@ package analysis
 // a strong update.
 //
 // Sinks:
-//   - kvstore mutation methods (Put, PutFloat, Delete, Apply, ReplayPut,
-//     ReplayDelete, CreateTable, EnsureTable, SetClock) on types from
-//     smartflux/internal/kvstore
+//   - kvstore mutation methods (Put, PutFloat, PutFloatRows, Delete, Apply,
+//     ReplayPut, ReplayDelete, CreateTable, EnsureTable, SetClock) on types
+//     from smartflux/internal/kvstore
+//   - a store into the buffer of a PutFloatRows fill: an indexed assignment
+//     to the first parameter of a func literal passed as fill, whose values
+//     the call writes
 //   - durable Manager.Begin / Manager.Commit payloads
 //   - output writes (Print*, Fprint*, Write*, Encode)
 //   - obs.DecisionEvent fields (assignment or composite literal), except
@@ -84,7 +87,7 @@ var globalRandExempt = map[string]bool{
 // kvWriteMethods are the kvstore mutations whose arguments become stored
 // state.
 var kvWriteMethods = map[string]bool{
-	"Put": true, "PutFloat": true, "Delete": true, "Apply": true,
+	"Put": true, "PutFloat": true, "PutFloatRows": true, "Delete": true, "Apply": true,
 	"ReplayPut": true, "ReplayDelete": true, "CreateTable": true,
 	"EnsureTable": true, "SetClock": true,
 }
@@ -139,11 +142,37 @@ func runDetflow(pass *Pass) {
 		}
 		df.summaries = sums
 	}
+	df.fills = gridFills(pass.Info, files)
 	for _, f := range files {
 		funcBodies(f, func(body *ast.BlockStmt) {
 			df.flow(body, true, nil)
 		})
 	}
+}
+
+// gridFills maps the buffer parameter of each func literal passed as a
+// PutFloatRows fill to the call's sink label: a value stored into it is
+// written to the store.
+func gridFills(info *types.Info, files []*ast.File) map[types.Object]string {
+	fills := map[types.Object]string{}
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || len(call.Args) != 3 {
+				return true
+			}
+			fn, sink := staticCallee(info, call), sinkName(info, call)
+			lit, ok := ast.Unparen(call.Args[2]).(*ast.FuncLit)
+			if !ok || sink == "" || fn.Name() != "PutFloatRows" || len(lit.Type.Params.List) == 0 || len(lit.Type.Params.List[0].Names) == 0 {
+				return true
+			}
+			if obj := info.Defs[lit.Type.Params.List[0].Names[0]]; obj != nil {
+				fills[obj] = sink
+			}
+			return true
+		})
+	}
+	return fills
 }
 
 // dtState maps each tainted local to its taint kinds and the position of
@@ -192,6 +221,9 @@ type dfPkg struct {
 	summaries map[*types.Func][]map[string]bool
 	// reported dedups diagnostics by sink position.
 	reported map[token.Pos]bool
+	// fills maps each PutFloatRows fill's buffer parameter to the call's
+	// sink label (see gridFills).
+	fills map[types.Object]string
 }
 
 // flow runs the taint fixpoint over body, then replays each block from its
@@ -367,6 +399,12 @@ func (df *dfPkg) bindAssign(n *ast.AssignStmt, st dtState, report bool) {
 		if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok && report {
 			if isDecisionEventType(info.TypeOf(sel.X)) && sel.Sel.Name != traceClockField && len(perSlot[i]) > 0 {
 				df.reportSink(lhs.Pos(), perSlot[i], "decision-trace field "+exprString(lhs))
+			}
+		}
+		// Grid fill sink: vals[k] = tainted, in a PutFloatRows fill.
+		if ix, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok && report && len(perSlot[i]) > 0 {
+			if sink := df.fills[identObject(info, ix.X)]; sink != "" {
+				df.reportSink(lhs.Pos(), perSlot[i], sink)
 			}
 		}
 		id, ok := ast.Unparen(lhs).(*ast.Ident)

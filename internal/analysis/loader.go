@@ -13,6 +13,7 @@ import (
 	"os/exec"
 	"path"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -27,6 +28,19 @@ type listedPackage struct {
 	TestGoFiles []string
 	Imports     []string
 	TestImports []string
+	// DepOnly marks a package listed only as a dependency of the named ones.
+	DepOnly  bool
+	Standard bool
+}
+
+// deps returns the import paths lp's type check needs: its imports, and with
+// tests its test imports, which are loaded for analyzed packages only.
+func (lp *listedPackage) deps(tests bool) []string {
+	deps := slices.Clone(lp.Imports)
+	if tests && !lp.DepOnly {
+		deps = append(deps, lp.TestImports...)
+	}
+	return deps
 }
 
 // Package is one loaded, type-checked package ready for analysis.
@@ -89,10 +103,15 @@ func matchesOnly(patterns []string, importPath, relDir string) bool {
 	return false
 }
 
-// goList discovers packages with `go list -json`, the only piece of package
-// loading not done in-process. Everything downstream is go/parser+go/types.
+// goList discovers packages with `go list -deps -json`, the only piece of
+// package loading not done in-process; everything downstream is
+// go/parser+go/types. It returns the packages matching patterns and every
+// module-local package they depend on, marked DepOnly, so each is
+// type-checked once, by this loader: a local package left to the source
+// importer would be built a second time, and its types would differ from
+// the loader's own. Standard-library packages are left out.
 func goList(dir string, patterns []string) ([]*listedPackage, error) {
-	args := append([]string{"list", "-json"}, patterns...)
+	args := append([]string{"list", "-deps", "-json"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stdout, stderr bytes.Buffer
@@ -108,7 +127,9 @@ func goList(dir string, patterns []string) ([]*listedPackage, error) {
 		if err := dec.Decode(&p); err != nil {
 			return nil, fmt.Errorf("go list: decoding output: %v", err)
 		}
-		pkgs = append(pkgs, &p)
+		if !p.Standard {
+			pkgs = append(pkgs, &p)
+		}
 	}
 	return pkgs, nil
 }
@@ -142,8 +163,9 @@ func newInfo() *types.Info {
 	}
 }
 
-// Load discovers, parses and type-checks the packages matching cfg. Packages
-// are returned in deterministic dependency order.
+// Load discovers, parses and type-checks the packages matching cfg, and
+// the module-local packages they depend on, each once. Only the matching
+// packages are returned, in deterministic dependency order.
 func Load(cfg LoadConfig) ([]*Package, error) {
 	patterns := cfg.Patterns
 	if len(patterns) == 0 {
@@ -157,6 +179,31 @@ func Load(cfg LoadConfig) ([]*Package, error) {
 	byPath := make(map[string]*listedPackage, len(listed))
 	for _, lp := range listed {
 		byPath[lp.ImportPath] = lp
+	}
+	if cfg.IncludeTests {
+		// -deps follows imports, not test imports: list what the analyzed
+		// packages' tests import besides, as dependencies.
+		var missing []string
+		for _, lp := range listed {
+			for _, imp := range lp.deps(true) {
+				if byPath[imp] == nil {
+					missing = append(missing, imp)
+				}
+			}
+		}
+		if len(missing) > 0 {
+			slices.Sort(missing)
+			more, err := goList(cfg.Dir, slices.Compact(missing))
+			if err != nil {
+				return nil, err
+			}
+			for _, lp := range more {
+				if byPath[lp.ImportPath] == nil {
+					lp.DepOnly = true
+					byPath[lp.ImportPath] = lp
+				}
+			}
+		}
 	}
 
 	// Topologically order the module-local package graph so every local
@@ -173,10 +220,7 @@ func Load(cfg LoadConfig) ([]*Package, error) {
 			return nil
 		}
 		state[lp.ImportPath] = 1
-		deps := append([]string(nil), lp.Imports...)
-		if cfg.IncludeTests {
-			deps = append(deps, lp.TestImports...)
-		}
+		deps := lp.deps(cfg.IncludeTests)
 		sort.Strings(deps)
 		for _, imp := range deps {
 			if imp == lp.ImportPath {
@@ -203,35 +247,34 @@ func Load(cfg LoadConfig) ([]*Package, error) {
 		}
 	}
 
-	// With Only patterns, analysis is restricted to the matched packages but
-	// their module-local dependency closure must still be type-checked so the
-	// chain importer can resolve local imports. Everything else is skipped
-	// entirely — that skip is what makes -only/-diff runs fast.
-	var matched, needed map[string]bool
-	if len(cfg.Only) > 0 {
-		absDir, err := filepath.Abs(cfg.Dir)
-		if err != nil {
-			return nil, err
+	// Analysis is restricted to the listed packages (and, with Only
+	// patterns, to the matched ones among them), but their module-local
+	// dependency closure must still be type-checked so the chain importer
+	// can resolve local imports. Everything else is skipped entirely — that
+	// skip is what makes -only/-diff runs fast.
+	absDir, err := filepath.Abs(cfg.Dir)
+	if err != nil {
+		return nil, err
+	}
+	matched := make(map[string]bool)
+	needed := make(map[string]bool)
+	var need func(lp *listedPackage)
+	need = func(lp *listedPackage) {
+		if needed[lp.ImportPath] {
+			return
 		}
-		matched = make(map[string]bool)
-		needed = make(map[string]bool)
-		var need func(lp *listedPackage)
-		need = func(lp *listedPackage) {
-			if needed[lp.ImportPath] {
-				return
-			}
-			needed[lp.ImportPath] = true
-			deps := append([]string(nil), lp.Imports...)
-			if cfg.IncludeTests {
-				deps = append(deps, lp.TestImports...)
-			}
-			for _, imp := range deps {
-				if dep, ok := byPath[imp]; ok && imp != lp.ImportPath {
-					need(dep)
-				}
+		needed[lp.ImportPath] = true
+		for _, imp := range lp.deps(cfg.IncludeTests) {
+			if dep, ok := byPath[imp]; ok && imp != lp.ImportPath {
+				need(dep)
 			}
 		}
-		for _, lp := range order {
+	}
+	for _, lp := range order {
+		if lp.DepOnly {
+			continue
+		}
+		if len(cfg.Only) > 0 {
 			rel, err := filepath.Rel(absDir, lp.Dir)
 			if err != nil {
 				continue
@@ -240,11 +283,12 @@ func Load(cfg LoadConfig) ([]*Package, error) {
 			if rel == "." {
 				relDir = "."
 			}
-			if matchesOnly(cfg.Only, lp.ImportPath, relDir) {
-				matched[lp.ImportPath] = true
-				need(lp)
+			if !matchesOnly(cfg.Only, lp.ImportPath, relDir) {
+				continue
 			}
 		}
+		matched[lp.ImportPath] = true
+		need(lp)
 	}
 
 	// The source importer compiles stdlib dependencies from GOROOT source;
@@ -259,14 +303,14 @@ func Load(cfg LoadConfig) ([]*Package, error) {
 
 	var out []*Package
 	for _, lp := range order {
-		if needed != nil && !needed[lp.ImportPath] {
+		if !needed[lp.ImportPath] {
 			continue
 		}
 		if len(lp.CgoFiles) > 0 {
 			return nil, fmt.Errorf("%s: cgo packages are not supported", lp.ImportPath)
 		}
-		names := append([]string(nil), lp.GoFiles...)
-		if cfg.IncludeTests {
+		names := slices.Clone(lp.GoFiles)
+		if cfg.IncludeTests && !lp.DepOnly {
 			names = append(names, lp.TestGoFiles...)
 		}
 		if len(names) == 0 {
@@ -287,7 +331,7 @@ func Load(cfg LoadConfig) ([]*Package, error) {
 			return nil, fmt.Errorf("typecheck %s: %v", lp.ImportPath, err)
 		}
 		imp.local[lp.ImportPath] = tpkg
-		if matched != nil && !matched[lp.ImportPath] {
+		if !matched[lp.ImportPath] {
 			continue // type-checked as a dependency only
 		}
 		out = append(out, &Package{

@@ -73,7 +73,45 @@ func putInMapRange(t *kvstore.Table, m map[string][]byte) {
 	}
 }
 
+// randIntoGrid fills a grid write's buffer with draws from the shared
+// unseeded RNG.
+func randIntoGrid(t *kvstore.Table, rows, cols []string) error {
+	return t.PutFloatRows(rows, cols, func(vals []float64) {
+		for k := range vals {
+			vals[k] = rand.Float64() // want `nondeterministic value flows into kvstore write t.PutFloatRows: .* global-rand`
+		}
+	})
+}
+
+// mapSumIntoGrid stores an order-dependent map sum through a grid write.
+func mapSumIntoGrid(t *kvstore.Table, rows, cols []string, m map[string]float64) error {
+	return t.PutFloatRows(rows, cols, func(vals []float64) {
+		sum := 0.0
+		for _, v := range m {
+			sum += v
+		}
+		vals[0] = sum // want `nondeterministic value flows into kvstore write t.PutFloatRows: .* map-order`
+	})
+}
+
+// gridInMapRange commits one grid per map key in iteration order.
+func gridInMapRange(t *kvstore.Table, cols []string, m map[string][]string) {
+	for _, rows := range m {
+		t.PutFloatRows(rows, cols, func([]float64) {}) // want `executes inside a range over a map`
+	}
+}
+
 // --- negatives -------------------------------------------------------------
+
+// seededRandIntoGrid fills a grid from an explicitly seeded RNG.
+func seededRandIntoGrid(t *kvstore.Table, rows, cols []string) error {
+	rng := rand.New(rand.NewSource(7))
+	return t.PutFloatRows(rows, cols, func(vals []float64) {
+		for k := range vals {
+			vals[k] = rng.Float64()
+		}
+	})
+}
 
 // clockForMetricsOnly reads the wall clock but the value never reaches a
 // sink; detflow stays quiet.

@@ -11,6 +11,9 @@ func (t *Table) Put(row, column string, value []byte) error { return nil }
 // PutFloat writes a float cell.
 func (t *Table) PutFloat(row, column string, v float64) error { return nil }
 
+// PutFloatRows writes the grid rows × cols of the floats fill stores.
+func (t *Table) PutFloatRows(rows, cols []string, fill func(vals []float64)) error { return nil }
+
 // Delete removes a cell.
 func (t *Table) Delete(row, column string) error { return nil }
 

@@ -226,6 +226,18 @@ func buildWorkflow(cfg Config, gen *Generator) (*workflow.Workflow, error) {
 	container := func(table string) workflow.Container {
 		return workflow.Container{Table: table}
 	}
+	// Step 1's rows, detectors[x*grid+y] for detector (x, y), and columns,
+	// rendered once.
+	detectors := make([]string, 0, grid*grid)
+	for x := 0; x < grid; x++ {
+		for y := 0; y < grid; y++ {
+			detectors = append(detectors, detectorRow(x, y))
+		}
+	}
+	pollutantCols := make([]string, len(pollutants))
+	for p, def := range pollutants {
+		pollutantCols[p] = def.name
+	}
 
 	steps := []*workflow.Step{
 		{
@@ -240,17 +252,17 @@ func buildWorkflow(cfg Config, gen *Generator) (*workflow.Workflow, error) {
 				if err != nil {
 					return err
 				}
-				batch := kvstore.GetBatch().Grow(grid * grid * len(pollutants))
-				defer batch.Release()
-				for x := 0; x < grid; x++ {
-					for y := 0; y < grid; y++ {
-						row := detectorRow(x, y)
-						for p, def := range pollutants {
-							batch.PutFloat(row, def.name, gen.Reading(ctx.Wave, x, y, p))
+				return t.PutFloatRows(detectors, pollutantCols, func(vals []float64) {
+					k := 0
+					for x := 0; x < grid; x++ {
+						for y := 0; y < grid; y++ {
+							for p := range pollutants {
+								vals[k] = gen.Reading(ctx.Wave, x, y, p)
+								k++
+							}
 						}
 					}
-				}
-				return t.Apply(batch)
+				})
 			}),
 		},
 		{

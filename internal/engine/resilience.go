@@ -33,9 +33,10 @@ var ErrStepTimeout = errors.New("engine: step execution timed out")
 // channel lets it exit without leaking. Late writes from an abandoned
 // attempt race only with the step's own retry, which re-derives the same
 // values for deterministic processors, so the latest cell versions converge
-// either way. This is why processors take each batch from kvstore.GetBatch
-// rather than keep one across calls: a straggler and its retry then never
-// build their writes in the same memory.
+// either way. This is why processors take each batch (kvstore.GetBatch) or
+// grid buffer (Table.PutFloatRows) per call rather than keep one across
+// calls: a straggler and its retry then never build their writes in the
+// same memory.
 func (in *Instance) runProc(ctx *workflow.Context, st *stepState) error {
 	if in.cfg.StepTimeout <= 0 {
 		return st.step.Proc.Process(ctx)

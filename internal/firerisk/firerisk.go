@@ -166,6 +166,9 @@ func (g *Generator) Wind(wave, x, y int) float64 {
 	return base + noise + 0.4*g.eventBoost(wave, x, y)
 }
 
+// sensorCols are the measures step 1 writes per sensor, in stamp order.
+var sensorCols = []string{"temp", "precip", "wind"}
+
 // sensorRow renders the row key of sensor (x, y).
 func sensorRow(x, y int) string {
 	return "s" + strconv.Itoa(x) + ":" + strconv.Itoa(y)
@@ -213,6 +216,13 @@ func buildWorkflow(cfg Config, gen *Generator) (*workflow.Workflow, error) {
 	container := func(table string) workflow.Container {
 		return workflow.Container{Table: table}
 	}
+	// Step 1's rows, sensors[x*grid+y] for sensor (x, y), rendered once.
+	sensors := make([]string, 0, grid*grid)
+	for x := 0; x < grid; x++ {
+		for y := 0; y < grid; y++ {
+			sensors = append(sensors, sensorRow(x, y))
+		}
+	}
 
 	steps := []*workflow.Step{
 		{
@@ -227,17 +237,17 @@ func buildWorkflow(cfg Config, gen *Generator) (*workflow.Workflow, error) {
 				if err != nil {
 					return err
 				}
-				batch := kvstore.GetBatch().Grow(3 * grid * grid)
-				defer batch.Release()
-				for x := 0; x < grid; x++ {
-					for y := 0; y < grid; y++ {
-						row := sensorRow(x, y)
-						batch.PutFloat(row, "temp", gen.Temperature(ctx.Wave, x, y))
-						batch.PutFloat(row, "precip", gen.Precipitation(ctx.Wave, x, y))
-						batch.PutFloat(row, "wind", gen.Wind(ctx.Wave, x, y))
+				return t.PutFloatRows(sensors, sensorCols, func(vals []float64) {
+					k := 0
+					for x := 0; x < grid; x++ {
+						for y := 0; y < grid; y++ {
+							vals[k] = gen.Temperature(ctx.Wave, x, y)
+							vals[k+1] = gen.Precipitation(ctx.Wave, x, y)
+							vals[k+2] = gen.Wind(ctx.Wave, x, y)
+							k += 3
+						}
 					}
-				}
-				return t.Apply(batch)
+				})
 			}),
 		},
 		{

@@ -56,7 +56,8 @@ func (c Cell) FloatValue() (float64, bool) {
 	return v, true
 }
 
-// floatRows is the pooled result buffer of ScanFloatRows.
+// floatRows is the pooled result buffer of ScanFloatRows, and vals that of
+// PutFloatRows.
 type floatRows struct {
 	vals []float64
 	ok   []bool
@@ -75,6 +76,7 @@ var floatRowsPool = sync.Pool{New: func() any { return new(floatRows) }}
 // or deleted, so no row is walked and no column looked up. keys is the
 // projection's own slice and vals and ok are pooled: fn must not modify or
 // retain them. It counts as one scan of the float cells it found.
+// PutFloatRows is its write twin.
 func (t *Table) ScanFloatRows(cols []string, fn func(keys []string, vals []float64, ok []bool)) {
 	ins := t.store.ins.Load()
 	sp := ins.opSpan("scan", t.name)
@@ -106,4 +108,50 @@ func (t *Table) ScanFloatRows(cols []string, fn func(keys []string, vals []float
 	if cap(vals) <= maxPooledOps {
 		floatRowsPool.Put(buf)
 	}
+}
+
+// PutFloatRows is the write of a step that produces a dense grid of floats,
+// the write twin of ScanFloatRows: it calls fill once with a zeroed buffer of
+// len(rows)*len(cols) floats, then writes vals[i*len(cols)+j] at (rows[i],
+// cols[j]) in one hold of the table's write lock. The result is that of
+// Apply of a batch of those PutFloats in row-major order, in every respect:
+// timestamps, Version, counters, span, and the Mutations observers receive;
+// cell k of the grid resolves through the write plan entry of op k, so a
+// table written both ways keeps one plan. Keys travel once per row and once
+// per column and values as bare floats, so no Op is built, read or cleared.
+//
+// Every key is checked before fill runs: an empty one returns ErrEmptyKey
+// and leaves the table and the store clock untouched. A grid of zero cells
+// is a no-op that does not call fill and reserves no timestamp. The buffer
+// is pooled and taken per call, so two calls never share one: fill must not
+// retain it.
+func (t *Table) PutFloatRows(rows, cols []string, fill func(vals []float64)) error {
+	n := len(rows) * len(cols)
+	if n == 0 {
+		return nil
+	}
+	if slices.Contains(rows, "") || slices.Contains(cols, "") {
+		return ErrEmptyKey
+	}
+	buf := floatRowsPool.Get().(*floatRows)
+	vals := slices.Grow(buf.vals[:0], n)[:n]
+	clear(vals)
+	fill(vals)
+	w := t.newWrite("apply")
+	t.mu.Lock()
+	w.startLocked(n)
+	k := 0
+	for _, row := range rows {
+		for _, col := range cols {
+			w.put(k, row, col, stamp{ts: w.first + uint64(k), w: math.Float64bits(vals[k]), n: floatWidth})
+			k++
+		}
+	}
+	t.mu.Unlock()
+	w.done()
+	buf.vals = vals[:0]
+	if cap(vals) <= maxPooledOps {
+		floatRowsPool.Put(buf)
+	}
+	return nil
 }

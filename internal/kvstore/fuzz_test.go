@@ -11,9 +11,12 @@ import (
 // FuzzTableColumns runs a byte-driven script against one table and the
 // reference model (refTable) — float puts, puts and ReplayPuts at explicit
 // timestamps of values 0 to 19 bytes long, across the 8 bytes a version holds
-// inline, deletes, DropTable followed by a recreate, and a batch repeating
-// the last few puts and deletes with fresh values, which a second such batch
-// in a row writes through the table's plan. After every operation it
+// inline, deletes, DropTable followed by a recreate, a batch repeating the
+// last few puts and deletes with fresh values, which a second such batch in a
+// row writes through the table's plan, and a float grid (PutFloatRows) of
+// rows, duplicates included, × a column subset, or of the last batch's or
+// grid's keys when they form a grid, which it writes through the plan that
+// write left. After every operation it
 // requires Get, GetVersions and History to equal the model, and the table's
 // blob slots to match its versions (checkBlobs); ScanColumns to equal
 // ScanState, and both to equal the float cells a plain Scan returns (keyed,
@@ -28,6 +31,7 @@ func FuzzTableColumns(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 5, 0, 2, 0, 6, 3, 0, 1, 4, 4, 0, 0, 0, 0, 3, 2, 7})
 	f.Add([]byte{0, 3, 0, 1, 0, 3, 1, 2, 0, 3, 2, 3, 1, 3, 1, 9, 0, 3, 1, 8, 2, 3, 0, 0})
 	f.Add([]byte{0, 0, 0, 1, 0, 1, 3, 2, 2, 2, 0, 0, 5, 0, 0, 3, 5, 0, 0, 4, 0, 4, 1, 5, 5, 0, 0, 6, 5, 0, 0, 7})
+	f.Add([]byte{0, 0, 0, 1, 6, 1, 3, 25, 6, 0, 0x10, 7, 5, 0, 0, 2, 6, 2, 0x15, 24})
 	rows := []string{"a", "a-b", "a/b", "r1", "r10", "r2"}
 	cols := []string{"c", "b/c", "c1", "d"}
 	shapes := []ScanOptions{{}, {ColumnPrefix: "c"}, {RowPrefix: "r1"}}
@@ -40,6 +44,7 @@ func FuzzTableColumns(f *testing.F) {
 		}
 		m := &refTable{maxVersions: 2, cells: map[string]map[string][]Version{}}
 		var recent []Op // the last few single puts and deletes
+		var last []Op   // the last batch's or grid's ops
 		for ; len(script) >= 4; script = script[4:] {
 			row, col, b := rows[int(script[1])%len(rows)], cols[int(script[2])%len(cols)], script[3]
 			// value is b%20 bytes long, on either side of the 8 bytes a
@@ -51,7 +56,7 @@ func FuzzTableColumns(f *testing.F) {
 			if b%20 == 8 {
 				value = EncodeFloat(float64(b) - 128)
 			}
-			kind := script[0] % 6
+			kind := script[0] % 7
 			if kind <= 2 {
 				recent = append(recent[max(len(recent)-3, 0):], Op{Row: row, Column: col, Delete: kind == 2})
 			}
@@ -87,6 +92,30 @@ func FuzzTableColumns(f *testing.F) {
 				}
 				err = table.Apply(batch)
 				m.apply(ops)
+				last = ops
+			case 6:
+				// Rows step from row by b/4 (a multiple of len(rows)
+				// repeats one); the column byte's low bits pick columns,
+				// and bit 4 asks for the last write's keys instead.
+				gridRows, gridCols, repeat := gridOf(last)
+				if !repeat || script[2]&0x10 == 0 {
+					gridRows, gridCols = nil, nil
+					for i := 0; i <= int(b%4); i++ {
+						gridRows = append(gridRows, rows[(int(script[1])+i*int(b/4))%len(rows)])
+					}
+					for j, c := range cols {
+						if script[2]&(1<<j) != 0 || j == int(script[2])%len(cols) {
+							gridCols = append(gridCols, c)
+						}
+					}
+				}
+				vals := make([]float64, len(gridRows)*len(gridCols))
+				for k := range vals {
+					vals[k] = float64(b) - float64(k)/8
+				}
+				err = table.PutFloatRows(gridRows, gridCols, func(dst []float64) { copy(dst, vals) })
+				last = gridOps(gridRows, gridCols, vals)
+				m.apply(last)
 			}
 			if err != nil {
 				t.Fatal(err)

@@ -334,9 +334,10 @@ type Table struct {
 	// floats holds the latest value of every cell as a float, for ι/ε
 	// snapshots and projected reads; nil until the first (see floats.go).
 	floats *floatArray
-	// plan holds, for each op of the last batch apply wrote, the cell the op
-	// resolved to (zero for a delete); planned is false once a cell has been
-	// added or deleted since, which may have moved any of them.
+	// plan holds, for each cell of the last write (a batch's op, a grid's
+	// cell), the cell it resolved to (zero for a delete); planned is false
+	// once a cell has been added or deleted since, which may have moved any
+	// of them.
 	plan    []cellRef
 	planned bool
 	// blobs holds the values longer than inlineWidth of the retained
@@ -429,8 +430,8 @@ type cellRef struct {
 
 // row is one row's record: its cells, in column order. A point read or a
 // write of any of its cells costs one map lookup for the row and a search of
-// its columns, unless the write repeats its table's last batch (see
-// Table.apply); a projected read looks nothing up (see Table.ScanFloatRows).
+// its columns, unless the write repeats its table's last write's keys (see
+// write); a projected read looks nothing up (see Table.ScanFloatRows).
 type row struct {
 	key  string
 	cols []string // sorted column keys
@@ -494,101 +495,146 @@ func (t *Table) Put(row, column string, value []byte) error {
 	return nil
 }
 
-// apply is the table's one write path, behind Put, PutFloat, Delete and
-// Apply; ops have valid keys, and deletes carry no value. In one hold of t.mu
-// it reserves len(ops) timestamps from the store clock (op i is stamped
-// first+i, so a delete of a missing cell still consumes its tick), applies
-// the ops and reads the observer list. A put becomes a stamp: a PutFloat op
-// from its bits, a value of at most inlineWidth bytes by one big-endian load,
-// a longer one by a copy into a blob slot; nothing else is allocated.
-// Mutation records, and one arena for the inline values they carry, are built
-// only when the table has observers, and delivered after the unlock.
-//
-// A put resolves its cell once per key set: the table keeps the cell each op
-// of its last batch resolved to (t.plan), and a batch of the same length
-// whose op i names that cell's row and column again writes through it, while
-// no cell has been added or deleted since it was recorded. Producers reuse
-// their key strings across waves, so the check is two pointer compares.
-// Otherwise the op looks its row up, once for consecutive ops on one row,
-// and searches its columns.
+// apply is the write path behind Put, PutFloat, Delete and Apply; ops have
+// valid keys, and deletes carry no value. Op k is cell k of one write (see
+// write): a put becomes a stamp, a PutFloat op from its bits, a value of
+// at most inlineWidth bytes by one big-endian load, a longer one by a copy
+// into a blob slot, and a delete of a missing cell still consumes its tick.
 func (t *Table) apply(spanOp string, ops []Op) {
-	ins := t.store.ins.Load()
-	sp := ins.opSpan(spanOp, t.name)
-	var muts []Mutation
-	var buf *[]byte // the mutation records' arena, while the table is observed
-	var puts, dels uint64
-	var valueBytes int64
+	w := t.newWrite(spanOp)
 	t.mu.Lock()
-	// Subscribe only appends, so this prefix of the list never changes.
-	observers := t.observers
-	if len(observers) > 0 {
-		muts = make([]Mutation, 0, len(ops))
-		// Room for an old and a new inline value per op; long ones are blobs.
-		arena := make([]byte, 0, 2*inlineWidth*len(ops))
-		buf = &arena
-	}
-	first := t.store.reserveTimestamps(len(ops))
-	if !t.planned || len(t.plan) != len(ops) {
-		t.plan = slices.Grow(t.plan[:0], len(ops))[:len(ops)]
-		clear(t.plan)
-	}
-	t.planned = true
-	var r *row // the last op's row, while the ops name it
-	for i := range ops {
-		op := &ops[i] // neither the 72-byte Op nor a Mutation is copied per op
-		ts, kind := first+uint64(i), MutationPut
-		var old, value []byte
-		ref := &t.plan[i]
-		if op.Delete {
-			if r == nil || r.key != op.Row {
-				r = t.rows[op.Row]
-			}
-			var ok bool
-			old, ok = t.deleteLocked(r, op.Column, buf)
-			*ref, r = cellRef{}, nil // the delete may have removed the row
-			if !ok {
-				continue
-			}
-			kind = MutationDelete
-			dels++
-		} else {
-			if !t.planned || ref.r == nil || ref.r.key != op.Row || ref.r.cols[ref.i] != op.Column {
-				if r == nil || r.key != op.Row {
-					r = t.addRowLocked(op.Row)
-				}
-				*ref = cellRef{r, t.windowLocked(r, op.Column)}
-			}
-			r = ref.r
-			versions := r.cells[ref.i]
-			s := stamp{ts: ts, w: op.bits, n: floatWidth}
-			if !op.float {
-				s = t.stampLocked(ts, op.Value)
-			}
-			if buf != nil {
-				if n := len(versions); n > 0 {
-					old = t.valueLocked(versions[n-1], buf)
-				}
-				value = t.valueLocked(s, buf)
-			}
-			valueBytes += int64(s.n)
-			t.insertLocked(r, ref.i, len(versions), s)
-			puts++
-		}
-		if muts != nil {
-			muts = append(muts, Mutation{Table: t.name, Row: op.Row, Column: op.Column, Old: old, New: value, Timestamp: ts, Kind: kind})
+	w.startLocked(len(ops))
+	for k := range ops {
+		op := &ops[k] // the 72-byte Op is not copied per op
+		switch {
+		case op.Delete:
+			w.delete(k, op.Row, op.Column)
+		case op.float:
+			w.put(k, op.Row, op.Column, stamp{ts: w.first + uint64(k), w: op.bits, n: floatWidth})
+		default:
+			w.put(k, op.Row, op.Column, t.stampLocked(w.first+uint64(k), op.Value))
 		}
 	}
 	t.mu.Unlock()
-	if ins != nil {
-		ins.mutations.Add(puts)
-		ins.deletes.Add(dels)
+	w.done()
+}
+
+// write is one hold of a table's write lock by a batch or a float grid (see
+// PutFloatRows): the one write core both share. In that hold it reserves one
+// timestamp per cell from the store clock (cell k is stamped first+k), writes
+// the cells in order and reads the observer list. Mutation records, and one
+// arena for the inline values they carry, are built only when the table has
+// observers, and delivered after the unlock (done); nothing else is
+// allocated.
+//
+// A put resolves its cell once per key set: the table keeps the cell each
+// cell k of its last write resolved to (t.plan), and a write of the same
+// length whose cell k names that cell's row and column again writes through
+// it, while no cell has been added or deleted since it was recorded.
+// Producers reuse their key strings across waves, so the check is two
+// pointer compares, and a table written by batches and by grids of one key
+// sequence keeps one plan. Otherwise the put looks its row up, once for
+// consecutive cells of one row, and searches its columns.
+type write struct {
+	t          *Table
+	ins        *storeInstruments
+	sp         *obs.Span
+	observers  []Observer
+	muts       []Mutation
+	arena      []byte // holds the inline values of muts
+	first      uint64
+	r          *row // the last cell's row, while the cells name it
+	puts, dels uint64
+	valueBytes int64
+}
+
+// newWrite starts a write to t and its span.
+func (t *Table) newWrite(spanOp string) write {
+	w := write{t: t, ins: t.store.ins.Load()}
+	w.sp = w.ins.opSpan(spanOp, t.name)
+	return w
+}
+
+// startLocked readies the write of n cells. Callers hold t.mu.
+func (w *write) startLocked(n int) {
+	t := w.t
+	// Subscribe only appends, so this prefix of the list never changes.
+	w.observers = t.observers
+	if len(w.observers) > 0 {
+		w.muts = make([]Mutation, 0, n)
+		// Room for an old and a new inline value per cell; long ones are blobs.
+		w.arena = make([]byte, 0, 2*inlineWidth*n)
+	}
+	w.first = t.store.reserveTimestamps(n)
+	if !t.planned || len(t.plan) != n {
+		t.plan = slices.Grow(t.plan[:0], n)[:n]
+		clear(t.plan)
+	}
+	t.planned = true
+}
+
+// put writes s, stamped first+k, as cell k: the latest version of (rowKey,
+// column), resolved through plan entry k. Callers hold t.mu.
+func (w *write) put(k int, rowKey, column string, s stamp) {
+	t := w.t
+	ref := &t.plan[k]
+	if !t.planned || ref.r == nil || ref.r.key != rowKey || ref.r.cols[ref.i] != column {
+		if w.r == nil || w.r.key != rowKey {
+			w.r = t.addRowLocked(rowKey)
+		}
+		*ref = cellRef{w.r, t.windowLocked(w.r, column)}
+	}
+	r := ref.r
+	w.r = r
+	versions := r.cells[ref.i]
+	w.valueBytes += int64(s.n)
+	if w.muts != nil {
+		var old []byte
+		if n := len(versions); n > 0 {
+			old = t.valueLocked(versions[n-1], &w.arena)
+		}
+		value := t.valueLocked(s, &w.arena)
+		w.muts = append(w.muts, Mutation{Table: t.name, Row: rowKey, Column: column, Old: old, New: value, Timestamp: s.ts, Kind: MutationPut})
+	}
+	t.insertLocked(r, ref.i, len(versions), s)
+	w.puts++
+}
+
+// delete removes (rowKey, column) as cell k; a missing cell changes nothing.
+// Callers hold t.mu.
+func (w *write) delete(k int, rowKey, column string) {
+	t := w.t
+	if w.r == nil || w.r.key != rowKey {
+		w.r = t.rows[rowKey]
+	}
+	var buf *[]byte
+	if w.muts != nil {
+		buf = &w.arena
+	}
+	old, ok := t.deleteLocked(w.r, column, buf)
+	t.plan[k], w.r = cellRef{}, nil // the delete may have removed the row
+	if !ok {
+		return
+	}
+	w.dels++
+	if w.muts != nil {
+		w.muts = append(w.muts, Mutation{Table: t.name, Row: rowKey, Column: column, Old: old, Timestamp: w.first + uint64(k), Kind: MutationDelete})
+	}
+}
+
+// done counts and ends the write, and delivers its mutations. Callers have
+// released t.mu.
+func (w *write) done() {
+	if w.ins != nil {
+		w.ins.mutations.Add(w.puts)
+		w.ins.deletes.Add(w.dels)
 	}
 	// The span covers the in-memory mutation; durability cost incurred by
 	// observers (WAL appends) is attributed to the wal layer's own spans.
-	sp.SetBytes(valueBytes)
-	sp.End()
-	for _, o := range observers {
-		for _, m := range muts {
+	w.sp.SetBytes(w.valueBytes)
+	w.sp.End()
+	for _, o := range w.observers {
+		for _, m := range w.muts {
 			o.OnMutation(m)
 		}
 	}

@@ -343,6 +343,42 @@ func TestApplyAllocations(t *testing.T) {
 	}
 }
 
+// TestPutFloatRowsAllocations pins what a grid write costs once every cell
+// holds MaxVersions versions: a 1 200 × 3 PutFloatRows of an unobserved
+// table, its buffer taken from the pool, allocates nothing.
+func TestPutFloatRowsAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	table := newTestTable(t, TableOptions{})
+	rows := make([]string, 1200)
+	for i := range rows {
+		rows[i] = "v" + strconv.Itoa(i)
+	}
+	cols := []string{"xway", "pos", "speed"}
+	var wave float64
+	fill := func(vals []float64) {
+		for k := range vals {
+			vals[k] = wave
+		}
+	}
+	put := func() {
+		if err := table.PutFloatRows(rows, cols, fill); err != nil {
+			t.Fatal(err)
+		}
+		wave++
+	}
+	for i := 0; i < DefaultMaxVersions; i++ {
+		put()
+	}
+	if allocs := testing.AllocsPerRun(20, put); allocs != 0 {
+		t.Errorf("unobserved PutFloatRows allocates %v objects per grid, want 0", allocs)
+	}
+	if v, _ := table.GetFloat("v7", "pos"); v != wave-1 {
+		t.Errorf("latest value %v, want %v", v, wave-1)
+	}
+}
+
 // TestFloatReadsAllocateNothing checks that a float read of an existing float
 // cell, plain or guarded, reads the stored bits without building bytes.
 func TestFloatReadsAllocateNothing(t *testing.T) {

@@ -160,11 +160,16 @@ var (
 // write plan resolves, sometimes with a column swapped, a delete inside the
 // batch, or a cell added or removed before it; the test requires both the
 // plan and the row and column lookup to have resolved some of their puts.
+// They write float grids (PutFloatRows) of random rows, duplicates included,
+// × random columns, and grids repeating the last batch's keys when those
+// form a grid; the test requires the plan to have resolved puts of a grid
+// repeating a batch and of a batch repeating a grid.
 func TestTableMatchesReferenceModel(t *testing.T) {
 	widest, flips, orderBreaks := 0, 0, 0
 	planned, looked := 0, 0
-	var classes [4]int          // values written per lengthClass
-	classFlips, dropped := 0, 0 // overwrites across classes; long replays dropped
+	gridPlanned, afterGrid := 0, 0 // plan hits of a grid after a batch, and of a batch after a grid
+	var classes [4]int             // values written per lengthClass
+	classFlips, dropped := 0, 0    // overwrites across classes; long replays dropped
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		maxVersions := 1 + int(seed%3)
@@ -216,11 +221,12 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 			return pick()
 		}
 		var reads []metric.Columns
-		var last []Op // the ops of the last Apply
+		var last []Op     // the ops of the last Apply or PutFloatRows
+		lastGrid := false // whether last was a PutFloatRows
 		for step := 0; step < 150; step++ {
 			var did string
 			cellChanges, flipped := m.cellChanges, m.flips
-			switch rng.Intn(11) {
+			switch rng.Intn(12) {
 			case 0:
 				row, col := pick()
 				v := value()
@@ -250,7 +256,7 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 				did = fmt.Sprintf("Apply(%d random ops)", len(ops))
 				applyOps(t, table, ops, rng.Intn(2) == 0)
 				m.apply(ops)
-				last = ops
+				last, lastGrid = ops, false
 			case 3:
 				// Write a row, delete every cell it has, write it again.
 				row, col := existing()
@@ -264,7 +270,7 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 				did = fmt.Sprintf("Apply(empty row %s mid-batch)", row)
 				applyOps(t, table, ops, rng.Intn(2) == 0)
 				m.apply(ops)
-				last = ops
+				last, lastGrid = ops, false
 			case 4:
 				row, col := existing()
 				var newest uint64
@@ -294,7 +300,7 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 				did = fmt.Sprintf("Apply(widen row %s)", row)
 				applyOps(t, table, ops, rng.Intn(2) == 0)
 				m.apply(ops)
-				last = ops
+				last, lastGrid = ops, false
 			case 7:
 				// Overwrite a cell with a value of the other kind.
 				row, col := existing()
@@ -359,9 +365,12 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 				}
 				hits := planHits(table, m, ops)
 				planned, looked = planned+hits, looked+puts-hits
+				if lastGrid {
+					afterGrid += hits
+				}
 				applyOps(t, table, ops, rng.Intn(2) == 0)
 				m.apply(ops)
-				last = ops
+				last, lastGrid = ops, false
 			case 9:
 				// Overwrite a cell with a value of another length class.
 				row, col := existing()
@@ -402,6 +411,35 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 					t.Fatal(err)
 				}
 				m.replayPut(row, col, Version{Timestamp: ts, Value: slices.Clone(v)})
+			case 11:
+				// Write a float grid: random rows, duplicates allowed, ×
+				// random columns; half the time the last batch's keys,
+				// when they form a grid.
+				rows, cols, repeat := gridOf(last)
+				if !repeat || rng.Intn(2) == 0 {
+					rows, cols, repeat = nil, nil, false
+					for n := 1 + rng.Intn(4); len(rows) < n; {
+						row, _ := pick()
+						rows = append(rows, row)
+					}
+					for _, c := range rng.Perm(len(modelCols))[:1+rng.Intn(4)] {
+						cols = append(cols, runtimeKey(rng, modelCols[c]))
+					}
+				}
+				vals := make([]float64, len(rows)*len(cols))
+				for k := range vals {
+					vals[k] = float64(rng.Intn(1000)) / 8
+				}
+				ops := gridOps(rows, cols, vals)
+				did = fmt.Sprintf("PutFloatRows(%q × %q, repeating the last batch %v)", rows, cols, repeat)
+				if repeat && !lastGrid {
+					gridPlanned += planHits(table, m, ops)
+				}
+				if err := table.PutFloatRows(rows, cols, func(dst []float64) { copy(dst, vals) }); err != nil {
+					t.Fatal(err)
+				}
+				m.apply(ops)
+				last, lastGrid = ops, true
 			}
 			if err := checkBlobs(table); err != nil {
 				t.Fatalf("seed %d step %d, after %s: %v", seed, step, did, err)
@@ -431,6 +469,9 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 	}
 	if planned == 0 || looked == 0 {
 		t.Errorf("repeated batches: %d puts resolved by the write plan, %d looked up: want both", planned, looked)
+	}
+	if gridPlanned == 0 || afterGrid == 0 {
+		t.Errorf("%d puts of grids repeating a batch and %d of batches repeating a grid resolved by the write plan: want both", gridPlanned, afterGrid)
 	}
 	if slices.Contains(classes[:], 0) || classFlips == 0 || dropped == 0 {
 		t.Errorf("%v values of 0, 1–7, 8 and 9+ bytes, %d overwrites across lengths, %d long replays older than a full window: want all",
@@ -506,6 +547,45 @@ func planHits(table *Table, m *refTable, ops []Op) (hits int) {
 		}
 	}
 	return hits
+}
+
+// gridOps returns the ops of PutFloatRows(rows, cols) writing vals: its puts
+// in row-major order, as the encoded floats the table stores.
+func gridOps(rows, cols []string, vals []float64) []Op {
+	ops := make([]Op, 0, len(vals))
+	for i, row := range rows {
+		for j, col := range cols {
+			ops = append(ops, Op{Row: row, Column: col, Value: EncodeFloat(vals[i*len(cols)+j])})
+		}
+	}
+	return ops
+}
+
+// gridOf returns rows and cols such that the grid rows × cols names the keys
+// of ops in order, and whether there are such; ops must all be puts.
+func gridOf(ops []Op) (rows, cols []string, ok bool) {
+	if len(ops) == 0 {
+		return nil, nil, false
+	}
+	for _, op := range ops {
+		if op.Row != ops[0].Row {
+			break
+		}
+		cols = append(cols, op.Column)
+	}
+	if len(ops)%len(cols) != 0 {
+		return nil, nil, false
+	}
+	for k, op := range ops {
+		j := k % len(cols)
+		if j == 0 {
+			rows = append(rows, op.Row)
+		}
+		if op.Delete || op.Row != rows[len(rows)-1] || op.Column != cols[j] {
+			return nil, nil, false
+		}
+	}
+	return rows, cols, true
 }
 
 // hasFloat reports whether a model row has a float cell.

@@ -137,6 +137,84 @@ func TestScanFloatRowsBesideReplannedApply(t *testing.T) {
 	}
 }
 
+// TestPutFloatRowsBesideReaders runs projected reads, ι snapshots and point
+// reads while grids are written: grid k writes k to every cell, and every
+// third grid also adds a row, which invalidates the plan, the float array
+// and every projection; the others repeat the last grid's keys. Each read
+// must see one grid whole, and never an older one than the read before it.
+func TestPutFloatRowsBesideReaders(t *testing.T) {
+	table := newTestTable(t, TableOptions{})
+	rows := make([]string, 10)
+	for i := range rows {
+		rows[i] = "r" + strconv.Itoa(i)
+	}
+	cols := []string{"a", "b"}
+	put := func(k int) {
+		keys := rows
+		if k%3 == 0 {
+			keys = append(slices.Clone(rows), "s"+strconv.Itoa(k))
+		}
+		err := table.PutFloatRows(keys, cols, func(vals []float64) {
+			for i := range vals {
+				vals[i] = float64(k)
+			}
+		})
+		if err != nil {
+			t.Error(err)
+		}
+	}
+	put(1)
+	const grids = 300
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for k := 2; k <= grids; k++ {
+			put(k)
+		}
+	}()
+	// check returns the grid vals were all written by, or fails the test.
+	check := func(vals []float64, last float64) float64 {
+		for _, v := range vals {
+			if v != vals[0] {
+				t.Errorf("read a grid in part: %v", vals)
+				return grids
+			}
+		}
+		if vals[0] < last {
+			t.Errorf("read grid %v after grid %v", vals[0], last)
+		}
+		return vals[0]
+	}
+	readers := []func(last float64) float64{
+		func(last float64) float64 {
+			table.ScanFloatRows(cols, func(_ []string, vals []float64, _ []bool) {
+				last = check(vals[:len(rows)*len(cols)], last)
+			})
+			return last
+		},
+		func(last float64) float64 {
+			c, _ := table.ScanColumns(ScanOptions{RowPrefix: "r"})
+			return check(c.Vals, last)
+		},
+		func(last float64) float64 {
+			// Two point reads are two reads: only each on its own is whole.
+			v, _ := table.GetFloat("r9", "b")
+			return check([]float64{v}, last)
+		},
+	}
+	for _, read := range readers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for last := 0.0; last < grids; {
+				last = read(last)
+			}
+		}()
+	}
+}
+
 // TestScanColumnsBesideApply runs ι snapshots while batches are applied:
 // batch k writes k to every cell, in place in the table's float array once
 // the key set has settled, and every fourth batch also adds a cell, which

@@ -482,17 +482,14 @@ func feederProc(sim *Simulator, keys *rowKeys) workflow.Processor {
 		if err != nil {
 			return err
 		}
-		// The reports are encoded straight from the vehicles (Reports
+		// The reports are written straight from the vehicles (Reports
 		// would copy them first).
-		batch := kvstore.GetBatch().Grow(3 * len(sim.vehicles))
-		defer batch.Release()
-		for i, v := range sim.vehicles {
-			row := keys.vehicles[i]
-			batch.PutFloat(row, "xway", float64(v.xway))
-			batch.PutFloat(row, "pos", v.pos)
-			batch.PutFloat(row, "speed", v.speed)
-		}
-		if err := reports.Apply(batch); err != nil {
+		err = reports.PutFloatRows(keys.vehicles, feederReportCols, func(vals []float64) {
+			for i, v := range sim.vehicles {
+				vals[3*i], vals[3*i+1], vals[3*i+2] = float64(v.xway), v.pos, v.speed
+			}
+		})
+		if err != nil {
 			return err
 		}
 
@@ -500,16 +497,12 @@ func feederProc(sim *Simulator, keys *rowKeys) workflow.Processor {
 		if err != nil {
 			return err
 		}
-		qs := sim.Queries(wave)
-		qb := kvstore.GetBatch().Grow(3 * len(qs))
-		defer qb.Release()
-		for _, q := range qs {
-			row := keys.queries[q.ID]
-			qb.PutFloat(row, "xway", float64(q.Xway))
-			qb.PutFloat(row, "from", float64(q.FromSeg))
-			qb.PutFloat(row, "to", float64(q.ToSeg))
-		}
-		return queries.Apply(qb)
+		qs := sim.Queries(wave) // qs[i].ID is i
+		return queries.PutFloatRows(keys.queries, feederQueryCols, func(vals []float64) {
+			for i, q := range qs {
+				vals[3*i], vals[3*i+1], vals[3*i+2] = float64(q.Xway), float64(q.FromSeg), float64(q.ToSeg)
+			}
+		})
 	})
 }
 
@@ -524,13 +517,11 @@ func positionsProc() workflow.Processor {
 		if err != nil {
 			return err
 		}
-		batch := kvstore.GetBatch().Grow(3 * reports.RowCount())
-		defer batch.Release()
 		// The previous smoothed speeds are one read of the output, merged
 		// with the reports by row key: both list their rows in key order.
 		out.ScanFloatRows(speedCol, func(prevRows []string, prev []float64, prevOK []bool) {
 			j := 0
-			foldRows(reports, reportCols, func(row string, v []float64) {
+			err = mapRows(reports, reportCols, out, positionCols, func(row string, v, dst []float64) {
 				pos, speed, xway := v[0], v[1], v[2]
 				// Exponentially smoothed speed stabilizes the aggregate
 				// statistics downstream, like LRB's 5-minute windows.
@@ -541,12 +532,10 @@ func positionsProc() workflow.Processor {
 				if j < len(prevRows) && prevRows[j] == row && prevOK[j] {
 					smoothed = 0.5*prev[j] + 0.5*speed
 				}
-				batch.PutFloat(row, "xway", xway)
-				batch.PutFloat(row, "seg", math.Floor(pos))
-				batch.PutFloat(row, "speed", smoothed)
+				dst[0], dst[1], dst[2] = xway, math.Floor(pos), smoothed
 			})
 		})
-		return out.Apply(batch)
+		return err
 	})
 }
 
@@ -561,20 +550,14 @@ func queriesProc() workflow.Processor {
 		if err != nil {
 			return err
 		}
-		batch := kvstore.GetBatch().Grow(4 * queries.RowCount())
-		defer batch.Release()
-		foldRows(queries, queryCols, func(row string, v []float64) {
+		return mapRows(queries, queryCols, out, queryProcCols, func(_ string, v, dst []float64) {
 			from, to, xway := v[0], v[1], v[2]
 			span := to - from
 			if span < 0 {
 				span = -span
 			}
-			batch.PutFloat(row, "xway", xway)
-			batch.PutFloat(row, "from", from)
-			batch.PutFloat(row, "to", to)
-			batch.PutFloat(row, "span", span)
+			dst[0], dst[1], dst[2], dst[3] = xway, from, to, span
 		})
-		return out.Apply(batch)
 	})
 }
 
@@ -584,6 +567,21 @@ var (
 	queryCols   = []string{"from", "to", "xway"}
 	segmentCols = []string{"seg", "speed", "xway"}
 	speedCol    = []string{"speed"}
+)
+
+// The column sets the steps write, in the order each row's cells are
+// stamped.
+var (
+	feederReportCols = []string{"xway", "pos", "speed"}
+	feederQueryCols  = []string{"xway", "from", "to"}
+	positionCols     = []string{"xway", "seg", "speed"}
+	queryProcCols    = []string{"xway", "from", "to", "span"}
+	estimateCols     = []string{"minutes", "cost"}
+	avgCol           = []string{"avg"}
+	countCol         = []string{"count"}
+	stoppedCol       = []string{"stopped"}
+	levelCol         = []string{"level"}
+	classCols        = []string{"high", "avg"}
 )
 
 // foldRows reads cols of t in one projected read (Table.ScanFloatRows) and
@@ -599,6 +597,41 @@ func foldRows(t *kvstore.Table, cols []string, fold func(row string, v []float64
 			}
 		}
 	})
+}
+
+// mapRows reads inCols of in in one projected read and writes outCols of
+// out in one grid write (Table.PutFloatRows): one output row per input row
+// with a float inCols[0], under the same key, in key order. It calls fn once
+// per such row with the row's float values of inCols (a missing or non-float
+// cell reads 0) and the row's slots of the grid, which fn fills. A filtered
+// row list is built only when a row is skipped. fn must not retain v or dst.
+func mapRows(in *kvstore.Table, inCols []string, out *kvstore.Table, outCols []string, fn func(row string, v, dst []float64)) error {
+	n, m := len(inCols), len(outCols)
+	var err error
+	in.ScanFloatRows(inCols, func(rows []string, vals []float64, ok []bool) {
+		kept := rows
+		for i := range rows {
+			if !ok[i*n] {
+				kept = make([]string, 0, len(rows))
+				for i, row := range rows {
+					if ok[i*n] {
+						kept = append(kept, row)
+					}
+				}
+				break
+			}
+		}
+		err = out.PutFloatRows(kept, outCols, func(dst []float64) {
+			k := 0
+			for i, row := range rows {
+				if ok[i*n] {
+					fn(row, vals[i*n:(i+1)*n], dst[k*m:(k+1)*m])
+					k++
+				}
+			}
+		})
+	})
+	return err
 }
 
 // perSegment folds the positions table into per-(xway, segment) aggregates,
@@ -629,16 +662,15 @@ func avgSpeedProc(cfg Config, keys *rowKeys) workflow.Processor {
 			sums[xway*cfg.Segments+seg] += speed
 			counts[xway*cfg.Segments+seg]++
 		})
-		batch := kvstore.GetBatch().Grow(len(keys.segments))
-		defer batch.Release()
-		for i, row := range keys.segments {
-			if n := counts[i]; n > 0 {
-				batch.PutFloat(row, "avg", sums[i]/float64(n))
-			} else {
-				batch.PutFloat(row, "avg", freeSpeed(i%cfg.Segments))
+		return out.PutFloatRows(keys.segments, avgCol, func(avg []float64) {
+			for i, n := range counts {
+				if n > 0 {
+					avg[i] = sums[i] / float64(n)
+				} else {
+					avg[i] = freeSpeed(i % cfg.Segments)
+				}
 			}
-		}
-		return out.Apply(batch)
+		})
 	})
 }
 
@@ -657,19 +689,18 @@ func carCountProc(cfg Config, keys *rowKeys) workflow.Processor {
 		perSegment(positions, cfg, func(xway, seg int, _ float64) {
 			counts[xway*cfg.Segments+seg]++
 		})
-		batch := kvstore.GetBatch().Grow(len(keys.segments))
-		defer batch.Release()
-		for i, row := range keys.segments {
-			// Exponential smoothing stands in for LRB's per-minute
-			// windows: instantaneous per-30s counts churn as vehicles
-			// cross segment boundaries.
-			count := float64(counts[i])
-			if prev, ok := out.GetFloat(row, "count"); ok {
-				count = 0.9*prev + 0.1*count
+		return out.PutFloatRows(keys.segments, countCol, func(smoothed []float64) {
+			for i, row := range keys.segments {
+				// Exponential smoothing stands in for LRB's per-minute
+				// windows: instantaneous per-30s counts churn as vehicles
+				// cross segment boundaries.
+				count := float64(counts[i])
+				if prev, ok := out.GetFloat(row, "count"); ok {
+					count = 0.9*prev + 0.1*count
+				}
+				smoothed[i] = count
 			}
-			batch.PutFloat(row, "count", count)
-		}
-		return out.Apply(batch)
+		})
 	})
 }
 
@@ -692,12 +723,11 @@ func accidentsProc(cfg Config, keys *rowKeys) workflow.Processor {
 				stopped[xway*cfg.Segments+seg]++
 			}
 		})
-		batch := kvstore.GetBatch().Grow(len(keys.segments))
-		defer batch.Release()
-		for i, row := range keys.segments {
-			batch.PutFloat(row, "stopped", 1+float64(stopped[i]))
-		}
-		return out.Apply(batch)
+		return out.PutFloatRows(keys.segments, stoppedCol, func(vals []float64) {
+			for i, n := range stopped {
+				vals[i] = 1 + float64(n)
+			}
+		})
 	})
 }
 
@@ -722,24 +752,23 @@ func congestionProc(cfg Config, keys *rowKeys) workflow.Processor {
 		if err != nil {
 			return err
 		}
-		batch := kvstore.GetBatch().Grow(len(keys.segments))
-		defer batch.Release()
-		for i, row := range keys.segments {
-			avg, _ := speeds.GetFloat(row, "avg")
-			count, _ := counts.GetFloat(row, "count")
-			stopped, _ := accidents.GetFloat(row, "stopped")
-			if avg < 5 {
-				avg = 5
+		return out.PutFloatRows(keys.segments, levelCol, func(levels []float64) {
+			for i, row := range keys.segments {
+				avg, _ := speeds.GetFloat(row, "avg")
+				count, _ := counts.GetFloat(row, "count")
+				stopped, _ := accidents.GetFloat(row, "stopped")
+				if avg < 5 {
+					avg = 5
+				}
+				density := count / capacity
+				slowdown := freeSpeed(i%cfg.Segments) / avg
+				level := 10 * density * slowdown
+				if stopped > 1 {
+					level *= 1 + 0.5*(stopped-1)
+				}
+				levels[i] = level
 			}
-			density := count / capacity
-			slowdown := freeSpeed(i%cfg.Segments) / avg
-			level := 10 * density * slowdown
-			if stopped > 1 {
-				level *= 1 + 0.5*(stopped-1)
-			}
-			batch.PutFloat(row, "level", level)
-		}
-		return out.Apply(batch)
+		})
 	})
 }
 
@@ -755,21 +784,19 @@ func classifyProc(cfg Config, keys *rowKeys) workflow.Processor {
 		if err != nil {
 			return err
 		}
-		batch := kvstore.GetBatch().Grow(2 * cfg.Expressways)
-		defer batch.Release()
-		for x, row := range keys.xways {
-			var high, sum float64
-			for _, seg := range keys.segments[x*cfg.Segments : (x+1)*cfg.Segments] {
-				level, _ := congestion.GetFloat(seg, "level")
-				sum += level
-				// Saturating membership in the "high congestion"
-				// class keeps the output slowly varying (§1).
-				high += level * level / (level*level + 400)
+		return out.PutFloatRows(keys.xways, classCols, func(vals []float64) {
+			for x := range keys.xways {
+				var high, sum float64
+				for _, seg := range keys.segments[x*cfg.Segments : (x+1)*cfg.Segments] {
+					level, _ := congestion.GetFloat(seg, "level")
+					sum += level
+					// Saturating membership in the "high congestion"
+					// class keeps the output slowly varying (§1).
+					high += level * level / (level*level + 400)
+				}
+				vals[2*x], vals[2*x+1] = 5+high, 10+sum/float64(cfg.Segments)
 			}
-			batch.PutFloat(row, "high", 5+high)
-			batch.PutFloat(row, "avg", 10+sum/float64(cfg.Segments))
-		}
-		return out.Apply(batch)
+		})
 	})
 }
 
@@ -789,9 +816,7 @@ func travelTimeProc(cfg Config, keys *rowKeys) workflow.Processor {
 		if err != nil {
 			return err
 		}
-		batch := kvstore.GetBatch().Grow(2 * queryProc.RowCount())
-		defer batch.Release()
-		foldRows(queryProc, queryCols, func(row string, v []float64) {
+		return mapRows(queryProc, queryCols, out, estimateCols, func(_ string, v, dst []float64) {
 			from, to, xway := v[0], v[1], v[2]
 			var minutes, cost float64
 			step := 1
@@ -813,9 +838,7 @@ func travelTimeProc(cfg Config, keys *rowKeys) workflow.Processor {
 				minutes += 60 / speed
 				cost += level / 10
 			}
-			batch.PutFloat(row, "minutes", minutes)
-			batch.PutFloat(row, "cost", cost)
+			dst[0], dst[1] = minutes, cost
 		})
-		return out.Apply(batch)
 	})
 }
