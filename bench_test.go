@@ -260,21 +260,36 @@ func BenchmarkOverheadKVStoreApply(b *testing.B) {
 
 // BenchmarkOverheadKVStorePutFloatRows measures the same write as
 // BenchmarkOverheadKVStoreApply in its grid form: one 1 200 × 3
-// PutFloatRows, through the write plan the batches left.
+// PutFloatRows, through the write plan the batches left, on a table never
+// read (unread) and on one an ι snapshot has read once (snapshotted), whose
+// float array every write then keeps current, as the engine's tables. It
+// reports the time per cell as ns/cell.
 func BenchmarkOverheadKVStorePutFloatRows(b *testing.B) {
-	table, rows, cols, _ := lrbReportsTable(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v := float64(i)
-		err := table.PutFloatRows(rows, cols, func(vals []float64) {
-			for k := range vals {
-				vals[k] = v
-			}
-		})
-		if err != nil {
-			b.Fatal(err)
+	for _, snapshotted := range []bool{false, true} {
+		name := "unread"
+		if snapshotted {
+			name = "snapshotted"
 		}
+		b.Run(name, func(b *testing.B) {
+			table, rows, cols, _ := lrbReportsTable(b)
+			if snapshotted {
+				table.ScanColumns(kvstore.ScanOptions{})
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				v := float64(i)
+				err := table.PutFloatRows(rows, cols, func(vals []float64) {
+					for k := range vals {
+						vals[k] = v
+					}
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(rows)*len(cols)), "ns/cell")
+		})
 	}
 }
 

@@ -115,10 +115,13 @@ func (t *Table) ScanFloatRows(cols []string, fn func(keys []string, vals []float
 // len(rows)*len(cols) floats, then writes vals[i*len(cols)+j] at (rows[i],
 // cols[j]) in one hold of the table's write lock. The result is that of
 // Apply of a batch of those PutFloats in row-major order, in every respect:
-// timestamps, Version, counters, span, and the Mutations observers receive;
-// cell k of the grid resolves through the write plan entry of op k, so a
-// table written both ways keeps one plan. Keys travel once per row and once
-// per column and values as bare floats, so no Op is built, read or cleared.
+// timestamps, Version, counters, span, and the Mutations observers receive.
+// Keys travel once per row and once per column and values as bare floats, so
+// no Op is built, read or cleared. A grid whose row and column lists equal,
+// by content, those of the table's last write, a grid, writes every cell
+// through the window and float slot that write found, checking nothing per
+// cell; a grid that repeats a batch's keys checks them cell by cell, as a
+// batch does (see write), so a table written both ways keeps one plan.
 //
 // Every key is checked before fill runs: an empty one returns ErrEmptyKey
 // and leaves the table and the store clock untouched. A grid of zero cells
@@ -140,12 +143,23 @@ func (t *Table) PutFloatRows(rows, cols []string, fill func(vals []float64)) err
 	w := t.newWrite("apply")
 	t.mu.Lock()
 	w.startLocked(n)
+	p := &t.plan
+	repeat := p.grid && slices.Equal(p.rows, rows) && slices.Equal(p.cols, cols)
 	k := 0
 	for _, row := range rows {
 		for _, col := range cols {
-			w.put(k, row, col, stamp{ts: w.first + uint64(k), w: math.Float64bits(vals[k]), n: floatWidth})
+			ref := &p.cells[k]
+			if !repeat {
+				if r, c := p.key(k); !p.valid || r != row || c != col {
+					ref = w.resolve(k, row, col)
+				}
+			}
+			w.put(ref, row, col, stamp{ts: w.first + uint64(k), w: math.Float64bits(vals[k]), n: floatWidth})
 			k++
 		}
+	}
+	if !repeat {
+		p.rows, p.cols, p.grid = append(p.rows[:0], rows...), append(p.cols[:0], cols...), true
 	}
 	t.mu.Unlock()
 	w.done()

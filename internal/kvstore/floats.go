@@ -68,34 +68,34 @@ func (v *floatView) slot(k int) int {
 // cellsChangedLocked marks the float array stale, and the write plan
 // invalid, after a cell was added or deleted. Callers hold t.mu.
 func (t *Table) cellsChangedLocked() {
-	t.planned = false
+	t.plan.valid = false
 	if f := t.floats; f != nil {
 		f.stale = true
 		f.views, f.projs = nil, nil
 	}
 }
 
-// floatPutLocked rewrites the slot of r's i-th cell after a write to it: in
-// place, so the key set and every view's keys are kept, unless the cell
-// switched between float and non-float, which drops the views. Callers hold
-// t.mu.
-func (t *Table) floatPutLocked(r *row, i int) {
+// floatPutLocked stores latest, a cell's newest version after a write to
+// it, in the cell's slot: in place, so the key set and every view's keys are
+// kept, unless the cell switched between float and non-float, which drops
+// the views. A slot of -1, or an absent or stale array, is skipped. Callers
+// hold t.mu.
+func (t *Table) floatPutLocked(slot int, latest stamp) {
 	f := t.floats
-	if f == nil || f.stale {
+	if slot < 0 || f == nil || f.stale {
 		return
 	}
-	versions := r.cells[i]
-	v, ok := versions[len(versions)-1].float()
-	s := r.base + i
-	if ok != f.ok[s] {
-		f.ok[s] = ok
+	v, ok := latest.float()
+	if ok != f.ok[slot] {
+		f.ok[slot] = ok
 		f.views = nil
 	}
-	f.vals[s] = v
+	f.vals[slot] = v
 }
 
 // floatsLocked returns the table's float array, building it if the table has
-// none or it is stale. Callers hold t.mu for writing.
+// none or it is stale. A build numbers the slots anew, so it drops the write
+// plan, whose entries hold slots. Callers hold t.mu for writing.
 func (t *Table) floatsLocked() *floatArray {
 	f := t.floats
 	if f == nil {
@@ -104,6 +104,7 @@ func (t *Table) floatsLocked() *floatArray {
 	} else if !f.stale {
 		return f
 	}
+	t.plan.valid = false
 	rows := t.sortedLocked()
 	var n int
 	for _, r := range rows {

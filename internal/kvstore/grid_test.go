@@ -8,9 +8,11 @@ import (
 	"reflect"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
+	"smartflux/internal/metric"
 	"smartflux/internal/obs"
 )
 
@@ -58,18 +60,23 @@ func newGridSide(t *testing.T, observed bool) *gridSide {
 // the observer's Mutation stream (Old, New, Timestamp and keys), half the
 // seeds with an observer. Grids take random rows, duplicates included, and
 // random columns in random order, some keys built at run time; a third of
-// them repeat the previous grid's keys, which both sides write through their
-// plans, and deletes between grids make both sides add cells again.
+// them repeat the previous grid's keys, half of those in lists of keys
+// built at run time, which both sides write through their plans, and
+// deletes between grids make both sides add cells again. The observed seeds
+// must have written some repeated grids wholly through the plan, so that
+// their Mutation streams are compared too.
 func TestPutFloatRowsMatchesApply(t *testing.T) {
 	rowPool := []string{"a", "a-b", "b", "r1", "r10", "r2", "v7", "z"}
 	colPool := []string{"c0", "c1", "d", "speed", "xway"}
+	planned := 0 // repeated grids of observed seeds the plan wrote whole
 	for seed := int64(1); seed <= 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		observed := seed%2 == 0
 		batched, gridded := newGridSide(t, observed), newGridSide(t, observed)
 		var rows, cols []string
 		for step := 0; step < 80; step++ {
-			if rng.Intn(3) != 0 || rows == nil {
+			repeat := rng.Intn(3) == 0 && rows != nil
+			if !repeat {
 				rows = rows[:0:0]
 				for n := 1 + rng.Intn(5); len(rows) < n; {
 					rows = append(rows, runtimeKey(rng, rowPool[rng.Intn(len(rowPool))]))
@@ -78,6 +85,8 @@ func TestPutFloatRowsMatchesApply(t *testing.T) {
 				for _, c := range rng.Perm(len(colPool))[:1+rng.Intn(len(colPool))] {
 					cols = append(cols, runtimeKey(rng, colPool[c]))
 				}
+			} else if rng.Intn(2) == 0 {
+				rows, cols = cloneKeys(rows), cloneKeys(cols)
 			}
 			vals := make([]float64, len(rows)*len(cols))
 			for k := range vals {
@@ -93,8 +102,12 @@ func TestPutFloatRowsMatchesApply(t *testing.T) {
 				t.Fatal(err)
 			}
 			b.Release()
+			resolved := gridded.table.resolved
 			if err := gridded.table.PutFloatRows(rows, cols, func(dst []float64) { copy(dst, vals) }); err != nil {
 				t.Fatal(err)
+			}
+			if repeat && observed && gridded.table.resolved == resolved {
+				planned++
 			}
 			did := fmt.Sprintf("grid %q × %q", rows, cols)
 			if rng.Intn(4) == 0 {
@@ -113,6 +126,117 @@ func TestPutFloatRowsMatchesApply(t *testing.T) {
 		if observed && len(gridded.muts) == 0 {
 			t.Fatalf("seed %d: the observer saw no mutation", seed)
 		}
+	}
+	if planned == 0 {
+		t.Error("no repeated grid of an observed seed went wholly through the plan")
+	}
+}
+
+// cloneKeys returns a new list of keys equal to keys but sharing no data
+// with them.
+func cloneKeys(keys []string) []string {
+	out := make([]string, len(keys))
+	for i, k := range keys {
+		out[i] = strings.Clone(k)
+	}
+	return out
+}
+
+// putGrid writes rows × cols, cell k holding v+k, and fails the test unless
+// the write looked up exactly lookups cells rather than finding them in the
+// write plan.
+func putGrid(t *testing.T, table *Table, rows, cols []string, v float64, lookups int) {
+	t.Helper()
+	resolved := table.resolved
+	err := table.PutFloatRows(rows, cols, func(vals []float64) {
+		for k := range vals {
+			vals[k] = v + float64(k)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := table.resolved - resolved; got != uint64(lookups) {
+		t.Fatalf("grid %v of %q × %q looked up %d cells, want %d", v, rows, cols, got, lookups)
+	}
+}
+
+// TestPutFloatRowsComparesKeyLists checks that a grid is held to the write
+// plan's key lists by content, never by slice identity: a caller that reuses
+// its rows slice and rewrites an element between two grids of one length
+// gets the new row's cells looked up and written, and the old row's kept;
+// and a grid whose lists are equal to the plan's but built of keys cloned at
+// run time writes through the plan.
+func TestPutFloatRowsComparesKeyLists(t *testing.T) {
+	table := newTestTable(t, TableOptions{})
+	rows, cols := []string{"r0", "r1", "r2"}, []string{"a", "b"}
+	for _, col := range cols {
+		if err := table.PutFloat("r3", col, -1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	putGrid(t, table, rows, cols, 10, 6) // adds cells, which drops the plan
+	putGrid(t, table, rows, cols, 20, 6)
+	putGrid(t, table, rows, cols, 30, 0)
+	rows[1] = "r3"
+	putGrid(t, table, rows, cols, 40, 2)
+	for _, c := range []struct {
+		row, col string
+		want     float64
+	}{{"r0", "a", 40}, {"r1", "a", 32}, {"r1", "b", 33}, {"r3", "a", 42}, {"r3", "b", 43}, {"r2", "b", 45}} {
+		if got, _ := table.GetFloat(c.row, c.col); got != c.want {
+			t.Errorf("%s/%s = %v, want %v", c.row, c.col, got, c.want)
+		}
+	}
+	putGrid(t, table, cloneKeys(rows), cloneKeys(cols), 50, 0)
+	if got, _ := table.GetFloat("r3", "b"); got != 53 {
+		t.Errorf("r3/b = %v after the cloned grid, want 53", got)
+	}
+}
+
+// TestPutFloatRowsBesideStaleFloats writes grids through plans recorded
+// while the table's float array was absent, current and stale, and after
+// each step requires ScanColumns and ScanFloatRows to equal Scan. A grid on
+// a table never read; the first ScanColumns, which builds the array and so
+// drops the plan, whose entries hold no float slots; the same grid, looked
+// up again, and once more, through the plan; a grid that adds cells, which
+// makes the array stale, and the same keys twice more with no read between,
+// the second through a plan recorded beside the stale array; and the same
+// keys after the read that rebuilt the array, looked up again.
+func TestPutFloatRowsBesideStaleFloats(t *testing.T) {
+	table := newTestTable(t, TableOptions{})
+	small, large, cols := []string{"r0", "r1"}, []string{"r0", "r1", "r2"}, []string{"a", "b"}
+	for step, grids := range []func(){
+		func() { putGrid(t, table, small, cols, 10, 4) },
+		func() { putGrid(t, table, small, cols, 20, 4) },
+		func() { putGrid(t, table, small, cols, 30, 0) },
+		func() {
+			putGrid(t, table, large, cols, 40, 6)
+			putGrid(t, table, large, cols, 50, 6)
+			putGrid(t, table, large, cols, 60, 0)
+		},
+		func() { putGrid(t, table, large, cols, 70, 6) },
+	} {
+		grids()
+		var want metric.State
+		var wantRows []string
+		var wantVals []float64
+		for _, c := range table.Scan(ScanOptions{}) {
+			v, _ := c.FloatValue()
+			want = append(want, metric.Elem{Key: c.Key(), Val: v})
+			if len(wantRows) == 0 || wantRows[len(wantRows)-1] != c.Row {
+				wantRows = append(wantRows, c.Row)
+			}
+			wantVals = append(wantVals, v)
+		}
+		if got, _ := table.ScanColumns(ScanOptions{}); !equalColumns(got, metric.ColumnsOf(want)) {
+			t.Fatalf("step %d: ScanColumns = %v, Scan %v", step, got, want)
+		}
+		table.ScanFloatRows(cols, func(keys []string, vals []float64, _ []bool) {
+			if !slices.Equal(keys, wantRows) || !slices.Equal(vals, wantVals) {
+				t.Fatalf("step %d: ScanFloatRows = %q %v, Scan %q %v", step, keys, vals, wantRows, wantVals)
+			}
+		})
 	}
 }
 

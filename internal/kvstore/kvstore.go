@@ -334,12 +334,12 @@ type Table struct {
 	// floats holds the latest value of every cell as a float, for ι/ε
 	// snapshots and projected reads; nil until the first (see floats.go).
 	floats *floatArray
-	// plan holds, for each cell of the last write (a batch's op, a grid's
-	// cell), the cell it resolved to (zero for a delete); planned is false
-	// once a cell has been added or deleted since, which may have moved any
-	// of them.
-	plan    []cellRef
-	planned bool
+	// plan holds where each cell of the last write (a batch's op, a grid's
+	// cell) was found, and the keys it named (see write).
+	plan writePlan
+	// resolved counts the cells writes looked up rather than found in the
+	// plan; tests read it.
+	resolved uint64
 	// blobs holds the values longer than inlineWidth of the retained
 	// versions, one slot each; free lists the released slots, which are nil,
 	// so there are never more slots than long versions the table once held
@@ -422,10 +422,43 @@ func inlineValue(s stamp, buf *[]byte) []byte {
 	return (*buf)[off:len(*buf):len(*buf)]
 }
 
-// cellRef is a cell's position: the i-th column of row r.
+// cellRef is where a write finds a cell: its version window, and its slot in
+// the table's float array, or -1 while that array is absent or stale.
 type cellRef struct {
-	r *row
-	i int
+	win  *[]stamp
+	slot int
+}
+
+// writePlan is what the cells of a table's last write were found at, and the
+// keys they named. Entry k is cell k's window and slot. With grid set, the
+// keys are the grid's row and column lists, and cell k named
+// rows[k/len(cols)] and cols[k%len(cols)]; else they are one pair per cell,
+// and cell k named rows[k] and cols[k] ("" for a delete's or a cell not yet
+// found). A window stays put while no cell is added or deleted, and a slot
+// while the float array is not rebuilt: either one clears valid.
+type writePlan struct {
+	cells      []cellRef
+	rows, cols []string
+	grid       bool
+	valid      bool
+}
+
+// key returns the row and column cell k named.
+func (p *writePlan) key(k int) (row, col string) {
+	if p.grid {
+		return p.rows[k/len(p.cols)], p.cols[k%len(p.cols)]
+	}
+	return p.rows[k], p.cols[k]
+}
+
+// pairs turns a grid's keys into one pair per cell, for a batch to check and
+// record.
+func (p *writePlan) pairs() {
+	rows, cols := make([]string, len(p.cells)), make([]string, len(p.cells))
+	for k := range p.cells {
+		rows[k], cols[k] = p.key(k)
+	}
+	p.rows, p.cols, p.grid = rows, cols, false
 }
 
 // row is one row's record: its cells, in column order. A point read or a
@@ -504,16 +537,26 @@ func (t *Table) apply(spanOp string, ops []Op) {
 	w := t.newWrite(spanOp)
 	t.mu.Lock()
 	w.startLocked(len(ops))
+	p := &t.plan
+	if p.grid {
+		p.pairs()
+	}
 	for k := range ops {
 		op := &ops[k] // the 72-byte Op is not copied per op
-		switch {
-		case op.Delete:
+		if op.Delete {
 			w.delete(k, op.Row, op.Column)
-		case op.float:
-			w.put(k, op.Row, op.Column, stamp{ts: w.first + uint64(k), w: op.bits, n: floatWidth})
-		default:
-			w.put(k, op.Row, op.Column, t.stampLocked(w.first+uint64(k), op.Value))
+			continue
 		}
+		ref := &p.cells[k]
+		if !p.valid || p.rows[k] != op.Row || p.cols[k] != op.Column {
+			ref = w.resolve(k, op.Row, op.Column)
+			p.rows[k], p.cols[k] = op.Row, op.Column
+		}
+		s := stamp{ts: w.first + uint64(k), w: op.bits, n: floatWidth}
+		if !op.float {
+			s = t.stampLocked(s.ts, op.Value)
+		}
+		w.put(ref, op.Row, op.Column, s)
 	}
 	t.mu.Unlock()
 	w.done()
@@ -527,14 +570,18 @@ func (t *Table) apply(spanOp string, ops []Op) {
 // observers, and delivered after the unlock (done); nothing else is
 // allocated.
 //
-// A put resolves its cell once per key set: the table keeps the cell each
-// cell k of its last write resolved to (t.plan), and a write of the same
-// length whose cell k names that cell's row and column again writes through
-// it, while no cell has been added or deleted since it was recorded.
-// Producers reuse their key strings across waves, so the check is two
-// pointer compares, and a table written by batches and by grids of one key
-// sequence keeps one plan. Otherwise the put looks its row up, once for
-// consecutive cells of one row, and searches its columns.
+// A put finds its cell once per key set: the table keeps, for each cell k of
+// its last write, the cell's window and float slot and the keys it named
+// (t.plan), and a write of the same length whose cell k names the same keys
+// writes through entry k, while no cell has been added or deleted and the
+// float array not rebuilt since. A batch compares op k's keys with the
+// plan's; a grid compares its row and column lists with the plan's, once,
+// and when they are equal writes every cell through its entry. Keys are
+// compared by content, which for the key strings producers reuse across
+// waves is a pointer compare, and no check reads a row record. A table
+// written by batches and by grids of one key sequence keeps one plan.
+// Otherwise the put looks its row up, once for consecutive cells of one row,
+// searches its columns and records what it found as entry k (resolve).
 type write struct {
 	t          *Table
 	ins        *storeInstruments
@@ -543,7 +590,7 @@ type write struct {
 	muts       []Mutation
 	arena      []byte // holds the inline values of muts
 	first      uint64
-	r          *row // the last cell's row, while the cells name it
+	r          *row // the last looked-up cell's row, while the cells name it
 	puts, dels uint64
 	valueBytes int64
 }
@@ -555,7 +602,8 @@ func (t *Table) newWrite(spanOp string) write {
 	return w
 }
 
-// startLocked readies the write of n cells. Callers hold t.mu.
+// startLocked readies the write of n cells; a plan of another length, or no
+// longer valid, starts over with no keys. Callers hold t.mu.
 func (w *write) startLocked(n int) {
 	t := w.t
 	// Subscribe only appends, so this prefix of the list never changes.
@@ -566,27 +614,39 @@ func (w *write) startLocked(n int) {
 		w.arena = make([]byte, 0, 2*inlineWidth*n)
 	}
 	w.first = t.store.reserveTimestamps(n)
-	if !t.planned || len(t.plan) != n {
-		t.plan = slices.Grow(t.plan[:0], n)[:n]
-		clear(t.plan)
+	p := &t.plan
+	if !p.valid || len(p.cells) != n {
+		p.cells = slices.Grow(p.cells[:0], n)[:n]
+		p.rows = slices.Grow(p.rows[:0], n)[:n]
+		p.cols = slices.Grow(p.cols[:0], n)[:n]
+		clear(p.cells)
+		clear(p.rows)
+		clear(p.cols)
+		p.grid = false
 	}
-	t.planned = true
+	p.valid = true
 }
 
-// put writes s, stamped first+k, as cell k: the latest version of (rowKey,
-// column), resolved through plan entry k. Callers hold t.mu.
-func (w *write) put(k int, rowKey, column string, s stamp) {
+// resolve finds cell k, (rowKey, column), by its row and column keys, adding
+// it if it is new, and records it as plan entry k; the caller records the
+// keys. Callers hold t.mu.
+func (w *write) resolve(k int, rowKey, column string) *cellRef {
 	t := w.t
-	ref := &t.plan[k]
-	if !t.planned || ref.r == nil || ref.r.key != rowKey || ref.r.cols[ref.i] != column {
-		if w.r == nil || w.r.key != rowKey {
-			w.r = t.addRowLocked(rowKey)
-		}
-		*ref = cellRef{w.r, t.windowLocked(w.r, column)}
+	if w.r == nil || w.r.key != rowKey {
+		w.r = t.addRowLocked(rowKey)
 	}
-	r := ref.r
-	w.r = r
-	versions := r.cells[ref.i]
+	t.resolved++
+	ref := &t.plan.cells[k]
+	*ref = t.windowLocked(w.r, column)
+	return ref
+}
+
+// put writes s as the latest version of (rowKey, column), the cell ref
+// finds. Callers hold t.mu.
+func (w *write) put(ref *cellRef, rowKey, column string, s stamp) {
+	t := w.t
+	versions := *ref.win
+	w.puts++
 	w.valueBytes += int64(s.n)
 	if w.muts != nil {
 		var old []byte
@@ -596,8 +656,7 @@ func (w *write) put(k int, rowKey, column string, s stamp) {
 		value := t.valueLocked(s, &w.arena)
 		w.muts = append(w.muts, Mutation{Table: t.name, Row: rowKey, Column: column, Old: old, New: value, Timestamp: s.ts, Kind: MutationPut})
 	}
-	t.insertLocked(r, ref.i, len(versions), s)
-	w.puts++
+	t.insertLocked(ref, len(versions), s)
 }
 
 // delete removes (rowKey, column) as cell k; a missing cell changes nothing.
@@ -612,7 +671,9 @@ func (w *write) delete(k int, rowKey, column string) {
 		buf = &w.arena
 	}
 	old, ok := t.deleteLocked(w.r, column, buf)
-	t.plan[k], w.r = cellRef{}, nil // the delete may have removed the row
+	p := &t.plan
+	p.cells[k], p.rows[k], p.cols[k] = cellRef{}, "", ""
+	w.r = nil // the delete may have removed the row
 	if !ok {
 		return
 	}
@@ -652,13 +713,13 @@ func (t *Table) addRowLocked(key string) *row {
 	return r
 }
 
-// windowLocked returns the index in r of column's version window, creating
-// an empty window, in column order, for a cell about to be written for the
-// first time. A window grows by append until it holds MaxVersions; its first
-// allocation is capped at DefaultMaxVersions, because MaxVersions can come
-// from a kvnet client or a log record and must cost nothing until versions
-// accumulate. Callers hold t.mu.
-func (t *Table) windowLocked(r *row, column string) int {
+// windowLocked returns column's cell in r, its version window and float
+// slot, creating an empty window, in column order, for a cell about to be
+// written for the first time. A window grows by append until it holds
+// MaxVersions; its first allocation is capped at DefaultMaxVersions, because
+// MaxVersions can come from a kvnet client or a log record and must cost
+// nothing until versions accumulate. Callers hold t.mu.
+func (t *Table) windowLocked(r *row, column string) cellRef {
 	i, ok := r.index(column)
 	if !ok {
 		r.cols = slices.Insert(r.cols, i, column)
@@ -666,32 +727,39 @@ func (t *Table) windowLocked(r *row, column string) int {
 		r.cells = slices.Insert(r.cells, i, make([]stamp, 0, min(t.maxVersions, DefaultMaxVersions)))
 		t.cellsChangedLocked()
 	}
-	return i
+	slot := -1
+	if f := t.floats; f != nil && !f.stale {
+		slot = r.base + i
+	}
+	return cellRef{&r.cells[i], slot}
 }
 
-// insertLocked places s at index idx of the version window r.cells[i]. Once
-// the window holds MaxVersions it is shifted in place: the oldest version
-// drops out, and an s older than every retained version is dropped itself,
-// which leaves the table, and so its version, unchanged. A version that drops
-// out releases its blob. Callers hold t.mu.
-func (t *Table) insertLocked(r *row, i, idx int, s stamp) {
-	versions := r.cells[i]
+// insertLocked places s at index idx of the version window c.win, and
+// stores the window's latest value in c's float slot. A window below
+// MaxVersions grows by one, and may move. A full one is shifted in place:
+// the oldest version drops out, and an s older than every retained version
+// is dropped itself, which leaves the table, and so its version, unchanged.
+// A version that drops out releases its blob. Callers hold t.mu.
+func (t *Table) insertLocked(c *cellRef, idx int, s stamp) {
+	versions := *c.win
 	switch {
 	case len(versions) < t.maxVersions:
 		versions = append(versions, stamp{})
 		copy(versions[idx+1:], versions[idx:])
 		versions[idx] = s
-		r.cells[i] = versions
+		*c.win = versions
 	case idx > 0:
 		t.releaseLocked(versions[0])
-		copy(versions, versions[1:idx])
+		for j := 1; j < idx; j++ {
+			versions[j-1] = versions[j]
+		}
 		versions[idx-1] = s
 	default:
 		t.releaseLocked(s)
 		return
 	}
 	t.version++
-	t.floatPutLocked(r, i)
+	t.floatPutLocked(c.slot, versions[len(versions)-1])
 }
 
 // Get returns the latest value at (row, column). The second return is false

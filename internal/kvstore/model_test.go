@@ -163,16 +163,23 @@ var (
 // They write float grids (PutFloatRows) of random rows, duplicates included,
 // × random columns, and grids repeating the last batch's keys when those
 // form a grid; the test requires the plan to have resolved puts of a grid
-// repeating a batch and of a batch repeating a grid.
+// repeating a batch and of a batch repeating a grid, and holds every batch
+// and grid to looking up exactly the puts the plan does not resolve (see
+// checkPlan). One step in four skips the reads that build the float array,
+// so writes also go through the plan while that array is absent or stale,
+// which the test requires some of; and MaxVersions is 1, 2, 3 or 5, above
+// DefaultMaxVersions, where a planned write's append moves a window, which
+// the test also requires some of.
 func TestTableMatchesReferenceModel(t *testing.T) {
 	widest, flips, orderBreaks := 0, 0, 0
 	planned, looked := 0, 0
 	gridPlanned, afterGrid := 0, 0 // plan hits of a grid after a batch, and of a batch after a grid
+	staleHits, moved := 0, 0       // plan hits beside an absent or stale float array; of windows the append moved
 	var classes [4]int             // values written per lengthClass
 	classFlips, dropped := 0, 0    // overwrites across classes; long replays dropped
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		maxVersions := 1 + int(seed%3)
+		maxVersions := []int{1, 2, 3, 5}[seed%4]
 		table := newTestTable(t, TableOptions{MaxVersions: maxVersions})
 		m := &refTable{maxVersions: maxVersions, cells: map[string]map[string][]Version{}}
 		// sized returns n random bytes.
@@ -221,11 +228,21 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 			return pick()
 		}
 		var reads []metric.Columns
-		var last []Op     // the ops of the last Apply or PutFloatRows
-		lastGrid := false // whether last was a PutFloatRows
+		cellChanges, flipped := 0, 0 // m's counts at the last read
+		var last []Op                // the ops of the last Apply or PutFloatRows
+		lastGrid := false            // whether last was a PutFloatRows
+		// write runs a batch or grid of ops through checkPlan and counts its
+		// plan hits.
+		write := func(ops []Op, run func()) (hits int) {
+			hits, grew, stale := checkPlan(t, table, m, ops, run)
+			moved += grew
+			if stale {
+				staleHits += hits
+			}
+			return hits
+		}
 		for step := 0; step < 150; step++ {
 			var did string
-			cellChanges, flipped := m.cellChanges, m.flips
 			switch rng.Intn(12) {
 			case 0:
 				row, col := pick()
@@ -254,7 +271,8 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 					}
 				}
 				did = fmt.Sprintf("Apply(%d random ops)", len(ops))
-				applyOps(t, table, ops, rng.Intn(2) == 0)
+				pooled := rng.Intn(2) == 0
+				write(ops, func() { applyOps(t, table, ops, pooled) })
 				m.apply(ops)
 				last, lastGrid = ops, false
 			case 3:
@@ -268,7 +286,8 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 				other, col3 := pick()
 				ops = append(ops, Op{Row: row, Column: col2, Value: value()}, Op{Row: other, Column: col3, Value: value()})
 				did = fmt.Sprintf("Apply(empty row %s mid-batch)", row)
-				applyOps(t, table, ops, rng.Intn(2) == 0)
+				pooled := rng.Intn(2) == 0
+				write(ops, func() { applyOps(t, table, ops, pooled) })
 				m.apply(ops)
 				last, lastGrid = ops, false
 			case 4:
@@ -298,7 +317,8 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 					ops = append(ops, Op{Row: row, Column: runtimeKey(rng, c), Value: value()})
 				}
 				did = fmt.Sprintf("Apply(widen row %s)", row)
-				applyOps(t, table, ops, rng.Intn(2) == 0)
+				pooled := rng.Intn(2) == 0
+				write(ops, func() { applyOps(t, table, ops, pooled) })
 				m.apply(ops)
 				last, lastGrid = ops, false
 			case 7:
@@ -363,12 +383,12 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 						puts++
 					}
 				}
-				hits := planHits(table, m, ops)
+				pooled := rng.Intn(2) == 0
+				hits := write(ops, func() { applyOps(t, table, ops, pooled) })
 				planned, looked = planned+hits, looked+puts-hits
 				if lastGrid {
 					afterGrid += hits
 				}
-				applyOps(t, table, ops, rng.Intn(2) == 0)
 				m.apply(ops)
 				last, lastGrid = ops, false
 			case 9:
@@ -432,17 +452,30 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 				}
 				ops := gridOps(rows, cols, vals)
 				did = fmt.Sprintf("PutFloatRows(%q × %q, repeating the last batch %v)", rows, cols, repeat)
+				hits := write(ops, func() {
+					if err := table.PutFloatRows(rows, cols, func(dst []float64) { copy(dst, vals) }); err != nil {
+						t.Fatal(err)
+					}
+				})
 				if repeat && !lastGrid {
-					gridPlanned += planHits(table, m, ops)
-				}
-				if err := table.PutFloatRows(rows, cols, func(dst []float64) { copy(dst, vals) }); err != nil {
-					t.Fatal(err)
+					gridPlanned += hits
 				}
 				m.apply(ops)
 				last, lastGrid = ops, true
 			}
 			if err := checkBlobs(table); err != nil {
 				t.Fatalf("seed %d step %d, after %s: %v", seed, step, did, err)
+			}
+			for _, cols := range m.cells {
+				widest = max(widest, len(cols))
+			}
+			if rng.Intn(4) == 0 {
+				// Skip the reads that build the float array; the point reads
+				// build nothing.
+				if err := compareCells(table, m, modelRows, modelCols); err != nil {
+					t.Fatalf("seed %d step %d, after %s: %v", seed, step, did, err)
+				}
+				continue
 			}
 			if err := compareWithModel(table, m); err != nil {
 				t.Fatalf("seed %d step %d, after %s: %v", seed, step, did, err)
@@ -452,9 +485,7 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d step %d, after %s: %v", seed, step, did, err)
 			}
-			for _, cols := range m.cells {
-				widest = max(widest, len(cols))
-			}
+			cellChanges, flipped = m.cellChanges, m.flips
 			if hasFloat(m.cells["a"]) && hasFloat(m.cells["a-b"]) {
 				orderBreaks++
 			}
@@ -472,6 +503,9 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 	}
 	if gridPlanned == 0 || afterGrid == 0 {
 		t.Errorf("%d puts of grids repeating a batch and %d of batches repeating a grid resolved by the write plan: want both", gridPlanned, afterGrid)
+	}
+	if staleHits == 0 || moved == 0 {
+		t.Errorf("%d puts resolved by the write plan beside an absent or stale float array, %d of them moving their window: want some of both", staleHits, moved)
 	}
 	if slices.Contains(classes[:], 0) || classFlips == 0 || dropped == 0 {
 		t.Errorf("%v values of 0, 1–7, 8 and 9+ bytes, %d overwrites across lengths, %d long replays older than a full window: want all",
@@ -532,21 +566,48 @@ func checkBlobs(table *Table) error {
 }
 
 // planHits returns how many puts of ops the table's write plan resolves: the
-// puts whose recorded cell has the op's row and column, up to the first op
-// that adds or deletes a cell. m holds the table's cells before ops.
-func planHits(table *Table, m *refTable, ops []Op) (hits int) {
-	if !table.planned || len(table.plan) != len(ops) {
-		return 0
+// puts whose plan entry names the op's row and column, up to the first op
+// that adds or deletes a cell; and how many of those find their window full
+// to its capacity but below MaxVersions, so that the append moves it. m
+// holds the table's cells before ops.
+func planHits(table *Table, m *refTable, ops []Op) (hits, moved int) {
+	p := &table.plan
+	if !p.valid || len(p.cells) != len(ops) {
+		return 0, 0
 	}
 	for i, op := range ops {
 		if _, live := m.cells[op.Row][op.Column]; live == op.Delete {
-			return hits // the op adds or deletes a cell
+			return hits, moved // the op adds or deletes a cell
 		}
-		if ref := table.plan[i]; !op.Delete && ref.r != nil && ref.r.key == op.Row && ref.r.cols[ref.i] == op.Column {
+		if row, col := p.key(i); !op.Delete && row == op.Row && col == op.Column {
 			hits++
+			if w := *p.cells[i].win; len(w) == cap(w) && len(w) < table.maxVersions {
+				moved++
+			}
 		}
 	}
-	return hits
+	return hits, moved
+}
+
+// checkPlan runs write, a batch or grid writing ops, and returns planHits of
+// ops, and whether the float array was absent or stale before the write. It
+// fails the test unless the table looked up every other put.
+func checkPlan(t *testing.T, table *Table, m *refTable, ops []Op, write func()) (hits, moved int, stale bool) {
+	t.Helper()
+	hits, moved = planHits(table, m, ops)
+	stale = table.floats == nil || table.floats.stale
+	puts := 0
+	for _, op := range ops {
+		if !op.Delete {
+			puts++
+		}
+	}
+	resolved := table.resolved
+	write()
+	if got := table.resolved - resolved; got != uint64(puts-hits) {
+		t.Fatalf("a write of %d puts, %d of them through the plan, looked up %d", puts, hits, got)
+	}
+	return hits, moved, stale
 }
 
 // gridOps returns the ops of PutFloatRows(rows, cols) writing vals: its puts

@@ -35,9 +35,8 @@ func (t *Table) ReplayPut(row, column string, value []byte, ts uint64) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	r := t.addRowLocked(row)
-	i := t.windowLocked(r, column)
-	versions := r.cells[i]
+	c := t.windowLocked(t.addRowLocked(row), column)
+	versions := *c.win
 	// Find the insertion point; versions are newest-last.
 	idx := len(versions)
 	for idx > 0 && versions[idx-1].ts > ts {
@@ -46,7 +45,7 @@ func (t *Table) ReplayPut(row, column string, value []byte, ts uint64) error {
 	if idx > 0 && versions[idx-1].ts == ts {
 		return nil // duplicate replay of the same record
 	}
-	t.insertLocked(r, i, idx, t.stampLocked(ts, value))
+	t.insertLocked(&c, idx, t.stampLocked(ts, value))
 	return nil
 }
 
