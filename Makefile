@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt-check lint lint-report lint-diff check chaos chaos-crash chaos-cluster chaos-partition chaos-trace bench bench-e2e bench-e2e-smoke bench-pairs loc clusterbench clusterbench-smoke fuzz
+.PHONY: all build test race vet fmt-check lint lint-report lint-diff check chaos chaos-crash chaos-cluster chaos-partition chaos-trace bench bench-e2e bench-e2e-smoke bench-pairs loc clusterbench clusterbench-smoke fuzz stress
 
 all: check
 
@@ -184,6 +184,14 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzRestoreCheckpoint -fuzztime 30s -fuzzminimizetime 2s ./internal/core
 	$(GO) test -run xxx -fuzz FuzzTableColumns -fuzztime 30s ./internal/kvstore
 
+## stress: the engine's scheduler tests 50 times over under the race
+## detector (nightly CI job) — wave determinism, the schedule digests at
+## Parallelism 1, 2 and 4, branch overlap, the error rule and the gated chain
+## the coordinator keeps — so a rare interleaving of the claim that decides
+## who runs a no-decision step gets many chances to show
+stress:
+	$(GO) test -race -count=50 -run 'TestParallel|TestScheduleDigests|TestIndependentBranchesOverlap|TestDoomedWave|TestFailedStepStops|TestGatedChain' ./internal/engine/
+
 ## check: the pre-PR gate — build, vet, gofmt, lint, tests, race, chaos,
 ## chaos-crash, chaos-cluster, chaos-partition, and the
 ## clusterbench/pipeline-benchmark smoke passes
@@ -196,12 +204,14 @@ loc:
 
 ## bench: overhead microbenchmarks (§5.3 + instrumentation overhead), each
 ## Linear Road processor at steady state, the serial-vs-parallel
-## microbenchmarks and the cluster comparison (BENCH_PR10.json); the WAL's
+## microbenchmarks, one Linear Road wave at Parallelism 1 and 2 and the
+## cluster comparison (BENCH_PR10.json); the WAL's
 ## cost per wave is the pipeline benchmark's aqhi-durable workload (make
 ## bench-e2e-smoke runs it)
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkOverhead' -benchtime 1000x .
 	$(GO) test -run xxx -bench 'BenchmarkLRBSteps' -benchtime 2000x .
+	$(GO) test -run xxx -bench 'BenchmarkLRBWaveParallelism' -benchtime 2000x .
 	$(GO) test -run xxx -bench 'BenchmarkRunWave|BenchmarkForestFit' -benchtime 10x .
 	$(GO) run ./cmd/clusterbench -out BENCH_PR10.json
 	@cat BENCH_PR10.json

@@ -553,6 +553,38 @@ func BenchmarkOverheadLRBWave(b *testing.B) {
 	}
 }
 
+// BenchmarkLRBWaveParallelism times one synchronous Linear Road wave after 50
+// warm-up waves, at Parallelism 1 and 2 (lrb-mem-sync's setting), with
+// BenchmarkOverheadLRBWave's instance set-up. The wave is one chain with a
+// three-way fork, so /2 should cost no more than /1: the coordinator runs
+// the chain itself and hands only the fork's overlapping steps to goroutines.
+func BenchmarkLRBWaveParallelism(b *testing.B) {
+	for _, par := range []int{1, 2} {
+		b.Run(strconv.Itoa(par), func(b *testing.B) {
+			wf, store, err := workloads.LinearRoad(workloads.LinearRoadConfig{Seed: 42})()
+			if err != nil {
+				b.Fatal(err)
+			}
+			inst, err := engine.NewInstance(wf, store, engine.InstanceConfig{TrainingMode: true, Parallelism: par})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for w := 0; w < 50; w++ {
+				if _, err := inst.RunWave(engine.Sync{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := inst.RunWave(engine.Sync{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkLRBSteps times each Linear Road processor at steady state, after
 // 50 synchronous waves at Parallelism 1, and the feeder's write alone, in
 // both forms: one 3 600-op Apply of a wave's reports (feeder-apply) and one

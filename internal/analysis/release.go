@@ -514,9 +514,11 @@ func blockingOps(info *types.Info, n ast.Node, report func(token.Pos, string)) {
 			if fn == nil || fn.Pkg() == nil {
 				break
 			}
+			// A Cond's Wait releases its Locker while it waits; every other
+			// sync Wait (WaitGroup's) blocks with the lock still held.
 			method := fn.Type().(*types.Signature).Recv() != nil
 			if (fn.Pkg().Path() == "time" && !method && fn.Name() == "Sleep") ||
-				(fn.Pkg().Path() == "sync" && method && fn.Name() == "Wait") {
+				(fn.Pkg().Path() == "sync" && method && fn.Name() == "Wait" && fn.FullName() != "(*sync.Cond).Wait") {
 				report(sub.Pos(), exprString(sub.Fun))
 			}
 		}

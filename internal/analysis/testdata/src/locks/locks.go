@@ -51,6 +51,26 @@ func recvWhileHeld(c *counter, ch chan int) {
 	c.mu.Unlock()
 }
 
+// joinWhileHeld waits for a WaitGroup inside the critical section: a worker
+// that needs the mutex to finish deadlocks it.
+func joinWhileHeld(c *counter, wg *sync.WaitGroup) {
+	c.mu.Lock()
+	wg.Wait() // want `wg.Wait while c.mu is held`
+	c.mu.Unlock()
+}
+
+// waitForWork is the condition-variable loop: Cond.Wait releases c.mu while
+// it waits and takes it back before returning, so nothing blocks under it.
+func waitForWork(c *counter, cond *sync.Cond) int {
+	c.mu.Lock()
+	for c.n == 0 {
+		cond.Wait()
+	}
+	v := c.n
+	c.mu.Unlock()
+	return v
+}
+
 // inc is the straight-line lock/unlock pattern.
 func inc(c *counter) {
 	c.mu.Lock()

@@ -27,7 +27,9 @@ type InstanceConfig struct {
 	TrainingMode bool
 	// Parallelism bounds how many steps of one wave may run concurrently.
 	// 0 selects runtime.GOMAXPROCS(0); 1 runs every step on the calling
-	// goroutine. Any value yields bit-identical WaveResults:
+	// goroutine. Above 1 the calling goroutine still runs each step it would
+	// otherwise wait for, and only steps that can overlap it run on other
+	// goroutines. Any value yields bit-identical WaveResults:
 	// triggering decisions are always taken in topological order by a
 	// single coordinator, and per-step results land in pre-indexed slots
 	// (see DESIGN.md "Parallel execution").
@@ -138,6 +140,10 @@ type Instance struct {
 	// ordering keeps version history deterministic when producers share a
 	// table).
 	waitIdx [][]int
+	// inline[i] is set for a gated position the coordinator runs itself
+	// above Parallelism 1, because it would only wait for it: the next gated
+	// position waits on it, or none follows (see parallel.go).
+	inline []bool
 
 	impacts []float64 // last-known impacts, by gated index
 	wave    int
@@ -369,6 +375,7 @@ func NewInstance(wf *workflow.Workflow, store *kvstore.Store, cfg InstanceConfig
 		in.states[i] = st
 	}
 	in.waitIdx = waitIndices(in.states)
+	in.inline = inlineGated(in.states, in.waitIdx)
 	return in, nil
 }
 
@@ -385,6 +392,20 @@ func waitIndices(states []*stepState) [][]int {
 		}
 	}
 	return waits
+}
+
+// inlineGated marks the gated positions whose next gated position in order
+// has them in its wait set, and the last gated position.
+func inlineGated(states []*stepState, waits [][]int) []bool {
+	inline := make([]bool, len(states))
+	next := -1
+	for i := len(states) - 1; i >= 0; i-- {
+		if states[i].step.Gated() {
+			inline[i] = next < 0 || slices.Contains(waits[next], i)
+			next = i
+		}
+	}
+	return inline
 }
 
 // outputsOverlap reports whether two steps write overlapping containers.

@@ -3,14 +3,24 @@ package engine
 // The wave scheduler. One coordinator — the goroutine that called RunWave —
 // walks the steps in topological order. For a gated step it does the part
 // that must be sequential itself: wait for the step's wait set, observe ι,
-// ask the decider, trace the decision. The part that may overlap — running a
-// processor and the bookkeeping behind it — is handed to dispatch, which at
-// Parallelism 1 runs it inline and above 1 starts a goroutine on the
-// semaphore-bounded pool. Source and zero-tolerance steps take no decision,
-// so above Parallelism 1 they are all dispatched at wave start, each waiting
-// for its own wait set: a branch never queues behind the coordinator's wait
-// for an unrelated gated step that happens to sort before it. Results do not
-// depend on the parallelism:
+// ask the decider, trace the decision. At Parallelism 1 it also runs every
+// step, in order. Above 1 a step's work goes to a goroutine only where it can
+// overlap something; work the coordinator would only park on, it runs itself
+// (the help-first rule of task-parallel runtimes):
+//
+//   - A gated step told to run is run by the coordinator when the next gated
+//     step in the order waits on it, or when no gated step follows
+//     (Instance.inline). Otherwise it runs on a goroutine while the walk
+//     moves on: Linear Road's 3a and 3b overlap the coordinator's 3c.
+//   - A source or zero-tolerance step takes no decision, so it gets a
+//     goroutine at wave start that waits for its own wait set: a branch never
+//     queues behind the coordinator's wait for an unrelated gated step that
+//     happens to sort before it. When the walk reaches the step and its wait
+//     set is already settled, the coordinator claims the step and runs it
+//     instead. The claim is a CAS; whoever wins it runs and settles the
+//     position, and the other party does nothing.
+//
+// Results do not depend on the parallelism:
 //
 //   - Decision order. Only the coordinator writes in.impacts and consults the
 //     decider, one gated step at a time, so full-vector deciders (the learned
@@ -28,23 +38,28 @@ package engine
 //     topological order after the barrier.
 //
 // Deadlock freedom: a wait set names only earlier positions. Each of those is
-// either a no-decision step, dispatched before anyone waits, or a gated step,
-// which the coordinator settles in order — runs, skips, or, once the wave is
-// doomed, holds back. A pool slot is held only around actual work, never
-// while waiting, so the earliest unsettled position can always proceed.
+// either a gated step, which the coordinator settles in order — runs, hands
+// to a goroutine, skips, or, once the wave is doomed, holds back — or a
+// no-decision step, whose goroutine exists before anyone waits. Once that
+// goroutine's wait set is settled it either wins the claim and runs the step
+// or finds that the coordinator did; the coordinator claims only a step
+// whose wait set is settled, so it never waits inside a claim. Either way the
+// position is settled exactly once. A pool slot is held only around actual
+// work, never while waiting, so the earliest unsettled position can always
+// proceed.
 //
 // Errors: once a step fails, no step with it in its wait set starts (nor,
 // transitively, any step waiting on one of those), the coordinator stops at
 // the first position past the failure, running work drains, and RunWave
 // reports the first error in topological order — the step a Parallelism-1 run
 // fails at. What still differs above 1: independent steps that were already
-// dispatched when the failure happened run to completion, so their writes may
+// running when the failure happened run to completion, so their writes may
 // be in the store (RunWave rolls back instance state, not the store;
 // DESIGN.md §10). Store timestamps across *different* tables may also
 // interleave differently; per-cell version order is preserved.
 //
-// Spans: a no-decision step's span opens when it is dispatched (wave start
-// above Parallelism 1), a gated step's when the coordinator reaches it; above
+// Spans: a no-decision step's span opens at wave start above Parallelism 1,
+// whoever runs it, and a gated step's when the coordinator reaches it; above
 // Parallelism 1 the end of waiting on the wait set is marked as the span's
 // wait prefix, at 1 there is none.
 
@@ -66,6 +81,11 @@ type position struct {
 	// err is the step's failure or, for a step that never started, the
 	// failure that held it back.
 	err error
+	// sp is a no-decision step's span.
+	sp *obs.Span
+	// claimed is won by the one party that runs a no-decision step above
+	// Parallelism 1: the coordinator's walk or the step's own goroutine.
+	claimed atomic.Bool
 }
 
 // runWave is the wave loop behind RunWave.
@@ -136,52 +156,58 @@ func (in *Instance) runWave(d Decider) (WaveResult, error) {
 		}
 		return err
 	}
-	// dispatch runs the overlappable part of position i — inline, or on a
-	// pool goroutine — and settles it.
-	dispatch := func(i int, work func() error) {
-		if !pooled {
-			settle(i, work())
-			return
+	// settled reports, without waiting, whether i's wait set is settled.
+	settled := func(i int) bool {
+		for _, j := range in.waitIdx[i] {
+			select {
+			case <-pos[j].done:
+			default:
+				return false
+			}
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			settle(i, work())
-		}()
+		return true
 	}
-	// start dispatches position i, a source or zero-tolerance step. It takes
-	// no decision, so all of it may overlap. Its span opens before any
+	// run is the work of position i, a source or zero-tolerance step. It
+	// takes no decision, so all of it may overlap. Its span opens before any
 	// waiting and await marks the wait boundary, so dur − wait is the step's
 	// execute time — the quantity critical-path analysis sums along wait_for
 	// edges.
-	start := func(i int) {
-		st := in.states[i]
-		sp := in.stepSpan(waveSp, st, i, wave)
-		dispatch(i, func() error {
-			if err := await(i, sp); err != nil {
-				return err
-			}
-			if !st.step.Source && !in.predecessorsReady(st) {
-				sp.SetSkipped(true)
-				sp.End()
-				return nil
-			}
-			in.pool <- struct{}{}
-			err := in.execute(ctx, st, wave, sp)
-			<-in.pool
-			sp.EndErr(err)
+	run := func(i int) error {
+		st, sp := in.states[i], pos[i].sp
+		if err := await(i, sp); err != nil {
 			return err
-		})
+		}
+		if !st.step.Source && !in.predecessorsReady(st) {
+			sp.SetSkipped(true)
+			sp.End()
+			return nil
+		}
+		in.pool <- struct{}{}
+		err := in.execute(ctx, st, wave, sp)
+		<-in.pool
+		sp.EndErr(err)
+		return err
 	}
 	if pooled {
-		// Steps that take no decision need nothing from the coordinator, so
-		// they all start now, each awaiting its own wait set, rather than
-		// queueing behind the walk's waits for gated steps: independent
-		// branches overlap whatever their place in the order.
+		// Each step that takes no decision gets a goroutine now, which waits
+		// for the step's wait set and runs it unless the walk claimed it
+		// first: independent branches overlap whatever their place in the
+		// order.
 		for i, st := range in.states {
-			if !st.step.Gated() {
-				start(i)
+			if st.step.Gated() {
+				continue
 			}
+			pos[i].sp = in.stepSpan(waveSp, st, i, wave)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for _, j := range in.waitIdx[i] {
+					<-pos[j].done
+				}
+				if pos[i].claimed.CompareAndSwap(false, true) {
+					settle(i, run(i))
+				}
+			}()
 		}
 	}
 
@@ -193,7 +219,10 @@ func (in *Instance) runWave(d Decider) (WaveResult, error) {
 		st := in.states[i]
 		if !st.step.Gated() {
 			if !pooled {
-				start(i)
+				pos[i].sp = in.stepSpan(waveSp, st, i, wave)
+			}
+			if !pooled || settled(i) && pos[i].claimed.CompareAndSwap(false, true) {
+				settle(i, run(i))
 			}
 			continue
 		}
@@ -218,7 +247,15 @@ func (in *Instance) runWave(d Decider) (WaveResult, error) {
 			settle(i, nil)
 			continue
 		}
-		dispatch(i, func() error { return in.runGated(ctx, st, sp, &res, idx, inputStates, ev) })
+		if !pooled || in.inline[i] {
+			settle(i, in.runGated(ctx, st, sp, &res, idx, inputStates, ev))
+			continue
+		}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			settle(i, in.runGated(ctx, st, sp, &res, idx, inputStates, ev))
+		}(i)
 	}
 	// A doomed wave: the gated steps the walk did not get to are held back,
 	// and so — through await — is every started step waiting on one of them.

@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -316,55 +317,59 @@ func TestFailedStepStopsItsConsumers(t *testing.T) {
 	}
 }
 
+// chainQoD is the gated QoD of the hooked test chains.
+var chainQoD = workflow.QoD{
+	MaxError:   0.05,
+	ImpactFunc: metric.FuncAbsoluteImpact,
+	ErrorFunc:  metric.FuncRelativeError,
+	Mode:       metric.ModeAccumulate,
+}
+
+// hookedStep is a step writing the wave number to table out, reading table
+// in (a source when in is ""). Its processor calls hook first.
+func hookedStep(id workflow.StepID, in, out string, qod workflow.QoD, hook func(id workflow.StepID, wave int) error) *workflow.Step {
+	s := &workflow.Step{
+		ID:      id,
+		Source:  in == "",
+		Outputs: []workflow.Container{{Table: out}},
+		QoD:     qod,
+		Proc: workflow.ProcessorFunc(func(ctx *workflow.Context) error {
+			if err := hook(id, ctx.Wave); err != nil {
+				return err
+			}
+			tab, err := ctx.Table(out)
+			if err != nil {
+				return err
+			}
+			return tab.PutFloat("k", "v", float64(ctx.Wave))
+		}),
+	}
+	if in != "" {
+		s.Inputs = []workflow.Container{{Table: in}}
+	}
+	return s
+}
+
 // twoChains is two independent source → gated chains, a → b and c → d, plus a
 // zero-tolerance step e behind d. Its order is [a b c d e]: c, d and e sort
 // after gated step b, which waits on source a. Every processor calls hook
 // first.
 func twoChains(hook func(id workflow.StepID, wave int) error) BuildFunc {
 	return func() (*workflow.Workflow, *kvstore.Store, error) {
-		store := kvstore.New()
 		wf := workflow.New("chains")
-		qod := workflow.QoD{
-			MaxError:   0.05,
-			ImpactFunc: metric.FuncAbsoluteImpact,
-			ErrorFunc:  metric.FuncRelativeError,
-			Mode:       metric.ModeAccumulate,
-		}
-		step := func(id workflow.StepID, in, out string, qod workflow.QoD) error {
-			s := &workflow.Step{
-				ID:      id,
-				Source:  in == "",
-				Outputs: []workflow.Container{{Table: out}},
-				QoD:     qod,
-				Proc: workflow.ProcessorFunc(func(ctx *workflow.Context) error {
-					if err := hook(id, ctx.Wave); err != nil {
-						return err
-					}
-					tab, err := ctx.Table(out)
-					if err != nil {
-						return err
-					}
-					return tab.PutFloat("k", "v", float64(ctx.Wave))
-				}),
-			}
-			if in != "" {
-				s.Inputs = []workflow.Container{{Table: in}}
-			}
-			return wf.AddStep(s)
-		}
 		for _, err := range []error{
-			step("a", "", "ta", workflow.QoD{}),
-			step("b", "ta", "tb", qod),
-			step("c", "", "tc", workflow.QoD{}),
-			step("d", "tc", "td", qod),
-			step("e", "td", "te", workflow.QoD{}),
+			wf.AddStep(hookedStep("a", "", "ta", workflow.QoD{}, hook)),
+			wf.AddStep(hookedStep("b", "ta", "tb", chainQoD, hook)),
+			wf.AddStep(hookedStep("c", "", "tc", workflow.QoD{}, hook)),
+			wf.AddStep(hookedStep("d", "tc", "td", chainQoD, hook)),
+			wf.AddStep(hookedStep("e", "td", "te", workflow.QoD{}, hook)),
 			wf.Finalize(),
 		} {
 			if err != nil {
 				return nil, nil, err
 			}
 		}
-		return wf, store, nil
+		return wf, kvstore.New(), nil
 	}
 }
 
@@ -443,6 +448,59 @@ func TestDoomedWaveHoldsBackUnreachedSteps(t *testing.T) {
 		}
 		if after := in.PersistState(); !reflect.DeepEqual(after, before) {
 			t.Errorf("par %d: a failed wave left instance state behind", par)
+		}
+	}
+}
+
+// goroutineID returns the calling goroutine's ID, read off its stack trace
+// header ("goroutine 7 [running]:").
+func goroutineID() string {
+	buf := make([]byte, 64)
+	return strings.Fields(string(buf[:runtime.Stack(buf, false)]))[1]
+}
+
+// TestGatedChainStaysOnCoordinator pins the first dispatch rule of
+// parallel.go: in a source → g1 → g2 → g3 chain each gated step is waited on
+// by the next or is the last, so above Parallelism 1 the coordinator runs it
+// itself — on the goroutine that called RunWave — instead of handing it to a
+// goroutine and parking until it is done.
+func TestGatedChainStaysOnCoordinator(t *testing.T) {
+	var mu sync.Mutex
+	ran := make(map[workflow.StepID]string)
+	hook := func(id workflow.StepID, _ int) error {
+		mu.Lock()
+		ran[id] = goroutineID()
+		mu.Unlock()
+		return nil
+	}
+	in := newWorkloadInstance(t, func() (*workflow.Workflow, *kvstore.Store, error) {
+		wf := workflow.New("chain")
+		for _, err := range []error{
+			wf.AddStep(hookedStep("src", "", "t0", workflow.QoD{}, hook)),
+			wf.AddStep(hookedStep("g1", "t0", "t1", chainQoD, hook)),
+			wf.AddStep(hookedStep("g2", "t1", "t2", chainQoD, hook)),
+			wf.AddStep(hookedStep("g3", "t2", "t3", chainQoD, hook)),
+			wf.Finalize(),
+		} {
+			if err != nil {
+				return nil, nil, err
+			}
+		}
+		return wf, kvstore.New(), nil
+	}, false, 4)
+	caller := goroutineID()
+	for w := 0; w < 5; w++ {
+		res, err := in.RunWave(Sync{})
+		if err != nil {
+			t.Fatalf("wave %d: %v", w, err)
+		}
+		if res.GatedExecutions != 3 {
+			t.Fatalf("wave %d: %d gated executions, want 3", w, res.GatedExecutions)
+		}
+		for _, id := range []workflow.StepID{"g1", "g2", "g3"} {
+			if ran[id] != caller {
+				t.Errorf("wave %d: %s ran on goroutine %s, want the caller's, %s", w, id, ran[id], caller)
+			}
 		}
 	}
 }
@@ -637,7 +695,7 @@ func TestHarnessParallelMatchesSequential(t *testing.T) {
 // scheduleDigests are the SHA-256 digests of scheduleDigest recorded on the
 // commit before the two wave loops were folded into one scheduler (b1be571):
 // an oracle for the scheduler that is not the scheduler. Each holds for
-// Parallelism 1 and 4 alike. Regenerate only for a change that is meant to
+// Parallelism 1, 2 and 4 alike. Regenerate only for a change that is meant to
 // alter results, and say so.
 var scheduleDigests = map[string]string{
 	"sync/clean":    "c13dd51115de780b0bebecfc9b656342ef3a0d580186fa5d97314d1bce198aeb",
@@ -727,7 +785,7 @@ func TestScheduleDigests(t *testing.T) {
 	}
 	for _, policy := range policies {
 		for _, faulty := range []bool{false, true} {
-			for _, par := range []int{1, 4} {
+			for _, par := range []int{1, 2, 4} {
 				d := policy()
 				name := d.Name() + "/clean"
 				if faulty {

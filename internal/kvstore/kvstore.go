@@ -802,32 +802,6 @@ func (t *Table) latest(row, column string) (s stamp, blob []byte, ok bool) {
 	return s, blob, true
 }
 
-// GetWithPrevious returns the latest and the immediately preceding version of
-// a cell. prevOK is false when fewer than two versions exist. This is the
-// single-round-trip current+previous read the paper relies on for metric
-// state with negligible overhead. Values are handed out as Get's are.
-func (t *Table) GetWithPrevious(row, column string) (cur, prev []byte, curOK, prevOK bool) {
-	ins := t.store.ins.Load()
-	if ins != nil {
-		ins.gets.Inc()
-	}
-	if sp := ins.opSpan("get", t.name); sp != nil {
-		defer sp.End()
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	versions := t.rows[row].cell(column)
-	if len(versions) == 0 {
-		return nil, nil, false, false
-	}
-	var buf []byte
-	cur = t.valueLocked(versions[len(versions)-1], &buf)
-	if len(versions) >= 2 {
-		return cur, t.valueLocked(versions[len(versions)-2], &buf), true, true
-	}
-	return cur, nil, true, false
-}
-
 // GetVersions returns up to max of the most recent versions of a cell,
 // newest first. max <= 0 returns all retained versions. Values are handed
 // out as Get's are.

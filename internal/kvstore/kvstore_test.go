@@ -90,23 +90,6 @@ func TestVersioning(t *testing.T) {
 	}
 }
 
-func TestGetWithPrevious(t *testing.T) {
-	table := newTestTable(t, TableOptions{})
-	if _, _, curOK, prevOK := table.GetWithPrevious("r", "c"); curOK || prevOK {
-		t.Error("missing cell must report neither version")
-	}
-	table.Put("r", "c", []byte("a"))
-	cur, _, curOK, prevOK := table.GetWithPrevious("r", "c")
-	if !curOK || prevOK || string(cur) != "a" {
-		t.Errorf("after one put: cur=%q curOK=%v prevOK=%v", cur, curOK, prevOK)
-	}
-	table.Put("r", "c", []byte("b"))
-	cur, prev, curOK, prevOK := table.GetWithPrevious("r", "c")
-	if !curOK || !prevOK || string(cur) != "b" || string(prev) != "a" {
-		t.Errorf("after two puts: cur=%q prev=%q", cur, prev)
-	}
-}
-
 func TestDelete(t *testing.T) {
 	table := newTestTable(t, TableOptions{})
 	table.Put("r", "c", []byte("v"))
@@ -863,7 +846,6 @@ func TestTableVersion(t *testing.T) {
 	last = table.Version()
 	step("reads", false, func() {
 		table.Get("r", "c")
-		table.GetWithPrevious("r", "c")
 		table.GetVersions("r", "c", 0)
 		table.Scan(ScanOptions{})
 		table.ScanState(ScanOptions{})
