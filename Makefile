@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt-check lint lint-report lint-diff check chaos chaos-crash chaos-cluster chaos-partition chaos-trace bench bench-e2e bench-e2e-smoke bench-pairs loc clusterbench clusterbench-smoke fuzz stress
+.PHONY: all build test race vet fmt-check lint lint-report lint-diff check chaos chaos-crash chaos-cluster chaos-partition chaos-trace examples-smoke bench bench-e2e bench-e2e-smoke bench-pairs loc clusterbench clusterbench-smoke fuzz stress
 
 all: check
 
@@ -169,7 +169,7 @@ bench-pairs:
 ## fuzz: run the wire-protocol fuzzers, the epoch-file reader's fuzzer, the
 ## checkpoint decode + restore fuzzer (session, harness and — for a policy
 ## that does not learn — the decider-state path) and the table fuzzer
-## (ScanColumns against ScanState and Scan, ScanFloatRows against Scan,
+## (ScanColumns and ScanFloatRows against Scan,
 ## repeated batches and PutFloatRows grids through the write plan, and Get,
 ## GetVersions and History against a reference model for values on both
 ## sides of the 8 bytes a version holds inline) for 30s each (nightly CI
@@ -192,10 +192,21 @@ fuzz:
 stress:
 	$(GO) test -race -count=50 -run 'TestParallel|TestScheduleDigests|TestIndependentBranchesOverlap|TestDoomedWave|TestFailedStepStops|TestGatedChain' ./internal/engine/
 
+## examples-smoke: run the quickstart, custommetric, airquality and linearroad
+## examples (each well under a second once built) and diff each one's stdout
+## against examples/<name>/testdata/stdout.golden; part of make check.
+## examples/distributed (≈ 25 s, a mid-run server kill) is left out.
+EXAMPLES_SMOKE = quickstart custommetric airquality linearroad
+examples-smoke:
+	@for e in $(EXAMPLES_SMOKE); do \
+		{ $(GO) run ./examples/$$e || echo "exit status $$?"; } | diff -u examples/$$e/testdata/stdout.golden - || \
+			{ echo "examples-smoke: $$e printed other output"; exit 1; }; \
+	done; echo "examples-smoke: $(EXAMPLES_SMOKE) match their goldens"
+
 ## check: the pre-PR gate — build, vet, gofmt, lint, tests, race, chaos,
-## chaos-crash, chaos-cluster, chaos-partition, and the
+## chaos-crash, chaos-cluster, chaos-partition, the examples smoke, and the
 ## clusterbench/pipeline-benchmark smoke passes
-check: build vet fmt-check lint test race chaos chaos-crash chaos-cluster chaos-partition clusterbench-smoke bench-e2e-smoke
+check: build vet fmt-check lint test race chaos chaos-crash chaos-cluster chaos-partition examples-smoke clusterbench-smoke bench-e2e-smoke
 
 ## loc: non-test Go lines outside the frozen benchmark — the figure a
 ## code-diet PR reports before and after

@@ -9,6 +9,7 @@ package smartflux_test
 import (
 	"io"
 	"math/rand"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -126,15 +127,20 @@ func BenchmarkFig12ResourceSavings(b *testing.B) {
 // BenchmarkOverheadImpactComputation measures one input-impact evaluation
 // over a 1000-element container state (the per-wave Monitoring cost).
 func BenchmarkOverheadImpactComputation(b *testing.B) {
-	cur := make(map[string]float64, 1000)
-	prev := make(map[string]float64, 1000)
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 1000; i++ {
-		key := "r" + strconv.Itoa(i) + "/v"
-		prev[key] = rng.Float64() * 100
-		cur[key] = prev[key] + rng.NormFloat64()
+	keys := make([]string, 1000)
+	for i := range keys {
+		keys[i] = "r" + strconv.Itoa(i) + "/v"
 	}
-	state, baseline := metric.StateOf(cur), metric.StateOf(prev)
+	slices.Sort(keys)
+	// Two key slices, as two scans of a table between which a cell was
+	// added or deleted return: the tracker merge-joins them.
+	state := metric.Columns{Keys: keys, Vals: make([]float64, len(keys))}
+	baseline := metric.Columns{Keys: slices.Clone(keys), Vals: make([]float64, len(keys))}
+	rng := rand.New(rand.NewSource(1))
+	for i := range keys {
+		baseline.Vals[i] = rng.Float64() * 100
+		state.Vals[i] = baseline.Vals[i] + rng.NormFloat64()
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -293,19 +299,6 @@ func BenchmarkOverheadKVStorePutFloatRows(b *testing.B) {
 	}
 }
 
-// BenchmarkOverheadKVStoreScanState measures the ι snapshot of an LRB
-// wave's reports: 3 600 float cells read as a metric.State.
-func BenchmarkOverheadKVStoreScanState(b *testing.B) {
-	table, rows, cols, _ := lrbReportsTable(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got, _ := table.ScanState(kvstore.ScanOptions{}); len(got) != len(rows)*len(cols) {
-			b.Fatal("short scan")
-		}
-	}
-}
-
 // BenchmarkOverheadKVStoreScanColumns measures the ι/ε snapshot the engine
 // takes of an LRB wave's reports after a wave rewrote every cell: 3 600
 // float cells copied out of the table's float array, and a column-prefix
@@ -399,7 +392,7 @@ func BenchmarkOverheadKVStoreScan(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got, _ := table.ScanState(kvstore.ScanOptions{}); len(got) != 1000 {
+		if got, _ := table.ScanColumns(kvstore.ScanOptions{}); got.Len() != 1000 {
 			b.Fatal("short scan")
 		}
 	}

@@ -59,8 +59,9 @@ func main() {
 
 	fmt.Printf("AQHI @ %.0f%% bound — one adaptive week\n", *bound*100)
 	live := harness.Live()
-	for _, e := range live.OutputState(workloads.AirQualityIndex) {
-		fmt.Printf("  final %s = %.2f (%s risk)\n", e.Key, e.Val, workloads.AirQualityRiskClass(e.Val))
+	index := live.OutputState(workloads.AirQualityIndex)
+	for i, key := range index.Keys {
+		fmt.Printf("  final %s = %.2f (%s risk)\n", key, index.Vals[i], workloads.AirQualityRiskClass(index.Vals[i]))
 	}
 	fmt.Printf("  executions: %d of %d sync (%.0f%% saved)\n",
 		apply.TotalLiveExecutions(), apply.TotalSyncExecutions(),

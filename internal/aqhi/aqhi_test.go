@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"smartflux/internal/engine"
+	"smartflux/internal/kvstore"
 )
 
 func TestGeneratorDeterministic(t *testing.T) {
@@ -139,7 +140,7 @@ func TestWorkflowProducesIndex(t *testing.T) {
 		if err != nil {
 			t.Fatalf("table %s missing: %v", name, err)
 		}
-		if tbl.CellCount() == 0 {
+		if len(tbl.Scan(kvstore.ScanOptions{Limit: 1})) == 0 {
 			t.Errorf("table %s empty", name)
 		}
 	}

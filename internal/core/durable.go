@@ -276,7 +276,7 @@ func recoverRun(opts DurableOptions) (*recovered, error) {
 	if err != nil {
 		// The log's checksums held, so these are the bytes some build
 		// committed: what changed is the shape they are decoded into.
-		return nil, fmt.Errorf("%w: %s was written by an older build, one that kept tracker baselines as element lists (or, older still, kept two baselines per tracker and step state in a map keyed by step), and cannot be resumed by this one", err, opts.Dir)
+		return nil, fmt.Errorf("%w: %s was written by an older build, one that kept tracker baselines as element lists, or report steps' fresh outputs as element lists (or, older still, kept two baselines per tracker and step state in a map keyed by step), and cannot be resumed by this one", err, opts.Dir)
 	}
 	return &recovered{Recovery: rec, cp: cp}, nil
 }

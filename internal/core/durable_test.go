@@ -798,7 +798,7 @@ func TestResumeRefusesSplitResultDirectory(t *testing.T) {
 // wrong impacts.
 func TestResumeRefusesTwoBaselineDirectory(t *testing.T) {
 	type oldTracker struct {
-		ExecBaseline, WaveBaseline metric.State
+		ExecBaseline, WaveBaseline elemList
 		Accumulated, Current       float64
 		HasBaseline                bool
 	}
@@ -815,7 +815,7 @@ func TestResumeRefusesTwoBaselineDirectory(t *testing.T) {
 	type oldHarnessCheckpoint struct {
 		Result          *engine.Result
 		Live, Ref       oldInstance
-		Measures        map[workflow.StepID]engine.MeasurePersist
+		Measures        map[workflow.StepID]elemMeasure
 		DeciderState    []byte
 		HasDeciderState bool
 	}
@@ -828,7 +828,7 @@ func TestResumeRefusesTwoBaselineDirectory(t *testing.T) {
 	oldTrackers := func(ts []metric.PersistedTracker) []oldTracker {
 		out := make([]oldTracker, len(ts))
 		for i, tr := range ts {
-			out[i] = oldTracker{stateOf(tr.Baseline), stateOf(tr.Baseline), tr.Accumulated, tr.Current, tr.HasBaseline}
+			out[i] = oldTracker{elemListOf(tr.Baseline), elemListOf(tr.Baseline), tr.Accumulated, tr.Current, tr.HasBaseline}
 		}
 		return out
 	}
@@ -848,49 +848,82 @@ func TestResumeRefusesTwoBaselineDirectory(t *testing.T) {
 		t.Fatalf("recover: %v", err)
 	}
 	h := rec.cp.Harness
-	var old bytes.Buffer
-	if err := gob.NewEncoder(&old).Encode(oldPipelineCheckpoint{
+	requireRefused(t, cfg, crashed, rec, oldPipelineCheckpoint{
 		TrainWaves: cfg.TrainWaves,
 		ApplyWaves: cfg.ApplyWaves,
 		Harness: &oldHarnessCheckpoint{
 			Result:   h.Result,
 			Live:     oldInstanceOf(h.Live),
 			Ref:      oldInstanceOf(h.Ref),
-			Measures: map[workflow.StepID]engine.MeasurePersist{"agg": h.Measures[0]},
+			Measures: map[workflow.StepID]elemMeasure{"agg": elemMeasures(h.Measures)[0]},
 		},
 		Session: rec.cp.Session,
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	dir := directoryWithPayload(t, rec, old.Bytes())
-	const want = "kept two baselines per tracker"
-	if _, _, err := ResumePipeline(miniWorkload(), nil, cfg, DurableOptions{Dir: dir}); err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("resume of a two-baseline directory = %v, want a refusal naming the older build", err)
-	}
-	if _, _, err := RunPipelineDurable(miniWorkload(), nil, cfg, DurableOptions{Dir: dir}); err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("fresh run over a two-baseline directory = %v, want a refusal naming the older build", err)
-	}
+	}, "kept two baselines per tracker")
 }
 
-// stateOf converts a tracker baseline to the element list builds before
-// Columns kept it as.
-func stateOf(c metric.Columns) metric.State {
-	s := make(metric.State, c.Len())
+// elemList is a container state in the element-list form older builds
+// checkpointed it in: tracker baselines until trackers held Columns, and the
+// report steps' fresh outputs one build longer.
+type elemList []struct {
+	Key string
+	Val float64
+}
+
+// elemListOf converts a container state to its element list.
+func elemListOf(c metric.Columns) elemList {
+	s := make(elemList, c.Len())
 	for i, key := range c.Keys {
-		s[i] = metric.Elem{Key: key, Val: c.Vals[i]}
+		s[i].Key, s[i].Val = key, c.Vals[i]
 	}
 	return s
 }
 
+// elemMeasure is a report step's measure accumulator with its fresh output
+// as an element list.
+type elemMeasure struct {
+	FreshPrev elemList
+	Accum     float64
+}
+
+// elemMeasures converts measure accumulators to elemMeasures.
+func elemMeasures(ms []engine.MeasurePersist) []elemMeasure {
+	out := make([]elemMeasure, len(ms))
+	for i, m := range ms {
+		out[i] = elemMeasure{elemListOf(m.FreshPrev), m.Accum}
+	}
+	return out
+}
+
+// requireRefused writes payload, a checkpoint in an older build's field set,
+// as the last commit of a copy of rec's directory, and requires ResumePipeline
+// and RunPipelineDurable to refuse the copy with an error containing want,
+// and crashed, the same state in this build's shape, to resume.
+func requireRefused(t *testing.T, cfg PipelineConfig, crashed string, rec *recovered, payload any, want string) {
+	t.Helper()
+	var old bytes.Buffer
+	if err := gob.NewEncoder(&old).Encode(payload); err != nil {
+		t.Fatal(err)
+	}
+	dir := directoryWithPayload(t, rec, old.Bytes())
+	if _, _, err := ResumePipeline(miniWorkload(), nil, cfg, DurableOptions{Dir: dir}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("resume of an older build's directory = %v, want a refusal naming %q", err, want)
+	}
+	if _, _, err := RunPipelineDurable(miniWorkload(), nil, cfg, DurableOptions{Dir: dir}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("fresh run over an older build's directory = %v, want a refusal naming %q", err, want)
+	}
+	if _, _, err := ResumePipeline(miniWorkload(), nil, cfg, DurableOptions{Dir: crashed}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestResumeRefusesStateBaselineDirectory commits a mid-application boundary
 // in the field set of the build before tracker baselines became Columns —
-// each baseline a metric.State element list, everything else as now — and
-// requires both entry points to refuse the directory by name, and the same
-// state in this build's shape to resume.
+// each baseline and each report step's fresh output an element list,
+// everything else as now — and requires both entry points to refuse the
+// directory by name, and the same state in this build's shape to resume.
 func TestResumeRefusesStateBaselineDirectory(t *testing.T) {
 	type oldTracker struct {
-		Baseline             metric.State
+		Baseline             elemList
 		Accumulated, Current float64
 		HasBaseline          bool
 	}
@@ -906,7 +939,7 @@ func TestResumeRefusesStateBaselineDirectory(t *testing.T) {
 	type oldHarnessCheckpoint struct {
 		Result          *engine.Result
 		Live, Ref       oldInstance
-		Measures        []engine.MeasurePersist
+		Measures        []elemMeasure
 		DeciderState    []byte
 		HasDeciderState bool
 	}
@@ -919,7 +952,7 @@ func TestResumeRefusesStateBaselineDirectory(t *testing.T) {
 	oldTrackers := func(ts []metric.PersistedTracker) []oldTracker {
 		out := make([]oldTracker, len(ts))
 		for i, tr := range ts {
-			out[i] = oldTracker{stateOf(tr.Baseline), tr.Accumulated, tr.Current, tr.HasBaseline}
+			out[i] = oldTracker{elemListOf(tr.Baseline), tr.Accumulated, tr.Current, tr.HasBaseline}
 		}
 		return out
 	}
@@ -939,8 +972,7 @@ func TestResumeRefusesStateBaselineDirectory(t *testing.T) {
 		t.Fatalf("recover: %v", err)
 	}
 	h := rec.cp.Harness
-	var old bytes.Buffer
-	if err := gob.NewEncoder(&old).Encode(oldPipelineCheckpoint{
+	requireRefused(t, cfg, crashed, rec, oldPipelineCheckpoint{
 		TrainWaves: cfg.TrainWaves,
 		ApplyWaves: cfg.ApplyWaves,
 		Policy:     rec.cp.Policy,
@@ -948,25 +980,54 @@ func TestResumeRefusesStateBaselineDirectory(t *testing.T) {
 			Result:   h.Result,
 			Live:     oldInstanceOf(h.Live),
 			Ref:      oldInstanceOf(h.Ref),
-			Measures: h.Measures,
+			Measures: elemMeasures(h.Measures),
 		},
 		Session: rec.cp.Session,
-	}); err != nil {
-		t.Fatal(err)
-	}
+	}, "kept tracker baselines as element lists")
+}
 
-	dir := directoryWithPayload(t, rec, old.Bytes())
-	const want = "kept tracker baselines as element lists"
-	if _, _, err := ResumePipeline(miniWorkload(), nil, cfg, DurableOptions{Dir: dir}); err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("resume of a State-baseline directory = %v, want a refusal naming the older build", err)
+// TestResumeRefusesStateMeasureDirectory commits a mid-application boundary
+// in the field set of the build before report steps' fresh outputs became
+// Columns — tracker baselines as now, each fresh output an element list — and
+// requires both entry points to refuse the directory by name, and the same
+// state in this build's shape to resume.
+func TestResumeRefusesStateMeasureDirectory(t *testing.T) {
+	type oldHarnessCheckpoint struct {
+		Result          *engine.Result
+		Live, Ref       engine.InstancePersist
+		Measures        []elemMeasure
+		DeciderState    []byte
+		HasDeciderState bool
 	}
-	if _, _, err := RunPipelineDurable(miniWorkload(), nil, cfg, DurableOptions{Dir: dir}); err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("fresh run over a State-baseline directory = %v, want a refusal naming the older build", err)
+	type oldPipelineCheckpoint struct {
+		TrainWaves, ApplyWaves int
+		Policy                 string
+		Harness                *oldHarnessCheckpoint
+		Session                *SessionCheckpoint
 	}
-	// The same state in this build's shape resumes.
-	if _, _, err := ResumePipeline(miniWorkload(), nil, cfg, DurableOptions{Dir: crashed}); err != nil {
-		t.Fatal(err)
+	cfg := durablePipelineConfig()
+	crashed := t.TempDir()
+	crashInWave(t, cfg, crashed, cfg.TrainWaves+20)
+	rec, err := recoverRun(DurableOptions{Dir: crashed})
+	if err != nil || rec == nil {
+		t.Fatalf("recover: %v", err)
 	}
+	h := rec.cp.Harness
+	if len(h.Measures) == 0 {
+		t.Fatal("the crashed run measured no report step: the payload would hold no fresh output")
+	}
+	requireRefused(t, cfg, crashed, rec, oldPipelineCheckpoint{
+		TrainWaves: cfg.TrainWaves,
+		ApplyWaves: cfg.ApplyWaves,
+		Policy:     rec.cp.Policy,
+		Harness: &oldHarnessCheckpoint{
+			Result:   h.Result,
+			Live:     h.Live,
+			Ref:      h.Ref,
+			Measures: elemMeasures(h.Measures),
+		},
+		Session: rec.cp.Session,
+	}, "fresh outputs as element lists")
 }
 
 // TestResumeDirectoryWithoutPolicyName commits a mid-application boundary in

@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"maps"
 	"math"
 	"reflect"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -277,11 +279,171 @@ func TestInstanceOutputState(t *testing.T) {
 		t.Fatal(err)
 	}
 	state := inst.OutputState("mid")
-	if len(state) != 1 || state[0].Key != "avg:all/avg" {
+	if state.Len() != 1 || state.Keys[0] != "avg:all/avg" {
 		t.Fatalf("OutputState = %v", state)
 	}
-	if got := inst.OutputState("ghost"); len(got) != 0 {
+	if got := inst.OutputState("ghost"); got.Len() != 0 {
 		t.Error("unknown step output state must be empty")
+	}
+}
+
+// mergeWorkload is a source and two multi-output steps: "grid" writes
+// columns "a", "ab" and "b" of every row of table grid and declares the
+// prefixes "b", "a" and "ab", so their elements interleave and repeat (every
+// "ab" cell is an "a" cell too); "fan" writes tables "g:h" and "g", declared
+// in that order, reverse to their names, and keyed so that row "r" of "g:h"
+// and row "h:r" of "g" merge to one key, "g:h:r/v".
+func mergeWorkload() (*workflow.Workflow, *kvstore.Store, error) {
+	qod := workflow.QoD{
+		MaxError:   0.05,
+		ImpactFunc: metric.FuncAbsoluteImpact,
+		ErrorFunc:  metric.FuncRelativeError,
+		Mode:       metric.ModeAccumulate,
+	}
+	put := func(ctx *workflow.Context, table, row, col string, v float64) error {
+		t, err := ctx.Table(table)
+		if err != nil {
+			return err
+		}
+		return t.PutFloat(row, col, v)
+	}
+	wf := workflow.New("merge")
+	steps := []*workflow.Step{
+		{
+			ID:      "src",
+			Source:  true,
+			Outputs: []workflow.Container{{Table: "raw"}},
+			Proc: workflow.ProcessorFunc(func(ctx *workflow.Context) error {
+				for i := 0; i < 3; i++ {
+					if err := put(ctx, "raw", "r"+strconv.Itoa(i), "v", float64(ctx.Wave*10+i)); err != nil {
+						return err
+					}
+				}
+				return nil
+			}),
+		},
+		{
+			ID:      "grid",
+			Inputs:  []workflow.Container{{Table: "raw"}},
+			Outputs: []workflow.Container{{Table: "grid", ColumnPrefix: "b"}, {Table: "grid", ColumnPrefix: "a"}, {Table: "grid", ColumnPrefix: "ab"}},
+			QoD:     qod,
+			Proc: workflow.ProcessorFunc(func(ctx *workflow.Context) error {
+				raw, err := ctx.Table("raw")
+				if err != nil {
+					return err
+				}
+				for _, c := range raw.Scan(kvstore.ScanOptions{}) {
+					v, _ := c.FloatValue()
+					for k, col := range []string{"a", "ab", "b"} {
+						if err := put(ctx, "grid", c.Row, col, v+float64(k)/4); err != nil {
+							return err
+						}
+					}
+				}
+				return nil
+			}),
+		},
+		{
+			ID:      "fan",
+			Inputs:  []workflow.Container{{Table: "raw"}},
+			Outputs: []workflow.Container{{Table: "g:h"}, {Table: "g"}},
+			QoD:     qod,
+			Proc: workflow.ProcessorFunc(func(ctx *workflow.Context) error {
+				raw, err := ctx.Table("raw")
+				if err != nil {
+					return err
+				}
+				v, _ := raw.GetFloat("r0", "v")
+				for _, w := range []struct{ table, row, col string }{{"g:h", "r", "v"}, {"g:h", "s", "v"}, {"g", "h:r", "v"}, {"g", "a", "v"}} {
+					if err := put(ctx, w.table, w.row, w.col, v); err != nil {
+						return err
+					}
+					v++
+				}
+				return nil
+			}),
+		},
+	}
+	for _, s := range steps {
+		if err := wf.AddStep(s); err != nil {
+			return nil, nil, err
+		}
+	}
+	return wf, kvstore.New(), wf.Finalize()
+}
+
+// referenceOutput is a step's merged output built the plain way: every float
+// cell of every output container, in declaration order, into a map keyed
+// "table:row/column" (so the later output's value stands), read out in key
+// order.
+func referenceOutput(t *testing.T, store *kvstore.Store, step *workflow.Step) metric.Columns {
+	t.Helper()
+	vals := make(map[string]float64)
+	for _, out := range step.Outputs {
+		table, err := store.Table(out.Table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range table.Scan(kvstore.ScanOptions{ColumnPrefix: out.ColumnPrefix}) {
+			if v, ok := c.FloatValue(); ok {
+				vals[out.Table+":"+c.Key()] = v
+			}
+		}
+	}
+	ref := metric.Columns{Keys: slices.Sorted(maps.Keys(vals))}
+	for _, key := range ref.Keys {
+		ref.Vals = append(ref.Vals, vals[key])
+	}
+	return ref
+}
+
+// TestOutputStateMergeOrder holds OutputState and HypotheticalOutput of the
+// two multi-output steps of mergeWorkload to referenceOutput, on outputs that
+// are current and on outputs a skipping policy left stale.
+func TestOutputStateMergeOrder(t *testing.T) {
+	wf, store, err := mergeWorkload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := NewInstance(wf, store, InstanceConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	never := DeciderFunc{PolicyName: "never", Fn: func(_, _ int, _ []float64) bool { return false }}
+	equal := func(a, b metric.Columns) bool { return slices.Equal(a.Keys, b.Keys) && slices.Equal(a.Vals, b.Vals) }
+	for w, d := range []Decider{Sync{}, never, never} {
+		if _, err := inst.RunWave(d); err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range []workflow.StepID{"grid", "fan"} {
+			step, err := wf.Step(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := inst.OutputState(id), referenceOutput(t, store, step); !equal(got, want) {
+				t.Fatalf("wave %d %s: OutputState = %v, want %v", w, id, got, want)
+			}
+			fresh, err := inst.HypotheticalOutput(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The processors read only raw, which the hypothetical run
+			// leaves alone: running one again gives the fresh output.
+			before := inst.OutputState(id)
+			if err := step.Proc.Process(&workflow.Context{Wave: w, Store: store}); err != nil {
+				t.Fatal(err)
+			}
+			if want := referenceOutput(t, store, step); !equal(fresh, want) || w > 0 && equal(fresh, before) {
+				t.Fatalf("wave %d %s: HypotheticalOutput = %v, want %v (stale %v)", w, id, fresh, want, before)
+			}
+		}
+		// Row "r" of "g:h" (raw r0) and row "h:r" of "g" (raw r0 + 2) are
+		// one element, and the later output, "g", gives its value.
+		v := float64(w * 10)
+		want := metric.Columns{Keys: []string{"g:a/v", "g:h:r/v", "g:h:s/v"}, Vals: []float64{v + 3, v + 2, v + 1}}
+		if got := inst.OutputState("fan"); !equal(got, want) {
+			t.Fatalf("wave %d fan: OutputState = %v, want %v", w, got, want)
+		}
 	}
 }
 
@@ -303,10 +465,10 @@ func TestHypotheticalOutputRollsBack(t *testing.T) {
 	}
 	after := inst.OutputState("mid")
 
-	if len(fresh) != 1 || fresh[0].Key != "avg:all/avg" {
+	if fresh.Len() != 1 || fresh.Keys[0] != "avg:all/avg" {
 		t.Fatalf("hypothetical output = %v", fresh)
 	}
-	if fresh[0].Val == before[0].Val {
+	if fresh.Vals[0] == before.Vals[0] {
 		t.Error("hypothetical output should differ from the stale output after drift")
 	}
 	if !reflect.DeepEqual(after, before) {

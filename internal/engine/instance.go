@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -502,25 +503,55 @@ func (in *Instance) snapshot(c workflow.Container) metric.Columns {
 }
 
 // OutputState snapshots the numeric state of all output containers of id,
-// merged under "table:row/column" keys.
-func (in *Instance) OutputState(id workflow.StepID) metric.State {
+// merged under "table:row/column" keys in key order. Where two outputs hold
+// one key (two column prefixes of one table can overlap), the later output
+// in declaration order gives its value.
+func (in *Instance) OutputState(id workflow.StepID) metric.Columns {
 	st := in.state(id)
 	if st == nil {
-		return nil
+		return metric.Columns{}
 	}
 	states := in.outputStates(st.step)
 	var n int
 	for _, state := range states {
 		n += state.Len()
 	}
-	merged := make([]metric.Elem, 0, n)
+	merged := metric.Columns{Keys: make([]string, 0, n), Vals: make([]float64, 0, n)}
 	for i, state := range states {
 		prefix := st.step.Outputs[i].Table + ":"
 		for k, key := range state.Keys {
-			merged = append(merged, metric.Elem{Key: prefix + key, Val: state.Vals[k]})
+			merged.Keys = append(merged.Keys, prefix+key)
+			merged.Vals = append(merged.Vals, state.Vals[k])
 		}
 	}
-	return metric.NewState(merged)
+	return sortColumns(merged)
+}
+
+// sortColumns returns c with its elements in strictly increasing key order:
+// c itself when they already are, which costs one pass; otherwise a stably
+// sorted copy that keeps, where keys repeat, the last element of each run.
+func sortColumns(c metric.Columns) metric.Columns {
+	i := 1
+	for i < len(c.Keys) && c.Keys[i-1] < c.Keys[i] {
+		i++
+	}
+	if i >= len(c.Keys) {
+		return c
+	}
+	order := make([]int, len(c.Keys))
+	for k := range order {
+		order[k] = k
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return strings.Compare(c.Keys[a], c.Keys[b]) })
+	out := metric.Columns{Keys: make([]string, 0, len(order)), Vals: make([]float64, 0, len(order))}
+	for k, j := range order {
+		if k+1 < len(order) && c.Keys[order[k+1]] == c.Keys[j] {
+			continue
+		}
+		out.Keys = append(out.Keys, c.Keys[j])
+		out.Vals = append(out.Vals, c.Vals[j])
+	}
+	return out
 }
 
 // ErrorFactory returns the error-metric factory of gated step id, or nil.
@@ -733,10 +764,10 @@ func (in *Instance) execute(ctx *workflow.Context, st *stepState, wave int, sp *
 // §2.2 output error (the cost of the input changes the step has not yet
 // processed). Processors of non-source steps must not depend on the wave
 // number for this to be exact.
-func (in *Instance) HypotheticalOutput(id workflow.StepID) (metric.State, error) {
+func (in *Instance) HypotheticalOutput(id workflow.StepID) (metric.Columns, error) {
 	st := in.state(id)
 	if st == nil {
-		return nil, fmt.Errorf("engine: unknown step %q", id)
+		return metric.Columns{}, fmt.Errorf("engine: unknown step %q", id)
 	}
 	wave := in.wave - 1
 	if wave < 0 {
@@ -754,7 +785,7 @@ func (in *Instance) HypotheticalOutput(id workflow.StepID) (metric.State, error)
 		}
 		snap, err := in.saveOutputs(st.step)
 		if err != nil {
-			return nil, err
+			return metric.Columns{}, err
 		}
 		ctx := &workflow.Context{Wave: wave, Store: in.store}
 		if err := in.runProc(ctx, st); err != nil {
@@ -763,17 +794,17 @@ func (in *Instance) HypotheticalOutput(id workflow.StepID) (metric.State, error)
 			}
 			lastErr = fmt.Errorf("hypothetical %q: %w", id, err)
 			if rbErr := in.rollbackOutputs(snap); rbErr != nil {
-				return nil, errors.Join(lastErr, fmt.Errorf("hypothetical rollback %q: %w", id, rbErr))
+				return metric.Columns{}, errors.Join(lastErr, fmt.Errorf("hypothetical rollback %q: %w", id, rbErr))
 			}
 			continue
 		}
 		fresh := in.OutputState(id)
 		if err := in.rollbackOutputs(snap); err != nil {
-			return nil, fmt.Errorf("hypothetical rollback %q: %w", id, err)
+			return metric.Columns{}, fmt.Errorf("hypothetical rollback %q: %w", id, err)
 		}
 		return fresh, nil
 	}
-	return nil, lastErr
+	return metric.Columns{}, lastErr
 }
 
 // predecessorsReady reports whether all of st's upstream steps have executed

@@ -86,7 +86,8 @@ func (in *Instance) checkPersisted(p InstancePersist) error {
 	return nil
 }
 
-// checkBaseline reports why c cannot be a tracker baseline, if it cannot.
+// checkBaseline reports why c cannot be a state a metric compares against — a
+// tracker baseline or a measure's fresh output — if it cannot.
 func checkBaseline(c metric.Columns) error {
 	if len(c.Keys) != len(c.Vals) {
 		return fmt.Errorf("%d keys, %d values", len(c.Keys), len(c.Vals))
@@ -120,8 +121,8 @@ func (in *Instance) applyPersisted(p InstancePersist) {
 // snapshots its error series are derived from on the live information basis —
 // in the form it is persisted in. A step not yet measured has none.
 type MeasurePersist struct {
-	FreshPrev metric.State // hypothetical fresh output at the previous wave
-	Accum     float64      // predicted error accumulated since the last execution
+	FreshPrev metric.Columns // hypothetical fresh output at the previous wave
+	Accum     float64        // predicted error accumulated since the last execution
 }
 
 // HarnessCheckpoint is a complete harness state at a wave boundary.
@@ -182,7 +183,8 @@ func (h *Harness) Checkpoint(res *Result, d Decider) (*HarnessCheckpoint, error)
 
 // validate reports whether the checkpoint can be restored into h: every result
 // series exactly Waves long, every report step covered, the accumulators of
-// all report steps or of none, instance states of the workload's shape.
+// all report steps or of none, each holding a state a metric can compare
+// against, instance states of the workload's shape.
 func (cp *HarnessCheckpoint) validate(h *Harness) error {
 	res := cp.Result
 	if res == nil {
@@ -204,6 +206,11 @@ func (cp *HarnessCheckpoint) validate(h *Harness) error {
 	}
 	if cp.Measures != nil && len(cp.Measures) != len(h.reportSteps) {
 		return fmt.Errorf("checkpoint measures %d steps, harness reports %d", len(cp.Measures), len(h.reportSteps))
+	}
+	for i, m := range cp.Measures {
+		if err := checkBaseline(m.FreshPrev); err != nil {
+			return fmt.Errorf("fresh output of step %q: %w", h.reportSteps[i], err)
+		}
 	}
 	if err := h.live.checkPersisted(cp.Live); err != nil {
 		return fmt.Errorf("live: %w", err)

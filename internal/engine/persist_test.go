@@ -375,6 +375,14 @@ func TestRestoreCheckpointRejectsMalformed(t *testing.T) {
 				return c
 			})
 		}, `ref: engine: persisted baseline of step "mid": key`},
+		{"fresh output with fewer values than keys", func(cp *HarnessCheckpoint) {
+			cp.Measures = slices.Clone(cp.Measures)
+			cp.Measures[1].FreshPrev.Vals = nil
+		}, `fresh output of step "leaf": 1 keys, 0 values`},
+		{"fresh output keys out of order", func(cp *HarnessCheckpoint) {
+			cp.Measures = slices.Clone(cp.Measures)
+			cp.Measures[0].FreshPrev = metric.Columns{Keys: []string{"avg:all/b", "avg:all/a"}, Vals: []float64{1, 2}}
+		}, `fresh output of step "mid": key "avg:all/a" does not follow "avg:all/b"`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cp, res := *good, *good.Result

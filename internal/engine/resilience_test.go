@@ -229,7 +229,7 @@ func TestDegradeGatedForcedSkip(t *testing.T) {
 			t.Fatalf("wave %d: %v", w, err)
 		}
 		state := in.OutputState("leaf")
-		if len(state) != 1 || state[0].Key != "scaled:all/scaled" {
+		if state.Len() != 1 || state.Keys[0] != "scaled:all/scaled" {
 			t.Fatalf("wave %d: OutputState = %v", w, state)
 		}
 		switch {
@@ -237,12 +237,12 @@ func TestDegradeGatedForcedSkip(t *testing.T) {
 			if res.Degraded[idx] || !res.Executed[idx] {
 				t.Fatalf("wave %d: degraded=%v executed=%v before the fault", w, res.Degraded[idx], res.Executed[idx])
 			}
-			lastGood = state[0].Val
+			lastGood = state.Vals[0]
 		default:
 			if !res.Degraded[idx] || res.Executed[idx] {
 				t.Fatalf("wave %d: degraded=%v executed=%v, want forced skip", w, res.Degraded[idx], res.Executed[idx])
 			}
-			if got := state[0].Val; got != lastGood {
+			if got := state.Vals[0]; got != lastGood {
 				t.Fatalf("wave %d: degraded step output moved %v -> %v; rollback failed", w, lastGood, got)
 			}
 		}

@@ -109,8 +109,8 @@ func TestFaultStoreInjectsBeforeDelegation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if underlying.CellCount() != 0 {
-		t.Fatalf("underlying table has %d cells after failed put", underlying.CellCount())
+	if cells := underlying.Scan(kvstore.ScanOptions{}); len(cells) != 0 {
+		t.Fatalf("underlying table has %d cells after failed put", len(cells))
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 // rewrites its slot in place; adding or deleting a cell renumbers the slots,
 // so it marks the array stale instead, and the next float read rebuilds it
 // in one walk under the write lock, as a scan rebuilds the sorted row list.
-// A table nobody reads through ScanColumns, ScanState or ScanFloatRows never
+// A table nobody reads through ScanColumns or ScanFloatRows never
 // builds one.
 type floatArray struct {
 	// keys is a fresh slice at every rebuild and never written after it:
@@ -55,14 +55,6 @@ type floatView struct {
 	keys  []string
 	slots []int
 	lo    int
-}
-
-// slot returns the slot of the view's k-th element.
-func (v *floatView) slot(k int) int {
-	if v.slots == nil {
-		return v.lo + k
-	}
-	return v.slots[k]
 }
 
 // cellsChangedLocked marks the float array stale, and the write plan
@@ -250,14 +242,6 @@ func readFloats[S any](t *Table, find func(f *floatArray) *S, build func(f *floa
 	read(f, build(f))
 }
 
-// readView runs read with the table's float array and opts' view of it (see
-// readFloats). opts.Limit is ignored.
-func (t *Table) readView(opts ScanOptions, read func(f *floatArray, v *floatView)) {
-	opts.Limit = 0
-	readFloats(t, func(f *floatArray) *floatView { return f.view(opts) },
-		func(f *floatArray) *floatView { return t.viewLocked(f, opts) }, read)
-}
-
 // ScanColumns is the ι/ε snapshot: the float cells matching opts (Limit
 // aside) as Columns keyed by the canonical element key "row/column", in key
 // order, with the table's mutation version at the time of the read — a
@@ -273,7 +257,10 @@ func (t *Table) readView(opts ScanOptions, read func(f *floatArray, v *floatView
 // keys collide (row "a/b" column "c", row "a" column "b/c") yield one
 // element: the later cell in (row, column) order wins.
 func (t *Table) ScanColumns(opts ScanOptions) (c metric.Columns, version uint64) {
-	t.readView(opts, func(f *floatArray, v *floatView) {
+	opts.Limit = 0
+	find := func(f *floatArray) *floatView { return f.view(opts) }
+	build := func(f *floatArray) *floatView { return t.viewLocked(f, opts) }
+	readFloats(t, find, build, func(f *floatArray, v *floatView) {
 		vals := make([]float64, len(v.keys))
 		if v.slots == nil {
 			copy(vals, f.vals[v.lo:])
@@ -286,18 +273,4 @@ func (t *Table) ScanColumns(opts ScanOptions) (c metric.Columns, version uint64)
 	})
 	t.store.ins.Load().scanned(len(c.Keys))
 	return c, version
-}
-
-// ScanState is ScanColumns returning a metric.State: the same elements, read
-// from the same float array, with nothing allocated but the result.
-func (t *Table) ScanState(opts ScanOptions) (elems metric.State, version uint64) {
-	t.readView(opts, func(f *floatArray, v *floatView) {
-		elems = make(metric.State, len(v.keys))
-		for k, key := range v.keys {
-			elems[k] = metric.Elem{Key: key, Val: f.vals[v.slot(k)]}
-		}
-		version = t.version
-	})
-	t.store.ins.Load().scanned(len(elems))
-	return elems, version
 }

@@ -19,9 +19,9 @@ import (
 // write left. After every operation it
 // requires Get, GetVersions and History to equal the model, and the table's
 // blob slots to match its versions (checkBlobs); and, unless the operation
-// skips them, the reads that build the float array: ScanColumns to equal
-// ScanState, and both to equal the float cells a plain Scan returns (keyed,
-// sorted and deduplicated as metric.NewState does), for a whole-table, a
+// skips them, the reads that build the float array: ScanColumns to equal the
+// float cells a plain Scan returns (keyed, sorted, the later of two colliding
+// keys kept; see floatColumns) at the model's version, for a whole-table, a
 // column-prefix and a row-prefix read; and ScanFloatRows of two column lists,
 // one naming a column no row has, to equal the rows and cells Scan returns.
 // Skipping them lets a repeated batch or grid write through the plan while
@@ -138,17 +138,9 @@ func FuzzTableColumns(f *testing.F) {
 				continue
 			}
 			for _, opts := range shapes {
-				var elems []metric.Elem
-				for _, c := range table.Scan(opts) {
-					if v, ok := c.FloatValue(); ok {
-						elems = append(elems, metric.Elem{Key: c.Key(), Val: v})
-					}
-				}
-				want := metric.ColumnsOf(metric.NewState(elems))
-				got, version := table.ScanColumns(opts)
-				state, stateVersion := table.ScanState(opts)
-				if !equalColumns(got, metric.ColumnsOf(state)) || version != stateVersion || !equalColumns(got, want) {
-					t.Fatalf("%+v: ScanColumns = %v @%d, ScanState %v @%d, scanned cells %v", opts, got, version, state, stateVersion, want)
+				want := floatColumns(table.Scan(opts))
+				if got, version := table.ScanColumns(opts); !equalColumns(got, want) || version != m.version {
+					t.Fatalf("%+v: ScanColumns = %v @%d, scanned cells %v, model @%d", opts, got, version, want, m.version)
 				}
 			}
 			cells := table.Scan(ScanOptions{})

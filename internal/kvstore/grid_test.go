@@ -12,7 +12,6 @@ import (
 	"sync"
 	"testing"
 
-	"smartflux/internal/metric"
 	"smartflux/internal/obs"
 )
 
@@ -218,19 +217,18 @@ func TestPutFloatRowsBesideStaleFloats(t *testing.T) {
 		func() { putGrid(t, table, large, cols, 70, 6) },
 	} {
 		grids()
-		var want metric.State
 		var wantRows []string
 		var wantVals []float64
-		for _, c := range table.Scan(ScanOptions{}) {
+		cells := table.Scan(ScanOptions{})
+		for _, c := range cells {
 			v, _ := c.FloatValue()
-			want = append(want, metric.Elem{Key: c.Key(), Val: v})
 			if len(wantRows) == 0 || wantRows[len(wantRows)-1] != c.Row {
 				wantRows = append(wantRows, c.Row)
 			}
 			wantVals = append(wantVals, v)
 		}
-		if got, _ := table.ScanColumns(ScanOptions{}); !equalColumns(got, metric.ColumnsOf(want)) {
-			t.Fatalf("step %d: ScanColumns = %v, Scan %v", step, got, want)
+		if got, _ := table.ScanColumns(ScanOptions{}); !equalColumns(got, floatColumns(cells)) {
+			t.Fatalf("step %d: ScanColumns = %v, Scan %v", step, got, cells)
 		}
 		table.ScanFloatRows(cols, func(keys []string, vals []float64, _ []bool) {
 			if !slices.Equal(keys, wantRows) || !slices.Equal(vals, wantVals) {
@@ -303,8 +301,8 @@ func TestPutFloatRowsRejectsEmptyKeys(t *testing.T) {
 			t.Fatalf("PutFloatRows(%q, %q) moved the clock %d → %d, the version %d → %d", tc.rows, tc.cols, clock, c, version, v)
 		}
 	}
-	if got, _ := table.GetFloat("r", "c"); got != 1 || table.CellCount() != 1 {
-		t.Errorf("table holds %d cells, r/c = %v; want the one cell, 1", table.CellCount(), got)
+	if got, _ := table.GetFloat("r", "c"); got != 1 || len(table.Scan(ScanOptions{})) != 1 {
+		t.Errorf("table holds %d cells, r/c = %v; want the one cell, 1", len(table.Scan(ScanOptions{})), got)
 	}
 }
 

@@ -129,8 +129,8 @@ func TestChaosClientRetriesThroughInjectedDisconnects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tbl.RowCount(); got != 100 {
-		t.Fatalf("rows = %d, want 100", got)
+	if got := len(tbl.Scan(kvstore.ScanOptions{})); got != 100 {
+		t.Fatalf("cells = %d, want 100 (one per row)", got)
 	}
 }
 

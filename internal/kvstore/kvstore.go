@@ -1001,21 +1001,3 @@ func (t *Table) scan(opts ScanOptions) []Cell {
 	arenaCopyValues(cells, total)
 	return cells
 }
-
-// RowCount returns the number of rows currently present.
-func (t *Table) RowCount() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.rows)
-}
-
-// CellCount returns the number of live cells.
-func (t *Table) CellCount() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	var n int
-	for _, r := range t.rows {
-		n += len(r.cols)
-	}
-	return n
-}

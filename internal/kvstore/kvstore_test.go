@@ -99,7 +99,7 @@ func TestDelete(t *testing.T) {
 	if _, ok := table.Get("r", "c"); ok {
 		t.Error("cell still present after delete")
 	}
-	if table.RowCount() != 0 {
+	if len(table.rows) != 0 {
 		t.Error("row should vanish when its last cell is deleted")
 	}
 	// Deleting again is a no-op.
@@ -175,7 +175,7 @@ func TestScansShareTheReadLock(t *testing.T) {
 		scan func() int // cells seen
 	}{
 		{"Scan", func() int { return len(table.Scan(ScanOptions{})) }},
-		{"ScanState", func() int { s, _ := table.ScanState(ScanOptions{}); return len(s) }},
+		{"ScanColumns", func() int { c, _ := table.ScanColumns(ScanOptions{}); return c.Len() }},
 		{"ScanFloatRows", func() int {
 			n := 0
 			table.ScanFloatRows([]string{"x"}, func(rows []string, _ []float64, _ []bool) { n = len(rows) })
@@ -256,8 +256,8 @@ func TestBatchAtomicVisibilityAndNotifications(t *testing.T) {
 	if err := table.Apply(batch); err != nil {
 		t.Fatal(err)
 	}
-	if table.CellCount() != 2 {
-		t.Errorf("cell count = %d, want 2", table.CellCount())
+	if n := len(table.Scan(ScanOptions{})); n != 2 {
+		t.Errorf("cell count = %d, want 2", n)
 	}
 	// Missing-cell delete produces no mutation.
 	if len(muts) != 3 {
@@ -271,7 +271,7 @@ func TestBatchValidatesBeforeApplying(t *testing.T) {
 	if err := table.Apply(batch); !errors.Is(err, ErrEmptyKey) {
 		t.Fatalf("want ErrEmptyKey, got %v", err)
 	}
-	if table.CellCount() != 0 {
+	if len(table.Scan(ScanOptions{})) != 0 {
 		t.Error("failed batch must leave the table untouched")
 	}
 	if err := table.Apply(nil); err != nil {
@@ -718,7 +718,7 @@ func TestFloatCodecRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPutGetFloatAndScanState(t *testing.T) {
+func TestPutGetFloatAndScanColumns(t *testing.T) {
 	table := newTestTable(t, TableOptions{})
 	if err := table.PutFloat("r1", "c", 1.5); err != nil {
 		t.Fatal(err)
@@ -739,36 +739,36 @@ func TestPutGetFloatAndScanState(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		opts ScanOptions
-		want metric.State
+		want metric.Columns
 	}{
-		{"all", ScanOptions{}, metric.State{{Key: "r1/c", Val: 1.5}, {Key: "r2/c", Val: 2.5}, {Key: "r2/d", Val: 3.5}}},
-		{"row prefix", ScanOptions{RowPrefix: "r1"}, metric.State{{Key: "r1/c", Val: 1.5}}},
-		{"row range", ScanOptions{StartRow: "r2", EndRow: "r3"}, metric.State{{Key: "r2/c", Val: 2.5}, {Key: "r2/d", Val: 3.5}}},
-		{"column prefix", ScanOptions{ColumnPrefix: "d"}, metric.State{{Key: "r2/d", Val: 3.5}}},
-		{"nothing", ScanOptions{RowPrefix: "x"}, metric.State{}},
+		{"all", ScanOptions{}, metric.Columns{Keys: []string{"r1/c", "r2/c", "r2/d"}, Vals: []float64{1.5, 2.5, 3.5}}},
+		{"row prefix", ScanOptions{RowPrefix: "r1"}, metric.Columns{Keys: []string{"r1/c"}, Vals: []float64{1.5}}},
+		{"row range", ScanOptions{StartRow: "r2", EndRow: "r3"}, metric.Columns{Keys: []string{"r2/c", "r2/d"}, Vals: []float64{2.5, 3.5}}},
+		{"column prefix", ScanOptions{ColumnPrefix: "d"}, metric.Columns{Keys: []string{"r2/d"}, Vals: []float64{3.5}}},
+		{"nothing", ScanOptions{RowPrefix: "x"}, metric.Columns{Keys: []string{}, Vals: []float64{}}},
 	} {
-		got, version := table.ScanState(tc.opts)
+		got, version := table.ScanColumns(tc.opts)
 		if !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("%s: ScanState = %v, want %v", tc.name, got, tc.want)
+			t.Errorf("%s: ScanColumns = %v, want %v", tc.name, got, tc.want)
 		}
 		if version != table.Version() {
-			t.Errorf("%s: ScanState version = %d, table at %d", tc.name, version, table.Version())
+			t.Errorf("%s: ScanColumns version = %d, table at %d", tc.name, version, table.Version())
 		}
 	}
 }
 
-// TestScanStateKeyOrder pins the two places where (row, column) order and
+// TestScanColumnsKeyOrder pins the two places where (row, column) order and
 // element-key order part ways: a row key that is a proper prefix of another
 // followed by a byte below '/', and two cells whose element keys collide.
-func TestScanStateKeyOrder(t *testing.T) {
+func TestScanColumnsKeyOrder(t *testing.T) {
 	table := newTestTable(t, TableOptions{})
 	for i, row := range []string{"a", "a-b", "a.b", "a0", "a b"} {
 		table.PutFloat(row, "c", float64(i))
 	}
-	got, _ := table.ScanState(ScanOptions{})
-	want := metric.State{{Key: "a b/c", Val: 4}, {Key: "a-b/c", Val: 1}, {Key: "a.b/c", Val: 2}, {Key: "a/c", Val: 0}, {Key: "a0/c", Val: 3}}
+	got, _ := table.ScanColumns(ScanOptions{})
+	want := metric.Columns{Keys: []string{"a b/c", "a-b/c", "a.b/c", "a/c", "a0/c"}, Vals: []float64{4, 1, 2, 0, 3}}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("prefix rows: ScanState = %v, want %v", got, want)
+		t.Errorf("prefix rows: ScanColumns = %v, want %v", got, want)
 	}
 
 	// Row "a" column "b/c" and row "a/b" column "c" are both "a/b/c": one
@@ -777,40 +777,40 @@ func TestScanStateKeyOrder(t *testing.T) {
 	table.PutFloat("a/b", "c", 2)
 	table.PutFloat("a", "b/c", 1)
 	table.PutFloat("a", "z", 3)
-	want = metric.State{{Key: "a/b/c", Val: 2}, {Key: "a/z", Val: 3}}
+	want = metric.Columns{Keys: []string{"a/b/c", "a/z"}, Vals: []float64{2, 3}}
 	for i := 0; i < 20; i++ { // map-order independent
-		if got, _ := table.ScanState(ScanOptions{}); !reflect.DeepEqual(got, want) {
-			t.Fatalf("colliding keys: ScanState = %v, want %v", got, want)
+		if got, _ := table.ScanColumns(ScanOptions{}); !reflect.DeepEqual(got, want) {
+			t.Fatalf("colliding keys: ScanColumns = %v, want %v", got, want)
 		}
 	}
 }
 
-// TestScanStateCachedKeys checks the element keys a row keeps with its
+// TestScanColumnsCachedKeys checks the element keys a row keeps with its
 // cells: steady-state scans share key strings and allocate only the result,
 // and a cell deleted and reinserted — or a new column — has its key.
-func TestScanStateCachedKeys(t *testing.T) {
+func TestScanColumnsCachedKeys(t *testing.T) {
 	table := newTestTable(t, TableOptions{})
 	for i := 0; i < 50; i++ {
 		table.PutFloat("r"+strconv.Itoa(i), "v", float64(i))
 	}
-	first, _ := table.ScanState(ScanOptions{})
-	if allocs := testing.AllocsPerRun(20, func() { table.ScanState(ScanOptions{}) }); allocs > 1 {
-		t.Errorf("steady-state ScanState allocates %v objects, want 1 (the result)", allocs)
+	first, _ := table.ScanColumns(ScanOptions{})
+	if allocs := testing.AllocsPerRun(20, func() { table.ScanColumns(ScanOptions{}) }); allocs > 1 {
+		t.Errorf("steady-state ScanColumns allocates %v objects, want 1 (the values)", allocs)
 	}
 
 	table.Delete("r7", "v")
-	if got, _ := table.ScanState(ScanOptions{}); len(got) != 49 {
-		t.Fatalf("after delete: %d elements, want 49", len(got))
+	if got, _ := table.ScanColumns(ScanOptions{}); got.Len() != 49 {
+		t.Fatalf("after delete: %d elements, want 49", got.Len())
 	}
 	table.PutFloat("r7", "v", 70)
 	table.PutFloat("r7", "w", 71)
-	got, _ := table.ScanState(ScanOptions{RowPrefix: "r7"})
-	want := metric.State{{Key: "r7/v", Val: 70}, {Key: "r7/w", Val: 71}}
+	got, _ := table.ScanColumns(ScanOptions{RowPrefix: "r7"})
+	want := metric.Columns{Keys: []string{"r7/v", "r7/w"}, Vals: []float64{70, 71}}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("after reinsert: ScanState = %v, want %v", got, want)
+		t.Errorf("after reinsert: ScanColumns = %v, want %v", got, want)
 	}
-	if len(first) != 50 || first[0] != (metric.Elem{Key: "r0/v", Val: 0}) {
-		t.Errorf("an earlier state changed under later writes: %v", first[:1])
+	if first.Len() != 50 || first.Keys[0] != "r0/v" || first.Vals[0] != 0 {
+		t.Errorf("an earlier state changed under later writes: %v %v", first.Keys[:1], first.Vals[:1])
 	}
 }
 
@@ -848,10 +848,8 @@ func TestTableVersion(t *testing.T) {
 		table.Get("r", "c")
 		table.GetVersions("r", "c", 0)
 		table.Scan(ScanOptions{})
-		table.ScanState(ScanOptions{})
+		table.ScanColumns(ScanOptions{})
 		table.ScanPagesShared(ScanOptions{}, 0, func([]Cell, bool) error { return nil })
-		table.RowCount()
-		table.CellCount()
 	})
 }
 
@@ -874,8 +872,8 @@ func TestConcurrentAccess(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if table.RowCount() != 8 {
-		t.Errorf("RowCount = %d, want 8", table.RowCount())
+	if n := len(table.Scan(ScanOptions{})); n != 8 {
+		t.Errorf("%d cells, want 8 (one per row)", n)
 	}
 }
 

@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -120,7 +121,7 @@ func (m *refTable) sorted() []refCell {
 }
 
 // Row keys include "a" and "a-b": row order and element-key order part ways
-// there ('-' sorts below '/'), so ScanState's re-sort is exercised too. The
+// there ('-' sorts below '/'), so ScanColumns' re-sort is exercised too. The
 // "w" columns let a row grow wider than narrowRow, so both of row.index's
 // lookups are exercised; modelFloatCols are ScanFloatRows projections, one
 // naming a column no row has.
@@ -135,17 +136,17 @@ var (
 		{StartRow: "a-b", EndRow: "r10"},
 		{Limit: 3},
 	}
-	// modelColumnScans are the ScanColumns selections compared with
-	// ScanState: the whole table, a column prefix and a row prefix.
+	// modelColumnScans are the ScanColumns selections whose Keys are checked
+	// for sharing: the whole table, a column prefix and a row prefix.
 	modelColumnScans = []ScanOptions{{}, {ColumnPrefix: "c"}, {RowPrefix: "r1"}}
 )
 
 // TestTableMatchesReferenceModel runs seeded random sequences of Put, Delete,
 // Apply, ReplayPut and ReplayDelete on a table and on the reference, and after
 // every operation compares every read: Scan, ScanPagesShared at page sizes 1,
-// 2 and 256, ScanState, ScanFloatRows (with its column lists as given and
-// built at run time), History, Get, GetVersions, CellCount, RowCount, Version
-// and the store clock, and ScanColumns with ScanState (see compareColumns);
+// 2 and 256, ScanColumns, ScanFloatRows (with its column lists as given and
+// built at run time), History, Get, GetVersions, the row count, Version and
+// the store clock, and when ScanColumns shares its Keys (see compareColumns);
 // and checks the table's blob slots (see checkBlobs). The sequences include
 // batches whose deletes empty a row that later ops of the same batch write
 // again, out-of-order and duplicate replays into full windows, rows wider
@@ -659,8 +660,9 @@ func hasFloat(row map[string][]Version) bool {
 	return false
 }
 
-// compareColumns checks ScanColumns against ScanState for each of
-// modelColumnScans, and returns what it read. Two reads with no write between
+// compareColumns checks the Keys ScanColumns returns for each of
+// modelColumnScans (compareWithModel checks their contents), and returns what
+// it read. Two reads with no write between
 // them share their Keys. Against prev, the reads after the operation before:
 // an operation that added, deleted and flipped no cell keeps the Keys, and one
 // that added or deleted a cell replaces them.
@@ -670,12 +672,7 @@ func compareColumns(table *Table, prev []metric.Columns, cellsChanged, flipped b
 	}
 	var reads []metric.Columns
 	for k, opts := range modelColumnScans {
-		got, version := table.ScanColumns(opts)
-		state, stateVersion := table.ScanState(opts)
-		want := metric.ColumnsOf(state)
-		if !slices.Equal(got.Keys, want.Keys) || !slices.Equal(got.Vals, want.Vals) || version != stateVersion {
-			return nil, fmt.Errorf("ScanColumns(%+v) = %v @%d, ScanState %v @%d", opts, got, version, state, stateVersion)
-		}
+		got, _ := table.ScanColumns(opts)
 		if got.Len() > 0 {
 			if again, _ := table.ScanColumns(opts); !sharesKeys(got, again) {
 				return nil, fmt.Errorf("two ScanColumns(%+v) with no write between them do not share Keys", opts)
@@ -725,12 +722,29 @@ func applyOps(t *testing.T, table *Table, ops []Op, pooled bool) {
 	}
 }
 
+// floatColumns is the ι/ε snapshot of cells given in (row, column) order:
+// their float values keyed "row/column" in key order, the later of two cells
+// whose keys collide kept.
+func floatColumns(cells []Cell) metric.Columns {
+	vals := make(map[string]float64)
+	for _, c := range cells {
+		if v, ok := c.FloatValue(); ok {
+			vals[c.Key()] = v
+		}
+	}
+	keys := slices.Sorted(maps.Keys(vals))
+	c := metric.Columns{Keys: keys, Vals: make([]float64, len(keys))}
+	for i, key := range keys {
+		c.Vals[i] = vals[key]
+	}
+	return c
+}
+
 // compareWithModel checks every read of table against the reference.
 func compareWithModel(table *Table, m *refTable) error {
 	cells := m.sorted()
 	for _, opts := range modelScan {
 		var want []Cell
-		var elems []metric.Elem
 		for _, c := range cells {
 			if opts.StartRow != "" && c.row < opts.StartRow || opts.EndRow != "" && c.row >= opts.EndRow ||
 				!strings.HasPrefix(c.row, opts.RowPrefix) || !strings.HasPrefix(c.col, opts.ColumnPrefix) {
@@ -739,9 +753,6 @@ func compareWithModel(table *Table, m *refTable) error {
 			latest := c.versions[len(c.versions)-1]
 			if opts.Limit == 0 || len(want) < opts.Limit {
 				want = append(want, Cell{Row: c.row, Column: c.col, Version: latest})
-			}
-			if v, err := DecodeFloat(latest.Value); err == nil {
-				elems = append(elems, metric.Elem{Key: c.row + "/" + c.col, Val: v})
 			}
 		}
 		got := table.Scan(opts)
@@ -770,11 +781,10 @@ func compareWithModel(table *Table, m *refTable) error {
 			}
 		}
 		if opts.Limit > 0 {
-			continue // ScanState has no limit
+			continue // ScanColumns has no limit
 		}
-		state, version := table.ScanState(opts)
-		if wantState := metric.NewState(elems); !slices.Equal(state, wantState) || version != m.version {
-			return fmt.Errorf("ScanState(%+v) = %v @%d, want %v @%d", opts, state, version, wantState, m.version)
+		if got, version := table.ScanColumns(opts); !equalColumns(got, floatColumns(want)) || version != m.version {
+			return fmt.Errorf("ScanColumns(%+v) = %v @%d, want %v @%d", opts, got, version, floatColumns(want), m.version)
 		}
 	}
 
@@ -815,11 +825,8 @@ func compareWithModel(table *Table, m *refTable) error {
 	if err := compareCells(table, m, modelRows, modelCols); err != nil {
 		return err
 	}
-	if got := table.CellCount(); got != len(cells) {
-		return fmt.Errorf("CellCount = %d, want %d", got, len(cells))
-	}
-	if got := table.RowCount(); got != len(m.cells) {
-		return fmt.Errorf("RowCount = %d, want %d", got, len(m.cells))
+	if got := len(table.rows); got != len(m.cells) {
+		return fmt.Errorf("%d rows, want %d", got, len(m.cells))
 	}
 	if got := table.Version(); got != m.version {
 		return fmt.Errorf("Version = %d, want %d", got, m.version)

@@ -32,7 +32,7 @@ func TestStoreInstrumented(t *testing.T) {
 		t.Fatal(err)
 	}
 	cells := table.Scan(ScanOptions{})
-	state, _ := table.ScanState(ScanOptions{})
+	state, _ := table.ScanColumns(ScanOptions{})
 	// A projected read is one scan of the float cells it finds: "c" of
 	// row q, "x" of row b; row b has no "c".
 	table.ScanFloatRows([]string{"c", "x"}, func([]string, []float64, []bool) {})
@@ -50,11 +50,11 @@ func TestStoreInstrumented(t *testing.T) {
 	if got := snap.Counters[`smartflux_kvstore_ops_total{op="get"}`]; got != 2 {
 		t.Errorf("gets = %d, want 2", got)
 	}
-	// Snapshot scans (ScanState) and projected reads count as scans too.
+	// Snapshot scans (ScanColumns) and projected reads count as scans too.
 	if got := snap.Counters[`smartflux_kvstore_ops_total{op="scan"}`]; got != 3 {
 		t.Errorf("scans = %d, want 3", got)
 	}
-	if got, want := snap.Counters["smartflux_kvstore_scan_cells_total"], uint64(len(cells)+len(state)+projected); got != want {
+	if got, want := snap.Counters["smartflux_kvstore_scan_cells_total"], uint64(len(cells)+state.Len()+projected); got != want {
 		t.Errorf("scan cells = %d, want %d", got, want)
 	}
 }

@@ -8,8 +8,6 @@ import (
 	"strconv"
 	"sync"
 	"testing"
-
-	"smartflux/internal/metric"
 )
 
 // raceEnabled reports a -race build. Its instrumentation changes what
@@ -256,8 +254,8 @@ func TestScanColumnsBesideApply(t *testing.T) {
 	last := 0.0
 	for last < batches {
 		c, _ := table.ScanColumns(ScanOptions{ColumnPrefix: "a"})
-		state, _ := table.ScanState(ScanOptions{RowPrefix: "r"})
-		for _, vals := range [][]float64{c.Vals[:len(rows)], metric.ColumnsOf(state).Vals} {
+		state, _ := table.ScanColumns(ScanOptions{RowPrefix: "r"})
+		for _, vals := range [][]float64{c.Vals[:len(rows)], state.Vals} {
 			for _, v := range vals {
 				if v != vals[0] {
 					t.Fatalf("read a batch in part: %v", vals)

@@ -262,9 +262,6 @@ func (b *Buffer) U64(v uint64) {
 	b.b = binary.LittleEndian.AppendUint64(b.b, v)
 }
 
-// I64 appends a little-endian int64 (two's complement).
-func (b *Buffer) I64(v int64) { b.U64(uint64(v)) }
-
 // Bool appends a bool as one byte.
 func (b *Buffer) Bool(v bool) {
 	if v {
@@ -372,9 +369,6 @@ func (r *Reader) U64() uint64 {
 	}
 	return binary.LittleEndian.Uint64(s)
 }
-
-// I64 reads a little-endian int64.
-func (r *Reader) I64() int64 { return int64(r.U64()) }
 
 // Bool reads a one-byte bool; any nonzero byte is true.
 func (r *Reader) Bool() bool { return r.U8() != 0 }

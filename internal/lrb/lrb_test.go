@@ -237,7 +237,7 @@ func TestWorkflowEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatalf("table %s missing: %v", name, err)
 		}
-		if tbl.CellCount() == 0 {
+		if len(tbl.Scan(kvstore.ScanOptions{Limit: 1})) == 0 {
 			t.Errorf("table %s empty after 3 sync waves", name)
 		}
 	}

@@ -161,8 +161,8 @@ func TestDSLNeverReturnsNaN(t *testing.T) {
 func TestDSLUsableInTracker(t *testing.T) {
 	factory := mustParseDSL(t, "sum(absdelta) / (1 + baselinesum)")
 	tr := NewTracker(factory, ModeAccumulate)
-	tr.Observe(StateOf(map[string]float64{"a": 10}))
-	got := tr.Observe(StateOf(map[string]float64{"a": 13}))
+	tr.ObserveColumns(columnsOf(refState{"a": 10}))
+	got := tr.ObserveColumns(columnsOf(refState{"a": 13}))
 	want := 3.0 / 11.0
 	if math.Abs(got-want) > 1e-12 {
 		t.Errorf("tracker DSL value = %v, want %v", got, want)

@@ -2,7 +2,6 @@ package metric
 
 import (
 	"fmt"
-	"sort"
 
 	"smartflux/internal/stats"
 )
@@ -47,73 +46,17 @@ func ParseMode(s string) (Mode, error) {
 	}
 }
 
-// Elem is one element of a data container: its key ("row/column") and
-// numeric value.
-type Elem struct {
-	Key string
-	Val float64
-}
-
-// State is a point-in-time snapshot of a data container: its elements in
-// strictly increasing Key order. A State is immutable once built — trackers,
-// snapshot caches and checkpoints share states freely instead of copying
-// them — so construct one with NewState or StateOf and never write to it.
-type State []Elem
-
-// NewState takes ownership of elems and returns them as a State. Input that
-// is already strictly increasing by key — the common case, which costs one
-// pass and no allocation — is returned as is; anything else is stably sorted
-// and, where keys repeat, only the last element of each run is kept.
-func NewState(elems []Elem) State {
-	sorted := true
-	for i := 1; i < len(elems); i++ {
-		if elems[i-1].Key >= elems[i].Key {
-			sorted = false
-			break
-		}
-	}
-	if sorted {
-		return elems
-	}
-	sort.SliceStable(elems, func(i, j int) bool { return elems[i].Key < elems[j].Key })
-	out := elems[:0]
-	for i, e := range elems {
-		if i+1 < len(elems) && elems[i+1].Key == e.Key {
-			continue
-		}
-		out = append(out, e)
-	}
-	return out
-}
-
-// StateOf builds a State from an element-key → value map.
-func StateOf(m map[string]float64) State {
-	elems := make([]Elem, 0, len(m))
-	for k, v := range m {
-		elems = append(elems, Elem{Key: k, Val: v})
-	}
-	sort.Slice(elems, func(i, j int) bool { return elems[i].Key < elems[j].Key })
-	return elems
-}
-
-// Columns is a container state in columnar form: Keys strictly increasing,
-// Vals[i] the value of element Keys[i]. It is the form ι/ε snapshots take
-// (kvstore.Table.ScanColumns) and the form trackers hold their baselines in.
-// Like a State it is immutable once built and shared freely. Two snapshots of
+// Columns is a point-in-time state of a data container: Keys ("row/column")
+// strictly increasing, Vals[i] the value of element Keys[i]. It is the one
+// form container states take: ι/ε snapshots (kvstore.Table.ScanColumns),
+// tracker baselines, step outputs and the measured error's operands. A
+// Columns is immutable once built — trackers, snapshot caches and
+// checkpoints share it instead of copying — so never write to one. Two snapshots of
 // one unchanged key set share Keys — the same backing array at the same
 // length — and a tracker compares such a pair in a plain float loop.
 type Columns struct {
 	Keys []string
 	Vals []float64
-}
-
-// ColumnsOf converts a State to Columns.
-func ColumnsOf(s State) Columns {
-	c := Columns{Keys: make([]string, len(s)), Vals: make([]float64, len(s))}
-	for i, e := range s {
-		c.Keys[i], c.Vals[i] = e.Key, e.Val
-	}
-	return c
 }
 
 // Len returns the number of elements.
@@ -249,9 +192,6 @@ func (t *Tracker) ObserveColumns(state Columns) float64 {
 	return t.s.Current
 }
 
-// Observe is ObserveColumns for a State.
-func (t *Tracker) Observe(state State) float64 { return t.ObserveColumns(ColumnsOf(state)) }
-
 // Current returns the most recently observed metric value.
 func (t *Tracker) Current() float64 { return t.s.Current }
 
@@ -260,9 +200,6 @@ func (t *Tracker) Current() float64 { return t.s.Current }
 func (t *Tracker) CommitColumns(state Columns) {
 	t.s = PersistedTracker{Baseline: state, HasBaseline: true}
 }
-
-// Commit is CommitColumns for a State.
-func (t *Tracker) Commit(state State) { t.CommitColumns(ColumnsOf(state)) }
 
 // Persist captures the tracker's complete state; RestorePersisted must be
 // called on a tracker built with the same factory and mode.
@@ -277,9 +214,9 @@ func (t *Tracker) Reset() { t.s = PersistedTracker{} }
 // Evaluate runs a one-shot metric computation of current against baseline,
 // outside any tracker. The engine uses it to measure the live-vs-synchronous
 // output deviation (the paper's "measured error").
-func Evaluate(factory Factory, current, baseline State) float64 {
+func Evaluate(factory Factory, current, baseline Columns) float64 {
 	t := Tracker{factory: factory, mode: ModeCancellation}
-	return t.evaluate(ColumnsOf(current), ColumnsOf(baseline))
+	return t.evaluate(current, baseline)
 }
 
 // Combiner merges the per-predecessor impacts of a step with several inputs

@@ -52,6 +52,16 @@ func refEvaluate(factory Factory, state, baseline refState) float64 {
 	})
 }
 
+// columnsOf builds the Columns holding a reference state's elements.
+func columnsOf(s refState) Columns {
+	keys := sortedKeys(s)
+	vals := make([]float64, len(keys))
+	for i, key := range keys {
+		vals[i] = s[key]
+	}
+	return Columns{Keys: keys, Vals: vals}
+}
+
 // sortedKeys returns the state's keys in lexicographic order.
 func sortedKeys(s refState) []string {
 	keys := make([]string, 0, len(s))
@@ -157,13 +167,13 @@ func TestMergeJoinMatchesMapReference(t *testing.T) {
 				var state refState
 				for step := 0; step < 60; step++ {
 					state = nextRefState(rng, state)
-					got, want := tr.Observe(StateOf(state)), ref.observe(state)
+					got, want := tr.ObserveColumns(columnsOf(state)), ref.observe(state)
 					if math.Float64bits(got) != math.Float64bits(want) {
 						t.Fatalf("%s %v seed %d step %d: Observe = %v (%#x), reference %v (%#x)",
 							name, mode, seed, step, got, math.Float64bits(got), want, math.Float64bits(want))
 					}
 					if rng.Intn(5) == 0 {
-						tr.Commit(StateOf(state))
+						tr.CommitColumns(columnsOf(state))
 						ref.commit(state)
 					}
 				}
@@ -222,20 +232,6 @@ func TestSharedKeysMatchMergeJoin(t *testing.T) {
 	}
 }
 
-func TestNewState(t *testing.T) {
-	sorted := []Elem{{"a", 1}, {"b", 2}, {"c", 3}}
-	if got := NewState(sorted); &got[0] != &sorted[0] || len(got) != 3 {
-		t.Error("already-sorted input must be returned as is")
-	}
-	got := NewState([]Elem{{"b", 1}, {"a", 2}, {"b", 3}, {"a", 4}, {"c", 5}})
-	if want := (State{{"a", 4}, {"b", 3}, {"c", 5}}); !reflect.DeepEqual(got, want) {
-		t.Errorf("NewState = %v, want %v (sorted, the last of equal keys kept)", got, want)
-	}
-	if got := StateOf(nil); len(got) != 0 {
-		t.Errorf("StateOf(nil) = %v", got)
-	}
-}
-
 // TestObserveAllocations guards the hot path: one observation of a
 // 1000-element container, merge-joined or of shared keys, allocates the
 // Metric the factory returns and nothing else.
@@ -248,7 +244,7 @@ func TestObserveAllocations(t *testing.T) {
 		cur[key] = prev[key] + float64(i%3)
 	}
 	delete(cur, "ra/a") // take the deletion pass too
-	state, baseline := ColumnsOf(StateOf(cur)), ColumnsOf(StateOf(prev))
+	state, baseline := columnsOf(cur), columnsOf(prev)
 	shared := Columns{Keys: baseline.Keys, Vals: make([]float64, baseline.Len())}
 	for i, v := range baseline.Vals {
 		shared.Vals[i] = v + float64(i%3)
@@ -296,20 +292,20 @@ func TestPersistedTrackerHoldsOneState(t *testing.T) {
 		return buf.Len()
 	}
 	rng := rand.New(rand.NewSource(1))
-	wave := func() State {
-		elems := make([]Elem, 1000)
-		for i := range elems {
-			elems[i] = Elem{Key: "r" + strconv.Itoa(1000+i) + "/v", Val: rng.NormFloat64()}
+	wave := func() Columns {
+		c := Columns{Keys: make([]string, 1000), Vals: make([]float64, 1000)}
+		for i := range c.Keys {
+			c.Keys[i], c.Vals[i] = "r"+strconv.Itoa(1000+i)+"/v", rng.NormFloat64()
 		}
-		return NewState(elems)
+		return c
 	}
 	for _, mode := range []Mode{ModeCancellation, ModeAccumulate} {
 		tr := NewTracker(NewRelativeImpact, mode)
-		tr.Observe(wave())
-		tr.Commit(wave())
+		tr.ObserveColumns(wave())
+		tr.CommitColumns(wave())
 		last := wave()
-		tr.Observe(last)
-		if got, limit := gobLen(tr.Persist()), gobLen(ColumnsOf(last))*11/10; got >= limit {
+		tr.ObserveColumns(last)
+		if got, limit := gobLen(tr.Persist()), gobLen(last)*11/10; got >= limit {
 			t.Errorf("%v: persisted tracker encodes to %d bytes, want < %d (1.1x one 1000-element state)", mode, got, limit)
 		}
 	}

@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 )
 
 // Errors shared by classifiers.
@@ -124,21 +123,6 @@ func (d Dataset) Tail(n int) Dataset {
 		n = d.Len()
 	}
 	return Dataset{X: d.X[n:], Y: d.Y[n:]}
-}
-
-// Bootstrap draws a size-Len sample with replacement using rng.
-func (d Dataset) Bootstrap(rng *rand.Rand) Dataset {
-	idx := make([]int, d.Len())
-	for i := range idx {
-		idx[i] = rng.Intn(d.Len())
-	}
-	return d.Subset(idx)
-}
-
-// Shuffled returns a permuted copy of the dataset using rng.
-func (d Dataset) Shuffled(rng *rand.Rand) Dataset {
-	idx := rng.Perm(d.Len())
-	return d.Subset(idx)
 }
 
 // Classifier is a binary classifier. Fit trains on a dataset; Score returns

@@ -104,15 +104,6 @@ func TestDatasetHelpers(t *testing.T) {
 	if sub.Len() != 3 || sub.Y[1] != d.Y[2] {
 		t.Error("Subset mismapped")
 	}
-	rng := rand.New(rand.NewSource(2))
-	boot := d.Bootstrap(rng)
-	if boot.Len() != d.Len() {
-		t.Error("Bootstrap must preserve size")
-	}
-	shuffled := d.Shuffled(rng)
-	if shuffled.Len() != d.Len() {
-		t.Error("Shuffled must preserve size")
-	}
 	if d.Positives() == 0 || d.Positives() == d.Len() {
 		t.Error("separable dataset should have both classes")
 	}

@@ -68,14 +68,20 @@ func (c Container) Overlaps(o Container) bool {
 	return containersOverlap(c, o)
 }
 
-// Snapshot reads the container's current numeric state from the store.
-// Missing tables yield an empty state.
+// Snapshot reads the container's current numeric state from the store as an
+// element list; a missing table yields an empty state. The engine reads
+// containers as metric.Columns (kvstore.Table.ScanColumns): Snapshot is the
+// frozen benchmark's adapter; delete it with ROADMAP.md item 4(b).
 func (c Container) Snapshot(store *kvstore.Store) metric.State {
 	t, err := store.Table(c.Table)
 	if err != nil {
 		return nil
 	}
-	state, _ := t.ScanState(kvstore.ScanOptions{ColumnPrefix: c.ColumnPrefix})
+	cols, _ := t.ScanColumns(kvstore.ScanOptions{ColumnPrefix: c.ColumnPrefix})
+	state := make(metric.State, cols.Len())
+	for i, key := range cols.Keys {
+		state[i] = metric.Elem{Key: key, Val: cols.Vals[i]}
+	}
 	return state
 }
 

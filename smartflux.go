@@ -150,18 +150,15 @@ type (
 	MetricFactory = metric.Factory
 	// Mode selects baseline semantics (accumulate vs cancellation).
 	Mode = metric.Mode
-	// State is an immutable snapshot of a container's numeric contents:
-	// its {Key, Val} elements sorted by key ("row/column").
-	// Table.ScanState and Instance.OutputState return one; StateOf builds
-	// one from a map.
-	State = metric.State
+	// Columns is an immutable snapshot of a container's numeric contents:
+	// Keys ("row/column") strictly increasing, Vals[i] the value of Keys[i].
+	// Table.ScanColumns and Instance.OutputState return one; a tracker
+	// observes and commits one (MetricTracker.ObserveColumns, CommitColumns).
+	Columns = metric.Columns
 	// MetricTracker holds a metric's baseline across waves (the
 	// Monitoring component's per-container bookkeeping).
 	MetricTracker = metric.Tracker
 )
-
-// StateOf builds a State from an element-key → value map.
-func StateOf(m map[string]float64) State { return metric.StateOf(m) }
 
 // NewMetricTracker creates a tracker that applies a (possibly custom §4.2)
 // metric across waves under the given baseline mode.
