@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt-check lint lint-report lint-diff check chaos chaos-crash chaos-cluster chaos-partition chaos-trace examples-smoke bench bench-e2e bench-e2e-smoke bench-pairs loc clusterbench clusterbench-smoke fuzz stress
+.PHONY: all build test race vet fmt-check lint lint-report lint-diff check chaos chaos-crash chaos-cluster chaos-partition chaos-trace examples-smoke bench bench-smoke bench-e2e bench-e2e-smoke bench-pairs loc clusterbench clusterbench-smoke fuzz stress
 
 all: check
 
@@ -186,11 +186,12 @@ fuzz:
 
 ## stress: the engine's scheduler tests 50 times over under the race
 ## detector (nightly CI job) — wave determinism, the schedule digests at
-## Parallelism 1, 2 and 4, branch overlap, the error rule and the gated chain
-## the coordinator keeps — so a rare interleaving of the claim that decides
-## who runs a no-decision step gets many chances to show
+## Parallelism 1, 2 and 4, branch overlap, the error rule, the gated chain
+## the coordinator keeps and the rewind of failed and retried waves to the
+## trackers' pinned baselines — so a rare interleaving of the claim that
+## decides who runs a no-decision step gets many chances to show
 stress:
-	$(GO) test -race -count=50 -run 'TestParallel|TestScheduleDigests|TestIndependentBranchesOverlap|TestDoomedWave|TestFailedStepStops|TestGatedChain' ./internal/engine/
+	$(GO) test -race -count=50 -run 'TestParallel|TestScheduleDigests|TestIndependentBranchesOverlap|TestDoomedWave|TestFailedStepStops|TestGatedChain|TestFailedWaveRewindsOwnedBaselines' ./internal/engine/
 
 ## examples-smoke: run the quickstart, custommetric, airquality and linearroad
 ## examples (each well under a second once built) and diff each one's stdout
@@ -205,15 +206,22 @@ examples-smoke:
 
 ## check: the pre-PR gate — build, vet, gofmt, lint, tests, race, chaos,
 ## chaos-crash, chaos-cluster, chaos-partition, the examples smoke, and the
-## clusterbench/pipeline-benchmark smoke passes
-check: build vet fmt-check lint test race chaos chaos-crash chaos-cluster chaos-partition examples-smoke clusterbench-smoke bench-e2e-smoke
+## root-benchmark/clusterbench/pipeline-benchmark smoke passes
+check: build vet fmt-check lint test race chaos chaos-crash chaos-cluster chaos-partition examples-smoke bench-smoke clusterbench-smoke bench-e2e-smoke
 
 ## loc: non-test Go lines outside the frozen benchmark — the figure a
 ## code-diet PR reports before and after
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './internal/analysis/testdata/*' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l
 
-## bench: overhead microbenchmarks (§5.3 + instrumentation overhead), each
+## bench-smoke: one iteration of each overhead microbenchmark, each Linear
+## Road processor and the Linear Road wave at Parallelism 1 and 2 — numbers
+## meaningless; a benchmark that fails at run time fails it; part of make check
+bench-smoke:
+	$(GO) test -run xxx -bench 'BenchmarkOverhead|BenchmarkLRBSteps|BenchmarkLRBWaveParallelism' -benchtime 1x .
+
+## bench: overhead microbenchmarks (§5.3 + instrumentation overhead, and the
+## store's cost of a changing key set, BenchmarkOverheadKVStoreChurn), each
 ## Linear Road processor at steady state, the serial-vs-parallel
 ## microbenchmarks, one Linear Road wave at Parallelism 1 and 2 and the
 ## cluster comparison (BENCH_PR10.json); the WAL's

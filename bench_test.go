@@ -279,7 +279,7 @@ func BenchmarkOverheadKVStorePutFloatRows(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			table, rows, cols, _ := lrbReportsTable(b)
 			if snapshotted {
-				table.ScanColumns(kvstore.ScanOptions{})
+				table.ScanColumns(kvstore.ScanOptions{}, nil)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -318,7 +318,7 @@ func BenchmarkOverheadKVStoreScanColumns(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if got, _ := table.ScanColumns(tc.opts); got.Len() != tc.want {
+				if got, _ := table.ScanColumns(tc.opts, nil); got.Len() != tc.want {
 					b.Fatal("short scan")
 				}
 			}
@@ -340,6 +340,55 @@ func BenchmarkOverheadKVStoreScanFloatRows(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				table.ScanFloatRows(proj, func(keys []string, vals []float64, _ []bool) {
 					if len(keys) != len(rows) || len(vals) != len(rows)*len(proj) {
+						b.Fatal("short scan")
+					}
+				})
+			}
+		})
+	}
+}
+
+// BenchmarkOverheadKVStoreChurn measures what a changing key set costs the
+// in-memory store: each op replaces 0, 1, 12 or 120 of an LRB-shaped table's
+// 1 200 rows — deletes a row's three cells and names a new row in its place,
+// as vehicles leave and enter — then runs one 1 200 × 3 PutFloatRows, one
+// whole-table ScanColumns into a reused buffer, as the engine's snapshot
+// cache reads, and one 3-column ScanFloatRows.
+func BenchmarkOverheadKVStoreChurn(b *testing.B) {
+	for _, replaced := range []int{0, 1, 12, 120} {
+		b.Run("replace="+strconv.Itoa(replaced), func(b *testing.B) {
+			table, rows, cols, _ := lrbReportsTable(b)
+			next := len(rows)
+			var vals []float64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for k := 0; k < replaced; k++ {
+					j := (i*replaced + k) % len(rows)
+					for _, col := range cols {
+						if err := table.Delete(rows[j], col); err != nil {
+							b.Fatal(err)
+						}
+					}
+					rows[j] = "v" + strconv.Itoa(next)
+					next++
+				}
+				v := float64(i)
+				err := table.PutFloatRows(rows, cols, func(vals []float64) {
+					for k := range vals {
+						vals[k] = v
+					}
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				var snap metric.Columns
+				if snap, _ = table.ScanColumns(kvstore.ScanOptions{}, vals); snap.Len() != len(rows)*len(cols) {
+					b.Fatal("short scan")
+				}
+				vals = snap.Vals
+				table.ScanFloatRows(cols, func(keys []string, vals []float64, _ []bool) {
+					if len(keys) != len(rows) || len(vals) != len(rows)*len(cols) {
 						b.Fatal("short scan")
 					}
 				})
@@ -392,7 +441,7 @@ func BenchmarkOverheadKVStoreScan(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got, _ := table.ScanColumns(kvstore.ScanOptions{}); got.Len() != 1000 {
+		if got, _ := table.ScanColumns(kvstore.ScanOptions{}, nil); got.Len() != 1000 {
 			b.Fatal("short scan")
 		}
 	}

@@ -104,7 +104,7 @@ func main() {
 		}
 
 		// A snapshot is immutable Columns, so one serves both trackers.
-		snapshot, _ := table.ScanColumns(smartflux.ScanOptions{})
+		snapshot, _ := table.ScanColumns(smartflux.ScanOptions{}, nil)
 		iota := impact.ObserveColumns(snapshot)
 		eps := errTracker.ObserveColumns(snapshot)
 

@@ -421,10 +421,10 @@ func (h *Harness) ResumeRun(res *Result, waves int, decider Decider) error {
 			}
 		}
 		if err != nil {
-			// An instance whose wave failed is at pre already, so
+			// An instance whose wave failed is at its mark already, so
 			// rewinding it again changes nothing.
-			h.ref.applyPersisted(ref.pre)
-			h.live.applyPersisted(live.pre)
+			h.ref.rewind()
+			h.live.rewind()
 			return err
 		}
 		res.RefLabels = append(res.RefLabels, ref.res.Labels)
@@ -448,26 +448,26 @@ func (h *Harness) ResumeRun(res *Result, waves int, decider Decider) error {
 	return nil
 }
 
-// waveRun is one instance's part of a harness wave: the state it started
-// from, and what it produced or the error that ended it.
+// waveRun is one instance's part of a harness wave: what it produced, or the
+// error that ended it.
 type waveRun struct {
-	pre InstancePersist
 	res WaveResult
 	err error
 }
 
 // runWave executes one wave of an instance, re-running it from its pre-wave
-// checkpoint up to WaveRetries times on failure. RunWave's rollback makes
+// mark up to WaveRetries times on failure. The rewind to the mark makes
 // retries start from identical tracker state; only the store keeps any
 // partial writes, which deterministic processors overwrite with identical
 // latest values (DESIGN.md §10).
 func (h *Harness) runWave(in *Instance, d Decider, which string, w int) waveRun {
-	run := waveRun{pre: in.PersistState()}
+	var run waveRun
+	in.mark()
 	for attempt := 0; attempt <= h.cfg.WaveRetries; attempt++ {
 		if attempt > 0 {
 			h.waveRetries.Inc() // nil-safe no-op when uninstrumented
 		}
-		if run.res, run.err = in.runWaveFrom(run.pre, d); run.err == nil {
+		if run.res, run.err = in.runMarked(d); run.err == nil {
 			return run
 		}
 	}

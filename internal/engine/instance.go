@@ -74,13 +74,15 @@ type stepState struct {
 	impactCombine  metric.Combiner
 	errorTrackers  []*metric.Tracker
 	errorFactory   metric.Factory
+	impactVals     []float64 // this wave's per-input impacts, for impactCombine
 
 	// preds holds the positions in Instance.order of the step's DAG
 	// predecessors.
 	preds []int
 
-	lastExecWave int // -1 until the step has executed
-	execCount    int
+	lastExecWave                    int // -1 until the step has executed
+	execCount                       int
+	markLastExecWave, markExecCount int // the counters at the latest mark
 }
 
 // WaveResult reports what happened during one wave of an instance.
@@ -148,6 +150,9 @@ type Instance struct {
 
 	impacts []float64 // last-known impacts, by gated index
 	wave    int
+	// markImpacts and markWave are impacts and wave at the latest mark.
+	markImpacts []float64
+	markWave    int
 
 	// snaps caches the latest scan of every container the workflow
 	// references, across waves (see containerSnapshot). The map itself is
@@ -317,19 +322,20 @@ func NewInstance(wf *workflow.Workflow, store *kvstore.Store, cfg InstanceConfig
 		par = runtime.GOMAXPROCS(0)
 	}
 	in := &Instance{
-		wf:       wf,
-		store:    store,
-		cfg:      cfg,
-		par:      par,
-		pool:     make(chan struct{}, par),
-		order:    order,
-		gated:    gated,
-		gatedIdx: make(map[workflow.StepID]int, len(gated)),
-		states:   make([]*stepState, len(order)),
-		posOf:    make(map[workflow.StepID]int, len(order)),
-		impacts:  make([]float64, len(gated)),
-		jitter:   rand.New(rand.NewSource(cfg.RetrySeed)),
-		snaps:    make(map[workflow.Container]*containerSnapshot),
+		wf:          wf,
+		store:       store,
+		cfg:         cfg,
+		par:         par,
+		pool:        make(chan struct{}, par),
+		order:       order,
+		gated:       gated,
+		gatedIdx:    make(map[workflow.StepID]int, len(gated)),
+		states:      make([]*stepState, len(order)),
+		posOf:       make(map[workflow.StepID]int, len(order)),
+		impacts:     make([]float64, len(gated)),
+		markImpacts: make([]float64, len(gated)),
+		jitter:      rand.New(rand.NewSource(cfg.RetrySeed)),
+		snaps:       make(map[workflow.Container]*containerSnapshot),
 	}
 	for i, id := range gated {
 		in.gatedIdx[id] = i
@@ -366,6 +372,7 @@ func NewInstance(wf *workflow.Workflow, store *kvstore.Store, cfg InstanceConfig
 			}
 			st.impactCombine = combiner
 			st.errorFactory = errorFactory
+			st.impactVals = make([]float64, len(step.Inputs))
 			for range step.Inputs {
 				st.impactTrackers = append(st.impactTrackers, metric.NewTracker(impactFactory, step.QoD.Mode))
 			}
@@ -471,58 +478,63 @@ func (in *Instance) ExecCount(id workflow.StepID) int {
 // so a container nobody wrote since it was last observed is not rescanned,
 // and nothing has to invalidate entries: executions, degraded-step rollbacks,
 // hypothetical runs and failed waves all show up as a version change (or, for
-// DropTable + recreate, a different table).
+// DropTable + recreate, a different table). A rescan refills state.Vals in
+// place, so state is read under mu, and whoever keeps it copies it.
 type containerSnapshot struct {
-	// mu serializes workers of a parallel wave that observe the same
-	// container: the first scans, the rest reuse its state, so the
-	// scanned/reused counters do not depend on scheduling.
+	// mu serializes the readers of one container, so the scanned/reused
+	// counters do not depend on scheduling and no read overlaps a refill.
 	mu      sync.Mutex
 	table   *kvstore.Table
 	version uint64
 	state   metric.Columns
 }
 
-// snapshot returns the current state of c — one of the workflow's input or
-// output containers — reading its table only when it changed since the
-// previous snapshot. The returned state is shared and immutable.
-func (in *Instance) snapshot(c workflow.Container) metric.Columns {
-	t, err := in.store.Table(c.Table)
-	if err != nil {
-		return metric.Columns{}
-	}
+// readSnapshot runs read on the current state of c, one of the workflow's
+// containers, under its cache entry's lock: the table is read only if it
+// changed since the previous snapshot.
+func (in *Instance) readSnapshot(c workflow.Container, read func(metric.Columns)) {
 	e := in.snaps[c]
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	reused := e.table == t && e.version == t.Version()
-	if !reused {
-		e.table = t
-		e.state, e.version = t.ScanColumns(kvstore.ScanOptions{ColumnPrefix: c.ColumnPrefix})
+	if t, err := in.store.Table(c.Table); err != nil {
+		e.table, e.state = nil, metric.Columns{Vals: e.state.Vals[:0]}
+	} else {
+		reused := e.table == t && e.version == t.Version()
+		if !reused {
+			e.table = t
+			e.state, e.version = t.ScanColumns(kvstore.ScanOptions{ColumnPrefix: c.ColumnPrefix}, e.state.Vals)
+		}
+		in.obs.countSnapshot(reused)
 	}
-	in.obs.countSnapshot(reused)
-	return e.state
+	read(e.state)
+}
+
+// observe folds c's current state into tr and returns the metric.
+func (in *Instance) observe(c workflow.Container, tr *metric.Tracker) (v float64) {
+	in.readSnapshot(c, func(state metric.Columns) { v = tr.ObserveColumns(state) })
+	return v
 }
 
 // OutputState snapshots the numeric state of all output containers of id,
-// merged under "table:row/column" keys in key order. Where two outputs hold
-// one key (two column prefixes of one table can overlap), the later output
-// in declaration order gives its value.
+// merged under "table:row/column" keys in key order, into Columns of the
+// caller's own. Where two outputs hold one key (two column prefixes of one
+// table can overlap), the later output in declaration order gives its value.
 func (in *Instance) OutputState(id workflow.StepID) metric.Columns {
 	st := in.state(id)
 	if st == nil {
 		return metric.Columns{}
 	}
-	states := in.outputStates(st.step)
-	var n int
-	for _, state := range states {
-		n += state.Len()
-	}
-	merged := metric.Columns{Keys: make([]string, 0, n), Vals: make([]float64, 0, n)}
-	for i, state := range states {
-		prefix := st.step.Outputs[i].Table + ":"
-		for k, key := range state.Keys {
-			merged.Keys = append(merged.Keys, prefix+key)
-			merged.Vals = append(merged.Vals, state.Vals[k])
-		}
+	var merged metric.Columns
+	for _, c := range st.step.Outputs {
+		in.readSnapshot(c, func(state metric.Columns) {
+			prefix := c.Table + ":"
+			merged.Keys = slices.Grow(merged.Keys, state.Len())
+			merged.Vals = slices.Grow(merged.Vals, state.Len())
+			for k, key := range state.Keys {
+				merged.Keys = append(merged.Keys, prefix+key)
+				merged.Vals = append(merged.Vals, state.Vals[k])
+			}
+		})
 	}
 	return sortColumns(merged)
 }
@@ -563,42 +575,28 @@ func (in *Instance) ErrorFactory(id workflow.StepID) metric.Factory {
 	return st.errorFactory
 }
 
-// observeImpact snapshots a gated step's input containers (through the
-// snapshot cache, so a container is read once however many steps read it
-// and not at all while nobody writes it) and folds them into the step's
-// impact trackers, returning the combined impact. The returned states are
-// shared and immutable.
-func (in *Instance) observeImpact(st *stepState) (float64, []metric.Columns) {
-	inputStates := make([]metric.Columns, len(st.step.Inputs))
-	values := make([]float64, len(inputStates))
+// observeImpact folds a gated step's input containers into its impact
+// trackers — through the snapshot cache, so a container is read once however
+// many steps read it and not at all while nobody writes it — and returns the
+// combined impact. simulateAndCommit commits what the trackers observed.
+func (in *Instance) observeImpact(st *stepState) float64 {
 	for i, c := range st.step.Inputs {
-		state := in.snapshot(c)
-		inputStates[i] = state
-		values[i] = st.impactTrackers[i].ObserveColumns(state)
+		st.impactVals[i] = in.observe(c, st.impactTrackers[i])
 	}
-	return st.impactCombine(values), inputStates
-}
-
-// outputStates snapshots each output container of a step.
-func (in *Instance) outputStates(step *workflow.Step) []metric.Columns {
-	states := make([]metric.Columns, len(step.Outputs))
-	for i, c := range step.Outputs {
-		states[i] = in.snapshot(c)
-	}
-	return states
+	return st.impactCombine(st.impactVals)
 }
 
 // simulateAndCommit performs a gated step's post-execution bookkeeping: it
 // simulates the optimal label against the shadow error baseline, records the
 // simulated error and label into the result's pre-indexed slots, and applies
-// the baseline-commit discipline to the impact trackers (see InstanceConfig).
-// It touches only the step's own trackers and result slots, so concurrent
-// calls for distinct steps are safe.
-func (in *Instance) simulateAndCommit(st *stepState, inputStates []metric.Columns, res *WaveResult, idx int, ev *obs.DecisionEvent) {
-	outputStates := in.outputStates(st.step)
+// the baseline-commit discipline to the impact trackers (see InstanceConfig)
+// with the inputs as observed before the step ran. It touches only the
+// step's own trackers and result slots, so concurrent calls for distinct
+// steps are safe.
+func (in *Instance) simulateAndCommit(st *stepState, res *WaveResult, idx int, ev *obs.DecisionEvent) {
 	worst := 0.0
-	for i, state := range outputStates {
-		if e := st.errorTrackers[i].ObserveColumns(state); e > worst {
+	for i, c := range st.step.Outputs {
+		if e := in.observe(c, st.errorTrackers[i]); e > worst {
 			worst = e
 		}
 	}
@@ -606,8 +604,8 @@ func (in *Instance) simulateAndCommit(st *stepState, inputStates []metric.Column
 	label := 0
 	if worst > st.step.QoD.MaxError {
 		label = 1
-		for i, state := range outputStates {
-			st.errorTrackers[i].CommitColumns(state)
+		for _, t := range st.errorTrackers {
+			t.CommitObserved()
 		}
 	}
 	res.Labels[idx] = label
@@ -619,8 +617,8 @@ func (in *Instance) simulateAndCommit(st *stepState, inputStates []metric.Column
 	// The impact baseline follows actual executions, except in training
 	// mode, where it follows the simulated schedule.
 	if !in.cfg.TrainingMode || label == 1 {
-		for i, state := range inputStates {
-			st.impactTrackers[i].CommitColumns(state)
+		for _, t := range st.impactTrackers {
+			t.CommitObserved()
 		}
 	}
 }
@@ -654,15 +652,16 @@ func newWaveResult(wave, gated int) WaveResult {
 // are not rolled back; see DESIGN.md §10 for why deterministic processors
 // make that safe).
 func (in *Instance) RunWave(d Decider) (WaveResult, error) {
-	return in.runWaveFrom(in.PersistState(), d)
+	in.mark()
+	return in.runMarked(d)
 }
 
-// runWaveFrom is RunWave from pre, the instance's current PersistState: a
-// caller that keeps the pre-wave state beyond the wave takes it once.
-func (in *Instance) runWaveFrom(pre InstancePersist, d Decider) (WaveResult, error) {
+// runMarked is RunWave after mark: a failed wave rewinds the instance to the
+// mark, which stays set, so a caller may run the wave again from it.
+func (in *Instance) runMarked(d Decider) (WaveResult, error) {
 	res, err := in.runWave(d)
 	if err != nil {
-		in.applyPersisted(pre)
+		in.rewind()
 		in.obs.countRecovery()
 	}
 	return res, err

@@ -68,7 +68,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"smartflux/internal/metric"
 	"smartflux/internal/obs"
 	"smartflux/internal/workflow"
 )
@@ -233,7 +232,7 @@ func (in *Instance) runWave(d Decider) (WaveResult, error) {
 		idx := in.gatedIdx[st.step.ID]
 		// Observe the (possibly unchanged) input containers and refresh the
 		// impact vector before deciding.
-		impact, inputStates := in.observeImpact(st)
+		impact := in.observeImpact(st)
 		in.impacts[idx] = impact
 		res.Impacts[idx] = impact
 		sp.SetIota(impact)
@@ -248,13 +247,13 @@ func (in *Instance) runWave(d Decider) (WaveResult, error) {
 			continue
 		}
 		if !pooled || in.inline[i] {
-			settle(i, in.runGated(ctx, st, sp, &res, idx, inputStates, ev))
+			settle(i, in.runGated(ctx, st, sp, &res, idx, ev))
 			continue
 		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			settle(i, in.runGated(ctx, st, sp, &res, idx, inputStates, ev))
+			settle(i, in.runGated(ctx, st, sp, &res, idx, ev))
 		}(i)
 	}
 	// A doomed wave: the gated steps the walk did not get to are held back,
@@ -299,7 +298,7 @@ func (in *Instance) runWave(d Decider) (WaveResult, error) {
 // runGated is the overlappable part of a gated step the decider said to run:
 // execute (or degrade), then simulate the optimal label and commit baselines.
 // It touches only the step's own trackers, result slots and trace event.
-func (in *Instance) runGated(ctx *workflow.Context, st *stepState, sp *obs.Span, res *WaveResult, idx int, inputStates []metric.Columns, ev *obs.DecisionEvent) error {
+func (in *Instance) runGated(ctx *workflow.Context, st *stepState, sp *obs.Span, res *WaveResult, idx int, ev *obs.DecisionEvent) error {
 	in.pool <- struct{}{}
 	defer func() { <-in.pool }()
 	degraded, err := in.executeDegradable(ctx, st, res.Wave, sp)
@@ -324,7 +323,7 @@ func (in *Instance) runGated(ctx *workflow.Context, st *stepState, sp *obs.Span,
 	if ev != nil {
 		ev.Executed = true
 	}
-	in.simulateAndCommit(st, inputStates, res, idx, ev)
+	in.simulateAndCommit(st, res, idx, ev)
 	sp.SetEps(res.SimErrors[idx])
 	sp.End()
 	return nil

@@ -561,8 +561,9 @@ func TestParallelWaveError(t *testing.T) {
 
 // TestSnapshotCacheReuse checks the cross-wave snapshot cache: a container
 // nobody wrote keeps its state — same backing array, no allocation, no scan —
-// from wave to wave, and any write to its table, or a table dropped and
-// recreated under the same name, is seen by the next snapshot.
+// from wave to wave, any write to its table, or a table dropped and
+// recreated under the same name, is seen by the next snapshot, and a rescan
+// refills the entry's buffer in place.
 func TestSnapshotCacheReuse(t *testing.T) {
 	inst := newTestInstance(t, 0.1, false)
 	reg := obs.NewRegistry()
@@ -572,7 +573,9 @@ func TestSnapshotCacheReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw, avg := workflow.Container{Table: "raw"}, workflow.Container{Table: "avg"}
-	rawBefore, avgBefore := inst.snapshot(raw), inst.snapshot(avg)
+	rawBefore, avgBefore := cachedState(inst, raw), cachedState(inst, avg)
+	// A rescan refills the cache's buffer: keep raw's values apart.
+	rawBefore.Vals = slices.Clone(rawBefore.Vals)
 	if rawBefore.Len() != 8 || avgBefore.Len() != 1 {
 		t.Fatalf("primed snapshots: raw %v, avg %v", rawBefore, avgBefore)
 	}
@@ -582,13 +585,13 @@ func TestSnapshotCacheReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	scanned := reg.Snapshot().Counters[`smartflux_engine_snapshots_total{result="scanned"}`]
-	if allocs := testing.AllocsPerRun(10, func() { inst.snapshot(avg) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(10, func() { cachedState(inst, avg) }); allocs != 0 {
 		t.Errorf("snapshot of an unwritten container allocates %v objects, want 0", allocs)
 	}
-	if got := inst.snapshot(avg); &got.Vals[0] != &avgBefore.Vals[0] {
+	if got := cachedState(inst, avg); &got.Vals[0] != &avgBefore.Vals[0] {
 		t.Error("an unwritten container must keep the previous wave's state")
 	}
-	if got := inst.snapshot(raw); reflect.DeepEqual(got, rawBefore) || !reflect.DeepEqual(got, scanContainer(inst.store, raw)) {
+	if got := cachedState(inst, raw); reflect.DeepEqual(got, rawBefore) || !reflect.DeepEqual(got, scanContainer(inst.store, raw)) {
 		t.Errorf("a rewritten container must be rescanned: %v", got)
 	}
 	snap := reg.Snapshot()
@@ -606,11 +609,10 @@ func TestSnapshotCacheReuse(t *testing.T) {
 	if err := table.PutFloat("all", "avg", -1); err != nil {
 		t.Fatal(err)
 	}
-	if got := inst.snapshot(avg); got.Len() != 1 || got.Vals[0] != -1 {
+	if got := cachedState(inst, avg); got.Len() != 1 || got.Vals[0] != -1 {
 		t.Errorf("snapshot after a write = %v, want the new value", got)
-	}
-	if avgBefore.Vals[0] == -1 {
-		t.Error("a handed-out state changed under a later write")
+	} else if &got.Vals[0] != &avgBefore.Vals[0] {
+		t.Error("a rescan of an unchanged key set must refill the cached buffer, not allocate another")
 	}
 
 	// A recreated table restarts at version 0: one Put brings it to the
@@ -626,16 +628,23 @@ func TestSnapshotCacheReuse(t *testing.T) {
 		if err := table.PutFloat("all", "avg", v); err != nil {
 			t.Fatal(err)
 		}
-		if got := inst.snapshot(avg); got.Len() != 1 || got.Vals[0] != v {
+		if got := cachedState(inst, avg); got.Len() != 1 || got.Vals[0] != v {
 			t.Errorf("snapshot after drop+recreate = %v, want %v", got, v)
 		}
 	}
 	if err := inst.store.DropTable("avg"); err != nil {
 		t.Fatal(err)
 	}
-	if got := inst.snapshot(avg); got.Len() != 0 {
+	if got := cachedState(inst, avg); got.Len() != 0 {
 		t.Errorf("snapshot of a missing table = %v", got)
 	}
+}
+
+// cachedState returns c's state through the instance's snapshot cache: the
+// cache's own Columns, whose Vals the next rescan of c overwrites.
+func cachedState(inst *Instance, c workflow.Container) (state metric.Columns) {
+	inst.readSnapshot(c, func(s metric.Columns) { state = s })
+	return state
 }
 
 // scanContainer reads c's current state from the store, past the instance's
@@ -645,7 +654,7 @@ func scanContainer(store *kvstore.Store, c workflow.Container) metric.Columns {
 	if err != nil {
 		return metric.Columns{}
 	}
-	state, _ := t.ScanColumns(kvstore.ScanOptions{ColumnPrefix: c.ColumnPrefix})
+	state, _ := t.ScanColumns(kvstore.ScanOptions{ColumnPrefix: c.ColumnPrefix}, nil)
 	return state
 }
 
@@ -667,7 +676,7 @@ func TestSnapshotCacheFreshUnderParallelism(t *testing.T) {
 				t.Fatal(err)
 			}
 			for c := range inst.snaps {
-				got, want := inst.snapshot(c), scanContainer(inst.store, c)
+				got, want := cachedState(inst, c), scanContainer(inst.store, c)
 				if !slices.Equal(got.Keys, want.Keys) || !slices.Equal(got.Vals, want.Vals) {
 					t.Fatalf("par %d wave %d: cached %v = %v, store has %v", par, w, c, got, want)
 				}

@@ -35,10 +35,10 @@ type InstancePersist struct {
 }
 
 // PersistState exports the instance's complete mutable state in
-// serialization-friendly form (tracker baselines are shared, not copied:
-// metric states are immutable). The workflow wiring, store and configuration
-// are construction-time inputs and not included: the state is restored into
-// an instance built from the same workload.
+// serialization-friendly form, copied: the instance never writes what it
+// returns. The workflow wiring, store and configuration are construction-time
+// inputs and not included: the state is restored into an instance built from
+// the same workload.
 func (in *Instance) PersistState() InstancePersist {
 	p := InstancePersist{
 		Wave:    in.wave,
@@ -100,7 +100,7 @@ func checkBaseline(c metric.Columns) error {
 	return nil
 }
 
-// applyPersisted rewinds the instance to a state checkPersisted accepted.
+// applyPersisted sets the instance to a state checkPersisted accepted.
 func (in *Instance) applyPersisted(p InstancePersist) {
 	in.wave = p.Wave
 	copy(in.impacts, p.Impacts)
@@ -113,6 +113,37 @@ func (in *Instance) applyPersisted(p InstancePersist) {
 		}
 		for i, t := range st.errorTrackers {
 			t.RestorePersisted(sp.Errors[i])
+		}
+	}
+}
+
+// mark pins the instance's state for rewind, copying the counters aside;
+// each tracker pins its own state, copying no baseline.
+func (in *Instance) mark() {
+	in.markWave = in.wave
+	copy(in.markImpacts, in.impacts)
+	for _, st := range in.states {
+		st.markLastExecWave, st.markExecCount = st.lastExecWave, st.execCount
+		for _, t := range st.impactTrackers {
+			t.Mark()
+		}
+		for _, t := range st.errorTrackers {
+			t.Mark()
+		}
+	}
+}
+
+// rewind restores the state of the latest mark, which stays set.
+func (in *Instance) rewind() {
+	in.wave = in.markWave
+	copy(in.impacts, in.markImpacts)
+	for _, st := range in.states {
+		st.lastExecWave, st.execCount = st.markLastExecWave, st.markExecCount
+		for _, t := range st.impactTrackers {
+			t.Rewind()
+		}
+		for _, t := range st.errorTrackers {
+			t.Rewind()
 		}
 	}
 }
@@ -160,9 +191,9 @@ type StatefulDecider interface {
 // Checkpoint captures the harness's complete state after a completed wave:
 // the result so far, both instances, the measurement accumulators and — when
 // the decider is stateful — the decider. The result is a view (Result.Slice),
-// metric states are immutable and shared and a measure pass replaces the
+// the instances' states are copies and a measure pass replaces the
 // accumulators rather than writing into them, so the checkpoint stays valid
-// however the run continues and costs O(report steps), not O(waves).
+// however the run continues and costs a copy of the baselines, not O(waves).
 func (h *Harness) Checkpoint(res *Result, d Decider) (*HarnessCheckpoint, error) {
 	cp := &HarnessCheckpoint{
 		Result:   res.Slice(0, res.Waves),

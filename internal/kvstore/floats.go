@@ -247,21 +247,25 @@ func readFloats[S any](t *Table, find func(f *floatArray) *S, build func(f *floa
 // order, with the table's mutation version at the time of the read — a
 // later call at the same version would return the same elements, so callers
 // may keep the state and skip the read. Non-float cells are skipped. A read
-// copies the selected values out of the table's float array, and nothing
-// else: every read of one key set with one opts returns the same Keys slice,
-// so a tracker compares two such snapshots without a merge-join.
+// copies the selected values out of the table's float array into vals
+// (regrown if short; nil allocates), and nothing else: every read of one key
+// set with one opts returns the same Keys slice, never written, so a tracker
+// compares two such snapshots without a merge-join.
 //
 // Cells are visited in (row, column) order, which is element-key order except
 // where one row key is a proper prefix of another followed by a byte below
 // '/' ("a" vs "a-b"); such a selection is re-sorted. Two cells whose element
 // keys collide (row "a/b" column "c", row "a" column "b/c") yield one
 // element: the later cell in (row, column) order wins.
-func (t *Table) ScanColumns(opts ScanOptions) (c metric.Columns, version uint64) {
+func (t *Table) ScanColumns(opts ScanOptions, vals []float64) (c metric.Columns, version uint64) {
 	opts.Limit = 0
 	find := func(f *floatArray) *floatView { return f.view(opts) }
 	build := func(f *floatArray) *floatView { return t.viewLocked(f, opts) }
 	readFloats(t, find, build, func(f *floatArray, v *floatView) {
-		vals := make([]float64, len(v.keys))
+		if vals == nil {
+			vals = make([]float64, len(v.keys))
+		}
+		vals = slices.Grow(vals[:0], len(v.keys))[:len(v.keys)]
 		if v.slots == nil {
 			copy(vals, f.vals[v.lo:])
 		} else {

@@ -139,7 +139,7 @@ func FuzzTableColumns(f *testing.F) {
 			}
 			for _, opts := range shapes {
 				want := floatColumns(table.Scan(opts))
-				if got, version := table.ScanColumns(opts); !equalColumns(got, want) || version != m.version {
+				if got, version := table.ScanColumns(opts, nil); !equalColumns(got, want) || version != m.version {
 					t.Fatalf("%+v: ScanColumns = %v @%d, scanned cells %v, model @%d", opts, got, version, want, m.version)
 				}
 			}

@@ -227,7 +227,7 @@ func TestPutFloatRowsBesideStaleFloats(t *testing.T) {
 			}
 			wantVals = append(wantVals, v)
 		}
-		if got, _ := table.ScanColumns(ScanOptions{}); !equalColumns(got, floatColumns(cells)) {
+		if got, _ := table.ScanColumns(ScanOptions{}, nil); !equalColumns(got, floatColumns(cells)) {
 			t.Fatalf("step %d: ScanColumns = %v, Scan %v", step, got, cells)
 		}
 		table.ScanFloatRows(cols, func(keys []string, vals []float64, _ []bool) {
@@ -251,8 +251,8 @@ func compareGridSides(batched, gridded *gridSide) error {
 		return fmt.Errorf("Clock %d after Apply, %d after PutFloatRows", a, b)
 	}
 	for _, opts := range []ScanOptions{{}, {ColumnPrefix: "c"}} {
-		a, av := batched.table.ScanColumns(opts)
-		b, bv := gridded.table.ScanColumns(opts)
+		a, av := batched.table.ScanColumns(opts, nil)
+		b, bv := gridded.table.ScanColumns(opts, nil)
 		if !equalColumns(a, b) || av != bv {
 			return fmt.Errorf("ScanColumns(%+v) = %v @%d after Apply, %v @%d after PutFloatRows", opts, a, av, b, bv)
 		}

@@ -175,7 +175,7 @@ func TestScansShareTheReadLock(t *testing.T) {
 		scan func() int // cells seen
 	}{
 		{"Scan", func() int { return len(table.Scan(ScanOptions{})) }},
-		{"ScanColumns", func() int { c, _ := table.ScanColumns(ScanOptions{}); return c.Len() }},
+		{"ScanColumns", func() int { c, _ := table.ScanColumns(ScanOptions{}, nil); return c.Len() }},
 		{"ScanFloatRows", func() int {
 			n := 0
 			table.ScanFloatRows([]string{"x"}, func(rows []string, _ []float64, _ []bool) { n = len(rows) })
@@ -747,7 +747,7 @@ func TestPutGetFloatAndScanColumns(t *testing.T) {
 		{"column prefix", ScanOptions{ColumnPrefix: "d"}, metric.Columns{Keys: []string{"r2/d"}, Vals: []float64{3.5}}},
 		{"nothing", ScanOptions{RowPrefix: "x"}, metric.Columns{Keys: []string{}, Vals: []float64{}}},
 	} {
-		got, version := table.ScanColumns(tc.opts)
+		got, version := table.ScanColumns(tc.opts, nil)
 		if !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%s: ScanColumns = %v, want %v", tc.name, got, tc.want)
 		}
@@ -765,7 +765,7 @@ func TestScanColumnsKeyOrder(t *testing.T) {
 	for i, row := range []string{"a", "a-b", "a.b", "a0", "a b"} {
 		table.PutFloat(row, "c", float64(i))
 	}
-	got, _ := table.ScanColumns(ScanOptions{})
+	got, _ := table.ScanColumns(ScanOptions{}, nil)
 	want := metric.Columns{Keys: []string{"a b/c", "a-b/c", "a.b/c", "a/c", "a0/c"}, Vals: []float64{4, 1, 2, 0, 3}}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("prefix rows: ScanColumns = %v, want %v", got, want)
@@ -779,7 +779,7 @@ func TestScanColumnsKeyOrder(t *testing.T) {
 	table.PutFloat("a", "z", 3)
 	want = metric.Columns{Keys: []string{"a/b/c", "a/z"}, Vals: []float64{2, 3}}
 	for i := 0; i < 20; i++ { // map-order independent
-		if got, _ := table.ScanColumns(ScanOptions{}); !reflect.DeepEqual(got, want) {
+		if got, _ := table.ScanColumns(ScanOptions{}, nil); !reflect.DeepEqual(got, want) {
 			t.Fatalf("colliding keys: ScanColumns = %v, want %v", got, want)
 		}
 	}
@@ -793,18 +793,18 @@ func TestScanColumnsCachedKeys(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		table.PutFloat("r"+strconv.Itoa(i), "v", float64(i))
 	}
-	first, _ := table.ScanColumns(ScanOptions{})
-	if allocs := testing.AllocsPerRun(20, func() { table.ScanColumns(ScanOptions{}) }); allocs > 1 {
+	first, _ := table.ScanColumns(ScanOptions{}, nil)
+	if allocs := testing.AllocsPerRun(20, func() { table.ScanColumns(ScanOptions{}, nil) }); allocs > 1 {
 		t.Errorf("steady-state ScanColumns allocates %v objects, want 1 (the values)", allocs)
 	}
 
 	table.Delete("r7", "v")
-	if got, _ := table.ScanColumns(ScanOptions{}); got.Len() != 49 {
+	if got, _ := table.ScanColumns(ScanOptions{}, nil); got.Len() != 49 {
 		t.Fatalf("after delete: %d elements, want 49", got.Len())
 	}
 	table.PutFloat("r7", "v", 70)
 	table.PutFloat("r7", "w", 71)
-	got, _ := table.ScanColumns(ScanOptions{RowPrefix: "r7"})
+	got, _ := table.ScanColumns(ScanOptions{RowPrefix: "r7"}, nil)
 	want := metric.Columns{Keys: []string{"r7/v", "r7/w"}, Vals: []float64{70, 71}}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("after reinsert: ScanColumns = %v, want %v", got, want)
@@ -848,7 +848,7 @@ func TestTableVersion(t *testing.T) {
 		table.Get("r", "c")
 		table.GetVersions("r", "c", 0)
 		table.Scan(ScanOptions{})
-		table.ScanColumns(ScanOptions{})
+		table.ScanColumns(ScanOptions{}, nil)
 		table.ScanPagesShared(ScanOptions{}, 0, func([]Cell, bool) error { return nil })
 	})
 }

@@ -672,9 +672,9 @@ func compareColumns(table *Table, prev []metric.Columns, cellsChanged, flipped b
 	}
 	var reads []metric.Columns
 	for k, opts := range modelColumnScans {
-		got, _ := table.ScanColumns(opts)
+		got, _ := table.ScanColumns(opts, nil)
 		if got.Len() > 0 {
-			if again, _ := table.ScanColumns(opts); !sharesKeys(got, again) {
+			if again, _ := table.ScanColumns(opts, nil); !sharesKeys(got, again) {
 				return nil, fmt.Errorf("two ScanColumns(%+v) with no write between them do not share Keys", opts)
 			}
 			if prev != nil && prev[k].Len() > 0 {
@@ -783,7 +783,7 @@ func compareWithModel(table *Table, m *refTable) error {
 		if opts.Limit > 0 {
 			continue // ScanColumns has no limit
 		}
-		if got, version := table.ScanColumns(opts); !equalColumns(got, floatColumns(want)) || version != m.version {
+		if got, version := table.ScanColumns(opts, nil); !equalColumns(got, floatColumns(want)) || version != m.version {
 			return fmt.Errorf("ScanColumns(%+v) = %v @%d, want %v @%d", opts, got, version, floatColumns(want), m.version)
 		}
 	}

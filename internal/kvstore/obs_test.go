@@ -32,7 +32,7 @@ func TestStoreInstrumented(t *testing.T) {
 		t.Fatal(err)
 	}
 	cells := table.Scan(ScanOptions{})
-	state, _ := table.ScanColumns(ScanOptions{})
+	state, _ := table.ScanColumns(ScanOptions{}, nil)
 	// A projected read is one scan of the float cells it finds: "c" of
 	// row q, "x" of row b; row b has no "c".
 	table.ScanFloatRows([]string{"c", "x"}, func([]string, []float64, []bool) {})

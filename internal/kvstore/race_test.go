@@ -193,7 +193,7 @@ func TestPutFloatRowsBesideReaders(t *testing.T) {
 			return last
 		},
 		func(last float64) float64 {
-			c, _ := table.ScanColumns(ScanOptions{RowPrefix: "r"})
+			c, _ := table.ScanColumns(ScanOptions{RowPrefix: "r"}, nil)
 			return check(c.Vals, last)
 		},
 		func(last float64) float64 {
@@ -253,8 +253,8 @@ func TestScanColumnsBesideApply(t *testing.T) {
 	}()
 	last := 0.0
 	for last < batches {
-		c, _ := table.ScanColumns(ScanOptions{ColumnPrefix: "a"})
-		state, _ := table.ScanColumns(ScanOptions{RowPrefix: "r"})
+		c, _ := table.ScanColumns(ScanOptions{ColumnPrefix: "a"}, nil)
+		state, _ := table.ScanColumns(ScanOptions{RowPrefix: "r"}, nil)
 		for _, vals := range [][]float64{c.Vals[:len(rows)], state.Vals} {
 			for _, v := range vals {
 				if v != vals[0] {

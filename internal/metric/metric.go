@@ -28,7 +28,9 @@ type Context struct {
 // modified element with its current and latest-saved values; Compute returns
 // the overall metric for the container once no more elements are expected.
 //
-// Implementations are not safe for concurrent use; each tracker owns one.
+// Implementations are not safe for concurrent use. A tracker builds one
+// instance with its factory and reuses it for every evaluation, calling
+// Reset before each one after the first.
 type Metric interface {
 	// Update folds one modified element into the metric state. prev is
 	// zero for newly inserted elements (which increases the impact, per
@@ -36,12 +38,15 @@ type Metric interface {
 	Update(cur, prev float64)
 	// Compute returns the overall metric value for the container.
 	Compute(ctx Context) float64
-	// Reset clears accumulated state so the metric can be reused.
+	// Reset restores the state the factory built the instance in: an
+	// evaluation after Reset must compute exactly what one on a fresh
+	// instance would.
 	Reset()
 }
 
-// Factory creates fresh Metric instances. Trackers take factories so each
-// container computation starts from clean state.
+// Factory creates fresh Metric instances. A tracker calls it once and
+// Resets that instance between evaluations; a one-shot Evaluate calls it
+// each time.
 type Factory func() Metric
 
 // ErrUnknownFunc is returned when resolving an unrecognized built-in name.

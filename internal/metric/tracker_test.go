@@ -223,7 +223,8 @@ func TestSharedKeysMatchMergeJoin(t *testing.T) {
 			if !state.sharesKeys(base) || n > 0 && cloned.sharesKeys(base) {
 				t.Fatalf("pair %d: the two states do not take the two paths", pair)
 			}
-			fast, join := tr.evaluate(state, base), tr.evaluate(cloned, base)
+			fast, _ := tr.evaluate(state, base, false)
+			join, _ := tr.evaluate(cloned, base, false)
 			if math.Float64bits(fast) != math.Float64bits(join) {
 				t.Fatalf("%s pair %d: shared keys = %v (%#x), merge-join %v (%#x)\nbase %v\nstate %v",
 					name, pair, fast, math.Float64bits(fast), join, math.Float64bits(join), base.Vals, state.Vals)
@@ -308,5 +309,78 @@ func TestPersistedTrackerHoldsOneState(t *testing.T) {
 		if got, limit := gobLen(tr.Persist()), gobLen(last)*11/10; got >= limit {
 			t.Errorf("%v: persisted tracker encodes to %d bytes, want < %d (1.1x one 1000-element state)", mode, got, limit)
 		}
+	}
+}
+
+// TestResetRestoresFreshMetric: a tracker evaluates with one Metric, Reset
+// before every evaluation but the first, so Reset must leave each built-in
+// metric, and a DSL one, as its factory builds it. On 200 random state pairs
+// a reused instance and a tracker give a Compute bit-identical to a fresh
+// instance's.
+func TestResetRestoresFreshMetric(t *testing.T) {
+	names := []string{
+		FuncAbsoluteImpact, FuncRelativeImpact, FuncRelativeError, FuncRMSE,
+		DSLPrefix + "sum(absdelta) * m / (1 + baselinesum * n) + max(absdelta) + max(cur) + sum(delta)",
+	}
+	for _, name := range names {
+		factory, err := Resolve(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(1))
+		reused, tr := factory(), NewTracker(factory, ModeCancellation)
+		var base refState
+		for pair := 0; pair < 200; pair++ {
+			base = nextRefState(rng, base)
+			cur := nextRefState(rng, base)
+			want := refEvaluate(factory, cur, base)
+			reused.Reset()
+			got := refEvaluate(func() Metric { return reused }, cur, base)
+			tr.CommitColumns(columnsOf(base))
+			viaTracker := tr.ObserveColumns(columnsOf(cur))
+			if math.Float64bits(got) != math.Float64bits(want) || math.Float64bits(viaTracker) != math.Float64bits(want) {
+				t.Fatalf("%s pair %d: after Reset %v, through a tracker %v, fresh %v", name, pair, got, viaTracker, want)
+			}
+		}
+	}
+}
+
+// TestTrackerOwnsItsValues: a tracker copies the values it keeps, bit for
+// bit (±0 included), so the caller may overwrite a state it handed over;
+// Rewind restores the state Mark pinned however often the baseline moved
+// since, and Persist returns values the tracker never writes.
+func TestTrackerOwnsItsValues(t *testing.T) {
+	keys := []string{"a/v", "b/v", "c/v"}
+	negZero := math.Copysign(0, -1)
+	state := Columns{Keys: keys, Vals: []float64{1, 0, 3}}
+	tr := NewTracker(NewAbsoluteImpact, ModeCancellation)
+	tr.CommitColumns(state)
+	state.Vals[0], state.Vals[1] = 5, negZero // a refill of the caller's buffer
+	if got := tr.Persist().Baseline.Vals; !slices.Equal(got, []float64{1, 0, 3}) {
+		t.Fatalf("baseline %v changed with the caller's buffer", got)
+	}
+	tr.Mark()
+	pinned := tr.Persist()
+	if got := tr.ObserveColumns(state); got != 4*1 {
+		t.Fatalf("impact %v, want 4", got)
+	}
+	state.Vals[2] = 7 // the observed state must not change under the caller
+	tr.CommitObserved()
+	held := tr.Persist()
+	if math.Float64bits(held.Baseline.Vals[1]) != math.Float64bits(negZero) || held.Baseline.Vals[2] != 3 {
+		t.Fatalf("committed observation %v, want [5 -0 3]", held.Baseline.Vals)
+	}
+	tr.ObserveColumns(state) // a second observation after the mark needs a third buffer
+	tr.CommitObserved()
+	for i := 0; i < 2; i++ {
+		tr.Rewind()
+		if got := tr.Persist(); !reflect.DeepEqual(got, pinned) {
+			t.Fatalf("rewind %d: %+v, want the pinned %+v", i, got, pinned)
+		}
+		tr.ObserveColumns(state)
+		tr.CommitObserved()
+	}
+	if !slices.Equal(held.Baseline.Vals, []float64{5, negZero, 3}) || !slices.Equal(pinned.Baseline.Vals, []float64{1, 0, 3}) {
+		t.Fatalf("persisted states changed under the tracker: %v, %v", held.Baseline.Vals, pinned.Baseline.Vals)
 	}
 }

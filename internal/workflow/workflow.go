@@ -77,7 +77,7 @@ func (c Container) Snapshot(store *kvstore.Store) metric.State {
 	if err != nil {
 		return nil
 	}
-	cols, _ := t.ScanColumns(kvstore.ScanOptions{ColumnPrefix: c.ColumnPrefix})
+	cols, _ := t.ScanColumns(kvstore.ScanOptions{ColumnPrefix: c.ColumnPrefix}, nil)
 	state := make(metric.State, cols.Len())
 	for i, key := range cols.Keys {
 		state[i] = metric.Elem{Key: key, Val: cols.Vals[i]}

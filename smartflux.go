@@ -150,10 +150,11 @@ type (
 	MetricFactory = metric.Factory
 	// Mode selects baseline semantics (accumulate vs cancellation).
 	Mode = metric.Mode
-	// Columns is an immutable snapshot of a container's numeric contents:
-	// Keys ("row/column") strictly increasing, Vals[i] the value of Keys[i].
-	// Table.ScanColumns and Instance.OutputState return one; a tracker
-	// observes and commits one (MetricTracker.ObserveColumns, CommitColumns).
+	// Columns is a snapshot of a container's numeric contents: Keys
+	// ("row/column") strictly increasing and never written, Vals[i] the
+	// value of Keys[i], owned by whoever filled it. Table.ScanColumns and
+	// Instance.OutputState return one; a tracker observes and commits one
+	// (MetricTracker.ObserveColumns, CommitColumns), copying its values.
 	Columns = metric.Columns
 	// MetricTracker holds a metric's baseline across waves (the
 	// Monitoring component's per-container bookkeeping).
