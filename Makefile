@@ -215,10 +215,12 @@ loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './internal/analysis/testdata/*' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l
 
 ## bench-smoke: one iteration of each overhead microbenchmark, each Linear
-## Road processor and the Linear Road wave at Parallelism 1 and 2 — numbers
-## meaningless; a benchmark that fails at run time fails it; part of make check
+## Road processor, the Linear Road wave at Parallelism 1 and 2 and the
+## harness's 120 training waves, whose measure pass runs a report step
+## hypothetically and undoes it every wave — numbers meaningless; a benchmark
+## that fails at run time fails it; part of make check
 bench-smoke:
-	$(GO) test -run xxx -bench 'BenchmarkOverhead|BenchmarkLRBSteps|BenchmarkLRBWaveParallelism' -benchtime 1x .
+	$(GO) test -run xxx -bench 'BenchmarkOverhead|BenchmarkLRBSteps|BenchmarkLRBWaveParallelism|BenchmarkHarnessTrainingLRB' -benchtime 1x .
 
 ## bench: overhead microbenchmarks (§5.3 + instrumentation overhead, and the
 ## store's cost of a changing key set, BenchmarkOverheadKVStoreChurn), each

@@ -46,7 +46,7 @@ func run(args []string, out io.Writer) error {
 	stepTimeout := fs.Duration("step-timeout", 0, "per-step execution timeout (0 = unbounded)")
 	retryMax := fs.Int("retry-max", 0, "extra attempts a failed or timed-out step gets within a wave")
 	retryBackoff := fs.Duration("retry-backoff", 10*time.Millisecond, "base delay between step retries (doubles per attempt, seeded jitter)")
-	retryWaves := fs.Int("retry-waves", 0, "times a failed wave is re-run from its pre-wave checkpoint")
+	retryWaves := fs.Int("retry-waves", 0, "times a failed wave, rewound to its pre-wave state, or a failed measure pass is re-run")
 	degrade := fs.Bool("degrade", false, "forcibly skip gated steps that exhaust their retries instead of failing the run")
 	clusterShards := fs.Int("cluster", 0, "mirror the live store into an in-process replicated cluster with this many shards and verify dump equality at the end of the run")
 	walDir := fs.String("wal-dir", "", "enable crash durability: one write-ahead log file per epoch in this directory")

@@ -250,9 +250,10 @@ type HarnessConfig struct {
 	// baseline — reference failures always propagate (and are retried at
 	// the wave boundary under WaveRetries).
 	DegradeGated bool
-	// WaveRetries is how many times a failed wave — live or reference — is
-	// re-run from its pre-wave checkpoint before the run fails. RunWave's
-	// rollback guarantees each retry starts from identical tracker state.
+	// WaveRetries is how many times a failed wave — live or reference — or
+	// a failed measure pass is re-run before the run fails. A failed wave is
+	// rewound to its pre-wave mark, so each retry starts from identical
+	// tracker state.
 	WaveRetries int
 
 	// Committer, when non-nil, receives a full HarnessCheckpoint after every
@@ -416,7 +417,11 @@ func (h *Harness) ResumeRun(res *Result, waves int, decider Decider) error {
 		<-refDone
 		err := errors.Join(ref.err, live.err)
 		if err == nil {
-			if err = h.measureWave(res, live.res); err != nil {
+			// Measuring re-runs report-step processors hypothetically, which
+			// can fail under store faults just like real execution; a failed
+			// pass has committed nothing, so a retry starts from the same
+			// measurement state (DESIGN.md §10).
+			if err = h.retryWave(func() error { return h.measure(res, live.res) }); err != nil {
 				err = fmt.Errorf("harness measure wave %d: %w", w, err)
 			}
 		}
@@ -456,23 +461,28 @@ type waveRun struct {
 }
 
 // runWave executes one wave of an instance, re-running it from its pre-wave
-// mark up to WaveRetries times on failure. The rewind to the mark makes
+// mark under the wave-retry budget (retryWave). The rewind to the mark makes
 // retries start from identical tracker state; only the store keeps any
 // partial writes, which deterministic processors overwrite with identical
 // latest values (DESIGN.md §10).
 func (h *Harness) runWave(in *Instance, d Decider, which string, w int) waveRun {
 	var run waveRun
 	in.mark()
-	for attempt := 0; attempt <= h.cfg.WaveRetries; attempt++ {
-		if attempt > 0 {
-			h.waveRetries.Inc() // nil-safe no-op when uninstrumented
-		}
-		if run.res, run.err = in.runMarked(d); run.err == nil {
-			return run
-		}
+	if err := h.retryWave(func() (err error) { run.res, err = in.runMarked(d); return err }); err != nil {
+		run.err = fmt.Errorf("harness %s wave %d: %w", which, w, err)
 	}
-	run.err = fmt.Errorf("harness %s wave %d: %w", which, w, run.err)
 	return run
+}
+
+// retryWave runs fn, and runs it again on failure up to WaveRetries times,
+// counting each retry; it returns the last run's error.
+func (h *Harness) retryWave(fn func() error) error {
+	err := fn()
+	for attempt := 0; err != nil && attempt < h.cfg.WaveRetries; attempt++ {
+		h.waveRetries.Inc() // nil-safe no-op when uninstrumented
+		err = fn()
+	}
+	return err
 }
 
 // emitDecisions enriches the live wave's decision events with the reference
@@ -508,23 +518,6 @@ func (h *Harness) emitDecisions(res *Result, liveRes, refRes WaveResult) {
 	for _, ev := range liveRes.Decisions {
 		h.obs.EmitDecision(ev)
 	}
-}
-
-// measureWave runs measure under the wave-retry budget. Measuring re-runs
-// report-step processors hypothetically, which can fail under store faults
-// just like real execution; a failed pass has committed nothing, so a retry
-// starts from the same measurement state (DESIGN.md §10).
-func (h *Harness) measureWave(res *Result, liveRes WaveResult) error {
-	var lastErr error
-	for attempt := 0; attempt <= h.cfg.WaveRetries; attempt++ {
-		if attempt > 0 {
-			h.waveRetries.Inc() // nil-safe no-op when uninstrumented
-		}
-		if lastErr = h.measure(res, liveRes); lastErr == nil {
-			return nil
-		}
-	}
-	return lastErr
 }
 
 // measure appends this wave's error measurements for every reported step.

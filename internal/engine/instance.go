@@ -727,13 +727,25 @@ func (in *Instance) traceDecision(res *WaveResult, d Decider, step *workflow.Ste
 	return &res.Decisions[len(res.Decisions)-1]
 }
 
-// execute runs a step's processor — under the configured timeout and retry
-// budget — and updates its bookkeeping on success. Each failed attempt backs
-// off (exponential with seeded jitter) before the next; the last error is
-// returned once the budget is spent. Each attempt gets a child span of sp
-// (nil disables); retries are charged to sp itself.
+// execute runs a step's processor under the retry budget (attempts) and
+// updates its bookkeeping on success.
 func (in *Instance) execute(ctx *workflow.Context, st *stepState, wave int, sp *obs.Span) error {
-	var lastErr error
+	if err := in.attempts(ctx, st, sp, nil); err != nil {
+		return fmt.Errorf("step %q wave %d: %w", st.step.ID, wave, err)
+	}
+	st.lastExecWave = wave
+	st.execCount++
+	return nil
+}
+
+// attempts runs a step's processor under the configured timeout and retry
+// budget, and returns the last attempt's error once the budget is spent.
+// After each failed attempt it runs undo, when not nil, and backs off
+// (exponential with seeded jitter) before the next; a failed undo ends the
+// loop with both errors. Each attempt gets a child span of sp (nil
+// disables); retries are charged to sp itself.
+func (in *Instance) attempts(ctx *workflow.Context, st *stepState, sp *obs.Span, undo func() error) error {
+	var err error
 	for attempt := 0; attempt <= in.cfg.StepRetries; attempt++ {
 		if attempt > 0 {
 			in.obs.countRetry()
@@ -741,19 +753,21 @@ func (in *Instance) execute(ctx *workflow.Context, st *stepState, wave int, sp *
 			in.backoff(attempt - 1)
 		}
 		att := attemptSpan(sp, attempt)
-		err := in.runProc(ctx, st)
+		err = in.runProc(ctx, st)
 		att.EndErr(err)
 		if err == nil {
-			st.lastExecWave = wave
-			st.execCount++
 			return nil
 		}
 		if errors.Is(err, ErrStepTimeout) {
 			in.obs.countTimeout()
 		}
-		lastErr = fmt.Errorf("step %q wave %d: %w", st.step.ID, wave, err)
+		if undo != nil {
+			if uerr := undo(); uerr != nil {
+				return errors.Join(err, uerr)
+			}
+		}
 	}
-	return lastErr
+	return err
 }
 
 // HypotheticalOutput runs step id's processor against the current store
@@ -772,38 +786,30 @@ func (in *Instance) HypotheticalOutput(id workflow.StepID) (metric.Columns, erro
 	if wave < 0 {
 		wave = 0
 	}
+	snap, err := in.saveOutputs(st.step)
+	if err != nil {
+		return metric.Columns{}, err
+	}
+	undo := func() error {
+		if err := in.rollbackOutputs(snap); err != nil {
+			return fmt.Errorf("hypothetical rollback %q: %w", id, err)
+		}
+		return nil
+	}
 	// Hypothetical runs share the step timeout and retry budget: a
 	// transient store fault while measuring is as recoverable as one while
 	// executing. Every attempt — failed or not — is rolled back so the
-	// outputs keep their stale contents.
-	var lastErr error
-	for attempt := 0; attempt <= in.cfg.StepRetries; attempt++ {
-		if attempt > 0 {
-			in.obs.countRetry()
-			in.backoff(attempt - 1)
-		}
-		snap, err := in.saveOutputs(st.step)
-		if err != nil {
-			return metric.Columns{}, err
-		}
-		ctx := &workflow.Context{Wave: wave, Store: in.store}
-		if err := in.runProc(ctx, st); err != nil {
-			if errors.Is(err, ErrStepTimeout) {
-				in.obs.countTimeout()
-			}
-			lastErr = fmt.Errorf("hypothetical %q: %w", id, err)
-			if rbErr := in.rollbackOutputs(snap); rbErr != nil {
-				return metric.Columns{}, errors.Join(lastErr, fmt.Errorf("hypothetical rollback %q: %w", id, rbErr))
-			}
-			continue
-		}
-		fresh := in.OutputState(id)
-		if err := in.rollbackOutputs(snap); err != nil {
-			return metric.Columns{}, fmt.Errorf("hypothetical rollback %q: %w", id, err)
-		}
-		return fresh, nil
+	// outputs keep their stale contents; a rollback restores the saved
+	// values exactly, so one snapshot serves every attempt.
+	ctx := &workflow.Context{Wave: wave, Store: in.store}
+	if err := in.attempts(ctx, st, nil, undo); err != nil {
+		return metric.Columns{}, fmt.Errorf("hypothetical %q: %w", id, err)
 	}
-	return metric.Columns{}, lastErr
+	fresh := in.OutputState(id)
+	if err := undo(); err != nil {
+		return metric.Columns{}, err
+	}
+	return fresh, nil
 }
 
 // predecessorsReady reports whether all of st's upstream steps have executed

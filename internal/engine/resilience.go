@@ -7,14 +7,15 @@ package engine
 //   - executeDegradable turns an exhausted retry budget on a gated step into
 //     a forced skip (outputs rolled back, wave carries on) when DegradeGated
 //     is set.
-//   - RunWave takes the instance's persisted form (persist.go) at wave start
-//     and restores it when the wave fails, so a failed wave leaves every
+//   - RunWave marks the instance at wave start and rewinds it to the mark
+//     when the wave fails (persist.go), so a failed wave leaves every
 //     tracker and the per-step bookkeeping exactly as they were.
 
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"smartflux/internal/kvstore"
@@ -95,94 +96,76 @@ func (in *Instance) executeDegradable(ctx *workflow.Context, st *stepState, wave
 	return false, nil
 }
 
-// cellKey addresses one cell within a table snapshot.
-type cellKey struct{ row, col string }
-
-// outputSnapshot captures the raw latest contents of a step's output tables,
-// for exact restoration after a hypothetical run or a degraded execution.
-type outputSnapshot struct {
-	tables map[string]*kvstore.Table
-	saved  map[string]map[cellKey][]byte
+// savedTable is one output table's latest contents, as Scan returned them:
+// in (row, column) order.
+type savedTable struct {
+	t     *kvstore.Table
+	cells []kvstore.Cell
 }
 
 // saveOutputs snapshots the latest value of every cell in every output table
-// of step (each table once, even when referenced by several containers).
-func (in *Instance) saveOutputs(step *workflow.Step) (outputSnapshot, error) {
-	snap := outputSnapshot{
-		tables: make(map[string]*kvstore.Table, len(step.Outputs)),
-		saved:  make(map[string]map[cellKey][]byte, len(step.Outputs)),
-	}
+// of step, each table once and in name order, for exact restoration after a
+// hypothetical run or a degraded execution. Missing tables are created in
+// the step's output order.
+func (in *Instance) saveOutputs(step *workflow.Step) ([]savedTable, error) {
+	snap := make([]savedTable, 0, len(step.Outputs))
 	for _, out := range step.Outputs {
-		if _, done := snap.saved[out.Table]; done {
-			continue
-		}
 		t, err := in.store.EnsureTable(out.Table, kvstore.TableOptions{})
 		if err != nil {
-			return outputSnapshot{}, err
+			return nil, err
 		}
-		snap.tables[out.Table] = t
-		cells := make(map[cellKey][]byte)
-		for _, c := range t.Scan(kvstore.ScanOptions{}) {
-			cells[cellKey{c.Row, c.Column}] = c.Version.Value
-		}
-		snap.saved[out.Table] = cells
+		snap = append(snap, savedTable{t: t})
+	}
+	slices.SortFunc(snap, func(a, b savedTable) int { return strings.Compare(a.t.Name(), b.t.Name()) })
+	snap = slices.CompactFunc(snap, func(a, b savedTable) bool { return a.t == b.t })
+	for i := range snap {
+		snap[i].cells = snap[i].t.Scan(kvstore.ScanOptions{})
 	}
 	return snap, nil
 }
 
-// rollbackOutputs restores every snapshotted table to its saved contents:
-// saved cells get their old values back, cells introduced since are deleted.
-// Restoration appends versions rather than rewinding history, so the latest
-// values — everything metrics and processors read — match the snapshot
-// exactly while the version log keeps a trace of the undone writes.
-//
-// Tables and vanished cells are restored in sorted order, never map order:
-// the undo writes land in the version log and WAL, and two runs rolling back
-// the same wave must produce byte-identical logs.
-func (in *Instance) rollbackOutputs(snap outputSnapshot) error {
-	names := make([]string, 0, len(snap.tables))
-	for name := range snap.tables {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		t := snap.tables[name]
-		saved := snap.saved[name]
-		current := t.Scan(kvstore.ScanOptions{})
+// rollbackOutputs restores every saved table, in name order, to its saved
+// contents with one batch, built in one merge of the table's current cells
+// and its saved ones: for each current cell in key order, a cell introduced
+// since is deleted and a changed one gets its old value back; then every
+// saved cell that vanished is put back, in key order. Restoration appends
+// versions rather than rewinding history, so the latest values — everything
+// metrics and processors read — match the snapshot exactly while the version
+// log keeps a trace of the undone writes. The batch is a function of the two
+// scans alone, so two runs rolling back the same wave write byte-identical
+// logs and WALs.
+func (in *Instance) rollbackOutputs(snap []savedTable) error {
+	for _, s := range snap {
+		current := s.t.Scan(kvstore.ScanOptions{})
 		batch := kvstore.GetBatch().Grow(len(current))
-		seen := make(map[cellKey]struct{}, len(current))
+		saved, vanished := s.cells, []kvstore.Cell(nil)
 		for _, c := range current {
-			key := cellKey{c.Row, c.Column}
-			seen[key] = struct{}{}
-			old, had := saved[key]
-			switch {
-			case !had:
+			for len(saved) > 0 && keyLess(saved[0], c) {
+				vanished, saved = append(vanished, saved[0]), saved[1:]
+			}
+			if len(saved) == 0 || keyLess(c, saved[0]) {
 				batch.Delete(c.Row, c.Column)
-			case string(old) != string(c.Version.Value):
-				batch.Put(c.Row, c.Column, old)
+				continue
 			}
-		}
-		vanished := make([]cellKey, 0, len(saved))
-		for key := range saved {
-			if _, still := seen[key]; !still {
-				vanished = append(vanished, key)
+			if string(saved[0].Version.Value) != string(c.Version.Value) {
+				batch.Put(c.Row, c.Column, saved[0].Version.Value)
 			}
+			saved = saved[1:]
 		}
-		sort.Slice(vanished, func(i, j int) bool {
-			if vanished[i].row != vanished[j].row {
-				return vanished[i].row < vanished[j].row
-			}
-			return vanished[i].col < vanished[j].col
-		})
-		batch.Grow(len(vanished))
-		for _, key := range vanished {
-			batch.Put(key.row, key.col, saved[key])
+		for _, c := range append(vanished, saved...) {
+			batch.Put(c.Row, c.Column, c.Version.Value)
 		}
-		err := t.Apply(batch)
+		err := s.t.Apply(batch)
 		batch.Release()
 		if err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// keyLess reports whether cell a sorts before cell b in Scan's (row, column)
+// order.
+func keyLess(a, b kvstore.Cell) bool {
+	return a.Row < b.Row || a.Row == b.Row && a.Column < b.Column
 }

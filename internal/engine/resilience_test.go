@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"math/rand"
 	"reflect"
 	"slices"
 	"strconv"
@@ -564,65 +565,189 @@ func TestDegradeParallelEquivalence(t *testing.T) {
 	}
 }
 
-// TestRollbackOutputsDeterministicOrder pins the rollbackOutputs ordering
-// contract behind the detflow findings this analyzer fix resolved: restoring
-// several tables with deleted, changed and extra cells must stamp identical
-// logical timestamps on identical stores, because the undo writes land in
-// the version log (and WAL, when attached) in sorted rather than map order.
-func TestRollbackOutputsDeterministicOrder(t *testing.T) {
-	run := func() map[string]uint64 {
-		store := kvstore.New()
-		snap := outputSnapshot{
-			tables: make(map[string]*kvstore.Table),
-			saved:  make(map[string]map[cellKey][]byte),
+// refCell addresses one cell of a referenceSnapshot.
+type refCell struct{ row, col string }
+
+// referenceSnapshot is the undo as the engine built it before its merge: a
+// map of the saved cells per table. referenceRollback restores tables in
+// sorted name order, and a table's vanished cells after its current ones,
+// sorted by key.
+type referenceSnapshot struct {
+	tables map[string]*kvstore.Table
+	saved  map[string]map[refCell][]byte
+}
+
+func referenceSave(t *testing.T, store *kvstore.Store, step *workflow.Step) referenceSnapshot {
+	t.Helper()
+	snap := referenceSnapshot{
+		tables: make(map[string]*kvstore.Table),
+		saved:  make(map[string]map[refCell][]byte),
+	}
+	for _, out := range step.Outputs {
+		if _, done := snap.saved[out.Table]; done {
+			continue
 		}
+		tb, err := store.EnsureTable(out.Table, kvstore.TableOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap.tables[out.Table] = tb
+		cells := make(map[refCell][]byte)
+		for _, c := range tb.Scan(kvstore.ScanOptions{}) {
+			cells[refCell{c.Row, c.Column}] = c.Version.Value
+		}
+		snap.saved[out.Table] = cells
+	}
+	return snap
+}
+
+func referenceRollback(t *testing.T, snap referenceSnapshot) {
+	t.Helper()
+	names := make([]string, 0, len(snap.tables))
+	for name := range snap.tables {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	for _, name := range names {
+		tb, saved := snap.tables[name], snap.saved[name]
+		batch := kvstore.NewBatch()
+		seen := make(map[refCell]bool)
+		for _, c := range tb.Scan(kvstore.ScanOptions{}) {
+			key := refCell{c.Row, c.Column}
+			seen[key] = true
+			old, had := saved[key]
+			switch {
+			case !had:
+				batch.Delete(c.Row, c.Column)
+			case string(old) != string(c.Version.Value):
+				batch.Put(c.Row, c.Column, old)
+			}
+		}
+		var vanished []refCell
+		for key := range saved {
+			if !seen[key] {
+				vanished = append(vanished, key)
+			}
+		}
+		slices.SortFunc(vanished, func(a, b refCell) int {
+			if a.row != b.row {
+				return strings.Compare(a.row, b.row)
+			}
+			return strings.Compare(a.col, b.col)
+		})
+		for _, key := range vanished {
+			batch.Put(key.row, key.col, saved[key])
+		}
+		if err := tb.Apply(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestRollbackOutputsMatchesReference holds rollbackOutputs to the map-and-
+// sort undo it replaced (referenceRollback): over seeded random damage to
+// several output tables — changed, unchanged, deleted and added cells, new
+// rows, values on both sides of the 8 bytes a version holds inline, and a
+// step that declares two containers of one table — the two must deliver the
+// same mutations, field for field and timestamps included, and leave equal
+// stores. The undo writes land in the version log and the WAL, so their
+// order is part of every digest.
+func TestRollbackOutputsMatchesReference(t *testing.T) {
+	step := &workflow.Step{ID: "undo", Outputs: []workflow.Container{
+		{Table: "gamma"}, {Table: "alpha", ColumnPrefix: "a"}, {Table: "delta"},
+		{Table: "alpha", ColumnPrefix: "b"}, {Table: "beta"},
+	}}
+	value := func(rng *rand.Rand) []byte {
+		v := make([]byte, rng.Intn(20))
+		for i := range v {
+			v[i] = byte('a' + rng.Intn(3))
+		}
+		return v
+	}
+	// build fills and then damages a store, the same one for a seed; save
+	// runs between the two.
+	build := func(seed int64, save func(*kvstore.Store)) (*kvstore.Store, *[]kvstore.Mutation) {
+		rng := rand.New(rand.NewSource(seed))
+		store := kvstore.New()
+		var muts []kvstore.Mutation
+		recording := false
 		for _, name := range []string{"alpha", "beta", "delta", "gamma"} {
-			tb, err := store.EnsureTable(name, kvstore.TableOptions{})
+			tb, err := store.EnsureTable(name, kvstore.TableOptions{MaxVersions: 1 + rng.Intn(3)})
 			if err != nil {
 				t.Fatal(err)
 			}
-			saved := map[cellKey][]byte{}
-			for _, key := range []cellKey{{"r1", "a"}, {"r1", "b"}, {"r2", "a"}} {
-				val := []byte(name + "/" + key.row + "/" + key.col)
-				if err := tb.Put(key.row, key.col, val); err != nil {
+			tb.Subscribe(kvstore.ObserverFunc(func(m kvstore.Mutation) {
+				if recording {
+					muts = append(muts, m)
+				}
+			}))
+			for i := rng.Intn(12); i > 0; i-- {
+				if err := tb.Put("r"+strconv.Itoa(rng.Intn(5)), "c"+strconv.Itoa(rng.Intn(4)), value(rng)); err != nil {
 					t.Fatal(err)
 				}
-				saved[key] = val
-			}
-			snap.tables[name] = tb
-			snap.saved[name] = saved
-			// Post-snapshot damage: one saved cell vanishes, one changes,
-			// one appears from nowhere.
-			if err := tb.Delete("r1", "a"); err != nil {
-				t.Fatal(err)
-			}
-			if err := tb.Put("r1", "b", []byte("changed")); err != nil {
-				t.Fatal(err)
-			}
-			if err := tb.Put("r9", "x", []byte("extra")); err != nil {
-				t.Fatal(err)
 			}
 		}
-		// rollbackOutputs reads nothing from the instance; a zero receiver
-		// keeps the scenario free of workflow scaffolding.
-		if err := (&Instance{}).rollbackOutputs(snap); err != nil {
+		save(store)
+		for _, name := range []string{"alpha", "beta", "delta", "gamma"} {
+			tb, _ := store.Table(name)
+			cells := tb.Scan(kvstore.ScanOptions{})
+			for i := rng.Intn(10); i > 0; i-- {
+				var err error
+				switch op := rng.Intn(4); {
+				case op == 0 && len(cells) > 0:
+					c := cells[rng.Intn(len(cells))]
+					err = tb.Delete(c.Row, c.Column)
+				case op == 1 && len(cells) > 0:
+					c := cells[rng.Intn(len(cells))]
+					err = tb.Put(c.Row, c.Column, c.Version.Value) // rewritten unchanged
+				default:
+					err = tb.Put("r"+strconv.Itoa(rng.Intn(7)), "c"+strconv.Itoa(rng.Intn(5)), value(rng))
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		recording = true
+		return store, &muts
+	}
+	undone := 0
+	for seed := int64(1); seed <= 200; seed++ {
+		var snap []savedTable
+		store, got := build(seed, func(s *kvstore.Store) {
+			var err error
+			// rollbackOutputs and saveOutputs read nothing from the
+			// instance but its store.
+			if snap, err = (&Instance{store: s}).saveOutputs(step); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if err := (&Instance{store: store}).rollbackOutputs(snap); err != nil {
 			t.Fatal(err)
 		}
-		stamps := make(map[string]uint64)
-		for name, tb := range snap.tables {
-			for _, c := range tb.Scan(kvstore.ScanOptions{}) {
-				stamps[name+"/"+c.Row+"/"+c.Column] = c.Version.Timestamp
+		var ref referenceSnapshot
+		refStore, want := build(seed, func(s *kvstore.Store) { ref = referenceSave(t, s, step) })
+		referenceRollback(t, ref)
+		if !reflect.DeepEqual(*got, *want) {
+			t.Fatalf("seed %d: undo mutations\n%+v\nwant the reference's\n%+v", seed, *got, *want)
+		}
+		if string(store.Dump()) != string(refStore.Dump()) {
+			t.Fatalf("seed %d: stores differ after the undo", seed)
+		}
+		for _, s := range snap {
+			now := s.t.Scan(kvstore.ScanOptions{})
+			if len(now) != len(s.cells) {
+				t.Fatalf("seed %d: table %s holds %d cells after the undo, saved %d", seed, s.t.Name(), len(now), len(s.cells))
+			}
+			for i, c := range now {
+				if old := s.cells[i]; c.Row != old.Row || c.Column != old.Column || string(c.Version.Value) != string(old.Version.Value) {
+					t.Fatalf("seed %d: table %s cell %d is %s=%q after the undo, saved %s=%q", seed, s.t.Name(), i, c.Key(), c.Version.Value, old.Key(), old.Version.Value)
+				}
 			}
 		}
-		return stamps
+		undone += len(*got)
 	}
-	first, second := run(), run()
-	if len(first) != len(second) {
-		t.Fatalf("rollback left different cell sets: %d vs %d", len(first), len(second))
-	}
-	for cell, ts := range first {
-		if second[cell] != ts {
-			t.Errorf("cell %s stamped %d then %d: rollback order is not deterministic", cell, ts, second[cell])
-		}
+	if undone == 0 {
+		t.Fatal("no seed damaged anything the undo had to restore")
 	}
 }

@@ -117,11 +117,13 @@ func (t *Table) ScanFloatRows(cols []string, fn func(keys []string, vals []float
 // Apply of a batch of those PutFloats in row-major order, in every respect:
 // timestamps, Version, counters, span, and the Mutations observers receive.
 // Keys travel once per row and once per column and values as bare floats, so
-// no Op is built, read or cleared. A grid whose row and column lists equal,
-// by content, those of the table's last write, a grid, writes every cell
-// through the window and float slot that write found, checking nothing per
-// cell; a grid that repeats a batch's keys checks them cell by cell, as a
-// batch does (see write), so a table written both ways keeps one plan.
+// no Op is built, read or cleared. The table keeps, for each cell k of its
+// last grid, the cell's window and float slot, and the grid's row and column
+// lists (t.plan), until a cell is added or deleted or the float array is
+// rebuilt. A grid whose lists equal the plan's, by content, writes every cell
+// through its entry with no per-cell check; one of as many cells writes cell
+// k through entry k when both name the same keys; any other cell is looked
+// up, as a batch's are (see write). A batch neither reads nor drops the plan.
 //
 // Every key is checked before fill runs: an empty one returns ErrEmptyKey
 // and leaves the table and the store clock untouched. A grid of zero cells
@@ -144,22 +146,25 @@ func (t *Table) PutFloatRows(rows, cols []string, fill func(vals []float64)) err
 	t.mu.Lock()
 	w.startLocked(n)
 	p := &t.plan
-	repeat := p.grid && slices.Equal(p.rows, rows) && slices.Equal(p.cols, cols)
+	same := p.valid && len(p.cells) == n
+	repeat := same && slices.Equal(p.rows, rows) && slices.Equal(p.cols, cols)
+	if !same {
+		p.cells = slices.Grow(p.cells[:0], n)[:n]
+	}
+	p.valid = true // until a resolve adds a cell
 	k := 0
 	for _, row := range rows {
 		for _, col := range cols {
 			ref := &p.cells[k]
-			if !repeat {
-				if r, c := p.key(k); !p.valid || r != row || c != col {
-					ref = w.resolve(k, row, col)
-				}
+			if !repeat && (!same || !p.valid || p.rows[k/len(p.cols)] != row || p.cols[k%len(p.cols)] != col) {
+				*ref = w.resolve(row, col)
 			}
 			w.put(ref, row, col, stamp{ts: w.first + uint64(k), w: math.Float64bits(vals[k]), n: floatWidth})
 			k++
 		}
 	}
 	if !repeat {
-		p.rows, p.cols, p.grid = append(p.rows[:0], rows...), append(p.cols[:0], cols...), true
+		p.rows, p.cols = append(p.rows[:0], rows...), append(p.cols[:0], cols...)
 	}
 	t.mu.Unlock()
 	w.done()

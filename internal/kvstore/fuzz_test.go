@@ -12,11 +12,11 @@ import (
 // reference model (refTable) — float puts, puts and ReplayPuts at explicit
 // timestamps of values 0 to 19 bytes long, across the 8 bytes a version holds
 // inline, deletes, DropTable followed by a recreate, a batch repeating the
-// last few puts and deletes with fresh values, which a second such batch in a
-// row writes through the table's plan, and a float grid (PutFloatRows) of
-// rows, duplicates included, × a column subset, or of the last batch's or
-// grid's keys when they form a grid, which it writes through the plan that
-// write left. After every operation it
+// last few puts and deletes with fresh values, which looks up every put, and
+// a float grid (PutFloatRows) of rows, duplicates included, × a column
+// subset, or of the last batch's or grid's keys when they form a grid, which
+// writes through the table's plan when it repeats the last grid's keys.
+// After every operation it
 // requires Get, GetVersions and History to equal the model, and the table's
 // blob slots to match its versions (checkBlobs); and, unless the operation
 // skips them, the reads that build the float array: ScanColumns to equal the
@@ -24,7 +24,7 @@ import (
 // keys kept; see floatColumns) at the model's version, for a whole-table, a
 // column-prefix and a row-prefix read; and ScanFloatRows of two column lists,
 // one naming a column no row has, to equal the rows and cells Scan returns.
-// Skipping them lets a repeated batch or grid write through the plan while
+// Skipping them lets a repeated grid write through the plan while
 // the float array is absent or stale. Row "a" beside "a-b" breaks (row,
 // column) order against element-key order, and row "a" column "b/c" collides
 // with row "a/b" column "c". Each operation takes four bytes: kind, row,

