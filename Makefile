@@ -215,17 +215,20 @@ loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './internal/analysis/testdata/*' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l
 
 ## bench-smoke: one iteration of each overhead microbenchmark, each Linear
-## Road processor, the Linear Road wave at Parallelism 1 and 2 and the
+## Road processor, the Linear Road wave at Parallelism 1 and 2, the
 ## harness's 120 training waves, whose measure pass runs a report step
-## hypothetically and undoes it every wave — numbers meaningless; a benchmark
-## that fails at run time fails it; part of make check
+## hypothetically and undoes it every wave, and the model build set-up pays
+## (Session.Train on their knowledge base, and one step's forest fit) —
+## numbers meaningless; a benchmark that fails at run time fails it; part of
+## make check
 bench-smoke:
-	$(GO) test -run xxx -bench 'BenchmarkOverhead|BenchmarkLRBSteps|BenchmarkLRBWaveParallelism|BenchmarkHarnessTrainingLRB' -benchtime 1x .
+	$(GO) test -run xxx -bench 'BenchmarkOverhead|BenchmarkLRBSteps|BenchmarkLRBWaveParallelism|BenchmarkHarnessTrainingLRB|BenchmarkSessionTrainLRB|BenchmarkForestFitOwnImpact' -benchtime 1x .
 
 ## bench: overhead microbenchmarks (§5.3 + instrumentation overhead, and the
 ## store's cost of a changing key set, BenchmarkOverheadKVStoreChurn), each
 ## Linear Road processor at steady state, the serial-vs-parallel
-## microbenchmarks, one Linear Road wave at Parallelism 1 and 2 and the
+## microbenchmarks, one Linear Road wave at Parallelism 1 and 2, a Linear
+## Road pipeline's Session.Train and the
 ## cluster comparison (BENCH_PR10.json); the WAL's
 ## cost per wave is the pipeline benchmark's aqhi-durable workload (make
 ## bench-e2e-smoke runs it)
@@ -233,6 +236,6 @@ bench:
 	$(GO) test -run xxx -bench 'BenchmarkOverhead' -benchtime 1000x .
 	$(GO) test -run xxx -bench 'BenchmarkLRBSteps' -benchtime 2000x .
 	$(GO) test -run xxx -bench 'BenchmarkLRBWaveParallelism' -benchtime 2000x .
-	$(GO) test -run xxx -bench 'BenchmarkRunWave|BenchmarkForestFit' -benchtime 10x .
+	$(GO) test -run xxx -bench 'BenchmarkRunWave|BenchmarkForestFit|BenchmarkSessionTrainLRB' -benchtime 10x .
 	$(GO) run ./cmd/clusterbench -out BENCH_PR10.json
 	@cat BENCH_PR10.json

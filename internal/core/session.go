@@ -69,7 +69,8 @@ type Config struct {
 	// cross-validation fits, one fan-out in Train and in a restore. 0
 	// selects runtime.GOMAXPROCS(0); at 1 the tasks run one at a time, but
 	// training is not sequential: each Random Forest still fits its trees
-	// on runtime.GOMAXPROCS(0) workers, because the session leaves
+	// on runtime.GOMAXPROCS(0) workers while the task's goroutine draws the
+	// next tree's bootstrap sample, because the session leaves
 	// ml.ForestConfig.Parallelism unset. Reports and fitted predictors are
 	// bit-identical for every setting: fold partitions are drawn from the
 	// session RNG in label order before any task runs, and per-fold

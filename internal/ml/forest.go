@@ -3,8 +3,10 @@ package ml
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 )
 
@@ -30,10 +32,11 @@ type ForestConfig struct {
 	// Seed drives bootstrap sampling and feature subsampling.
 	Seed int64
 	// Parallelism bounds how many trees fit concurrently: 0 selects
-	// runtime.GOMAXPROCS(0), 1 fits sequentially. Every setting produces
-	// an identical forest: bootstrap samples and per-tree seeds are drawn
-	// sequentially from the root RNG in tree order before any tree fits,
-	// and each tree lands in its own slot.
+	// runtime.GOMAXPROCS(0), 1 fits one tree at a time. Fit draws the
+	// bootstrap samples and per-tree seeds from the root RNG on its own
+	// goroutine, in tree order, while that many workers fit the trees
+	// already drawn, each into its own slot. Every setting therefore
+	// produces an identical forest.
 	Parallelism int
 }
 
@@ -83,12 +86,12 @@ func NewForest(cfg ForestConfig) *Forest {
 // Name implements Named.
 func (f *Forest) Name() string { return "random-forest" }
 
-// treeTask is the pre-drawn recipe for one tree: its bootstrap sample and
-// seed, fixed before any fitting starts so goroutine interleaving cannot
-// change what each tree trains on.
+// treeTask is one drawn tree: its slot, its bootstrap sample as a count per
+// row, and its seed.
 type treeTask struct {
-	idx  []int
-	seed int64
+	i     int
+	count []int
+	seed  int64
 }
 
 // Fit trains the forest on d. Trees fit concurrently when
@@ -99,88 +102,134 @@ func (f *Forest) Fit(d Dataset) error {
 		return err
 	}
 	f.features = d.Features()
-	maxFeatures := max(int(math.Sqrt(float64(f.features))), 1)
-
-	// Phase 1 — sequential: draw every tree's recipe. d is sorted once per
-	// feature, and each tree lays its sample out from that order.
-	tasks := f.drawTasks(d)
+	cfg := TreeConfig{MaxDepth: f.cfg.MaxDepth, MinLeaf: f.cfg.MinLeaf, Criterion: f.cfg.Criterion,
+		MaxFeatures: max(int(math.Sqrt(float64(f.features))), 1)}
+	// d is sorted once per feature; each tree keeps the rows it drew from
+	// that order.
 	order := presort(d)
-
-	// Phase 2 — parallel: fit trees into indexed slots.
 	trees := make([]*Tree, f.cfg.Trees)
+	workers := min(f.cfg.workers(), f.cfg.Trees)
+
+	// The workers fit the drawn trees, each reusing one grower. A count
+	// vector goes back to free once its tree is fitted; one more than the
+	// workers lets this goroutine draw the next tree while every worker fits.
+	tasks, free := make(chan treeTask), make(chan []int, workers+1)
+	for range workers + 1 {
+		free <- make([]int, d.Len())
+	}
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, f.cfg.workers())
-	for i, task := range tasks {
+	for range workers {
 		wg.Add(1)
-		sem <- struct{}{}
 		go func() {
 			defer wg.Done()
-			tree := NewTree(TreeConfig{MaxDepth: f.cfg.MaxDepth, MinLeaf: f.cfg.MinLeaf,
-				Criterion: f.cfg.Criterion, MaxFeatures: maxFeatures, Seed: task.seed})
-			tree.fit(d, sampleOrder(order, task.idx))
-			trees[i] = tree
-			<-sem
+			g := &grower{d: d}
+			var nodes []treeNode // grown in, then copied out at its length
+			for task := range tasks {
+				tc := cfg
+				tc.Seed = task.seed
+				tree := NewTree(tc)
+				tree.nodes = nodes
+				g.sampleOrder(order, task.count)
+				g.fit(tree)
+				free <- task.count
+				nodes, tree.nodes = tree.nodes, slices.Clone(tree.nodes)
+				trees[task.i] = tree
+			}
 		}()
 	}
+	// The root stream is consumed here alone, in tree order.
+	b := newBootstrap(f.cfg, d.Y)
+	for i := range trees {
+		count := <-free
+		tasks <- treeTask{i: i, count: count, seed: b.draw(count)}
+	}
+	close(tasks)
 	wg.Wait()
 	f.trees = trees
 	return nil
 }
 
-// drawTasks draws every tree's bootstrap sample and seed from the root RNG
-// in tree order (the exact historical draw order: per tree, n sample draws
-// followed by one seed draw). Positives and negatives are sampled with
-// probability proportional to PositiveWeight.
-func (f *Forest) drawTasks(d Dataset) []treeTask {
-	rng := rand.New(rand.NewSource(f.cfg.Seed))
+// bootstrap draws a forest's bootstrap samples and tree seeds from the root
+// RNG: per tree, n sample draws followed by one seed draw, where a sample
+// draw picks the positive class with probability proportional to
+// PositiveWeight and then a uniform member of that class. It makes exactly
+// the draws rand.Rand's Float64 and Intn made, in the same order, but
+// straight on the Source.
+type bootstrap struct {
+	src                rand.Source
+	pos, neg           classDraw
+	posMass, totalMass float64
+}
+
+func newBootstrap(cfg ForestConfig, y []int) *bootstrap {
 	var pos, neg []int
-	for j, y := range d.Y {
-		if y == 1 {
+	for j, label := range y {
+		if label == 1 {
 			pos = append(pos, j)
 		} else {
 			neg = append(neg, j)
 		}
 	}
-	posMass := f.cfg.PositiveWeight * float64(len(pos))
-	totalMass := posMass + float64(len(neg))
-	tasks := make([]treeTask, f.cfg.Trees)
-	for i := range tasks {
-		idx := make([]int, d.Len())
-		for j := range idx {
-			switch {
-			case len(pos) == 0:
-				idx[j] = neg[rng.Intn(len(neg))]
-			case len(neg) == 0:
-				idx[j] = pos[rng.Intn(len(pos))]
-			case rng.Float64()*totalMass < posMass:
-				idx[j] = pos[rng.Intn(len(pos))]
-			default:
-				idx[j] = neg[rng.Intn(len(neg))]
-			}
-		}
-		tasks[i] = treeTask{idx: idx, seed: rng.Int63()}
-	}
-	return tasks
+	posMass := cfg.PositiveWeight * float64(len(pos))
+	return &bootstrap{src: rand.NewSource(cfg.Seed), pos: newClassDraw(pos), neg: newClassDraw(neg),
+		posMass: posMass, totalMass: posMass + float64(len(neg))}
 }
 
-// sampleOrder lays out the bootstrap sample idx per feature in ascending
-// value order, from one walk of each presorted order that repeats row j as
-// often as the sample drew it.
-func sampleOrder(order [][]int, idx []int) [][]int {
-	count := make([]int, len(order[0]))
-	for _, j := range idx {
-		count[j]++
-	}
-	out := make([][]int, len(order))
-	for f, o := range order {
-		out[f] = make([]int, 0, len(idx))
-		for _, j := range o {
-			for c := count[j]; c > 0; c-- {
-				out[f] = append(out[f], j)
-			}
+// draw fills count with how often the next tree's sample draws each row (it
+// draws len(count) rows) and returns the tree's seed.
+func (b *bootstrap) draw(count []int) int64 {
+	clear(count)
+	for range count {
+		switch {
+		case len(b.pos.rows) == 0:
+			count[b.neg.draw(b.src)]++
+		case len(b.neg.rows) == 0:
+			count[b.pos.draw(b.src)]++
+		case b.uniform()*b.totalMass < b.posMass:
+			count[b.pos.draw(b.src)]++
+		default:
+			count[b.neg.draw(b.src)]++
 		}
 	}
-	return out
+	return b.src.Int63()
+}
+
+// uniform is rand.Rand.Float64 on b's Source.
+func (b *bootstrap) uniform() float64 {
+	for {
+		if f := float64(b.src.Int63()) / (1 << 63); f != 1 {
+			return f
+		}
+	}
+}
+
+// classDraw draws a uniform member of one class's rows as rand.Rand.Intn
+// does for a class of fewer than 2³¹ rows (Int31n): it rejects the Int31
+// values above bound, then takes the remainder modulo the class size as the
+// high word of (recip·v mod 2⁶⁴)·size (Lemire's direct remainder, exact for
+// 32-bit operands). A power-of-two size rejects nothing, and the remainder
+// is the mask Int31n applies.
+type classDraw struct {
+	rows  []int
+	bound uint32 // 2³¹-1 - 2³¹ mod len(rows)
+	recip uint64 // ⌈2⁶⁴ / len(rows)⌉, wrapping to 0 for a class of one
+}
+
+func newClassDraw(rows []int) classDraw {
+	if len(rows) == 0 {
+		return classDraw{}
+	}
+	m := uint32(len(rows))
+	return classDraw{rows: rows, bound: 1<<31 - 1 - (1<<31)%m, recip: ^uint64(0)/uint64(m) + 1}
+}
+
+func (c *classDraw) draw(src rand.Source) int {
+	v := uint32(src.Int63() >> 32)
+	for v > c.bound {
+		v = uint32(src.Int63() >> 32)
+	}
+	j, _ := bits.Mul64(c.recip*uint64(v), uint64(len(c.rows)))
+	return c.rows[j]
 }
 
 // Score implements Classifier: the mean of per-tree leaf probabilities,

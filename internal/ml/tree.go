@@ -91,12 +91,16 @@ func (t *Tree) Name() string {
 	return "decision-tree(gini)"
 }
 
-// Fit grows the tree on d.
+// Fit grows the tree on d: every row once, each of weight 1.
 func (t *Tree) Fit(d Dataset) error {
 	if err := d.Validate(); err != nil {
 		return err
 	}
-	t.fit(d, presort(d))
+	w := make([]int, d.Len())
+	for i := range w {
+		w[i] = 1
+	}
+	(&grower{d: d, order: presort(d), w: w}).fit(t)
 	return nil
 }
 
@@ -117,31 +121,57 @@ func presort(d Dataset) [][]int {
 	return order
 }
 
-// grower is the state of one fit. order[f] lists the rows being fitted (a
-// row index may repeat, as in a bootstrap sample) in ascending order of
-// feature f; a node owns the same range [lo, hi) of every order, which grow
-// partitions stably into its children's ranges, so no node sorts.
+// grower is the state of one fit. order[f] lists the rows being fitted, each
+// once, in ascending order of feature f, and row j stands for w[j] examples
+// (its bootstrap count in a forest, 1 in Tree.Fit). A node owns the same
+// range [lo, hi) of every order, which grow partitions stably into its
+// children's ranges, so no node sorts. Every count a node tests or scores is
+// a sum of weights: the same integers a fit over a copy repeating row j w[j]
+// times would count, so the tree is the same bits. A forest's worker keeps
+// one grower, and so its buffers, across the trees it fits.
 type grower struct {
 	*Tree
 	d       Dataset
 	order   [][]int
+	w       []int
 	scratch []int // the right-hand rows of one partition
 	feats   []int // candidateFeatures' buffer
 }
 
-// fit grows the tree over the rows of order, a presort (or a bootstrap
-// sample laid out from one) of d.
-func (t *Tree) fit(d Dataset, order [][]int) {
-	t.features = d.Features()
+// fit grows t over the rows of g.order, weighted by g.w.
+func (g *grower) fit(t *Tree) {
+	g.Tree = t
+	t.features = g.d.Features()
 	t.nodes = t.nodes[:0]
-	(&grower{Tree: t, d: d, order: order, feats: make([]int, t.features)}).grow(0, len(order[0]), 0)
+	g.feats = slices.Grow(g.feats[:0], t.features)[:t.features]
+	g.grow(0, len(g.order[0]), 0)
+}
+
+// sampleOrder points g at a bootstrap sample of d: it keeps the rows count
+// draws, each once, in the presorted order of every feature, and weighs row
+// j by count[j]. g's order buffers are reused.
+func (g *grower) sampleOrder(order [][]int, count []int) {
+	if len(g.order) != len(order) {
+		g.order = make([][]int, len(order))
+	}
+	for f, o := range order {
+		out := g.order[f][:0]
+		for _, j := range o {
+			if count[j] > 0 {
+				out = append(out, j)
+			}
+		}
+		g.order[f] = out
+	}
+	g.w = count
 }
 
 // grow builds the subtree over rows [lo, hi) and returns its node index.
 func (g *grower) grow(lo, hi, depth int) int {
-	n, pos := hi-lo, 0
+	n, pos := 0, 0
 	for _, i := range g.order[0][lo:hi] {
-		pos += g.d.Y[i]
+		n += g.w[i]
+		pos += g.w[i] * g.d.Y[i]
 	}
 	// Laplace-smoothed leaf estimate: (pos+1)/(n+2). Smoothing makes the
 	// scores of small pure leaves less extreme, which markedly improves
@@ -151,16 +181,17 @@ func (g *grower) grow(lo, hi, depth int) int {
 	if pos == 0 || pos == n || g.cfg.MaxDepth > 0 && depth >= g.cfg.MaxDepth || n < 2*g.cfg.MinLeaf {
 		return nodeIdx
 	}
-	feature, threshold, ok := g.bestSplit(lo, hi, pos)
+	feature, threshold, ok := g.bestSplit(lo, hi, n, pos)
 	if !ok {
 		return nodeIdx
 	}
 	// The split feature's order is ascending, so its left child is a prefix.
-	mid := lo
+	mid, leftN := lo, 0
 	for mid < hi && g.d.X[g.order[feature][mid]][feature] <= threshold {
+		leftN += g.w[g.order[feature][mid]]
 		mid++
 	}
-	if mid-lo < g.cfg.MinLeaf || hi-mid < g.cfg.MinLeaf {
+	if leftN < g.cfg.MinLeaf || n-leftN < g.cfg.MinLeaf {
 		return nodeIdx
 	}
 	for f, o := range g.order {
@@ -207,18 +238,19 @@ func (g *grower) candidateFeatures() []int {
 }
 
 // bestSplit finds the impurity-minimizing (feature, threshold) pair over rows
-// [lo, hi), of which totalPos are positive, by one scan of each candidate
-// feature's order. Candidate thresholds lie only between distinct values, so
-// the class counts at each of them do not depend on how ties are ordered.
-func (g *grower) bestSplit(lo, hi, totalPos int) (feature int, threshold float64, ok bool) {
+// [lo, hi), of weight n with totalPos positives, by one scan of each
+// candidate feature's order. Candidate thresholds lie only between distinct
+// values, so the weighted class counts at each of them do not depend on how
+// ties are ordered.
+func (g *grower) bestSplit(lo, hi, n, totalPos int) (feature int, threshold float64, ok bool) {
 	bestScore := math.Inf(1)
-	n := hi - lo
 	for _, f := range g.candidateFeatures() {
 		o := g.order[f][lo:hi]
-		leftPos, v := 0, g.d.X[o[0]][f]
-		for leftN := 1; leftN < n; leftN++ {
-			leftPos += g.d.Y[o[leftN-1]]
-			next := g.d.X[o[leftN]][f]
+		leftN, leftPos, v := 0, 0, g.d.X[o[0]][f]
+		for k := 1; k < len(o); k++ {
+			leftN += g.w[o[k-1]]
+			leftPos += g.w[o[k-1]] * g.d.Y[o[k-1]]
+			next := g.d.X[o[k]][f]
 			if v != next { // cannot split between equal values
 				score := weightedImpurity(g.cfg.Criterion, leftPos, leftN, totalPos-leftPos, n-leftN)
 				if score < bestScore {

@@ -3,6 +3,7 @@ package ml
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -265,12 +266,26 @@ func TestTreeMatchesSortPerNodeReference(t *testing.T) {
 	}
 }
 
+// drawTasks collects a forest's bootstrap draws in tree order, as Fit makes
+// them.
+func drawTasks(cfg ForestConfig, d Dataset) []treeTask {
+	b := newBootstrap(cfg, d.Y)
+	tasks := make([]treeTask, cfg.Trees)
+	for i := range tasks {
+		count := make([]int, d.Len())
+		tasks[i] = treeTask{i: i, count: count, seed: b.draw(count)}
+	}
+	return tasks
+}
+
 // TestForestMatchesPerTreeSubsetFits holds Forest.Fit — one presort per
-// feature, each tree's sample laid out from it — to fitting every tree the
-// old way, with the sort-per-node reference on d.Subset of its bootstrap.
+// feature, each tree fitted over the rows its sample drew, weighted by their
+// counts — to fitting every tree the old way: the sort-per-node reference on
+// d.Subset of its bootstrap, each row repeated as often as it was drawn.
 func TestForestMatchesPerTreeSubsetFits(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	for c := 0; c < 40; c++ {
+	var weak, splits int
+	for c := 0; c < 400; c++ {
 		features := 1 + rng.Intn(4)
 		d := stressDataset(rng, features)
 		tc := stressConfig(rng, features)
@@ -287,7 +302,16 @@ func TestForestMatchesPerTreeSubsetFits(t *testing.T) {
 		if err := f.Fit(d); err != nil {
 			t.Fatal(err)
 		}
-		for i, task := range f.drawTasks(d) {
+		for i, task := range drawTasks(f.cfg, d) {
+			var idx []int
+			for j, k := range task.count {
+				for ; k > 0; k-- {
+					idx = append(idx, j)
+				}
+			}
+			if len(idx) != d.Len() {
+				t.Fatalf("case %d tree %d: counts sum to %d, want %d", c, i, len(idx), d.Len())
+			}
 			ref := newRefTree(TreeConfig{
 				MaxDepth:    cfg.MaxDepth,
 				MinLeaf:     cfg.MinLeaf,
@@ -295,13 +319,146 @@ func TestForestMatchesPerTreeSubsetFits(t *testing.T) {
 				MaxFeatures: max(int(math.Sqrt(float64(features))), 1),
 				Seed:        task.seed,
 			})
-			if err := ref.Fit(d.Subset(task.idx)); err != nil {
+			if err := ref.Fit(d.Subset(idx)); err != nil {
 				t.Fatal(err)
 			}
 			if !sameNodes(f.trees[i].nodes, ref.nodes) {
 				t.Fatalf("case %d tree %d (%+v): got %+v, want %+v", c, i, cfg, f.trees[i].nodes, ref.nodes)
 			}
+			splits += len(ref.nodes) / 2
 		}
+		if cfg.MinLeaf >= 2 && cfg.PositiveWeight == 14 {
+			weak++
+		}
+	}
+	// Weighted leaf-size checks only bite where MinLeaf exceeds 1 and the
+	// sample repeats rows, which PositiveWeight 14 does most.
+	if weak < 50 || splits < 2000 {
+		t.Fatalf("weak draw: %d cases with MinLeaf ≥ 2 and PositiveWeight 14, %d splits", weak, splits)
+	}
+}
+
+// refDrawTask is one tree's recipe as the reference draw makes it.
+type refDrawTask struct {
+	idx  []int
+	seed int64
+}
+
+// refDrawTasks is the draw Forest.Fit made through rand.Rand before a
+// bootstrap became a count vector, kept verbatim but for its source, which
+// is passed in so the test can count the values it consumes.
+func refDrawTasks(f *Forest, d Dataset, src rand.Source) []refDrawTask {
+	rng := rand.New(src)
+	var pos, neg []int
+	for j, y := range d.Y {
+		if y == 1 {
+			pos = append(pos, j)
+		} else {
+			neg = append(neg, j)
+		}
+	}
+	posMass := f.cfg.PositiveWeight * float64(len(pos))
+	totalMass := posMass + float64(len(neg))
+	tasks := make([]refDrawTask, f.cfg.Trees)
+	for i := range tasks {
+		idx := make([]int, d.Len())
+		for j := range idx {
+			switch {
+			case len(pos) == 0:
+				idx[j] = neg[rng.Intn(len(neg))]
+			case len(neg) == 0:
+				idx[j] = pos[rng.Intn(len(pos))]
+			case rng.Float64()*totalMass < posMass:
+				idx[j] = pos[rng.Intn(len(pos))]
+			default:
+				idx[j] = neg[rng.Intn(len(neg))]
+			}
+		}
+		tasks[i] = refDrawTask{idx: idx, seed: rng.Int63()}
+	}
+	return tasks
+}
+
+// countingSource counts the values drawn from a Source.
+type countingSource struct {
+	rand.Source
+	n int
+}
+
+func (s *countingSource) Int63() int64 { s.n++; return s.Source.Int63() }
+
+// TestForestDrawMatchesRandReference pins the bootstrap draw, computed
+// straight on the Source with a precomputed rejection bound and remainder,
+// to rand.Rand's Float64 and Intn: every count vector and every tree seed.
+// Besides random cases it runs seeds found to hit Int31n's rejection loop,
+// which a class of at most 200 rows reaches about once in 10⁷ draws.
+func TestForestDrawMatchesRandReference(t *testing.T) {
+	type drawCase struct {
+		pos, neg int
+		weight   float64
+		trees    int
+		seed     int64
+	}
+	cases := []drawCase{{0, 191, 1, 12, 872}, {9, 191, 1, 12, 9287}, {191, 9, 3, 12, 9287}, {178, 0, 1, 12, 872}}
+	rng := rand.New(rand.NewSource(3))
+	for len(cases) < 600 {
+		n := 1 + rng.Intn(200)
+		var pos int
+		switch rng.Intn(4) {
+		case 0: // all negative
+		case 1:
+			pos = n
+		case 2: // a power-of-two class
+			pos = min(1<<rng.Intn(8), n)
+		default:
+			pos = rng.Intn(n + 1)
+		}
+		cases = append(cases, drawCase{pos, n - pos, []float64{0, 1, 3, 14}[rng.Intn(4)], 1 + rng.Intn(12), rng.Int63()})
+	}
+	var rejected, mixed, powers, others int
+	for c, dc := range cases {
+		n := dc.pos + dc.neg
+		d := Dataset{X: make([][]float64, n), Y: make([]int, n)}
+		for _, j := range rng.Perm(n)[:dc.pos] {
+			d.Y[j] = 1
+		}
+		f := NewForest(ForestConfig{Trees: dc.trees, PositiveWeight: dc.weight, Seed: dc.seed})
+		src := &countingSource{Source: rand.NewSource(dc.seed)}
+		want := refDrawTasks(f, d, src)
+		got := drawTasks(f.cfg, d)
+		for i := range want {
+			count := make([]int, n)
+			for _, j := range want[i].idx {
+				count[j]++
+			}
+			if got[i].seed != want[i].seed || !slices.Equal(got[i].count, count) {
+				t.Fatalf("case %d %+v tree %d: got seed %d counts %v, want seed %d counts %v",
+					c, dc, i, got[i].seed, got[i].count, want[i].seed, count)
+			}
+		}
+		// Without a rejection the reference draws n samples and a seed per
+		// tree, plus a class pick per sample when both classes are present.
+		draws := dc.trees * (n + 1)
+		if dc.pos > 0 && dc.neg > 0 {
+			draws += dc.trees * n
+			mixed++
+		}
+		if src.n > draws {
+			rejected++
+		}
+		for _, size := range []int{dc.pos, dc.neg} {
+			switch {
+			case size == 0:
+			case size&(size-1) == 0:
+				powers++
+			default:
+				others++
+			}
+		}
+	}
+	if rejected == 0 || mixed < 100 || powers < 100 || others < 100 {
+		t.Fatalf("weak draw: %d cases rejected a value, %d mixed, class sizes %d powers of two and %d not",
+			rejected, mixed, powers, others)
 	}
 }
 
