@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt-check lint lint-report lint-diff check chaos chaos-crash chaos-cluster chaos-partition chaos-trace examples-smoke bench bench-smoke bench-e2e bench-e2e-smoke bench-pairs loc clusterbench clusterbench-smoke fuzz stress
+.PHONY: all build test race vet fmt-check lint lint-report lint-diff check chaos chaos-crash chaos-cluster chaos-partition chaos-trace examples-smoke cli-smoke bench bench-smoke bench-e2e bench-e2e-smoke bench-pairs loc clusterbench clusterbench-smoke fuzz stress
 
 all: check
 
@@ -204,10 +204,28 @@ examples-smoke:
 			{ echo "examples-smoke: $$e printed other output"; exit 1; }; \
 	done; echo "examples-smoke: $(EXAMPLES_SMOKE) match their goldens"
 
+## cli-smoke: the two command lines' stdout against goldens (≈ 7 s) —
+## cmd/smartflux -train 60 -apply 40 on every workload under every policy
+## kind, then cmd/experiments on every figure but overhead (which prints
+## wall-clock timings) at -scale 0.1 — diffed against
+## cmd/<name>/testdata/stdout.golden; part of make check. Both commands are
+## built once into a temporary directory.
+CLI_WORKLOADS = lrb aqhi firerisk
+CLI_POLICIES = smartflux sync random seq3 oracle
+cli-smoke:
+	@bin=$$(mktemp -d) && trap 'rm -rf "$$bin"' EXIT && \
+	$(GO) build -o "$$bin" ./cmd/smartflux ./cmd/experiments && \
+	for w in $(CLI_WORKLOADS); do for p in $(CLI_POLICIES); do \
+		"$$bin/smartflux" -workload $$w -policy $$p -train 60 -apply 40 || echo "exit status $$?"; \
+	done; done | diff -u cmd/smartflux/testdata/stdout.golden - && \
+	{ "$$bin/experiments" -fig 3,roc,7,8,9,10,11,12 -scale 0.1 || echo "exit status $$?"; } | \
+		diff -u cmd/experiments/testdata/stdout.golden - && \
+	echo "cli-smoke: cmd/smartflux and cmd/experiments match their goldens"
+
 ## check: the pre-PR gate — build, vet, gofmt, lint, tests, race, chaos,
-## chaos-crash, chaos-cluster, chaos-partition, the examples smoke, and the
-## root-benchmark/clusterbench/pipeline-benchmark smoke passes
-check: build vet fmt-check lint test race chaos chaos-crash chaos-cluster chaos-partition examples-smoke bench-smoke clusterbench-smoke bench-e2e-smoke
+## chaos-crash, chaos-cluster, chaos-partition, the examples and command-line
+## smokes, and the root-benchmark/clusterbench/pipeline-benchmark smoke passes
+check: build vet fmt-check lint test race chaos chaos-crash chaos-cluster chaos-partition examples-smoke cli-smoke bench-smoke clusterbench-smoke bench-e2e-smoke
 
 ## loc: non-test Go lines outside the frozen benchmark — the figure a
 ## code-diet PR reports before and after

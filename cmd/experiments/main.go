@@ -21,7 +21,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"smartflux/internal/experiments"
@@ -35,9 +37,9 @@ func main() {
 	}
 }
 
-func run(args []string, out *os.File) error {
+func run(args []string, out *os.File) (err error) {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
-	fig := fs.String("fig", "all", "experiment to run: 3, roc, 7, 8, 9, 10, 11, 12, overhead, all")
+	fig := fs.String("fig", "all", "experiment to run: 3, roc, 7, 8, 9, 10, 11, 12, overhead, all (or a comma-separated list)")
 	seed := fs.Int64("seed", 42, "deterministic seed")
 	scale := fs.Float64("scale", 1, "wave-count scale factor (1 = paper-length runs)")
 	jobs := fs.Int("j", 0, "concurrent (workload, bound, policy) pipeline runs: 0 = GOMAXPROCS, 1 = one at a time (output is identical either way)")
@@ -47,171 +49,105 @@ func run(args []string, out *os.File) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-
-	observer, obsClose, err := buildObserver(*obsAddr, *traceOut, *spanOut, out)
+	want, err := selectFigures(*fig)
 	if err != nil {
 		return err
 	}
-	defer obsClose()
+
+	observer, closeObs, err := obs.Open(*obsAddr, *traceOut, *spanOut, out)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if cerr := closeObs(); err == nil {
+			err = cerr
+		}
+	}()
 
 	runner := experiments.NewRunner(experiments.Config{Seed: *seed, Scale: *scale, Jobs: *jobs, Obs: observer})
-	selected := strings.Split(*fig, ",")
-	all := *fig == "all"
-
-	want := func(name string) bool {
-		if all {
-			return true
-		}
-		for _, s := range selected {
-			if strings.TrimSpace(s) == name {
-				return true
-			}
-		}
-		return false
-	}
-
 	if err := runner.Prewarm(prewarmTargets(want)); err != nil {
 		return err
 	}
-
-	ran := false
-	if want("3") {
-		experiments.Fig3(runner.Config()).Render(out)
-		fmt.Fprintln(out)
-		ran = true
-	}
-	if want("roc") {
-		res, err := experiments.ClassifierSelection(runner, 0.20)
+	for _, f := range figures {
+		if !want(f.name) {
+			continue
+		}
+		results, err := f.run(runner)
 		if err != nil {
 			return err
 		}
-		res.Render(out)
-		fmt.Fprintln(out)
-		ran = true
-	}
-	if want("7") {
-		res, err := experiments.Fig7(runner, 0.20)
-		if err != nil {
-			return err
-		}
-		res.Render(out)
-		fmt.Fprintln(out)
-		ran = true
-	}
-	if want("8") {
-		res, err := experiments.Fig8(runner)
-		if err != nil {
-			return err
-		}
-		res.Render(out)
-		fmt.Fprintln(out)
-		ran = true
-	}
-	if want("9") {
-		res, err := experiments.Fig9(runner)
-		if err != nil {
-			return err
-		}
-		res.Render(out)
-		fmt.Fprintln(out)
-		ran = true
-	}
-	if want("10") {
-		res, err := experiments.Fig10(runner)
-		if err != nil {
-			return err
-		}
-		res.Render(out)
-		fmt.Fprintln(out)
-		ran = true
-	}
-	if want("11") {
-		res, err := experiments.Fig11(runner)
-		if err != nil {
-			return err
-		}
-		res.Render(out)
-		fmt.Fprintln(out)
-		ran = true
-	}
-	if want("12") {
-		res, err := experiments.Fig12(runner)
-		if err != nil {
-			return err
-		}
-		res.Render(out)
-		fmt.Fprintln(out)
-		ran = true
-	}
-	if want("overhead") {
-		for _, w := range []experiments.Workload{experiments.LRB, experiments.AQHI} {
-			res, err := experiments.Overhead(runner, w)
-			if err != nil {
-				return err
-			}
+		for _, res := range results {
 			res.Render(out)
 			fmt.Fprintln(out)
 		}
-		ran = true
-	}
-	if !ran {
-		return fmt.Errorf("unknown experiment %q", *fig)
 	}
 	return nil
 }
 
-// buildObserver wires the -obs-addr/-trace-out/-span-out flags into one
-// observer instrumenting every pipeline the runner executes; the returned
-// close function flushes the JSONL files and stops the debug server. All
-// three flags empty yields a nil observer (no instrumentation overhead).
-func buildObserver(obsAddr, traceOut, spanOut string, out *os.File) (*obs.Observer, func(), error) {
-	if obsAddr == "" && traceOut == "" && spanOut == "" {
-		return nil, func() {}, nil
-	}
-	registry := obs.NewRegistry()
-	var (
-		sinks     []obs.Sink
-		spanSinks []obs.SpanSink
-		closers   []func()
-	)
-	closeAll := func() {
-		for i := len(closers) - 1; i >= 0; i-- {
-			closers[i]()
+// renderer is what every experiment returns: a result that prints itself.
+type renderer interface{ Render(io.Writer) }
+
+// figure is one -fig name: the experiment it runs, and the results it prints.
+type figure struct {
+	name string
+	run  func(*experiments.Runner) ([]renderer, error)
+}
+
+// figures lists every experiment in the order a selection prints them.
+var figures = []figure{
+	{"3", func(r *experiments.Runner) ([]renderer, error) {
+		return []renderer{experiments.Fig3(r.Config())}, nil
+	}},
+	{"roc", one(func(r *experiments.Runner) (*experiments.ROCResult, error) {
+		return experiments.ClassifierSelection(r, 0.20)
+	})},
+	{"7", one(func(r *experiments.Runner) (*experiments.Fig7Result, error) {
+		return experiments.Fig7(r, 0.20)
+	})},
+	{"8", one(experiments.Fig8)},
+	{"9", one(experiments.Fig9)},
+	{"10", one(experiments.Fig10)},
+	{"11", one(experiments.Fig11)},
+	{"12", one(experiments.Fig12)},
+	{"overhead", func(r *experiments.Runner) ([]renderer, error) {
+		var results []renderer
+		for _, w := range []experiments.Workload{experiments.LRB, experiments.AQHI} {
+			res, err := experiments.Overhead(r, w)
+			if err != nil {
+				return nil, err
+			}
+			results = append(results, res)
 		}
-	}
-	if traceOut != "" {
-		f, err := os.Create(traceOut)
+		return results, nil
+	}},
+}
+
+// one adapts an experiment with a single result to a figures entry.
+func one[T renderer](fig func(*experiments.Runner) (T, error)) func(*experiments.Runner) ([]renderer, error) {
+	return func(r *experiments.Runner) ([]renderer, error) {
+		res, err := fig(r)
 		if err != nil {
-			return nil, closeAll, fmt.Errorf("trace-out: %w", err)
+			return nil, err
 		}
-		closers = append(closers, func() { _ = f.Close() })
-		sinks = append(sinks, obs.NewJSONLSink(f))
+		return []renderer{res}, nil
 	}
-	if spanOut != "" {
-		f, err := os.Create(spanOut)
-		if err != nil {
-			return nil, closeAll, fmt.Errorf("span-out: %w", err)
+}
+
+// selectFigures resolves -fig — "all" or a comma-separated list of names —
+// to a membership test, rejecting any unknown name before anything runs.
+func selectFigures(fig string) (func(string) bool, error) {
+	if fig == "all" {
+		return func(string) bool { return true }, nil
+	}
+	selected := map[string]bool{}
+	for _, name := range strings.Split(fig, ",") {
+		name = strings.TrimSpace(name)
+		if !slices.ContainsFunc(figures, func(f figure) bool { return f.name == name }) {
+			return nil, fmt.Errorf("unknown experiment %q", name)
 		}
-		closers = append(closers, func() { _ = f.Close() })
-		// One sink carries both record kinds so sftrace can correlate the
-		// ε-spend timeline with skip decisions from a single file.
-		spanl := obs.NewJSONLSink(f)
-		sinks = append(sinks, spanl)
-		spanSinks = append(spanSinks, spanl)
+		selected[name] = true
 	}
-	if obsAddr != "" {
-		ring := obs.NewRingSink(4096)
-		sinks = append(sinks, ring)
-		spanRing := obs.NewSpanRing(4096)
-		spanSinks = append(spanSinks, spanRing)
-		srv, err := obs.StartDebugServer(obsAddr, registry, ring, spanRing)
-		if err != nil {
-			return nil, closeAll, fmt.Errorf("obs-addr: %w", err)
-		}
-		closers = append(closers, func() { _ = srv.Close() })
-		fmt.Fprintf(out, "observability on http://%s (/metrics, /trace/tail, /trace/spans, /debug/pprof)\n", srv.Addr())
-	}
-	return obs.New(registry, sinks...).WithSpanSinks(spanSinks...), closeAll, nil
+	return func(name string) bool { return selected[name] }, nil
 }
 
 // prewarmTargets lists every pipeline the selected figures will request — the

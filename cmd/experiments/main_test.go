@@ -33,9 +33,13 @@ func TestRunFig3(t *testing.T) {
 	}
 }
 
+// Any unknown name fails the run before a figure prints, also in a list.
 func TestRunUnknownFig(t *testing.T) {
-	if _, err := capture(t, []string{"-fig", "99"}); err == nil {
-		t.Error("unknown figure must fail")
+	for _, fig := range []string{"99", "3,99"} {
+		out, err := capture(t, []string{"-fig", fig})
+		if err == nil || out != "" {
+			t.Errorf("-fig %s = %v after printing\n%s\nwant an error and no output", fig, err, out)
+		}
 	}
 }
 
@@ -47,6 +51,16 @@ func TestRunFigSelection(t *testing.T) {
 	}
 	if !strings.Contains(out, "Figure 12") {
 		t.Errorf("missing Figure 12 output:\n%s", out)
+	}
+}
+
+// A trace that cannot be written fails the run.
+func TestRunTraceWriteError(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full:", err)
+	}
+	if _, err := capture(t, []string{"-fig", "12", "-scale", "0.08", "-trace-out", "/dev/full"}); err == nil {
+		t.Error("tracing to a full device must fail the run")
 	}
 }
 

@@ -15,13 +15,12 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"smartflux"
+	"smartflux/internal/experiments"
 	"smartflux/internal/kvstore/cluster"
-	"smartflux/workloads"
+	"smartflux/internal/obs"
 )
 
 func main() {
@@ -31,7 +30,7 @@ func main() {
 	}
 }
 
-func run(args []string, out io.Writer) error {
+func run(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("smartflux", flag.ContinueOnError)
 	workload := fs.String("workload", "aqhi", "workload: lrb, aqhi, firerisk")
 	bound := fs.Float64("bound", 0.10, "maximum tolerated output error (maxε)")
@@ -56,13 +55,12 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	decider, err := parsePolicy(*policy, *seed)
+	decider, err := experiments.Policy(*policy, *seed)
 	if err != nil {
 		return err
 	}
 	var fsyncMode smartflux.FsyncMode
 	if *walDir != "" {
-		var err error
 		if fsyncMode, err = smartflux.ParseFsyncMode(*fsyncFlag); err != nil {
 			return err
 		}
@@ -78,77 +76,19 @@ func run(args []string, out io.Writer) error {
 		WaveRetries:  *retryWaves,
 	}
 
-	var (
-		registry *smartflux.MetricsRegistry
-		observer *smartflux.RunObserver
-		jsonl    *smartflux.JSONLTraceSink
-		spanl    *smartflux.JSONLTraceSink
-	)
-	if *obsAddr != "" || *traceOut != "" || *spanOut != "" {
-		registry = smartflux.NewMetricsRegistry()
-		var sinks []smartflux.TraceSink
-		var spanSinks []smartflux.SpanSink
-		if *traceOut != "" {
-			f, err := os.Create(*traceOut)
-			if err != nil {
-				return fmt.Errorf("trace-out: %w", err)
-			}
-			defer func() {
-				// A failed close can silently truncate the JSONL trace.
-				if cerr := f.Close(); cerr != nil {
-					fmt.Fprintln(os.Stderr, "smartflux: trace-out close:", cerr)
-				}
-			}()
-			jsonl = smartflux.NewJSONLTraceSink(f)
-			sinks = append(sinks, jsonl)
-		}
-		if *spanOut != "" {
-			f, err := os.Create(*spanOut)
-			if err != nil {
-				return fmt.Errorf("span-out: %w", err)
-			}
-			defer func() {
-				if cerr := f.Close(); cerr != nil {
-					fmt.Fprintln(os.Stderr, "smartflux: span-out close:", cerr)
-				}
-			}()
-			// One sink carries both record kinds so sftrace can correlate
-			// the ε-spend timeline with skip decisions from a single file.
-			spanl = smartflux.NewJSONLTraceSink(f)
-			sinks = append(sinks, spanl)
-			spanSinks = append(spanSinks, spanl)
-		}
-		var spanRing *smartflux.SpanRing
-		if *obsAddr != "" {
-			ring := smartflux.NewTraceRing(4096)
-			sinks = append(sinks, ring)
-			spanRing = smartflux.NewSpanRing(4096)
-			spanSinks = append(spanSinks, spanRing)
-			srv, err := smartflux.StartDebugServer(*obsAddr, registry, ring, spanRing)
-			if err != nil {
-				return fmt.Errorf("obs-addr: %w", err)
-			}
-			defer func() { _ = srv.Close() }() // best-effort teardown at exit
-			fmt.Fprintf(out, "observability on http://%s (/metrics, /trace/tail, /trace/spans, /debug/pprof)\n", srv.Addr())
-		}
-		observer = smartflux.NewRunObserver(registry, sinks...).WithSpanSinks(spanSinks...)
+	build, report, err := experiments.Recipe(experiments.Workload(*workload), *seed, *bound)
+	if err != nil {
+		return err
 	}
-
-	var build smartflux.BuildFunc
-	var report smartflux.StepID
-	switch *workload {
-	case "lrb":
-		build = workloads.LinearRoad(workloads.LinearRoadConfig{Seed: *seed, MaxError: *bound})
-		report = workloads.LinearRoadClassify
-	case "aqhi":
-		build = workloads.AirQuality(workloads.AirQualityConfig{Seed: *seed, MaxError: *bound})
-		report = workloads.AirQualityIndex
-	case "firerisk":
-		build = workloads.FireRisk(workloads.FireRiskConfig{Seed: *seed, MaxError: *bound})
-		report = workloads.FireRiskOverall
-	default:
-		return fmt.Errorf("unknown workload %q", *workload)
+	observer, closeObs, err := obs.Open(*obsAddr, *traceOut, *spanOut, out)
+	if err != nil {
+		return err
 	}
+	defer func() {
+		if cerr := closeObs(); err == nil {
+			err = cerr
+		}
+	}()
 
 	var mirror *cluster.Client
 	if *clusterShards > 0 {
@@ -164,14 +104,10 @@ func run(args []string, out io.Writer) error {
 	}
 
 	cfg := smartflux.PipelineConfig{
-		TrainWaves: *train,
-		ApplyWaves: *apply,
-		Policy:     decider,
-		Session: smartflux.SessionConfig{
-			Seed:           *seed + 7,
-			Thresholds:     []float64{0.15},
-			PositiveWeight: 14,
-		},
+		TrainWaves:  *train,
+		ApplyWaves:  *apply,
+		Policy:      decider,
+		Session:     experiments.Session(*seed),
 		Obs:         observer,
 		Parallelism: *parallelism,
 		Resilience:  resilience,
@@ -213,11 +149,8 @@ func run(args []string, out io.Writer) error {
 	}
 	printDurability(out, info)
 	printResult(out, res.Apply, report)
-	printDecisionSummary(out, registry)
-	if err := verifyMirror(out, mirror, res.Store); err != nil {
-		return err
-	}
-	return traceErr(jsonl, spanl)
+	printDecisionSummary(out, observer.Metrics())
+	return verifyMirror(out, mirror, res.Store)
 }
 
 // printDurability reports what the durability layer did: the one-line
@@ -253,42 +186,6 @@ func printDecisionSummary(out io.Writer, reg *smartflux.MetricsRegistry) {
 	if retries+degraded+waveRetries > 0 {
 		fmt.Fprintf(out, "  resilience: %d step retries, %d degraded steps, %d wave retries\n",
 			retries, degraded, waveRetries)
-	}
-}
-
-// traceErr surfaces a deferred trace- or span-sink write error, if any.
-func traceErr(sinks ...*smartflux.JSONLTraceSink) error {
-	for _, s := range sinks {
-		if s == nil {
-			continue
-		}
-		if err := s.Err(); err != nil {
-			return fmt.Errorf("trace-out: %w", err)
-		}
-	}
-	return nil
-}
-
-// parsePolicy resolves a policy name to the pipeline's Decider: nil for
-// smartflux, the session the pipeline builds and trains itself.
-func parsePolicy(name string, seed int64) (smartflux.Decider, error) {
-	switch {
-	case name == "smartflux":
-		return nil, nil
-	case name == "sync":
-		return smartflux.SyncPolicy(), nil
-	case name == "random":
-		return smartflux.RandomPolicy(0.5, seed+11), nil
-	case name == "oracle":
-		return smartflux.OraclePolicy(), nil
-	case strings.HasPrefix(name, "seq"):
-		n, err := strconv.Atoi(strings.TrimPrefix(name, "seq"))
-		if err != nil {
-			return nil, fmt.Errorf("bad seq policy %q", name)
-		}
-		return smartflux.SeqPolicy(n), nil
-	default:
-		return nil, fmt.Errorf("unknown policy %q", name)
 	}
 }
 

@@ -282,24 +282,6 @@ func TestRunClusterComposesWithResume(t *testing.T) {
 	}
 }
 
-func TestParsePolicy(t *testing.T) {
-	for name, want := range map[string]string{
-		"sync":   "sync",
-		"random": "random",
-		"seq4":   "seq4",
-		"oracle": "oracle",
-	} {
-		p, err := parsePolicy(name, 1)
-		if err != nil {
-			t.Errorf("parsePolicy(%q): %v", name, err)
-			continue
-		}
-		if p.Name() != want {
-			t.Errorf("policy name = %q, want %q", p.Name(), want)
-		}
-	}
-}
-
 func TestRunWithObservability(t *testing.T) {
 	trace := filepath.Join(t.TempDir(), "trace.jsonl")
 	var buf bytes.Buffer
@@ -335,6 +317,19 @@ func TestRunWithObservability(t *testing.T) {
 		if _, ok := ev[key]; !ok {
 			t.Errorf("trace event missing %q: %s", key, lines[0])
 		}
+	}
+}
+
+// A trace that cannot be written fails the run.
+func TestRunTraceWriteError(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full:", err)
+	}
+	err := run([]string{
+		"-workload", "firerisk", "-policy", "seq3", "-train", "0", "-apply", "5", "-trace-out", "/dev/full",
+	}, new(bytes.Buffer))
+	if err == nil {
+		t.Error("tracing to a full device must fail the run")
 	}
 }
 

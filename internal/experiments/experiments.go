@@ -1,7 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§5). Each experiment is a typed runner producing the same
 // rows/series the paper reports, with a text renderer; cmd/experiments and
-// the repository-root benchmarks drive them.
+// the repository-root benchmarks drive them. recipe.go is the run recipe
+// cmd/smartflux shares: workload, policy and session by name.
 //
 // Experiment index (see DESIGN.md §4):
 //
@@ -21,21 +22,9 @@ import (
 	"runtime"
 	"sync"
 
-	"smartflux/internal/aqhi"
 	"smartflux/internal/core"
-	"smartflux/internal/engine"
-	"smartflux/internal/lrb"
 	"smartflux/internal/obs"
 	"smartflux/internal/workflow"
-)
-
-// Workload selects one of the two §5.1 test scenarios.
-type Workload string
-
-// The two evaluation workloads.
-const (
-	LRB  Workload = "lrb"
-	AQHI Workload = "aqhi"
 )
 
 // Bounds are the error bounds the paper sweeps (5, 10, 20%).
@@ -109,57 +98,9 @@ func (c Config) applyWaves(w Workload) int {
 	return c.scaled(384)
 }
 
-// buildFor returns the workload build function at a bound.
-func (c Config) buildFor(w Workload, bound float64) (engine.BuildFunc, error) {
-	switch w {
-	case LRB:
-		return lrb.Build(lrb.Config{Seed: c.Seed, MaxError: bound}), nil
-	case AQHI:
-		return aqhi.Build(aqhi.Config{Seed: c.Seed, MaxError: bound}), nil
-	default:
-		return nil, fmt.Errorf("experiments: unknown workload %q", w)
-	}
-}
-
-// session returns the SmartFlux session configuration used throughout the
-// evaluation: Random Forest, recall-optimized (§5.2).
-func (c Config) session() core.Config {
-	return core.Config{
-		Seed:           c.Seed + 7,
-		Thresholds:     []float64{0.15},
-		PositiveWeight: 14,
-	}
-}
-
-// reportStep names the step whose output error the paper reports: the last
-// gated step of each workflow (LRB 5a, AQHI 5).
-func reportStep(w Workload) workflow.StepID {
-	if w == LRB {
-		return lrb.StepClassify
-	}
-	return aqhi.StepIndex
-}
-
-// SmartFlux names the learned policy; Fig11Policies are the curves of Figure
-// 11: SmartFlux, then the naive baselines it is compared against.
-const SmartFlux = "smartflux"
-
+// Fig11Policies are the curves of Figure 11: SmartFlux, then the naive
+// baselines it is compared against.
 var Fig11Policies = []string{SmartFlux, "random", "seq2", "seq3", "seq5"}
-
-// decider builds the application-phase policy of a pipeline run: nil — the
-// pipeline's own session — for SmartFlux.
-func (c Config) decider(policy string) (engine.Decider, error) {
-	var n int
-	switch _, err := fmt.Sscanf(policy, "seq%d", &n); {
-	case err == nil:
-		return engine.NewSeq(n), nil
-	case policy == "random":
-		return engine.NewRandom(0.5, c.Seed+11), nil
-	case policy == SmartFlux:
-		return nil, nil
-	}
-	return nil, fmt.Errorf("experiments: unknown policy %q", policy)
-}
 
 // Runner caches pipeline runs shared by several figures (9, 10, 12 all
 // derive from the same (workload, bound) SmartFlux run). It is safe for
@@ -209,11 +150,11 @@ func (r *Runner) Pipeline(w Workload, bound float64, policy string) (*core.Pipel
 // engine and the training tasks uses the machine (forest tree fits still
 // fan out inside); a lone pipeline gets full inner parallelism.
 func (r *Runner) runPipeline(w Workload, bound float64, policy string) (*core.PipelineResult, error) {
-	build, err := r.cfg.buildFor(w, bound)
+	build, report, err := Recipe(w, r.cfg.Seed, bound)
 	if err != nil {
 		return nil, err
 	}
-	decider, err := r.cfg.decider(policy)
+	decider, err := Policy(policy, r.cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -221,11 +162,11 @@ func (r *Runner) runPipeline(w Workload, bound float64, policy string) (*core.Pi
 	if r.cfg.jobs() > 1 {
 		parallelism = 1
 	}
-	res, err := core.RunPipeline(build, []workflow.StepID{reportStep(w)}, core.PipelineConfig{
+	res, err := core.RunPipeline(build, []workflow.StepID{report}, core.PipelineConfig{
 		TrainWaves:  r.cfg.trainWaves(w),
 		ApplyWaves:  r.cfg.applyWaves(w),
 		Policy:      decider,
-		Session:     r.cfg.session(),
+		Session:     Session(r.cfg.Seed),
 		Parallelism: parallelism,
 		Obs:         r.cfg.Obs,
 	})

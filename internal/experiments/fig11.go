@@ -38,7 +38,7 @@ func Fig11(r *Runner) (*Fig11Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			report := res.Apply.Reports[reportStep(w)]
+			report := res.Apply.Reports[workloadSpecs[w].report]
 			within := 0
 			for _, e := range report.EndToEnd {
 				if e <= report.MaxError {

@@ -87,7 +87,7 @@ func evaluatePrefix(r *Runner, log *SyncLog, size, maxTrain int) (LearningPoint,
 	if err != nil {
 		return LearningPoint{}, err
 	}
-	sess := r.cfg.session()
+	sess := Session(r.cfg.Seed)
 	predictor, err := core.NewPredictor(factory, train, sess.Thresholds)
 	if err != nil {
 		return LearningPoint{}, err

@@ -38,7 +38,7 @@ func Fig9(r *Runner) (*Fig9Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			step := reportStep(w)
+			step := workloadSpecs[w].report
 			report, ok := res.Apply.Reports[step]
 			if !ok {
 				return nil, fmt.Errorf("fig9: no report for %s/%s", w, step)

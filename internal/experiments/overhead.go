@@ -36,7 +36,7 @@ type OverheadResult struct {
 // Overhead measures the middleware costs on one workload at a 10% bound.
 func Overhead(r *Runner, w Workload) (*OverheadResult, error) {
 	const bound = 0.10
-	build, err := r.cfg.buildFor(w, bound)
+	build, _, err := Recipe(w, r.cfg.Seed, bound)
 	if err != nil {
 		return nil, err
 	}
@@ -77,7 +77,7 @@ func Overhead(r *Runner, w Workload) (*OverheadResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	session := core.NewSession(r.cfg.session())
+	session := core.NewSession(Session(r.cfg.Seed))
 	startInst := time.Now()
 	for wave := 0; wave < waves; wave++ {
 		res, err := inst.RunWave(engine.Sync{})
