@@ -184,14 +184,20 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzRestoreCheckpoint -fuzztime 30s -fuzzminimizetime 2s ./internal/core
 	$(GO) test -run xxx -fuzz FuzzTableColumns -fuzztime 30s ./internal/kvstore
 
-## stress: the engine's scheduler tests 50 times over under the race
-## detector (nightly CI job) — wave determinism, the schedule digests at
-## Parallelism 1, 2 and 4, branch overlap, the error rule, the gated chain
-## the coordinator keeps and the rewind of failed and retried waves to the
-## trackers' pinned baselines — so a rare interleaving of the claim that
-## decides who runs a no-decision step gets many chances to show
+## stress: the engine's scheduler tests and the kvnet client's close, retry
+## and exactly-once tests 50 times over under the race detector (nightly CI
+## job). Engine: wave determinism, the schedule digests at Parallelism 1, 2
+## and 4, branch overlap, the error rule, the gated chain the coordinator
+## keeps and the rewind of failed and retried waves to the trackers' pinned
+## baselines — so a rare interleaving of the claim that decides who runs a
+## no-decision step gets many chances to show. kvnet: a Close racing calls
+## in flight, in backoff and parked on a read, and mutating retries through
+## lost responses and injected disconnects — the client's two locks (one
+## serialising calls, one letting Close sever the connection of the call
+## that holds the first) get the same chances.
 stress:
 	$(GO) test -race -count=50 -run 'TestParallel|TestScheduleDigests|TestIndependentBranchesOverlap|TestDoomedWave|TestFailedStepStops|TestGatedChain|TestFailedWaveRewindsOwnedBaselines' ./internal/engine/
+	$(GO) test -race -count=50 -run 'TestClientCloseIdempotentConcurrent|TestClientCloseUnblocksPendingRead|TestMutatingRetryExactlyOnce|TestExactlyOncePipelinedDisconnects|TestChaosClientRetriesThroughInjectedDisconnects' ./internal/kvstore/kvnet/
 
 ## examples-smoke: run the quickstart, custommetric, airquality and linearroad
 ## examples (each well under a second once built) and diff each one's stdout

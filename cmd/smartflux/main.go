@@ -50,7 +50,7 @@ func run(args []string, out io.Writer) (err error) {
 	clusterShards := fs.Int("cluster", 0, "mirror the live store into an in-process replicated cluster with this many shards and verify dump equality at the end of the run")
 	walDir := fs.String("wal-dir", "", "enable crash durability: one write-ahead log file per epoch in this directory")
 	snapEvery := fs.Int("snapshot-every", 64, "waves between log rotations to a fresh, compacted epoch (with -wal-dir)")
-	fsyncFlag := fs.String("fsync", "commit", "WAL flush policy with -wal-dir: commit, always, never")
+	fsyncFlag := fs.String("fsync", "commit", "WAL flush policy with -wal-dir: commit, never")
 	resume := fs.Bool("resume", false, "continue a crashed run from the -wal-dir state instead of starting fresh")
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -133,56 +133,9 @@ func main() {
 	spanOut := flag.String("span-out", "", "append causal spans (plus decision events) as JSON lines to this file, readable by sftrace")
 	flag.Parse()
 
-	var (
-		registry *smartflux.MetricsRegistry
-		observer *smartflux.RunObserver
-	)
-	if *obsAddr != "" || *traceOut != "" || *spanOut != "" {
-		registry = smartflux.NewMetricsRegistry()
-		var sinks []smartflux.TraceSink
-		var spanSinks []smartflux.SpanSink
-		if *traceOut != "" {
-			f, err := os.Create(*traceOut)
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer func() {
-				// A failed close can silently truncate the JSONL trace.
-				if err := f.Close(); err != nil {
-					log.Printf("trace-out close: %v", err)
-				}
-			}()
-			sinks = append(sinks, smartflux.NewJSONLTraceSink(f))
-		}
-		if *spanOut != "" {
-			f, err := os.Create(*spanOut)
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer func() {
-				if err := f.Close(); err != nil {
-					log.Printf("span-out close: %v", err)
-				}
-			}()
-			// One JSONL sink carries both record kinds; sftrace splits them
-			// back apart by the "type" field.
-			jsonl := smartflux.NewJSONLTraceSink(f)
-			sinks = append(sinks, jsonl)
-			spanSinks = append(spanSinks, jsonl)
-		}
-		if *obsAddr != "" {
-			ring := smartflux.NewTraceRing(2048)
-			sinks = append(sinks, ring)
-			spanRing := smartflux.NewSpanRing(4096)
-			spanSinks = append(spanSinks, spanRing)
-			srv, err := smartflux.StartDebugServer(*obsAddr, registry, ring, spanRing)
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer func() { _ = srv.Close() }() // best-effort teardown at exit
-			fmt.Printf("observability on http://%s\n", srv.Addr())
-		}
-		observer = smartflux.NewRunObserver(registry, sinks...).WithSpanSinks(spanSinks...)
+	observer, closeObs, err := smartflux.OpenObserver(*obsAddr, *traceOut, *spanOut, os.Stdout)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	res, err := smartflux.RunPipeline(build, nil, smartflux.PipelineConfig{
@@ -216,11 +169,15 @@ func main() {
 		fmt.Printf("step %s: %d bound violations in %d waves (confidence %.1f%%)\n",
 			step, report.ViolationCount(), applyWaves, conf[len(conf)-1]*100)
 	}
-	if registry != nil {
-		snap := registry.Snapshot()
+	if observer != nil {
+		snap := observer.Metrics().Snapshot()
 		fmt.Printf("decisions: %d exec, %d skip; p95 decision latency %.1fµs\n",
 			snap.Counters[`smartflux_engine_decisions_total{verdict="exec"}`],
 			snap.Counters[`smartflux_engine_decisions_total{verdict="skip"}`],
 			snap.Histograms["smartflux_engine_decision_latency_seconds"].P95*1e6)
+	}
+	// A trace that could not be written in full fails the run.
+	if err := closeObs(); err != nil {
+		log.Fatal(err)
 	}
 }

@@ -56,8 +56,6 @@ type Config struct {
 	// default Random Forest (ignored for other classifiers); values above
 	// 1 bias the predictor toward recall (§5.2's recall optimization).
 	PositiveWeight float64
-	// TestFolds is the cross-validation fold count (default 10, §3.2).
-	TestFolds int
 	// MinAccuracy and MinRecall are the test-phase acceptance criteria;
 	// zero disables the corresponding check.
 	MinAccuracy float64
@@ -86,12 +84,8 @@ func (c Config) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-func (c Config) withDefaults() Config {
-	if c.TestFolds <= 0 {
-		c.TestFolds = 10
-	}
-	return c
-}
+// testFolds is the test phase's cross-validation fold count (§3.2).
+const testFolds = 10
 
 // TestReport carries the per-label test-phase quality measurements (§3.2:
 // accuracy, precision, recall via 10-fold cross-validation).
@@ -191,7 +185,7 @@ func (s *Session) Instrument(o *obs.Observer) {
 // NewSession creates a session in the training phase.
 func NewSession(cfg Config) *Session {
 	return &Session{
-		cfg:   cfg.withDefaults(),
+		cfg:   cfg,
 		kb:    NewKnowledgeBase(),
 		phase: PhaseTraining,
 	}
@@ -290,7 +284,7 @@ func (s *Session) train(data Dataset, test bool) (*Predictor, TestReport, error)
 	if test {
 		rng = rand.New(rand.NewSource(s.cfg.Seed + 1))
 	}
-	plans, err := planLabels(data, s.cfg.Thresholds, s.cfg.TestFolds, rng)
+	plans, err := planLabels(data, s.cfg.Thresholds, testFolds, rng)
 	if err != nil {
 		return nil, TestReport{}, err
 	}

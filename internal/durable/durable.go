@@ -33,8 +33,6 @@ const (
 	// FsyncCommit flushes once per committed wave (the default): one fsync
 	// covers the whole wave's mutation records plus its commit record.
 	FsyncCommit FsyncMode = iota
-	// FsyncAlways flushes after every appended record.
-	FsyncAlways
 	// FsyncNever leaves flushing to the OS; a machine crash can lose the
 	// un-flushed tail, which recovery absorbs by rolling back to the last
 	// commit record that did reach the disk.
@@ -46,8 +44,6 @@ func (m FsyncMode) String() string {
 	switch m {
 	case FsyncCommit:
 		return "commit"
-	case FsyncAlways:
-		return "always"
 	case FsyncNever:
 		return "never"
 	default:
@@ -60,12 +56,10 @@ func ParseFsyncMode(s string) (FsyncMode, error) {
 	switch s {
 	case "commit":
 		return FsyncCommit, nil
-	case "always":
-		return FsyncAlways, nil
 	case "never":
 		return FsyncNever, nil
 	default:
-		return 0, fmt.Errorf("durable: unknown fsync mode %q (want commit, always or never)", s)
+		return 0, fmt.Errorf("durable: unknown fsync mode %q (want commit or never)", s)
 	}
 }
 

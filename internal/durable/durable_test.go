@@ -740,10 +740,10 @@ func TestInjectedSnapshotCrash(t *testing.T) {
 	}
 }
 
-// TestFsyncModes: every mode round-trips; parse accepts exactly the three
-// flag spellings.
+// TestFsyncModes: every mode round-trips; parse accepts exactly the two
+// flag spellings and names them when it refuses one.
 func TestFsyncModes(t *testing.T) {
-	for _, mode := range []durable.FsyncMode{durable.FsyncCommit, durable.FsyncAlways, durable.FsyncNever} {
+	for _, mode := range []durable.FsyncMode{durable.FsyncCommit, durable.FsyncNever} {
 		dir := t.TempDir()
 		mgr, s := openManager(t, dir, durable.Options{Fsync: mode})
 		runWaves(t, mgr, s, 0, 3)
@@ -757,10 +757,6 @@ func TestFsyncModes(t *testing.T) {
 			t.Fatalf("mode %v diverges:\n--- got ---\n%s--- want ---\n%s", mode, d, want)
 		}
 		switch mode {
-		case durable.FsyncAlways:
-			if stats.Fsyncs < stats.Appends {
-				t.Fatalf("always: %d fsyncs for %d appends", stats.Fsyncs, stats.Appends)
-			}
 		case durable.FsyncCommit:
 			if stats.Fsyncs < stats.Commits {
 				t.Fatalf("commit: %d fsyncs for %d commits", stats.Fsyncs, stats.Commits)
@@ -772,7 +768,7 @@ func TestFsyncModes(t *testing.T) {
 		}
 	}
 
-	for s, want := range map[string]durable.FsyncMode{"commit": durable.FsyncCommit, "always": durable.FsyncAlways, "never": durable.FsyncNever} {
+	for s, want := range map[string]durable.FsyncMode{"commit": durable.FsyncCommit, "never": durable.FsyncNever} {
 		got, err := durable.ParseFsyncMode(s)
 		if err != nil || got != want {
 			t.Fatalf("ParseFsyncMode(%q) = %v, %v", s, got, err)
@@ -781,8 +777,10 @@ func TestFsyncModes(t *testing.T) {
 			t.Fatalf("String() = %q, want %q", got.String(), s)
 		}
 	}
-	if _, err := durable.ParseFsyncMode("sometimes"); err == nil {
-		t.Fatal("ParseFsyncMode(invalid): want error")
+	for _, s := range []string{"sometimes", "always"} {
+		if _, err := durable.ParseFsyncMode(s); err == nil || !strings.Contains(err.Error(), "want commit or never") {
+			t.Fatalf("ParseFsyncMode(%q) = %v, want an error naming the valid modes", s, err)
+		}
 	}
 }
 

@@ -388,11 +388,6 @@ func (w *walWriter) append(payload []byte) (int, error) {
 	if _, err := w.f.Write(frame); err != nil {
 		return 0, fmt.Errorf("durable: wal append: %w", err)
 	}
-	if w.mode == FsyncAlways {
-		if err := w.sync(); err != nil {
-			return len(frame), err
-		}
-	}
 	return len(frame), nil
 }
 

@@ -7,8 +7,6 @@ import (
 	"fmt"
 	mrand "math/rand"
 	"net"
-	"runtime"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -22,18 +20,13 @@ import (
 // clientBufSize sizes the response-side buffered reader.
 const clientBufSize = 64 << 10
 
-// maxInflightFrames bounds how many frames one client keeps awaiting
-// responses for. It must stay well below the server's dedupWindowSize so a
-// retried mutating frame's sequence number can never have been evicted.
-const maxInflightFrames = 512
-
 // ClientConfig configures a client connection. The zero value matches the
 // historical behaviour: no deadlines, no retries, no reconnection.
 type ClientConfig struct {
 	// DialTimeout bounds connection establishment; zero waits forever.
 	DialTimeout time.Duration
-	// ReadTimeout bounds the wait for the next response while requests are
-	// in flight; zero waits forever. A hung or stalled server surfaces as
+	// ReadTimeout bounds the wait for each response frame of a call; zero
+	// waits forever. A hung or stalled server surfaces as
 	// an ErrTimeout-wrapped kvnet recv error instead of blocking the
 	// calling workflow step indefinitely.
 	ReadTimeout time.Duration
@@ -62,14 +55,14 @@ type ClientConfig struct {
 	Obs *obs.Observer
 }
 
-// Client is a pipelined TCP client for a kvnet server. A Client is safe for
-// concurrent use: ops from any number of goroutines share one connection,
-// each op is exactly one request frame, a writer goroutine coalesces pending
-// frames into single writes and a reader goroutine demultiplexes responses
-// by sequence number, so N in-flight ops cost one socket and far fewer than
-// N syscalls. With retries configured it transparently reconnects after
-// transport failures and re-sends in-flight frames under their original
-// sequence numbers.
+// Client is a lockstep TCP client for a kvnet server. A Client is safe for
+// concurrent use, but it runs one call at a time: a call holds the client's
+// mutex for its whole round trip and, on the caller's goroutine, writes its
+// one request frame and reads responses until the final one carrying its
+// sequence number. Concurrent callers take turns on the one connection, and
+// a Client starts no goroutine. With retries configured it transparently
+// redials after transport failures and re-sends the call under its original
+// sequence number.
 type Client struct {
 	cfg  ClientConfig
 	addr string
@@ -79,29 +72,24 @@ type Client struct {
 	// net/c<n> ID; nil when the observer is not tracing spans.
 	root *obs.Span
 
-	// mu guards the op queue and connection state shared between op
-	// submitters, the writer (connLoop) and the reader (readLoop).
-	mu       sync.Mutex
-	closed   bool
-	seq      uint64 // last assigned frame sequence number
-	rtSeq    uint64 // numbers round-trip spans under root
-	pending  []*call
-	inflight map[uint64]*call
-	conn     net.Conn // live epoch's conn, so Close can sever it
+	// mu serialises calls: a call holds it for its whole round trip,
+	// retries and backoff included, and the fields below are the call's.
+	mu      sync.Mutex
+	seq     uint64 // last assigned frame sequence number
+	rtSeq   uint64 // numbers round-trip spans under root
+	dialSeq int    // numbers dial spans under root
+	jitter  *mrand.Rand
+	greet   bool          // conn has not yet carried the hello preamble
+	br      *bufio.Reader // reads conn
+	buf     wire.Buffer   // one call's request frame, then each response frame
 
-	// overlap latches once two ops have ever been outstanding at the same
-	// time. Strictly sequential callers never set it, which keeps the
-	// writer's group-commit yield off their hot path.
-	overlap atomic.Bool
-
-	work    chan struct{} // submission kick, capacity 1
-	closeCh chan struct{} // closed once by Close
-	done    chan struct{} // closed when connLoop exits
-
-	// Supervisor-only state (touched exclusively by connLoop).
-	jitter   *mrand.Rand
-	everConn bool // a connection has carried an epoch before
-	dialSeq  int  // numbers dial spans under root
+	// live guards the connection and the closed flag against Close, which
+	// must sever the connection of a call that holds mu. Calls write conn
+	// under both locks, so a call reads it under mu alone.
+	live    sync.Mutex
+	conn    net.Conn // nil after a failed try, until the next try redials
+	closed  bool
+	closeCh chan struct{} // closed once by Close, ending a backoff
 
 	readTimeouts  *obs.Counter // nil when no observer is configured
 	writeTimeouts *obs.Counter
@@ -111,25 +99,14 @@ type Client struct {
 	bytesRecv     *obs.Counter
 }
 
-// call is one public-API operation in flight, and the one wire frame that
-// carries it: its request, its span and its completion state. A call is the
-// unit of sequencing, sending and retrying: its seq (req.Seq) is assigned
-// once, at first send, and survives reconnects so the server's dedup window
-// keeps retried mutations exactly-once.
-type call struct {
-	req       wire.Request
-	sp        *obs.Span
-	done      chan struct{}
-	err       error
-	attempts  int   // failed epochs charged so far
-	reqBytes  int64 // exact on-wire request bytes
-	respBytes int64 // exact on-wire response bytes, reset on retry
-	value     []byte
-	found     bool
-	cells     []kvstore.Cell // scan result, reassembled chunk by chunk
-	clock     uint64         // OpStatus
-	cursor    uint64         // OpStatus
-	crc       uint32         // OpStatus
+// reply is what a call brings back from its response frames.
+type reply struct {
+	value  []byte
+	found  bool
+	cells  []kvstore.Cell // scan result, reassembled chunk by chunk
+	clock  uint64         // OpStatus
+	cursor uint64         // OpStatus
+	crc    uint32         // OpStatus
 }
 
 // clientIDCounter is the fallback identity source when crypto/rand fails.
@@ -164,14 +141,11 @@ func Dial(addr string) (*Client, error) {
 // DialConfig connects to a kvnet server with the given configuration.
 func DialConfig(addr string, cfg ClientConfig) (*Client, error) {
 	c := &Client{
-		cfg:      cfg,
-		addr:     addr,
-		id:       newClientID(),
-		inflight: make(map[uint64]*call),
-		work:     make(chan struct{}, 1),
-		closeCh:  make(chan struct{}),
-		done:     make(chan struct{}),
-		jitter:   mrand.New(mrand.NewSource(cfg.RetrySeed)),
+		cfg:     cfg,
+		addr:    addr,
+		id:      newClientID(),
+		closeCh: make(chan struct{}),
+		jitter:  mrand.New(mrand.NewSource(cfg.RetrySeed)),
 	}
 	if cfg.Obs != nil {
 		c.readTimeouts = cfg.Obs.Counter(`smartflux_kvnet_client_timeouts_total{kind="read"}`)
@@ -187,63 +161,93 @@ func DialConfig(addr string, cfg ClientConfig) (*Client, error) {
 	}
 	// Eager first dial so an unreachable server fails construction, as it
 	// always has.
-	var dialSp *obs.Span
-	if c.root != nil {
-		dialSp = c.root.ChildKey("dial0", "dial", "net")
-		c.dialSeq = 1
-	}
-	conn, err := c.dialConn()
-	dialSp.EndErr(err)
+	conn, err := c.dial()
 	if err != nil {
-		return nil, &opError{stage: "dial", err: err}
+		return nil, err
 	}
-	go c.connLoop(conn)
+	c.use(conn)
 	return c, nil
 }
 
-// dialConn establishes one connection using the configured dial function.
-func (c *Client) dialConn() (net.Conn, error) {
-	if c.cfg.Dial != nil {
-		return c.cfg.Dial(c.addr, c.cfg.DialTimeout)
+// dial opens one connection under a dialK span, using the configured dial
+// function.
+func (c *Client) dial() (net.Conn, error) {
+	var sp *obs.Span
+	if c.root != nil {
+		sp = c.root.ChildKey("dial"+strconv.Itoa(c.dialSeq), "dial", "net")
+		c.dialSeq++
 	}
-	if c.cfg.DialTimeout > 0 {
-		return net.DialTimeout("tcp", c.addr, c.cfg.DialTimeout)
+	var conn net.Conn
+	var err error
+	switch {
+	case c.cfg.Dial != nil:
+		conn, err = c.cfg.Dial(c.addr, c.cfg.DialTimeout)
+	case c.cfg.DialTimeout > 0:
+		conn, err = net.DialTimeout("tcp", c.addr, c.cfg.DialTimeout)
+	default:
+		conn, err = net.Dial("tcp", c.addr)
 	}
-	return net.Dial("tcp", c.addr)
+	sp.EndErr(err)
+	if err != nil {
+		return nil, &opError{stage: "dial", err: err}
+	}
+	return conn, nil
+}
+
+// use makes a freshly dialed conn the live connection, whose first write
+// carries the hello preamble. False means Close got there first: conn is
+// closed instead.
+func (c *Client) use(conn net.Conn) bool {
+	c.live.Lock()
+	closed := c.closed
+	if !closed {
+		c.conn = conn
+	}
+	c.live.Unlock()
+	if closed {
+		_ = conn.Close()
+		return false
+	}
+	c.greet = true
+	c.br = bufio.NewReaderSize(conn, clientBufSize)
+	return true
+}
+
+// drop tears down the connection a failed try left in an unknown state; the
+// next try redials.
+func (c *Client) drop() {
+	_ = c.conn.Close() // the try's error is the one to report
+	c.live.Lock()
+	c.conn = nil
+	c.live.Unlock()
 }
 
 // isClosed reports whether Close has begun.
 func (c *Client) isClosed() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.live.Lock()
+	defer c.live.Unlock()
 	return c.closed
-}
-
-// kick nudges the writer without blocking; the capacity-1 channel makes
-// repeated kicks idempotent.
-func (c *Client) kick() {
-	select {
-	case c.work <- struct{}{}:
-	default:
-	}
 }
 
 // Close closes the client. It is idempotent, safe to call concurrently with
 // in-flight operations — those fail promptly with ErrClosed instead of a
-// raw transport error — and returns nil on repeat calls.
+// raw transport error — and returns nil on repeat calls. It returns once no
+// call is running.
 func (c *Client) Close() error {
-	c.mu.Lock()
+	c.live.Lock()
 	already := c.closed
 	c.closed = true
 	conn := c.conn
-	c.mu.Unlock()
+	c.live.Unlock()
 	if !already {
-		close(c.closeCh)
+		close(c.closeCh) // ends a call's backoff
 		if conn != nil {
-			_ = conn.Close() // unblocks the epoch's reader and writer
+			_ = conn.Close() // ends a call's read or write
 		}
 	}
-	<-c.done
+	// Wait out the call in flight, if any.
+	c.mu.Lock()
+	c.mu.Unlock()
 	return nil
 }
 
@@ -303,7 +307,7 @@ func (c *Client) wrapIOErr(stage string, err error, timeouts *obs.Counter) error
 }
 
 // RetryDelay computes the backoff delay of every network-side retry loop —
-// this client's reconnects and the cluster prober's ping bursts: base
+// this client's retries and the cluster prober's ping bursts: base
 // doubling per 0-based attempt (capped at 64×) plus jitter of up to half the
 // delay drawn from the caller's seeded source, under the caller's lock. The
 // engine's step retries keep a copy of the formula (engine.backoff): that
@@ -329,109 +333,45 @@ func ioDeadline(d time.Duration) time.Time {
 	return time.Now().Add(d)
 }
 
-// do submits one op, waits for its completion and returns the finished
-// call. The heavy lifting happens on the connLoop/readLoop goroutines.
-func (c *Client) do(req wire.Request) (*call, error) {
-	cl := &call{req: req, done: make(chan struct{})}
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, &opError{stage: "dial", kind: ErrClosed}
-	}
-	if c.root != nil {
-		cl.sp = c.root.ChildKey("rt"+strconv.FormatUint(c.rtSeq, 10), wire.OpName(req.Op), "net")
-		c.rtSeq++
-		if req.Table != "" {
-			cl.sp.SetAttr("table", req.Table)
-		}
-	}
-	if !c.overlap.Load() && (len(c.pending) > 0 || len(c.inflight) > 0) {
-		c.overlap.Store(true)
-	}
-	c.pending = append(c.pending, cl)
-	c.mu.Unlock()
-	c.kick()
-	<-cl.done
-	return cl, cl.err
-}
-
-// connLoop is the client's connection supervisor: it owns dialing, backoff
-// and one connection "epoch" at a time, charging every epoch failure to the
-// calls it stranded and re-sending survivors on the next connection.
-func (c *Client) connLoop(conn net.Conn) {
-	defer close(c.done)
-	for {
-		if conn == nil {
-			if !c.waitWork() {
-				break
-			}
-			if attempt := c.retryAttempt(); attempt >= 0 {
-				if !c.sleepBackoff(attempt) {
-					break
-				}
-			}
-			var dialSp *obs.Span
-			if c.root != nil {
-				dialSp = c.root.ChildKey("dial"+strconv.Itoa(c.dialSeq), "dial", "net")
-				c.dialSeq++
-			}
-			var err error
-			conn, err = c.dialConn()
-			dialSp.EndErr(err)
-			if err != nil {
-				c.chargeFailure(&opError{stage: "dial", err: err}, true)
-				continue
-			}
-		}
-		if c.isClosed() {
-			_ = conn.Close()
-			break
-		}
-		if c.everConn {
-			c.reconnects.Inc() // nil-safe no-op when uninstrumented
-		}
-		c.everConn = true
-		err := c.runEpoch(conn)
-		conn = nil
-		if c.isClosed() {
-			break
-		}
-		c.chargeFailure(err, false)
-	}
-	c.shutdown()
-}
-
-// waitWork blocks until an op is pending; false means the client closed.
-func (c *Client) waitWork() bool {
-	for {
-		c.mu.Lock()
-		closed, has := c.closed, len(c.pending) > 0
-		c.mu.Unlock()
-		if closed {
-			return false
-		}
-		if has {
-			return true
-		}
-		select {
-		case <-c.work:
-		case <-c.closeCh:
-			return false
-		}
-	}
-}
-
-// retryAttempt returns the 0-based backoff attempt for the oldest pending
-// retried call, or -1 when every pending call is fresh (no backoff due).
-func (c *Client) retryAttempt() int {
+// do runs one call. It assigns the call's seq once, then tries the round
+// trip until it succeeds, fails with an application error (the op
+// executed), fails with ErrClosed or runs out of retries, backing off
+// between tries. Every try re-sends the same seq, so the server's dedup
+// window keeps a retried mutation exactly-once.
+func (c *Client) do(req wire.Request) (reply, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, cl := range c.pending {
-		if cl.attempts > 0 {
-			return cl.attempts - 1
+	if c.isClosed() {
+		return reply{}, &opError{stage: "dial", kind: ErrClosed}
+	}
+	var sp *obs.Span
+	if c.root != nil {
+		sp = c.root.ChildKey("rt"+strconv.FormatUint(c.rtSeq, 10), wire.OpName(req.Op), "net")
+		c.rtSeq++
+		if req.Table != "" {
+			sp.SetAttr("table", req.Table)
 		}
 	}
-	return -1
+	c.seq++
+	req.Seq = c.seq
+	r, bytes, err := c.try(&req)
+	tries := 1
+	for ; IsTransport(err) && !errors.Is(err, ErrClosed) && tries <= c.cfg.MaxRetries; tries++ {
+		c.retries.Inc() // nil-safe no-op when uninstrumented
+		if !c.sleepBackoff(tries - 1) {
+			err = &opError{stage: "send", kind: ErrClosed}
+			break
+		}
+		r, bytes, err = c.try(&req)
+	}
+	if sp != nil {
+		sp.SetRetries(tries - 1)
+		if !IsTransport(err) {
+			sp.SetBytes(bytes)
+		}
+		sp.EndErr(err)
+	}
+	return r, err
 }
 
 // sleepBackoff sleeps out the retry delay, interruptible by Close; false
@@ -441,276 +381,73 @@ func (c *Client) sleepBackoff(attempt int) bool {
 	if d <= 0 {
 		return !c.isClosed()
 	}
-	t := time.NewTimer(d)
-	defer t.Stop()
 	select {
-	case <-t.C:
+	case <-time.After(d):
 		return true
 	case <-c.closeCh:
 		return false
 	}
 }
 
-// chargeFailure charges a connection failure to the calls it stranded —
-// those in flight on the dead epoch, or (for a dial failure) everything
-// pending. Calls past MaxRetries fail with err; survivors requeue at the
-// front of pending, in sequence order, keeping their assigned seqs so
-// retried mutations stay exactly-once server-side.
-func (c *Client) chargeFailure(err error, dialFailure bool) {
-	closing := errors.Is(err, ErrClosed)
-	c.mu.Lock()
-	var affected []*call
-	if dialFailure {
-		affected = c.pending
-		c.pending = nil
-	} else {
-		affected = c.takeInflight()
-	}
-	var requeue, failed []*call
-	for _, cl := range affected {
-		cl.attempts++
-		cl.cells = nil // discard partial scan chunks from the dead epoch
-		cl.respBytes = 0
-		if closing || cl.attempts > c.cfg.MaxRetries {
-			failed = append(failed, cl)
-		} else {
-			requeue = append(requeue, cl)
+// try makes one attempt at req: it redials if the last try dropped the
+// connection, writes the hello preamble on a fresh connection and then req's
+// frame, and reads frames until the final one carrying req.Seq. It returns
+// the reply, the call's exact on-wire bytes (its request frame and response
+// frames) and, on failure, a transport error (the connection is dropped) or
+// the server's application error.
+func (c *Client) try(req *wire.Request) (reply, int64, error) {
+	conn := c.conn
+	if conn == nil {
+		var err error
+		if conn, err = c.dial(); err != nil {
+			return reply{}, 0, err
 		}
-	}
-	c.pending = append(requeue, c.pending...)
-	c.mu.Unlock()
-	for range requeue {
-		c.retries.Inc() // nil-safe no-op when uninstrumented
-	}
-	for _, cl := range failed {
-		cl.fail(err)
-	}
-}
-
-// takeInflight empties inflight, returning its calls in sequence order.
-// Callers hold c.mu.
-func (c *Client) takeInflight() []*call {
-	calls := make([]*call, 0, len(c.inflight))
-	for _, cl := range c.inflight {
-		calls = append(calls, cl)
-	}
-	sort.Slice(calls, func(i, j int) bool { return calls[i].req.Seq < calls[j].req.Seq })
-	clear(c.inflight)
-	return calls
-}
-
-// shutdown fails every queued and in-flight call with ErrClosed; connLoop
-// runs it exactly once, on exit.
-func (c *Client) shutdown() {
-	err := &opError{stage: "send", kind: ErrClosed}
-	c.mu.Lock()
-	pend := c.pending
-	c.pending = nil
-	infl := c.takeInflight()
-	c.mu.Unlock()
-	for _, cl := range infl {
-		cl.fail(err)
-	}
-	for _, cl := range pend {
-		cl.fail(err)
-	}
-}
-
-// runEpoch drives one connection until it fails or the client closes: a
-// reader goroutine demultiplexes responses while this (writer) side drains
-// the pending queue, coalescing the hello preamble and every ready frame
-// into single writes. The returned error is the epoch's classified cause of
-// death.
-func (c *Client) runEpoch(conn net.Conn) error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		_ = conn.Close()
-		return &opError{stage: "send", kind: ErrClosed}
-	}
-	c.conn = conn
-	c.mu.Unlock()
-
-	readerErr := make(chan error, 1)
-	var rwg sync.WaitGroup
-	rwg.Add(1)
-	go func() {
-		defer rwg.Done()
-		c.readLoop(conn, readerErr)
-	}()
-	defer func() {
-		_ = conn.Close()
-		rwg.Wait()
-		c.mu.Lock()
-		if c.conn == conn {
-			c.conn = nil
+		if !c.use(conn) {
+			return reply{}, 0, &opError{stage: "send", kind: ErrClosed}
 		}
-		c.mu.Unlock()
-	}()
-
-	buf := wire.GetBuffer()
-	defer buf.Release()
-	hello := true
+		c.reconnects.Inc() // nil-safe no-op when uninstrumented
+	}
+	buf := &c.buf
+	buf.Reset()
+	if c.greet {
+		wire.AppendHello(buf, c.id)
+	}
+	start := buf.Len()
+	wire.AppendRequest(buf, req)
+	bytes := int64(buf.Len() - start)
+	_ = conn.SetWriteDeadline(ioDeadline(c.cfg.WriteTimeout))
+	n, err := conn.Write(buf.Bytes())
+	if n > 0 {
+		c.bytesSent.Add(uint64(n)) // nil-safe no-op when uninstrumented
+	}
+	if err != nil {
+		c.drop()
+		return reply{}, 0, c.wrapIOErr("send", err, c.writeTimeouts)
+	}
+	c.greet = false
+	var r reply
 	for {
-		calls := c.takePending()
-		if len(calls) == 0 && !hello {
-			select {
-			case <-c.work:
-				continue
-			case err := <-readerErr:
-				return err
-			case <-c.closeCh:
-				return &opError{stage: "send", kind: ErrClosed}
-			}
-		}
-		if len(calls) > 0 && c.overlap.Load() {
-			// Group commit: the caller that kicked us parked right after its
-			// enqueue, so concurrent callers are often still runnable with
-			// their frames not yet queued. One yield lets them land in this
-			// same write instead of costing a syscall each. Gated on overlap
-			// so sequential callers never pay for the yield.
-			runtime.Gosched()
-			calls = append(calls, c.takePending()...)
-		}
-		buf.Reset()
-		if hello {
-			wire.AppendHello(buf, c.id)
-			hello = false
-		}
-		for _, cl := range calls {
-			start := buf.Len()
-			wire.AppendRequest(buf, &cl.req)
-			cl.reqBytes = int64(buf.Len() - start)
-		}
-		_ = conn.SetWriteDeadline(ioDeadline(c.cfg.WriteTimeout))
-		n, err := conn.Write(buf.Bytes())
-		if n > 0 {
-			c.bytesSent.Add(uint64(n)) // nil-safe no-op when uninstrumented
-		}
-		if err != nil {
-			werr := c.wrapIOErr("send", err, c.writeTimeouts)
-			// The reader usually dies of the same failure with a more
-			// specific diagnosis (it closes the conn on its way out, which
-			// is what writes then trip over); prefer its verdict.
-			select {
-			case rerr := <-readerErr:
-				werr = rerr
-			default:
-			}
-			return werr
-		}
-		c.armReadDeadline(conn)
-	}
-}
-
-// takePending moves ready calls from pending to inflight (bounded by
-// maxInflightFrames), assigning sequence numbers to fresh ones. Retried
-// calls keep their seqs.
-func (c *Client) takePending() []*call {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := min(maxInflightFrames-len(c.inflight), len(c.pending))
-	if n <= 0 {
-		return nil
-	}
-	calls := make([]*call, n)
-	copy(calls, c.pending)
-	for _, cl := range calls {
-		if cl.req.Seq == 0 {
-			c.seq++
-			cl.req.Seq = c.seq
-		}
-		c.inflight[cl.req.Seq] = cl
-	}
-	c.pending = append(c.pending[:0], c.pending[n:]...)
-	return calls
-}
-
-// armReadDeadline (re)arms the read deadline after a write, under the same
-// lock that guards inflight so it can never race a reader that just drained
-// the last response and disarmed.
-func (c *Client) armReadDeadline(conn net.Conn) {
-	if c.cfg.ReadTimeout <= 0 {
-		return
-	}
-	c.mu.Lock()
-	if len(c.inflight) > 0 {
 		_ = conn.SetReadDeadline(ioDeadline(c.cfg.ReadTimeout))
-	}
-	c.mu.Unlock()
-}
-
-// readLoop reads response frames until the connection dies, handing each to
-// deliver. On failure it closes the conn (unblocking the writer) and posts
-// its classified error.
-func (c *Client) readLoop(conn net.Conn, readerErr chan<- error) {
-	br := bufio.NewReaderSize(conn, clientBufSize)
-	buf := wire.GetBuffer()
-	defer buf.Release()
-	for {
-		h, payload, err := wire.ReadFrame(br, buf)
+		h, payload, err := wire.ReadFrame(c.br, buf)
+		var resp wire.Response
+		if err == nil {
+			c.bytesRecv.Add(uint64(wire.HeaderSize + len(payload))) // nil-safe
+			resp, err = wire.DecodeResponse(h, payload)
+		}
 		if err != nil {
-			var nerr net.Error
-			if errors.As(err, &nerr) && nerr.Timeout() && c.inflightEmpty() {
-				// An idle deadline expired with nothing awaited (the frames
-				// it guarded were answered after it was armed): disarm and
-				// keep reading. No bytes can be lost mid-frame — the server
-				// only sends in response to in-flight requests.
-				_ = conn.SetReadDeadline(time.Time{})
-				continue
-			}
-			_ = conn.Close() // unblock the writer side of this epoch
-			readerErr <- c.wrapIOErr("recv", err, c.readTimeouts)
-			return
+			c.drop()
+			return reply{}, 0, c.wrapIOErr("recv", err, c.readTimeouts)
 		}
-		c.bytesRecv.Add(uint64(wire.HeaderSize + len(payload))) // nil-safe
-		resp, derr := wire.DecodeResponse(h, payload)
-		if derr != nil {
-			_ = conn.Close()
-			readerErr <- c.wrapIOErr("recv", derr, c.readTimeouts)
-			return
+		if resp.Seq != req.Seq {
+			continue // not this call's: nothing else is in flight to claim it
 		}
-		c.deliver(&resp, int64(wire.HeaderSize+len(payload)), conn)
-	}
-}
-
-// inflightEmpty reports whether no frames await responses.
-func (c *Client) inflightEmpty() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.inflight) == 0
-}
-
-// deliver routes one response frame to its in-flight call by seq,
-// reassembling streamed scan chunks, managing the read deadline and waking
-// the writer when a completed call frees in-flight room.
-func (c *Client) deliver(resp *wire.Response, frameBytes int64, conn net.Conn) {
-	var completed *call
-	c.mu.Lock()
-	if cl := c.inflight[resp.Seq]; cl != nil {
-		cl.respBytes += frameBytes
+		bytes += int64(wire.HeaderSize + len(payload))
 		if resp.Op == wire.OpScan && resp.Err == "" {
-			cl.cells = appendCells(cl.cells, resp.Cells)
+			r.cells = appendCells(r.cells, resp.Cells)
 		}
 		if !resp.Chunk {
-			delete(c.inflight, resp.Seq)
-			completed = cl
+			return r, bytes, r.finish(req.Op, &resp)
 		}
-	}
-	kick := len(c.pending) > 0 && len(c.inflight) < maxInflightFrames
-	if c.cfg.ReadTimeout > 0 {
-		if len(c.inflight) == 0 {
-			_ = conn.SetReadDeadline(time.Time{})
-		} else {
-			_ = conn.SetReadDeadline(ioDeadline(c.cfg.ReadTimeout))
-		}
-	}
-	c.mu.Unlock()
-	if kick {
-		c.kick()
-	}
-	if completed != nil {
-		completed.complete(resp)
 	}
 }
 
@@ -738,49 +475,31 @@ func appendCells(dst []kvstore.Cell, src []wire.Cell) []kvstore.Cell {
 	return dst
 }
 
-// complete finishes a call on its delivered response: result extraction,
-// span bookkeeping (exact on-wire bytes) and wake-up. Application errors
-// mean the op executed server-side.
-func (cl *call) complete(resp *wire.Response) {
+// finish extracts op's result from its final response frame. An
+// application error means the op executed server-side.
+func (r *reply) finish(op byte, resp *wire.Response) error {
 	if resp.Err != "" {
 		if resp.Flags&wire.FlagFenced != 0 {
 			// Rehydrate the fencing sentinel the server flattened to a
 			// string: callers match with errors.Is(err, ErrFenced).
-			cl.err = fmt.Errorf("%w: %s", ErrFenced, resp.Err)
-		} else {
-			cl.err = errors.New(resp.Err)
+			return fmt.Errorf("%w: %s", ErrFenced, resp.Err)
 		}
-	} else {
-		switch cl.req.Op {
-		case wire.OpGet:
-			cl.found = resp.Found
-			if resp.Found {
-				// Copy: resp.Value aliases the reader's frame buffer.
-				cl.value = append([]byte(nil), resp.Value...)
-			}
-		case wire.OpStatus:
-			cl.clock, cl.cursor, cl.crc = resp.Clock, resp.Cursor, resp.Crc
-		case wire.OpMapGet:
-			// Copy: resp.Map aliases the reader's frame buffer.
-			cl.value = append([]byte(nil), resp.Map...)
+		return errors.New(resp.Err)
+	}
+	switch op {
+	case wire.OpGet:
+		r.found = resp.Found
+		if resp.Found {
+			// Copy: resp.Value aliases the reader's frame buffer.
+			r.value = append([]byte(nil), resp.Value...)
 		}
+	case wire.OpStatus:
+		r.clock, r.cursor, r.crc = resp.Clock, resp.Cursor, resp.Crc
+	case wire.OpMapGet:
+		// Copy: resp.Map aliases the reader's frame buffer.
+		r.value = append([]byte(nil), resp.Map...)
 	}
-	if cl.sp != nil {
-		cl.sp.SetRetries(cl.attempts)
-		cl.sp.SetBytes(cl.reqBytes + cl.respBytes)
-		cl.sp.EndErr(cl.err)
-	}
-	close(cl.done)
-}
-
-// fail finishes a call with a transport-level error.
-func (cl *call) fail(err error) {
-	cl.err = err
-	if cl.sp != nil {
-		cl.sp.SetRetries(max(cl.attempts-1, 0))
-		cl.sp.EndErr(err)
-	}
-	close(cl.done)
+	return nil
 }
 
 // CreateTable ensures a table exists on the server.
@@ -802,11 +521,11 @@ func (c *Client) PutFloat(table, row, column string, v float64) error {
 
 // Get reads the latest value of a cell.
 func (c *Client) Get(table, row, column string) ([]byte, bool, error) {
-	cl, err := c.do(wire.Request{Op: wire.OpGet, Table: table, Row: row, Column: column})
+	r, err := c.do(wire.Request{Op: wire.OpGet, Table: table, Row: row, Column: column})
 	if err != nil {
 		return nil, false, err
 	}
-	return cl.value, cl.found, nil
+	return r.value, r.found, nil
 }
 
 // GetFloat reads a float64-encoded cell.
@@ -831,11 +550,11 @@ func (c *Client) Delete(table, row, column string) error {
 // Scan returns matching cells, reassembled in key order from the server's
 // streamed chunks.
 func (c *Client) Scan(table string, opts kvstore.ScanOptions) ([]kvstore.Cell, error) {
-	cl, err := c.do(wire.Request{Op: wire.OpScan, Table: table, Scan: opts})
+	r, err := c.do(wire.Request{Op: wire.OpScan, Table: table, Scan: opts})
 	if err != nil {
 		return nil, err
 	}
-	return cl.cells, nil
+	return r.cells, nil
 }
 
 // Apply applies a batch atomically on the server.
@@ -854,11 +573,11 @@ func (c *Client) Ping() error {
 // replication-log cursor (records appended so far) and the rolling checksum
 // of the log prefix up to that cursor.
 func (c *Client) Status() (clock, cursor uint64, crc uint32, err error) {
-	cl, err := c.do(wire.Request{Op: wire.OpStatus})
+	r, err := c.do(wire.Request{Op: wire.OpStatus})
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	return cl.clock, cl.cursor, cl.crc, nil
+	return r.clock, r.cursor, r.crc, nil
 }
 
 // ReplEpoch ships a batch of replication records stamped with the sender's
@@ -874,11 +593,11 @@ func (c *Client) ReplEpoch(epoch uint64, records [][]byte) error {
 // MapGet fetches the server's current encoded partition map (nil when the
 // node has none yet).
 func (c *Client) MapGet() ([]byte, error) {
-	cl, err := c.do(wire.Request{Op: wire.OpMapGet})
+	r, err := c.do(wire.Request{Op: wire.OpMapGet})
 	if err != nil {
 		return nil, err
 	}
-	return cl.value, nil
+	return r.value, nil
 }
 
 // MapSet replaces the server's partition map with the encoded m.
@@ -891,9 +610,9 @@ func (c *Client) MapSet(m []byte) error {
 // newest first per cell, cells in key order — streamed back in chunks like a
 // plain Scan. This is the cluster dump path.
 func (c *Client) ScanVersions(table string, opts kvstore.ScanOptions) ([]kvstore.Cell, error) {
-	cl, err := c.do(wire.Request{Op: wire.OpScan, Flags: wire.FlagVersions, Table: table, Scan: opts})
+	r, err := c.do(wire.Request{Op: wire.OpScan, Flags: wire.FlagVersions, Table: table, Scan: opts})
 	if err != nil {
 		return nil, err
 	}
-	return cl.cells, nil
+	return r.cells, nil
 }

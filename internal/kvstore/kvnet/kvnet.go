@@ -6,24 +6,23 @@
 // The wire protocol is the length-prefixed binary framing of
 // internal/kvstore/wire (DESIGN.md §13): every frame carries a magic,
 // version, op, flags, a client-assigned sequence number and a payload
-// length. Requests are pipelined — a client keeps many frames in flight on
-// one connection and demultiplexes responses by sequence number — and Scan
-// responses stream back as chunks of at most wire.ScanChunkCells cells, so
-// neither side materializes whole result sets. A peer speaking any other
+// length. A client call is one lockstep round trip on the caller's
+// goroutine: one request frame, then its response frames, matched by
+// sequence number. Scan responses stream back as chunks of at most
+// wire.ScanChunkCells cells, so neither side materializes whole result sets. A peer speaking any other
 // protocol or frame version fails loudly at the first frame instead of
 // corrupting state.
 //
 // # Resilience
 //
 // The client survives transient transport failures when ClientConfig enables
-// retries: a failed connection epoch tears the socket down, redials with
-// exponential backoff and seeded jitter, and re-sends every frame that was
-// in flight under its original sequence number. Reads (Get, Scan) are
+// retries: a failed try tears the socket down, and the next try redials
+// after exponential backoff with seeded jitter and re-sends the call's frame
+// under its original sequence number. Reads (Get, Scan) are
 // idempotent and always retryable; mutating ops (Put, Delete, Apply) are
 // retryable because the server keeps a per-client window of recently applied
 // sequence numbers — a retry of an op the server already applied returns the
-// remembered outcome instead of applying twice, even with many mutating ops
-// in flight. CreateTable maps to EnsureTable server-side and is idempotent
+// remembered outcome instead of applying twice. CreateTable maps to EnsureTable server-side and is idempotent
 // by construction. Application-level errors (an error response frame) mean
 // the op executed; they are returned immediately and never retried.
 //
@@ -77,9 +76,9 @@ const DefaultDrainTimeout = time.Second
 const serverBufSize = 64 << 10
 
 // dedupWindowSize bounds the per-client window of remembered mutating
-// sequence numbers. It must exceed the client's in-flight cap
-// (maxInflightFrames) with room to spare, so a retried frame's sequence
-// number can never have been evicted while the retry was still possible.
+// sequence numbers. A client finishes a call's retries before it assigns
+// the next sequence number, so the one a retry re-sends is always the
+// newest entry of its window and can never have been evicted.
 const dedupWindowSize = 4096
 
 // Server serves a Store over TCP.
@@ -95,8 +94,7 @@ type Server struct {
 	errHandler func(error)
 
 	// dedup holds one bounded window of applied (seq → outcome) entries per
-	// client, keyed by ClientID — the server half of exactly-once retries
-	// under pipelining, where many mutating ops are in flight at once.
+	// client, keyed by ClientID — the server half of exactly-once retries.
 	dedupMu sync.Mutex
 	dedup   map[uint64]*dedupWindow
 

@@ -2,9 +2,12 @@ package kvnet
 
 import (
 	"fmt"
+	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"smartflux/internal/kvstore"
 )
@@ -58,6 +61,73 @@ func TestClientRoundTrip(t *testing.T) {
 	}
 	if _, found, _ := client.Get("t", "r", "c"); found {
 		t.Error("cell survived delete")
+	}
+}
+
+// TestClientStartsNoGoroutines holds the client to its lockstep design:
+// every call runs on its caller's goroutine, so dialing, calling and idling
+// past the read deadline leave the goroutine count where it stood before the
+// dial. The server serves its one connection on a goroutine started before
+// the count is taken, so the count sees the client alone.
+func TestClientStartsNoGoroutines(t *testing.T) {
+	store := kvstore.New()
+	if _, err := store.EnsureTable("t", kvstore.TableOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(store)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	served := make(chan error, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			served <- err
+			return
+		}
+		served <- srv.serveConn(conn)
+	}()
+
+	// Settle the count: goroutines of earlier tests may still be exiting.
+	before := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		time.Sleep(10 * time.Millisecond)
+		n := runtime.NumGoroutine()
+		if n == before {
+			break
+		}
+		before = n
+	}
+
+	const readTimeout = 50 * time.Millisecond
+	client, err := DialConfig(ln.Addr().String(), ClientConfig{ReadTimeout: readTimeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := client.Put("t", "a", "c", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok, err := client.Get("t", "a", "c"); err != nil || !ok || string(v) != "x" {
+		t.Fatalf("Get = %q, %v, %v", v, ok, err)
+	}
+	if err := client.Apply("t", []kvstore.Op{{Row: "b", Column: "c", Value: []byte("y")}}); err != nil {
+		t.Fatal(err)
+	}
+	if cells, err := client.Scan("t", kvstore.ScanOptions{}); err != nil || len(cells) != 2 {
+		t.Fatalf("Scan = %d cells, %v", len(cells), err)
+	}
+	time.Sleep(3 * readTimeout) // idle past the read deadline
+	if got := runtime.NumGoroutine(); got != before {
+		buf := make([]byte, 1<<16)
+		t.Fatalf("%d goroutines with an idle client, %d before the dial:\n%s", got, before, buf[:runtime.Stack(buf, true)])
+	}
+	if err := client.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("serving the client: %v", err)
 	}
 }
 

@@ -221,10 +221,10 @@ func TestStreamingScanLargeResult(t *testing.T) {
 	}
 }
 
-// TestRetryChargesFrames is the timeout-during-pipelined-read regression
-// test: with several ops in flight against a server that never answers,
-// every epoch failure must charge every in-flight frame exactly once, with
-// deterministic retry/timeout/reconnect accounting.
+// TestRetryChargesFrames is the timeout-during-read regression test: with
+// several concurrent ops against a server that never answers, the calls
+// take turns and every try of every call times out on its own connection,
+// with deterministic retry/timeout/reconnect accounting.
 func TestRetryChargesFrames(t *testing.T) {
 	addr := silentListener(t)
 	reg := obs.NewRegistry()
@@ -259,15 +259,16 @@ func TestRetryChargesFrames(t *testing.T) {
 	}
 
 	snap := reg.Snapshot()
-	// One read-timeout per dead epoch: the initial attempt plus maxRetries
-	// redials, each carrying all gets frames.
-	if got, want := snap.Counters[`smartflux_kvnet_client_timeouts_total{kind="read"}`], uint64(maxRetries+1); got != want {
+	// One read timeout per try: each get's first try plus its maxRetries.
+	if got, want := snap.Counters[`smartflux_kvnet_client_timeouts_total{kind="read"}`], uint64(gets*(maxRetries+1)); got != want {
 		t.Errorf("read timeouts = %d, want %d", got, want)
 	}
 	if got, want := snap.Counters["smartflux_kvnet_client_retries_total"], uint64(gets*maxRetries); got != want {
-		t.Errorf("retries = %d, want %d (every in-flight frame charged per epoch)", got, want)
+		t.Errorf("retries = %d, want %d (every call charged per failed try)", got, want)
 	}
-	if got, want := snap.Counters["smartflux_kvnet_client_reconnects_total"], uint64(maxRetries); got != want {
+	// Every try but the very first redials the connection its predecessor
+	// dropped.
+	if got, want := snap.Counters["smartflux_kvnet_client_reconnects_total"], uint64(gets*(maxRetries+1)-1); got != want {
 		t.Errorf("reconnects = %d, want %d", got, want)
 	}
 }

@@ -280,6 +280,17 @@ func NewRunObserver(reg *MetricsRegistry, sinks ...TraceSink) *RunObserver {
 	return obs.New(reg, sinks...)
 }
 
+// OpenObserver turns the -obs-addr, -trace-out and -span-out flags of a
+// command line into one observer: decision events to traceOut, causal spans
+// plus decision events to spanOut, and with addr a debug server, whose
+// address it announces on out. All three empty yields a nil observer. The
+// returned close function must be called even then: it stops the server,
+// closes the files and returns the first sink write error or file close
+// error, so a trace that could not be written in full fails the run.
+func OpenObserver(addr, traceOut, spanOut string, out io.Writer) (*RunObserver, func() error, error) {
+	return obs.Open(addr, traceOut, spanOut, out)
+}
+
 // NewTraceRing creates an in-memory trace sink keeping the last capacity
 // events.
 func NewTraceRing(capacity int) *TraceRing { return obs.NewRingSink(capacity) }
@@ -368,13 +379,11 @@ type (
 const (
 	// FsyncCommit flushes once per committed wave (the default).
 	FsyncCommit = durable.FsyncCommit
-	// FsyncAlways flushes after every appended record.
-	FsyncAlways = durable.FsyncAlways
 	// FsyncNever leaves flushing to the OS.
 	FsyncNever = durable.FsyncNever
 )
 
-// ParseFsyncMode parses "commit", "always" or "never".
+// ParseFsyncMode parses "commit" or "never".
 func ParseFsyncMode(s string) (FsyncMode, error) { return durable.ParseFsyncMode(s) }
 
 // RunPipelineDurable is RunPipeline with crash durability under opts.Dir.

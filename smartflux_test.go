@@ -2,7 +2,9 @@ package smartflux_test
 
 import (
 	"math"
+	"os"
 	"strconv"
+	"strings"
 	"testing"
 
 	"smartflux"
@@ -80,6 +82,30 @@ func TestPublicAPIPipeline(t *testing.T) {
 	}
 	if _, ok := res.Apply.Reports["sum"]; !ok {
 		t.Error("missing report for gated step")
+	}
+}
+
+// TestOpenObserverReportsWriteError: a decision trace written to a full
+// device makes the observer's close function fail, so a run cannot lose its
+// trace silently.
+func TestOpenObserverReportsWriteError(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full:", err)
+	}
+	observer, closeObs, err := smartflux.OpenObserver("", "/dev/full", "", new(strings.Builder))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := smartflux.RunPipeline(buildPublic, nil, smartflux.PipelineConfig{
+		TrainWaves: 20,
+		ApplyWaves: 5,
+		Session:    smartflux.SessionConfig{Seed: 1, Thresholds: []float64{0.2}},
+		Obs:        observer,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := closeObs(); err == nil || !strings.HasPrefix(err.Error(), "trace-out: ") {
+		t.Errorf("close = %v, want the trace-out write error", err)
 	}
 }
 
