@@ -192,12 +192,14 @@ fuzz:
 ## baselines — so a rare interleaving of the claim that decides who runs a
 ## no-decision step gets many chances to show. kvnet: a Close racing calls
 ## in flight, in backoff and parked on a read, and mutating retries through
-## lost responses and injected disconnects — the client's two locks (one
-## serialising calls, one letting Close sever the connection of the call
-## that holds the first) get the same chances.
+## lost responses, injected disconnects and an original still applying when
+## its retries arrive — the client's two locks (one serialising calls, one
+## letting Close sever the connection of the call that holds the first) and
+## the server's dedup claim (a copy of an in-flight seq waits for its
+## outcome) get the same chances.
 stress:
 	$(GO) test -race -count=50 -run 'TestParallel|TestScheduleDigests|TestIndependentBranchesOverlap|TestDoomedWave|TestFailedStepStops|TestGatedChain|TestFailedWaveRewindsOwnedBaselines' ./internal/engine/
-	$(GO) test -race -count=50 -run 'TestClientCloseIdempotentConcurrent|TestClientCloseUnblocksPendingRead|TestMutatingRetryExactlyOnce|TestExactlyOncePipelinedDisconnects|TestChaosClientRetriesThroughInjectedDisconnects' ./internal/kvstore/kvnet/
+	$(GO) test -race -count=50 -run 'TestClientCloseIdempotentConcurrent|TestClientCloseUnblocksPendingRead|TestMutatingRetryExactlyOnce|TestRetryWaitsForInflightOriginal|TestExactlyOncePipelinedDisconnects|TestChaosClientRetriesThroughInjectedDisconnects' ./internal/kvstore/kvnet/
 
 ## examples-smoke: run the quickstart, custommetric, airquality and linearroad
 ## examples (each well under a second once built) and diff each one's stdout

@@ -72,10 +72,10 @@ type Client struct {
 
 	failoverSeq int // numbers failover and breaker spans
 
-	// onScanPage, when set (package tests only), observes every shard page
-	// fetch (shard index, 0-based page number) before it runs — the hook
-	// mid-scan failover tests use to kill a primary between pages.
-	onScanPage func(shard, page int)
+	// onShardScan, when set (package tests only), runs before a scan reads
+	// shard s — the hook mid-scan failover tests use to kill a primary
+	// after other shards were read.
+	onShardScan func(s int)
 
 	failovers *obs.Counter // nil-safe when uninstrumented
 	shipped   *obs.Counter

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -257,6 +258,59 @@ func TestClusterDumpBitIdenticalToSingleStore(t *testing.T) {
 				t.Fatalf("deleted cell: found=%v err=%v", found, err)
 			}
 		})
+	}
+}
+
+// TestScanLimitMatchesSingleStore holds the merged scans' Limit to one
+// store's: over a 3-shard cluster, Scan returns what the reference's Scan
+// does, and ScanVersions every retained version of each of those cells,
+// newest first — Limit counts cells, never versions.
+func TestScanLimitMatchesSingleStore(t *testing.T) {
+	tc := startCluster(t, 3, false, nil)
+	c := tc.client(Config{})
+	if err := c.CreateTable("t", 3); err != nil {
+		t.Fatal(err)
+	}
+	ref := kvstore.New()
+	rt, _ := ref.EnsureTable("t", kvstore.TableOptions{MaxVersions: 3})
+	for i := 0; i < 150; i++ { // each of the 60 cells gets 2 or 3 versions
+		row, col, val := fmt.Sprintf("r-%02d", i%30), fmt.Sprintf("c%d", i/30%2), []byte(fmt.Sprintf("v%d", i))
+		if err := c.Put("t", row, col, val); err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.Put(row, col, val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	same := func(a, b kvstore.Cell) bool {
+		return a.Row == b.Row && a.Column == b.Column && a.Version.Timestamp == b.Version.Timestamp &&
+			bytes.Equal(a.Version.Value, b.Version.Value)
+	}
+	for _, opts := range []kvstore.ScanOptions{{Limit: 1}, {Limit: 7}, {Limit: 1000}, {RowPrefix: "r-1", Limit: 5}} {
+		want := rt.Scan(opts)
+		got, err := c.Scan("t", opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.EqualFunc(got, want, same) {
+			t.Fatalf("Scan(%+v) = %v, want %v", opts, got, want)
+		}
+		var wantVersions []kvstore.Cell
+		for _, cell := range want {
+			for _, v := range rt.GetVersions(cell.Row, cell.Column, 0) {
+				wantVersions = append(wantVersions, kvstore.Cell{Row: cell.Row, Column: cell.Column, Version: v})
+			}
+		}
+		if len(wantVersions) < 2*len(want) {
+			t.Fatalf("%d versions of %d cells: the data lost its multi-version cells", len(wantVersions), len(want))
+		}
+		got, err = c.ScanVersions("t", opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.EqualFunc(got, wantVersions, same) {
+			t.Fatalf("ScanVersions(%+v) = %v, want %v", opts, got, wantVersions)
+		}
 	}
 }
 
@@ -545,10 +599,10 @@ func TestRejoinAfterFailover(t *testing.T) {
 
 // --- scatter-gather under failover (satellite) -----------------------------
 
-// TestScanMergeMidScanFailover kills a shard's primary between page fetches
-// of an in-flight scatter-gather scan and asserts the merged result is
-// byte-identical to the pre-kill truth: resumed from the last merged key,
-// no duplicates, no gaps.
+// TestScanMergeMidScanFailover kills a shard's primary after the scan read
+// shard 0 and before it reads shard 1, and asserts the merged result is
+// byte-identical to the pre-kill truth: shard 1 is read on its promoted
+// replica, with no duplicates and no gaps.
 func TestScanMergeMidScanFailover(t *testing.T) {
 	inj := fault.New(fault.Policy{})
 	tc := startCluster(t, 3, true, inj)
@@ -556,7 +610,7 @@ func TestScanMergeMidScanFailover(t *testing.T) {
 	if err := c.CreateTable("t", 3); err != nil {
 		t.Fatal(err)
 	}
-	// Enough rows that every shard needs several pages; some multi-cell rows.
+	// Some multi-cell rows, more than one scan chunk on every shard.
 	ref := kvstore.New()
 	rt, _ := ref.EnsureTable("t", kvstore.TableOptions{MaxVersions: 3})
 	for i := 0; i < 2000; i++ {
@@ -572,10 +626,10 @@ func TestScanMergeMidScanFailover(t *testing.T) {
 	}
 	want := rt.Scan(kvstore.ScanOptions{})
 
-	// Kill shard 1's primary right before its second page fetch.
+	// Kill shard 1's primary right before the scan reads it.
 	killed := false
-	c.onScanPage = func(shard, page int) {
-		if shard == 1 && page == 1 && !killed {
+	c.onShardScan = func(shard int) {
+		if shard == 1 && !killed {
 			killed = true
 			inj.Partition(tc.Primaries[1].Addr())
 		}
@@ -585,7 +639,7 @@ func TestScanMergeMidScanFailover(t *testing.T) {
 		t.Fatalf("scan across mid-scan failover: %v", err)
 	}
 	if !killed {
-		t.Fatal("kill hook never fired; shard 1 needed no second page — grow the dataset")
+		t.Fatal("kill hook never fired")
 	}
 	if len(got) != len(want) {
 		t.Fatalf("merged scan has %d cells, want %d (duplicates or gaps)", len(got), len(want))

@@ -349,15 +349,15 @@ func TestScanMidScanPartitionFailsLoud(t *testing.T) {
 		total++
 	}
 	killed := false
-	c.onScanPage = func(shard, page int) {
-		if shard == 1 && page == 1 && !killed {
+	c.onShardScan = func(shard int) {
+		if shard == 1 && !killed {
 			killed = true
 			inj.Partition(tc.Primaries[1].Addr())
 		}
 	}
 	cells, err := c.Scan("t", kvstore.ScanOptions{})
 	if !killed {
-		t.Fatal("kill hook never fired; shard 1 needed no second page — grow the dataset")
+		t.Fatal("kill hook never fired")
 	}
 	if err == nil {
 		t.Fatalf("mid-scan partition of an unreplicated shard returned %d/%d cells with no error (silent truncation)", len(cells), total)

@@ -8,8 +8,9 @@
 // version, op, flags, a client-assigned sequence number and a payload
 // length. A client call is one lockstep round trip on the caller's
 // goroutine: one request frame, then its response frames, matched by
-// sequence number. Scan responses stream back as chunks of at most
-// wire.ScanChunkCells cells, so neither side materializes whole result sets. A peer speaking any other
+// sequence number. The server answers a scan from one Table.Scan and streams
+// it back as chunks of at most wire.ScanChunkCells cells, which the client
+// reassembles before the call returns. A peer speaking any other
 // protocol or frame version fails loudly at the first frame instead of
 // corrupting state.
 //
@@ -20,9 +21,9 @@
 // after exponential backoff with seeded jitter and re-sends the call's frame
 // under its original sequence number. Reads (Get, Scan) are
 // idempotent and always retryable; mutating ops (Put, Delete, Apply) are
-// retryable because the server keeps a per-client window of recently applied
-// sequence numbers — a retry of an op the server already applied returns the
-// remembered outcome instead of applying twice. CreateTable maps to EnsureTable server-side and is idempotent
+// retryable because the server keeps a per-client window of recently claimed
+// sequence numbers — a retry of an op the server already applied, or is
+// still applying, returns that outcome instead of applying twice. CreateTable maps to EnsureTable server-side and is idempotent
 // by construction. Application-level errors (an error response frame) mean
 // the op executed; they are returned immediately and never retried.
 //
@@ -93,7 +94,7 @@ type Server struct {
 	firstErr   error // first async serving error (decode/encode/accept)
 	errHandler func(error)
 
-	// dedup holds one bounded window of applied (seq → outcome) entries per
+	// dedup holds one bounded window of claimed (seq → outcome) entries per
 	// client, keyed by ClientID — the server half of exactly-once retries.
 	dedupMu sync.Mutex
 	dedup   map[uint64]*dedupWindow
@@ -112,31 +113,21 @@ type Server struct {
 	obs *serverObs
 }
 
-// dedupWindow remembers the outcomes ("" = applied cleanly, else the
-// application error string) of one client's most recent mutating sequence
-// numbers, evicting FIFO beyond dedupWindowSize.
+// dedupWindow holds one client's most recent mutating sequence numbers,
+// each claimed before its mutation runs, evicting FIFO beyond
+// dedupWindowSize.
 type dedupWindow struct {
-	outcome map[uint64]string
+	entries map[uint64]*dedupEntry
 	ring    []uint64
 	next    int
 }
 
-// lookup returns the remembered outcome of seq, if still in the window.
-func (w *dedupWindow) lookup(seq uint64) (string, bool) {
-	msg, ok := w.outcome[seq]
-	return msg, ok
-}
-
-// record remembers seq's outcome, evicting the oldest entry when full.
-func (w *dedupWindow) record(seq uint64, msg string) {
-	if len(w.ring) < dedupWindowSize {
-		w.ring = append(w.ring, seq)
-	} else {
-		delete(w.outcome, w.ring[w.next])
-		w.ring[w.next] = seq
-		w.next = (w.next + 1) % dedupWindowSize
-	}
-	w.outcome[seq] = msg
+// dedupEntry is one claimed sequence number: done is closed once msg holds
+// the mutation's outcome ("" = applied cleanly, else the application error
+// string).
+type dedupEntry struct {
+	done chan struct{}
+	msg  string
 }
 
 // serverObs carries the server's pre-resolved instruments.
@@ -526,16 +517,19 @@ func (s *Server) serveRequest(req *wire.Request, clientID uint64, bw *bufio.Writ
 		_, err := s.store.EnsureTable(req.Table, kvstore.TableOptions{MaxVersions: req.MaxVers})
 		appendResult(out, req.Op, req.Seq, errString(err))
 	case wire.Mutating(req.Op) && clientID != 0 && req.Seq != 0:
-		if msg, ok := s.dedupLookup(clientID, req.Seq); ok {
+		// A retry can overtake its original, still applying on an abandoned
+		// connection: it finds the seq claimed and waits for that outcome.
+		e, claimed := s.dedupClaim(clientID, req.Seq)
+		if claimed {
+			e.msg = errString(s.applyMutation(req))
+			close(e.done)
+		} else {
+			<-e.done
 			if so := s.obs; so != nil {
 				so.dedupHits.Inc()
 			}
-			appendResult(out, req.Op, req.Seq, msg)
-			break
 		}
-		msg := errString(s.applyMutation(req))
-		s.dedupRecord(clientID, req.Seq, msg)
-		appendResult(out, req.Op, req.Seq, msg)
+		appendResult(out, req.Op, req.Seq, e.msg)
 	default:
 		// Mutating op without a dedup identity (seq 0): apply uncached.
 		appendResult(out, req.Op, req.Seq, errString(s.applyMutation(req)))
@@ -543,9 +537,10 @@ func (s *Server) serveRequest(req *wire.Request, clientID uint64, bw *bufio.Writ
 	return s.writeFrames(bw, out)
 }
 
-// serveScan streams one scan as chunked response frames straight off the
-// store's shared-page scanner: cell values are serialized from its pages, a
-// long one while it aliases live store memory, and never copied again.
+// serveScan answers one scan: the table's Scan, one read-lock hold, with
+// each cell expanded into its retained versions (newest first) when
+// FlagVersions is set, streamed as chunks of at most wire.ScanChunkCells
+// cells. An empty result is one empty final chunk.
 func (s *Server) serveScan(req *wire.Request, bw *bufio.Writer, out *wire.Buffer) error {
 	t, err := s.store.Table(req.Table)
 	if err != nil {
@@ -553,40 +548,25 @@ func (s *Server) serveScan(req *wire.Request, bw *bufio.Writer, out *wire.Buffer
 		wire.AppendErrResponse(out, wire.OpScan, req.Seq, err.Error())
 		return s.writeFrames(bw, out)
 	}
-	if req.Flags&wire.FlagVersions != 0 {
-		return s.serveScanVersions(t, req, bw, out)
-	}
-	return t.ScanPagesShared(req.Scan, wire.ScanChunkCells, func(cells []kvstore.Cell, final bool) error {
-		out.Reset()
-		wire.AppendScanChunk(out, req.Seq, cells, final)
-		return s.writeFrames(bw, out)
-	})
-}
-
-// serveScanVersions streams every retained version of every matching cell
-// (newest first per cell, cells in key order) — the cluster dump path. It
-// is not a hot path: the cell list is materialized up front and versions
-// are re-read per cell, trading a lock acquisition per cell for simplicity.
-func (s *Server) serveScanVersions(t *kvstore.Table, req *wire.Request, bw *bufio.Writer, out *wire.Buffer) error {
 	cells := t.Scan(req.Scan)
-	chunk := make([]kvstore.Cell, 0, wire.ScanChunkCells)
-	flush := func(final bool) error {
-		out.Reset()
-		wire.AppendScanChunk(out, req.Seq, chunk, final)
-		chunk = chunk[:0]
-		return s.writeFrames(bw, out)
-	}
-	for i := range cells {
-		for _, v := range t.GetVersions(cells[i].Row, cells[i].Column, 0) {
-			chunk = append(chunk, kvstore.Cell{Row: cells[i].Row, Column: cells[i].Column, Version: v})
-			if len(chunk) == wire.ScanChunkCells {
-				if err := flush(false); err != nil {
-					return err
-				}
+	if req.Flags&wire.FlagVersions != 0 {
+		var all []kvstore.Cell
+		for _, c := range cells {
+			for _, v := range t.GetVersions(c.Row, c.Column, 0) {
+				all = append(all, kvstore.Cell{Row: c.Row, Column: c.Column, Version: v})
 			}
 		}
+		cells = all
 	}
-	return flush(true)
+	for {
+		n := min(len(cells), wire.ScanChunkCells)
+		out.Reset()
+		wire.AppendScanChunk(out, req.Seq, cells[:n], n == len(cells))
+		if err := s.writeFrames(bw, out); err != nil || n == len(cells) {
+			return err
+		}
+		cells = cells[n:]
+	}
 }
 
 // writeFrames copies one encoded response (or chunk) into the buffered
@@ -631,27 +611,30 @@ func (s *Server) applyMutation(req *wire.Request) error {
 	}
 }
 
-// dedupLookup consults the client's dedup window for an already-applied seq.
-func (s *Server) dedupLookup(clientID, seq uint64) (string, bool) {
+// dedupClaim returns seq's entry in the client's window, and whether this
+// call claimed it: the claimer applies the mutation and publishes the
+// outcome, and every later copy of seq waits for it outside dedupMu.
+func (s *Server) dedupClaim(clientID, seq uint64) (*dedupEntry, bool) {
 	s.dedupMu.Lock()
 	defer s.dedupMu.Unlock()
 	w, ok := s.dedup[clientID]
 	if !ok {
-		return "", false
-	}
-	return w.lookup(seq)
-}
-
-// dedupRecord remembers an applied seq's outcome in the client's window.
-func (s *Server) dedupRecord(clientID, seq uint64, msg string) {
-	s.dedupMu.Lock()
-	defer s.dedupMu.Unlock()
-	w, ok := s.dedup[clientID]
-	if !ok {
-		w = &dedupWindow{outcome: make(map[uint64]string)}
+		w = &dedupWindow{entries: make(map[uint64]*dedupEntry)}
 		s.dedup[clientID] = w
 	}
-	w.record(seq, msg)
+	if e, ok := w.entries[seq]; ok {
+		return e, false
+	}
+	if len(w.ring) < dedupWindowSize {
+		w.ring = append(w.ring, seq)
+	} else {
+		delete(w.entries, w.ring[w.next])
+		w.ring[w.next] = seq
+		w.next = (w.next + 1) % dedupWindowSize
+	}
+	e := &dedupEntry{done: make(chan struct{})}
+	w.entries[seq] = e
+	return e, true
 }
 
 // appendResult encodes a mutating op's outcome: an empty message is a bare

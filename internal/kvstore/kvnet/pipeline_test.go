@@ -99,8 +99,9 @@ func (c *slowFirstWriteConn) Write(b []byte) (int, error) {
 }
 
 // TestClientSendsEachPutAsItsOwnFrame checks that one call is one frame:
-// Puts that pile up while the writer is stalled share a write, but the
-// server still sees one put frame per Put and no apply frame.
+// concurrent Puts, queued on the client's mutex behind a stalled first
+// write, still reach the server as one put frame per Put and no apply
+// frame.
 func TestClientSendsEachPutAsItsOwnFrame(t *testing.T) {
 	store := kvstore.New()
 	if _, err := store.EnsureTable("t", kvstore.TableOptions{}); err != nil {

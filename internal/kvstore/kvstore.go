@@ -902,33 +902,67 @@ func (t *Table) sortedLocked() []*row {
 }
 
 // Scan returns the latest version of every matching cell, ordered by row then
-// column (both lexicographic). The returned slices are copies.
+// column (both lexicographic). The returned slices are copies: one lock hold
+// collects the cells, and one arena allocation after it holds all the value
+// copies, each capacity-capped so appending to one cell's value can never
+// scribble over its neighbour's. The copy can happen outside the lock
+// because the values collectLocked builds are never written: inline ones are
+// carved out of this scan's own buffer, and long ones are the table's blobs.
 func (t *Table) Scan(opts ScanOptions) []Cell {
 	ins := t.store.ins.Load()
 	sp := ins.opSpan("scan", t.name)
-	cells := t.scan(opts)
-	ins.scanned(len(cells))
-	if sp != nil {
-		var n int64
-		for _, c := range cells {
-			n += int64(len(c.Version.Value))
-		}
-		sp.SetBytes(n)
-		sp.End()
+	var cells []Cell
+	var total int64
+	t.readKeys(func(rows []*row) { cells, total = t.collectLocked(rows, opts) })
+	arena := make([]byte, 0, total)
+	for i := range cells {
+		off := len(arena)
+		arena = append(arena, cells[i].Version.Value...)
+		cells[i].Version.Value = arena[off:len(arena):len(arena)]
 	}
+	ins.scanned(len(cells))
+	sp.SetBytes(total)
+	sp.End()
 	return cells
 }
 
-// scan implements Scan: one lock hold collects the cells, and one arena
-// allocation after it holds all the value copies. The copy can happen
-// outside the lock because the values collectLocked builds are never
-// written: inline ones are carved out of this scan's own buffer, and long
-// ones are the table's blobs.
-func (t *Table) scan(opts ScanOptions) []Cell {
-	var cells []Cell
-	var total int64
-	var buf []byte
-	t.readKeys(func(rows []*row) { cells, total, _ = t.collectLocked(rows, opts, nil, opts.Limit, nil, &buf) })
-	arenaCopyValues(cells, total)
-	return cells
+// collectLocked returns the latest version of each cell of rows, the table's
+// rows in key order, that matches opts, in (row, column) order and at most
+// opts.Limit of them when it is positive, with the summed bytes of their
+// values. An inline value is carved out of a buffer of this call's own (see
+// valueLocked); a long one is the table's blob, which is never written, so
+// it stays valid after t.mu is released. The result and the buffer are
+// sized by a first pass that counts the cells of matching rows, exactly so
+// when opts names no column prefix. Callers hold t.mu through readKeys.
+func (t *Table) collectLocked(rows []*row, opts ScanOptions) ([]Cell, int64) {
+	n := 0
+	for _, r := range rows {
+		if opts.matchesRow(r.key) {
+			n += len(r.cols)
+		}
+	}
+	if opts.Limit > 0 {
+		n = min(n, opts.Limit)
+	}
+	cells := make([]Cell, 0, n)
+	buf := make([]byte, 0, n*inlineWidth)
+	var valueBytes int64
+	for _, r := range rows {
+		if !opts.matchesRow(r.key) {
+			continue
+		}
+		for j, col := range r.cols {
+			if opts.ColumnPrefix != "" && !strings.HasPrefix(col, opts.ColumnPrefix) {
+				continue
+			}
+			versions := r.cells[j]
+			s := versions[len(versions)-1]
+			cells = append(cells, Cell{Row: r.key, Column: col, Version: Version{Timestamp: s.ts, Value: t.valueLocked(s, &buf)}})
+			valueBytes += int64(s.n)
+			if len(cells) == opts.Limit {
+				return cells, valueBytes
+			}
+		}
+	}
+	return cells, valueBytes
 }

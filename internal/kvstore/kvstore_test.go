@@ -181,11 +181,6 @@ func TestScansShareTheReadLock(t *testing.T) {
 			table.ScanFloatRows([]string{"x"}, func(rows []string, _ []float64, _ []bool) { n = len(rows) })
 			return n
 		}},
-		{"ScanPagesShared", func() int {
-			n := 0
-			table.ScanPagesShared(ScanOptions{}, 1, func(c []Cell, _ bool) error { n += len(c); return nil })
-			return n
-		}},
 		{"History", func() int {
 			n := 0
 			table.History(func([]Mutation) error { n++; return nil })
@@ -849,7 +844,6 @@ func TestTableVersion(t *testing.T) {
 		table.GetVersions("r", "c", 0)
 		table.Scan(ScanOptions{})
 		table.ScanColumns(ScanOptions{}, nil)
-		table.ScanPagesShared(ScanOptions{}, 0, func([]Cell, bool) error { return nil })
 	})
 }
 

@@ -143,10 +143,9 @@ var (
 
 // TestTableMatchesReferenceModel runs seeded random sequences of Put, Delete,
 // Apply, ReplayPut and ReplayDelete on a table and on the reference, and after
-// every operation compares every read: Scan, ScanPagesShared at page sizes 1,
-// 2 and 256, ScanColumns, ScanFloatRows (with its column lists as given and
-// built at run time), History, Get, GetVersions, the row count, Version and
-// the store clock, and when ScanColumns shares its Keys (see compareColumns);
+// every operation compares every read: Scan, ScanColumns, ScanFloatRows
+// (with its column lists as given and built at run time), History, Get,
+// GetVersions, the row count, Version and the store clock, and when ScanColumns shares its Keys (see compareColumns);
 // and checks the table's blob slots (see checkBlobs). The sequences include
 // batches whose deletes empty a row that later ops of the same batch write
 // again, out-of-order and duplicate replays into full windows, rows wider
@@ -782,27 +781,6 @@ func compareWithModel(table *Table, m *refTable) error {
 		got := table.Scan(opts)
 		if !slices.EqualFunc(got, want, deepEqual) {
 			return fmt.Errorf("Scan(%+v) = %v, want %v", opts, got, want)
-		}
-		for _, size := range []int{1, 2, 256} {
-			var paged []Cell
-			var finals int
-			err := table.ScanPagesShared(opts, size, func(page []Cell, final bool) error {
-				if len(page) > size {
-					return fmt.Errorf("page of %d cells", len(page))
-				}
-				if final {
-					finals++
-				}
-				// A shared page lives only until fn returns: copy it out.
-				for _, c := range page {
-					c.Version.Value = slices.Clone(c.Version.Value)
-					paged = append(paged, c)
-				}
-				return nil
-			})
-			if err != nil || finals != 1 || !slices.EqualFunc(paged, want, deepEqual) {
-				return fmt.Errorf("ScanPagesShared(%+v, %d) = %v (%d final pages, err %v), want %v", opts, size, paged, finals, err, want)
-			}
 		}
 		if opts.Limit > 0 {
 			continue // ScanColumns has no limit

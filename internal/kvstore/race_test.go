@@ -270,7 +270,7 @@ func TestScanColumnsBesideApply(t *testing.T) {
 }
 
 // TestKeptLongValuesBesideBlobReuse has readers keep the long values they
-// read through Get, ScanPagesShared and History, each beside a copy taken at
+// read through Get, Scan and History, each beside a copy taken at
 // read time, while a writer overwrites the cells' windows, releasing blob
 // slots and storing new values in them. A released slot gets a new blob and
 // the old one is never written, so every kept value must still equal its
@@ -297,12 +297,9 @@ func TestKeptLongValuesBesideBlobReuse(t *testing.T) {
 			}
 		},
 		func(keep func(v []byte)) {
-			table.ScanPagesShared(ScanOptions{}, 2, func(cells []Cell, _ bool) error {
-				for _, c := range cells {
-					keep(c.Version.Value)
-				}
-				return nil
-			})
+			for _, c := range table.Scan(ScanOptions{}) {
+				keep(c.Version.Value)
+			}
 		},
 		func(keep func(v []byte)) {
 			table.History(func(cell []Mutation) error {

@@ -372,8 +372,9 @@ func TestPositionsMatchesPerCellLookups(t *testing.T) {
 	}
 }
 
-// pagedFoldRows is foldRows as it was before the projected read, kept
-// verbatim: a fold over ScanPagesShared's pages of shared cells.
+// pagedFoldRows is foldRows as it was before the projected read: a fold
+// over the table's cells in (row, column) order, which the old paged scan
+// handed out page by page and Scan returns whole.
 func pagedFoldRows(t *kvstore.Table, cols [3]string, fold func(row string, v [3]float64)) {
 	var v [3]float64
 	row, has := "", false
@@ -383,30 +384,26 @@ func pagedFoldRows(t *kvstore.Table, cols [3]string, fold func(row string, v [3]
 		}
 		v, has = [3]float64{}, false
 	}
-	_ = t.ScanPagesShared(kvstore.ScanOptions{}, 0, func(cells []kvstore.Cell, _ bool) error {
-		for _, c := range cells {
-			if c.Row != row {
-				flush()
-				row = c.Row
-			}
-			if i := slices.Index(cols[:], c.Column); i >= 0 {
-				var ok bool
-				v[i], ok = c.FloatValue()
-				if i == 0 {
-					has = ok
-				}
+	for _, c := range t.Scan(kvstore.ScanOptions{}) {
+		if c.Row != row {
+			flush()
+			row = c.Row
+		}
+		if i := slices.Index(cols[:], c.Column); i >= 0 {
+			var ok bool
+			v[i], ok = c.FloatValue()
+			if i == 0 {
+				has = ok
 			}
 		}
-		return nil // the scan's only possible error is this function's
-	})
+	}
 	flush()
 }
 
 // TestFoldRowsMatchesPagedFold pins the projected-read folds to the paged
-// fold they replaced, over seeded reports and positions tables that span
-// several scan pages: foldRows over both tables row for row, and step 2a's
-// output cell for cell against the paged fold plus a GetFloat of each
-// vehicle's previous speed. The tables hold rows without cols[0], cells that
+// fold they replaced, over seeded reports and positions tables: foldRows
+// over both tables row for row, and step 2a's output cell for cell against
+// the paged fold plus a GetFloat of each vehicle's previous speed. The tables hold rows without cols[0], cells that
 // are not floats, vehicles with no previous position and positions rows no
 // report names.
 func TestFoldRowsMatchesPagedFold(t *testing.T) {
