@@ -184,22 +184,26 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzRestoreCheckpoint -fuzztime 30s -fuzzminimizetime 2s ./internal/core
 	$(GO) test -run xxx -fuzz FuzzTableColumns -fuzztime 30s ./internal/kvstore
 
-## stress: the engine's scheduler tests and the kvnet client's close, retry
-## and exactly-once tests 50 times over under the race detector (nightly CI
-## job). Engine: wave determinism, the schedule digests at Parallelism 1, 2
-## and 4, branch overlap, the error rule, the gated chain the coordinator
-## keeps and the rewind of failed and retried waves to the trackers' pinned
-## baselines — so a rare interleaving of the claim that decides who runs a
-## no-decision step gets many chances to show. kvnet: a Close racing calls
-## in flight, in backoff and parked on a read, and mutating retries through
-## lost responses, injected disconnects and an original still applying when
-## its retries arrive — the client's two locks (one serialising calls, one
-## letting Close sever the connection of the call that holds the first) and
-## the server's dedup claim (a copy of an in-flight seq waits for its
-## outcome) get the same chances.
+## stress: the engine's scheduler tests, the kvnet client's close, retry
+## and exactly-once tests and the dump snapshot test 50 times over under the
+## race detector (nightly CI job). Engine: wave determinism, the schedule
+## digests at Parallelism 1, 2 and 4, branch overlap, the error rule, the
+## gated chain the coordinator keeps and the rewind of failed and retried
+## waves to the trackers' pinned baselines — so a rare interleaving of the
+## claim that decides who runs a no-decision step gets many chances to show.
+## kvnet: a Close racing calls in flight, in backoff and parked on a read,
+## and mutating retries through lost responses, injected disconnects and an
+## original still applying when its retries arrive — the client's two locks
+## (one serialising calls, one letting Close sever the connection of the
+## call that holds the first) and the server's dedup claim (a copy of an
+## in-flight seq waits for its outcome) get the same chances. Dumps: a
+## store's and a 3-shard cluster's Dump beside a writer must each show a
+## state the writer passed through (per shard on the cluster), so a read
+## that leaves the table's lock between cells gets many chances to show.
 stress:
 	$(GO) test -race -count=50 -run 'TestParallel|TestScheduleDigests|TestIndependentBranchesOverlap|TestDoomedWave|TestFailedStepStops|TestGatedChain|TestFailedWaveRewindsOwnedBaselines' ./internal/engine/
 	$(GO) test -race -count=50 -run 'TestClientCloseIdempotentConcurrent|TestClientCloseUnblocksPendingRead|TestMutatingRetryExactlyOnce|TestRetryWaitsForInflightOriginal|TestExactlyOncePipelinedDisconnects|TestChaosClientRetriesThroughInjectedDisconnects' ./internal/kvstore/kvnet/
+	$(GO) test -race -count=50 -run 'TestDumpIsASnapshotBesideAWriter' ./internal/kvstore/cluster/
 
 ## examples-smoke: run the quickstart, custommetric, airquality and linearroad
 ## examples (each well under a second once built) and diff each one's stdout

@@ -83,8 +83,12 @@ func clusterDump(t *testing.T, c *Client, tables ...string) string {
 }
 
 // workload drives an identical op sequence against the cluster client and a
-// reference single store: multi-version overwrites, deletes (including of
-// missing cells — they must burn a clock tick in both worlds), and batches.
+// reference single store: puts that give forty alpha cells one version
+// each, overwrites that push five cells past alpha's MaxVersions 2, a
+// delete of a multi-version cell that is then put again, keys that break a
+// careless dump or merge, deletes (including of a missing cell — it must
+// burn a clock tick in both worlds), and a batch. It fails if no alpha cell
+// ends with two versions, so a dump comparison always compares histories.
 func workload(t *testing.T, c *Client, ref *kvstore.Store) {
 	t.Helper()
 	if err := c.CreateTable("alpha", 2); err != nil {
@@ -101,11 +105,8 @@ func workload(t *testing.T, c *Client, ref *kvstore.Store) {
 	}
 	refA, _ := ref.Table("alpha")
 	refB, _ := ref.Table("beta")
-
-	for i := 0; i < 40; i++ {
-		row := fmt.Sprintf("row-%02d", i%20)
-		col := fmt.Sprintf("c%d", i%3)
-		val := []byte(fmt.Sprintf("v%d", i))
+	put := func(row, col string, val []byte) {
+		t.Helper()
 		if err := c.Put("alpha", row, col, val); err != nil {
 			t.Fatal(err)
 		}
@@ -113,26 +114,37 @@ func workload(t *testing.T, c *Client, ref *kvstore.Store) {
 			t.Fatal(err)
 		}
 	}
+	del := func(row, col string) {
+		t.Helper()
+		if err := c.Delete("alpha", row, col); err != nil {
+			t.Fatal(err)
+		}
+		if err := refA.Delete(row, col); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for i := 0; i < 40; i++ {
+		put(fmt.Sprintf("row-%02d", i%20), fmt.Sprintf("c%d", i%3), []byte(fmt.Sprintf("v%d", i)))
+	}
+	// Three more versions of row-10..row-14's c1, so each window drops its
+	// oldest; then row-12/c1 is deleted and put again, one version.
+	for k := 0; k < 3; k++ {
+		for r := 10; r < 15; r++ {
+			put(fmt.Sprintf("row-%02d", r), "c1", []byte(fmt.Sprintf("w%d-%d", r, k)))
+		}
+	}
+	del("row-12", "c1")
+	put("row-12", "c1", []byte("again"))
 	// Keys that break a careless dump or merge: a row that prefixes another
 	// ("a" sorts before "a-b" as a row, after it as a joined "row/column"
 	// string) and two cells whose row/column concatenations collide.
 	for _, k := range [][2]string{{"a-b", "x"}, {"a", "x"}, {"a/b", "c"}, {"a", "b/c"}} {
-		if err := c.Put("alpha", k[0], k[1], []byte(k[0])); err != nil {
-			t.Fatal(err)
-		}
-		if err := refA.Put(k[0], k[1], []byte(k[0])); err != nil {
-			t.Fatal(err)
-		}
+		put(k[0], k[1], []byte(k[0]))
 	}
 	// Deletes: one real, one of a missing cell (tick parity).
-	for _, k := range [][2]string{{"row-03", "c0"}, {"never", "c9"}} {
-		if err := c.Delete("alpha", k[0], k[1]); err != nil {
-			t.Fatal(err)
-		}
-		if err := refA.Delete(k[0], k[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
+	del("row-03", "c0")
+	del("never", "c9")
 	// A batch spanning many rows (hence shards).
 	b := kvstore.NewBatch()
 	var ops []kvstore.Op
@@ -147,6 +159,14 @@ func workload(t *testing.T, c *Client, ref *kvstore.Store) {
 	}
 	if err := refB.Apply(b); err != nil {
 		t.Fatal(err)
+	}
+	cells := refA.ScanVersions(kvstore.ScanOptions{})
+	multi := false
+	for i := 1; i < len(cells); i++ {
+		multi = multi || cells[i].Row == cells[i-1].Row && cells[i].Column == cells[i-1].Column
+	}
+	if !multi {
+		t.Fatal("no alpha cell holds two versions: the workload drives no version history")
 	}
 }
 

@@ -2,12 +2,12 @@ package cluster
 
 // Scatter-gather scans. Rows are sharded, so a cluster scan reads every
 // shard once, through the failover-aware withShard, and merges the results
-// in key order. A shard's read is one kvnet call, which the server answers
-// from one Table.Scan: if the shard's primary dies during it, the failover
-// machinery promotes its replica and the read is retried there from the
-// start of the shard — no duplicates and no gaps (the replica holds every
-// acked write). A (row, column) lives on exactly one shard, so the merge
-// never sees cross-shard duplicates.
+// in key order. A shard's read is one kvnet call, a snapshot of the shard;
+// the merge is not one across shards. If the shard's primary dies during
+// it, the failover machinery promotes its replica and the read is retried
+// there from the start of the shard — no duplicates and no gaps (the
+// replica holds every acked write). A (row, column) lives on exactly one
+// shard, so the merge never sees cross-shard duplicates.
 
 import (
 	"fmt"
@@ -25,9 +25,9 @@ func (c *Client) Scan(table string, opts kvstore.ScanOptions) ([]kvstore.Cell, e
 
 // ScanVersions returns every retained version of every matching cell across
 // all shards — newest first per cell, cells in key order — exactly what a
-// per-cell GetVersions sweep over a single store's Scan would produce;
-// opts.Limit bounds the cells, as on a kvnet.Client. This is the dump path
-// the determinism contract is verified through.
+// single store's Table.ScanVersions returns; opts.Limit bounds the cells, as
+// on a kvnet.Client. This is the dump path the determinism contract is
+// verified through.
 func (c *Client) ScanVersions(table string, opts kvstore.ScanOptions) ([]kvstore.Cell, error) {
 	return c.scatterGather(table, opts, true)
 }

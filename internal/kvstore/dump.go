@@ -15,8 +15,8 @@ func AppendDumpLine(dst []byte, table, row, column string, v Version) []byte {
 // version histories and logical timestamps — in table, row, column order,
 // newest version first. It is the repository's bit-identity contract: two
 // stores (or a store and a cluster, see cluster.Client.Dump) hold the same
-// data exactly when their dumps are equal. Each table is read cell by cell,
-// so the dump is a consistent picture only of a store nobody is writing.
+// data exactly when their dumps are equal. Each table is one ScanVersions,
+// so its lines are a snapshot of it; the dump is not one across tables.
 func (s *Store) Dump() []byte {
 	var out []byte
 	for _, name := range s.TableNames() {
@@ -24,10 +24,8 @@ func (s *Store) Dump() []byte {
 		if err != nil {
 			continue // dropped since TableNames
 		}
-		for _, c := range t.Scan(ScanOptions{}) {
-			for _, v := range t.GetVersions(c.Row, c.Column, 0) {
-				out = AppendDumpLine(out, name, c.Row, c.Column, v)
-			}
+		for _, c := range t.ScanVersions(ScanOptions{}) {
+			out = AppendDumpLine(out, name, c.Row, c.Column, c.Version)
 		}
 	}
 	return out

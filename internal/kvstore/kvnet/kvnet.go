@@ -71,9 +71,9 @@ var (
 // flush before forcing connections down.
 const DefaultDrainTimeout = time.Second
 
-// serverBufSize sizes the per-connection buffered reader and writer. Reads
-// batch pipelined request frames into one syscall; writes coalesce response
-// frames until the inbound buffer runs dry.
+// serverBufSize sizes the per-connection buffered reader and writer. A read
+// takes every request frame that has arrived in one syscall; writes coalesce
+// response frames until the inbound buffer runs dry.
 const serverBufSize = 64 << 10
 
 // dedupWindowSize bounds the per-client window of remembered mutating
@@ -357,10 +357,10 @@ func cleanDisconnect(err error) bool {
 // serveConn answers one client connection until it closes. The first frame
 // must be the hello preamble carrying the client's dedup identity; request
 // frames are then answered in arrival order, with responses buffered and
-// flushed once the inbound buffer runs dry (so a pipelined burst costs one
-// write syscall, not one per response). A clean disconnect (EOF or reset
-// between frames — killed clients are routine under connection churn — or
-// the server shutting down) returns nil; decode and encode failures are
+// flushed once the inbound buffer runs dry (so frames that arrived together
+// cost one write syscall, not one per response). A clean disconnect (EOF or
+// reset between frames — killed clients are routine under connection churn
+// — or the server shutting down) returns nil; decode and encode failures are
 // reported through the error counters and handler, and returned.
 func (s *Server) serveConn(conn net.Conn) error {
 	// Close errors after a finished (or already failed) session are noise.
@@ -537,10 +537,10 @@ func (s *Server) serveRequest(req *wire.Request, clientID uint64, bw *bufio.Writ
 	return s.writeFrames(bw, out)
 }
 
-// serveScan answers one scan: the table's Scan, one read-lock hold, with
-// each cell expanded into its retained versions (newest first) when
-// FlagVersions is set, streamed as chunks of at most wire.ScanChunkCells
-// cells. An empty result is one empty final chunk.
+// serveScan answers one scan: the table's Scan, or its ScanVersions when
+// FlagVersions is set, so either is a snapshot of the table, streamed as
+// chunks of at most wire.ScanChunkCells cells. An empty result is one empty
+// final chunk.
 func (s *Server) serveScan(req *wire.Request, bw *bufio.Writer, out *wire.Buffer) error {
 	t, err := s.store.Table(req.Table)
 	if err != nil {
@@ -548,16 +548,11 @@ func (s *Server) serveScan(req *wire.Request, bw *bufio.Writer, out *wire.Buffer
 		wire.AppendErrResponse(out, wire.OpScan, req.Seq, err.Error())
 		return s.writeFrames(bw, out)
 	}
-	cells := t.Scan(req.Scan)
+	scan := t.Scan
 	if req.Flags&wire.FlagVersions != 0 {
-		var all []kvstore.Cell
-		for _, c := range cells {
-			for _, v := range t.GetVersions(c.Row, c.Column, 0) {
-				all = append(all, kvstore.Cell{Row: c.Row, Column: c.Column, Version: v})
-			}
-		}
-		cells = all
+		scan = t.ScanVersions
 	}
+	cells := scan(req.Scan)
 	for {
 		n := min(len(cells), wire.ScanChunkCells)
 		out.Reset()

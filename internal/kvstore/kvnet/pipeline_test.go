@@ -15,8 +15,9 @@ import (
 )
 
 // TestClientPipelinesConcurrentOps runs many concurrent ops through one
-// client: all must succeed over a single connection, and the client's and
-// server's exact on-wire byte counters must mirror each other.
+// client, which take turns on it: all must succeed over a single connection,
+// and the client's and server's exact on-wire byte counters must mirror each
+// other.
 func TestClientPipelinesConcurrentOps(t *testing.T) {
 	store := kvstore.New()
 	if _, err := store.EnsureTable("t", kvstore.TableOptions{}); err != nil {
@@ -67,7 +68,7 @@ func TestClientPipelinesConcurrentOps(t *testing.T) {
 
 	snap := reg.Snapshot()
 	if got := snap.Counters["smartflux_kvnet_connections_total"]; got != 1 {
-		t.Errorf("connections = %d, want 1 (all ops pipelined on one conn)", got)
+		t.Errorf("connections = %d, want 1 (all ops took turns on one conn)", got)
 	}
 	csnap := creg.Snapshot()
 	sent := csnap.Counters[`smartflux_kvnet_client_bytes_total{dir="sent"}`]
@@ -275,8 +276,8 @@ func TestRetryChargesFrames(t *testing.T) {
 }
 
 // answerOnePerConn accepts connections and answers exactly one request
-// frame each, swallowing the rest — a server whose pipelines always stall
-// partway through.
+// frame each, swallowing the rest — a server whose connections always stall
+// after their first answer.
 func answerOnePerConn(ln net.Listener) {
 	for {
 		conn, err := ln.Accept()
@@ -313,10 +314,10 @@ func answerOnePerConn(ln net.Listener) {
 	}
 }
 
-// TestPipelinedPartialResponseRetry pins the mid-pipeline failure contract:
-// when a connection dies after answering only part of the pipeline, the
-// answered op completes, the stranded ops retry on a fresh connection, and
-// the read deadline re-arms per delivered response.
+// TestPipelinedPartialResponseRetry pins the stalled-connection failure
+// contract: when a connection stops answering after one of the calls that
+// take turns on it, the answered op completes, the stranded ops retry on a
+// fresh connection, and the read deadline re-arms per delivered response.
 func TestPipelinedPartialResponseRetry(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -411,10 +412,10 @@ func TestIdleReadDeadlineDisarms(t *testing.T) {
 }
 
 // TestExactlyOncePipelinedDisconnects floods a faulty connection with
-// concurrent mutating ops until the injector has killed it mid-pipeline a
-// few times: every Put must succeed exactly once (one version per cell)
-// even though retried frames may re-send mutations the server already
-// applied.
+// concurrent mutating ops, which take turns on it, until the injector has
+// killed it mid-call a few times: every Put must succeed exactly once (one
+// version per cell) even though retried frames may re-send mutations the
+// server already applied.
 func TestExactlyOncePipelinedDisconnects(t *testing.T) {
 	store := kvstore.New()
 	if _, err := store.EnsureTable("t", kvstore.TableOptions{}); err != nil {
@@ -480,7 +481,7 @@ func TestExactlyOncePipelinedDisconnects(t *testing.T) {
 			row := fmt.Sprintf("r%02d-%02d", r, i)
 			versions := boot.GetVersions(row, "v", 0)
 			if len(versions) != 1 {
-				t.Fatalf("row %s has %d versions, want exactly 1 (dedup broken under pipelining)", row, len(versions))
+				t.Fatalf("row %s has %d versions, want exactly 1 (dedup broken under retried disconnects)", row, len(versions))
 			}
 			total++
 		}

@@ -763,39 +763,22 @@ func (t *Table) GetVersions(row, column string, max int) []Version {
 // History calls fn once per cell, in scan order, with the cell's retained
 // versions as the puts that wrote them, oldest first — so replaying what it
 // yields into an empty table of the same MaxVersions rebuilds this one
-// exactly. The table is read under one lock hold, shared with other readers
-// like a scan's, which also builds the values: inline ones are carved out of
-// one buffer, long ones are the table's blobs. fn runs outside the lock. The
-// slice is reused between calls, so fn must not retain it; New must not be
-// modified.
+// exactly. It reads the table as ScanVersions does, in one lock hold shared
+// with other readers, but hands the collector's values out uncopied. fn runs
+// outside the lock. The slice is reused between calls, so fn must not retain
+// it; New must not be modified.
 func (t *Table) History(fn func(cell []Mutation) error) error {
-	type cellRef struct {
-		row, col string
-		end      int // versions[:end] covers the cells up to and including this one
-	}
-	var cells []cellRef
-	var versions []Version
-	var buf []byte
-	t.readKeys(func(rows []*row) {
-		for _, r := range rows {
-			for i, col := range r.cols {
-				for _, s := range r.cells[i] {
-					versions = append(versions, Version{Timestamp: s.ts, Value: t.valueLocked(s, &buf)})
-				}
-				cells = append(cells, cellRef{r.key, col, len(versions)})
-			}
-		}
-	})
+	var cells []Cell
+	t.readKeys(func(rows []*row) { cells, _ = t.collectLocked(rows, ScanOptions{}, true) })
 	var puts []Mutation
-	start := 0
-	for _, c := range cells {
-		puts = puts[:0]
-		for _, v := range versions[start:c.end] {
-			puts = append(puts, Mutation{Table: t.name, Row: c.row, Column: c.col, New: v.Value, Timestamp: v.Timestamp, Kind: MutationPut})
-		}
-		start = c.end
-		if err := fn(puts); err != nil {
-			return err
+	for i, c := range cells {
+		puts = append(puts, Mutation{Table: t.name, Row: c.Row, Column: c.Column, New: c.Version.Value, Timestamp: c.Version.Timestamp, Kind: MutationPut})
+		if i+1 == len(cells) || cells[i+1].Row != c.Row || cells[i+1].Column != c.Column {
+			slices.Reverse(puts)
+			if err := fn(puts); err != nil {
+				return err
+			}
+			puts = puts[:0]
 		}
 	}
 	return nil
@@ -902,18 +885,24 @@ func (t *Table) sortedLocked() []*row {
 }
 
 // Scan returns the latest version of every matching cell, ordered by row then
-// column (both lexicographic). The returned slices are copies: one lock hold
-// collects the cells, and one arena allocation after it holds all the value
-// copies, each capacity-capped so appending to one cell's value can never
-// scribble over its neighbour's. The copy can happen outside the lock
-// because the values collectLocked builds are never written: inline ones are
-// carved out of this scan's own buffer, and long ones are the table's blobs.
-func (t *Table) Scan(opts ScanOptions) []Cell {
+// column (both lexicographic): a snapshot, collected in one lock hold (see
+// collectLocked). The returned slices are copies: one arena allocation after
+// the hold holds all the value copies, each capacity-capped so appending to
+// one cell's value can never scribble over its neighbour's. The collector's
+// values are never written, so the copy can happen outside the lock.
+func (t *Table) Scan(opts ScanOptions) []Cell { return t.scan(opts, false) }
+
+// ScanVersions is Scan with every retained version of each cell, newest
+// first; opts.Limit counts cells, not versions.
+func (t *Table) ScanVersions(opts ScanOptions) []Cell { return t.scan(opts, true) }
+
+// scan is Scan, or ScanVersions when all is set.
+func (t *Table) scan(opts ScanOptions, all bool) []Cell {
 	ins := t.store.ins.Load()
 	sp := ins.opSpan("scan", t.name)
 	var cells []Cell
 	var total int64
-	t.readKeys(func(rows []*row) { cells, total = t.collectLocked(rows, opts) })
+	t.readKeys(func(rows []*row) { cells, total = t.collectLocked(rows, opts, all) })
 	arena := make([]byte, 0, total)
 	for i := range cells {
 		off := len(arena)
@@ -926,25 +915,35 @@ func (t *Table) Scan(opts ScanOptions) []Cell {
 	return cells
 }
 
-// collectLocked returns the latest version of each cell of rows, the table's
-// rows in key order, that matches opts, in (row, column) order and at most
-// opts.Limit of them when it is positive, with the summed bytes of their
-// values. An inline value is carved out of a buffer of this call's own (see
-// valueLocked); a long one is the table's blob, which is never written, so
-// it stays valid after t.mu is released. The result and the buffer are
-// sized by a first pass that counts the cells of matching rows, exactly so
-// when opts names no column prefix. Callers hold t.mu through readKeys.
-func (t *Table) collectLocked(rows []*row, opts ScanOptions) ([]Cell, int64) {
-	n := 0
+// collectLocked is the one read of cells out of rows, the table's rows in
+// key order: the latest version of each cell matching opts — every retained
+// version, newest first, when all is set — in (row, column) order, up to the
+// opts.Limit-th cell when the limit is positive, and their values' summed
+// bytes. An inline value is carved out of a buffer of this call's own (see
+// valueLocked); a long one is the table's blob, never written, so both stay
+// valid after t.mu is released. A first pass counts the cells (or versions)
+// of matching rows to size the result, exactly so when opts names no column
+// prefix. Callers hold t.mu through readKeys.
+func (t *Table) collectLocked(rows []*row, opts ScanOptions, all bool) ([]Cell, int64) {
+	n, per := 0, 1
+	if all {
+		per = t.maxVersions
+	}
 	for _, r := range rows {
-		if opts.matchesRow(r.key) {
+		switch {
+		case !opts.matchesRow(r.key):
+		case all:
+			for _, versions := range r.cells {
+				n += len(versions)
+			}
+		default:
 			n += len(r.cols)
 		}
 	}
-	if opts.Limit > 0 {
-		n = min(n, opts.Limit)
+	if opts.Limit > 0 && n/per > opts.Limit {
+		n = opts.Limit * per
 	}
-	cells := make([]Cell, 0, n)
+	cells, matched := make([]Cell, 0, n), 0
 	buf := make([]byte, 0, n*inlineWidth)
 	var valueBytes int64
 	for _, r := range rows {
@@ -956,10 +955,15 @@ func (t *Table) collectLocked(rows []*row, opts ScanOptions) ([]Cell, int64) {
 				continue
 			}
 			versions := r.cells[j]
-			s := versions[len(versions)-1]
-			cells = append(cells, Cell{Row: r.key, Column: col, Version: Version{Timestamp: s.ts, Value: t.valueLocked(s, &buf)}})
-			valueBytes += int64(s.n)
-			if len(cells) == opts.Limit {
+			if !all {
+				versions = versions[len(versions)-1:]
+			}
+			for i := len(versions) - 1; i >= 0; i-- {
+				s := versions[i]
+				cells = append(cells, Cell{Row: r.key, Column: col, Version: Version{Timestamp: s.ts, Value: t.valueLocked(s, &buf)}})
+				valueBytes += int64(s.n)
+			}
+			if matched++; matched == opts.Limit {
 				return cells, valueBytes
 			}
 		}

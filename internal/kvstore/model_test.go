@@ -839,8 +839,8 @@ func compareWithModel(table *Table, m *refTable) error {
 	return nil
 }
 
-// compareCells checks History, and Get and GetVersions of every cell of rows
-// × cols, against the reference.
+// compareCells checks History, ScanVersions, and Get and GetVersions of every
+// cell of rows × cols, against the reference.
 func compareCells(table *Table, m *refTable, rows, cols []string) error {
 	var history, wantHistory []Mutation
 	err := table.History(func(cell []Mutation) error {
@@ -854,6 +854,23 @@ func compareCells(table *Table, m *refTable, rows, cols []string) error {
 	}
 	if err != nil || !slices.EqualFunc(history, wantHistory, deepEqual) {
 		return fmt.Errorf("History = %v (err %v), want %v", history, err, wantHistory)
+	}
+	for _, opts := range []ScanOptions{{}, {RowPrefix: "r1"}, {ColumnPrefix: "w"}, {Limit: 3}} {
+		var want []Cell
+		matched := 0
+		for _, c := range m.sorted() {
+			if !strings.HasPrefix(c.row, opts.RowPrefix) || !strings.HasPrefix(c.col, opts.ColumnPrefix) ||
+				opts.Limit > 0 && matched == opts.Limit {
+				continue
+			}
+			matched++
+			for i := len(c.versions) - 1; i >= 0; i-- {
+				want = append(want, Cell{Row: c.row, Column: c.col, Version: c.versions[i]})
+			}
+		}
+		if got := table.ScanVersions(opts); !slices.EqualFunc(got, want, deepEqual) {
+			return fmt.Errorf("ScanVersions(%+v) = %v, want %v", opts, got, want)
+		}
 	}
 	for _, row := range rows {
 		for _, col := range cols {

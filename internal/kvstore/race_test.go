@@ -270,8 +270,8 @@ func TestScanColumnsBesideApply(t *testing.T) {
 }
 
 // TestKeptLongValuesBesideBlobReuse has readers keep the long values they
-// read through Get, Scan and History, each beside a copy taken at
-// read time, while a writer overwrites the cells' windows, releasing blob
+// read through Get, Scan, ScanVersions and History, each beside a copy taken
+// at read time, while a writer overwrites the cells' windows, releasing blob
 // slots and storing new values in them. A released slot gets a new blob and
 // the old one is never written, so every kept value must still equal its
 // copy, and hold one write's bytes.
@@ -298,6 +298,11 @@ func TestKeptLongValuesBesideBlobReuse(t *testing.T) {
 		},
 		func(keep func(v []byte)) {
 			for _, c := range table.Scan(ScanOptions{}) {
+				keep(c.Version.Value)
+			}
+		},
+		func(keep func(v []byte)) {
+			for _, c := range table.ScanVersions(ScanOptions{}) {
 				keep(c.Version.Value)
 			}
 		},
