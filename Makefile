@@ -48,13 +48,13 @@ lint-report:
 
 ## chaos: the fault-injection suite under the race detector — seeded
 ## error/disconnect/latency injection through pipeline, store and transport,
-## asserting bit-identical results and leak-free churn (DESIGN.md §10)
+## asserting bit-identical results and leak-free churn (DESIGN.md §2)
 chaos:
 	$(GO) test -race -run 'TestChaos' -v ./...
 
 ## chaos-crash: the crash-durability suite under the race detector — seeded
 ## crashes mid-WAL, at wave boundaries, at epoch rotations and with torn final
-## records, asserting bit-identical recovery (DESIGN.md §11)
+## records, asserting bit-identical recovery (DESIGN.md §6)
 chaos-crash:
 	$(GO) test -race -run 'TestCrashChaos' -v .
 
@@ -62,7 +62,7 @@ chaos-crash:
 ## seeded kill partitions one primary of a 3-shard replicated cluster mid-run,
 ## the replica is promoted, the dead node rejoins and catches up, and the
 ## merged cluster dump must stay bit-identical to a single-store run
-## (DESIGN.md §14). Failover spans land in cluster-spans.jsonl (CI artifact).
+## (DESIGN.md §8). Failover spans land in cluster-spans.jsonl (CI artifact).
 chaos-cluster:
 	rm -f cluster-spans.jsonl
 	SMARTFLUX_CHAOS_SPAN_OUT=$(CURDIR)/cluster-spans.jsonl $(GO) test -race -run 'TestClusterChaos' -v .
@@ -72,7 +72,7 @@ chaos-cluster:
 ## off mid-run, replicas are promoted under bumped epochs, stale-timeline
 ## primaries fence themselves and ack nothing until Reset + rejoin, and the
 ## healed merged dump must stay bit-identical to a single-store run with
-## deterministic fencing/breaker counters across reruns (DESIGN.md §15).
+## deterministic fencing/breaker counters across reruns (DESIGN.md §8).
 ## Fencing and breaker spans land in partition-spans.jsonl (CI artifact).
 chaos-partition:
 	rm -f partition-spans.jsonl
@@ -93,7 +93,7 @@ chaos-trace:
 ## the kvstore cluster (1 vs 3 shards, a seeded shard-kill run measuring the
 ## probe-driven promotion blip, and an asymmetric link-cut run measuring the
 ## fenced-failover blip — both checking no acked write was lost), writing
-## BENCH_PR10.json (DESIGN.md §14–15)
+## BENCH_PR10.json (DESIGN.md §8)
 clusterbench:
 	$(GO) run ./cmd/clusterbench -out BENCH_PR10.json
 

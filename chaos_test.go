@@ -16,7 +16,7 @@ import (
 
 // The chaos suite drives the public pipeline and the kvnet transport through
 // internal/fault and asserts the headline resilience contract (DESIGN.md
-// §10): with enough retries, a faulty run is bit-identical to a fault-free
+// §2): with enough retries, a faulty run is bit-identical to a fault-free
 // one — same store contents (values, versions and logical timestamps), same
 // ε/ι report — because injected failures happen strictly before any state
 // changes and retried steps are deterministic. Run via `make chaos` (the

@@ -16,7 +16,7 @@ import (
 
 // The cluster chaos suite drives an N-shard replicated kvstore cluster
 // through a seeded shard kill and asserts the cluster determinism contract
-// (DESIGN.md §14): the cluster's merged dump — version histories and logical
+// (DESIGN.md §8): the cluster's merged dump — version histories and logical
 // timestamps included — is bit-identical to a single-store run of the same
 // workload, even with a primary killed mid-run by a count-based trigger, its
 // replica promoted, and the dead node rejoined through the catch-up

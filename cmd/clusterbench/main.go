@@ -1,8 +1,8 @@
-// Command clusterbench measures the sharded kvstore cluster (DESIGN.md §14):
+// Command clusterbench measures the sharded kvstore cluster (DESIGN.md §8):
 // replicated write throughput at 1 vs 3 shards, the latency blip a
 // health-checked failover injects when a primary is killed mid-run, and the
 // (smaller) blip of a fenced failover when an asymmetric partition cuts a
-// primary's replication link and it self-demotes mid-write (DESIGN.md §15).
+// primary's replication link and it self-demotes mid-write (DESIGN.md §8).
 // It writes a JSON report (BENCH_PR10.json).
 //
 //	clusterbench -out BENCH_PR10.json

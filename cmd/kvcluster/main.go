@@ -1,5 +1,5 @@
 // Command kvcluster launches a sharded, replicated kvstore cluster
-// (DESIGN.md §14) in one process: N primary nodes, optionally each with an
+// (DESIGN.md §8) in one process: N primary nodes, optionally each with an
 // attached follower, and the versioned partition map a cluster client routes
 // by. The map is printed as JSON (and optionally written to a file) so
 // clients in other processes can pick it up, then the cluster serves until

@@ -10,7 +10,7 @@ import (
 )
 
 // verifyMirror closes a -cluster run (mirror is nil without the flag): the
-// determinism contract (DESIGN.md §14) holds when the cluster's merged dump
+// determinism contract (DESIGN.md §8) holds when the cluster's merged dump
 // is bit-identical to the live store's, version histories and logical
 // timestamps included. A mismatch is an error.
 func verifyMirror(out io.Writer, mirror *cluster.Client, live *smartflux.Store) error {

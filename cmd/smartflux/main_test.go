@@ -167,7 +167,7 @@ func resultLines(out string) string {
 // the uncrashed output; a kill that tore the log's tail is recovered
 // mid-application and run to its end (the bundled simulators are live feeds, so
 // only the policy's own schedule repeats exactly on the re-run waves: DESIGN.md
-// §11); and a resume under another policy is refused by name.
+// §6); and a resume under another policy is refused by name.
 func TestRunJournalsEveryPolicy(t *testing.T) {
 	for _, tc := range []struct {
 		policy string

@@ -18,7 +18,7 @@ import (
 )
 
 // The crash-chaos suite is the headline durability assertion (DESIGN.md
-// §11): a durable pipeline killed at a seeded crash point — mid-WAL, on a
+// §6): a durable pipeline killed at a seeded crash point — mid-WAL, on a
 // wave boundary, during a snapshot rotation, or through a torn final write —
 // and then resumed, produces bit-identical store contents (values, versions,
 // logical timestamps) and bit-identical ε/ι/decision series to a run that

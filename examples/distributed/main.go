@@ -11,7 +11,7 @@
 // killed: the cluster client probes it, promotes the follower and retries,
 // so no acked reading is lost or written twice. Afterwards the dead node
 // rejoins as a follower of the promoted primary and catches up from its
-// replication-log cursor (see DESIGN.md §14).
+// replication-log cursor (see DESIGN.md §8).
 //
 // Run with:
 //

@@ -9,7 +9,7 @@ package core
 // rebuilds the workload, replays the stores from the newest epoch's log,
 // restores the harness and session from the last committed checkpoint and
 // continues the run — producing results bit-identical to an uncrashed
-// execution (DESIGN.md §11).
+// execution (DESIGN.md §6).
 
 import (
 	"bytes"
@@ -36,7 +36,7 @@ const (
 // base, the lifecycle phase, the last test report and how much of the
 // knowledge base the predictor was fitted on. The model itself is not in it:
 // a predictor is a deterministic function of the Config and the examples it
-// was fitted on, so restore fits it again (DESIGN.md §11). The Config is
+// was fitted on, so restore fits it again (DESIGN.md §6). The Config is
 // construction-time input, exactly like the engine's persisted state: a
 // resumed run must build its session from the same configuration.
 type SessionCheckpoint struct {

@@ -651,7 +651,7 @@ func walFiles(t *testing.T, dir string) map[string][]byte {
 // state in slices in the order the engine fixes, so what a durable run writes
 // is a function of its input — two runs of one configuration, crossing
 // several rotations, leave byte-identical epoch logs. (The one map left in the
-// payload is Result.Reports; it has a single entry here. DESIGN.md §11.)
+// payload is Result.Reports; it has a single entry here. DESIGN.md §6.)
 //
 // A crashed-and-resumed run commits the uncrashed run's bytes too: its last
 // committed payload is compared at the end of the run. Its log files are not —

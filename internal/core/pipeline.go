@@ -47,7 +47,7 @@ type PipelineConfig struct {
 	// store holds what the run starts from — as built, or as recovered on
 	// a resume — syncing that state, and every subsequent mutation ships
 	// as a timestamped replication record, so the cluster's merged dump
-	// stays bit-identical to the live store (DESIGN.md §14). The reference
+	// stays bit-identical to the live store (DESIGN.md §8). The reference
 	// instance is never mirrored. A ship that fails after the attach fails
 	// the run: the client's Err is joined onto the pipeline's error.
 	Cluster *cluster.Client

@@ -4,7 +4,7 @@
 // re-expressed as log records plus the harness/pipeline checkpoint, and
 // recovery that replays the newest valid epoch up to the last committed
 // wave — truncating any torn final record — so a restarted run continues
-// with bit-identical state and decisions (DESIGN.md §11).
+// with bit-identical state and decisions (DESIGN.md §6).
 //
 // The unit of durability is the wave: mutations stream into the log as they
 // happen, but recovery only replays records up to the last commit record, so

@@ -1,6 +1,6 @@
 package durable
 
-// Replication record shipping (DESIGN.md §14). A cluster primary replicates
+// Replication record shipping (DESIGN.md §8). A cluster primary replicates
 // to its follower by shipping the same payloads the write-ahead log frames on
 // disk: recMutation and recCreate records, reused verbatim so the log format
 // stays the single source of truth for "what happened to the store". Records

@@ -21,7 +21,7 @@ package durable
 // written in one piece before the file is published (createEpoch); live
 // appends follow. Readers stop at the first frame that is short, oversized or
 // fails its CRC: everything after a torn or corrupt record is unreachable,
-// which is exactly the prefix property recovery needs (DESIGN.md §11).
+// which is exactly the prefix property recovery needs (DESIGN.md §6).
 
 import (
 	"bufio"

@@ -420,7 +420,7 @@ func (h *Harness) ResumeRun(res *Result, waves int, decider Decider) error {
 			// Measuring re-runs report-step processors hypothetically, which
 			// can fail under store faults just like real execution; a failed
 			// pass has committed nothing, so a retry starts from the same
-			// measurement state (DESIGN.md §10).
+			// measurement state (DESIGN.md §2).
 			if err = h.retryWave(func() error { return h.measure(res, live.res) }); err != nil {
 				err = fmt.Errorf("harness measure wave %d: %w", w, err)
 			}
@@ -464,7 +464,7 @@ type waveRun struct {
 // mark under the wave-retry budget (retryWave). The rewind to the mark makes
 // retries start from identical tracker state; only the store keeps any
 // partial writes, which deterministic processors overwrite with identical
-// latest values (DESIGN.md §10).
+// latest values (DESIGN.md §2).
 func (h *Harness) runWave(in *Instance, d Decider, which string, w int) waveRun {
 	var run waveRun
 	in.mark()

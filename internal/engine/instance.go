@@ -33,13 +33,13 @@ type InstanceConfig struct {
 	// goroutines. Any value yields bit-identical WaveResults:
 	// triggering decisions are always taken in topological order by a
 	// single coordinator, and per-step results land in pre-indexed slots
-	// (see DESIGN.md "Parallel execution").
+	// (see DESIGN.md §2 "The wave loop").
 	Parallelism int
 
 	// StepTimeout bounds each processor execution; zero means unbounded.
 	// A timed-out attempt fails with ErrStepTimeout; the abandoned
 	// processor goroutine is left to finish in the background (see
-	// DESIGN.md §10 for why its late writes are harmless for
+	// DESIGN.md §2 for why its late writes are harmless for
 	// deterministic processors).
 	StepTimeout time.Duration
 	// StepRetries is how many extra attempts a failed or timed-out step
@@ -80,9 +80,14 @@ type stepState struct {
 	// predecessors.
 	preds []int
 
-	lastExecWave                    int // -1 until the step has executed
-	execCount                       int
-	markLastExecWave, markExecCount int // the counters at the latest mark
+	exec, markExec execCounters // now and at the latest mark
+}
+
+// execCounters is a step's execution bookkeeping, copied whole by mark and
+// rewind.
+type execCounters struct {
+	lastWave int // -1 until the step has executed
+	count    int
 }
 
 // WaveResult reports what happened during one wave of an instance.
@@ -346,7 +351,7 @@ func NewInstance(wf *workflow.Workflow, store *kvstore.Store, cfg InstanceConfig
 			return nil, err
 		}
 		in.posOf[id] = i
-		st := &stepState{step: step, lastExecWave: -1}
+		st := &stepState{step: step, exec: execCounters{lastWave: -1}}
 		// Predecessors come earlier in order, so their positions are known.
 		for _, pred := range wf.Predecessors(id) {
 			st.preds = append(st.preds, in.posOf[pred])
@@ -469,7 +474,7 @@ func (in *Instance) ExecCount(id workflow.StepID) int {
 	if st == nil {
 		return 0
 	}
-	return st.execCount
+	return st.exec.count
 }
 
 // containerSnapshot is the latest scan of one container, kept across waves.
@@ -649,7 +654,7 @@ func newWaveResult(wave, gated int) WaveResult {
 // A failed wave leaves the instance in its pre-wave state: all trackers,
 // per-step bookkeeping and the wave counter are rolled back, so callers can
 // retry the wave or carry on as if it had not been attempted (store contents
-// are not rolled back; see DESIGN.md §10 for why deterministic processors
+// are not rolled back; see DESIGN.md §2 for why deterministic processors
 // make that safe).
 func (in *Instance) RunWave(d Decider) (WaveResult, error) {
 	in.mark()
@@ -733,8 +738,8 @@ func (in *Instance) execute(ctx *workflow.Context, st *stepState, wave int, sp *
 	if err := in.attempts(ctx, st, sp, nil); err != nil {
 		return fmt.Errorf("step %q wave %d: %w", st.step.ID, wave, err)
 	}
-	st.lastExecWave = wave
-	st.execCount++
+	st.exec.lastWave = wave
+	st.exec.count++
 	return nil
 }
 
@@ -816,7 +821,7 @@ func (in *Instance) HypotheticalOutput(id workflow.StepID) (metric.Columns, erro
 // at least once (the triggering precondition of §2).
 func (in *Instance) predecessorsReady(st *stepState) bool {
 	for _, j := range st.preds {
-		if in.states[j].lastExecWave < 0 {
+		if in.states[j].exec.lastWave < 0 {
 			return false
 		}
 	}

@@ -55,7 +55,7 @@ package engine
 // fails at. What still differs above 1: independent steps that were already
 // running when the failure happened run to completion, so their writes may
 // be in the store (RunWave rolls back instance state, not the store;
-// DESIGN.md §10). Store timestamps across *different* tables may also
+// DESIGN.md §2). Store timestamps across *different* tables may also
 // interleave differently; per-cell version order is preserved.
 //
 // Spans: a no-decision step's span opens at wave start above Parallelism 1,
@@ -270,7 +270,7 @@ func (in *Instance) runWave(d Decider) (WaveResult, error) {
 		if firstErr == nil {
 			firstErr = pos[i].err
 		}
-		if st.lastExecWave == wave {
+		if st.exec.lastWave == wave {
 			res.TotalExecutions++
 			if st.step.Gated() {
 				res.GatedExecutions++

@@ -47,8 +47,8 @@ func (in *Instance) PersistState() InstancePersist {
 	}
 	for pos, st := range in.states {
 		sp := StepPersist{
-			LastExecWave: st.lastExecWave,
-			ExecCount:    st.execCount,
+			LastExecWave: st.exec.lastWave,
+			ExecCount:    st.exec.count,
 			Impacts:      make([]metric.PersistedTracker, len(st.impactTrackers)),
 			Errors:       make([]metric.PersistedTracker, len(st.errorTrackers)),
 		}
@@ -106,8 +106,7 @@ func (in *Instance) applyPersisted(p InstancePersist) {
 	copy(in.impacts, p.Impacts)
 	for pos, st := range in.states {
 		sp := p.Steps[pos]
-		st.lastExecWave = sp.LastExecWave
-		st.execCount = sp.ExecCount
+		st.exec = execCounters{lastWave: sp.LastExecWave, count: sp.ExecCount}
 		for i, t := range st.impactTrackers {
 			t.RestorePersisted(sp.Impacts[i])
 		}
@@ -123,7 +122,7 @@ func (in *Instance) mark() {
 	in.markWave = in.wave
 	copy(in.markImpacts, in.impacts)
 	for _, st := range in.states {
-		st.markLastExecWave, st.markExecCount = st.lastExecWave, st.execCount
+		st.markExec = st.exec
 		for _, t := range st.impactTrackers {
 			t.Mark()
 		}
@@ -138,7 +137,7 @@ func (in *Instance) rewind() {
 	in.wave = in.markWave
 	copy(in.impacts, in.markImpacts)
 	for _, st := range in.states {
-		st.lastExecWave, st.execCount = st.markLastExecWave, st.markExecCount
+		st.exec = st.markExec
 		for _, t := range st.impactTrackers {
 			t.Rewind()
 		}

@@ -1,7 +1,7 @@
 package engine
 
 // Step-level resilience and wave-boundary recovery. Three mechanisms, all
-// configured through InstanceConfig and documented in DESIGN.md §10:
+// configured through InstanceConfig and documented in DESIGN.md §2:
 //
 //   - runProc bounds one processor execution with StepTimeout.
 //   - executeDegradable turns an exhausted retry budget on a gated step into

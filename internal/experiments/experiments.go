@@ -4,7 +4,7 @@
 // the repository-root benchmarks drive them. recipe.go is the run recipe
 // cmd/smartflux shares: workload, policy and session by name.
 //
-// Experiment index (see DESIGN.md §4):
+// Experiment index (see DESIGN.md §1):
 //
 //	Fig3       - diurnal sensor series of the motivational example
 //	ROC        - §3.2 classifier selection (ROC areas of six algorithms)

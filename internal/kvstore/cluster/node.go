@@ -61,7 +61,7 @@ type Node struct {
 	// stamped replication frame, a partition-map push, or its own shard
 	// entry. fenced marks the node demoted: it learned of a higher epoch
 	// (or could not reach its follower mid-ship) and refuses every write
-	// until Reset wipes it for a rejoin (DESIGN.md §15).
+	// until Reset wipes it for a rejoin (DESIGN.md §8).
 	epoch  atomic.Uint64
 	fenced atomic.Bool
 
@@ -174,12 +174,18 @@ func (n *Node) adoptEpoch(e uint64) {
 func (n *Node) fence() {
 	n.shipMu.Lock()
 	defer n.shipMu.Unlock()
+	n.dropFollowerLocked()
+	n.fenceLocked()
+}
+
+// dropFollowerLocked closes and forgets the outgoing follower link, if any;
+// callers hold shipMu.
+func (n *Node) dropFollowerLocked() {
 	if n.follower != nil {
 		_ = n.follower.Close()
 		n.follower = nil
 		n.followerAddr = ""
 	}
-	n.fenceLocked()
 }
 
 // fenceLocked flips the fenced flag; callers hold shipMu (or otherwise
@@ -235,9 +241,7 @@ func (n *Node) appendAndShip(recs [][]byte) error {
 	}
 	if err := n.follower.ReplEpoch(n.epoch.Load(), recs); err != nil {
 		n.shipErrs.Inc()
-		_ = n.follower.Close()
-		n.follower = nil
-		n.followerAddr = ""
+		n.dropFollowerLocked()
 		n.fenceLocked()
 		return fmt.Errorf("%w: ship to follower failed, self-demoting: %v", kvnet.ErrFenced, err)
 	}
@@ -287,44 +291,40 @@ func (n *Node) mapGet() []byte {
 
 // mapSet answers OpMapSet frames, validating before accepting. Stale
 // versions are rejected so a delayed push cannot roll the node's view back.
-// An accepted map is also learned from: the node adopts its own shard's
-// epoch, and a node the map has demoted (it was a shard's primary, now its
-// replica) fences itself.
 func (n *Node) mapSet(b []byte) error {
 	m, err := DecodeMap(b)
 	if err != nil {
 		return err
 	}
+	return n.installMap(m, append([]byte(nil), b...), true)
+}
+
+// SetMap installs a partition map locally (the in-process equivalent of an
+// OpMapSet push), with the same epoch learning as mapSet.
+func (n *Node) SetMap(m *Map) {
+	_ = n.installMap(m, m.Encode(), false) // refuses nothing without refuseStale
+}
+
+// installMap makes m, encoded as b, the node's map and learns from it: the
+// node adopts its own shard's epoch, and a node the map has demoted (it was
+// a shard's primary, now its replica) fences itself. With refuseStale, a map
+// whose version is below the installed one's is refused instead.
+func (n *Node) installMap(m *Map, b []byte, refuseStale bool) error {
 	n.mapMu.Lock()
 	var prev *Map
 	if n.mapBytes != nil {
 		if cur, err := DecodeMap(n.mapBytes); err == nil {
-			if m.Version < cur.Version {
+			if refuseStale && m.Version < cur.Version {
 				n.mapMu.Unlock()
 				return fmt.Errorf("cluster: stale partition map version %d < %d", m.Version, cur.Version)
 			}
 			prev = cur
 		}
 	}
-	n.mapBytes = append([]byte(nil), b...)
+	n.mapBytes = b
 	n.mapMu.Unlock()
 	n.learnMap(prev, m)
 	return nil
-}
-
-// SetMap installs a partition map locally (the in-process equivalent of an
-// OpMapSet push), with the same epoch learning as mapSet.
-func (n *Node) SetMap(m *Map) {
-	n.mapMu.Lock()
-	var prev *Map
-	if n.mapBytes != nil {
-		if cur, err := DecodeMap(n.mapBytes); err == nil {
-			prev = cur
-		}
-	}
-	n.mapBytes = m.Encode()
-	n.mapMu.Unlock()
-	n.learnMap(prev, m)
 }
 
 // learnMap extracts this node's fencing facts from a newly installed map.
@@ -375,11 +375,7 @@ func (n *Node) AttachFollower(addr string) error {
 	// of slipping between the end of the stream and the first live ship.
 	n.shipMu.Lock()
 	defer n.shipMu.Unlock()
-	if n.follower != nil {
-		_ = n.follower.Close()
-		n.follower = nil
-		n.followerAddr = ""
-	}
+	n.dropFollowerLocked()
 	backlog := n.log.Since(cursor)
 	for len(backlog) > 0 {
 		seg := backlog
@@ -402,11 +398,7 @@ func (n *Node) AttachFollower(addr string) error {
 func (n *Node) DetachFollower() {
 	n.shipMu.Lock()
 	defer n.shipMu.Unlock()
-	if n.follower != nil {
-		_ = n.follower.Close()
-		n.follower = nil
-		n.followerAddr = ""
-	}
+	n.dropFollowerLocked()
 }
 
 // FollowerAddr returns the currently attached follower's address, or "".
@@ -428,11 +420,7 @@ func (n *Node) FollowerAddr() string {
 // caller must ensure no traffic is being served during the reset.
 func (n *Node) Reset() {
 	n.shipMu.Lock()
-	if n.follower != nil {
-		_ = n.follower.Close()
-		n.follower = nil
-		n.followerAddr = ""
-	}
+	n.dropFollowerLocked()
 	for _, name := range n.store.TableNames() {
 		_ = n.store.DropTable(name)
 	}

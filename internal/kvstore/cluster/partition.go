@@ -25,7 +25,7 @@ type Shard struct {
 	// bumped by every Promote. Clients stamp replication frames with it and
 	// nodes reject stamps older than the highest epoch they have seen, so a
 	// demoted primary alive behind a partition can never ack a write the
-	// promoted timeline will not contain (DESIGN.md §15).
+	// promoted timeline will not contain (DESIGN.md §8).
 	Epoch uint64 `json:"epoch,omitempty"`
 }
 

@@ -1,7 +1,7 @@
 // Package cluster shards a kvstore across N kvnet servers by consistent-
 // hashed row key, replicates each shard's primary to a follower by shipping
 // timestamped replication records, and fails over to the follower when a
-// seeded health check declares the primary dead (DESIGN.md §14).
+// seeded health check declares the primary dead (DESIGN.md §8).
 //
 // The determinism contract of the single store carries over: because every
 // mutation crosses the wire as an explicit-timestamp replication record and

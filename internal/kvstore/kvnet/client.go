@@ -337,7 +337,8 @@ func ioDeadline(d time.Duration) time.Time {
 // trip until it succeeds, fails with an application error (the op
 // executed), fails with ErrClosed or runs out of retries, backing off
 // between tries. Every try re-sends the same seq, so the server's dedup
-// window keeps a retried mutation exactly-once.
+// slot keeps a retried mutation exactly-once, and the next seq is assigned
+// only after the last try, so the server can refuse any older copy.
 func (c *Client) do(req wire.Request) (reply, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -582,7 +583,7 @@ func (c *Client) Status() (clock, cursor uint64, crc uint32, err error) {
 
 // ReplEpoch ships a batch of replication records stamped with the sender's
 // shard epoch. A node holding a higher epoch rejects the batch with an
-// ErrFenced-matchable error — the wire half of epoch fencing (DESIGN.md §15).
+// ErrFenced-matchable error — the wire half of epoch fencing (DESIGN.md §8).
 // Records carry explicit timestamps and apply idempotently, so retried
 // batches are safe.
 func (c *Client) ReplEpoch(epoch uint64, records [][]byte) error {

@@ -4,7 +4,7 @@
 // client libraries.
 //
 // The wire protocol is the length-prefixed binary framing of
-// internal/kvstore/wire (DESIGN.md §13): every frame carries a magic,
+// internal/kvstore/wire (DESIGN.md §7): every frame carries a magic,
 // version, op, flags, a client-assigned sequence number and a payload
 // length. A client call is one lockstep round trip on the caller's
 // goroutine: one request frame, then its response frames, matched by
@@ -21,9 +21,10 @@
 // after exponential backoff with seeded jitter and re-sends the call's frame
 // under its original sequence number. Reads (Get, Scan) are
 // idempotent and always retryable; mutating ops (Put, Delete, Apply) are
-// retryable because the server keeps a per-client window of recently claimed
-// sequence numbers — a retry of an op the server already applied, or is
-// still applying, returns that outcome instead of applying twice. CreateTable maps to EnsureTable server-side and is idempotent
+// retryable because the server keeps each client's newest claimed sequence
+// number — a retry of an op the server already applied, or is still
+// applying, returns that outcome instead of applying twice, and a copy of
+// an older one is refused. CreateTable maps to EnsureTable server-side and is idempotent
 // by construction. Application-level errors (an error response frame) mean
 // the op executed; they are returned immediately and never retried.
 //
@@ -57,7 +58,7 @@ var (
 	ErrTimeout = errors.New("kvnet: i/o timeout")
 	// ErrFenced reports a write rejected by epoch fencing: the frame's epoch
 	// is stale or the serving node has demoted itself to read-only
-	// (DESIGN.md §15). It crosses the wire as wire.FlagFenced, so a client's
+	// (DESIGN.md §8). It crosses the wire as wire.FlagFenced, so a client's
 	// error stays errors.Is-matchable after the round trip.
 	ErrFenced = errors.New("kvnet: fenced: stale epoch or demoted node")
 	// ErrUnavailable reports an operation refused without touching the
@@ -76,12 +77,6 @@ const DefaultDrainTimeout = time.Second
 // response frames until the inbound buffer runs dry.
 const serverBufSize = 64 << 10
 
-// dedupWindowSize bounds the per-client window of remembered mutating
-// sequence numbers. A client finishes a call's retries before it assigns
-// the next sequence number, so the one a retry re-sends is always the
-// newest entry of its window and can never have been evicted.
-const dedupWindowSize = 4096
-
 // Server serves a Store over TCP.
 type Server struct {
 	store *kvstore.Store
@@ -94,12 +89,12 @@ type Server struct {
 	firstErr   error // first async serving error (decode/encode/accept)
 	errHandler func(error)
 
-	// dedup holds one bounded window of claimed (seq → outcome) entries per
-	// client, keyed by ClientID — the server half of exactly-once retries.
+	// dedup holds each client's newest claimed mutating seq and its
+	// outcome, keyed by ClientID — the server half of exactly-once retries.
 	dedupMu sync.Mutex
-	dedup   map[uint64]*dedupWindow
+	dedup   map[uint64]*dedupEntry
 
-	// Cluster control-plane hooks (DESIGN.md §14), installed by
+	// Cluster control-plane hooks (DESIGN.md §8), installed by
 	// kvstore/cluster before Listen. All are optional: without a repl
 	// handler OpRepl frames are rejected, without map handlers OpMapGet /
 	// OpMapSet are, and without a status handler OpStatus reports the
@@ -113,19 +108,11 @@ type Server struct {
 	obs *serverObs
 }
 
-// dedupWindow holds one client's most recent mutating sequence numbers,
-// each claimed before its mutation runs, evicting FIFO beyond
-// dedupWindowSize.
-type dedupWindow struct {
-	entries map[uint64]*dedupEntry
-	ring    []uint64
-	next    int
-}
-
-// dedupEntry is one claimed sequence number: done is closed once msg holds
-// the mutation's outcome ("" = applied cleanly, else the application error
-// string).
+// dedupEntry is a client's newest claimed sequence number: done is closed
+// once msg holds the mutation's outcome ("" = applied cleanly, else the
+// application error string).
 type dedupEntry struct {
+	seq  uint64
 	done chan struct{}
 	msg  string
 }
@@ -149,7 +136,7 @@ func NewServer(store *kvstore.Store) *Server {
 	return &Server{
 		store: store,
 		conns: make(map[net.Conn]struct{}),
-		dedup: make(map[uint64]*dedupWindow),
+		dedup: make(map[uint64]*dedupEntry),
 	}
 }
 
@@ -519,7 +506,13 @@ func (s *Server) serveRequest(req *wire.Request, clientID uint64, bw *bufio.Writ
 	case wire.Mutating(req.Op) && clientID != 0 && req.Seq != 0:
 		// A retry can overtake its original, still applying on an abandoned
 		// connection: it finds the seq claimed and waits for that outcome.
+		// A copy of an older seq was abandoned by its client, which has
+		// since moved on: applying it now would overwrite a newer write.
 		e, claimed := s.dedupClaim(clientID, req.Seq)
+		if e == nil {
+			wire.AppendErrResponse(out, req.Op, req.Seq, "kvnet: stale request: client has sent a newer mutation")
+			break
+		}
 		if claimed {
 			e.msg = errString(s.applyMutation(req))
 			close(e.done)
@@ -579,7 +572,7 @@ func (s *Server) writeFrames(bw *bufio.Writer, out *wire.Buffer) error {
 // applyMutation applies one mutating request to the store. The store copies
 // what it keeps of a frame's values into its version windows and blobs, so
 // no stored version pins the frame, and the server's value memory is bounded
-// by the live versions' own bytes (DESIGN §6).
+// by the live versions' own bytes (DESIGN.md §5).
 func (s *Server) applyMutation(req *wire.Request) error {
 	t, err := s.store.Table(req.Table)
 	if err != nil {
@@ -606,29 +599,23 @@ func (s *Server) applyMutation(req *wire.Request) error {
 	}
 }
 
-// dedupClaim returns seq's entry in the client's window, and whether this
-// call claimed it: the claimer applies the mutation and publishes the
-// outcome, and every later copy of seq waits for it outside dedupMu.
+// dedupClaim returns the client's entry for seq, and whether this call
+// claimed it: the claimer applies the mutation and publishes the outcome,
+// and every later copy of seq waits for it outside dedupMu. A client's
+// calls end, retries included, before it assigns the next seq, so only its
+// newest seq can still be retried; a seq below it gets no entry (nil).
 func (s *Server) dedupClaim(clientID, seq uint64) (*dedupEntry, bool) {
 	s.dedupMu.Lock()
 	defer s.dedupMu.Unlock()
-	w, ok := s.dedup[clientID]
-	if !ok {
-		w = &dedupWindow{entries: make(map[uint64]*dedupEntry)}
-		s.dedup[clientID] = w
-	}
-	if e, ok := w.entries[seq]; ok {
+	e := s.dedup[clientID]
+	switch {
+	case e != nil && seq == e.seq:
 		return e, false
+	case e != nil && seq < e.seq:
+		return nil, false
 	}
-	if len(w.ring) < dedupWindowSize {
-		w.ring = append(w.ring, seq)
-	} else {
-		delete(w.entries, w.ring[w.next])
-		w.ring[w.next] = seq
-		w.next = (w.next + 1) % dedupWindowSize
-	}
-	e := &dedupEntry{done: make(chan struct{})}
-	w.entries[seq] = e
+	e = &dedupEntry{seq: seq, done: make(chan struct{})}
+	s.dedup[clientID] = e
 	return e, true
 }
 

@@ -11,6 +11,7 @@ import (
 
 	"smartflux/internal/fault"
 	"smartflux/internal/kvstore"
+	"smartflux/internal/kvstore/wire"
 	"smartflux/internal/obs"
 )
 
@@ -231,6 +232,53 @@ func TestRetryWaitsForInflightOriginal(t *testing.T) {
 	}
 	if got := reg.Snapshot().Counters["smartflux_kvnet_dedup_hits_total"]; got < 1 {
 		t.Errorf("dedup hits = %d, want >= 1", got)
+	}
+}
+
+// TestStaleCopyIsRefused replays what a copy of seq 1 left unread in an
+// abandoned connection's socket does once the client has had seq 2 acked:
+// hand-built frames under one client ID send seq 2 Put(k, v2) on one
+// connection, then seq 1 Put(k, v1) on a second. The server must refuse the
+// stale copy, so the cell keeps v2, the write the client saw succeed.
+func TestStaleCopyIsRefused(t *testing.T) {
+	store, addr := startServer(t)
+	tbl, err := store.EnsureTable("t", kvstore.TableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const clientID = 42
+	send := func(seq uint64, value string) wire.Response {
+		t.Helper()
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		buf := wire.GetBuffer()
+		defer buf.Release()
+		wire.AppendHello(buf, clientID)
+		wire.AppendRequest(buf, &wire.Request{Op: wire.OpPut, Seq: seq, Table: "t", Row: "k", Column: "c", Value: []byte(value)})
+		if _, err := conn.Write(buf.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		h, payload, err := wire.ReadFrame(conn, buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := wire.DecodeResponse(h, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	if resp := send(2, "v2"); resp.Err != "" {
+		t.Fatalf("seq 2: %s", resp.Err)
+	}
+	if resp := send(1, "v1"); resp.Err == "" {
+		t.Error("stale seq 1 was acked")
+	}
+	if v, _ := tbl.Get("k", "c"); string(v) != "v2" {
+		t.Fatalf("cell holds %q, want v2 (a stale copy overwrote a newer write)", v)
 	}
 }
 

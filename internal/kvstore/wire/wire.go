@@ -1,6 +1,6 @@
 // Package wire is the binary framing layer for kvnet: a hand-rolled,
 // length-prefixed, little-endian protocol replacing the reflective gob
-// stream (DESIGN.md §13). Every message is one frame:
+// stream (DESIGN.md §7). Every message is one frame:
 //
 //	offset  size  field
 //	0       2     magic   0xFA57 ("fast", little-endian on the wire)
@@ -36,7 +36,7 @@ const (
 	// Version is this build's protocol revision. Peers speaking any other
 	// revision are rejected with ErrVersion before any payload is trusted.
 	// v2 added the epoch stamp to OpRepl payloads and the FlagFenced
-	// response flag (DESIGN.md §15).
+	// response flag (DESIGN.md §8).
 	Version byte = 2
 	// HeaderSize is the fixed frame header length in bytes.
 	HeaderSize = 18
@@ -50,7 +50,7 @@ const (
 // Frame ops. OpHello is the one-way connection preamble (client id +
 // implicit version check); the rest mirror kvnet's request set. Responses
 // reuse the request's op byte. OpPing through OpMapSet are the cluster
-// control plane (DESIGN.md §14): liveness probes, replication status
+// control plane (DESIGN.md §8): liveness probes, replication status
 // (clock + log cursor + cursor checksum), timestamped replication record
 // batches, and partition-map exchange.
 const (
@@ -91,7 +91,7 @@ const (
 	FlagVersions
 	// FlagFenced marks an error response as an epoch-fencing rejection: the
 	// node refused the write because the frame's epoch is stale or the node
-	// itself is demoted (DESIGN.md §15). Riding a header flag keeps the
+	// itself is demoted (DESIGN.md §8). Riding a header flag keeps the
 	// rejection typed across the wire, where application errors otherwise
 	// flatten to strings.
 	FlagFenced
@@ -142,8 +142,8 @@ func OpName(op byte) string {
 }
 
 // Mutating reports whether the op changes store state (and therefore
-// participates in the server's exactly-once dedup window). OpRepl and
-// OpMapSet mutate but stay out of the window deliberately: replication
+// participates in the server's exactly-once dedup). OpRepl and OpMapSet
+// mutate but stay out of the dedup deliberately: replication
 // records carry explicit timestamps and replay idempotently
 // (kvstore.ReplayPut skips duplicate timestamps), and a partition map is
 // replaced whole — retrying either is safe without dedup state.

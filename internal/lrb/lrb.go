@@ -10,7 +10,7 @@
 // this package substitutes a deterministic microscopic traffic simulator
 // with the same signal structure: slowly drifting per-segment aggregates
 // punctuated by rush-hour congestion waves and accident events (see
-// DESIGN.md §3).
+// DESIGN.md §1).
 package lrb
 
 import (

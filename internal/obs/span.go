@@ -5,7 +5,7 @@ package obs
 // deterministic, path-like strings derived from what the span *is* — e.g.
 // run/w3/classify/a0 for attempt 0 of step "classify" in wave 3 — not from
 // allocation order, so two runs of the same workload produce the same tree
-// shape and IDs even though the recorded timings differ (see DESIGN.md §12
+// shape and IDs even though the recorded timings differ (see DESIGN.md §9
 // for the determinism caveats). Durations come from Go's monotonic clock;
 // start timestamps are wall-clock and only order the timeline.
 //

@@ -39,7 +39,7 @@ type DecisionEvent struct {
 	Executed bool `json:"executed"`
 	// Degraded marks a forced skip: the decider said execute but the step
 	// exhausted its retry budget and was rolled back, its shadow error left
-	// accumulating as if skipped (see DESIGN.md §10).
+	// accumulating as if skipped (see DESIGN.md §2).
 	Degraded bool `json:"degraded,omitempty"`
 	// OptimalLabel is the simulated-optimal decision (1 = the true error
 	// exceeded maxε), -1 when unknown.

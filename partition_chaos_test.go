@@ -19,7 +19,7 @@ import (
 // partitions — symmetric (a primary cut off in both directions, the classic
 // dead shard) and asymmetric (a single replication link cut one way, the
 // shape real partitions take) — and asserts the fencing contract (DESIGN.md
-// §15): at every point exactly one unfenced primary serves each shard, a
+// §8): at every point exactly one unfenced primary serves each shard, a
 // demoted primary acks zero writes after its fence, no acked write is lost
 // across partition and heal, and the healed cluster's merged dump is
 // bit-identical to a single-store run of the same workload. Run via

@@ -245,7 +245,7 @@ type (
 	// over HTTP.
 	DebugServer = obs.DebugServer
 	// Span is one timed node of the causal run → wave → step → attempt →
-	// op tree; see RunObserver.WithSpanSinks and DESIGN.md §12.
+	// op tree; see RunObserver.WithSpanSinks and DESIGN.md §9.
 	Span = obs.Span
 	// SpanEvent is the wire record of one completed span.
 	SpanEvent = obs.SpanEvent
@@ -257,7 +257,7 @@ type (
 )
 
 // Resilience sentinels, matchable with errors.Is through every layer's
-// wrapping (see DESIGN.md §10 "Fault tolerance & degradation semantics").
+// wrapping (see DESIGN.md §2 "Resilience").
 var (
 	// ErrStepTimeout marks a step execution attempt exceeding the
 	// configured step timeout.
@@ -354,7 +354,7 @@ func RunPipeline(build BuildFunc, reportSteps []StepID, cfg PipelineConfig) (*Pi
 	return core.RunPipeline(build, reportSteps, cfg)
 }
 
-// Crash durability (DESIGN.md §11): every kvstore mutation is written to a
+// Crash durability (DESIGN.md §6): every kvstore mutation is written to a
 // CRC-checksummed write-ahead log, every completed wave commits a full
 // harness + session checkpoint (the commit wave is the result's wave count),
 // and the log is periodically rotated to a fresh epoch that starts compacted.
