@@ -36,16 +36,24 @@ type chaosRig struct {
 }
 
 // chaosBuild is the quickstart pipeline (ingest → aggregate → alert) with
-// every container operation routed through a fault-injecting store wrapper.
-// Each step performs its single write as its last operation, so a failed
-// attempt never half-applies and a retried wave rewrites nothing.
+// the injector's op hook called before every container operation, under the
+// store's op names. Each step performs its single write as its last
+// operation, so a failed attempt never half-applies and a retried wave
+// rewrites nothing.
 func chaosBuild(p fault.Policy, rig *chaosRig) smartflux.BuildFunc {
 	return func() (*smartflux.Workflow, *smartflux.Store, error) {
 		store := smartflux.NewStore()
 		inj := fault.New(p)
-		fstore := fault.NewStore(store, inj)
+		hook := inj.OpHook()
 		rig.stores = append(rig.stores, store)
 		rig.injs = append(rig.injs, inj)
+		// table resolves a table once the hook lets "create_table" through.
+		table := func(ctx *smartflux.Context, name string) (*smartflux.Table, error) {
+			if err := hook("create_table"); err != nil {
+				return nil, err
+			}
+			return ctx.Table(name)
+		}
 
 		wf := smartflux.NewWorkflow("chaos")
 		steps := []*smartflux.Step{
@@ -54,7 +62,7 @@ func chaosBuild(p fault.Policy, rig *chaosRig) smartflux.BuildFunc {
 				Source:  true,
 				Outputs: []smartflux.Container{{Table: "raw"}},
 				Proc: smartflux.ProcessorFunc(func(ctx *smartflux.Context) error {
-					t, err := fstore.EnsureTable("raw", kvstore.TableOptions{})
+					t, err := table(ctx, "raw")
 					if err != nil {
 						return err
 					}
@@ -70,6 +78,9 @@ func chaosBuild(p fault.Policy, rig *chaosRig) smartflux.BuildFunc {
 						v += 0.4 * math.Sin(1.7*float64(ctx.Wave)+0.9*float64(i))
 						batch.PutFloat("s"+strconv.Itoa(i), "temp", v)
 					}
+					if err := hook("apply"); err != nil {
+						return err
+					}
 					return t.Apply(batch)
 				}),
 			},
@@ -79,17 +90,16 @@ func chaosBuild(p fault.Policy, rig *chaosRig) smartflux.BuildFunc {
 				Outputs: []smartflux.Container{{Table: "avg"}},
 				QoD:     smartflux.QoD{MaxError: 0.1, Mode: smartflux.ModeAccumulate},
 				Proc: smartflux.ProcessorFunc(func(ctx *smartflux.Context) error {
-					raw, err := fstore.EnsureTable("raw", kvstore.TableOptions{})
+					raw, err := table(ctx, "raw")
 					if err != nil {
 						return err
 					}
-					cells, err := raw.Scan(smartflux.ScanOptions{})
-					if err != nil {
+					if err := hook("scan"); err != nil {
 						return err
 					}
 					var sum float64
 					var n int
-					for _, c := range cells {
+					for _, c := range raw.Scan(smartflux.ScanOptions{}) {
 						if v, err := smartflux.DecodeFloat(c.Version.Value); err == nil {
 							sum += v
 							n++
@@ -98,8 +108,11 @@ func chaosBuild(p fault.Policy, rig *chaosRig) smartflux.BuildFunc {
 					if n == 0 {
 						return nil
 					}
-					out, err := fstore.EnsureTable("avg", kvstore.TableOptions{})
+					out, err := table(ctx, "avg")
 					if err != nil {
+						return err
+					}
+					if err := hook("put"); err != nil {
 						return err
 					}
 					return out.PutFloat("region", "avg", sum/float64(n))
@@ -111,16 +124,19 @@ func chaosBuild(p fault.Policy, rig *chaosRig) smartflux.BuildFunc {
 				Outputs: []smartflux.Container{{Table: "alert"}},
 				QoD:     smartflux.QoD{MaxError: 0.1, Mode: smartflux.ModeAccumulate},
 				Proc: smartflux.ProcessorFunc(func(ctx *smartflux.Context) error {
-					avg, err := fstore.EnsureTable("avg", kvstore.TableOptions{})
+					avg, err := table(ctx, "avg")
 					if err != nil {
 						return err
 					}
-					v, _, err := avg.GetFloat("region", "avg")
+					if err := hook("get"); err != nil {
+						return err
+					}
+					v, _ := avg.GetFloat("region", "avg")
+					out, err := table(ctx, "alert")
 					if err != nil {
 						return err
 					}
-					out, err := fstore.EnsureTable("alert", kvstore.TableOptions{})
-					if err != nil {
+					if err := hook("put"); err != nil {
 						return err
 					}
 					return out.PutFloat("region", "level", 5+2*(v-15))

@@ -122,57 +122,16 @@ func (d *Dataset) Append(x []float64, y []int) {
 	d.Y = append(d.Y, append([]int(nil), y...))
 }
 
+// clone copies the example lists, so the copy keeps its length and order
+// while the original grows; the examples themselves are shared.
+func (d Dataset) clone() Dataset {
+	return Dataset{X: append([][]float64(nil), d.X...), Y: append([][]int(nil), d.Y...)}
+}
+
 // Head returns the first n examples (or all, if fewer).
 func (d Dataset) Head(n int) Dataset {
 	n = min(n, d.Len())
 	return Dataset{X: d.X[:n], Y: d.Y[:n]}
-}
-
-// KnowledgeBase stores the training tuples collected during the training
-// phase: per wave, the input-impact vector ι of every gated step and the
-// binary vector indicating whether each step's maxε was (simulated to be)
-// reached. It is safe for concurrent use.
-type KnowledgeBase struct {
-	mu   sync.RWMutex
-	data Dataset
-}
-
-// NewKnowledgeBase creates an empty knowledge base.
-func NewKnowledgeBase() *KnowledgeBase { return &KnowledgeBase{} }
-
-// Append logs one wave's example. Labels of -1 (step not evaluated this
-// wave) are recorded as 0 — no execution required.
-func (kb *KnowledgeBase) Append(impacts []float64, labels []int) {
-	clean := make([]int, len(labels))
-	for i, l := range labels {
-		if l == 1 {
-			clean[i] = 1
-		}
-	}
-	kb.mu.Lock()
-	defer kb.mu.Unlock()
-	kb.data.Append(impacts, clean)
-}
-
-// Len returns the number of logged examples.
-func (kb *KnowledgeBase) Len() int {
-	kb.mu.RLock()
-	defer kb.mu.RUnlock()
-	return kb.data.Len()
-}
-
-// Snapshot returns a copy-safe view of the dataset.
-func (kb *KnowledgeBase) Snapshot() Dataset {
-	kb.mu.RLock()
-	defer kb.mu.RUnlock()
-	return Dataset{X: append([][]float64(nil), kb.data.X...), Y: append([][]int(nil), kb.data.Y...)}
-}
-
-// Reset drops all logged examples.
-func (kb *KnowledgeBase) Reset() {
-	kb.mu.Lock()
-	defer kb.mu.Unlock()
-	kb.data = Dataset{}
 }
 
 // labelPlan is one gated step's learning problem, the unit every fit works

@@ -78,22 +78,55 @@ func TestDatasetHead(t *testing.T) {
 }
 
 func TestKnowledgeBase(t *testing.T) {
-	kb := NewKnowledgeBase()
-	if kb.Len() != 0 {
-		t.Error("fresh KB must be empty")
+	sess := NewSession(Config{Seed: 3})
+	if cp, err := sess.Checkpoint(); err != nil || len(cp.KBX) != 0 {
+		t.Fatalf("fresh KB: %d examples, err %v; want empty", len(cp.KBX), err)
 	}
-	kb.Append([]float64{1, 2}, []int{1, -1}) // -1 recorded as 0
-	kb.Append([]float64{3, 4}, []int{0, 1})
-	if kb.Len() != 2 {
-		t.Errorf("Len = %d", kb.Len())
+	sess.ObserveTrainingWave([]float64{1, 2}, []int{1, -1}) // -1 recorded as 0
+	sess.ObserveTrainingWave([]float64{3, 4}, []int{0, 1})
+	cp, err := sess.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
 	}
-	snap := kb.Snapshot()
-	if snap.Y[0][1] != 0 {
+	if len(cp.KBX) != 2 || len(cp.KBY) != 2 || cp.FittedOn != 0 {
+		t.Fatalf("checkpoint holds %d/%d examples fitted on %d; want 2/2, 0", len(cp.KBX), len(cp.KBY), cp.FittedOn)
+	}
+	if cp.KBY[0][0] != 1 || cp.KBY[0][1] != 0 {
 		t.Error("-1 labels must clamp to 0")
 	}
-	kb.Reset()
-	if kb.Len() != 0 {
-		t.Error("Reset must clear the KB")
+}
+
+// TestKnowledgeBaseBesideReaders appends examples to a trained session while
+// another goroutine checkpoints it and asks for decisions: under -race it
+// holds the knowledge base to the session lock, and every checkpoint's
+// predictor prefix lies within the examples it carries.
+func TestKnowledgeBaseBesideReaders(t *testing.T) {
+	sess := trainedSession(t, Config{Seed: 3})
+	const waves = 200
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < waves; i++ {
+			sess.ObserveTrainingWave([]float64{float64(i % 11), 1}, []int{i % 2, -1})
+		}
+	}()
+	for i := 0; i < waves; i++ {
+		cp, err := sess.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cp.FittedOn > len(cp.KBX) || len(cp.KBX) != len(cp.KBY) {
+			t.Fatalf("checkpoint fitted on %d of %d examples (%d label rows)", cp.FittedOn, len(cp.KBX), len(cp.KBY))
+		}
+		sess.Decide(i, i%2, []float64{float64(i % 11), 1})
+		if len(sess.LastTestReport().PerLabel) != 2 {
+			t.Fatal("trained session lost its test report")
+		}
+	}
+	wg.Wait()
+	if cp, _ := sess.Checkpoint(); len(cp.KBX) != 200+waves {
+		t.Fatalf("knowledge base holds %d examples, want %d", len(cp.KBX), 200+waves)
 	}
 }
 

@@ -162,12 +162,12 @@ func (d *DriftDetector) Reset() {
 // predictor: the §3.1 on-demand retraining path. The session drops back to
 // the training phase if the refreshed model fails the test-phase criteria.
 func (s *Session) Retrain(impacts [][]float64, labels [][]int) (TestReport, error) {
+	s.mu.Lock()
 	for i := range impacts {
-		s.kb.Append(impacts[i], labels[i])
+		s.observeLocked(impacts[i], labels[i])
 	}
-	s.mu.RLock()
 	so := s.obs
-	s.mu.RUnlock()
+	s.mu.Unlock()
 	if so != nil {
 		so.retrains.Inc()
 	}

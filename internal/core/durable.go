@@ -50,20 +50,17 @@ type SessionCheckpoint struct {
 	Report   TestReport
 }
 
-// Checkpoint exports the session's state.
+// Checkpoint exports the session's state, read under one hold of the
+// session lock: FittedOn is a prefix of the examples it carries. The error is
+// always nil.
 func (s *Session) Checkpoint() (*SessionCheckpoint, error) {
-	// The phase lock is taken before the snapshot: whatever Train last
-	// recorded was fitted on a prefix of what the knowledge base holds now.
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	snap := s.kb.Snapshot()
-	if s.fittedOn > snap.Len() {
-		return nil, fmt.Errorf("core: checkpoint: predictor fitted on %d examples but the knowledge base was reset to %d; it could not be restored", s.fittedOn, snap.Len())
-	}
+	kb := s.kb.clone()
 	return &SessionCheckpoint{
 		Phase:    int(s.phase),
-		KBX:      snap.X,
-		KBY:      snap.Y,
+		KBX:      kb.X,
+		KBY:      kb.Y,
 		FittedOn: s.fittedOn,
 		Report:   s.report,
 	}, nil
@@ -75,10 +72,7 @@ func (s *Session) Checkpoint() (*SessionCheckpoint, error) {
 // without the test phase and without counting as a training event: report
 // and phase are the checkpointed ones. On error the session is unchanged.
 func (s *Session) RestoreCheckpoint(cp *SessionCheckpoint) error {
-	kb := Dataset{
-		X: append([][]float64(nil), cp.KBX...),
-		Y: append([][]int(nil), cp.KBY...),
-	}
+	kb := Dataset{X: cp.KBX, Y: cp.KBY}.clone()
 	if len(kb.X)+len(kb.Y) > 0 {
 		if err := kb.Validate(); err != nil {
 			return fmt.Errorf("core: restore knowledge base: %w", err)
@@ -108,11 +102,9 @@ func (s *Session) RestoreCheckpoint(cp *SessionCheckpoint) error {
 		sp.SetAttr("examples", strconv.Itoa(cp.FittedOn))
 		sp.End()
 	}
-	s.kb.mu.Lock()
-	s.kb.data = kb
-	s.kb.mu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.kb = kb
 	s.predictor = pred
 	s.fittedOn = cp.FittedOn
 	s.phase = Phase(cp.Phase)

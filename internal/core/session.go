@@ -124,8 +124,11 @@ func (r TestReport) Macro() eval.CVResult {
 type Session struct {
 	cfg Config
 
-	mu        sync.RWMutex
-	kb        *KnowledgeBase
+	mu sync.RWMutex
+	// kb is the knowledge base: per training wave, the input-impact vector ι
+	// of every gated step and whether each step's maxε was (simulated to be)
+	// reached.
+	kb        Dataset
 	predictor *Predictor
 	// fittedOn is how many knowledge-base examples predictor was fitted on
 	// (0 = untrained). The knowledge base only grows, so the predictor is a
@@ -186,13 +189,16 @@ func (s *Session) Instrument(o *obs.Observer) {
 func NewSession(cfg Config) *Session {
 	return &Session{
 		cfg:   cfg,
-		kb:    NewKnowledgeBase(),
 		phase: PhaseTraining,
 	}
 }
 
-// KnowledgeBase exposes the session's example log.
-func (s *Session) KnowledgeBase() *KnowledgeBase { return s.kb }
+// KnowledgeBase returns a copy of the session's knowledge base.
+func (s *Session) KnowledgeBase() Dataset {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.kb.clone()
+}
 
 // Phase returns the current lifecycle phase.
 func (s *Session) Phase() Phase {
@@ -204,7 +210,21 @@ func (s *Session) Phase() Phase {
 // ObserveTrainingWave logs one synchronous wave's impact vector and
 // simulated labels into the knowledge base.
 func (s *Session) ObserveTrainingWave(impacts []float64, labels []int) {
-	s.kb.Append(impacts, labels)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.observeLocked(impacts, labels)
+}
+
+// observeLocked appends one example to the knowledge base. Labels of -1
+// (step not evaluated this wave) are recorded as 0 — no execution required.
+func (s *Session) observeLocked(impacts []float64, labels []int) {
+	clean := make([]int, len(labels))
+	for i, l := range labels {
+		if l == 1 {
+			clean[i] = 1
+		}
+	}
+	s.kb.Append(impacts, clean)
 }
 
 // Train fits the predictor on the knowledge base and runs the test phase.
@@ -215,12 +235,12 @@ func (s *Session) Train() (TestReport, error) {
 	start := time.Now()
 	s.mu.RLock()
 	trainObs := s.obs
+	data := s.kb.clone()
 	s.mu.RUnlock()
 	var sp *obs.Span
 	if trainObs != nil {
 		sp = trainObs.o.RootSpan("train/t"+strconv.FormatUint(s.trainSeq.Add(1)-1, 10), "train", "ml")
 	}
-	data := s.kb.Snapshot()
 	predictor, report, err := s.train(data, true)
 	if err != nil {
 		sp.EndErr(err)

@@ -8,9 +8,10 @@
 // sequence) always produces the same faults. Two interposition surfaces
 // consume the decisions:
 //
-//   - NewStore: a kvstore.GuardedStore failing data operations before they
-//     reach the store, for driving the engine's step retry and degradation
-//     paths in-process.
+//   - OpHook: a func(op) error a caller runs before each operation it wants
+//     to be able to fail, before touching any state — the write-ahead log's
+//     crash seam, and processors driving the engine's step retry and
+//     degradation paths in-process.
 //   - Conn / Listener (conn.go): wrap net.Conn / net.Listener so kvnet
 //     clients and servers see injected latency, I/O errors, disconnects and
 //     blackholes at the wire level.
@@ -26,7 +27,6 @@ import (
 	"sync"
 	"time"
 
-	"smartflux/internal/kvstore"
 	"smartflux/internal/obs"
 )
 
@@ -86,21 +86,22 @@ type Policy struct {
 	Latency time.Duration
 
 	// DisconnectRate is the probability in [0, 1] that an operation tears
-	// the connection down (conn wrappers close the underlying conn; store
-	// wrappers fail the op with ErrDisconnected).
+	// the connection down (conn wrappers close the underlying conn; the op
+	// hook fails the op with ErrDisconnected).
 	DisconnectRate float64
 	// DisconnectAfter, when positive, forces exactly one disconnect at the
 	// Nth eligible operation — a deterministic "kill the link mid-run".
 	DisconnectAfter int
 
 	// Blackhole makes conn writes vanish (reported as successful, never
-	// delivered) and store operations fail with ErrInjected. Reads on a
+	// delivered) and op-hook operations fail with ErrInjected. Reads on a
 	// blackholed conn starve naturally and surface via read deadlines.
 	Blackhole bool
 
 	// Ops, when non-empty, restricts injection to the named operations.
-	// Conn wrappers use "read" and "write"; store wrappers use the kvstore
-	// op names ("get", "put", "delete", "scan", "apply", "create_table").
+	// Conn wrappers use "read" and "write"; op-hook callers name their own
+	// operations (the chaos suite uses "get", "put", "scan", "apply",
+	// "create_table").
 	Ops map[string]bool
 
 	// CrashPoints maps an operation name to the 1-based occurrence at which
@@ -246,7 +247,7 @@ func (i *Injector) Decide(op string) Decision {
 }
 
 // apply sleeps out the decision's latency and returns its error; the common
-// tail of every store-side interposition.
+// tail of the op hook and the conn wrappers.
 func (d Decision) apply() error {
 	if d.Latency > 0 {
 		time.Sleep(d.Latency)
@@ -254,21 +255,11 @@ func (d Decision) apply() error {
 	return d.Err
 }
 
-// NewStore interposes inj on every data operation of store, filtering by op
-// name (the table only names the failure). Errors are injected strictly
-// before delegation, so a failed Put never half-applies.
-func NewStore(store *kvstore.Store, inj *Injector) *kvstore.GuardedStore {
-	return kvstore.Guard(store, func(op, table string) error {
-		if err := inj.Decide(op).apply(); err != nil {
-			return fmt.Errorf("table %q: %w", table, err)
-		}
-		return nil
-	})
-}
-
-// OpHook adapts the injector to the single-argument per-operation hook shape
-// func(op) error used by the durability layer. Crash decisions pass the
-// *Crash error through unwrapped so the caller can read TornBytes.
+// OpHook adapts the injector to the per-operation hook shape func(op) error:
+// the durability layer's crash seam, and what a processor calls before each
+// store operation it wants to fail. The hook sleeps any injected latency
+// before returning; crash decisions pass the *Crash error through unwrapped
+// so the caller can read TornBytes.
 func (i *Injector) OpHook() func(op string) error {
 	return func(op string) error {
 		return i.Decide(op).apply()

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"smartflux/internal/kvstore"
 	"smartflux/internal/obs"
 )
 
@@ -88,48 +87,6 @@ func TestInjectorInstrument(t *testing.T) {
 	snap := reg.Snapshot()
 	if got := snap.Counters[`smartflux_fault_injected_total{kind="error"}`]; got != 4 {
 		t.Fatalf("error counter = %d, want 4", got)
-	}
-}
-
-func TestFaultStoreInjectsBeforeDelegation(t *testing.T) {
-	base := kvstore.New()
-	fs := NewStore(base, New(Policy{Seed: 2, ErrorRate: 1, Ops: map[string]bool{"put": true}}))
-	tbl, err := fs.EnsureTable("t", kvstore.TableOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.Put("r", "c", []byte("x")); !errors.Is(err, ErrInjected) {
-		t.Fatalf("Put err = %v, want ErrInjected", err)
-	}
-	// The injected failure must not have touched the real store.
-	if _, ok, _ := tbl.Get("r", "c"); ok {
-		t.Fatal("injected Put failure still wrote through")
-	}
-	underlying, err := base.Table("t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cells := underlying.Scan(kvstore.ScanOptions{}); len(cells) != 0 {
-		t.Fatalf("underlying table has %d cells after failed put", len(cells))
-	}
-}
-
-func TestFaultStoreCleanPathDelegates(t *testing.T) {
-	fs := NewStore(kvstore.New(), New(Policy{Seed: 2}))
-	tbl, err := fs.EnsureTable("t", kvstore.TableOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.PutFloat("r", "c", 1.5); err != nil {
-		t.Fatal(err)
-	}
-	v, ok, err := tbl.GetFloat("r", "c")
-	if err != nil || !ok || v != 1.5 {
-		t.Fatalf("GetFloat = %v, %v, %v", v, ok, err)
-	}
-	cells, err := tbl.Scan(kvstore.ScanOptions{})
-	if err != nil || len(cells) != 1 {
-		t.Fatalf("Scan = %d cells, %v", len(cells), err)
 	}
 }
 
@@ -293,6 +250,10 @@ func TestInjectorCrashPointDoesNotPerturbRandomStream(t *testing.T) {
 	}
 }
 
+// TestInjectorOpHook holds the op hook, the in-process fault seam, to its
+// policy: crash points pass *Crash through, a listed op fails with
+// ErrInjected, an unlisted op proceeds without drawing, and latency is slept
+// before the hook returns.
 func TestInjectorOpHook(t *testing.T) {
 	inj := New(Policy{CrashPoints: map[string]int{"wal_append": 1}, CrashTornBytes: 3})
 	hook := inj.OpHook()
@@ -303,5 +264,41 @@ func TestInjectorOpHook(t *testing.T) {
 	var crash *Crash
 	if !errors.As(err, &crash) || crash.TornBytes != 3 {
 		t.Fatalf("hook err = %v, want *Crash{TornBytes: 3}", err)
+	}
+
+	only := map[string]bool{"put": true}
+	failing := New(Policy{Seed: 2, ErrorRate: 1, Ops: only}).OpHook()
+	if err := failing("put"); !errors.Is(err, ErrInjected) {
+		t.Fatalf("listed op: err = %v, want ErrInjected", err)
+	}
+	if err := failing("get"); err != nil {
+		t.Fatalf("unlisted op: err = %v, want nil", err)
+	}
+
+	// An unlisted op draws nothing: interleaving them leaves the listed
+	// op's decisions where a plain sequence has them.
+	p := Policy{Seed: 9, ErrorRate: 0.5, Ops: only}
+	plain, mixed := New(p), New(p)
+	plainHook, mixedHook := plain.OpHook(), mixed.OpHook()
+	for i := 0; i < 64; i++ {
+		if err := mixedHook("get"); err != nil {
+			t.Fatalf("unlisted op %d: err = %v", i, err)
+		}
+		if a, b := plainHook("put"), mixedHook("put"); (a == nil) != (b == nil) {
+			t.Fatalf("put %d diverged after an unlisted op: %v vs %v", i, a, b)
+		}
+	}
+	if a, b := plain.Stats(), mixed.Stats(); a != b || a.Ops != 64 || a.Errors == 0 {
+		t.Fatalf("stats %+v vs %+v; want equal, 64 ops, some errors", a, b)
+	}
+
+	const delay = 20 * time.Millisecond
+	slow := New(Policy{Seed: 3, LatencyRate: 1, Latency: delay})
+	start := time.Now()
+	if err := slow.OpHook()("scan"); err != nil {
+		t.Fatalf("delayed op: err = %v", err)
+	}
+	if took := time.Since(start); took < delay || slow.Stats().Latencies != 1 {
+		t.Fatalf("hook returned after %v with %d latencies; want ≥ %v, 1", took, slow.Stats().Latencies, delay)
 	}
 }

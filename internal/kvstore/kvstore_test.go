@@ -358,40 +358,24 @@ func TestPutFloatRowsAllocations(t *testing.T) {
 }
 
 // TestFloatReadsAllocateNothing checks that a float read of an existing float
-// cell, plain or guarded, reads the stored bits without building bytes.
+// cell reads the stored bits without building bytes.
 func TestFloatReadsAllocateNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race")
 	}
-	store := New()
-	guarded, err := Guard(store, func(string, string) error { return nil }).EnsureTable("t", TableOptions{})
+	table, err := New().EnsureTable("t", TableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := guarded.PutFloat("r", "c", 2.5); err != nil {
+	if err := table.PutFloat("r", "c", 2.5); err != nil {
 		t.Fatal(err)
 	}
-	table := guarded.t
 	if allocs := testing.AllocsPerRun(100, func() {
 		if v, ok := table.GetFloat("r", "c"); !ok || v != 2.5 {
 			t.Fatalf("GetFloat = %v, %v", v, ok)
 		}
 	}); allocs != 0 {
 		t.Errorf("Table.GetFloat allocates %v objects, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		if v, ok, err := guarded.GetFloat("r", "c"); err != nil || !ok || v != 2.5 {
-			t.Fatalf("GuardedTable.GetFloat = %v, %v, %v", v, ok, err)
-		}
-	}); allocs != 0 {
-		t.Errorf("GuardedTable.GetFloat allocates %v objects, want 0", allocs)
-	}
-	guarded.Put("r", "s", []byte("text"))
-	if _, ok, err := guarded.GetFloat("r", "s"); ok || !errors.Is(err, ErrBadFloat) {
-		t.Errorf("guarded GetFloat of a non-float cell: ok %v, err %v; want ErrBadFloat", ok, err)
-	}
-	if _, ok, err := guarded.GetFloat("r", "missing"); ok || err != nil {
-		t.Errorf("guarded GetFloat of a missing cell: ok %v, err %v", ok, err)
 	}
 }
 

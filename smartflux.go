@@ -126,8 +126,6 @@ type (
 	SessionConfig = core.Config
 	// TestReport carries test-phase quality metrics.
 	TestReport = core.TestReport
-	// KnowledgeBase stores training tuples.
-	KnowledgeBase = core.KnowledgeBase
 	// Predictor is the trained multi-label model.
 	Predictor = core.Predictor
 	// PipelineConfig configures an end-to-end lifecycle run; its Policy is the
