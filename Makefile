@@ -172,7 +172,9 @@ bench-pairs:
 ## (ScanColumns and ScanFloatRows against Scan,
 ## repeated batches and PutFloatRows grids through the write plan, and Get,
 ## GetVersions and History against a reference model for values on both
-## sides of the 8 bytes a version holds inline) for 30s each (nightly CI
+## sides of the 8 bytes a version holds inline) and the one-feature tree
+## fuzzer (the class-runs grower against the generic one, node for node,
+## on fuzzed values, labels and counts) for 30s each (nightly CI
 ## job; crashers land in the package's testdata/fuzz and are uploaded as
 ## artifacts). Separate invocations: `go test -fuzz` accepts only one target
 ## at a time. The checkpoint seeds are whole payloads, so minimizing each new
@@ -183,6 +185,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzReadWAL -fuzztime 30s ./internal/durable
 	$(GO) test -run xxx -fuzz FuzzRestoreCheckpoint -fuzztime 30s -fuzzminimizetime 2s ./internal/core
 	$(GO) test -run xxx -fuzz FuzzTableColumns -fuzztime 30s ./internal/kvstore
+	$(GO) test -run xxx -fuzz FuzzOneFeatureTree -fuzztime 30s ./internal/ml
 
 ## stress: the engine's scheduler tests, the kvnet client's close, retry
 ## and exactly-once tests and the dump snapshot test 50 times over under the
@@ -248,17 +251,17 @@ loc:
 ## Road processor, the Linear Road wave at Parallelism 1 and 2, the
 ## harness's 120 training waves, whose measure pass runs a report step
 ## hypothetically and undoes it every wave, and the model build set-up pays
-## (Session.Train on their knowledge base, and one step's forest fit) —
-## numbers meaningless; a benchmark that fails at run time fails it; part of
-## make check
+## (Session.Train on the LRB and AQHI knowledge bases, and one step's forest
+## fit) — numbers meaningless; a benchmark that fails at run time fails it;
+## part of make check
 bench-smoke:
-	$(GO) test -run xxx -bench 'BenchmarkOverhead|BenchmarkLRBSteps|BenchmarkLRBWaveParallelism|BenchmarkHarnessTrainingLRB|BenchmarkSessionTrainLRB|BenchmarkForestFitOwnImpact' -benchtime 1x .
+	$(GO) test -run xxx -bench 'BenchmarkOverhead|BenchmarkLRBSteps|BenchmarkLRBWaveParallelism|BenchmarkHarnessTrainingLRB|BenchmarkSessionTrain|BenchmarkForestFitOwnImpact' -benchtime 1x .
 
 ## bench: overhead microbenchmarks (§5.3 + instrumentation overhead, and the
 ## store's cost of a changing key set, BenchmarkOverheadKVStoreChurn), each
 ## Linear Road processor at steady state, the serial-vs-parallel
-## microbenchmarks, one Linear Road wave at Parallelism 1 and 2, a Linear
-## Road pipeline's Session.Train and the
+## microbenchmarks, one Linear Road wave at Parallelism 1 and 2, the
+## Session.Train of a Linear Road and an AQHI pipeline, and the
 ## cluster comparison (BENCH_PR10.json); the WAL's
 ## cost per wave is the pipeline benchmark's aqhi-durable workload (make
 ## bench-e2e-smoke runs it)
@@ -266,6 +269,6 @@ bench:
 	$(GO) test -run xxx -bench 'BenchmarkOverhead' -benchtime 1000x .
 	$(GO) test -run xxx -bench 'BenchmarkLRBSteps' -benchtime 2000x .
 	$(GO) test -run xxx -bench 'BenchmarkLRBWaveParallelism' -benchtime 2000x .
-	$(GO) test -run xxx -bench 'BenchmarkRunWave|BenchmarkForestFit|BenchmarkSessionTrainLRB' -benchtime 10x .
+	$(GO) test -run xxx -bench 'BenchmarkRunWave|BenchmarkForestFit|BenchmarkSessionTrain' -benchtime 10x .
 	$(GO) run ./cmd/clusterbench -out BENCH_PR10.json
 	@cat BENCH_PR10.json

@@ -736,15 +736,29 @@ func BenchmarkHarnessTrainingLRB(b *testing.B) {
 // BenchmarkSessionTrainLRB measures the model build a Linear Road pipeline's
 // set-up pays: Session.Train — every gated step's final fit and its 10
 // test-phase folds — over the seed-1 120-wave knowledge base, with the
-// pipeline benchmark's session settings, at Parallelism 1 and 2. The
-// knowledge base is built once and each session is filled outside the timer.
+// pipeline benchmark's session settings, at Parallelism 1 and 2.
 func BenchmarkSessionTrainLRB(b *testing.B) {
-	h, err := smartflux.NewHarnessWithConfig(workloads.LinearRoad(workloads.LinearRoadConfig{Seed: 1, MaxError: 0.10}),
-		[]smartflux.StepID{workloads.LinearRoadClassify}, smartflux.HarnessConfig{Parallelism: 1})
+	benchSessionTrain(b, workloads.LinearRoad(workloads.LinearRoadConfig{Seed: 1, MaxError: 0.10}),
+		workloads.LinearRoadClassify, 120)
+}
+
+// BenchmarkSessionTrainAQHI is BenchmarkSessionTrainLRB over the 336-wave
+// knowledge base of the pipeline benchmark's AQHI workload (GridSize 24,
+// seed 1): more rows per fit, and five gated steps.
+func BenchmarkSessionTrainAQHI(b *testing.B) {
+	benchSessionTrain(b, workloads.AirQuality(workloads.AirQualityConfig{GridSize: 24, Seed: 1, MaxError: 0.10}),
+		workloads.AirQualityIndex, 336)
+}
+
+// benchSessionTrain times Session.Train over the knowledge base of waves
+// synchronous waves of build. The knowledge base is built once and each
+// session is filled outside the timer.
+func benchSessionTrain(b *testing.B, build smartflux.BuildFunc, report smartflux.StepID, waves int) {
+	h, err := smartflux.NewHarnessWithConfig(build, []smartflux.StepID{report}, smartflux.HarnessConfig{Parallelism: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	train, err := h.Run(120, smartflux.SyncPolicy())
+	train, err := h.Run(waves, smartflux.SyncPolicy())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -874,8 +888,10 @@ func benchRunWave(b *testing.B, par int) {
 func BenchmarkRunWaveSerial(b *testing.B)   { benchRunWave(b, 1) }
 func BenchmarkRunWaveParallel(b *testing.B) { benchRunWave(b, 4) }
 
-// benchForestFit measures fitting a 100-tree forest at a parallelism.
-func benchForestFit(b *testing.B, par int) {
+// BenchmarkForestFit measures fitting the paper's 100-tree Random Forest on
+// 400 rows of two features (an XOR of two thresholds), the multi-feature fit
+// only the §3.2 classifier comparison makes.
+func BenchmarkForestFit(b *testing.B) {
 	rng := rand.New(rand.NewSource(11))
 	n := 400
 	x := make([][]float64, n)
@@ -891,23 +907,17 @@ func benchForestFit(b *testing.B, par int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f := ml.NewForest(ml.ForestConfig{Trees: 100, Seed: 7, Parallelism: par})
+		f := ml.NewForest(ml.ForestConfig{Trees: 100, Seed: 7})
 		if err := f.Fit(d); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkForestFitSerial and BenchmarkForestFitParallel compare
-// sequential against concurrent tree fitting (4 workers) for the paper's
-// 100-tree Random Forest; the fitted forests are bit-identical either way.
-func BenchmarkForestFitSerial(b *testing.B)   { benchForestFit(b, 1) }
-func BenchmarkForestFitParallel(b *testing.B) { benchForestFit(b, 4) }
-
 // BenchmarkForestFitOwnImpact measures the fit each gated step's plan makes
 // in a Linear Road Session.Train: 120 training waves of the step's own
-// impact, a rare execute label, PositiveWeight 14 and the default 100 trees
-// on GOMAXPROCS workers.
+// impact, a rare execute label, PositiveWeight 14 and the default 100 trees,
+// fitted on the calling goroutine.
 func BenchmarkForestFitOwnImpact(b *testing.B) {
 	rng := rand.New(rand.NewSource(13))
 	x := make([][]float64, 120)

@@ -200,7 +200,8 @@ func planLabels(data Dataset, thresholds []float64, k int, rng *rand.Rand) ([]la
 }
 
 // fitPlans is the one fan-out of training: every label's final fit, then
-// every (label, fold) cross-validation fit, on at most workers goroutines.
+// every (label, fold) cross-validation fit, on at most workers goroutines; a
+// forest fits its trees on its task's goroutine.
 // Each task builds its own classifier from factory (which must therefore be
 // safe for concurrent calls; every factory in this module is) and writes only
 // its own slot, so the outcome is that of a sequential run — including the
@@ -236,11 +237,15 @@ func fitPlans(factory func() ml.Classifier, plans []labelPlan, workers int) (*Pr
 		p.models[t.l] = clf
 		return nil
 	}
-	// A semaphore of one runs the tasks one after another, in task order.
+	// One worker runs the tasks on the caller, one after another, in task order.
 	errs := make([]error, len(tasks))
 	sem := make(chan struct{}, workers)
 	var wg sync.WaitGroup
 	for i, t := range tasks {
+		if workers == 1 {
+			errs[i] = run(t)
+			continue
+		}
 		wg.Add(1)
 		sem <- struct{}{}
 		go func() {

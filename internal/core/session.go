@@ -65,11 +65,9 @@ type Config struct {
 	// Parallelism bounds how many training tasks run at once — the
 	// per-label final fits and the test phase's (label, fold)
 	// cross-validation fits, one fan-out in Train and in a restore. 0
-	// selects runtime.GOMAXPROCS(0); at 1 the tasks run one at a time, but
-	// training is not sequential: each Random Forest still fits its trees
-	// on runtime.GOMAXPROCS(0) workers while the task's goroutine draws the
-	// next tree's bootstrap sample, because the session leaves
-	// ml.ForestConfig.Parallelism unset. Reports and fitted predictors are
+	// selects runtime.GOMAXPROCS(0); at 1 training is sequential: the tasks
+	// run one after another on the caller, and a Random Forest fits its
+	// trees on its task's goroutine. Reports and fitted predictors are
 	// bit-identical for every setting: fold partitions are drawn from the
 	// session RNG in label order before any task runs, and per-fold
 	// predictions are pooled in (label, fold) order afterwards.

@@ -41,9 +41,8 @@ type Config struct {
 	// (the cmd/experiments -j flag): 0 selects runtime.GOMAXPROCS(0),
 	// 1 runs them one at a time. Within a fan-out each pipeline runs at
 	// PipelineConfig.Parallelism 1 — one goroutine per wave and one training
-	// task at a time — though every Random Forest still fits its trees on
-	// runtime.GOMAXPROCS(0) workers. Every figure's output is identical for
-	// every setting.
+	// task at a time. ClassifierSelection runs its cross-validations on as
+	// many workers. Every figure's output is identical for every setting.
 	Jobs int
 	// Obs, when non-nil, instruments every pipeline the runner executes
 	// (metrics, decision traces and causal spans; see cmd/experiments'
@@ -188,24 +187,26 @@ type Target struct {
 // first error in target order. Figures computed from prewarmed runs are
 // identical to computing them cold — the fan-out only changes wall-clock.
 func (r *Runner) Prewarm(targets []Target) error {
-	if len(targets) == 0 {
-		return nil
-	}
-	jobs := r.cfg.jobs()
-	if jobs > len(targets) {
-		jobs = len(targets)
-	}
-	errs := make([]error, len(targets))
+	return fanOut(r.cfg.jobs(), len(targets), func(i int) error {
+		_, err := r.Pipeline(targets[i].Workload, targets[i].Bound, targets[i].Policy)
+		return err
+	})
+}
+
+// fanOut runs fn(0), …, fn(n-1) on at most jobs goroutines, each call
+// writing only its own slot, and returns the first error in index order.
+func fanOut(jobs, n int, fn func(i int) error) error {
+	errs := make([]error, n)
 	sem := make(chan struct{}, jobs)
 	var wg sync.WaitGroup
-	for i, t := range targets {
+	for i := range n {
 		wg.Add(1)
 		sem <- struct{}{}
-		go func(i int, t Target) {
+		go func() {
 			defer wg.Done()
-			_, errs[i] = r.Pipeline(t.Workload, t.Bound, t.Policy)
+			errs[i] = fn(i)
 			<-sem
-		}(i, t)
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {

@@ -28,7 +28,8 @@ type ROCResult struct {
 
 // ClassifierSelection reproduces the §3.2 experiment: 10-fold
 // cross-validated ROC area of each algorithm on every gated step's
-// (ι → execute?) problem, averaged per workload.
+// (ι → execute?) problem, averaged per workload. The cross-validations run
+// on Config.Jobs workers; the table does not depend on their number.
 func ClassifierSelection(r *Runner, bound float64) (*ROCResult, error) {
 	result := &ROCResult{Bound: bound}
 	names := core.ClassifierNames()
@@ -36,7 +37,7 @@ func ClassifierSelection(r *Runner, bound float64) (*ROCResult, error) {
 	for _, name := range names {
 		aucs[name] = map[Workload][]float64{LRB: nil, AQHI: nil}
 	}
-
+	var cvs []func() error // each fills its own slot of aucs
 	for _, w := range []Workload{LRB, AQHI} {
 		log, err := r.Log(w, bound)
 		if err != nil {
@@ -51,18 +52,26 @@ func ClassifierSelection(r *Runner, bound float64) (*ROCResult, error) {
 				continue // degenerate label; skip like WEKA would
 			}
 			for _, name := range names {
-				factory, err := core.ClassifierFactory(name, r.cfg.Seed)
-				if err != nil {
-					return nil, err
-				}
-				rng := rand.New(rand.NewSource(r.cfg.Seed + int64(step)))
-				cv, err := eval.CrossValidate(factory, binary, 10, 0.5, rng)
-				if err != nil {
-					return nil, fmt.Errorf("roc %s %s step %d: %w", w, name, step, err)
-				}
-				aucs[name][w] = append(aucs[name][w], cv.AUC)
+				slot := len(aucs[name][w])
+				aucs[name][w] = append(aucs[name][w], 0)
+				cvs = append(cvs, func() error {
+					factory, err := core.ClassifierFactory(name, r.cfg.Seed)
+					if err != nil {
+						return err
+					}
+					rng := rand.New(rand.NewSource(r.cfg.Seed + int64(step)))
+					cv, err := eval.CrossValidate(factory, binary, 10, 0.5, rng)
+					if err != nil {
+						return fmt.Errorf("roc %s %s step %d: %w", w, name, step, err)
+					}
+					aucs[name][w][slot] = cv.AUC
+					return nil
+				})
 			}
 		}
+	}
+	if err := fanOut(r.cfg.jobs(), len(cvs), func(i int) error { return cvs[i]() }); err != nil {
+		return nil, err
 	}
 
 	for _, name := range names {

@@ -5,9 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
-	"runtime"
 	"slices"
-	"sync"
 )
 
 // ForestConfig configures a random forest. The zero value gives the
@@ -31,21 +29,6 @@ type ForestConfig struct {
 	PositiveWeight float64
 	// Seed drives bootstrap sampling and feature subsampling.
 	Seed int64
-	// Parallelism bounds how many trees fit concurrently: 0 selects
-	// runtime.GOMAXPROCS(0), 1 fits one tree at a time. Fit draws the
-	// bootstrap samples and per-tree seeds from the root RNG on its own
-	// goroutine, in tree order, while that many workers fit the trees
-	// already drawn, each into its own slot. Every setting therefore
-	// produces an identical forest.
-	Parallelism int
-}
-
-// workers resolves the effective fitting concurrency.
-func (c ForestConfig) workers() int {
-	if c.Parallelism > 0 {
-		return c.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 func (c ForestConfig) withDefaults() ForestConfig {
@@ -86,17 +69,8 @@ func NewForest(cfg ForestConfig) *Forest {
 // Name implements Named.
 func (f *Forest) Name() string { return "random-forest" }
 
-// treeTask is one drawn tree: its slot, its bootstrap sample as a count per
-// row, and its seed.
-type treeTask struct {
-	i     int
-	count []int
-	seed  int64
-}
-
-// Fit trains the forest on d. Trees fit concurrently when
-// ForestConfig.Parallelism allows; the fitted forest is bit-identical for
-// every setting (see ForestConfig.Parallelism).
+// Fit trains the forest on d, one tree after another on the calling
+// goroutine: a forest is one task of its caller's fan-out (core.fitPlans).
 func (f *Forest) Fit(d Dataset) error {
 	if err := d.Validate(); err != nil {
 		return err
@@ -104,48 +78,28 @@ func (f *Forest) Fit(d Dataset) error {
 	f.features = d.Features()
 	cfg := TreeConfig{MaxDepth: f.cfg.MaxDepth, MinLeaf: f.cfg.MinLeaf, Criterion: f.cfg.Criterion,
 		MaxFeatures: max(int(math.Sqrt(float64(f.features))), 1)}
-	// d is sorted once per feature; each tree keeps the rows it drew from
-	// that order.
-	order := presort(d)
-	trees := make([]*Tree, f.cfg.Trees)
-	workers := min(f.cfg.workers(), f.cfg.Trees)
-
-	// The workers fit the drawn trees, each reusing one grower. A count
-	// vector goes back to free once its tree is fitted; one more than the
-	// workers lets this goroutine draw the next tree while every worker fits.
-	tasks, free := make(chan treeTask), make(chan []int, workers+1)
-	for range workers + 1 {
-		free <- make([]int, d.Len())
-	}
-	var wg sync.WaitGroup
-	for range workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			g := &grower{d: d}
-			var nodes []treeNode // grown in, then copied out at its length
-			for task := range tasks {
-				tc := cfg
-				tc.Seed = task.seed
-				tree := NewTree(tc)
-				tree.nodes = nodes
-				g.sampleOrder(order, task.count)
-				g.fit(tree)
-				free <- task.count
-				nodes, tree.nodes = tree.nodes, slices.Clone(tree.nodes)
-				trees[task.i] = tree
-			}
-		}()
-	}
-	// The root stream is consumed here alone, in tree order.
 	b := newBootstrap(f.cfg, d.Y)
-	for i := range trees {
-		count := <-free
-		tasks <- treeTask{i: i, count: count, seed: b.draw(count)}
+	if len(b.pos.rows) == 0 || len(b.neg.rows) == 0 {
+		// Every sample of one class grows the root leaf alone, and a root
+		// leaf never reads its seed, so no tree needs a draw.
+		leaf := NewTree(cfg)
+		leaf.features, leaf.nodes = f.features, []treeNode{leafNode(d.Len(), len(b.pos.rows))}
+		f.trees = slices.Repeat([]*Tree{leaf}, f.cfg.Trees)
+		return nil
 	}
-	close(tasks)
-	wg.Wait()
-	f.trees = trees
+	// d is sorted once per feature; each tree reads its sample in that order.
+	order := presort(d)
+	f.trees = make([]*Tree, f.cfg.Trees)
+	g := &grower{d: d}
+	count := make([]int, d.Len())
+	var nodes []treeNode // grown in, then copied out at its length
+	for i := range f.trees {
+		tree := NewTree(cfg)
+		tree.cfg.Seed, tree.nodes = b.draw(count), nodes
+		g.fitSample(tree, order, count)
+		nodes, tree.nodes = tree.nodes, slices.Clone(tree.nodes)
+		f.trees[i] = tree
+	}
 	return nil
 }
 

@@ -100,7 +100,7 @@ func (t *Tree) Fit(d Dataset) error {
 	for i := range w {
 		w[i] = 1
 	}
-	(&grower{d: d, order: presort(d), w: w}).fit(t)
+	(&grower{d: d}).fitSample(t, presort(d), w)
 	return nil
 }
 
@@ -127,24 +127,113 @@ func presort(d Dataset) [][]int {
 // range [lo, hi) of every order, which grow partitions stably into its
 // children's ranges, so no node sorts. Every count a node tests or scores is
 // a sum of weights: the same integers a fit over a copy repeating row j w[j]
-// times would count, so the tree is the same bits. A forest's worker keeps
-// one grower, and so its buffers, across the trees it fits.
+// times would count, so the tree is the same bits. A forest reuses one.
 type grower struct {
 	*Tree
 	d       Dataset
 	order   [][]int
 	w       []int
-	scratch []int // the right-hand rows of one partition
-	feats   []int // candidateFeatures' buffer
+	scratch []int   // the right-hand rows of one partition
+	feats   []int   // candidateFeatures' buffer
+	values  []tally // compress's distinct values
+	runs    []tally // a one-feature sample's class runs (growRuns)
 }
 
-// fit grows t over the rows of g.order, weighted by g.w.
-func (g *grower) fit(t *Tree) {
+// tally is a weight n with pos positives at x: one distinct value x of a
+// one-feature sample, or the start of a class run, where n and pos sum the
+// runs before it and x is the cut between it and the run before it.
+type tally struct {
+	x      float64
+	n, pos int
+}
+
+// fitSample grows t over the sample of d that draws row j count[j] times,
+// order being presort(d): over the sample's class runs on one feature, or
+// else over the rows drawn.
+func (g *grower) fitSample(t *Tree, order [][]int, count []int) {
 	g.Tree = t
 	t.features = g.d.Features()
 	t.nodes = t.nodes[:0]
+	if t.features == 1 && g.compress(order[0], count) {
+		g.growRuns(0, len(g.runs)-1, 0)
+		return
+	}
+	g.sampleOrder(order, count)
 	g.feats = slices.Grow(g.feats[:0], t.features)[:t.features]
 	g.grow(0, len(g.order[0]), 0)
+}
+
+// compress sums the sample's distinct values, read in the sorted order o,
+// into g.runs: maximal stretches of values of one class, a mixed value
+// alone. Under a strictly concave impurity (Gini, entropy) no cut inside a
+// run beats both its ends (Fayyad and Irani 1992), so grow's argmin is a run
+// boundary. It reports false if a boundary's midpoint is not in [left,
+// right), as with adjacent floats, an infinity or an overflowing sum, where
+// grow's partition would differ.
+func (g *grower) compress(o, count []int) bool {
+	g.values = g.values[:0]
+	for _, j := range o {
+		if count[j] == 0 {
+			continue
+		}
+		if x := g.d.X[j][0]; len(g.values) == 0 || g.values[len(g.values)-1].x != x {
+			g.values = append(g.values, tally{x: x})
+		}
+		last := &g.values[len(g.values)-1]
+		last.n += count[j]
+		last.pos += count[j] * g.d.Y[j]
+	}
+	g.runs = append(g.runs[:0], tally{})
+	n, pos, prev := 0, 0, tally{}
+	for i, v := range g.values {
+		if i > 0 && !(prev.pos == 0 && v.pos == 0 || prev.pos == prev.n && v.pos == v.n) {
+			cut := (prev.x + v.x) / 2
+			if !(prev.x <= cut && cut < v.x) {
+				return false
+			}
+			g.runs = append(g.runs, tally{x: cut, n: n, pos: pos})
+		}
+		n, pos, prev = n+v.n, pos+v.pos, v
+	}
+	g.runs = append(g.runs, tally{n: n, pos: pos})
+	return true
+}
+
+// growRuns is grow over runs [lo, hi) of g.runs: the same nodes, in the same
+// order, with the run boundaries the only candidate cuts.
+func (g *grower) growRuns(lo, hi, depth int) int {
+	n, pos := g.runs[hi].n-g.runs[lo].n, g.runs[hi].pos-g.runs[lo].pos
+	nodeIdx, ok := g.open(n, pos, depth)
+	if !ok {
+		return nodeIdx
+	}
+	bestScore, mid := math.Inf(1), lo
+	for b := lo + 1; b < hi; b++ {
+		leftN, leftPos := g.runs[b].n-g.runs[lo].n, g.runs[b].pos-g.runs[lo].pos
+		if score := weightedImpurity(g.cfg.Criterion, leftPos, leftN, pos-leftPos, n-leftN); score < bestScore {
+			bestScore, mid = score, b
+		}
+	}
+	if leftN := g.runs[mid].n - g.runs[lo].n; mid == lo || leftN < g.cfg.MinLeaf || n-leftN < g.cfg.MinLeaf {
+		return nodeIdx
+	}
+	left, right := g.growRuns(lo, mid, depth+1), g.growRuns(mid, hi, depth+1)
+	g.nodes[nodeIdx] = treeNode{feature: 0, threshold: g.runs[mid].x, left: left, right: right, prob: g.nodes[nodeIdx].prob}
+	return nodeIdx
+}
+
+// leafNode is the leaf over a weight of n with pos positives. Laplace
+// smoothing, (pos+1)/(n+2), tempers small pure leaves, which improves the
+// ranking quality (AUC) of bagged trees.
+func leafNode(n, pos int) treeNode {
+	return treeNode{feature: -1, prob: float64(pos+1) / float64(n+2)}
+}
+
+// open appends the leaf over a weight of n with pos positives at depth, and
+// reports its index and whether the node may split.
+func (g *grower) open(n, pos, depth int) (int, bool) {
+	g.nodes = append(g.nodes, leafNode(n, pos))
+	return len(g.nodes) - 1, !(pos == 0 || pos == n || g.cfg.MaxDepth > 0 && depth >= g.cfg.MaxDepth || n < 2*g.cfg.MinLeaf)
 }
 
 // sampleOrder points g at a bootstrap sample of d: it keeps the rows count
@@ -173,12 +262,8 @@ func (g *grower) grow(lo, hi, depth int) int {
 		n += g.w[i]
 		pos += g.w[i] * g.d.Y[i]
 	}
-	// Laplace-smoothed leaf estimate: (pos+1)/(n+2). Smoothing makes the
-	// scores of small pure leaves less extreme, which markedly improves
-	// the ranking quality (AUC) of bagged trees.
-	nodeIdx := len(g.nodes)
-	g.nodes = append(g.nodes, treeNode{feature: -1, prob: float64(pos+1) / float64(n+2)})
-	if pos == 0 || pos == n || g.cfg.MaxDepth > 0 && depth >= g.cfg.MaxDepth || n < 2*g.cfg.MinLeaf {
+	nodeIdx, ok := g.open(n, pos, depth)
+	if !ok {
 		return nodeIdx
 	}
 	feature, threshold, ok := g.bestSplit(lo, hi, n, pos)

@@ -266,6 +266,14 @@ func TestTreeMatchesSortPerNodeReference(t *testing.T) {
 	}
 }
 
+// treeTask is one drawn tree: its slot, its bootstrap sample as a count per
+// row, and its seed.
+type treeTask struct {
+	i     int
+	count []int
+	seed  int64
+}
+
 // drawTasks collects a forest's bootstrap draws in tree order, as Fit makes
 // them.
 func drawTasks(cfg ForestConfig, d Dataset) []treeTask {
@@ -296,7 +304,6 @@ func TestForestMatchesPerTreeSubsetFits(t *testing.T) {
 			Criterion:      tc.Criterion,
 			PositiveWeight: []float64{0, 3, 14}[rng.Intn(3)],
 			Seed:           tc.Seed,
-			Parallelism:    1 + rng.Intn(3),
 		}
 		f := NewForest(cfg)
 		if err := f.Fit(d); err != nil {
