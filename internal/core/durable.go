@@ -2,23 +2,20 @@ package core
 
 // Crash durability for the full SmartFlux lifecycle. The durable pipeline
 // commits one PipelineCheckpoint per completed wave into the write-ahead
-// log (via durable.Manager): the harness checkpoint (tracker state,
-// decision series, measurement accumulators), the session state (knowledge
-// base, lifecycle phase, how much of the base the predictor was fitted on)
-// and the phase lengths. ResumePipeline
-// rebuilds the workload, replays the stores from the newest epoch's log,
-// restores the harness and session from the last committed checkpoint and
-// continues the run — producing results bit-identical to an uncrashed
-// execution (DESIGN.md §6).
+// log (via durable.Manager): the phase lengths, the policy's name and the
+// harness checkpoint (tracker state, decision series, measurement
+// accumulators). ResumePipeline rebuilds the workload, replays the stores
+// from the newest epoch's log, restores the harness from the last committed
+// checkpoint and continues the run — training the session from the restored
+// result's training waves, as a fresh run does — producing results
+// bit-identical to an uncrashed execution (DESIGN.md §6).
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/gob"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 
 	"smartflux/internal/durable"
 	"smartflux/internal/engine"
@@ -34,25 +31,22 @@ const (
 
 // SessionCheckpoint is the serializable state of a Session: the knowledge
 // base, the lifecycle phase, the last test report and how much of the
-// knowledge base the predictor was fitted on. The model itself is not in it:
-// a predictor is a deterministic function of the Config and the examples it
-// was fitted on, so restore fits it again (DESIGN.md §6). The Config is
-// construction-time input, exactly like the engine's persisted state: a
-// resumed run must build its session from the same configuration.
+// knowledge base the predictor was fitted on. It is the frozen benchmark's
+// (bench/ journals it beside its own run); the pipeline checkpoint holds no
+// session. Delete it and Session.Checkpoint with ROADMAP.md item 4.
 type SessionCheckpoint struct {
 	Phase int
 	KBX   [][]float64
 	KBY   [][]int
 	// FittedOn is how many leading knowledge-base examples the predictor was
-	// fitted on; 0 means untrained. Examples logged after the fit lie beyond
-	// the prefix and leave the restored model unchanged.
+	// fitted on; 0 means untrained.
 	FittedOn int
 	Report   TestReport
 }
 
 // Checkpoint exports the session's state, read under one hold of the
 // session lock: FittedOn is a prefix of the examples it carries. The error is
-// always nil.
+// always nil. It is the frozen benchmark's; delete it with ROADMAP.md item 4.
 func (s *Session) Checkpoint() (*SessionCheckpoint, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -66,83 +60,50 @@ func (s *Session) Checkpoint() (*SessionCheckpoint, error) {
 	}, nil
 }
 
-// RestoreCheckpoint rewinds the session to an exported state; the session
-// must have been built with the same Config as the exporting one. The
-// predictor comes back the one way it was made — fitted on KB[:FittedOn] —
-// without the test phase and without counting as a training event: report
-// and phase are the checkpointed ones. On error the session is unchanged.
-func (s *Session) RestoreCheckpoint(cp *SessionCheckpoint) error {
-	kb := Dataset{X: cp.KBX, Y: cp.KBY}.clone()
-	if len(kb.X)+len(kb.Y) > 0 {
-		if err := kb.Validate(); err != nil {
-			return fmt.Errorf("core: restore knowledge base: %w", err)
-		}
-	}
-	switch {
-	case cp.FittedOn < 0 || cp.FittedOn > kb.Len():
-		return fmt.Errorf("core: restore: predictor fitted on %d examples, knowledge base holds %d", cp.FittedOn, kb.Len())
-	case cp.FittedOn == 0 && Phase(cp.Phase) == PhaseApplication:
-		return fmt.Errorf("core: restore: application-phase checkpoint records no fitted predictor (FittedOn = 0): " +
-			"it was written by a build that stored the model in the checkpoint and cannot be resumed by this one")
-	}
-	s.mu.RLock()
-	so := s.obs
-	s.mu.RUnlock()
-	var pred *Predictor
-	if cp.FittedOn > 0 {
-		var sp *obs.Span
-		if so != nil {
-			sp = so.o.RootSpan("restore", "restore", "ml")
-		}
-		var err error
-		if pred, _, err = s.train(kb.Head(cp.FittedOn), false); err != nil {
-			sp.EndErr(err)
-			return fmt.Errorf("core: restore predictor: %w", err)
-		}
-		sp.SetAttr("examples", strconv.Itoa(cp.FittedOn))
-		sp.End()
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.kb = kb
-	s.predictor = pred
-	s.fittedOn = cp.FittedOn
-	s.phase = Phase(cp.Phase)
-	s.report = cp.Report
-	if so != nil {
-		so.phaseGauge.Set(float64(s.phase))
-	}
-	return nil
-}
-
 // PipelineCheckpoint is the opaque payload committed per wave: the phase
-// lengths and the application policy's Name (validated on resume), the harness
-// state at the boundary (nil before the first wave) and the session state —
-// nil under a policy that does not learn, which is its construction plus, when
-// stateful, Harness.DeciderState. The run is one result — its Waves is the
-// commit wave — and whether the test phase has run is the session's to say.
+// lengths and the application policy's Name (validated on resume) and the
+// harness state at the boundary (nil before the first wave), which for a
+// stateful policy carries Harness.DeciderState. The run is one result — its
+// Waves is the commit wave. The session is not in it: a model is a
+// deterministic function of the session's Config and the result's training
+// waves, so every run, fresh or resumed, trains it from rows [:TrainWaves].
 type PipelineCheckpoint struct {
 	TrainWaves int
 	ApplyWaves int
 	Policy     string
 	Harness    *engine.HarnessCheckpoint
-	Session    *SessionCheckpoint
 }
 
-// encodePipelineCheckpoint serializes via gob (float-bit exact, handles the
-// NaN/Inf values JSON cannot).
+// checkpointMagic and checkpointVersion head every committed checkpoint
+// payload, the version as one byte; decodePipelineCheckpoint checks both
+// before gob reads a byte. A change to PipelineCheckpoint's shape bumps the
+// version, so a directory journaled in any other format is refused with one
+// error.
+const (
+	checkpointMagic   = "smartflux-checkpoint"
+	checkpointVersion = 1
+)
+
+// encodePipelineCheckpoint writes the format tag, then the checkpoint via gob
+// (float-bit exact, handles the NaN/Inf values JSON cannot).
 func encodePipelineCheckpoint(cp *PipelineCheckpoint) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(cp); err != nil {
+	buf := bytes.NewBufferString(checkpointMagic)
+	buf.WriteByte(checkpointVersion)
+	if err := gob.NewEncoder(buf).Encode(cp); err != nil {
 		return nil, fmt.Errorf("core: encode checkpoint: %w", err)
 	}
 	return buf.Bytes(), nil
 }
 
-// decodePipelineCheckpoint parses a committed checkpoint payload.
+// decodePipelineCheckpoint parses a committed checkpoint payload, refusing
+// one not tagged with this build's format.
 func decodePipelineCheckpoint(b []byte) (*PipelineCheckpoint, error) {
+	body, ok := bytes.CutPrefix(b, []byte(checkpointMagic))
+	if !ok || len(body) == 0 || body[0] != checkpointVersion {
+		return nil, fmt.Errorf("core: checkpoint is not in format %s v%d: another build wrote it", checkpointMagic, checkpointVersion)
+	}
 	var cp PipelineCheckpoint
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&cp); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(body[1:])).Decode(&cp); err != nil {
 		return nil, fmt.Errorf("core: decode checkpoint: %w", err)
 	}
 	return &cp, nil
@@ -168,23 +129,15 @@ type DurableRunInfo struct {
 // under the result's wave count.
 type pipelineCommitter struct {
 	mgr        *durable.Manager
-	session    *Session // nil under a policy that does not learn
 	policy     string
 	trainWaves int
 	applyWaves int
 }
 
-// payload builds and encodes the pipeline checkpoint for a harness boundary
-// (nil for the initial, nothing-run-yet one).
+// payload encodes the pipeline checkpoint for a harness boundary (nil for the
+// initial, nothing-run-yet one).
 func (c *pipelineCommitter) payload(hcp *engine.HarnessCheckpoint) ([]byte, error) {
-	cp := &PipelineCheckpoint{TrainWaves: c.trainWaves, ApplyWaves: c.applyWaves, Policy: c.policy, Harness: hcp}
-	if c.session != nil {
-		var err error
-		if cp.Session, err = c.session.Checkpoint(); err != nil {
-			return nil, err
-		}
-	}
-	return encodePipelineCheckpoint(cp)
+	return encodePipelineCheckpoint(&PipelineCheckpoint{TrainWaves: c.trainWaves, ApplyWaves: c.applyWaves, Policy: c.policy, Harness: hcp})
 }
 
 // CommitWave implements engine.WaveCommitter.
@@ -266,16 +219,14 @@ func recoverRun(opts DurableOptions) (*recovered, error) {
 	}
 	cp, err := decodePipelineCheckpoint(rec.Payload)
 	if err != nil {
-		// The log's checksums held, so these are the bytes some build
-		// committed: what changed is the shape they are decoded into.
-		return nil, fmt.Errorf("%w: %s was written by an older build, one that kept tracker baselines as element lists, or report steps' fresh outputs as element lists (or, older still, kept two baselines per tracker and step state in a map keyed by step), and cannot be resumed by this one", err, opts.Dir)
+		return nil, fmt.Errorf("%w; %s cannot be resumed by this build", err, opts.Dir)
 	}
 	return &recovered{Recovery: rec, cp: cp}, nil
 }
 
 // restore replays both stores and rewinds harness and decider to the
-// recovered checkpoint (the session is rewound by runPipeline). It returns the
-// result to continue appending to: nil when no wave had been committed.
+// recovered checkpoint. It returns the result to continue appending to: nil
+// when no wave had been committed.
 func (r *recovered) restore(harness *engine.Harness, decider engine.Decider) (*engine.Result, error) {
 	if err := r.Apply(durableLiveStore, harness.Live().Store()); err != nil {
 		return nil, err
@@ -306,10 +257,11 @@ func RunPipelineDurable(build engine.BuildFunc, reportSteps []workflow.StepID, c
 
 // ResumePipeline continues a crashed durable pipeline: it recovers the
 // stores from the newest epoch's log (truncating any torn record),
-// restores the harness and session from the last committed checkpoint and
-// runs the remaining waves. cfg must match the original run (same workload,
-// same phase lengths, same session configuration); the results are
-// bit-identical to an uncrashed RunPipelineDurable.
+// restores the harness from the last committed checkpoint and runs the
+// remaining waves, training the session as a fresh run does. cfg must match
+// the original run (same workload, same phase lengths, same session
+// configuration); the results are bit-identical to an uncrashed
+// RunPipelineDurable.
 func ResumePipeline(build engine.BuildFunc, reportSteps []workflow.StepID, cfg PipelineConfig, opts DurableOptions) (*PipelineResult, *DurableRunInfo, error) {
 	rec, err := recoverRun(opts)
 	if err != nil {
@@ -326,22 +278,16 @@ func ResumePipeline(build engine.BuildFunc, reportSteps []workflow.StepID, cfg P
 	if cfg.Policy != nil {
 		want = cfg.Policy.Name()
 	}
-	// A directory written before the policy was recorded names none: the
-	// session's was the only one journaled.
-	if wrote := cmp.Or(rec.cp.Policy, sessionPolicy); wrote != want {
-		return nil, nil, fmt.Errorf("core: %s was written under policy %q, config runs policy %q", opts.Dir, wrote, want)
+	if rec.cp.Policy != want {
+		return nil, nil, fmt.Errorf("core: %s was written under policy %q, config runs policy %q", opts.Dir, rec.cp.Policy, want)
 	}
-	// The commit wave is the result's wave count in every directory this build
-	// wrote; one that kept the training result apart counted application waves
-	// from zero and would read as a run still in training.
+	// The commit wave is the result's wave count.
 	waves := 0
 	if h := rec.cp.Harness; h != nil && h.Result != nil {
 		waves = h.Result.Waves
 	}
 	if waves != rec.Wave {
-		return nil, nil, fmt.Errorf("core: %s is committed at wave %d but its checkpointed result holds %d waves: "+
-			"it was written by a build that kept the training result apart from the application result and cannot be resumed by this one",
-			opts.Dir, rec.Wave, waves)
+		return nil, nil, fmt.Errorf("core: %s is committed at wave %d but its checkpointed result holds %d waves", opts.Dir, rec.Wave, waves)
 	}
 	return runPipeline(build, reportSteps, cfg, &opts, rec)
 }

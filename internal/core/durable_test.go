@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -16,8 +17,6 @@ import (
 	"smartflux/internal/engine"
 	"smartflux/internal/fault"
 	"smartflux/internal/kvstore"
-	"smartflux/internal/metric"
-	"smartflux/internal/ml"
 	"smartflux/internal/workflow"
 )
 
@@ -136,31 +135,6 @@ func equalPipelineResult(t *testing.T, a, b *PipelineResult) {
 	equalReport(t, a.Test, b.Test)
 }
 
-// comparePredictors asserts bitwise-equal scores and equal decisions over an
-// impact grid spanning syntheticLog's range.
-func comparePredictors(t *testing.T, a, b *Predictor) {
-	t.Helper()
-	for x := 0.0; x <= 10.0; x += 0.125 {
-		impacts := []float64{x, 10 - x}
-		sa, err := a.Scores(impacts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sb, err := b.Scores(impacts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		equalFloatSeries(t, "scores", sa, sb)
-		for step := range sa {
-			da, _ := a.Decide(step, impacts)
-			db, _ := b.Decide(step, impacts)
-			if da != db {
-				t.Fatalf("step %d impacts %v: decide %v vs %v", step, impacts, da, db)
-			}
-		}
-	}
-}
-
 // trainedSession fits a session on a 200-example, two-label synthetic log.
 func trainedSession(t *testing.T, cfg Config) *Session {
 	t.Helper()
@@ -175,100 +149,10 @@ func trainedSession(t *testing.T, cfg Config) *Session {
 	return sess
 }
 
-// TestSessionCheckpointRoundTrip holds every classifier to the one restore
-// path: the checkpoint — taken through the pipeline's gob codec — carries no
-// model, and the session restored from it scores bit-identically. The last
-// row appends examples with inverted labels after the fit: the restored model
-// must come from the fitted prefix, not from everything the base holds.
-func TestSessionCheckpointRoundTrip(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		cfg   Config
-		extra int
-	}{
-		{"random-forest", Config{Seed: 3, Thresholds: []float64{0.2}, PositiveWeight: 6}, 0},
-		{"decision-tree", Config{Seed: 3, Classifier: ClassifierDecisionTree}, 0},
-		{"logistic", Config{Seed: 3, Classifier: ClassifierLogistic, Thresholds: []float64{0.2}}, 0},
-		{"grown-after-fit", Config{Seed: 3}, 150},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			sess := trainedSession(t, tc.cfg)
-			fitted := sess.KnowledgeBase()
-			n := fitted.Len()
-			for i := 0; i < tc.extra; i++ {
-				sess.ObserveTrainingWave(fitted.X[i], []int{1 - fitted.Y[i][0], 1 - fitted.Y[i][1]})
-			}
-			scp, err := sess.Checkpoint()
-			if err != nil {
-				t.Fatal(err)
-			}
-			blob, err := encodePipelineCheckpoint(&PipelineCheckpoint{Session: scp})
-			if err != nil {
-				t.Fatal(err)
-			}
-			pcp, err := decodePipelineCheckpoint(blob)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if cp := pcp.Session; cp.FittedOn != n || len(cp.KBX) != n+tc.extra {
-				t.Fatalf("checkpoint: fitted on %d of %d examples, want %d of %d", cp.FittedOn, len(cp.KBX), n, n+tc.extra)
-			}
-			restored := NewSession(tc.cfg)
-			if err := restored.RestoreCheckpoint(pcp.Session); err != nil {
-				t.Fatal(err)
-			}
-			if restored.Phase() != sess.Phase() {
-				t.Fatalf("phase %v vs %v", restored.Phase(), sess.Phase())
-			}
-			if got := restored.KnowledgeBase().Len(); got != n+tc.extra {
-				t.Fatalf("knowledge base holds %d examples, want %d", got, n+tc.extra)
-			}
-			equalReport(t, restored.LastTestReport(), sess.LastTestReport())
-			pa, err := sess.Predictor()
-			if err != nil {
-				t.Fatal(err)
-			}
-			pb, err := restored.Predictor()
-			if err != nil {
-				t.Fatal(err)
-			}
-			comparePredictors(t, pa, pb)
-			// A second generation restores the same way: FittedOn survives.
-			again, err := restored.Checkpoint()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if again.FittedOn != n {
-				t.Fatalf("restored session checkpoints FittedOn = %d, want %d", again.FittedOn, n)
-			}
-		})
-	}
-}
-
-// The checkpoint's size is a function of the knowledge base alone: a forest
-// ten times the size encodes to the same number of bytes, and no type of the
-// ml packages is reachable from SessionCheckpoint.
-func TestSessionCheckpointHoldsNoModel(t *testing.T) {
-	size := func(trees int) int {
-		sess := trainedSession(t, Config{Seed: 3, Factory: func() ml.Classifier {
-			return ml.NewForest(ml.ForestConfig{Seed: 3, Trees: trees})
-		}})
-		scp, err := sess.Checkpoint()
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The test report differs with the model; the payload must not.
-		scp.Report = TestReport{}
-		blob, err := encodePipelineCheckpoint(&PipelineCheckpoint{Session: scp})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return len(blob)
-	}
-	if small, large := size(10), size(100); small != large {
-		t.Errorf("checkpoint of a 10-tree forest is %d bytes, of a 100-tree forest %d", small, large)
-	}
-
+// TestPipelineCheckpointHoldsNoModel: a model is a function of the session's
+// Config and the result's training waves, so no type of the ml packages is
+// reachable from the pipeline checkpoint.
+func TestPipelineCheckpointHoldsNoModel(t *testing.T) {
 	seen := map[reflect.Type]bool{}
 	var walk func(path string, typ reflect.Type)
 	walk = func(path string, typ reflect.Type) {
@@ -288,69 +172,7 @@ func TestSessionCheckpointHoldsNoModel(t *testing.T) {
 			}
 		}
 	}
-	walk("SessionCheckpoint", reflect.TypeOf(SessionCheckpoint{}))
-}
-
-// Restoring an untrained checkpoint into a session that holds a predictor
-// must leave no model deciding.
-func TestRestoreUntrainedCheckpointDropsPredictor(t *testing.T) {
-	fresh, err := NewSession(Config{Seed: 3}).Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess := trainedSession(t, Config{Seed: 3})
-	if sess.Decide(0, 0, []float64{0, 0}) {
-		t.Fatal("the trained session should skip a zero-impact wave")
-	}
-	if err := sess.RestoreCheckpoint(fresh); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sess.Predictor(); !errors.Is(err, ErrNotTrained) {
-		t.Fatalf("Predictor() after restoring an untrained checkpoint = %v, want ErrNotTrained", err)
-	}
-	if sess.Phase() != PhaseTraining || sess.KnowledgeBase().Len() != 0 {
-		t.Fatalf("phase %v, %d examples; want training, 0", sess.Phase(), sess.KnowledgeBase().Len())
-	}
-	for step := 0; step < 2; step++ {
-		if !sess.Decide(0, step, []float64{0, 0}) {
-			t.Fatalf("step %d skipped by a session restored to untrained", step)
-		}
-	}
-}
-
-// Malformed checkpoints are refused with an error and leave the session as
-// it was — among them the shape an older build's application-phase
-// checkpoint decodes to: no FittedOn, the model in fields gob now ignores.
-func TestRestoreCheckpointRejectsMalformed(t *testing.T) {
-	good, err := trainedSession(t, Config{Seed: 3}).Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, tc := range map[string]struct {
-		mutate func(cp *SessionCheckpoint)
-		want   string
-	}{
-		"negative FittedOn":    {func(cp *SessionCheckpoint) { cp.FittedOn = -1 }, "fitted on -1"},
-		"FittedOn beyond base": {func(cp *SessionCheckpoint) { cp.FittedOn = len(cp.KBX) + 1 }, "fitted on 201"},
-		"missing label rows":   {func(cp *SessionCheckpoint) { cp.KBY = cp.KBY[:10] }, "label rows"},
-		"labels without base":  {func(cp *SessionCheckpoint) { cp.KBX, cp.FittedOn = nil, 0 }, "knowledge base"},
-		"ragged impact row":    {func(cp *SessionCheckpoint) { cp.KBX[150] = nil }, "row 150"},
-		"older build":          {func(cp *SessionCheckpoint) { cp.FittedOn = 0 }, "stored the model in the checkpoint"},
-	} {
-		t.Run(name, func(t *testing.T) {
-			cp := *good
-			cp.KBX = append([][]float64(nil), good.KBX...)
-			tc.mutate(&cp)
-			sess := NewSession(Config{Seed: 3})
-			err := sess.RestoreCheckpoint(&cp)
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("restore = %v, want an error naming %q", err, tc.want)
-			}
-			if _, perr := sess.Predictor(); !errors.Is(perr, ErrNotTrained) || sess.KnowledgeBase().Len() != 0 || sess.Phase() != PhaseTraining {
-				t.Fatal("a refused restore changed the session")
-			}
-		})
-	}
+	walk("PipelineCheckpoint", reflect.TypeOf(PipelineCheckpoint{}))
 }
 
 // miniWorkloadOnWave is miniWorkload whose source step first reports the wave
@@ -436,6 +258,57 @@ func TestDurablePipelineMatchesPlain(t *testing.T) {
 					t.Errorf("crash in wave %d: resumed=%v from wave %d", k, info.Resumed, info.Recovery.Wave)
 				}
 				equalPipelineResult(t, plain, res)
+			}
+		})
+	}
+}
+
+// TestCrashAtEveryWaveBoundary crashes the durable pipeline at the first WAL
+// append of every wave k, resumes it, and holds the result and the live
+// store's dump — values, versions and logical timestamps — to the uncrashed
+// run's, under the session and three policies that do not learn. Each point
+// is a subtest, so a failure names its policy and wave. Under -race it
+// crashes every tenth wave and on both sides of the training boundary.
+func TestCrashAtEveryWaveBoundary(t *testing.T) {
+	base := durablePipelineConfig()
+	var waves []int
+	for k := 0; k < base.TrainWaves+base.ApplyWaves; k++ {
+		if !raceEnabled || k%10 == 0 || k >= base.TrainWaves-1 && k <= base.TrainWaves+1 {
+			waves = append(waves, k)
+		}
+	}
+	for _, name := range []string{"smartflux", "sync", "seq3", "random"} {
+		// under builds name's configuration with a policy never run before.
+		under := func() PipelineConfig {
+			cfg := base
+			if name != "smartflux" {
+				cfg.Policy = testPolicies[name]()
+			}
+			return cfg
+		}
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			plain, err := RunPipeline(miniWorkload(), nil, under())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := plain.Store.Dump()
+			for _, k := range waves {
+				t.Run(fmt.Sprintf("wave%d", k), func(t *testing.T) {
+					dir := t.TempDir()
+					crashInWave(t, under(), dir, k)
+					res, info, err := ResumePipeline(miniWorkload(), nil, under(), DurableOptions{Dir: dir})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if info.Recovery.Wave != k {
+						t.Fatalf("resumed from wave %d", info.Recovery.Wave)
+					}
+					equalPipelineResult(t, plain, res)
+					if got := res.Store.Dump(); !bytes.Equal(got, want) {
+						t.Fatalf("live store dump differs from the uncrashed run's (%d vs %d bytes)", len(got), len(want))
+					}
+				})
 			}
 		})
 	}
@@ -570,8 +443,8 @@ func TestResumePipelineMidApplicationBitIdentical(t *testing.T) {
 }
 
 // A model the test phase rejected is still the run's model: resuming
-// mid-application must restore it and its report, not feed the training log
-// into the knowledge base a second time and train again.
+// mid-application must train the same rejected model and report, feeding the
+// training log into the knowledge base once.
 func TestResumePipelineRejectedModelBitIdentical(t *testing.T) {
 	cfg := durablePipelineConfig()
 	cfg.Session.MinAccuracy = 1.1 // unreachable: every model is rejected
@@ -719,29 +592,12 @@ func directoryWithPayload(t *testing.T, rec *recovered, payload []byte) string {
 	return dir
 }
 
-// TestResumeRefusesSplitResultDirectory commits the result split the build
-// before PR 19 committed in its application phase — the finished training
-// result in its own field, the harness result and wave counter restarting at
-// zero — around this build's instance state, so the payload decodes and the
-// wave check is what meets it: ResumePipeline must refuse the directory rather
-// than read the application waves as a run still in training.
-func TestResumeRefusesSplitResultDirectory(t *testing.T) {
-	type oldHarnessCheckpoint struct {
-		Waves           int
-		Result          *engine.Result
-		Live, Ref       engine.InstancePersist
-		Measures        []engine.MeasurePersist
-		DeciderState    []byte
-		HasDeciderState bool
-	}
-	type oldPipelineCheckpoint struct {
-		Phase      string
-		TrainWaves int
-		ApplyWaves int
-		Train      *engine.Result
-		Harness    *oldHarnessCheckpoint
-		Session    *SessionCheckpoint
-	}
+// TestResumeRefusesAnotherFormat commits, as the last checkpoint of a copy
+// of a crashed run's directory, that run's checkpoint gob-encoded with no
+// format tag — how every build before the tag journaled — and tagged with
+// another format version. Both entry points must refuse both copies with the
+// one error naming the format, and the crashed directory itself resumes.
+func TestResumeRefusesAnotherFormat(t *testing.T) {
 	cfg := durablePipelineConfig()
 	crashed := t.TempDir()
 	crashInWave(t, cfg, crashed, cfg.TrainWaves+20)
@@ -749,324 +605,39 @@ func TestResumeRefusesSplitResultDirectory(t *testing.T) {
 	if err != nil || rec == nil {
 		t.Fatalf("recover: %v", err)
 	}
-	h := rec.cp.Harness
-	var old bytes.Buffer
-	if err := gob.NewEncoder(&old).Encode(oldPipelineCheckpoint{
-		Phase:      "application",
-		TrainWaves: cfg.TrainWaves,
-		ApplyWaves: cfg.ApplyWaves,
-		Train:      h.Result.Slice(0, cfg.TrainWaves),
-		Harness: &oldHarnessCheckpoint{
-			Waves:    h.Result.Waves - cfg.TrainWaves,
-			Result:   h.Result.Slice(cfg.TrainWaves, h.Result.Waves),
-			Live:     h.Live,
-			Ref:      h.Ref,
-			Measures: h.Measures,
-		},
-		Session: rec.cp.Session,
-	}); err != nil {
+	var untagged bytes.Buffer
+	if err := gob.NewEncoder(&untagged).Encode(rec.cp); err != nil {
 		t.Fatal(err)
 	}
-
-	dir := directoryWithPayload(t, rec, old.Bytes())
-	_, _, err = ResumePipeline(miniWorkload(), nil, cfg, DurableOptions{Dir: dir})
-	if err == nil || !strings.Contains(err.Error(), "kept the training result apart") {
-		t.Fatalf("resume of a split-result directory = %v, want a refusal naming the older build", err)
-	}
-	// The same state in this build's shape resumes.
-	if _, _, err := ResumePipeline(miniWorkload(), nil, cfg, DurableOptions{Dir: crashed}); err != nil {
+	tagged, err := encodePipelineCheckpoint(rec.cp)
+	if err != nil {
 		t.Fatal(err)
 	}
-}
-
-// TestResumeRefusesTwoBaselineDirectory commits a mid-application boundary in
-// the field set of the build before this one — two baselines per tracker, step
-// state and measure accumulators in maps keyed by step — and requires both
-// entry points to refuse the directory by name. Were only the tracker fields
-// renamed, it would decode to HasBaseline over a nil baseline and resume on
-// wrong impacts.
-func TestResumeRefusesTwoBaselineDirectory(t *testing.T) {
-	type oldTracker struct {
-		ExecBaseline, WaveBaseline elemList
-		Accumulated, Current       float64
-		HasBaseline                bool
-	}
-	type oldStep struct {
-		ExecutedEver            bool
-		LastExecWave, ExecCount int
-		Impacts, Errors         []oldTracker
-	}
-	type oldInstance struct {
-		Wave    int
-		Impacts []float64
-		Steps   map[workflow.StepID]oldStep
-	}
-	type oldHarnessCheckpoint struct {
-		Result          *engine.Result
-		Live, Ref       oldInstance
-		Measures        map[workflow.StepID]elemMeasure
-		DeciderState    []byte
-		HasDeciderState bool
-	}
-	type oldPipelineCheckpoint struct {
-		TrainWaves, ApplyWaves int
-		Harness                *oldHarnessCheckpoint
-		Session                *SessionCheckpoint
-	}
-	order := []workflow.StepID{"src", "agg"} // miniWorkload's topological order
-	oldTrackers := func(ts []metric.PersistedTracker) []oldTracker {
-		out := make([]oldTracker, len(ts))
-		for i, tr := range ts {
-			out[i] = oldTracker{elemListOf(tr.Baseline), elemListOf(tr.Baseline), tr.Accumulated, tr.Current, tr.HasBaseline}
+	tagged[len(checkpointMagic)]++
+	want := fmt.Sprintf("not in format %s v%d", checkpointMagic, checkpointVersion)
+	for name, payload := range map[string][]byte{"untagged": untagged.Bytes(), "another version": tagged} {
+		dir := directoryWithPayload(t, rec, payload)
+		if _, _, err := ResumePipeline(miniWorkload(), nil, cfg, DurableOptions{Dir: dir}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: resume = %v, want a refusal naming %q", name, err, want)
 		}
-		return out
-	}
-	oldInstanceOf := func(p engine.InstancePersist) oldInstance {
-		out := oldInstance{Wave: p.Wave, Impacts: p.Impacts, Steps: map[workflow.StepID]oldStep{}}
-		for pos, sp := range p.Steps {
-			out.Steps[order[pos]] = oldStep{sp.LastExecWave >= 0, sp.LastExecWave, sp.ExecCount, oldTrackers(sp.Impacts), oldTrackers(sp.Errors)}
+		if _, _, err := RunPipelineDurable(miniWorkload(), nil, cfg, DurableOptions{Dir: dir}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: fresh run over it = %v, want a refusal naming %q", name, err, want)
 		}
-		return out
-	}
-
-	cfg := durablePipelineConfig()
-	crashed := t.TempDir()
-	crashInWave(t, cfg, crashed, cfg.TrainWaves+20)
-	rec, err := recoverRun(DurableOptions{Dir: crashed})
-	if err != nil || rec == nil {
-		t.Fatalf("recover: %v", err)
-	}
-	h := rec.cp.Harness
-	requireRefused(t, cfg, crashed, rec, oldPipelineCheckpoint{
-		TrainWaves: cfg.TrainWaves,
-		ApplyWaves: cfg.ApplyWaves,
-		Harness: &oldHarnessCheckpoint{
-			Result:   h.Result,
-			Live:     oldInstanceOf(h.Live),
-			Ref:      oldInstanceOf(h.Ref),
-			Measures: map[workflow.StepID]elemMeasure{"agg": elemMeasures(h.Measures)[0]},
-		},
-		Session: rec.cp.Session,
-	}, "kept two baselines per tracker")
-}
-
-// elemList is a container state in the element-list form older builds
-// checkpointed it in: tracker baselines until trackers held Columns, and the
-// report steps' fresh outputs one build longer.
-type elemList []struct {
-	Key string
-	Val float64
-}
-
-// elemListOf converts a container state to its element list.
-func elemListOf(c metric.Columns) elemList {
-	s := make(elemList, c.Len())
-	for i, key := range c.Keys {
-		s[i].Key, s[i].Val = key, c.Vals[i]
-	}
-	return s
-}
-
-// elemMeasure is a report step's measure accumulator with its fresh output
-// as an element list.
-type elemMeasure struct {
-	FreshPrev elemList
-	Accum     float64
-}
-
-// elemMeasures converts measure accumulators to elemMeasures.
-func elemMeasures(ms []engine.MeasurePersist) []elemMeasure {
-	out := make([]elemMeasure, len(ms))
-	for i, m := range ms {
-		out[i] = elemMeasure{elemListOf(m.FreshPrev), m.Accum}
-	}
-	return out
-}
-
-// requireRefused writes payload, a checkpoint in an older build's field set,
-// as the last commit of a copy of rec's directory, and requires ResumePipeline
-// and RunPipelineDurable to refuse the copy with an error containing want,
-// and crashed, the same state in this build's shape, to resume.
-func requireRefused(t *testing.T, cfg PipelineConfig, crashed string, rec *recovered, payload any, want string) {
-	t.Helper()
-	var old bytes.Buffer
-	if err := gob.NewEncoder(&old).Encode(payload); err != nil {
-		t.Fatal(err)
-	}
-	dir := directoryWithPayload(t, rec, old.Bytes())
-	if _, _, err := ResumePipeline(miniWorkload(), nil, cfg, DurableOptions{Dir: dir}); err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("resume of an older build's directory = %v, want a refusal naming %q", err, want)
-	}
-	if _, _, err := RunPipelineDurable(miniWorkload(), nil, cfg, DurableOptions{Dir: dir}); err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("fresh run over an older build's directory = %v, want a refusal naming %q", err, want)
 	}
 	if _, _, err := ResumePipeline(miniWorkload(), nil, cfg, DurableOptions{Dir: crashed}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// TestResumeRefusesStateBaselineDirectory commits a mid-application boundary
-// in the field set of the build before tracker baselines became Columns —
-// each baseline and each report step's fresh output an element list,
-// everything else as now — and requires both entry points to refuse the
-// directory by name, and the same state in this build's shape to resume.
-func TestResumeRefusesStateBaselineDirectory(t *testing.T) {
-	type oldTracker struct {
-		Baseline             elemList
-		Accumulated, Current float64
-		HasBaseline          bool
-	}
-	type oldStep struct {
-		LastExecWave, ExecCount int
-		Impacts, Errors         []oldTracker
-	}
-	type oldInstance struct {
-		Wave    int
-		Impacts []float64
-		Steps   []oldStep
-	}
-	type oldHarnessCheckpoint struct {
-		Result          *engine.Result
-		Live, Ref       oldInstance
-		Measures        []elemMeasure
-		DeciderState    []byte
-		HasDeciderState bool
-	}
-	type oldPipelineCheckpoint struct {
-		TrainWaves, ApplyWaves int
-		Policy                 string
-		Harness                *oldHarnessCheckpoint
-		Session                *SessionCheckpoint
-	}
-	oldTrackers := func(ts []metric.PersistedTracker) []oldTracker {
-		out := make([]oldTracker, len(ts))
-		for i, tr := range ts {
-			out[i] = oldTracker{elemListOf(tr.Baseline), tr.Accumulated, tr.Current, tr.HasBaseline}
-		}
-		return out
-	}
-	oldInstanceOf := func(p engine.InstancePersist) oldInstance {
-		out := oldInstance{Wave: p.Wave, Impacts: p.Impacts}
-		for _, sp := range p.Steps {
-			out.Steps = append(out.Steps, oldStep{sp.LastExecWave, sp.ExecCount, oldTrackers(sp.Impacts), oldTrackers(sp.Errors)})
-		}
-		return out
-	}
-
-	cfg := durablePipelineConfig()
-	crashed := t.TempDir()
-	crashInWave(t, cfg, crashed, cfg.TrainWaves+20)
-	rec, err := recoverRun(DurableOptions{Dir: crashed})
-	if err != nil || rec == nil {
-		t.Fatalf("recover: %v", err)
-	}
-	h := rec.cp.Harness
-	requireRefused(t, cfg, crashed, rec, oldPipelineCheckpoint{
-		TrainWaves: cfg.TrainWaves,
-		ApplyWaves: cfg.ApplyWaves,
-		Policy:     rec.cp.Policy,
-		Harness: &oldHarnessCheckpoint{
-			Result:   h.Result,
-			Live:     oldInstanceOf(h.Live),
-			Ref:      oldInstanceOf(h.Ref),
-			Measures: elemMeasures(h.Measures),
-		},
-		Session: rec.cp.Session,
-	}, "kept tracker baselines as element lists")
-}
-
-// TestResumeRefusesStateMeasureDirectory commits a mid-application boundary
-// in the field set of the build before report steps' fresh outputs became
-// Columns — tracker baselines as now, each fresh output an element list — and
-// requires both entry points to refuse the directory by name, and the same
-// state in this build's shape to resume.
-func TestResumeRefusesStateMeasureDirectory(t *testing.T) {
-	type oldHarnessCheckpoint struct {
-		Result          *engine.Result
-		Live, Ref       engine.InstancePersist
-		Measures        []elemMeasure
-		DeciderState    []byte
-		HasDeciderState bool
-	}
-	type oldPipelineCheckpoint struct {
-		TrainWaves, ApplyWaves int
-		Policy                 string
-		Harness                *oldHarnessCheckpoint
-		Session                *SessionCheckpoint
-	}
-	cfg := durablePipelineConfig()
-	crashed := t.TempDir()
-	crashInWave(t, cfg, crashed, cfg.TrainWaves+20)
-	rec, err := recoverRun(DurableOptions{Dir: crashed})
-	if err != nil || rec == nil {
-		t.Fatalf("recover: %v", err)
-	}
-	h := rec.cp.Harness
-	if len(h.Measures) == 0 {
-		t.Fatal("the crashed run measured no report step: the payload would hold no fresh output")
-	}
-	requireRefused(t, cfg, crashed, rec, oldPipelineCheckpoint{
-		TrainWaves: cfg.TrainWaves,
-		ApplyWaves: cfg.ApplyWaves,
-		Policy:     rec.cp.Policy,
-		Harness: &oldHarnessCheckpoint{
-			Result:   h.Result,
-			Live:     h.Live,
-			Ref:      h.Ref,
-			Measures: elemMeasures(h.Measures),
-		},
-		Session: rec.cp.Session,
-	}, "fresh outputs as element lists")
-}
-
-// TestResumeDirectoryWithoutPolicyName commits a mid-application boundary in
-// the field set of the build before policies were recorded. Only the session
-// was journaled then, so the directory reads as smartflux: it resumes under
-// the session to the uncrashed result, and is refused under anything else.
-func TestResumeDirectoryWithoutPolicyName(t *testing.T) {
-	type oldPipelineCheckpoint struct {
-		TrainWaves, ApplyWaves int
-		Harness                *engine.HarnessCheckpoint
-		Session                *SessionCheckpoint
-	}
-	cfg := durablePipelineConfig()
-	plain, err := RunPipeline(miniWorkload(), nil, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	crashed := t.TempDir()
-	crashInWave(t, cfg, crashed, cfg.TrainWaves+20)
-	rec, err := recoverRun(DurableOptions{Dir: crashed})
-	if err != nil || rec == nil {
-		t.Fatalf("recover: %v", err)
-	}
-	var old bytes.Buffer
-	if err := gob.NewEncoder(&old).Encode(oldPipelineCheckpoint{cfg.TrainWaves, cfg.ApplyWaves, rec.cp.Harness, rec.cp.Session}); err != nil {
-		t.Fatal(err)
-	}
-	dir := directoryWithPayload(t, rec, old.Bytes())
-	other := cfg
-	other.Policy = engine.NewSeq(3)
-	if _, _, err := ResumePipeline(miniWorkload(), nil, other, DurableOptions{Dir: dir}); err == nil || !strings.Contains(err.Error(), `policy "smartflux"`) {
-		t.Fatalf("resume under seq3 = %v, want a refusal naming smartflux", err)
-	}
-	res, _, err := ResumePipeline(miniWorkload(), nil, cfg, DurableOptions{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	equalPipelineResult(t, plain, res)
 }
 
 // FuzzRestoreCheckpoint feeds arbitrary bytes through the checkpoint decoder
-// and, when they decode, through Session.RestoreCheckpoint — if they hold a
-// session — and, into a fresh mini-workload harness, Harness.RestoreCheckpoint
-// under the policy they were written by: that session, or for a payload
-// without one the stateful policy that does not learn, engine.NewRandom, whose
-// state is a draw count restore replays. Nothing may panic or spin, a refused
-// session restore must leave no predictor behind, and a refused harness restore
-// must leave harness and policy a pair never restored into. The seeds are the
-// last committed payloads of a mini-workload run killed mid-training, in its
-// first application wave (every training wave committed, none after) and
+// and, when they decode, into a fresh mini-workload harness through
+// Harness.RestoreCheckpoint under the policy they name: a fresh session, or
+// any other name the stateful policy that does not learn, engine.NewRandom,
+// whose state is a draw count restore replays. Nothing may panic or spin, and
+// a refused restore must leave harness and policy a pair never restored into.
+// The seeds are the last committed payloads — each tagged with this build's
+// format — of a mini-workload run killed mid-training, in its first
+// application wave (every training wave committed, none after) and
 // mid-application, and of a random-policy run killed mid-application.
 func FuzzRestoreCheckpoint(f *testing.F) {
 	cfg := durablePipelineConfig()
@@ -1106,29 +677,19 @@ func FuzzRestoreCheckpoint(f *testing.F) {
 	cleanRandom := cleanRun(f, newHarness(f), newRandom())
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		cp, err := decodePipelineCheckpoint(payload)
-		if err != nil {
+		if err != nil || cp.Harness == nil {
 			return
 		}
-		// After a refused harness restore the harness runs under after and must
-		// produce want: the random policy itself, which the refusal left unmoved,
-		// or — a restored session decides by its model — plain Sync.
-		policy := newRandom()
-		after, want := policy, cleanRandom
-		if cp.Session != nil {
-			sess := NewSession(cfg.Session)
-			if err := sess.RestoreCheckpoint(cp.Session); err != nil {
-				if _, perr := sess.Predictor(); !errors.Is(perr, ErrNotTrained) {
-					t.Fatalf("restore failed (%v) yet left a predictor", err)
-				}
-			}
-			policy, after, want = sess, engine.Sync{}, cleanSync
-		}
-		if cp.Harness == nil {
-			return
+		// After a refused restore the policy, which the refusal left unmoved,
+		// must reproduce a clean run: an untrained session executes every step,
+		// as Sync does.
+		policy, want := newRandom(), cleanRandom
+		if cp.Policy == sessionPolicy {
+			policy, want = NewSession(cfg.Session), cleanSync
 		}
 		h := newHarness(t)
 		if _, err := h.RestoreCheckpoint(cp.Harness, policy); err != nil {
-			equalResult(t, "run after a refused restore", want, cleanRun(t, h, after))
+			equalResult(t, "run after a refused restore", want, cleanRun(t, h, policy))
 		}
 	})
 }

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -57,42 +57,38 @@ func TestSessionInstrumented(t *testing.T) {
 	}
 }
 
-// A restore is a recovery, not a training event: it fits the predictor and
-// nothing else, so an instrumented session's train counters, test outcomes,
-// phase transitions and train-duration samples are what they were before.
-func TestRestoreCheckpointIsNotATrainingEvent(t *testing.T) {
-	for _, classifier := range []string{ClassifierRandomForest, ClassifierLogistic} {
-		cfg := Config{Seed: 1, Classifier: classifier}
-		cp, err := trainedSession(t, cfg).Checkpoint()
-		if err != nil {
-			t.Fatal(err)
-		}
-		sess := NewSession(cfg)
-		reg := obs.NewRegistry()
-		ring := obs.NewSpanRing(8)
-		sess.Instrument(obs.New(reg).WithSpanSinks(ring))
-		before := reg.Snapshot()
-		if err := sess.RestoreCheckpoint(cp); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sess.Predictor(); err != nil {
-			t.Fatal(err)
-		}
-		after := reg.Snapshot()
-		if !reflect.DeepEqual(before.Counters, after.Counters) {
-			t.Errorf("%s: restore moved counters: %v -> %v", classifier, before.Counters, after.Counters)
-		}
-		if h := after.Histograms["smartflux_session_train_duration_seconds"]; h.Count != 0 {
-			t.Errorf("%s: restore recorded %d train durations", classifier, h.Count)
-		}
-		if got := after.Gauges["smartflux_session_phase"]; got != float64(PhaseApplication) {
-			t.Errorf("%s: phase gauge = %v, want application", classifier, got)
-		}
-		spans := ring.Tail(0)
-		if len(spans) != 1 || spans[0].Name != "restore" {
-			t.Errorf("%s: restore emitted spans %+v, want one restore span", classifier, spans)
+// TestResumePastTrainingTrainsOnce: a run resumed past its training waves
+// trains its session in its own process the way a fresh run does — one train
+// span (train/t0) and one training event — and reaches the uncrashed run's
+// test report.
+func TestResumePastTrainingTrainsOnce(t *testing.T) {
+	cfg := durablePipelineConfig()
+	plain, err := RunPipeline(miniWorkload(), nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	crashInWave(t, cfg, dir, cfg.TrainWaves+20)
+	reg := obs.NewRegistry()
+	ring := obs.NewSpanRing(1 << 16)
+	cfg.Obs = obs.New(reg).WithSpanSinks(ring)
+	res, _, err := ResumePipeline(miniWorkload(), nil, cfg, DurableOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ml []string
+	for _, sp := range ring.Tail(0) {
+		if sp.Layer == "ml" {
+			ml = append(ml, sp.ID)
 		}
 	}
+	if !slices.Equal(ml, []string{"train/t0"}) {
+		t.Errorf("ml spans %v, want one train/t0", ml)
+	}
+	if got := reg.Snapshot().Counters["smartflux_session_trains_total"]; got != 1 {
+		t.Errorf("trains = %d, want 1", got)
+	}
+	equalReport(t, plain.Test, res.Test)
 }
 
 func TestSessionFailsafeCounted(t *testing.T) {

@@ -88,16 +88,16 @@ func RunPipeline(build engine.BuildFunc, reportSteps []workflow.StepID, cfg Pipe
 //   - opts == nil: nothing is journaled (RunPipeline).
 //   - opts != nil, rec == nil: a fresh durable run — the initial checkpoint
 //     is journaled as wave 0 before the first wave.
-//   - opts != nil, rec != nil: a resume — session, stores and harness are
-//     rewound to the recovered checkpoint and the journal continues from the
-//     recovered wave.
+//   - opts != nil, rec != nil: a resume — stores and harness are rewound to
+//     the recovered checkpoint and the journal continues from the recovered
+//     wave.
 //
 // From there it is one body: the live store — as built or as restored — is
 // attached to cfg.Cluster and registered with the journal; the training decider
 // drives the harness to the end of training; the session, when it is the
-// policy, is fed the knowledge base from those waves' rows and trained — unless
-// it came back holding a model, accepted or not: the test phase has run — and
-// the policy drives the same run to its end.
+// policy, is fed the knowledge base from those waves' rows and trained — in a
+// resume past training too, from the restored result — and the policy drives
+// the same run to its end.
 func runPipeline(build engine.BuildFunc, reportSteps []workflow.StepID, cfg PipelineConfig, opts *DurableOptions, rec *recovered) (*PipelineResult, *DurableRunInfo, error) {
 	if cfg.TrainWaves < 0 || cfg.TrainWaves == 0 && cfg.Policy == nil {
 		return nil, nil, fmt.Errorf("core: pipeline needs TrainWaves > 0, got %d", cfg.TrainWaves)
@@ -114,14 +114,9 @@ func runPipeline(build engine.BuildFunc, reportSteps []workflow.StepID, cfg Pipe
 		if cfg.Obs != nil {
 			session.Instrument(cfg.Obs)
 		}
-		if rec != nil && rec.cp.Session != nil {
-			if err := session.RestoreCheckpoint(rec.cp.Session); err != nil {
-				return nil, nil, err
-			}
-		}
 		train, apply = session, session
 	}
-	c := &pipelineCommitter{session: session, policy: apply.Name(), trainWaves: cfg.TrainWaves, applyWaves: cfg.ApplyWaves}
+	c := &pipelineCommitter{policy: apply.Name(), trainWaves: cfg.TrainWaves, applyWaves: cfg.ApplyWaves}
 	hcfg := cfg.Resilience
 	hcfg.Parallelism = cfg.Parallelism
 	if opts != nil {
@@ -173,13 +168,11 @@ func runPipeline(build engine.BuildFunc, reportSteps []workflow.StepID, cfg Pipe
 			return fmt.Errorf("pipeline training: %w", err)
 		}
 		if session != nil {
-			if _, err := session.Predictor(); err != nil {
-				for w := 0; w < cfg.TrainWaves; w++ {
-					session.ObserveTrainingWave(res.RefImpacts[w], res.RefLabels[w])
-				}
-				if _, err := session.Train(); err != nil {
-					return fmt.Errorf("pipeline train: %w", err)
-				}
+			for w := 0; w < cfg.TrainWaves; w++ {
+				session.ObserveTrainingWave(res.RefImpacts[w], res.RefLabels[w])
+			}
+			if _, err := session.Train(); err != nil {
+				return fmt.Errorf("pipeline train: %w", err)
 			}
 		}
 		if err := harness.ResumeRun(res, cfg.TrainWaves+cfg.ApplyWaves-res.Waves, apply); err != nil {

@@ -64,8 +64,8 @@ type Config struct {
 	Seed int64
 	// Parallelism bounds how many training tasks run at once — the
 	// per-label final fits and the test phase's (label, fold)
-	// cross-validation fits, one fan-out in Train and in a restore. 0
-	// selects runtime.GOMAXPROCS(0); at 1 training is sequential: the tasks
+	// cross-validation fits, one fan-out in Train. 0 selects
+	// runtime.GOMAXPROCS(0); at 1 training is sequential: the tasks
 	// run one after another on the caller, and a Random Forest fits its
 	// trees on its task's goroutine. Reports and fitted predictors are
 	// bit-identical for every setting: fold partitions are drawn from the
@@ -129,8 +129,7 @@ type Session struct {
 	kb        Dataset
 	predictor *Predictor
 	// fittedOn is how many knowledge-base examples predictor was fitted on
-	// (0 = untrained). The knowledge base only grows, so the predictor is a
-	// function of Config and KB[:fittedOn] — all a checkpoint records of it.
+	// (0 = untrained); only SessionCheckpoint reads it.
 	fittedOn int
 	phase    Phase
 	report   TestReport
@@ -239,7 +238,7 @@ func (s *Session) Train() (TestReport, error) {
 	if trainObs != nil {
 		sp = trainObs.o.RootSpan("train/t"+strconv.FormatUint(s.trainSeq.Add(1)-1, 10), "train", "ml")
 	}
-	predictor, report, err := s.train(data, true)
+	predictor, report, err := s.train(data)
 	if err != nil {
 		sp.EndErr(err)
 		return TestReport{}, err
@@ -276,13 +275,12 @@ func (s *Session) Train() (TestReport, error) {
 }
 
 // train builds the predictor this session's Config makes from data — one
-// plan per label and one fan-out over every fit — and is all a restore does.
-// With test it also runs the §3.2 test phase: per-label stratified k-fold
-// cross-validation on the same plans, with the fold partitions drawn from the
-// session RNG in label order before any fit runs and per-fold predictions
-// pooled in (label, fold) order afterwards, so the report does not depend on
-// Config.Parallelism.
-func (s *Session) train(data Dataset, test bool) (*Predictor, TestReport, error) {
+// plan per label and one fan-out over every fit — and runs the §3.2 test
+// phase: per-label stratified k-fold cross-validation on the same plans, with
+// the fold partitions drawn from the session RNG in label order before any fit
+// runs and per-fold predictions pooled in (label, fold) order afterwards, so
+// the report does not depend on Config.Parallelism.
+func (s *Session) train(data Dataset) (*Predictor, TestReport, error) {
 	factory := s.cfg.Factory
 	if factory == nil {
 		if weight := s.cfg.PositiveWeight; weight > 0 &&
@@ -298,17 +296,13 @@ func (s *Session) train(data Dataset, test bool) (*Predictor, TestReport, error)
 			}
 		}
 	}
-	var rng *rand.Rand
-	if test {
-		rng = rand.New(rand.NewSource(s.cfg.Seed + 1))
-	}
-	plans, err := planLabels(data, s.cfg.Thresholds, testFolds, rng)
+	plans, err := planLabels(data, s.cfg.Thresholds, testFolds, rand.New(rand.NewSource(s.cfg.Seed+1)))
 	if err != nil {
 		return nil, TestReport{}, err
 	}
 	predictor, scored, err := fitPlans(factory, plans, s.cfg.workers())
-	if err != nil || !test {
-		return predictor, TestReport{}, err
+	if err != nil {
+		return nil, TestReport{}, err
 	}
 	report := TestReport{Accepted: true}
 	for l, plan := range plans {

@@ -238,13 +238,14 @@ func (g *grower) open(n, pos, depth int) (int, bool) {
 
 // sampleOrder points g at a bootstrap sample of d: it keeps the rows count
 // draws, each once, in the presorted order of every feature, and weighs row
-// j by count[j]. g's order buffers are reused.
+// j by count[j]. g's order buffers are reused, each sized once to hold every
+// row.
 func (g *grower) sampleOrder(order [][]int, count []int) {
 	if len(g.order) != len(order) {
 		g.order = make([][]int, len(order))
 	}
 	for f, o := range order {
-		out := g.order[f][:0]
+		out := slices.Grow(g.order[f][:0], len(o))
 		for _, j := range o {
 			if count[j] > 0 {
 				out = append(out, j)
