@@ -17,6 +17,7 @@ import (
 	"smartflux/internal/engine"
 	"smartflux/internal/fault"
 	"smartflux/internal/kvstore"
+	"smartflux/internal/metric"
 	"smartflux/internal/workflow"
 )
 
@@ -592,41 +593,321 @@ func directoryWithPayload(t *testing.T, rec *recovered, payload []byte) string {
 	return dir
 }
 
-// TestResumeRefusesAnotherFormat commits, as the last checkpoint of a copy
-// of a crashed run's directory, that run's checkpoint gob-encoded with no
-// format tag — how every build before the tag journaled — and tagged with
-// another format version. Both entry points must refuse both copies with the
-// one error naming the format, and the crashed directory itself resumes.
-func TestResumeRefusesAnotherFormat(t *testing.T) {
-	cfg := durablePipelineConfig()
+// crashedMidApplication runs cfg into a fresh directory, kills it 20 waves
+// into the application phase and returns the directory with its recovery.
+func crashedMidApplication(t *testing.T, cfg PipelineConfig) (string, *recovered) {
+	t.Helper()
 	crashed := t.TempDir()
 	crashInWave(t, cfg, crashed, cfg.TrainWaves+20)
 	rec, err := recoverRun(DurableOptions{Dir: crashed})
 	if err != nil || rec == nil {
 		t.Fatalf("recover: %v", err)
 	}
-	var untagged bytes.Buffer
-	if err := gob.NewEncoder(&untagged).Encode(rec.cp); err != nil {
+	return crashed, rec
+}
+
+// untaggedPayload gob-encodes v with no format tag, as every build before the
+// tag journaled its checkpoint.
+func untaggedPayload(t *testing.T, v any) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := gob.NewEncoder(&b).Encode(v); err != nil {
 		t.Fatal(err)
 	}
+	return b.Bytes()
+}
+
+// requireRefused writes payload as the last commit of a copy of rec's
+// directory and requires ResumePipeline, under cfg and under every other
+// policy given, and RunPipelineDurable to refuse the copy with the one error
+// naming this build's format; crashed, the same state in this build's format,
+// must resume.
+func requireRefused(t *testing.T, cfg PipelineConfig, crashed string, rec *recovered, payload []byte, others ...engine.Decider) {
+	t.Helper()
+	want := fmt.Sprintf("not in format %s v%d", checkpointMagic, checkpointVersion)
+	dir := directoryWithPayload(t, rec, payload)
+	if _, _, err := ResumePipeline(miniWorkload(), nil, cfg, DurableOptions{Dir: dir}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("resume = %v, want a refusal naming %q", err, want)
+	}
+	for _, policy := range others {
+		under := cfg
+		under.Policy = policy
+		if _, _, err := ResumePipeline(miniWorkload(), nil, under, DurableOptions{Dir: dir}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("resume under %s = %v, want a refusal naming %q", policy.Name(), err, want)
+		}
+	}
+	if _, _, err := RunPipelineDurable(miniWorkload(), nil, cfg, DurableOptions{Dir: dir}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("fresh run over it = %v, want a refusal naming %q", err, want)
+	}
+	if _, _, err := ResumePipeline(miniWorkload(), nil, cfg, DurableOptions{Dir: crashed}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestResumeRefusesAnotherFormat commits, as the last checkpoint of a copy
+// of a crashed run's directory, that run's checkpoint gob-encoded with no
+// format tag and tagged with another format version. Both entry points must
+// refuse both copies with the one error naming the format, and the crashed
+// directory itself resumes.
+func TestResumeRefusesAnotherFormat(t *testing.T) {
+	cfg := durablePipelineConfig()
+	crashed, rec := crashedMidApplication(t, cfg)
 	tagged, err := encodePipelineCheckpoint(rec.cp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tagged[len(checkpointMagic)]++
-	want := fmt.Sprintf("not in format %s v%d", checkpointMagic, checkpointVersion)
-	for name, payload := range map[string][]byte{"untagged": untagged.Bytes(), "another version": tagged} {
-		dir := directoryWithPayload(t, rec, payload)
-		if _, _, err := ResumePipeline(miniWorkload(), nil, cfg, DurableOptions{Dir: dir}); err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("%s: resume = %v, want a refusal naming %q", name, err, want)
-		}
-		if _, _, err := RunPipelineDurable(miniWorkload(), nil, cfg, DurableOptions{Dir: dir}); err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("%s: fresh run over it = %v, want a refusal naming %q", name, err, want)
-		}
+	t.Run("untagged", func(t *testing.T) { requireRefused(t, cfg, crashed, rec, untaggedPayload(t, rec.cp)) })
+	t.Run("another version", func(t *testing.T) { requireRefused(t, cfg, crashed, rec, tagged) })
+}
+
+// TestResumeRefusesSplitResultDirectory commits a mid-application boundary in
+// the field set of the build that kept the training result apart — the
+// finished training result in its own field, the harness result and wave
+// counter restarting at zero — and requires both entry points to refuse it by
+// its missing format tag rather than read the application waves as a run
+// still in training.
+func TestResumeRefusesSplitResultDirectory(t *testing.T) {
+	type oldHarnessCheckpoint struct {
+		Waves           int
+		Result          *engine.Result
+		Live, Ref       engine.InstancePersist
+		Measures        []engine.MeasurePersist
+		DeciderState    []byte
+		HasDeciderState bool
 	}
-	if _, _, err := ResumePipeline(miniWorkload(), nil, cfg, DurableOptions{Dir: crashed}); err != nil {
-		t.Fatal(err)
+	type oldPipelineCheckpoint struct {
+		Phase      string
+		TrainWaves int
+		ApplyWaves int
+		Train      *engine.Result
+		Harness    *oldHarnessCheckpoint
 	}
+	cfg := durablePipelineConfig()
+	crashed, rec := crashedMidApplication(t, cfg)
+	h := rec.cp.Harness
+	requireRefused(t, cfg, crashed, rec, untaggedPayload(t, oldPipelineCheckpoint{
+		Phase:      "application",
+		TrainWaves: cfg.TrainWaves,
+		ApplyWaves: cfg.ApplyWaves,
+		Train:      h.Result.Slice(0, cfg.TrainWaves),
+		Harness: &oldHarnessCheckpoint{
+			Waves:    h.Result.Waves - cfg.TrainWaves,
+			Result:   h.Result.Slice(cfg.TrainWaves, h.Result.Waves),
+			Live:     h.Live,
+			Ref:      h.Ref,
+			Measures: h.Measures,
+		},
+	}))
+}
+
+// elemList is a container state in the element-list form older builds
+// checkpointed it in: tracker baselines until trackers held Columns, and the
+// report steps' fresh outputs one build longer.
+type elemList []struct {
+	Key string
+	Val float64
+}
+
+// elemListOf converts a container state to its element list.
+func elemListOf(c metric.Columns) elemList {
+	s := make(elemList, c.Len())
+	for i, key := range c.Keys {
+		s[i].Key, s[i].Val = key, c.Vals[i]
+	}
+	return s
+}
+
+// elemMeasure is a report step's measure accumulator with its fresh output
+// as an element list.
+type elemMeasure struct {
+	FreshPrev elemList
+	Accum     float64
+}
+
+// elemMeasures converts measure accumulators to elemMeasures.
+func elemMeasures(ms []engine.MeasurePersist) []elemMeasure {
+	out := make([]elemMeasure, len(ms))
+	for i, m := range ms {
+		out[i] = elemMeasure{elemListOf(m.FreshPrev), m.Accum}
+	}
+	return out
+}
+
+// TestResumeRefusesTwoBaselineDirectory commits a mid-application boundary in
+// the field set of the build that kept two baselines per tracker, step state
+// and measure accumulators in maps keyed by step, and requires both entry
+// points to refuse the directory by its missing format tag.
+func TestResumeRefusesTwoBaselineDirectory(t *testing.T) {
+	type oldTracker struct {
+		ExecBaseline, WaveBaseline elemList
+		Accumulated, Current       float64
+		HasBaseline                bool
+	}
+	type oldStep struct {
+		ExecutedEver            bool
+		LastExecWave, ExecCount int
+		Impacts, Errors         []oldTracker
+	}
+	type oldInstance struct {
+		Wave    int
+		Impacts []float64
+		Steps   map[workflow.StepID]oldStep
+	}
+	type oldHarnessCheckpoint struct {
+		Result          *engine.Result
+		Live, Ref       oldInstance
+		Measures        map[workflow.StepID]elemMeasure
+		DeciderState    []byte
+		HasDeciderState bool
+	}
+	type oldPipelineCheckpoint struct {
+		TrainWaves, ApplyWaves int
+		Harness                *oldHarnessCheckpoint
+	}
+	order := []workflow.StepID{"src", "agg"} // miniWorkload's topological order
+	oldTrackers := func(ts []metric.PersistedTracker) []oldTracker {
+		out := make([]oldTracker, len(ts))
+		for i, tr := range ts {
+			out[i] = oldTracker{elemListOf(tr.Baseline), elemListOf(tr.Baseline), tr.Accumulated, tr.Current, tr.HasBaseline}
+		}
+		return out
+	}
+	oldInstanceOf := func(p engine.InstancePersist) oldInstance {
+		out := oldInstance{Wave: p.Wave, Impacts: p.Impacts, Steps: map[workflow.StepID]oldStep{}}
+		for pos, sp := range p.Steps {
+			out.Steps[order[pos]] = oldStep{sp.LastExecWave >= 0, sp.LastExecWave, sp.ExecCount, oldTrackers(sp.Impacts), oldTrackers(sp.Errors)}
+		}
+		return out
+	}
+	cfg := durablePipelineConfig()
+	crashed, rec := crashedMidApplication(t, cfg)
+	h := rec.cp.Harness
+	requireRefused(t, cfg, crashed, rec, untaggedPayload(t, oldPipelineCheckpoint{
+		TrainWaves: cfg.TrainWaves,
+		ApplyWaves: cfg.ApplyWaves,
+		Harness: &oldHarnessCheckpoint{
+			Result:   h.Result,
+			Live:     oldInstanceOf(h.Live),
+			Ref:      oldInstanceOf(h.Ref),
+			Measures: map[workflow.StepID]elemMeasure{"agg": elemMeasures(h.Measures)[0]},
+		},
+	}))
+}
+
+// TestResumeRefusesStateBaselineDirectory commits a mid-application boundary
+// in the field set of the build before tracker baselines became Columns —
+// each baseline and each report step's fresh output an element list — and
+// requires both entry points to refuse the directory by its missing format
+// tag.
+func TestResumeRefusesStateBaselineDirectory(t *testing.T) {
+	type oldTracker struct {
+		Baseline             elemList
+		Accumulated, Current float64
+		HasBaseline          bool
+	}
+	type oldStep struct {
+		LastExecWave, ExecCount int
+		Impacts, Errors         []oldTracker
+	}
+	type oldInstance struct {
+		Wave    int
+		Impacts []float64
+		Steps   []oldStep
+	}
+	type oldHarnessCheckpoint struct {
+		Result          *engine.Result
+		Live, Ref       oldInstance
+		Measures        []elemMeasure
+		DeciderState    []byte
+		HasDeciderState bool
+	}
+	type oldPipelineCheckpoint struct {
+		TrainWaves, ApplyWaves int
+		Policy                 string
+		Harness                *oldHarnessCheckpoint
+	}
+	oldTrackers := func(ts []metric.PersistedTracker) []oldTracker {
+		out := make([]oldTracker, len(ts))
+		for i, tr := range ts {
+			out[i] = oldTracker{elemListOf(tr.Baseline), tr.Accumulated, tr.Current, tr.HasBaseline}
+		}
+		return out
+	}
+	oldInstanceOf := func(p engine.InstancePersist) oldInstance {
+		out := oldInstance{Wave: p.Wave, Impacts: p.Impacts}
+		for _, sp := range p.Steps {
+			out.Steps = append(out.Steps, oldStep{sp.LastExecWave, sp.ExecCount, oldTrackers(sp.Impacts), oldTrackers(sp.Errors)})
+		}
+		return out
+	}
+	cfg := durablePipelineConfig()
+	crashed, rec := crashedMidApplication(t, cfg)
+	h := rec.cp.Harness
+	requireRefused(t, cfg, crashed, rec, untaggedPayload(t, oldPipelineCheckpoint{
+		TrainWaves: cfg.TrainWaves,
+		ApplyWaves: cfg.ApplyWaves,
+		Policy:     rec.cp.Policy,
+		Harness: &oldHarnessCheckpoint{
+			Result:   h.Result,
+			Live:     oldInstanceOf(h.Live),
+			Ref:      oldInstanceOf(h.Ref),
+			Measures: elemMeasures(h.Measures),
+		},
+	}))
+}
+
+// TestResumeRefusesStateMeasureDirectory commits a mid-application boundary
+// in the field set of the build before report steps' fresh outputs became
+// Columns — tracker baselines as now, each fresh output an element list — and
+// requires both entry points to refuse the directory by its missing format
+// tag.
+func TestResumeRefusesStateMeasureDirectory(t *testing.T) {
+	type oldHarnessCheckpoint struct {
+		Result          *engine.Result
+		Live, Ref       engine.InstancePersist
+		Measures        []elemMeasure
+		DeciderState    []byte
+		HasDeciderState bool
+	}
+	type oldPipelineCheckpoint struct {
+		TrainWaves, ApplyWaves int
+		Policy                 string
+		Harness                *oldHarnessCheckpoint
+	}
+	cfg := durablePipelineConfig()
+	crashed, rec := crashedMidApplication(t, cfg)
+	h := rec.cp.Harness
+	if len(h.Measures) == 0 {
+		t.Fatal("the crashed run measured no report step: the payload would hold no fresh output")
+	}
+	requireRefused(t, cfg, crashed, rec, untaggedPayload(t, oldPipelineCheckpoint{
+		TrainWaves: cfg.TrainWaves,
+		ApplyWaves: cfg.ApplyWaves,
+		Policy:     rec.cp.Policy,
+		Harness: &oldHarnessCheckpoint{
+			Result:   h.Result,
+			Live:     h.Live,
+			Ref:      h.Ref,
+			Measures: elemMeasures(h.Measures),
+		},
+	}))
+}
+
+// TestResumeDirectoryWithoutPolicyName commits a mid-application boundary in
+// the field set of the build before policies were recorded. Such a directory
+// carries no format tag, so it is refused under the session and under any
+// other policy alike, rather than read as a smartflux run.
+func TestResumeDirectoryWithoutPolicyName(t *testing.T) {
+	type oldPipelineCheckpoint struct {
+		TrainWaves, ApplyWaves int
+		Harness                *engine.HarnessCheckpoint
+	}
+	cfg := durablePipelineConfig()
+	crashed, rec := crashedMidApplication(t, cfg)
+	requireRefused(t, cfg, crashed, rec,
+		untaggedPayload(t, oldPipelineCheckpoint{cfg.TrainWaves, cfg.ApplyWaves, rec.cp.Harness}),
+		engine.NewSeq(3))
 }
 
 // FuzzRestoreCheckpoint feeds arbitrary bytes through the checkpoint decoder
