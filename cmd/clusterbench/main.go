@@ -50,7 +50,8 @@ type failoverResult struct {
 	// BlipMaxMillis is the single slowest op: the one that paid for the
 	// probe sequence and promotion itself.
 	BlipMaxMillis float64 `json:"blip_max_ms"`
-	// LostWrites must be zero: every acked write survives the promotion.
+	// LostWrites is zero: every acked write survives the promotion, and the
+	// cell fails when one does not (checkAcked).
 	LostWrites int `json:"lost_writes"`
 }
 
@@ -68,8 +69,9 @@ type partitionResult struct {
 	// the demotion rides back on the failed write itself.
 	BlipP99Millis float64 `json:"blip_p99_ms"`
 	BlipMaxMillis float64 `json:"blip_max_ms"`
-	// LostWrites must be zero: the un-acked in-flight write is re-shipped to
-	// the promoted replica, and every acked write survives.
+	// LostWrites is zero: the un-acked in-flight write is re-shipped to the
+	// promoted replica, every acked write survives, and the cell fails when
+	// one does not (checkAcked).
 	LostWrites int `json:"lost_writes"`
 }
 
@@ -271,21 +273,11 @@ func benchFailover(shards, ops int) (*failoverResult, error) {
 			failovers++
 		}
 	}
-
-	// Integrity: every acked write must be readable after the promotion.
-	lost := 0
-	checkEvery := ops / 200
-	if checkEvery == 0 {
-		checkEvery = 1
+	if failovers == 0 {
+		return nil, fmt.Errorf("primary kill never tripped a failover")
 	}
-	for i := 0; i < ops; i += checkEvery {
-		_, found, err := r.client.Get("bench", fmt.Sprintf("row-%07d", i), "v")
-		if err != nil {
-			return nil, err
-		}
-		if !found {
-			lost++
-		}
+	if err := checkAcked(r.client, ops); err != nil {
+		return nil, err
 	}
 	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
 	return &failoverResult{
@@ -296,7 +288,6 @@ func benchFailover(shards, ops int) (*failoverResult, error) {
 		OpsPerSec:     float64(ops) / elapsed.Seconds(),
 		BlipP99Millis: float64(lat[ops*99/100]) / float64(time.Millisecond),
 		BlipMaxMillis: float64(lat[ops-1]) / float64(time.Millisecond),
-		LostWrites:    lost,
 	}, nil
 }
 
@@ -350,22 +341,8 @@ func benchPartitionBlip(shards, ops int) (*partitionResult, error) {
 	if fenced == 0 {
 		return nil, fmt.Errorf("link cut never tripped a fenced failover")
 	}
-
-	// Integrity: every acked write must be readable after the promotion —
-	// including the one whose ship died mid-flight.
-	lost := 0
-	checkEvery := ops / 200
-	if checkEvery == 0 {
-		checkEvery = 1
-	}
-	for i := 0; i < ops; i += checkEvery {
-		_, found, err := r.client.Get("bench", fmt.Sprintf("row-%07d", i), "v")
-		if err != nil {
-			return nil, err
-		}
-		if !found {
-			lost++
-		}
+	if err := checkAcked(r.client, ops); err != nil {
+		return nil, err
 	}
 	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
 	return &partitionResult{
@@ -376,6 +353,24 @@ func benchPartitionBlip(shards, ops int) (*partitionResult, error) {
 		OpsPerSec:       float64(ops) / elapsed.Seconds(),
 		BlipP99Millis:   float64(lat[ops*99/100]) / float64(time.Millisecond),
 		BlipMaxMillis:   float64(lat[ops-1]) / float64(time.Millisecond),
-		LostWrites:      lost,
 	}, nil
+}
+
+// checkAcked reads back every (ops/200)-th acked row after a promotion and
+// fails the cell if any is missing: every acked write must survive it.
+func checkAcked(c *cluster.Client, ops int) error {
+	lost, step := 0, max(ops/200, 1)
+	for i := 0; i < ops; i += step {
+		_, found, err := c.Get("bench", fmt.Sprintf("row-%07d", i), "v")
+		if err != nil {
+			return err
+		}
+		if !found {
+			lost++
+		}
+	}
+	if lost > 0 {
+		return fmt.Errorf("%d of %d sampled acked writes lost across the promotion", lost, (ops+step-1)/step)
+	}
+	return nil
 }

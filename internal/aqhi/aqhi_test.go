@@ -140,7 +140,7 @@ func TestWorkflowProducesIndex(t *testing.T) {
 		if err != nil {
 			t.Fatalf("table %s missing: %v", name, err)
 		}
-		if len(tbl.Scan(kvstore.ScanOptions{Limit: 1})) == 0 {
+		if len(tbl.Scan(kvstore.ScanOptions{})) == 0 {
 			t.Errorf("table %s empty", name)
 		}
 	}

@@ -128,12 +128,6 @@ func (d Dataset) clone() Dataset {
 	return Dataset{X: append([][]float64(nil), d.X...), Y: append([][]int(nil), d.Y...)}
 }
 
-// Head returns the first n examples (or all, if fewer).
-func (d Dataset) Head(n int) Dataset {
-	n = min(n, d.Len())
-	return Dataset{X: d.X[:n], Y: d.Y[:n]}
-}
-
 // labelPlan is one gated step's learning problem, the unit every fit works
 // on. §2 triggers a step on what its own ι predicts, so the step's model sees
 // that one column: it also keeps application-time inputs inside the training

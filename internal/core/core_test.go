@@ -67,11 +67,8 @@ func TestDatasetAppendCopies(t *testing.T) {
 	}
 }
 
-func TestDatasetHead(t *testing.T) {
+func TestDatasetLabels(t *testing.T) {
 	d := syntheticLog(10, 2, 2)
-	if d.Head(3).Len() != 3 || d.Head(99).Len() != 10 {
-		t.Error("Head must take a prefix and clamp")
-	}
 	if d.Labels() != 2 || (Dataset{}).Labels() != 0 {
 		t.Errorf("Labels = %d", d.Labels())
 	}
@@ -329,25 +326,27 @@ func TestSessionLifecycle(t *testing.T) {
 }
 
 func TestSessionRejectsOnQualityMinimums(t *testing.T) {
-	// Labels are pure noise: accuracy ≈ 0.5 < 0.95 → not accepted.
-	rng := rand.New(rand.NewSource(17))
-	sess := NewSession(Config{Seed: 1, MinAccuracy: 0.95})
-	for i := 0; i < 100; i++ {
-		sess.ObserveTrainingWave([]float64{rng.Float64()}, []int{rng.Intn(2)})
-	}
-	report, err := sess.Train()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.Accepted {
-		t.Error("noise labels must not satisfy MinAccuracy 0.95")
-	}
-	if sess.Phase() != PhaseTraining {
-		t.Error("rejected session must stay in training")
-	}
-	// Decide stays synchronous.
-	if !sess.Decide(0, 0, []float64{0}) {
-		t.Error("rejected session must keep executing everything")
+	// Labels are pure noise: accuracy and recall ≈ 0.5 < 0.95 → not accepted.
+	for _, cfg := range []Config{{Seed: 1, MinAccuracy: 0.95}, {Seed: 1, MinRecall: 0.95}} {
+		rng := rand.New(rand.NewSource(17))
+		sess := NewSession(cfg)
+		for i := 0; i < 100; i++ {
+			sess.ObserveTrainingWave([]float64{rng.Float64()}, []int{rng.Intn(2)})
+		}
+		report, err := sess.Train()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if report.Accepted {
+			t.Errorf("noise labels must not satisfy %+v", cfg)
+		}
+		if sess.Phase() != PhaseTraining {
+			t.Errorf("%+v: rejected session must stay in training", cfg)
+		}
+		// Decide stays synchronous.
+		if !sess.Decide(0, 0, []float64{0}) {
+			t.Errorf("%+v: rejected session must keep executing everything", cfg)
+		}
 	}
 }
 

@@ -274,6 +274,22 @@ func (s *Session) Train() (TestReport, error) {
 	return report, nil
 }
 
+// SessionFactory returns the classifier factory a session built from cfg
+// fits: cfg.Factory when set, else a Random Forest weighted by
+// cfg.PositiveWeight when that is positive, else ClassifierFactory's choice
+// for cfg.Classifier, each seeded cfg.Seed.
+func SessionFactory(cfg Config) (func() ml.Classifier, error) {
+	if cfg.Factory != nil {
+		return cfg.Factory, nil
+	}
+	if weight := cfg.PositiveWeight; weight > 0 && (cfg.Classifier == "" || cfg.Classifier == ClassifierRandomForest) {
+		return func() ml.Classifier {
+			return ml.NewForest(ml.ForestConfig{Seed: cfg.Seed, PositiveWeight: weight})
+		}, nil
+	}
+	return ClassifierFactory(cfg.Classifier, cfg.Seed)
+}
+
 // train builds the predictor this session's Config makes from data — one
 // plan per label and one fan-out over every fit — and runs the §3.2 test
 // phase: per-label stratified k-fold cross-validation on the same plans, with
@@ -281,20 +297,9 @@ func (s *Session) Train() (TestReport, error) {
 // runs and per-fold predictions pooled in (label, fold) order afterwards, so
 // the report does not depend on Config.Parallelism.
 func (s *Session) train(data Dataset) (*Predictor, TestReport, error) {
-	factory := s.cfg.Factory
-	if factory == nil {
-		if weight := s.cfg.PositiveWeight; weight > 0 &&
-			(s.cfg.Classifier == "" || s.cfg.Classifier == ClassifierRandomForest) {
-			seed := s.cfg.Seed
-			factory = func() ml.Classifier {
-				return ml.NewForest(ml.ForestConfig{Seed: seed, PositiveWeight: weight})
-			}
-		} else {
-			var err error
-			if factory, err = ClassifierFactory(s.cfg.Classifier, s.cfg.Seed); err != nil {
-				return nil, TestReport{}, err
-			}
-		}
+	factory, err := SessionFactory(s.cfg)
+	if err != nil {
+		return nil, TestReport{}, err
 	}
 	plans, err := planLabels(data, s.cfg.Thresholds, testFolds, rand.New(rand.NewSource(s.cfg.Seed+1)))
 	if err != nil {

@@ -2,8 +2,11 @@ package experiments
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
+
+	"smartflux/internal/core"
 )
 
 // quickRunner uses a small scale so the full figure set stays test-sized.
@@ -114,6 +117,49 @@ func TestFig8(t *testing.T) {
 		for i := 1; i < len(c.Points); i++ {
 			if c.Points[i].TrainingExamples <= c.Points[i-1].TrainingExamples {
 				t.Error("training sizes must increase")
+			}
+		}
+	}
+}
+
+// TestFig8FitsTheSessionModel holds Fig. 8's predictor, at its largest
+// training size, to the model a SmartFlux run fits: a Session configured by
+// Session(seed) and trained on the same waves scores every held-out wave
+// exactly as it does.
+func TestFig8FitsTheSessionModel(t *testing.T) {
+	seed := sharedRunner.Config().Seed
+	for _, w := range []Workload{LRB, AQHI} {
+		log, err := sharedRunner.Log(w, 0.10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size := sharedRunner.Config().trainWaves(w)
+		fig8, err := prefixPredictor(Session(seed), log, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess := core.NewSession(Session(seed))
+		for wave := 0; wave < size; wave++ {
+			sess.ObserveTrainingWave(log.Impacts[wave], log.Labels[wave])
+		}
+		if _, err := sess.Train(); err != nil {
+			t.Fatal(err)
+		}
+		trained, err := sess.Predictor()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for wave := size; wave < log.Waves(); wave++ {
+			got, err := fig8.Scores(log.Impacts[wave])
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := trained.Scores(log.Impacts[wave])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s wave %d: Fig. 8 scores %v, a trained session %v", w, wave, got, want)
 			}
 		}
 	}

@@ -82,13 +82,8 @@ func trainingSizes(w Workload, maxTrain int) []int {
 
 // evaluatePrefix trains on log[0:size) and tests on log[maxTrain:].
 func evaluatePrefix(r *Runner, log *SyncLog, size, maxTrain int) (LearningPoint, error) {
-	train := core.Dataset{X: log.Impacts[:size], Y: log.Labels[:size]}
-	factory, err := core.ClassifierFactory(core.ClassifierRandomForest, r.cfg.Seed)
-	if err != nil {
-		return LearningPoint{}, err
-	}
 	sess := Session(r.cfg.Seed)
-	predictor, err := core.NewPredictor(factory, train, sess.Thresholds)
+	predictor, err := prefixPredictor(sess, log, size)
 	if err != nil {
 		return LearningPoint{}, err
 	}
@@ -118,6 +113,16 @@ func evaluatePrefix(r *Runner, log *SyncLog, size, maxTrain int) (LearningPoint,
 		Precision:        confusion.Precision(),
 		Recall:           confusion.Recall(),
 	}, nil
+}
+
+// prefixPredictor fits, on log[0:size), the model a SmartFlux session
+// configured by sess fits.
+func prefixPredictor(sess core.Config, log *SyncLog, size int) (*core.Predictor, error) {
+	factory, err := core.SessionFactory(sess)
+	if err != nil {
+		return nil, err
+	}
+	return core.NewPredictor(factory, core.Dataset{X: log.Impacts[:size], Y: log.Labels[:size]}, sess.Thresholds)
 }
 
 func clampLabel(l int) int {

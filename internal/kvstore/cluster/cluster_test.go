@@ -247,22 +247,35 @@ func TestClusterDumpBitIdenticalToSingleStore(t *testing.T) {
 				t.Fatalf("cluster dump differs from single store:\nwant:\n%sgot:\n%s", want, got)
 			}
 
-			// Plain scans agree with the reference store too.
+			// A column-prefix scan, through kvnet and the merge, selects what
+			// the reference store's does: latest versions and every version.
 			refA, _ := ref.Table("alpha")
-			wantCells := refA.Scan(kvstore.ScanOptions{RowPrefix: "row-0"})
-			gotCells, err := c.Scan("alpha", kvstore.ScanOptions{RowPrefix: "row-0"})
+			same := func(a, b kvstore.Cell) bool {
+				return a.Row == b.Row && a.Column == b.Column && a.Version.Timestamp == b.Version.Timestamp &&
+					bytes.Equal(a.Version.Value, b.Version.Value)
+			}
+			opts := kvstore.ScanOptions{ColumnPrefix: "c1"}
+			wantCells := refA.Scan(opts)
+			if n := len(refA.Scan(kvstore.ScanOptions{})); len(wantCells) == 0 || len(wantCells) >= n {
+				t.Fatalf("prefix selects %d of %d cells; want a strict, non-empty subset", len(wantCells), n)
+			}
+			gotCells, err := c.Scan("alpha", opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(gotCells) != len(wantCells) {
-				t.Fatalf("scan lengths: got %d want %d", len(gotCells), len(wantCells))
+			if !slices.EqualFunc(gotCells, wantCells, same) {
+				t.Fatalf("Scan(%+v) = %v, want %v", opts, gotCells, wantCells)
 			}
-			for i := range gotCells {
-				if gotCells[i].Row != wantCells[i].Row || gotCells[i].Column != wantCells[i].Column ||
-					gotCells[i].Version.Timestamp != wantCells[i].Version.Timestamp ||
-					!bytes.Equal(gotCells[i].Version.Value, wantCells[i].Version.Value) {
-					t.Fatalf("scan cell %d: got %+v want %+v", i, gotCells[i], wantCells[i])
-				}
+			wantVersions := refA.ScanVersions(opts)
+			if len(wantVersions) <= len(wantCells) {
+				t.Fatalf("%d versions of %d cells: the prefix misses the multi-version cells", len(wantVersions), len(wantCells))
+			}
+			gotVersions, err := c.ScanVersions("alpha", opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.EqualFunc(gotVersions, wantVersions, same) {
+				t.Fatalf("ScanVersions(%+v) = %v, want %v", opts, gotVersions, wantVersions)
 			}
 
 			// Gets route correctly and see latest values.
@@ -278,59 +291,6 @@ func TestClusterDumpBitIdenticalToSingleStore(t *testing.T) {
 				t.Fatalf("deleted cell: found=%v err=%v", found, err)
 			}
 		})
-	}
-}
-
-// TestScanLimitMatchesSingleStore holds the merged scans' Limit to one
-// store's: over a 3-shard cluster, Scan returns what the reference's Scan
-// does, and ScanVersions every retained version of each of those cells,
-// newest first — Limit counts cells, never versions.
-func TestScanLimitMatchesSingleStore(t *testing.T) {
-	tc := startCluster(t, 3, false, nil)
-	c := tc.client(Config{})
-	if err := c.CreateTable("t", 3); err != nil {
-		t.Fatal(err)
-	}
-	ref := kvstore.New()
-	rt, _ := ref.EnsureTable("t", kvstore.TableOptions{MaxVersions: 3})
-	for i := 0; i < 150; i++ { // each of the 60 cells gets 2 or 3 versions
-		row, col, val := fmt.Sprintf("r-%02d", i%30), fmt.Sprintf("c%d", i/30%2), []byte(fmt.Sprintf("v%d", i))
-		if err := c.Put("t", row, col, val); err != nil {
-			t.Fatal(err)
-		}
-		if err := rt.Put(row, col, val); err != nil {
-			t.Fatal(err)
-		}
-	}
-	same := func(a, b kvstore.Cell) bool {
-		return a.Row == b.Row && a.Column == b.Column && a.Version.Timestamp == b.Version.Timestamp &&
-			bytes.Equal(a.Version.Value, b.Version.Value)
-	}
-	for _, opts := range []kvstore.ScanOptions{{Limit: 1}, {Limit: 7}, {Limit: 1000}, {RowPrefix: "r-1", Limit: 5}} {
-		want := rt.Scan(opts)
-		got, err := c.Scan("t", opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.EqualFunc(got, want, same) {
-			t.Fatalf("Scan(%+v) = %v, want %v", opts, got, want)
-		}
-		var wantVersions []kvstore.Cell
-		for _, cell := range want {
-			for _, v := range rt.GetVersions(cell.Row, cell.Column, 0) {
-				wantVersions = append(wantVersions, kvstore.Cell{Row: cell.Row, Column: cell.Column, Version: v})
-			}
-		}
-		if len(wantVersions) < 2*len(want) {
-			t.Fatalf("%d versions of %d cells: the data lost its multi-version cells", len(wantVersions), len(want))
-		}
-		got, err = c.ScanVersions("t", opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.EqualFunc(got, wantVersions, same) {
-			t.Fatalf("ScanVersions(%+v) = %v, want %v", opts, got, wantVersions)
-		}
 	}
 }
 

@@ -17,24 +17,22 @@ import (
 )
 
 // Scan returns every matching cell across all shards, merged in (row,
-// column) order — the same order a single store's Scan returns. opts.Limit
-// bounds the merged total.
+// column) order — the same order a single store's Scan returns.
 func (c *Client) Scan(table string, opts kvstore.ScanOptions) ([]kvstore.Cell, error) {
 	return c.scatterGather(table, opts, false)
 }
 
 // ScanVersions returns every retained version of every matching cell across
 // all shards — newest first per cell, cells in key order — exactly what a
-// single store's Table.ScanVersions returns; opts.Limit bounds the cells, as
-// on a kvnet.Client. This is the dump path the determinism contract is
-// verified through.
+// single store's Table.ScanVersions returns. This is the dump path the
+// determinism contract is verified through.
 func (c *Client) ScanVersions(table string, opts kvstore.ScanOptions) ([]kvstore.Cell, error) {
 	return c.scatterGather(table, opts, true)
 }
 
-// scatterGather reads each shard whole, each read carrying opts.Limit, and
-// merges the results; with versions set a shard returns every retained
-// version per cell and the merge keeps each cell's run together.
+// scatterGather reads each shard whole and merges the results; with
+// versions set a shard returns every retained version per cell and the
+// merge keeps each cell's run together.
 func (c *Client) scatterGather(table string, opts kvstore.ScanOptions, versions bool) ([]kvstore.Cell, error) {
 	c.mu.Lock()
 	shards := len(c.m.Shards)
@@ -58,20 +56,19 @@ func (c *Client) scatterGather(table string, opts kvstore.ScanOptions, versions 
 			return nil, err
 		}
 	}
-	return merge(parts, opts.Limit), nil
+	return merge(parts), nil
 }
 
 // merge interleaves the shards' results, each in (row, column) order, into
-// one list in that order, ending before the (limit+1)-th cell when limit >
-// 0. A (row, column) lives on one shard, so a cell's run of versions is
-// never split.
-func merge(parts [][]kvstore.Cell, limit int) []kvstore.Cell {
+// one list in that order. A (row, column) lives on one shard, so a cell's run
+// of versions is never split.
+func merge(parts [][]kvstore.Cell) []kvstore.Cell {
 	n := 0
 	for _, p := range parts {
 		n += len(p)
 	}
 	out := make([]kvstore.Cell, 0, n)
-	for cells := 0; ; {
+	for {
 		best := -1
 		for s, p := range parts {
 			if len(p) > 0 && (best < 0 || keyLess(p[0], parts[best][0])) {
@@ -81,14 +78,7 @@ func merge(parts [][]kvstore.Cell, limit int) []kvstore.Cell {
 		if best < 0 {
 			return out
 		}
-		next := parts[best][0]
-		if n := len(out); n == 0 || out[n-1].Row != next.Row || out[n-1].Column != next.Column {
-			if cells == limit && limit > 0 {
-				return out
-			}
-			cells++
-		}
-		out = append(out, next)
+		out = append(out, parts[best][0])
 		parts[best] = parts[best][1:]
 	}
 }

@@ -138,9 +138,6 @@ func (t *Table) viewLocked(f *floatArray, opts ScanOptions) *floatView {
 	var slots []int
 	sorted := true
 	for _, r := range t.sortedLocked() {
-		if !opts.matchesRow(r.key) {
-			continue
-		}
 		first := len(slots)
 		for i, col := range r.cols {
 			if s := r.base + i; f.ok[s] && strings.HasPrefix(col, opts.ColumnPrefix) {
@@ -242,11 +239,11 @@ func readFloats[S any](t *Table, find func(f *floatArray) *S, build func(f *floa
 	read(f, build(f))
 }
 
-// ScanColumns is the ι/ε snapshot: the float cells matching opts (Limit
-// aside) as Columns keyed by the canonical element key "row/column", in key
-// order, with the table's mutation version at the time of the read — a
-// later call at the same version would return the same elements, so callers
-// may keep the state and skip the read. Non-float cells are skipped. A read
+// ScanColumns is the ι/ε snapshot: the float cells matching opts as Columns
+// keyed by the canonical element key "row/column", in key order, with the
+// table's mutation version at the time of the read — a later call at the
+// same version would return the same elements, so callers may keep the
+// state and skip the read. Non-float cells are skipped. A read
 // copies the selected values out of the table's float array into vals
 // (regrown if short; nil allocates), and nothing else: every read of one key
 // set with one opts returns the same Keys slice, never written, so a tracker
@@ -258,7 +255,6 @@ func readFloats[S any](t *Table, find func(f *floatArray) *S, build func(f *floa
 // keys collide (row "a/b" column "c", row "a" column "b/c") yield one
 // element: the later cell in (row, column) order wins.
 func (t *Table) ScanColumns(opts ScanOptions, vals []float64) (c metric.Columns, version uint64) {
-	opts.Limit = 0
 	find := func(f *floatArray) *floatView { return f.view(opts) }
 	build := func(f *floatArray) *floatView { return t.viewLocked(f, opts) }
 	readFloats(t, find, build, func(f *floatArray, v *floatView) {

@@ -42,7 +42,7 @@ func FuzzTableColumns(f *testing.F) {
 		27, 0, 0x03, 5, 27, 0, 0x13, 9, 27, 0, 0x13, 13, 0, 0, 0, 1})
 	rows := []string{"a", "a-b", "a/b", "r1", "r10", "r2"}
 	cols := []string{"c", "b/c", "c1", "d"}
-	shapes := []ScanOptions{{}, {ColumnPrefix: "c"}, {RowPrefix: "r1"}}
+	shapes := []ScanOptions{{}, {ColumnPrefix: "c"}}
 	projections := [][]string{{"c1", "c"}, {"d", "x", "b/c"}}
 	f.Fuzz(func(t *testing.T, script []byte) {
 		store := New()

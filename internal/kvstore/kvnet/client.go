@@ -609,8 +609,7 @@ func (c *Client) MapSet(m []byte) error {
 
 // ScanVersions returns every retained version of every matching cell —
 // newest first per cell, cells in key order, one snapshot of the table —
-// streamed back in chunks like a plain Scan; opts.Limit bounds the cells,
-// not the versions. This is the cluster dump path.
+// streamed back in chunks like a plain Scan. This is the cluster dump path.
 func (c *Client) ScanVersions(table string, opts kvstore.ScanOptions) ([]kvstore.Cell, error) {
 	r, err := c.do(wire.Request{Op: wire.OpScan, Flags: wire.FlagVersions, Table: table, Scan: opts})
 	if err != nil {

@@ -212,15 +212,6 @@ func TestStreamingScanLargeResult(t *testing.T) {
 			t.Fatalf("cell %d value %q, want %q", i, c.Version.Value, want)
 		}
 	}
-
-	// Limits must hold across chunk boundaries too.
-	limited, err := client.Scan("t", kvstore.ScanOptions{Limit: wire.ScanChunkCells + 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(limited) != wire.ScanChunkCells+3 {
-		t.Errorf("limited scan returned %d cells, want %d", len(limited), wire.ScanChunkCells+3)
-	}
 }
 
 // TestRetryChargesFrames is the timeout-during-read regression test: with

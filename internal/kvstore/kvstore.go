@@ -829,29 +829,11 @@ func (t *Table) Version() uint64 {
 	return t.version
 }
 
-// ScanOptions selects cells for Scan. Zero values mean "no constraint".
+// ScanOptions selects cells for Scan: a whole table, or the columns of it
+// with a prefix.
 type ScanOptions struct {
-	// StartRow is the inclusive lower row bound.
-	StartRow string
-	// EndRow is the exclusive upper row bound ("" = unbounded).
-	EndRow string
-	// RowPrefix restricts to rows with this prefix.
-	RowPrefix string
-	// ColumnPrefix restricts to columns with this prefix.
+	// ColumnPrefix restricts to columns with this prefix ("" = every column).
 	ColumnPrefix string
-	// Limit bounds the number of cells returned (0 = unlimited).
-	Limit int
-}
-
-// matchesRow reports whether row passes the row constraints of opts.
-func (opts ScanOptions) matchesRow(row string) bool {
-	if opts.StartRow != "" && row < opts.StartRow {
-		return false
-	}
-	if opts.EndRow != "" && row >= opts.EndRow {
-		return false
-	}
-	return strings.HasPrefix(row, opts.RowPrefix)
 }
 
 // readKeys runs walk over the table's rows in key order under t.mu: read
@@ -893,7 +875,7 @@ func (t *Table) sortedLocked() []*row {
 func (t *Table) Scan(opts ScanOptions) []Cell { return t.scan(opts, false) }
 
 // ScanVersions is Scan with every retained version of each cell, newest
-// first; opts.Limit counts cells, not versions.
+// first.
 func (t *Table) ScanVersions(opts ScanOptions) []Cell { return t.scan(opts, true) }
 
 // scan is Scan, or ScanVersions when all is set.
@@ -917,39 +899,27 @@ func (t *Table) scan(opts ScanOptions, all bool) []Cell {
 
 // collectLocked is the one read of cells out of rows, the table's rows in
 // key order: the latest version of each cell matching opts — every retained
-// version, newest first, when all is set — in (row, column) order, up to the
-// opts.Limit-th cell when the limit is positive, and their values' summed
-// bytes. An inline value is carved out of a buffer of this call's own (see
-// valueLocked); a long one is the table's blob, never written, so both stay
-// valid after t.mu is released. A first pass counts the cells (or versions)
-// of matching rows to size the result, exactly so when opts names no column
-// prefix. Callers hold t.mu through readKeys.
+// version, newest first, when all is set — in (row, column) order, and their
+// values' summed bytes. An inline value is carved out of a buffer of this
+// call's own (see valueLocked); a long one is the table's blob, never
+// written, so both stay valid after t.mu is released. A first pass counts
+// the cells (or versions) to size the result, exactly so when opts names no
+// column prefix. Callers hold t.mu through readKeys.
 func (t *Table) collectLocked(rows []*row, opts ScanOptions, all bool) ([]Cell, int64) {
-	n, per := 0, 1
-	if all {
-		per = t.maxVersions
-	}
+	n := 0
 	for _, r := range rows {
-		switch {
-		case !opts.matchesRow(r.key):
-		case all:
-			for _, versions := range r.cells {
-				n += len(versions)
-			}
-		default:
+		if !all {
 			n += len(r.cols)
+			continue
+		}
+		for _, versions := range r.cells {
+			n += len(versions)
 		}
 	}
-	if opts.Limit > 0 && n/per > opts.Limit {
-		n = opts.Limit * per
-	}
-	cells, matched := make([]Cell, 0, n), 0
+	cells := make([]Cell, 0, n)
 	buf := make([]byte, 0, n*inlineWidth)
 	var valueBytes int64
 	for _, r := range rows {
-		if !opts.matchesRow(r.key) {
-			continue
-		}
 		for j, col := range r.cols {
 			if opts.ColumnPrefix != "" && !strings.HasPrefix(col, opts.ColumnPrefix) {
 				continue
@@ -962,9 +932,6 @@ func (t *Table) collectLocked(rows []*row, opts ScanOptions, all bool) ([]Cell, 
 				s := versions[i]
 				cells = append(cells, Cell{Row: r.key, Column: col, Version: Version{Timestamp: s.ts, Value: t.valueLocked(s, &buf)}})
 				valueBytes += int64(s.n)
-			}
-			if matched++; matched == opts.Limit {
-				return cells, valueBytes
 			}
 		}
 	}

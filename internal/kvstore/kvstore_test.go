@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -129,20 +130,8 @@ func TestScanOrderingAndFilters(t *testing.T) {
 		t.Fatalf("scan order %v, want %v", keys, want)
 	}
 
-	if got := table.Scan(ScanOptions{RowPrefix: "b"}); len(got) != 2 {
-		t.Errorf("RowPrefix=b returned %d cells, want 2", len(got))
-	}
 	if got := table.Scan(ScanOptions{ColumnPrefix: "x"}); len(got) != 3 {
 		t.Errorf("ColumnPrefix=x returned %d cells, want 3", len(got))
-	}
-	if got := table.Scan(ScanOptions{StartRow: "b"}); len(got) != 3 {
-		t.Errorf("StartRow=b returned %d cells, want 3", len(got))
-	}
-	if got := table.Scan(ScanOptions{EndRow: "b"}); len(got) != 2 {
-		t.Errorf("EndRow=b returned %d cells, want 2", len(got))
-	}
-	if got := table.Scan(ScanOptions{Limit: 2}); len(got) != 2 {
-		t.Errorf("Limit=2 returned %d cells", len(got))
 	}
 }
 
@@ -721,10 +710,8 @@ func TestPutGetFloatAndScanColumns(t *testing.T) {
 		want metric.Columns
 	}{
 		{"all", ScanOptions{}, metric.Columns{Keys: []string{"r1/c", "r2/c", "r2/d"}, Vals: []float64{1.5, 2.5, 3.5}}},
-		{"row prefix", ScanOptions{RowPrefix: "r1"}, metric.Columns{Keys: []string{"r1/c"}, Vals: []float64{1.5}}},
-		{"row range", ScanOptions{StartRow: "r2", EndRow: "r3"}, metric.Columns{Keys: []string{"r2/c", "r2/d"}, Vals: []float64{2.5, 3.5}}},
 		{"column prefix", ScanOptions{ColumnPrefix: "d"}, metric.Columns{Keys: []string{"r2/d"}, Vals: []float64{3.5}}},
-		{"nothing", ScanOptions{RowPrefix: "x"}, metric.Columns{Keys: []string{}, Vals: []float64{}}},
+		{"nothing", ScanOptions{ColumnPrefix: "x"}, metric.Columns{Keys: []string{}, Vals: []float64{}}},
 	} {
 		got, version := table.ScanColumns(tc.opts, nil)
 		if !reflect.DeepEqual(got, tc.want) {
@@ -783,10 +770,14 @@ func TestScanColumnsCachedKeys(t *testing.T) {
 	}
 	table.PutFloat("r7", "v", 70)
 	table.PutFloat("r7", "w", 71)
-	got, _ := table.ScanColumns(ScanOptions{RowPrefix: "r7"}, nil)
-	want := metric.Columns{Keys: []string{"r7/v", "r7/w"}, Vals: []float64{70, 71}}
+	got, _ := table.ScanColumns(ScanOptions{ColumnPrefix: "w"}, nil)
+	want := metric.Columns{Keys: []string{"r7/w"}, Vals: []float64{71}}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("after reinsert: ScanColumns = %v, want %v", got, want)
+	}
+	got, _ = table.ScanColumns(ScanOptions{}, nil)
+	if i := slices.Index(got.Keys, "r7/v"); got.Len() != 51 || i < 0 || got.Vals[i] != 70 {
+		t.Errorf("after reinsert: %d elements, r7/v at %d; want 51 and r7/v = 70", got.Len(), i)
 	}
 	if first.Len() != 50 || first.Keys[0] != "r0/v" || first.Vals[0] != 0 {
 		t.Errorf("an earlier state changed under later writes: %v %v", first.Keys[:1], first.Vals[:1])
@@ -839,13 +830,13 @@ func TestConcurrentAccess(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				row := fmt.Sprintf("r%d", g)
-				if err := table.PutFloat(row, "c", float64(i)); err != nil {
+				row, col := fmt.Sprintf("r%d", g), fmt.Sprintf("c%d", g)
+				if err := table.PutFloat(row, col, float64(i)); err != nil {
 					t.Error(err)
 					return
 				}
-				table.Get(row, "c")
-				table.Scan(ScanOptions{RowPrefix: row})
+				table.Get(row, col)
+				table.Scan(ScanOptions{ColumnPrefix: col})
 			}
 		}(g)
 	}

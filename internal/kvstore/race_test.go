@@ -193,8 +193,9 @@ func TestPutFloatRowsBesideReaders(t *testing.T) {
 			return last
 		},
 		func(last float64) float64 {
-			c, _ := table.ScanColumns(ScanOptions{RowPrefix: "r"}, nil)
-			return check(c.Vals, last)
+			// Rows "r*" sort before the added "s*" rows.
+			c, _ := table.ScanColumns(ScanOptions{ColumnPrefix: "b"}, nil)
+			return check(c.Vals[:len(rows)], last)
 		},
 		func(last float64) float64 {
 			// Two point reads are two reads: only each on its own is whole.
@@ -254,7 +255,7 @@ func TestScanColumnsBesideApply(t *testing.T) {
 	last := 0.0
 	for last < batches {
 		c, _ := table.ScanColumns(ScanOptions{ColumnPrefix: "a"}, nil)
-		state, _ := table.ScanColumns(ScanOptions{RowPrefix: "r"}, nil)
+		state, _ := table.ScanColumns(ScanOptions{ColumnPrefix: "b"}, nil)
 		for _, vals := range [][]float64{c.Vals[:len(rows)], state.Vals} {
 			for _, v := range vals {
 				if v != vals[0] {

@@ -36,8 +36,9 @@ const (
 	// Version is this build's protocol revision. Peers speaking any other
 	// revision are rejected with ErrVersion before any payload is trusted.
 	// v2 added the epoch stamp to OpRepl payloads and the FlagFenced
-	// response flag (DESIGN.md §8).
-	Version byte = 2
+	// response flag (DESIGN.md §8); v3 cut OpScan's payload to the table
+	// and a column prefix.
+	Version byte = 3
 	// HeaderSize is the fixed frame header length in bytes.
 	HeaderSize = 18
 	// MaxPayload bounds a frame's declared payload length. A length field
@@ -441,11 +442,7 @@ func AppendRequest(b *Buffer, req *Request) {
 		b.String(req.Column)
 	case OpScan:
 		b.String(req.Table)
-		b.String(req.Scan.StartRow)
-		b.String(req.Scan.EndRow)
-		b.String(req.Scan.RowPrefix)
 		b.String(req.Scan.ColumnPrefix)
-		b.U32(uint32(req.Scan.Limit))
 	case OpApply:
 		b.String(req.Table)
 		b.U32(uint32(len(req.Ops)))
@@ -495,11 +492,7 @@ func DecodeRequest(h Header, payload []byte) (Request, error) {
 		req.Column = r.String()
 	case OpScan:
 		req.Table = r.String()
-		req.Scan.StartRow = r.String()
-		req.Scan.EndRow = r.String()
-		req.Scan.RowPrefix = r.String()
 		req.Scan.ColumnPrefix = r.String()
-		req.Scan.Limit = int(r.U32())
 	case OpApply:
 		req.Table = r.String()
 		n := int(r.U32())

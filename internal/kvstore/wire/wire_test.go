@@ -43,8 +43,7 @@ func sampleRequests() []Request {
 		{Op: OpPut, Seq: 4, Table: "t", Row: "", Column: "", Value: nil},
 		{Op: OpGet, Seq: 5, Table: "t", Row: "row key", Column: "qualifier"},
 		{Op: OpDelete, Seq: 6, Table: "t", Row: "r", Column: "c"},
-		{Op: OpScan, Seq: 7, Table: "t", Scan: kvstore.ScanOptions{
-			StartRow: "a", EndRow: "z", RowPrefix: "p", ColumnPrefix: "q", Limit: 42}},
+		{Op: OpScan, Seq: 7, Table: "t", Scan: kvstore.ScanOptions{ColumnPrefix: "q"}},
 		{Op: OpScan, Seq: 8, Table: "t"},
 		{Op: OpApply, Seq: 9, Table: "t", Ops: []kvstore.Op{
 			{Row: "r1", Column: "c1", Value: []byte("x")},
@@ -284,6 +283,12 @@ func TestHeaderRejections(t *testing.T) {
 	if h.Op != OpGet || h.Seq != 1 {
 		t.Errorf("ErrVersion header = %+v, want op/seq preserved", h)
 	}
+	// A v2 peer, whose OpScan payload carried a row range and a limit, is
+	// refused the same way.
+	badVersion[2] = 2
+	if _, _, err := ReadFrame(bytes.NewReader(badVersion), buf); !errors.Is(err, ErrVersion) {
+		t.Errorf("v2 frame err = %v, want ErrVersion", err)
+	}
 
 	badOp := append([]byte(nil), valid...)
 	badOp[3] = byte(opMax)
@@ -420,11 +425,7 @@ func TestRandomizedRoundTrip(t *testing.T) {
 		case OpGet, OpDelete:
 			req.Row, req.Column = randStr(24), randStr(24)
 		case OpScan:
-			req.Scan = kvstore.ScanOptions{
-				StartRow: randStr(8), EndRow: randStr(8),
-				RowPrefix: randStr(8), ColumnPrefix: randStr(8),
-				Limit: rng.Intn(1000),
-			}
+			req.Scan = kvstore.ScanOptions{ColumnPrefix: randStr(8)}
 		case OpApply:
 			req.Ops = make([]kvstore.Op, rng.Intn(20))
 			for j := range req.Ops {

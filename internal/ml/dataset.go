@@ -109,22 +109,6 @@ func (d Dataset) Subset(idx []int) Dataset {
 	return Dataset{X: x, Y: y}
 }
 
-// Head returns the first n examples (or all, if fewer).
-func (d Dataset) Head(n int) Dataset {
-	if n > d.Len() {
-		n = d.Len()
-	}
-	return Dataset{X: d.X[:n], Y: d.Y[:n]}
-}
-
-// Tail returns the examples from index n on.
-func (d Dataset) Tail(n int) Dataset {
-	if n > d.Len() {
-		n = d.Len()
-	}
-	return Dataset{X: d.X[n:], Y: d.Y[n:]}
-}
-
 // Classifier is a binary classifier. Fit trains on a dataset; Score returns
 // a confidence in [0, 1] (or a monotone surrogate of it) that x belongs to
 // class 1.

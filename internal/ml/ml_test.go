@@ -93,13 +93,6 @@ func TestDatasetHelpers(t *testing.T) {
 	if d.Features() != 1 {
 		t.Errorf("Features = %d", d.Features())
 	}
-	head, tail := d.Head(5), d.Tail(5)
-	if head.Len() != 5 || tail.Len() != 15 {
-		t.Errorf("Head/Tail lengths: %d, %d", head.Len(), tail.Len())
-	}
-	if d.Head(100).Len() != 20 || d.Tail(100).Len() != 0 {
-		t.Error("Head/Tail must clamp")
-	}
 	sub := d.Subset([]int{0, 2, 4})
 	if sub.Len() != 3 || sub.Y[1] != d.Y[2] {
 		t.Error("Subset mismapped")

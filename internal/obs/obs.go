@@ -1,6 +1,6 @@
 // Package obs is SmartFlux's observability layer: a lock-cheap metrics
 // registry (counters, gauges, streaming histograms with a Prometheus-style
-// text exposition and an expvar bridge), a structured decision tracer that
+// text exposition), a structured decision tracer that
 // records one event per (wave, gated step), a causal span tracer that times
 // the run → wave → step → attempt → op tree (span.go), and an optional debug
 // HTTP server exposing /metrics, /trace/tail, /trace/spans and

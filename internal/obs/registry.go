@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"expvar"
 	"fmt"
 	"io"
 	"math"
@@ -439,16 +438,4 @@ func sortedKeys[V any](m map[string]V) []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-// PublishExpvar exposes the registry's snapshot as an expvar variable under
-// the given name (visible on /debug/vars of any expvar-enabled server). It
-// reports false if the name is already published, since expvar forbids
-// re-publication for the lifetime of the process.
-func (r *Registry) PublishExpvar(name string) bool {
-	if r == nil || expvar.Get(name) != nil {
-		return false
-	}
-	expvar.Publish(name, expvar.Func(func() any { return r.Snapshot() }))
-	return true
 }

@@ -144,17 +144,6 @@ func TestWritePrometheus(t *testing.T) {
 	}
 }
 
-func TestPublishExpvar(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("x").Inc()
-	if !r.PublishExpvar("test_registry") {
-		t.Fatal("first publication must succeed")
-	}
-	if r.PublishExpvar("test_registry") {
-		t.Fatal("duplicate publication must be refused")
-	}
-}
-
 func TestSnapshot(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("c").Add(2)

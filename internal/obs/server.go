@@ -18,7 +18,7 @@ import (
 //	/trace/tail    JSON array of the most recent decision events (?n=100)
 //	/trace/spans   JSON array of the most recent spans (?n=100)
 //	/debug/pprof/  the standard net/http/pprof profiling handlers
-//	/debug/vars    expvar (includes the registry when published)
+//	/debug/vars    expvar
 //	/healthz       liveness probe
 type DebugServer struct {
 	addr string
