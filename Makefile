@@ -170,8 +170,8 @@ bench-pairs:
 	@rm -f .bench_build/pairs.txt
 
 ## fuzz: run the wire-protocol fuzzers, the epoch-file reader's fuzzer, the
-## checkpoint decode + restore fuzzer (session, harness and — for a policy
-## that does not learn — the decider-state path) and the table fuzzer
+## checkpoint decode + restore fuzzer (decoded payloads restored into a
+## harness) and the table fuzzer
 ## (ScanColumns and ScanFloatRows against Scan,
 ## repeated batches and PutFloatRows grids through the write plan, and Get,
 ## GetVersions and History against a reference model for values on both

@@ -391,12 +391,13 @@ func TestCrashChaosDoubleCrash(t *testing.T) {
 }
 
 // TestCrashChaosEveryPolicy gives the policies that do not learn the rows the
-// session has above: seq3, random — the stateful one, whose draw position must
-// come back from the checkpoint — and oracle each run the durable pipeline
-// killed mid-training, in the first application wave (every warm-up wave
-// committed, no decision taken yet) and mid-application, and every resumed run
-// equals the uncrashed one in every series of both result views, both store
-// dumps and the bytes of the last committed payload.
+// session has above: seq3, random — whose verdicts are a hash of (seed, wave,
+// step), so the resumed run must draw what the lost one would have — and
+// oracle each run the durable pipeline killed mid-training, in the first
+// application wave (every warm-up wave committed, no decision taken yet) and
+// mid-application, and every resumed run equals the uncrashed one in every
+// series of both result views, both store dumps and the bytes of the last
+// committed payload.
 func TestCrashChaosEveryPolicy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash-chaos suite skipped in -short mode")

@@ -62,11 +62,11 @@ func (s *Session) Checkpoint() (*SessionCheckpoint, error) {
 
 // PipelineCheckpoint is the opaque payload committed per wave: the phase
 // lengths and the application policy's Name (validated on resume) and the
-// harness state at the boundary (nil before the first wave), which for a
-// stateful policy carries Harness.DeciderState. The run is one result — its
-// Waves is the commit wave. The session is not in it: a model is a
-// deterministic function of the session's Config and the result's training
-// waves, so every run, fresh or resumed, trains it from rows [:TrainWaves].
+// harness state at the boundary (nil before the first wave). The run is one
+// result — its Waves is the commit wave. No policy state is in it: a model is
+// a deterministic function of the session's Config and the result's training
+// waves, so every run, fresh or resumed, trains it from rows [:TrainWaves],
+// and every other policy decides from its construction and its arguments.
 type PipelineCheckpoint struct {
 	TrainWaves int
 	ApplyWaves int
@@ -81,7 +81,7 @@ type PipelineCheckpoint struct {
 // error.
 const (
 	checkpointMagic   = "smartflux-checkpoint"
-	checkpointVersion = 1
+	checkpointVersion = 2
 )
 
 // encodePipelineCheckpoint writes the format tag, then the checkpoint via gob
@@ -224,10 +224,10 @@ func recoverRun(opts DurableOptions) (*recovered, error) {
 	return &recovered{Recovery: rec, cp: cp}, nil
 }
 
-// restore replays both stores and rewinds harness and decider to the
-// recovered checkpoint. It returns the result to continue appending to: nil
+// restore replays both stores and rewinds the harness to the recovered
+// checkpoint. It returns the result to continue appending to: nil
 // when no wave had been committed.
-func (r *recovered) restore(harness *engine.Harness, decider engine.Decider) (*engine.Result, error) {
+func (r *recovered) restore(harness *engine.Harness) (*engine.Result, error) {
 	if err := r.Apply(durableLiveStore, harness.Live().Store()); err != nil {
 		return nil, err
 	}
@@ -237,7 +237,7 @@ func (r *recovered) restore(harness *engine.Harness, decider engine.Decider) (*e
 	if r.cp.Harness == nil {
 		return nil, nil
 	}
-	return harness.RestoreCheckpoint(r.cp.Harness, decider)
+	return harness.RestoreCheckpoint(r.cp.Harness)
 }
 
 // RunPipelineDurable is RunPipeline with crash durability: every completed

@@ -773,10 +773,12 @@ func TestResumeRefusesTwoBaselineDirectory(t *testing.T) {
 		}
 		return out
 	}
-	oldInstanceOf := func(p engine.InstancePersist) oldInstance {
-		out := oldInstance{Wave: p.Wave, Impacts: p.Impacts, Steps: map[workflow.StepID]oldStep{}}
+	// The execution counts the build kept are not recorded any more: 0
+	// stands in, as the refusal happens on the format tag.
+	oldInstanceOf := func(p engine.InstancePersist, wave int) oldInstance {
+		out := oldInstance{Wave: wave, Impacts: p.Impacts, Steps: map[workflow.StepID]oldStep{}}
 		for pos, sp := range p.Steps {
-			out.Steps[order[pos]] = oldStep{sp.LastExecWave >= 0, sp.LastExecWave, sp.ExecCount, oldTrackers(sp.Impacts), oldTrackers(sp.Errors)}
+			out.Steps[order[pos]] = oldStep{sp.LastExecWave >= 0, sp.LastExecWave, 0, oldTrackers(sp.Impacts), oldTrackers(sp.Errors)}
 		}
 		return out
 	}
@@ -788,8 +790,8 @@ func TestResumeRefusesTwoBaselineDirectory(t *testing.T) {
 		ApplyWaves: cfg.ApplyWaves,
 		Harness: &oldHarnessCheckpoint{
 			Result:   h.Result,
-			Live:     oldInstanceOf(h.Live),
-			Ref:      oldInstanceOf(h.Ref),
+			Live:     oldInstanceOf(h.Live, h.Result.Waves),
+			Ref:      oldInstanceOf(h.Ref, h.Result.Waves),
 			Measures: map[workflow.StepID]elemMeasure{"agg": elemMeasures(h.Measures)[0]},
 		},
 	}))
@@ -834,10 +836,12 @@ func TestResumeRefusesStateBaselineDirectory(t *testing.T) {
 		}
 		return out
 	}
-	oldInstanceOf := func(p engine.InstancePersist) oldInstance {
-		out := oldInstance{Wave: p.Wave, Impacts: p.Impacts}
+	// The execution counts the build kept are not recorded any more: 0
+	// stands in, as the refusal happens on the format tag.
+	oldInstanceOf := func(p engine.InstancePersist, wave int) oldInstance {
+		out := oldInstance{Wave: wave, Impacts: p.Impacts}
 		for _, sp := range p.Steps {
-			out.Steps = append(out.Steps, oldStep{sp.LastExecWave, sp.ExecCount, oldTrackers(sp.Impacts), oldTrackers(sp.Errors)})
+			out.Steps = append(out.Steps, oldStep{sp.LastExecWave, 0, oldTrackers(sp.Impacts), oldTrackers(sp.Errors)})
 		}
 		return out
 	}
@@ -850,8 +854,8 @@ func TestResumeRefusesStateBaselineDirectory(t *testing.T) {
 		Policy:     rec.cp.Policy,
 		Harness: &oldHarnessCheckpoint{
 			Result:   h.Result,
-			Live:     oldInstanceOf(h.Live),
-			Ref:      oldInstanceOf(h.Ref),
+			Live:     oldInstanceOf(h.Live, h.Result.Waves),
+			Ref:      oldInstanceOf(h.Ref, h.Result.Waves),
 			Measures: elemMeasures(h.Measures),
 		},
 	}))
@@ -912,17 +916,14 @@ func TestResumeDirectoryWithoutPolicyName(t *testing.T) {
 
 // FuzzRestoreCheckpoint feeds arbitrary bytes through the checkpoint decoder
 // and, when they decode, into a fresh mini-workload harness through
-// Harness.RestoreCheckpoint under the policy they name: a fresh session, or
-// any other name the stateful policy that does not learn, engine.NewRandom,
-// whose state is a draw count restore replays. Nothing may panic or spin, and
-// a refused restore must leave harness and policy a pair never restored into.
-// The seeds are the last committed payloads — each tagged with this build's
-// format — of a mini-workload run killed mid-training, in its first
-// application wave (every training wave committed, none after) and
-// mid-application, and of a random-policy run killed mid-application.
+// Harness.RestoreCheckpoint. Nothing may panic or spin, and a refused restore
+// must leave the harness as one never restored into. The seeds are the last
+// committed payloads — each tagged with this build's format — of a
+// mini-workload run killed mid-training, in its first application wave (every
+// training wave committed, none after) and mid-application, and of a
+// random-policy run killed mid-application.
 func FuzzRestoreCheckpoint(f *testing.F) {
 	cfg := durablePipelineConfig()
-	newRandom := testPolicies["random"]
 	seed := func(cfg PipelineConfig, k int) {
 		dir := f.TempDir()
 		crashInWave(f, cfg, dir, k)
@@ -936,12 +937,12 @@ func FuzzRestoreCheckpoint(f *testing.F) {
 		seed(cfg, k)
 	}
 	random := cfg
-	random.Policy = newRandom()
+	random.Policy = testPolicies["random"]()
 	seed(random, cfg.TrainWaves+20)
 
 	const waves = 3
-	cleanRun := func(t testing.TB, h *engine.Harness, d engine.Decider) *engine.Result {
-		res, err := h.Run(waves, d)
+	syncRun := func(t testing.TB, h *engine.Harness) *engine.Result {
+		res, err := h.Run(waves, engine.Sync{})
 		if err != nil {
 			t.Fatalf("the harness no longer runs: %v", err)
 		}
@@ -954,23 +955,15 @@ func FuzzRestoreCheckpoint(f *testing.F) {
 		}
 		return h
 	}
-	cleanSync := cleanRun(f, newHarness(f), engine.Sync{})
-	cleanRandom := cleanRun(f, newHarness(f), newRandom())
+	clean := syncRun(f, newHarness(f))
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		cp, err := decodePipelineCheckpoint(payload)
 		if err != nil || cp.Harness == nil {
 			return
 		}
-		// After a refused restore the policy, which the refusal left unmoved,
-		// must reproduce a clean run: an untrained session executes every step,
-		// as Sync does.
-		policy, want := newRandom(), cleanRandom
-		if cp.Policy == sessionPolicy {
-			policy, want = NewSession(cfg.Session), cleanSync
-		}
 		h := newHarness(t)
-		if _, err := h.RestoreCheckpoint(cp.Harness, policy); err != nil {
-			equalResult(t, "run after a refused restore", want, cleanRun(t, h, policy))
+		if _, err := h.RestoreCheckpoint(cp.Harness); err != nil {
+			equalResult(t, "run after a refused restore", clean, syncRun(t, h))
 		}
 	})
 }

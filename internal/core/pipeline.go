@@ -23,7 +23,8 @@ type PipelineConfig struct {
 	// from the Session field, which learns from the training waves. Any other
 	// policy learns nothing: its training waves run under engine.Sync{} — a
 	// warm-up, which may be empty (TrainWaves 0) — and there is no test phase.
-	// Pass it as constructed; a resume rewinds it from the checkpoint.
+	// Pass it as constructed; a resume needs nothing else of it, since its
+	// verdicts are a function of its construction and its arguments.
 	Policy engine.Decider
 	// Session configures the learning layer (unused when Policy is set).
 	Session Config
@@ -134,7 +135,7 @@ func runPipeline(build engine.BuildFunc, reportSteps []workflow.StepID, cfg Pipe
 	if rec != nil {
 		// Replay the stores, then rewind the in-memory state to the same
 		// wave boundary — all before Begin compacts the restored content.
-		if res, err = rec.restore(harness, apply); err != nil {
+		if res, err = rec.restore(harness); err != nil {
 			return nil, nil, err
 		}
 	}

@@ -5,10 +5,7 @@
 // confidence — the quantities reported in §5 of the paper.
 package engine
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "fmt"
 
 // Decider chooses, for each wave, whether a QoD-gated step executes. stepIdx
 // indexes the workflow's gated steps in topological order; impacts is the
@@ -53,38 +50,40 @@ var _ Decider = Sync{}
 
 // Random skips or executes steps uniformly at random ("random" in
 // Figure 11): executing and not executing have equal probability unless P is
-// overridden.
+// overridden. A verdict is a function of (seed, wave, stepIdx) alone, so a
+// retried wave and a resumed run draw exactly what the uninterrupted run drew.
 type Random struct {
-	rng  *rand.Rand
 	p    float64
 	seed int64
-	// draws counts decisions taken, so a crash-recovered run can rewind the
-	// source to the same position (see persist.go).
-	draws uint64
 }
 
 // NewRandom creates a Random policy with execution probability p (0 < p < 1;
-// the paper uses 0.5) and a deterministic seed.
+// the paper uses 0.5; anything else, NaN included, is coerced to 0.5) and a
+// deterministic seed.
 func NewRandom(p float64, seed int64) *Random {
-	if p <= 0 || p >= 1 {
+	if !(p > 0 && p < 1) {
 		p = 0.5
 	}
-	return &Random{rng: rand.New(rand.NewSource(seed)), p: p, seed: seed}
-}
-
-// reseed rewinds the random source to its initial position.
-func (r *Random) reseed() {
-	r.rng = rand.New(rand.NewSource(r.seed))
-	r.draws = 0
+	return &Random{p: p, seed: seed}
 }
 
 // Name implements Decider.
 func (r *Random) Name() string { return "random" }
 
-// Decide implements Decider.
-func (r *Random) Decide(int, int, []float64) bool {
-	r.draws++
-	return r.rng.Float64() < r.p
+// Decide implements Decider: a uniform draw in [0, 1) from the top 53 bits
+// of a SplitMix64 hash of (seed, wave, stepIdx), compared with p.
+func (r *Random) Decide(wave, stepIdx int, _ []float64) bool {
+	z := mix64(mix64(mix64(uint64(r.seed))^uint64(wave)) ^ uint64(stepIdx))
+	return float64(z>>11)/(1<<53) < r.p
+}
+
+// mix64 is one SplitMix64 step: x advanced by the golden-ratio increment,
+// then finalized.
+func mix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
 }
 
 var _ Decider = (*Random)(nil)

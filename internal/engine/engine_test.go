@@ -163,8 +163,10 @@ func TestPolicies(t *testing.T) {
 	if ratio := float64(hits) / trials; ratio < 0.45 || ratio > 0.55 {
 		t.Errorf("random(0.5) hit ratio %.3f", ratio)
 	}
-	if NewRandom(2.0, 1).p != 0.5 {
-		t.Error("out-of-range probability must default to 0.5")
+	for _, p := range []float64{2.0, math.NaN()} {
+		if NewRandom(p, 1).p != 0.5 {
+			t.Errorf("probability %v must default to 0.5", p)
+		}
 	}
 
 	oracle := &Oracle{Labels: []int{1, 0}}
@@ -205,12 +207,6 @@ func TestInstanceSyncWave(t *testing.T) {
 			t.Errorf("label[%d] = %d on first wave", i, l)
 		}
 	}
-	if inst.ExecCount("src") != 1 || inst.ExecCount("mid") != 1 {
-		t.Error("ExecCount wrong")
-	}
-	if inst.ExecCount("ghost") != 0 {
-		t.Error("unknown step ExecCount should be 0")
-	}
 }
 
 func TestInstanceGatedStepsSkipWhenPolicySaysNo(t *testing.T) {
@@ -227,9 +223,6 @@ func TestInstanceGatedStepsSkipWhenPolicySaysNo(t *testing.T) {
 		if res.TotalExecutions != 1 { // only the source
 			t.Fatalf("wave %d total executions %d", w, res.TotalExecutions)
 		}
-	}
-	if inst.ExecCount("mid") != 0 {
-		t.Error("mid must never execute")
 	}
 	// Impacts keep accumulating while skipping (accumulate mode).
 	res, _ := inst.RunWave(never)

@@ -441,11 +441,7 @@ func (h *Harness) ResumeRun(res *Result, waves int, decider Decider) error {
 		res.Waves++
 		h.emitDecisions(res, live.res, ref.res)
 		if h.cfg.Committer != nil {
-			cp, err := h.Checkpoint(res, decider)
-			if err != nil {
-				return fmt.Errorf("harness checkpoint wave %d: %w", w, err)
-			}
-			if err := h.cfg.Committer.CommitWave(cp); err != nil {
+			if err := h.cfg.Committer.CommitWave(h.Checkpoint(res)); err != nil {
 				return fmt.Errorf("harness commit wave %d: %w", w, err)
 			}
 		}

@@ -80,14 +80,7 @@ type stepState struct {
 	// predecessors.
 	preds []int
 
-	exec, markExec execCounters // now and at the latest mark
-}
-
-// execCounters is a step's execution bookkeeping, copied whole by mark and
-// rewind.
-type execCounters struct {
-	lastWave int // -1 until the step has executed
-	count    int
+	lastExec, markLastExec int // latest executed wave (-1 before any), now and at the latest mark
 }
 
 // WaveResult reports what happened during one wave of an instance.
@@ -351,7 +344,7 @@ func NewInstance(wf *workflow.Workflow, store *kvstore.Store, cfg InstanceConfig
 			return nil, err
 		}
 		in.posOf[id] = i
-		st := &stepState{step: step, exec: execCounters{lastWave: -1}}
+		st := &stepState{step: step, lastExec: -1}
 		// Predecessors come earlier in order, so their positions are known.
 		for _, pred := range wf.Predecessors(id) {
 			st.preds = append(st.preds, in.posOf[pred])
@@ -466,15 +459,6 @@ func (in *Instance) state(id workflow.StepID) *stepState {
 		return in.states[i]
 	}
 	return nil
-}
-
-// ExecCount returns how many times step id has executed.
-func (in *Instance) ExecCount(id workflow.StepID) int {
-	st := in.state(id)
-	if st == nil {
-		return 0
-	}
-	return st.exec.count
 }
 
 // containerSnapshot is the latest scan of one container, kept across waves.
@@ -738,8 +722,7 @@ func (in *Instance) execute(ctx *workflow.Context, st *stepState, wave int, sp *
 	if err := in.attempts(ctx, st, sp, nil); err != nil {
 		return fmt.Errorf("step %q wave %d: %w", st.step.ID, wave, err)
 	}
-	st.exec.lastWave = wave
-	st.exec.count++
+	st.lastExec = wave
 	return nil
 }
 
@@ -821,7 +804,7 @@ func (in *Instance) HypotheticalOutput(id workflow.StepID) (metric.Columns, erro
 // at least once (the triggering precondition of §2).
 func (in *Instance) predecessorsReady(st *stepState) bool {
 	for _, j := range st.preds {
-		if in.states[j].exec.lastWave < 0 {
+		if in.states[j].lastExec < 0 {
 			return false
 		}
 	}

@@ -270,7 +270,7 @@ func (in *Instance) runWave(d Decider) (WaveResult, error) {
 		if firstErr == nil {
 			firstErr = pos[i].err
 		}
-		if st.exec.lastWave == wave {
+		if st.lastExec == wave {
 			res.TotalExecutions++
 			if st.step.Gated() {
 				res.GatedExecutions++

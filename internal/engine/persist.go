@@ -5,31 +5,31 @@ package engine
 // plugs into. A HarnessCheckpoint captures everything a crashed process
 // needs to continue the run with identical decisions: both instances'
 // tracker and bookkeeping state, the measurement accumulators, the result
-// series so far, and (for stateful policies) the decider's state.
+// series so far. It holds no policy state: a learned policy is rebuilt from
+// the result, and every other decider's verdict is a function of its
+// construction and its arguments.
 
 import (
-	"encoding/binary"
 	"fmt"
 	"slices"
 
 	"smartflux/internal/metric"
 )
 
-// StepPersist is one step's persisted bookkeeping: execution counters plus
+// StepPersist is one step's persisted bookkeeping: its latest execution plus
 // the full state of its impact and shadow-error trackers (the ε/ι accounting
 // the QoD guarantee depends on).
 type StepPersist struct {
 	LastExecWave int // -1 until the step has executed
-	ExecCount    int
 	Impacts      []metric.PersistedTracker
 	Errors       []metric.PersistedTracker
 }
 
 // InstancePersist is the persisted state of one engine instance. Steps is in
 // the instance's topological order: a step is identified by its position, so
-// the encoded form is a function of the state alone.
+// the encoded form is a function of the state alone. The instance's wave is
+// not in it: a harness checkpoint's result records it.
 type InstancePersist struct {
-	Wave    int
 	Impacts []float64
 	Steps   []StepPersist
 }
@@ -41,14 +41,12 @@ type InstancePersist struct {
 // the same workload.
 func (in *Instance) PersistState() InstancePersist {
 	p := InstancePersist{
-		Wave:    in.wave,
 		Impacts: append([]float64(nil), in.impacts...),
 		Steps:   make([]StepPersist, len(in.order)),
 	}
 	for pos, st := range in.states {
 		sp := StepPersist{
-			LastExecWave: st.exec.lastWave,
-			ExecCount:    st.exec.count,
+			LastExecWave: st.lastExec,
 			Impacts:      make([]metric.PersistedTracker, len(st.impactTrackers)),
 			Errors:       make([]metric.PersistedTracker, len(st.errorTrackers)),
 		}
@@ -100,13 +98,14 @@ func checkBaseline(c metric.Columns) error {
 	return nil
 }
 
-// applyPersisted sets the instance to a state checkPersisted accepted.
-func (in *Instance) applyPersisted(p InstancePersist) {
-	in.wave = p.Wave
+// applyPersisted sets the instance to a state checkPersisted accepted, at
+// the given wave.
+func (in *Instance) applyPersisted(p InstancePersist, wave int) {
+	in.wave = wave
 	copy(in.impacts, p.Impacts)
 	for pos, st := range in.states {
 		sp := p.Steps[pos]
-		st.exec = execCounters{lastWave: sp.LastExecWave, count: sp.ExecCount}
+		st.lastExec = sp.LastExecWave
 		for i, t := range st.impactTrackers {
 			t.RestorePersisted(sp.Impacts[i])
 		}
@@ -122,7 +121,7 @@ func (in *Instance) mark() {
 	in.markWave = in.wave
 	copy(in.markImpacts, in.impacts)
 	for _, st := range in.states {
-		st.markExec = st.exec
+		st.markLastExec = st.lastExec
 		for _, t := range st.impactTrackers {
 			t.Mark()
 		}
@@ -137,7 +136,7 @@ func (in *Instance) rewind() {
 	in.wave = in.markWave
 	copy(in.impacts, in.markImpacts)
 	for _, st := range in.states {
-		st.exec = st.markExec
+		st.lastExec = st.markLastExec
 		for _, t := range st.impactTrackers {
 			t.Rewind()
 		}
@@ -157,12 +156,10 @@ type MeasurePersist struct {
 
 // HarnessCheckpoint is a complete harness state at a wave boundary.
 type HarnessCheckpoint struct {
-	Result          *Result // Result.Waves is the boundary's wave number
-	Live            InstancePersist
-	Ref             InstancePersist
-	Measures        []MeasurePersist // one per report step, in their order; nil before the first measure pass
-	DeciderState    []byte
-	HasDeciderState bool
+	Result   *Result // Result.Waves is the boundary's wave number
+	Live     InstancePersist
+	Ref      InstancePersist
+	Measures []MeasurePersist // one per report step, in their order; nil before the first measure pass
 }
 
 // WaveCommitter receives one checkpoint per completed wave. The durability
@@ -172,43 +169,19 @@ type WaveCommitter interface {
 	CommitWave(cp *HarnessCheckpoint) error
 }
 
-// StatefulDecider is implemented by deciders whose verdicts depend on
-// internal state that must survive a crash for a resumed run to reproduce
-// the uncrashed decision sequence (e.g. Random's draw position). Stateless
-// deciders need not implement it.
-type StatefulDecider interface {
-	Decider
-	// DeciderState exports the decider's state.
-	DeciderState() ([]byte, error)
-	// RestoreDeciderState rewinds the decider to an exported state. decisions
-	// is how many the run it is restored into can have asked for so far: a
-	// state claiming more was not exported by that run and must be refused
-	// with the decider unchanged.
-	RestoreDeciderState(state []byte, decisions int) error
-}
-
 // Checkpoint captures the harness's complete state after a completed wave:
-// the result so far, both instances, the measurement accumulators and — when
-// the decider is stateful — the decider. The result is a view (Result.Slice),
-// the instances' states are copies and a measure pass replaces the
-// accumulators rather than writing into them, so the checkpoint stays valid
-// however the run continues and costs a copy of the baselines, not O(waves).
-func (h *Harness) Checkpoint(res *Result, d Decider) (*HarnessCheckpoint, error) {
-	cp := &HarnessCheckpoint{
+// the result so far, both instances and the measurement accumulators. The
+// result is a view (Result.Slice), the instances' states are copies and a
+// measure pass replaces the accumulators rather than writing into them, so the
+// checkpoint stays valid however the run continues and costs a copy of the
+// baselines, not O(waves).
+func (h *Harness) Checkpoint(res *Result) *HarnessCheckpoint {
+	return &HarnessCheckpoint{
 		Result:   res.Slice(0, res.Waves),
 		Live:     h.live.PersistState(),
 		Ref:      h.ref.PersistState(),
 		Measures: h.measures,
 	}
-	if sd, ok := d.(StatefulDecider); ok {
-		state, err := sd.DeciderState()
-		if err != nil {
-			return nil, fmt.Errorf("harness checkpoint decider: %w", err)
-		}
-		cp.DeciderState = state
-		cp.HasDeciderState = true
-	}
-	return cp, nil
 }
 
 // validate reports whether the checkpoint can be restored into h: every result
@@ -251,55 +224,20 @@ func (cp *HarnessCheckpoint) validate(h *Harness) error {
 	return nil
 }
 
-// RestoreCheckpoint rewinds the harness (built from the same workload) and
-// decider to a checkpoint, returning the result to continue appending to: a
-// view of the checkpoint's, so two restores of one checkpoint never alias. A
-// checkpoint that fails validation is refused before the harness is touched,
-// and the decider — handed the most decisions the checkpointed result can have
-// asked for, one per wave and gated step — before it is.
-func (h *Harness) RestoreCheckpoint(cp *HarnessCheckpoint, d Decider) (*Result, error) {
+// RestoreCheckpoint rewinds the harness (built from the same workload) to a
+// checkpoint, returning the result to continue appending to: a view of the
+// checkpoint's, so two restores of one checkpoint never alias. Both instances
+// stand at wave cp.Result.Waves afterwards. A checkpoint holds no store, so
+// the harness's stores must already be at that wave, as recovery's replay
+// leaves them. A checkpoint that fails validation is refused before the
+// harness is touched.
+func (h *Harness) RestoreCheckpoint(cp *HarnessCheckpoint) (*Result, error) {
 	if err := cp.validate(h); err != nil {
 		return nil, fmt.Errorf("harness restore: %w", err)
 	}
-	if cp.HasDeciderState {
-		sd, ok := d.(StatefulDecider)
-		if !ok {
-			return nil, fmt.Errorf("harness restore: checkpoint has decider state but policy %q is stateless", d.Name())
-		}
-		if err := sd.RestoreDeciderState(cp.DeciderState, cp.Result.Waves*len(h.live.gated)); err != nil {
-			return nil, fmt.Errorf("harness restore decider: %w", err)
-		}
-	}
-	h.live.applyPersisted(cp.Live)
-	h.ref.applyPersisted(cp.Ref)
+	waves := cp.Result.Waves
+	h.live.applyPersisted(cp.Live, waves)
+	h.ref.applyPersisted(cp.Ref, waves)
 	h.measures = cp.Measures
-	return cp.Result.Slice(0, cp.Result.Waves), nil
-}
-
-// DeciderState implements StatefulDecider: the draw position suffices, since
-// the probability and seed are construction-time configuration.
-func (r *Random) DeciderState() ([]byte, error) {
-	buf := make([]byte, binary.MaxVarintLen64)
-	n := binary.PutUvarint(buf, r.draws)
-	return buf[:n], nil
-}
-
-// RestoreDeciderState implements StatefulDecider by re-seeding the source
-// and replaying the persisted number of draws, leaving the decider exactly
-// where the exporting one was. A decision is one draw, so a position beyond
-// decisions is refused before anything is replayed.
-func (r *Random) RestoreDeciderState(state []byte, decisions int) error {
-	draws, n := binary.Uvarint(state)
-	if n <= 0 {
-		return fmt.Errorf("engine: corrupt random-decider state (%d bytes)", len(state))
-	}
-	if draws > uint64(decisions) {
-		return fmt.Errorf("engine: random-decider state claims %d draws, the run has taken at most %d decisions", draws, decisions)
-	}
-	r.reseed()
-	for i := uint64(0); i < draws; i++ {
-		r.rng.Float64()
-	}
-	r.draws = draws
-	return nil
+	return cp.Result.Slice(0, waves), nil
 }

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/gob"
 	"maps"
 	"math"
@@ -10,7 +9,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"smartflux/internal/metric"
 	"smartflux/internal/workflow"
@@ -122,8 +120,7 @@ func TestHarnessCheckpointResumeBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rnd := NewRandom(0.5, 3)
-	if _, err := h.Run(cut, rnd); err != nil {
+	if _, err := h.Run(cut, NewRandom(0.5, 3)); err != nil {
 		t.Fatal(err)
 	}
 	if len(cc.cps) != cut {
@@ -140,18 +137,14 @@ func TestHarnessCheckpointResumeBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Perturb the decider, then restore: RestoreDeciderState must rewind it.
-	rnd.Decide(0, 0, nil)
-	rnd.Decide(0, 0, nil)
-
-	res, err := h.RestoreCheckpoint(&decoded, rnd)
+	res, err := h.RestoreCheckpoint(&decoded)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Waves != cut {
 		t.Fatalf("restored Waves = %d, want %d", res.Waves, cut)
 	}
-	if err := h.ResumeRun(res, total-cut, rnd); err != nil {
+	if err := h.ResumeRun(res, total-cut, NewRandom(0.5, 3)); err != nil {
 		t.Fatal(err)
 	}
 	equalResults(t, res, cleanRes)
@@ -161,147 +154,60 @@ func TestHarnessCheckpointResumeBitIdentical(t *testing.T) {
 // them, without the copy and without the gob round-trip that would hide
 // aliasing. Every wave of a 20-wave run is checkpointed while the run goes on;
 // afterwards the wave-5 checkpoint is restored three times — resumed twice
-// under the run's own policy, then under a diverging one. Both faithful resumes
-// must reproduce the uninterrupted run bit for bit, and every checkpoint —
-// waves 5 and 10 among them — must still read as it did when it was taken. An
-// uncapped view fails the last check: the diverging resume appends into rows
-// the later checkpoints share.
+// under the run's own policy, then under a diverging one — each into a fresh
+// harness run to wave 5 under the run's policy, since a checkpoint holds no
+// store. Both faithful resumes must reproduce the uninterrupted run bit for
+// bit, and every checkpoint — waves 5 and 10 among them — must still read as
+// it did when it was taken. An uncapped view fails the last check: the
+// diverging resume appends into rows the later checkpoints share.
 func TestCheckpointIsAView(t *testing.T) {
 	const total, cut = 20, 5
 	build := testWorkload(0.05)
-	ref, err := NewHarness(build, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clean, err := ref.Run(total, NewRandom(0.5, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cc := &captureCommitter{}
-	h, err := NewHarnessWithConfig(build, nil, HarnessConfig{Committer: cc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.Run(total, NewRandom(0.5, 3)); err != nil {
-		t.Fatal(err)
-	}
-	cps := append([]*HarnessCheckpoint(nil), cc.cps...)
-
-	for i, rnd := range []*Random{NewRandom(0.5, 3), NewRandom(0.5, 3), NewRandom(0.9, 99)} {
-		res, err := h.RestoreCheckpoint(cps[cut-1], rnd)
+	for seed := int64(3); seed <= 7; seed++ {
+		ref, err := NewHarness(build, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Waves != cut {
-			t.Fatalf("restore %d: Waves = %d, want %d", i, res.Waves, cut)
-		}
-		if err := h.ResumeRun(res, total-cut, rnd); err != nil {
+		clean, err := ref.Run(total, NewRandom(0.5, seed))
+		if err != nil {
 			t.Fatal(err)
 		}
-		if i < 2 {
-			equalResults(t, res, clean)
+
+		cc := &captureCommitter{}
+		orig, err := NewHarnessWithConfig(build, nil, HarnessConfig{Committer: cc})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	for k, cp := range cps {
-		equalResults(t, cp.Result, clean.Slice(0, k+1))
-	}
-}
-
-// TestRandomDeciderStateRoundTrip exports a mid-sequence decider state into
-// a fresh decider and checks the verdict streams stay aligned.
-func TestRandomDeciderStateRoundTrip(t *testing.T) {
-	orig := NewRandom(0.3, 77)
-	for i := 0; i < 25; i++ {
-		orig.Decide(i, 0, nil)
-	}
-	state, err := orig.DeciderState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored := NewRandom(0.3, 77)
-	if err := restored.RestoreDeciderState(state, 25); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		if got, want := restored.Decide(i, 0, nil), orig.Decide(i, 0, nil); got != want {
-			t.Fatalf("draw %d: restored = %v, original = %v", i, got, want)
+		if _, err := orig.Run(total, NewRandom(0.5, seed)); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if err := restored.RestoreDeciderState([]byte{}, 25); err == nil {
-		t.Fatal("RestoreDeciderState(empty): want error")
-	}
-}
+		cps := append([]*HarnessCheckpoint(nil), cc.cps...)
 
-// TestRestoreCheckpointRefusesOversizedDraws: a random-decider state is a draw
-// count restore replays, and ten bytes can claim 2^64-1 of them. A checkpoint
-// whose state claims more draws than its own result has decisions — one per
-// wave and gated step — must be refused before anything is replayed (the
-// deadline: the replay used to spin for as long as the count said), leaving
-// harness and decider a pair that was never restored into.
-func TestRestoreCheckpointRefusesOversizedDraws(t *testing.T) {
-	const total, cut = 12, 5
-	build := testWorkload(0.05)
-	ref, err := NewHarness(build, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clean, err := ref.Run(total, NewRandom(0.5, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cc := &captureCommitter{}
-	src, err := NewHarnessWithConfig(build, nil, HarnessConfig{Committer: cc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := src.Run(cut, NewRandom(0.5, 3)); err != nil {
-		t.Fatal(err)
-	}
-	good := cc.cps[cut-1]
-	decisions := cut * len(good.Result.GatedSteps)
-
-	for name, state := range map[string][]byte{
-		"one draw too many": binary.AppendUvarint(nil, uint64(decisions)+1),
-		"2^64-1 draws":      {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
-	} {
-		t.Run(name, func(t *testing.T) {
-			cp := *good
-			cp.DeciderState = state
+		for i, rnd := range []*Random{NewRandom(0.5, seed), NewRandom(0.5, seed), NewRandom(0.9, 99)} {
 			h, err := NewHarness(build, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rnd := NewRandom(0.5, 3)
-			done := make(chan error, 1)
-			go func() {
-				_, err := h.RestoreCheckpoint(&cp, rnd)
-				done <- err
-			}()
-			select {
-			case err := <-done:
-				if err == nil || !strings.Contains(err.Error(), "draws") {
-					t.Fatalf("restore = %v, want a refusal naming the draws", err)
-				}
-			case <-time.After(5 * time.Second):
-				t.Fatal("restore is still replaying draws after 5s")
+			if _, err := h.Run(cut, NewRandom(0.5, seed)); err != nil {
+				t.Fatal(err)
 			}
-			got, err := h.Run(total, rnd)
+			res, err := h.RestoreCheckpoint(cps[cut-1])
 			if err != nil {
 				t.Fatal(err)
 			}
-			equalResults(t, got, clean)
-		})
-	}
-	// Every draw the result has a decision for is a state the run can have left.
-	cp := *good
-	cp.DeciderState = binary.AppendUvarint(nil, uint64(decisions))
-	h, err := NewHarness(build, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.RestoreCheckpoint(&cp, NewRandom(0.5, 3)); err != nil {
-		t.Fatal(err)
+			if res.Waves != cut {
+				t.Fatalf("seed %d restore %d: Waves = %d, want %d", seed, i, res.Waves, cut)
+			}
+			if err := h.ResumeRun(res, total-cut, rnd); err != nil {
+				t.Fatal(err)
+			}
+			if i < 2 {
+				equalResults(t, res, clean)
+			}
+		}
+		for k, cp := range cps {
+			equalResults(t, cp.Result, clean.Slice(0, k+1))
+		}
 	}
 }
 
@@ -361,7 +267,6 @@ func TestRestoreCheckpointRejectsMalformed(t *testing.T) {
 		{"measures of another harness", func(cp *HarnessCheckpoint) { cp.Measures = cp.Measures[:1] }, "measures 1 steps"},
 		{"live of another workload", func(cp *HarnessCheckpoint) { cp.Live = wide }, "live: "},
 		{"ref of another workload", func(cp *HarnessCheckpoint) { cp.Ref = wide }, "ref: "},
-		{"stateless decider", func(cp *HarnessCheckpoint) { cp.HasDeciderState = true }, "stateless"},
 		{"baseline with fewer values than keys", func(cp *HarnessCheckpoint) {
 			cp.Live = withFirstBaseline(cp.Live, func(c metric.Columns) metric.Columns {
 				c.Vals = c.Vals[:len(c.Vals)-1]
@@ -394,10 +299,11 @@ func TestRestoreCheckpointRejectsMalformed(t *testing.T) {
 				t.Fatal(err)
 			}
 			live, ref := h.live.PersistState(), h.ref.PersistState()
-			if _, err := h.RestoreCheckpoint(&cp, Sync{}); err == nil || !strings.Contains(err.Error(), tc.want) {
+			if _, err := h.RestoreCheckpoint(&cp); err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("restore = %v, want an error naming %q", err, tc.want)
 			}
-			if !reflect.DeepEqual(h.live.PersistState(), live) || !reflect.DeepEqual(h.ref.PersistState(), ref) || h.measures != nil {
+			if !reflect.DeepEqual(h.live.PersistState(), live) || !reflect.DeepEqual(h.ref.PersistState(), ref) || h.measures != nil ||
+				h.live.Wave() != 0 || h.ref.Wave() != 0 {
 				t.Fatal("a refused restore changed the harness")
 			}
 			got, err := h.Run(2, Sync{})
@@ -407,13 +313,17 @@ func TestRestoreCheckpointRejectsMalformed(t *testing.T) {
 			equalResults(t, got, clean)
 		})
 	}
-	// The checkpoint the rows were cut from restores.
+	// The checkpoint the rows were cut from restores, both instances at its
+	// result's wave: the result is the one record of it.
 	h, err := NewHarness(build, reportSteps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.RestoreCheckpoint(good, Sync{}); err != nil {
+	if _, err := h.RestoreCheckpoint(good); err != nil {
 		t.Fatal(err)
+	}
+	if h.Live().Wave() != good.Result.Waves || h.Ref().Wave() != good.Result.Waves {
+		t.Fatalf("restored at wave %d: live at %d, ref at %d", good.Result.Waves, h.Live().Wave(), h.Ref().Wave())
 	}
 }
 

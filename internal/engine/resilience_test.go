@@ -44,13 +44,13 @@ func hookedWorkload(maxErr float64, stepID workflow.StepID, mkHook func() func(w
 	}
 }
 
-// failFirstAttemptAt returns a hook factory failing exactly the first
-// processor attempt at the given wave.
-func failFirstAttemptAt(wave int) func() func(int) error {
+// failFirstAttemptFrom returns a hook factory failing exactly the first
+// processor attempt at or after the given wave.
+func failFirstAttemptFrom(wave int) func() func(int) error {
 	return func() func(int) error {
 		failed := false
 		return func(w int) error {
-			if w == wave && !failed {
+			if w >= wave && !failed {
 				failed = true
 				return errBoom
 			}
@@ -351,7 +351,7 @@ func (s skipStepFrom) Name() string { return "skip-step-from" }
 // bit-identical to a never-failed run.
 func TestWaveCheckpointRestore(t *testing.T) {
 	for _, par := range []int{1, 4} {
-		faulty := buildInstance(t, hookedWorkload(0.05, "leaf", failFirstAttemptAt(3)),
+		faulty := buildInstance(t, hookedWorkload(0.05, "leaf", failFirstAttemptFrom(3)),
 			InstanceConfig{Parallelism: par})
 		clean := buildInstance(t, testWorkload(0.05), InstanceConfig{Parallelism: par})
 
@@ -432,40 +432,44 @@ func TestMeasureFailureCommitsNothing(t *testing.T) {
 	}
 }
 
-// TestHarnessWaveRetries lets the harness itself re-run failed waves: with
+// TestHarnessWaveRetries lets the harness itself re-run failed waves: with a
 // WaveRetries budget both instances ride out first-attempt failures and the
-// result matches a fault-free run.
+// result matches a fault-free run. Each copy's fault is on leaf's first
+// execution from wave 3 on — after mid's verdict, not in the measure pass — so
+// under random the retried wave asks the policy again and must get the
+// verdicts the clean run got.
 func TestHarnessWaveRetries(t *testing.T) {
-	faulty, err := NewHarnessWithConfig(hookedWorkload(0.05, "leaf", failFirstAttemptAt(2)), nil,
-		HarnessConfig{Parallelism: 1, WaveRetries: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	clean, err := NewHarnessWithConfig(testWorkload(0.05), nil, HarnessConfig{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const waves = 6
-	fres, err := faulty.Run(waves, Sync{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cres, err := clean.Run(waves, Sync{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fr, cr := fres.Reports["leaf"], cres.Reports["leaf"]
-	for w := 0; w < waves; w++ {
-		if fr.Measured[w] != cr.Measured[w] || fr.Predicted[w] != cr.Predicted[w] {
-			t.Fatalf("wave %d diverged: measured %v vs %v, predicted %v vs %v",
-				w, fr.Measured[w], cr.Measured[w], fr.Predicted[w], cr.Predicted[w])
+	const waves = 12
+	report := []workflow.StepID{"mid"}
+	build := hookedWorkload(0.05, "leaf", failFirstAttemptFrom(3))
+	run := func(t *testing.T, policy func() Decider) {
+		faulty, err := NewHarnessWithConfig(build, report, HarnessConfig{Parallelism: 1, WaveRetries: 1})
+		if err != nil {
+			t.Fatal(err)
 		}
+		clean, err := NewHarnessWithConfig(testWorkload(0.05), report, HarnessConfig{Parallelism: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fres, err := faulty.Run(waves, policy())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cres, err := clean.Run(waves, policy())
+		if err != nil {
+			t.Fatal(err)
+		}
+		equalResults(t, fres, cres)
+	}
+	t.Run("sync", func(t *testing.T) { run(t, func() Decider { return Sync{} }) })
+	for seed := int64(1); seed <= 20; seed++ {
+		t.Run("random/seed="+strconv.FormatInt(seed, 10), func(t *testing.T) {
+			run(t, func() Decider { return NewRandom(0.5, seed) })
+		})
 	}
 
 	// Without the retry budget the same fault kills the run.
-	doomed, err := NewHarnessWithConfig(hookedWorkload(0.05, "leaf", failFirstAttemptAt(2)), nil,
-		HarnessConfig{Parallelism: 1})
+	doomed, err := NewHarnessWithConfig(build, report, HarnessConfig{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,7 +498,7 @@ func TestFailedHarnessWaveRewindsBothInstances(t *testing.T) {
 			builds := 0
 			mkHook := func() func(int) error {
 				if builds++; builds == copyIdx+1 {
-					return failFirstAttemptAt(failWave)()
+					return failFirstAttemptFrom(failWave)()
 				}
 				return func(int) error { return nil }
 			}
