@@ -8,6 +8,7 @@ package smartflux_test
 
 import (
 	"io"
+	"math"
 	"math/rand"
 	"slices"
 	"strconv"
@@ -543,7 +544,7 @@ func BenchmarkOverheadAQHIWaveSpans(b *testing.B) {
 // attributes without a sink — allocates; counting allocations over the same
 // waves of two identical instances sees it without timing anything.
 func TestSpansDisabledOverheadGuard(t *testing.T) {
-	allocsPerWave := func(instrument bool) float64 {
+	newInstance := func(instrument bool) *engine.Instance {
 		build := workloads.AirQuality(workloads.AirQualityConfig{Seed: 42})
 		wf, store, err := build()
 		if err != nil {
@@ -558,19 +559,32 @@ func TestSpansDisabledOverheadGuard(t *testing.T) {
 			// nil *Span and must do no further work.
 			inst.Instrument(obs.New(obs.NewRegistry()))
 		}
+		return inst
+	}
+	allocsPerWave := func(inst *engine.Instance) float64 {
 		return testing.AllocsPerRun(50, func() {
 			if _, err := inst.RunWave(engine.Sync{}); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
-	base, spansOff := allocsPerWave(false), allocsPerWave(true)
-	t.Logf("allocations per wave: uninstrumented %.0f, spans-disabled observer %.0f", base, spansOff)
+	// AllocsPerRun counts the whole process, so a burst of runtime
+	// allocations (a GC cycle, the race detector's bookkeeping) can raise
+	// either side in one round. The sides take turns, in step, and each is
+	// judged by its cheapest round: a hook that allocates per wave raises
+	// every round, the cheapest included.
+	plain, spansOffInst := newInstance(false), newInstance(true)
+	base, spansOff := math.Inf(1), math.Inf(1)
+	for range 3 {
+		base = min(base, allocsPerWave(plain))
+		spansOff = min(spansOff, allocsPerWave(spansOffInst))
+	}
+	t.Logf("allocations per wave, cheapest of 3 rounds: uninstrumented %.0f, spans-disabled observer %.0f", base, spansOff)
 	if base <= 0 {
 		t.Fatalf("degenerate baseline of %.0f allocations per wave", base)
 	}
-	// AllocsPerRun counts the whole process and rounds the mean down, so a
-	// burst of runtime allocations can move either figure by one.
+	// AllocsPerRun rounds the mean down, so the same work can read one
+	// apart on the two sides.
 	if spansOff > base+1 {
 		t.Errorf("spans-disabled observer allocates %.0f per wave against %.0f uninstrumented; "+
 			"a span hook is doing work without checking Spanning()", spansOff, base)

@@ -344,7 +344,7 @@ func TestChaosKvnetExactlyOnce(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			row := "s" + strconv.Itoa(i)
 			v := float64(wave*100 + i)
-			if err := client.PutFloat("chaos", row, "v", v); err != nil {
+			if err := client.Put("chaos", row, "v", kvstore.EncodeFloat(v)); err != nil {
 				t.Fatalf("wave %d put %s: %v", wave, row, err)
 			}
 			if err := ctrlTbl.PutFloat(row, "v", v); err != nil {

@@ -158,7 +158,8 @@ Exit status:
 		for _, d := range report.Diagnostics {
 			fmt.Fprintln(stdout, d)
 		}
-		if n := len(report.Suppressed); n > 0 {
+		// A clean run prints nothing; -suppressions audits what it excused.
+		if n := len(report.Suppressed); n > 0 && len(report.Diagnostics) > 0 {
 			fmt.Fprintf(stdout, "sflint: %d finding(s) suppressed; run with -suppressions to audit\n", n)
 		}
 	}

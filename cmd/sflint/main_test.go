@@ -272,7 +272,7 @@ func TestListAnalyzers(t *testing.T) {
 	for _, line := range strings.Split(strings.TrimSpace(stdout), "\n") {
 		names = append(names, strings.Fields(line)[0])
 	}
-	if got, want := strings.Join(names, " "), "errdrop goroleak poolescape release detflow"; got != want {
+	if got, want := strings.Join(names, " "), "errdrop goroleak poolescape release detflow unused"; got != want {
 		t.Errorf("-list names %q, want %q in All() order:\n%s", got, want, stdout)
 	}
 }

@@ -526,7 +526,7 @@ func TestCrashChaosKvnetDedupReplay(t *testing.T) {
 	}
 	for wave := 1; wave <= 3; wave++ {
 		for i := 0; i < 20; i++ {
-			if err := client.PutFloat("chaos", "s"+strconv.Itoa(i), "v", float64(wave*100+i)); err != nil {
+			if err := client.Put("chaos", "s"+strconv.Itoa(i), "v", smartflux.EncodeFloat(float64(wave*100+i))); err != nil {
 				t.Fatalf("wave %d put %d: %v", wave, i, err)
 			}
 		}

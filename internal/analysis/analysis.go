@@ -2,7 +2,8 @@
 // a stdlib-only analyzer driver (go/parser + go/ast + go/types, packages
 // discovered with `go list -json` and type-checked through the source
 // importer) plus a suite of project-specific analyzers that mechanically
-// enforce the repo's determinism and concurrency contracts.
+// enforce the repo's determinism and concurrency contracts and report code
+// that no program reads.
 //
 // The contract being guarded is the one PR 2 established: parallelism (and
 // any other incidental ordering, such as map iteration) may change
@@ -54,8 +55,23 @@ type Pass struct {
 	// Pkg and Info are the go/types results for Files.
 	Pkg  *types.Package
 	Info *types.Info
+	// Packages is every package the run analyzes, Pkg's among them, for an
+	// analyzer that needs a module-wide view.
+	Packages []*Package
 
 	report func(Diagnostic)
+	shared map[*Analyzer]any // per-run state, one value per analyzer
+}
+
+// runState returns what build computes from the run's packages, once per run
+// and analyzer: every pass of the analyzer in the run gets the same value.
+func (p *Pass) runState(build func([]*Package) any) any {
+	if v, ok := p.shared[p.Analyzer]; ok {
+		return v
+	}
+	v := build(p.Packages)
+	p.shared[p.Analyzer] = v
+	return v
 }
 
 // Reportf records a diagnostic at pos.
@@ -81,7 +97,7 @@ func (d Diagnostic) String() string {
 
 // All returns the full analyzer suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{Errdrop, Goroleak, Poolescape, Release, Detflow}
+	return []*Analyzer{Errdrop, Goroleak, Poolescape, Release, Detflow, Unused}
 }
 
 // ByName resolves a comma-separated analyzer name list against the suite.

@@ -127,7 +127,7 @@ func runDetflow(pass *Pass) {
 	}
 	var files []*ast.File
 	for _, f := range pass.Files {
-		if !strings.HasSuffix(pass.Fset.Position(f.Pos()).Filename, "_test.go") {
+		if !isTestFile(pass.Fset, f) {
 			files = append(files, f)
 		}
 	}

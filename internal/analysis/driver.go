@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"encoding/json"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -39,20 +40,31 @@ type Report struct {
 }
 
 // Run loads the requested packages and applies every enabled analyzer.
+// Under Only the load is not the whole module, so an analyzer that needs
+// the module-wide view (Unused) does not run.
 func Run(opts Options) (*Report, error) {
 	analyzers := opts.Analyzers
 	if len(analyzers) == 0 {
 		analyzers = All()
 	}
+	if len(opts.Only) > 0 {
+		analyzers = slices.DeleteFunc(slices.Clone(analyzers), func(a *Analyzer) bool { return a == Unused })
+	}
 	pkgs, err := Load(LoadConfig{Dir: opts.Dir, Patterns: opts.Patterns, IncludeTests: opts.IncludeTests, Only: opts.Only})
 	if err != nil {
 		return nil, err
 	}
+	return analyze(pkgs, analyzers), nil
+}
 
+// analyze applies analyzers to the loaded packages and settles their
+// findings against the suppression directives in them.
+func analyze(pkgs []*Package, analyzers []*Analyzer) *Report {
 	report := &Report{}
 	var raw []Diagnostic
 	collect := func(d Diagnostic) { raw = append(raw, d) }
 
+	shared := map[*Analyzer]any{}
 	var suppressions []Suppression
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
@@ -69,7 +81,9 @@ func Run(opts Options) (*Report, error) {
 				Files:    pkg.Files,
 				Pkg:      pkg.Pkg,
 				Info:     pkg.Info,
+				Packages: pkgs,
 				report:   collect,
+				shared:   shared,
 			}
 			a.Run(pass)
 		}
@@ -127,7 +141,7 @@ func Run(opts Options) (*Report, error) {
 		return si.Line < sj.Line
 	})
 	report.Suppressions = suppressions
-	return report, nil
+	return report
 }
 
 func diagnosticLess(a, b Diagnostic) bool {

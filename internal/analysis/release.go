@@ -47,7 +47,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // Release reports release obligations that some path neither discharges nor
@@ -80,7 +79,7 @@ const obsPkgPath = "smartflux/internal/obs"
 func runRelease(pass *Pass) {
 	inObs := pathInScope(pass.Path, []string{obsPkgPath})
 	for _, f := range pass.Files {
-		spans := !inObs && !strings.HasSuffix(pass.Fset.Position(f.Pos()).Filename, "_test.go")
+		spans := !inObs && !isTestFile(pass.Fset, f)
 		funcBodies(f, func(body *ast.BlockStmt) {
 			runReleaseBody(pass, body, spans)
 		})

@@ -139,15 +139,20 @@ func WantErrors(srcRoot, path string, a *Analyzer) ([]string, error) {
 		report:   func(d Diagnostic) { diags = append(diags, d) },
 	}
 	a.Run(pass)
-	sortDiagnostics(diags)
+	return checkWants(fset, lp.files, diags)
+}
 
+// checkWants matches diags against the `// want` annotations in files and
+// returns one message per mismatch.
+func checkWants(fset *token.FileSet, files []*ast.File, diags []Diagnostic) ([]string, error) {
+	sortDiagnostics(diags)
 	type want struct {
 		re      *regexp.Regexp
 		raw     string
 		matched bool
 	}
 	wants := map[string]map[int][]*want{} // file -> line -> wants
-	for _, f := range lp.files {
+	for _, f := range files {
 		fname := fset.Position(f.Pos()).Filename
 		wants[fname] = map[int][]*want{}
 		for _, group := range f.Comments {
@@ -192,12 +197,12 @@ func WantErrors(srcRoot, path string, a *Analyzer) ([]string, error) {
 			problems = append(problems, fmt.Sprintf("unexpected diagnostic: %s", d))
 		}
 	}
-	var files []string
+	var names []string
 	for fname := range wants {
-		files = append(files, fname)
+		names = append(names, fname)
 	}
-	sort.Strings(files)
-	for _, fname := range files {
+	sort.Strings(names)
+	for _, fname := range names {
 		var lines []int
 		for line := range wants[fname] {
 			lines = append(lines, line)

@@ -89,8 +89,8 @@ func TestBuildWorkflowStructure(t *testing.T) {
 	if store == nil {
 		t.Fatal("nil store")
 	}
-	if wf.Len() != 6 {
-		t.Errorf("Len = %d, want 6 steps (Figure 6)", wf.Len())
+	if order, err := wf.Order(); err != nil || len(order) != 6 {
+		t.Errorf("%d steps (%v), want 6 (Figure 6)", len(order), err)
 	}
 	gated, err := wf.GatedSteps()
 	if err != nil {

@@ -321,6 +321,3 @@ func (p *Predictor) Decide(l int, impacts []float64) (bool, error) {
 	}
 	return s >= p.thresholds[l], nil
 }
-
-// Labels returns the number of labels the predictor was trained on.
-func (p *Predictor) Labels() int { return len(p.models) }

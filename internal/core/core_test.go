@@ -153,8 +153,8 @@ func TestPredictorOwnImpactLearnsPerLabel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Labels() != 2 {
-		t.Errorf("Labels = %d", p.Labels())
+	if len(p.models) != 2 {
+		t.Errorf("labels = %d", len(p.models))
 	}
 	run, err := p.Decide(0, []float64{9, 1})
 	if err != nil || !run {

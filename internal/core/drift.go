@@ -66,6 +66,8 @@ func NewDriftDetector(window int, threshold float64) *DriftDetector {
 // Instrument attaches an observer: agreement/disagreement counters, a
 // windowed disagreement-rate gauge, and a counter of drift signals (counted
 // once per crossing, not per Drifted call). Passing nil detaches.
+//
+//sflint:ignore unused ROADMAP item 10 wires the retraining trigger into the pipeline or deletes it
 func (d *DriftDetector) Instrument(o *obs.Observer) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -84,6 +86,8 @@ func (d *DriftDetector) Instrument(o *obs.Observer) {
 
 // Observe records one prediction outcome: agreed=true when the decision
 // matched the hindsight label.
+//
+//sflint:ignore unused ROADMAP item 10 wires the retraining trigger into the pipeline or deletes it
 func (d *DriftDetector) Observe(agreed bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -116,6 +120,8 @@ func (d *DriftDetector) rateLocked() float64 {
 }
 
 // DisagreementRate returns the current windowed disagreement rate.
+//
+//sflint:ignore unused ROADMAP item 10 wires the retraining trigger into the pipeline or deletes it
 func (d *DriftDetector) DisagreementRate() float64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -124,6 +130,8 @@ func (d *DriftDetector) DisagreementRate() float64 {
 
 // Drifted reports whether the disagreement rate has crossed the threshold
 // (with at least half a window of evidence).
+//
+//sflint:ignore unused ROADMAP item 10 wires the retraining trigger into the pipeline or deletes it
 func (d *DriftDetector) Drifted() bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -147,6 +155,8 @@ func (d *DriftDetector) Drifted() bool {
 }
 
 // Reset clears the window (call after retraining).
+//
+//sflint:ignore unused ROADMAP item 10 wires the retraining trigger into the pipeline or deletes it
 func (d *DriftDetector) Reset() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -161,6 +171,8 @@ func (d *DriftDetector) Reset() {
 // Retrain folds fresh observations into the knowledge base and rebuilds the
 // predictor: the §3.1 on-demand retraining path. The session drops back to
 // the training phase if the refreshed model fails the test-phase criteria.
+//
+//sflint:ignore unused ROADMAP item 10 wires the retraining trigger into the pipeline or deletes it
 func (s *Session) Retrain(impacts [][]float64, labels [][]int) (TestReport, error) {
 	s.mu.Lock()
 	for i := range impacts {

@@ -298,6 +298,8 @@ func (m *Manager) clocks() []uint64 {
 }
 
 // Err returns the sticky error, or nil while the manager is healthy.
+//
+//sflint:ignore unused only bench/ calls it; bench/ is frozen until ROADMAP item 4, and item 13(b) deletes it after
 func (m *Manager) Err() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()

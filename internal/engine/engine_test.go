@@ -379,7 +379,7 @@ func referenceOutput(t *testing.T, store *kvstore.Store, step *workflow.Step) me
 		}
 		for _, c := range table.Scan(kvstore.ScanOptions{ColumnPrefix: out.ColumnPrefix}) {
 			if v, ok := c.FloatValue(); ok {
-				vals[out.Table+":"+c.Key()] = v
+				vals[out.Table+":"+c.Row+"/"+c.Column] = v
 			}
 		}
 	}

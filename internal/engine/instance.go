@@ -433,6 +433,8 @@ func (in *Instance) Workflow() *workflow.Workflow { return in.wf }
 func (in *Instance) Store() *kvstore.Store { return in.store }
 
 // Parallelism returns the effective per-wave worker bound.
+//
+//sflint:ignore unused read by TestInstanceConfigParallelism and TestParallelWaveBitIdentical
 func (in *Instance) Parallelism() int { return in.par }
 
 // GatedSteps returns the gated step IDs in topological order.
@@ -451,6 +453,8 @@ func (in *Instance) GatedIndex(id workflow.StepID) int {
 }
 
 // Wave returns the number of waves executed so far.
+//
+//sflint:ignore unused only bench/ calls it; bench/ is frozen until ROADMAP item 4, and item 13(b) deletes it after
 func (in *Instance) Wave() int { return in.wave }
 
 // state returns step id's bookkeeping, or nil for a step not in the workflow.

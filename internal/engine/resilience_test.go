@@ -745,7 +745,7 @@ func TestRollbackOutputsMatchesReference(t *testing.T) {
 			}
 			for i, c := range now {
 				if old := s.cells[i]; c.Row != old.Row || c.Column != old.Column || string(c.Version.Value) != string(old.Version.Value) {
-					t.Fatalf("seed %d: table %s cell %d is %s=%q after the undo, saved %s=%q", seed, s.t.Name(), i, c.Key(), c.Version.Value, old.Key(), old.Version.Value)
+					t.Fatalf("seed %d: table %s cell %d is %s=%q after the undo, saved %s=%q", seed, s.t.Name(), i, c.Row+"/"+c.Column, c.Version.Value, old.Row+"/"+old.Column, old.Version.Value)
 				}
 			}
 		}

@@ -76,8 +76,8 @@ func TestBuildWorkflowStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wf.Len() != 7 {
-		t.Errorf("Len = %d, want 7 steps (Figure 2)", wf.Len())
+	if order, err := wf.Order(); err != nil || len(order) != 7 {
+		t.Errorf("%d steps (%v), want 7 (Figure 2)", len(order), err)
 	}
 	gated, err := wf.GatedSteps()
 	if err != nil {

@@ -86,9 +86,6 @@ func (b *Batch) Delete(row, column string) *Batch {
 	return b
 }
 
-// Len returns the number of operations queued.
-func (b *Batch) Len() int { return len(b.ops) }
-
 // Apply applies all operations in b atomically, then notifies observers.
 // It validates keys up front so a bad op leaves the table untouched. The
 // batch is not changed and may be applied again.

@@ -396,6 +396,8 @@ func (c *Client) PutFloat(table, row, column string, v float64) error {
 // Delete removes a cell. Like a single store it consumes a clock tick even
 // when the cell does not exist — timestamp parity with the single-store run
 // is the point of the client-side clock.
+//
+//sflint:ignore unused ROADMAP item 6(a): the Store interface calls it
 func (c *Client) Delete(table, row, column string) error {
 	if row == "" || column == "" {
 		return kvstore.ErrEmptyKey
@@ -411,6 +413,8 @@ func (c *Client) Delete(table, row, column string) error {
 // tick (matching kvstore.Table.Apply) and routed to its row's shard.
 // Atomicity holds per shard, not across shards: ops for one shard land in
 // one replication frame, but a multi-shard batch is several frames.
+//
+//sflint:ignore unused ROADMAP item 6(a): the Store interface calls it
 func (c *Client) Apply(table string, ops []kvstore.Op) error {
 	if len(ops) == 0 {
 		return nil

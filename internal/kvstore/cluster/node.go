@@ -135,15 +135,21 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 func (n *Node) Addr() string { return n.addr }
 
 // Store exposes the node's store for verification (dumps, direct reads).
+//
+//sflint:ignore unused read by the cluster and partition suites (TestFencingStaleEpochRejectedAfterFailover, TestPartitionChaosAsymmetricLinkFence)
 func (n *Node) Store() *kvstore.Store { return n.store }
 
 // Log exposes the node's replication log.
 func (n *Node) Log() *durable.ReplLog { return n.log }
 
 // Epoch returns the highest fencing epoch the node has observed.
+//
+//sflint:ignore unused read by the fencing tests (TestFencingStaleEpochRejectedAfterFailover, TestMapPushDemotesPriorPrimary)
 func (n *Node) Epoch() uint64 { return n.epoch.Load() }
 
 // Fenced reports whether the node has self-demoted to read-only mode.
+//
+//sflint:ignore unused read by the fencing and partition suites (TestClientFencedFailover, TestPartitionChaosSymmetricFencedFailover)
 func (n *Node) Fenced() bool { return n.fenced.Load() }
 
 // writeGate is consulted by the server before every mutating op and every
@@ -402,6 +408,8 @@ func (n *Node) DetachFollower() {
 }
 
 // FollowerAddr returns the currently attached follower's address, or "".
+//
+//sflint:ignore unused read by TestRejoinAfterFailover
 func (n *Node) FollowerAddr() string {
 	n.shipMu.Lock()
 	defer n.shipMu.Unlock()

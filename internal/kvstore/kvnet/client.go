@@ -134,6 +134,8 @@ func newClientID() uint64 {
 }
 
 // Dial connects to a kvnet server with no I/O deadlines and no retries.
+//
+//sflint:ignore unused only bench/ calls it; bench/ is frozen until ROADMAP item 4, and item 13(b) deletes it after
 func Dial(addr string) (*Client, error) {
 	return DialConfig(addr, ClientConfig{})
 }
@@ -504,20 +506,19 @@ func (r *reply) finish(op byte, resp *wire.Response) error {
 }
 
 // CreateTable ensures a table exists on the server.
+//
+//sflint:ignore unused only bench/ calls it; bench/ is frozen until ROADMAP item 4, and item 13(b) deletes it after
 func (c *Client) CreateTable(name string, maxVersions int) error {
 	_, err := c.do(wire.Request{Op: wire.OpCreateTable, Table: name, MaxVers: maxVersions})
 	return err
 }
 
 // Put writes a value.
+//
+//sflint:ignore unused only bench/ calls it; bench/ is frozen until ROADMAP item 4, and item 13(b) deletes it after
 func (c *Client) Put(table, row, column string, value []byte) error {
 	_, err := c.do(wire.Request{Op: wire.OpPut, Table: table, Row: row, Column: column, Value: value})
 	return err
-}
-
-// PutFloat writes an encoded float64.
-func (c *Client) PutFloat(table, row, column string, v float64) error {
-	return c.Put(table, row, column, kvstore.EncodeFloat(v))
 }
 
 // Get reads the latest value of a cell.
@@ -529,20 +530,9 @@ func (c *Client) Get(table, row, column string) ([]byte, bool, error) {
 	return r.value, r.found, nil
 }
 
-// GetFloat reads a float64-encoded cell.
-func (c *Client) GetFloat(table, row, column string) (float64, bool, error) {
-	raw, found, err := c.Get(table, row, column)
-	if err != nil || !found {
-		return 0, found, err
-	}
-	v, err := kvstore.DecodeFloat(raw)
-	if err != nil {
-		return 0, false, err
-	}
-	return v, true, nil
-}
-
 // Delete removes a cell.
+//
+//sflint:ignore unused ROADMAP item 6(a): the Store interface calls it
 func (c *Client) Delete(table, row, column string) error {
 	_, err := c.do(wire.Request{Op: wire.OpDelete, Table: table, Row: row, Column: column})
 	return err
@@ -559,6 +549,8 @@ func (c *Client) Scan(table string, opts kvstore.ScanOptions) ([]kvstore.Cell, e
 }
 
 // Apply applies a batch atomically on the server.
+//
+//sflint:ignore unused ROADMAP item 6(a): the Store interface calls it
 func (c *Client) Apply(table string, ops []kvstore.Op) error {
 	_, err := c.do(wire.Request{Op: wire.OpApply, Table: table, Ops: ops})
 	return err
@@ -593,6 +585,8 @@ func (c *Client) ReplEpoch(epoch uint64, records [][]byte) error {
 
 // MapGet fetches the server's current encoded partition map (nil when the
 // node has none yet).
+//
+//sflint:ignore unused the client half of the OpMapGet frame that cmd/kvcluster documents for external clients; read by TestFailoverPromotesReplica
 func (c *Client) MapGet() ([]byte, error) {
 	r, err := c.do(wire.Request{Op: wire.OpMapGet})
 	if err != nil {

@@ -81,13 +81,11 @@ const serverBufSize = 64 << 10
 type Server struct {
 	store *kvstore.Store
 
-	mu         sync.Mutex
-	listener   net.Listener
-	conns      map[net.Conn]struct{}
-	wg         sync.WaitGroup
-	closed     bool
-	firstErr   error // first async serving error (decode/encode/accept)
-	errHandler func(error)
+	mu       sync.Mutex
+	listener net.Listener
+	conns    map[net.Conn]struct{}
+	wg       sync.WaitGroup
+	closed   bool
 
 	// dedup holds each client's newest claimed mutating seq and its
 	// outcome, keyed by ClientID — the server half of exactly-once retries.
@@ -212,42 +210,14 @@ func (s *Server) SetMapHandlers(get func() []byte, set func(m []byte) error) {
 	s.mapGetFn, s.mapSetFn = get, set
 }
 
-// SetErrorHandler registers a callback invoked (from the serving goroutines)
-// with every asynchronous error the server hits: request decode failures,
-// response encode failures and listener accept failures. Clean client
-// disconnects (EOF, resets, closed connections) are not errors. Call before
-// Listen.
-func (s *Server) SetErrorHandler(fn func(error)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.errHandler = fn
-}
-
-// Err returns the first asynchronous serving error observed, or nil. It
-// complements SetErrorHandler for callers that only need a post-hoc check
-// (e.g. after Close).
-func (s *Server) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.firstErr
-}
-
-// reportErr records an async error: first-error retention, the registered
-// handler, the aggregate kind counter and a per-connection counter when a
-// remote address is known.
-func (s *Server) reportErr(kind *obs.Counter, remote string, err error) {
+// reportErr counts an async serving error (a request decode, response
+// encode or listener accept failure; a clean client disconnect is not one):
+// the aggregate kind counter, and a per-connection counter when a remote
+// address is known.
+func (s *Server) reportErr(kind *obs.Counter, remote string) {
 	kind.Inc()
 	if so := s.obs; so != nil && remote != "" {
 		so.o.Counter(fmt.Sprintf("smartflux_kvnet_conn_errors_total{remote=%q}", remote)).Inc()
-	}
-	s.mu.Lock()
-	if s.firstErr == nil {
-		s.firstErr = err
-	}
-	handler := s.errHandler
-	s.mu.Unlock()
-	if handler != nil {
-		handler(err)
 	}
 }
 
@@ -302,7 +272,7 @@ func (s *Server) acceptLoop(ln net.Listener) {
 			if so := s.obs; so != nil {
 				acceptErrs = so.acceptErrs
 			}
-			s.reportErr(acceptErrs, "", fmt.Errorf("kvnet accept: %w", err))
+			s.reportErr(acceptErrs, "")
 			return
 		}
 		s.mu.Lock()
@@ -333,7 +303,7 @@ func (s *Server) acceptLoop(ln net.Listener) {
 // broken pipe from an abruptly killed client, or our own shutdown. A
 // mid-frame EOF (io.ErrUnexpectedEOF) is deliberately NOT clean — a
 // truncated frame is indistinguishable from corrupt data and stays
-// observable through the decode-error counter and handler.
+// observable through the decode-error counter.
 func cleanDisconnect(err error) bool {
 	return errors.Is(err, io.EOF) ||
 		errors.Is(err, net.ErrClosed) ||
@@ -348,7 +318,7 @@ func cleanDisconnect(err error) bool {
 // cost one write syscall, not one per response). A clean disconnect (EOF or
 // reset between frames — killed clients are routine under connection churn
 // — or the server shutting down) returns nil; decode and encode failures are
-// reported through the error counters and handler, and returned.
+// counted in the error counters, and returned.
 func (s *Server) serveConn(conn net.Conn) error {
 	// Close errors after a finished (or already failed) session are noise.
 	defer func() { _ = conn.Close() }()
@@ -367,7 +337,7 @@ func (s *Server) serveConn(conn net.Conn) error {
 		if so != nil {
 			decodeErrs = so.decodeErrs
 		}
-		s.reportErr(decodeErrs, remote, err)
+		s.reportErr(decodeErrs, remote)
 		return err
 	}
 	encodeFail := func(err error) error {
@@ -376,7 +346,7 @@ func (s *Server) serveConn(conn net.Conn) error {
 		if so != nil {
 			encodeErrs = so.encodeErrs
 		}
-		s.reportErr(encodeErrs, remote, err)
+		s.reportErr(encodeErrs, remote)
 		return err
 	}
 

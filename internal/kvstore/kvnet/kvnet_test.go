@@ -131,18 +131,30 @@ func TestClientStartsNoGoroutines(t *testing.T) {
 	}
 }
 
+// getFloat reads a float cell through Get and kvstore.DecodeFloat.
+func getFloat(c *Client, table, row, column string) (float64, bool, error) {
+	raw, found, err := c.Get(table, row, column)
+	if err != nil || !found {
+		return 0, found, err
+	}
+	v, err := kvstore.DecodeFloat(raw)
+	return v, err == nil, err
+}
+
+// TestClientFloatHelpers round-trips a kvstore.EncodeFloat value through the
+// client's Put and Get.
 func TestClientFloatHelpers(t *testing.T) {
 	_, addr := startServer(t)
 	client := dialClient(t, addr)
 	if err := client.CreateTable("t", 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := client.PutFloat("t", "r", "c", 3.25); err != nil {
+	if err := client.Put("t", "r", "c", kvstore.EncodeFloat(3.25)); err != nil {
 		t.Fatal(err)
 	}
-	v, found, err := client.GetFloat("t", "r", "c")
+	v, found, err := getFloat(client, "t", "r", "c")
 	if err != nil || !found || v != 3.25 {
-		t.Fatalf("GetFloat = %v, %v, %v", v, found, err)
+		t.Fatalf("float read back = %v, %v, %v", v, found, err)
 	}
 }
 
@@ -196,7 +208,7 @@ func TestServerSharedState(t *testing.T) {
 	if err := client.CreateTable("t", 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := client.PutFloat("t", "r", "c", 7); err != nil {
+	if err := client.Put("t", "r", "c", kvstore.EncodeFloat(7)); err != nil {
 		t.Fatal(err)
 	}
 	// Mutations are visible directly in the backing store.
@@ -231,7 +243,7 @@ func TestConcurrentClients(t *testing.T) {
 			defer client.Close()
 			for i := 0; i < 50; i++ {
 				row := fmt.Sprintf("g%d-r%d", g, i)
-				if err := client.PutFloat("t", row, "c", float64(i)); err != nil {
+				if err := client.Put("t", row, "c", kvstore.EncodeFloat(float64(i))); err != nil {
 					errs <- err
 					return
 				}

@@ -1,9 +1,10 @@
 package kvnet
 
 import (
+	"errors"
 	"net"
+	"os"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -11,37 +12,60 @@ import (
 	"smartflux/internal/obs"
 )
 
-// startInstrumentedServer spins up a server with an observer and an error
-// handler feeding errCh.
-func startInstrumentedServer(t *testing.T) (*Server, string, *obs.Registry, chan error) {
+// startInstrumentedServer spins up a server with an observer on reg.
+func startInstrumentedServer(t *testing.T) (*Server, string, *obs.Registry) {
 	t.Helper()
 	srv := NewServer(kvstore.New())
 	reg := obs.NewRegistry()
 	srv.Instrument(obs.New(reg))
-	errCh := make(chan error, 16)
-	srv.SetErrorHandler(func(err error) {
-		select {
-		case errCh <- err:
-		default:
-		}
-	})
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	return srv, addr, reg, errCh
+	return srv, addr, reg
+}
+
+// errCounter names the serving-error counter of one kind.
+func errCounter(kind string) string {
+	return `smartflux_kvnet_errors_total{kind="` + kind + `"}`
+}
+
+// serveErrors sums the decode, encode and accept error counters.
+func serveErrors(reg *obs.Registry) uint64 {
+	snap := reg.Snapshot()
+	return snap.Counters[errCounter("decode")] + snap.Counters[errCounter("encode")] + snap.Counters[errCounter("accept")]
+}
+
+// eventually polls cond for up to five seconds and reports whether it came
+// to hold: the serving goroutines count an error after the client sees it.
+func eventually(cond func() bool) bool {
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			return false
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	return true
+}
+
+// waitCounter waits for the named counter to reach at least min, and
+// returns its value then.
+func waitCounter(reg *obs.Registry, name string, min uint64) uint64 {
+	eventually(func() bool { return reg.Snapshot().Counters[name] >= min })
+	return reg.Snapshot().Counters[name]
 }
 
 func TestServerInstrumented(t *testing.T) {
-	_, addr, reg, _ := startInstrumentedServer(t)
+	_, addr, reg := startInstrumentedServer(t)
 	client := dialClient(t, addr)
 
 	if err := client.CreateTable("t", 0); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if err := client.PutFloat("t", "r", "c", float64(i)); err != nil {
+		if err := client.Put("t", "r", "c", kvstore.EncodeFloat(float64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -68,10 +92,10 @@ func TestServerInstrumented(t *testing.T) {
 }
 
 // TestServerSurfacesDecodeErrors sends garbage bytes: the server must count
-// the decode failure, invoke the error handler, and retain the error for
-// Err() — instead of silently dropping the connection.
+// the decode failure, in aggregate and for the connection, instead of
+// silently dropping the connection.
 func TestServerSurfacesDecodeErrors(t *testing.T) {
-	srv, addr, reg, errCh := startInstrumentedServer(t)
+	_, addr, reg := startInstrumentedServer(t)
 
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -82,36 +106,97 @@ func TestServerSurfacesDecodeErrors(t *testing.T) {
 	}
 	conn.Close()
 
-	select {
-	case err := <-errCh:
-		if !strings.Contains(err.Error(), "kvnet decode") {
-			t.Errorf("handler got %v, want a decode error", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("error handler never invoked")
-	}
-	if err := srv.Err(); err == nil {
-		t.Error("Err() should retain the first serving error")
-	}
-	snap := reg.Snapshot()
-	if got := snap.Counters[`smartflux_kvnet_errors_total{kind="decode"}`]; got != 1 {
+	if got := waitCounter(reg, errCounter("decode"), 1); got != 1 {
 		t.Errorf("decode errors = %d, want 1", got)
 	}
-	var sawConnCounter bool
-	for name := range snap.Counters {
-		if strings.HasPrefix(name, "smartflux_kvnet_conn_errors_total{remote=") {
-			sawConnCounter = true
+	sawConnCounter := eventually(func() bool {
+		for name := range reg.Snapshot().Counters {
+			if strings.HasPrefix(name, "smartflux_kvnet_conn_errors_total{remote=") {
+				return true
+			}
 		}
-	}
+		return false
+	})
 	if !sawConnCounter {
 		t.Error("missing per-connection error counter")
+	}
+}
+
+// failingListener's Accept fails with an error that is not a close.
+type failingListener struct{ net.Listener }
+
+func (failingListener) Accept() (net.Conn, error) { return nil, errors.New("accept refused") }
+
+// TestServerCountsAcceptErrors: a listener that fails is counted, not
+// silently abandoned.
+func TestServerCountsAcceptErrors(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(kvstore.New())
+	reg := obs.NewRegistry()
+	srv.Instrument(obs.New(reg))
+	if _, err := srv.ServeListener(failingListener{ln}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	if got := waitCounter(reg, errCounter("accept"), 1); got != 1 {
+		t.Errorf("accept errors = %d, want 1", got)
+	}
+}
+
+// writeFailingListener hands out connections whose writes fail with an
+// error that is not a clean disconnect.
+type writeFailingListener struct{ net.Listener }
+
+func (l writeFailingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return writeFailingConn{c}, nil
+}
+
+type writeFailingConn struct{ net.Conn }
+
+func (writeFailingConn) Write([]byte) (int, error) { return 0, errors.New("write refused") }
+
+// TestServerCountsEncodeErrors: a response that cannot be written is
+// counted as an encode error, in aggregate and for the connection.
+func TestServerCountsEncodeErrors(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(kvstore.New())
+	reg := obs.NewRegistry()
+	srv.Instrument(obs.New(reg))
+	addr, err := srv.ServeListener(writeFailingListener{ln})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	client, err := DialConfig(addr, ClientConfig{ReadTimeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	if err := client.Ping(); err == nil {
+		t.Fatal("ping answered by a server that cannot write")
+	}
+	if got := waitCounter(reg, errCounter("encode"), 1); got < 1 {
+		t.Errorf("encode errors = %d, want at least 1", got)
+	}
+	if got := reg.Snapshot().Counters[errCounter("decode")]; got != 0 {
+		t.Errorf("decode errors = %d, want 0", got)
 	}
 }
 
 // TestServerCleanDisconnectNotAnError: EOF between frames is a normal
 // hang-up, not a fault.
 func TestServerCleanDisconnectNotAnError(t *testing.T) {
-	srv, addr, reg, errCh := startInstrumentedServer(t)
+	srv, addr, reg := startInstrumentedServer(t)
 
 	client := dialClient(t, addr)
 	if err := client.CreateTable("t", 0); err != nil {
@@ -130,31 +215,15 @@ func TestServerCleanDisconnectNotAnError(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	select {
-	case err := <-errCh:
-		t.Fatalf("clean disconnect reported as error: %v", err)
-	default:
-	}
-	if err := srv.Err(); err != nil {
-		t.Fatalf("Err() = %v after clean disconnect", err)
-	}
-	snap := reg.Snapshot()
-	if got := snap.Counters[`smartflux_kvnet_errors_total{kind="decode"}`]; got != 0 {
-		t.Errorf("decode errors = %d after clean disconnect", got)
+	if n := serveErrors(reg); n != 0 {
+		t.Fatalf("clean disconnect counted as %d serving errors", n)
 	}
 }
 
-// TestServerUninstrumentedErrorsStillSurface: the handler and Err() work
-// without an observer attached.
-func TestServerUninstrumentedErrorsStillSurface(t *testing.T) {
+// TestServerUninstrumentedSurvivesBadFrames: without an observer a server
+// still drops a connection that sends garbage and goes on serving others.
+func TestServerUninstrumentedSurvivesBadFrames(t *testing.T) {
 	srv := NewServer(kvstore.New())
-	var mu sync.Mutex
-	var handled []error
-	srv.SetErrorHandler(func(err error) {
-		mu.Lock()
-		handled = append(handled, err)
-		mu.Unlock()
-	})
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -168,21 +237,20 @@ func TestServerUninstrumentedErrorsStillSurface(t *testing.T) {
 	if _, err := conn.Write([]byte{0xff, 0xfe, 0xfd}); err != nil {
 		t.Fatal(err)
 	}
+	// A torn frame: the server reads EOF mid-header and must hang up.
+	if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Errorf("server did not hang up on a torn frame: %v", err)
+	}
 	conn.Close()
 
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if srv.Err() != nil {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if srv.Err() == nil {
-		t.Fatal("Err() never set without an observer")
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(handled) == 0 {
-		t.Error("handler not invoked without an observer")
+	client := dialClient(t, addr)
+	if err := client.CreateTable("t", 0); err != nil {
+		t.Fatalf("server stopped serving after a bad connection: %v", err)
 	}
 }

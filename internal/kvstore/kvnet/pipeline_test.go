@@ -448,7 +448,7 @@ func TestExactlyOncePipelinedDisconnects(t *testing.T) {
 			go func(i int) {
 				defer wg.Done()
 				row := fmt.Sprintf("r%02d-%02d", round, i)
-				errs[i] = client.PutFloat("t", row, "v", float64(round*perRound+i))
+				errs[i] = client.Put("t", row, "v", kvstore.EncodeFloat(float64(round*perRound+i)))
 			}(i)
 		}
 		wg.Wait()

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"smartflux/internal/kvstore"
 	"smartflux/internal/obs"
 )
 
@@ -87,12 +88,12 @@ func TestClientNoDeadlinesByDefault(t *testing.T) {
 	if err := client.CreateTable("t", 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := client.PutFloat("t", "r", "c", 4.5); err != nil {
+	if err := client.Put("t", "r", "c", kvstore.EncodeFloat(4.5)); err != nil {
 		t.Fatal(err)
 	}
-	v, ok, err := client.GetFloat("t", "r", "c")
+	v, ok, err := getFloat(client, "t", "r", "c")
 	if err != nil || !ok || v != 4.5 {
-		t.Fatalf("GetFloat = %v, %v, %v", v, ok, err)
+		t.Fatalf("float read back = %v, %v, %v", v, ok, err)
 	}
 }
 

@@ -109,10 +109,6 @@ type Cell struct {
 	Version Version
 }
 
-// Key returns the canonical element key "row/column" used by the metric
-// layer to identify elements within a data container.
-func (c Cell) Key() string { return c.Row + "/" + c.Column }
-
 // Store is a collection of named tables sharing a logical clock. The zero
 // value is not usable; create stores with New.
 type Store struct {
@@ -741,6 +737,8 @@ func (t *Table) latest(row, column string) (s stamp, blob []byte, ok bool) {
 // GetVersions returns up to max of the most recent versions of a cell,
 // newest first. max <= 0 returns all retained versions. Values are handed
 // out as Get's are.
+//
+//sflint:ignore unused only bench/ calls it; bench/ is frozen until ROADMAP item 4, and item 13(b) deletes it after
 func (t *Table) GetVersions(row, column string, max int) []Version {
 	t.mu.RLock()
 	defer t.mu.RUnlock()

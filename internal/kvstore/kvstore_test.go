@@ -123,7 +123,7 @@ func TestScanOrderingAndFilters(t *testing.T) {
 	cells := table.Scan(ScanOptions{})
 	var keys []string
 	for _, c := range cells {
-		keys = append(keys, c.Key())
+		keys = append(keys, c.Row+"/"+c.Column)
 	}
 	want := []string{"a/x", "a/y", "b/x", "b/y", "c/x"}
 	if !reflect.DeepEqual(keys, want) {
@@ -234,8 +234,8 @@ func TestBatchAtomicVisibilityAndNotifications(t *testing.T) {
 		Put("b", "c", []byte("2")).
 		Delete("keep", "c").
 		Delete("missing", "c") // silently skipped
-	if batch.Len() != 4 {
-		t.Fatalf("batch len = %d", batch.Len())
+	if len(batch.ops) != 4 {
+		t.Fatalf("batch len = %d", len(batch.ops))
 	}
 	if err := table.Apply(batch); err != nil {
 		t.Fatal(err)
@@ -415,8 +415,8 @@ func TestGrownBatchTakesOpsWithoutAllocating(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("filling a batch grown for its ops allocates %v objects, want 0", allocs)
 	}
-	if b.Len() != 100 {
-		t.Fatalf("batch holds %d ops, want 100", b.Len())
+	if len(b.ops) != 100 {
+		t.Fatalf("batch holds %d ops, want 100", len(b.ops))
 	}
 }
 

@@ -742,7 +742,7 @@ func floatColumns(cells []Cell) metric.Columns {
 	vals := make(map[string]float64)
 	for _, c := range cells {
 		if v, ok := c.FloatValue(); ok {
-			vals[c.Key()] = v
+			vals[c.Row+"/"+c.Column] = v
 		}
 	}
 	keys := slices.Sorted(maps.Keys(vals))

@@ -189,8 +189,8 @@ func TestBuildWorkflowStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wf.Len() != 9 {
-		t.Errorf("Len = %d, want 9 steps (Figure 5)", wf.Len())
+	if order, err := wf.Order(); err != nil || len(order) != 9 {
+		t.Errorf("%d steps (%v), want 9 (Figure 5)", len(order), err)
 	}
 	gated, err := wf.GatedSteps()
 	if err != nil {

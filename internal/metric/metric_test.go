@@ -116,16 +116,7 @@ func TestResolve(t *testing.T) {
 	}
 }
 
-func TestParseMode(t *testing.T) {
-	if m, err := ParseMode(""); err != nil || m != ModeCancellation {
-		t.Errorf("default mode: %v, %v", m, err)
-	}
-	if m, err := ParseMode("accumulate"); err != nil || m != ModeAccumulate {
-		t.Errorf("accumulate: %v, %v", m, err)
-	}
-	if _, err := ParseMode("bogus"); err == nil {
-		t.Error("want error for unknown mode")
-	}
+func TestModeString(t *testing.T) {
 	if ModeAccumulate.String() != "accumulate" || ModeCancellation.String() != "cancellation" {
 		t.Error("unexpected mode strings")
 	}
@@ -160,8 +151,8 @@ func TestTrackerAccumulateModeKeepsChurn(t *testing.T) {
 	if !almostEqual(got, 8) {
 		t.Errorf("accumulated churn = %v, want 8", got)
 	}
-	if tr.Current() != got {
-		t.Error("Current must match the latest Observe")
+	if tr.s.Current != got {
+		t.Error("the tracker's current value must match the latest Observe")
 	}
 }
 
@@ -193,7 +184,7 @@ func TestTrackerCommitResets(t *testing.T) {
 	tr.ObserveColumns(columnsOf(refState{"a": 1}))
 	tr.ObserveColumns(columnsOf(refState{"a": 9}))
 	tr.CommitColumns(columnsOf(refState{"a": 9}))
-	if tr.Current() != 0 {
+	if tr.s.Current != 0 {
 		t.Error("commit must reset the running value")
 	}
 	if got := tr.ObserveColumns(columnsOf(refState{"a": 9})); got != 0 {
@@ -201,16 +192,6 @@ func TestTrackerCommitResets(t *testing.T) {
 	}
 	if got := tr.ObserveColumns(columnsOf(refState{"a": 10})); !almostEqual(got, 1) {
 		t.Errorf("delta after commit = %v, want 1", got)
-	}
-}
-
-func TestTrackerReset(t *testing.T) {
-	tr := NewTracker(NewAbsoluteImpact, ModeCancellation)
-	tr.ObserveColumns(columnsOf(refState{"a": 1}))
-	tr.ObserveColumns(columnsOf(refState{"a": 4}))
-	tr.Reset()
-	if got := tr.ObserveColumns(columnsOf(refState{"a": 100})); got != 0 {
-		t.Errorf("first observe after reset = %v, want 0 (new baseline)", got)
 	}
 }
 

@@ -36,18 +36,6 @@ func (m Mode) String() string {
 	}
 }
 
-// ParseMode resolves a mode name used in workflow specs.
-func ParseMode(s string) (Mode, error) {
-	switch s {
-	case "cancellation", "":
-		return ModeCancellation, nil
-	case "accumulate":
-		return ModeAccumulate, nil
-	default:
-		return 0, fmt.Errorf("metric: unknown mode %q", s)
-	}
-}
-
 // Columns is a point-in-time state of a data container: Keys ("row/column")
 // strictly increasing, Vals[i] the value of element Keys[i]. It is the one
 // form container states take: ι/ε snapshots (kvstore.Table.ScanColumns),
@@ -242,9 +230,6 @@ func (t *Tracker) ObserveColumns(state Columns) float64 {
 	return t.s.Current
 }
 
-// Current returns the most recently observed metric value.
-func (t *Tracker) Current() float64 { return t.s.Current }
-
 // CommitColumns records that the associated step executed at the current
 // wave: the baseline moves to a copy of state, and accumulation restarts.
 func (t *Tracker) CommitColumns(state Columns) {
@@ -259,7 +244,7 @@ func (t *Tracker) CommitObserved() {
 }
 
 // Mark pins the tracker's state: no write goes to the pinned values until
-// the next Mark, RestorePersisted or Reset.
+// the next Mark or RestorePersisted.
 func (t *Tracker) Mark() { t.pin = t.s }
 
 // Rewind restores the pinned state (the fresh state if none), which stays.
@@ -279,11 +264,6 @@ func (t *Tracker) RestorePersisted(s PersistedTracker) {
 	t.s, t.pin = PersistedTracker{}, PersistedTracker{}
 	s.Baseline.Vals = t.own(s.Baseline.Vals)
 	t.s, t.observed = s, s.Baseline
-}
-
-// Reset clears all tracker state, as if freshly constructed.
-func (t *Tracker) Reset() {
-	t.s, t.observed, t.pin = PersistedTracker{}, Columns{}, PersistedTracker{}
 }
 
 // Evaluate runs a one-shot metric computation of current against baseline,

@@ -123,30 +123,6 @@ type Named interface {
 	Name() string
 }
 
-// constantClassifier is used internally when a training set contains a
-// single class: it always returns that class's confidence.
-type constantClassifier struct {
-	score float64
-}
-
-func (c constantClassifier) Fit(Dataset) error { return nil }
-
-func (c constantClassifier) Score([]float64) (float64, error) { return c.score, nil }
-
-// singleClass reports whether all labels are identical, returning the label.
-func singleClass(d Dataset) (int, bool) {
-	if d.Len() == 0 {
-		return 0, false
-	}
-	first := d.Y[0]
-	for _, y := range d.Y[1:] {
-		if y != first {
-			return 0, false
-		}
-	}
-	return first, true
-}
-
 // sigmoid is the logistic function, shared by several models.
 func sigmoid(z float64) float64 {
 	if z >= 0 {

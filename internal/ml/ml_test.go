@@ -238,16 +238,32 @@ func TestSingleClassTraining(t *testing.T) {
 	}
 }
 
+// treeDepth returns a fitted tree's depth (0 for a stump/leaf-only tree).
+func treeDepth(t *Tree) int {
+	if len(t.nodes) == 0 {
+		return 0
+	}
+	return depthAt(t, 0)
+}
+
+func depthAt(t *Tree, i int) int {
+	n := t.nodes[i]
+	if n.feature < 0 {
+		return 0
+	}
+	return 1 + max(depthAt(t, n.left), depthAt(t, n.right))
+}
+
 func TestTreeRespectsMaxDepth(t *testing.T) {
 	d := separable(300, 23)
 	tree := NewTree(TreeConfig{MaxDepth: 2, Seed: 1})
 	if err := tree.Fit(d); err != nil {
 		t.Fatal(err)
 	}
-	if depth := tree.Depth(); depth > 2 {
+	if depth := treeDepth(tree); depth > 2 {
 		t.Errorf("depth %d exceeds MaxDepth 2", depth)
 	}
-	if tree.NodeCount() == 0 {
+	if len(tree.nodes) == 0 {
 		t.Error("fitted tree has no nodes")
 	}
 }
@@ -259,8 +275,8 @@ func TestTreeMinLeaf(t *testing.T) {
 		t.Fatal(err)
 	}
 	// With MinLeaf 40 over 100 examples the tree can split at most once.
-	if tree.Depth() > 1 {
-		t.Errorf("depth %d with MinLeaf 40", tree.Depth())
+	if depth := treeDepth(tree); depth > 1 {
+		t.Errorf("depth %d with MinLeaf 40", depth)
 	}
 }
 

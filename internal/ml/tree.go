@@ -397,27 +397,3 @@ func (t *Tree) Score(x []float64) (float64, error) {
 	}
 	return node.prob, nil
 }
-
-// Depth returns the fitted tree's depth (0 for a stump/leaf-only tree).
-func (t *Tree) Depth() int {
-	if len(t.nodes) == 0 {
-		return 0
-	}
-	return t.depthAt(0)
-}
-
-func (t *Tree) depthAt(i int) int {
-	n := t.nodes[i]
-	if n.feature < 0 {
-		return 0
-	}
-	left := t.depthAt(n.left)
-	right := t.depthAt(n.right)
-	if left > right {
-		return left + 1
-	}
-	return right + 1
-}
-
-// NodeCount returns the number of nodes in the fitted tree.
-func (t *Tree) NodeCount() int { return len(t.nodes) }

@@ -497,7 +497,7 @@ func TestTreeSeedsNoUnusedGenerator(t *testing.T) {
 		t.Fatalf("shuffle path allocates %v, all-features path %v: want exactly the generator's 2 more", shuffle, all)
 	}
 	// A forest's tree over one feature (MaxFeatures 1 of 1) never shuffles.
-	if tree, _ := fits(TreeConfig{Seed: 1, MaxFeatures: 1}, one); tree.rng != nil || tree.NodeCount() < 3 {
-		t.Fatalf("one-feature fit: rng %v, %d nodes", tree.rng, tree.NodeCount())
+	if tree, _ := fits(TreeConfig{Seed: 1, MaxFeatures: 1}, one); tree.rng != nil || len(tree.nodes) < 3 {
+		t.Fatalf("one-feature fit: rng %v, %d nodes", tree.rng, len(tree.nodes))
 	}
 }

@@ -18,7 +18,6 @@ func TestNilSafety(t *testing.T) {
 	c.Inc()
 	c.Add(3)
 	g.Set(1)
-	g.Add(2)
 	h.Observe(0.5)
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Quantile(0.5) != 0 {
 		t.Fatal("nil instruments must read zero")
@@ -52,7 +51,7 @@ func TestCounterGauge(t *testing.T) {
 	}
 	g := r.Gauge("phase")
 	g.Set(2.5)
-	g.Add(-0.5)
+	g.Set(2)
 	if g.Value() != 2 {
 		t.Fatalf("gauge = %v, want 2", g.Value())
 	}

@@ -23,7 +23,6 @@ package obs
 import (
 	"encoding/json"
 	"io"
-	"strconv"
 	"sync/atomic"
 	"time"
 )
@@ -84,11 +83,10 @@ type SpanSink interface {
 }
 
 // Span is one live node of the causal tree. Create roots with
-// Observer.RootSpan and children with Child/ChildKey; finish with End.
+// Observer.RootSpan and children with ChildKey; finish with End.
 type Span struct {
 	o     *Observer // where End emits
 	start time.Time
-	seq   atomic.Uint64 // automatic child sequence (Child)
 	ended atomic.Bool
 	ev    SpanEvent
 }
@@ -128,17 +126,6 @@ func (s *Span) ChildKey(key, name, layer string) *Span {
 		return nil
 	}
 	return newSpan(s.o, s.ev.ID+"/"+key, s.ev.ID, name, layer)
-}
-
-// Child starts a child span keyed by name plus a per-parent sequence number
-// (name0, name1, ...). The sequence is deterministic whenever children are
-// created in a deterministic order (the case for ops within one attempt).
-func (s *Span) Child(name, layer string) *Span {
-	if s == nil {
-		return nil
-	}
-	n := s.seq.Add(1) - 1
-	return s.ChildKey(name+strconv.FormatUint(n, 10), name, layer)
 }
 
 // SetWave records the wave index.
@@ -284,14 +271,6 @@ func (s *SpanRing) Len() int {
 		return 0
 	}
 	return s.ring.Len()
-}
-
-// Total returns the number of spans ever emitted.
-func (s *SpanRing) Total() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.ring.Total()
 }
 
 // Tail returns up to n of the most recent spans, oldest first. n <= 0

@@ -94,7 +94,7 @@ func TestSpanNilSafety(t *testing.T) {
 	if sp.ID() != "" {
 		t.Fatal("nil span ID must be empty")
 	}
-	if sp.Child("op", "store") != nil || sp.ChildKey("k", "op", "store") != nil {
+	if sp.ChildKey("k", "op", "store") != nil {
 		t.Fatal("children of nil span must be nil")
 	}
 	sp.SetWave(1)
@@ -120,7 +120,7 @@ func TestSpanNilSafety(t *testing.T) {
 	}
 
 	var ring *SpanRing
-	if ring.Len() != 0 || ring.Total() != 0 || ring.Tail(3) != nil || ring.Dump(&bytes.Buffer{}) != nil {
+	if ring.Len() != 0 || ring.Tail(3) != nil || ring.Dump(&bytes.Buffer{}) != nil {
 		t.Fatal("nil span ring must be inert")
 	}
 }
@@ -144,11 +144,15 @@ func TestSpanRingWrapAndConcurrentWriters(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if ring.Total() != writers*perWriter {
-		t.Fatalf("total = %d, want %d", ring.Total(), writers*perWriter)
-	}
 	if ring.Len() != capacity {
 		t.Fatalf("len = %d, want %d", ring.Len(), capacity)
+	}
+	seen := map[string]bool{}
+	for _, ev := range ring.Tail(0) {
+		if seen[ev.ID] || !strings.HasPrefix(ev.ID, "w") {
+			t.Fatalf("retained span %q is torn or repeated", ev.ID)
+		}
+		seen[ev.ID] = true
 	}
 	if got := ring.Tail(5); len(got) != 5 {
 		t.Fatalf("tail(5) = %d spans", len(got))
@@ -230,17 +234,6 @@ func TestObserverFlightRecorder(t *testing.T) {
 	o.RootSpan("x", "x", "engine").End()
 	if extra.Len() != 1 || ring.Len() != 2 {
 		t.Fatalf("chained sink counts = %d/%d", extra.Len(), ring.Len())
-	}
-}
-
-func TestSpanChildSequence(t *testing.T) {
-	ring := NewSpanRing(8)
-	o := New(nil).WithSpanSinks(ring)
-	root := o.RootSpan("wal", "wal", "wal")
-	a := root.Child("append", "wal")
-	b := root.Child("append", "wal")
-	if a.ID() != "wal/append0" || b.ID() != "wal/append1" {
-		t.Errorf("child IDs = %q, %q", a.ID(), b.ID())
 	}
 }
 

@@ -135,12 +135,11 @@ func (s *RingSink) Emit(ev DecisionEvent) { s.add(ev) }
 var _ Sink = (*RingSink)(nil)
 
 // ring is the fixed-capacity buffer behind RingSink and SpanRing: it keeps
-// the most recent events of one type and counts every event ever added.
+// the most recent events of one type.
 type ring[T any] struct {
-	mu    sync.Mutex
-	buf   []T
-	next  int
-	total uint64
+	mu   sync.Mutex
+	buf  []T
+	next int
 }
 
 // add retains ev, overwriting the oldest event once the ring is full.
@@ -153,7 +152,6 @@ func (r *ring[T]) add(ev T) {
 		r.buf[r.next] = ev
 		r.next = (r.next + 1) % cap(r.buf)
 	}
-	r.total++
 }
 
 // Len returns the number of retained events.
@@ -161,13 +159,6 @@ func (r *ring[T]) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return len(r.buf)
-}
-
-// Total returns the number of events ever emitted.
-func (r *ring[T]) Total() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
 }
 
 // Tail returns up to n of the most recent events, oldest first. n <= 0

@@ -27,26 +27,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Variance returns the population variance of xs, or 0 for fewer than two
-// samples.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	mean := Mean(xs)
-	var sum float64
-	for _, x := range xs {
-		d := x - mean
-		sum += d * d
-	}
-	return sum / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	return math.Sqrt(Variance(xs))
-}
-
 // Pearson returns the sample Pearson correlation coefficient r between xs and
 // ys. r lies in [-1, 1]; it is 0 when either series has zero variance.
 func Pearson(xs, ys []float64) (float64, error) {
@@ -68,20 +48,6 @@ func Pearson(xs, ys []float64) (float64, error) {
 		return 0, nil
 	}
 	return sxy / math.Sqrt(sxx*syy), nil
-}
-
-// Min returns the minimum of xs.
-func Min(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m, nil
 }
 
 // Max returns the maximum of xs.
@@ -130,6 +96,8 @@ func GeometricMean(xs []float64) float64 {
 
 // Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
 // interpolation between closest ranks. xs is not modified.
+//
+//sflint:ignore unused only bench/ calls it; bench/ is frozen until ROADMAP item 4, and item 13(b) deletes it after
 func Quantile(xs []float64, q float64) (float64, error) {
 	if len(xs) == 0 {
 		return 0, ErrEmpty

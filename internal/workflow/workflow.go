@@ -72,6 +72,8 @@ func (c Container) Overlaps(o Container) bool {
 // element list; a missing table yields an empty state. The engine reads
 // containers as metric.Columns (kvstore.Table.ScanColumns): Snapshot is the
 // frozen benchmark's adapter; delete it with ROADMAP.md item 4(b).
+//
+//sflint:ignore unused only bench/ calls it; bench/ is frozen until ROADMAP item 4, and item 13(b) deletes it after
 func (c Container) Snapshot(store *kvstore.Store) metric.State {
 	t, err := store.Table(c.Table)
 	if err != nil {
@@ -365,9 +367,6 @@ func containersOverlap(a, b Container) bool {
 		strings.HasPrefix(b.ColumnPrefix, a.ColumnPrefix)
 }
 
-// Finalized reports whether Finalize completed.
-func (w *Workflow) Finalized() bool { return w.finalized }
-
 // Order returns the step IDs in topological order.
 func (w *Workflow) Order() ([]StepID, error) {
 	if !w.finalized {
@@ -386,9 +385,6 @@ func (w *Workflow) Step(id StepID) (*Step, error) {
 	}
 	return s, nil
 }
-
-// Len returns the number of steps.
-func (w *Workflow) Len() int { return len(w.steps) }
 
 // Predecessors returns the direct upstream steps of id.
 func (w *Workflow) Predecessors(id StepID) []StepID {

@@ -274,8 +274,8 @@ func TestAddStepAfterFinalize(t *testing.T) {
 	if err := w.AddStep(step("z", nil, []string{"zz"})); err == nil {
 		t.Error("AddStep after Finalize must fail")
 	}
-	if !w.Finalized() {
-		t.Error("Finalized() = false")
+	if !w.finalized {
+		t.Error("finalized = false")
 	}
 	if err := w.Finalize(); err != nil {
 		t.Errorf("repeated Finalize: %v", err)
@@ -290,8 +290,8 @@ func TestStepLookup(t *testing.T) {
 	if _, err := w.Step("ghost"); !errors.Is(err, ErrUnknownStep) {
 		t.Errorf("want ErrUnknownStep, got %v", err)
 	}
-	if w.Len() != 4 {
-		t.Errorf("Len = %d", w.Len())
+	if len(w.steps) != 4 {
+		t.Errorf("%d steps, want 4", len(w.steps))
 	}
 	if w.Name() != "diamond" {
 		t.Errorf("Name = %q", w.Name())
@@ -328,83 +328,5 @@ func TestContextTable(t *testing.T) {
 	again, err := ctx.Table("fresh")
 	if err != nil || again != tbl {
 		t.Error("ctx.Table must be idempotent")
-	}
-}
-
-func TestSpecRoundTrip(t *testing.T) {
-	reg := Registry{"nop": nop}
-	spec := Spec{
-		Name: "s",
-		Steps: []StepSpec{
-			{ID: "a", Processor: "nop", Source: true, Outputs: []string{"raw"}},
-			{
-				ID: "b", Processor: "nop",
-				Inputs: []string{"raw"}, Outputs: []string{"out/pre"},
-				MaxError: 0.1, ImpactFunc: metric.FuncAbsoluteImpact,
-				Mode: "accumulate",
-			},
-		},
-	}
-	w, err := spec.Build(reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := w.Step("b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.QoD.Mode != metric.ModeAccumulate || b.QoD.ImpactFunc != metric.FuncAbsoluteImpact {
-		t.Errorf("spec QoD not applied: %+v", b.QoD)
-	}
-	if b.Outputs[0].ColumnPrefix != "pre" {
-		t.Errorf("output prefix = %q", b.Outputs[0].ColumnPrefix)
-	}
-
-	// Serialize back and rebuild.
-	names := map[StepID]string{"a": "nop", "b": "nop"}
-	spec2, err := w.ToSpec(names)
-	if err != nil {
-		t.Fatal(err)
-	}
-	encoded, err := spec2.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	parsed, err := ParseSpec(encoded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w2, err := parsed.Build(reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	order1, _ := w.Order()
-	order2, _ := w2.Order()
-	if !reflect.DeepEqual(order1, order2) {
-		t.Errorf("round-trip changed order: %v vs %v", order1, order2)
-	}
-}
-
-func TestSpecBuildErrors(t *testing.T) {
-	if _, err := (Spec{Steps: []StepSpec{{ID: "a", Processor: "ghost", Outputs: []string{"t"}}}}).Build(Registry{}); err == nil {
-		t.Error("unknown processor must fail")
-	}
-	reg := Registry{"nop": nop}
-	if _, err := (Spec{Steps: []StepSpec{{ID: "a", Processor: "nop", Outputs: []string{"t"}, Mode: "bogus"}}}).Build(reg); err == nil {
-		t.Error("bad mode must fail")
-	}
-	if _, err := (Spec{Steps: []StepSpec{{ID: "a", Processor: "nop", Outputs: []string{""}}}}).Build(reg); err == nil {
-		t.Error("bad container must fail")
-	}
-	if _, err := ParseSpec([]byte("{")); err == nil {
-		t.Error("bad JSON must fail")
-	}
-}
-
-func TestToSpecRequiresFinalize(t *testing.T) {
-	w := New("w")
-	_ = w.AddStep(step("a", nil, []string{"t"}))
-	if _, err := w.ToSpec(nil); !errors.Is(err, ErrNotFinalized) {
-		t.Errorf("want ErrNotFinalized, got %v", err)
 	}
 }

@@ -216,7 +216,7 @@ func runPartitionChaosSymmetric(t *testing.T) (map[string]uint64, string) {
 	if !zombie.Fenced() {
 		t.Fatal("zombie primary not fenced after its stale write was rejected")
 	}
-	if err := cl.PutFloat("readings", "ghost2", "temp", 1); !errors.Is(err, kvnet.ErrFenced) {
+	if err := cl.Put("readings", "ghost2", "temp", kvstore.EncodeFloat(1)); !errors.Is(err, kvnet.ErrFenced) {
 		t.Fatalf("post-fence write = %v, want ErrFenced (zero acked writes after the fence)", err)
 	}
 	assertOneUnfencedPrimaryPerShard(t, cc, nodes)
@@ -326,7 +326,7 @@ func TestPartitionChaosAsymmetricLinkFence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = cl.Close() }()
-	if err := cl.PutFloat("t", "zombie", "v", 1); !errors.Is(err, kvnet.ErrFenced) {
+	if err := cl.Put("t", "zombie", "v", kvstore.EncodeFloat(1)); !errors.Is(err, kvnet.ErrFenced) {
 		t.Fatalf("write to healed-but-demoted node = %v, want ErrFenced", err)
 	}
 	if err := r.AttachFollower(p.Addr()); !errors.Is(err, kvnet.ErrFenced) {

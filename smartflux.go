@@ -90,10 +90,6 @@ type (
 	Processor = workflow.Processor
 	// ProcessorFunc adapts a function to Processor.
 	ProcessorFunc = workflow.ProcessorFunc
-	// Spec is the serializable workflow description.
-	Spec = workflow.Spec
-	// Registry maps processor names for spec building.
-	Registry = workflow.Registry
 )
 
 // Execution engine.
@@ -414,9 +410,6 @@ func SeqPolicy(n int) Decider { return engine.NewSeq(n) }
 // or a Harness, its decisions replay the reference instance's per-wave labels
 // (Figure 12's "optimal").
 func OraclePolicy() Decider { return &engine.Oracle{} }
-
-// ParseSpec decodes a JSON workflow spec.
-func ParseSpec(data []byte) (Spec, error) { return workflow.ParseSpec(data) }
 
 // ParseContainer parses a "table" or "table/columnPrefix" reference.
 func ParseContainer(s string) (Container, error) { return workflow.ParseContainer(s) }

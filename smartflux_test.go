@@ -176,10 +176,6 @@ func TestPublicAPIParseHelpers(t *testing.T) {
 	if err != nil || c.Table != "t" || c.ColumnPrefix != "prefix" {
 		t.Errorf("ParseContainer = %+v, %v", c, err)
 	}
-	spec, err := smartflux.ParseSpec([]byte(`{"name":"x","steps":[]}`))
-	if err != nil || spec.Name != "x" {
-		t.Errorf("ParseSpec = %+v, %v", spec, err)
-	}
 }
 
 func TestWorkloadBuilders(t *testing.T) {
@@ -194,8 +190,11 @@ func TestWorkloadBuilders(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if wf == nil || store == nil || !wf.Finalized() {
-				t.Error("builder must return a finalized workflow and store")
+			if wf == nil || store == nil {
+				t.Fatal("builder must return a workflow and store")
+			}
+			if _, err := wf.Order(); err != nil {
+				t.Errorf("builder must return a finalized workflow: %v", err)
 			}
 			inst, err := smartflux.NewInstance(wf, store)
 			if err != nil {
