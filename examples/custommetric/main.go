@@ -2,9 +2,10 @@
 //
 // The paper lets applications supply their own input-impact and output-error
 // functions. This example defines a weighted impact metric (large elements
-// matter more) and a max-deviation error metric, registers them on a small
-// pipeline and runs it through the harness under a seq-3 policy to show the
-// metrics at work without any learning machinery.
+// matter more) and a max-deviation error metric, tracks both over a table
+// that drifts wave by wave, and hand-rolls the QoD rule over the two
+// trackers — execute when the error passes 20%, then reset both baselines —
+// to show the metrics at work without any learning machinery.
 //
 // Run with:
 //

@@ -14,6 +14,21 @@ type Square struct{ Side float64 }
 // Area is read only through Shape.
 func (s Square) Area() float64 { return s.Side * s.Side }
 
+// Asserted appears only in a blank interface assertion, which checks it
+// against Shape and is read by no program.
+type Asserted struct{} // want `type Asserted is unused`
+
+// Area meets Shape.
+func (Asserted) Area() float64 { return 0 }
+
+var _ Shape = Asserted{}
+
+// A blank variable without an interface type runs its initializer, so
+// registered is read.
+var _ = registered()
+
+func registered() int { return 5 }
+
 // Sink's Write is reached through io.Writer, which the module never names:
 // app hands a Sink on as any.
 type Sink struct{ n int }

@@ -31,7 +31,9 @@ package analysis
 // not loaded, and the driver does not run it under Options.Only. A use
 // inside a declaration's own body or type spec, or in a method's receiver,
 // does not count for that declaration (a recursive or self-describing name
-// is still dead). Interface methods are not judged.
+// is still dead). Nor does the value of a blank interface assertion,
+// `var _ I = v`: it is there to be checked against I, which the assertion
+// references, and no program reads it. Interface methods are not judged.
 
 import (
 	"go/ast"
@@ -171,9 +173,10 @@ func buildUnusedRefs(pkgs []*Package) any {
 	for _, pkg := range pkgs {
 		frozen := slices.Contains(unusedFrozenReferrers, moduleRel(pkg.Path))
 		info := pkg.Info
-		// walk records the references under n; self is the declaration n
-		// belongs to, whose own uses do not count for it.
-		walk := func(n ast.Node, self types.Object) {
+		// walk records the references under n, or with uses false only the
+		// types it mentions; self is the declaration n belongs to, whose own
+		// uses do not count for it.
+		walk := func(n ast.Node, self types.Object, uses bool) {
 			ast.Inspect(n, func(n ast.Node) bool {
 				e, ok := n.(ast.Expr)
 				if !ok {
@@ -195,7 +198,7 @@ func buildUnusedRefs(pkgs []*Package) any {
 				}
 				collect(obj.Type())
 				obj = originOf(obj)
-				if obj != self && (!frozen || obj.Pkg() == pkg.Pkg) {
+				if uses && obj != self && (!frozen || obj.Pkg() == pkg.Pkg) {
 					r.used[obj] = true
 				}
 				return true
@@ -209,16 +212,26 @@ func buildUnusedRefs(pkgs []*Package) any {
 				switch d := decl.(type) {
 				case *ast.FuncDecl:
 					self := info.Defs[d.Name]
-					walk(d.Type, self)
+					walk(d.Type, self, true)
 					if d.Body != nil {
-						walk(d.Body, self)
+						walk(d.Body, self, true)
 					}
 				case *ast.GenDecl:
 					for _, spec := range d.Specs {
-						if ts, ok := spec.(*ast.TypeSpec); ok {
-							walk(ts, info.Defs[ts.Name])
-						} else {
-							walk(spec, nil)
+						switch s := spec.(type) {
+						case *ast.TypeSpec:
+							walk(s, info.Defs[s.Name], true)
+						case *ast.ValueSpec:
+							if isInterfaceAssertion(info, s) {
+								walk(s.Type, nil, true)
+								for _, v := range s.Values {
+									walk(v, nil, false)
+								}
+							} else {
+								walk(s, nil, true)
+							}
+						default:
+							walk(spec, nil, true)
 						}
 					}
 				}
@@ -226,6 +239,17 @@ func buildUnusedRefs(pkgs []*Package) any {
 		}
 	}
 	return r
+}
+
+// isInterfaceAssertion reports whether spec is a blank interface assertion:
+// every name blank, and a declared type that is an interface.
+func isInterfaceAssertion(info *types.Info, spec *ast.ValueSpec) bool {
+	for _, id := range spec.Names {
+		if id.Name != "_" {
+			return false
+		}
+	}
+	return spec.Type != nil && types.IsInterface(info.TypeOf(spec.Type))
 }
 
 // importedPackage finds the package with the given path among the analyzed

@@ -244,7 +244,6 @@ func buildWorkflow(cfg Config, gen *Generator) (*workflow.Workflow, error) {
 			// Step 1 simulates the deferred arrival of sensory data
 			// and feeds the first data container (3 columns).
 			ID:      StepIngest,
-			Name:    "ingest sensor readings",
 			Source:  true,
 			Outputs: []workflow.Container{container(TableSensors)},
 			Proc: workflow.ProcessorFunc(func(ctx *workflow.Context) error {
@@ -269,7 +268,6 @@ func buildWorkflow(cfg Config, gen *Generator) (*workflow.Workflow, error) {
 			// Step 2 combines the three sensors of each detector
 			// through a multiplicative model.
 			ID:      StepConcentration,
-			Name:    "combined concentration",
 			Inputs:  []workflow.Container{container(TableSensors)},
 			Outputs: []workflow.Container{container(TableConcentration)},
 			QoD:     gatedQoD(cfg, metric.FuncAbsoluteImpact),
@@ -279,7 +277,6 @@ func buildWorkflow(cfg Config, gen *Generator) (*workflow.Workflow, error) {
 			// Step 3a divides the region into zones and aggregates
 			// detector concentrations per zone.
 			ID:      StepZones,
-			Name:    "zone aggregation",
 			Inputs:  []workflow.Container{container(TableConcentration)},
 			Outputs: []workflow.Container{container(TableZones)},
 			QoD:     gatedQoD(cfg, metric.FuncAbsoluteImpact),
@@ -289,7 +286,6 @@ func buildWorkflow(cfg Config, gen *Generator) (*workflow.Workflow, error) {
 			// Step 3b interpolates concentration between detectors
 			// (the paper's plotted thermal map).
 			ID:      StepInterp,
-			Name:    "interpolated map",
 			Inputs:  []workflow.Container{container(TableConcentration)},
 			Outputs: []workflow.Container{container(TableInterp)},
 			QoD:     gatedQoD(cfg, metric.FuncAbsoluteImpact),
@@ -298,7 +294,6 @@ func buildWorkflow(cfg Config, gen *Generator) (*workflow.Workflow, error) {
 		{
 			// Step 4 flags zones above the hotspot reference.
 			ID:      StepHotspots,
-			Name:    "hotspot detection",
 			Inputs:  []workflow.Container{container(TableZones)},
 			Outputs: []workflow.Container{container(TableHotspots)},
 			// Relative impact: the hotspot/index stages have small,
@@ -311,7 +306,6 @@ func buildWorkflow(cfg Config, gen *Generator) (*workflow.Workflow, error) {
 			// Step 5 combines hotspot count and mean hotspot
 			// concentration into the health index (additive model).
 			ID:      StepIndex,
-			Name:    "air quality health index",
 			Inputs:  []workflow.Container{container(TableHotspots)},
 			Outputs: []workflow.Container{container(TableIndex)},
 			QoD:     gatedQoD(cfg, metric.FuncRelativeImpact),

@@ -353,7 +353,7 @@ func TestSessionRejectsOnQualityMinimums(t *testing.T) {
 func TestSessionCustomFactoryAndClassifier(t *testing.T) {
 	log := syntheticLog(120, 1, 19)
 	for _, cfg := range []Config{
-		{Seed: 1, Classifier: ClassifierNaiveBayes},
+		{Seed: 1, Factory: func() ml.Classifier { return ml.NewNaiveBayes() }},
 		{Seed: 1, Factory: func() ml.Classifier { return ml.NewKNN(ml.KNNConfig{}) }},
 		{Seed: 1, PositiveWeight: 4},
 	} {
@@ -364,11 +364,6 @@ func TestSessionCustomFactoryAndClassifier(t *testing.T) {
 		if _, err := sess.Train(); err != nil {
 			t.Errorf("config %+v: %v", cfg, err)
 		}
-	}
-	bad := NewSession(Config{Classifier: "bogus"})
-	bad.ObserveTrainingWave([]float64{1}, []int{1})
-	if _, err := bad.Train(); !errors.Is(err, ErrUnknownClassifier) {
-		t.Errorf("want ErrUnknownClassifier, got %v", err)
 	}
 }
 

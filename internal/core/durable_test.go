@@ -18,6 +18,7 @@ import (
 	"smartflux/internal/fault"
 	"smartflux/internal/kvstore"
 	"smartflux/internal/metric"
+	"smartflux/internal/ml"
 	"smartflux/internal/workflow"
 )
 
@@ -228,10 +229,17 @@ func crashInWave(t testing.TB, cfg PipelineConfig, dir string, k int) {
 // the same result, whatever the classifier: every model comes back by the
 // same fit.
 func TestDurablePipelineMatchesPlain(t *testing.T) {
-	for _, classifier := range []string{ClassifierRandomForest, ClassifierLogistic} {
-		t.Run(classifier, func(t *testing.T) {
+	logistic, err := ClassifierFactory(ClassifierLogistic, durablePipelineConfig().Session.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, classifier := range []struct {
+		name    string
+		factory func() ml.Classifier
+	}{{ClassifierRandomForest, nil}, {ClassifierLogistic, logistic}} {
+		t.Run(classifier.name, func(t *testing.T) {
 			cfg := durablePipelineConfig()
-			cfg.Session.Classifier = classifier
+			cfg.Session.Factory = classifier.factory
 			plain, err := RunPipeline(miniWorkload(), nil, cfg)
 			if err != nil {
 				t.Fatal(err)

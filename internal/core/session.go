@@ -44,16 +44,15 @@ func (p Phase) String() string {
 
 // Config configures a SmartFlux session.
 type Config struct {
-	// Classifier names the learning algorithm (default random-forest).
-	Classifier string
-	// Factory overrides Classifier with a custom constructor.
+	// Factory constructs the classifier each fit trains (default a Random
+	// Forest seeded Seed).
 	Factory func() ml.Classifier
 	// Thresholds are the per-label (or single shared) decision
 	// thresholds; values below 0.5 favour recall / bound compliance at
 	// the cost of saved executions (§5.2).
 	Thresholds []float64
 	// PositiveWeight oversamples execute-labelled waves when training the
-	// default Random Forest (ignored for other classifiers); values above
+	// default Random Forest (ignored when Factory is set); values above
 	// 1 bias the predictor toward recall (§5.2's recall optimization).
 	PositiveWeight float64
 	// MinAccuracy and MinRecall are the test-phase acceptance criteria;
@@ -279,19 +278,15 @@ func (s *Session) Train() (TestReport, error) {
 }
 
 // SessionFactory returns the classifier factory a session built from cfg
-// fits: cfg.Factory when set, else a Random Forest weighted by
-// cfg.PositiveWeight when that is positive, else ClassifierFactory's choice
-// for cfg.Classifier, each seeded cfg.Seed.
-func SessionFactory(cfg Config) (func() ml.Classifier, error) {
+// fits: cfg.Factory when set, else a Random Forest seeded cfg.Seed and
+// weighted by cfg.PositiveWeight.
+func SessionFactory(cfg Config) func() ml.Classifier {
 	if cfg.Factory != nil {
-		return cfg.Factory, nil
+		return cfg.Factory
 	}
-	if weight := cfg.PositiveWeight; weight > 0 && (cfg.Classifier == "" || cfg.Classifier == ClassifierRandomForest) {
-		return func() ml.Classifier {
-			return ml.NewForest(ml.ForestConfig{Seed: cfg.Seed, PositiveWeight: weight})
-		}, nil
+	return func() ml.Classifier {
+		return ml.NewForest(ml.ForestConfig{Seed: cfg.Seed, PositiveWeight: cfg.PositiveWeight})
 	}
-	return ClassifierFactory(cfg.Classifier, cfg.Seed)
 }
 
 // train builds the predictor this session's Config makes from data — one
@@ -301,10 +296,7 @@ func SessionFactory(cfg Config) (func() ml.Classifier, error) {
 // runs and per-fold predictions pooled in (label, fold) order afterwards, so
 // the report does not depend on Config.Parallelism.
 func (s *Session) train(data Dataset) (*Predictor, TestReport, error) {
-	factory, err := SessionFactory(s.cfg)
-	if err != nil {
-		return nil, TestReport{}, err
-	}
+	factory := SessionFactory(s.cfg)
 	plans, err := planLabels(data, s.cfg.Thresholds, testFolds, rand.New(rand.NewSource(s.cfg.Seed+1)))
 	if err != nil {
 		return nil, TestReport{}, err

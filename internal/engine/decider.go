@@ -18,24 +18,6 @@ type Decider interface {
 	Decide(wave, stepIdx int, impacts []float64) bool
 }
 
-// DeciderFunc adapts a function to the Decider interface.
-type DeciderFunc struct {
-	// PolicyName is returned by Name.
-	PolicyName string
-	// Fn is invoked by Decide.
-	Fn func(wave, stepIdx int, impacts []float64) bool
-}
-
-// Name implements Decider.
-func (d DeciderFunc) Name() string { return d.PolicyName }
-
-// Decide implements Decider.
-func (d DeciderFunc) Decide(wave, stepIdx int, impacts []float64) bool {
-	return d.Fn(wave, stepIdx, impacts)
-}
-
-var _ Decider = DeciderFunc{}
-
 // Sync is the Synchronous Data-Flow policy: every step executes every wave.
 // It is the paper's baseline ("sync" in Figure 12).
 type Sync struct{}

@@ -13,6 +13,22 @@ import (
 	"smartflux/internal/workflow"
 )
 
+// DeciderFunc adapts a function to the Decider interface.
+type DeciderFunc struct {
+	// PolicyName is returned by Name.
+	PolicyName string
+	// Fn is invoked by Decide.
+	Fn func(wave, stepIdx int, impacts []float64) bool
+}
+
+// Name implements Decider.
+func (d DeciderFunc) Name() string { return d.PolicyName }
+
+// Decide implements Decider.
+func (d DeciderFunc) Decide(wave, stepIdx int, impacts []float64) bool {
+	return d.Fn(wave, stepIdx, impacts)
+}
+
 // testWorkload is a tiny deterministic 3-step pipeline used across engine
 // tests: source writes a ramp+noise signal, mid averages it, leaf scales the
 // average.
@@ -175,11 +191,6 @@ func TestPolicies(t *testing.T) {
 	}
 	if !oracle.Decide(0, 5, nil) {
 		t.Error("oracle must fail open for out-of-range steps")
-	}
-
-	df := DeciderFunc{PolicyName: "f", Fn: func(_, _ int, _ []float64) bool { return true }}
-	if df.Name() != "f" || !df.Decide(0, 0, nil) {
-		t.Error("DeciderFunc plumbing")
 	}
 }
 

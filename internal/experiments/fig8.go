@@ -118,11 +118,7 @@ func evaluatePrefix(r *Runner, log *SyncLog, size, maxTrain int) (LearningPoint,
 // prefixPredictor fits, on log[0:size), the model a SmartFlux session
 // configured by sess fits.
 func prefixPredictor(sess core.Config, log *SyncLog, size int) (*core.Predictor, error) {
-	factory, err := core.SessionFactory(sess)
-	if err != nil {
-		return nil, err
-	}
-	return core.NewPredictor(factory, core.Dataset{X: log.Impacts[:size], Y: log.Labels[:size]}, sess.Thresholds)
+	return core.NewPredictor(core.SessionFactory(sess), core.Dataset{X: log.Impacts[:size], Y: log.Labels[:size]}, sess.Thresholds)
 }
 
 func clampLabel(l int) int {

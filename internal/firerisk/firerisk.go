@@ -229,7 +229,6 @@ func buildWorkflow(cfg Config, gen *Generator) (*workflow.Workflow, error) {
 			// Step 1 aggregates sensor data into the map containers;
 			// it must always execute (first updater, §2.4).
 			ID:      StepMapUpdate,
-			Name:    "map update",
 			Source:  true,
 			Outputs: []workflow.Container{container(TableSensors)},
 			Proc: workflow.ProcessorFunc(func(ctx *workflow.Context) error {
@@ -254,7 +253,6 @@ func buildWorkflow(cfg Config, gen *Generator) (*workflow.Workflow, error) {
 			// Step 2a divides the forest into areas and combines the
 			// measures of all sensors in each area.
 			ID:      StepAreas,
-			Name:    "calculate areas",
 			Inputs:  []workflow.Container{container(TableSensors)},
 			Outputs: []workflow.Container{container(TableAreas)},
 			QoD:     gatedQoD(cfg, 0.35),
@@ -263,7 +261,6 @@ func buildWorkflow(cfg Config, gen *Generator) (*workflow.Workflow, error) {
 		{
 			// Step 2b renders a thermal map for a monitoring station.
 			ID:      StepThermal,
-			Name:    "thermal map",
 			Inputs:  []workflow.Container{container(TableSensors)},
 			Outputs: []workflow.Container{container(TableThermal)},
 			QoD:     gatedQoD(cfg, 1),
@@ -272,7 +269,6 @@ func buildWorkflow(cfg Config, gen *Generator) (*workflow.Workflow, error) {
 		{
 			// Step 3 assesses the fire risk of each area.
 			ID:      StepAreaRisk,
-			Name:    "assess area risk",
 			Inputs:  []workflow.Container{container(TableAreas)},
 			Outputs: []workflow.Container{container(TableRisk)},
 			QoD:     gatedQoD(cfg, 1),
@@ -282,7 +278,6 @@ func buildWorkflow(cfg Config, gen *Generator) (*workflow.Workflow, error) {
 			// Step 4a assesses the overall risk and hotspots: the
 			// workflow output whose value changes slowly over time.
 			ID:      StepOverall,
-			Name:    "overall risk and hotspots",
 			Inputs:  []workflow.Container{container(TableRisk)},
 			Outputs: []workflow.Container{container(TableOverall)},
 			QoD:     gatedQoD(cfg, 1),
@@ -292,7 +287,6 @@ func buildWorkflow(cfg Config, gen *Generator) (*workflow.Workflow, error) {
 			// Step 4b gathers satellite imagery for areas on fire —
 			// critical, tolerates no error.
 			ID:      StepSatellite,
-			Name:    "satellite confirmation",
 			Inputs:  []workflow.Container{container(TableRisk)},
 			Outputs: []workflow.Container{container(TableSat)},
 			Proc:    satelliteProc(grid, area),
@@ -301,7 +295,6 @@ func buildWorkflow(cfg Config, gen *Generator) (*workflow.Workflow, error) {
 			// Step 5 issues displacement orders on confirmed fires —
 			// critical, tolerates no error.
 			ID:      StepDispatch,
-			Name:    "displacement order",
 			Inputs:  []workflow.Container{container(TableSat)},
 			Outputs: []workflow.Container{container(TableDispatch)},
 			Proc:    dispatchProc(),

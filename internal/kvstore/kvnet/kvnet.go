@@ -290,7 +290,7 @@ func (s *Server) acceptLoop(ln net.Listener) {
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			_ = s.serveConn(conn)
+			s.serveConn(conn)
 			s.mu.Lock()
 			delete(s.conns, conn)
 			s.mu.Unlock()
@@ -317,9 +317,9 @@ func cleanDisconnect(err error) bool {
 // flushed once the inbound buffer runs dry (so frames that arrived together
 // cost one write syscall, not one per response). A clean disconnect (EOF or
 // reset between frames — killed clients are routine under connection churn
-// — or the server shutting down) returns nil; decode and encode failures are
-// counted in the error counters, and returned.
-func (s *Server) serveConn(conn net.Conn) error {
+// — or the server shutting down) ends it quietly; a decode or encode failure
+// ends it counted in the error counters.
+func (s *Server) serveConn(conn net.Conn) {
 	// Close errors after a finished (or already failed) session are noise.
 	defer func() { _ = conn.Close() }()
 	remote := conn.RemoteAddr().String()
@@ -331,23 +331,9 @@ func (s *Server) serveConn(conn net.Conn) error {
 	out := wire.GetBuffer()
 	defer out.Release()
 
-	decodeFail := func(err error) error {
-		err = fmt.Errorf("kvnet decode from %s: %w", remote, err)
-		var decodeErrs *obs.Counter
-		if so != nil {
-			decodeErrs = so.decodeErrs
-		}
-		s.reportErr(decodeErrs, remote)
-		return err
-	}
-	encodeFail := func(err error) error {
-		err = fmt.Errorf("kvnet encode to %s: %w", remote, err)
-		var encodeErrs *obs.Counter
-		if so != nil {
-			encodeErrs = so.encodeErrs
-		}
-		s.reportErr(encodeErrs, remote)
-		return err
+	var decodeErrs, encodeErrs *obs.Counter
+	if so != nil {
+		decodeErrs, encodeErrs = so.decodeErrs, so.encodeErrs
 	}
 
 	var clientID uint64
@@ -364,19 +350,20 @@ func (s *Server) serveConn(conn net.Conn) error {
 				_, _ = bw.Write(out.Bytes())
 				_ = bw.Flush()
 			}
-			if cleanDisconnect(err) || s.isClosed() {
-				return nil // clean disconnect or server shutdown
+			if !cleanDisconnect(err) && !s.isClosed() {
+				// Garbage on the wire (a foreign protocol, torn frames, version
+				// mismatches): a fault worth surfacing, not a normal hang-up.
+				s.reportErr(decodeErrs, remote)
 			}
-			// Garbage on the wire (a foreign protocol, torn frames, version
-			// mismatches): a fault worth surfacing, not a normal hang-up.
-			return decodeFail(err)
+			return
 		}
 		if so != nil {
 			so.bytesRecv.Add(uint64(wire.HeaderSize + len(payload)))
 		}
 		req, err := wire.DecodeRequest(h, payload)
 		if err != nil {
-			return decodeFail(err)
+			s.reportErr(decodeErrs, remote)
+			return
 		}
 		if req.Op == wire.OpHello {
 			// One-way preamble: record the dedup identity, send nothing. The
@@ -385,8 +372,9 @@ func (s *Server) serveConn(conn net.Conn) error {
 			helloSeen = true
 			continue
 		}
-		if !helloSeen {
-			return decodeFail(fmt.Errorf("%s frame before hello preamble", wire.OpName(req.Op)))
+		if !helloSeen { // a request frame before the hello preamble
+			s.reportErr(decodeErrs, remote)
+			return
 		}
 
 		var start time.Time
@@ -402,10 +390,10 @@ func (s *Server) serveConn(conn net.Conn) error {
 			werr = bw.Flush()
 		}
 		if werr != nil {
-			if cleanDisconnect(werr) || s.isClosed() {
-				return nil
+			if !cleanDisconnect(werr) && !s.isClosed() {
+				s.reportErr(encodeErrs, remote)
 			}
-			return encodeFail(werr)
+			return
 		}
 	}
 }

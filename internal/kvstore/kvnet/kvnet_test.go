@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"smartflux/internal/kvstore"
+	"smartflux/internal/obs"
 )
 
 // startServer spins up a server on an ephemeral port and registers cleanup.
@@ -75,6 +76,8 @@ func TestClientStartsNoGoroutines(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := NewServer(store)
+	reg := obs.NewRegistry()
+	srv.Instrument(obs.New(reg))
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -83,11 +86,10 @@ func TestClientStartsNoGoroutines(t *testing.T) {
 	served := make(chan error, 1)
 	go func() {
 		conn, err := ln.Accept()
-		if err != nil {
-			served <- err
-			return
+		if err == nil {
+			srv.serveConn(conn)
 		}
-		served <- srv.serveConn(conn)
+		served <- err
 	}()
 
 	// Settle the count: goroutines of earlier tests may still be exiting.
@@ -127,7 +129,12 @@ func TestClientStartsNoGoroutines(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := <-served; err != nil {
-		t.Fatalf("serving the client: %v", err)
+		t.Fatalf("accepting the client: %v", err)
+	}
+	for _, kind := range []string{"decode", "encode"} {
+		if got := reg.Snapshot().Counters[errCounter(kind)]; got != 0 {
+			t.Errorf("%s errors = %d serving the client, want 0", kind, got)
+		}
 	}
 }
 

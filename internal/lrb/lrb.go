@@ -377,7 +377,6 @@ func buildWorkflow(cfg Config, sim *Simulator) (*workflow.Workflow, error) {
 			// Step 1 receives, separates and stores position reports
 			// and queries from vehicle transponders.
 			ID:      StepFeeder,
-			Name:    "feeder/forwarder",
 			Source:  true,
 			Outputs: []workflow.Container{container(TableReports), container(TableQueries)},
 			Proc:    feederProc(sim, keys),
@@ -386,7 +385,6 @@ func buildWorkflow(cfg Config, sim *Simulator) (*workflow.Workflow, error) {
 			// Step 2a updates vehicle positions across the
 			// expressway system.
 			ID:      StepPositions,
-			Name:    "update vehicle positions",
 			Inputs:  []workflow.Container{container(TableReports)},
 			Outputs: []workflow.Container{container(TablePositions)},
 			QoD:     gatedQoD(cfg),
@@ -396,7 +394,6 @@ func buildWorkflow(cfg Config, sim *Simulator) (*workflow.Workflow, error) {
 			// Step 2b processes and prioritizes queries; executed
 			// synchronously (real-time replies).
 			ID:      StepQueries,
-			Name:    "process queries",
 			Inputs:  []workflow.Container{container(TableQueries)},
 			Outputs: []workflow.Container{container(TableQueryProc)},
 			Proc:    queriesProc(),
@@ -404,7 +401,6 @@ func buildWorkflow(cfg Config, sim *Simulator) (*workflow.Workflow, error) {
 		{
 			// Step 3a: average vehicle speed per segment.
 			ID:      StepAvgSpeed,
-			Name:    "average speed",
 			Inputs:  []workflow.Container{{Table: TablePositions, ColumnPrefix: "speed"}},
 			Outputs: []workflow.Container{container(TableSpeeds)},
 			QoD:     gatedQoD(cfg),
@@ -413,7 +409,6 @@ func buildWorkflow(cfg Config, sim *Simulator) (*workflow.Workflow, error) {
 		{
 			// Step 3b: number of cars per segment.
 			ID:      StepCarCount,
-			Name:    "car counts",
 			Inputs:  []workflow.Container{{Table: TablePositions, ColumnPrefix: "seg"}},
 			Outputs: []workflow.Container{container(TableCounts)},
 			QoD:     gatedQoD(cfg),
@@ -422,7 +417,6 @@ func buildWorkflow(cfg Config, sim *Simulator) (*workflow.Workflow, error) {
 		{
 			// Step 3c: accident detection (stopped vehicles).
 			ID:      StepAccidents,
-			Name:    "accident detection",
 			Inputs:  []workflow.Container{{Table: TablePositions, ColumnPrefix: "speed"}},
 			Outputs: []workflow.Container{container(TableAccidents)},
 			QoD:     gatedQoD(cfg),
@@ -430,8 +424,7 @@ func buildWorkflow(cfg Config, sim *Simulator) (*workflow.Workflow, error) {
 		},
 		{
 			// Step 4: congestion (toll) level per segment.
-			ID:   StepCongestion,
-			Name: "congestion",
+			ID: StepCongestion,
 			Inputs: []workflow.Container{
 				container(TableSpeeds),
 				container(TableCounts),
@@ -444,7 +437,6 @@ func buildWorkflow(cfg Config, sim *Simulator) (*workflow.Workflow, error) {
 		{
 			// Step 5a: classify congestion areas (workflow output).
 			ID:      StepClassify,
-			Name:    "classify congestion areas",
 			Inputs:  []workflow.Container{container(TableCongestion)},
 			Outputs: []workflow.Container{container(TableClasses)},
 			QoD:     gatedQoD(cfg),
@@ -453,8 +445,7 @@ func buildWorkflow(cfg Config, sim *Simulator) (*workflow.Workflow, error) {
 		{
 			// Step 5b: travel time estimation; executed
 			// synchronously (real-time replies).
-			ID:   StepTravelTime,
-			Name: "travel time estimation",
+			ID: StepTravelTime,
 			Inputs: []workflow.Container{
 				container(TableQueryProc),
 				container(TableCongestion),

@@ -8,7 +8,6 @@ package metric
 import (
 	"errors"
 	"math"
-	"strings"
 )
 
 // Context carries the container-level aggregates a Metric may need when
@@ -52,7 +51,7 @@ type Factory func() Metric
 // ErrUnknownFunc is returned when resolving an unrecognized built-in name.
 var ErrUnknownFunc = errors.New("metric: unknown built-in function")
 
-// Built-in metric names, usable in workflow specs.
+// Built-in metric names, usable as a workflow QoD's ImpactFunc and ErrorFunc.
 const (
 	// FuncAbsoluteImpact is Equation 1: ι = Σ|xᵢ-x'ᵢ| × m.
 	FuncAbsoluteImpact = "absolute-impact"
@@ -66,16 +65,8 @@ const (
 	FuncRMSE = "rmse"
 )
 
-// DSLPrefix marks a metric name as an inline DSL expression: a spec may use
-// e.g. "dsl:sqrt(sum(sqdelta)/m)" anywhere a built-in name is accepted.
-const DSLPrefix = "dsl:"
-
-// Resolve returns the factory for a built-in metric name or, with the
-// "dsl:" prefix, compiles an inline DSL expression (see ParseDSL).
+// Resolve returns the factory for a built-in metric name.
 func Resolve(name string) (Factory, error) {
-	if expr, ok := strings.CutPrefix(name, DSLPrefix); ok {
-		return ParseDSL(expr)
-	}
 	switch name {
 	case FuncAbsoluteImpact:
 		return NewAbsoluteImpact, nil

@@ -299,7 +299,7 @@ func CombineMax(values []float64) float64 {
 	return m
 }
 
-// ResolveCombiner maps a spec name to a Combiner.
+// ResolveCombiner maps a workflow QoD's Combiner name to a Combiner.
 func ResolveCombiner(name string) (Combiner, error) {
 	switch name {
 	case "", "geometric-mean":

@@ -145,20 +145,61 @@ func nextRefState(rng *rand.Rand, prev refState) refState {
 	return next
 }
 
-// TestMergeJoinMatchesMapReference drives a Tracker and the map-based
-// reference through the same seeded Observe/Commit sequences and requires
-// bit-identical values from every built-in metric, a DSL metric and both
-// modes.
-func TestMergeJoinMatchesMapReference(t *testing.T) {
-	names := []string{
-		FuncAbsoluteImpact, FuncRelativeImpact, FuncRelativeError, FuncRMSE,
-		DSLPrefix + "sum(absdelta) * m / (1 + baselinesum * n) + max(absdelta) + sum(delta)",
+// everyInput is a metric that reads every Update argument and every Context
+// field: Σ|Δ| × m / (1 + baselineSum × n) + max|Δ| + max cur + ΣΔ, a ratio
+// with a zero denominator reading 0 and a NaN or infinite value reading 0.
+type everyInput struct {
+	sumDelta, sumAbsDelta, maxAbsDelta, maxCur float64
+	count                                      int
+}
+
+func (e *everyInput) Update(cur, prev float64) {
+	d := cur - prev
+	e.sumDelta += d
+	e.sumAbsDelta += math.Abs(d)
+	if math.Abs(d) > e.maxAbsDelta {
+		e.maxAbsDelta = math.Abs(d)
 	}
-	for _, name := range names {
+	if e.count == 0 || cur > e.maxCur {
+		e.maxCur = cur
+	}
+	e.count++
+}
+
+func (e *everyInput) Compute(ctx Context) float64 {
+	var ratio float64
+	if den := 1 + ctx.BaselineSum*float64(ctx.Total); den != 0 {
+		ratio = e.sumAbsDelta * float64(ctx.Modified) / den
+	}
+	v := ratio + e.maxAbsDelta + e.maxCur + e.sumDelta
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0
+	}
+	return v
+}
+
+func (e *everyInput) Reset() { *e = everyInput{} }
+
+// testMetrics names each built-in metric's factory and everyInput's.
+func testMetrics(t *testing.T) map[string]Factory {
+	t.Helper()
+	factories := map[string]Factory{"every-input": func() Metric { return &everyInput{} }}
+	for _, name := range []string{FuncAbsoluteImpact, FuncRelativeImpact, FuncRelativeError, FuncRMSE} {
 		factory, err := Resolve(name)
 		if err != nil {
 			t.Fatal(err)
 		}
+		factories[name] = factory
+	}
+	return factories
+}
+
+// TestMergeJoinMatchesMapReference drives a Tracker and the map-based
+// reference through the same seeded Observe/Commit sequences and requires
+// bit-identical values from every built-in metric, everyInput and both
+// modes.
+func TestMergeJoinMatchesMapReference(t *testing.T) {
+	for name, factory := range testMetrics(t) {
 		for _, mode := range []Mode{ModeCancellation, ModeAccumulate} {
 			for seed := int64(1); seed <= 20; seed++ {
 				rng := rand.New(rand.NewSource(seed))
@@ -185,19 +226,11 @@ func TestMergeJoinMatchesMapReference(t *testing.T) {
 // TestSharedKeysMatchMergeJoin evaluates random state pairs over one key set
 // two ways — sharing Keys, which takes the element-by-element loop, and with
 // the state's keys cloned, which forces the merge-join — and requires the same
-// bits from both for every built-in metric and a DSL metric. Values include
+// bits from both for every built-in metric and everyInput. Values include
 // NaN, ±0 and elements left unchanged.
 func TestSharedKeysMatchMergeJoin(t *testing.T) {
-	names := []string{
-		FuncAbsoluteImpact, FuncRelativeImpact, FuncRelativeError, FuncRMSE,
-		DSLPrefix + "sum(absdelta) * m / (1 + baselinesum * n) + max(absdelta) + sum(delta)",
-	}
 	specials := []float64{math.NaN(), 0, math.Copysign(0, -1)}
-	for _, name := range names {
-		factory, err := Resolve(name)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for name, factory := range testMetrics(t) {
 		tr := NewTracker(factory, ModeCancellation)
 		rng := rand.New(rand.NewSource(1))
 		value := func() float64 {
@@ -314,19 +347,11 @@ func TestPersistedTrackerHoldsOneState(t *testing.T) {
 
 // TestResetRestoresFreshMetric: a tracker evaluates with one Metric, Reset
 // before every evaluation but the first, so Reset must leave each built-in
-// metric, and a DSL one, as its factory builds it. On 200 random state pairs
+// metric, and everyInput, as its factory builds it. On 200 random state pairs
 // a reused instance and a tracker give a Compute bit-identical to a fresh
 // instance's.
 func TestResetRestoresFreshMetric(t *testing.T) {
-	names := []string{
-		FuncAbsoluteImpact, FuncRelativeImpact, FuncRelativeError, FuncRMSE,
-		DSLPrefix + "sum(absdelta) * m / (1 + baselinesum * n) + max(absdelta) + max(cur) + sum(delta)",
-	}
-	for _, name := range names {
-		factory, err := Resolve(name)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for name, factory := range testMetrics(t) {
 		rng := rand.New(rand.NewSource(1))
 		reused, tr := factory(), NewTracker(factory, ModeCancellation)
 		var base refState

@@ -153,15 +153,10 @@ func (q QoD) withDefaults() QoD {
 type Step struct {
 	// ID uniquely identifies the step.
 	ID StepID
-	// Name is an optional human-readable label.
-	Name string
 	// Inputs are the containers the step reads.
 	Inputs []Container
 	// Outputs are the containers the step writes.
 	Outputs []Container
-	// After lists explicit upstream dependencies beyond those implied by
-	// container wiring.
-	After []StepID
 	// Source marks a step that ingests external data and therefore
 	// executes at every wave (paper §2.4 step 1).
 	Source bool
@@ -248,7 +243,7 @@ func (w *Workflow) AddStep(s *Step) error {
 
 // Finalize validates the workflow, derives step dependencies from container
 // wiring (a step depends on every producer of each of its input containers)
-// and the After lists, and computes a deterministic topological order.
+// and computes a deterministic topological order.
 func (w *Workflow) Finalize() error {
 	if w.finalized {
 		return nil
@@ -283,12 +278,6 @@ func (w *Workflow) Finalize() error {
 					addEdge(producer, id)
 				}
 			}
-		}
-		for _, dep := range s.After {
-			if _, ok := w.steps[dep]; !ok {
-				return fmt.Errorf("%w: step %q after %q", ErrUnknownStep, id, dep)
-			}
-			addEdge(dep, id)
 		}
 	}
 

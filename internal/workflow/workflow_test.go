@@ -192,36 +192,6 @@ func TestFinalizeEmpty(t *testing.T) {
 	}
 }
 
-func TestAfterDependencies(t *testing.T) {
-	w := New("after")
-	if err := w.AddStep(step("a", nil, []string{"t1"})); err != nil {
-		t.Fatal(err)
-	}
-	b := step("b", nil, []string{"t2"})
-	b.After = []StepID{"a"}
-	if err := w.AddStep(b); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-	if got := w.Predecessors("b"); !reflect.DeepEqual(got, []StepID{"a"}) {
-		t.Errorf("After dependency missing: %v", got)
-	}
-}
-
-func TestAfterUnknownStep(t *testing.T) {
-	w := New("after")
-	b := step("b", nil, []string{"t"})
-	b.After = []StepID{"ghost"}
-	if err := w.AddStep(b); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Finalize(); !errors.Is(err, ErrUnknownStep) {
-		t.Errorf("want ErrUnknownStep, got %v", err)
-	}
-}
-
 func TestColumnPrefixOverlap(t *testing.T) {
 	// Producer writes t/a, consumer reads t/ab: overlapping prefixes
 	// imply a dependency; disjoint prefixes do not.

@@ -161,15 +161,6 @@ func NewMetricTracker(factory MetricFactory, mode Mode) *MetricTracker {
 	return metric.NewTracker(factory, mode)
 }
 
-// ParseMetricDSL compiles a metric expression (the high-level DSL the paper
-// proposes in §4.2) into a metric factory, e.g.
-// "sqrt(sum(sqdelta)/m)" or "sum(absdelta)*m/(baselinesum*n)".
-// Expressions are also accepted anywhere a built-in metric name is, with
-// the "dsl:" prefix (QoD.ImpactFunc, QoD.ErrorFunc, workflow specs).
-func ParseMetricDSL(expr string) (MetricFactory, error) {
-	return metric.ParseDSL(expr)
-}
-
 // DriftDetector watches application-phase prediction quality and signals
 // when the model should be retrained (§3.1's on-demand retraining).
 type DriftDetector = core.DriftDetector
@@ -188,23 +179,12 @@ const (
 	ModeAccumulate = metric.ModeAccumulate
 )
 
-// Built-in metric function names, usable in QoD and workflow specs.
+// Built-in metric function names, usable as QoD.ImpactFunc and QoD.ErrorFunc.
 const (
 	FuncAbsoluteImpact = metric.FuncAbsoluteImpact
 	FuncRelativeImpact = metric.FuncRelativeImpact
 	FuncRelativeError  = metric.FuncRelativeError
 	FuncRMSE           = metric.FuncRMSE
-)
-
-// Classifier names for SessionConfig.Classifier.
-const (
-	ClassifierRandomForest = core.ClassifierRandomForest
-	ClassifierSVM          = core.ClassifierSVM
-	ClassifierLogistic     = core.ClassifierLogistic
-	ClassifierNaiveBayes   = core.ClassifierNaiveBayes
-	ClassifierDecisionTree = core.ClassifierDecisionTree
-	ClassifierMLP          = core.ClassifierMLP
-	ClassifierKNN          = core.ClassifierKNN
 )
 
 // Observability (metrics registry + decision tracing + debug server).

@@ -210,23 +210,6 @@ func TestWorkloadBuilders(t *testing.T) {
 	}
 }
 
-func TestPublicAPIMetricDSL(t *testing.T) {
-	factory, err := smartflux.ParseMetricDSL("sum(absdelta) * m / (baselinesum * n)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tracker := smartflux.NewMetricTracker(factory, smartflux.ModeCancellation)
-	tracker.ObserveColumns(smartflux.Columns{Keys: []string{"a", "b"}, Vals: []float64{10, 10}})
-	got := tracker.ObserveColumns(smartflux.Columns{Keys: []string{"a", "b"}, Vals: []float64{12, 10}})
-	want := 2.0 * 1 / (20 * 2)
-	if got != want {
-		t.Errorf("DSL metric through facade = %v, want %v", got, want)
-	}
-	if _, err := smartflux.ParseMetricDSL("(("); err == nil {
-		t.Error("bad expression must fail")
-	}
-}
-
 func TestPublicAPIDriftDetector(t *testing.T) {
 	d := smartflux.NewDriftDetector(10, 0.3)
 	for i := 0; i < 10; i++ {
