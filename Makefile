@@ -195,13 +195,11 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzTableColumns -fuzztime 30s ./internal/kvstore
 	$(GO) test -run xxx -fuzz FuzzOneFeatureTree -fuzztime 30s ./internal/ml
 
-## stress: the engine's scheduler tests, the kvnet client's close, retry
+## stress: the engine's wave tests, the kvnet client's close, retry
 ## and exactly-once tests and the dump snapshot test 50 times over under the
-## race detector (nightly CI job). Engine: wave determinism, the schedule
-## digests at Parallelism 1, 2 and 4, branch overlap, the error rule, the
-## gated chain the coordinator keeps and the rewind of failed and retried
-## waves to the trackers' pinned baselines — so a rare interleaving of the
-## claim that decides who runs a no-decision step gets many chances to show.
+## race detector (nightly CI job). Engine: the wave error rule, the schedule
+## digests and the rewind of failed and retried waves to the trackers'
+## pinned baselines.
 ## kvnet: a Close racing calls in flight, in backoff and parked on a read,
 ## and mutating retries through lost responses, injected disconnects and an
 ## original still applying when its retries arrive — the client's two locks
@@ -212,7 +210,7 @@ fuzz:
 ## state the writer passed through (per shard on the cluster), so a read
 ## that leaves the table's lock between cells gets many chances to show.
 stress:
-	$(GO) test -race -count=50 -run 'TestParallel|TestScheduleDigests|TestIndependentBranchesOverlap|TestDoomedWave|TestFailedStepStops|TestGatedChain|TestFailedWaveRewindsOwnedBaselines' ./internal/engine/
+	$(GO) test -race -count=50 -run 'TestParallelWaveError|TestScheduleDigests|TestDoomedWave|TestFailedStepStops|TestFailedWaveRewindsOwnedBaselines' ./internal/engine/
 	$(GO) test -race -count=50 -run 'TestClientCloseIdempotentConcurrent|TestClientCloseUnblocksPendingRead|TestMutatingRetryExactlyOnce|TestRetryWaitsForInflightOriginal|TestExactlyOncePipelinedDisconnects|TestChaosClientRetriesThroughInjectedDisconnects' ./internal/kvstore/kvnet/
 	$(GO) test -race -count=50 -run 'TestDumpIsASnapshotBesideAWriter' ./internal/kvstore/cluster/
 
@@ -256,19 +254,18 @@ loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './internal/analysis/testdata/*' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l
 
 ## bench-smoke: one iteration of each overhead microbenchmark, each Linear
-## Road processor, the Linear Road wave at Parallelism 1 and 2, the
-## harness's 120 training waves, whose measure pass runs a report step
-## hypothetically and undoes it every wave, and the model build set-up pays
+## Road processor, the harness's 120 training waves, whose measure pass
+## runs a report step hypothetically and undoes it every wave, and the
+## model build set-up pays
 ## (Session.Train on the LRB and AQHI knowledge bases, and one step's forest
 ## fit) — numbers meaningless; a benchmark that fails at run time fails it;
 ## part of make check
 bench-smoke:
-	$(GO) test -run xxx -bench 'BenchmarkOverhead|BenchmarkLRBSteps|BenchmarkLRBWaveParallelism|BenchmarkHarnessTrainingLRB|BenchmarkSessionTrain|BenchmarkForestFitOwnImpact' -benchtime 1x .
+	$(GO) test -run xxx -bench 'BenchmarkOverhead|BenchmarkLRBSteps|BenchmarkHarnessTrainingLRB|BenchmarkSessionTrain|BenchmarkForestFitOwnImpact' -benchtime 1x .
 
 ## bench: overhead microbenchmarks (§5.3 + instrumentation overhead, and the
 ## store's cost of a changing key set, BenchmarkOverheadKVStoreChurn), each
-## Linear Road processor at steady state, the serial-vs-parallel
-## microbenchmarks, one Linear Road wave at Parallelism 1 and 2, the
+## Linear Road processor at steady state, the forest fits, the
 ## Session.Train of a Linear Road and an AQHI pipeline, and the
 ## cluster comparison (BENCH_PR10.json); the WAL's
 ## cost per wave is the pipeline benchmark's aqhi-durable workload (make
@@ -276,7 +273,6 @@ bench-smoke:
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkOverhead' -benchtime 1000x .
 	$(GO) test -run xxx -bench 'BenchmarkLRBSteps' -benchtime 2000x .
-	$(GO) test -run xxx -bench 'BenchmarkLRBWaveParallelism' -benchtime 2000x .
-	$(GO) test -run xxx -bench 'BenchmarkRunWave|BenchmarkForestFit|BenchmarkSessionTrain' -benchtime 10x .
+	$(GO) test -run xxx -bench 'BenchmarkForestFit|BenchmarkSessionTrain' -benchtime 10x .
 	$(GO) run ./cmd/clusterbench -out BENCH_PR10.json
 	@cat BENCH_PR10.json

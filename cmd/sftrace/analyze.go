@@ -93,21 +93,11 @@ func (tr *trace) waveSpan(wave int) (smartflux.SpanEvent, bool) {
 	return ev, ok
 }
 
-// execNanos is the execute portion of a span: duration minus the prefix
-// spent blocked on predecessors.
-func execNanos(ev smartflux.SpanEvent) int64 {
-	d := ev.DurNanos - ev.WaitNanos
-	if d < 0 {
-		d = 0
-	}
-	return d
-}
-
 // critPath holds one wave's critical-path result.
 type critPath struct {
 	wave     int
 	waveDur  int64 // observed wave span duration; 0 when the wave span is missing
-	cpDur    int64 // sum of execute times along the critical chain
+	cpDur    int64 // sum of step durations along the critical chain
 	path     []string
 	executed int
 	skipped  int
@@ -115,8 +105,8 @@ type critPath struct {
 }
 
 // criticalPath computes, for one wave's steps, the dependency chain with the
-// largest total execute time. Edges come from each span's WaitFor list — the
-// sibling step spans its start waited on. cp(s) = exec(s) + max cp(pred);
+// largest total duration. Edges come from each span's WaitFor list — the
+// sibling step spans its start waited on. cp(s) = dur(s) + max cp(pred);
 // missing predecessors (truncated logs) and cycles (corrupt input) contribute
 // zero rather than failing the analysis.
 func criticalPath(wave int, steps []smartflux.SpanEvent, waveDur int64) critPath {
@@ -148,7 +138,7 @@ func criticalPath(wave int, steps []smartflux.SpanEvent, waveDur int64) critPath
 			}
 		}
 		delete(visiting, id)
-		v := execNanos(s) + maxPred
+		v := s.DurNanos + maxPred
 		memo[id] = v
 		return v
 	}

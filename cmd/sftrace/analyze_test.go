@@ -15,7 +15,7 @@ import (
 // last, a torn line, an unknown record type, a duplicate span ID (a wave
 // retry re-emitting the same deterministic ID) and an interleaved decision.
 const outOfOrderLog = `{"type":"span","id":"run/w0/b/a0","parent":"run/w0/b","name":"attempt","layer":"engine","wave":0,"attempt":0,"dur_ns":2500000}
-{"type":"span","id":"run/w0/b","parent":"run/w0","name":"step","layer":"engine","wave":0,"step":"b","attempt":-1,"dur_ns":5000000,"wait_ns":2000000,"wait_for":["run/w0/a"]}
+{"type":"span","id":"run/w0/b","parent":"run/w0","name":"step","layer":"engine","wave":0,"step":"b","attempt":-1,"dur_ns":3000000,"wait_for":["run/w0/a"]}
 {"type":"span","id":"run/w0/c","parent":"run/w0","name":"step","layer":"engine","wave":0,"step":"c","attempt":-1,"dur_ns":1000000,"skipped":true,"wait_for":["run/w0/a"]}
 this line is torn mid-{record
 {"type":"widget","id":"future-record-kind"}
@@ -63,8 +63,8 @@ func TestReassembleOutOfOrder(t *testing.T) {
 		t.Fatal("wave span missing")
 	}
 	cp := criticalPath(0, steps, wsp.DurNanos)
-	// b's execute time is 5ms-2ms wait = 3ms on top of a's 3ms: the chain
-	// a -> b (6ms) beats both a alone and the skipped c.
+	// b's 3ms on top of a's 3ms: the chain a -> b (6ms) beats both a alone
+	// and the skipped c.
 	if cp.cpDur != 6000000 {
 		t.Errorf("critical path = %dns, want 6000000", cp.cpDur)
 	}

@@ -38,7 +38,7 @@ func run(args []string, out io.Writer) (err error) {
 	train := fs.Int("train", 336, "synchronous waves before the policy decides: smartflux learns from them, any other policy only starts warm (0 = cold start)")
 	apply := fs.Int("apply", 384, "application waves under the policy")
 	seed := fs.Int64("seed", 42, "deterministic seed")
-	parallelism := fs.Int("parallelism", 0, "per-wave worker bound: 0 = GOMAXPROCS, 1 = sequential (results are identical either way)")
+	parallelism := fs.Int("parallelism", 0, "training tasks run at once when the model is fitted: 0 = GOMAXPROCS, 1 = sequential (results are identical either way)")
 	obsAddr := fs.String("obs-addr", "", "serve /metrics, /trace/tail, /trace/spans and /debug/pprof on this address (e.g. 127.0.0.1:8080)")
 	traceOut := fs.String("trace-out", "", "append decision-trace events as JSON lines to this file")
 	spanOut := fs.String("span-out", "", "append causal spans (plus decision events) as JSON lines to this file, readable by sftrace")

@@ -9,8 +9,8 @@ import (
 // escape hatch at all: no channel operation (send, receive, close, select,
 // range over a channel), no sync.WaitGroup Done/Wait, and no
 // context.Context in sight. Such a goroutine can neither be waited for nor
-// cancelled — it either leaks or races the process exit, and under the
-// engine's worker-pool design every background goroutine must be joinable.
+// cancelled — it either leaks or races the process exit; every background
+// goroutine must be joinable.
 var Goroleak = &Analyzer{
 	Name: "goroleak",
 	Doc: "go func literals with no done-channel, WaitGroup or context escape " +

@@ -23,9 +23,6 @@ func (s *Span) ChildKey(key, name, layer string) *Span { return nil }
 // SetWave attaches the wave index.
 func (s *Span) SetWave(wave int) {}
 
-// MarkWait records the wait/execute boundary.
-func (s *Span) MarkWait() {}
-
 // End emits the span.
 func (s *Span) End() {}
 

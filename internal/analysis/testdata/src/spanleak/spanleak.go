@@ -26,7 +26,7 @@ func leaked(o *obs.Observer) {
 func leakedChild(o *obs.Observer) *obs.Span {
 	root := o.RootSpan("run", "run", "engine")
 	child := root.ChildKey("w0", "wave", "engine") // want `span child is started but never ended`
-	child.MarkWait()
+	child.SetWave(0)
 	return root
 }
 
@@ -42,7 +42,7 @@ func wrapper(o *obs.Observer) *obs.Span {
 // matching is by result type, not by callee package.
 func leakedViaWrapper(o *obs.Observer) {
 	sp := wrapper(o) // want `span sp is started but never ended`
-	sp.MarkWait()
+	sp.SetWave(1)
 }
 
 // ended is the canonical clean shape.

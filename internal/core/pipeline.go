@@ -31,16 +31,14 @@ type PipelineConfig struct {
 	// Obs, when non-nil, instruments the harness (engine metrics +
 	// decision trace) and the session (lifecycle metrics).
 	Obs *obs.Observer
-	// Parallelism bounds concurrent work in the engine instances and — when
-	// Session.Parallelism is unset — the session's training tasks. 0 selects
-	// runtime.GOMAXPROCS(0); 1 runs each instance's steps on one goroutine
-	// and trains sequentially (Config.Parallelism), though a wave's two
-	// instances still run at once (engine.Harness.ResumeRun). Results are
-	// bit-identical across settings.
+	// Parallelism bounds the session's training tasks when
+	// Session.Parallelism is unset (Config.Parallelism): 0 selects
+	// runtime.GOMAXPROCS(0), 1 trains sequentially. Each engine instance
+	// runs its wave on one goroutine, and a wave's two instances run at once
+	// (engine.Harness.ResumeRun). Results are bit-identical across settings.
 	Parallelism int
 	// Resilience configures step timeouts, retries and degradation for
-	// both engine instances (see engine.HarnessConfig; the Parallelism
-	// field inside it is overridden by the pipeline's own).
+	// both engine instances (see engine.HarnessConfig).
 	Resilience engine.HarnessConfig
 	// Cluster, when non-nil, mirrors the live instance's store into a
 	// sharded, replicated kvstore cluster. The client attaches once the
@@ -119,7 +117,6 @@ func runPipeline(build engine.BuildFunc, reportSteps []workflow.StepID, cfg Pipe
 	}
 	c := &pipelineCommitter{policy: apply.Name(), trainWaves: cfg.TrainWaves, applyWaves: cfg.ApplyWaves}
 	hcfg := cfg.Resilience
-	hcfg.Parallelism = cfg.Parallelism
 	if opts != nil {
 		hcfg.Committer = c
 	}

@@ -231,10 +231,10 @@ type Harness struct {
 
 // HarnessConfig configures harness construction.
 type HarnessConfig struct {
-	// Parallelism is forwarded to both instances' InstanceConfig: 0 selects
-	// runtime.GOMAXPROCS(0), 1 runs each instance's steps on its coordinator
-	// goroutine; a wave's two instances overlap at every setting (ResumeRun).
-	// Results are bit-identical across settings.
+	// Parallelism is ignored: each instance runs its wave on one goroutine,
+	// and a wave's two instances overlap (ResumeRun).
+	//
+	// Deprecated: the frozen benchmark still sets it (ROADMAP.md item 13(b)).
 	Parallelism int
 
 	// StepTimeout, StepRetries, RetryBackoff and RetrySeed are forwarded
@@ -281,7 +281,6 @@ func NewHarnessWithConfig(build BuildFunc, reportSteps []workflow.StepID, cfg Ha
 		return nil, fmt.Errorf("harness ref build: %w", err)
 	}
 	resilience := InstanceConfig{
-		Parallelism:  cfg.Parallelism,
 		StepTimeout:  cfg.StepTimeout,
 		StepRetries:  cfg.StepRetries,
 		RetryBackoff: cfg.RetryBackoff,

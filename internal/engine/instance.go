@@ -4,11 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"smartflux/internal/kvstore"
@@ -26,16 +24,6 @@ type InstanceConfig struct {
 	// accumulate exactly as the classifier will later see them. Outside
 	// training mode the baseline follows actual executions.
 	TrainingMode bool
-	// Parallelism bounds how many steps of one wave may run concurrently.
-	// 0 selects runtime.GOMAXPROCS(0); 1 runs every step on the calling
-	// goroutine. Above 1 the calling goroutine still runs each step it would
-	// otherwise wait for, and only steps that can overlap it run on other
-	// goroutines. Any value yields bit-identical WaveResults:
-	// triggering decisions are always taken in topological order by a
-	// single coordinator, and per-step results land in pre-indexed slots
-	// (see DESIGN.md §2 "The wave loop").
-	Parallelism int
-
 	// StepTimeout bounds each processor execution; zero means unbounded.
 	// A timed-out attempt fails with ErrStepTimeout; the abandoned
 	// processor goroutine is left to finish in the background (see
@@ -124,10 +112,6 @@ type Instance struct {
 	wf    *workflow.Workflow
 	store *kvstore.Store
 	cfg   InstanceConfig
-	par   int // effective parallelism: cfg.Parallelism, or GOMAXPROCS when unset
-	// pool holds one token per step doing work right now, par at most. It
-	// is taken only around actual work, never while waiting on another step.
-	pool chan struct{}
 
 	order    []workflow.StepID
 	gated    []workflow.StepID
@@ -135,16 +119,6 @@ type Instance struct {
 	// states[i] is the bookkeeping of order[i]; posOf maps a step ID to i.
 	states []*stepState
 	posOf  map[workflow.StepID]int
-	// waitIdx[i] lists order indices whose this-wave processing must
-	// finish before order[i] may start: the step's DAG predecessors plus
-	// any earlier step writing an overlapping output container (write-write
-	// ordering keeps version history deterministic when producers share a
-	// table).
-	waitIdx [][]int
-	// inline[i] is set for a gated position the coordinator runs itself
-	// above Parallelism 1, because it would only wait for it: the next gated
-	// position waits on it, or none follows (see parallel.go).
-	inline []bool
 
 	impacts []float64 // last-known impacts, by gated index
 	wave    int
@@ -157,11 +131,8 @@ type Instance struct {
 	// fixed at construction; each entry carries its own lock.
 	snaps map[workflow.Container]*containerSnapshot
 
-	// retryMu guards jitter: workers of a parallel wave may back off
-	// concurrently, and the draw order must stay a pure function of the
-	// arrival order for a given seed.
-	retryMu sync.Mutex
-	jitter  *rand.Rand
+	// jitter draws retry backoff jitter, in the order the retries happen.
+	jitter *rand.Rand
 
 	obs *instanceObs // nil when no observer is attached
 	// runSpan is the run-level span anchor created by Instrument when the
@@ -192,8 +163,8 @@ type instanceObs struct {
 	deferEmit   bool
 }
 
-// Nil-safe counter hooks: resilience events fire from worker goroutines and
-// from instances without an observer, so every call site goes through these.
+// Nil-safe counter hooks: resilience events fire in instances without an
+// observer too, so every call site goes through these.
 
 func (ob *instanceObs) countRetry() {
 	if ob != nil {
@@ -231,10 +202,10 @@ func (ob *instanceObs) countSnapshot(reused bool) {
 }
 
 // Instrument attaches an observer to the instance: per-wave duration and
-// per-decision latency histograms, gated exec/skip counters, a parallelism
-// gauge, and — when the observer has a trace sink — one decision event per
-// (wave, gated step). Passing nil detaches; with no observer attached every
-// hook is a no-op.
+// per-decision latency histograms, gated exec/skip counters, and — when
+// the observer has a trace sink — one decision event per (wave, gated
+// step). Passing nil detaches; with no observer attached every hook is a
+// no-op.
 func (in *Instance) Instrument(o *obs.Observer) {
 	if o == nil {
 		in.obs = nil
@@ -256,7 +227,6 @@ func (in *Instance) Instrument(o *obs.Observer) {
 		waveDur:     o.Histogram("smartflux_engine_wave_duration_seconds"),
 		decideDur:   o.Histogram("smartflux_engine_decision_latency_seconds"),
 	}
-	o.Gauge("smartflux_engine_parallelism").Set(float64(in.par))
 }
 
 // Span helpers. Wave, step and attempt spans hang off the run anchor with
@@ -275,18 +245,18 @@ func (in *Instance) waveSpan(wave int) *obs.Span {
 }
 
 // stepSpan starts a step's span under its wave span, recording the wave,
-// the step ID and the sibling step spans whose completion gates its start —
-// the edges critical-path analysis walks.
-func (in *Instance) stepSpan(waveSp *obs.Span, st *stepState, orderIdx, wave int) *obs.Span {
+// the step ID and the spans of its DAG predecessors, whose completion gates
+// its start — the edges critical-path analysis walks.
+func (in *Instance) stepSpan(waveSp *obs.Span, st *stepState, wave int) *obs.Span {
 	if waveSp == nil {
 		return nil
 	}
 	sp := waveSp.ChildKey(string(st.step.ID), "step", "engine")
 	sp.SetWave(wave)
 	sp.SetStep(string(st.step.ID))
-	if waits := in.waitIdx[orderIdx]; len(waits) > 0 {
-		ids := make([]string, len(waits))
-		for k, j := range waits {
+	if len(st.preds) > 0 {
+		ids := make([]string, len(st.preds))
+		for k, j := range st.preds {
 			ids[k] = waveSp.ID() + "/" + string(in.order[j])
 		}
 		sp.SetWaitFor(ids)
@@ -315,16 +285,10 @@ func NewInstance(wf *workflow.Workflow, store *kvstore.Store, cfg InstanceConfig
 	if err != nil {
 		return nil, err
 	}
-	par := cfg.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
 	in := &Instance{
 		wf:          wf,
 		store:       store,
 		cfg:         cfg,
-		par:         par,
-		pool:        make(chan struct{}, par),
 		order:       order,
 		gated:       gated,
 		gatedIdx:    make(map[workflow.StepID]int, len(gated)),
@@ -349,6 +313,7 @@ func NewInstance(wf *workflow.Workflow, store *kvstore.Store, cfg InstanceConfig
 		for _, pred := range wf.Predecessors(id) {
 			st.preds = append(st.preds, in.posOf[pred])
 		}
+		slices.Sort(st.preds)
 		for _, c := range step.Inputs {
 			in.snaps[c] = &containerSnapshot{}
 		}
@@ -380,50 +345,7 @@ func NewInstance(wf *workflow.Workflow, store *kvstore.Store, cfg InstanceConfig
 		}
 		in.states[i] = st
 	}
-	in.waitIdx = waitIndices(in.states)
-	in.inline = inlineGated(in.states, in.waitIdx)
 	return in, nil
-}
-
-// waitIndices precomputes the per-step wait sets of the wave scheduler, each
-// in ascending order. Predecessors precede their successors in order, so one
-// scan of the earlier positions finds both kinds of member.
-func waitIndices(states []*stepState) [][]int {
-	waits := make([][]int, len(states))
-	for i, st := range states {
-		for j, earlier := range states[:i] {
-			if slices.Contains(st.preds, j) || outputsOverlap(earlier.step, st.step) {
-				waits[i] = append(waits[i], j)
-			}
-		}
-	}
-	return waits
-}
-
-// inlineGated marks the gated positions whose next gated position in order
-// has them in its wait set, and the last gated position.
-func inlineGated(states []*stepState, waits [][]int) []bool {
-	inline := make([]bool, len(states))
-	next := -1
-	for i := len(states) - 1; i >= 0; i-- {
-		if states[i].step.Gated() {
-			inline[i] = next < 0 || slices.Contains(waits[next], i)
-			next = i
-		}
-	}
-	return inline
-}
-
-// outputsOverlap reports whether two steps write overlapping containers.
-func outputsOverlap(a, b *workflow.Step) bool {
-	for _, ao := range a.Outputs {
-		for _, bo := range b.Outputs {
-			if ao.Overlaps(bo) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // Workflow returns the underlying workflow.
@@ -431,11 +353,6 @@ func (in *Instance) Workflow() *workflow.Workflow { return in.wf }
 
 // Store returns the instance's store.
 func (in *Instance) Store() *kvstore.Store { return in.store }
-
-// Parallelism returns the effective per-wave worker bound.
-//
-//sflint:ignore unused read by TestInstanceConfigParallelism and TestParallelWaveBitIdentical
-func (in *Instance) Parallelism() int { return in.par }
 
 // GatedSteps returns the gated step IDs in topological order.
 func (in *Instance) GatedSteps() []workflow.StepID {
@@ -472,23 +389,18 @@ func (in *Instance) state(id workflow.StepID) *stepState {
 // and nothing has to invalidate entries: executions, degraded-step rollbacks,
 // hypothetical runs and failed waves all show up as a version change (or, for
 // DropTable + recreate, a different table). A rescan refills state.Vals in
-// place, so state is read under mu, and whoever keeps it copies it.
+// place, so whoever keeps state copies it.
 type containerSnapshot struct {
-	// mu serializes the readers of one container, so the scanned/reused
-	// counters do not depend on scheduling and no read overlaps a refill.
-	mu      sync.Mutex
 	table   *kvstore.Table
 	version uint64
 	state   metric.Columns
 }
 
 // readSnapshot runs read on the current state of c, one of the workflow's
-// containers, under its cache entry's lock: the table is read only if it
-// changed since the previous snapshot.
+// containers: the table is read only if it changed since the previous
+// snapshot.
 func (in *Instance) readSnapshot(c workflow.Container, read func(metric.Columns)) {
 	e := in.snaps[c]
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if t, err := in.store.Table(c.Table); err != nil {
 		e.table, e.state = nil, metric.Columns{Vals: e.state.Vals[:0]}
 	} else {
@@ -583,9 +495,7 @@ func (in *Instance) observeImpact(st *stepState) float64 {
 // simulates the optimal label against the shadow error baseline, records the
 // simulated error and label into the result's pre-indexed slots, and applies
 // the baseline-commit discipline to the impact trackers (see InstanceConfig)
-// with the inputs as observed before the step ran. It touches only the
-// step's own trackers and result slots, so concurrent calls for distinct
-// steps are safe.
+// with the inputs as observed before the step ran.
 func (in *Instance) simulateAndCommit(st *stepState, res *WaveResult, idx int, ev *obs.DecisionEvent) {
 	worst := 0.0
 	for i, c := range st.step.Outputs {
@@ -635,10 +545,8 @@ func newWaveResult(wave, gated int) WaveResult {
 // RunWave executes one wave under the given decider and returns what
 // happened. Source steps always run; zero-tolerance steps run whenever their
 // predecessors have produced output at least once; gated steps consult the
-// decider with the freshly observed input impacts. One coordinator — the
-// calling goroutine — observes and decides in topological order, so results
-// are bit-identical for every Parallelism setting; above 1 the executions of
-// independent steps overlap on a bounded worker pool (see parallel.go).
+// decider with the freshly observed input impacts. The calling goroutine
+// runs the whole wave, one step at a time in topological order (wave.go).
 // A failed wave leaves the instance in its pre-wave state: all trackers,
 // per-step bookkeeping and the wave counter are rolled back, so callers can
 // retry the wave or carry on as if it had not been attempted (store contents
@@ -688,9 +596,7 @@ func (in *Instance) decide(d Decider, wave, idx int, ready bool) (verdict bool, 
 }
 
 // traceDecision appends one decision event to the wave result and returns a
-// pointer to it, or nil when tracing is off. res.Decisions is pre-allocated
-// to the gated-step count, so appends never reallocate and the returned
-// pointer stays valid while later events are added.
+// pointer to it, for the step's outcome, or nil when tracing is off.
 func (in *Instance) traceDecision(res *WaveResult, d Decider, step *workflow.Step, idx int, impact float64, ready, verdict bool, decNanos int64, tracing bool) *obs.DecisionEvent {
 	if !tracing {
 		return nil

@@ -106,7 +106,7 @@ func TestSelfReadingStepCommitsPreExecutionInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := NewInstance(wf, store, InstanceConfig{Parallelism: 1})
+	inst, err := NewInstance(wf, store, InstanceConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,14 +245,14 @@ func TestFailedWaveRewindsOwnedBaselines(t *testing.T) {
 		}
 		return h, res
 	}
-	clean, want := run(t, failAttemptsAt(failWave, 0), HarnessConfig{Parallelism: 1}, 0)
+	clean, want := run(t, failAttemptsAt(failWave, 0), HarnessConfig{}, 0)
 	for _, tc := range []struct {
 		name     string
 		cfg      HarnessConfig
 		failures int
 	}{
-		{"retried", HarnessConfig{Parallelism: 1, WaveRetries: 2}, 0},
-		{"failed twice", HarnessConfig{Parallelism: 1}, 2},
+		{"retried", HarnessConfig{WaveRetries: 2}, 0},
+		{"failed twice", HarnessConfig{}, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			h, res := run(t, failAttemptsAt(failWave, 2), tc.cfg, tc.failures)

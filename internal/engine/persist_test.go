@@ -215,8 +215,8 @@ func TestCheckpointIsAView(t *testing.T) {
 // different workload.
 func TestRestorePersistedStateShapeMismatch(t *testing.T) {
 	a := buildInstance(t, testWorkload(0.05), InstanceConfig{})
-	wide := buildInstance(t, wideWorkload(4, 0.05), InstanceConfig{})
-	if err := a.checkPersisted(wide.PersistState()); err == nil {
+	other := buildInstance(t, twoChains(func(workflow.StepID, int) error { return nil }), InstanceConfig{})
+	if err := a.checkPersisted(other.PersistState()); err == nil {
 		t.Fatal("checking mismatched persisted state: want error")
 	}
 }
@@ -237,7 +237,7 @@ func TestRestoreCheckpointRejectsMalformed(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := cc.cps[2]
-	wide := buildInstance(t, wideWorkload(4, 0.05), InstanceConfig{}).PersistState()
+	other := buildInstance(t, twoChains(func(workflow.StepID, int) error { return nil }), InstanceConfig{}).PersistState()
 	fresh, err := NewHarness(build, reportSteps)
 	if err != nil {
 		t.Fatal(err)
@@ -265,8 +265,8 @@ func TestRestoreCheckpointRejectsMalformed(t *testing.T) {
 		{"missing report step", func(cp *HarnessCheckpoint) { delete(cp.Result.Reports, "mid") }, `no report for step "mid"`},
 		{"nil report", func(cp *HarnessCheckpoint) { cp.Result.Reports["mid"] = nil }, `no report for step "mid"`},
 		{"measures of another harness", func(cp *HarnessCheckpoint) { cp.Measures = cp.Measures[:1] }, "measures 1 steps"},
-		{"live of another workload", func(cp *HarnessCheckpoint) { cp.Live = wide }, "live: "},
-		{"ref of another workload", func(cp *HarnessCheckpoint) { cp.Ref = wide }, "ref: "},
+		{"live of another workload", func(cp *HarnessCheckpoint) { cp.Live = other }, "live: "},
+		{"ref of another workload", func(cp *HarnessCheckpoint) { cp.Ref = other }, "ref: "},
 		{"baseline with fewer values than keys", func(cp *HarnessCheckpoint) {
 			cp.Live = withFirstBaseline(cp.Live, func(c metric.Columns) metric.Columns {
 				c.Vals = c.Vals[:len(c.Vals)-1]

@@ -64,9 +64,7 @@ func (in *Instance) backoff(attempt int) {
 		attempt = 6
 	}
 	d := base << uint(attempt)
-	in.retryMu.Lock()
 	d += time.Duration(in.jitter.Int63n(int64(d)/2 + 1))
-	in.retryMu.Unlock()
 	time.Sleep(d)
 }
 

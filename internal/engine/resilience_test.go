@@ -89,9 +89,9 @@ func TestStepRetryRecoversTransientFailure(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	faulty := buildInstance(t, hookedWorkload(0.05, "leaf", mkFlaky),
-		InstanceConfig{Parallelism: 1, StepRetries: 2})
+		InstanceConfig{StepRetries: 2})
 	faulty.Instrument(obs.New(reg))
-	clean := buildInstance(t, testWorkload(0.05), InstanceConfig{Parallelism: 1})
+	clean := buildInstance(t, testWorkload(0.05), InstanceConfig{})
 
 	for w := 0; w < 5; w++ {
 		fres, err := faulty.RunWave(Sync{})
@@ -127,7 +127,7 @@ func TestStepTimeout(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	in := buildInstance(t, hookedWorkload(0.05, "mid", mkHung),
-		InstanceConfig{Parallelism: 1, StepTimeout: 30 * time.Millisecond})
+		InstanceConfig{StepTimeout: 30 * time.Millisecond})
 	in.Instrument(obs.New(reg))
 
 	if _, err := in.RunWave(Sync{}); err != nil {
@@ -160,7 +160,7 @@ func TestTimedOutAttemptSharesNoBatchWithItsRetry(t *testing.T) {
 			b.PutFloat("r"+strconv.Itoa(i), "v", 1000*attempt+float64(i))
 		}
 	}
-	in := buildInstance(t, testWorkload(0.05), InstanceConfig{Parallelism: 1, StepTimeout: 50 * time.Millisecond, StepRetries: 1})
+	in := buildInstance(t, testWorkload(0.05), InstanceConfig{StepTimeout: 50 * time.Millisecond, StepRetries: 1})
 	src, err := in.wf.Step("src")
 	if err != nil {
 		t.Fatal(err)
@@ -219,7 +219,7 @@ func TestDegradeGatedForcedSkip(t *testing.T) {
 	sink := obs.NewRingSink(64)
 	o := obs.New(reg, sink)
 	in := buildInstance(t, hookedWorkload(0.05, "leaf", mkBroken),
-		InstanceConfig{Parallelism: 1, DegradeGated: true})
+		InstanceConfig{DegradeGated: true})
 	in.Instrument(o)
 
 	idx := in.GatedIndex("leaf")
@@ -294,11 +294,11 @@ func TestDegradeMatchesSkipEpsilonAccounting(t *testing.T) {
 		return func(int) error { return nil }
 	}
 	degraded, err := NewHarnessWithConfig(hookedWorkload(0.05, "leaf", mkLiveOnly), nil,
-		HarnessConfig{Parallelism: 1, DegradeGated: true})
+		HarnessConfig{DegradeGated: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	skipper, err := NewHarnessWithConfig(testWorkload(0.05), nil, HarnessConfig{Parallelism: 1})
+	skipper, err := NewHarnessWithConfig(testWorkload(0.05), nil, HarnessConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,39 +350,36 @@ func (s skipStepFrom) Name() string { return "skip-step-from" }
 // form exactly as it was, and the retried wave and all later waves must be
 // bit-identical to a never-failed run.
 func TestWaveCheckpointRestore(t *testing.T) {
-	for _, par := range []int{1, 4} {
-		faulty := buildInstance(t, hookedWorkload(0.05, "leaf", failFirstAttemptFrom(3)),
-			InstanceConfig{Parallelism: par})
-		clean := buildInstance(t, testWorkload(0.05), InstanceConfig{Parallelism: par})
+	faulty := buildInstance(t, hookedWorkload(0.05, "leaf", failFirstAttemptFrom(3)), InstanceConfig{})
+	clean := buildInstance(t, testWorkload(0.05), InstanceConfig{})
 
-		for w := 0; w < 6; w++ {
-			pre := faulty.PersistState()
-			fres, err := faulty.RunWave(Sync{})
-			if w == 3 && err != nil {
-				if !errors.Is(err, errBoom) {
-					t.Fatalf("wave 3 failed with %v, want errBoom", err)
-				}
-				if faulty.Wave() != 3 {
-					t.Fatalf("wave counter advanced to %d through a failed wave", faulty.Wave())
-				}
-				if !reflect.DeepEqual(faulty.PersistState(), pre) {
-					t.Fatalf("parallelism %d: persisted state changed through a failed wave", par)
-				}
-				// The instance is back at its pre-wave state: retry.
-				fres, err = faulty.RunWave(Sync{})
+	for w := 0; w < 6; w++ {
+		pre := faulty.PersistState()
+		fres, err := faulty.RunWave(Sync{})
+		if w == 3 && err != nil {
+			if !errors.Is(err, errBoom) {
+				t.Fatalf("wave 3 failed with %v, want errBoom", err)
 			}
-			if err != nil {
-				t.Fatalf("faulty wave %d: %v", w, err)
+			if faulty.Wave() != 3 {
+				t.Fatalf("wave counter advanced to %d through a failed wave", faulty.Wave())
 			}
-			cres, err := clean.RunWave(Sync{})
-			if err != nil {
-				t.Fatalf("clean wave %d: %v", w, err)
+			if !reflect.DeepEqual(faulty.PersistState(), pre) {
+				t.Fatal("persisted state changed through a failed wave")
 			}
-			for i := range fres.Impacts {
-				if fres.Impacts[i] != cres.Impacts[i] || fres.Executed[i] != cres.Executed[i] ||
-					fres.SimErrors[i] != cres.SimErrors[i] || fres.Labels[i] != cres.Labels[i] {
-					t.Fatalf("wave %d step %d diverged after recovery: %+v vs %+v", w, i, fres, cres)
-				}
+			// The instance is back at its pre-wave state: retry.
+			fres, err = faulty.RunWave(Sync{})
+		}
+		if err != nil {
+			t.Fatalf("faulty wave %d: %v", w, err)
+		}
+		cres, err := clean.RunWave(Sync{})
+		if err != nil {
+			t.Fatalf("clean wave %d: %v", w, err)
+		}
+		for i := range fres.Impacts {
+			if fres.Impacts[i] != cres.Impacts[i] || fres.Executed[i] != cres.Executed[i] ||
+				fres.SimErrors[i] != cres.SimErrors[i] || fres.Labels[i] != cres.Labels[i] {
+				t.Fatalf("wave %d step %d diverged after recovery: %+v vs %+v", w, i, fres, cres)
 			}
 		}
 	}
@@ -407,7 +404,7 @@ func TestMeasureFailureCommitsNothing(t *testing.T) {
 		}
 	}
 	h, err := NewHarnessWithConfig(hookedWorkload(0.05, "leaf", failMeasureAt3),
-		[]workflow.StepID{"mid", "leaf"}, HarnessConfig{Parallelism: 1})
+		[]workflow.StepID{"mid", "leaf"}, HarnessConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,11 +440,11 @@ func TestHarnessWaveRetries(t *testing.T) {
 	report := []workflow.StepID{"mid"}
 	build := hookedWorkload(0.05, "leaf", failFirstAttemptFrom(3))
 	run := func(t *testing.T, policy func() Decider) {
-		faulty, err := NewHarnessWithConfig(build, report, HarnessConfig{Parallelism: 1, WaveRetries: 1})
+		faulty, err := NewHarnessWithConfig(build, report, HarnessConfig{WaveRetries: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		clean, err := NewHarnessWithConfig(testWorkload(0.05), report, HarnessConfig{Parallelism: 1})
+		clean, err := NewHarnessWithConfig(testWorkload(0.05), report, HarnessConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -469,7 +466,7 @@ func TestHarnessWaveRetries(t *testing.T) {
 	}
 
 	// Without the retry budget the same fault kills the run.
-	doomed, err := NewHarnessWithConfig(build, report, HarnessConfig{Parallelism: 1})
+	doomed, err := NewHarnessWithConfig(build, report, HarnessConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,7 +482,7 @@ func TestHarnessWaveRetries(t *testing.T) {
 // later ResumeRun continues the clean run's series.
 func TestFailedHarnessWaveRewindsBothInstances(t *testing.T) {
 	const failWave, waves = 5, 10
-	clean, err := NewHarnessWithConfig(testWorkload(0.05), nil, HarnessConfig{Parallelism: 1})
+	clean, err := NewHarnessWithConfig(testWorkload(0.05), nil, HarnessConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -502,7 +499,7 @@ func TestFailedHarnessWaveRewindsBothInstances(t *testing.T) {
 				}
 				return func(int) error { return nil }
 			}
-			h, err := NewHarnessWithConfig(hookedWorkload(0.05, "mid", mkHook), nil, HarnessConfig{Parallelism: 1})
+			h, err := NewHarnessWithConfig(hookedWorkload(0.05, "mid", mkHook), nil, HarnessConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -529,43 +526,6 @@ func TestFailedHarnessWaveRewindsBothInstances(t *testing.T) {
 			}
 			equalResults(t, res, want)
 		})
-	}
-}
-
-// TestDegradeParallelEquivalence runs the permanent-failure degrade scenario
-// at Parallelism 1 and 4: Executed/Degraded/Impacts must be bit-identical.
-func TestDegradeParallelEquivalence(t *testing.T) {
-	mkBroken := func() func(int) error {
-		return func(w int) error {
-			if w >= 2 && w%2 == 0 {
-				return errBoom
-			}
-			return nil
-		}
-	}
-	run := func(par int) []WaveResult {
-		in := buildInstance(t, hookedWorkload(0.05, "mid", mkBroken),
-			InstanceConfig{Parallelism: par, DegradeGated: true, StepRetries: 1})
-		var out []WaveResult
-		for w := 0; w < 6; w++ {
-			res, err := in.RunWave(Sync{})
-			if err != nil {
-				t.Fatalf("par %d wave %d: %v", par, w, err)
-			}
-			out = append(out, res)
-		}
-		return out
-	}
-	seq, par := run(1), run(4)
-	for w := range seq {
-		for i := range seq[w].Impacts {
-			if seq[w].Impacts[i] != par[w].Impacts[i] ||
-				seq[w].Executed[i] != par[w].Executed[i] ||
-				seq[w].Degraded[i] != par[w].Degraded[i] ||
-				seq[w].SimErrors[i] != par[w].SimErrors[i] {
-				t.Fatalf("wave %d step %d diverged across parallelism: %+v vs %+v", w, i, seq[w], par[w])
-			}
-		}
 	}
 }
 

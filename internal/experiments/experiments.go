@@ -40,9 +40,9 @@ type Config struct {
 	// Jobs bounds how many (workload, bound) pipelines run concurrently
 	// (the cmd/experiments -j flag): 0 selects runtime.GOMAXPROCS(0),
 	// 1 runs them one at a time. Within a fan-out each pipeline runs at
-	// PipelineConfig.Parallelism 1 — one goroutine per wave and one training
-	// task at a time. ClassifierSelection runs its cross-validations on as
-	// many workers. Every figure's output is identical for every setting.
+	// PipelineConfig.Parallelism 1 — one training task at a time; each
+	// engine instance runs its waves on one goroutine at every setting.
+	// ClassifierSelection runs its cross-validations on as many workers. Every figure's output is identical for every setting.
 	Jobs int
 	// Obs, when non-nil, instruments every pipeline the runner executes
 	// (metrics, decision traces and causal spans; see cmd/experiments'
@@ -145,9 +145,9 @@ func (r *Runner) Pipeline(w Workload, bound float64, policy string) (*core.Pipel
 }
 
 // runPipeline executes one uncached pipeline. When pipelines fan out
-// (Jobs > 1) each runs at Parallelism 1, so the fan-out rather than the
-// engine and the training tasks uses the machine (forest tree fits still
-// fan out inside); a lone pipeline gets full inner parallelism.
+// (Jobs > 1) each trains at Parallelism 1, so the fan-out rather than the
+// training tasks uses the machine (forest tree fits still fan out inside);
+// a lone pipeline trains with full parallelism.
 func (r *Runner) runPipeline(w Workload, bound float64, policy string) (*core.PipelineResult, error) {
 	build, report, err := Recipe(w, r.cfg.Seed, bound)
 	if err != nil {

@@ -51,9 +51,6 @@ type SpanEvent struct {
 	// ordering only, nondeterministic. DurNanos is the monotonic duration.
 	StartNanos int64 `json:"start_ns"`
 	DurNanos   int64 `json:"dur_ns"`
-	// WaitNanos is the prefix of the duration spent blocked on
-	// predecessors (the wait-vs-execute split of parallel step spans).
-	WaitNanos int64 `json:"wait_ns,omitempty"`
 	// Iota and Eps carry the decision quantities charged to the span: the
 	// observed input impact and the simulated output error.
 	Iota float64 `json:"iota,omitempty"`
@@ -213,15 +210,6 @@ func (s *Span) SetAttr(key, value string) {
 func (s *Span) SetErr(err error) {
 	if s != nil && err != nil {
 		s.ev.Err = err.Error()
-	}
-}
-
-// MarkWait records the time elapsed since the span started as its wait
-// prefix — call it at the moment blocked-on-predecessors waiting ends and
-// real work begins.
-func (s *Span) MarkWait() {
-	if s != nil {
-		s.ev.WaitNanos = time.Since(s.start).Nanoseconds()
 	}
 }
 

@@ -109,7 +109,6 @@ func TestSpanNilSafety(t *testing.T) {
 	sp.SetWaitFor([]string{"a"})
 	sp.SetAttr("k", "v")
 	sp.SetErr(errors.New("x"))
-	sp.MarkWait()
 	sp.End()
 	sp.EndErr(errors.New("y"))
 
@@ -234,17 +233,5 @@ func TestObserverFlightRecorder(t *testing.T) {
 	o.RootSpan("x", "x", "engine").End()
 	if extra.Len() != 1 || ring.Len() != 2 {
 		t.Fatalf("chained sink counts = %d/%d", extra.Len(), ring.Len())
-	}
-}
-
-func TestMarkWaitSplitsDuration(t *testing.T) {
-	ring := NewSpanRing(4)
-	o := New(nil).WithSpanSinks(ring)
-	sp := o.RootSpan("run/w0/s", "step", "engine")
-	sp.MarkWait()
-	sp.End()
-	ev := ring.Tail(0)[0]
-	if ev.WaitNanos < 0 || ev.WaitNanos > ev.DurNanos {
-		t.Errorf("wait %d must be within duration %d", ev.WaitNanos, ev.DurNanos)
 	}
 }

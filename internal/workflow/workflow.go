@@ -61,13 +61,6 @@ func (c Container) String() string {
 	return c.Table + "/" + c.ColumnPrefix
 }
 
-// Overlaps reports whether two container references can share cells: same
-// table, with one column prefix containing the other (an unscoped reference
-// overlaps everything on its table).
-func (c Container) Overlaps(o Container) bool {
-	return containersOverlap(c, o)
-}
-
 // Snapshot reads the container's current numeric state from the store as an
 // element list; a missing table yields an empty state. The engine reads
 // containers as metric.Columns (kvstore.Table.ScanColumns): Snapshot is the

@@ -9,12 +9,12 @@ import (
 
 // TestNilObserverPipeline is the regression guard for the nil-safety
 // invariant every instrumentation hook since PR 1 promises: the full
-// quickstart-sized pipeline — engine waves (sequential and parallel), store
-// ops, session training, drift detection — must run with no observer at all,
-// and with a metrics-only observer (no span sinks, so Spanning() is false),
-// without panicking or emitting anything. `make race` runs this under the
-// race detector, which also catches unsynchronized span state on the
-// parallel wave scheduler's goroutines.
+// quickstart-sized pipeline — engine waves, store ops, session training
+// (sequential and parallel), drift detection — must run with no observer at
+// all, and with a metrics-only observer (no span sinks, so Spanning() is
+// false), without panicking or emitting anything. `make race` runs this
+// under the race detector, which also catches unsynchronized span state on
+// the goroutines of a wave's two overlapped instances.
 func TestNilObserverPipeline(t *testing.T) {
 	metricsOnly := smartflux.NewRunObserver(smartflux.NewMetricsRegistry())
 	cases := []struct {

@@ -3,9 +3,8 @@ package smartflux_test
 import (
 	"bytes"
 	"encoding/gob"
-	"fmt"
 	"reflect"
-	"regexp"
+	"sync/atomic"
 	"testing"
 
 	"smartflux"
@@ -34,38 +33,10 @@ func paperWorkloads() map[string]struct {
 	}
 }
 
-// TestHarnessParallelismDeterminism runs both paper workloads through the
-// harness at Parallelism 1 and 4 under a skipping policy and requires the
-// full Result — execution matrices, measured/predicted error series, labels
-// and impacts — to be byte-identical. This is the PR's headline contract:
-// the worker pool only changes wall-clock time, never a number.
-func TestHarnessParallelismDeterminism(t *testing.T) {
-	for name, w := range paperWorkloads() {
-		t.Run(name, func(t *testing.T) {
-			run := func(par int) *smartflux.Result {
-				h, err := smartflux.NewHarnessWithConfig(w.build,
-					[]smartflux.StepID{w.report},
-					smartflux.HarnessConfig{Parallelism: par})
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := h.Run(25, smartflux.SeqPolicy(3))
-				if err != nil {
-					t.Fatal(err)
-				}
-				return res
-			}
-			if !reflect.DeepEqual(run(1), run(4)) {
-				t.Fatal("harness results diverged between Parallelism 1 and 4")
-			}
-		})
-	}
-}
-
 // TestPipelineParallelismDeterminism runs the full train→test→apply pipeline
-// of the AQHI workload at both parallelism settings (per-wave workers,
-// per-label training and concurrent CV folds all engaged at 4) and compares
-// the final resource and quality numbers.
+// of the AQHI workload at two training fan-outs (per-label training and
+// concurrent CV folds engaged at 4) and compares the final resource and
+// quality numbers.
 func TestPipelineParallelismDeterminism(t *testing.T) {
 	w := paperWorkloads()["aqhi"]
 	run := func(par int) *smartflux.PipelineResult {
@@ -103,16 +74,12 @@ type nopCommitter struct{}
 func (nopCommitter) CommitWave(*engine.HarnessCheckpoint) error { return nil }
 
 // TestHarnessOverlapMatchesOrdered runs the three bundled workloads through a
-// session's training and application phases at Parallelism 1 and 4, once with
-// the two instances of every wave overlapped and once ordered by a no-op
-// committer. Both runs must give the same encoded result and the same dumps
-// of both stores: overlapping the instances changes when they run, never what
-// they compute. At Parallelism 1 the dumps include the logical timestamps;
-// above 1 concurrent steps of one instance draw them from its store clock in
-// scheduling order, so two ordered runs differ there too and the dumps are
-// compared without them.
+// session's training and application phases, once with the two instances of
+// every wave overlapped and once ordered by a no-op committer. Both runs must
+// give the same encoded result and the same dumps of both stores, logical
+// timestamps included: overlapping the instances changes when they run, never
+// what they compute.
 func TestHarnessOverlapMatchesOrdered(t *testing.T) {
-	stamp := regexp.MustCompile(` @\d+ = `)
 	builds := map[string]smartflux.BuildFunc{
 		"lrb":      workloads.LinearRoad(workloads.LinearRoadConfig{Seed: 42, MaxError: 0.10}),
 		"aqhi":     workloads.AirQuality(workloads.AirQualityConfig{Seed: 42, MaxError: 0.10}),
@@ -122,18 +89,17 @@ func TestHarnessOverlapMatchesOrdered(t *testing.T) {
 		result string
 		dumps  [2]string
 	}
-	run := func(t *testing.T, build smartflux.BuildFunc, par int, committer engine.WaveCommitter) outcome {
+	run := func(t *testing.T, build smartflux.BuildFunc, committer engine.WaveCommitter) outcome {
 		var stores []*smartflux.Store
 		res, err := smartflux.RunPipeline(func() (*smartflux.Workflow, *smartflux.Store, error) {
 			wf, store, err := build()
 			stores = append(stores, store)
 			return wf, store, err
 		}, nil, smartflux.PipelineConfig{
-			TrainWaves:  30,
-			ApplyWaves:  15,
-			Session:     smartflux.SessionConfig{Seed: 49, Thresholds: []float64{0.15}, PositiveWeight: 14},
-			Parallelism: par,
-			Resilience:  smartflux.HarnessConfig{Committer: committer},
+			TrainWaves: 30,
+			ApplyWaves: 15,
+			Session:    smartflux.SessionConfig{Seed: 49, Thresholds: []float64{0.15}, PositiveWeight: 14},
+			Resilience: smartflux.HarnessConfig{Committer: committer},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -145,43 +111,69 @@ func TestHarnessOverlapMatchesOrdered(t *testing.T) {
 		out := outcome{result: buf.String()}
 		for i, s := range stores {
 			out.dumps[i] = string(s.Dump())
-			if par > 1 {
-				out.dumps[i] = stamp.ReplaceAllString(out.dumps[i], " = ")
-			}
 		}
 		return out
 	}
 	for name, build := range builds {
-		for _, par := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s/par%d", name, par), func(t *testing.T) {
-				overlapped, ordered := run(t, build, par, nil), run(t, build, par, nopCommitter{})
-				if overlapped.result != ordered.result {
-					t.Error("the overlapped run's result differs from the ordered run's")
+		t.Run(name, func(t *testing.T) {
+			overlapped, ordered := run(t, build, nil), run(t, build, nopCommitter{})
+			if overlapped.result != ordered.result {
+				t.Error("the overlapped run's result differs from the ordered run's")
+			}
+			for i, which := range []string{"live", "reference"} {
+				if overlapped.dumps[i] != ordered.dumps[i] {
+					t.Errorf("the overlapped run's %s store differs from the ordered run's", which)
 				}
-				for i, which := range []string{"live", "reference"} {
-					if overlapped.dumps[i] != ordered.dumps[i] {
-						t.Errorf("the overlapped run's %s store differs from the ordered run's", which)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
-// TestInstanceConfigParallelism checks the public InstanceConfig plumbing.
-func TestInstanceConfigParallelism(t *testing.T) {
-	wf, store, err := buildPublic()
-	if err != nil {
-		t.Fatal(err)
+// TestInstanceRunsOneStepAtATime wraps every processor of one instance in an
+// in-flight counter and requires that no two ever run at once, over 50
+// synchronous waves of an 8-way fan-out of CPU-bound steps and of fire-risk.
+func TestInstanceRunsOneStepAtATime(t *testing.T) {
+	builds := map[string]smartflux.BuildFunc{
+		"fanout":   benchFanout(8, 20_000),
+		"firerisk": workloads.FireRisk(workloads.FireRiskConfig{Seed: 42, MaxError: 0.10}),
 	}
-	inst, err := smartflux.NewInstanceWithConfig(wf, store, smartflux.InstanceConfig{Parallelism: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inst.Parallelism() != 3 {
-		t.Fatalf("Parallelism = %d, want 3", inst.Parallelism())
-	}
-	if _, err := inst.RunWave(smartflux.SyncPolicy()); err != nil {
-		t.Fatal(err)
+	for name, build := range builds {
+		t.Run(name, func(t *testing.T) {
+			wf, store, err := build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			order, err := wf.Order()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var inFlight, most atomic.Int64
+			for _, id := range order {
+				step, err := wf.Step(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				inner := step.Proc
+				step.Proc = smartflux.ProcessorFunc(func(ctx *smartflux.Context) error {
+					n := inFlight.Add(1)
+					defer inFlight.Add(-1)
+					for m := most.Load(); n > m && !most.CompareAndSwap(m, n); m = most.Load() {
+					}
+					return inner.Process(ctx)
+				})
+			}
+			inst, err := smartflux.NewInstanceWithConfig(wf, store, smartflux.InstanceConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for w := 0; w < 50; w++ {
+				if _, err := inst.RunWave(smartflux.SyncPolicy()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := most.Load(); got != 1 {
+				t.Fatalf("at most %d processors ran at once, want 1", got)
+			}
+		})
 	}
 }

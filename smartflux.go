@@ -304,8 +304,9 @@ func NewHarness(build BuildFunc, reportSteps []StepID) (*Harness, error) {
 	return engine.NewHarness(build, reportSteps)
 }
 
-// NewHarnessWithConfig is NewHarness with an explicit configuration, e.g. a
-// per-wave Parallelism bound. Results are bit-identical across settings.
+// NewHarnessWithConfig is NewHarness with an explicit configuration: step
+// timeouts, retries, degradation, wave retries and a wave committer. Each
+// of the two instances runs its wave on one goroutine, the two side by side.
 func NewHarnessWithConfig(build BuildFunc, reportSteps []StepID, cfg HarnessConfig) (*Harness, error) {
 	return engine.NewHarnessWithConfig(build, reportSteps, cfg)
 }
